@@ -615,6 +615,51 @@ func BenchmarkShardedValidation(b *testing.B) {
 	}
 }
 
+// BenchmarkValidationLargeSample times one cold validation in the
+// large-sample regime the hot-path series otherwise never reaches: a
+// 5-table chain with one shared range on four tables and a disjoint
+// range on the fifth (the shape of bench/'s ott_large workload) over
+// 72k-120k-row samples, one worker, no cross-call cache. Here the
+// request is the scan kernels, the boundary-column gathers and the join
+// build/probe; B/op is what one validation materializes, so the cost of
+// the representation the skeleton carries between operators shows.
+func BenchmarkValidationLargeSample(b *testing.B) {
+	cat, err := reopt.GenerateOTT(reopt.OTTConfig{
+		Seed: 1, NumTables: 5, RowsPerValue: 3,
+		Domains: []int{40000, 36000, 32000, 28000, 24000}, SampleRatio: 1.0,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := reopt.Open(cat, reopt.WithWorkers(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := s.Parse("SELECT COUNT(*) FROM r3 AS t1, r1 AS t2, r5 AS t3, r2 AS t4, r4 AS t5" +
+		" WHERE t1.a BETWEEN 3000 AND 3400 AND t2.a BETWEEN 3000 AND 3400" +
+		" AND t3.a BETWEEN 15000 AND 15400 AND t4.a BETWEEN 3000 AND 3400" +
+		" AND t5.a BETWEEN 3000 AND 3400" +
+		" AND t1.b = t2.b AND t2.b = t3.b AND t3.b = t4.b AND t4.b = t5.b")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := s.Optimize(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := s.Validate(ctx, p); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Validate(ctx, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkWorkloadCache measures what the workload-level validation
 // cache buys on a workload of similar queries: "cold" re-optimizes the
 // whole workload with per-query caches (every query validates from

@@ -341,7 +341,7 @@ type batchTask struct {
 	// cols/selTotal before the final stage.
 	shards   []scanShard
 	selTotal int
-	cols     [][]rel.Value
+	cols     []storage.ColData
 	table    map[uint64][]int32
 	parts    []probePart
 	pspans   []span
@@ -446,10 +446,13 @@ func (t *batchTask) failedPanic() *capturedPanic {
 	return t.failed.Load()
 }
 
-// probePart is one span's private probe output.
+// probePart is one span's private probe output: its match count, the
+// recorded match pairs (nil for a join with no output columns), and the
+// span's offset in the task's output columns.
 type probePart struct {
 	count int
-	cols  [][]rel.Value
+	pairs *pairBuf
+	off   int
 }
 
 // batchBuilder deduplicates subtrees across the submitted plans.
@@ -702,7 +705,7 @@ type groupShard struct {
 	spans  []span
 	cnts   []int
 	usel   []int32
-	fcols  []*storage.ColData
+	fcols  []storage.ColData
 }
 
 // failAll attributes a shared-scan failure to every member: the union
@@ -795,15 +798,12 @@ func (t *batchTask) storeTemplate() {
 	if len(t.crefs) == 0 {
 		return
 	}
-	fcols := make([]*storage.ColData, len(t.tmpl.fpos))
-	for j, pos := range t.tmpl.fpos {
-		dst := newTemplateCol(t.shards[0].cs.Col(pos), t.selTotal)
-		for si := range t.shards {
-			sh := &t.shards[si]
-			gatherTemplateCol(dst, sh.cs.Col(pos), sh.sel, 0, len(sh.sel), sh.off)
-		}
-		fcols[j] = dst
+	fcols := newColsLike(t.shards[0].cs, t.tmpl.fpos, t.selTotal)
+	for si := range t.shards {
+		sh := &t.shards[si]
+		gatherColsOff(sh.cs, t.tmpl.fpos, fcols, sh.sel, 0, len(sh.sel), sh.off)
 	}
+	withNullWords(fcols)
 	for i := range t.crefs {
 		cr := &t.crefs[i]
 		cr.cache.putTemplate(cr.key, t.tmpl, t.sub, fcols)
@@ -1073,12 +1073,12 @@ func runScanWave(ctx context.Context, tasks []*batchTask, binder func(string) (*
 		g := g
 		for si := range g.shards {
 			gsh := &g.shards[si]
-			gsh.fcols = make([]*storage.ColData, len(g.tmpl.fpos))
+			gsh.fcols = newColsLike(gsh.cs, g.tmpl.fpos, len(gsh.usel))
 			for j, pos := range g.tmpl.fpos {
-				j, src := j, gsh.cs.Col(pos)
-				gsh.fcols[j] = newTemplateCol(src, len(gsh.usel))
+				dst, src := &gsh.fcols[j], gsh.cs.Col(pos)
 				units = append(units, workUnit{fail: g.failAll, run: func() {
-					gatherTemplateCol(gsh.fcols[j], src, gsh.usel, 0, len(gsh.usel), 0)
+					dst.Gather(src, gsh.usel, 0, len(gsh.usel), 0)
+					dst.BuildNullWords()
 				}})
 			}
 		}
@@ -1119,8 +1119,8 @@ func runScanWave(ctx context.Context, tasks []*batchTask, binder func(string) (*
 
 	// Phase 3: gather boundary columns for the surviving rows. Each
 	// shard writes its slice of the merged output columns at the shard's
-	// cumulative offset — mergePartials performed in place, so shard
-	// outputs concatenate in shard order without a copy step.
+	// cumulative offset, so shard outputs concatenate in shard order
+	// without a copy step.
 	units = units[:0]
 	for _, t := range pending {
 		if t.failedPanic() != nil {
@@ -1133,10 +1133,7 @@ func runScanWave(ctx context.Context, tasks []*batchTask, binder func(string) (*
 			count += len(t.shards[si].sel)
 		}
 		t.selTotal = count
-		t.cols = make([][]rel.Value, len(t.refs))
-		for k := range t.refs {
-			t.cols[k] = make([]rel.Value, count)
-		}
+		t.cols = newColsLike(t.shards[0].cs, t.boundPos, count)
 		if len(t.refs) == 0 || count == 0 {
 			continue
 		}
@@ -1331,14 +1328,14 @@ func runJoinWave(ctx context.Context, tasks []*batchTask, workers, shards int) e
 	}
 
 	// Phase 2: one combined probe span list over every pending task's
-	// left rows; each span fills a private part. Tasks whose build
-	// failed are skipped — there is no table to probe.
+	// left rows; each span records its matches in a private part. Tasks
+	// whose build failed are skipped — there is no table to probe.
 	units = units[:0]
 	for _, t := range pending {
 		if t.failedPanic() != nil {
 			continue
 		}
-		t := t
+		t, jp := t, t.joinProbe()
 		t.pspans = chunkSpans(t.left.sub.count, chunk)
 		t.parts = make([]probePart, len(t.pspans))
 		for si := range t.pspans {
@@ -1349,9 +1346,8 @@ func runJoinWave(ctx context.Context, tasks []*batchTask, workers, shards int) e
 				}
 				s := t.pspans[si]
 				part := &t.parts[si]
-				part.cols = make([][]rel.Value, len(t.gather))
-				part.count = probeRange(t.left.sub, t.right.sub, t.table,
-					t.lkey, t.rkey, t.gather, part.cols, s.lo, s.hi)
+				part.pairs = getPairBuf()
+				part.count = jp.probe(part.pairs, s.lo, s.hi)
 			}})
 		}
 	}
@@ -1359,29 +1355,57 @@ func runJoinWave(ctx context.Context, tasks []*batchTask, workers, shards int) e
 		return err
 	}
 
-	// Merge in span order: identical to a sequential probe.
+	// Phase 3: size every task's output columns once, at its summed match
+	// count, and gather each part through its recorded pairs at the
+	// part's cumulative offset — span order, so the columns are identical
+	// to a sequential probe's. Parts write disjoint row ranges.
+	units = units[:0]
 	for _, t := range pending {
 		if t.failedPanic() != nil {
-			t.table, t.parts, t.pspans = nil, nil, nil
 			continue
 		}
+		t, jp := t, t.joinProbe()
 		count := 0
 		for pi := range t.parts {
+			t.parts[pi].off = count
 			count += t.parts[pi].count
 		}
-		outCols := make([][]rel.Value, len(t.gather))
-		for k := range t.gather {
-			merged := make([]rel.Value, 0, count)
-			for pi := range t.parts {
-				merged = append(merged, t.parts[pi].cols[k]...)
-			}
-			outCols[k] = merged
+		t.selTotal = count
+		t.cols = jp.newOutCols(count)
+		if len(t.gather) == 0 || count == 0 {
+			continue
 		}
-		t.sub = &subResult{sig: t.primaryKey(), count: count, refs: t.refs, cols: outCols}
-		t.storeSub(t.sub, -1)
-		t.table, t.parts, t.pspans = nil, nil, nil
+		for pi := range t.parts {
+			part := &t.parts[pi]
+			units = append(units, workUnit{fail: t.failWith, run: func() {
+				jp.gatherPairs(t.cols, part.pairs, part.off)
+			}})
+		}
+	}
+	if err := runPool(ctx, workers, units); err != nil {
+		return err
+	}
+
+	// Pair buffers go back to the pool only on this, the complete path: an
+	// aborted wave or a failed task simply drops them.
+	for _, t := range pending {
+		if t.failedPanic() == nil {
+			for pi := range t.parts {
+				putPairBuf(t.parts[pi].pairs)
+			}
+			t.sub = &subResult{sig: t.primaryKey(), count: t.selTotal, refs: t.refs, cols: t.cols}
+			t.storeSub(t.sub, -1)
+		}
+		t.table, t.parts, t.pspans, t.cols = nil, nil, nil, nil
 	}
 	return nil
+}
+
+// joinProbe assembles a join task's probe inputs once its children's
+// sub-results and its hash table are in place.
+func (t *batchTask) joinProbe() joinProbe {
+	return joinProbe{l: t.left.sub, r: t.right.sub, table: t.table,
+		lkey: t.lkey, rkey: t.rkey, gather: t.gather}
 }
 
 // storeTable caches a build-side hash table under every cache the task

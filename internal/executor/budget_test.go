@@ -6,18 +6,19 @@ import (
 
 	"reopt/internal/rel"
 	"reopt/internal/sql"
+	"reopt/internal/storage"
 )
 
 // fabSub fabricates a sub-result with one boundary column of n values.
 func fabSub(n int) *subResult {
-	col := make([]rel.Value, n)
-	for i := range col {
-		col[i] = rel.Int(int64(i))
+	col := storage.ColData{Kind: rel.KindInt, Ints: make([]int64, n)}
+	for i := range col.Ints {
+		col.Ints[i] = int64(i)
 	}
 	return &subResult{
 		count: n,
 		refs:  []sql.ColRef{{Table: "t", Column: "k"}},
-		cols:  [][]rel.Value{col},
+		cols:  []storage.ColData{col},
 	}
 }
 
@@ -101,5 +102,53 @@ func TestSkeletonCacheValueAccounting(t *testing.T) {
 	}
 	if n := c2.Len(); n > 3 {
 		t.Fatalf("zero-column entries unbounded: %d", n)
+	}
+}
+
+// TestSkeletonCacheTablesCharged: a cached hash table retains one row id
+// per build row and is charged to the value budget as such, so a
+// budgeted cache stays within its limit while tables are cached — a
+// table that cannot fit beside its sub-result is declined — and
+// evicting the sub-result refunds its tables.
+func TestSkeletonCacheTablesCharged(t *testing.T) {
+	const limit = 100
+	c := NewSkeletonCacheBudget(0, limit)
+	table := map[uint64][]int32{1: {0}}
+	for i := 0; i < 10; i++ {
+		k := fmt.Sprintf("k%d", i)
+		c.putSub(k, fabSub(30))
+		for j := 0; j < 3; j++ {
+			c.putTable(k, fmt.Sprintf("%s||K:%d", k, j), table)
+			if v := c.Values(); v > limit {
+				t.Fatalf("values %d exceed budget %d with tables cached", v, limit)
+			}
+		}
+	}
+	// k9 holds 30 cells and two 30-row tables; the third could never fit
+	// beside them and was declined, and every older entry was evicted.
+	if v := c.Values(); v != 90 {
+		t.Fatalf("values = %d, want 90 (30 cells + 2 tables x 30 rows)", v)
+	}
+	if c.getTable("k9||K:0") == nil || c.getTable("k9||K:1") == nil {
+		t.Fatal("tables that fit the budget must be cached")
+	}
+	if c.getTable("k9||K:2") != nil {
+		t.Fatal("a table that cannot fit beside its sub-result must be declined")
+	}
+	if c.Len() != 1 {
+		t.Fatalf("entries = %d, want 1", c.Len())
+	}
+	// Re-putting a cached table key charges nothing more.
+	c.putTable("k9", "k9||K:0", table)
+	if v := c.Values(); v != 90 {
+		t.Fatalf("values after duplicate table put = %d, want 90", v)
+	}
+	// Eviction refunds the entry's tables with it.
+	c.putSub("big", fabSub(100))
+	if v := c.Values(); v != 100 {
+		t.Fatalf("values after evicting k9 = %d, want 100", v)
+	}
+	if c.getTable("k9||K:0") != nil {
+		t.Fatal("evicted entry's table survived")
 	}
 }

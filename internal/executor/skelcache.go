@@ -20,6 +20,11 @@ package executor
 // never race on the prefix — entries land under the epoch of the run
 // that computed them, always.
 //
+// The value budget is counted in cells — one per boundary-column cell,
+// per gathered template filter-column cell, and per row a cached hash
+// table indexes — never in bytes, so budget verdicts and eviction
+// decisions do not depend on how a column is represented.
+//
 // Entries are keyed by the subtree's canonical signature (relation set
 // plus every predicate applied within it) *and* its boundary-column
 // set. The signature alone identifies the logical sub-result's count,
@@ -53,8 +58,9 @@ type SkeletonCache struct {
 type skelStore struct {
 	mu    sync.Mutex
 	limit int // max sub-result entries; 0 = unbounded
-	// valueLimit bounds the total number of *materialized boundary-column
-	// values* retained across all entries (0 = unbounded). The entry
+	// valueLimit bounds the total number of *materialized values* retained
+	// across all entries — boundary-column cells, template filter-column
+	// cells and hash-table row ids (0 = unbounded). The entry
 	// limit alone cannot bound memory on skewed workloads: a few huge
 	// subtrees (a cross-product-ish join whose boundary columns carry
 	// hundreds of thousands of values) can dominate while the entry count
@@ -90,7 +96,7 @@ type tmplCached struct {
 	consts []rel.Value
 	ops    []sql.CompareOp
 	sub    *subResult
-	fcols  []*storage.ColData
+	fcols  []storage.ColData
 }
 
 // tmplEntry is tmplCached plus its index bookkeeping: the view prefix
@@ -112,11 +118,14 @@ func tmplValues(te *tmplEntry) int {
 }
 
 // skelCacheEntry is one cached sub-result plus the keys of the hash
-// tables built over it (dropped together on eviction).
+// tables built over it (dropped together on eviction). A table retains
+// one int32 per build row; tableValues is what the entry's tables have
+// been charged to the value budget, refunded on eviction.
 type skelCacheEntry struct {
-	key       string
-	sub       *subResult
-	tableKeys []string
+	key         string
+	sub         *subResult
+	tableKeys   []string
+	tableValues int
 	// tmpl is the template-index entry riding this sub-result, if any
 	// (at most one: the sub-result key pins the constants, so one entry
 	// is one template instance). Dropped together on eviction.
@@ -137,11 +146,10 @@ func NewSkeletonCacheLRU(limit int) *SkeletonCache {
 // NewSkeletonCacheBudget returns an empty cache bounded by both an entry
 // count and a total materialized-value budget (either <= 0 means that
 // budget is unbounded). The value budget counts every boundary-column
-// value held by cached sub-results — the dominant retained memory — so
-// skewed workloads where a few huge subtrees dominate stay within it
-// even when the entry count would not. Build-side hash tables are not
-// charged: they hold int32 row indices over those same sub-results and
-// are evicted with them.
+// value held by cached sub-results and one value per row indexed by
+// each build-side hash table cached over them, so skewed workloads where
+// a few huge subtrees dominate stay within it even when the entry count
+// would not.
 func NewSkeletonCacheBudget(limit, valueLimit int) *SkeletonCache {
 	if limit < 0 {
 		limit = 0
@@ -177,17 +185,12 @@ func (c *SkeletonCache) WithPrefix(p string) *SkeletonCache {
 }
 
 // entryValues is the value-budget charge for one sub-result: its
-// materialized boundary-column values, floored at 1 so zero-column
-// entries still consume budget and eviction always makes progress.
+// materialized boundary-column cells (rows x columns — cells, not bytes,
+// so the charge does not depend on how a column is represented),
+// floored at 1 so zero-column entries still consume budget and eviction
+// always makes progress.
 func entryValues(sub *subResult) int {
-	n := 0
-	for _, c := range sub.cols {
-		n += len(c)
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(1, sub.count*len(sub.cols))
 }
 
 // Len returns the number of cached sub-results (diagnostics).
@@ -212,8 +215,8 @@ func (c *SkeletonCache) Stats() (hits, misses int64) {
 	return s.hits, s.misses
 }
 
-// Values returns the total materialized boundary-column values currently
-// retained (the quantity the value budget bounds; diagnostics).
+// Values returns the total materialized values currently retained (the
+// quantity the value budget bounds; diagnostics).
 func (c *SkeletonCache) Values() int {
 	if c == nil {
 		return 0
@@ -316,7 +319,7 @@ func (s *skelStore) evictLocked(el *list.Element) {
 	e := el.Value.(*skelCacheEntry)
 	s.lru.Remove(el)
 	delete(s.subs, e.key)
-	s.values -= entryValues(e.sub)
+	s.values -= entryValues(e.sub) + e.tableValues
 	for _, tk := range e.tableKeys {
 		delete(s.tables, tk)
 	}
@@ -354,9 +357,11 @@ func (c *SkeletonCache) getTable(key string) map[uint64][]int32 {
 }
 
 // putTable caches a hash table, registering it under the sub-result it
-// indexes (subKey) so the two are evicted together. If that sub-result
-// is no longer cached — possible under a tight budget — the table is
-// not cached either, since nothing would ever evict it.
+// indexes (subKey) so the two are evicted together, and charges the
+// value budget one value per indexed row. If that sub-result is no
+// longer cached — possible under a tight budget — the table is not
+// cached either, since nothing would ever evict it; nor is a table that
+// could never fit the budget beside its own sub-result.
 func (c *SkeletonCache) putTable(subKey, tableKey string, t map[uint64][]int32) {
 	s := c.store
 	s.mu.Lock()
@@ -366,10 +371,19 @@ func (c *SkeletonCache) putTable(subKey, tableKey string, t map[uint64][]int32) 
 		return
 	}
 	e := el.Value.(*skelCacheEntry)
-	if _, dup := s.tables[tableKey]; !dup {
-		e.tableKeys = append(e.tableKeys, tableKey)
+	if _, dup := s.tables[tableKey]; dup {
+		s.tables[tableKey] = t
+		return
 	}
+	rows := e.sub.count
+	if s.valueLimit > 0 && entryValues(e.sub)+e.tableValues+rows > s.valueLimit {
+		return
+	}
+	e.tableKeys = append(e.tableKeys, tableKey)
+	e.tableValues += rows
 	s.tables[tableKey] = t
+	s.values += rows
+	s.shrinkLocked()
 }
 
 // getTemplate probes the template index for a cached instance of tm's
@@ -408,7 +422,7 @@ func (c *SkeletonCache) getTemplate(tm scanTemplate) (*tmplCached, bool) {
 // converges on the loosest instance seen. fcols are the filter columns
 // gathered at the sub-result's selection; their values are charged to
 // the store's value budget like boundary columns.
-func (c *SkeletonCache) putTemplate(key string, tm scanTemplate, sub *subResult, fcols []*storage.ColData) {
+func (c *SkeletonCache) putTemplate(key string, tm scanTemplate, sub *subResult, fcols []storage.ColData) {
 	s := c.store
 	s.mu.Lock()
 	defer s.mu.Unlock()

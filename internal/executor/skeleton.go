@@ -14,11 +14,22 @@ package executor
 // ancestor join can ever probe — and joins them with collision-checked
 // 64-bit hashes.
 //
+// Sub-results carry their boundary columns typed, in the sample column
+// store's own shape (storage.ColData: []int64 / []float64 / []string plus
+// a NULL marking; rel.Value cells only for a column that mixes kinds), and
+// every such column is allocated once at its exact final length: a scan
+// gathers typed slices at its selection vector, and a join probe first
+// records its matching (left, right) row-id pairs and then gathers each
+// output column through them. Join keys hash and compare straight from
+// the typed slices. No rel.Value is built per cell, nothing grows by
+// append, and a numeric column holds no pointer for the collector to
+// clear or scan.
+//
 // The inner loops are vectorized and parallel. Scan filters compile to
-// typed branch-free kernels (internal/vec) that evaluate each predicate
-// over the whole column into a selection bitmap; conjunctive filters
-// fuse by AND-ing bitmaps, and only the final bitmap is materialized
-// into a selection vector. Filter evaluation, boundary-column gathers,
+// typed kernels (internal/vec) that evaluate each predicate over the
+// whole column into a selection bitmap; conjunctive filters fuse by
+// AND-ing bitmaps, and only the final bitmap is materialized into a
+// selection vector. Filter evaluation, boundary-column gathers,
 // and join probe loops are partitioned into contiguous row ranges run
 // across up to GOMAXPROCS goroutines: sub-results and build-side hash
 // tables are read-only by then, workers keep private counters and
@@ -71,13 +82,13 @@ var ErrUnsupportedPlan = errors.New("plan not supported by this engine")
 var ErrSkeletonUnsupported = fmt.Errorf("plan shape unsupported by count skeleton: %w", ErrUnsupportedPlan)
 
 // subResult is a materialized subtree: its output count and the boundary
-// columns, stored column-major. sig is the cache key the sub-result was
-// stored under (empty when the engine runs uncached).
+// columns, one typed column of count rows per ref. sig is the cache key
+// the sub-result was stored under (empty when the engine runs uncached).
 type subResult struct {
 	sig   string
 	count int
 	refs  []sql.ColRef
-	cols  [][]rel.Value
+	cols  []storage.ColData
 }
 
 // CountSkeleton computes the per-node output counts of a count-only
@@ -541,24 +552,8 @@ func (e *skelEngine) evalScan(t *plan.ScanNode) (*subResult, error) {
 	// Gather the boundary columns for the surviving rows, partitioned
 	// over the selection vector (each worker writes a disjoint range of
 	// every output column).
-	cols := make([][]rel.Value, len(refs))
-	for k := range refs {
-		cols[k] = make([]rel.Value, len(sel))
-	}
-	if len(refs) > 0 && len(sel) > 0 {
-		// The single-span case is inlined (here and in selectRows /
-		// evalJoin) rather than funneled through runSpans: the closure
-		// argument escapes into runSpans' goroutines, so constructing it
-		// costs a heap allocation even when it would run inline.
-		spans := e.rowSpans(len(sel))
-		if len(spans) == 1 {
-			gatherCols(cs, poss, cols, sel, 0, len(sel))
-		} else {
-			runSpans(spans, func(_ int, s span) {
-				gatherCols(cs, poss, cols, sel, s.lo, s.hi)
-			})
-		}
-	}
+	cols := newColsLike(cs, poss, len(sel))
+	e.gatherSel(cs, poss, cols, sel, 0)
 	sub := &subResult{sig: key, count: len(sel), refs: refs, cols: cols}
 	if e.cache != nil {
 		e.cache.putSub(key, sub)
@@ -569,44 +564,18 @@ func (e *skelEngine) evalScan(t *plan.ScanNode) (*subResult, error) {
 	return sub, nil
 }
 
-// shardPartial is one shard's contribution to a sub-result: its match
-// count and its slice of every boundary column. Partials merge in shard
-// order (mergePartials); because shards are contiguous in-order row
-// partitions, the merge reproduces the monolithic result byte for byte.
-type shardPartial struct {
-	count int
-	cols  [][]rel.Value
-}
-
-// mergePartials combines per-shard partials in shard order: counts sum
-// and each boundary column is the concatenation of the shards' columns.
-// The merge is associative — any grouping of adjacent shards yields the
-// same bytes — which is what lets shards execute on independent workers
-// (or, eventually, independent processes) without affecting results.
-func mergePartials(parts []shardPartial, nrefs int) (int, [][]rel.Value) {
-	count := 0
-	for i := range parts {
-		count += parts[i].count
-	}
-	cols := make([][]rel.Value, nrefs)
-	for k := 0; k < nrefs; k++ {
-		merged := make([]rel.Value, 0, count)
-		for i := range parts {
-			if parts[i].cols != nil {
-				merged = append(merged, parts[i].cols[k]...)
-			}
-		}
-		cols[k] = merged
-	}
-	return count, cols
-}
-
 // evalScanSharded is the sharded scan path: each shard view runs the
-// same filter/gather pipeline over its own rows (filters recompiled per
-// shard, since passes close over the shard's column slices) and the
-// partials merge in shard order. The memory budget is charged
-// incrementally per shard; the per-shard charges sum to exactly the
-// monolithic charge, so breach verdicts are shard-count-independent.
+// same filter pipeline over its own rows (filters recompiled per shard,
+// since passes close over the shard's column slices) and keeps its
+// selection; the boundary columns are then allocated once at the summed
+// count and every shard gathers into them at its cumulative offset.
+// Shards are contiguous in-order row partitions, so that concatenation
+// in shard order reproduces the monolithic result byte for byte — and
+// it is associative: any grouping of adjacent shards yields the same
+// bytes, which is what lets shards execute on independent workers. The
+// memory budget is charged incrementally per shard; the per-shard
+// charges sum to exactly the monolithic charge, so breach verdicts are
+// shard-count-independent.
 func (e *skelEngine) evalScanSharded(t *plan.ScanNode, tab *storage.Table, key string, refs []sql.ColRef, filterPos, poss []int, tmpl scanTemplate, tmplOK bool) (*subResult, error) {
 	shards := tab.ColDataShards(e.shards)
 	injecting := faultinject.Active()
@@ -614,66 +583,45 @@ func (e *skelEngine) evalScanSharded(t *plan.ScanNode, tab *storage.Table, key s
 	if injecting {
 		sig = subtreeSig(t)
 	}
-	// Template registration needs each shard's selection after the merge,
-	// but e.selBuf is reused per shard — keep copies only when sharing is
-	// on (the selections are sample-sized).
-	var selCopies [][]int32
-	if tmplOK {
-		selCopies = make([][]int32, len(shards))
-	}
-	parts := make([]shardPartial, len(shards))
+	// e.selBuf is reused per shard, so each shard's selection is copied
+	// out (row ids only: four bytes per selected row).
+	sels := make([][]int32, len(shards))
+	count := 0
 	for si, cs := range shards {
 		if injecting {
 			faultinject.Fire(faultinject.ShardUnit, fmt.Sprintf("%s#shard=%d", sig, si))
 		}
-		n := cs.NumRows()
 		passes := e.passBuf[:0]
 		for fi, f := range t.Filters {
 			passes = appendFilterPasses(passes, cs.Col(filterPos[fi]), f)
 		}
 		e.passBuf = passes[:0]
-		sel := e.selectRows(passes, n)
+		sel := e.selectRows(passes, cs.NumRows())
 		if e.mem.charge(int64(len(sel)) * int64(len(refs))) {
 			return nil, ErrMemoryBudget
 		}
-		cols := make([][]rel.Value, len(refs))
-		for k := range refs {
-			cols[k] = make([]rel.Value, len(sel))
-		}
-		if len(refs) > 0 && len(sel) > 0 {
-			spans := e.rowSpans(len(sel))
-			if len(spans) == 1 {
-				gatherCols(cs, poss, cols, sel, 0, len(sel))
-			} else {
-				runSpans(spans, func(_ int, s span) {
-					gatherCols(cs, poss, cols, sel, s.lo, s.hi)
-				})
-			}
-		}
-		parts[si] = shardPartial{count: len(sel), cols: cols}
-		if tmplOK {
-			selCopies[si] = append([]int32(nil), sel...)
-		}
+		sels[si] = append([]int32(nil), sel...)
+		count += len(sel)
 	}
-	count, cols := mergePartials(parts, len(refs))
+	cols := newColsLike(shards[0], poss, count)
+	off := 0
+	for si, cs := range shards {
+		e.gatherSel(cs, poss, cols, sels[si], off)
+		off += len(sels[si])
+	}
 	sub := &subResult{sig: key, count: count, refs: refs, cols: cols}
 	if e.cache != nil {
 		e.cache.putSub(key, sub)
 		if tmplOK {
 			// Filter columns gathered shard by shard at the merged
-			// offsets: identical bytes to a monolithic gather, since
-			// shards concatenate in shard order.
-			fcols := make([]*storage.ColData, len(tmpl.fpos))
-			for j, pos := range tmpl.fpos {
-				dst := newTemplateCol(shards[0].Col(pos), count)
-				off := 0
-				for si, cs := range shards {
-					gatherTemplateCol(dst, cs.Col(pos), selCopies[si], 0, len(selCopies[si]), off)
-					off += len(selCopies[si])
-				}
-				fcols[j] = dst
+			// offsets: identical bytes to a monolithic gather.
+			fcols := newColsLike(shards[0], tmpl.fpos, count)
+			off := 0
+			for si, cs := range shards {
+				gatherColsOff(cs, tmpl.fpos, fcols, sels[si], 0, len(sels[si]), off)
+				off += len(sels[si])
 			}
-			e.cache.putTemplate(key, tmpl, sub, fcols)
+			e.cache.putTemplate(key, tmpl, sub, withNullWords(fcols))
 		}
 	}
 	return sub, nil
@@ -741,24 +689,45 @@ func (e *skelEngine) selectRows(passes []scanPass, n int) []int32 {
 	return sel
 }
 
-// gatherCols copies the boundary columns' values for rows [lo, hi) of
-// the selection vector into the output columns — the per-span body of
-// the partitioned gather.
-func gatherCols(cs *storage.ColStore, poss []int, cols [][]rel.Value, sel []int32, lo, hi int) {
-	gatherColsOff(cs, poss, cols, sel, lo, hi, 0)
+// newColsLike allocates n-row output columns shaped like the store's
+// columns at schema positions poss.
+func newColsLike(cs *storage.ColStore, poss []int, n int) []storage.ColData {
+	cols := make([]storage.ColData, len(poss))
+	for k, pos := range poss {
+		cols[k] = cs.Col(pos).NewLike(n)
+	}
+	return cols
 }
 
-// gatherColsOff is gatherCols writing at a destination offset: selection
-// entry x lands at cols[k][off+x]. Sharded scans use it to concatenate
-// shard outputs in shard order directly into the merged columns (off is
-// the sum of the preceding shards' selection counts).
-func gatherColsOff(cs *storage.ColStore, poss []int, cols [][]rel.Value, sel []int32, lo, hi, off int) {
+// gatherSel fills cols (at destination offset off) with the store's
+// columns at the selected rows, partitioned over the selection vector.
+func (e *skelEngine) gatherSel(cs *storage.ColStore, poss []int, cols []storage.ColData, sel []int32, off int) {
+	if len(poss) == 0 || len(sel) == 0 {
+		return
+	}
+	// The single-span case is inlined (here and in selectRows / evalJoin)
+	// rather than funneled through runSpans: the closure argument escapes
+	// into runSpans' goroutines, so constructing it costs a heap
+	// allocation even when it would run inline.
+	spans := e.rowSpans(len(sel))
+	if len(spans) == 1 {
+		gatherColsOff(cs, poss, cols, sel, 0, len(sel), off)
+		return
+	}
+	runSpans(spans, func(_ int, s span) {
+		gatherColsOff(cs, poss, cols, sel, s.lo, s.hi, off)
+	})
+}
+
+// gatherColsOff copies the store's columns at positions poss, for rows
+// [lo, hi) of the selection vector, into the output columns at a
+// destination offset: selection entry x lands at row off+x. Sharded scans
+// use the offset to concatenate shard outputs in shard order directly
+// into the merged columns (off is the sum of the preceding shards'
+// selection counts). Typed slice copies; no Value is built.
+func gatherColsOff(cs *storage.ColStore, poss []int, cols []storage.ColData, sel []int32, lo, hi, off int) {
 	for k, pos := range poss {
-		col := cs.Col(pos)
-		out := cols[k]
-		for x := lo; x < hi; x++ {
-			out[off+x] = col.Value(int(sel[x]))
-		}
+		cols[k].Gather(cs.Col(pos), sel, lo, hi, off)
 	}
 }
 
@@ -768,8 +737,8 @@ type scanPass func(dst *vec.Bitmap, lo, hi int)
 
 // appendFilterPasses compiles a local predicate against one column into
 // vectorized bitmap passes appended to dst, with comparison semantics
-// identical to sql.EvalSelection. Uniform-kind columns get branch-free
-// typed kernels (BETWEEN fuses into a single range kernel when both
+// identical to sql.EvalSelection. Uniform-kind columns get typed
+// kernels (BETWEEN fuses into a single range kernel when both
 // bounds take the same typed path, and otherwise decomposes into Ge AND
 // Le passes); everything else (NULL constants, mixed-kind columns,
 // string/numeric cross-kind comparisons) falls back to a row-wise pass
@@ -800,10 +769,22 @@ func appendFilterPasses(dst []scanPass, col *storage.ColData, f sql.Selection) [
 }
 
 // fallbackPass is the row-wise pass for column/constant combinations
-// without a typed kernel; constructed only when actually needed.
+// without a typed kernel; constructed only when actually needed. It
+// writes the kernels' word layout (whole words of [lo, hi) assigned,
+// tail bits zero), so fallback filters still fuse with kernel filters
+// by And.
 func fallbackPass(col *storage.ColData, f sql.Selection) scanPass {
 	return func(dst *vec.Bitmap, lo, hi int) {
-		vec.SetFunc(dst, func(i int) bool { return sql.EvalSelection(col.Value(i), f) }, lo, hi)
+		words := dst.Words()
+		for base := lo; base < hi; base += vec.WordBits {
+			var word uint64
+			for i := base; i < min(base+vec.WordBits, hi); i++ {
+				if sql.EvalSelection(col.Value(i), f) {
+					word |= 1 << uint(i-base)
+				}
+			}
+			words[base/vec.WordBits] = word
+		}
 	}
 }
 
@@ -845,7 +826,7 @@ func compileCmp(col *storage.ColData, op vec.CmpOp, c rel.Value) scanPass {
 		case rel.KindFloat:
 			cf := c.AsFloat()
 			return func(dst *vec.Bitmap, lo, hi int) {
-				vec.Int64AsFloatCmp(dst, vals, op, cf, lo, hi)
+				vec.Float64Cmp(dst, vals, op, cf, lo, hi)
 				vec.AndNotNulls(dst, nulls, lo, hi)
 			}
 		}
@@ -891,7 +872,7 @@ func compileRange(col *storage.ColData, lo, hi rel.Value) scanPass {
 		if lo.Kind() == rel.KindFloat && hi.Kind() == rel.KindFloat {
 			l, h := lo.AsFloat(), hi.AsFloat()
 			return func(dst *vec.Bitmap, a, b int) {
-				vec.Int64AsFloatRange(dst, vals, l, h, a, b)
+				vec.Float64Range(dst, vals, l, h, a, b)
 				vec.AndNotNulls(dst, nulls, a, b)
 			}
 		}
@@ -989,38 +970,38 @@ func (e *skelEngine) evalJoin(t *plan.JoinNode) (*subResult, error) {
 	}
 
 	// Probe, partitioned over the left side's rows. The hash table and
-	// both children's columns are read-only now; each worker keeps a
-	// private match counter and private output-column chunks, merged in
-	// partition order below so the result is identical to a sequential
-	// probe at any worker count.
+	// both children's columns are read-only now; each worker records its
+	// matches in a private pair buffer, and the output columns — sized
+	// once, at the summed match count — are gathered through the buffers
+	// at each partition's cumulative offset, so the result is identical
+	// to a sequential probe at any worker count.
 	spans := e.rowSpans(l.count)
+	j := joinProbe{l: l, r: r, table: table, lkey: lkey, rkey: rkey, gather: gather}
 	count := 0
-	var outCols [][]rel.Value
+	var outCols []storage.ColData
 	if len(spans) == 1 {
-		outCols = make([][]rel.Value, len(gather))
-		count = probeRange(l, r, table, lkey, rkey, gather, outCols, 0, l.count)
+		pb := getPairBuf()
+		count = j.probe(pb, 0, l.count)
+		outCols = j.newOutCols(count)
+		j.gatherPairs(outCols, pb, 0)
+		putPairBuf(pb)
 	} else {
-		type probePart struct {
-			count int
-			cols  [][]rel.Value
-		}
-		parts := make([]probePart, len(spans))
+		parts := make([]*pairBuf, len(spans))
+		counts := intsBuf(&e.cntBuf, len(spans))
 		runSpans(spans, func(p int, s span) {
-			local := &parts[p]
-			local.cols = make([][]rel.Value, len(gather))
-			local.count = probeRange(l, r, table, lkey, rkey, gather, local.cols, s.lo, s.hi)
+			parts[p] = getPairBuf()
+			counts[p] = j.probe(parts[p], s.lo, s.hi)
 		})
-		for p := range parts {
-			count += parts[p].count
+		offs := intsBuf(&e.offBuf, len(spans))
+		for p, c := range counts {
+			offs[p] = count
+			count += c
 		}
-		outCols = make([][]rel.Value, len(gather))
-		for k := range gather {
-			merged := make([]rel.Value, 0, count)
-			for p := range parts {
-				merged = append(merged, parts[p].cols[k]...)
-			}
-			outCols[k] = merged
-		}
+		outCols = j.newOutCols(count)
+		runSpans(spans, func(p int, _ span) {
+			j.gatherPairs(outCols, parts[p], offs[p])
+			putPairBuf(parts[p])
+		})
 	}
 	sub := &subResult{sig: key, count: count, refs: outRefs, cols: outCols}
 	if e.mem.charge(subCharge(sub)) {
@@ -1158,53 +1139,108 @@ type gatherSrc struct {
 	idx  int
 }
 
-// probeRange probes the hash table with left rows [lo, hi), appending
-// matched boundary values to cols (one slice per gather entry, in left
-// row order then bucket order) and returning the match count — the
-// per-span body of the partitioned probe.
-func probeRange(l, r *subResult, table map[uint64][]int32, lkey, rkey []int, gather []gatherSrc, cols [][]rel.Value, lo, hi int) int {
+// joinProbe is one join's read-only probe inputs: both children, the
+// build-side hash table, the key columns on each side, and where every
+// output boundary column comes from. Both skeleton engines probe through
+// it.
+type joinProbe struct {
+	l, r       *subResult
+	table      map[uint64][]int32
+	lkey, rkey []int
+	gather     []gatherSrc
+}
+
+// pairBuf is the match list of one probe: parallel (left row, right row)
+// id vectors, in left row order then bucket order. Row ids only — eight
+// bytes a match whatever the join carries, and nothing for the collector
+// to scan — and recycled through pairPool, so a probe's allocations do
+// not depend on how many rows matched.
+type pairBuf struct{ l, r []int32 }
+
+var pairPool = sync.Pool{New: func() any { return new(pairBuf) }}
+
+func getPairBuf() *pairBuf {
+	pb := pairPool.Get().(*pairBuf)
+	pb.l, pb.r = pb.l[:0], pb.r[:0]
+	return pb
+}
+
+func putPairBuf(pb *pairBuf) { pairPool.Put(pb) }
+
+// probe probes the hash table with left rows [lo, hi) and returns the
+// match count — the per-span body of the partitioned probe. Matches are
+// recorded in pb only when the join has output columns to gather; the
+// root of a skeleton carries none and is counted without a trace.
+func (j *joinProbe) probe(pb *pairBuf, lo, hi int) int {
+	record := len(j.gather) > 0
 	count := 0
 	for i := lo; i < hi; i++ {
-		h, null := hashKeyAt(l.cols, lkey, i)
+		h, null := hashKeyAt(j.l.cols, j.lkey, i)
 		if null {
 			continue
 		}
-		for _, j32 := range table[h] {
-			j := int(j32)
-			ok := true
-			for k := range lkey {
+	bucket:
+		for _, rrow := range j.table[h] {
+			for k, lk := range j.lkey {
 				// Bucket-level collision check: hash equality is only a
 				// candidate; value equality decides.
-				if !l.cols[lkey[k]][i].Equal(r.cols[rkey[k]][j]) {
-					ok = false
-					break
+				if !j.l.cols[lk].EqualAt(i, &j.r.cols[j.rkey[k]], int(rrow)) {
+					continue bucket
 				}
-			}
-			if !ok {
-				continue
 			}
 			count++
-			for k, g := range gather {
-				if g.left {
-					cols[k] = append(cols[k], l.cols[g.idx][i])
-				} else {
-					cols[k] = append(cols[k], r.cols[g.idx][j])
-				}
+			if record {
+				pb.l = append(pb.l, int32(i))
+				pb.r = append(pb.r, rrow)
 			}
 		}
 	}
 	return count
 }
 
-// hashKeyAt hashes row i's key columns, reporting whether any is NULL.
-func hashKeyAt(cols [][]rel.Value, key []int, i int) (uint64, bool) {
+// newOutCols allocates the join's output boundary columns at their
+// exact final length, each shaped like the child column it comes from.
+func (j *joinProbe) newOutCols(count int) []storage.ColData {
+	cols := make([]storage.ColData, len(j.gather))
+	for k, g := range j.gather {
+		cols[k] = j.src(g).NewLike(count)
+	}
+	return cols
+}
+
+// src resolves a gather entry to its child column.
+func (j *joinProbe) src(g gatherSrc) *storage.ColData {
+	if g.left {
+		return &j.l.cols[g.idx]
+	}
+	return &j.r.cols[g.idx]
+}
+
+// gatherPairs fills rows [off, off+len(pairs)) of every output column
+// from the child column it comes from, through the recorded row ids —
+// one typed pass per column.
+func (j *joinProbe) gatherPairs(cols []storage.ColData, pb *pairBuf, off int) {
+	for k, g := range j.gather {
+		rows := pb.r
+		if g.left {
+			rows = pb.l
+		}
+		cols[k].Gather(j.src(g), rows, 0, len(rows), off)
+	}
+}
+
+// hashKeyAt hashes row i's key columns straight from their typed slices
+// (the same hash rel.Value.Hash64 gives the reconstructed values, so
+// cached tables and bucket order do not depend on the representation),
+// reporting whether any key is NULL.
+func hashKeyAt(cols []storage.ColData, key []int, i int) (uint64, bool) {
 	h := rel.HashSeed
 	for _, ci := range key {
-		v := cols[ci][i]
-		if v.IsNull() {
+		c := &cols[ci]
+		if c.IsNull(i) {
 			return 0, true
 		}
-		h = v.Hash64(h)
+		h = c.HashAt(h, i)
 	}
 	return h, false
 }

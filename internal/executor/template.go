@@ -284,13 +284,13 @@ func (tm scanTemplate) instanceFilters(filters []sql.Selection, consts []rel.Val
 // filter list. The passes are the same compiled kernels a solo scan
 // uses, so pass-by-pass semantics (NULLs, cross-kind comparisons,
 // BETWEEN decomposition) are identical.
-func refineTemplate(tm scanTemplate, filters []sql.Selection, fcols []*storage.ColData, n int) []int32 {
+func refineTemplate(tm scanTemplate, filters []sql.Selection, fcols []storage.ColData, n int) []int32 {
 	if n == 0 {
 		return nil
 	}
 	var passes []scanPass
 	for ci := range tm.ops {
-		passes = appendFilterPasses(passes, fcols[tm.fcol[ci]], filters[tm.ord[ci]])
+		passes = appendFilterPasses(passes, &fcols[tm.fcol[ci]], filters[tm.ord[ci]])
 	}
 	bm := vec.NewBitmap(n)
 	passes[0](bm, 0, n)
@@ -305,78 +305,21 @@ func refineTemplate(tm scanTemplate, filters []sql.Selection, fcols []*storage.C
 	return bm.AppendIndices(make([]int32, 0, count), 0, n)
 }
 
-// newTemplateCol allocates an n-row ColData shaped like src: same kind,
-// same typed slice, NULL marking allocated exactly when src carries
-// one. The result satisfies every ColData invariant (NullWords nil
-// exactly when Nulls is nil), so appendFilterPasses compiles against it
-// exactly as against a sample column.
-func newTemplateCol(src *storage.ColData, n int) *storage.ColData {
-	dst := &storage.ColData{Kind: src.Kind}
-	if src.Vals != nil {
-		dst.Vals = make([]rel.Value, n)
-		return dst
-	}
-	switch src.Kind {
-	case rel.KindFloat:
-		dst.Floats = make([]float64, n)
-	case rel.KindString:
-		dst.Strs = make([]string, n)
-	default:
-		dst.Ints = make([]int64, n)
-	}
-	if src.Nulls != nil {
-		dst.Nulls = make([]bool, n)
-		dst.NullWords = make([]uint64, vec.NumWords(n))
-	}
-	return dst
-}
-
-// gatherTemplateCol copies src rows sel[lo:hi) into dst at destination
-// offset off (selection entry x lands at dst row off+x), typed slices
-// and NULL bits included. Concurrent callers must write disjoint whole
-// columns: NULL bits of adjacent destination ranges can share a word.
-func gatherTemplateCol(dst, src *storage.ColData, sel []int32, lo, hi, off int) {
-	if src.Vals != nil {
-		for x := lo; x < hi; x++ {
-			dst.Vals[off+x] = src.Vals[sel[x]]
-		}
-		return
-	}
-	switch src.Kind {
-	case rel.KindFloat:
-		for x := lo; x < hi; x++ {
-			dst.Floats[off+x] = src.Floats[sel[x]]
-		}
-	case rel.KindString:
-		for x := lo; x < hi; x++ {
-			dst.Strs[off+x] = src.Strs[sel[x]]
-		}
-	default:
-		for x := lo; x < hi; x++ {
-			dst.Ints[off+x] = src.Ints[sel[x]]
-		}
-	}
-	if src.Nulls != nil {
-		for x := lo; x < hi; x++ {
-			if src.Nulls[sel[x]] {
-				i := off + x
-				dst.Nulls[i] = true
-				dst.NullWords[i/vec.WordBits] |= 1 << (uint(i) % vec.WordBits)
-			}
-		}
-	}
-}
-
 // gatherFilterColsAt materializes the template's filter columns at a
 // selection — the payload a template-index entry needs so contained
 // instances can re-evaluate their conjuncts without the sample.
-func gatherFilterColsAt(cs *storage.ColStore, fpos []int, sel []int32) []*storage.ColData {
-	fcols := make([]*storage.ColData, len(fpos))
-	for j, pos := range fpos {
-		src := cs.Col(pos)
-		dst := newTemplateCol(src, len(sel))
-		gatherTemplateCol(dst, src, sel, 0, len(sel), 0)
-		fcols[j] = dst
+func gatherFilterColsAt(cs *storage.ColStore, fpos []int, sel []int32) []storage.ColData {
+	fcols := newColsLike(cs, fpos, len(sel))
+	gatherColsOff(cs, fpos, fcols, sel, 0, len(sel), 0)
+	return withNullWords(fcols)
+}
+
+// withNullWords completes gathered filter columns into columns filters
+// compile against: appendFilterPasses masks NULLs through NullWords,
+// which the (possibly partitioned) gather leaves unbuilt.
+func withNullWords(fcols []storage.ColData) []storage.ColData {
+	for j := range fcols {
+		fcols[j].BuildNullWords()
 	}
 	return fcols
 }
@@ -389,19 +332,17 @@ func gatherFilterColsAt(cs *storage.ColStore, fpos []int, sel []int32) []*storag
 // contain the instance. The result is byte-identical to a fresh scan:
 // the cached selection is ascending and a superset, so the surviving
 // positions enumerate exactly the instance's rows in row order, and
-// every output value is the same rel.Value the fresh gather would read.
+// every output cell is the same typed value the fresh gather would read.
 func refineCachedTemplate(tc *tmplCached, tm scanTemplate, filters []sql.Selection, sig string, refs []sql.ColRef) *subResult {
 	if !containsConsts(tm.ops, tc.consts, tm.consts) {
 		return nil
 	}
 	pos := refineTemplate(tm, filters, tc.fcols, tc.sub.count)
-	cols := make([][]rel.Value, len(tc.sub.cols))
-	for k, src := range tc.sub.cols {
-		out := make([]rel.Value, len(pos))
-		for i, p := range pos {
-			out[i] = src[p]
-		}
-		cols[k] = out
+	cols := make([]storage.ColData, len(tc.sub.cols))
+	for k := range cols {
+		src := &tc.sub.cols[k]
+		cols[k] = src.NewLike(len(pos))
+		cols[k].Gather(src, pos, 0, len(pos), 0)
 	}
 	return &subResult{sig: sig, count: len(pos), refs: refs, cols: cols}
 }

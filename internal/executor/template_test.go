@@ -110,7 +110,7 @@ func TestTemplateIndexCollision(t *testing.T) {
 		t.Fatal("scan must canonicalize")
 	}
 	cache := NewSkeletonCache()
-	sub := &subResult{sig: "k", count: 1, cols: [][]rel.Value{}}
+	sub := &subResult{sig: "k", count: 1}
 	cache.putSub("k", sub)
 	cache.putTemplate("k", tm, sub, nil)
 	if _, hit := cache.getTemplate(tm); !hit {

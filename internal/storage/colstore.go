@@ -33,7 +33,9 @@ type ColData struct {
 	// NullWords is the same NULL marking as a bitmap (one bit per row,
 	// vec.Bitmap word layout), prebuilt so the vectorized predicate
 	// kernels can mask NULLs with word-wise AND-NOT instead of a per-row
-	// check. nil exactly when Nulls is nil.
+	// check. nil when Nulls is nil. Every column a filter is compiled
+	// against carries it (BuildNullWords); columns the skeleton engine
+	// only carries between operators and never filters leave it unbuilt.
 	NullWords []uint64
 	// Vals is set only for mixed-kind columns.
 	Vals []rel.Value
@@ -62,6 +64,119 @@ func (c *ColData) Value(i int) rel.Value {
 	default:
 		return c.Vals[i]
 	}
+}
+
+// NewLike allocates an n-row column shaped like c: same kind, the same
+// typed slice (Vals for a mixed-kind column), and a Nulls marking exactly
+// when c carries one. It is how the skeleton engine sizes the columns it
+// carries between operators: exactly, once, and — except for strings and
+// mixed-kind columns — without pointers for the collector to clear or
+// scan.
+func (c *ColData) NewLike(n int) ColData {
+	dst := ColData{Kind: c.Kind}
+	switch {
+	case c.Vals != nil:
+		dst.Vals = make([]rel.Value, n)
+		return dst
+	case c.Kind == rel.KindFloat:
+		dst.Floats = make([]float64, n)
+	case c.Kind == rel.KindString:
+		dst.Strs = make([]string, n)
+	default:
+		dst.Ints = make([]int64, n)
+	}
+	if c.Nulls != nil {
+		dst.Nulls = make([]bool, n)
+	}
+	return dst
+}
+
+// Gather copies src rows sel[lo:hi) into c at destination offset off:
+// selection entry x lands at row off+x, typed payload and NULL flag
+// both. c must be shaped like src (NewLike). Concurrent calls may fill
+// disjoint destination ranges of one column; NullWords is not
+// maintained — see BuildNullWords.
+func (c *ColData) Gather(src *ColData, sel []int32, lo, hi, off int) {
+	sel = sel[lo:hi]
+	switch {
+	case src.Vals != nil:
+		out := c.Vals[off+lo : off+hi]
+		for x, r := range sel {
+			out[x] = src.Vals[r]
+		}
+		return
+	case src.Kind == rel.KindFloat:
+		out := c.Floats[off+lo : off+hi]
+		for x, r := range sel {
+			out[x] = src.Floats[r]
+		}
+	case src.Kind == rel.KindString:
+		out := c.Strs[off+lo : off+hi]
+		for x, r := range sel {
+			out[x] = src.Strs[r]
+		}
+	default:
+		out := c.Ints[off+lo : off+hi]
+		for x, r := range sel {
+			out[x] = src.Ints[r]
+		}
+	}
+	if src.Nulls != nil {
+		out := c.Nulls[off+lo : off+hi]
+		for x, r := range sel {
+			out[x] = src.Nulls[r]
+		}
+	}
+}
+
+// BuildNullWords derives NullWords from Nulls over the whole column (a
+// no-op without NULL marking). Single writer: adjacent rows share a word.
+func (c *ColData) BuildNullWords() {
+	if c.Nulls == nil {
+		return
+	}
+	c.NullWords = make([]uint64, vec.NumWords(len(c.Nulls)))
+	for i, null := range c.Nulls {
+		if null {
+			c.NullWords[i/vec.WordBits] |= 1 << (uint(i) % vec.WordBits)
+		}
+	}
+}
+
+// HashAt folds row i's value into the running rel hash h, straight from
+// the typed slice: the same hash rel.Value.Hash64 produces for
+// c.Value(i), so an integer and a float column holding the same number
+// land in the same bucket. Row i must not be NULL.
+func (c *ColData) HashAt(h uint64, i int) uint64 {
+	switch c.Kind {
+	case rel.KindInt:
+		return rel.HashInt64(h, c.Ints[i])
+	case rel.KindFloat:
+		return rel.HashFloat64(h, c.Floats[i])
+	case rel.KindString:
+		return rel.HashString(h, c.Strs[i])
+	default:
+		return c.Vals[i].Hash64(h)
+	}
+}
+
+// EqualAt reports rel.Value.Equal between row i of c and row j of o,
+// comparing typed payloads when both columns share a kind and
+// reconstructing Values only across kinds (int vs float widens; a
+// mixed-kind column decides per row). Neither row may be NULL.
+func (c *ColData) EqualAt(i int, o *ColData, j int) bool {
+	if c.Kind == o.Kind {
+		switch c.Kind {
+		case rel.KindInt:
+			return c.Ints[i] == o.Ints[j]
+		case rel.KindFloat:
+			a, b := c.Floats[i], o.Floats[j]
+			return !(a < b) && !(a > b) // Equal's float semantics: NaN equals all
+		case rel.KindString:
+			return c.Strs[i] == o.Strs[j]
+		}
+	}
+	return c.Value(i).Equal(o.Value(j))
 }
 
 // NumRows returns the row count.
@@ -176,7 +291,6 @@ func BuildColStore(t *Table) *ColStore {
 		col.Kind = kind
 		if hasNull {
 			col.Nulls = make([]bool, n)
-			col.NullWords = make([]uint64, vec.NumWords(n))
 		}
 		switch kind {
 		case rel.KindInt:
@@ -196,7 +310,6 @@ func BuildColStore(t *Table) *ColStore {
 			v := row[pos]
 			if v.IsNull() {
 				col.Nulls[i] = true
-				col.NullWords[i/vec.WordBits] |= 1 << (uint(i) % vec.WordBits)
 				continue
 			}
 			switch col.Kind {
@@ -208,6 +321,7 @@ func BuildColStore(t *Table) *ColStore {
 				col.Strs[i] = v.AsString()
 			}
 		}
+		col.BuildNullWords()
 	}
 	return cs
 }

@@ -1,15 +1,20 @@
 // Package vec implements selection bitmaps and vectorized predicate
 // kernels over typed columns. A scan filter is evaluated for the whole
-// column at once into a Bitmap (one bit per row) by a branch-free
-// compare loop specialized to the column kind and constant kind;
-// conjunctive filters fuse by AND-ing their bitmaps word-wise, and only
-// the final bitmap is materialized into a selection vector. All kernels
-// operate on an explicit word-aligned row range so callers can partition
-// one bitmap across workers: two workers whose ranges share no word
-// never touch the same memory.
+// column at once into a Bitmap (one bit per row) by a loop specialized to
+// the column kind whose compare is written inline — one range test per
+// numeric kind, which the six comparison operators reduce to — so a row
+// costs a load, a compare and a shift, with no call and no
+// data-dependent branch. Conjunctive filters fuse by AND-ing their
+// bitmaps word-wise, and only the final bitmap is materialized into a
+// selection vector. All kernels operate on an explicit word-aligned row
+// range so callers can partition one bitmap across workers: two workers
+// whose ranges share no word never touch the same memory.
 package vec
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // WordBits is the bitmap word width; row i lives in word i/WordBits.
 const WordBits = 64
@@ -35,7 +40,7 @@ func (b *Bitmap) Len() int { return b.n }
 
 // Reset reconfigures b to cover n rows, reusing the word storage when it
 // is large enough. The words are left dirty: every kernel's first pass
-// overwrites its whole word range (setRange assigns, never ORs), so a
+// overwrites its whole word range (kernels assign, never OR), so a
 // caller that always runs a filling pass before reading needs no
 // clearing.
 func (b *Bitmap) Reset(n int) {
@@ -91,7 +96,8 @@ func (b *Bitmap) AppendIndices(dst []int32, lo, hi int) []int32 {
 }
 
 // b2u converts a bool to 0/1; the compiler lowers the conditional to a
-// flag-setting instruction, keeping the kernels below branch-free.
+// flag-setting instruction, so the kernel loops below carry no
+// data-dependent branch.
 func b2u(b bool) uint64 {
 	if b {
 		return 1
@@ -99,28 +105,21 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// setRange fills rows [lo, hi) of words from pred; lo must be
-// word-aligned. Only whole words inside the range are written, so
-// partitioned callers with disjoint word ranges never race. Bits beyond
-// hi in the final word are left zero.
-func setRange(words []uint64, lo, hi int, pred func(i int) bool) {
-	for w := lo / WordBits; w < NumWords(hi); w++ {
-		base := w * WordBits
-		end := base + WordBits
-		if end > hi {
-			end = hi
+// not inverts rows [lo, hi) in place, keeping bits beyond hi zero; lo
+// must be word-aligned.
+func (b *Bitmap) not(lo, hi int) {
+	for base := lo; base < hi; base += WordBits {
+		word := ^b.words[base/WordBits]
+		if n := hi - base; n < WordBits {
+			word &= 1<<uint(n) - 1
 		}
-		var word uint64
-		for i := base; i < end; i++ {
-			word |= b2u(pred(i)) << uint(i-base)
-		}
-		words[w] = word
+		b.words[base/WordBits] = word
 	}
 }
 
 // CmpOp is the comparison a kernel applies between column values and the
 // constant: the six operators shared by every scalar kind. BETWEEN is
-// expressed by callers as Ge AND Le over two constants.
+// expressed by callers as a Range kernel (or Ge AND Le over two passes).
 type CmpOp uint8
 
 const (
@@ -132,129 +131,132 @@ const (
 	Ge
 )
 
-// Int64Cmp evaluates vals[i] op c for rows [lo, hi) into dst (one whole
-// branch-free loop per operator; the op switch runs once, not per row).
+// opBounds rewrites `v op c` as membership of v in a closed interval
+// around c, optionally complemented: Eq is [c, c], Le is [min, c], Ge is
+// [c, max], and Ne, Gt, Lt are their complements. loOpen / hiOpen say
+// which end is replaced by the kind's extreme value. Each numeric kind's
+// six operators therefore run through its one range kernel, and the
+// operator is decoded once per call, never per row.
+var opBounds = [...]struct{ loOpen, hiOpen, not bool }{
+	Eq: {}, Ne: {not: true},
+	Le: {loOpen: true}, Gt: {loOpen: true, not: true},
+	Ge: {hiOpen: true}, Lt: {hiOpen: true, not: true},
+}
+
+// Every kernel below fills rows [lo, hi) of dst word by word; lo must be
+// word-aligned. Only words inside the range are written (assigned, never
+// ORed), so partitioned callers with disjoint word ranges never race,
+// and bits beyond hi in the final word are left zero. The compare is
+// written out inside each loop: no kernel makes a call per row.
+
+// Int64Cmp evaluates vals[i] op c for rows [lo, hi).
 func Int64Cmp(dst *Bitmap, vals []int64, op CmpOp, c int64, lo, hi int) {
-	words := dst.words
-	switch op {
-	case Eq:
-		setRange(words, lo, hi, func(i int) bool { return vals[i] == c })
-	case Ne:
-		setRange(words, lo, hi, func(i int) bool { return vals[i] != c })
-	case Lt:
-		setRange(words, lo, hi, func(i int) bool { return vals[i] < c })
-	case Le:
-		setRange(words, lo, hi, func(i int) bool { return vals[i] <= c })
-	case Gt:
-		setRange(words, lo, hi, func(i int) bool { return vals[i] > c })
-	case Ge:
-		setRange(words, lo, hi, func(i int) bool { return vals[i] >= c })
+	b, l, h := opBounds[op], c, c
+	if b.loOpen {
+		l = math.MinInt64
+	}
+	if b.hiOpen {
+		h = math.MaxInt64
+	}
+	Int64Range(dst, vals, l, h, lo, hi)
+	if b.not {
+		dst.not(lo, hi)
 	}
 }
 
-// Int64Range evaluates lo64 <= vals[i] <= hi64 (BETWEEN) in one fused
-// pass for rows [lo, hi).
+// Int64Range evaluates lo64 <= vals[i] <= hi64 (BETWEEN) for rows
+// [lo, hi) as the single unsigned compare v-lo64 <= hi64-lo64 (a v below
+// lo64 wraps to a huge difference). That identity needs lo64 <= hi64, so
+// an inverted range is answered up front as the empty set.
 func Int64Range(dst *Bitmap, vals []int64, lo64, hi64 int64, lo, hi int) {
-	setRange(dst.words, lo, hi, func(i int) bool {
-		return vals[i] >= lo64 && vals[i] <= hi64
-	})
-}
-
-// Float64Cmp evaluates vals[i] op c for rows [lo, hi). The comparisons
-// are written as negations of < and > so they follow rel.Value.Compare's
-// float semantics exactly, including its NaN behaviour (NaN compares
-// "equal" to everything there).
-func Float64Cmp(dst *Bitmap, vals []float64, op CmpOp, c float64, lo, hi int) {
-	words := dst.words
-	switch op {
-	case Eq:
-		setRange(words, lo, hi, func(i int) bool { return !(vals[i] < c) && !(vals[i] > c) })
-	case Ne:
-		setRange(words, lo, hi, func(i int) bool { return vals[i] < c || vals[i] > c })
-	case Lt:
-		setRange(words, lo, hi, func(i int) bool { return vals[i] < c })
-	case Le:
-		setRange(words, lo, hi, func(i int) bool { return !(vals[i] > c) })
-	case Gt:
-		setRange(words, lo, hi, func(i int) bool { return vals[i] > c })
-	case Ge:
-		setRange(words, lo, hi, func(i int) bool { return !(vals[i] < c) })
+	width := uint64(hi64) - uint64(lo64)
+	for base := lo; base < hi; base += WordBits {
+		var word uint64
+		if lo64 <= hi64 {
+			chunk := vals[base:min(base+WordBits, hi)]
+			for i := len(chunk) - 1; i >= 0; i-- {
+				word = word<<1 + b2u(uint64(chunk[i])-uint64(lo64) <= width)
+			}
+		}
+		dst.words[base/WordBits] = word
 	}
 }
 
-// Float64Range evaluates lo64 <= vals[i] <= hi64 (BETWEEN, Compare
-// semantics) in one fused pass for rows [lo, hi).
-func Float64Range(dst *Bitmap, vals []float64, lo64, hi64 float64, lo, hi int) {
-	setRange(dst.words, lo, hi, func(i int) bool {
-		return !(vals[i] < lo64) && !(vals[i] > hi64)
-	})
-}
-
-// Int64AsFloatCmp evaluates float64(vals[i]) op c for rows [lo, hi) —
-// the cross-kind path for an integer column compared to a float
-// constant, matching rel's numeric widening.
-func Int64AsFloatCmp(dst *Bitmap, vals []int64, op CmpOp, c float64, lo, hi int) {
-	words := dst.words
-	switch op {
-	case Eq:
-		setRange(words, lo, hi, func(i int) bool { v := float64(vals[i]); return !(v < c) && !(v > c) })
-	case Ne:
-		setRange(words, lo, hi, func(i int) bool { v := float64(vals[i]); return v < c || v > c })
-	case Lt:
-		setRange(words, lo, hi, func(i int) bool { return float64(vals[i]) < c })
-	case Le:
-		setRange(words, lo, hi, func(i int) bool { return !(float64(vals[i]) > c) })
-	case Gt:
-		setRange(words, lo, hi, func(i int) bool { return float64(vals[i]) > c })
-	case Ge:
-		setRange(words, lo, hi, func(i int) bool { return !(float64(vals[i]) < c) })
+// Float64Cmp evaluates float64(vals[i]) op c for rows [lo, hi) with
+// rel.Value.Compare's float semantics (see Float64Range). An integer
+// column is widened row by row — the cross-kind path for an integer
+// column compared to a float constant, matching rel's numeric widening.
+func Float64Cmp[T int64 | float64](dst *Bitmap, vals []T, op CmpOp, c float64, lo, hi int) {
+	b, l, h := opBounds[op], c, c
+	if b.loOpen {
+		l = math.Inf(-1)
+	}
+	if b.hiOpen {
+		h = math.Inf(1)
+	}
+	Float64Range(dst, vals, l, h, lo, hi)
+	if b.not {
+		dst.not(lo, hi)
 	}
 }
 
-// Int64AsFloatRange is the fused BETWEEN for an integer column with
-// float bounds.
-func Int64AsFloatRange(dst *Bitmap, vals []int64, lo64, hi64 float64, lo, hi int) {
-	setRange(dst.words, lo, hi, func(i int) bool {
-		v := float64(vals[i])
-		return !(v < lo64) && !(v > hi64)
-	})
+// Float64Range evaluates lo64 <= float64(vals[i]) <= hi64 (BETWEEN) for
+// rows [lo, hi). Membership is written as the negation of < and > so it
+// follows rel.Value.Compare exactly, including its NaN behaviour (a NaN
+// on either side compares "equal": a NaN row is inside every range, and
+// every row is inside a range with a NaN bound).
+func Float64Range[T int64 | float64](dst *Bitmap, vals []T, lo64, hi64 float64, lo, hi int) {
+	for base := lo; base < hi; base += WordBits {
+		var word uint64
+		chunk := vals[base:min(base+WordBits, hi)]
+		for i := len(chunk) - 1; i >= 0; i-- {
+			v := float64(chunk[i])
+			word = word<<1 + b2u(!(v < lo64))&b2u(!(v > hi64))
+		}
+		dst.words[base/WordBits] = word
+	}
 }
 
-// StringCmp evaluates vals[i] op c for rows [lo, hi). String compares
-// branch internally, but the loop still amortizes the operator dispatch
-// and writes the same bitmap layout as the numeric kernels.
+// StringCmp evaluates vals[i] op c for rows [lo, hi). Strings have no
+// greatest value to close an interval with, so the six operators are
+// three one-sided loops (==, <=, >=), chosen once per word, and their
+// complements.
 func StringCmp(dst *Bitmap, vals []string, op CmpOp, c string, lo, hi int) {
-	words := dst.words
-	switch op {
-	case Eq:
-		setRange(words, lo, hi, func(i int) bool { return vals[i] == c })
-	case Ne:
-		setRange(words, lo, hi, func(i int) bool { return vals[i] != c })
-	case Lt:
-		setRange(words, lo, hi, func(i int) bool { return vals[i] < c })
-	case Le:
-		setRange(words, lo, hi, func(i int) bool { return vals[i] <= c })
-	case Gt:
-		setRange(words, lo, hi, func(i int) bool { return vals[i] > c })
-	case Ge:
-		setRange(words, lo, hi, func(i int) bool { return vals[i] >= c })
+	b := opBounds[op]
+	for base := lo; base < hi; base += WordBits {
+		chunk := vals[base:min(base+WordBits, hi)]
+		var word uint64
+		switch {
+		case b.loOpen:
+			for i := len(chunk) - 1; i >= 0; i-- {
+				word = word<<1 + b2u(chunk[i] <= c)
+			}
+		case b.hiOpen:
+			for i := len(chunk) - 1; i >= 0; i-- {
+				word = word<<1 + b2u(chunk[i] >= c)
+			}
+		default:
+			for i := len(chunk) - 1; i >= 0; i-- {
+				word = word<<1 + b2u(chunk[i] == c)
+			}
+		}
+		dst.words[base/WordBits] = word
+	}
+	if b.not {
+		dst.not(lo, hi)
 	}
 }
 
 // StringRange is the fused BETWEEN for string columns.
 func StringRange(dst *Bitmap, vals []string, lo64, hi64 string, lo, hi int) {
-	setRange(dst.words, lo, hi, func(i int) bool {
-		return vals[i] >= lo64 && vals[i] <= hi64
-	})
-}
-
-// SetFunc fills rows [lo, hi) from an arbitrary per-row predicate — the
-// row-wise fallback for column/constant combinations without a typed
-// kernel (mixed-kind columns, NULL constants). It writes the same
-// word-aligned layout, so fallback filters still fuse with kernel
-// filters by And.
-func SetFunc(dst *Bitmap, pred func(i int) bool, lo, hi int) {
-	setRange(dst.words, lo, hi, pred)
+	for base := lo; base < hi; base += WordBits {
+		var word uint64
+		chunk := vals[base:min(base+WordBits, hi)]
+		for i := len(chunk) - 1; i >= 0; i-- {
+			word = word<<1 + b2u(chunk[i] >= lo64 && chunk[i] <= hi64)
+		}
+		dst.words[base/WordBits] = word
+	}
 }
 
 // AndNotNulls clears rows [lo, hi) whose null bit is set; nulls is the
