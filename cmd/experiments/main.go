@@ -15,8 +15,7 @@
 // -workers bounds each validation's skeleton-run parallelism (0 =
 // GOMAXPROCS, 1 = sequential); estimates are identical at every
 // setting. -shards N splits each table's sample into N contiguous
-// shards so a single validation's scans and hash builds fan out across
-// the workers; results stay byte-identical (<= 1 = monolithic).
+// shards so a single validation's scans fan out across the workers; results stay byte-identical (<= 1 = monolithic).
 // -cache N shares a workload-level validation cache of N
 // subtree entries across every query of the run, so repeated/similar
 // query instances reuse counts; it is off by default because the

@@ -7,6 +7,7 @@ package catalog
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"reopt/internal/stats"
@@ -30,6 +31,10 @@ type Catalog struct {
 	tables  map[string]*storage.Table
 	stats   map[string]*stats.TableStats
 	samples map[string]*storage.Table
+
+	// joinSel memoizes stats.JoinSelectivity per (left, right) pair of
+	// published column statistics: [2]*stats.ColumnStats -> float64.
+	joinSel sync.Map
 
 	sampleRatio   float64
 	minSampleRows int
@@ -97,6 +102,7 @@ func (c *Catalog) Analyze(name string, opts stats.AnalyzeOptions) error {
 		return err
 	}
 	c.stats[name] = stats.Analyze(t, opts)
+	c.joinSel.Clear()
 	return nil
 }
 
@@ -118,7 +124,10 @@ func (c *Catalog) Stats(name string) *stats.TableStats { return c.stats[name] }
 // CopyStats registers externally computed statistics for a table,
 // allowing derived catalogs (e.g. the mid-query re-optimizer's
 // workspace) to reuse an existing ANALYZE pass.
-func (c *Catalog) CopyStats(name string, ts *stats.TableStats) { c.stats[name] = ts }
+func (c *Catalog) CopyStats(name string, ts *stats.TableStats) {
+	c.stats[name] = ts
+	c.joinSel.Clear()
+}
 
 // ColumnStats returns statistics for one column, or nil.
 func (c *Catalog) ColumnStats(table, column string) *stats.ColumnStats {
@@ -127,6 +136,22 @@ func (c *Catalog) ColumnStats(table, column string) *stats.ColumnStats {
 		return nil
 	}
 	return ts.Columns[column]
+}
+
+// JoinSelectivity is stats.JoinSelectivity, computed once per pair of
+// column statistics this catalog published (ColumnStats) and remembered:
+// it is a pure function of the two, and they are immutable once
+// published. A re-Analyze publishes new pointers, which no remembered
+// pair can equal; the memo is dropped then only to free the old ones.
+// Safe for concurrent use.
+func (c *Catalog) JoinSelectivity(left, right *stats.ColumnStats) float64 {
+	key := [2]*stats.ColumnStats{left, right}
+	if sel, ok := c.joinSel.Load(key); ok {
+		return sel.(float64)
+	}
+	sel := stats.JoinSelectivity(left, right)
+	c.joinSel.Store(key, sel)
+	return sel
 }
 
 // SetSampleRatio overrides the Bernoulli sampling ratio for subsequently

@@ -68,8 +68,8 @@ type Options struct {
 	// byte-identical at every setting.
 	Workers int
 	// SampleShards splits each table's sample into that many contiguous
-	// word-aligned shards for validation: every skeleton scan and hash
-	// build runs per shard and the partial results merge in shard order
+	// word-aligned shards for validation: every skeleton scan runs per
+	// shard and the partial results merge in shard order
 	// (counts sum; materialized columns concatenate), so one wave's work
 	// fans out across Workers even when a single sample is too small to
 	// split — the same latency budget buys proportionally larger

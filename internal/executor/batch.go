@@ -119,9 +119,9 @@ func CountSkeletonBatchBudgetCtx(ctx context.Context, bplans []BatchPlan, binder
 }
 
 // CountSkeletonBatchCfg is CountSkeletonBatchBudgetCtx with the full
-// config struct. With cfg.Shards > 1, every sample scan and hash-table
-// build splits into that many contiguous word-aligned partitions whose
-// partial results merge in shard order — so one wave's work fans out
+// config struct. With cfg.Shards > 1, every sample scan splits into that
+// many contiguous word-aligned partitions whose partial results merge in
+// shard order — so one wave's work fans out
 // across the worker pool even when a single sample would be too small
 // to split — with counts, cached sub-results, budget verdicts, and
 // cache keys byte-identical to the monolithic layout.
@@ -231,7 +231,7 @@ func CountSkeletonBatchCfg(ctx context.Context, bplans []BatchPlan, binder func(
 		if w == 0 {
 			err = runScanWave(ctx, live, binder, workers, cfg.Shards, cfg.Templates)
 		} else {
-			err = runJoinWave(ctx, live, workers, cfg.Shards)
+			err = runJoinWave(ctx, live, workers)
 		}
 		if err != nil {
 			return nil, nil, err
@@ -293,9 +293,9 @@ func settleWave(wave []*batchTask, users map[*batchTask][]int, accounts []memAcc
 // found) once lands in every requester's cache.
 type cacheRef struct {
 	cache *SkeletonCache
-	key   string             // sub-result key under cache
-	tkey  string             // hash-table key under cache (join waves)
-	table map[uint64][]int32 // cached table found under cache, if any
+	key   string     // sub-result key under cache
+	tkey  string     // hash-table key under cache (join waves)
+	table *joinTable // cached table found under cache, if any
 }
 
 // batchTask is one deduplicated logical subtree of the batch. Exactly
@@ -342,7 +342,7 @@ type batchTask struct {
 	shards   []scanShard
 	selTotal int
 	cols     []storage.ColData
-	table    map[uint64][]int32
+	table    *joinTable
 	parts    []probePart
 	pspans   []span
 }
@@ -1182,17 +1182,11 @@ type tableBuildKey struct {
 }
 
 // tableBuild is one deduplicated hash-table construction and the tasks
-// awaiting it. Sharded builds carry one segment per word-aligned build
-// partition (storage.ShardBounds over the build rows): each segment's
-// unit fills its own parts slot, and the segments merge by appending
-// buckets in segment order — the same bucket contents as a sequential
-// build, since segments are ascending contiguous row ranges.
+// awaiting it.
 type tableBuild struct {
 	r     *subResult
 	rkey  []int
-	table map[uint64][]int32
-	segs  []span
-	parts []map[uint64][]int32
+	table *joinTable
 	users []*batchTask
 }
 
@@ -1205,12 +1199,10 @@ func intsKey(xs []int) string {
 }
 
 // runJoinWave executes one depth level of join tasks: sequential cache
-// probes and key resolution, parallel deduplicated hash-table builds
-// (segmented across shards when sharding is on, merged in segment
-// order), then one combined probe span list, merged per task in span
-// order. A ctx abort returns before any result or hash table reaches
-// any cache.
-func runJoinWave(ctx context.Context, tasks []*batchTask, workers, shards int) error {
+// probes and key resolution, parallel deduplicated hash-table builds,
+// then one combined probe span list, merged per task in span order. A
+// ctx abort returns before any result or hash table reaches any cache.
+func runJoinWave(ctx context.Context, tasks []*batchTask, workers int) error {
 	var pending []*batchTask
 	total := 0
 	for _, t := range tasks {
@@ -1243,7 +1235,7 @@ func runJoinWave(ctx context.Context, tasks []*batchTask, workers, shards int) e
 
 	// Phase 1: build the missing hash tables, deduplicated by (build
 	// input, key columns) and run in parallel across tasks — each build
-	// itself stays sequential for deterministic bucket order.
+	// itself is one sequential pass (buildHashTable).
 	builds := map[tableBuildKey]*tableBuild{}
 	var buildOrder []*tableBuild
 	for _, t := range pending {
@@ -1269,27 +1261,6 @@ func runJoinWave(ctx context.Context, tasks []*batchTask, workers, shards int) e
 				t.failWith(cp)
 			}
 		}
-		if shards > 1 {
-			if bounds := storage.ShardBounds(tb.r.count, shards); len(bounds) > 2 {
-				tb.segs = make([]span, len(bounds)-1)
-				tb.parts = make([]map[uint64][]int32, len(tb.segs))
-				for i := range tb.segs {
-					tb.segs[i] = span{bounds[i], bounds[i+1]}
-				}
-				for segi := range tb.segs {
-					segi := segi
-					units = append(units, workUnit{fail: fail, run: func() {
-						if faultinject.Active() {
-							faultinject.Fire(faultinject.BuildUnit, tb.users[0].sig)
-							faultinject.Fire(faultinject.ShardUnit, fmt.Sprintf("%s#shard=%d", tb.users[0].sig, segi))
-						}
-						s := tb.segs[segi]
-						tb.parts[segi] = buildHashTableRange(tb.r, tb.rkey, s.lo, s.hi)
-					}})
-				}
-				continue
-			}
-		}
 		units = append(units, workUnit{fail: fail, run: func() {
 			if faultinject.Active() {
 				faultinject.Fire(faultinject.BuildUnit, tb.users[0].sig)
@@ -1301,21 +1272,6 @@ func runJoinWave(ctx context.Context, tasks []*batchTask, workers, shards int) e
 		return err
 	}
 	for _, tb := range buildOrder {
-		if tb.table == nil && tb.parts != nil {
-			// Merge the segment tables in segment order. A panicked
-			// segment leaves a nil part; its users are already failed, so
-			// the merge is skipped and no table is stored anywhere.
-			complete := true
-			for _, p := range tb.parts {
-				if p == nil {
-					complete = false
-					break
-				}
-			}
-			if complete {
-				tb.table = mergeHashTables(tb.parts)
-			}
-		}
 		for _, t := range tb.users {
 			t.table = tb.table
 		}
@@ -1412,7 +1368,7 @@ func (t *batchTask) joinProbe() joinProbe {
 // serves whose namespace resolved (cacheRef.tkey set in the wave's
 // probe stage). putTable skips caches that no longer retain the build
 // input's sub-result (possible under a tight value budget).
-func (t *batchTask) storeTable(table map[uint64][]int32) {
+func (t *batchTask) storeTable(table *joinTable) {
 	if table == nil {
 		return
 	}

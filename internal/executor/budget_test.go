@@ -82,7 +82,7 @@ func TestSkeletonCacheValueAccounting(t *testing.T) {
 	if v := c.Values(); v != 40 {
 		t.Fatalf("values after replacement: %d, want 40", v)
 	}
-	c.putTable("a", "a||K:t.k&", map[uint64][]int32{1: {0}})
+	c.putTable("a", "a||K:t.k&", &joinTable{head: []int32{1, 0}, next: []int32{0}, shift: 63})
 	if c.getTable("a||K:t.k&") == nil {
 		t.Fatal("table not registered")
 	}
@@ -105,15 +105,20 @@ func TestSkeletonCacheValueAccounting(t *testing.T) {
 	}
 }
 
-// TestSkeletonCacheTablesCharged: a cached hash table retains one row id
-// per build row and is charged to the value budget as such, so a
-// budgeted cache stays within its limit while tables are cached — a
-// table that cannot fit beside its sub-result is declined — and
-// evicting the sub-result refunds its tables.
+// TestSkeletonCacheTablesCharged: a cached hash table retains
+// len(head)+len(next) int32 slots and is charged to the value budget as
+// such (two slots a value, rounded up), so a budgeted cache stays within
+// its limit while tables are cached — a table that cannot fit beside its
+// sub-result is declined — and evicting the sub-result refunds its
+// tables.
 func TestSkeletonCacheTablesCharged(t *testing.T) {
 	const limit = 100
 	c := NewSkeletonCacheBudget(0, limit)
-	table := map[uint64][]int32{1: {0}}
+	// 30 build rows: 32 buckets + 30 chain slots = 62 int32s = 31 values.
+	table := buildHashTable(fabSub(30), []int{0})
+	if got := table.values(); got != 31 || len(table.head) != 32 || len(table.next) != 30 {
+		t.Fatalf("30-row table: %d values, %d head, %d next; want 31, 32, 30", got, len(table.head), len(table.next))
+	}
 	for i := 0; i < 10; i++ {
 		k := fmt.Sprintf("k%d", i)
 		c.putSub(k, fabSub(30))
@@ -126,8 +131,8 @@ func TestSkeletonCacheTablesCharged(t *testing.T) {
 	}
 	// k9 holds 30 cells and two 30-row tables; the third could never fit
 	// beside them and was declined, and every older entry was evicted.
-	if v := c.Values(); v != 90 {
-		t.Fatalf("values = %d, want 90 (30 cells + 2 tables x 30 rows)", v)
+	if v := c.Values(); v != 92 {
+		t.Fatalf("values = %d, want 92 (30 cells + 2 tables x 31 values)", v)
 	}
 	if c.getTable("k9||K:0") == nil || c.getTable("k9||K:1") == nil {
 		t.Fatal("tables that fit the budget must be cached")
@@ -140,8 +145,8 @@ func TestSkeletonCacheTablesCharged(t *testing.T) {
 	}
 	// Re-putting a cached table key charges nothing more.
 	c.putTable("k9", "k9||K:0", table)
-	if v := c.Values(); v != 90 {
-		t.Fatalf("values after duplicate table put = %d, want 90", v)
+	if v := c.Values(); v != 92 {
+		t.Fatalf("values after duplicate table put = %d, want 92", v)
 	}
 	// Eviction refunds the entry's tables with it.
 	c.putSub("big", fabSub(100))

@@ -60,7 +60,7 @@ type skelStore struct {
 	limit int // max sub-result entries; 0 = unbounded
 	// valueLimit bounds the total number of *materialized values* retained
 	// across all entries — boundary-column cells, template filter-column
-	// cells and hash-table row ids (0 = unbounded). The entry
+	// cells and hash-table slots (0 = unbounded). The entry
 	// limit alone cannot bound memory on skewed workloads: a few huge
 	// subtrees (a cross-product-ish join whose boundary columns carry
 	// hundreds of thousands of values) can dominate while the entry count
@@ -70,7 +70,7 @@ type skelStore struct {
 	values     int // current total materialized values (see entryValues)
 	subs       map[string]*list.Element
 	lru        *list.List // front = most recently used
-	tables     map[string]map[uint64][]int32
+	tables     map[string]*joinTable
 	// templates is the (template, constant-vector) sub-result index
 	// (DESIGN.md §9): fingerprint -> collision chain of template
 	// entries, each riding one cached sub-result. A lookup that misses
@@ -118,9 +118,9 @@ func tmplValues(te *tmplEntry) int {
 }
 
 // skelCacheEntry is one cached sub-result plus the keys of the hash
-// tables built over it (dropped together on eviction). A table retains
-// one int32 per build row; tableValues is what the entry's tables have
-// been charged to the value budget, refunded on eviction.
+// tables built over it (dropped together on eviction). tableValues is
+// what the entry's tables have been charged to the value budget
+// (joinTable.values each), refunded on eviction.
 type skelCacheEntry struct {
 	key         string
 	sub         *subResult
@@ -146,7 +146,7 @@ func NewSkeletonCacheLRU(limit int) *SkeletonCache {
 // NewSkeletonCacheBudget returns an empty cache bounded by both an entry
 // count and a total materialized-value budget (either <= 0 means that
 // budget is unbounded). The value budget counts every boundary-column
-// value held by cached sub-results and one value per row indexed by
+// value held by cached sub-results and one value per two int32 slots of
 // each build-side hash table cached over them, so skewed workloads where
 // a few huge subtrees dominate stay within it even when the entry count
 // would not.
@@ -162,7 +162,7 @@ func NewSkeletonCacheBudget(limit, valueLimit int) *SkeletonCache {
 		valueLimit: valueLimit,
 		subs:       make(map[string]*list.Element),
 		lru:        list.New(),
-		tables:     make(map[string]map[uint64][]int32),
+		tables:     make(map[string]*joinTable),
 		templates:  make(map[uint64][]*tmplEntry),
 	}}
 }
@@ -349,7 +349,7 @@ func (s *skelStore) dropTemplateLocked(te *tmplEntry) {
 }
 
 // getTable looks up a build-side hash table.
-func (c *SkeletonCache) getTable(key string) map[uint64][]int32 {
+func (c *SkeletonCache) getTable(key string) *joinTable {
 	s := c.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -358,11 +358,11 @@ func (c *SkeletonCache) getTable(key string) map[uint64][]int32 {
 
 // putTable caches a hash table, registering it under the sub-result it
 // indexes (subKey) so the two are evicted together, and charges the
-// value budget one value per indexed row. If that sub-result is no
-// longer cached — possible under a tight budget — the table is not
-// cached either, since nothing would ever evict it; nor is a table that
-// could never fit the budget beside its own sub-result.
-func (c *SkeletonCache) putTable(subKey, tableKey string, t map[uint64][]int32) {
+// value budget what the table retains (joinTable.values). If that
+// sub-result is no longer cached — possible under a tight budget — the
+// table is not cached either, since nothing would ever evict it; nor is
+// a table that could never fit the budget beside its own sub-result.
+func (c *SkeletonCache) putTable(subKey, tableKey string, t *joinTable) {
 	s := c.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -375,14 +375,14 @@ func (c *SkeletonCache) putTable(subKey, tableKey string, t map[uint64][]int32) 
 		s.tables[tableKey] = t
 		return
 	}
-	rows := e.sub.count
-	if s.valueLimit > 0 && entryValues(e.sub)+e.tableValues+rows > s.valueLimit {
+	cost := t.values()
+	if s.valueLimit > 0 && entryValues(e.sub)+e.tableValues+cost > s.valueLimit {
 		return
 	}
 	e.tableKeys = append(e.tableKeys, tableKey)
-	e.tableValues += rows
+	e.tableValues += cost
 	s.tables[tableKey] = t
-	s.values += rows
+	s.values += cost
 	s.shrinkLocked()
 }
 

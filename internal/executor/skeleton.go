@@ -49,6 +49,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"strings"
@@ -139,10 +141,10 @@ type SkelConfig struct {
 	// Workers caps the parallelism of the partitioned loops; <= 0
 	// selects runtime.GOMAXPROCS(0), 1 runs sequentially.
 	Workers int
-	// Shards splits every sample scan and hash-table build into that
-	// many contiguous word-aligned partitions (storage.ShardBounds)
-	// whose partial results merge associatively in shard order: counts
-	// sum, boundary columns and hash buckets concatenate. <= 1 keeps
+	// Shards splits every sample scan into that many contiguous
+	// word-aligned partitions (storage.ShardBounds) whose partial
+	// results merge associatively in shard order: counts sum and
+	// boundary columns concatenate. <= 1 keeps
 	// the monolithic layout bit-for-bit. Memory-budget charges and
 	// cache keys never mention the shard count, so verdicts and
 	// warm-cache behavior are shard-count-independent.
@@ -819,6 +821,11 @@ func compileCmp(col *storage.ColData, op vec.CmpOp, c rel.Value) scanPass {
 		switch c.Kind() {
 		case rel.KindInt:
 			ci := c.AsInt()
+			if l, h, ok := cmpInterval(op, ci); ok {
+				if p := indexPass(col, l, h); p != nil {
+					return p
+				}
+			}
 			return func(dst *vec.Bitmap, lo, hi int) {
 				vec.Int64Cmp(dst, vals, op, ci, lo, hi)
 				vec.AndNotNulls(dst, nulls, lo, hi)
@@ -852,6 +859,44 @@ func compileCmp(col *storage.ColData, op vec.CmpOp, c rel.Value) scanPass {
 	return nil
 }
 
+// cmpInterval rewrites `v op c` over int64 values as the closed interval
+// holding exactly the matching values (lo > hi: none); ok is false for
+// Ne, whose matches are not one interval.
+func cmpInterval(op vec.CmpOp, c int64) (lo, hi int64, ok bool) {
+	switch {
+	case op == vec.Eq:
+		return c, c, true
+	case op == vec.Le:
+		return math.MinInt64, c, true
+	case op == vec.Ge:
+		return c, math.MaxInt64, true
+	case op == vec.Lt && c > math.MinInt64:
+		return math.MinInt64, c - 1, true
+	case op == vec.Gt && c < math.MaxInt64:
+		return c + 1, math.MaxInt64, true
+	}
+	return 1, 0, op != vec.Ne
+}
+
+// indexPass answers lo <= v <= hi from the column's sorted sample index
+// instead of scanning, when the column has one and the matches are a
+// small share of its rows (storage.ColData.IndexRange decides both; nil
+// otherwise). The index sets the matching rows' bits once, here, and the
+// pass copies its word range — work proportional to the matches however
+// many spans run it, and no NULL mask: the index holds no NULL row. The
+// bits are exactly the kernel's, so everything downstream is
+// byte-identical. Like Bitmap.And, the pass needs hi word-aligned or the
+// row count.
+func indexPass(col *storage.ColData, lo, hi int64) scanPass {
+	words := col.IndexRange(lo, hi)
+	if words == nil {
+		return nil
+	}
+	return func(dst *vec.Bitmap, a, b int) {
+		copy(dst.Words()[a/vec.WordBits:vec.NumWords(b)], words[a/vec.WordBits:])
+	}
+}
+
 // compileRange returns a fused BETWEEN pass when both bounds take the
 // same typed path as the column, else nil (the caller then decomposes
 // into two compare passes so each bound keeps its exact semantics —
@@ -864,6 +909,9 @@ func compileRange(col *storage.ColData, lo, hi rel.Value) scanPass {
 		vals := col.Ints
 		if lo.Kind() == rel.KindInt && hi.Kind() == rel.KindInt {
 			l, h := lo.AsInt(), hi.AsInt()
+			if p := indexPass(col, l, h); p != nil {
+				return p
+			}
 			return func(dst *vec.Bitmap, a, b int) {
 				vec.Int64Range(dst, vals, l, h, a, b)
 				vec.AndNotNulls(dst, nulls, a, b)
@@ -941,23 +989,16 @@ func (e *skelEngine) evalJoin(t *plan.JoinNode) (*subResult, error) {
 	}
 
 	// Build (or reuse) the hash table over the right side's key columns.
-	// Unsharded builds stay sequential: bucket append order must be the
-	// row order for deterministic output, and build sides are small
-	// relative to the probe work the partitions absorb. Sharded builds
-	// construct per-segment tables and concatenate buckets in segment
-	// order, which reproduces the same bucket contents.
-	var table map[uint64][]int32
+	// The build is one sequential pass at every shard and worker count: a
+	// few ns per row, small beside the probe work the partitions absorb.
+	var table *joinTable
 	tkey := ""
 	if e.cache != nil {
 		tkey = hashTableKey(r.sig, preds)
 		table = e.cache.getTable(tkey)
 	}
 	if table == nil {
-		if e.shards > 1 {
-			table = e.buildHashTableSharded(r, rkey)
-		} else {
-			table = buildHashTable(r, rkey)
-		}
+		table = buildHashTable(r, rkey)
 		if e.cache != nil {
 			e.cache.putTable(r.sig, tkey, table)
 		}
@@ -1052,66 +1093,44 @@ func hashTableKey(rsig string, preds []sql.JoinPred) string {
 	return sb.String()
 }
 
-// buildHashTable builds the right side's hash table. The build is
-// sequential: bucket append order must be the row order for
-// deterministic output.
-func buildHashTable(r *subResult, rkey []int) map[uint64][]int32 {
-	return buildHashTableRange(r, rkey, 0, r.count)
+// joinTable is a build side's hash table: flat, bucket-chained and
+// pointer-free. head holds one slot per bucket (a power of two, at least
+// the build row count) and next one per build row; both store row+1, 0
+// ending a chain. Two allocations whatever the key count, and nothing for
+// the collector to scan.
+type joinTable struct {
+	head, next []int32
+	shift      uint // 64 - log2(len(head)), in [1, 63]
 }
 
-// buildHashTableRange builds a hash table over right rows [lo, hi) —
-// the per-segment body of the sharded build.
-func buildHashTableRange(r *subResult, rkey []int, lo, hi int) map[uint64][]int32 {
-	table := make(map[uint64][]int32)
-	for j := lo; j < hi; j++ {
+// bucket maps a key hash to its head slot: the top bits of a Fibonacci
+// multiply, well spread whichever bits of h carry the key (FNV string
+// hashes vary mostly in their low bits, the numeric mix in all of them).
+func (t *joinTable) bucket(h uint64) uint64 {
+	return (h * 0x9E3779B97F4A7C15) >> (t.shift & 63)
+}
+
+// values is the table's charge to a cache value budget: two int32 slots
+// per 8-byte cell, rounded up.
+func (t *joinTable) values() int { return (len(t.head) + len(t.next) + 1) / 2 }
+
+// buildHashTable builds the right side's hash table in one descending
+// pass: each row is pushed at the front of its chain, so every chain ends
+// up in ascending row order and probe output is in (left row, right row)
+// order whatever the hash function. Rows with a NULL key are left out.
+func buildHashTable(r *subResult, rkey []int) *joinTable {
+	logB := max(1, bits.Len(uint(max(r.count, 1)-1)))
+	t := &joinTable{head: make([]int32, 1<<logB), next: make([]int32, r.count), shift: uint(64 - logB)}
+	for j := r.count - 1; j >= 0; j-- {
 		h, null := hashKeyAt(r.cols, rkey, j)
 		if null {
 			continue // NULL keys never match
 		}
-		table[h] = append(table[h], int32(j))
+		b := t.bucket(h)
+		t.next[j] = t.head[b]
+		t.head[b] = int32(j + 1)
 	}
-	return table
-}
-
-// buildHashTableSharded partitions the build rows with the same
-// word-aligned bounds as sample shards, builds a table per segment
-// (segments run on independent goroutines — each writes only its own
-// map), and merges them by appending each segment's buckets in segment
-// order. Segments are ascending contiguous row ranges, so every
-// bucket's contents end up in ascending row order — byte-identical to
-// the sequential build, at any shard count.
-func (e *skelEngine) buildHashTableSharded(r *subResult, rkey []int) map[uint64][]int32 {
-	bounds := storage.ShardBounds(r.count, e.shards)
-	if len(bounds) == 2 {
-		return buildHashTable(r, rkey)
-	}
-	parts := make([]map[uint64][]int32, len(bounds)-1)
-	spans := make([]span, len(parts))
-	for i := range spans {
-		spans[i] = span{bounds[i], bounds[i+1]}
-	}
-	if e.workers == 1 {
-		for p, s := range spans {
-			parts[p] = buildHashTableRange(r, rkey, s.lo, s.hi)
-		}
-	} else {
-		runSpans(spans, func(p int, s span) {
-			parts[p] = buildHashTableRange(r, rkey, s.lo, s.hi)
-		})
-	}
-	return mergeHashTables(parts)
-}
-
-// mergeHashTables concatenates per-segment hash tables in segment
-// order: bucket contents append, preserving global row order.
-func mergeHashTables(parts []map[uint64][]int32) map[uint64][]int32 {
-	table := parts[0]
-	for _, p := range parts[1:] {
-		for h, rows := range p {
-			table[h] = append(table[h], rows...)
-		}
-	}
-	return table
+	return t
 }
 
 // gatherPlan resolves each output boundary column to the child side and
@@ -1145,7 +1164,7 @@ type gatherSrc struct {
 // it.
 type joinProbe struct {
 	l, r       *subResult
-	table      map[uint64][]int32
+	table      *joinTable
 	lkey, rkey []int
 	gather     []gatherSrc
 }
@@ -1174,28 +1193,58 @@ func putPairBuf(pb *pairBuf) { pairPool.Put(pb) }
 func (j *joinProbe) probe(pb *pairBuf, lo, hi int) int {
 	record := len(j.gather) > 0
 	count := 0
+	if lv, rv, ok := j.intKeys(); ok {
+		head, next := j.table.head, j.table.next
+		for i, v := range lv[lo:hi] {
+			for rr := head[j.table.bucket(rel.HashInt64(rel.HashSeed, v))]; rr != 0; rr = next[rr-1] {
+				if rv[rr-1] != v {
+					continue
+				}
+				count++
+				if record {
+					pb.l = append(pb.l, int32(lo+i))
+					pb.r = append(pb.r, rr-1)
+				}
+			}
+		}
+		return count
+	}
 	for i := lo; i < hi; i++ {
 		h, null := hashKeyAt(j.l.cols, j.lkey, i)
 		if null {
 			continue
 		}
-	bucket:
-		for _, rrow := range j.table[h] {
+	chain:
+		for rr := j.table.head[j.table.bucket(h)]; rr != 0; rr = j.table.next[rr-1] {
 			for k, lk := range j.lkey {
-				// Bucket-level collision check: hash equality is only a
+				// Chain-level collision check: sharing a bucket is only a
 				// candidate; value equality decides.
-				if !j.l.cols[lk].EqualAt(i, &j.r.cols[j.rkey[k]], int(rrow)) {
-					continue bucket
+				if !j.l.cols[lk].EqualAt(i, &j.r.cols[j.rkey[k]], int(rr-1)) {
+					continue chain
 				}
 			}
 			count++
 			if record {
 				pb.l = append(pb.l, int32(i))
-				pb.r = append(pb.r, rrow)
+				pb.r = append(pb.r, rr-1)
 			}
 		}
 	}
 	return count
+}
+
+// intKeys returns both sides' key values when the join key is a single
+// NULL-free int64 column on each side — the foreign-key shape nearly
+// every join has — so the probe can hash and compare them inline instead
+// of dispatching on the column kind per row (hashKeyAt, EqualAt). Same
+// hashes, same chain order, same matches.
+func (j *joinProbe) intKeys() (l, r []int64, ok bool) {
+	if len(j.lkey) != 1 {
+		return nil, nil, false
+	}
+	lc, rc := &j.l.cols[j.lkey[0]], &j.r.cols[j.rkey[0]]
+	ok = lc.Kind == rel.KindInt && rc.Kind == rel.KindInt && lc.Nulls == nil && rc.Nulls == nil
+	return lc.Ints, rc.Ints, ok
 }
 
 // newOutCols allocates the join's output boundary columns at their

@@ -174,7 +174,7 @@ func (e *estimator) joinSelectivity(j sql.JoinPred) float64 {
 	if e.profile.JoinSel != nil {
 		return e.profile.JoinSel(leftCS, rightCS)
 	}
-	return stats.JoinSelectivity(leftCS, rightCS)
+	return e.cat.JoinSelectivity(leftCS, rightCS)
 }
 
 // card returns the cardinality estimate for a relation set: the Γ entry

@@ -2,11 +2,14 @@ package rel
 
 import "math"
 
-// 64-bit FNV-1a hashing of values, used for hash-join buckets and
-// group-by tables. Hashing agrees with Equal: values for which Equal
-// returns true produce the same hash (in particular an integer and a
-// float holding the same number), so a hash table bucketed by Hash64
-// only needs an Equal check to reject collisions, never a re-hash.
+// 64-bit hashing of values, used for hash-join buckets and group-by
+// tables: FNV-1a over the kind tag and string bytes, and one
+// multiply-xorshift step per numeric payload word (mixUint64), which
+// folds the well-mixed high bits back into the low ones so a table
+// bucketing by either end sees the whole key. Hashing agrees with Equal: values for which Equal returns
+// true produce the same hash (in particular an integer and a float
+// holding the same number), so a hash table bucketed by Hash64 only
+// needs an Equal check to reject collisions, never a re-hash.
 //
 // Caveat: the agreement holds on the float64-exact integer domain
 // (|v| < 2^53) and for non-NaN floats. Beyond 2^53, Equal itself is
@@ -25,6 +28,9 @@ const (
 	// HashSeed is the FNV-1a offset basis; start every row hash here.
 	HashSeed uint64 = 14695981039346656037
 	fnvPrime uint64 = 1099511628211
+	// mixPrime is 2^64 divided by the golden ratio, made odd (Fibonacci
+	// hashing): consecutive integers land far apart.
+	mixPrime uint64 = 0x9E3779B97F4A7C15
 )
 
 // kind tags mixed into the hash so that, say, Int(0) and String_("")
@@ -40,18 +46,18 @@ func fnvByte(h uint64, b byte) uint64 {
 	return (h ^ uint64(b)) * fnvPrime
 }
 
-func fnvUint64(h uint64, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(v))
-		v >>= 8
-	}
-	return h
+// mixUint64 folds one 64-bit payload into h: a multiply by an odd
+// constant spreads every input bit upward, the xorshift brings the high
+// half back down.
+func mixUint64(h uint64, v uint64) uint64 {
+	h = (h ^ v) * mixPrime
+	return h ^ h>>32
 }
 
 // HashInt64 folds an integer payload into h with the numeric tag,
 // without requiring a constructed Value.
 func HashInt64(h uint64, v int64) uint64 {
-	return fnvUint64(fnvByte(h, tagNum), uint64(v))
+	return mixUint64(fnvByte(h, tagNum), uint64(v))
 }
 
 // HashFloat64 folds a float payload into h, agreeing with HashInt64 for
@@ -60,7 +66,7 @@ func HashFloat64(h uint64, f float64) uint64 {
 	if i := int64(f); float64(i) == f {
 		return HashInt64(h, i)
 	}
-	return fnvUint64(fnvByte(h, tagFloat), math.Float64bits(f))
+	return mixUint64(fnvByte(h, tagFloat), math.Float64bits(f))
 }
 
 // HashString folds a string payload into h.
@@ -72,7 +78,7 @@ func HashString(h uint64, s string) uint64 {
 	return h
 }
 
-// Hash64 folds the value into the running FNV-1a state h.
+// Hash64 folds the value into the running hash state h.
 func (v Value) Hash64(h uint64) uint64 {
 	switch v.kind {
 	case KindInt:

@@ -126,8 +126,8 @@ type ValidateConfig struct {
 	// Workers caps the skeleton engines' parallelism; <= 0 selects
 	// GOMAXPROCS, 1 forces sequential execution.
 	Workers int
-	// Shards splits every sample scan and hash build into contiguous
-	// word-aligned partitions whose partial results merge in shard
+	// Shards splits every sample scan into contiguous word-aligned
+	// partitions whose partial results merge in shard
 	// order; <= 1 keeps the monolithic layout bit-for-bit.
 	Shards int
 	// MemBudget softly caps the values each plan's validation may

@@ -39,6 +39,10 @@ type ColData struct {
 	NullWords []uint64
 	// Vals is set only for mixed-kind columns.
 	Vals []rel.Value
+	// idx is the view's lazily built sorted index (IndexRange); nil for
+	// columns too small or not int64, and for every column no ColStore
+	// owns.
+	idx *sortedIndex
 }
 
 // IsNull reports whether row i of the column is NULL.
@@ -250,6 +254,7 @@ func (cs *ColStore) Shards(n int) []*ColStore {
 				// lo+i and the shard's bitmap is a whole-word subslice.
 				dst.NullWords = src.NullWords[lo/vec.WordBits : lo/vec.WordBits+vec.NumWords(hi-lo)]
 			}
+			dst.attachIndex()
 		}
 		out[i] = sh
 	}
@@ -322,6 +327,7 @@ func BuildColStore(t *Table) *ColStore {
 			}
 		}
 		col.BuildNullWords()
+		col.attachIndex()
 	}
 	return cs
 }

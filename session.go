@@ -92,10 +92,10 @@ func WithWorkers(n int) SessionOption {
 }
 
 // WithSampleShards splits every table's sample into n contiguous
-// word-aligned shards for validation. Each skeleton scan and hash-table
-// build then runs shard by shard and the partial results merge in shard
-// order — counts sum, materialized boundary columns concatenate — so a
-// single validation fans out across the session's workers even when the
+// word-aligned shards for validation. Each skeleton scan then runs
+// shard by shard and the partial results merge in shard order — counts
+// sum, materialized boundary columns concatenate — so a single
+// validation fans out across the session's workers even when the
 // workload offers no batch to share, and a 4x-larger sample validates
 // in roughly the wall-clock of the monolithic one at 4 shards. n <= 1
 // keeps today's monolithic layout bit-for-bit. Sharding never changes
