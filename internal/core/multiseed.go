@@ -158,15 +158,19 @@ func (r *Reoptimizer) reoptimizeSeeded(outer, run context.Context, q *sql.Query,
 	if cache == nil {
 		cache = sampling.NewValidationCache()
 	}
-	gamma := optimizer.NewGamma()
-	res := &Result{Gamma: gamma}
+	pl, err := r.Opt.Prepare(q, nil)
+	if err != nil {
+		return nil, fmt.Errorf("core: seeded round 1: %w", err)
+	}
+	lp := &loop{pl: pl, res: &Result{Gamma: pl.Gamma()}, seen: map[string]bool{}}
+	res := lp.res
 
 	// Round 1: validate the seed plan. There is no optimizer call to
 	// charge — P_1 was handed in — matching Reoptimize, which never
 	// counts round 1's optimization as overhead. The validation is
 	// shielded from the budget deadline so every started run produces a
 	// result; only the caller's own termination aborts it.
-	if err := r.validateInto(outer, q, p1, gamma, res, nil, nil, cache, 0); err != nil {
+	if err := r.validateInto(outer, lp, p1, cache, 0); err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			// The caller's own deadline fired mid-validation: the
 			// un-validated seed is still the best answer this run has.
@@ -176,14 +180,10 @@ func (r *Reoptimizer) reoptimizeSeeded(outer, run context.Context, q *sql.Query,
 		}
 		return nil, err
 	}
-	prev := p1
-	trees := []plan.JoinTree{plan.TreeOf(p1)}
-	seen := map[string]bool{p1.Fingerprint(): true}
-	res.NumPlans = 1
 
 	for i := 2; ; i++ {
 		t0 := time.Now()
-		p, err := r.Opt.Optimize(q, gamma)
+		p, err := pl.Plan()
 		if err != nil {
 			return nil, fmt.Errorf("core: seeded round %d: %w", i, err)
 		}
@@ -192,11 +192,11 @@ func (r *Reoptimizer) reoptimizeSeeded(outer, run context.Context, q *sql.Query,
 		// the terminal one that merely re-produces P_n), so all of them
 		// count toward the overhead, exactly as in Reoptimize.
 		res.ReoptTime += optTime
-		if p.Fingerprint() == prev.Fingerprint() {
+		if p.Fingerprint() == lp.prev.Fingerprint() {
 			res.Converged = true
 			break
 		}
-		if err := r.validateInto(run, q, p, gamma, res, prev, trees, cache, optTime); err != nil {
+		if err := r.validateInto(run, lp, p, cache, optTime); err != nil {
 			if errors.Is(err, context.Canceled) {
 				return nil, err
 			}
@@ -205,12 +205,6 @@ func (r *Reoptimizer) reoptimizeSeeded(outer, run context.Context, q *sql.Query,
 			}
 			return nil, err
 		}
-		if !seen[p.Fingerprint()] {
-			seen[p.Fingerprint()] = true
-			res.NumPlans++
-		}
-		trees = append(trees, plan.TreeOf(p))
-		prev = p
 		if r.Opts.MaxRounds > 0 && i >= r.Opts.MaxRounds {
 			break
 		}
@@ -221,38 +215,6 @@ func (r *Reoptimizer) reoptimizeSeeded(outer, run context.Context, q *sql.Query,
 			break
 		}
 	}
-	res.Final = r.pickFinal(q, res, prev)
+	res.Final = r.pickFinal(lp)
 	return res, nil
-}
-
-// validateInto validates p over samples, merges Δ into gamma, and
-// appends the round record. optTime is the optimizer time already spent
-// producing p this round (zero for a handed-in seed plan); sampling
-// time is measured as wall time around the estimator call, like
-// Reoptimize, so multi-seed ReoptTime is comparable to single-seed.
-func (r *Reoptimizer) validateInto(ctx context.Context, q *sql.Query, p *plan.Plan, gamma *optimizer.Gamma, res *Result, prev *plan.Plan, trees []plan.JoinTree, cache sampling.Cache, optTime time.Duration) error {
-	round := Round{
-		Plan:              p,
-		Transform:         plan.Classify(prev, p),
-		CoveredByPrevious: plan.Covered(plan.TreeOf(p), trees),
-		OptimizeTime:      optTime,
-	}
-	t1 := time.Now()
-	est, err := r.estimateBatched(ctx, prev, p, cache)
-	if err != nil {
-		return err
-	}
-	round.SamplingTime = time.Since(t1)
-	res.ReoptTime += round.SamplingTime
-	delta := est.Delta
-	if r.Opts.Conservative {
-		delta = r.blend(q, est)
-	}
-	round.GammaAdded = gamma.Merge(delta)
-	if rp, err := r.Opt.Recost(q, p, gamma); err == nil {
-		round.SampledCost = rp.Cost()
-		round.Plan = rp
-	}
-	res.Rounds = append(res.Rounds, round)
-	return nil
 }

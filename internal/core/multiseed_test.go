@@ -108,12 +108,49 @@ func TestBlendFavorsHistoryForUnwitnessedSets(t *testing.T) {
 		Delta:      map[string]float64{key: sampled},
 		SampleRows: map[string]int64{key: 0},
 	}
-	blended := r.blend(q, est)[key]
+	pl, err := r.Opt.Prepare(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blended := blend(pl, est)[key]
 	if math.Abs(blended-hist) >= math.Abs(blended-sampled) {
 		t.Errorf("unwitnessed set must blend toward history: hist=%v sampled=%v blended=%v",
 			hist, sampled, blended)
 	}
 	if blended == hist {
 		t.Errorf("unwitnessed set must retain non-zero sampled weight, got pure history %v", hist)
+	}
+}
+
+// TestSeededRunAcceptsHandBuiltSeed: a seed that was not built by the
+// planner (no memoized fingerprint or join sets) must classify and cover
+// exactly like the planner's own copy of the same tree.
+func TestSeededRunAcceptsHandBuiltSeed(t *testing.T) {
+	r, qs := ottSetup(t)
+	for _, q := range qs {
+		seed, err := r.Opt.Optimize(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		want, err := r.reoptimizeSeeded(ctx, ctx, q, seed, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.reoptimizeSeeded(ctx, ctx, q, &plan.Plan{Root: seed.Root, Query: q}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Rounds) != len(want.Rounds) || got.NumPlans != want.NumPlans || got.Final.Fingerprint() != want.Final.Fingerprint() {
+			t.Fatalf("hand-built seed: %d rounds, %d plans, final %s; planner's seed: %d rounds, %d plans, final %s",
+				len(got.Rounds), got.NumPlans, got.Final.Fingerprint(), len(want.Rounds), want.NumPlans, want.Final.Fingerprint())
+		}
+		for i, rd := range got.Rounds {
+			w := want.Rounds[i]
+			if rd.Transform != w.Transform || rd.CoveredByPrevious != w.CoveredByPrevious || rd.GammaAdded != w.GammaAdded {
+				t.Errorf("round %d: transform %v covered %v added %d, want %v %v %d",
+					i+1, rd.Transform, rd.CoveredByPrevious, rd.GammaAdded, w.Transform, w.CoveredByPrevious, w.GammaAdded)
+			}
+		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"reopt/internal/catalog"
@@ -233,9 +234,6 @@ func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query) (*Res
 		return nil, err
 	}
 	start := time.Now()
-	gamma := optimizer.NewGamma()
-	res := &Result{Gamma: gamma}
-
 	// Cross-round validation cache: successive plans share most of their
 	// join subtrees, so later rounds reuse earlier rounds' sample counts
 	// and build-side hash tables instead of re-running the skeleton from
@@ -243,13 +241,20 @@ func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query) (*Res
 	// promotes it to the workload level.
 	cache := r.runCache()
 
-	var prev *plan.Plan
-	var trees []plan.JoinTree
-	seen := map[string]bool{}
+	// One planner serves every round: the query is resolved against the
+	// catalog once, and each round after the first re-prices only what
+	// the previous round's Δ invalidated. Its set-up is charged to
+	// round 1's optimizer time.
+	t0 := time.Now()
+	pl, err := r.Opt.Prepare(q, nil)
+	if err != nil {
+		return nil, fmt.Errorf("core: round 1: %w", err)
+	}
+	lp := &loop{pl: pl, res: &Result{Gamma: pl.Gamma()}, seen: map[string]bool{}}
+	res := lp.res
 
 	for i := 1; ; i++ {
-		t0 := time.Now()
-		p, err := r.Opt.Optimize(q, gamma)
+		p, err := pl.Plan()
 		if err != nil {
 			return nil, fmt.Errorf("core: round %d: %w", i, err)
 		}
@@ -259,7 +264,7 @@ func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query) (*Res
 		}
 
 		// Termination test of Algorithm 1 (lines 6-8).
-		if prev != nil && p.Fingerprint() == prev.Fingerprint() {
+		if lp.prev != nil && p.Fingerprint() == lp.prev.Fingerprint() {
 			res.Converged = true
 			break
 		}
@@ -277,28 +282,14 @@ func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query) (*Res
 			return res, nil
 		}
 
-		round := Round{
-			Plan:              p,
-			Transform:         plan.Classify(prev, p),
-			CoveredByPrevious: plan.Covered(plan.TreeOf(p), trees),
-			OptimizeTime:      optTime,
-		}
-
-		// Validation (lines 9-10): Δ ← sampling; Γ ← Γ ∪ Δ. The
-		// candidate is batched with the previous round's plan: the pair
-		// shares one skeleton pass, and since the previous plan is fully
-		// cached, its presence costs only lookups while letting the
-		// engine fan the combined work out across workers. Round 1
-		// validates under the caller's context only, shielded from the
-		// internal budget deadline, so a Timeout run always has one
-		// validated round to return.
+		// Round 1 validates under the caller's context only, shielded
+		// from the internal budget deadline, so a Timeout run always has
+		// one validated round to return.
 		vctx := run
 		if i == 1 {
 			vctx = outer
 		}
-		t1 := time.Now()
-		est, err := r.estimateBatched(vctx, prev, p, cache)
-		if err != nil {
+		if err := r.validateInto(vctx, lp, p, cache, optTime); err != nil {
 			if errors.Is(err, context.Canceled) {
 				return nil, err
 			}
@@ -316,28 +307,6 @@ func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query) (*Res
 			}
 			return nil, fmt.Errorf("core: round %d: %w", i, err)
 		}
-		round.SamplingTime = time.Since(t1)
-		res.ReoptTime += round.SamplingTime
-
-		delta := est.Delta
-		if r.Opts.Conservative {
-			delta = r.blend(q, est)
-		}
-		round.GammaAdded = gamma.Merge(delta)
-
-		// Re-cost P_i under the merged Γ for the trace (cost_s).
-		if rp, err := r.Opt.Recost(q, p, gamma); err == nil {
-			round.SampledCost = rp.Cost()
-			round.Plan = rp
-		}
-
-		res.Rounds = append(res.Rounds, round)
-		if !seen[p.Fingerprint()] {
-			seen[p.Fingerprint()] = true
-			res.NumPlans++
-		}
-		trees = append(trees, plan.TreeOf(p))
-		prev = p
 
 		if r.Opts.MaxRounds > 0 && i >= r.Opts.MaxRounds {
 			break
@@ -351,24 +320,84 @@ func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query) (*Res
 			}
 			break
 		}
+		t0 = time.Now()
 	}
 
-	res.Final = r.pickFinal(q, res, prev)
+	res.Final = r.pickFinal(lp)
 	return res, nil
+}
+
+// loop is the state one run of Algorithm 1 carries from round to round.
+type loop struct {
+	pl   *optimizer.Planner
+	res  *Result
+	prev *plan.Plan
+	// seen holds the fingerprints of P_1..P_{i-1} (NumPlans counts the
+	// distinct ones); validated is the union of their join sets, as
+	// masks — what Definition 2 coverage is tested against.
+	seen      map[string]bool
+	validated []uint64
+}
+
+// validateInto runs lines 9-10 of Algorithm 1 for the candidate p —
+// Δ ← sampling; Γ ← Γ ∪ Δ — and appends the round record. The
+// candidate is batched with the previous round's plan (estimateBatched).
+// optTime is the optimizer time already spent producing p this round
+// (zero for a handed-in seed plan); sampling time is wall time around
+// the estimator call.
+func (r *Reoptimizer) validateInto(ctx context.Context, lp *loop, p *plan.Plan, cache sampling.Cache, optTime time.Duration) error {
+	round := Round{
+		Plan:              p,
+		Transform:         plan.Classify(lp.prev, p),
+		CoveredByPrevious: plan.Covered(p, lp.validated),
+		OptimizeTime:      optTime,
+	}
+	t1 := time.Now()
+	est, err := r.estimateBatched(ctx, lp.prev, p, cache)
+	if err != nil {
+		return err
+	}
+	round.SamplingTime = time.Since(t1)
+	lp.res.ReoptTime += round.SamplingTime
+
+	delta := est.Delta
+	if r.Opts.Conservative {
+		delta = blend(lp.pl, est)
+	}
+	round.GammaAdded = lp.pl.Merge(delta)
+
+	// Re-cost P_i under the merged Γ for the trace (cost_s).
+	if rp, err := lp.pl.Recost(p); err == nil {
+		round.SampledCost = rp.Cost()
+		round.Plan = rp
+	}
+	lp.res.Rounds = append(lp.res.Rounds, round)
+	if !lp.seen[p.Fingerprint()] {
+		lp.seen[p.Fingerprint()] = true
+		lp.res.NumPlans++
+	}
+	for _, s := range p.JoinSets() {
+		if !slices.Contains(lp.validated, s) {
+			lp.validated = append(lp.validated, s)
+		}
+	}
+	lp.prev = p
+	return nil
 }
 
 // pickFinal returns the converged fixed point, or — after an early stop —
 // the generated plan with the lowest sampled cost (§5.4: "return the
 // best plan among the plans generated so far, based on their cost
 // estimates using refined cardinality estimates from sampling").
-func (r *Reoptimizer) pickFinal(q *sql.Query, res *Result, last *plan.Plan) *plan.Plan {
+func (r *Reoptimizer) pickFinal(lp *loop) *plan.Plan {
+	res := lp.res
 	if res.Converged || len(res.Rounds) == 0 {
-		return last
+		return lp.prev
 	}
 	best := res.Rounds[0].Plan
 	bestCost := -1.0
 	for _, rd := range res.Rounds {
-		rp, err := r.Opt.Recost(q, rd.Plan, res.Gamma)
+		rp, err := lp.pl.Recost(rd.Plan)
 		if err != nil {
 			continue
 		}
@@ -383,33 +412,17 @@ func (r *Reoptimizer) pickFinal(q *sql.Query, res *Result, last *plan.Plan) *pla
 // blend applies conservative acceptance: each sampled estimate is mixed
 // with the statistics-based estimate, weighted by how many sample rows
 // witnessed the set.
-func (r *Reoptimizer) blend(q *sql.Query, est *sampling.Estimate) map[string]float64 {
+func blend(pl *optimizer.Planner, est *sampling.Estimate) map[string]float64 {
 	out := make(map[string]float64, len(est.Delta))
 	for key, sampled := range est.Delta {
-		aliases := splitKey(key)
-		histEst, err := r.Opt.EstimateCardinality(q, aliases)
-		if err != nil {
+		histEst, ok := pl.StatCardinality(key)
+		if !ok {
 			out[key] = sampled
 			continue
 		}
 		w := sampling.ConfidenceWeight(est.SampleRows[key])
 		out[key] = w*sampled + (1-w)*histEst
 	}
-	return out
-}
-
-func splitKey(key string) []string {
-	var out []string
-	cur := ""
-	for i := 0; i < len(key); i++ {
-		if key[i] == '\x1f' {
-			out = append(out, cur)
-			cur = ""
-			continue
-		}
-		cur += string(key[i])
-	}
-	out = append(out, cur)
 	return out
 }
 

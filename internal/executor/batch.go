@@ -157,7 +157,7 @@ func CountSkeletonBatchCfg(ctx context.Context, bplans []BatchPlan, binder func(
 		}
 		return counts, perPlan, nil
 	}
-	b := &batchBuilder{tasks: map[string]*batchTask{}}
+	b := &batchBuilder{tasks: map[string]*batchTask{}, sigs: sigMemo{}}
 	nodeTasks := make([]map[plan.Node]*batchTask, len(bplans))
 	perPlan = make([]error, len(bplans))
 	for i, bp := range bplans {
@@ -459,6 +459,7 @@ type probePart struct {
 type batchBuilder struct {
 	tasks map[string]*batchTask
 	order []*batchTask
+	sigs  sigMemo
 }
 
 // refsSuffix renders a boundary-column set for dedupe keys, sharing
@@ -477,7 +478,7 @@ func (b *batchBuilder) taskFor(n plan.Node, q *sql.Query, cache *SkeletonCache, 
 	switch t := n.(type) {
 	case *plan.ScanNode:
 		refs := boundaryColumns(q, []string{t.Alias})
-		sig := subtreeSig(t)
+		sig := b.sigs.of(t)
 		key := sig + refsSuffix(refs)
 		if bt, ok := b.tasks[key]; ok {
 			bt.addCache(cache)
@@ -519,7 +520,7 @@ func (b *batchBuilder) taskFor(n plan.Node, q *sql.Query, cache *SkeletonCache, 
 			return nil, err
 		}
 		refs := boundaryColumns(q, t.Aliases())
-		sig := subtreeSig(t)
+		sig := b.sigs.of(t)
 		key := sig + refsSuffix(refs)
 		if bt, ok := b.tasks[key]; ok {
 			bt.addCache(cache)

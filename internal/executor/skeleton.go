@@ -196,6 +196,7 @@ func CountSkeletonCfg(ctx context.Context, p *plan.Plan, binder func(string) (*s
 		templates: cfg.Templates,
 		minChunk:  minChunkRows,
 		counts:    make(map[plan.Node]int64),
+		sigs:      sigMemo{},
 		mem:       memAccount{budget: cfg.MemBudget},
 	}
 	if _, err := e.eval(p.Root); err != nil {
@@ -219,6 +220,7 @@ type skelEngine struct {
 	// samples too small to fan out alone still do inside a batch.
 	minChunk int
 	counts   map[plan.Node]int64
+	sigs     sigMemo
 	mem      memAccount
 
 	// Scratch reused across the nodes of one CountSkeleton call. Nodes
@@ -281,7 +283,7 @@ func (e *skelEngine) eval(n plan.Node) (*subResult, error) {
 		}
 	}
 	if faultinject.Active() {
-		faultinject.Fire(faultinject.SkelNode, subtreeSig(n))
+		faultinject.Fire(faultinject.SkelNode, e.sigs.of(n))
 	}
 	var sub *subResult
 	var err error
@@ -300,28 +302,68 @@ func (e *skelEngine) eval(n plan.Node) (*subResult, error) {
 	return sub, nil
 }
 
-// subtreeSig canonically identifies the logical sub-result a subtree
-// computes: its relation set plus every predicate applied within it
-// (scan filters and join predicates), order-insensitively. Join-order
-// permutations of the same logical subtree produce the same signature,
-// because each query predicate is applied exactly once inside it.
-func subtreeSig(n plan.Node) string {
-	var toks []string
-	plan.Walk(n, func(m plan.Node) {
-		switch t := m.(type) {
-		case *plan.ScanNode:
-			toks = append(toks, "T:"+t.Alias+"="+t.Table)
-			for _, f := range t.Filters {
-				toks = append(toks, "F:"+f.String())
-			}
-		case *plan.JoinNode:
-			for _, p := range t.Preds {
-				toks = append(toks, "J:"+p.Canonical().String())
-			}
+// sigMemo computes subtree signatures bottom-up, once per plan node per
+// validation. A signature canonically identifies the logical sub-result
+// a subtree computes: its relation set plus every predicate applied
+// within it (scan filters and join predicates), order-insensitively.
+// Join-order permutations of the same logical subtree produce the same
+// signature, because each query predicate is applied exactly once
+// inside it. A join's sorted alias and token lists are merges of its
+// children's, so a plan renders each filter and predicate once instead
+// of once per ancestor.
+type sigMemo map[plan.Node]*nodeSig
+
+type nodeSig struct {
+	aliases, toks []string // each sorted
+	sig           string
+}
+
+// of returns n's signature: CanonicalSet(aliases) || tokens joined by &.
+func (m sigMemo) of(n plan.Node) string { return m.node(n).sig }
+
+func (m sigMemo) node(n plan.Node) *nodeSig {
+	if ns, ok := m[n]; ok {
+		return ns
+	}
+	ns := &nodeSig{}
+	switch t := n.(type) {
+	case *plan.ScanNode:
+		ns.aliases = []string{t.Alias}
+		ns.toks = make([]string, 0, 1+len(t.Filters))
+		ns.toks = append(ns.toks, "T:"+t.Alias+"="+t.Table)
+		for _, f := range t.Filters {
+			ns.toks = append(ns.toks, "F:"+f.String())
 		}
-	})
-	sort.Strings(toks)
-	return plan.CanonicalSet(n.Aliases()) + "||" + strings.Join(toks, "&")
+		sort.Strings(ns.toks)
+	case *plan.JoinNode:
+		l, r := m.node(t.Left), m.node(t.Right)
+		own := make([]string, len(t.Preds))
+		for i, p := range t.Preds {
+			own[i] = "J:" + p.Canonical().String()
+		}
+		sort.Strings(own)
+		ns.aliases = mergeSorted(l.aliases, r.aliases)
+		ns.toks = mergeSorted(mergeSorted(l.toks, r.toks), own)
+	case *plan.AggregateNode:
+		ns = m.node(t.Child) // an aggregate adds no relation and no predicate
+		m[n] = ns
+		return ns
+	}
+	ns.sig = strings.Join(ns.aliases, plan.AliasSep) + "||" + strings.Join(ns.toks, "&")
+	m[n] = ns
+	return ns
+}
+
+func mergeSorted(a, b []string) []string {
+	out := make([]string, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if b[0] < a[0] {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // boundaryFor returns, for a relation set, the columns any ancestor join
@@ -465,7 +507,7 @@ func (e *skelEngine) evalScan(t *plan.ScanNode) (*subResult, error) {
 	refs := e.boundaryFor([]string{t.Alias})
 	var key string
 	if e.cache != nil {
-		key = e.cache.subKey(subtreeSig(t), refs)
+		key = e.cache.subKey(e.sigs.of(t), refs)
 		if sub, ok := e.cache.getSub(key); ok {
 			// Budget accounting is cache-independent: a hit charges what
 			// computing the sub-result would have.
@@ -583,7 +625,7 @@ func (e *skelEngine) evalScanSharded(t *plan.ScanNode, tab *storage.Table, key s
 	injecting := faultinject.Active()
 	var sig string
 	if injecting {
-		sig = subtreeSig(t)
+		sig = e.sigs.of(t)
 	}
 	// e.selBuf is reused per shard, so each shard's selection is copied
 	// out (row ids only: four bytes per selected row).
@@ -964,7 +1006,7 @@ func (e *skelEngine) evalJoin(t *plan.JoinNode) (*subResult, error) {
 	outRefs := e.boundaryFor(t.Aliases())
 	var key string
 	if e.cache != nil {
-		key = e.cache.subKey(subtreeSig(t), outRefs)
+		key = e.cache.subKey(e.sigs.of(t), outRefs)
 		if sub, ok := e.cache.getSub(key); ok {
 			// Charge what computing this join would have: its hash-table
 			// entries (one per right row) plus its output cells, keeping

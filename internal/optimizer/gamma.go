@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"reopt/internal/plan"
 )
 
 // Gamma is the validated-cardinality store Γ of Algorithm 1: a map from
@@ -79,7 +81,7 @@ func (g *Gamma) Snapshot() string {
 	sort.Strings(keys)
 	parts := make([]string, len(keys))
 	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%.3f", strings.ReplaceAll(k, "\x1f", "+"), g.m[k])
+		parts[i] = fmt.Sprintf("%s=%.3f", strings.ReplaceAll(k, plan.AliasSep, "+"), g.m[k])
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
 }

@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"fmt"
 	"math/rand"
 
 	"reopt/internal/plan"
@@ -18,47 +17,31 @@ const (
 // relations than the DP threshold: a small genetic algorithm over
 // left-deep join orders (permutations), with edge-recombination-free
 // crossover (order crossover) and swap mutation. The fitness of a
-// permutation is the cost of the left-deep plan it induces.
-func (o *Optimizer) searchRandomized(e *estimator) (plan.Node, error) {
-	n := len(e.aliases)
-	rng := rand.New(rand.NewSource(o.cfg.Seed + int64(n)))
+// permutation is the cost of the left-deep plan it induces, priced as
+// scalars; only the winner is materialized.
+func (p *Planner) searchRandomized() []int {
+	n := len(p.leaves)
+	rng := rand.New(rand.NewSource(p.o.cfg.Seed + int64(n)))
+	cost := func(perm []int) float64 {
+		c, _, _ := p.leftDeep(perm, nil)
+		return c
+	}
 
 	pop := make([][]int, geqoPopulation)
 	for i := range pop {
 		pop[i] = rng.Perm(n)
 	}
-	type scored struct {
-		perm []int
-		node plan.Node
-	}
-	eval := func(perm []int) plan.Node {
-		node, _ := o.leftDeepPlan(e, perm)
-		return node
-	}
-	bestOf := func() scored {
-		var best scored
-		for _, p := range pop {
-			node := eval(p)
-			if node == nil {
-				continue
-			}
-			if best.node == nil || node.Cost() < best.node.Cost() {
-				best = scored{perm: p, node: node}
-			}
+	best, bestCost := pop[0], cost(pop[0])
+	for _, perm := range pop[1:] {
+		if c := cost(perm); c < bestCost {
+			best, bestCost = perm, c
 		}
-		return best
 	}
-
-	best := bestOf()
 	for g := 0; g < geqoGenerations; g++ {
 		// Tournament selection of two parents.
 		pick := func() []int {
 			a, b := pop[rng.Intn(len(pop))], pop[rng.Intn(len(pop))]
-			na, nb := eval(a), eval(b)
-			if na == nil {
-				return b
-			}
-			if nb == nil || na.Cost() < nb.Cost() {
+			if cost(a) < cost(b) {
 				return a
 			}
 			return b
@@ -70,35 +53,34 @@ func (o *Optimizer) searchRandomized(e *estimator) (plan.Node, error) {
 		}
 		// Replace a random victim.
 		pop[rng.Intn(len(pop))] = child
-		if node := eval(child); node != nil && (best.node == nil || node.Cost() < best.node.Cost()) {
-			best = scored{perm: child, node: node}
+		if c := cost(child); c < bestCost {
+			best, bestCost = child, c
 		}
 	}
-	if best.node == nil {
-		return nil, fmt.Errorf("optimizer: randomized search found no plan")
-	}
-	return best.node, nil
+	return best
 }
 
-// leftDeepPlan builds the left-deep plan joining relations in the given
-// order, choosing the cheapest physical operator at each level.
-func (o *Optimizer) leftDeepPlan(e *estimator, perm []int) (plan.Node, error) {
-	if len(perm) == 0 {
-		return nil, fmt.Errorf("optimizer: empty permutation")
+// leftDeep prices the left-deep plan joining relations in the given
+// order, choosing the cheapest physical operator at each level; with
+// sets non-nil it also materializes the plan.
+func (p *Planner) leftDeep(perm []int, sets *[]uint64) (cost float64, node plan.Node, fp string) {
+	cur := uint64(1) << uint(perm[0])
+	cost, rows := p.leaves[perm[0]].cost, p.card(cur)
+	if sets != nil {
+		node, fp = p.build(cur, sets)
 	}
-	cur := plan.Node(o.bestScan(e, perm[0]))
-	curMask := uint64(1) << uint(perm[0])
 	for _, i := range perm[1:] {
-		rightMask := uint64(1) << uint(i)
-		right := plan.Node(o.bestScan(e, i))
-		next := o.bestJoin(e, curMask, rightMask, cur, right)
-		if next == nil {
-			return nil, fmt.Errorf("optimizer: no join candidate")
+		rm := uint64(1) << uint(i)
+		outRows := p.card(cur | rm)
+		var kind plan.JoinKind
+		var probe int
+		cost, kind, probe = p.priceJoin(cur, rm, cost, p.leaves[i].cost, rows, p.card(rm), outRows)
+		if sets != nil {
+			node, fp = p.join(cur, rm, node, fp, kind, probe, cost, sets)
 		}
-		cur = next
-		curMask |= rightMask
+		cur, rows = cur|rm, outRows
 	}
-	return cur, nil
+	return cost, node, fp
 }
 
 // orderCrossover implements OX1: copy a random slice from parent a, fill

@@ -72,51 +72,34 @@ func (o *Optimizer) Config() Config { return o.cfg }
 // Units returns the active cost units.
 func (o *Optimizer) Units() cost.Units { return o.cfg.Units }
 
-// Optimize plans the query. gamma may be nil (plain optimization) or a
-// store of sampling-validated cardinalities, which override the
-// statistics-based estimates for every relation set they cover — this is
-// the GetPlanFromOptimizer(Γ) of Algorithm 1.
+// Optimize plans the query once. gamma may be nil (plain optimization)
+// or a store of sampling-validated cardinalities, which override the
+// statistics-based estimates for every relation set they cover. A caller
+// that plans the same query again after Γ grows — the round loop of
+// Algorithm 1 — keeps the Planner from Prepare instead.
 func (o *Optimizer) Optimize(q *sql.Query, gamma *Gamma) (*plan.Plan, error) {
-	if len(q.Tables) == 0 {
-		return nil, fmt.Errorf("optimizer: query has no tables")
-	}
-	e, err := newEstimator(o.cat, q, gamma, o.cfg.Profile)
+	p, err := o.Prepare(q, gamma)
 	if err != nil {
 		return nil, err
 	}
-	var root plan.Node
-	if len(q.Tables) <= o.cfg.DPThreshold {
-		root, err = o.searchDP(e)
-	} else {
-		root, err = o.searchRandomized(e)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if len(q.GroupBy) > 0 {
-		root, err = o.addAggregate(e, q, root)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &plan.Plan{Root: root, Query: q}, nil
+	return p.Plan()
 }
 
 // addAggregate wraps the join tree in a hash aggregate for GROUP BY
 // queries. The group count estimate multiplies the grouping columns'
 // distinct counts (AVI again), capped by the input cardinality.
-func (o *Optimizer) addAggregate(e *estimator, q *sql.Query, root plan.Node) (plan.Node, error) {
+func (p *Planner) addAggregate(root plan.Node) (*plan.AggregateNode, error) {
 	schema := root.Schema()
 	groups := 1.0
-	outCols := make([]rel.Column, 0, len(q.GroupBy)+1)
-	for _, c := range q.GroupBy {
+	outCols := make([]rel.Column, 0, len(p.q.GroupBy)+1)
+	for _, c := range p.q.GroupBy {
 		j, err := schema.IndexOf(c.Table, c.Column)
 		if err != nil {
 			return nil, fmt.Errorf("optimizer: GROUP BY %s: %v", c, err)
 		}
 		outCols = append(outCols, schema.Columns[j])
-		if tr, ok := q.TableByAlias(c.Table); ok {
-			if cs := o.cat.ColumnStats(tr.Name, c.Column); cs != nil && cs.NumDistinct > 0 {
+		if i, ok := p.aliasIdx[c.Table]; ok {
+			if cs := p.o.cat.ColumnStats(p.leaves[i].ref.Name, c.Column); cs != nil && cs.NumDistinct > 0 {
 				groups *= float64(cs.NumDistinct)
 			}
 		}
@@ -129,12 +112,12 @@ func (o *Optimizer) addAggregate(e *estimator, q *sql.Query, root plan.Node) (pl
 	if groups < 1 {
 		groups = 1
 	}
-	cost := root.Cost() + inRows*o.model.U.CPUOperator + groups*o.model.U.CPUTuple
+	u := p.o.model.U
 	return &plan.AggregateNode{
-		GroupBy:   q.GroupBy,
+		GroupBy:   p.q.GroupBy,
 		Child:     root,
 		OutSchema: rel.NewSchema(outCols...),
 		Rows:      groups,
-		CostVal:   cost,
+		CostVal:   root.Cost() + inRows*u.CPUOperator + groups*u.CPUTuple,
 	}, nil
 }

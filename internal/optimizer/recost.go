@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"fmt"
-	"math/bits"
 
 	"reopt/internal/plan"
 	"reopt/internal/sql"
@@ -15,66 +14,71 @@ import (
 // has refined the statistics (cost_s of Theorems 5 and 6), and how the
 // early-stop strategies pick the best plan generated so far (§5.4).
 func (o *Optimizer) Recost(q *sql.Query, p *plan.Plan, gamma *Gamma) (*plan.Plan, error) {
-	e, err := newEstimator(o.cat, q, gamma, o.cfg.Profile)
+	pl, err := o.prepare(q, gamma, false)
 	if err != nil {
 		return nil, err
 	}
-	root, _, err := o.recostNode(e, p.Root)
+	return pl.Recost(p)
+}
+
+// Recost is Optimizer.Recost under the planner's current Γ.
+func (p *Planner) Recost(pl *plan.Plan) (*plan.Plan, error) {
+	root, _, err := p.recostNode(pl.Root)
 	if err != nil {
 		return nil, err
 	}
-	return &plan.Plan{Root: root, Query: q}, nil
+	// Only estimates changed, so the copy keeps pl's memoized identity.
+	rp := *pl
+	rp.Root, rp.Query = root, p.q
+	return &rp, nil
 }
 
 // EstimateCardinality returns the optimizer's statistics-based estimate
-// for the cardinality of a relation subset of the query (no Γ). Used by
-// the conservative-blending extension to mix histogram and sampled
-// estimates.
+// for the cardinality of a relation subset of the query (no Γ).
 func (o *Optimizer) EstimateCardinality(q *sql.Query, aliases []string) (float64, error) {
-	e, err := newEstimator(o.cat, q, nil, o.cfg.Profile)
+	p, err := o.prepare(q, nil, false)
 	if err != nil {
 		return 0, err
 	}
 	var mask uint64
 	for _, a := range aliases {
-		i, ok := e.aliasIdx[a]
+		i, ok := p.aliasIdx[a]
 		if !ok {
 			return 0, fmt.Errorf("optimizer: unknown alias %q", a)
 		}
 		mask |= 1 << uint(i)
 	}
-	return e.card(mask), nil
+	return p.estimate(mask, false), nil
 }
 
-func (o *Optimizer) recostNode(e *estimator, n plan.Node) (plan.Node, uint64, error) {
+func (p *Planner) recostNode(n plan.Node) (plan.Node, uint64, error) {
 	switch t := n.(type) {
 	case *plan.ScanNode:
-		i, ok := e.aliasIdx[t.Alias]
+		i, ok := p.aliasIdx[t.Alias]
 		if !ok {
 			return nil, 0, fmt.Errorf("optimizer: plan alias %q not in query", t.Alias)
 		}
 		mask := uint64(1) << uint(i)
 		c := *t
-		c.Rows = clampRows(e.card(mask))
-		c.CostVal = o.scanCost(e, &c, i)
+		c.Rows = p.card(mask)
+		c.CostVal = p.scanCost(&c, i)
 		return &c, mask, nil
 	case *plan.JoinNode:
-		left, lm, err := o.recostNode(e, t.Left)
+		left, lm, err := p.recostNode(t.Left)
 		if err != nil {
 			return nil, 0, err
 		}
-		right, rm, err := o.recostNode(e, t.Right)
+		right, rm, err := p.recostNode(t.Right)
 		if err != nil {
 			return nil, 0, err
 		}
-		mask := lm | rm
 		c := *t
 		c.Left, c.Right = left, right
-		c.Rows = clampRows(e.card(mask))
-		c.CostVal = o.joinCost(e, &c, lm, rm)
-		return &c, mask, nil
+		c.Rows = p.card(lm | rm)
+		c.CostVal = p.joinCost(&c, rm)
+		return &c, lm | rm, nil
 	case *plan.AggregateNode:
-		child, mask, err := o.recostNode(e, t.Child)
+		child, mask, err := p.recostNode(t.Child)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -83,47 +87,47 @@ func (o *Optimizer) recostNode(e *estimator, n plan.Node) (plan.Node, uint64, er
 		if c.Rows > child.EstRows() {
 			c.Rows = child.EstRows()
 		}
-		c.CostVal = child.Cost() + child.EstRows()*o.model.U.CPUOperator + c.Rows*o.model.U.CPUTuple
+		u := p.o.model.U
+		c.CostVal = child.Cost() + child.EstRows()*u.CPUOperator + c.Rows*u.CPUTuple
 		return &c, mask, nil
 	default:
 		return nil, 0, fmt.Errorf("optimizer: unknown node type %T", n)
 	}
 }
 
-// scanCost prices a scan node as bestScan would, for its fixed access
+// scanCost prices a scan node as chooseScan would, for its fixed access
 // path.
-func (o *Optimizer) scanCost(e *estimator, s *plan.ScanNode, idx int) float64 {
-	t := e.tables[s.Alias]
+func (p *Planner) scanCost(s *plan.ScanNode, i int) float64 {
+	t := p.leaves[i].table
 	baseRows := float64(t.NumRows())
-	pages := float64(t.NumPages())
 	if s.Access == plan.IndexScan && s.IndexColumn != "" {
 		if ix := t.Index(s.IndexColumn); ix != nil {
 			for _, f := range s.Filters {
 				if f.Op == sql.OpEq && f.Col.Column == s.IndexColumn {
-					matchRows := baseRows * e.selectionSel(s.Table, f)
-					return o.model.IndexProbe(ix.Height(), matchRows, len(s.Filters)-1)
+					matchRows := baseRows * p.o.selectionSel(s.Table, f)
+					return p.o.model.IndexProbe(ix.Height(), matchRows, len(s.Filters)-1)
 				}
 			}
 		}
 	}
-	return o.model.SeqScan(pages, baseRows, len(s.Filters))
+	return p.o.model.SeqScan(float64(t.NumPages()), baseRows, len(s.Filters))
 }
 
-// joinCost prices a join node as bestJoin would, for its fixed operator.
-func (o *Optimizer) joinCost(e *estimator, j *plan.JoinNode, lm, rm uint64) float64 {
-	outRows := clampRows(e.card(lm | rm))
-	leftRows := clampRows(e.card(lm))
-	rightRows := clampRows(e.card(rm))
+// joinCost prices a join node as priceJoin would, for its fixed
+// operator; the children carry their re-derived rows and costs.
+func (p *Planner) joinCost(j *plan.JoinNode, rm uint64) float64 {
+	m := p.o.model
+	lcost, rcost := j.Left.Cost(), j.Right.Cost()
+	lrows, rrows := j.Left.EstRows(), j.Right.EstRows()
 	preds := len(j.Preds)
 	switch j.Kind {
 	case plan.HashJoin:
-		return o.model.HashJoin(j.Left.Cost(), j.Right.Cost(), leftRows, rightRows, preds, outRows)
+		return m.HashJoin(lcost, rcost, lrows, rrows, preds, j.Rows)
 	case plan.MergeJoin:
-		return o.model.MergeJoin(j.Left.Cost(), j.Right.Cost(), leftRows, rightRows, outRows)
+		return m.MergeJoin(lcost, rcost, lrows, rrows, j.Rows)
 	case plan.IndexNestedLoop:
-		inner, ok := j.Right.(*plan.ScanNode)
-		if ok && bits.OnesCount64(rm) == 1 {
-			t := e.tables[inner.Alias]
+		if inner, ok := j.Right.(*plan.ScanNode); ok && rm&(rm-1) == 0 {
+			t := p.leaves[p.aliasIdx[inner.Alias]].table
 			if ix := t.Index(inner.IndexColumn); ix != nil {
 				nd := float64(ix.NumDistinct())
 				matchPerProbe := 0.0
@@ -131,12 +135,10 @@ func (o *Optimizer) joinCost(e *estimator, j *plan.JoinNode, lm, rm uint64) floa
 					matchPerProbe = float64(t.NumRows()) / nd
 				}
 				residual := len(inner.Filters) + preds - 1
-				probe := o.model.IndexProbe(ix.Height(), matchPerProbe, residual)
-				return o.model.IndexNestLoop(j.Left.Cost(), leftRows, probe, outRows)
+				probe := m.IndexProbe(ix.Height(), matchPerProbe, residual)
+				return m.IndexNestLoop(lcost, lrows, probe, j.Rows)
 			}
 		}
-		return o.model.NestLoop(j.Left.Cost(), j.Right.Cost(), leftRows, rightRows, preds, outRows)
-	default:
-		return o.model.NestLoop(j.Left.Cost(), j.Right.Cost(), leftRows, rightRows, preds, outRows)
 	}
+	return m.NestLoop(lcost, rcost, lrows, rrows, preds, j.Rows)
 }

@@ -7,6 +7,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -175,10 +176,16 @@ func (j *JoinNode) Fingerprint() string {
 	for i, p := range j.Preds {
 		preds[i] = p.Canonical().String()
 	}
+	return JoinFingerprint(j.Kind, preds, j.Left.Fingerprint(), j.Right.Fingerprint())
+}
+
+// JoinFingerprint renders a join node's fingerprint from its operator,
+// the canonical strings of its predicates (sorted in place) and its
+// inputs' fingerprints. A builder that already holds those parts uses
+// it to fingerprint a tree while constructing it.
+func JoinFingerprint(kind JoinKind, preds []string, left, right string) string {
 	sort.Strings(preds)
-	return fmt.Sprintf("%s[%s](%s,%s)",
-		j.Kind, strings.Join(preds, " AND "),
-		j.Left.Fingerprint(), j.Right.Fingerprint())
+	return kind.String() + "[" + strings.Join(preds, " AND ") + "](" + left + "," + right + ")"
 }
 
 // AggregateNode groups its input on GroupBy columns and emits one row
@@ -210,12 +217,18 @@ func (a *AggregateNode) Aliases() []string { return a.Child.Aliases() }
 
 // Fingerprint implements Node.
 func (a *AggregateNode) Fingerprint() string {
-	cols := make([]string, len(a.GroupBy))
-	for i, c := range a.GroupBy {
+	return AggregateFingerprint(a.GroupBy, a.Child.Fingerprint())
+}
+
+// AggregateFingerprint is JoinFingerprint's counterpart for a hash
+// aggregate over an input whose fingerprint is already known.
+func AggregateFingerprint(groupBy []sql.ColRef, child string) string {
+	cols := make([]string, len(groupBy))
+	for i, c := range groupBy {
 		cols[i] = c.String()
 	}
 	sort.Strings(cols)
-	return fmt.Sprintf("HashAggregate[%s](%s)", strings.Join(cols, ","), a.Child.Fingerprint())
+	return "HashAggregate[" + strings.Join(cols, ",") + "](" + child + ")"
 }
 
 // Plan is a complete physical plan for a query.
@@ -225,13 +238,59 @@ type Plan struct {
 	Root Node
 	// Query is the logical query the plan answers.
 	Query *sql.Query
+
+	// fp and joinSets are set once by Memoized and never written again,
+	// so any number of goroutines may read them.
+	fp       string
+	joinSets []uint64
+}
+
+// Memoized returns a plan that carries what its builder learned while
+// constructing the tree: the root's fingerprint, and the relation set of
+// every join node as a bitmask over q.Tables positions. The round loop
+// reads both once per comparison instead of re-rendering the tree.
+// joinSets is sorted in place and kept.
+func Memoized(root Node, q *sql.Query, fingerprint string, joinSets []uint64) *Plan {
+	slices.Sort(joinSets)
+	return &Plan{Root: root, Query: q, fp: fingerprint, joinSets: joinSets}
 }
 
 // Fingerprint identifies the physical plan; Algorithm 1's termination
 // test "Pi is the same as Pi-1" compares fingerprints, so a plan that
 // changed only a physical operator (a local transformation) still counts
 // as a new plan, as in the paper.
-func (p *Plan) Fingerprint() string { return p.Root.Fingerprint() }
+func (p *Plan) Fingerprint() string {
+	if p.fp != "" {
+		return p.fp
+	}
+	return p.Root.Fingerprint()
+}
+
+// JoinSets returns tree(P) as unordered joins: the relation set of every
+// join node as a bitmask over Query.Tables positions, ascending. A plan
+// built by Memoized carries the list; for any other it is derived from
+// the tree. Masks of two plans compare only under the same Query.
+func (p *Plan) JoinSets() []uint64 {
+	if p.fp != "" {
+		return p.joinSets
+	}
+	var sets []uint64
+	Walk(p.Root, func(n Node) {
+		j, ok := n.(*JoinNode)
+		if !ok {
+			return
+		}
+		var mask uint64
+		for _, alias := range j.Aliases() {
+			if i := slices.IndexFunc(p.Query.Tables, func(t sql.TableRef) bool { return t.Alias == alias }); i >= 0 {
+				mask |= 1 << uint(i)
+			}
+		}
+		sets = append(sets, mask)
+	})
+	slices.Sort(sets)
+	return sets
+}
 
 // Cost returns the root cost estimate.
 func (p *Plan) Cost() float64 { return p.Root.Cost() }

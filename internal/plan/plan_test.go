@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,11 +36,51 @@ func join(kind JoinKind, l, r Node) *JoinNode {
 func figure1() (t1, t1p, t2, t2p *Plan) {
 	ab := func() Node { return join(HashJoin, scan("A"), scan("B")) }
 	cd := func() Node { return join(HashJoin, scan("C"), scan("D")) }
-	t1 = &Plan{Root: join(HashJoin, join(HashJoin, ab(), scan("C")), scan("D"))}
-	t1p = &Plan{Root: join(HashJoin, join(HashJoin, scan("C"), ab()), scan("D"))}
-	t2 = &Plan{Root: join(HashJoin, ab(), cd())}
-	t2p = &Plan{Root: join(HashJoin, cd(), ab())}
+	q := &sql.Query{Tables: []sql.TableRef{{Name: "A", Alias: "A"}, {Name: "B", Alias: "B"}, {Name: "C", Alias: "C"}, {Name: "D", Alias: "D"}}}
+	t1 = &Plan{Query: q, Root: join(HashJoin, join(HashJoin, ab(), scan("C")), scan("D"))}
+	t1p = &Plan{Query: q, Root: join(HashJoin, join(HashJoin, scan("C"), ab()), scan("D"))}
+	t2 = &Plan{Query: q, Root: join(HashJoin, ab(), cd())}
+	t2p = &Plan{Query: q, Root: join(HashJoin, cd(), ab())}
 	return
+}
+
+// localRef and coveredRef spell Definitions 1 and 2 over alias strings,
+// as the paper writes them; Classify and Covered compare masks.
+func localRef(a, b *Plan) bool {
+	au, bu := TreeOf(a).UnorderedSet(), TreeOf(b).UnorderedSet()
+	if len(au) != len(bu) {
+		return false
+	}
+	for k := range au {
+		if !bu[k] {
+			return false
+		}
+	}
+	return true
+}
+
+func coveredRef(p *Plan, set ...*Plan) bool {
+	union := map[string]bool{}
+	for _, s := range set {
+		for k := range TreeOf(s).UnorderedSet() {
+			union[k] = true
+		}
+	}
+	for k := range TreeOf(p).UnorderedSet() {
+		if !union[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// validatedBy is the union of the plans' join sets, as the round loop
+// accumulates it.
+func validatedBy(set ...*Plan) (masks []uint64) {
+	for _, s := range set {
+		masks = append(masks, s.JoinSets()...)
+	}
+	return masks
 }
 
 func TestEncoding(t *testing.T) {
@@ -68,20 +109,17 @@ func TestEncoding(t *testing.T) {
 
 func TestLocalVsGlobalTransformations(t *testing.T) {
 	t1, t1p, t2, t2p := figure1()
-	if !LocalTransformation(TreeOf(t1), TreeOf(t1)) {
-		t.Error("a tree must be a local transformation of itself")
-	}
-	if !LocalTransformation(TreeOf(t1), TreeOf(t1p)) {
-		t.Error("T1' should be local vs T1")
-	}
-	if !LocalTransformation(TreeOf(t2), TreeOf(t2p)) {
-		t.Error("T2' should be local vs T2")
-	}
-	if LocalTransformation(TreeOf(t1), TreeOf(t2)) {
-		t.Error("T2 should be global vs T1")
-	}
-	if !GlobalTransformation(TreeOf(t1), TreeOf(t2)) {
-		t.Error("GlobalTransformation disagrees")
+	plans := []*Plan{t1, t1p, t2, t2p}
+	for i, a := range plans {
+		for j, b := range plans {
+			want := localRef(a, b)
+			if got := slices.Equal(a.JoinSets(), b.JoinSets()); got != want {
+				t.Errorf("plans %d,%d: join-set masks equal = %v, Definition 1 over aliases = %v", i, j, got, want)
+			}
+			if want != (i/2 == j/2) {
+				t.Errorf("plans %d,%d: local = %v; T1,T1' and T2,T2' are the local pairs", i, j, want)
+			}
+		}
 	}
 }
 
@@ -96,17 +134,25 @@ func TestStructuralEquivalence(t *testing.T) {
 }
 
 func TestCoverage(t *testing.T) {
-	t1, t1p, t2, _ := figure1()
+	t1, t1p, t2, t2p := figure1()
+	plans := []*Plan{t1, t1p, t2, t2p}
+	for i, p := range plans {
+		for _, set := range [][]*Plan{nil, {t1}, {t2}, {t1, t2}, {t1p, t2p}} {
+			if got, want := Covered(p, validatedBy(set...)), coveredRef(p, set...); got != want {
+				t.Errorf("plan %d vs %d plans: Covered = %v, Definition 2 over aliases = %v", i, len(set), got, want)
+			}
+		}
+	}
 	// T1' is covered by {T1}: same unordered joins.
-	if !Covered(TreeOf(t1p), []JoinTree{TreeOf(t1)}) {
+	if !Covered(t1p, validatedBy(t1)) {
 		t.Error("T1' should be covered by {T1}")
 	}
 	// T2 contains C⋈D, absent from T1 — the paper's Example 1.
-	if Covered(TreeOf(t2), []JoinTree{TreeOf(t1)}) {
+	if Covered(t2, validatedBy(t1)) {
 		t.Error("T2 must not be covered by {T1} (C⋈D unobserved)")
 	}
 	// Union of T1 and T2 covers both.
-	if !Covered(TreeOf(t2), []JoinTree{TreeOf(t1), TreeOf(t2)}) {
+	if !Covered(t2, validatedBy(t1, t2)) {
 		t.Error("a plan is covered by any set containing it")
 	}
 }

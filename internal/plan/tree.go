@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -22,19 +23,19 @@ type JoinTree struct {
 	Joins []JoinSig
 }
 
-// sep separates alias names inside encodings so multi-character aliases
-// cannot collide ("AB"+"C" vs "A"+"BC").
-const sep = "\x1f"
+// AliasSep separates alias names inside encodings so multi-character
+// aliases cannot collide ("AB"+"C" vs "A"+"BC").
+const AliasSep = "\x1f"
 
 // EncodeAliases joins alias names into an ordered encoding.
-func EncodeAliases(aliases []string) string { return strings.Join(aliases, sep) }
+func EncodeAliases(aliases []string) string { return strings.Join(aliases, AliasSep) }
 
 // CanonicalSet returns the unordered (sorted) encoding of an alias set.
 func CanonicalSet(aliases []string) string {
 	s := make([]string, len(aliases))
 	copy(s, aliases)
 	sort.Strings(s)
-	return strings.Join(s, sep)
+	return strings.Join(s, AliasSep)
 }
 
 // TreeOf extracts the join tree of a physical plan: one JoinSig per join
@@ -77,7 +78,7 @@ func (t JoinTree) UnorderedSet() map[string]bool {
 func (t JoinTree) Encoding() string {
 	parts := make([]string, len(t.Joins))
 	for i, j := range t.Joins {
-		parts[i] = strings.ReplaceAll(j.Ordered, sep, "")
+		parts[i] = strings.ReplaceAll(j.Ordered, AliasSep, "")
 	}
 	return "(" + strings.Join(parts, ",") + ")"
 }
@@ -91,46 +92,6 @@ func StructurallyEqual(a, b JoinTree) bool {
 	bo := b.OrderedSet()
 	for _, j := range a.Joins {
 		if !bo[j.Ordered] {
-			return false
-		}
-	}
-	return true
-}
-
-// LocalTransformation reports Definition 1: the trees contain the same
-// set of *unordered* logical joins (subtree left/right exchanges and
-// physical-operator changes only). Every tree is a local transformation
-// of itself.
-func LocalTransformation(a, b JoinTree) bool {
-	au, bu := a.UnorderedSet(), b.UnorderedSet()
-	if len(au) != len(bu) {
-		return false
-	}
-	for k := range au {
-		if !bu[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// GlobalTransformation reports whether b is a global transformation of a
-// (Definition 1's complement).
-func GlobalTransformation(a, b JoinTree) bool { return !LocalTransformation(a, b) }
-
-// Covered reports Definition 2: every join of p's tree appears in the
-// union of the trees of the plans in set, compared as unordered joins
-// (A⋈B and B⋈A have identical validated cardinality, so they contribute
-// the same entry to Γ).
-func Covered(p JoinTree, set []JoinTree) bool {
-	union := map[string]bool{}
-	for _, t := range set {
-		for _, j := range t.Joins {
-			union[j.Unordered] = true
-		}
-	}
-	for _, j := range p.Joins {
-		if !union[j.Unordered] {
 			return false
 		}
 	}
@@ -173,8 +134,26 @@ func Classify(prev, next *Plan) TransformKind {
 	if prev.Fingerprint() == next.Fingerprint() {
 		return SamePlan
 	}
-	if LocalTransformation(TreeOf(prev), TreeOf(next)) {
+	// Definition 1: the trees contain the same set of unordered logical
+	// joins (subtree exchanges and physical-operator changes only). A
+	// tree's join sets are pairwise distinct (a parent strictly contains
+	// its children), so equality of the ascending lists is set equality.
+	if slices.Equal(prev.JoinSets(), next.JoinSets()) {
 		return Local
 	}
 	return Global
+}
+
+// Covered reports Definition 2: every join of p's tree appears in
+// validated, the union of the join sets of the plans validated so far
+// (JoinSets masks of plans of the same query). Joins compare unordered
+// because A⋈B and B⋈A have identical validated cardinality, so they
+// contribute the same entry to Γ.
+func Covered(p *Plan, validated []uint64) bool {
+	for _, s := range p.JoinSets() {
+		if !slices.Contains(validated, s) {
+			return false
+		}
+	}
+	return true
 }

@@ -79,9 +79,9 @@ type Selection struct {
 // String renders the predicate in SQL.
 func (s Selection) String() string {
 	if s.Op == OpBetween {
-		return fmt.Sprintf("%s BETWEEN %s AND %s", s.Col, sqlLiteral(s.Value), sqlLiteral(s.Value2))
+		return s.Col.String() + " BETWEEN " + sqlLiteral(s.Value) + " AND " + sqlLiteral(s.Value2)
 	}
-	return fmt.Sprintf("%s %s %s", s.Col, s.Op, sqlLiteral(s.Value))
+	return s.Col.String() + " " + s.Op.String() + " " + sqlLiteral(s.Value)
 }
 
 // sqlLiteral renders a value as a SQL literal (single-quoted strings
