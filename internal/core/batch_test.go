@@ -99,3 +99,31 @@ func TestWorkloadCacheReoptimizeIdentical(t *testing.T) {
 		t.Error("workload cache recorded no hits across the workload")
 	}
 }
+
+// TestReoptimizeValidatesCandidateAlone: the round loop submits the
+// candidate plan alone at every worker count — the previous round's plan
+// is fully cached, so riding along it would add lookups and no work for
+// the pool to partition — and Γ is the same at Workers 1 and 2.
+func TestReoptimizeValidatesCandidateAlone(t *testing.T) {
+	r, qs := ottSetup(t)
+	orig := estimatePlansFn
+	defer func() { estimatePlansFn = orig }()
+	estimatePlansFn = func(ctx context.Context, ps []*plan.Plan, c *catalog.Catalog, cache sampling.Cache, cfg sampling.ValidateConfig) ([]*sampling.Estimate, error) {
+		if len(ps) != 1 {
+			t.Errorf("workers=%d: a round validated %d plans, want the candidate alone", cfg.Workers, len(ps))
+		}
+		return orig(ctx, ps, c, cache, cfg)
+	}
+	for qi, q := range qs {
+		var snaps [2]*Result
+		for i, workers := range []int{1, 2} {
+			r.Opts.Workers = workers
+			res, err := r.Reoptimize(q)
+			if err != nil {
+				t.Fatalf("query %d workers=%d: %v", qi, workers, err)
+			}
+			snaps[i] = res
+		}
+		compareResults(t, "workers 2 vs 1", snaps[1], snaps[0])
+	}
+}

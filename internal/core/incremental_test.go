@@ -67,7 +67,7 @@ func TestIncrementalPlanningMatchesFromScratch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if added := pl.Merge(est.Delta); added != whole.Merge(est.Delta) {
+				if added := pl.Merge(est.Sets); added != whole.Merge(est.Delta) {
 					t.Fatalf("%s: planner merge added %d keys, Γ merge disagrees", label, added)
 				}
 				rp, err := pl.Recost(p)

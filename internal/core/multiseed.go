@@ -50,8 +50,9 @@ func (r *Reoptimizer) ReoptimizeMultiSeedCtx(ctx context.Context, q *sql.Query, 
 	// All seeded runs validate the same query over the same samples, so
 	// one validation cache serves every run: subtrees validated while
 	// re-optimizing one seed are reused by the others (a configured
-	// workload cache extends that reuse across queries).
-	cache := r.runCache()
+	// workload cache extends that reuse across queries), and one prepared
+	// validation state serves every seed's rounds.
+	cache := sampling.Prepare(q, r.runCache())
 
 	// Batched round 1: every seed's initial candidate is validated in
 	// one shared-scan pass. The candidates are join-order permutations
@@ -156,7 +157,7 @@ func (r *Reoptimizer) reoptimizeSeeded(outer, run context.Context, q *sql.Query,
 		return nil, fmt.Errorf("core: %w; call BuildSamples before re-optimizing", sampling.ErrNoSamples)
 	}
 	if cache == nil {
-		cache = sampling.NewValidationCache()
+		cache = sampling.Prepare(q, sampling.NewValidationCache())
 	}
 	pl, err := r.Opt.Prepare(q, nil)
 	if err != nil {

@@ -107,12 +107,13 @@ func TestBlendFavorsHistoryForUnwitnessedSets(t *testing.T) {
 	est := &sampling.Estimate{
 		Delta:      map[string]float64{key: sampled},
 		SampleRows: map[string]int64{key: 0},
+		Sets:       []optimizer.SetRows{{Mask: 1, Key: key, Rows: sampled}},
 	}
 	pl, err := r.Opt.Prepare(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blended := blend(pl, est)[key]
+	blended := blend(pl, est)[0].Rows
 	if math.Abs(blended-hist) >= math.Abs(blended-sampled) {
 		t.Errorf("unwitnessed set must blend toward history: hist=%v sampled=%v blended=%v",
 			hist, sampled, blended)

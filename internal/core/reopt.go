@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"time"
 
@@ -88,11 +87,11 @@ type Options struct {
 	// estimates, only when they are computed.
 	Cache *sampling.WorkloadCache
 	// Validator optionally reroutes every validation the round loop
-	// issues — candidate plans, the batched previous plan, multi-seed
-	// round-1 batches — through an external engine, e.g. a
+	// issues — candidate plans, multi-seed round-1 batches — through an
+	// external engine, e.g. a
 	// sampling.SchedulerClient that coalesces validations across
 	// concurrently re-optimizing queries into shared skeleton waves.
-	// nil validates directly via sampling.EstimatePlansCtx with
+	// nil validates directly via sampling.EstimatePlansCfg with
 	// Options.Workers. A Validator must return estimates byte-identical
 	// to the direct path (batching and caching may change when counts
 	// are computed, never their values).
@@ -120,7 +119,7 @@ type Options struct {
 // Validator abstracts the engine the round loop submits candidate-plan
 // validations to. Implementations must be positional (estimate i
 // belongs to plans[i]) and byte-identical to
-// sampling.EstimatePlansCtx over the same cache.
+// sampling.EstimatePlansCfg over the same cache.
 type Validator interface {
 	ValidatePlans(ctx context.Context, plans []*plan.Plan, cache sampling.Cache) ([]*sampling.Estimate, error)
 }
@@ -238,8 +237,9 @@ func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query) (*Res
 	// join subtrees, so later rounds reuse earlier rounds' sample counts
 	// and build-side hash tables instead of re-running the skeleton from
 	// scratch. Scoped to this query and sample set unless Options.Cache
-	// promotes it to the workload level.
-	cache := r.runCache()
+	// promotes it to the workload level. What validating this query takes
+	// beyond the plan at hand is prepared once, beside the planner.
+	cache := sampling.Prepare(q, r.runCache())
 
 	// One planner serves every round: the query is resolved against the
 	// catalog once, and each round after the first re-prices only what
@@ -340,11 +340,10 @@ type loop struct {
 }
 
 // validateInto runs lines 9-10 of Algorithm 1 for the candidate p —
-// Δ ← sampling; Γ ← Γ ∪ Δ — and appends the round record. The
-// candidate is batched with the previous round's plan (estimateBatched).
-// optTime is the optimizer time already spent producing p this round
-// (zero for a handed-in seed plan); sampling time is wall time around
-// the estimator call.
+// Δ ← sampling; Γ ← Γ ∪ Δ — and appends the round record. optTime is
+// the optimizer time already spent producing p this round (zero for a
+// handed-in seed plan); sampling time is wall time around the estimator
+// call.
 func (r *Reoptimizer) validateInto(ctx context.Context, lp *loop, p *plan.Plan, cache sampling.Cache, optTime time.Duration) error {
 	round := Round{
 		Plan:              p,
@@ -353,16 +352,16 @@ func (r *Reoptimizer) validateInto(ctx context.Context, lp *loop, p *plan.Plan, 
 		OptimizeTime:      optTime,
 	}
 	t1 := time.Now()
-	est, err := r.estimateBatched(ctx, lp.prev, p, cache)
+	ests, err := r.validatePlans(ctx, []*plan.Plan{p}, cache)
 	if err != nil {
 		return err
 	}
 	round.SamplingTime = time.Since(t1)
 	lp.res.ReoptTime += round.SamplingTime
 
-	delta := est.Delta
+	delta := ests[0].Sets
 	if r.Opts.Conservative {
-		delta = blend(lp.pl, est)
+		delta = blend(lp.pl, ests[0])
 	}
 	round.GammaAdded = lp.pl.Merge(delta)
 
@@ -412,16 +411,11 @@ func (r *Reoptimizer) pickFinal(lp *loop) *plan.Plan {
 // blend applies conservative acceptance: each sampled estimate is mixed
 // with the statistics-based estimate, weighted by how many sample rows
 // witnessed the set.
-func blend(pl *optimizer.Planner, est *sampling.Estimate) map[string]float64 {
-	out := make(map[string]float64, len(est.Delta))
-	for key, sampled := range est.Delta {
-		histEst, ok := pl.StatCardinality(key)
-		if !ok {
-			out[key] = sampled
-			continue
-		}
-		w := sampling.ConfidenceWeight(est.SampleRows[key])
-		out[key] = w*sampled + (1-w)*histEst
+func blend(pl *optimizer.Planner, est *sampling.Estimate) []optimizer.SetRows {
+	out := slices.Clone(est.Sets)
+	for i := range out {
+		w := sampling.ConfidenceWeight(est.SampleRows[out[i].Key])
+		out[i].Rows = w*out[i].Rows + (1-w)*pl.StatCardinality(out[i].Mask)
 	}
 	return out
 }
@@ -433,30 +427,6 @@ func (r *Reoptimizer) runCache() sampling.Cache {
 		return r.Opts.Cache
 	}
 	return sampling.NewValidationCache()
-}
-
-// estimateBatched validates the candidate plan, batched with the
-// previously validated plan when one exists (the two share one
-// partitioned skeleton pass; see sampling.EstimatePlans), and returns
-// the candidate's estimate — byte-identical to estimating it alone.
-// The previous plan is fully cached, so its presence costs lookups
-// while widening the combined work list the engine partitions; with
-// only one effective worker there is nothing to widen, so the
-// candidate goes alone.
-func (r *Reoptimizer) estimateBatched(ctx context.Context, prev, p *plan.Plan, cache sampling.Cache) (*sampling.Estimate, error) {
-	plans := []*plan.Plan{p}
-	workers := r.Opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if prev != nil && workers > 1 {
-		plans = []*plan.Plan{prev, p}
-	}
-	ests, err := r.validatePlans(ctx, plans, cache)
-	if err != nil {
-		return nil, err
-	}
-	return ests[len(ests)-1], nil
 }
 
 // validatePlans routes one validation through the injected Validator

@@ -57,23 +57,11 @@ import (
 // GOMAXPROCS. Counts are byte-identical to sequential CountSkeleton
 // runs over the same cache at every worker count.
 func CountSkeletonBatch(plans []*plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, workers int) (counts []map[plan.Node]int64, perPlan []error, err error) {
-	return CountSkeletonBatchCtx(context.Background(), plans, binder, cache, workers)
-}
-
-// CountSkeletonBatchCtx is CountSkeletonBatch with cancellation: ctx is
-// checked between waves, between a wave's phases, and before each span
-// of a phase's combined work list, so a cancelled context aborts the
-// batch with ctx.Err() after at most one in-flight span per worker.
-// Results are only written to the cache when their wave completed fully,
-// so an abort never leaves partial sub-results behind — the cache stays
-// exactly as valid as before the call. Uncancelled runs are
-// byte-identical to CountSkeletonBatch.
-func CountSkeletonBatchCtx(ctx context.Context, plans []*plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, workers int) (counts []map[plan.Node]int64, perPlan []error, err error) {
 	bplans := make([]BatchPlan, len(plans))
 	for i, p := range plans {
 		bplans[i] = BatchPlan{Plan: p, Cache: cache}
 	}
-	return CountSkeletonBatchPlansCtx(ctx, bplans, binder, workers)
+	return CountSkeletonBatchCfg(context.Background(), bplans, binder, SkelConfig{Workers: workers})
 }
 
 // BatchPlan pairs one plan of a cross-query batch with the cache its
@@ -86,64 +74,66 @@ type BatchPlan struct {
 	Cache *SkeletonCache // may be nil (uncached requester)
 }
 
-// CountSkeletonBatchPlansCtx is the cross-query generalization of
-// CountSkeletonBatchCtx: each submitted plan carries its own cache, so
-// validations of *different* queries — each holding a private per-run
-// cache, or distinct views of one workload cache — execute as one
-// deduplicated, partitioned pass. Subtrees shared across requesters run
-// once; the sub-result (and any build-side hash table) is then stored
-// under every requester's cache, and a hit in any one requester's cache
-// is propagated to the others, so per-requester caches stay exactly as
-// warm as if each requester had run alone. Counts are byte-identical to
-// sequential CountSkeleton runs per plan over its own cache, at every
-// worker count and cache mixture.
-func CountSkeletonBatchPlansCtx(ctx context.Context, bplans []BatchPlan, binder func(string) (*storage.Table, error), workers int) (counts []map[plan.Node]int64, perPlan []error, err error) {
-	return CountSkeletonBatchBudgetCtx(ctx, bplans, binder, workers, 0)
-}
-
-// CountSkeletonBatchBudgetCtx is CountSkeletonBatchPlansCtx with
-// failure containment and a per-plan soft memory budget. memBudget (<=
-// 0 unlimited) caps the values EACH submitted plan may materialize; the
-// batch charges every plan for every node of its own tree — shared
-// tasks charge each sharer, and cache hits charge like computed
-// results — so a plan's verdict is identical to a solo
-// CountSkeletonBudgetCtx run. A breaching plan gets ErrMemoryBudget in
-// its perPlan slot; its co-batched plans are unaffected. A panic inside
-// a work unit fails only the plans whose trees contain that unit's
-// task, as a *PanicError in their perPlan slots, while the wave
-// completes for everyone else; panics outside any unit abort the batch
-// via err (never by unwinding into the caller). Failed tasks store
-// nothing in any cache.
-func CountSkeletonBatchBudgetCtx(ctx context.Context, bplans []BatchPlan, binder func(string) (*storage.Table, error), workers int, memBudget int64) (counts []map[plan.Node]int64, perPlan []error, err error) {
-	return CountSkeletonBatchCfg(ctx, bplans, binder, SkelConfig{Workers: workers, MemBudget: memBudget})
-}
-
-// CountSkeletonBatchCfg is CountSkeletonBatchBudgetCtx with the full
-// config struct. With cfg.Shards > 1, every sample scan splits into that
-// many contiguous word-aligned partitions whose partial results merge in
-// shard order — so one wave's work fans out
-// across the worker pool even when a single sample would be too small
-// to split — with counts, cached sub-results, budget verdicts, and
-// cache keys byte-identical to the monolithic layout.
+// CountSkeletonBatchCfg is the cross-query generalization of
+// CountSkeletonBatch, with cancellation, failure containment and the
+// execution config. Each plan carries its own cache, so validations of
+// *different* queries — private per-run caches, or views of one workload
+// cache — execute as one deduplicated, partitioned pass: a subtree
+// shared across requesters runs once, its sub-result (and build-side
+// hash table) is stored under every requester's cache, and a hit in one
+// requester's cache is propagated to the others, so each cache stays as
+// warm as if its requester had run alone.
+//
+// ctx is checked between waves, between a wave's phases, and before each
+// span of a phase's work list; a cancelled ctx aborts the batch with
+// ctx.Err(), and results reach the caches only when their wave completed.
+// cfg.MemBudget caps what EACH plan may materialize: every plan is
+// charged for every node of its own tree — shared tasks charge each
+// sharer, cache hits charge like computed results — so its verdict
+// equals a solo CountSkeletonCfg run's, and a breach (ErrMemoryBudget)
+// lands in its perPlan slot alone. A panic inside a work unit fails only
+// the plans whose trees contain that unit's task (*PanicError in their
+// perPlan slots); panics outside any unit abort the batch via err.
+// Failed tasks store nothing. Counts, cached sub-results, budget
+// verdicts and cache keys are byte-identical to sequential CountSkeleton
+// runs per plan over its own cache, at every setting and cache mixture.
 func CountSkeletonBatchCfg(ctx context.Context, bplans []BatchPlan, binder func(string) (*storage.Table, error), cfg SkelConfig) (counts []map[plan.Node]int64, perPlan []error, err error) {
+	steps, perPlan, err := CountSkeletonSteps(ctx, bplans, binder, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	counts = make([]map[plan.Node]int64, len(bplans))
+	for i := range steps {
+		if perPlan[i] == nil {
+			counts[i] = countsByNode(steps[i])
+		}
+	}
+	return counts, perPlan, nil
+}
+
+// CountSkeletonSteps is CountSkeletonBatchCfg returning each plan's
+// compiled steps with their counts filled, instead of a map per plan:
+// a step carries the relation set its count belongs to, which is all
+// the estimator asks. Each plan compiles against the prepared state its
+// cache view carries (SkeletonCache.Prepared).
+func CountSkeletonSteps(ctx context.Context, bplans []BatchPlan, binder func(string) (*storage.Table, error), cfg SkelConfig) (steps [][]Step, perPlan []error, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			counts, perPlan, err = nil, nil, NewPanicError(r)
+			steps, perPlan, err = nil, nil, NewPanicError(r)
 		}
 	}()
 	cfg = cfg.norm()
 	workers := cfg.Workers
+	steps = make([][]Step, len(bplans))
+	perPlan = make([]error, len(bplans))
 	if workers == 1 {
 		// One worker means the combined work list cannot fan out, so the
 		// batch machinery (task graph, span closures, per-task bitmaps)
 		// would be pure overhead. The single-plan engine over each plan's
 		// cache computes identical counts — cross-plan reuse still comes
 		// from shared caches — with reusable per-engine scratch.
-		counts = make([]map[plan.Node]int64, len(bplans))
-		perPlan = make([]error, len(bplans))
 		for i, bp := range bplans {
-			c, cerr := CountSkeletonCfg(ctx, bp.Plan, binder, bp.Cache,
-				SkelConfig{Workers: 1, Shards: cfg.Shards, MemBudget: cfg.MemBudget, Templates: cfg.Templates})
+			st, cerr := countSteps(ctx, bp.Plan, binder, bp.Cache, cfg)
 			if cerr != nil {
 				if errors.Is(cerr, ErrSkeletonUnsupported) ||
 					errors.Is(cerr, ErrMemoryBudget) ||
@@ -153,33 +143,38 @@ func CountSkeletonBatchCfg(ctx context.Context, bplans []BatchPlan, binder func(
 				}
 				return nil, nil, cerr
 			}
-			counts[i] = c
+			steps[i] = st
 		}
-		return counts, perPlan, nil
+		return steps, perPlan, nil
 	}
-	b := &batchBuilder{tasks: map[string]*batchTask{}, sigs: sigMemo{}}
-	nodeTasks := make([]map[plan.Node]*batchTask, len(bplans))
-	perPlan = make([]error, len(bplans))
+	b := &batchBuilder{tasks: map[string]*batchTask{}}
+	planTasks := make([][]*batchTask, len(bplans))
 	for i, bp := range bplans {
-		m := map[plan.Node]*batchTask{}
-		if _, berr := b.taskFor(bp.Plan.Root, bp.Plan.Query, bp.Cache, m); berr != nil {
+		cache, prep := bp.Cache.split(bp.Plan.Query)
+		// All unsupported-shape detection happens here, before any
+		// execution, so one bad plan never aborts the batch.
+		st, berr := prep.compile(bp.Plan.Root, true)
+		if berr == nil {
+			planTasks[i], berr = b.tasksFor(st, prep.prefix, cache)
+		}
+		if berr != nil {
 			// Tasks already created for this plan's subtrees stay in the
 			// batch: they are valid work, and other plans may share them.
 			perPlan[i] = berr
 			continue
 		}
-		nodeTasks[i] = m
+		steps[i] = st
 	}
 
-	// Invert node→task into task→plans, with multiplicity: a plan whose
-	// tree contains the same logical subtree twice charges its budget
-	// twice for it, exactly as the single-plan engine would.
+	// Invert plan→tasks into task→plans, with multiplicity: a plan
+	// charges its budget once per node of its tree, exactly as the
+	// single-plan engine would.
 	users := map[*batchTask][]int{}
 	for i := range bplans {
 		if perPlan[i] != nil {
 			continue
 		}
-		for _, t := range nodeTasks[i] {
+		for _, t := range planTasks[i] {
 			users[t] = append(users[t], i)
 		}
 	}
@@ -239,18 +234,16 @@ func CountSkeletonBatchCfg(ctx context.Context, bplans []BatchPlan, binder func(
 		settleWave(live, users, accounts, perPlan)
 	}
 
-	counts = make([]map[plan.Node]int64, len(bplans))
 	for i := range bplans {
 		if perPlan[i] != nil {
+			steps[i] = nil
 			continue
 		}
-		m := make(map[plan.Node]int64, len(nodeTasks[i]))
-		for n, t := range nodeTasks[i] {
-			m[n] = int64(t.sub.count)
+		for si, t := range planTasks[i] {
+			steps[i][si].Count = int64(t.sub.count)
 		}
-		counts[i] = m
 	}
-	return counts, perPlan, nil
+	return steps, perPlan, nil
 }
 
 // settleWave attributes a completed wave's outcomes to the submitted
@@ -302,24 +295,19 @@ type cacheRef struct {
 // one of scan/join is set; left/right are set for joins.
 type batchTask struct {
 	seq   int    // creation order
-	key   string // dedupe key: signature + boundary refs
 	sig   string // canonical subtree signature (cache-independent)
 	crefs []cacheRef
-	q     *sql.Query
 	refs  []sql.ColRef
 	wave  int
 
 	scan        *plan.ScanNode
-	join        *plan.JoinNode
+	join        *joinInfo // the prepared resolution: key columns, gather plan
+	ksuffix     string    // what a hash-table key appends to the build side's key
 	left, right *batchTask
 
 	// Build-time resolution (also the per-plan unsupported check).
 	filterPos []int // scan: schema position of each filter column
 	boundPos  []int // scan: schema position of each boundary column
-	preds     []sql.JoinPred
-	lkey      []int
-	rkey      []int
-	gather    []gatherSrc
 
 	// Template sharing (scan tasks, SkelConfig.Templates only): the
 	// constant-stripped template of the scan, and the shared-scan group
@@ -363,11 +351,11 @@ type scanShard struct {
 	off    int
 }
 
-// addCache registers one more requester cache on the task (and,
-// transitively via taskFor's recursion, on every task of that
-// requester's subtree). Distinct views of one store with the same
-// prefix resolve to the same key, so they collapse into one ref.
-func (t *batchTask) addCache(c *SkeletonCache) {
+// addCache registers one more requester cache on the task, under the
+// sub-result key the requester's prepared state rendered for it.
+// Distinct views of one store with the same prefix resolve to the same
+// key, so they collapse into one ref.
+func (t *batchTask) addCache(c *SkeletonCache, key string) {
 	if c == nil {
 		return
 	}
@@ -376,12 +364,12 @@ func (t *batchTask) addCache(c *SkeletonCache) {
 			return
 		}
 	}
-	t.crefs = append(t.crefs, cacheRef{cache: c, key: c.subKey(t.sig, t.refs)})
+	t.crefs = append(t.crefs, cacheRef{cache: c, key: key})
 }
 
 // primaryKey is the sig a freshly computed sub-result carries: the
-// first registered cache's key, or "" for a fully uncached task —
-// exactly what the single-cache engine would have stored.
+// first registered cache's key, or "" for a fully uncached task, whose
+// sig nothing reads.
 func (t *batchTask) primaryKey() string {
 	if len(t.crefs) == 0 {
 		return ""
@@ -459,99 +447,37 @@ type probePart struct {
 type batchBuilder struct {
 	tasks map[string]*batchTask
 	order []*batchTask
-	sigs  sigMemo
 }
 
-// refsSuffix renders a boundary-column set for dedupe keys, sharing
-// the cache key's serialization (appendRefs) so the two never diverge.
-func refsSuffix(refs []sql.ColRef) string {
-	return string(appendRefs(nil, refs))
-}
-
-// taskFor returns the (possibly shared) task computing node n of query
-// q, creating it — and recursively its children — on first encounter,
-// and registers cache (the submitting plan's) on the task either way.
-// All unsupported-shape detection happens here, before any execution,
-// so one bad plan never aborts the batch. m records the node→task
-// mapping for the plan being built.
-func (b *batchBuilder) taskFor(n plan.Node, q *sql.Query, cache *SkeletonCache, m map[plan.Node]*batchTask) (*batchTask, error) {
-	switch t := n.(type) {
-	case *plan.ScanNode:
-		refs := boundaryColumns(q, []string{t.Alias})
-		sig := b.sigs.of(t)
-		key := sig + refsSuffix(refs)
-		if bt, ok := b.tasks[key]; ok {
-			bt.addCache(cache)
-			m[n] = bt
-			return bt, nil
-		}
-		bt := &batchTask{seq: len(b.order), key: key, sig: sig, q: q, refs: refs, scan: t}
-		bt.addCache(cache)
-		bt.filterPos = make([]int, len(t.Filters))
-		for fi, f := range t.Filters {
-			pos, err := t.OutSchema.IndexOf(f.Col.Table, f.Col.Column)
-			if err != nil {
-				return nil, fmt.Errorf("executor: skeleton scan %s: filter column %s: %v: %w",
-					t.Alias, f.Col, err, ErrSkeletonUnsupported)
+// tasksFor returns the (possibly shared) task of every step of one
+// compiled plan, creating each on first encounter, and registers cache
+// (the submitting plan's) on all of them. prefix is the key prefix of
+// the prepared state that compiled the steps.
+func (b *batchBuilder) tasksFor(steps []Step, prefix string, cache *SkeletonCache) ([]*batchTask, error) {
+	tasks := make([]*batchTask, len(steps))
+	for si := range steps {
+		st := &steps[si]
+		key := st.Set.key[len(prefix):] // prefix-free: requesters holding different caches share the task
+		bt, ok := b.tasks[key]
+		if !ok {
+			bt = &batchTask{seq: len(b.order), sig: st.Set.sig, refs: st.Set.refs, scan: st.scan, join: st.join}
+			if st.scan != nil {
+				var err error
+				if bt.filterPos, bt.boundPos, err = scanPositions(st.scan, bt.refs); err != nil {
+					return nil, err
+				}
+			} else {
+				bt.left, bt.right = tasks[st.left], tasks[st.right]
+				bt.wave = max(bt.left.wave, bt.right.wave) + 1
+				bt.ksuffix = st.join.tkey[len(steps[st.right].Set.key):]
 			}
-			bt.filterPos[fi] = pos
+			b.tasks[key] = bt
+			b.order = append(b.order, bt)
 		}
-		bt.boundPos = make([]int, len(refs))
-		for k, ref := range refs {
-			pos, err := t.OutSchema.IndexOf(ref.Table, ref.Column)
-			if err != nil {
-				return nil, fmt.Errorf("executor: skeleton scan %s: boundary column %s.%s: %v: %w",
-					t.Alias, ref.Table, ref.Column, err, ErrSkeletonUnsupported)
-			}
-			bt.boundPos[k] = pos
-		}
-		b.tasks[key] = bt
-		b.order = append(b.order, bt)
-		m[n] = bt
-		return bt, nil
-
-	case *plan.JoinNode:
-		l, err := b.taskFor(t.Left, q, cache, m)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.taskFor(t.Right, q, cache, m)
-		if err != nil {
-			return nil, err
-		}
-		refs := boundaryColumns(q, t.Aliases())
-		sig := b.sigs.of(t)
-		key := sig + refsSuffix(refs)
-		if bt, ok := b.tasks[key]; ok {
-			bt.addCache(cache)
-			m[n] = bt
-			return bt, nil
-		}
-		bt := &batchTask{
-			seq: len(b.order), key: key, sig: sig, q: q, refs: refs,
-			join: t, left: l, right: r,
-		}
-		bt.wave = l.wave + 1
-		if r.wave >= l.wave {
-			bt.wave = r.wave + 1
-		}
-		bt.addCache(cache)
-		bt.preds, bt.lkey, bt.rkey, err = joinKeys(t.Preds, l.refs, r.refs)
-		if err != nil {
-			return nil, err
-		}
-		bt.gather, err = gatherPlan(refs, l.refs, r.refs)
-		if err != nil {
-			return nil, err
-		}
-		b.tasks[key] = bt
-		b.order = append(b.order, bt)
-		m[n] = bt
-		return bt, nil
-
-	default:
-		return nil, fmt.Errorf("executor: cannot evaluate %T: %w", n, ErrSkeletonUnsupported)
+		bt.addCache(cache, st.Set.key)
+		tasks[si] = bt
 	}
+	return tasks, nil
 }
 
 // --- Combined work-list scheduling ---
@@ -1220,7 +1146,7 @@ func runJoinWave(ctx context.Context, tasks []*batchTask, workers int) error {
 			if rkey == "" {
 				continue
 			}
-			cr.tkey = hashTableKey(rkey, t.preds)
+			cr.tkey = rkey + t.ksuffix
 			cr.table = cr.cache.getTable(cr.tkey)
 			if t.table == nil {
 				t.table = cr.table
@@ -1243,10 +1169,10 @@ func runJoinWave(ctx context.Context, tasks []*batchTask, workers int) error {
 		if t.table != nil {
 			continue
 		}
-		bk := tableBuildKey{t.right.sub, intsKey(t.rkey)}
+		bk := tableBuildKey{t.right.sub, intsKey(t.join.rkey)}
 		tb, ok := builds[bk]
 		if !ok {
-			tb = &tableBuild{r: t.right.sub, rkey: t.rkey}
+			tb = &tableBuild{r: t.right.sub, rkey: t.join.rkey}
 			builds[bk] = tb
 			buildOrder = append(buildOrder, tb)
 		}
@@ -1329,7 +1255,7 @@ func runJoinWave(ctx context.Context, tasks []*batchTask, workers int) error {
 		}
 		t.selTotal = count
 		t.cols = jp.newOutCols(count)
-		if len(t.gather) == 0 || count == 0 {
+		if len(t.join.gather) == 0 || count == 0 {
 			continue
 		}
 		for pi := range t.parts {
@@ -1362,7 +1288,7 @@ func runJoinWave(ctx context.Context, tasks []*batchTask, workers int) error {
 // sub-results and its hash table are in place.
 func (t *batchTask) joinProbe() joinProbe {
 	return joinProbe{l: t.left.sub, r: t.right.sub, table: t.table,
-		lkey: t.lkey, rkey: t.rkey, gather: t.gather}
+		lkey: t.join.lkey, rkey: t.join.rkey, gather: t.join.gather}
 }
 
 // storeTable caches a build-side hash table under every cache the task

@@ -186,7 +186,7 @@ func TestCountSkeletonBatchPlansPerPlanCaches(t *testing.T) {
 			caches[i] = NewSkeletonCache()
 			bplans[i] = BatchPlan{Plan: p, Cache: caches[i]}
 		}
-		got, perPlan, err := CountSkeletonBatchPlansCtx(context.Background(), bplans, cat.Table, w)
+		got, perPlan, err := CountSkeletonBatchCfg(context.Background(), bplans, cat.Table, SkelConfig{Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -254,7 +254,7 @@ func TestCountSkeletonBatchPlansHitPropagation(t *testing.T) {
 		{Plan: plans[0], Cache: cold},
 	}
 	_, miss0 := warmed.Stats()
-	got, perPlan, err := CountSkeletonBatchPlansCtx(context.Background(), bplans, cat.Table, 2)
+	got, perPlan, err := CountSkeletonBatchCfg(context.Background(), bplans, cat.Table, SkelConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

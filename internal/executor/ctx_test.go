@@ -112,7 +112,11 @@ func TestBatchCtxAbortDoesNotPoisonCache(t *testing.T) {
 				cancel()
 			}(delay)
 		}
-		_, _, aerr := CountSkeletonBatchCtx(ctx, plans, cat.Table, cache, workers)
+		bplans := make([]BatchPlan, len(plans))
+		for i, p := range plans {
+			bplans[i] = BatchPlan{Plan: p, Cache: cache}
+		}
+		_, _, aerr := CountSkeletonBatchCfg(ctx, bplans, cat.Table, SkelConfig{Workers: workers})
 		cancel()
 		// The abort may or may not have landed before completion; when it
 		// did, the error must be the context's.
@@ -144,8 +148,8 @@ func TestCountSkeletonCtxCancelled(t *testing.T) {
 	cache := NewSkeletonCache()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CountSkeletonCtx(ctx, p, cat.Table, cache, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled CountSkeletonCtx: got %v, want context.Canceled", err)
+	if _, err := CountSkeletonCfg(ctx, p, cat.Table, cache, SkelConfig{Workers: 1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled CountSkeletonCfg: got %v, want context.Canceled", err)
 	}
 	want, err := CountSkeleton(p, cat.Table, nil)
 	if err != nil {

@@ -39,23 +39,23 @@ func TestMemoryBudgetVerdictEquivalence(t *testing.T) {
 	p := skelPlans(cat, q)[0]
 	ctx := context.Background()
 
-	want, err := CountSkeletonCtx(ctx, p, cat.Table, nil, 2)
+	want, err := CountSkeletonCfg(ctx, p, cat.Table, nil, SkelConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, budget := range []int64{1, 100, 1000, 10_000, 1 << 40} {
-		soloCold, soloErr := CountSkeletonBudgetCtx(ctx, p, cat.Table, nil, 2, budget)
+		soloCold, soloErr := CountSkeletonCfg(ctx, p, cat.Table, nil, SkelConfig{Workers: 2, MemBudget: budget})
 		warm := NewSkeletonCache()
-		if _, err := CountSkeletonCtx(ctx, p, cat.Table, warm, 2); err != nil {
+		if _, err := CountSkeletonCfg(ctx, p, cat.Table, warm, SkelConfig{Workers: 2}); err != nil {
 			t.Fatal(err)
 		}
-		_, warmErr := CountSkeletonBudgetCtx(ctx, p, cat.Table, warm, 2, budget)
+		_, warmErr := CountSkeletonCfg(ctx, p, cat.Table, warm, SkelConfig{Workers: 2, MemBudget: budget})
 		if errors.Is(soloErr, ErrMemoryBudget) != errors.Is(warmErr, ErrMemoryBudget) {
 			t.Fatalf("budget %d: cold verdict %v, warm verdict %v", budget, soloErr, warmErr)
 		}
 		for _, workers := range []int{1, 4} {
-			_, perPlan, berr := CountSkeletonBatchBudgetCtx(ctx,
-				[]BatchPlan{{Plan: p}}, cat.Table, workers, budget)
+			_, perPlan, berr := CountSkeletonBatchCfg(ctx,
+				[]BatchPlan{{Plan: p}}, cat.Table, SkelConfig{Workers: workers, MemBudget: budget})
 			if berr != nil {
 				t.Fatalf("budget %d workers %d: batch error %v", budget, workers, berr)
 			}
@@ -76,7 +76,7 @@ func TestMemoryBudgetVerdictEquivalence(t *testing.T) {
 		}
 	}
 	// Sanity: the extremes behave as extremes.
-	if _, err := CountSkeletonBudgetCtx(ctx, p, cat.Table, nil, 2, 1); !errors.Is(err, ErrMemoryBudget) {
+	if _, err := CountSkeletonCfg(ctx, p, cat.Table, nil, SkelConfig{Workers: 2, MemBudget: 1}); !errors.Is(err, ErrMemoryBudget) {
 		t.Fatalf("budget 1: err = %v, want ErrMemoryBudget", err)
 	}
 	if !errors.Is(ErrMemoryBudget, context.DeadlineExceeded) {
@@ -95,15 +95,15 @@ func TestMemoryBudgetIsolatedPerPlan(t *testing.T) {
 	pSmall, pBig := planFor(cat, qSmall), planFor(cat, qBig)
 	ctx := context.Background()
 
-	wantSmall, err := CountSkeletonCtx(ctx, pSmall, cat.Table, nil, 2)
+	wantSmall, err := CountSkeletonCfg(ctx, pSmall, cat.Table, nil, SkelConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Find a budget the small plan fits and the big plan breaches.
 	var budget int64
 	for b := int64(2); b < 1<<40; b *= 2 {
-		_, errS := CountSkeletonBudgetCtx(ctx, pSmall, cat.Table, nil, 2, b)
-		_, errB := CountSkeletonBudgetCtx(ctx, pBig, cat.Table, nil, 2, b)
+		_, errS := CountSkeletonCfg(ctx, pSmall, cat.Table, nil, SkelConfig{Workers: 2, MemBudget: b})
+		_, errB := CountSkeletonCfg(ctx, pBig, cat.Table, nil, SkelConfig{Workers: 2, MemBudget: b})
 		if errS == nil && errors.Is(errB, ErrMemoryBudget) {
 			budget = b
 			break
@@ -113,8 +113,8 @@ func TestMemoryBudgetIsolatedPerPlan(t *testing.T) {
 		t.Fatal("no budget separates the two plans; test data broken")
 	}
 	cache := NewSkeletonCache()
-	counts, perPlan, err := CountSkeletonBatchBudgetCtx(ctx,
-		[]BatchPlan{{Plan: pBig, Cache: cache}, {Plan: pSmall, Cache: cache}}, cat.Table, 4, budget)
+	counts, perPlan, err := CountSkeletonBatchCfg(ctx,
+		[]BatchPlan{{Plan: pBig, Cache: cache}, {Plan: pSmall, Cache: cache}}, cat.Table, SkelConfig{Workers: 4, MemBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,11 @@ func TestMemoryBudgetIsolatedPerPlan(t *testing.T) {
 	}
 	// The cache the breaching plan validated through must still serve a
 	// later unbudgeted run correctly.
-	countsBig, err := CountSkeletonCtx(ctx, pBig, cat.Table, cache, 2)
+	countsBig, err := CountSkeletonCfg(ctx, pBig, cat.Table, cache, SkelConfig{Workers: 2})
 	if err != nil {
 		t.Fatalf("post-breach run over same cache: %v", err)
 	}
-	wantBig, err := CountSkeletonCtx(ctx, pBig, cat.Table, nil, 2)
+	wantBig, err := CountSkeletonCfg(ctx, pBig, cat.Table, nil, SkelConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestPanicContainedSinglePlan(t *testing.T) {
 	fi.PanicAt(faultinject.SkelNode, "T:t2=t2")
 	defer fi.Activate()()
 
-	_, err := CountSkeletonBudgetCtx(context.Background(), p, cat.Table, nil, 2, 0)
+	_, err := CountSkeletonCfg(context.Background(), p, cat.Table, nil, SkelConfig{Workers: 2, MemBudget: 0})
 	if !errors.Is(err, ErrValidationPanic) {
 		t.Fatalf("err = %v, want ErrValidationPanic", err)
 	}
@@ -183,11 +183,11 @@ func TestPanicIsolatedPerPlanInBatch(t *testing.T) {
 	pOK, pBad := planFor(cat, qOK), planFor(cat, qBad)
 	ctx := context.Background()
 
-	wantOK, err := CountSkeletonCtx(ctx, pOK, cat.Table, nil, 2)
+	wantOK, err := CountSkeletonCfg(ctx, pOK, cat.Table, nil, SkelConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBad, err := CountSkeletonCtx(ctx, pBad, cat.Table, nil, 2)
+	wantBad, err := CountSkeletonCfg(ctx, pBad, cat.Table, nil, SkelConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +198,8 @@ func TestPanicIsolatedPerPlanInBatch(t *testing.T) {
 		// "t1.v < 51" appears only in qBad's t1 scan signature.
 		fi.PanicAt(faultinject.ScanUnit, "t1.v < 51")
 		defer fi.Activate()()
-		counts, perPlan, berr := CountSkeletonBatchBudgetCtx(ctx,
-			[]BatchPlan{{Plan: pOK, Cache: cache}, {Plan: pBad, Cache: cache}}, cat.Table, 4, 0)
+		counts, perPlan, berr := CountSkeletonBatchCfg(ctx,
+			[]BatchPlan{{Plan: pOK, Cache: cache}, {Plan: pBad, Cache: cache}}, cat.Table, SkelConfig{Workers: 4, MemBudget: 0})
 		if berr != nil {
 			t.Fatalf("batch error %v, want per-plan isolation", berr)
 		}
@@ -217,8 +217,8 @@ func TestPanicIsolatedPerPlanInBatch(t *testing.T) {
 	}()
 
 	// With the injection gone, the same cache must serve both plans.
-	counts, perPlan, err := CountSkeletonBatchBudgetCtx(ctx,
-		[]BatchPlan{{Plan: pOK, Cache: cache}, {Plan: pBad, Cache: cache}}, cat.Table, 4, 0)
+	counts, perPlan, err := CountSkeletonBatchCfg(ctx,
+		[]BatchPlan{{Plan: pOK, Cache: cache}, {Plan: pBad, Cache: cache}}, cat.Table, SkelConfig{Workers: 4, MemBudget: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

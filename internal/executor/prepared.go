@@ -1,0 +1,380 @@
+package executor
+
+// Prepared validation (DESIGN.md §11). Algorithm 1 validates the same
+// query round after round; what the engines need beyond the plan at hand
+// — signatures, boundary columns, cache keys, join keys, gather plans —
+// depends only on the query and on which of its relations a subtree
+// covers, so it is derived once per request, keyed by the subtree's
+// alias mask over Query.Tables positions (plan.Plan.JoinSets' convention),
+// and each plan is compiled into a flat post-order list of Steps pointing
+// at those records.
+//
+// The exactness rule: a mask names one logical sub-result only for a
+// subtree that applies exactly the query's filters on its relations and
+// exactly the query's join predicates internal to them, as every
+// optimizer plan does. compile checks it node by node and reports any
+// other plan as ErrSkeletonUnsupported; the caller falls back to the
+// general executor, which runs the tree as written and stores nothing,
+// so a hand-built plan never leaves an entry an optimizer-built plan of
+// the same alias set would be served.
+
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+	"strings"
+	"sync"
+
+	"reopt/internal/plan"
+	"reopt/internal/sql"
+)
+
+// Prepared is one query's validation state: what the engines need to
+// know about each relation set and each join of two sets, derived on
+// first use and kept for the request. It is bound to the cache view it
+// was made by (SkeletonCache.Prepared) — rendered keys carry that view's
+// prefix — and is safe for concurrent use.
+type Prepared struct {
+	q      *sql.Query
+	prefix string
+	scales []float64 // per Query.Tables position; nil when the caller scales nothing
+
+	// The query's vocabulary, rendered and sorted once so that a set's
+	// strings are one filtered pass over it: a subsequence of a sorted
+	// list is sorted.
+	byAlias []int      // Query.Tables positions in alias order
+	toks    []sigTok   // every signature token, sorted
+	ends    []endpoint // every join-predicate endpoint, by (alias, column)
+	edges   []edge     // every join predicate between two FROM entries, by canonical rendering
+
+	mu    sync.Mutex
+	sets  map[uint64]*SetInfo
+	joins map[[2]uint64]*joinInfo
+}
+
+// sigTok is one signature token — "T:alias=table", "F:filter" or
+// "J:predicate" — and the relations a set must hold for it to apply
+// within the set.
+type sigTok struct {
+	s    string
+	need uint64
+}
+
+// endpoint is one side of a query join predicate: a boundary column of
+// every set that holds its relation (in) but not the other side's (out;
+// 0 for an alias the FROM list does not have).
+type endpoint struct {
+	ref     sql.ColRef
+	in, out uint64
+}
+
+// edge is one query join predicate, canonical, with its aliases' bits.
+type edge struct {
+	pred  sql.JoinPred
+	canon string
+	l, r  uint64
+}
+
+// SetInfo is what the query says about one relation set, whatever tree
+// produces it.
+type SetInfo struct {
+	// Mask is the set over Query.Tables positions.
+	Mask uint64
+	// Key is the canonical Γ key of the set (plan.CanonicalSet).
+	Key string
+
+	refs []sql.ColRef // boundary columns: what an enclosing join may probe
+	sig  string       // canonical subtree signature
+	key  string       // cache key: view prefix + sig + boundary columns
+}
+
+// joinInfo is what the query says about joining two disjoint relation
+// sets, left as the probe side and right as the build side.
+type joinInfo struct {
+	preds      []sql.JoinPred // the query's predicates crossing the sides, canonical order
+	lkey, rkey []int          // their columns in each side's boundary columns
+	gather     []gatherSrc    // where each output boundary column comes from
+	tkey       string         // build-side hash-table key under the view prefix
+}
+
+// Step is one node of a compiled plan. Steps are in post-order — both
+// inputs of a join precede it, the root is last — which is the order the
+// engines evaluate in.
+type Step struct {
+	// Set is the relation set the node produces.
+	Set *SetInfo
+	// Scale is the product of the per-table scale factors of the node's
+	// relations, folded in the plan's leaf order: float multiplication
+	// does not associate, and Γ must repeat bit for bit whichever engine
+	// or round computed it.
+	Scale float64
+	// Count is the node's output count over the samples, filled by the
+	// engine.
+	Count int64
+
+	node        plan.Node
+	scan        *plan.ScanNode // nil for a join
+	join        *joinInfo      // nil for a scan
+	left, right int32          // a join's input steps
+	first       int32          // the subtree's leftmost leaf step
+}
+
+// Node returns the plan node the step was compiled from.
+func (s *Step) Node() plan.Node { return s.node }
+
+func newPrepared(q *sql.Query, prefix string, scales []float64) *Prepared {
+	s := &Prepared{
+		q: q, prefix: prefix, scales: scales,
+		byAlias: make([]int, len(q.Tables)),
+		toks:    make([]sigTok, 0, len(q.Tables)+len(q.Selections)+len(q.Joins)),
+		sets:    make(map[uint64]*SetInfo, 2*len(q.Tables)),
+		joins:   make(map[[2]uint64]*joinInfo, len(q.Tables)),
+	}
+	for i, tr := range q.Tables {
+		s.byAlias[i] = i
+		s.toks = append(s.toks, sigTok{"T:" + tr.Alias + "=" + tr.Name, 1 << uint(i)})
+	}
+	slices.SortFunc(s.byAlias, func(a, b int) int { return strings.Compare(q.Tables[a].Alias, q.Tables[b].Alias) })
+	for _, f := range q.Selections {
+		if bit := s.bit(f.Col.Table); bit != 0 {
+			s.toks = append(s.toks, sigTok{"F:" + f.String(), bit})
+		}
+	}
+	for _, p := range q.Joins {
+		p = p.Canonical()
+		l, r := s.bit(p.Left.Table), s.bit(p.Right.Table)
+		s.ends = append(s.ends, endpoint{p.Left, l, r}, endpoint{p.Right, r, l})
+		if l == 0 || r == 0 || l == r {
+			continue // joins no two FROM entries: no plan applies it
+		}
+		e := edge{pred: p, canon: p.String(), l: l, r: r}
+		s.edges = append(s.edges, e)
+		s.toks = append(s.toks, sigTok{"J:" + e.canon, l | r})
+	}
+	slices.SortStableFunc(s.toks, func(a, b sigTok) int { return strings.Compare(a.s, b.s) })
+	slices.SortStableFunc(s.edges, func(a, b edge) int { return strings.Compare(a.canon, b.canon) })
+	slices.SortStableFunc(s.ends, func(a, b endpoint) int {
+		if c := strings.Compare(a.ref.Table, b.ref.Table); c != 0 {
+			return c
+		}
+		return strings.Compare(a.ref.Column, b.ref.Column)
+	})
+	return s
+}
+
+// bit returns the mask bit of the FROM entry visible under alias, or 0.
+func (s *Prepared) bit(alias string) uint64 {
+	for i, tr := range s.q.Tables {
+		if tr.Alias == alias {
+			return 1 << uint(i)
+		}
+	}
+	return 0
+}
+
+// compile flattens the plan rooted at root into steps. With exact set it
+// enforces the exactness rule and resolves every join, so the steps can
+// run on the skeleton engines; without, it only names each node's set —
+// what the general-executor fallback needs to report its counts.
+func (s *Prepared) compile(root plan.Node, exact bool) ([]Step, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	steps := make([]Step, 0, 2*len(s.q.Tables))
+	if _, err := s.add(root, exact, &steps); err != nil {
+		return nil, err
+	}
+	return steps, nil
+}
+
+func (s *Prepared) add(n plan.Node, exact bool, steps *[]Step) (int32, error) {
+	switch t := n.(type) {
+	case *plan.ScanNode:
+		bit := s.bit(t.Alias)
+		if bit == 0 {
+			return 0, fmt.Errorf("executor: scan of %s: alias not in the query: %w", t.Alias, ErrSkeletonUnsupported)
+		}
+		pos := bits.TrailingZeros64(bit)
+		if exact && (s.q.Tables[pos].Name != t.Table || !s.sameFilters(t)) {
+			return 0, fmt.Errorf("executor: scan of %s does not apply exactly the query's filters: %w", t.Alias, ErrSkeletonUnsupported)
+		}
+		i := int32(len(*steps))
+		st := Step{Set: s.set(bit), Scale: 1, node: n, scan: t, first: i}
+		if s.scales != nil {
+			st.Scale = s.scales[pos]
+		}
+		*steps = append(*steps, st)
+		return i, nil
+
+	case *plan.JoinNode:
+		li, err := s.add(t.Left, exact, steps)
+		if err != nil {
+			return 0, err
+		}
+		ri, err := s.add(t.Right, exact, steps)
+		if err != nil {
+			return 0, err
+		}
+		lm, rm := (*steps)[li].Set.Mask, (*steps)[ri].Set.Mask
+		if lm&rm != 0 {
+			return 0, fmt.Errorf("executor: join inputs share a relation: %w", ErrSkeletonUnsupported)
+		}
+		i := int32(len(*steps))
+		st := Step{Set: s.set(lm | rm), Scale: 1, node: n, left: li, right: ri, first: (*steps)[li].first}
+		if exact {
+			ji := s.join(lm, rm)
+			if !samePreds(t.Preds, ji.preds) {
+				return 0, fmt.Errorf("executor: join of %s does not apply exactly the query's predicates between its inputs: %w",
+					strings.ReplaceAll(st.Set.Key, plan.AliasSep, ","), ErrSkeletonUnsupported)
+			}
+			st.join = ji
+		}
+		for j := st.first; j < i; j++ {
+			if leaf := &(*steps)[j]; leaf.scan != nil {
+				st.Scale *= leaf.Scale
+			}
+		}
+		*steps = append(*steps, st)
+		return i, nil
+
+	default:
+		return 0, fmt.Errorf("executor: cannot evaluate %T: %w", n, ErrSkeletonUnsupported)
+	}
+}
+
+// samePreds reports whether a join node's predicates are exactly want
+// (already canonical), as multisets and whichever way round each is
+// written.
+func samePreds(got, want []sql.JoinPred) bool {
+	if len(got) != len(want) || len(want) > 64 {
+		return false
+	}
+	var used uint64
+next:
+	for _, g := range got {
+		g = g.Canonical()
+		for i, w := range want {
+			if used&(1<<uint(i)) == 0 && w == g {
+				used |= 1 << uint(i)
+				continue next
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// sameFilters reports whether a scan's filters are exactly the query's
+// selections on its alias, in the query's order (the optimizer's).
+func (s *Prepared) sameFilters(t *plan.ScanNode) bool {
+	k := 0
+	for _, f := range s.q.Selections {
+		if f.Col.Table != t.Alias {
+			continue
+		}
+		if k == len(t.Filters) || t.Filters[k] != f {
+			return false
+		}
+		k++
+	}
+	return k == len(t.Filters)
+}
+
+// set returns the record of one relation set, deriving it on first use:
+// the Γ key; the signature — the relation set plus every filter and
+// predicate applied within it, order-insensitively, so every join order
+// of the set renders the same string; and the boundary columns — the
+// set-side columns of query join predicates with exactly one endpoint
+// inside the set, i.e. what any enclosing join can probe. The three
+// strings are one allocation: the cache key holds the signature, which
+// starts with the Γ key.
+func (s *Prepared) set(mask uint64) *SetInfo {
+	if si, ok := s.sets[mask]; ok {
+		return si
+	}
+	si := &SetInfo{Mask: mask}
+	for i := range s.ends {
+		if e := &s.ends[i]; e.in&mask != 0 && e.out&mask == 0 && (len(si.refs) == 0 || si.refs[len(si.refs)-1] != e.ref) {
+			si.refs = append(si.refs, e.ref)
+		}
+	}
+	var b strings.Builder
+	b.Grow(len(s.prefix) + 64*bits.OnesCount64(mask))
+	b.WriteString(s.prefix)
+	for _, pos := range s.byAlias {
+		if mask&(1<<uint(pos)) != 0 {
+			if b.Len() > len(s.prefix) {
+				b.WriteString(plan.AliasSep)
+			}
+			b.WriteString(s.q.Tables[pos].Alias)
+		}
+	}
+	keyEnd := b.Len()
+	b.WriteString("||")
+	first := true
+	for i := range s.toks {
+		if t := &s.toks[i]; t.need&mask == t.need {
+			if !first {
+				b.WriteByte('&')
+			}
+			b.WriteString(t.s)
+			first = false
+		}
+	}
+	sigEnd := b.Len()
+	writeRefs(&b, si.refs)
+	si.key = b.String()
+	si.sig = si.key[len(s.prefix):sigEnd]
+	si.Key = si.key[len(s.prefix):keyEnd]
+	s.sets[mask] = si
+	return si
+}
+
+// join returns the record of joining set lm (probe side) with set rm
+// (build side): the query's predicates between them in canonical order —
+// so the build-side hash table is reusable however a plan lists them —
+// resolved against both sides' boundary columns.
+func (s *Prepared) join(lm, rm uint64) *joinInfo {
+	k := [2]uint64{lm, rm}
+	if ji, ok := s.joins[k]; ok {
+		return ji
+	}
+	ji := &joinInfo{}
+	s.joins[k] = ji
+	l, r, out := s.set(lm), s.set(rm), s.set(lm|rm)
+	var tkey strings.Builder
+	tkey.Grow(len(r.key) + 64)
+	tkey.WriteString(r.key)
+	tkey.WriteString("||K:")
+	for i := range s.edges {
+		e := &s.edges[i]
+		if !e.crosses(lm, rm) {
+			continue
+		}
+		lc, rc := e.pred.Left, e.pred.Right
+		if e.l&lm == 0 {
+			lc, rc = rc, lc
+		}
+		ji.preds = append(ji.preds, e.pred)
+		ji.lkey = append(ji.lkey, slices.Index(l.refs, lc))
+		ji.rkey = append(ji.rkey, slices.Index(r.refs, rc))
+		tkey.WriteString(e.canon)
+		tkey.WriteByte('&')
+	}
+	ji.tkey = tkey.String()
+	// A boundary column of the union has its other endpoint outside both
+	// sides, so it is a boundary column of the side that holds it.
+	ji.gather = make([]gatherSrc, len(out.refs))
+	for k, ref := range out.refs {
+		if li := slices.Index(l.refs, ref); li >= 0 {
+			ji.gather[k] = gatherSrc{left: true, idx: li}
+		} else {
+			ji.gather[k] = gatherSrc{idx: slices.Index(r.refs, ref)}
+		}
+	}
+	return ji
+}
+
+// crosses reports whether the predicate connects the two disjoint sets.
+func (e *edge) crosses(a, b uint64) bool {
+	return e.l&a != 0 && e.r&b != 0 || e.l&b != 0 && e.r&a != 0
+}

@@ -36,8 +36,11 @@ package executor
 
 import (
 	"container/list"
+	"slices"
+	"strings"
 	"sync"
 
+	"reopt/internal/plan"
 	"reopt/internal/rel"
 	"reopt/internal/sql"
 	"reopt/internal/storage"
@@ -48,10 +51,13 @@ import (
 // subtrees share an entry exactly when they compute the same logical
 // sub-result with the same boundary columns over the same samples. It
 // is a cheap view (immutable prefix + shared store); all methods are
-// safe for concurrent use.
+// safe for concurrent use. A view may also carry one query's prepared
+// validation state (Prepared); a view made for that alone, over no cache,
+// has no store and caches nothing.
 type SkeletonCache struct {
 	store  *skelStore
 	prefix string
+	prep   *Prepared
 }
 
 // skelStore is the shared, mutex-guarded state behind every view.
@@ -184,6 +190,43 @@ func (c *SkeletonCache) WithPrefix(p string) *SkeletonCache {
 	return &SkeletonCache{store: c.store, prefix: p}
 }
 
+// Prepared derives a view carrying a fresh prepared validation state for
+// q (DESIGN.md §11): validating q's plans through the view derives the
+// query's signatures, boundary columns, cache keys and join resolutions
+// once, on first use, instead of once per plan. scales are the per-table
+// factors, by Query.Tables position, that Step.Scale multiplies (nil:
+// none). Keys render under c's prefix, so the state is as bound to a
+// sample set as c is; a nil c gives a view that caches nothing.
+func (c *SkeletonCache) Prepared(q *sql.Query, scales []float64) *SkeletonCache {
+	v := &SkeletonCache{}
+	if c != nil {
+		v.store, v.prefix = c.store, c.prefix
+	}
+	v.prep = newPrepared(q, v.prefix, scales)
+	return v
+}
+
+// split returns what an engine runs q's plans against: the view as a
+// cache (nil when there is no store behind it) and the prepared state —
+// the view's own when it was prepared for q, otherwise one for this call.
+func (c *SkeletonCache) split(q *sql.Query) (*SkeletonCache, *Prepared) {
+	if c == nil || c.prep == nil || c.prep.q != q {
+		c = c.Prepared(q, nil)
+	}
+	if c.store == nil {
+		return nil, c.prep
+	}
+	return c, c.prep
+}
+
+// Outline names the relation set of every node of p, in post-order,
+// without requiring p to fit the skeleton engines: what a caller that
+// counted p some other way needs to report its counts under the same keys.
+func (c *SkeletonCache) Outline(p *plan.Plan) ([]Step, error) {
+	_, prep := c.split(p.Query)
+	return prep.compile(p.Root, false)
+}
+
 // entryValues is the value-budget charge for one sub-result: its
 // materialized boundary-column cells (rows x columns — cells, not bytes,
 // so the charge does not depend on how a column is represented),
@@ -195,7 +238,7 @@ func entryValues(sub *subResult) int {
 
 // Len returns the number of cached sub-results (diagnostics).
 func (c *SkeletonCache) Len() int {
-	if c == nil {
+	if c == nil || c.store == nil {
 		return 0
 	}
 	s := c.store
@@ -206,7 +249,7 @@ func (c *SkeletonCache) Len() int {
 
 // Stats reports sub-result lookup hits and misses (diagnostics).
 func (c *SkeletonCache) Stats() (hits, misses int64) {
-	if c == nil {
+	if c == nil || c.store == nil {
 		return 0, 0
 	}
 	s := c.store
@@ -215,10 +258,31 @@ func (c *SkeletonCache) Stats() (hits, misses int64) {
 	return s.hits, s.misses
 }
 
+// Keys returns the keys of every cached sub-result and hash table, under
+// every prefix, sorted (diagnostics: what two runs stored compares as
+// two lists).
+func (c *SkeletonCache) Keys() []string {
+	if c == nil || c.store == nil {
+		return nil
+	}
+	s := c.store
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	keys := make([]string, 0, len(s.subs)+len(s.tables))
+	for k := range s.subs {
+		keys = append(keys, k)
+	}
+	for k := range s.tables {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 // Values returns the total materialized values currently retained (the
 // quantity the value budget bounds; diagnostics).
 func (c *SkeletonCache) Values() int {
-	if c == nil {
+	if c == nil || c.store == nil {
 		return 0
 	}
 	s := c.store
@@ -227,34 +291,18 @@ func (c *SkeletonCache) Values() int {
 	return s.values
 }
 
-// appendRefs appends the canonical rendering of a boundary-column set.
-// It is the single source of that format: subKey (cache keys) and the
-// batch engine's dedupe keys must serialize refs byte-identically, or
-// task dedup and cache lookup would silently diverge.
-func appendRefs(b []byte, refs []sql.ColRef) []byte {
-	b = append(b, "|B:"...)
+// writeRefs writes the canonical rendering of a boundary-column set. It
+// is the single source of that format: cache keys (which double as the
+// batch engine's dedupe keys) and template signatures must serialize
+// refs byte-identically.
+func writeRefs(b *strings.Builder, refs []sql.ColRef) {
+	b.WriteString("|B:")
 	for _, r := range refs {
-		b = append(b, r.Table...)
-		b = append(b, '.')
-		b = append(b, r.Column...)
-		b = append(b, ',')
+		b.WriteString(r.Table)
+		b.WriteByte('.')
+		b.WriteString(r.Column)
+		b.WriteByte(',')
 	}
-	return b
-}
-
-// subKey builds the cache key for a subtree: prefix (sample epoch
-// namespace), canonical signature, and the boundary-column set the
-// enclosing query requires of it. The prefix is immutable per view, so
-// no locking is needed.
-func (c *SkeletonCache) subKey(sig string, refs []sql.ColRef) string {
-	n := len(c.prefix) + len(sig) + 3
-	for _, r := range refs {
-		n += len(r.Table) + len(r.Column) + 2
-	}
-	b := make([]byte, 0, n)
-	b = append(b, c.prefix...)
-	b = append(b, sig...)
-	return string(appendRefs(b, refs))
 }
 
 // getSub looks a sub-result up, refreshing its recency on a hit.
@@ -467,7 +515,7 @@ func (c *SkeletonCache) putTemplate(key string, tm scanTemplate, sub *subResult,
 // TemplateStats reports template-index lookup hits and misses
 // (diagnostics; only template-sharing runs touch the index).
 func (c *SkeletonCache) TemplateStats() (hits, misses int64) {
-	if c == nil {
+	if c == nil || c.store == nil {
 		return 0, 0
 	}
 	s := c.store

@@ -52,8 +52,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -85,7 +83,7 @@ var ErrSkeletonUnsupported = fmt.Errorf("plan shape unsupported by count skeleto
 
 // subResult is a materialized subtree: its output count and the boundary
 // columns, one typed column of count rows per ref. sig is the cache key
-// the sub-result was stored under (empty when the engine runs uncached).
+// the sub-result is stored under by an engine that runs cached.
 type subResult struct {
 	sig   string
 	count int
@@ -98,39 +96,9 @@ type subResult struct {
 // error, and callers fall back to the general executor). binder resolves
 // a catalog table name to the table to scan — the sampling layer binds
 // samples. cache may be nil. Execution parallelism defaults to
-// GOMAXPROCS; use CountSkeletonWorkers to pin it.
+// GOMAXPROCS; use CountSkeletonCfg to pin it.
 func CountSkeleton(p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache) (map[plan.Node]int64, error) {
-	return CountSkeletonCtx(context.Background(), p, binder, cache, 0)
-}
-
-// CountSkeletonWorkers is CountSkeleton with an explicit worker count
-// for the partitioned scan/probe loops; workers <= 0 selects
-// runtime.GOMAXPROCS(0). Counts and cached sub-results are
-// deterministic and byte-identical across worker counts: partitions are
-// contiguous row ranges whose private outputs merge in partition order.
-func CountSkeletonWorkers(p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, workers int) (map[plan.Node]int64, error) {
-	return CountSkeletonCtx(context.Background(), p, binder, cache, workers)
-}
-
-// CountSkeletonCtx is CountSkeletonWorkers with cancellation: ctx is
-// checked before each node evaluates, so a cancelled context aborts the
-// run between subtrees with ctx.Err(). Only fully evaluated subtrees are
-// ever written to the cache, so an abort never leaves partial results
-// behind; uncancelled runs are byte-identical to CountSkeletonWorkers.
-func CountSkeletonCtx(ctx context.Context, p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, workers int) (map[plan.Node]int64, error) {
-	return CountSkeletonBudgetCtx(ctx, p, binder, cache, workers, 0)
-}
-
-// CountSkeletonBudgetCtx is CountSkeletonCtx with failure containment
-// and a soft memory budget. memBudget caps the values this one plan may
-// materialize (boundary-column cells plus hash-table entries, cache
-// hits included — see memAccount); <= 0 means unlimited. On breach the
-// run aborts with ErrMemoryBudget; nothing partial is cached. A panic
-// anywhere inside evaluation — worker goroutines included — is
-// recovered here and returned as a *PanicError instead of unwinding
-// into the caller.
-func CountSkeletonBudgetCtx(ctx context.Context, p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, workers int, memBudget int64) (map[plan.Node]int64, error) {
-	return CountSkeletonCfg(ctx, p, binder, cache, SkelConfig{Workers: workers, MemBudget: memBudget})
+	return CountSkeletonCfg(context.Background(), p, binder, cache, SkelConfig{})
 }
 
 // SkelConfig carries the execution knobs of the skeleton engines. The
@@ -149,8 +117,10 @@ type SkelConfig struct {
 	// cache keys never mention the shard count, so verdicts and
 	// warm-cache behavior are shard-count-independent.
 	Shards int
-	// MemBudget softly caps the values one plan may materialize;
-	// <= 0 means unlimited (see CountSkeletonBudgetCtx).
+	// MemBudget softly caps the values one plan may materialize
+	// (boundary-column cells plus hash-table entries, cache hits
+	// included — see memAccount); <= 0 means unlimited. On breach the run
+	// aborts with ErrMemoryBudget; nothing partial is cached.
 	MemBudget int64
 	// Templates enables template-aware scan sharing (DESIGN.md §9):
 	// filtered scans are canonicalized into constant-stripped templates;
@@ -177,37 +147,63 @@ func (c SkelConfig) norm() SkelConfig {
 	return c
 }
 
-// CountSkeletonCfg is CountSkeletonBudgetCtx with the full config
-// struct, including the sample shard count.
-func CountSkeletonCfg(ctx context.Context, p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, cfg SkelConfig) (counts map[plan.Node]int64, err error) {
+// CountSkeletonCfg is CountSkeleton with cancellation, failure
+// containment and the execution config. ctx is checked before each step,
+// so a cancelled context aborts the run between subtrees with ctx.Err();
+// only fully evaluated subtrees are written to the cache, so an abort
+// leaves nothing partial behind. A panic inside evaluation — worker
+// goroutines included — is returned as a *PanicError instead of
+// unwinding. Counts and cached sub-results are byte-identical at every
+// setting: partitions are contiguous row ranges merged in order.
+func CountSkeletonCfg(ctx context.Context, p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, cfg SkelConfig) (map[plan.Node]int64, error) {
+	steps, err := countSteps(ctx, p, binder, cache, cfg.norm())
+	if err != nil {
+		return nil, err
+	}
+	return countsByNode(steps), nil
+}
+
+// countsByNode is the map form of a run's counts, for callers that hold
+// plan nodes rather than steps.
+func countsByNode(steps []Step) map[plan.Node]int64 {
+	counts := make(map[plan.Node]int64, len(steps))
+	for i := range steps {
+		counts[steps[i].node] = steps[i].Count
+	}
+	return counts
+}
+
+// countSteps compiles p against the prepared state its cache view
+// carries (or one made for this call) and runs the steps on the
+// single-plan engine, returning them with their counts filled.
+func countSteps(ctx context.Context, p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, cfg SkelConfig) (steps []Step, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			counts, err = nil, NewPanicError(r)
+			steps, err = nil, NewPanicError(r)
 		}
 	}()
-	cfg = cfg.norm()
+	cache, prep := cache.split(p.Query)
+	if steps, err = prep.compile(p.Root, true); err != nil {
+		return nil, err
+	}
 	e := &skelEngine{
 		ctx:       ctx,
-		q:         p.Query,
 		binder:    binder,
 		cache:     cache,
 		workers:   cfg.Workers,
 		shards:    cfg.Shards,
 		templates: cfg.Templates,
 		minChunk:  minChunkRows,
-		counts:    make(map[plan.Node]int64),
-		sigs:      sigMemo{},
 		mem:       memAccount{budget: cfg.MemBudget},
 	}
-	if _, err := e.eval(p.Root); err != nil {
+	if err = e.run(steps); err != nil {
 		return nil, err
 	}
-	return e.counts, nil
+	return steps, nil
 }
 
 type skelEngine struct {
 	ctx       context.Context
-	q         *sql.Query
 	binder    func(string) (*storage.Table, error)
 	cache     *SkeletonCache
 	workers   int
@@ -219,42 +215,34 @@ type skelEngine struct {
 	// it from the batch's total work instead (see adaptiveChunk), so
 	// samples too small to fan out alone still do inside a batch.
 	minChunk int
-	counts   map[plan.Node]int64
-	sigs     sigMemo
 	mem      memAccount
 
-	// Scratch reused across the nodes of one CountSkeleton call. Nodes
-	// evaluate strictly one at a time (parallelism lives *inside* a
-	// node's partitioned loops, which all finish before the node
-	// returns), so a single set of buffers serves the whole tree and
-	// per-scan setup costs zero steady-state allocations.
+	// Scratch reused across the steps of one run. Steps evaluate
+	// strictly one at a time (parallelism lives *inside* a step's
+	// partitioned loops, which all finish before the step returns), so a
+	// single set of buffers serves the whole plan and per-scan setup
+	// costs zero steady-state allocations.
 	bm, fb  *vec.Bitmap
 	selBuf  []int32
 	passBuf []scanPass
-	posBuf  []int
 	spanBuf []span
 	cntBuf  []int
 	offBuf  []int
 }
 
 // bitmap returns the engine's primary scratch bitmap resized to n rows.
-func (e *skelEngine) bitmap(n int) *vec.Bitmap {
-	if e.bm == nil {
-		e.bm = vec.NewBitmap(n)
-	} else {
-		e.bm.Reset(n)
-	}
-	return e.bm
-}
+func (e *skelEngine) bitmap(n int) *vec.Bitmap { return resized(&e.bm, n) }
 
 // scratch returns the secondary bitmap (for non-first conjuncts).
-func (e *skelEngine) scratch(n int) *vec.Bitmap {
-	if e.fb == nil {
-		e.fb = vec.NewBitmap(n)
+func (e *skelEngine) scratch(n int) *vec.Bitmap { return resized(&e.fb, n) }
+
+func resized(bm **vec.Bitmap, n int) *vec.Bitmap {
+	if *bm == nil {
+		*bm = vec.NewBitmap(n)
 	} else {
-		e.fb.Reset(n)
+		(*bm).Reset(n)
 	}
-	return e.fb
+	return *bm
 }
 
 // sel returns the reusable selection buffer with length n. The buffer
@@ -274,146 +262,43 @@ func intsBuf(buf *[]int, n int) []int {
 	return (*buf)[:n]
 }
 
-func (e *skelEngine) eval(n plan.Node) (*subResult, error) {
-	// Cancellation point: once per node. Nodes are bounded by the sample
-	// sizes, so the latency between checks is one subtree's scan or probe.
-	if e.ctx != nil {
-		if err := e.ctx.Err(); err != nil {
-			return nil, err
+// run evaluates the steps in order — post-order, so a join finds both
+// inputs done — and fills their counts. A flat loop: the goroutine's
+// stack does not grow with join depth.
+func (e *skelEngine) run(steps []Step) error {
+	subs := make([]*subResult, len(steps))
+	injecting := faultinject.Active()
+	for i := range steps {
+		st := &steps[i]
+		// Cancellation point: once per step. Steps are bounded by the
+		// sample sizes, so the latency between checks is one scan or probe.
+		if e.ctx != nil {
+			if err := e.ctx.Err(); err != nil {
+				return err
+			}
 		}
-	}
-	if faultinject.Active() {
-		faultinject.Fire(faultinject.SkelNode, e.sigs.of(n))
-	}
-	var sub *subResult
-	var err error
-	switch t := n.(type) {
-	case *plan.ScanNode:
-		sub, err = e.evalScan(t)
-	case *plan.JoinNode:
-		sub, err = e.evalJoin(t)
-	default:
-		err = fmt.Errorf("executor: cannot evaluate %T: %w", n, ErrSkeletonUnsupported)
-	}
-	if err != nil {
-		return nil, err
-	}
-	e.counts[n] = int64(sub.count)
-	return sub, nil
-}
-
-// sigMemo computes subtree signatures bottom-up, once per plan node per
-// validation. A signature canonically identifies the logical sub-result
-// a subtree computes: its relation set plus every predicate applied
-// within it (scan filters and join predicates), order-insensitively.
-// Join-order permutations of the same logical subtree produce the same
-// signature, because each query predicate is applied exactly once
-// inside it. A join's sorted alias and token lists are merges of its
-// children's, so a plan renders each filter and predicate once instead
-// of once per ancestor.
-type sigMemo map[plan.Node]*nodeSig
-
-type nodeSig struct {
-	aliases, toks []string // each sorted
-	sig           string
-}
-
-// of returns n's signature: CanonicalSet(aliases) || tokens joined by &.
-func (m sigMemo) of(n plan.Node) string { return m.node(n).sig }
-
-func (m sigMemo) node(n plan.Node) *nodeSig {
-	if ns, ok := m[n]; ok {
-		return ns
-	}
-	ns := &nodeSig{}
-	switch t := n.(type) {
-	case *plan.ScanNode:
-		ns.aliases = []string{t.Alias}
-		ns.toks = make([]string, 0, 1+len(t.Filters))
-		ns.toks = append(ns.toks, "T:"+t.Alias+"="+t.Table)
-		for _, f := range t.Filters {
-			ns.toks = append(ns.toks, "F:"+f.String())
+		if injecting && st.scan != nil {
+			// Reaching a leaf enters every node whose leftmost leaf it is,
+			// outermost first — a tree walk's pre-order.
+			for j := len(steps) - 1; j >= i; j-- {
+				if steps[j].first == int32(i) {
+					faultinject.Fire(faultinject.SkelNode, steps[j].Set.sig)
+				}
+			}
 		}
-		sort.Strings(ns.toks)
-	case *plan.JoinNode:
-		l, r := m.node(t.Left), m.node(t.Right)
-		own := make([]string, len(t.Preds))
-		for i, p := range t.Preds {
-			own[i] = "J:" + p.Canonical().String()
-		}
-		sort.Strings(own)
-		ns.aliases = mergeSorted(l.aliases, r.aliases)
-		ns.toks = mergeSorted(mergeSorted(l.toks, r.toks), own)
-	case *plan.AggregateNode:
-		ns = m.node(t.Child) // an aggregate adds no relation and no predicate
-		m[n] = ns
-		return ns
-	}
-	ns.sig = strings.Join(ns.aliases, plan.AliasSep) + "||" + strings.Join(ns.toks, "&")
-	m[n] = ns
-	return ns
-}
-
-func mergeSorted(a, b []string) []string {
-	out := make([]string, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		if b[0] < a[0] {
-			out, b = append(out, b[0]), b[1:]
+		var err error
+		if st.scan != nil {
+			subs[i], err = e.evalScan(st)
 		} else {
-			out, a = append(out, a[0]), a[1:]
+			subs[i], err = e.evalJoin(st, subs[st.left], subs[st.right])
+			subs[st.left], subs[st.right] = nil, nil // consumed: the cache, if any, keeps them
 		}
+		if err != nil {
+			return err
+		}
+		st.Count = int64(subs[i].count)
 	}
-	return append(append(out, a...), b...)
-}
-
-// boundaryFor returns, for a relation set, the columns any ancestor join
-// can reference: the set-side columns of query join predicates with
-// exactly one endpoint inside the set. The result depends only on the
-// query, never on the plan, which is what makes sub-results reusable
-// across join orders.
-func (e *skelEngine) boundaryFor(aliases []string) []sql.ColRef {
-	return boundaryColumns(e.q, aliases)
-}
-
-// boundaryColumns is boundaryFor as a free function, shared with the
-// batch engine (whose tasks may come from different queries).
-func boundaryColumns(q *sql.Query, aliases []string) []sql.ColRef {
-	in := make(map[string]bool, len(aliases))
-	for _, a := range aliases {
-		in[a] = true
-	}
-	seen := map[sql.ColRef]bool{}
-	var out []sql.ColRef
-	for _, p := range q.Joins {
-		li, ri := in[p.Left.Table], in[p.Right.Table]
-		if li == ri {
-			continue // internal or fully external predicate
-		}
-		c := p.Left
-		if ri {
-			c = p.Right
-		}
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Table != out[j].Table {
-			return out[i].Table < out[j].Table
-		}
-		return out[i].Column < out[j].Column
-	})
-	return out
-}
-
-func findRef(refs []sql.ColRef, c sql.ColRef) int {
-	for i, r := range refs {
-		if r == c {
-			return i
-		}
-	}
-	return -1
+	return nil
 }
 
 // --- Partitioned execution ---
@@ -503,11 +388,33 @@ func runSpans(spans []span, fn func(part int, s span)) {
 
 // --- Leaf scans ---
 
-func (e *skelEngine) evalScan(t *plan.ScanNode) (*subResult, error) {
-	refs := e.boundaryFor([]string{t.Alias})
-	var key string
+// scanPositions resolves a scan's filter columns and boundary columns
+// against its schema, up front, so schema-resolution failures surface
+// before any scan work — wrapped as unsupported, because a scan schema
+// that cannot resolve its own columns is a hand-built shape the general
+// executor may still know how to run. Positions are shared by every
+// shard: shards are row partitions of one schema.
+func scanPositions(t *plan.ScanNode, refs []sql.ColRef) (filterPos, boundPos []int, err error) {
+	pos := make([]int, len(t.Filters)+len(refs))
+	filterPos, boundPos = pos[:len(t.Filters):len(t.Filters)], pos[len(t.Filters):]
+	for fi, f := range t.Filters {
+		if filterPos[fi], err = t.OutSchema.IndexOf(f.Col.Table, f.Col.Column); err != nil {
+			return nil, nil, fmt.Errorf("executor: skeleton scan %s: filter column %s: %v: %w",
+				t.Alias, f.Col, err, ErrSkeletonUnsupported)
+		}
+	}
+	for k, ref := range refs {
+		if boundPos[k], err = t.OutSchema.IndexOf(ref.Table, ref.Column); err != nil {
+			return nil, nil, fmt.Errorf("executor: skeleton scan %s: boundary column %s.%s: %v: %w",
+				t.Alias, ref.Table, ref.Column, err, ErrSkeletonUnsupported)
+		}
+	}
+	return filterPos, boundPos, nil
+}
+
+func (e *skelEngine) evalScan(st *Step) (*subResult, error) {
+	t, refs, key := st.scan, st.Set.refs, st.Set.key
 	if e.cache != nil {
-		key = e.cache.subKey(e.sigs.of(t), refs)
 		if sub, ok := e.cache.getSub(key); ok {
 			// Budget accounting is cache-independent: a hit charges what
 			// computing the sub-result would have.
@@ -522,29 +429,9 @@ func (e *skelEngine) evalScan(t *plan.ScanNode) (*subResult, error) {
 		return nil, err
 	}
 
-	// Resolve filter and boundary columns against the scan schema up
-	// front, so schema-resolution failures surface before any scan work
-	// — wrapped as unsupported, because a scan schema that cannot
-	// resolve its own columns is a hand-built shape the general
-	// executor may still know how to run. Positions are shared by every
-	// shard: shards are row partitions of one schema.
-	filterPos := make([]int, len(t.Filters))
-	for fi, f := range t.Filters {
-		pos, err := t.OutSchema.IndexOf(f.Col.Table, f.Col.Column)
-		if err != nil {
-			return nil, fmt.Errorf("executor: skeleton scan %s: filter column %s: %v: %w",
-				t.Alias, f.Col, err, ErrSkeletonUnsupported)
-		}
-		filterPos[fi] = pos
-	}
-	poss := intsBuf(&e.posBuf, len(refs))
-	for k, ref := range refs {
-		pos, err := t.OutSchema.IndexOf(ref.Table, ref.Column)
-		if err != nil {
-			return nil, fmt.Errorf("executor: skeleton scan %s: boundary column %s.%s: %v: %w",
-				t.Alias, ref.Table, ref.Column, err, ErrSkeletonUnsupported)
-		}
-		poss[k] = pos
+	filterPos, poss, err := scanPositions(t, refs)
+	if err != nil {
+		return nil, err
 	}
 
 	// Template probe (DESIGN.md §9): on an exact-key miss, a cached
@@ -574,7 +461,7 @@ func (e *skelEngine) evalScan(t *plan.ScanNode) (*subResult, error) {
 	}
 
 	if e.shards > 1 {
-		return e.evalScanSharded(t, tab, key, refs, filterPos, poss, tmpl, tmplOK)
+		return e.evalScanSharded(st, tab, filterPos, poss, tmpl, tmplOK)
 	}
 
 	cs := tab.ColData()
@@ -620,13 +507,10 @@ func (e *skelEngine) evalScan(t *plan.ScanNode) (*subResult, error) {
 // memory budget is charged incrementally per shard; the per-shard
 // charges sum to exactly the monolithic charge, so breach verdicts are
 // shard-count-independent.
-func (e *skelEngine) evalScanSharded(t *plan.ScanNode, tab *storage.Table, key string, refs []sql.ColRef, filterPos, poss []int, tmpl scanTemplate, tmplOK bool) (*subResult, error) {
+func (e *skelEngine) evalScanSharded(st *Step, tab *storage.Table, filterPos, poss []int, tmpl scanTemplate, tmplOK bool) (*subResult, error) {
+	t, refs, sig, key := st.scan, st.Set.refs, st.Set.sig, st.Set.key
 	shards := tab.ColDataShards(e.shards)
 	injecting := faultinject.Active()
-	var sig string
-	if injecting {
-		sig = e.sigs.of(t)
-	}
 	// e.selBuf is reused per shard, so each shard's selection is copied
 	// out (row ids only: four bytes per selected row).
 	sels := make([][]int32, len(shards))
@@ -991,22 +875,9 @@ func compileRange(col *storage.ColData, lo, hi rel.Value) scanPass {
 
 // --- Joins ---
 
-func (e *skelEngine) evalJoin(t *plan.JoinNode) (*subResult, error) {
-	// Children are evaluated (or served from cache) first so that every
-	// node of the current plan gets a count, even under a subtree cache
-	// hit at this level.
-	l, err := e.eval(t.Left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := e.eval(t.Right)
-	if err != nil {
-		return nil, err
-	}
-	outRefs := e.boundaryFor(t.Aliases())
-	var key string
+func (e *skelEngine) evalJoin(st *Step, l, r *subResult) (*subResult, error) {
+	key := st.Set.key
 	if e.cache != nil {
-		key = e.cache.subKey(e.sigs.of(t), outRefs)
 		if sub, ok := e.cache.getSub(key); ok {
 			// Charge what computing this join would have: its hash-table
 			// entries (one per right row) plus its output cells, keeping
@@ -1017,15 +888,6 @@ func (e *skelEngine) evalJoin(t *plan.JoinNode) (*subResult, error) {
 			return sub, nil
 		}
 	}
-
-	// Key columns in canonical predicate order, so the build-side hash
-	// table is reusable regardless of how a plan happens to list the
-	// predicates.
-	preds, lkey, rkey, err := joinKeys(t.Preds, l.refs, r.refs)
-	if err != nil {
-		return nil, err
-	}
-
 	if e.mem.charge(int64(r.count)) {
 		return nil, ErrMemoryBudget
 	}
@@ -1033,23 +895,16 @@ func (e *skelEngine) evalJoin(t *plan.JoinNode) (*subResult, error) {
 	// Build (or reuse) the hash table over the right side's key columns.
 	// The build is one sequential pass at every shard and worker count: a
 	// few ns per row, small beside the probe work the partitions absorb.
+	ji := st.join
 	var table *joinTable
-	tkey := ""
 	if e.cache != nil {
-		tkey = hashTableKey(r.sig, preds)
-		table = e.cache.getTable(tkey)
+		table = e.cache.getTable(ji.tkey)
 	}
 	if table == nil {
-		table = buildHashTable(r, rkey)
+		table = buildHashTable(r, ji.rkey)
 		if e.cache != nil {
-			e.cache.putTable(r.sig, tkey, table)
+			e.cache.putTable(r.sig, ji.tkey, table)
 		}
-	}
-
-	// Gather plan for the output boundary columns.
-	gather, err := gatherPlan(outRefs, l.refs, r.refs)
-	if err != nil {
-		return nil, err
 	}
 
 	// Probe, partitioned over the left side's rows. The hash table and
@@ -1059,7 +914,7 @@ func (e *skelEngine) evalJoin(t *plan.JoinNode) (*subResult, error) {
 	// at each partition's cumulative offset, so the result is identical
 	// to a sequential probe at any worker count.
 	spans := e.rowSpans(l.count)
-	j := joinProbe{l: l, r: r, table: table, lkey: lkey, rkey: rkey, gather: gather}
+	j := joinProbe{l: l, r: r, table: table, lkey: ji.lkey, rkey: ji.rkey, gather: ji.gather}
 	count := 0
 	var outCols []storage.ColData
 	if len(spans) == 1 {
@@ -1086,7 +941,7 @@ func (e *skelEngine) evalJoin(t *plan.JoinNode) (*subResult, error) {
 			putPairBuf(parts[p])
 		})
 	}
-	sub := &subResult{sig: key, count: count, refs: outRefs, cols: outCols}
+	sub := &subResult{sig: key, count: count, refs: st.Set.refs, cols: outCols}
 	if e.mem.charge(subCharge(sub)) {
 		// The sub-result is fully computed and correct, so caching it
 		// would be sound — but the budget contract is "a breaching plan
@@ -1097,42 +952,6 @@ func (e *skelEngine) evalJoin(t *plan.JoinNode) (*subResult, error) {
 		e.cache.putSub(key, sub)
 	}
 	return sub, nil
-}
-
-// joinKeys canonicalizes a join's predicates and resolves each to the
-// children's boundary-column indexes; an unresolvable predicate is an
-// unsupported shape (shared with the batch engine).
-func joinKeys(raw []sql.JoinPred, lrefs, rrefs []sql.ColRef) (preds []sql.JoinPred, lkey, rkey []int, err error) {
-	preds = append([]sql.JoinPred(nil), raw...)
-	sort.Slice(preds, func(i, j int) bool {
-		return preds[i].Canonical().String() < preds[j].Canonical().String()
-	})
-	lkey = make([]int, len(preds))
-	rkey = make([]int, len(preds))
-	for k, p := range preds {
-		li, ri := findRef(lrefs, p.Left), findRef(rrefs, p.Right)
-		if li < 0 || ri < 0 {
-			li, ri = findRef(lrefs, p.Right), findRef(rrefs, p.Left)
-		}
-		if li < 0 || ri < 0 {
-			return nil, nil, nil, fmt.Errorf("executor: cannot resolve join predicate %s: %w", p, ErrSkeletonUnsupported)
-		}
-		lkey[k], rkey[k] = li, ri
-	}
-	return preds, lkey, rkey, nil
-}
-
-// hashTableKey names the build-side hash table over sub-result rsig
-// keyed by the canonical predicates.
-func hashTableKey(rsig string, preds []sql.JoinPred) string {
-	var sb strings.Builder
-	sb.WriteString(rsig)
-	sb.WriteString("||K:")
-	for _, p := range preds {
-		sb.WriteString(p.Canonical().String())
-		sb.WriteByte('&')
-	}
-	return sb.String()
 }
 
 // joinTable is a build side's hash table: flat, bucket-chained and
@@ -1173,24 +992,6 @@ func buildHashTable(r *subResult, rkey []int) *joinTable {
 		t.head[b] = int32(j + 1)
 	}
 	return t
-}
-
-// gatherPlan resolves each output boundary column to the child side and
-// index it comes from (shared with the batch engine).
-func gatherPlan(outRefs, lrefs, rrefs []sql.ColRef) ([]gatherSrc, error) {
-	gather := make([]gatherSrc, len(outRefs))
-	for k, ref := range outRefs {
-		if li := findRef(lrefs, ref); li >= 0 {
-			gather[k] = gatherSrc{left: true, idx: li}
-			continue
-		}
-		ri := findRef(rrefs, ref)
-		if ri < 0 {
-			return nil, fmt.Errorf("executor: missing boundary column %s: %w", ref, ErrSkeletonUnsupported)
-		}
-		gather[k] = gatherSrc{left: false, idx: ri}
-	}
-	return gather, nil
 }
 
 // gatherSrc says where one output boundary column comes from: which

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -188,7 +189,7 @@ func TestCountSkeletonDeterministicAcrossWorkers(t *testing.T) {
 	q := skelQuery()
 	counts := []int{1, 2, 3, runtime.NumCPU()}
 	for pi, p := range skelPlans(cat, q) {
-		base, err := CountSkeletonWorkers(p, cat.Table, NewSkeletonCache(), 1)
+		base, err := CountSkeletonCfg(context.Background(), p, cat.Table, NewSkeletonCache(), SkelConfig{Workers: 1})
 		if err != nil {
 			t.Fatalf("plan %d workers=1: %v", pi, err)
 		}
@@ -196,7 +197,7 @@ func TestCountSkeletonDeterministicAcrossWorkers(t *testing.T) {
 			// A fresh cache per worker count: every scan, gather, and
 			// probe re-runs at this parallelism instead of being served
 			// from a sequential run's cache.
-			got, err := CountSkeletonWorkers(p, cat.Table, NewSkeletonCache(), w)
+			got, err := CountSkeletonCfg(context.Background(), p, cat.Table, NewSkeletonCache(), SkelConfig{Workers: w})
 			if err != nil {
 				t.Fatalf("plan %d workers=%d: %v", pi, w, err)
 			}

@@ -149,9 +149,9 @@ func scanTemplateOf(t *plan.ScanNode, refs []sql.ColRef, filterPos []int) (scanT
 		}
 		tm.fcol = append(tm.fcol, j)
 	}
-	sig := string(appendRefs([]byte(sb.String()), refs))
-	tm.sig = sig
-	tm.fp = rel.HashString(rel.HashSeed, sig)
+	writeRefs(&sb, refs)
+	tm.sig = sb.String()
+	tm.fp = rel.HashString(rel.HashSeed, tm.sig)
 	return tm, true
 }
 

@@ -31,8 +31,8 @@ type Planner struct {
 	leaves   []leaf
 	edges    []joinEdge
 
-	// rows mirrors Γ by relation-set mask; string keys are parsed when an
-	// entry arrives.
+	// rows mirrors Γ by relation-set mask. Δ arrives with both forms
+	// (Merge); only a Γ handed to Prepare has its keys parsed.
 	rows map[uint64]float64
 	// cells is the dense DP table indexed by mask; nil when the query is
 	// planned by the randomized search.
@@ -161,23 +161,38 @@ func (o *Optimizer) prepare(q *sql.Query, gamma *Gamma, dense bool) (*Planner, e
 // Gamma returns the validated-cardinality store the planner plans under.
 func (p *Planner) Gamma() *Gamma { return p.gamma }
 
+// SetRows is one entry of a Δ: a relation set as its mask over
+// Query.Tables positions, its canonical Γ key (plan.CanonicalSet), and
+// its estimated cardinality.
+type SetRows struct {
+	Mask uint64
+	Key  string
+	Rows float64
+}
+
 // Merge folds the estimates Δ into Γ (line 10 of Algorithm 1) and
-// returns the number of keys that were new.
-func (p *Planner) Merge(delta map[string]float64) (added int) {
-	added = p.gamma.Merge(delta)
-	for k := range delta {
-		p.mirror(k, p.gamma.m[k])
+// returns the number of sets that were new.
+func (p *Planner) Merge(delta []SetRows) (added int) {
+	for _, d := range delta {
+		if _, ok := p.gamma.m[d.Key]; !ok {
+			added++
+		}
+		p.gamma.Set(d.Key, d.Rows)
+		p.setRows(d.Mask, p.gamma.m[d.Key])
 	}
 	return added
 }
 
-// mirror records a Γ entry under its mask. A key that is not a canonical
-// set of this query's aliases names nothing the planner can ask for.
+// mirror records an entry of a Γ the planner was handed under its mask.
+// A key that is not a canonical set of this query's aliases names
+// nothing the planner can ask for.
 func (p *Planner) mirror(key string, rows float64) {
-	mask, ok := p.maskOfKey(key)
-	if !ok {
-		return
+	if mask, ok := p.maskOfKey(key); ok {
+		p.setRows(mask, rows)
 	}
+}
+
+func (p *Planner) setRows(mask uint64, rows float64) {
 	p.rows[mask] = rows
 	if mask&(mask-1) == 0 {
 		p.leaves[bits.TrailingZeros64(mask)].rows = rows
@@ -204,16 +219,10 @@ func (p *Planner) maskOfKey(key string) (mask uint64, ok bool) {
 // layer, which must produce Δ entries under identical keys.
 func GammaKeyFor(aliases []string) string { return plan.CanonicalSet(aliases) }
 
-// StatCardinality returns the statistics-only estimate (no Γ) for the
-// relation set a canonical Γ key names — what conservative blending
-// mixes a sampled estimate with.
-func (p *Planner) StatCardinality(key string) (float64, bool) {
-	mask, ok := p.maskOfKey(key)
-	if !ok {
-		return 0, false
-	}
-	return p.estimate(mask, false), true
-}
+// StatCardinality returns the statistics-only estimate (no Γ) for a
+// relation set — what conservative blending mixes a sampled estimate
+// with.
+func (p *Planner) StatCardinality(mask uint64) float64 { return p.estimate(mask, false) }
 
 // card returns the cardinality estimate for a relation set: the Γ entry
 // when the set has been validated, otherwise the product of filtered

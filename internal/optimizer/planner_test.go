@@ -119,14 +119,17 @@ func TestIncrementalPlanningRandomGraphs(t *testing.T) {
 				}
 				sameBits(t, label, got, want)
 				delta := map[string]float64{}
+				var sets []SetRows
 				for n := rng.Intn(4); n >= 0; n-- {
 					mask := uint64(1 + rng.Intn(1<<k-1))
 					if rng.Intn(3) == 0 {
 						mask = 1 << uint(rng.Intn(k))
 					}
-					delta[keyOf(q, mask)] = []float64{0, 0.5, 1, 7, 300, 1e5}[rng.Intn(6)] * float64(1+rng.Intn(2))
+					rows := []float64{0, 0.5, 1, 7, 300, 1e5}[rng.Intn(6)] * float64(1+rng.Intn(2))
+					delta[keyOf(q, mask)] = rows
+					sets = append(sets, SetRows{Mask: mask, Key: keyOf(q, mask), Rows: rows})
 				}
-				if pl.Merge(delta) != whole.Merge(delta) {
+				if pl.Merge(sets) != whole.Merge(delta) {
 					t.Fatalf("%s: merge counts differ", label)
 				}
 			}
@@ -208,20 +211,22 @@ func ottChain6(tb testing.TB) (*catalog.Catalog, *sql.Query) {
 // merges — one entry per plan node, leaves included — in two value
 // variants, so alternating them makes every merge change every entry
 // (what round 2 of Algorithm 1 looks like to the planner).
-func replanDeltas(tb testing.TB, pl *Planner, q *sql.Query) [2]map[string]float64 {
+func replanDeltas(tb testing.TB, pl *Planner, q *sql.Query) [2][]SetRows {
 	tb.Helper()
 	p, err := pl.Plan()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	deltas := [2]map[string]float64{{}, {}}
+	var deltas [2][]SetRows
+	add := func(mask uint64, a, b float64) {
+		deltas[0] = append(deltas[0], SetRows{Mask: mask, Key: keyOf(q, mask), Rows: a})
+		deltas[1] = append(deltas[1], SetRows{Mask: mask, Key: keyOf(q, mask), Rows: b})
+	}
 	for i := range q.Tables {
-		deltas[0][keyOf(q, 1<<uint(i))] = float64(10 + i)
-		deltas[1][keyOf(q, 1<<uint(i))] = float64(20 + i)
+		add(1<<uint(i), float64(10+i), float64(20+i))
 	}
 	for i, s := range p.JoinSets() {
-		deltas[0][keyOf(q, s)] = float64(i)
-		deltas[1][keyOf(q, s)] = float64(100 * i)
+		add(s, float64(i), float64(100*i))
 	}
 	return deltas
 }

@@ -1,15 +1,21 @@
 package sampling
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"reopt/internal/catalog"
+	"reopt/internal/executor"
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
+	"reopt/internal/rel"
 	"reopt/internal/sql"
+	"reopt/internal/stats"
+	"reopt/internal/storage"
 	"reopt/internal/workload/ott"
 	"reopt/internal/workload/tpch"
 )
@@ -232,6 +238,93 @@ func compareEstimates(t *testing.T, workload string, qi int, mode string, fast, 
 		if fv, ok := fast.SampleRows[k]; !ok || fv != v {
 			t.Errorf("%s query %d (%s): SampleRows[%q] fast=%v volcano=%v",
 				workload, qi, mode, k, fast.SampleRows[k], v)
+		}
+	}
+}
+
+// TestExactnessRuleForHandBuiltPlans: a mask-keyed sub-result is valid
+// only for a subtree that applies exactly the query's predicates among
+// its relations. A hand-built plan that leaves the cycle-closing
+// predicate out of the join where it crosses (a join tree has no higher
+// place to apply it), or applies a predicate the query does not have,
+// computes something else for that relation set, so it is outside the
+// count engine's contract: it validates through the general executor,
+// with the general executor's counts, and leaves nothing in the cache
+// that an optimizer-built plan of the same relation set could be served.
+func TestExactnessRuleForHandBuiltPlans(t *testing.T) {
+	cat := catalog.New()
+	rng := rand.New(rand.NewSource(4))
+	for _, name := range []string{"x", "y", "z", "w"} {
+		tab := storage.NewTable(name, rel.NewSchema(
+			rel.Column{Name: "k", Kind: rel.KindInt}, rel.Column{Name: "v", Kind: rel.KindInt}))
+		for i := 0; i < 120; i++ {
+			tab.MustAppend(rel.Row{rel.Int(rng.Int63n(12)), rel.Int(rng.Int63n(3))})
+		}
+		cat.MustAddTable(tab)
+	}
+	if err := cat.AnalyzeAll(stats.AnalyzeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	cat.SetSampleRatio(1)
+	cat.BuildSamples(4)
+	q, err := sql.Parse("SELECT COUNT(*) FROM x, y, z, w WHERE x.k = y.k AND y.k = z.k AND x.v = z.v AND z.k = w.k", cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := func(name string) plan.Node {
+		tab, _ := cat.Table(name)
+		return &plan.ScanNode{Alias: name, Table: name, Access: plan.SeqScan, OutSchema: tab.Schema()}
+	}
+	join := func(l, r plan.Node, preds ...sql.JoinPred) plan.Node {
+		return &plan.JoinNode{Kind: plan.HashJoin, Left: l, Right: r, Preds: preds, OutSchema: l.Schema().Concat(r.Schema())}
+	}
+	xy, yz, xz, zw := q.Joins[0], q.Joins[1], q.Joins[2], q.Joins[3]
+	extra := sql.JoinPred{Left: sql.ColRef{Table: "x", Column: "v"}, Right: sql.ColRef{Table: "y", Column: "v"}}
+	// The same tree applying exactly the query's predicates, and the
+	// optimizer's own plan: what the cache may serve.
+	exact := []*plan.Plan{{Root: join(join(join(scan("x"), scan("y"), xy), scan("z"), xz, yz), scan("w"), zw), Query: q}}
+	p, err := optimizer.New(cat, optimizer.DefaultConfig()).Optimize(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact = append(exact, p)
+	want, err := EstimatePlans(exact, cat, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, root := range map[string]plan.Node{
+		"cycle-closing predicate left out":  join(join(join(scan("x"), scan("y"), xy), scan("z"), yz), scan("w"), zw),
+		"predicate the query does not have": join(join(join(scan("x"), scan("y"), xy, extra), scan("z"), yz, xz), scan("w"), zw),
+	} {
+		handBuilt := &plan.Plan{Root: root, Query: q}
+		if _, err := executor.CountSkeleton(handBuilt, cat.Sample, nil); !errors.Is(err, executor.ErrSkeletonUnsupported) {
+			t.Fatalf("%s: count engine: %v, want ErrSkeletonUnsupported", name, err)
+		}
+		cache := NewValidationCache()
+		got, err := EstimatePlanCached(handBuilt, cat, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		useFastPath = false
+		volcano, err := EstimatePlan(handBuilt, cat)
+		useFastPath = true
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareEstimates(t, "cycle", 0, name, got, volcano)
+		if cache.Len() != 0 {
+			t.Fatalf("%s: validating the inexact plan cached %d sub-results", name, cache.Len())
+		}
+		served, err := EstimatePlans(exact, cat, cache, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range exact {
+			compareEstimates(t, "cycle", i, "exact plan after: "+name, served[i], want[i])
+		}
+		key := optimizer.GammaKeyFor([]string{"x", "y", "z"})
+		if c, ok := want[0].SampleRows[key]; !ok || c == got.SampleRows[key] {
+			t.Fatalf("%s: both trees count {x,y,z} alike (%d rows): the data does not exercise the rule", name, c)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"reopt/internal/catalog"
@@ -19,6 +20,7 @@ import (
 	"reopt/internal/faultinject"
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
+	"reopt/internal/sql"
 )
 
 // ErrNoSamples marks a validation attempt against a catalog whose
@@ -39,16 +41,18 @@ type Estimate struct {
 	// the samples — the re-optimization overhead the paper measures in
 	// Figures 6, 9, 17 and 18.
 	Duration time.Duration
+	// Sets is Delta in the planner's form — one entry per validated
+	// relation set, as a mask over Query.Tables positions beside its key —
+	// so folding Δ into Γ parses nothing (optimizer.Planner.Merge).
+	Sets []optimizer.SetRows
 }
 
-// Cache is the contract shared by the two validation-cache scopes the
-// estimator accepts: the per-re-optimization ValidationCache and the
-// cross-query WorkloadCache. The interface is sealed (the skeleton
-// accessor is unexported) because cache keying is entangled with the
-// engine's signature scheme.
+// Cache is the contract shared by the validation-cache scopes the
+// estimator accepts: the per-re-optimization ValidationCache, the
+// cross-query WorkloadCache, and either bound to one query's prepared
+// validation state (Prepare). The interface is sealed because cache
+// keying is entangled with the engine's signature scheme.
 type Cache interface {
-	// Len returns the number of cached subtree results (diagnostics).
-	Len() int
 	// skeleton returns the executor-level cache to run against,
 	// namespaced for the catalog's current sample set.
 	skeleton(cat *catalog.Catalog) *executor.SkeletonCache
@@ -97,7 +101,7 @@ func EstimatePlan(p *plan.Plan, cat *catalog.Catalog) (*Estimate, error) {
 
 // EstimatePlanCached is EstimatePlan with an optional cross-round cache.
 func EstimatePlanCached(p *plan.Plan, cat *catalog.Catalog, cache *ValidationCache) (*Estimate, error) {
-	return EstimatePlanCtx(context.Background(), p, cat, cache, 0)
+	return EstimatePlanCfg(context.Background(), p, cat, cache, ValidateConfig{})
 }
 
 // EstimatePlanWorkers is EstimatePlanCached with an explicit worker
@@ -107,64 +111,29 @@ func EstimatePlanCached(p *plan.Plan, cat *catalog.Catalog, cache *ValidationCac
 // per-partition outputs in partition order); the knob exists so tests
 // can pin determinism and callers can bound validation parallelism.
 func EstimatePlanWorkers(p *plan.Plan, cat *catalog.Catalog, cache *ValidationCache, workers int) (*Estimate, error) {
-	return EstimatePlanCtx(context.Background(), p, cat, cache, workers)
+	return EstimatePlanCfg(context.Background(), p, cat, cache, ValidateConfig{Workers: workers})
 }
 
-// EstimatePlanCtx is EstimatePlanWorkers with cancellation: the context
-// is threaded into the skeleton engine (checked between subtrees) and
-// the general-executor fallback (checked in its pull loop), so a
-// cancelled ctx aborts the validation with ctx.Err(). Uncancelled runs
-// are byte-identical to EstimatePlanWorkers.
-func EstimatePlanCtx(ctx context.Context, p *plan.Plan, cat *catalog.Catalog, cache *ValidationCache, workers int) (*Estimate, error) {
-	return EstimatePlanCfg(ctx, p, cat, cache, ValidateConfig{Workers: workers})
-}
-
-// ValidateConfig carries the execution knobs of the validation layer,
-// mirroring executor.SkelConfig. Every knob is performance-only: the
+// ValidateConfig carries the execution knobs of the validation layer:
+// the skeleton engines' own. Every knob is performance-only: the
 // estimates (Delta and SampleRows) are byte-identical at every setting.
-type ValidateConfig struct {
-	// Workers caps the skeleton engines' parallelism; <= 0 selects
-	// GOMAXPROCS, 1 forces sequential execution.
-	Workers int
-	// Shards splits every sample scan into contiguous word-aligned
-	// partitions whose partial results merge in shard
-	// order; <= 1 keeps the monolithic layout bit-for-bit.
-	Shards int
-	// MemBudget softly caps the values each plan's validation may
-	// materialize; <= 0 means unlimited.
-	MemBudget int64
-	// Templates shares sample scans between query instances of the
-	// same constant-stripped template (one union scan per template,
-	// refined per constant) and indexes cached scans by template so
-	// near-miss constants reuse them. Counts stay byte-identical at
-	// either setting. Off by default.
-	Templates bool
-}
+type ValidateConfig = executor.SkelConfig
 
-// skel converts the config to the executor layer's form.
-func (c ValidateConfig) skel() executor.SkelConfig {
-	return executor.SkelConfig{Workers: c.Workers, Shards: c.Shards, MemBudget: c.MemBudget, Templates: c.Templates}
-}
-
-// EstimatePlanCfg is EstimatePlanCtx with the full validation config,
-// including the sample shard count.
+// EstimatePlanCfg is EstimatePlanWorkers with cancellation and the full
+// validation config: ctx is threaded into the skeleton engine (checked
+// between steps) and the general-executor fallback (checked in its pull
+// loop), so a cancelled ctx aborts the validation with ctx.Err(). It is
+// EstimatePlansCfg over the one plan, Duration included.
 func EstimatePlanCfg(ctx context.Context, p *plan.Plan, cat *catalog.Catalog, cache *ValidationCache, cfg ValidateConfig) (*Estimate, error) {
-	if !cat.HasSamples() {
-		return nil, fmt.Errorf("sampling: %w", ErrNoSamples)
+	var c Cache
+	if cache != nil {
+		c = cache
 	}
-	start := time.Now()
-	skeleton := rewrite(p.Root)
-	sp := &plan.Plan{Root: skeleton, Query: p.Query}
-	nodeRows, err := skeletonCounts(ctx, sp, cat, cache.skeleton(cat), cfg)
-	if err != nil {
-		return nil, fmt.Errorf("sampling: skeleton run: %w", err)
-	}
-	est, err := estimateFromCounts(p, skeleton, cat, nodeRows)
+	ests, err := EstimatePlansCfg(ctx, []*plan.Plan{p}, cat, c, cfg)
 	if err != nil {
 		return nil, err
 	}
-	est.Duration = time.Since(start)
-	return est, nil
+	return ests[0], nil
 }
 
 // EstimatePlans validates several plans' join skeletons over the
@@ -178,37 +147,21 @@ func EstimatePlanCfg(ctx context.Context, p *plan.Plan, cat *catalog.Catalog, ca
 // cache; only the wall-clock Duration differs (the batch's total time,
 // amortized equally across the plans). cache may be a ValidationCache,
 // a WorkloadCache, or nil. Plans the count-only engine cannot run fall
-// back to the general executor individually — and that fallback is
-// uncached, so callers batching extra plans purely to widen the
-// engine's fan-out (as core does with the previous round's plan)
-// should only do so with engine-supported shapes; optimizer-produced
-// plans always are.
+// back to the general executor individually, uncached.
 func EstimatePlans(plans []*plan.Plan, cat *catalog.Catalog, cache Cache, workers int) ([]*Estimate, error) {
-	return EstimatePlansCtx(context.Background(), plans, cat, cache, workers)
+	return EstimatePlansCfg(context.Background(), plans, cat, cache, ValidateConfig{Workers: workers})
 }
 
-// EstimatePlansCtx is EstimatePlans with cancellation: ctx reaches the
-// batch engine (checked between waves, phases, and work-list spans) and
-// the per-plan fallbacks, so a cancelled ctx aborts the whole batch with
-// ctx.Err() mid-validation. Completed subtrees cached before the abort
-// are valid and stay cached; nothing partial is ever stored.
-func EstimatePlansCtx(ctx context.Context, plans []*plan.Plan, cat *catalog.Catalog, cache Cache, workers int) ([]*Estimate, error) {
-	return EstimatePlansBudgetCtx(ctx, plans, cat, cache, workers, 0)
-}
-
-// EstimatePlansBudgetCtx is EstimatePlansCtx with a soft memory budget:
-// memBudget (<= 0 unlimited) caps the values each plan's validation may
-// materialize; a breaching plan fails the call with an error matching
-// executor.ErrMemoryBudget (which wraps context.DeadlineExceeded, so
-// budget-aware callers degrade it like a deadline). A panic inside
-// validation surfaces as an error matching executor.ErrValidationPanic
-// instead of unwinding.
-func EstimatePlansBudgetCtx(ctx context.Context, plans []*plan.Plan, cat *catalog.Catalog, cache Cache, workers int, memBudget int64) ([]*Estimate, error) {
-	return EstimatePlansCfg(ctx, plans, cat, cache, ValidateConfig{Workers: workers, MemBudget: memBudget})
-}
-
-// EstimatePlansCfg is EstimatePlansBudgetCtx with the full validation
-// config, including the sample shard count.
+// EstimatePlansCfg is EstimatePlans with cancellation and the full
+// validation config. ctx reaches the batch engine (checked between
+// waves, phases, and work-list spans) and the per-plan fallbacks, so a
+// cancelled ctx aborts the whole batch with ctx.Err() mid-validation;
+// completed subtrees cached before the abort stay cached, nothing
+// partial is ever stored. A plan breaching cfg.MemBudget fails the call
+// with an error matching executor.ErrMemoryBudget (which wraps
+// context.DeadlineExceeded, so budget-aware callers degrade it like a
+// deadline); a panic inside validation surfaces as an error matching
+// executor.ErrValidationPanic instead of unwinding.
 func EstimatePlansCfg(ctx context.Context, plans []*plan.Plan, cat *catalog.Catalog, cache Cache, cfg ValidateConfig) ([]*Estimate, error) {
 	if len(plans) == 0 {
 		return nil, nil
@@ -233,37 +186,18 @@ type PlanGroup struct {
 	Cache Cache
 }
 
-// EstimatePlanGroupsCtx validates several requesters' plans as ONE
+// EstimatePlanGroupsCfg validates several requesters' plans as ONE
 // skeleton batch: every subtree of every group becomes one deduplicated
 // task, the combined work partitions across the workers, and each
 // computed sub-result is charged back to every group whose cache covers
-// it (see executor.CountSkeletonBatchPlansCtx). Estimates are
-// positional per group and byte-identical to each group validating
-// alone via EstimatePlansCtx against its own cache; the batch's
-// wall-clock cost is amortized equally across all plans, so each
-// group's estimates carry its proportional share. A group whose plan
-// fails estimation (or whose Volcano fallback fails) gets the error in
-// its perGroup slot without dragging down the other groups; batch-level
-// failures — no samples, a cancelled ctx, an engine fault — surface in
-// err with every group unanswered.
-func EstimatePlanGroupsCtx(ctx context.Context, groups []PlanGroup, cat *catalog.Catalog, workers int) (ests [][]*Estimate, perGroup []error, err error) {
-	return EstimatePlanGroupsBudgetCtx(ctx, groups, cat, workers, 0)
-}
-
-// EstimatePlanGroupsBudgetCtx is EstimatePlanGroupsCtx with a per-plan
-// soft memory budget (memBudget <= 0 means unlimited) and panic
-// containment. A group whose plan breaches the budget or panics gets
-// the failure in its perGroup slot — matching executor.ErrMemoryBudget
-// or executor.ErrValidationPanic respectively — while co-batched groups
-// are unaffected; the failing group's cache is left unpoisoned (failed
-// work stores nothing, completed shared subtrees remain valid).
-func EstimatePlanGroupsBudgetCtx(ctx context.Context, groups []PlanGroup, cat *catalog.Catalog, workers int, memBudget int64) (ests [][]*Estimate, perGroup []error, err error) {
-	return EstimatePlanGroupsCfg(ctx, groups, cat, ValidateConfig{Workers: workers, MemBudget: memBudget})
-}
-
-// EstimatePlanGroupsCfg is EstimatePlanGroupsBudgetCtx with the full
-// validation config, including the sample shard count — the entry point
-// through which the scheduler fans one wave's shards across workers.
+// it (see executor.CountSkeletonBatchCfg). Estimates are positional per
+// group and byte-identical to each group validating alone via
+// EstimatePlansCfg against its own cache; the batch's wall-clock cost is
+// amortized equally across all plans. A group whose plan fails — its
+// Volcano fallback errors, it breaches cfg.MemBudget or panics — gets
+// the error in its perGroup slot without dragging down the other groups
+// or poisoning its cache; batch-level failures — no samples, a cancelled
+// ctx, an engine fault — surface in err with every group unanswered.
 func EstimatePlanGroupsCfg(ctx context.Context, groups []PlanGroup, cat *catalog.Catalog, cfg ValidateConfig) (ests [][]*Estimate, perGroup []error, err error) {
 	if len(groups) == 0 {
 		return nil, nil, nil
@@ -280,29 +214,32 @@ func EstimatePlanGroupsCfg(ctx context.Context, groups []PlanGroup, cat *catalog
 		total += len(g.Plans)
 	}
 	bplans := make([]executor.BatchPlan, 0, total)
-	skels := make([][]*plan.Plan, len(groups))
-	for gi, g := range groups {
-		var skel *executor.SkeletonCache
-		if g.Cache != nil {
-			skel = g.Cache.skeleton(cat)
-		}
-		skels[gi] = make([]*plan.Plan, len(g.Plans))
-		for i, p := range g.Plans {
-			sp := &plan.Plan{Root: rewrite(p.Root), Query: p.Query}
-			skels[gi][i] = sp
-			bplans = append(bplans, executor.BatchPlan{Plan: sp, Cache: skel})
+	for _, g := range groups {
+		for _, p := range g.Plans {
+			view, verr := viewFor(g.Cache, p.Query, cat)
+			if verr != nil {
+				return nil, nil, verr
+			}
+			// Only join cardinalities are validated (§2): the count engine
+			// sees the plan below its aggregate, physical choices and all —
+			// they never reach a count.
+			if agg, ok := p.Root.(*plan.AggregateNode); ok {
+				p = &plan.Plan{Root: agg.Child, Query: p.Query}
+			}
+			bplans = append(bplans, executor.BatchPlan{Plan: p, Cache: view})
 		}
 	}
-	counts := make([]map[plan.Node]int64, total)
-	perPlan := make([]error, total)
+	var steps [][]executor.Step
+	var perPlan []error
 	if useFastPath {
-		counts, perPlan, err = executor.CountSkeletonBatchCfg(ctx, bplans, cat.Sample, cfg.skel())
+		steps, perPlan, err = executor.CountSkeletonSteps(ctx, bplans, cat.Sample, cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("sampling: batch skeleton run: %w", err)
 		}
 	} else {
 		// Fast path disabled (equivalence tests): every plan takes the
 		// general-executor fallback below.
+		steps, perPlan = make([][]executor.Step, total), make([]error, total)
 		for i := range perPlan {
 			perPlan[i] = executor.ErrSkeletonUnsupported
 		}
@@ -312,24 +249,16 @@ func EstimatePlanGroupsCfg(ctx context.Context, groups []PlanGroup, cat *catalog
 	pos := 0
 	for gi, g := range groups {
 		ests[gi] = make([]*Estimate, len(g.Plans))
-		for i, p := range g.Plans {
-			nodeRows := counts[pos]
+		for i := range g.Plans {
 			if e := perPlan[pos]; e != nil && perGroup[gi] == nil {
 				if !errors.Is(e, executor.ErrSkeletonUnsupported) {
 					perGroup[gi] = fmt.Errorf("sampling: batch skeleton run: %w", e)
-				} else if nodeRows, e = volcanoCounts(ctx, skels[gi][i], cat); e != nil {
+				} else if steps[pos], e = volcanoSteps(ctx, bplans[pos], cat); e != nil {
 					perGroup[gi] = fmt.Errorf("sampling: skeleton run: %w", e)
 				}
 			}
-			if perGroup[gi] != nil {
-				pos++
-				continue
-			}
-			est, eerr := estimateFromCounts(p, skels[gi][i].Root, cat, nodeRows)
-			if eerr != nil {
-				perGroup[gi] = eerr
-			} else {
-				ests[gi][i] = est
+			if perGroup[gi] == nil {
+				ests[gi][i] = estimateFromSteps(steps[pos])
 			}
 			pos++
 		}
@@ -351,17 +280,50 @@ func EstimatePlanGroupsCfg(ctx context.Context, groups []PlanGroup, cat *catalog
 	return ests, perGroup, nil
 }
 
-// estimateFromCounts scales a skeleton run's raw sample counts into the
-// Δ of Algorithm 1 — shared by the single-plan and batched paths, which
-// is what keeps their estimates byte-identical.
-func estimateFromCounts(p *plan.Plan, skeleton plan.Node, cat *catalog.Catalog, nodeRows map[plan.Node]int64) (*Estimate, error) {
-	est := &Estimate{
-		Delta:      make(map[string]float64),
-		SampleRows: make(map[string]int64),
+// prepared is a Cache bound to one query's prepared validation state
+// (executor.Prepared, DESIGN.md §11): whatever validates that query's
+// plans through it — directly, or as one request of a scheduler wave —
+// derives the query's signatures, cache keys, join resolutions and scale
+// factors once per request instead of once per round.
+type prepared struct {
+	base Cache
+	q    *sql.Query
+
+	mu    sync.Mutex
+	epoch uint64                  // the sample set view was made for
+	view  *executor.SkeletonCache // base's view for that sample set, carrying the state
+}
+
+// Prepare returns cache (not nil) bound to a prepared validation state
+// for q. The state lives as long as the returned value — make one per
+// request — and follows the catalog's sample epoch: validating after a
+// BuildSamples starts it afresh.
+func Prepare(q *sql.Query, cache Cache) Cache { return &prepared{base: cache, q: q} }
+
+// skeleton implements Cache with the underlying cache's view; the
+// estimator asks viewFor for the one that carries the state.
+func (p *prepared) skeleton(cat *catalog.Catalog) *executor.SkeletonCache {
+	return p.base.skeleton(cat)
+}
+
+// viewFor returns the engine-level view q's plans validate through: the
+// one cache was prepared with, when that is q's and still current,
+// otherwise a fresh one over cache's view, carrying the per-alias scale
+// factors |R| / |R^s| of the catalog's current samples.
+func viewFor(cache Cache, q *sql.Query, cat *catalog.Catalog) (*executor.SkeletonCache, error) {
+	p, _ := cache.(*prepared)
+	if p != nil && p.q == q {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if p.view != nil && p.epoch == cat.SampleEpoch() {
+			return p.view, nil
+		}
+		cache = p.base
+	} else {
+		p = nil
 	}
-	// Per-alias scale factors |R| / |R^s|.
-	scale := make(map[string]float64)
-	for _, tr := range p.Query.Tables {
+	scales := make([]float64, len(q.Tables))
+	for i, tr := range q.Tables {
 		base, err := cat.Table(tr.Name)
 		if err != nil {
 			return nil, err
@@ -370,26 +332,38 @@ func estimateFromCounts(p *plan.Plan, skeleton plan.Node, cat *catalog.Catalog, 
 		if err != nil {
 			return nil, err
 		}
-		sn := s.NumRows()
-		if sn == 0 {
+		if sn := s.NumRows(); sn > 0 {
+			scales[i] = float64(base.NumRows()) / float64(sn)
+		} else {
 			// Degenerate sample: fall back to the nominal ratio so the
 			// estimator stays defined (the estimate for sets touching
 			// this table will be 0 anyway, since the sample is empty).
-			scale[tr.Alias] = 1 / cat.SampleRatio()
-			continue
+			scales[i] = 1 / cat.SampleRatio()
 		}
-		scale[tr.Alias] = float64(base.NumRows()) / float64(sn)
 	}
+	var skel *executor.SkeletonCache
+	if cache != nil {
+		skel = cache.skeleton(cat)
+	}
+	view := skel.Prepared(q, scales)
+	if p != nil {
+		p.view, p.epoch = view, cat.SampleEpoch()
+	}
+	return view, nil
+}
 
-	plan.Walk(skeleton, func(n plan.Node) {
-		aliases := n.Aliases()
-		key := optimizer.GammaKeyFor(aliases)
-		count := nodeRows[n]
-		scaleProd := 1.0
-		for _, a := range aliases {
-			scaleProd *= scale[a]
-		}
-		f := float64(count) * scaleProd
+// estimateFromSteps scales a skeleton run's raw sample counts into the Δ
+// of Algorithm 1 — shared by the fast path and the fallback, which is
+// what keeps their estimates byte-identical.
+func estimateFromSteps(steps []executor.Step) *Estimate {
+	est := &Estimate{
+		Delta:      make(map[string]float64, len(steps)),
+		SampleRows: make(map[string]int64, len(steps)),
+		Sets:       make([]optimizer.SetRows, len(steps)),
+	}
+	for i := range steps {
+		st := &steps[i]
+		f := float64(st.Count) * st.Scale
 		// Resolution-limit floor: a sample that observed zero rows for a
 		// set cannot certify a cardinality below ~half of what one
 		// sample row represents. Without the floor, one unlucky sample
@@ -398,53 +372,46 @@ func estimateFromCounts(p *plan.Plan, skeleton plan.Node, cat *catalog.Catalog, 
 		// the optimizer can converge to a catastrophic plan — the
 		// uncertainty concern the paper raises in §7. Non-zero counts
 		// are unaffected (count·scale ≥ scale > floor).
-		if count == 0 {
-			f = 0.5 * scaleProd
+		if st.Count == 0 {
+			f = 0.5 * st.Scale
 		}
-		est.Delta[key] = f
-		est.SampleRows[key] = count
-	})
-	return est, nil
+		est.Delta[st.Set.Key] = f
+		est.SampleRows[st.Set.Key] = st.Count
+		est.Sets[i] = optimizer.SetRows{Mask: st.Set.Mask, Key: st.Set.Key, Rows: f}
+	}
+	return est
 }
 
 // useFastPath gates the count-only skeleton engine; equivalence tests
 // flip it to compare the fast path against the general executor.
 var useFastPath = true
 
-// skeletonCounts runs the count-only fast path over the samples, falling
-// back to the general Volcano executor for plan shapes the fast path
-// does not cover (it covers everything sampling.rewrite emits; the
-// fallback keeps external callers with hand-built plans working). Only
-// the explicit unsupported-shape error triggers the fallback — any other
-// engine failure propagates rather than silently degrading every
+// volcanoSteps is the general-executor fallback for plan shapes the
+// count engine does not cover (it covers every optimizer plan; the
+// fallback keeps external callers with hand-built plans working): it
+// runs the plan's sample-execution skeleton tuple at a time, caches
+// nothing, and reports the counts under the relation sets the plan's
+// nodes name. Only the explicit unsupported-shape error leads here — any
+// other engine failure propagates rather than silently degrading every
 // validation to the slow path.
-func skeletonCounts(ctx context.Context, sp *plan.Plan, cat *catalog.Catalog, skel *executor.SkeletonCache, cfg ValidateConfig) (map[plan.Node]int64, error) {
-	if useFastPath {
-		counts, err := executor.CountSkeletonCfg(ctx, sp, cat.Sample, skel, cfg.skel())
-		if err == nil {
-			return counts, nil
-		}
-		if !errors.Is(err, executor.ErrSkeletonUnsupported) {
-			return nil, err
-		}
+func volcanoSteps(ctx context.Context, bp executor.BatchPlan, cat *catalog.Catalog) ([]executor.Step, error) {
+	sp := &plan.Plan{Root: rewrite(bp.Plan.Root), Query: bp.Plan.Query}
+	res, err := executor.RunCtx(ctx, sp, cat, executor.Options{CountOnly: true, Binder: cat.Sample})
+	if err != nil {
+		return nil, err
 	}
-	return volcanoCounts(ctx, sp, cat)
+	steps, err := bp.Cache.Outline(sp)
+	if err != nil {
+		return nil, err
+	}
+	for i := range steps {
+		steps[i].Count = res.NodeRows[steps[i].Node()]
+	}
+	return steps, nil
 }
 
-// volcanoCounts is the general-executor fallback for per-node counts.
-func volcanoCounts(ctx context.Context, sp *plan.Plan, cat *catalog.Catalog) (map[plan.Node]int64, error) {
-	res, rerr := executor.RunCtx(ctx, sp, cat, executor.Options{
-		CountOnly: true,
-		Binder:    cat.Sample,
-	})
-	if rerr != nil {
-		return nil, rerr
-	}
-	return res.NodeRows, nil
-}
-
-// rewrite converts a physical plan into its sample-execution skeleton.
-// Aggregates are stripped: only join cardinalities are validated (§2 —
+// rewrite converts a physical plan into its sample-execution skeleton
+// for the general executor. Aggregates are stripped: only join cardinalities are validated (§2 —
 // extending validation to GROUP BY outputs via distinct-value estimation
 // is the paper's future work; see EstimateGroupByCardinality).
 func rewrite(n plan.Node) plan.Node {

@@ -11,7 +11,7 @@ package sampling
 // similar queries. The Scheduler turns each such pass into a *request*:
 // the round loop submits its candidate plans and blocks on a future,
 // and the scheduler gathers requests across the in-flight queries into
-// one EstimatePlanGroupsCtx wave — subtrees deduplicated across
+// one EstimatePlanGroupsCfg wave — subtrees deduplicated across
 // queries, the combined work list partitioned across the validation
 // workers, and each sub-result charged back to every requester's cache.
 //
@@ -20,8 +20,10 @@ package sampling
 //  1. all-waiting: every registered in-flight query is blocked on a
 //     submitted request. Nobody can contribute more work, so the wave
 //     flushes immediately — in particular, a single query (workload
-//     parallelism 1, or a lone Reoptimize) never waits at all, which is
-//     what keeps scheduled latency from regressing on serial traffic.
+//     parallelism 1, or a lone Reoptimize) never waits at all, and its
+//     wave runs on its own goroutine under its own context (runLone),
+//     which is what keeps scheduled latency from regressing on serial
+//     traffic.
 //  2. gather window: a request has been queued for the window without
 //     trigger 1 firing (some query is inside its optimizer call). The
 //     window bounds the latency any request can pay to coalesce.
@@ -37,7 +39,7 @@ package sampling
 // waves store only fully computed sub-results.
 //
 // Results are byte-identical to the serial path at every parallelism:
-// batching never changes counts (executor.CountSkeletonBatchPlansCtx),
+// batching never changes counts (executor.CountSkeletonBatchCfg),
 // and cache reuse never changes estimates, only when they are computed.
 
 import (
@@ -277,7 +279,7 @@ func (c *SchedulerClient) Close() {
 // blocks until the wave containing them flushes (or ctx is done, in
 // which case it returns ctx's error immediately and the wave proceeds
 // without waiting on — or aborting for — this requester). Estimates are
-// positional and byte-identical to EstimatePlansCtx over the same
+// positional and byte-identical to EstimatePlansCfg over the same
 // cache.
 func (c *SchedulerClient) ValidatePlans(ctx context.Context, plans []*plan.Plan, cache Cache) ([]*Estimate, error) {
 	if err := ctx.Err(); err != nil {
@@ -301,8 +303,17 @@ func (c *SchedulerClient) ValidatePlans(ctx context.Context, plans []*plan.Plan,
 			observeEWMA(&s.optEWMA, gap)
 		}
 	}
-	req := &schedRequest{ctx: ctx, plans: plans, cache: cache, done: make(chan schedResult, 1)}
 	s.mu.Lock()
+	if len(s.queue) == 0 && s.active <= 1 {
+		// A wave of exactly this request, with no other query in flight
+		// to wait for or to shield from its cancellation: run it here,
+		// under the requester's own context.
+		s.requests++
+		s.waves++
+		s.mu.Unlock()
+		return s.runLone(ctx, plans, cache)
+	}
+	req := &schedRequest{ctx: ctx, plans: plans, cache: cache, done: make(chan schedResult, 1)}
 	s.queue = append(s.queue, req)
 	s.requests++
 	batch := s.readyLocked()
@@ -464,6 +475,24 @@ func (s *Scheduler) run(batch []*schedRequest) {
 		}
 		r.done <- res
 	}
+}
+
+// runLone is run for a wave of one request on the requester's own
+// goroutine: no wave goroutine, no merged context, no result future. A
+// cancelled ctx aborts the validation at the engine's next check with
+// ctx.Err(); panics are contained by runWave as in any wave.
+func (s *Scheduler) runLone(ctx context.Context, plans []*plan.Plan, cache Cache) ([]*Estimate, error) {
+	start := time.Now()
+	ests, perGroup, err := s.runWave(ctx, []PlanGroup{{Plans: plans, Cache: cache}}, 1)
+	observeEWMA(&s.valEWMA, int64(time.Since(start)))
+	s.lastWaveEnd.Store(time.Now().UnixNano())
+	switch {
+	case err != nil:
+		return nil, err
+	case perGroup[0] != nil:
+		return nil, perGroup[0]
+	}
+	return ests[0], nil
 }
 
 // runWave executes one wave's estimation with a boundary recover: a

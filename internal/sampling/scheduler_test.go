@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"reopt/internal/catalog"
+	"reopt/internal/executor"
 	"reopt/internal/plan"
 )
 
@@ -321,5 +322,65 @@ func TestSchedulerAllCancelledAbortsWave(t *testing.T) {
 	}
 	if err := <-bDone; !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline requester returned %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestSchedulerLoneWaveRunsOnRequester: a wave of one request with no
+// other query in flight runs on the requester's own goroutine, under the
+// requester's own context — the engine sees that very context, no
+// goroutine is started for the wave or to watch contexts, and a
+// cancellation aborts the validation at the engine's next check with the
+// requester's own error. Panics are still contained at the wave seam.
+func TestSchedulerLoneWaveRunsOnRequester(t *testing.T) {
+	cat, plans := batchSetup(t, 1)
+	s := NewScheduler(cat, 1, hugeWindow)
+	c := s.Register()
+	defer c.Close()
+
+	type ctxKey struct{}
+	ctx, cancel := context.WithCancel(context.WithValue(context.Background(), ctxKey{}, "requester"))
+	defer cancel()
+	orig := estimateGroupsFn
+	defer func() { estimateGroupsFn = orig }()
+	var during int
+	estimateGroupsFn = func(wctx context.Context, groups []PlanGroup, cat *catalog.Catalog, cfg ValidateConfig) ([][]*Estimate, []error, error) {
+		if wctx.Value(ctxKey{}) != "requester" {
+			t.Error("the lone wave did not run under the requester's context")
+		}
+		during = runtime.NumGoroutine()
+		return orig(wctx, groups, cat, cfg)
+	}
+	before := runtime.NumGoroutine()
+	got, err := c.ValidatePlans(ctx, plans, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Earlier tests' goroutines may still be winding down; none may start.
+	if during > before || runtime.NumGoroutine() > before {
+		t.Errorf("goroutines: %d before, %d during, %d after a lone validation", before, during, runtime.NumGoroutine())
+	}
+	want, err := EstimatePlan(plans[0], cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareEstimates(t, "sched", 0, "lone wave", got[0], want)
+
+	// Cancelled between the engine's steps: the validation stops there.
+	estimateGroupsFn = func(wctx context.Context, groups []PlanGroup, cat *catalog.Catalog, cfg ValidateConfig) ([][]*Estimate, []error, error) {
+		cancel()
+		return orig(wctx, groups, cat, cfg)
+	}
+	if _, err := c.ValidatePlans(ctx, plans, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled lone requester returned %v, want context.Canceled", err)
+	}
+
+	estimateGroupsFn = func(context.Context, []PlanGroup, *catalog.Catalog, ValidateConfig) ([][]*Estimate, []error, error) {
+		panic("boom")
+	}
+	if _, err := c.ValidatePlans(context.Background(), plans, nil); !errors.Is(err, executor.ErrValidationPanic) {
+		t.Fatalf("panicking lone wave returned %v, want ErrValidationPanic", err)
+	}
+	if st := s.Stats(); st.Waves != 3 || st.Requests != 3 || st.Coalesced != 0 {
+		t.Errorf("stats = %+v, want 3 waves, 3 requests, 0 coalesced", st)
 	}
 }

@@ -22,6 +22,7 @@ package sampling
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"reopt/internal/catalog"
 	"reopt/internal/executor"
@@ -42,6 +43,14 @@ const DefaultWorkloadCacheEntries = 4096
 // can never serve each other's counts.
 type WorkloadCache struct {
 	skel *executor.SkeletonCache
+	// view is the last epoch's view of skel: a workload validates against
+	// one sample set for a long time, and the view is a value.
+	view atomic.Pointer[epochView]
+}
+
+type epochView struct {
+	epoch uint64
+	skel  *executor.SkeletonCache
 }
 
 // NewWorkloadCache returns a cache holding at most maxEntries subtree
@@ -82,6 +91,9 @@ func (c *WorkloadCache) Stats() (hits, misses int64) {
 	return c.skel.Stats()
 }
 
+// Keys returns every cached key, sorted (diagnostics).
+func (c *WorkloadCache) Keys() []string { return c.skel.Keys() }
+
 // TemplateStats reports template-index lookup hits and misses — the
 // index is only populated and probed by template-sharing runs
 // (ValidateConfig.Templates), so both stay zero otherwise
@@ -111,5 +123,11 @@ func (c *WorkloadCache) skeleton(cat *catalog.Catalog) *executor.SkeletonCache {
 	if c == nil {
 		return nil
 	}
-	return c.skel.WithPrefix(fmt.Sprintf("s%d|", cat.SampleEpoch()))
+	epoch := cat.SampleEpoch()
+	if v := c.view.Load(); v != nil && v.epoch == epoch {
+		return v.skel
+	}
+	v := &epochView{epoch: epoch, skel: c.skel.WithPrefix(fmt.Sprintf("s%d|", epoch))}
+	c.view.Store(v)
+	return v.skel
 }

@@ -155,15 +155,21 @@ func TestClientDisconnectReleasesPermit(t *testing.T) {
 
 	started := make(chan struct{})
 	gate := make(chan struct{})
-	// Cancellation is observed by the scheduler around the seam, not
-	// inside it: the requester unblocks on ctx.Done while the wave
-	// goroutine stays parked at the gate until the test releases it.
+	reqCtx, cancel := context.WithCancel(context.Background())
+	// A lone request validates on its own goroutine, so the pinned call
+	// is the one parked at the seam: the block gives way when the client
+	// hangs up, as a validation does at its next cancellation check.
 	var fi faultinject.Set
-	blockAtEstimate(&fi, started, gate)
+	fi.On(faultinject.Rule{Point: faultinject.Estimate, Count: 1, Do: func(faultinject.Point, string) {
+		close(started)
+		select {
+		case <-gate:
+		case <-reqCtx.Done():
+		}
+	}})
 	restore := fi.Activate()
 	defer restore()
 
-	reqCtx, cancel := context.WithCancel(context.Background())
 	abandoned := make(chan error, 1)
 	go func() {
 		_, err := c.Reoptimize(reqCtx, &reoptclient.ReoptimizeRequest{SQL: sql[0]})
@@ -189,9 +195,7 @@ func TestClientDisconnectReleasesPermit(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// The abandoned wave's goroutine is still parked at the estimator
-	// seam — the permit came back anyway, which is the point. Release
-	// it and disable injection before the clean follow-up request.
+	// Disable injection before the clean follow-up request.
 	close(gate)
 	restore()
 
