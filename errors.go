@@ -42,6 +42,12 @@ var (
 	// back on.
 	ErrMemoryBudget = executor.ErrMemoryBudget
 
+	// ErrCountOverflow: a validation's sample count does not fit an
+	// int64 — sub-results carry multiplicities and joins multiply them,
+	// so a count is not bounded by the rows that fit in memory. The
+	// validation fails; nothing of the overflowing join is cached.
+	ErrCountOverflow = executor.ErrCountOverflow
+
 	// ErrValidationPanic: a panic inside a validation (executor worker,
 	// batch wave, or scheduler wave) was recovered and contained. The
 	// concrete error is an *executor.PanicError carrying the panic

@@ -176,11 +176,36 @@ type refStore struct {
 	hits, misses int64
 }
 
+// oraclePhysRows runs the skeleton cold — no cache, one worker — and
+// returns the physical rows each node's sub-result is held in (distinct
+// boundary tuples, DESIGN.md §12), after checking that the logical counts
+// are the general executor's.
+func oraclePhysRows(t testing.TB, label string, q *sql.Query, skeleton plan.Node, cat *catalog.Catalog, nodeRows map[plan.Node]int64) map[plan.Node]int64 {
+	t.Helper()
+	steps, perPlan, err := executor.CountSkeletonSteps(context.Background(),
+		[]executor.BatchPlan{{Plan: &plan.Plan{Root: skeleton, Query: q}}}, cat.Sample, executor.SkelConfig{Workers: 1})
+	if err != nil || perPlan[0] != nil {
+		t.Fatalf("%s: cold skeleton run: %v %v", label, err, perPlan)
+	}
+	phys := make(map[plan.Node]int64, len(steps[0]))
+	for i := range steps[0] {
+		st := &steps[0][i]
+		if st.Count != nodeRows[st.Node()] || st.Rows > st.Count || (st.Rows == 0) != (st.Count == 0) {
+			t.Fatalf("%s: set %q: skeleton counts %d in %d rows, general executor %d", label, st.Set.Key, st.Count, st.Rows, nodeRows[st.Node()])
+		}
+		phys[st.Node()] = st.Rows
+	}
+	return phys
+}
+
 // validate predicts one plan's validation against the store and returns
 // the signatures of the nodes in the order a tree walk enters them, the
 // signatures of the scans it must run and of the joins it must probe
-// (those with a row on the probe side), and its memory charge.
-func (s *refStore) validate(prefix string, q *sql.Query, skeleton plan.Node, nodeRows map[plan.Node]int64) (entered, scans, joins []string, charge int64) {
+// (those with a row on the probe side), and its memory charge: per node
+// its physical rows times its boundary columns (plus a weight column when
+// the rows are fewer than the count), per join a hash-table entry for
+// every physical row of its build side.
+func (s *refStore) validate(prefix string, q *sql.Query, skeleton plan.Node, nodeRows, physRows map[plan.Node]int64) (entered, scans, joins []string, charge int64) {
 	plan.Walk(skeleton, func(n plan.Node) { entered = append(entered, oracleSig(n)) })
 	var post func(n plan.Node)
 	post = func(n plan.Node) {
@@ -188,9 +213,13 @@ func (s *refStore) validate(prefix string, q *sql.Query, skeleton plan.Node, nod
 		if isJoin {
 			post(j.Left)
 			post(j.Right)
-			charge += nodeRows[j.Right]
+			charge += physRows[j.Right]
 		}
-		charge += nodeRows[n] * int64(len(oracleBoundary(q, n.Aliases())))
+		width := int64(len(oracleBoundary(q, n.Aliases())))
+		if physRows[n] != nodeRows[n] {
+			width++
+		}
+		charge += physRows[n] * width
 		key := oracleSubKey(prefix, q, n)
 		if s.keys[key] {
 			s.hits++
@@ -288,7 +317,7 @@ func (c *validationCheck) estimate(ctx context.Context, ps []*plan.Plan, cat *ca
 		skeleton := oracleSkeleton(p.Root)
 		delta, rows, nodeRows := oracleEstimate(t, p.Query, skeleton, cat)
 		sameEstimate(t, label, p.Query, ests[i], delta, rows)
-		e, s, j, charge := c.store.validate(prefix, p.Query, skeleton, nodeRows)
+		e, s, j, charge := c.store.validate(prefix, p.Query, skeleton, nodeRows, oraclePhysRows(t, label, p.Query, skeleton, cat, nodeRows))
 		entered, scans, joins = append(entered, e...), append(scans, s...), append(joins, j...)
 
 		// Budget verdicts do not depend on cache state: validate again,
@@ -381,10 +410,11 @@ func preparedWorkloads(t *testing.T) []shapedWorkload {
 // TestPreparedValidationMatchesFromScratch: for every round of every
 // bench-shaped and experiment-figure query, validating through the
 // prepared per-query state yields what the from-scratch reference does —
-// Δ and sample rows bit for bit, the cache keys written, the hit/miss
-// counters, the fault-injection tags, the budget verdicts — at both
-// worker counts, with template sharing on and off, and under
-// Conservative blending.
+// Δ and sample rows bit for bit (every Step.Count the general executor's,
+// whatever weights the skeleton held it in), the cache keys written, the
+// hit/miss counters, the fault-injection tags, the budget verdicts at the
+// charge a cold run's physical rows predict — at both worker counts, with
+// template sharing on and off, and under Conservative blending.
 func TestPreparedValidationMatchesFromScratch(t *testing.T) {
 	orig := estimatePlansFn
 	defer func() { estimatePlansFn = orig }()
@@ -562,7 +592,7 @@ func TestPreparedValidationCoalescedAliasOrders(t *testing.T) {
 			for _, rd := range got[i].Rounds {
 				skeleton := oracleSkeleton(rd.Plan.Root)
 				_, _, nodeRows := oracleEstimate(t, q, skeleton, cat)
-				store.validate(prefix, q, skeleton, nodeRows)
+				store.validate(prefix, q, skeleton, nodeRows, nodeRows) // keys only: the charge is not read
 			}
 		}
 		if st := sched.Stats(); st.Coalesced == 0 {

@@ -16,20 +16,19 @@ package executor
 // shared by five candidate plans is executed once. Tasks are grouped
 // into waves by join depth — all leaf scans, then joins whose inputs
 // are done, and so on — and each wave's work (every task's filter
-// passes, selection materializations, gathers, hash-table builds, and
-// probes) forms one combined work list, partitioned into contiguous
-// spans whose size derives from the wave's *total* rows divided by the
-// worker count (adaptiveChunk). A worker pool drains the list, so
-// Options.Workers pays off even when each individual sample is far
-// below the single-plan fan-out threshold: parallelism comes from the
+// passes, selection materializations, hash-table builds and probes)
+// forms one combined work list, partitioned into contiguous spans whose
+// size derives from the wave's *total* rows divided by the worker count
+// (adaptiveChunk); compaction, one pass in row order, is a unit per
+// task. A worker pool drains the list, so parallelism comes from the
 // batch, not from any one scan.
 //
 // Determinism: every parallel unit writes private state (a span of a
-// task's bitmap or selection vector, a private probe part), and all
-// merges happen sequentially in task creation order with spans merged
-// in ascending row order — so counts and materialized columns are
-// byte-identical to running the single-plan engine over the same plans
-// sequentially, at every worker count and cache state.
+// task's bitmap or selection vector, a private probe part), and a task's
+// spans merge in ascending row order before its compaction — so counts
+// and materialized columns are byte-identical to running the single-plan
+// engine over the same plans sequentially, at every worker count and
+// cache state.
 
 import (
 	"context"
@@ -119,7 +118,7 @@ func CountSkeletonBatchCfg(ctx context.Context, bplans []BatchPlan, binder func(
 func CountSkeletonSteps(ctx context.Context, bplans []BatchPlan, binder func(string) (*storage.Table, error), cfg SkelConfig) (steps [][]Step, perPlan []error, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			steps, perPlan, err = nil, nil, NewPanicError(r)
+			steps, perPlan, err = nil, nil, failureError(r)
 		}
 	}()
 	cfg = cfg.norm()
@@ -137,6 +136,7 @@ func CountSkeletonSteps(ctx context.Context, bplans []BatchPlan, binder func(str
 			if cerr != nil {
 				if errors.Is(cerr, ErrSkeletonUnsupported) ||
 					errors.Is(cerr, ErrMemoryBudget) ||
+					errors.Is(cerr, ErrCountOverflow) ||
 					errors.Is(cerr, ErrValidationPanic) {
 					perPlan[i] = cerr
 					continue
@@ -240,15 +240,16 @@ func CountSkeletonSteps(ctx context.Context, bplans []BatchPlan, binder func(str
 			continue
 		}
 		for si, t := range planTasks[i] {
-			steps[i][si].Count = int64(t.sub.count)
+			steps[i][si].Count, steps[i][si].Rows = t.sub.total, int64(t.sub.count)
 		}
 	}
 	return steps, perPlan, nil
 }
 
 // settleWave attributes a completed wave's outcomes to the submitted
-// plans: a failed task delivers its captured panic to every plan whose
-// tree contains it, and every completed task charges each of its user
+// plans: a failed task delivers its captured panic (or count overflow) to
+// every plan whose tree contains it, and every completed task charges each
+// of its user
 // plans' memory accounts (per occurrence in that plan's tree). Plans
 // already failed neither charge nor re-fail. Charges are non-negative
 // and the breach verdict is "total exceeds budget", so settling after
@@ -258,7 +259,7 @@ func settleWave(wave []*batchTask, users map[*batchTask][]int, accounts []memAcc
 		if cp := t.failedPanic(); cp != nil {
 			for _, pi := range users[t] {
 				if perPlan[pi] == nil {
-					perPlan[pi] = NewPanicError(cp)
+					perPlan[pi] = failureError(cp)
 				}
 			}
 			continue
@@ -325,21 +326,20 @@ type batchTask struct {
 
 	// Wave-execution scratch, released in the wave's final stage. A
 	// scan task holds one scanShard per sample shard (exactly one with
-	// the monolithic layout); shard outputs merge in shard order into
-	// cols/selTotal before the final stage.
-	shards   []scanShard
-	selTotal int
-	cols     []storage.ColData
-	table    *joinTable
-	parts    []probePart
-	pspans   []span
+	// the monolithic layout) over store, the whole sample; the shards'
+	// selections concatenate in shard order into sel, in store's row ids.
+	shards []scanShard
+	store  *storage.ColStore
+	sel    []int32
+	table  *joinTable
+	parts  []probePart
+	pspans []span
 }
 
 // scanShard is the per-shard scratch of one scan task: the shard's
 // column store view, its compiled filter passes (passes close over the
 // shard's column slices, so compilation is per shard), its bitmaps and
-// selection vector, and the shard's destination offset in the task's
-// merged output columns — the precomputed form of the shard-order merge.
+// selection vector (in the shard's own row ids).
 type scanShard struct {
 	cs     *storage.ColStore
 	nrows  int
@@ -348,7 +348,6 @@ type scanShard struct {
 	spans  []span
 	cnts   []int
 	sel    []int32
-	off    int
 }
 
 // addCache registers one more requester cache on the task, under the
@@ -417,7 +416,8 @@ func (t *batchTask) storeSub(sub *subResult, skip int) {
 		cr := &t.crefs[i]
 		s := sub
 		if s.sig != cr.key {
-			s = &subResult{sig: cr.key, count: sub.count, refs: sub.refs, cols: sub.cols}
+			v := *sub
+			v.sig, s = cr.key, &v
 		}
 		cr.cache.putSub(cr.key, s)
 	}
@@ -432,15 +432,6 @@ func (t *batchTask) failWith(cp *capturedPanic) {
 // failedPanic returns the task's captured panic, if any.
 func (t *batchTask) failedPanic() *capturedPanic {
 	return t.failed.Load()
-}
-
-// probePart is one span's private probe output: its match count, the
-// recorded match pairs (nil for a join with no output columns), and the
-// span's offset in the task's output columns.
-type probePart struct {
-	count int
-	pairs *pairBuf
-	off   int
 }
 
 // batchBuilder deduplicates subtrees across the submitted plans.
@@ -706,7 +697,9 @@ func (t *batchTask) templateLookup() bool {
 		if !ok {
 			continue
 		}
-		sub := refineCachedTemplate(tc, t.tmpl, t.scan.Filters, t.primaryKey(), t.refs)
+		sc := getScratch()
+		sub := refineCachedTemplate(sc, tc, t.tmpl, t.scan.Filters, t.primaryKey())
+		putScratch(sc)
 		if sub == nil {
 			continue
 		}
@@ -718,22 +711,16 @@ func (t *batchTask) templateLookup() bool {
 }
 
 // storeTemplate registers the task's computed scan in every requester
-// cache's template index: the filter columns are gathered once at the
-// final selection (per shard, at the merged offsets — the same bytes a
-// monolithic gather would produce) and shared across the caches.
+// cache's template index: the boundary and filter columns are gathered
+// once at the final selection and shared across the caches.
 func (t *batchTask) storeTemplate() {
 	if len(t.crefs) == 0 {
 		return
 	}
-	fcols := newColsLike(t.shards[0].cs, t.tmpl.fpos, t.selTotal)
-	for si := range t.shards {
-		sh := &t.shards[si]
-		gatherColsOff(sh.cs, t.tmpl.fpos, fcols, sh.sel, 0, len(sh.sel), sh.off)
-	}
-	withNullWords(fcols)
+	bcols, fcols := gatherColsAt(t.store, t.boundPos, t.sel), gatherColsAt(t.store, t.tmpl.fpos, t.sel)
 	for i := range t.crefs {
 		cr := &t.crefs[i]
-		cr.cache.putTemplate(cr.key, t.tmpl, t.sub, fcols)
+		cr.cache.putTemplate(cr.key, t.tmpl, len(t.sel), bcols, fcols)
 	}
 }
 
@@ -742,11 +729,11 @@ func (t *batchTask) storeTemplate() {
 // grouping), then the combined parallel phases — filter bitmaps,
 // selection-vector materialization, then (for template groups) filter-
 // column gathers and per-member refinement, and finally boundary-column
-// gathers — each a single span list over every pending task's shards.
-// With shards > 1 each sample scan becomes per-shard work items whose
-// outputs land at precomputed offsets of the merged columns (the
-// shard-order merge, done in place), so the wave fans out across
-// workers even when one sample alone is too small to split; shard
+// compaction — the first two a single span list over every pending
+// task's shards, the last one unit per task. With shards > 1 each sample
+// scan becomes per-shard work items, so the wave fans out across workers
+// even when one sample alone is too small to split; the shards'
+// selections concatenate in shard order before compaction, and shard
 // identity never reaches sub-results or cache keys. With templates on,
 // tasks sharing a template run one union scan per group and refine
 // per-constant (scanGroup); results are byte-identical either way. A
@@ -770,11 +757,10 @@ func runScanWave(ctx context.Context, tasks []*batchTask, binder func(string) (*
 		if err != nil {
 			return err
 		}
-		var stores []*storage.ColStore
+		t.store = tab.ColData()
+		stores := []*storage.ColStore{t.store}
 		if shards > 1 {
 			stores = tab.ColDataShards(shards)
-		} else {
-			stores = []*storage.ColStore{tab.ColData()}
 		}
 		t.shards = make([]scanShard, len(stores))
 		for si, cs := range stores {
@@ -989,9 +975,7 @@ func runScanWave(ctx context.Context, tasks []*batchTask, binder func(string) (*
 	}
 
 	// Gather each live group's filter columns at the union selection —
-	// the rows member refinement re-evaluates. Destination columns are
-	// allocated sequentially; each unit fills one whole column, so
-	// concurrent units write disjoint memory.
+	// the rows member refinement re-evaluates — one unit a shard.
 	units = units[:0]
 	for _, g := range groups {
 		if g.failed() {
@@ -1000,14 +984,9 @@ func runScanWave(ctx context.Context, tasks []*batchTask, binder func(string) (*
 		g := g
 		for si := range g.shards {
 			gsh := &g.shards[si]
-			gsh.fcols = newColsLike(gsh.cs, g.tmpl.fpos, len(gsh.usel))
-			for j, pos := range g.tmpl.fpos {
-				dst, src := &gsh.fcols[j], gsh.cs.Col(pos)
-				units = append(units, workUnit{fail: g.failAll, run: func() {
-					dst.Gather(src, gsh.usel, 0, len(gsh.usel), 0)
-					dst.BuildNullWords()
-				}})
-			}
+			units = append(units, workUnit{fail: g.failAll, run: func() {
+				gsh.fcols = gatherColsAt(gsh.cs, g.tmpl.fpos, gsh.usel)
+			}})
 		}
 	}
 	if err := runPool(ctx, workers, units); err != nil {
@@ -1044,56 +1023,47 @@ func runScanWave(ctx context.Context, tasks []*batchTask, binder func(string) (*
 		return err
 	}
 
-	// Phase 3: gather boundary columns for the surviving rows. Each
-	// shard writes its slice of the merged output columns at the shard's
-	// cumulative offset, so shard outputs concatenate in shard order
-	// without a copy step.
+	// Phase 3: compact each task's boundary columns at its selection — the
+	// shards' selections re-based to sample row ids and concatenated in
+	// shard order, i.e. the monolithic selection. One unit per task:
+	// compaction is one pass in row order.
 	units = units[:0]
 	for _, t := range pending {
 		if t.failedPanic() != nil {
 			continue
 		}
 		t := t
-		count := 0
-		for si := range t.shards {
-			t.shards[si].off = count
-			count += len(t.shards[si].sel)
-		}
-		t.selTotal = count
-		t.cols = newColsLike(t.shards[0].cs, t.boundPos, count)
-		if len(t.refs) == 0 || count == 0 {
-			continue
-		}
-		for si := range t.shards {
-			sh := &t.shards[si]
-			if len(sh.sel) == 0 {
-				continue
+		units = append(units, workUnit{fail: t.failWith, run: func() {
+			t.sel = t.shards[0].sel
+			if len(t.shards) > 1 {
+				t.sel = nil
+				base := int32(0)
+				for si := range t.shards {
+					for _, r := range t.shards[si].sel {
+						t.sel = append(t.sel, base+r)
+					}
+					base += int32(t.shards[si].nrows)
+				}
 			}
-			for _, s := range chunkSpans(len(sh.sel), chunk) {
-				s, sh := s, sh
-				units = append(units, workUnit{fail: t.failWith, run: func() {
-					gatherColsOff(sh.cs, t.boundPos, t.cols, sh.sel, s.lo, s.hi, sh.off)
-				}})
-			}
-		}
+			sc := getScratch()
+			t.sub = scanSub(sc, t.primaryKey(), t.store, t.boundPos, t.sel)
+			putScratch(sc)
+		}})
 	}
 	if err := runPool(ctx, workers, units); err != nil {
 		return err
 	}
 
 	for _, t := range pending {
-		if t.failedPanic() != nil {
-			// A failed task computes no sub-result and must not poison
-			// any cache; settleWave attributes the failure to its plans.
-			t.shards, t.cols, t.group = nil, nil, nil
-			continue
+		// A failed task computes no sub-result and must not poison any
+		// cache; settleWave attributes the failure to its plans.
+		if t.failedPanic() == nil {
+			t.storeSub(t.sub, -1)
+			if t.tmplOK {
+				t.storeTemplate()
+			}
 		}
-		t.sub = &subResult{sig: t.primaryKey(), count: t.selTotal, refs: t.refs, cols: t.cols}
-		t.storeSub(t.sub, -1)
-		if t.tmplOK {
-			t.storeTemplate()
-		}
-		t.shards, t.cols, t.group = nil, nil, nil
+		t.shards, t.store, t.sel, t.group = nil, nil, nil, nil
 	}
 	return nil
 }
@@ -1238,48 +1208,31 @@ func runJoinWave(ctx context.Context, tasks []*batchTask, workers int) error {
 		return err
 	}
 
-	// Phase 3: size every task's output columns once, at its summed match
-	// count, and gather each part through its recorded pairs at the
-	// part's cumulative offset — span order, so the columns are identical
-	// to a sequential probe's. Parts write disjoint row ranges.
+	// Phase 3: concatenate each task's parts in span order — a sequential
+	// probe's match list — and compact it into the task's sub-result. One
+	// unit per task. Pair buffers go back to the pool only on this, the
+	// complete path: an aborted wave or a failed task simply drops them.
 	units = units[:0]
 	for _, t := range pending {
 		if t.failedPanic() != nil {
 			continue
 		}
 		t, jp := t, t.joinProbe()
-		count := 0
-		for pi := range t.parts {
-			t.parts[pi].off = count
-			count += t.parts[pi].count
-		}
-		t.selTotal = count
-		t.cols = jp.newOutCols(count)
-		if len(t.join.gather) == 0 || count == 0 {
-			continue
-		}
-		for pi := range t.parts {
-			part := &t.parts[pi]
-			units = append(units, workUnit{fail: t.failWith, run: func() {
-				jp.gatherPairs(t.cols, part.pairs, part.off)
-			}})
-		}
+		units = append(units, workUnit{fail: t.failWith, run: func() {
+			sc := getScratch()
+			t.sub = jp.result(sc, t.parts, t.primaryKey())
+			putScratch(sc)
+		}})
 	}
 	if err := runPool(ctx, workers, units); err != nil {
 		return err
 	}
 
-	// Pair buffers go back to the pool only on this, the complete path: an
-	// aborted wave or a failed task simply drops them.
 	for _, t := range pending {
 		if t.failedPanic() == nil {
-			for pi := range t.parts {
-				putPairBuf(t.parts[pi].pairs)
-			}
-			t.sub = &subResult{sig: t.primaryKey(), count: t.selTotal, refs: t.refs, cols: t.cols}
 			t.storeSub(t.sub, -1)
 		}
-		t.table, t.parts, t.pspans, t.cols = nil, nil, nil, nil
+		t.table, t.parts, t.pspans = nil, nil, nil
 	}
 	return nil
 }

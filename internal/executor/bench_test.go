@@ -1,12 +1,17 @@
 package executor
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"reopt/internal/plan"
 	"reopt/internal/rel"
+	"reopt/internal/sql"
 	"reopt/internal/storage"
+	"reopt/internal/workload/ott"
 )
 
 // intSub fabricates a one-column int sub-result whose row i holds val(i).
@@ -41,12 +46,88 @@ func BenchmarkJoinTable(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if got := j.probe(nil, 0, n); got != n*(n/keys) {
+					if got := j.probe(nil, 0, n); got != int64(n*(n/keys)) {
 						b.Fatalf("probe matched %d pairs, want %d", got, n*(n/keys))
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
 			})
+		}
+	}
+}
+
+// BenchmarkCompact times compact on a scan's shape — 1800 rows selected at
+// scattered positions of a 10^5-row int64 sample column — with every key
+// held by 1, 3 or 27 of the selected rows, next to the plain gather it
+// replaces (dups=0). It is where giveUpRows / giveUpDistinct were read:
+// at dups=1 compaction must cost little more than the gather.
+func BenchmarkCompact(b *testing.B) {
+	const sample, n = 100_000, 1800
+	rng := rand.New(rand.NewSource(1))
+	for _, dups := range []int{0, 1, 3, 27} {
+		col := storage.ColData{Kind: rel.KindInt, Ints: make([]int64, sample)}
+		sel := make([]int32, 0, n)
+		for _, r := range rng.Perm(sample)[:n] {
+			sel = append(sel, int32(r))
+		}
+		slices.Sort(sel)
+		for i, r := range rng.Perm(n) {
+			col.Ints[sel[r]] = int64(i / max(dups, 1))
+		}
+		srcs := []colSrc{{&col, sel}}
+		b.Run(fmt.Sprintf("dups=%d", dups), func(b *testing.B) {
+			sc := new(skelScratch)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if dups == 0 {
+					out := col.NewLike(n)
+					out.Gather(&col, sel, 0, n, 0)
+					continue
+				}
+				if _, _, count, total := compact(sc, srcs, n, bagWeights{}); total != n || count != (n+dups-1)/dups {
+					b.Fatalf("compact kept %d rows counting %d, want %d counting %d", count, total, (n+dups-1)/dups, n)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+		})
+	}
+}
+
+// BenchmarkWeightedChainJoin times one cold validation of bench/'s
+// ott_large shape: a 5-table OTT chain joined on b (B = A, three rows a
+// value, 24000 values a table), every table range-filtered to ~1800 rows
+// over the same 600 values — so every join key repeats 3, 9, 27, 81 times
+// down the chain and the root counts 600 x 3^5 rows. What the joins cost
+// is how many rows stand for those.
+func BenchmarkWeightedChainJoin(b *testing.B) {
+	cat, err := ott.Generate(ott.Config{NumTables: 5, RowsPerValue: 3, Domains: []int{24000}, SampleRatio: 1, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := &sql.Query{CountStar: true}
+	for i := 1; i <= 5; i++ {
+		name := ott.TableName(i)
+		q.Tables = append(q.Tables, sql.TableRef{Name: name, Alias: name})
+		q.Selections = append(q.Selections, sql.Selection{Col: ref(name, "a"), Op: sql.OpBetween, Value: rel.Int(1000), Value2: rel.Int(1599)})
+		if i > 1 {
+			q.Joins = append(q.Joins, sql.JoinPred{Left: ref(ott.TableName(i-1), "b"), Right: ref(name, "b")})
+		}
+	}
+	var root plan.Node = skelScan(cat, q, ott.TableName(1))
+	for i := 2; i <= 5; i++ {
+		root = skelJoin(q, root, skelScan(cat, q, ott.TableName(i)))
+	}
+	p := &plan.Plan{Root: root, Query: q}
+	want, err := CountSkeleton(p, cat.Sample, nil)
+	if err != nil || want[root] < 600*243/2 {
+		b.Fatalf("root counts %d (%v), want about 600 x 3^5", want[root], err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := CountSkeletonCfg(context.Background(), p, cat.Sample, nil, SkelConfig{Workers: 1})
+		if err != nil || got[root] != want[root] {
+			b.Fatalf("root counts %d (%v), want %d", got[root], err, want[root])
 		}
 	}
 }

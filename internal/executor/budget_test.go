@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"reopt/internal/rel"
-	"reopt/internal/sql"
 	"reopt/internal/storage"
 )
 
@@ -17,7 +16,6 @@ func fabSub(n int) *subResult {
 	}
 	return &subResult{
 		count: n,
-		refs:  []sql.ColRef{{Table: "t", Column: "k"}},
 		cols:  []storage.ColData{col},
 	}
 }

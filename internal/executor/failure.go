@@ -16,8 +16,13 @@ package executor
 //     exactly the plans whose subtrees the failed work unit served;
 //     co-scheduled plans complete unaffected.
 //
-// Both never poison caches: a plan that breaches its budget or panics
-// stores nothing, and sub-results already fully computed remain valid.
+//   - ErrCountOverflow (compact.go): a logical count past int64. The
+//     checked weight arithmetic panics with it and the engine boundaries
+//     hand it back as itself (failureError), to the plans a panic there
+//     would have failed.
+//
+// None ever poisons a cache: a plan that fails stores nothing, and
+// sub-results already fully computed remain valid.
 
 import (
 	"context"
@@ -61,6 +66,20 @@ func NewPanicError(r any) *PanicError {
 	return &PanicError{Value: r, Stack: debug.Stack()}
 }
 
+// failureError converts a recovered panic value into the error its
+// validation fails with: ErrCountOverflow for the checked weight
+// arithmetic's panic, a *PanicError for anything else.
+func failureError(r any) error {
+	v := r
+	if cp, ok := r.(*capturedPanic); ok {
+		v = cp.val
+	}
+	if err, ok := v.(error); ok && errors.Is(err, ErrCountOverflow) {
+		return err
+	}
+	return NewPanicError(r)
+}
+
 // capturedPanic is a panic captured on a worker goroutine together with
 // that goroutine's stack, re-panicked on the coordinating goroutine so
 // the engine-boundary recover sees the original failure site.
@@ -80,13 +99,14 @@ func capturePanic(r any) *capturedPanic {
 }
 
 // memAccount tracks one validation's materialization charge against a
-// soft budget. The unit is "values": one materialized boundary-column
-// value or one hash-table entry each cost 1. Charges are deterministic
-// functions of the plan and sample data alone — cache hits charge the
-// same as computed results, and the batch engine charges each plan for
-// every node of its tree (with multiplicity) — so a given (plan,
-// sample) pair breaches or passes a budget identically across engines,
-// worker counts, and cache states.
+// soft budget. The unit is "values": one materialized cell — a
+// boundary-column value or a row's weight — or one hash-table entry each
+// cost 1. Charges are deterministic functions of the plan and sample data
+// alone — a cache hit and a template refinement charge what computing the
+// sub-result does, and the batch engine charges each plan for every node
+// of its tree (with multiplicity) — so a given (plan, sample) pair
+// breaches or passes a budget identically across engines, worker counts,
+// and cache states.
 type memAccount struct {
 	budget int64 // <= 0 means unlimited
 	used   int64
@@ -102,8 +122,13 @@ func (m *memAccount) charge(n int64) bool {
 	return m.used > m.budget
 }
 
-// subCharge is the canonical charge for one evaluated sub-result: its
-// materialized boundary columns (rows x columns).
+// subCharge is the canonical charge for one evaluated sub-result: what it
+// materializes — physical rows x (boundary columns + the weight column,
+// when it has one).
 func subCharge(sub *subResult) int64 {
-	return int64(sub.count) * int64(len(sub.refs))
+	width := len(sub.cols)
+	if sub.w != nil {
+		width++
+	}
+	return int64(sub.count) * int64(width)
 }

@@ -185,7 +185,7 @@ func TestJoinTableMatchesMapBuild(t *testing.T) {
 				t.Errorf("%s [%s]: %d pairs differ from the map-based join's %d", jc.name, label, len(got.l), len(want.l))
 			}
 		}
-		if n != len(want.l) || n2 != n {
+		if n != int64(len(want.l)) || n2 != n {
 			t.Errorf("%s: probe counted %d / %d matches, want %d", jc.name, n, n2, len(want.l))
 		}
 	}

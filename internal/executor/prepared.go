@@ -109,8 +109,9 @@ type Step struct {
 	// or round computed it.
 	Scale float64
 	// Count is the node's output count over the samples, filled by the
-	// engine.
-	Count int64
+	// engine; Rows is how many physical rows the engine holds it in —
+	// distinct boundary tuples, Count / Rows each on average (DESIGN.md §12).
+	Count, Rows int64
 
 	node        plan.Node
 	scan        *plan.ScanNode // nil for a join

@@ -20,10 +20,11 @@ package executor
 // never race on the prefix — entries land under the epoch of the run
 // that computed them, always.
 //
-// The value budget is counted in cells — one per boundary-column cell,
-// per gathered template filter-column cell, and per row a cached hash
-// table indexes — never in bytes, so budget verdicts and eviction
-// decisions do not depend on how a column is represented.
+// The value budget is counted in cells — one per boundary-column cell and
+// weight of a sub-result's physical rows, per cell of a template entry's
+// row-aligned columns, and per row a cached hash table indexes — never in
+// bytes, so budget verdicts and eviction decisions do not depend on how a
+// column is represented.
 //
 // Entries are keyed by the subtree's canonical signature (relation set
 // plus every predicate applied within it) *and* its boundary-column
@@ -88,21 +89,25 @@ type skelStore struct {
 
 	hits, misses         int64
 	tmplHits, tmplMisses int64
+	// What the sub-results stored so far count (Σ total) and the physical
+	// rows they hold it in (Σ count): the compression weights are buying.
+	rowsCounted, rowsMaterialized int64
 }
 
 // tmplCached is the immutable payload of one template-index entry: the
-// instance's constant vector and operators (for the containment check),
-// the cached sub-result it refines from, and the filter columns
-// gathered at that sub-result's selection (what refinement evaluates
-// the contained instance's conjuncts over). All fields are write-once:
-// lookups snapshot the pointer under the store lock and refine outside
-// it.
+// instance's constant vector and operators (for the containment check)
+// and, row-aligned over the instance's n selected rows, its uncompressed
+// boundary columns and filter columns — refinement evaluates a contained
+// instance's conjuncts over fcols, gathers bcols at the surviving
+// positions and compacts (a compacted sub-result has no positions to
+// gather by). All fields are write-once: lookups snapshot the pointer
+// under the store lock and refine outside it.
 type tmplCached struct {
-	sig    string
-	consts []rel.Value
-	ops    []sql.CompareOp
-	sub    *subResult
-	fcols  []storage.ColData
+	sig          string
+	consts       []rel.Value
+	ops          []sql.CompareOp
+	n            int
+	bcols, fcols []storage.ColData
 }
 
 // tmplEntry is tmplCached plus its index bookkeeping: the view prefix
@@ -117,10 +122,9 @@ type tmplEntry struct {
 }
 
 // tmplValues is the value-budget charge of a template entry's gathered
-// filter columns: one value per (row, filter column), matching how
-// entryValues charges boundary columns.
+// columns: one value per cell, as entryValues charges a sub-result's.
 func tmplValues(te *tmplEntry) int {
-	return te.sub.count * len(te.fcols)
+	return te.n * (len(te.bcols) + len(te.fcols))
 }
 
 // skelCacheEntry is one cached sub-result plus the keys of the hash
@@ -228,12 +232,11 @@ func (c *SkeletonCache) Outline(p *plan.Plan) ([]Step, error) {
 }
 
 // entryValues is the value-budget charge for one sub-result: its
-// materialized boundary-column cells (rows x columns — cells, not bytes,
-// so the charge does not depend on how a column is represented),
-// floored at 1 so zero-column entries still consume budget and eviction
-// always makes progress.
+// materialized cells (subCharge — cells, not bytes, so the charge does
+// not depend on how a column is represented), floored at 1 so zero-column
+// entries still consume budget and eviction always makes progress.
 func entryValues(sub *subResult) int {
-	return max(1, sub.count*len(sub.cols))
+	return max(1, int(subCharge(sub)))
 }
 
 // Len returns the number of cached sub-results (diagnostics).
@@ -256,6 +259,18 @@ func (c *SkeletonCache) Stats() (hits, misses int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.hits, s.misses
+}
+
+// RowStats reports, over every sub-result stored so far, the rows they
+// count and the physical rows materialized to hold them (diagnostics).
+func (c *SkeletonCache) RowStats() (counted, materialized int64) {
+	if c == nil || c.store == nil {
+		return 0, 0
+	}
+	s := c.store
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rowsCounted, s.rowsMaterialized
 }
 
 // Keys returns the keys of every cached sub-result and hash table, under
@@ -345,6 +360,7 @@ func (c *SkeletonCache) putSub(key string, sub *subResult) {
 	}
 	s.subs[key] = s.lru.PushFront(&skelCacheEntry{key: key, sub: sub})
 	s.values += entryValues(sub)
+	s.rowsCounted, s.rowsMaterialized = s.rowsCounted+sub.total, s.rowsMaterialized+int64(sub.count)
 	s.shrinkLocked()
 }
 
@@ -467,10 +483,11 @@ func (c *SkeletonCache) getTemplate(tm scanTemplate) (*tmplCached, bool) {
 // whose constants contain the new instance's is kept (it already
 // refines every instance the new one could), otherwise the new entry
 // replaces it — so under containment-ordered traffic the index
-// converges on the loosest instance seen. fcols are the filter columns
-// gathered at the sub-result's selection; their values are charged to
-// the store's value budget like boundary columns.
-func (c *SkeletonCache) putTemplate(key string, tm scanTemplate, sub *subResult, fcols []storage.ColData) {
+// converges on the loosest instance seen. bcols and fcols are the
+// boundary and filter columns gathered at the scan's n selected rows;
+// their cells are charged to the store's value budget like a
+// sub-result's.
+func (c *SkeletonCache) putTemplate(key string, tm scanTemplate, n int, bcols, fcols []storage.ColData) {
 	s := c.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -480,7 +497,7 @@ func (c *SkeletonCache) putTemplate(key string, tm scanTemplate, sub *subResult,
 	}
 	e := el.Value.(*skelCacheEntry)
 	te := &tmplEntry{
-		tmplCached: tmplCached{sig: tm.sig, consts: tm.consts, ops: tm.ops, sub: sub, fcols: fcols},
+		tmplCached: tmplCached{sig: tm.sig, consts: tm.consts, ops: tm.ops, n: n, bcols: bcols, fcols: fcols},
 		fp:         tm.fp,
 		prefix:     c.prefix,
 		key:        key,

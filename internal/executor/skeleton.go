@@ -17,33 +17,30 @@ package executor
 // Sub-results carry their boundary columns typed, in the sample column
 // store's own shape (storage.ColData: []int64 / []float64 / []string plus
 // a NULL marking; rel.Value cells only for a column that mixes kinds), and
-// every such column is allocated once at its exact final length: a scan
-// gathers typed slices at its selection vector, and a join probe first
-// records its matching (left, right) row-id pairs and then gathers each
-// output column through them. Join keys hash and compare straight from
-// the typed slices. No rel.Value is built per cell, nothing grows by
-// append, and a numeric column holds no pointer for the collector to
-// clear or scan.
+// compressed: one row per distinct boundary tuple with its multiplicity
+// beside it (compact.go). A scan compacts the typed slices at its
+// selection vector; a join probe records its matching (left, right)
+// row-id pairs, and the pairs — each weighing the product of its rows'
+// weights — are compacted in turn. Join keys hash and compare straight
+// from the typed slices. No rel.Value is built per cell, every column is
+// allocated once at its exact final length, and a numeric column holds no
+// pointer for the collector to clear or scan.
 //
 // The inner loops are vectorized and parallel. Scan filters compile to
 // typed kernels (internal/vec) that evaluate each predicate over the
 // whole column into a selection bitmap; conjunctive filters fuse by
 // AND-ing bitmaps, and only the final bitmap is materialized into a
-// selection vector. Filter evaluation, boundary-column gathers,
-// and join probe loops are partitioned into contiguous row ranges run
-// across up to GOMAXPROCS goroutines: sub-results and build-side hash
-// tables are read-only by then, workers keep private counters and
-// private output chunks, and the chunks are merged in partition order —
-// so counts and column contents are byte-identical at every worker
-// count.
+// selection vector. Filter evaluation and join probe loops are
+// partitioned into contiguous row ranges run across up to GOMAXPROCS
+// goroutines: sub-results and build-side hash tables are read-only by
+// then, workers keep private output chunks, and the chunks are merged in
+// partition order before the one compaction pass — so counts and column
+// contents are byte-identical at every worker count.
 //
 // Because boundary columns are derived from the query rather than the
 // plan, a sub-result is valid for every join order that contains the same
-// logical subtree. SkeletonCache exploits that across validation rounds:
-// Algorithm 1's successive plans overwhelmingly share join subtrees
-// (local transformations change only operators; global ones still keep
-// most of the tree), so later rounds reuse earlier rounds' sub-results
-// and build-side hash tables instead of re-executing them.
+// logical subtree; SkeletonCache (skelcache.go) carries them, and the
+// build-side hash tables, across Algorithm 1's validation rounds.
 
 import (
 	"context"
@@ -81,14 +78,34 @@ var ErrUnsupportedPlan = errors.New("plan not supported by this engine")
 // ErrUnsupportedPlan, so errors.Is works against either sentinel.
 var ErrSkeletonUnsupported = fmt.Errorf("plan shape unsupported by count skeleton: %w", ErrUnsupportedPlan)
 
-// subResult is a materialized subtree: its output count and the boundary
-// columns, one typed column of count rows per ref. sig is the cache key
-// the sub-result is stored under by an engine that runs cached.
+// subResult is a materialized subtree: the bag of its boundary tuples in
+// compressed form (compact.go, DESIGN.md §12). count is the physical row
+// count — one typed column of count rows per boundary column — w each
+// row's multiplicity (nil: every row counts once), and total = Σ w the
+// logical count the estimator sees. sig is the key it is cached under.
 type subResult struct {
 	sig   string
 	count int
-	refs  []sql.ColRef
+	total int64
+	w     []int64
 	cols  []storage.ColData
+}
+
+// newSub compacts an uncompressed row sequence into a sub-result.
+func newSub(sc *skelScratch, sig string, srcs []colSrc, n int, bw bagWeights) *subResult {
+	sub := &subResult{sig: sig}
+	sub.cols, sub.w, sub.count, sub.total = compact(sc, srcs, n, bw)
+	return sub
+}
+
+// scanSub is a scan's sub-result: the store's columns at positions poss,
+// at the selected rows, compacted.
+func scanSub(sc *skelScratch, sig string, cs *storage.ColStore, poss []int, sel []int32) *subResult {
+	sc.srcs = sc.srcs[:0]
+	for _, pos := range poss {
+		sc.srcs = append(sc.srcs, colSrc{cs.Col(pos), sel})
+	}
+	return newSub(sc, sig, sc.srcs, len(sel), bagWeights{})
 }
 
 // CountSkeleton computes the per-node output counts of a count-only
@@ -179,7 +196,7 @@ func countsByNode(steps []Step) map[plan.Node]int64 {
 func countSteps(ctx context.Context, p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, cfg SkelConfig) (steps []Step, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			steps, err = nil, NewPanicError(r)
+			steps, err = nil, failureError(r)
 		}
 	}()
 	cache, prep := cache.split(p.Query)
@@ -187,16 +204,19 @@ func countSteps(ctx context.Context, p *plan.Plan, binder func(string) (*storage
 		return nil, err
 	}
 	e := &skelEngine{
-		ctx:       ctx,
-		binder:    binder,
-		cache:     cache,
-		workers:   cfg.Workers,
-		shards:    cfg.Shards,
-		templates: cfg.Templates,
-		minChunk:  minChunkRows,
-		mem:       memAccount{budget: cfg.MemBudget},
+		ctx:         ctx,
+		binder:      binder,
+		cache:       cache,
+		workers:     cfg.Workers,
+		shards:      cfg.Shards,
+		templates:   cfg.Templates,
+		minChunk:    minChunkRows,
+		mem:         memAccount{budget: cfg.MemBudget},
+		skelScratch: getScratch(),
 	}
-	if err = e.run(steps); err != nil {
+	err = e.run(steps)
+	putScratch(e.skelScratch) // not after a panic: a span may have left it mid-write
+	if err != nil {
 		return nil, err
 	}
 	return steps, nil
@@ -217,17 +237,11 @@ type skelEngine struct {
 	minChunk int
 	mem      memAccount
 
-	// Scratch reused across the steps of one run. Steps evaluate
+	// Pooled scratch reused across the steps of one run. Steps evaluate
 	// strictly one at a time (parallelism lives *inside* a step's
 	// partitioned loops, which all finish before the step returns), so a
-	// single set of buffers serves the whole plan and per-scan setup
-	// costs zero steady-state allocations.
-	bm, fb  *vec.Bitmap
-	selBuf  []int32
-	passBuf []scanPass
-	spanBuf []span
-	cntBuf  []int
-	offBuf  []int
+	// single set of buffers serves the whole plan.
+	*skelScratch
 }
 
 // bitmap returns the engine's primary scratch bitmap resized to n rows.
@@ -243,16 +257,6 @@ func resized(bm **vec.Bitmap, n int) *vec.Bitmap {
 		(*bm).Reset(n)
 	}
 	return *bm
-}
-
-// sel returns the reusable selection buffer with length n. The buffer
-// is only valid until the next scan is evaluated; retained results copy
-// out of it (boundary columns hold values, never row ids).
-func (e *skelEngine) sel(n int) []int32 {
-	if cap(e.selBuf) < n {
-		e.selBuf = make([]int32, n)
-	}
-	return e.selBuf[:n]
 }
 
 func intsBuf(buf *[]int, n int) []int {
@@ -296,7 +300,7 @@ func (e *skelEngine) run(steps []Step) error {
 		if err != nil {
 			return err
 		}
-		st.Count = int64(subs[i].count)
+		st.Count, st.Rows = subs[i].total, int64(subs[i].count)
 	}
 	return nil
 }
@@ -447,7 +451,7 @@ func (e *skelEngine) evalScan(st *Step) (*subResult, error) {
 		if tm, ok := scanTemplateOf(t, refs, filterPos); ok {
 			tmpl, tmplOK = tm, true
 			if tc, hit := e.cache.getTemplate(tm); hit {
-				if sub := refineCachedTemplate(tc, tm, t.Filters, key, refs); sub != nil {
+				if sub := refineCachedTemplate(e.skelScratch, tc, tm, t.Filters, key); sub != nil {
 					// Same charge as computing or an exact hit: budget
 					// verdicts stay independent of how the result arrived.
 					if e.mem.charge(subCharge(sub)) {
@@ -460,96 +464,47 @@ func (e *skelEngine) evalScan(st *Step) (*subResult, error) {
 		}
 	}
 
-	if e.shards > 1 {
-		return e.evalScanSharded(st, tab, filterPos, poss, tmpl, tmplOK)
-	}
-
+	// The selection: the whole sample's, or with shards > 1 each shard
+	// view's in turn (passes close over the shard's column slices),
+	// re-based to sample row ids and concatenated — shards are contiguous
+	// in-order row partitions, so that is the monolithic selection.
 	cs := tab.ColData()
-	n := cs.NumRows()
-
-	// Compile every filter into vectorized bitmap passes over this
-	// store's columns.
-	passes := e.passBuf[:0]
-	for fi, f := range t.Filters {
-		passes = appendFilterPasses(passes, cs.Col(filterPos[fi]), f)
+	stores := []*storage.ColStore{cs}
+	if e.shards > 1 {
+		stores = tab.ColDataShards(e.shards)
 	}
-	e.passBuf = passes[:0]
-
-	sel := e.selectRows(passes, n)
-	if e.mem.charge(int64(len(sel)) * int64(len(refs))) {
-		return nil, ErrMemoryBudget
-	}
-
-	// Gather the boundary columns for the surviving rows, partitioned
-	// over the selection vector (each worker writes a disjoint range of
-	// every output column).
-	cols := newColsLike(cs, poss, len(sel))
-	e.gatherSel(cs, poss, cols, sel, 0)
-	sub := &subResult{sig: key, count: len(sel), refs: refs, cols: cols}
-	if e.cache != nil {
-		e.cache.putSub(key, sub)
-		if tmplOK {
-			e.cache.putTemplate(key, tmpl, sub, gatherFilterColsAt(cs, tmpl.fpos, sel))
-		}
-	}
-	return sub, nil
-}
-
-// evalScanSharded is the sharded scan path: each shard view runs the
-// same filter pipeline over its own rows (filters recompiled per shard,
-// since passes close over the shard's column slices) and keeps its
-// selection; the boundary columns are then allocated once at the summed
-// count and every shard gathers into them at its cumulative offset.
-// Shards are contiguous in-order row partitions, so that concatenation
-// in shard order reproduces the monolithic result byte for byte — and
-// it is associative: any grouping of adjacent shards yields the same
-// bytes, which is what lets shards execute on independent workers. The
-// memory budget is charged incrementally per shard; the per-shard
-// charges sum to exactly the monolithic charge, so breach verdicts are
-// shard-count-independent.
-func (e *skelEngine) evalScanSharded(st *Step, tab *storage.Table, filterPos, poss []int, tmpl scanTemplate, tmplOK bool) (*subResult, error) {
-	t, refs, sig, key := st.scan, st.Set.refs, st.Set.sig, st.Set.key
-	shards := tab.ColDataShards(e.shards)
-	injecting := faultinject.Active()
-	// e.selBuf is reused per shard, so each shard's selection is copied
-	// out (row ids only: four bytes per selected row).
-	sels := make([][]int32, len(shards))
-	count := 0
-	for si, cs := range shards {
-		if injecting {
-			faultinject.Fire(faultinject.ShardUnit, fmt.Sprintf("%s#shard=%d", sig, si))
+	var sel []int32
+	base := int32(0)
+	for si, sh := range stores {
+		if len(stores) > 1 && faultinject.Active() {
+			faultinject.Fire(faultinject.ShardUnit, fmt.Sprintf("%s#shard=%d", st.Set.sig, si))
 		}
 		passes := e.passBuf[:0]
 		for fi, f := range t.Filters {
-			passes = appendFilterPasses(passes, cs.Col(filterPos[fi]), f)
+			passes = appendFilterPasses(passes, sh.Col(filterPos[fi]), f)
 		}
 		e.passBuf = passes[:0]
-		sel := e.selectRows(passes, cs.NumRows())
-		if e.mem.charge(int64(len(sel)) * int64(len(refs))) {
-			return nil, ErrMemoryBudget
+		sel = e.selectRows(passes, sh.NumRows())
+		if len(stores) > 1 {
+			for _, r := range sel {
+				e.shardSel = append(e.shardSel, base+r)
+			}
+			base += int32(sh.NumRows())
+			sel = e.shardSel
 		}
-		sels[si] = append([]int32(nil), sel...)
-		count += len(sel)
 	}
-	cols := newColsLike(shards[0], poss, count)
-	off := 0
-	for si, cs := range shards {
-		e.gatherSel(cs, poss, cols, sels[si], off)
-		off += len(sels[si])
+	e.shardSel = e.shardSel[:0]
+
+	// The charge is what compaction materializes — the same an exact hit
+	// or a refinement of this scan charges.
+	sub := scanSub(e.skelScratch, key, cs, poss, sel)
+	if e.mem.charge(subCharge(sub)) {
+		return nil, ErrMemoryBudget
 	}
-	sub := &subResult{sig: key, count: count, refs: refs, cols: cols}
 	if e.cache != nil {
 		e.cache.putSub(key, sub)
 		if tmplOK {
-			// Filter columns gathered shard by shard at the merged
-			// offsets: identical bytes to a monolithic gather.
-			fcols := newColsLike(shards[0], tmpl.fpos, count)
-			off := 0
-			for si, cs := range shards {
-				gatherColsOff(cs, tmpl.fpos, fcols, sels[si], 0, len(sels[si]), off)
-				off += len(sels[si])
-			}
-			e.cache.putTemplate(key, tmpl, sub, withNullWords(fcols))
+			e.cache.putTemplate(key, tmpl, len(sel), gatherColsAt(cs, poss, sel), gatherColsAt(cs, tmpl.fpos, sel))
 		}
 	}
 	return sub, nil
@@ -615,48 +570,6 @@ func (e *skelEngine) selectRows(passes []scanPass, n int) []int32 {
 		}
 	})
 	return sel
-}
-
-// newColsLike allocates n-row output columns shaped like the store's
-// columns at schema positions poss.
-func newColsLike(cs *storage.ColStore, poss []int, n int) []storage.ColData {
-	cols := make([]storage.ColData, len(poss))
-	for k, pos := range poss {
-		cols[k] = cs.Col(pos).NewLike(n)
-	}
-	return cols
-}
-
-// gatherSel fills cols (at destination offset off) with the store's
-// columns at the selected rows, partitioned over the selection vector.
-func (e *skelEngine) gatherSel(cs *storage.ColStore, poss []int, cols []storage.ColData, sel []int32, off int) {
-	if len(poss) == 0 || len(sel) == 0 {
-		return
-	}
-	// The single-span case is inlined (here and in selectRows / evalJoin)
-	// rather than funneled through runSpans: the closure argument escapes
-	// into runSpans' goroutines, so constructing it costs a heap
-	// allocation even when it would run inline.
-	spans := e.rowSpans(len(sel))
-	if len(spans) == 1 {
-		gatherColsOff(cs, poss, cols, sel, 0, len(sel), off)
-		return
-	}
-	runSpans(spans, func(_ int, s span) {
-		gatherColsOff(cs, poss, cols, sel, s.lo, s.hi, off)
-	})
-}
-
-// gatherColsOff copies the store's columns at positions poss, for rows
-// [lo, hi) of the selection vector, into the output columns at a
-// destination offset: selection entry x lands at row off+x. Sharded scans
-// use the offset to concatenate shard outputs in shard order directly
-// into the merged columns (off is the sum of the preceding shards'
-// selection counts). Typed slice copies; no Value is built.
-func gatherColsOff(cs *storage.ColStore, poss []int, cols []storage.ColData, sel []int32, lo, hi, off int) {
-	for k, pos := range poss {
-		cols[k].Gather(cs.Col(pos), sel, lo, hi, off)
-	}
 }
 
 // scanPass fills rows [lo, hi) of a bitmap with one filter conjunct
@@ -909,39 +822,23 @@ func (e *skelEngine) evalJoin(st *Step, l, r *subResult) (*subResult, error) {
 
 	// Probe, partitioned over the left side's rows. The hash table and
 	// both children's columns are read-only now; each worker records its
-	// matches in a private pair buffer, and the output columns — sized
-	// once, at the summed match count — are gathered through the buffers
-	// at each partition's cumulative offset, so the result is identical
-	// to a sequential probe at any worker count.
+	// matches in a private pair buffer, and result concatenates them in
+	// partition order — a sequential probe's match list at any worker
+	// count — for the one compaction pass that makes the output.
 	spans := e.rowSpans(l.count)
 	j := joinProbe{l: l, r: r, table: table, lkey: ji.lkey, rkey: ji.rkey, gather: ji.gather}
-	count := 0
-	var outCols []storage.ColData
+	parts := []probePart{{pairs: &e.pairs}}
 	if len(spans) == 1 {
-		pb := getPairBuf()
-		count = j.probe(pb, 0, l.count)
-		outCols = j.newOutCols(count)
-		j.gatherPairs(outCols, pb, 0)
-		putPairBuf(pb)
+		e.pairs.l, e.pairs.r = e.pairs.l[:0], e.pairs.r[:0]
+		parts[0].count = j.probe(&e.pairs, 0, l.count)
 	} else {
-		parts := make([]*pairBuf, len(spans))
-		counts := intsBuf(&e.cntBuf, len(spans))
+		parts = make([]probePart, len(spans))
 		runSpans(spans, func(p int, s span) {
-			parts[p] = getPairBuf()
-			counts[p] = j.probe(parts[p], s.lo, s.hi)
-		})
-		offs := intsBuf(&e.offBuf, len(spans))
-		for p, c := range counts {
-			offs[p] = count
-			count += c
-		}
-		outCols = j.newOutCols(count)
-		runSpans(spans, func(p int, _ span) {
-			j.gatherPairs(outCols, parts[p], offs[p])
-			putPairBuf(parts[p])
+			parts[p].pairs = getPairBuf()
+			parts[p].count = j.probe(parts[p].pairs, s.lo, s.hi)
 		})
 	}
-	sub := &subResult{sig: key, count: count, refs: st.Set.refs, cols: outCols}
+	sub := j.result(e.skelScratch, parts, key)
 	if e.mem.charge(subCharge(sub)) {
 		// The sub-result is fully computed and correct, so caching it
 		// would be sound — but the budget contract is "a breaching plan
@@ -1015,8 +912,9 @@ type joinProbe struct {
 // pairBuf is the match list of one probe: parallel (left row, right row)
 // id vectors, in left row order then bucket order. Row ids only — eight
 // bytes a match whatever the join carries, and nothing for the collector
-// to scan — and recycled through pairPool, so a probe's allocations do
-// not depend on how many rows matched.
+// to scan — and recycled (skelScratch.pairs; pairPool for the batch
+// engine's parts), so a probe's allocations do not depend on how many
+// rows matched.
 type pairBuf struct{ l, r []int32 }
 
 var pairPool = sync.Pool{New: func() any { return new(pairBuf) }}
@@ -1030,12 +928,13 @@ func getPairBuf() *pairBuf {
 func putPairBuf(pb *pairBuf) { pairPool.Put(pb) }
 
 // probe probes the hash table with left rows [lo, hi) and returns the
-// match count — the per-span body of the partitioned probe. Matches are
-// recorded in pb only when the join has output columns to gather; the
-// root of a skeleton carries none and is counted without a trace.
-func (j *joinProbe) probe(pb *pairBuf, lo, hi int) int {
-	record := len(j.gather) > 0
-	count := 0
+// number of matching physical pairs — the per-span body of the
+// partitioned probe. The pairs are recorded in pb for result to weigh and
+// compact, unless there is nothing to do with them: the root of a
+// skeleton carries no output column, and over unweighted inputs its
+// logical count is the match count.
+func (j *joinProbe) probe(pb *pairBuf, lo, hi int) (count int64) {
+	record := len(j.gather) > 0 || j.weighted()
 	if lv, rv, ok := j.intKeys(); ok {
 		head, next := j.table.head, j.table.next
 		for i, v := range lv[lo:hi] {
@@ -1076,6 +975,9 @@ func (j *joinProbe) probe(pb *pairBuf, lo, hi int) int {
 	return count
 }
 
+// weighted reports whether either input carries multiplicities.
+func (j *joinProbe) weighted() bool { return j.l.w != nil || j.r.w != nil }
+
 // intKeys returns both sides' key values when the join key is a single
 // NULL-free int64 column on each side — the foreign-key shape nearly
 // every join has — so the probe can hash and compare them inline instead
@@ -1090,35 +992,46 @@ func (j *joinProbe) intKeys() (l, r []int64, ok bool) {
 	return lc.Ints, rc.Ints, ok
 }
 
-// newOutCols allocates the join's output boundary columns at their
-// exact final length, each shaped like the child column it comes from.
-func (j *joinProbe) newOutCols(count int) []storage.ColData {
-	cols := make([]storage.ColData, len(j.gather))
-	for k, g := range j.gather {
-		cols[k] = j.src(g).NewLike(count)
-	}
-	return cols
+// probePart is one span's private probe output: the recorded match pairs,
+// if any, and their number.
+type probePart struct {
+	count int64
+	pairs *pairBuf
 }
 
-// src resolves a gather entry to its child column.
-func (j *joinProbe) src(g gatherSrc) *storage.ColData {
-	if g.left {
-		return &j.l.cols[g.idx]
-	}
-	return &j.r.cols[g.idx]
-}
-
-// gatherPairs fills rows [off, off+len(pairs)) of every output column
-// from the child column it comes from, through the recorded row ids —
-// one typed pass per column.
-func (j *joinProbe) gatherPairs(cols []storage.ColData, pb *pairBuf, off int) {
-	for k, g := range j.gather {
-		rows := pb.r
-		if g.left {
-			rows = pb.l
+// result makes the join's sub-result from a whole probe's parts, in span
+// order. The recorded pairs are the uncompressed output — each column read
+// from the child column it comes from through one side's row ids, each
+// pair weighing w_l * w_r — and compact groups them (the root's, without
+// columns, into the empty tuple); an unweighted root recorded none, and
+// is the empty tuple as many times as it matched.
+// Parts other than sc.pairs itself are concatenated into it and recycled.
+func (j *joinProbe) result(sc *skelScratch, parts []probePart, sig string) *subResult {
+	pb, matches := &sc.pairs, int64(0)
+	if len(parts) == 1 && parts[0].pairs == pb {
+		matches = parts[0].count
+	} else {
+		pb.l, pb.r = pb.l[:0], pb.r[:0]
+		for _, part := range parts {
+			pb.l, pb.r = append(pb.l, part.pairs.l...), append(pb.r, part.pairs.r...)
+			matches += part.count
+			putPairBuf(part.pairs)
 		}
-		cols[k].Gather(j.src(g), rows, 0, len(rows), off)
 	}
+	if len(j.gather) == 0 && !j.weighted() {
+		sub := &subResult{sig: sig, total: matches}
+		sub.w, sub.count = emptyTupleBag(matches)
+		return sub
+	}
+	sc.srcs = sc.srcs[:0]
+	for _, g := range j.gather {
+		if g.left {
+			sc.srcs = append(sc.srcs, colSrc{&j.l.cols[g.idx], pb.l})
+		} else {
+			sc.srcs = append(sc.srcs, colSrc{&j.r.cols[g.idx], pb.r})
+		}
+	}
+	return newSub(sc, sig, sc.srcs, len(pb.l), bagWeights{j.l.w, j.r.w, pb.l, pb.r})
 }
 
 // hashKeyAt hashes row i's key columns straight from their typed slices

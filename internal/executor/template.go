@@ -305,44 +305,38 @@ func refineTemplate(tm scanTemplate, filters []sql.Selection, fcols []storage.Co
 	return bm.AppendIndices(make([]int32, 0, count), 0, n)
 }
 
-// gatherFilterColsAt materializes the template's filter columns at a
-// selection — the payload a template-index entry needs so contained
-// instances can re-evaluate their conjuncts without the sample.
-func gatherFilterColsAt(cs *storage.ColStore, fpos []int, sel []int32) []storage.ColData {
-	fcols := newColsLike(cs, fpos, len(sel))
-	gatherColsOff(cs, fpos, fcols, sel, 0, len(sel), 0)
-	return withNullWords(fcols)
-}
-
-// withNullWords completes gathered filter columns into columns filters
-// compile against: appendFilterPasses masks NULLs through NullWords,
-// which the (possibly partitioned) gather leaves unbuilt.
-func withNullWords(fcols []storage.ColData) []storage.ColData {
-	for j := range fcols {
-		fcols[j].BuildNullWords()
+// gatherColsAt materializes the store's columns at positions poss for a
+// selection, uncompressed and row-aligned — the payload a template-index
+// entry needs so contained instances can re-evaluate their conjuncts and
+// re-gather their boundary columns without the sample. NullWords are
+// built: appendFilterPasses masks NULLs through them.
+func gatherColsAt(cs *storage.ColStore, poss []int, sel []int32) []storage.ColData {
+	cols := make([]storage.ColData, len(poss))
+	for k, pos := range poss {
+		cols[k] = cs.Col(pos).NewLike(len(sel))
+		cols[k].Gather(cs.Col(pos), sel, 0, len(sel), 0)
+		cols[k].BuildNullWords()
 	}
-	return fcols
+	return cols
 }
 
 // refineCachedTemplate derives the sub-result for one template instance
 // from a cached containing instance: positions of the instance's rows
 // within the cached selection (refineTemplate over the entry's gathered
-// filter columns), then the boundary columns gathered from the cached
-// sub-result at those positions. Returns nil when the entry does not
-// contain the instance. The result is byte-identical to a fresh scan:
-// the cached selection is ascending and a superset, so the surviving
-// positions enumerate exactly the instance's rows in row order, and
-// every output cell is the same typed value the fresh gather would read.
-func refineCachedTemplate(tc *tmplCached, tm scanTemplate, filters []sql.Selection, sig string, refs []sql.ColRef) *subResult {
+// filter columns), then the entry's boundary columns at those positions,
+// compacted. Returns nil when the entry does not contain the instance.
+// The result is byte-identical to a fresh scan: the cached selection is
+// ascending and a superset, so the surviving positions enumerate exactly
+// the instance's rows in row order, every cell read is the typed value
+// the fresh scan reads, and compact is a function of that row sequence.
+func refineCachedTemplate(sc *skelScratch, tc *tmplCached, tm scanTemplate, filters []sql.Selection, sig string) *subResult {
 	if !containsConsts(tm.ops, tc.consts, tm.consts) {
 		return nil
 	}
-	pos := refineTemplate(tm, filters, tc.fcols, tc.sub.count)
-	cols := make([]storage.ColData, len(tc.sub.cols))
-	for k := range cols {
-		src := &tc.sub.cols[k]
-		cols[k] = src.NewLike(len(pos))
-		cols[k].Gather(src, pos, 0, len(pos), 0)
+	pos := refineTemplate(tm, filters, tc.fcols, tc.n)
+	srcs := make([]colSrc, len(tc.bcols))
+	for k := range srcs {
+		srcs[k] = colSrc{&tc.bcols[k], pos}
 	}
-	return &subResult{sig: sig, count: len(pos), refs: refs, cols: cols}
+	return newSub(sc, sig, srcs, len(pos), bagWeights{})
 }

@@ -112,7 +112,7 @@ func TestTemplateIndexCollision(t *testing.T) {
 	cache := NewSkeletonCache()
 	sub := &subResult{sig: "k", count: 1}
 	cache.putSub("k", sub)
-	cache.putTemplate("k", tm, sub, nil)
+	cache.putTemplate("k", tm, 1, nil, nil)
 	if _, hit := cache.getTemplate(tm); !hit {
 		t.Fatal("exact template must hit its own entry")
 	}

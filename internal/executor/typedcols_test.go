@@ -245,11 +245,12 @@ func TestTypedColumnEdgeCases(t *testing.T) {
 }
 
 // TestProbeAllocsIndependentOfMatchCount: a join probe records row-id
-// pairs in scratch and then sizes each output column once, so what it
-// allocates is a function of the number of output columns, not of how
-// many rows matched: 10^3 and 10^5 matches cost the same few
-// allocations. (Appending cells to growing output vectors, the layout
-// this replaced, cost a reallocation per doubling per column.)
+// pairs in scratch, groups them in scratch and then sizes each output
+// column once, so what it allocates is a function of the number of
+// output columns, not of how many rows matched: 10^3 and 10^5 matches
+// cost the same few allocations. (Appending cells to growing output
+// vectors, the layout this replaced, cost a reallocation per doubling per
+// column.)
 func TestProbeAllocsIndependentOfMatchCount(t *testing.T) {
 	intCol := func(n int, val func(i int) int64) storage.ColData {
 		c := storage.ColData{Kind: rel.KindInt, Ints: make([]int64, n)}
@@ -258,7 +259,7 @@ func TestProbeAllocsIndependentOfMatchCount(t *testing.T) {
 		}
 		return c
 	}
-	probeAllocs := func(matchesPerRow int) (allocs float64, matches int) {
+	probeAllocs := func(matchesPerRow int) (allocs float64, matches int64) {
 		const leftRows = 1000
 		l := &subResult{count: leftRows, cols: []storage.ColData{
 			intCol(leftRows, func(int) int64 { return 7 }),
@@ -270,11 +271,10 @@ func TestProbeAllocsIndependentOfMatchCount(t *testing.T) {
 		j := joinProbe{l: l, r: r, lkey: []int{0}, rkey: []int{0},
 			table:  buildHashTable(r, []int{0}),
 			gather: []gatherSrc{{left: true, idx: 1}, {left: false, idx: 0}}}
-		pb := new(pairBuf)
+		pb, sc := new(pairBuf), new(skelScratch)
 		allocs = testing.AllocsPerRun(5, func() {
 			pb.l, pb.r = pb.l[:0], pb.r[:0]
-			matches = j.probe(pb, 0, l.count)
-			j.gatherPairs(j.newOutCols(matches), pb, 0)
+			matches = j.result(sc, []probePart{{pairs: pb, count: j.probe(pb, 0, l.count)}}, "").total
 		})
 		return allocs, matches
 	}
@@ -286,7 +286,7 @@ func TestProbeAllocsIndependentOfMatchCount(t *testing.T) {
 	if large > small+2 {
 		t.Errorf("probe allocations grow with the match count: %.0f at 10^3 matches, %.0f at 10^5", small, large)
 	}
-	if small > 4 {
-		t.Errorf("a two-column probe costs %.0f allocations, want the column slice and one typed slice per column", small)
+	if small > 5 {
+		t.Errorf("a two-column probe costs %.0f allocations, want the sub-result, its column slice, one typed slice per column and the weights", small)
 	}
 }

@@ -12,17 +12,13 @@ import "math"
 // needs an Equal check to reject collisions, never a re-hash.
 //
 // Caveat: the agreement holds on the float64-exact integer domain
-// (|v| < 2^53) and for non-NaN floats. Beyond 2^53, Equal itself is
-// lossy — it compares through float64, making equality non-transitive
-// (Int(2^53) "equals" both Int(2^53+1) and Float(2^53) which are
-// unequal) — so no hash can be consistent with it there; and cmpFloat
-// makes Equal(Float(NaN), x) true for every numeric x, which likewise
-// admits no consistent hash, so NaN hashes by its bit pattern. In both
-// cases hashed operators may miss matches that Equal would accept —
-// exactly as the previous String()-keyed hash join did ("NaN" and large
-// numbers rendered distinctly), so join behavior is unchanged from the
-// seed; only nested-loop joins, which probe with Equal directly, ever
-// disagreed, and they disagreed before too.
+// (|v| < 2^53). Beyond 2^53, Equal itself is lossy across kinds — it
+// compares through float64, making equality non-transitive (Int(2^53)
+// "equals" both Int(2^53+1) and Float(2^53) which are unequal) — so no
+// hash can be consistent with it there, and hashed operators may miss
+// matches a nested-loop join, which probes with Equal directly, accepts.
+// NaN is inside the agreement: every NaN equals every NaN (cmpFloat) and
+// all of them hash as one bit pattern (floatBits).
 
 const (
 	// HashSeed is the FNV-1a offset basis; start every row hash here.
@@ -66,7 +62,16 @@ func HashFloat64(h uint64, f float64) uint64 {
 	if i := int64(f); float64(i) == f {
 		return HashInt64(h, i)
 	}
-	return mixUint64(fnvByte(h, tagFloat), math.Float64bits(f))
+	return mixUint64(fnvByte(h, tagFloat), floatBits(f))
+}
+
+// floatBits is Float64bits with every NaN payload folded into one, as
+// Equal folds them.
+func floatBits(f float64) uint64 {
+	if f != f {
+		f = math.NaN()
+	}
+	return math.Float64bits(f)
 }
 
 // HashString folds a string payload into h.

@@ -10,7 +10,6 @@ package rel
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 )
 
@@ -186,11 +185,20 @@ func (v Value) compareNonNull(o Value) int {
 
 func isNumeric(k Kind) bool { return k == KindInt || k == KindFloat }
 
+// cmpFloat orders floats by PostgreSQL's rule: NaN equals NaN and sorts
+// after every number (so Compare is an order and Equal an equivalence);
+// -0.0 equals 0.0.
 func cmpFloat(a, b float64) int {
 	switch {
 	case a < b:
 		return -1
 	case a > b:
+		return 1
+	case a == b:
+		return 0
+	case a == a: // only b is NaN
+		return -1
+	case b == b: // only a is NaN
 		return 1
 	default:
 		return 0
@@ -212,7 +220,7 @@ func (v Value) Key() ValueKey {
 		if f := v.f; f == float64(int64(f)) {
 			return ValueKey{kind: KindInt, num: int64(f)}
 		}
-		return ValueKey{kind: KindFloat, num: int64(math.Float64bits(v.f))}
+		return ValueKey{kind: KindFloat, num: int64(floatBits(v.f))}
 	case KindString:
 		return ValueKey{kind: KindString, str: v.s}
 	default:

@@ -149,3 +149,25 @@ func TestFloatIntKeyBoundary(t *testing.T) {
 		t.Error("fractional float collides with int key")
 	}
 }
+
+// TestNaNIsOrderedAndHashed: one rule for NaN (PostgreSQL's) — it equals
+// NaN whatever the payload, nothing else, and sorts after every number —
+// so Equal is an equivalence, Compare an order, and Hash64 / Key agree
+// with Equal on it. -0.0 still equals 0.0.
+func TestNaNIsOrderedAndHashed(t *testing.T) {
+	nan, nan2 := Float(math.NaN()), Float(math.Float64frombits(math.Float64bits(math.NaN())^1))
+	if !nan.Equal(nan2) || nan.Compare(nan2) != 0 || nan.Hash64(HashSeed) != nan2.Hash64(HashSeed) || nan.Key() != nan2.Key() {
+		t.Error("two NaN payloads must be equal, hash alike and share a key")
+	}
+	for _, v := range []Value{Float(1.5), Float(math.Inf(1)), Float(math.Inf(-1)), Int(7), Int(math.MaxInt64)} {
+		if nan.Equal(v) || v.Equal(nan) {
+			t.Errorf("NaN must not equal %v", v)
+		}
+		if nan.Compare(v) != 1 || v.Compare(nan) != -1 {
+			t.Errorf("NaN must sort after %v: %d / %d", v, nan.Compare(v), v.Compare(nan))
+		}
+	}
+	if z, nz := Float(0), Float(math.Copysign(0, -1)); !z.Equal(nz) || z.Hash64(HashSeed) != nz.Hash64(HashSeed) {
+		t.Error("-0.0 must equal 0.0 and hash alike")
+	}
+}

@@ -105,6 +105,16 @@ func (c *WorkloadCache) TemplateStats() (hits, misses int64) {
 	return c.skel.TemplateStats()
 }
 
+// RowStats reports the sample rows the cache's sub-results have counted
+// and the physical rows materialized to hold them; their ratio is what
+// weight compression saves (diagnostics).
+func (c *WorkloadCache) RowStats() (counted, materialized int64) {
+	if c == nil {
+		return 0, 0
+	}
+	return c.skel.RowStats()
+}
+
 // Values returns the total materialized boundary-column values retained
 // — the quantity NewWorkloadCacheBudget's value budget bounds
 // (diagnostics).

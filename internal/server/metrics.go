@@ -84,6 +84,16 @@ func (m *metrics) writeTo(w io.Writer, s *Server) {
 		fmt.Fprintf(w, "reoptd_validation_cache_misses_total{tenant=%q} %d\n", name, misses)
 	}
 
+	fmt.Fprintln(w, "# HELP reoptd_validation_rows_counted_total Sample rows counted by the sub-results validations stored, per tenant.")
+	fmt.Fprintln(w, "# TYPE reoptd_validation_rows_counted_total counter")
+	fmt.Fprintln(w, "# HELP reoptd_validation_rows_materialized_total Physical rows those sub-results were materialized in (counted / materialized = weight compression), per tenant.")
+	fmt.Fprintln(w, "# TYPE reoptd_validation_rows_materialized_total counter")
+	for _, name := range names {
+		counted, materialized := s.tenants[name].sess.RowStats()
+		fmt.Fprintf(w, "reoptd_validation_rows_counted_total{tenant=%q} %d\n", name, counted)
+		fmt.Fprintf(w, "reoptd_validation_rows_materialized_total{tenant=%q} %d\n", name, materialized)
+	}
+
 	fmt.Fprintln(w, "# HELP reoptd_scheduler_waves_total Shared-scan validation waves flushed, per tenant.")
 	fmt.Fprintln(w, "# TYPE reoptd_scheduler_waves_total counter")
 	fmt.Fprintln(w, "# HELP reoptd_scheduler_requests_total Validation requests coalesced into waves, per tenant.")

@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -300,7 +301,7 @@ func TestOverloadShedsWith429(t *testing.T) {
 func TestHealthAndMetrics(t *testing.T) {
 	cat := ottCatalog(t)
 	sql, _ := ottQueries(t, cat, 3, 1, 7)
-	_, ts := newTestServer(t, cat, server.Config{Default: &server.Quota{}})
+	_, ts := newTestServer(t, cat, server.Config{Default: &server.Quota{CacheEntries: -1}})
 	c := reoptclient.New(ts.URL, reoptclient.WithRetries(0))
 	if _, err := c.Reoptimize(context.Background(), &reoptclient.ReoptimizeRequest{SQL: sql[0]}); err != nil {
 		t.Fatal(err)
@@ -334,5 +335,15 @@ func TestHealthAndMetrics(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, body)
 		}
+	}
+	// An OTT selection keeps one join-key value per table, so the
+	// validation counted more sample rows than it materialized.
+	var counted, materialized int64
+	for _, line := range strings.Split(body, "\n") {
+		fmt.Sscanf(line, `reoptd_validation_rows_counted_total{tenant="default"} %d`, &counted)
+		fmt.Sscanf(line, `reoptd_validation_rows_materialized_total{tenant="default"} %d`, &materialized)
+	}
+	if materialized <= 0 || counted <= materialized {
+		t.Errorf("validation counted %d rows in %d materialized; want 0 < materialized < counted", counted, materialized)
 	}
 }

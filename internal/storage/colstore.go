@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"math"
+
 	"reopt/internal/rel"
 	"reopt/internal/vec"
 )
@@ -175,12 +177,42 @@ func (c *ColData) EqualAt(i int, o *ColData, j int) bool {
 			return c.Ints[i] == o.Ints[j]
 		case rel.KindFloat:
 			a, b := c.Floats[i], o.Floats[j]
-			return !(a < b) && !(a > b) // Equal's float semantics: NaN equals all
+			return a == b || a != a && b != b // Equal's float semantics: NaN equals NaN only
 		case rel.KindString:
 			return c.Strs[i] == o.Strs[j]
 		}
 	}
 	return c.Value(i).Equal(o.Value(j))
+}
+
+// IdentHashAt folds row i's *representation* into h: a NULL as itself, a
+// float by bit pattern (-0.0 and 0.0, and NaN payloads, apart) — finer
+// than HashAt, which follows Value.Equal. Not for mixed-kind columns.
+func (c *ColData) IdentHashAt(h uint64, i int) uint64 {
+	switch {
+	case c.Nulls != nil && c.Nulls[i]:
+		return rel.HashInt64(h^1, 0)
+	case c.Kind == rel.KindFloat:
+		return rel.HashInt64(h, int64(math.Float64bits(c.Floats[i])))
+	case c.Kind == rel.KindString:
+		return rel.HashString(h, c.Strs[i])
+	}
+	return rel.HashInt64(h, c.Ints[i])
+}
+
+// IdentAt reports whether rows i and j of the column hold the identical
+// representation (the equality IdentHashAt hashes for): NULL with NULL,
+// floats by bit pattern. Not for mixed-kind columns.
+func (c *ColData) IdentAt(i, j int) bool {
+	switch ni, nj := c.IsNull(i), c.IsNull(j); {
+	case ni || nj:
+		return ni == nj
+	case c.Kind == rel.KindFloat:
+		return math.Float64bits(c.Floats[i]) == math.Float64bits(c.Floats[j])
+	case c.Kind == rel.KindString:
+		return c.Strs[i] == c.Strs[j]
+	}
+	return c.Ints[i] == c.Ints[j]
 }
 
 // NumRows returns the row count.

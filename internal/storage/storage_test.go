@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -242,5 +243,35 @@ func TestIndexHeightAndLeafPages(t *testing.T) {
 	}
 	if h := idx.Height(); h < 2 || h > 4 {
 		t.Errorf("height: %d", h)
+	}
+}
+
+// TestIdentAtIsFinerThanEqualAt: representation identity (what the
+// skeleton groups rows by) tells apart what EqualAt joins — the two
+// zeros, two NaN payloads — never the reverse, matches NULL with NULL,
+// and IdentHashAt agrees with it.
+func TestIdentAtIsFinerThanEqualAt(t *testing.T) {
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	c := &ColData{Kind: rel.KindFloat,
+		Floats: []float64{0, math.Copysign(0, -1), math.NaN(), nan2, math.NaN(), 1.5, 1.5, 0, 0},
+		Nulls:  []bool{false, false, false, false, false, false, false, true, true}}
+	for i := range c.Floats {
+		for j := range c.Floats {
+			ident := c.IdentAt(i, j)
+			if ident != (c.IdentHashAt(rel.HashSeed, i) == c.IdentHashAt(rel.HashSeed, j)) {
+				t.Errorf("rows %d, %d: IdentAt %v disagrees with IdentHashAt", i, j, ident)
+			}
+			if ident && !c.IsNull(i) && !c.EqualAt(i, c, j) {
+				t.Errorf("rows %d, %d are identical but not Equal", i, j)
+			}
+		}
+	}
+	for _, pair := range [][2]int{{0, 1}, {2, 3}} {
+		if !c.EqualAt(pair[0], c, pair[1]) || c.IdentAt(pair[0], pair[1]) {
+			t.Errorf("rows %v must be Equal yet not identical", pair)
+		}
+	}
+	if !c.IdentAt(2, 4) || !c.IdentAt(5, 6) || !c.IdentAt(7, 8) || c.IdentAt(0, 7) {
+		t.Error("same NaN payload, same number and NULL with NULL are identical; 0 and NULL are not")
 	}
 }

@@ -192,7 +192,7 @@ func Float64Cmp[T int64 | float64](dst *Bitmap, vals []T, op CmpOp, c float64, l
 		l = math.Inf(-1)
 	}
 	if b.hiOpen {
-		h = math.Inf(1)
+		h = math.NaN() // the greatest float in Compare's order
 	}
 	Float64Range(dst, vals, l, h, lo, hi)
 	if b.not {
@@ -201,17 +201,31 @@ func Float64Cmp[T int64 | float64](dst *Bitmap, vals []T, op CmpOp, c float64, l
 }
 
 // Float64Range evaluates lo64 <= float64(vals[i]) <= hi64 (BETWEEN) for
-// rows [lo, hi). Membership is written as the negation of < and > so it
-// follows rel.Value.Compare exactly, including its NaN behaviour (a NaN
-// on either side compares "equal": a NaN row is inside every range, and
-// every row is inside a range with a NaN bound).
+// rows [lo, hi) in rel.Value.Compare's order, where NaN equals NaN and
+// sorts after every number: !(v < lo64) admits a NaN row above any
+// numeric bound and v <= hi64 rejects it below one; a NaN upper bound —
+// how Float64Cmp opens the top — admits every row, and a NaN lower bound
+// leaves only the NaN rows. One loop per case, chosen per word.
 func Float64Range[T int64 | float64](dst *Bitmap, vals []T, lo64, hi64 float64, lo, hi int) {
+	loNaN, hiNaN := lo64 != lo64, hi64 != hi64
 	for base := lo; base < hi; base += WordBits {
 		var word uint64
 		chunk := vals[base:min(base+WordBits, hi)]
-		for i := len(chunk) - 1; i >= 0; i-- {
-			v := float64(chunk[i])
-			word = word<<1 + b2u(!(v < lo64))&b2u(!(v > hi64))
+		switch {
+		case loNaN:
+			for i := len(chunk) - 1; i >= 0; i-- {
+				v := float64(chunk[i])
+				word = word<<1 + b2u(v != v)&b2u(hiNaN)
+			}
+		case hiNaN:
+			for i := len(chunk) - 1; i >= 0; i-- {
+				word = word<<1 + b2u(!(float64(chunk[i]) < lo64))
+			}
+		default:
+			for i := len(chunk) - 1; i >= 0; i-- {
+				v := float64(chunk[i])
+				word = word<<1 + b2u(!(v < lo64))&b2u(v <= hi64)
+			}
 		}
 		dst.words[base/WordBits] = word
 	}

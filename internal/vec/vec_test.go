@@ -78,18 +78,24 @@ func TestAndAndNotNulls(t *testing.T) {
 	}
 }
 
-// TestFloatKernelsFollowCompareSemantics: the float kernels are written
-// as negations of < and > so NaN behaves like rel.Value.Compare (NaN
-// "equals" everything): Eq must admit NaN rows, Ne must reject them.
+// TestFloatKernelsFollowCompareSemantics: the float kernels order NaN as
+// rel.Value.Compare does — equal to NaN only and after every number — on
+// either side of the comparison.
 func TestFloatKernelsFollowCompareSemantics(t *testing.T) {
 	vals := []float64{1, math.NaN(), 2, 1}
 	bm := NewBitmap(len(vals))
-	Float64Cmp(bm, vals, Eq, 1, 0, len(vals))
-	if got := bm.Count(0, len(vals)); got != 3 {
-		t.Errorf("Eq 1 over {1, NaN, 2, 1} = %d rows, want 3 (NaN compares equal)", got)
-	}
-	Float64Cmp(bm, vals, Ne, 1, 0, len(vals))
-	if got := bm.Count(0, len(vals)); got != 1 {
-		t.Errorf("Ne 1 = %d rows, want 1", got)
+	for _, c := range []struct {
+		op   CmpOp
+		c    float64
+		want int
+	}{
+		{Eq, 1, 2}, {Ne, 1, 2}, {Gt, 1, 2}, {Ge, 2, 2}, {Lt, 2, 2}, {Le, 2, 3},
+		{Eq, math.NaN(), 1}, {Ne, math.NaN(), 3}, {Ge, math.NaN(), 1}, {Gt, math.NaN(), 0},
+		{Le, math.NaN(), 4}, {Lt, math.NaN(), 3},
+	} {
+		Float64Cmp(bm, vals, c.op, c.c, 0, len(vals))
+		if got := bm.Count(0, len(vals)); got != c.want {
+			t.Errorf("op %d against %v over {1, NaN, 2, 1} = %d rows, want %d", c.op, c.c, got, c.want)
+		}
 	}
 }

@@ -311,6 +311,11 @@ func (s *Session) CacheStats() (hits, misses int64) { return s.cache.Stats() }
 // cache).
 func (s *Session) TemplateStats() (hits, misses int64) { return s.cache.TemplateStats() }
 
+// RowStats reports the sample rows the shared cache's sub-results have
+// counted and the physical rows materialized to hold them (zeros without
+// a cache).
+func (s *Session) RowStats() (counted, materialized int64) { return s.cache.RowStats() }
+
 // SchedulerStats reports what the session's workload validation
 // scheduler has coalesced (zeros when WithWorkloadScheduler is off).
 func (s *Session) SchedulerStats() SchedulerStats {
