@@ -31,9 +31,10 @@ build:
 test:
 	$(GO) test ./...
 
-# race runs the suite under the race detector — the gate for the
-# partitioned-parallel skeleton engine (workers share bitmaps by
-# disjoint word ranges; the detector proves the disjointness claims).
+# race runs the suite under the race detector — the gate for what
+# concurrent requests share: the validation caches, the scheduler, the
+# admission gate and the lazily built sample indexes. (A validation
+# itself runs on one goroutine and shares nothing while it runs.)
 race:
 	$(GO) test -race ./...
 
@@ -67,7 +68,7 @@ lint: vet
 chaos: vet
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/faultinject
 	GOMAXPROCS=2 $(GO) test -race -count=1 \
-		-run 'TestChaos|TestPanic|TestMemoryBudget|TestMemBudget|TestRunSpans' \
+		-run 'TestChaos|TestPanic|TestMemoryBudget|TestMemBudget' \
 		. ./internal/executor ./internal/core ./internal/server
 
 # serve-smoke builds cmd/reoptd and drives a real daemon process across

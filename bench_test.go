@@ -246,10 +246,10 @@ func BenchmarkSamplingEstimatePlan(b *testing.B) {
 	}
 }
 
-// BenchmarkSamplingEstimatePlanWorkers1 is the same hot path pinned to
-// one worker: the vectorized kernels without the parallel fan-out. Its
-// allocs/op is the number to hold flat across PRs (goroutine fan-out
-// legitimately costs a few allocations; sequential execution must not).
+// BenchmarkSamplingEstimatePlanWorkers1 is the same hot path through
+// Session.Validate with the deprecated WithWorkers(1). It used to be the
+// sequential rung beside a fanned-out default; both now run the one
+// engine, and the name stays so the series in BENCH_*.json continues.
 func BenchmarkSamplingEstimatePlanWorkers1(b *testing.B) {
 	cat, err := reopt.GenerateOTT(reopt.OTTConfig{Seed: 1, RowsPerValue: 20})
 	if err != nil {
@@ -266,10 +266,15 @@ func BenchmarkSamplingEstimatePlanWorkers1(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	s, err := reopt.Open(cat, reopt.WithWorkers(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reopt.EstimateBySamplingWorkers(p, cat, 1); err != nil {
+		if _, err := s.Validate(ctx, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -331,12 +336,11 @@ func benchParallelisms() []int {
 }
 
 // BenchmarkReoptimizeMultiSeed times the §7 multi-seed variant (4
-// seeded runs of Algorithm 1), whose round-1 candidates validate as one
-// shared-scan batch: subtrees shared between the seeds execute once and
-// the combined work partitions across the validation workers. At
-// workers=1 the batch degenerates to the sequential seed loop's work,
-// so the sub-benchmarks expose the batching win directly on multi-core
-// hosts (a 1-core host shows parity).
+// seeded runs of Algorithm 1), whose round-1 candidates validate in one
+// call through one cache: subtrees shared between the seeds execute
+// once. The workers axis sets the deprecated Options.Workers, which
+// selects nothing; the rungs stay so the series continues and must read
+// the same.
 func BenchmarkReoptimizeMultiSeed(b *testing.B) {
 	cat, err := reopt.GenerateOTT(reopt.OTTConfig{Seed: 1, RowsPerValue: 20})
 	if err != nil {
@@ -568,14 +572,14 @@ func BenchmarkTemplateWorkload(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedValidation measures the sample-sharding fan-out on a
-// 4x-larger sample than BenchmarkSamplingEstimatePlan's — the shape the
-// knob targets: a single validation whose monolithic scan is too coarse
-// to spread across workers. shards=1 is the monolithic baseline;
-// shards=2/4 split every scan and hash build into mergeable per-shard
-// tasks, so at workers >= 2 the same validation's work genuinely
-// overlaps (at workers=1 sharding must track the monolithic run within
-// merge overhead — results are byte-identical in every cell).
+// BenchmarkShardedValidation measures sample sharding on a 4x-larger
+// sample than BenchmarkSamplingEstimatePlan's. shards=1 is the
+// monolithic baseline; shards=2/4 evaluate every scan shard by shard on
+// the calling goroutine, and must track the monolithic run within the
+// concatenation overhead. The workers axis sets the deprecated
+// WithWorkers, which selects nothing: the rungs stay so the series
+// continues and must read the same. Results are byte-identical in every
+// cell.
 func BenchmarkShardedValidation(b *testing.B) {
 	cat, err := reopt.GenerateOTT(reopt.OTTConfig{Seed: 1, RowsPerValue: 80})
 	if err != nil {

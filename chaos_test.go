@@ -83,8 +83,8 @@ func blockAtEstimate(fi *faultinject.Set, started, gate chan struct{}) {
 	}})
 }
 
-// TestChaosPanicIsolatedInSchedulerWave: a panic injected into a work
-// unit unique to one query of a shared scheduler wave must fail exactly
+// TestChaosPanicIsolatedInSchedulerWave: a panic injected into a subtree
+// unique to one query of a shared scheduler wave must fail exactly
 // that query with ErrValidationPanic, leave every co-scheduled query's
 // result byte-identical to an uninjected run, keep the shared cache
 // clean, and leave the Session fully reusable — with no goroutine
@@ -111,8 +111,7 @@ func TestChaosPanicIsolatedInSchedulerWave(t *testing.T) {
 	bad, tag := uniqueSelection(t, qs)
 	chaos := open()
 	var fi faultinject.Set
-	fi.PanicAt(faultinject.ScanUnit, tag)
-	fi.PanicAt(faultinject.SkelNode, tag) // single-plan engine path, in case the batch fast path is off
+	fi.PanicAt(faultinject.SkelNode, tag)
 	restore := fi.Activate()
 	res, werr := chaos.ReoptimizeWorkload(ctx, qs, 3)
 	restore()

@@ -9,7 +9,7 @@
 //	reopt -db tpch -z 1 -query 9       # TPC-H template Q9 on the skewed DB
 //	reopt -db ott                       # a generated 5-table OTT query
 //	reopt -db ott -timeout 20ms         # budget the whole re-optimization
-//	reopt -db ott -shards 4 -workers 4  # shard each sample across workers
+//	reopt -db ott -shards 4             # evaluate each sample scan in 4 shards
 //	reopt -db ott -membudget 67108864   # cap values materialized per validation
 //	reopt -db ott -maxinflight 2 -queuedepth 4  # bound concurrent session calls
 package main
@@ -32,7 +32,7 @@ func main() {
 		sqlText = flag.String("sql", "", "SQL query (SPJ dialect); empty picks a demo query")
 		queryID = flag.Int("query", 0, "TPC-H template number (with -db tpch)")
 		analyze = flag.Bool("analyze", false, "print EXPLAIN ANALYZE (estimated vs actual rows)")
-		workers = flag.Int("workers", 0, "validation parallelism (0 = GOMAXPROCS, 1 = sequential)")
+		_       = flag.Int("workers", 0, "Deprecated: no longer selects anything (a validation runs on one goroutine); accepted so existing command lines keep working")
 		shards  = flag.Int("shards", 0, "sample shards per table for validation (<= 1 = monolithic); results are byte-identical at every setting")
 		cache   = flag.Int("cache", 0, "workload validation-cache budget in subtree entries (0 = off)")
 		timeout = flag.Duration("timeout", 0, "re-optimization time budget (0 = none); returns best-so-far on expiry")
@@ -43,13 +43,13 @@ func main() {
 		templates   = flag.Bool("templates", false, "share validation scans between query instances of the same template (constants stripped); results are byte-identical at either setting")
 	)
 	flag.Parse()
-	if err := run(*db, *z, *seed, *sqlText, *queryID, *analyze, *workers, *shards, *cache, *timeout, *maxInFlight, *queueDepth, *memBudget, *templates); err != nil {
+	if err := run(*db, *z, *seed, *sqlText, *queryID, *analyze, *shards, *cache, *timeout, *maxInFlight, *queueDepth, *memBudget, *templates); err != nil {
 		fmt.Fprintln(os.Stderr, "reopt:", err)
 		os.Exit(1)
 	}
 }
 
-func run(db string, z float64, seed int64, sqlText string, queryID int, analyze bool, workers, shards, cacheEntries int, timeout time.Duration, maxInFlight, queueDepth int, memBudget int64, templates bool) error {
+func run(db string, z float64, seed int64, sqlText string, queryID int, analyze bool, shards, cacheEntries int, timeout time.Duration, maxInFlight, queueDepth int, memBudget int64, templates bool) error {
 	ctx := context.Background()
 	var cat *reopt.Catalog
 	var err error
@@ -70,11 +70,11 @@ func run(db string, z float64, seed int64, sqlText string, queryID int, analyze 
 		return err
 	}
 
-	// One Session owns the optimizer, the validation worker budget, and
-	// (when -cache is set) the cross-query validation cache. A longer
+	// One Session owns the optimizer and (when -cache is set) the
+	// cross-query validation cache. A longer
 	// session — e.g. a script driving many queries — would reuse counts
 	// between re-optimizations through that cache.
-	opts := []reopt.SessionOption{reopt.WithWorkers(workers)}
+	var opts []reopt.SessionOption
 	if shards > 1 {
 		opts = append(opts, reopt.WithSampleShards(shards))
 	}

@@ -10,16 +10,14 @@ import (
 	"reopt"
 )
 
-// WithSampleShards splits each table's sample into contiguous shards so
-// one validation's scans and hash builds fan out across the session's
-// workers. The partial results merge deterministically — counts sum,
-// materialized columns concatenate in shard order — so estimates and
-// the final plan are byte-identical at every shard count; only the
-// wall-clock partitioning changes.
+// WithSampleShards splits each table's sample into contiguous shards
+// that a validation's scans evaluate one after another. The shards'
+// selections concatenate in shard order into the monolithic one, so
+// estimates and the final plan are byte-identical at every shard count.
 func ExampleWithSampleShards() {
 	ctx := context.Background()
 	mono, q := exampleSession(reopt.WithSampleShards(1))
-	sharded, _ := exampleSession(reopt.WithSampleShards(4), reopt.WithWorkers(2))
+	sharded, _ := exampleSession(reopt.WithSampleShards(4))
 
 	a, err := mono.Reoptimize(ctx, q)
 	if err != nil {

@@ -11,10 +11,9 @@ import (
 )
 
 // WithTemplateSharing targets the dominant production shape: a few
-// query templates instantiated with many constants. Instances of one
-// template share a single sample scan (the loosest selection, refined
-// per constant), and the session's cache indexes scans by template so a
-// narrower constant refines a cached wider one instead of rescanning.
+// query templates instantiated with many constants. The session's cache
+// indexes sample scans by template, so a narrower constant refines a
+// cached wider one's rows instead of rescanning the sample.
 // Estimates and final plans are byte-identical to the unshared path;
 // only the work to compute them shrinks.
 func ExampleWithTemplateSharing() {
@@ -34,12 +33,12 @@ func ExampleWithTemplateSharing() {
 		queries = append(queries, q)
 	}
 
-	solo, err := reopt.Open(cat, reopt.WithWorkers(2))
+	solo, err := reopt.Open(cat)
 	if err != nil {
 		panic(err)
 	}
 	shared, err := reopt.Open(cat,
-		reopt.WithWorkers(2), reopt.WithSharedCache(256), reopt.WithTemplateSharing())
+		reopt.WithSharedCache(256), reopt.WithTemplateSharing())
 	if err != nil {
 		panic(err)
 	}

@@ -2,9 +2,9 @@
 // contract: in the engine and serving packages, every goroutine
 // launched with `go` must either install a recover() at its own
 // boundary or delegate its work to a contained runner (a function in
-// the same package whose body begins with a recover defer, like
-// executor.runSpans workers delegating to workUnit.exec). Without
-// this, one panicking span worker crashes the whole process instead
+// the same package whose body begins with a recover defer, like the
+// scheduler's wave goroutines running Scheduler.run). Without
+// this, one panicking worker goroutine crashes the whole process instead
 // of failing one validation — the regression class PR 6 closed by
 // hand and this analyzer keeps closed.
 package goroutinerecover
@@ -128,8 +128,8 @@ func goStmtContained(pass *analysis.Pass, g *ast.GoStmt, contained map[*types.Fu
 	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
 		// go func() { ... }(): contained iff the literal installs its
 		// own recover defer, or delegates — any call in the body to a
-		// contained runner counts, which accepts the runPool worker
-		// shape (a claim loop around workUnit.exec) without blessing
+		// contained runner counts, which accepts the pool worker
+		// shape (a claim loop around a contained unit runner) without blessing
 		// bodies that do raw work before delegating; the fixture pins
 		// the accepted shapes.
 		if hasTopLevelRecoverDefer(pass, lit.Body) {

@@ -55,7 +55,7 @@ func spawnNamedDeferRecover() {
 	}()
 }
 
-// The runPool worker shape: a claim loop delegating every unit of
+// The pool worker shape: a claim loop delegating every unit of
 // real work to a contained runner.
 func spawnDelegating(units []unit) {
 	var wg sync.WaitGroup

@@ -101,22 +101,22 @@ func TestWorkloadCacheReoptimizeIdentical(t *testing.T) {
 }
 
 // TestReoptimizeValidatesCandidateAlone: the round loop submits the
-// candidate plan alone at every worker count — the previous round's plan
-// is fully cached, so riding along it would add lookups and no work for
-// the pool to partition — and Γ is the same at Workers 1 and 2.
+// candidate plan alone — the previous round's plan is fully cached, so
+// riding along it would add lookups and no work — and the deprecated
+// Options.Workers selects nothing: Γ is the same at 0, 1, 2 and 8.
 func TestReoptimizeValidatesCandidateAlone(t *testing.T) {
 	r, qs := ottSetup(t)
 	orig := estimatePlansFn
 	defer func() { estimatePlansFn = orig }()
 	estimatePlansFn = func(ctx context.Context, ps []*plan.Plan, c *catalog.Catalog, cache sampling.Cache, cfg sampling.ValidateConfig) ([]*sampling.Estimate, error) {
 		if len(ps) != 1 {
-			t.Errorf("workers=%d: a round validated %d plans, want the candidate alone", cfg.Workers, len(ps))
+			t.Errorf("workers=%d: a round validated %d plans, want the candidate alone", r.Opts.Workers, len(ps))
 		}
 		return orig(ctx, ps, c, cache, cfg)
 	}
 	for qi, q := range qs {
-		var snaps [2]*Result
-		for i, workers := range []int{1, 2} {
+		var snaps [4]*Result
+		for i, workers := range []int{0, 1, 2, 8} {
 			r.Opts.Workers = workers
 			res, err := r.Reoptimize(q)
 			if err != nil {
@@ -124,6 +124,8 @@ func TestReoptimizeValidatesCandidateAlone(t *testing.T) {
 			}
 			snaps[i] = res
 		}
-		compareResults(t, "workers 2 vs 1", snaps[1], snaps[0])
+		for _, snap := range snaps[1:] {
+			compareResults(t, "workers vs 0", snap, snaps[0])
+		}
 	}
 }

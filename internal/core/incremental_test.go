@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -63,10 +64,11 @@ func TestIncrementalPlanningMatchesFromScratch(t *testing.T) {
 				if prev != nil && p.Fingerprint() == prev.Fingerprint() {
 					break
 				}
-				est, err := sampling.EstimatePlanCached(p, w.cat, cache)
+				ests, err := sampling.EstimatePlansCfg(context.Background(), []*plan.Plan{p}, w.cat, cache, sampling.ValidateConfig{})
 				if err != nil {
 					t.Fatal(err)
 				}
+				est := ests[0]
 				if added := pl.Merge(est.Sets); added != whole.Merge(est.Delta) {
 					t.Fatalf("%s: planner merge added %d keys, Γ merge disagrees", label, added)
 				}

@@ -55,19 +55,17 @@ func (r *Reoptimizer) ReoptimizeMultiSeedCtx(ctx context.Context, q *sql.Query, 
 	cache := sampling.Prepare(q, r.runCache())
 
 	// Batched round 1: every seed's initial candidate is validated in
-	// one shared-scan pass. The candidates are join-order permutations
-	// of one query, so their subtrees overlap heavily — the batch
-	// executes each distinct subtree once and partitions the combined
-	// work across Options.Workers, where the per-seed loop below would
-	// run them one at a time on samples too small to fan out. Each
-	// run's round-1 validation then replays from the cache,
+	// one call. The candidates are join-order permutations of one query,
+	// so their subtrees overlap heavily, and through the shared cache
+	// each distinct subtree executes once. Each run's round-1
+	// validation then replays from the cache,
 	// byte-identical to having computed it itself; the batch's cost is
 	// charged back to the runs in equal shares below. Under an explicit
 	// Options.Timeout the batch is skipped — a tight budget should stop
 	// after the first seed, not validate *all* candidates up front. A
 	// deadline on the caller's own context does NOT skip it (a routine
-	// server deadline must not silently disable the shared-scan
-	// optimization): the batch runs under `run`, so the deadline aborts
+	// server deadline must not silently change the validation order):
+	// the batch runs under `run`, so the deadline aborts
 	// it in flight, and the procedure falls back to the lazy per-seed
 	// path, which still yields a best-so-far result.
 	var warmShare time.Duration

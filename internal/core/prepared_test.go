@@ -176,14 +176,14 @@ type refStore struct {
 	hits, misses int64
 }
 
-// oraclePhysRows runs the skeleton cold — no cache, one worker — and
+// oraclePhysRows runs the skeleton cold — no cache — and
 // returns the physical rows each node's sub-result is held in (distinct
 // boundary tuples, DESIGN.md §12), after checking that the logical counts
 // are the general executor's.
 func oraclePhysRows(t testing.TB, label string, q *sql.Query, skeleton plan.Node, cat *catalog.Catalog, nodeRows map[plan.Node]int64) map[plan.Node]int64 {
 	t.Helper()
 	steps, perPlan, err := executor.CountSkeletonSteps(context.Background(),
-		[]executor.BatchPlan{{Plan: &plan.Plan{Root: skeleton, Query: q}}}, cat.Sample, executor.SkelConfig{Workers: 1})
+		[]executor.BatchPlan{{Plan: &plan.Plan{Root: skeleton, Query: q}}}, cat.Sample, executor.SkelConfig{})
 	if err != nil || perPlan[0] != nil {
 		t.Fatalf("%s: cold skeleton run: %v %v", label, err, perPlan)
 	}
@@ -199,13 +199,12 @@ func oraclePhysRows(t testing.TB, label string, q *sql.Query, skeleton plan.Node
 }
 
 // validate predicts one plan's validation against the store and returns
-// the signatures of the nodes in the order a tree walk enters them, the
-// signatures of the scans it must run and of the joins it must probe
-// (those with a row on the probe side), and its memory charge: per node
+// the signatures of the nodes in the order a tree walk enters them and
+// its memory charge: per node
 // its physical rows times its boundary columns (plus a weight column when
 // the rows are fewer than the count), per join a hash-table entry for
 // every physical row of its build side.
-func (s *refStore) validate(prefix string, q *sql.Query, skeleton plan.Node, nodeRows, physRows map[plan.Node]int64) (entered, scans, joins []string, charge int64) {
+func (s *refStore) validate(prefix string, q *sql.Query, skeleton plan.Node, nodeRows, physRows map[plan.Node]int64) (entered []string, charge int64) {
 	plan.Walk(skeleton, func(n plan.Node) { entered = append(entered, oracleSig(n)) })
 	var post func(n plan.Node)
 	post = func(n plan.Node) {
@@ -229,15 +228,10 @@ func (s *refStore) validate(prefix string, q *sql.Query, skeleton plan.Node, nod
 		s.keys[key] = true
 		if isJoin {
 			s.keys[oracleTableKey(oracleSubKey(prefix, q, j.Right), j.Preds)] = true
-			if nodeRows[j.Left] > 0 {
-				joins = append(joins, oracleSig(n))
-			}
-		} else {
-			scans = append(scans, oracleSig(n))
 		}
 	}
 	post(skeleton)
-	return entered, scans, joins, charge
+	return entered, charge
 }
 
 func (s *refStore) sortedKeys() []string {
@@ -279,13 +273,12 @@ func sameEstimate(t testing.TB, label string, q *sql.Query, got *sampling.Estima
 // fault-injection tags, the budget verdict at one value either side of
 // the plan's charge — against the samples it ran on.
 type validationCheck struct {
-	t       *testing.T
-	label   string
-	cat     *catalog.Catalog
-	workers int
-	shared  *sampling.WorkloadCache
-	store   *refStore
-	rounds  int
+	t      *testing.T
+	label  string
+	cat    *catalog.Catalog
+	shared *sampling.WorkloadCache
+	store  *refStore
+	rounds int
 	// afterRound, when set, runs after each checked validation (the
 	// mid-run BuildSamples hook).
 	afterRound func(round int)
@@ -293,16 +286,12 @@ type validationCheck struct {
 
 func (c *validationCheck) estimate(ctx context.Context, ps []*plan.Plan, cat *catalog.Catalog, cache sampling.Cache, cfg sampling.ValidateConfig) ([]*sampling.Estimate, error) {
 	t := c.t
-	var mu sync.Mutex
-	tags := map[faultinject.Point][]string{}
+	// Validation runs on this goroutine, so the rule's action does too.
+	var tags []string
 	var fi faultinject.Set
-	for _, pt := range []faultinject.Point{faultinject.SkelNode, faultinject.ScanUnit, faultinject.ProbeUnit} {
-		fi.On(faultinject.Rule{Point: pt, Do: func(p faultinject.Point, tag string) {
-			mu.Lock()
-			tags[p] = append(tags[p], tag)
-			mu.Unlock()
-		}})
-	}
+	fi.On(faultinject.Rule{Point: faultinject.SkelNode, Do: func(_ faultinject.Point, tag string) {
+		tags = append(tags, tag)
+	}})
 	restore := fi.Activate()
 	ests, err := sampling.EstimatePlansCfg(ctx, ps, cat, cache, cfg)
 	restore()
@@ -310,15 +299,15 @@ func (c *validationCheck) estimate(ctx context.Context, ps []*plan.Plan, cat *ca
 		return nil, err
 	}
 	prefix := fmt.Sprintf("s%d|", cat.SampleEpoch())
-	var entered, scans, joins []string
+	var entered []string
 	for i, p := range ps {
 		c.rounds++
 		label := fmt.Sprintf("%s validation %d", c.label, c.rounds)
 		skeleton := oracleSkeleton(p.Root)
 		delta, rows, nodeRows := oracleEstimate(t, p.Query, skeleton, cat)
 		sameEstimate(t, label, p.Query, ests[i], delta, rows)
-		e, s, j, charge := c.store.validate(prefix, p.Query, skeleton, nodeRows, oraclePhysRows(t, label, p.Query, skeleton, cat, nodeRows))
-		entered, scans, joins = append(entered, e...), append(scans, s...), append(joins, j...)
+		e, charge := c.store.validate(prefix, p.Query, skeleton, nodeRows, oraclePhysRows(t, label, p.Query, skeleton, cat, nodeRows))
+		entered = append(entered, e...)
 
 		// Budget verdicts do not depend on cache state: validate again,
 		// fully cached, one value either side of the plan's charge. The
@@ -341,17 +330,8 @@ func (c *validationCheck) estimate(ctx context.Context, ps []*plan.Plan, cat *ca
 		}
 		c.store.hits += h1 - h0
 	}
-	if c.workers == 1 {
-		if !slices.Equal(tags[faultinject.SkelNode], entered) {
-			t.Fatalf("%s: node tags\n %q\nreference\n %q", c.label, tags[faultinject.SkelNode], entered)
-		}
-	} else {
-		for pt, want := range map[faultinject.Point][]string{faultinject.ScanUnit: scans, faultinject.ProbeUnit: joins} {
-			got := slices.Compact(slices.Sorted(slices.Values(tags[pt])))
-			if slices.Sort(want); !slices.Equal(got, want) {
-				t.Fatalf("%s: %s tags\n %q\nreference\n %q", c.label, pt, got, want)
-			}
-		}
+	if !slices.Equal(tags, entered) {
+		t.Fatalf("%s: node tags\n %q\nreference\n %q", c.label, tags, entered)
 	}
 	if c.afterRound != nil {
 		c.afterRound(c.rounds)
@@ -413,15 +393,16 @@ func preparedWorkloads(t *testing.T) []shapedWorkload {
 // Δ and sample rows bit for bit (every Step.Count the general executor's,
 // whatever weights the skeleton held it in), the cache keys written, the
 // hit/miss counters, the fault-injection tags, the budget verdicts at the
-// charge a cold run's physical rows predict — at both worker counts, with
-// template sharing on and off, and under Conservative blending.
+// charge a cold run's physical rows predict — whatever the deprecated
+// Options.Workers says, with template sharing on and off, and under
+// Conservative blending.
 func TestPreparedValidationMatchesFromScratch(t *testing.T) {
 	orig := estimatePlansFn
 	defer func() { estimatePlansFn = orig }()
 	rounds := 0
 	for _, w := range preparedWorkloads(t) {
 		opt := optimizer.New(w.cat, optimizer.DefaultConfig())
-		for _, workers := range []int{1, 2} {
+		for _, workers := range []int{0, 8} {
 			for _, templates := range []bool{false, true} {
 				if templates && w.name != "template_zipf" {
 					continue
@@ -432,7 +413,7 @@ func TestPreparedValidationMatchesFromScratch(t *testing.T) {
 				store := &refStore{keys: map[string]bool{}}
 				for qi, q := range w.queries {
 					label := fmt.Sprintf("%s query %d workers=%d templates=%v", w.name, qi, workers, templates)
-					check := &validationCheck{t: t, label: label, cat: w.cat, workers: workers, shared: cache, store: store}
+					check := &validationCheck{t: t, label: label, cat: w.cat, shared: cache, store: store}
 					estimatePlansFn = check.estimate
 					r := New(opt, w.cat)
 					r.Opts = Options{Workers: workers, Cache: cache, TemplateSharing: templates, Conservative: qi%2 == 1}
@@ -509,7 +490,7 @@ func TestPreparedValidationFollowsSampleEpoch(t *testing.T) {
 	store := &refStore{keys: map[string]bool{}}
 	rebuilds := 0
 	for qi, q := range qs {
-		check := &validationCheck{t: t, label: fmt.Sprintf("query %d", qi), cat: cat, workers: 1, shared: cache, store: store}
+		check := &validationCheck{t: t, label: fmt.Sprintf("query %d", qi), cat: cat, shared: cache, store: store}
 		check.afterRound = func(round int) {
 			if round == 1 {
 				cat.BuildSamples(int64(100 + qi))
@@ -518,7 +499,7 @@ func TestPreparedValidationFollowsSampleEpoch(t *testing.T) {
 		}
 		estimatePlansFn = check.estimate
 		r := New(opt, cat)
-		r.Opts = Options{Workers: 1, Cache: cache}
+		r.Opts = Options{Cache: cache}
 		if _, err := r.Reoptimize(q); err != nil {
 			t.Fatal(err)
 		}
@@ -562,7 +543,7 @@ func TestPreparedValidationCoalescedAliasOrders(t *testing.T) {
 		}
 		alone = append(alone, res)
 	}
-	for _, workers := range []int{1, 2} {
+	for _, workers := range []int{0, 8} { // deprecated: selects nothing
 		cache := sampling.NewWorkloadCache(0)
 		sched := sampling.NewScheduler(cat, workers, time.Hour)
 		clients := []*sampling.SchedulerClient{sched.Register(), sched.Register()}
@@ -646,8 +627,8 @@ func TestMultiSeedSharesOnePreparedState(t *testing.T) {
 // TestRepeatRoundValidationAllocs bounds what validating a plan of a
 // 6-table chain allocates once the query's state is prepared and every
 // sub-result is cached — a later round's validation: the compiled steps,
-// the estimate's maps and slices, and the batch's bookkeeping, nothing
-// per node.
+// the estimate's maps and slices, and the call's bookkeeping, nothing
+// per node — the same ceiling whatever the deprecated Options.Workers says.
 func TestRepeatRoundValidationAllocs(t *testing.T) {
 	cat, err := ott.Generate(ott.Config{Seed: 1, RowsPerValue: 10})
 	if err != nil {
@@ -657,20 +638,25 @@ func TestRepeatRoundValidationAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := optimizer.New(cat, optimizer.DefaultConfig()).Optimize(qs[0], nil)
+	opt := optimizer.New(cat, optimizer.DefaultConfig())
+	p, err := opt.Optimize(qs[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := sampling.Prepare(qs[0], sampling.NewWorkloadCache(0))
 	plans := []*plan.Plan{p}
-	validate := func() {
-		if _, err := sampling.EstimatePlansCfg(context.Background(), plans, cat, cache, sampling.ValidateConfig{Workers: 1}); err != nil {
-			t.Fatal(err)
+	for _, workers := range []int{0, 1, 8} {
+		r := New(opt, cat)
+		r.Opts.Workers = workers
+		validate := func() {
+			if _, err := r.validatePlans(context.Background(), plans, cache); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	validate()
-	if allocs := testing.AllocsPerRun(50, validate); allocs > 24 {
-		t.Errorf("a fully cached repeat-round validation allocates %.0f objects, ceiling 24", allocs)
+		validate()
+		if allocs := testing.AllocsPerRun(50, validate); allocs > 24 {
+			t.Errorf("Workers=%d: a fully cached repeat-round validation allocates %.0f objects, ceiling 24", workers, allocs)
+		}
 	}
 }
 
@@ -693,7 +679,7 @@ func BenchmarkValidateRounds(b *testing.B) {
 	if err != nil || len(res.Rounds) < 2 {
 		b.Fatalf("need two recorded rounds: %d, %v", len(res.Rounds), err)
 	}
-	ctx, cfg := context.Background(), sampling.ValidateConfig{Workers: 1}
+	ctx, cfg := context.Background(), sampling.ValidateConfig{}
 	round := func(i int) []*plan.Plan { return []*plan.Plan{res.Rounds[i].Plan} }
 	b.Run("first", func(b *testing.B) {
 		b.ReportAllocs()

@@ -62,20 +62,18 @@ type Options struct {
 	// re-optimization at all if the estimated query execution time is
 	// shorter than some threshold"). 0 means always re-optimize.
 	SkipBelowCost float64
-	// Workers bounds the parallelism of each validation's skeleton run
-	// (the partitioned scan/probe loops of the count-only engine): 0
-	// selects GOMAXPROCS, 1 forces sequential execution. Estimates are
-	// byte-identical at every setting.
+	// Workers once bounded the parallelism inside one validation.
+	//
+	// Deprecated: Workers no longer selects anything — a validation runs
+	// on the goroutine that asked for it, whatever the value — and is
+	// kept only because bench/ sets it.
 	Workers int
 	// SampleShards splits each table's sample into that many contiguous
-	// word-aligned shards for validation: every skeleton scan runs per
-	// shard and the partial results merge in shard order
-	// (counts sum; materialized columns concatenate), so one wave's work
-	// fans out across Workers even when a single sample is too small to
-	// split — the same latency budget buys proportionally larger
-	// samples. <= 1 keeps the monolithic layout bit-for-bit; estimates,
-	// budget verdicts, and cache contents are byte-identical at every
-	// setting. Only the direct validation path applies it; a Validator
+	// word-aligned shards for validation: every skeleton scan runs shard
+	// by shard and the selections concatenate in shard order. <= 1 keeps
+	// the monolithic layout; estimates, budget verdicts, and cache
+	// contents are byte-identical at every setting. Kept for bench/
+	// (shards4_speedup); it buys nothing on one goroutine. Only the direct validation path applies it; a Validator
 	// configures its own shard count (the workload scheduler's
 	// SetShards).
 	SampleShards int
@@ -90,9 +88,9 @@ type Options struct {
 	// issues — candidate plans, multi-seed round-1 batches — through an
 	// external engine, e.g. a
 	// sampling.SchedulerClient that coalesces validations across
-	// concurrently re-optimizing queries into shared skeleton waves.
-	// nil validates directly via sampling.EstimatePlansCfg with
-	// Options.Workers. A Validator must return estimates byte-identical
+	// concurrently re-optimizing queries into waves.
+	// nil validates directly via sampling.EstimatePlansCfg. A Validator
+	// must return estimates byte-identical
 	// to the direct path (batching and caching may change when counts
 	// are computed, never their values).
 	Validator Validator
@@ -106,10 +104,9 @@ type Options struct {
 	// a Validator enforces its own budget (the workload scheduler's
 	// SetMemBudget).
 	MemBudget int64
-	// TemplateSharing shares sample scans between query instances of
-	// the same constant-stripped template (one union scan per template
-	// within a validation batch, refined per constant) and indexes
-	// cached scans by template so near-miss constants reuse them.
+	// TemplateSharing indexes cached sample scans by constant-stripped
+	// template, so a query instance whose constants a cached instance's
+	// contain refines that instance's rows instead of rescanning.
 	// Estimates are byte-identical at either setting. Only the direct
 	// validation path applies it; a Validator carries its own setting
 	// (the workload scheduler's SetTemplates).
@@ -192,7 +189,7 @@ func (r *Reoptimizer) Reoptimize(q *sql.Query) (*Result, error) {
 //
 //   - cancellation (context.Canceled) means the caller abandoned the
 //     work: the procedure aborts — between rounds, or mid-validation
-//     inside the skeleton/batch engines — and returns ctx.Err();
+//     inside the skeleton engine — and returns ctx.Err();
 //   - a deadline (context.DeadlineExceeded, whether from Options.Timeout
 //     or the caller's context.WithTimeout) means the budget is spent:
 //     the procedure stops and returns the best plan generated so far
@@ -431,19 +428,18 @@ func (r *Reoptimizer) runCache() sampling.Cache {
 
 // validatePlans routes one validation through the injected Validator
 // when configured (the workload scheduler path) and directly into the
-// batched sampling estimator otherwise.
+// sampling estimator otherwise.
 func (r *Reoptimizer) validatePlans(ctx context.Context, plans []*plan.Plan, cache sampling.Cache) ([]*sampling.Estimate, error) {
 	if r.Opts.Validator != nil {
 		return r.Opts.Validator.ValidatePlans(ctx, plans, cache)
 	}
 	return estimatePlansFn(ctx, plans, r.Cat, cache, sampling.ValidateConfig{
-		Workers:   r.Opts.Workers,
 		Shards:    r.Opts.SampleShards,
 		MemBudget: r.Opts.MemBudget,
 		Templates: r.Opts.TemplateSharing,
 	})
 }
 
-// estimatePlansFn indirects the batched sampling estimator for
+// estimatePlansFn indirects the sampling estimator for
 // failure-injection and cache-equivalence tests.
 var estimatePlansFn = sampling.EstimatePlansCfg

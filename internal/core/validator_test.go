@@ -19,7 +19,7 @@ type countingValidator struct {
 func (v *countingValidator) ValidatePlans(ctx context.Context, plans []*plan.Plan, cache sampling.Cache) ([]*sampling.Estimate, error) {
 	v.calls++
 	v.plans += len(plans)
-	return sampling.EstimatePlansCfg(ctx, plans, v.r.Cat, cache, sampling.ValidateConfig{Workers: v.r.Opts.Workers})
+	return sampling.EstimatePlansCfg(ctx, plans, v.r.Cat, cache, sampling.ValidateConfig{})
 }
 
 // TestValidatorInjection: with Options.Validator set, every validation

@@ -3,27 +3,35 @@ package executor
 import (
 	"context"
 	"errors"
-	"fmt"
-	"runtime"
+	"slices"
 	"testing"
 
 	"reopt/internal/plan"
 	"reopt/internal/sql"
 )
 
-// TestCountSkeletonBatchMatchesSequential: batching several plans into
-// one deduplicated partitioned pass must report exactly the per-node
-// counts sequential single-plan runs produce — at every worker count,
-// with and without a cache, and with a cache pre-warmed by sequential
-// runs.
+// batchOf pairs every plan with the same cache (nil: uncached).
+func batchOf(plans []*plan.Plan, cache *SkeletonCache) []BatchPlan {
+	bplans := make([]BatchPlan, len(plans))
+	for i, p := range plans {
+		bplans[i] = BatchPlan{Plan: p, Cache: cache}
+	}
+	return bplans
+}
+
+// TestCountSkeletonBatchMatchesSequential: validating several plans in
+// one call must report exactly the per-node counts sequential single-plan
+// runs produce — with and without a cache, with a cache pre-warmed by
+// sequential runs — and leave a shared cache holding exactly the keys
+// and values the sequential runs leave.
 func TestCountSkeletonBatchMatchesSequential(t *testing.T) {
+	ctx := context.Background()
 	for seed := int64(0); seed < 4; seed++ {
 		cat := skelCatalog(t, seed, 400)
 		q := skelQuery()
 		plans := skelPlans(cat, q)
 
-		// Reference: sequential runs sharing one cache (the pre-batch
-		// multi-plan validation strategy).
+		// Reference: sequential runs sharing one cache.
 		want := make([]map[plan.Node]int64, len(plans))
 		seqCache := NewSkeletonCache()
 		for pi, p := range plans {
@@ -34,8 +42,12 @@ func TestCountSkeletonBatchMatchesSequential(t *testing.T) {
 			want[pi] = counts
 		}
 
-		check := func(label string, got []map[plan.Node]int64, perPlan []error) {
+		check := func(label string, cache *SkeletonCache) {
 			t.Helper()
+			got, perPlan, err := CountSkeletonBatchCfg(ctx, batchOf(plans, cache), cat.Table, SkelConfig{})
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, label, err)
+			}
 			for pi := range plans {
 				if perPlan[pi] != nil {
 					t.Fatalf("seed %d %s plan %d: %v", seed, label, pi, perPlan[pi])
@@ -49,69 +61,55 @@ func TestCountSkeletonBatchMatchesSequential(t *testing.T) {
 			}
 		}
 
-		for _, w := range []int{1, 2, runtime.NumCPU()} {
-			got, perPlan, err := CountSkeletonBatch(plans, cat.Table, nil, w)
-			if err != nil {
-				t.Fatalf("seed %d workers=%d: %v", seed, w, err)
-			}
-			check(fmt.Sprintf("workers=%d uncached", w), got, perPlan)
+		check("uncached", nil)
 
-			fresh := NewSkeletonCache()
-			got, perPlan, err = CountSkeletonBatch(plans, cat.Table, fresh, w)
-			if err != nil {
-				t.Fatalf("seed %d workers=%d cached: %v", seed, w, err)
-			}
-			check(fmt.Sprintf("workers=%d fresh-cache", w), got, perPlan)
-			if fresh.Len() == 0 {
-				t.Error("batch run recorded no sub-results")
-			}
-
-			// A second batch over a warmed cache must be a pure replay.
-			hits0, _ := fresh.Stats()
-			got, perPlan, err = CountSkeletonBatch(plans, cat.Table, fresh, w)
-			if err != nil {
-				t.Fatalf("seed %d workers=%d warm: %v", seed, w, err)
-			}
-			check(fmt.Sprintf("workers=%d warm-cache", w), got, perPlan)
-			hits1, _ := fresh.Stats()
-			if hits1 <= hits0 {
-				t.Error("warm batch recorded no cache hits")
-			}
-
-			// And a batch over the sequential runs' cache must agree too
-			// (mixed sequential/batched usage of one cache).
-			got, perPlan, err = CountSkeletonBatch(plans, cat.Table, seqCache, w)
-			if err != nil {
-				t.Fatalf("seed %d workers=%d seq-cache: %v", seed, w, err)
-			}
-			check(fmt.Sprintf("workers=%d seq-cache", w), got, perPlan)
+		fresh := NewSkeletonCache()
+		check("fresh-cache", fresh)
+		if !slices.Equal(fresh.Keys(), seqCache.Keys()) || fresh.Values() != seqCache.Values() {
+			t.Errorf("seed %d: batch left %d keys / %d values, sequential runs %d / %d",
+				seed, len(fresh.Keys()), fresh.Values(), len(seqCache.Keys()), seqCache.Values())
 		}
+
+		// A second batch over a warmed cache must be a pure replay.
+		hits0, miss0 := fresh.Stats()
+		check("warm-cache", fresh)
+		if hits1, miss1 := fresh.Stats(); hits1 <= hits0 || miss1 != miss0 {
+			t.Errorf("seed %d: warm batch went %d/%d -> %d/%d hits/misses", seed, hits0, miss0, hits1, miss1)
+		}
+
+		// And a batch over the sequential runs' cache must agree too
+		// (mixed sequential/batched usage of one cache).
+		check("seq-cache", seqCache)
 	}
 }
 
 // TestCountSkeletonBatchDedupes: a batch of join-order permutations of
-// one query must execute each logical subtree once — the whole point of
-// batching — observable as exactly one cache insertion per distinct
-// signature and zero extra work on a warm cache.
+// one query through one cache must compute each logical subtree once —
+// one miss and one entry per distinct sub-result, every other lookup a
+// hit — exactly as sequential runs over a shared cache do.
 func TestCountSkeletonBatchDedupes(t *testing.T) {
 	cat := skelCatalog(t, 7, 400)
-	q := skelQuery()
-	plans := skelPlans(cat, q)
+	plans := skelPlans(cat, skelQuery())
 
 	cache := NewSkeletonCache()
-	if _, _, err := CountSkeletonBatch(plans, cat.Table, cache, 2); err != nil {
+	if _, _, err := CountSkeletonBatchCfg(context.Background(), batchOf(plans, cache), cat.Table, SkelConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	batched := cache.Len()
-
 	seqCache := NewSkeletonCache()
+	nodes := 0
 	for _, p := range plans {
 		if _, err := CountSkeleton(p, cat.Table, seqCache); err != nil {
 			t.Fatal(err)
 		}
+		plan.Walk(p.Root, func(plan.Node) { nodes++ })
 	}
-	if batched != seqCache.Len() {
-		t.Errorf("batch materialized %d distinct subtrees, sequential %d", batched, seqCache.Len())
+	if cache.Len() != seqCache.Len() {
+		t.Errorf("batch materialized %d distinct subtrees, sequential %d", cache.Len(), seqCache.Len())
+	}
+	hits, misses := cache.Stats()
+	if int(misses) != cache.Len() || int(hits+misses) != nodes {
+		t.Errorf("%d hits / %d misses over %d nodes and %d distinct subtrees: a subtree was computed twice",
+			hits, misses, nodes, cache.Len())
 	}
 }
 
@@ -131,7 +129,7 @@ func TestCountSkeletonBatchIsolatesUnsupportedPlans(t *testing.T) {
 	bad = &plan.Plan{Root: bad.Root, Query: badQ}
 
 	batch := []*plan.Plan{plans[0], bad, plans[1]}
-	counts, perPlan, err := CountSkeletonBatch(batch, cat.Table, nil, 2)
+	counts, perPlan, err := CountSkeletonBatchCfg(context.Background(), batchOf(batch, nil), cat.Table, SkelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +156,11 @@ func TestCountSkeletonBatchIsolatesUnsupportedPlans(t *testing.T) {
 }
 
 // TestCountSkeletonBatchPlansPerPlanCaches: plans carrying *different*
-// caches — the cross-query scheduler's shape, each requester holding a
-// private per-run cache — must batch into one deduplicated pass whose
-// counts match solo runs, with every requester's cache left exactly as
-// warm as a solo run would have left it.
+// caches, or none — the cross-query scheduler's shape, each requester
+// holding a private per-run cache — must validate in one call with
+// counts matching solo runs, every requester's cache left holding
+// exactly what a solo run leaves it, and nothing of one requester's in
+// another's.
 func TestCountSkeletonBatchPlansPerPlanCaches(t *testing.T) {
 	cat := skelCatalog(t, 3, 400)
 	q := skelQuery()
@@ -171,114 +170,52 @@ func TestCountSkeletonBatchPlansPerPlanCaches(t *testing.T) {
 	}
 
 	want := make([]map[plan.Node]int64, len(plans))
+	solo := make([]*SkeletonCache, len(plans))
 	for pi, p := range plans {
-		counts, err := CountSkeleton(p, cat.Table, NewSkeletonCache())
+		solo[pi] = NewSkeletonCache()
+		counts, err := CountSkeleton(p, cat.Table, solo[pi])
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[pi] = counts
 	}
 
-	for _, w := range []int{2, runtime.NumCPU()} {
-		caches := make([]*SkeletonCache, len(plans))
-		bplans := make([]BatchPlan, len(plans))
-		for i, p := range plans {
+	caches := make([]*SkeletonCache, len(plans))
+	bplans := make([]BatchPlan, len(plans))
+	for i, p := range plans {
+		if i != 1 { // the second requester validates uncached
 			caches[i] = NewSkeletonCache()
-			bplans[i] = BatchPlan{Plan: p, Cache: caches[i]}
 		}
-		got, perPlan, err := CountSkeletonBatchCfg(context.Background(), bplans, cat.Table, SkelConfig{Workers: w})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		for pi := range plans {
-			if perPlan[pi] != nil {
-				t.Fatalf("workers=%d plan %d: %v", w, pi, perPlan[pi])
-			}
-			plan.Walk(plans[pi].Root, func(n plan.Node) {
-				if got[pi][n] != want[pi][n] {
-					t.Errorf("workers=%d plan %d node %v: batch %d, solo %d",
-						w, pi, n.Aliases(), got[pi][n], want[pi][n])
-				}
-			})
-		}
-		// Every requester's cache must now replay its plan without
-		// recomputation: a solo warm run records only hits, no growth.
-		for pi, p := range plans {
-			solo, err := CountSkeleton(p, cat.Table, NewSkeletonCache())
-			if err != nil {
-				t.Fatal(err)
-			}
-			size := caches[pi].Len()
-			hits0, miss0 := caches[pi].Stats()
-			warm, err := CountSkeleton(p, cat.Table, caches[pi])
-			if err != nil {
-				t.Fatalf("workers=%d plan %d warm replay: %v", w, pi, err)
-			}
-			plan.Walk(p.Root, func(n plan.Node) {
-				if warm[n] != solo[n] {
-					t.Errorf("workers=%d plan %d node %v: warm replay %d, solo %d",
-						w, pi, n.Aliases(), warm[n], solo[n])
-				}
-			})
-			hits1, miss1 := caches[pi].Stats()
-			if hits1 <= hits0 {
-				t.Errorf("workers=%d plan %d: warm replay recorded no hits", w, pi)
-			}
-			if miss1 != miss0 {
-				t.Errorf("workers=%d plan %d: warm replay missed (%d -> %d): cache colder than a solo run",
-					w, pi, miss0, miss1)
-			}
-			if caches[pi].Len() != size {
-				t.Errorf("workers=%d plan %d: warm replay grew the cache %d -> %d", w, pi, size, caches[pi].Len())
-			}
-		}
+		bplans[i] = BatchPlan{Plan: p, Cache: caches[i]}
 	}
-}
-
-// TestCountSkeletonBatchPlansHitPropagation: when one requester's cache
-// already holds a shared subtree, the batch must serve every requester
-// from it — and leave the result in the *other* requesters' caches too,
-// so their next rounds replay instead of recomputing.
-func TestCountSkeletonBatchPlansHitPropagation(t *testing.T) {
-	cat := skelCatalog(t, 9, 400)
-	q := skelQuery()
-	plans := skelPlans(cat, q)
-
-	warmed := NewSkeletonCache()
-	if _, err := CountSkeleton(plans[0], cat.Table, warmed); err != nil {
-		t.Fatal(err)
-	}
-	cold := NewSkeletonCache()
-	bplans := []BatchPlan{
-		{Plan: plans[0], Cache: warmed},
-		{Plan: plans[0], Cache: cold},
-	}
-	_, miss0 := warmed.Stats()
-	got, perPlan, err := CountSkeletonBatchCfg(context.Background(), bplans, cat.Table, SkelConfig{Workers: 2})
+	got, perPlan, err := CountSkeletonBatchCfg(context.Background(), bplans, cat.Table, SkelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pi := range bplans {
+	for pi, p := range plans {
 		if perPlan[pi] != nil {
 			t.Fatalf("plan %d: %v", pi, perPlan[pi])
 		}
-	}
-	if _, miss1 := warmed.Stats(); miss1 != miss0 {
-		t.Errorf("batch missed the warmed cache (%d -> %d misses): shared subtrees recomputed", miss0, miss1)
-	}
-	if cold.Len() != warmed.Len() {
-		t.Errorf("hit propagation left the cold cache at %d entries, warmed has %d", cold.Len(), warmed.Len())
-	}
-	want, err := CountSkeleton(plans[0], cat.Table, NewSkeletonCache())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pi := range bplans {
-		plan.Walk(plans[0].Root, func(n plan.Node) {
-			if got[pi][n] != want[n] {
-				t.Errorf("plan %d node %v: %d != %d", pi, n.Aliases(), got[pi][n], want[n])
+		plan.Walk(p.Root, func(n plan.Node) {
+			if got[pi][n] != want[pi][n] {
+				t.Errorf("plan %d node %v: batch %d, solo %d", pi, n.Aliases(), got[pi][n], want[pi][n])
 			}
 		})
+		if caches[pi] == nil {
+			continue
+		}
+		if !slices.Equal(caches[pi].Keys(), solo[pi].Keys()) || caches[pi].Values() != solo[pi].Values() {
+			t.Errorf("plan %d: cache holds %d keys / %d values, a solo run's %d / %d",
+				pi, len(caches[pi].Keys()), caches[pi].Values(), len(solo[pi].Keys()), solo[pi].Values())
+		}
+		// The requester's cache must replay its plan without recomputation.
+		hits0, miss0 := caches[pi].Stats()
+		if _, err := CountSkeleton(p, cat.Table, caches[pi]); err != nil {
+			t.Fatalf("plan %d warm replay: %v", pi, err)
+		}
+		if hits1, miss1 := caches[pi].Stats(); hits1 <= hits0 || miss1 != miss0 {
+			t.Errorf("plan %d: warm replay went %d/%d -> %d/%d hits/misses", pi, hits0, miss0, hits1, miss1)
+		}
 	}
 }
 
@@ -317,37 +254,6 @@ func TestSkeletonCacheLRUEviction(t *testing.T) {
 	c = c.WithPrefix("e2|")
 	if got := c.subKey("sig", nil); got != "e2|sig|B:" {
 		t.Errorf("subKey with prefix: %q", got)
-	}
-}
-
-// TestAdaptiveChunk: chunks derive from total work over workers, stay
-// word-aligned, and respect the floor and ceiling.
-func TestAdaptiveChunk(t *testing.T) {
-	cases := []struct {
-		total, workers int
-		want           int
-	}{
-		{0, 4, 64},        // floor
-		{300, 4, 64},      // small batch: finest legal chunks
-		{100000, 4, 6272}, // over the ceiling: clamped
-		{8192, 4, 512},    // 8192/16 = 512, already aligned
-		{9000, 4, 576},    // 9000/16 = 562 -> rounded up to 576
-	}
-	for _, tc := range cases {
-		got := adaptiveChunk(tc.total, tc.workers)
-		if got%64 != 0 {
-			t.Errorf("adaptiveChunk(%d,%d) = %d not word-aligned", tc.total, tc.workers, got)
-		}
-		if tc.want == 6272 {
-			// ceiling case: just check the clamp
-			if got != maxChunkRows {
-				t.Errorf("adaptiveChunk(%d,%d) = %d, want ceiling %d", tc.total, tc.workers, got, maxChunkRows)
-			}
-			continue
-		}
-		if got != tc.want {
-			t.Errorf("adaptiveChunk(%d,%d) = %d, want %d", tc.total, tc.workers, got, tc.want)
-		}
 	}
 }
 

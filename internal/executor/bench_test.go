@@ -46,7 +46,7 @@ func BenchmarkJoinTable(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if got := j.probe(nil, 0, n); got != int64(n*(n/keys)) {
+					if got := j.probe(nil); got != int64(n*(n/keys)) {
 						b.Fatalf("probe matched %d pairs, want %d", got, n*(n/keys))
 					}
 				}
@@ -125,7 +125,7 @@ func BenchmarkWeightedChainJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := CountSkeletonCfg(context.Background(), p, cat.Sample, nil, SkelConfig{Workers: 1})
+		got, err := CountSkeletonCfg(context.Background(), p, cat.Sample, nil, SkelConfig{})
 		if err != nil || got[root] != want[root] {
 			b.Fatalf("root counts %d (%v), want %d", got[root], err, want[root])
 		}

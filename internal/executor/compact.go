@@ -5,7 +5,7 @@ package executor
 // compressed: one physical row per distinct tuple and, when some tuple
 // repeats, a weight column carrying each row's multiplicity. Joins multiply
 // weights instead of enumerating the rows they stand for. compact is the
-// one place both engines turn a row sequence into that form.
+// one place a row sequence turns into that form.
 
 import (
 	"errors"
@@ -88,7 +88,7 @@ func (b *bagWeights) at(x int) int64 {
 // than Value.Equal, so the rows of a group are interchangeable for any
 // later hash, compare or gather), keeps groups in first-occurrence order
 // and sums their weights: a pure function of the row sequence, hence the
-// same at every worker, shard, template and cache setting. w is nil when
+// same at every shard, template and cache setting. w is nil when
 // every row counts once. A sequence with a mixed-kind column, or on which
 // group gives up, is gathered as it stands; one without columns groups
 // into the empty tuple. Columns are allocated at exact size; nothing
@@ -265,19 +265,16 @@ func sameTuple(srcs []colSrc, x, y int) bool {
 }
 
 // skelScratch is the working memory of one skeleton run — the scan path's
-// bitmaps, selection vector and pass / span buffers, compact's slot table
-// and groups — recycled through scratchPool. Whatever a run returns or
+// bitmaps, selection vector and pass buffer, compact's slot table and
+// groups — recycled through scratchPool. Whatever a run returns or
 // caches is copied out at exact size; nothing here is reachable from it.
 type skelScratch struct {
 	bm, fb  *vec.Bitmap
 	selBuf  []int32
 	passBuf []scanPass
-	spanBuf []span
-	cntBuf  []int
-	offBuf  []int
 
 	shardSel []int32 // a sharded scan's selections, re-based and concatenated
-	pairs    pairBuf // a probe's matches (a partitioned probe's parts, concatenated)
+	pairs    pairBuf // a probe's matches
 	srcs     []colSrc
 
 	tab    []groupSlot

@@ -225,7 +225,7 @@ func exactCharge(t *testing.T, cat *catalog.Catalog, p *plan.Plan) int64 {
 	lo, hi := int64(0), int64(1)<<26 // breaches at lo (or lo = 0), passes at hi
 	for lo+1 < hi {
 		mid := (lo + hi) / 2
-		_, err := CountSkeletonCfg(context.Background(), p, cat.Table, nil, SkelConfig{Workers: 1, MemBudget: mid})
+		_, err := CountSkeletonCfg(context.Background(), p, cat.Table, nil, SkelConfig{MemBudget: mid})
 		switch {
 		case err == nil:
 			hi = mid
@@ -242,8 +242,8 @@ func exactCharge(t *testing.T, cat *catalog.Catalog, p *plan.Plan) int64 {
 // queries on data whose every row is held 1, 3 or 27 times — NULL, NaN,
 // ±0, MinInt64 / MaxInt64, int = float keys, a mixed-kind column, an
 // empty table, columns either side of the sorted-index threshold — and
-// under random join trees, both engines report the general executor's
-// per-node counts at workers {1, 2} x shards {1, 4} x template sharing
+// under random join trees, both entry points report the general
+// executor's per-node counts at shards {1, 4} x template sharing
 // off / on x cold / warm cache; every setting leaves byte-identical
 // compacted sub-results behind; each plan's memory charge is the same on
 // a miss, an exact hit and a template refinement; a join set counts the
@@ -269,7 +269,7 @@ func TestCompactedCountsMatchVolcano(t *testing.T) {
 				label := fmt.Sprintf("dups=%d %s tree %d", dups, bs.name, tree)
 				want := make([]map[plan.Node]int64, len(plans))
 				charges := make([]int64, len(plans))
-				// The reference: one worker, monolithic, no sharing, the two
+				// The reference: monolithic, no sharing, the two
 				// plans in turn through one cache (a set both produce keeps
 				// the first tree's row order).
 				refCache := NewSkeletonCache()
@@ -279,7 +279,7 @@ func TestCompactedCountsMatchVolcano(t *testing.T) {
 						t.Fatalf("%s: volcano: %v", label, err)
 					}
 					want[pi] = res.NodeRows
-					if _, err := CountSkeletonCfg(ctx, p, cat.Table, refCache, SkelConfig{Workers: 1}); err != nil {
+					if _, err := CountSkeletonCfg(ctx, p, cat.Table, refCache, SkelConfig{}); err != nil {
 						t.Fatalf("%s: reference: %v", label, err)
 					}
 					charges[pi] = exactCharge(t, cat, p)
@@ -317,72 +317,70 @@ func TestCompactedCountsMatchVolcano(t *testing.T) {
 						}
 					}
 				}
-				for _, workers := range []int{1, 2} {
-					for _, shards := range []int{1, 4} {
-						for _, templates := range []bool{false, true} {
-							cfg := SkelConfig{Workers: workers, Shards: shards, Templates: templates}
-							single, batch := NewSkeletonCache(), NewSkeletonCache()
-							for _, state := range []string{"cold", "warm"} {
-								cl := fmt.Sprintf("workers=%d shards=%d templates=%v %s", workers, shards, templates, state)
-								for pi, p := range plans {
-									got, err := CountSkeletonCfg(ctx, p, cat.Table, single, cfg)
-									if err != nil {
-										t.Fatalf("%s [%s single]: %v", label, cl, err)
-									}
-									check(cl+" single", pi, got)
+				for _, shards := range []int{1, 4} {
+					for _, templates := range []bool{false, true} {
+						cfg := SkelConfig{Shards: shards, Templates: templates}
+						single, batch := NewSkeletonCache(), NewSkeletonCache()
+						for _, state := range []string{"cold", "warm"} {
+							cl := fmt.Sprintf("shards=%d templates=%v %s", shards, templates, state)
+							for pi, p := range plans {
+								got, err := CountSkeletonCfg(ctx, p, cat.Table, single, cfg)
+								if err != nil {
+									t.Fatalf("%s [%s single]: %v", label, cl, err)
 								}
-								sameAsRef(cl+" single", single)
-								bps := []BatchPlan{{Plan: plans[0], Cache: batch}, {Plan: plans[1], Cache: batch}}
-								got, perPlan, err := CountSkeletonBatchCfg(ctx, bps, cat.Table, cfg)
-								if err != nil || perPlan[0] != nil || perPlan[1] != nil {
-									t.Fatalf("%s [%s batch]: %v %v", label, cl, err, perPlan)
+								check(cl+" single", pi, got)
+							}
+							sameAsRef(cl+" single", single)
+							bps := []BatchPlan{{Plan: plans[0], Cache: batch}, {Plan: plans[1], Cache: batch}}
+							got, perPlan, err := CountSkeletonBatchCfg(ctx, bps, cat.Table, cfg)
+							if err != nil || perPlan[0] != nil || perPlan[1] != nil {
+								t.Fatalf("%s [%s batch]: %v %v", label, cl, err, perPlan)
+							}
+							check(cl+" batch", 0, got[0])
+							check(cl+" batch", 1, got[1])
+							sameAsRef(cl+" batch", batch)
+							// The charge found cold is the charge here: on a
+							// miss (no cache), a hit, and — the tight instance
+							// with sharing on — a refinement of the loose one.
+							for pi, p := range plans {
+								if state == "warm" {
+									break // probed once per setting, after the cold run filled the cache
 								}
-								check(cl+" batch", 0, got[0])
-								check(cl+" batch", 1, got[1])
-								sameAsRef(cl+" batch", batch)
-								// The charge found cold is the charge here: on a
-								// miss (no cache), a hit, and — the tight instance
-								// with sharing on — a refinement of the loose one.
-								for pi, p := range plans {
-									if state == "warm" {
-										break // probed once per setting, after the cold run filled the cache
-									}
-									for _, c := range []*SkeletonCache{nil, single} {
-										for _, b := range []int64{charges[pi] - 1, charges[pi]} {
-											if b <= 0 {
-												continue
-											}
-											bcfg := cfg
-											bcfg.MemBudget = b
-											_, perPlan, err := CountSkeletonBatchCfg(ctx, []BatchPlan{{Plan: p, Cache: c}}, cat.Table, bcfg)
-											if err != nil || errors.Is(perPlan[0], ErrMemoryBudget) != (b < charges[pi]) {
-												t.Fatalf("%s [%s cached=%v] instance %d: budget %d against a charge of %d: %v %v",
-													label, cl, c != nil, pi, b, charges[pi], err, perPlan[0])
-											}
+								for _, c := range []*SkeletonCache{nil, single} {
+									for _, b := range []int64{charges[pi] - 1, charges[pi]} {
+										if b <= 0 {
+											continue
+										}
+										bcfg := cfg
+										bcfg.MemBudget = b
+										_, perPlan, err := CountSkeletonBatchCfg(ctx, []BatchPlan{{Plan: p, Cache: c}}, cat.Table, bcfg)
+										if err != nil || errors.Is(perPlan[0], ErrMemoryBudget) != (b < charges[pi]) {
+											t.Fatalf("%s [%s cached=%v] instance %d: budget %d against a charge of %d: %v %v",
+												label, cl, c != nil, pi, b, charges[pi], err, perPlan[0])
 										}
 									}
 								}
 							}
-							if !templates {
-								continue
+						}
+						if !templates {
+							continue
+						}
+						// Refinement: the tight instance against a cache
+						// holding only the loose one.
+						for _, b := range []int64{charges[1] - 1, charges[1]} {
+							c := NewSkeletonCache()
+							if _, err := CountSkeletonCfg(ctx, plans[0], cat.Table, c, cfg); err != nil {
+								t.Fatal(err)
 							}
-							// Refinement: the tight instance against a cache
-							// holding only the loose one.
-							for _, b := range []int64{charges[1] - 1, charges[1]} {
-								c := NewSkeletonCache()
-								if _, err := CountSkeletonCfg(ctx, plans[0], cat.Table, c, cfg); err != nil {
-									t.Fatal(err)
-								}
-								bcfg := cfg
-								bcfg.MemBudget = b
-								_, perPlan, err := CountSkeletonBatchCfg(ctx, []BatchPlan{{Plan: plans[1], Cache: c}}, cat.Table, bcfg)
-								if err != nil || errors.Is(perPlan[0], ErrMemoryBudget) != (b < charges[1]) {
-									t.Fatalf("%s [workers=%d shards=%d refined]: budget %d against a charge of %d: %v %v",
-										label, workers, shards, b, charges[1], err, perPlan[0])
-								}
-								if hits, _ := c.TemplateStats(); hits == 0 {
-									t.Fatalf("%s: the tight instance was not refined from the loose one", label)
-								}
+							bcfg := cfg
+							bcfg.MemBudget = b
+							_, perPlan, err := CountSkeletonBatchCfg(ctx, []BatchPlan{{Plan: plans[1], Cache: c}}, cat.Table, bcfg)
+							if err != nil || errors.Is(perPlan[0], ErrMemoryBudget) != (b < charges[1]) {
+								t.Fatalf("%s [shards=%d refined]: budget %d against a charge of %d: %v %v",
+									label, shards, b, charges[1], err, perPlan[0])
+							}
+							if hits, _ := c.TemplateStats(); hits == 0 {
+								t.Fatalf("%s: the tight instance was not refined from the loose one", label)
 							}
 						}
 					}
@@ -444,9 +442,9 @@ func TestJoinMethodsAgreeOnNaN(t *testing.T) {
 }
 
 // TestCountOverflowFailsValidation: a five-way self-similar join whose
-// logical count is 2^65 returns ErrCountOverflow — from both engines, cold
-// and against what the failed run left cached — and the overflowing join
-// stores nothing.
+// logical count is 2^65 returns ErrCountOverflow — from both entry
+// points, cold and against what the failed run left cached — and the
+// overflowing join stores nothing.
 func TestCountOverflowFailsValidation(t *testing.T) {
 	cat := catalog.New()
 	q := &sql.Query{CountStar: true}
@@ -468,26 +466,24 @@ func TestCountOverflowFailsValidation(t *testing.T) {
 	}
 	p := &plan.Plan{Root: root, Query: q}
 	ctx := context.Background()
-	for _, workers := range []int{1, 2} {
-		cache := NewSkeletonCache()
-		for _, state := range []string{"cold", "warm"} {
-			if _, err := CountSkeletonCfg(ctx, p, cat.Table, cache, SkelConfig{Workers: workers}); !errors.Is(err, ErrCountOverflow) {
-				t.Fatalf("single engine workers=%d %s: %v, want ErrCountOverflow", workers, state, err)
-			}
-			_, perPlan, err := CountSkeletonBatchCfg(ctx, []BatchPlan{{Plan: p, Cache: cache}}, cat.Table, SkelConfig{Workers: workers})
-			if err != nil || !errors.Is(perPlan[0], ErrCountOverflow) || errors.Is(perPlan[0], ErrValidationPanic) {
-				t.Fatalf("batch engine workers=%d %s: %v / %v, want ErrCountOverflow for the plan", workers, state, err, perPlan)
-			}
+	cache := NewSkeletonCache()
+	for _, state := range []string{"cold", "warm"} {
+		if _, err := CountSkeletonCfg(ctx, p, cat.Table, cache, SkelConfig{}); !errors.Is(err, ErrCountOverflow) {
+			t.Fatalf("single plan %s: %v, want ErrCountOverflow", state, err)
 		}
-		// Four of the five scans' and three of the four joins' results fit.
-		subs := cachedSubs(cache)
-		if len(subs) != 8 {
-			t.Fatalf("workers=%d: %d sub-results cached, want the 8 that fit", workers, len(subs))
+		_, perPlan, err := CountSkeletonBatchCfg(ctx, []BatchPlan{{Plan: p, Cache: cache}}, cat.Table, SkelConfig{})
+		if err != nil || !errors.Is(perPlan[0], ErrCountOverflow) || errors.Is(perPlan[0], ErrValidationPanic) {
+			t.Fatalf("batch %s: %v / %v, want ErrCountOverflow for the plan", state, err, perPlan)
 		}
-		for key, sub := range subs {
-			if sub.count != 1 || sub.total != 1<<(bits.Len64(uint64(sub.total))-1) || (bits.Len64(uint64(sub.total))-1)%13 != 0 {
-				t.Fatalf("workers=%d: %s holds %d rows counting %d, want one row counting a power of 2^13", workers, key, sub.count, sub.total)
-			}
+	}
+	// Four of the five scans' and three of the four joins' results fit.
+	subs := cachedSubs(cache)
+	if len(subs) != 8 {
+		t.Fatalf("%d sub-results cached, want the 8 that fit", len(subs))
+	}
+	for key, sub := range subs {
+		if sub.count != 1 || sub.total != 1<<(bits.Len64(uint64(sub.total))-1) || (bits.Len64(uint64(sub.total))-1)%13 != 0 {
+			t.Fatalf("%s holds %d rows counting %d, want one row counting a power of 2^13", key, sub.count, sub.total)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -78,20 +77,17 @@ func TestRunCtxCancelMidExecution(t *testing.T) {
 }
 
 // TestBatchCtxAbortDoesNotPoisonCache: whatever instant a cancellation
-// lands at inside the batch engine, the shared cache must afterwards
-// contain only complete, correct sub-results — verified by re-running
+// lands at inside a batch, the call aborts as a whole with the context's
+// error — no per-plan slot absorbs it — and the shared cache afterwards
+// contains only complete, correct sub-results: verified by re-running
 // the full batch over the post-abort cache and comparing against a
 // fresh-cache run.
 func TestBatchCtxAbortDoesNotPoisonCache(t *testing.T) {
 	cat := skelCatalog(t, 3, 600)
 	q := skelQuery()
 	plans := skelPlans(cat, q)
-	workers := runtime.NumCPU()
-	if workers < 2 {
-		workers = 2
-	}
 
-	refCounts, refErrs, err := CountSkeletonBatch(plans, cat.Table, nil, workers)
+	refCounts, refErrs, err := CountSkeletonBatchCfg(context.Background(), batchOf(plans, nil), cat.Table, SkelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,26 +101,25 @@ func TestBatchCtxAbortDoesNotPoisonCache(t *testing.T) {
 		cache := NewSkeletonCache()
 		ctx, cancel := context.WithCancel(context.Background())
 		if delay == 0 {
-			cancel() // abort before the first wave
+			cancel() // abort before the first step
 		} else {
 			go func(d time.Duration) {
 				time.Sleep(d)
 				cancel()
 			}(delay)
 		}
-		bplans := make([]BatchPlan, len(plans))
-		for i, p := range plans {
-			bplans[i] = BatchPlan{Plan: p, Cache: cache}
-		}
-		_, _, aerr := CountSkeletonBatchCfg(ctx, bplans, cat.Table, SkelConfig{Workers: workers})
+		counts, perPlan, aerr := CountSkeletonBatchCfg(ctx, batchOf(plans, cache), cat.Table, SkelConfig{})
 		cancel()
 		// The abort may or may not have landed before completion; when it
-		// did, the error must be the context's.
-		if aerr != nil && !errors.Is(aerr, context.Canceled) {
-			t.Fatalf("delay %v: got %v, want context.Canceled or nil", delay, aerr)
+		// did, the error must be the context's and nothing is answered.
+		if aerr != nil && (!errors.Is(aerr, context.Canceled) || counts != nil || perPlan != nil) {
+			t.Fatalf("delay %v: got %v (%d counts, %d slots), want a bare context.Canceled or nil", delay, aerr, len(counts), len(perPlan))
+		}
+		if delay == 0 && (aerr == nil || cache.Len() != 0) {
+			t.Fatalf("pre-cancelled batch: err %v, %d entries cached", aerr, cache.Len())
 		}
 
-		counts, perPlan, rerr := CountSkeletonBatch(plans, cat.Table, cache, workers)
+		counts, perPlan, rerr := CountSkeletonBatchCfg(context.Background(), batchOf(plans, cache), cat.Table, SkelConfig{})
 		if rerr != nil {
 			t.Fatalf("delay %v: re-run over post-abort cache: %v", delay, rerr)
 		}
@@ -139,7 +134,7 @@ func TestBatchCtxAbortDoesNotPoisonCache(t *testing.T) {
 	}
 }
 
-// TestCountSkeletonCtxCancelled: the single-plan engine aborts between
+// TestCountSkeletonCtxCancelled: a single-plan run aborts between
 // nodes with ctx.Err() and leaves the cache usable.
 func TestCountSkeletonCtxCancelled(t *testing.T) {
 	cat := skelCatalog(t, 2, 400)
@@ -148,7 +143,7 @@ func TestCountSkeletonCtxCancelled(t *testing.T) {
 	cache := NewSkeletonCache()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CountSkeletonCfg(ctx, p, cat.Table, cache, SkelConfig{Workers: 1}); !errors.Is(err, context.Canceled) {
+	if _, err := CountSkeletonCfg(ctx, p, cat.Table, cache, SkelConfig{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled CountSkeletonCfg: got %v, want context.Canceled", err)
 	}
 	want, err := CountSkeleton(p, cat.Table, nil)

@@ -1,7 +1,7 @@
 package executor
 
-// Failure containment and resource accounting for the skeleton
-// engines. Two failure classes are introduced here:
+// Failure containment and resource accounting for the skeleton engine.
+// Three failure classes fail one validation and nothing else:
 //
 //   - ErrMemoryBudget: a validation materialized more boundary-column
 //     values and hash-table entries than the configured soft budget
@@ -11,15 +11,13 @@ package executor
 //
 //   - ErrValidationPanic / PanicError: a panic anywhere inside a
 //     skeleton evaluation (including injected faults) is recovered at
-//     the engine boundary and converted to an error carrying the
-//     panicking goroutine's stack. The batch engine attributes it to
-//     exactly the plans whose subtrees the failed work unit served;
-//     co-scheduled plans complete unaffected.
+//     the engine boundary (countSteps) and converted to an error carrying
+//     the stack. The plan being validated fails; plans validated before
+//     or after it in the same batch are unaffected.
 //
 //   - ErrCountOverflow (compact.go): a logical count past int64. The
-//     checked weight arithmetic panics with it and the engine boundaries
-//     hand it back as itself (failureError), to the plans a panic there
-//     would have failed.
+//     checked weight arithmetic panics with it and the engine boundary
+//     hands it back as itself (failureError).
 //
 // None ever poisons a cache: a plan that fails stores nothing, and
 // sub-results already fully computed remain valid.
@@ -56,13 +54,12 @@ func (e *PanicError) Error() string {
 // Unwrap lets errors.Is(err, ErrValidationPanic) match.
 func (e *PanicError) Unwrap() error { return ErrValidationPanic }
 
-// NewPanicError converts a recovered panic value into a *PanicError.
-// Exported for the layers above the executor (scheduler, session) that
-// contain panics at their own goroutine boundaries.
+// NewPanicError converts a recovered panic value into a *PanicError
+// carrying the recovering goroutine's stack — the panicking frames are
+// still on it inside a deferred recover. Exported for the layers above the
+// executor (scheduler, session) that contain panics at their own
+// goroutine boundaries.
 func NewPanicError(r any) *PanicError {
-	if cp, ok := r.(*capturedPanic); ok {
-		return &PanicError{Value: cp.val, Stack: cp.stack}
-	}
 	return &PanicError{Value: r, Stack: debug.Stack()}
 }
 
@@ -70,32 +67,10 @@ func NewPanicError(r any) *PanicError {
 // validation fails with: ErrCountOverflow for the checked weight
 // arithmetic's panic, a *PanicError for anything else.
 func failureError(r any) error {
-	v := r
-	if cp, ok := r.(*capturedPanic); ok {
-		v = cp.val
-	}
-	if err, ok := v.(error); ok && errors.Is(err, ErrCountOverflow) {
+	if err, ok := r.(error); ok && errors.Is(err, ErrCountOverflow) {
 		return err
 	}
 	return NewPanicError(r)
-}
-
-// capturedPanic is a panic captured on a worker goroutine together with
-// that goroutine's stack, re-panicked on the coordinating goroutine so
-// the engine-boundary recover sees the original failure site.
-type capturedPanic struct {
-	val   any
-	stack []byte
-}
-
-// capturePanic snapshots a recovered value with the current stack; a
-// value that is already a capturedPanic passes through unchanged so the
-// original stack survives re-panics across goroutine hops.
-func capturePanic(r any) *capturedPanic {
-	if cp, ok := r.(*capturedPanic); ok {
-		return cp
-	}
-	return &capturedPanic{val: r, stack: debug.Stack()}
 }
 
 // memAccount tracks one validation's materialization charge against a
@@ -103,10 +78,8 @@ func capturePanic(r any) *capturedPanic {
 // boundary-column value or a row's weight — or one hash-table entry each
 // cost 1. Charges are deterministic functions of the plan and sample data
 // alone — a cache hit and a template refinement charge what computing the
-// sub-result does, and the batch engine charges each plan for every node
-// of its tree (with multiplicity) — so a given (plan, sample) pair
-// breaches or passes a budget identically across engines, worker counts,
-// and cache states.
+// sub-result does — so a given (plan, sample) pair breaches or passes a
+// budget identically across shard counts and cache states.
 type memAccount struct {
 	budget int64 // <= 0 means unlimited
 	used   int64

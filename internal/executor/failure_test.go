@@ -3,7 +3,7 @@ package executor
 import (
 	"context"
 	"errors"
-	"fmt"
+	"strings"
 	"testing"
 
 	"reopt/internal/catalog"
@@ -14,8 +14,8 @@ import (
 )
 
 // skelQueryFiltered is skelQuery with a distinguishable t1 filter
-// constant, so two logically different queries produce disjoint task
-// sets in one batch.
+// constant, so two logically different queries share no sub-result
+// above the t2 and t3 scans.
 func skelQueryFiltered(limit int64) *sql.Query {
 	q := skelQuery()
 	q.Selections[0].Value = rel.Int(limit)
@@ -29,39 +29,38 @@ func planFor(cat *catalog.Catalog, q *sql.Query) *plan.Plan {
 }
 
 // TestMemoryBudgetVerdictEquivalence: for one plan, the breach verdict
-// at a given budget must be identical across the single-plan engine,
-// the batch engine at every worker count, warm and cold caches — and a
-// passing budget must return counts byte-identical to the unlimited
-// run.
+// at a given budget must be identical run alone or in a batch, over warm
+// and cold caches — and a passing budget must return counts
+// byte-identical to the unlimited run.
 func TestMemoryBudgetVerdictEquivalence(t *testing.T) {
 	cat := skelCatalog(t, 7, 400)
 	q := skelQuery()
 	p := skelPlans(cat, q)[0]
 	ctx := context.Background()
 
-	want, err := CountSkeletonCfg(ctx, p, cat.Table, nil, SkelConfig{Workers: 2})
+	want, err := CountSkeletonCfg(ctx, p, cat.Table, nil, SkelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, budget := range []int64{1, 100, 1000, 10_000, 1 << 40} {
-		soloCold, soloErr := CountSkeletonCfg(ctx, p, cat.Table, nil, SkelConfig{Workers: 2, MemBudget: budget})
+		soloCold, soloErr := CountSkeletonCfg(ctx, p, cat.Table, nil, SkelConfig{MemBudget: budget})
 		warm := NewSkeletonCache()
-		if _, err := CountSkeletonCfg(ctx, p, cat.Table, warm, SkelConfig{Workers: 2}); err != nil {
+		if _, err := CountSkeletonCfg(ctx, p, cat.Table, warm, SkelConfig{}); err != nil {
 			t.Fatal(err)
 		}
-		_, warmErr := CountSkeletonCfg(ctx, p, cat.Table, warm, SkelConfig{Workers: 2, MemBudget: budget})
+		_, warmErr := CountSkeletonCfg(ctx, p, cat.Table, warm, SkelConfig{MemBudget: budget})
 		if errors.Is(soloErr, ErrMemoryBudget) != errors.Is(warmErr, ErrMemoryBudget) {
 			t.Fatalf("budget %d: cold verdict %v, warm verdict %v", budget, soloErr, warmErr)
 		}
-		for _, workers := range []int{1, 4} {
+		for _, cache := range []*SkeletonCache{nil, warm} {
 			_, perPlan, berr := CountSkeletonBatchCfg(ctx,
-				[]BatchPlan{{Plan: p}}, cat.Table, SkelConfig{Workers: workers, MemBudget: budget})
+				[]BatchPlan{{Plan: p, Cache: cache}}, cat.Table, SkelConfig{MemBudget: budget})
 			if berr != nil {
-				t.Fatalf("budget %d workers %d: batch error %v", budget, workers, berr)
+				t.Fatalf("budget %d: batch error %v", budget, berr)
 			}
 			if errors.Is(soloErr, ErrMemoryBudget) != errors.Is(perPlan[0], ErrMemoryBudget) {
-				t.Fatalf("budget %d workers %d: solo verdict %v, batch verdict %v",
-					budget, workers, soloErr, perPlan[0])
+				t.Fatalf("budget %d warm=%v: solo verdict %v, batch verdict %v",
+					budget, cache != nil, soloErr, perPlan[0])
 			}
 		}
 		if soloErr == nil {
@@ -76,7 +75,7 @@ func TestMemoryBudgetVerdictEquivalence(t *testing.T) {
 		}
 	}
 	// Sanity: the extremes behave as extremes.
-	if _, err := CountSkeletonCfg(ctx, p, cat.Table, nil, SkelConfig{Workers: 2, MemBudget: 1}); !errors.Is(err, ErrMemoryBudget) {
+	if _, err := CountSkeletonCfg(ctx, p, cat.Table, nil, SkelConfig{MemBudget: 1}); !errors.Is(err, ErrMemoryBudget) {
 		t.Fatalf("budget 1: err = %v, want ErrMemoryBudget", err)
 	}
 	if !errors.Is(ErrMemoryBudget, context.DeadlineExceeded) {
@@ -95,15 +94,15 @@ func TestMemoryBudgetIsolatedPerPlan(t *testing.T) {
 	pSmall, pBig := planFor(cat, qSmall), planFor(cat, qBig)
 	ctx := context.Background()
 
-	wantSmall, err := CountSkeletonCfg(ctx, pSmall, cat.Table, nil, SkelConfig{Workers: 2})
+	wantSmall, err := CountSkeletonCfg(ctx, pSmall, cat.Table, nil, SkelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Find a budget the small plan fits and the big plan breaches.
 	var budget int64
 	for b := int64(2); b < 1<<40; b *= 2 {
-		_, errS := CountSkeletonCfg(ctx, pSmall, cat.Table, nil, SkelConfig{Workers: 2, MemBudget: b})
-		_, errB := CountSkeletonCfg(ctx, pBig, cat.Table, nil, SkelConfig{Workers: 2, MemBudget: b})
+		_, errS := CountSkeletonCfg(ctx, pSmall, cat.Table, nil, SkelConfig{MemBudget: b})
+		_, errB := CountSkeletonCfg(ctx, pBig, cat.Table, nil, SkelConfig{MemBudget: b})
 		if errS == nil && errors.Is(errB, ErrMemoryBudget) {
 			budget = b
 			break
@@ -114,7 +113,7 @@ func TestMemoryBudgetIsolatedPerPlan(t *testing.T) {
 	}
 	cache := NewSkeletonCache()
 	counts, perPlan, err := CountSkeletonBatchCfg(ctx,
-		[]BatchPlan{{Plan: pBig, Cache: cache}, {Plan: pSmall, Cache: cache}}, cat.Table, SkelConfig{Workers: 4, MemBudget: budget})
+		[]BatchPlan{{Plan: pBig, Cache: cache}, {Plan: pSmall, Cache: cache}}, cat.Table, SkelConfig{MemBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +130,11 @@ func TestMemoryBudgetIsolatedPerPlan(t *testing.T) {
 	}
 	// The cache the breaching plan validated through must still serve a
 	// later unbudgeted run correctly.
-	countsBig, err := CountSkeletonCfg(ctx, pBig, cat.Table, cache, SkelConfig{Workers: 2})
+	countsBig, err := CountSkeletonCfg(ctx, pBig, cat.Table, cache, SkelConfig{})
 	if err != nil {
 		t.Fatalf("post-breach run over same cache: %v", err)
 	}
-	wantBig, err := CountSkeletonCfg(ctx, pBig, cat.Table, nil, SkelConfig{Workers: 2})
+	wantBig, err := CountSkeletonCfg(ctx, pBig, cat.Table, nil, SkelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +155,7 @@ func TestPanicContainedSinglePlan(t *testing.T) {
 	fi.PanicAt(faultinject.SkelNode, "T:t2=t2")
 	defer fi.Activate()()
 
-	_, err := CountSkeletonCfg(context.Background(), p, cat.Table, nil, SkelConfig{Workers: 2, MemBudget: 0})
+	_, err := CountSkeletonCfg(context.Background(), p, cat.Table, nil, SkelConfig{})
 	if !errors.Is(err, ErrValidationPanic) {
 		t.Fatalf("err = %v, want ErrValidationPanic", err)
 	}
@@ -172,10 +171,11 @@ func TestPanicContainedSinglePlan(t *testing.T) {
 	}
 }
 
-// TestPanicIsolatedPerPlanInBatch: a panic injected into a work unit
-// unique to one query fails only that query's plan; the co-batched
-// plan's counts stay byte-identical to its solo run and the shared
-// cache stays clean for a rerun of the failed plan.
+// TestPanicIsolatedPerPlanInBatch: a panic injected into a subtree
+// unique to one query fails only that query's plan, whichever side of
+// the healthy plan it is validated on; the co-batched plan's counts stay
+// byte-identical to its solo run, the failed plan stores nothing, and
+// the shared cache stays clean for a rerun of the failed plan.
 func TestPanicIsolatedPerPlanInBatch(t *testing.T) {
 	cat := skelCatalog(t, 5, 400)
 	qOK := skelQueryFiltered(50)
@@ -183,42 +183,53 @@ func TestPanicIsolatedPerPlanInBatch(t *testing.T) {
 	pOK, pBad := planFor(cat, qOK), planFor(cat, qBad)
 	ctx := context.Background()
 
-	wantOK, err := CountSkeletonCfg(ctx, pOK, cat.Table, nil, SkelConfig{Workers: 2})
+	wantOK, err := CountSkeletonCfg(ctx, pOK, cat.Table, nil, SkelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBad, err := CountSkeletonCfg(ctx, pBad, cat.Table, nil, SkelConfig{Workers: 2})
+	wantBad, err := CountSkeletonCfg(ctx, pBad, cat.Table, nil, SkelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cache := NewSkeletonCache()
-	func() {
+	for _, badFirst := range []bool{false, true} {
+		bplans := []BatchPlan{{Plan: pOK, Cache: cache}, {Plan: pBad, Cache: cache}}
+		ok, bad := 0, 1
+		if badFirst {
+			bplans[0], bplans[1] = bplans[1], bplans[0]
+			ok, bad = 1, 0
+		}
 		var fi faultinject.Set
-		// "t1.v < 51" appears only in qBad's t1 scan signature.
-		fi.PanicAt(faultinject.ScanUnit, "t1.v < 51")
-		defer fi.Activate()()
-		counts, perPlan, berr := CountSkeletonBatchCfg(ctx,
-			[]BatchPlan{{Plan: pOK, Cache: cache}, {Plan: pBad, Cache: cache}}, cat.Table, SkelConfig{Workers: 4, MemBudget: 0})
+		// "t1.v < 51" appears only in qBad's signatures, from its t1 scan up.
+		fi.PanicAt(faultinject.SkelNode, "t1.v < 51")
+		restore := fi.Activate()
+		counts, perPlan, berr := CountSkeletonBatchCfg(ctx, bplans, cat.Table, SkelConfig{})
+		restore()
 		if berr != nil {
 			t.Fatalf("batch error %v, want per-plan isolation", berr)
 		}
-		if perPlan[0] != nil {
-			t.Fatalf("healthy plan: err = %v, want nil", perPlan[0])
+		if perPlan[ok] != nil {
+			t.Fatalf("healthy plan: err = %v, want nil", perPlan[ok])
 		}
-		if !errors.Is(perPlan[1], ErrValidationPanic) {
-			t.Fatalf("injected plan: err = %v, want ErrValidationPanic", perPlan[1])
+		if !errors.Is(perPlan[bad], ErrValidationPanic) || counts[bad] != nil {
+			t.Fatalf("injected plan: err = %v with %d counts, want ErrValidationPanic and none", perPlan[bad], len(counts[bad]))
 		}
 		for n, c := range wantOK {
-			if counts[0][n] != c {
-				t.Fatalf("healthy plan count diverged next to a panicking peer: %d != %d", counts[0][n], c)
+			if counts[ok][n] != c {
+				t.Fatalf("healthy plan count diverged next to a panicking peer: %d != %d", counts[ok][n], c)
 			}
 		}
-	}()
+		for _, k := range cache.Keys() {
+			if strings.Contains(k, "t1.v < 51") {
+				t.Fatalf("the panicking plan stored %q", k)
+			}
+		}
+	}
 
 	// With the injection gone, the same cache must serve both plans.
 	counts, perPlan, err := CountSkeletonBatchCfg(ctx,
-		[]BatchPlan{{Plan: pOK, Cache: cache}, {Plan: pBad, Cache: cache}}, cat.Table, SkelConfig{Workers: 4, MemBudget: 0})
+		[]BatchPlan{{Plan: pOK, Cache: cache}, {Plan: pBad, Cache: cache}}, cat.Table, SkelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,29 +243,4 @@ func TestPanicIsolatedPerPlanInBatch(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestRunSpansPropagatesWorkerPanic: a panic on a span goroutine must
-// resurface on the calling goroutine as a capturedPanic carrying the
-// worker's stack (the engine boundary then converts it).
-func TestRunSpansPropagatesWorkerPanic(t *testing.T) {
-	defer func() {
-		r := recover()
-		cp, ok := r.(*capturedPanic)
-		if !ok {
-			t.Fatalf("recovered %#v, want *capturedPanic", r)
-		}
-		if fmt.Sprint(cp.val) != "boom" {
-			t.Fatalf("panic value = %v, want boom", cp.val)
-		}
-		if len(cp.stack) == 0 {
-			t.Fatal("captured panic has no stack")
-		}
-	}()
-	runSpans([]span{{0, 10}, {10, 20}, {20, 30}}, func(p int, s span) {
-		if p == 1 {
-			panic("boom")
-		}
-	})
-	t.Fatal("runSpans returned without re-panicking")
 }

@@ -161,8 +161,8 @@ func TestIndexedPassMatchesKernelPass(t *testing.T) {
 
 // TestIndexedScanSelection: scans of t — whose sub-result carries t.id,
 // i.e. the selection vector itself — select exactly the rows
-// sql.EvalSelection accepts, through both engines, at workers {1, 2} x
-// shards {1, 4} x template sharing off/on, cold and warm. Each case is a
+// sql.EvalSelection accepts, through both entry points, at shards
+// {1, 4} x template sharing off/on, cold and warm. Each case is a
 // loose and a tight instance of one filter shape, so with sharing on the
 // tight one is refined from the loose one's (indexed) scan; the cases
 // mix indexed passes with kernel passes in one conjunction and include a
@@ -228,28 +228,26 @@ func TestIndexedScanSelection(t *testing.T) {
 				}
 			}
 		}
-		for _, workers := range []int{1, 2} {
-			for _, shards := range []int{1, 4} {
-				for _, templates := range []bool{false, true} {
-					cfg := SkelConfig{Workers: workers, Shards: shards, Templates: templates}
-					single, batch := NewSkeletonCache(), NewSkeletonCache()
-					for _, state := range []string{"cold", "warm"} {
-						label := fmt.Sprintf("workers=%d shards=%d templates=%v %s", workers, shards, templates, state)
-						for pi, p := range plans {
-							got, err := CountSkeletonCfg(ctx, p, cat.Table, single, cfg)
-							if err != nil {
-								t.Fatalf("%s [%s single]: %v", name, label, err)
-							}
-							check(label+" single", pi, got, single)
+		for _, shards := range []int{1, 4} {
+			for _, templates := range []bool{false, true} {
+				cfg := SkelConfig{Shards: shards, Templates: templates}
+				single, batch := NewSkeletonCache(), NewSkeletonCache()
+				for _, state := range []string{"cold", "warm"} {
+					label := fmt.Sprintf("shards=%d templates=%v %s", shards, templates, state)
+					for pi, p := range plans {
+						got, err := CountSkeletonCfg(ctx, p, cat.Table, single, cfg)
+						if err != nil {
+							t.Fatalf("%s [%s single]: %v", name, label, err)
 						}
-						bps := []BatchPlan{{Plan: plans[0], Cache: batch}, {Plan: plans[1], Cache: batch}}
-						got, perPlan, err := CountSkeletonBatchCfg(ctx, bps, cat.Table, cfg)
-						if err != nil || perPlan[0] != nil || perPlan[1] != nil {
-							t.Fatalf("%s [%s batch]: %v / %v", name, label, err, perPlan)
-						}
-						for pi := range plans {
-							check(label+" batch", pi, got[pi], batch)
-						}
+						check(label+" single", pi, got, single)
+					}
+					bps := []BatchPlan{{Plan: plans[0], Cache: batch}, {Plan: plans[1], Cache: batch}}
+					got, perPlan, err := CountSkeletonBatchCfg(ctx, bps, cat.Table, cfg)
+					if err != nil || perPlan[0] != nil || perPlan[1] != nil {
+						t.Fatalf("%s [%s batch]: %v / %v", name, label, err, perPlan)
+					}
+					for pi := range plans {
+						check(label+" batch", pi, got[pi], batch)
 					}
 				}
 			}

@@ -167,7 +167,7 @@ func checkChains(t *testing.T, name string, tb *joinTable, r *subResult, key []i
 
 // TestJoinTableMatchesMapBuild: on every key shape the flat table's
 // chains are well formed and its probe returns the map-based join's pairs
-// in the same order, probed whole and as two spans.
+// in the same order.
 func TestJoinTableMatchesMapBuild(t *testing.T) {
 	for _, jc := range joinCases() {
 		nkeys := len(jc.l[0])
@@ -177,16 +177,13 @@ func TestJoinTableMatchesMapBuild(t *testing.T) {
 		checkChains(t, jc.name, tb, r, key)
 		want := mapProbe(l, r, key)
 		j := joinProbe{l: l, r: r, table: tb, lkey: key, rkey: key, gather: []gatherSrc{{left: true}}}
-		var whole, halves pairBuf
-		n := j.probe(&whole, 0, l.count)
-		n2 := j.probe(&halves, 0, l.count/3) + j.probe(&halves, l.count/3, l.count)
-		for label, got := range map[string]*pairBuf{"whole": &whole, "two spans": &halves} {
-			if !slices.Equal(got.l, want.l) || !slices.Equal(got.r, want.r) {
-				t.Errorf("%s [%s]: %d pairs differ from the map-based join's %d", jc.name, label, len(got.l), len(want.l))
-			}
+		var got pairBuf
+		n := j.probe(&got)
+		if !slices.Equal(got.l, want.l) || !slices.Equal(got.r, want.r) {
+			t.Errorf("%s: %d pairs differ from the map-based join's %d", jc.name, len(got.l), len(want.l))
 		}
-		if n != int64(len(want.l)) || n2 != n {
-			t.Errorf("%s: probe counted %d / %d matches, want %d", jc.name, n, n2, len(want.l))
+		if n != int64(len(want.l)) {
+			t.Errorf("%s: probe counted %d matches, want %d", jc.name, n, len(want.l))
 		}
 	}
 }
@@ -229,18 +226,18 @@ func TestJoinTableCollisionRejected(t *testing.T) {
 		}
 		j := joinProbe{l: l, r: r, table: tb, lkey: []int{0}, rkey: []int{0}, gather: []gatherSrc{{left: true}}}
 		var pb pairBuf
-		j.probe(&pb, 0, 2)
+		j.probe(&pb)
 		if !slices.Equal(pb.l, []int32{0, 0, 1, 1}) || !slices.Equal(pb.r, []int32{0, 2, 1, 3}) {
 			t.Errorf("nullable=%v: pairs (%v, %v), want left 0 with rows 0,2 and left 1 with rows 1,3", nullable, pb.l, pb.r)
 		}
 	}
 }
 
-// TestJoinTablePairsThroughEngines: the same cases through both skeleton
-// engines. The join l ⋈ r feeds two further joins on l.id and r.id, so
+// TestJoinTablePairsThroughEngines: the same cases through the skeleton
+// engine's single-plan and batch entry points. The join l ⋈ r feeds two further joins on l.id and r.id, so
 // its cached sub-result carries exactly the probe's (left, right) pairs as
-// columns; they must equal the map-based join's at workers {1, 2} x
-// shards {1, 4}, computed cold and served warm.
+// columns; they must equal the map-based join's at shards {1, 4},
+// computed cold and served warm.
 func TestJoinTablePairsThroughEngines(t *testing.T) {
 	ctx := context.Background()
 	for _, jc := range joinCases() {
@@ -273,38 +270,36 @@ func TestJoinTablePairsThroughEngines(t *testing.T) {
 		r, _ := caseSub(rt, nkeys)
 		want := mapProbe(l, r, key)
 
-		for _, workers := range []int{1, 2} {
-			for _, shards := range []int{1, 4} {
-				cfg := SkelConfig{Workers: workers, Shards: shards}
-				single, batch := NewSkeletonCache(), NewSkeletonCache()
-				for _, state := range []string{"cold", "warm"} {
-					label := fmt.Sprintf("%s [workers=%d shards=%d %s]", jc.name, workers, shards, state)
-					got, err := CountSkeletonCfg(ctx, p, cat.Table, single, cfg)
-					if err != nil {
-						t.Fatalf("%s single: %v", label, err)
+		for _, shards := range []int{1, 4} {
+			cfg := SkelConfig{Shards: shards}
+			single, batch := NewSkeletonCache(), NewSkeletonCache()
+			for _, state := range []string{"cold", "warm"} {
+				label := fmt.Sprintf("%s [shards=%d %s]", jc.name, shards, state)
+				got, err := CountSkeletonCfg(ctx, p, cat.Table, single, cfg)
+				if err != nil {
+					t.Fatalf("%s single: %v", label, err)
+				}
+				bgot, perPlan, err := CountSkeletonBatchCfg(ctx, []BatchPlan{{Plan: p, Cache: batch}}, cat.Table, cfg)
+				if err != nil || perPlan[0] != nil {
+					t.Fatalf("%s batch: %v / %v", label, err, perPlan[0])
+				}
+				for engine, cache := range map[string]*SkeletonCache{"single": single, "batch": batch} {
+					counts := got
+					if engine == "batch" {
+						counts = bgot[0]
 					}
-					bgot, perPlan, err := CountSkeletonBatchCfg(ctx, []BatchPlan{{Plan: p, Cache: batch}}, cat.Table, cfg)
-					if err != nil || perPlan[0] != nil {
-						t.Fatalf("%s batch: %v / %v", label, err, perPlan[0])
+					if counts[lr] != int64(len(want.l)) || counts[p.Root] != int64(len(want.l)) {
+						t.Errorf("%s %s: l⋈r counted %d, root %d, want %d", label, engine, counts[lr], counts[p.Root], len(want.l))
 					}
-					for engine, cache := range map[string]*SkeletonCache{"single": single, "batch": batch} {
-						counts := got
-						if engine == "batch" {
-							counts = bgot[0]
-						}
-						if counts[lr] != int64(len(want.l)) || counts[p.Root] != int64(len(want.l)) {
-							t.Errorf("%s %s: l⋈r counted %d, root %d, want %d", label, engine, counts[lr], counts[p.Root], len(want.l))
-						}
-						refs := boundaryColumns(q, lr.Aliases())
-						sub, ok := cache.getSub(cache.subKey(subtreeSig(lr), refs))
-						if !ok || len(sub.cols) != 2 {
-							t.Fatalf("%s %s: l⋈r not cached with its two id columns", label, engine)
-						}
-						for x := range want.l {
-							if sub.cols[0].Ints[x] != int64(want.l[x]) || sub.cols[1].Ints[x] != int64(want.r[x]) {
-								t.Fatalf("%s %s: pair %d is (%d, %d), the map-based join's is (%d, %d)", label, engine,
-									x, sub.cols[0].Ints[x], sub.cols[1].Ints[x], want.l[x], want.r[x])
-							}
+					refs := boundaryColumns(q, lr.Aliases())
+					sub, ok := cache.getSub(cache.subKey(subtreeSig(lr), refs))
+					if !ok || len(sub.cols) != 2 {
+						t.Fatalf("%s %s: l⋈r not cached with its two id columns", label, engine)
+					}
+					for x := range want.l {
+						if sub.cols[0].Ints[x] != int64(want.l[x]) || sub.cols[1].Ints[x] != int64(want.r[x]) {
+							t.Fatalf("%s %s: pair %d is (%d, %d), the map-based join's is (%d, %d)", label, engine,
+								x, sub.cols[0].Ints[x], sub.cols[1].Ints[x], want.l[x], want.r[x])
 						}
 					}
 				}

@@ -1,7 +1,7 @@
 package executor
 
 // Prepared validation (DESIGN.md §11). Algorithm 1 validates the same
-// query round after round; what the engines need beyond the plan at hand
+// query round after round; what the engine needs beyond the plan at hand
 // — signatures, boundary columns, cache keys, join keys, gather plans —
 // depends only on the query and on which of its relations a subtree
 // covers, so it is derived once per request, keyed by the subtree's
@@ -29,7 +29,7 @@ import (
 	"reopt/internal/sql"
 )
 
-// Prepared is one query's validation state: what the engines need to
+// Prepared is one query's validation state: what the engine needs to
 // know about each relation set and each join of two sets, derived on
 // first use and kept for the request. It is bound to the cache view it
 // was made by (SkeletonCache.Prepared) — rendered keys carry that view's
@@ -99,7 +99,7 @@ type joinInfo struct {
 
 // Step is one node of a compiled plan. Steps are in post-order — both
 // inputs of a join precede it, the root is last — which is the order the
-// engines evaluate in.
+// engine evaluates in.
 type Step struct {
 	// Set is the relation set the node produces.
 	Set *SetInfo
@@ -175,7 +175,7 @@ func (s *Prepared) bit(alias string) uint64 {
 
 // compile flattens the plan rooted at root into steps. With exact set it
 // enforces the exactness rule and resolves every join, so the steps can
-// run on the skeleton engines; without, it only names each node's set —
+// run on the skeleton engine; without, it only names each node's set —
 // what the general-executor fallback needs to report its counts.
 func (s *Prepared) compile(root plan.Node, exact bool) ([]Step, error) {
 	s.mu.Lock()

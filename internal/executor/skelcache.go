@@ -224,7 +224,7 @@ func (c *SkeletonCache) split(q *sql.Query) (*SkeletonCache, *Prepared) {
 }
 
 // Outline names the relation set of every node of p, in post-order,
-// without requiring p to fit the skeleton engines: what a caller that
+// without requiring p to fit the skeleton engine: what a caller that
 // counted p some other way needs to report its counts under the same keys.
 func (c *SkeletonCache) Outline(p *plan.Plan) ([]Step, error) {
 	_, prep := c.split(p.Query)
@@ -307,9 +307,8 @@ func (c *SkeletonCache) Values() int {
 }
 
 // writeRefs writes the canonical rendering of a boundary-column set. It
-// is the single source of that format: cache keys (which double as the
-// batch engine's dedupe keys) and template signatures must serialize
-// refs byte-identically.
+// is the single source of that format: cache keys and template
+// signatures must serialize refs byte-identically.
 func writeRefs(b *strings.Builder, refs []sql.ColRef) {
 	b.WriteString("|B:")
 	for _, r := range refs {

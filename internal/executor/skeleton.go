@@ -26,16 +26,14 @@ package executor
 // allocated once at its exact final length, and a numeric column holds no
 // pointer for the collector to clear or scan.
 //
-// The inner loops are vectorized and parallel. Scan filters compile to
-// typed kernels (internal/vec) that evaluate each predicate over the
-// whole column into a selection bitmap; conjunctive filters fuse by
-// AND-ing bitmaps, and only the final bitmap is materialized into a
-// selection vector. Filter evaluation and join probe loops are
-// partitioned into contiguous row ranges run across up to GOMAXPROCS
-// goroutines: sub-results and build-side hash tables are read-only by
-// then, workers keep private output chunks, and the chunks are merged in
-// partition order before the one compaction pass — so counts and column
-// contents are byte-identical at every worker count.
+// The inner loops are vectorized. Scan filters compile to typed kernels
+// (internal/vec) that evaluate each predicate over the whole column into a
+// selection bitmap; conjunctive filters fuse by AND-ing bitmaps, and only
+// the final bitmap is materialized into a selection vector. A validation
+// runs start to finish on the goroutine that asked for it: at the tens of
+// microseconds one takes, handing parts of it to other goroutines cost
+// more than it saved at every sample size the benchmarks have (DESIGN.md
+// §2), so concurrency is between validations, never inside one.
 //
 // Because boundary columns are derived from the query rather than the
 // plan, a sub-result is valid for every join order that contains the same
@@ -48,9 +46,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"reopt/internal/faultinject"
 	"reopt/internal/plan"
@@ -112,25 +107,20 @@ func scanSub(sc *skelScratch, sig string, cs *storage.ColStore, poss []int, sel 
 // skeleton (sequential scans and equi-joins; any other node shape is an
 // error, and callers fall back to the general executor). binder resolves
 // a catalog table name to the table to scan — the sampling layer binds
-// samples. cache may be nil. Execution parallelism defaults to
-// GOMAXPROCS; use CountSkeletonCfg to pin it.
+// samples. cache may be nil.
 func CountSkeleton(p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache) (map[plan.Node]int64, error) {
 	return CountSkeletonCfg(context.Background(), p, binder, cache, SkelConfig{})
 }
 
-// SkelConfig carries the execution knobs of the skeleton engines. The
-// zero value means: GOMAXPROCS workers, monolithic (unsharded) samples,
-// no memory budget. Every knob is performance-only — counts, cached
-// sub-results, and budget verdicts are byte-identical at every setting.
+// SkelConfig carries the execution knobs of the skeleton engine. The zero
+// value means: monolithic (unsharded) samples, no memory budget, no
+// template index. Shards and Templates are performance-only — counts and
+// cached sub-results are byte-identical at every setting.
 type SkelConfig struct {
-	// Workers caps the parallelism of the partitioned loops; <= 0
-	// selects runtime.GOMAXPROCS(0), 1 runs sequentially.
-	Workers int
-	// Shards splits every sample scan into that many contiguous
-	// word-aligned partitions (storage.ShardBounds) whose partial
-	// results merge associatively in shard order: counts sum and
-	// boundary columns concatenate. <= 1 keeps
-	// the monolithic layout bit-for-bit. Memory-budget charges and
+	// Shards evaluates every sample scan as that many contiguous
+	// word-aligned partitions (storage.ShardBounds), one after another,
+	// whose selections concatenate in shard order into the monolithic
+	// one. <= 1 keeps the monolithic layout. Memory-budget charges and
 	// cache keys never mention the shard count, so verdicts and
 	// warm-cache behavior are shard-count-independent.
 	Shards int
@@ -139,41 +129,25 @@ type SkelConfig struct {
 	// included — see memAccount); <= 0 means unlimited. On breach the run
 	// aborts with ErrMemoryBudget; nothing partial is cached.
 	MemBudget int64
-	// Templates enables template-aware scan sharing (DESIGN.md §9):
-	// filtered scans are canonicalized into constant-stripped templates;
-	// within a batch wave, instances of one template execute a single
-	// shared scan with the union (loosest) selection and refine
-	// per-constant over the materialized rows, and the cache keeps a
-	// (template, constant-vector) index so a near-miss constant refines
-	// a cached containing instance instead of rescanning. Counts and
-	// estimates stay byte-identical at either setting — sharing changes
-	// how sub-results are computed, never their contents. Off by
-	// default: the index retains gathered filter columns, a memory cost
-	// only parametrized workloads buy anything with.
+	// Templates enables the cache's template index (DESIGN.md §9):
+	// filtered scans are canonicalized into constant-stripped templates,
+	// and the cache keeps a (template, constant-vector) index so a
+	// near-miss constant refines a cached containing instance instead of
+	// rescanning. Counts and estimates stay byte-identical at either
+	// setting — the index changes how sub-results are computed, never
+	// their contents. Off by default: the index retains gathered filter
+	// columns, a memory cost only parametrized workloads buy anything with.
 	Templates bool
-}
-
-// norm returns the config with defaults resolved.
-func (c SkelConfig) norm() SkelConfig {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
-	return c
 }
 
 // CountSkeletonCfg is CountSkeleton with cancellation, failure
 // containment and the execution config. ctx is checked before each step,
 // so a cancelled context aborts the run between subtrees with ctx.Err();
 // only fully evaluated subtrees are written to the cache, so an abort
-// leaves nothing partial behind. A panic inside evaluation — worker
-// goroutines included — is returned as a *PanicError instead of
-// unwinding. Counts and cached sub-results are byte-identical at every
-// setting: partitions are contiguous row ranges merged in order.
+// leaves nothing partial behind. A panic inside evaluation is returned as
+// a *PanicError instead of unwinding.
 func CountSkeletonCfg(ctx context.Context, p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, cfg SkelConfig) (map[plan.Node]int64, error) {
-	steps, err := countSteps(ctx, p, binder, cache, cfg.norm())
+	steps, err := countSteps(ctx, p, binder, cache, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -191,8 +165,10 @@ func countsByNode(steps []Step) map[plan.Node]int64 {
 }
 
 // countSteps compiles p against the prepared state its cache view
-// carries (or one made for this call) and runs the steps on the
-// single-plan engine, returning them with their counts filled.
+// carries (or one made for this call) and runs the steps, returning them
+// with their counts filled. Its recover is the engine boundary: whatever
+// panics below — an injected fault, a checked count overflowing — fails
+// this plan with an error and nothing else.
 func countSteps(ctx context.Context, p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, cfg SkelConfig) (steps []Step, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -207,15 +183,13 @@ func countSteps(ctx context.Context, p *plan.Plan, binder func(string) (*storage
 		ctx:         ctx,
 		binder:      binder,
 		cache:       cache,
-		workers:     cfg.Workers,
 		shards:      cfg.Shards,
 		templates:   cfg.Templates,
-		minChunk:    minChunkRows,
 		mem:         memAccount{budget: cfg.MemBudget},
 		skelScratch: getScratch(),
 	}
 	err = e.run(steps)
-	putScratch(e.skelScratch) // not after a panic: a span may have left it mid-write
+	putScratch(e.skelScratch) // not after a panic: a step may have left it mid-write
 	if err != nil {
 		return nil, err
 	}
@@ -226,21 +200,12 @@ type skelEngine struct {
 	ctx       context.Context
 	binder    func(string) (*storage.Table, error)
 	cache     *SkeletonCache
-	workers   int
 	shards    int
 	templates bool
-	// minChunk is the smallest per-worker slice of rows worth a
-	// goroutine for this engine's partitioned loops. The single-plan
-	// entry points use the fixed minChunkRows; the batch engine derives
-	// it from the batch's total work instead (see adaptiveChunk), so
-	// samples too small to fan out alone still do inside a batch.
-	minChunk int
-	mem      memAccount
+	mem       memAccount
 
-	// Pooled scratch reused across the steps of one run. Steps evaluate
-	// strictly one at a time (parallelism lives *inside* a step's
-	// partitioned loops, which all finish before the step returns), so a
-	// single set of buffers serves the whole plan.
+	// Pooled scratch reused across the steps of one run: steps evaluate
+	// strictly one at a time, so a single set of buffers serves the plan.
 	*skelScratch
 }
 
@@ -257,13 +222,6 @@ func resized(bm **vec.Bitmap, n int) *vec.Bitmap {
 		(*bm).Reset(n)
 	}
 	return *bm
-}
-
-func intsBuf(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-	}
-	return (*buf)[:n]
 }
 
 // run evaluates the steps in order — post-order, so a join finds both
@@ -303,91 +261,6 @@ func (e *skelEngine) run(steps []Step) error {
 		st.Count, st.Rows = subs[i].total, int64(subs[i].count)
 	}
 	return nil
-}
-
-// --- Partitioned execution ---
-
-// minChunkRows is the smallest per-worker slice of rows worth a
-// goroutine; inputs below 2*minChunkRows run inline on the caller.
-const minChunkRows = 256
-
-// span is one contiguous partition of a row range.
-type span struct{ lo, hi int }
-
-// rowSpans splits [0, n) into at most `workers` contiguous spans of at
-// least minChunkRows rows each (a single span when the input is too
-// small to be worth fanning out). The returned slice aliases the
-// engine's span scratch and is valid until the next rowSpans call —
-// callers finish all span work (including goroutines) before returning.
-func (e *skelEngine) rowSpans(n int) []span {
-	out := e.spanBuf[:0]
-	if n <= 0 {
-		e.spanBuf = append(out, span{0, 0})
-		return e.spanBuf
-	}
-	// Floor division: an input below 2*minChunk stays a single span
-	// (run inline), and no span is ever smaller than minChunk.
-	parts := e.workers
-	if m := n / e.minChunk; parts > m {
-		parts = m
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	step := (n + parts - 1) / parts
-	for lo := 0; lo < n; lo += step {
-		hi := lo + step
-		if hi > n {
-			hi = n
-		}
-		out = append(out, span{lo, hi})
-	}
-	e.spanBuf = out
-	return out
-}
-
-// wordSpans is rowSpans with boundaries rounded down to bitmap-word
-// multiples, so workers filling one shared bitmap never touch the same
-// word. Spans stay non-empty because minChunkRows exceeds the word size.
-func (e *skelEngine) wordSpans(n int) []span {
-	spans := e.rowSpans(n)
-	for i := 1; i < len(spans); i++ {
-		aligned := spans[i].lo &^ (vec.WordBits - 1)
-		spans[i-1].hi = aligned
-		spans[i].lo = aligned
-	}
-	return spans
-}
-
-// runSpans executes fn over every span, inline for a single span and on
-// one goroutine per span otherwise. A panic on any span goroutine is
-// captured with its stack, the remaining spans are allowed to finish
-// (they share output buffers with the caller, so they must not be
-// abandoned mid-write), and the first capture is re-panicked on the
-// calling goroutine for the engine-boundary recover to convert.
-func runSpans(spans []span, fn func(part int, s span)) {
-	if len(spans) == 1 {
-		fn(0, spans[0])
-		return
-	}
-	var wg sync.WaitGroup
-	var pan atomic.Pointer[capturedPanic]
-	wg.Add(len(spans))
-	for p := range spans {
-		go func(p int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					pan.CompareAndSwap(nil, capturePanic(r))
-				}
-			}()
-			fn(p, spans[p])
-		}(p)
-	}
-	wg.Wait()
-	if cp := pan.Load(); cp != nil {
-		panic(cp)
-	}
 }
 
 // --- Leaf scans ---
@@ -512,64 +385,26 @@ func (e *skelEngine) evalScan(st *Step) (*subResult, error) {
 
 // selectRows evaluates the filter passes over the whole column store
 // into a selection bitmap — first pass fills, later passes AND — and
-// materializes the surviving row ids, in ascending order regardless of
-// worker count. Without filters it is the identity vector.
+// materializes the surviving row ids, ascending. Without filters it is
+// the identity vector.
 func (e *skelEngine) selectRows(passes []scanPass, n int) []int32 {
 	if len(passes) == 0 {
 		sel := e.sel(n)
-		spans := e.rowSpans(n)
-		if len(spans) == 1 {
-			for i := range sel {
-				sel[i] = int32(i)
-			}
-		} else {
-			runSpans(spans, func(_ int, s span) {
-				for i := s.lo; i < s.hi; i++ {
-					sel[i] = int32(i)
-				}
-			})
+		for i := range sel {
+			sel[i] = int32(i)
 		}
 		return sel
 	}
 	bm := e.bitmap(n)
-	var fb *vec.Bitmap
+	passes[0](bm, 0, n)
 	if len(passes) > 1 {
-		// Scratch bitmap for the non-first conjuncts; workers write
-		// disjoint word ranges of it, so one scratch serves all spans.
-		fb = e.scratch(n)
-	}
-	spans := e.wordSpans(n)
-	if len(spans) == 1 {
-		passes[0](bm, 0, n)
+		fb := e.scratch(n)
 		for _, pass := range passes[1:] {
 			pass(fb, 0, n)
 			bm.And(fb, 0, n)
 		}
-		count := bm.Count(0, n)
-		return bm.AppendIndices(e.sel(count)[:0], 0, n)
 	}
-	counts := intsBuf(&e.cntBuf, len(spans))
-	runSpans(spans, func(p int, s span) {
-		passes[0](bm, s.lo, s.hi)
-		for _, pass := range passes[1:] {
-			pass(fb, s.lo, s.hi)
-			bm.And(fb, s.lo, s.hi)
-		}
-		counts[p] = bm.Count(s.lo, s.hi)
-	})
-	total := 0
-	offs := intsBuf(&e.offBuf, len(spans))
-	for p, c := range counts {
-		offs[p] = total
-		total += c
-	}
-	sel := e.sel(total)
-	runSpans(spans, func(p int, s span) {
-		if counts[p] > 0 {
-			bm.AppendIndices(sel[offs[p]:offs[p]:offs[p]+counts[p]], s.lo, s.hi)
-		}
-	})
-	return sel
+	return bm.AppendIndices(e.sel(bm.Count(0, n))[:0], 0, n)
 }
 
 // scanPass fills rows [lo, hi) of a bitmap with one filter conjunct
@@ -721,8 +556,8 @@ func cmpInterval(op vec.CmpOp, c int64) (lo, hi int64, ok bool) {
 // instead of scanning, when the column has one and the matches are a
 // small share of its rows (storage.ColData.IndexRange decides both; nil
 // otherwise). The index sets the matching rows' bits once, here, and the
-// pass copies its word range — work proportional to the matches however
-// many spans run it, and no NULL mask: the index holds no NULL row. The
+// pass copies its word range — work proportional to the matches, and no
+// NULL mask: the index holds no NULL row. The
 // bits are exactly the kernel's, so everything downstream is
 // byte-identical. Like Bitmap.And, the pass needs hi word-aligned or the
 // row count.
@@ -806,8 +641,6 @@ func (e *skelEngine) evalJoin(st *Step, l, r *subResult) (*subResult, error) {
 	}
 
 	// Build (or reuse) the hash table over the right side's key columns.
-	// The build is one sequential pass at every shard and worker count: a
-	// few ns per row, small beside the probe work the partitions absorb.
 	ji := st.join
 	var table *joinTable
 	if e.cache != nil {
@@ -820,25 +653,10 @@ func (e *skelEngine) evalJoin(st *Step, l, r *subResult) (*subResult, error) {
 		}
 	}
 
-	// Probe, partitioned over the left side's rows. The hash table and
-	// both children's columns are read-only now; each worker records its
-	// matches in a private pair buffer, and result concatenates them in
-	// partition order — a sequential probe's match list at any worker
-	// count — for the one compaction pass that makes the output.
-	spans := e.rowSpans(l.count)
+	// Probe with the left side's rows, recording the matches in the
+	// scratch pair buffer for the one compaction pass that makes the output.
 	j := joinProbe{l: l, r: r, table: table, lkey: ji.lkey, rkey: ji.rkey, gather: ji.gather}
-	parts := []probePart{{pairs: &e.pairs}}
-	if len(spans) == 1 {
-		e.pairs.l, e.pairs.r = e.pairs.l[:0], e.pairs.r[:0]
-		parts[0].count = j.probe(&e.pairs, 0, l.count)
-	} else {
-		parts = make([]probePart, len(spans))
-		runSpans(spans, func(p int, s span) {
-			parts[p].pairs = getPairBuf()
-			parts[p].count = j.probe(parts[p].pairs, s.lo, s.hi)
-		})
-	}
-	sub := j.result(e.skelScratch, parts, key)
+	sub := j.result(e.skelScratch, j.probe(&e.pairs), key)
 	if e.mem.charge(subCharge(sub)) {
 		// The sub-result is fully computed and correct, so caching it
 		// would be sound — but the budget contract is "a breaching plan
@@ -900,8 +718,7 @@ type gatherSrc struct {
 
 // joinProbe is one join's read-only probe inputs: both children, the
 // build-side hash table, the key columns on each side, and where every
-// output boundary column comes from. Both skeleton engines probe through
-// it.
+// output boundary column comes from.
 type joinProbe struct {
 	l, r       *subResult
 	table      *joinTable
@@ -912,46 +729,37 @@ type joinProbe struct {
 // pairBuf is the match list of one probe: parallel (left row, right row)
 // id vectors, in left row order then bucket order. Row ids only — eight
 // bytes a match whatever the join carries, and nothing for the collector
-// to scan — and recycled (skelScratch.pairs; pairPool for the batch
-// engine's parts), so a probe's allocations do not depend on how many
-// rows matched.
+// to scan — and recycled (skelScratch.pairs), so a probe's allocations do
+// not depend on how many rows matched.
 type pairBuf struct{ l, r []int32 }
 
-var pairPool = sync.Pool{New: func() any { return new(pairBuf) }}
-
-func getPairBuf() *pairBuf {
-	pb := pairPool.Get().(*pairBuf)
-	pb.l, pb.r = pb.l[:0], pb.r[:0]
-	return pb
-}
-
-func putPairBuf(pb *pairBuf) { pairPool.Put(pb) }
-
-// probe probes the hash table with left rows [lo, hi) and returns the
-// number of matching physical pairs — the per-span body of the
-// partitioned probe. The pairs are recorded in pb for result to weigh and
-// compact, unless there is nothing to do with them: the root of a
-// skeleton carries no output column, and over unweighted inputs its
-// logical count is the match count.
-func (j *joinProbe) probe(pb *pairBuf, lo, hi int) (count int64) {
+// probe probes the hash table with every left row and returns the number
+// of matching physical pairs. The pairs replace pb's contents, for result
+// to weigh and compact, unless there is nothing to do with them (pb may
+// then be nil): the root of a skeleton carries no output column, and over
+// unweighted inputs its logical count is the match count.
+func (j *joinProbe) probe(pb *pairBuf) (count int64) {
 	record := len(j.gather) > 0 || j.weighted()
+	if record {
+		pb.l, pb.r = pb.l[:0], pb.r[:0]
+	}
 	if lv, rv, ok := j.intKeys(); ok {
 		head, next := j.table.head, j.table.next
-		for i, v := range lv[lo:hi] {
+		for i, v := range lv[:j.l.count] {
 			for rr := head[j.table.bucket(rel.HashInt64(rel.HashSeed, v))]; rr != 0; rr = next[rr-1] {
 				if rv[rr-1] != v {
 					continue
 				}
 				count++
 				if record {
-					pb.l = append(pb.l, int32(lo+i))
+					pb.l = append(pb.l, int32(i))
 					pb.r = append(pb.r, rr-1)
 				}
 			}
 		}
 		return count
 	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < j.l.count; i++ {
 		h, null := hashKeyAt(j.l.cols, j.lkey, i)
 		if null {
 			continue
@@ -992,37 +800,19 @@ func (j *joinProbe) intKeys() (l, r []int64, ok bool) {
 	return lc.Ints, rc.Ints, ok
 }
 
-// probePart is one span's private probe output: the recorded match pairs,
-// if any, and their number.
-type probePart struct {
-	count int64
-	pairs *pairBuf
-}
-
-// result makes the join's sub-result from a whole probe's parts, in span
-// order. The recorded pairs are the uncompressed output — each column read
-// from the child column it comes from through one side's row ids, each
-// pair weighing w_l * w_r — and compact groups them (the root's, without
-// columns, into the empty tuple); an unweighted root recorded none, and
-// is the empty tuple as many times as it matched.
-// Parts other than sc.pairs itself are concatenated into it and recycled.
-func (j *joinProbe) result(sc *skelScratch, parts []probePart, sig string) *subResult {
-	pb, matches := &sc.pairs, int64(0)
-	if len(parts) == 1 && parts[0].pairs == pb {
-		matches = parts[0].count
-	} else {
-		pb.l, pb.r = pb.l[:0], pb.r[:0]
-		for _, part := range parts {
-			pb.l, pb.r = append(pb.l, part.pairs.l...), append(pb.r, part.pairs.r...)
-			matches += part.count
-			putPairBuf(part.pairs)
-		}
-	}
+// result makes the join's sub-result from a probe into sc.pairs that found
+// matches pairs. The recorded pairs are the uncompressed output — each
+// column read from the child column it comes from through one side's row
+// ids, each pair weighing w_l * w_r — and compact groups them (the root's,
+// without columns, into the empty tuple); an unweighted root recorded
+// none, and is the empty tuple as many times as it matched.
+func (j *joinProbe) result(sc *skelScratch, matches int64, sig string) *subResult {
 	if len(j.gather) == 0 && !j.weighted() {
 		sub := &subResult{sig: sig, total: matches}
 		sub.w, sub.count = emptyTupleBag(matches)
 		return sub
 	}
+	pb := &sc.pairs
 	sc.srcs = sc.srcs[:0]
 	for _, g := range j.gather {
 		if g.left {

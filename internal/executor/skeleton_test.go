@@ -1,10 +1,9 @@
 package executor
 
 import (
-	"context"
 	"errors"
 	"math/rand"
-	"runtime"
+	"sync"
 	"testing"
 
 	"reopt/internal/catalog"
@@ -178,35 +177,57 @@ func TestCountSkeletonCacheReuses(t *testing.T) {
 	}
 }
 
-// TestCountSkeletonDeterministicAcrossWorkers: per-node counts (and,
-// transitively, the cached boundary-column materializations parent
-// joins consume) must be identical at every worker count — the
-// partitioned loops merge private outputs in partition order, so
-// parallelism must never show in the results. Run under -race this also
-// exercises the no-shared-word guarantee of the bitmap partitioning.
+// TestCountSkeletonDeterministicAcrossWorkers: the workers are the
+// callers — a validation runs on the goroutine that asked for it, and
+// concurrency is several of them at once. Per-node counts must be the
+// sequential run's whether the concurrent callers share one cache (racing
+// to compute and store the same sub-results and hash tables) or hold
+// their own, and the shared cache must end up with the sequential run's
+// sub-results (which build-side hash tables exist depends on who got to a
+// join first). Run under -race this exercises the cache's locking.
 func TestCountSkeletonDeterministicAcrossWorkers(t *testing.T) {
 	cat := skelCatalog(t, 7, 1500)
-	q := skelQuery()
-	counts := []int{1, 2, 3, runtime.NumCPU()}
-	for pi, p := range skelPlans(cat, q) {
-		base, err := CountSkeletonCfg(context.Background(), p, cat.Table, NewSkeletonCache(), SkelConfig{Workers: 1})
-		if err != nil {
-			t.Fatalf("plan %d workers=1: %v", pi, err)
+	plans := skelPlans(cat, skelQuery())
+	base := make([]map[plan.Node]int64, len(plans))
+	seqCache := NewSkeletonCache()
+	for pi, p := range plans {
+		var err error
+		if base[pi], err = CountSkeleton(p, cat.Table, seqCache); err != nil {
+			t.Fatalf("plan %d sequential: %v", pi, err)
 		}
-		for _, w := range counts[1:] {
-			// A fresh cache per worker count: every scan, gather, and
-			// probe re-runs at this parallelism instead of being served
-			// from a sequential run's cache.
-			got, err := CountSkeletonCfg(context.Background(), p, cat.Table, NewSkeletonCache(), SkelConfig{Workers: w})
-			if err != nil {
-				t.Fatalf("plan %d workers=%d: %v", pi, w, err)
-			}
-			plan.Walk(p.Root, func(n plan.Node) {
-				if got[n] != base[n] {
-					t.Errorf("plan %d node %v: workers=%d count %d, workers=1 count %d",
-						pi, n.Aliases(), w, got[n], base[n])
+	}
+	for _, shared := range []bool{true, false} {
+		cache := NewSkeletonCache()
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				c := cache
+				if !shared {
+					c = NewSkeletonCache()
 				}
-			})
+				// Each caller starts at a different plan, so they meet
+				// on the shared subtrees from different directions.
+				for k := range plans {
+					pi := (k + w) % len(plans)
+					got, err := CountSkeleton(plans[pi], cat.Table, c)
+					if err != nil {
+						t.Errorf("shared=%v caller %d plan %d: %v", shared, w, pi, err)
+						return
+					}
+					plan.Walk(plans[pi].Root, func(n plan.Node) {
+						if got[n] != base[pi][n] {
+							t.Errorf("shared=%v caller %d plan %d node %v: count %d, sequential %d",
+								shared, w, pi, n.Aliases(), got[n], base[pi][n])
+						}
+					})
+				}
+			}(w)
+		}
+		wg.Wait()
+		if shared && cache.Len() != seqCache.Len() {
+			t.Errorf("shared cache holds %d sub-results after concurrent callers, sequential run %d", cache.Len(), seqCache.Len())
 		}
 	}
 }

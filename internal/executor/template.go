@@ -4,8 +4,8 @@ package executor
 //
 // Parametrized workloads are overwhelmingly few *templates* times many
 // constants: `price < 100` and `price < 200` share everything but the
-// literal. The exact-subtree machinery (sigMemo keys, batch dedupe)
-// treats those as unrelated, so every constant pays a full sample scan.
+// literal. The exact-subtree cache keys treat those as unrelated, so
+// every constant pays a full sample scan.
 // This file adds the constant-stripped view: a scanTemplate canonically
 // identifies a filtered scan's *shape* — table, boundary columns,
 // filter columns, comparison operators, and the constants' kinds — with
@@ -20,10 +20,10 @@ package executor
 // Refinement preserves the engine's byte-identical determinism
 // contract: the gathered filter columns hold exactly the original rows'
 // values, the refine passes are the same appendFilterPasses kernels a
-// solo scan compiles (identical comparison semantics, NULL handling
+// fresh scan compiles (identical comparison semantics, NULL handling
 // included), and the containing selection is in ascending row order —
-// so the refined row set equals the solo selection, in the same order,
-// at every worker and shard count.
+// so the refined row set equals a fresh scan's selection, in the same
+// order, at every shard count.
 //
 // Fingerprints mirror rel/hash.go: the template signature folds through
 // 64-bit FNV-1a (rel.HashString from the same seed), and every
@@ -93,7 +93,7 @@ func tmplKindTag(v rel.Value) string {
 
 // scanTemplateOf canonicalizes a scan subtree into its template, or
 // reports ok=false for shapes template sharing does not cover: scans
-// without filters (nothing to strip — exact dedupe already shares
+// without filters (nothing to strip — the exact key already shares
 // them), NULL constants (their conjuncts reject every row; containment
 // over them is degenerate), and duplicate stripped conjuncts (`a < 5
 // AND a < 9`: the constant vectors of two instances could not be
@@ -210,78 +210,11 @@ func containsConsts(ops []sql.CompareOp, a, b []rel.Value) bool {
 	return true
 }
 
-// unionConsts folds b into a, returning the loosest constant vector
-// containing both instances, or ok=false when some conjunct cannot
-// widen (equality conjuncts with distinct constants, incomparable
-// kinds). Ties keep a's constant, so folding a task list in creation
-// order is deterministic.
-func unionConsts(ops []sql.CompareOp, a, b []rel.Value) ([]rel.Value, bool) {
-	out := append([]rel.Value(nil), a...)
-	k := 0
-	for _, op := range ops {
-		switch op {
-		case sql.OpLt, sql.OpLe:
-			if !tmplComparable(a[k], b[k]) {
-				return nil, false
-			}
-			if a[k].Compare(b[k]) < 0 {
-				out[k] = b[k]
-			}
-			k++
-		case sql.OpGt, sql.OpGe:
-			if !tmplComparable(a[k], b[k]) {
-				return nil, false
-			}
-			if a[k].Compare(b[k]) > 0 {
-				out[k] = b[k]
-			}
-			k++
-		case sql.OpBetween:
-			if !tmplComparable(a[k], b[k]) || !tmplComparable(a[k+1], b[k+1]) {
-				return nil, false
-			}
-			if a[k].Compare(b[k]) > 0 {
-				out[k] = b[k]
-			}
-			if a[k+1].Compare(b[k+1]) < 0 {
-				out[k+1] = b[k+1]
-			}
-			k += 2
-		default:
-			if !a[k].Equal(b[k]) {
-				return nil, false
-			}
-			k++
-		}
-	}
-	return out, true
-}
-
-// instanceFilters materializes the template's conjuncts with the given
-// constant vector, in canonical order — the filter list a shared
-// (union) scan compiles. filters is any instance's filter list (the
-// template's ord maps into it); only the constants are substituted.
-func (tm scanTemplate) instanceFilters(filters []sql.Selection, consts []rel.Value) []sql.Selection {
-	out := make([]sql.Selection, len(tm.ops))
-	k := 0
-	for ci, fi := range tm.ord {
-		f := filters[fi]
-		f.Value = consts[k]
-		k++
-		if f.Op == sql.OpBetween {
-			f.Value2 = consts[k]
-			k++
-		}
-		out[ci] = f
-	}
-	return out
-}
-
 // refineTemplate evaluates the instance's conjuncts over filter-column
 // data gathered at a containing selection of n rows, returning the
 // surviving *positions* within that selection, ascending. fcols is
 // indexed by the template's fpos order; filters is the instance's
-// filter list. The passes are the same compiled kernels a solo scan
+// filter list. The passes are the same compiled kernels a fresh scan
 // uses, so pass-by-pass semantics (NULLs, cross-kind comparisons,
 // BETWEEN decomposition) are identical.
 func refineTemplate(tm scanTemplate, filters []sql.Selection, fcols []storage.ColData, n int) []int32 {

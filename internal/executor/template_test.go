@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"slices"
 	"testing"
 
 	"reopt/internal/catalog"
@@ -127,9 +127,9 @@ func TestTemplateIndexCollision(t *testing.T) {
 	}
 }
 
-// TestContainsAndUnionConsts: the per-conjunct containment and union
-// rules over every operator class.
-func TestContainsAndUnionConsts(t *testing.T) {
+// TestContainsConsts: the per-conjunct containment rule over every
+// operator class.
+func TestContainsConsts(t *testing.T) {
 	iv := func(xs ...int64) []rel.Value {
 		out := make([]rel.Value, len(xs))
 		for i, x := range xs {
@@ -142,36 +142,21 @@ func TestContainsAndUnionConsts(t *testing.T) {
 		ops      []sql.CompareOp
 		a, b     []rel.Value
 		contains bool
-		union    []rel.Value
-		unionOK  bool
 	}{
-		{"lt wider contains", []sql.CompareOp{sql.OpLt}, iv(60), iv(50), true, iv(60), true},
-		{"lt narrower not", []sql.CompareOp{sql.OpLt}, iv(50), iv(60), false, iv(60), true},
-		{"gt lower contains", []sql.CompareOp{sql.OpGt}, iv(10), iv(20), true, iv(10), true},
-		{"gt higher not", []sql.CompareOp{sql.OpGt}, iv(20), iv(10), false, iv(10), true},
-		{"between superset", []sql.CompareOp{sql.OpBetween}, iv(0, 100), iv(10, 90), true, iv(0, 100), true},
-		{"between overlap not", []sql.CompareOp{sql.OpBetween}, iv(0, 50), iv(10, 90), false, iv(0, 90), true},
-		{"eq same", []sql.CompareOp{sql.OpEq}, iv(5), iv(5), true, iv(5), true},
-		{"eq distinct", []sql.CompareOp{sql.OpEq}, iv(5), iv(6), false, nil, false},
-		{"multi conjunct", []sql.CompareOp{sql.OpLt, sql.OpBetween}, iv(60, 0, 100), iv(50, 10, 90), true, iv(60, 0, 100), true},
-		{"multi one fails", []sql.CompareOp{sql.OpLt, sql.OpEq}, iv(60, 1), iv(50, 2), false, nil, false},
+		{"lt wider contains", []sql.CompareOp{sql.OpLt}, iv(60), iv(50), true},
+		{"lt narrower not", []sql.CompareOp{sql.OpLt}, iv(50), iv(60), false},
+		{"gt lower contains", []sql.CompareOp{sql.OpGt}, iv(10), iv(20), true},
+		{"gt higher not", []sql.CompareOp{sql.OpGt}, iv(20), iv(10), false},
+		{"between superset", []sql.CompareOp{sql.OpBetween}, iv(0, 100), iv(10, 90), true},
+		{"between overlap not", []sql.CompareOp{sql.OpBetween}, iv(0, 50), iv(10, 90), false},
+		{"eq same", []sql.CompareOp{sql.OpEq}, iv(5), iv(5), true},
+		{"eq distinct", []sql.CompareOp{sql.OpEq}, iv(5), iv(6), false},
+		{"multi conjunct", []sql.CompareOp{sql.OpLt, sql.OpBetween}, iv(60, 0, 100), iv(50, 10, 90), true},
+		{"multi one fails", []sql.CompareOp{sql.OpLt, sql.OpEq}, iv(60, 1), iv(50, 2), false},
 	}
 	for _, tc := range cases {
 		if got := containsConsts(tc.ops, tc.a, tc.b); got != tc.contains {
 			t.Errorf("%s: containsConsts = %v, want %v", tc.name, got, tc.contains)
-		}
-		u, ok := unionConsts(tc.ops, tc.a, tc.b)
-		if ok != tc.unionOK {
-			t.Errorf("%s: unionConsts ok = %v, want %v", tc.name, ok, tc.unionOK)
-			continue
-		}
-		if !ok {
-			continue
-		}
-		for k := range tc.union {
-			if !u[k].Equal(tc.union[k]) {
-				t.Errorf("%s: union[%d] = %v, want %v", tc.name, k, u[k], tc.union[k])
-			}
 		}
 	}
 
@@ -197,14 +182,17 @@ func tmplPlans(cat *catalog.Catalog, nInstances int) []*plan.Plan {
 	return plans
 }
 
-// TestTemplateBatchMatchesSolo: the equivalence suite — template-shared
-// batches must report per-node counts byte-identical to solo sequential
-// runs at workers {1,2,NumCPU} x shards {1,2} x cache {cold,warm}, and
-// identical to the same batch with sharing off.
+// TestTemplateBatchMatchesSolo: the equivalence suite — batches of
+// instances of one template, validated with the template index on, must
+// report per-node counts byte-identical to solo sequential runs at
+// shards {1,2} x cache {none,cold,warm}, identical to the same batch
+// with sharing off, and — loosest instance first — must serve every
+// later instance's t1 scan by refinement instead of a sample scan.
 func TestTemplateBatchMatchesSolo(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		cat := skelCatalog(t, seed, 400)
 		plans := tmplPlans(cat, 5)
+		slices.Reverse(plans) // loosest constant first: it contains the others
 		ctx := context.Background()
 
 		// Reference: solo sequential runs, no cache, no sharing.
@@ -217,8 +205,12 @@ func TestTemplateBatchMatchesSolo(t *testing.T) {
 			want[pi] = counts
 		}
 
-		check := func(label string, got []map[plan.Node]int64, perPlan []error) {
+		check := func(label string, cache *SkeletonCache, cfg SkelConfig) {
 			t.Helper()
+			got, perPlan, err := CountSkeletonBatchCfg(ctx, batchOf(plans, cache), cat.Table, cfg)
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, label, err)
+			}
 			for pi := range plans {
 				if perPlan[pi] != nil {
 					t.Fatalf("seed %d %s plan %d: %v", seed, label, pi, perPlan[pi])
@@ -232,48 +224,27 @@ func TestTemplateBatchMatchesSolo(t *testing.T) {
 			}
 		}
 
-		bplansFor := func(cache *SkeletonCache) []BatchPlan {
-			bps := make([]BatchPlan, len(plans))
-			for i, p := range plans {
-				bps[i] = BatchPlan{Plan: p, Cache: cache}
+		for _, shards := range []int{1, 2} {
+			cfg := SkelConfig{Shards: shards, Templates: true}
+			label := fmt.Sprintf("shards=%d", shards)
+
+			check(label+" uncached", nil, cfg)
+
+			cache := NewSkeletonCache()
+			check(label+" cold-cache", cache, cfg)
+			if hits, _ := cache.TemplateStats(); hits != int64(len(plans)-1) {
+				t.Errorf("seed %d %s: %d template hits, want every instance after the loosest (%d) refined from it",
+					seed, label, hits, len(plans)-1)
 			}
-			return bps
-		}
 
-		for _, workers := range []int{1, 2, runtime.NumCPU()} {
-			for _, shards := range []int{1, 2} {
-				cfg := SkelConfig{Workers: workers, Shards: shards, Templates: true}
-				label := fmt.Sprintf("workers=%d shards=%d", workers, shards)
-
-				got, perPlan, err := CountSkeletonBatchCfg(ctx, bplansFor(nil), cat.Table, cfg)
-				if err != nil {
-					t.Fatalf("seed %d %s uncached: %v", seed, label, err)
-				}
-				check(label+" cold-uncached", got, perPlan)
-
-				cache := NewSkeletonCache()
-				got, perPlan, err = CountSkeletonBatchCfg(ctx, bplansFor(cache), cat.Table, cfg)
-				if err != nil {
-					t.Fatalf("seed %d %s cold: %v", seed, label, err)
-				}
-				check(label+" cold-cache", got, perPlan)
-
-				// Warm replay over the same cache: exact hits all the way.
-				got, perPlan, err = CountSkeletonBatchCfg(ctx, bplansFor(cache), cat.Table, cfg)
-				if err != nil {
-					t.Fatalf("seed %d %s warm: %v", seed, label, err)
-				}
-				check(label+" warm-cache", got, perPlan)
-
-				// Cross-check: sharing off over the same shape must agree.
-				off := cfg
-				off.Templates = false
-				got, perPlan, err = CountSkeletonBatchCfg(ctx, bplansFor(nil), cat.Table, off)
-				if err != nil {
-					t.Fatalf("seed %d %s sharing-off: %v", seed, label, err)
-				}
-				check(label+" sharing-off", got, perPlan)
+			// Warm replay over the same cache: exact hits all the way.
+			check(label+" warm-cache", cache, cfg)
+			if hits, _ := cache.TemplateStats(); hits != int64(len(plans)-1) {
+				t.Errorf("seed %d %s: warm replay probed the template index (%d hits)", seed, label, hits)
 			}
+
+			// Cross-check: sharing off over the same shape must agree.
+			check(label+" sharing-off", NewSkeletonCache(), SkelConfig{Shards: shards})
 		}
 	}
 }
@@ -287,7 +258,7 @@ func TestTemplateCacheRefinesNearMiss(t *testing.T) {
 	cat := skelCatalog(t, 11, 400)
 	ctx := context.Background()
 	cache := NewSkeletonCache()
-	cfg := SkelConfig{Workers: 2, Templates: true}
+	cfg := SkelConfig{Templates: true}
 
 	seedPlan := planFor(cat, skelQueryFiltered(60))
 	if _, perPlan, err := CountSkeletonBatchCfg(ctx, []BatchPlan{{Plan: seedPlan, Cache: cache}}, cat.Table, cfg); err != nil || perPlan[0] != nil {
@@ -331,9 +302,9 @@ func TestTemplateCacheRefinesNearMiss(t *testing.T) {
 		}
 	})
 
-	// The sharded single-plan engine must serve from the same template
-	// index too (the solo evalScan hook), byte-identically.
-	shCfg := SkelConfig{Workers: 1, Shards: 2, Templates: true}
+	// A sharded single-plan run must serve from the same template index
+	// too, byte-identically.
+	shCfg := SkelConfig{Shards: 2, Templates: true}
 	near2 := planFor(cat, skelQueryFiltered(40))
 	want2, err := CountSkeleton(near2, cat.Table, nil)
 	if err != nil {
@@ -345,68 +316,73 @@ func TestTemplateCacheRefinesNearMiss(t *testing.T) {
 	}
 	plan.Walk(near2.Root, func(n plan.Node) {
 		if counts[n] != want2[n] {
-			t.Errorf("solo-engine refined node %v: %d, solo %d", n.Aliases(), counts[n], want2[n])
+			t.Errorf("single-plan refined node %v: %d, solo %d", n.Aliases(), counts[n], want2[n])
 		}
 	})
 }
 
-// TestPanicTemplateScanFailsOnlyRiders: a panic injected into a shared
-// template scan must fail exactly the plans riding that template —
-// their perPlan slots carry ErrValidationPanic — while an unrelated
-// co-batched plan completes with counts byte-identical to its solo run,
-// and a rerun over the same cache recovers everyone (nothing partial
-// was cached).
+// TestPanicTemplateScanFailsOnlyRiders: with the template index on, a
+// panic injected into one template instance's scan fails exactly that
+// plan — its perPlan slot carries ErrValidationPanic — while the
+// co-batched instance of the same template and an unrelated plan complete
+// with counts byte-identical to their solo runs, the failed instance
+// leaves no entry (and so no template-index entry) behind, and a rerun
+// over the same cache recovers everyone.
 func TestPanicTemplateScanFailsOnlyRiders(t *testing.T) {
 	cat := skelCatalog(t, 5, 400)
 	ctx := context.Background()
 
-	riderA := planFor(cat, skelQueryFiltered(51))
-	riderB := planFor(cat, skelQueryFiltered(52))
+	riderA := planFor(cat, skelQueryFiltered(52))
+	riderB := planFor(cat, skelQueryFiltered(51))
 	qOther := skelQuery()
 	qOther.Selections = qOther.Selections[1:] // drop the t1 filter: no template on t1
 	other := planFor(cat, qOther)
 
-	wantOther, err := CountSkeleton(other, cat.Table, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantA, err := CountSkeleton(riderA, cat.Table, nil)
-	if err != nil {
-		t.Fatal(err)
+	wants := make([]map[plan.Node]int64, 3)
+	for i, p := range []*plan.Plan{riderA, riderB, other} {
+		var err error
+		if wants[i], err = CountSkeleton(p, cat.Table, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	cfg := SkelConfig{Workers: 4, Templates: true}
+	cfg := SkelConfig{Templates: true}
 	cache := NewSkeletonCache()
 	bplans := []BatchPlan{
 		{Plan: riderA, Cache: cache}, {Plan: riderB, Cache: cache}, {Plan: other, Cache: cache},
 	}
 	func() {
 		var fi faultinject.Set
-		// The shared union scan's tag is the template signature — the
-		// constant-stripped t1 conjunct identifies it uniquely.
-		fi.PanicAt(faultinject.TemplateUnit, "t1.v < ?i")
+		// riderA's signatures all carry its constant; riderB — which the
+		// index would have served from riderA's scan — and the unrelated
+		// plan never match.
+		fi.PanicAt(faultinject.SkelNode, "t1.v < 52")
 		defer fi.Activate()()
 		counts, perPlan, berr := CountSkeletonBatchCfg(ctx, bplans, cat.Table, cfg)
 		if berr != nil {
 			t.Fatalf("batch error %v, want per-plan isolation", berr)
 		}
-		for _, ri := range []int{0, 1} {
-			if !errors.Is(perPlan[ri], ErrValidationPanic) {
-				t.Fatalf("rider %d: err = %v, want ErrValidationPanic", ri, perPlan[ri])
+		if !errors.Is(perPlan[0], ErrValidationPanic) {
+			t.Fatalf("injected instance: err = %v, want ErrValidationPanic", perPlan[0])
+		}
+		for _, pi := range []int{1, 2} {
+			if perPlan[pi] != nil {
+				t.Fatalf("plan %d: err = %v, want nil", pi, perPlan[pi])
+			}
+			for n, c := range wants[pi] {
+				if counts[pi][n] != c {
+					t.Fatalf("plan %d count diverged next to a panicking template instance: %d != %d", pi, counts[pi][n], c)
+				}
 			}
 		}
-		if perPlan[2] != nil {
-			t.Fatalf("non-rider: err = %v, want nil", perPlan[2])
-		}
-		for n, c := range wantOther {
-			if counts[2][n] != c {
-				t.Fatalf("non-rider count diverged next to a panicking template: %d != %d", counts[2][n], c)
-			}
+		if hits, _ := cache.TemplateStats(); hits != 0 {
+			t.Fatalf("%d template hits: the panicking instance left an index entry behind", hits)
 		}
 	}()
 
 	// Injection gone: the same cache serves everyone — the panicking
-	// template stored nothing.
+	// instance stored nothing — and the tighter instance now cached
+	// does not contain the looser one, which scans.
 	counts, perPlan, err := CountSkeletonBatchCfg(ctx, bplans, cat.Table, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -415,10 +391,10 @@ func TestPanicTemplateScanFailsOnlyRiders(t *testing.T) {
 		if perPlan[i] != nil {
 			t.Fatalf("rerun plan %d: %v", i, perPlan[i])
 		}
-	}
-	for n, c := range wantA {
-		if counts[0][n] != c {
-			t.Fatalf("rerun rider count: %d, want %d (cache poisoned?)", counts[0][n], c)
+		for n, c := range wants[i] {
+			if counts[i][n] != c {
+				t.Fatalf("rerun plan %d count: %d, want %d (cache poisoned?)", i, counts[i][n], c)
+			}
 		}
 	}
 }

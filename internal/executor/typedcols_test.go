@@ -172,13 +172,13 @@ func (ec edgeCase) plan(cat *catalog.Catalog, limit int64) *plan.Plan {
 	return &plan.Plan{Root: root, Query: q}
 }
 
-// TestTypedColumnEdgeCases: on every edge case both skeleton engines
-// must report the general executor's per-node counts, at workers {1, 2}
-// x shards {1, 4} x template sharing off/on x cold/warm cache. Each case
-// runs as two instances of one template (a loose and a tight filter
-// bound), so with sharing on the tight instance is served by refining
-// the loose one — from the cache's template index in the single-plan
-// engine, from the wave's shared scan in the batch engine.
+// TestTypedColumnEdgeCases: on every edge case the skeleton engine —
+// through its single-plan and batch entry points — must report the
+// general executor's per-node counts, at shards {1, 4} x template sharing
+// off/on x cold/warm cache. Each case runs as two instances of one
+// template (a loose and a tight filter bound), so with sharing on the
+// tight instance is served by refining the loose one from the cache's
+// template index.
 func TestTypedColumnEdgeCases(t *testing.T) {
 	cat := edgeCatalog(t)
 	ctx := context.Background()
@@ -212,31 +212,29 @@ func TestTypedColumnEdgeCases(t *testing.T) {
 				}
 			})
 		}
-		for _, workers := range []int{1, 2} {
-			for _, shards := range []int{1, 4} {
-				for _, templates := range []bool{false, true} {
-					cfg := SkelConfig{Workers: workers, Shards: shards, Templates: templates}
-					single, batch := NewSkeletonCache(), NewSkeletonCache()
-					for _, state := range []string{"cold", "warm"} {
-						label := fmt.Sprintf("workers=%d shards=%d templates=%v %s", workers, shards, templates, state)
-						for pi, p := range plans {
-							got, err := CountSkeletonCfg(ctx, p, cat.Table, single, cfg)
-							if err != nil {
-								t.Fatalf("%s [%s single]: %v", ec.name, label, err)
-							}
-							check(label+" single", pi, got)
-						}
-						bps := []BatchPlan{{Plan: plans[0], Cache: batch}, {Plan: plans[1], Cache: batch}}
-						got, perPlan, err := CountSkeletonBatchCfg(ctx, bps, cat.Table, cfg)
+		for _, shards := range []int{1, 4} {
+			for _, templates := range []bool{false, true} {
+				cfg := SkelConfig{Shards: shards, Templates: templates}
+				single, batch := NewSkeletonCache(), NewSkeletonCache()
+				for _, state := range []string{"cold", "warm"} {
+					label := fmt.Sprintf("shards=%d templates=%v %s", shards, templates, state)
+					for pi, p := range plans {
+						got, err := CountSkeletonCfg(ctx, p, cat.Table, single, cfg)
 						if err != nil {
-							t.Fatalf("%s [%s batch]: %v", ec.name, label, err)
+							t.Fatalf("%s [%s single]: %v", ec.name, label, err)
 						}
-						for pi := range plans {
-							if perPlan[pi] != nil {
-								t.Fatalf("%s [%s batch] instance %d: %v", ec.name, label, pi, perPlan[pi])
-							}
-							check(label+" batch", pi, got[pi])
+						check(label+" single", pi, got)
+					}
+					bps := []BatchPlan{{Plan: plans[0], Cache: batch}, {Plan: plans[1], Cache: batch}}
+					got, perPlan, err := CountSkeletonBatchCfg(ctx, bps, cat.Table, cfg)
+					if err != nil {
+						t.Fatalf("%s [%s batch]: %v", ec.name, label, err)
+					}
+					for pi := range plans {
+						if perPlan[pi] != nil {
+							t.Fatalf("%s [%s batch] instance %d: %v", ec.name, label, pi, perPlan[pi])
 						}
+						check(label+" batch", pi, got[pi])
 					}
 				}
 			}
@@ -271,10 +269,9 @@ func TestProbeAllocsIndependentOfMatchCount(t *testing.T) {
 		j := joinProbe{l: l, r: r, lkey: []int{0}, rkey: []int{0},
 			table:  buildHashTable(r, []int{0}),
 			gather: []gatherSrc{{left: true, idx: 1}, {left: false, idx: 0}}}
-		pb, sc := new(pairBuf), new(skelScratch)
+		sc := new(skelScratch)
 		allocs = testing.AllocsPerRun(5, func() {
-			pb.l, pb.r = pb.l[:0], pb.r[:0]
-			matches = j.result(sc, []probePart{{pairs: pb, count: j.probe(pb, 0, l.count)}}, "").total
+			matches = j.result(sc, j.probe(&sc.pairs), "").total
 		})
 		return allocs, matches
 	}

@@ -34,14 +34,9 @@ type Config struct {
 	// counts; 0 means 10 and 30 (as in the paper).
 	OTT4Count int
 	OTT5Count int
-	// Workers bounds each validation's skeleton-run parallelism
-	// (core.Options.Workers): 0 selects GOMAXPROCS, 1 forces sequential
-	// execution. Estimates are identical at every setting.
-	Workers int
 	// SampleShards splits each table's sample into that many contiguous
-	// shards for validation (core.Options.SampleShards), fanning each
-	// scan and hash build across the workers; <= 1 keeps the monolithic
-	// layout. Results are byte-identical at every setting.
+	// shards for validation (core.Options.SampleShards), evaluated one
+	// after another; <= 1 keeps the monolithic layout. Results are byte-identical at every setting.
 	SampleShards int
 	// WorkloadCacheEntries, when positive, shares one workload-level
 	// validation cache (of that many subtree entries) across every
@@ -116,13 +111,12 @@ func NewRunnerCtx(ctx context.Context, cfg Config) *Runner {
 	return r
 }
 
-// session opens a reopt.Session over cat with the runner's worker and
+// session opens a reopt.Session over cat with the runner's shard and
 // cache configuration — the experiments drive the same public API the
 // examples and cmd/reopt use.
 func (r *Runner) session(cat *catalog.Catalog, cfg optimizer.Config) (*reopt.Session, error) {
 	opts := []reopt.SessionOption{
 		reopt.WithOptimizerConfig(cfg),
-		reopt.WithWorkers(r.cfg.Workers),
 		reopt.WithSampleShards(r.cfg.SampleShards),
 		reopt.WithCache(r.wlCache),
 	}

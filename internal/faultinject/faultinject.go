@@ -1,12 +1,12 @@
 // Package faultinject provides deterministic, test-only fault
 // injection points threaded through the validation pipeline: the
-// skeleton executors, the sampling estimator, and the workload
+// skeleton executor, the sampling estimator, and the workload
 // scheduler. Production builds pay a single atomic load per site
 // (Active() is false unless a test activated a rule Set), so the
 // points can stay compiled in permanently.
 //
 // A test builds a Set of Rules, each matching an injection Point (and
-// optionally a tag substring identifying the specific node, task, or
+// optionally a tag substring identifying the specific node, shard, or
 // wave), and Activates it:
 //
 //	var fi faultinject.Set
@@ -15,8 +15,8 @@
 //
 // Rules fire deterministically: matching is by exact Point and tag
 // substring, with optional Skip (ignore the first k matches) and Count
-// (fire at most n times) so a test can target e.g. "the second scan
-// wave". Actions run outside the package locks, so a rule may sleep,
+// (fire at most n times) so a test can target e.g. "the second
+// scheduler wave". Actions run outside the package locks, so a rule may sleep,
 // panic, or cancel a context without stalling other injection sites.
 package faultinject
 
@@ -34,30 +34,14 @@ type Point string
 // identities so tests target semantic work units, not scheduling
 // accidents.
 const (
-	// SkelNode fires before the single-plan engine evaluates a node.
-	// Tag: the node's canonical subtree signature.
+	// SkelNode fires as the skeleton engine enters a node, before any of
+	// the node's subtree is evaluated. Tag: the node's canonical subtree
+	// signature.
 	SkelNode Point = "executor.skeleton.node"
-	// ScanUnit fires inside a batch scan work unit. Tag: the task's
-	// subtree signature.
-	ScanUnit Point = "executor.batch.scan"
-	// BuildUnit fires inside a batch hash-table build unit. Tag: the
-	// join task's subtree signature.
-	BuildUnit Point = "executor.batch.build"
-	// ProbeUnit fires inside a batch probe unit. Tag: the join task's
-	// subtree signature.
-	ProbeUnit Point = "executor.batch.probe"
-	// TemplateUnit fires inside a shared template-scan work unit (the
-	// union scan executed once for every query instance riding the
-	// template). Tag: the template signature.
-	TemplateUnit Point = "executor.batch.template"
-	// ShardUnit fires inside per-shard execution of a sharded sample
-	// scan, in both the single-plan and batch engines. Tag: the task's
-	// subtree signature suffixed with "#shard=<i>", so a rule can
-	// target one shard of one subtree.
+	// ShardUnit fires before each shard of a sharded sample scan is
+	// evaluated. Tag: the scan's subtree signature suffixed with
+	// "#shard=<i>", so a rule can target one shard of one subtree.
 	ShardUnit Point = "executor.batch.shard"
-	// Wave fires at the start of each batch wave. Tag: "scan" or
-	// "join:<depth>".
-	Wave Point = "executor.batch.wave"
 	// SchedulerWave fires when the workload scheduler flushes a wave.
 	// Tag: "requests=<n>".
 	SchedulerWave Point = "sampling.scheduler.wave"

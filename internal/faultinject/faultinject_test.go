@@ -43,11 +43,11 @@ func TestPanicAtMatchesTagSubstring(t *testing.T) {
 func TestSkipAndCount(t *testing.T) {
 	var s Set
 	var fired int
-	s.On(Rule{Point: Wave, Skip: 1, Count: 2, Do: func(Point, string) { fired++ }})
+	s.On(Rule{Point: SchedulerWave, Skip: 1, Count: 2, Do: func(Point, string) { fired++ }})
 	defer s.Activate()()
 
 	for i := 0; i < 5; i++ {
-		Fire(Wave, "scan")
+		Fire(SchedulerWave, "requests=1")
 	}
 	if fired != 2 {
 		t.Fatalf("fired %d times, want 2 (skip first, cap at 2)", fired)
@@ -75,10 +75,10 @@ func TestCancelAt(t *testing.T) {
 
 func TestSleepAtDelays(t *testing.T) {
 	var s Set
-	s.SleepAt(ScanUnit, "", 20*time.Millisecond)
+	s.SleepAt(ShardUnit, "", 20*time.Millisecond)
 	defer s.Activate()()
 	start := time.Now()
-	Fire(ScanUnit, "x")
+	Fire(ShardUnit, "x")
 	if d := time.Since(start); d < 15*time.Millisecond {
 		t.Fatalf("Fire returned after %v, want >= 20ms sleep", d)
 	}

@@ -1,8 +1,7 @@
 package sampling
 
 import (
-	"fmt"
-	"runtime"
+	"context"
 	"testing"
 
 	"reopt/internal/catalog"
@@ -13,7 +12,7 @@ import (
 
 // batchSetup builds an OTT catalog plus the optimized plans of several
 // query instances — the workload shape (similar queries over one
-// database) the batched estimator and workload cache target.
+// database) the workload cache targets.
 func batchSetup(t testing.TB, count int) (*catalog.Catalog, []*plan.Plan) {
 	t.Helper()
 	cat, err := ott.Generate(ott.Config{Seed: 5, RowsPerValue: 25})
@@ -36,9 +35,23 @@ func batchSetup(t testing.TB, count int) (*catalog.Catalog, []*plan.Plan) {
 	return cat, plans
 }
 
-// TestEstimatePlansMatchesSequential: the batched estimator must return
-// estimates byte-identical — Delta for Delta, SampleRows for SampleRows
-// — to estimating each plan alone, at every worker count and against
+// estimatePlans validates plans against cache with the default config.
+func estimatePlans(plans []*plan.Plan, cat *catalog.Catalog, cache Cache) ([]*Estimate, error) {
+	return EstimatePlansCfg(context.Background(), plans, cat, cache, ValidateConfig{})
+}
+
+// estimateOne is estimatePlans over the one plan.
+func estimateOne(p *plan.Plan, cat *catalog.Catalog, cache Cache) (*Estimate, error) {
+	ests, err := estimatePlans([]*plan.Plan{p}, cat, cache)
+	if err != nil {
+		return nil, err
+	}
+	return ests[0], nil
+}
+
+// TestEstimatePlansMatchesSequential: validating several plans in one
+// call must return estimates byte-identical — Delta for Delta,
+// SampleRows for SampleRows — to estimating each plan alone, against
 // every cache scope (none, per-run, workload-level, warm and cold).
 func TestEstimatePlansMatchesSequential(t *testing.T) {
 	cat, plans := batchSetup(t, 4)
@@ -52,54 +65,74 @@ func TestEstimatePlansMatchesSequential(t *testing.T) {
 		want[i] = e
 	}
 
-	for _, w := range []int{1, 2, runtime.NumCPU()} {
-		caches := map[string]Cache{
-			"nil":      nil,
-			"perrun":   NewValidationCache(),
-			"workload": NewWorkloadCache(0),
+	caches := map[string]Cache{
+		"nil":      nil,
+		"perrun":   NewValidationCache(),
+		"workload": NewWorkloadCache(0),
+	}
+	for name, cache := range caches {
+		mode := "cache=" + name
+		got, err := estimatePlans(plans, cat, cache)
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
 		}
-		for name, cache := range caches {
-			mode := fmt.Sprintf("workers=%d cache=%s", w, name)
-			got, err := EstimatePlans(plans, cat, cache, w)
-			if err != nil {
-				t.Fatalf("%s: %v", mode, err)
-			}
-			for i := range plans {
-				compareEstimates(t, "batch", i, mode, got[i], want[i])
-			}
-			if cache == nil {
-				continue
-			}
-			// A second, warm pass must replay from the cache and agree.
-			got, err = EstimatePlans(plans, cat, cache, w)
-			if err != nil {
-				t.Fatalf("%s warm: %v", mode, err)
-			}
-			for i := range plans {
-				compareEstimates(t, "batch", i, mode+" warm", got[i], want[i])
-			}
+		for i := range plans {
+			compareEstimates(t, "batch", i, mode, got[i], want[i])
+		}
+		if cache == nil {
+			continue
+		}
+		// A second, warm pass must replay from the cache and agree.
+		got, err = estimatePlans(plans, cat, cache)
+		if err != nil {
+			t.Fatalf("%s warm: %v", mode, err)
+		}
+		for i := range plans {
+			compareEstimates(t, "batch", i, mode+" warm", got[i], want[i])
 		}
 	}
 }
 
 // TestEstimatePlansFallsBackPerPlan: a plan the count engine cannot run
-// must take the Volcano fallback without dragging the rest of the batch
-// with it.
+// must take the Volcano fallback without dragging the rest of the call
+// with it — whichever group of the call holds it, cached or not.
 func TestEstimatePlansFallsBackPerPlan(t *testing.T) {
 	cat, plans := batchSetup(t, 2)
 	badQ := *plans[0].Query
 	badQ.Joins = nil
 	bad := &plan.Plan{Root: plans[0].Root, Query: &badQ}
-	got, err := EstimatePlans([]*plan.Plan{plans[0], bad, plans[1]}, cat, NewValidationCache(), 2)
+	mixed := []*plan.Plan{plans[0], bad, plans[1]}
+	want := make([]*Estimate, len(mixed))
+	for i, p := range mixed {
+		var err error
+		if want[i], err = EstimatePlan(p, cat); err != nil {
+			t.Fatalf("plan %d sequential: %v", i, err)
+		}
+	}
+	got, err := estimatePlans(mixed, cat, NewValidationCache())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range []*plan.Plan{plans[0], bad, plans[1]} {
-		want, err := EstimatePlan(p, cat)
-		if err != nil {
-			t.Fatalf("plan %d sequential: %v", i, err)
+	for i := range mixed {
+		compareEstimates(t, "fallback", i, "mixed batch", got[i], want[i])
+	}
+
+	// The same three plans as three requesters' groups: a workload-cache
+	// holder, an uncached one holding the unsupported plan, a per-run one.
+	groups := []PlanGroup{
+		{Plans: mixed[:1], Cache: NewWorkloadCache(0)},
+		{Plans: mixed[1:2]},
+		{Plans: mixed[2:], Cache: NewValidationCache()},
+	}
+	ests, perGroup, err := EstimatePlanGroupsCfg(context.Background(), groups, cat, ValidateConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gi := range groups {
+		if perGroup[gi] != nil {
+			t.Fatalf("group %d: %v", gi, perGroup[gi])
 		}
-		compareEstimates(t, "fallback", i, "mixed batch", got[i], want)
+		compareEstimates(t, "fallback", gi, "mixed groups", ests[gi][0], want[gi])
 	}
 }
 
@@ -112,7 +145,7 @@ func TestWorkloadCacheReusesAcrossQueries(t *testing.T) {
 
 	cold := make([]*Estimate, len(plans))
 	for i, p := range plans {
-		ests, err := EstimatePlans([]*plan.Plan{p}, cat, wc, 2)
+		ests, err := estimatePlans([]*plan.Plan{p}, cat, wc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +158,7 @@ func TestWorkloadCacheReusesAcrossQueries(t *testing.T) {
 	hits0, _ := wc.Stats()
 
 	for i, p := range plans {
-		ests, err := EstimatePlans([]*plan.Plan{p}, cat, wc, 2)
+		ests, err := estimatePlans([]*plan.Plan{p}, cat, wc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +179,7 @@ func TestWorkloadCacheReusesAcrossQueries(t *testing.T) {
 func TestWorkloadCacheSampleEpochInvalidation(t *testing.T) {
 	cat, plans := batchSetup(t, 2)
 	wc := NewWorkloadCache(0)
-	if _, err := EstimatePlans(plans, cat, wc, 2); err != nil {
+	if _, err := estimatePlans(plans, cat, wc); err != nil {
 		t.Fatal(err)
 	}
 
@@ -161,7 +194,7 @@ func TestWorkloadCacheSampleEpochInvalidation(t *testing.T) {
 		}
 		fresh[i] = e
 	}
-	got, err := EstimatePlans(plans, cat, wc, 2)
+	got, err := estimatePlans(plans, cat, wc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +209,7 @@ func TestWorkloadCacheSampleEpochInvalidation(t *testing.T) {
 	if cat.SampleEpoch() == before {
 		t.Fatal("BuildSamples did not advance the sample epoch")
 	}
-	got, err = EstimatePlans(plans, cat, wc, 2)
+	got, err = estimatePlans(plans, cat, wc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +224,7 @@ func TestWorkloadCacheEviction(t *testing.T) {
 	cat, plans := batchSetup(t, 4)
 	wc := NewWorkloadCache(3)
 	for i, p := range plans {
-		ests, err := EstimatePlans([]*plan.Plan{p}, cat, wc, 1)
+		ests, err := estimatePlans([]*plan.Plan{p}, cat, wc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,10 +2,9 @@ package sampling
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
+	"sync"
 	"testing"
 
 	"reopt/internal/catalog"
@@ -68,7 +67,7 @@ func TestFastPathMatchesVolcano(t *testing.T) {
 				if err != nil {
 					t.Fatalf("query %d fast: %v", qi, err)
 				}
-				fastCached, err := EstimatePlanCached(p, tc.cat, cache)
+				fastCached, err := estimateOne(p, tc.cat, cache)
 				if err != nil {
 					t.Fatalf("query %d cached: %v", qi, err)
 				}
@@ -80,18 +79,9 @@ func TestFastPathMatchesVolcano(t *testing.T) {
 				}
 				compareEstimates(t, tc.name, qi, "fresh", fastFresh, slow)
 				compareEstimates(t, tc.name, qi, "cached", fastCached, slow)
-				// The parallel engine must agree at every worker count,
-				// not just the GOMAXPROCS default the runs above used.
-				for _, w := range []int{1, 2, runtime.NumCPU()} {
-					pw, err := EstimatePlanWorkers(p, tc.cat, nil, w)
-					if err != nil {
-						t.Fatalf("query %d workers=%d: %v", qi, w, err)
-					}
-					compareEstimates(t, tc.name, qi, fmt.Sprintf("workers=%d", w), pw, slow)
-				}
 				// A second cached run must serve everything from cache and
 				// still agree (cross-round reuse correctness).
-				again, err := EstimatePlanCached(p, tc.cat, cache)
+				again, err := estimateOne(p, tc.cat, cache)
 				if err != nil {
 					t.Fatalf("query %d recached: %v", qi, err)
 				}
@@ -136,11 +126,12 @@ func TestFastPathFallsBackOnUnsupportedShape(t *testing.T) {
 	}
 }
 
-// TestFastPathDeterministicAcrossWorkers: the Delta and SampleRows maps
-// must be *identical* — same keys, bit-for-bit same float64 values —
-// at every worker count, with each worker count warming its own cache
-// across several plans of the same workload (so cached
-// materializations produced in parallel feed later joins too).
+// TestFastPathDeterministicAcrossWorkers: the workers are concurrent
+// callers, each validating on its own goroutine. The Delta and SampleRows
+// maps must be *identical* — same keys, bit-for-bit same float64 values —
+// to a lone sequential caller's, whether the concurrent callers warm one
+// shared cache across several plans of the same workload (so
+// materializations one caller cached feed another's joins) or their own.
 func TestFastPathDeterministicAcrossWorkers(t *testing.T) {
 	cat, err := ott.Generate(ott.Config{Seed: 11, RowsPerValue: 25})
 	if err != nil {
@@ -151,35 +142,46 @@ func TestFastPathDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := optimizer.New(cat, optimizer.DefaultConfig())
-	workerCounts := []int{1, 2, runtime.NumCPU()}
-	caches := make([]*ValidationCache, len(workerCounts))
-	for i := range caches {
-		caches[i] = NewValidationCache()
-	}
+	plans := make([]*plan.Plan, len(qs))
+	base := make([]*Estimate, len(qs))
+	seq := NewValidationCache()
 	for qi, q := range qs {
-		p, err := opt.Optimize(q, nil)
-		if err != nil {
+		if plans[qi], err = opt.Optimize(q, nil); err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
-		var base *Estimate
-		for wi, w := range workerCounts {
-			est, err := EstimatePlanWorkers(p, cat, caches[wi], w)
-			if err != nil {
-				t.Fatalf("query %d workers=%d: %v", qi, w, err)
-			}
-			if base == nil {
-				base = est
-				continue
-			}
-			if !reflect.DeepEqual(est.Delta, base.Delta) {
-				t.Errorf("query %d: Delta diverged between workers=%d and workers=%d:\n%v\nvs\n%v",
-					qi, w, workerCounts[0], est.Delta, base.Delta)
-			}
-			if !reflect.DeepEqual(est.SampleRows, base.SampleRows) {
-				t.Errorf("query %d: SampleRows diverged between workers=%d and workers=%d",
-					qi, w, workerCounts[0])
-			}
+		if base[qi], err = estimateOne(plans[qi], cat, seq); err != nil {
+			t.Fatalf("query %d sequential: %v", qi, err)
 		}
+	}
+	for _, shared := range []bool{true, false} {
+		cache := NewValidationCache()
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				c := cache
+				if !shared {
+					c = NewValidationCache()
+				}
+				for k := range plans {
+					qi := (k + w) % len(plans)
+					est, err := estimateOne(plans[qi], cat, c)
+					if err != nil {
+						t.Errorf("shared=%v caller %d query %d: %v", shared, w, qi, err)
+						return
+					}
+					if !reflect.DeepEqual(est.Delta, base[qi].Delta) {
+						t.Errorf("shared=%v caller %d query %d: Delta diverged from the sequential caller's:\n%v\nvs\n%v",
+							shared, w, qi, est.Delta, base[qi].Delta)
+					}
+					if !reflect.DeepEqual(est.SampleRows, base[qi].SampleRows) {
+						t.Errorf("shared=%v caller %d query %d: SampleRows diverged from the sequential caller's", shared, w, qi)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
 	}
 }
 
@@ -288,7 +290,7 @@ func TestExactnessRuleForHandBuiltPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact = append(exact, p)
-	want, err := EstimatePlans(exact, cat, nil, 1)
+	want, err := estimatePlans(exact, cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +303,7 @@ func TestExactnessRuleForHandBuiltPlans(t *testing.T) {
 			t.Fatalf("%s: count engine: %v, want ErrSkeletonUnsupported", name, err)
 		}
 		cache := NewValidationCache()
-		got, err := EstimatePlanCached(handBuilt, cat, cache)
+		got, err := estimateOne(handBuilt, cat, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +317,7 @@ func TestExactnessRuleForHandBuiltPlans(t *testing.T) {
 		if cache.Len() != 0 {
 			t.Fatalf("%s: validating the inexact plan cached %d sub-results", name, cache.Len())
 		}
-		served, err := EstimatePlans(exact, cat, cache, 1)
+		served, err := estimatePlans(exact, cat, cache)
 		if err != nil {
 			t.Fatal(err)
 		}

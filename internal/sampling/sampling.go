@@ -90,75 +90,39 @@ func (c *ValidationCache) skeleton(*catalog.Catalog) *executor.SkeletonCache {
 	return c.skel
 }
 
-// EstimatePlan validates p's join skeleton over the catalog's samples.
-// The skeleton keeps the plan's join tree and all predicates but swaps
-// every physical choice for sample-friendly ones (sequential scans and
-// hash joins); physical choice does not affect cardinality, and samples
-// carry no indexes.
+// EstimatePlan validates p's join skeleton over the catalog's samples,
+// uncached and with the default config. The skeleton keeps the plan's join
+// tree and all predicates but swaps every physical choice for
+// sample-friendly ones (sequential scans and hash joins); physical choice
+// does not affect cardinality, and samples carry no indexes.
 func EstimatePlan(p *plan.Plan, cat *catalog.Catalog) (*Estimate, error) {
-	return EstimatePlanCached(p, cat, nil)
-}
-
-// EstimatePlanCached is EstimatePlan with an optional cross-round cache.
-func EstimatePlanCached(p *plan.Plan, cat *catalog.Catalog, cache *ValidationCache) (*Estimate, error) {
-	return EstimatePlanCfg(context.Background(), p, cat, cache, ValidateConfig{})
-}
-
-// EstimatePlanWorkers is EstimatePlanCached with an explicit worker
-// count for the skeleton engine's partitioned scan/probe loops:
-// workers <= 0 selects GOMAXPROCS, 1 forces sequential execution. The
-// estimate is byte-identical at every setting (the engine merges
-// per-partition outputs in partition order); the knob exists so tests
-// can pin determinism and callers can bound validation parallelism.
-func EstimatePlanWorkers(p *plan.Plan, cat *catalog.Catalog, cache *ValidationCache, workers int) (*Estimate, error) {
-	return EstimatePlanCfg(context.Background(), p, cat, cache, ValidateConfig{Workers: workers})
-}
-
-// ValidateConfig carries the execution knobs of the validation layer:
-// the skeleton engines' own. Every knob is performance-only: the
-// estimates (Delta and SampleRows) are byte-identical at every setting.
-type ValidateConfig = executor.SkelConfig
-
-// EstimatePlanCfg is EstimatePlanWorkers with cancellation and the full
-// validation config: ctx is threaded into the skeleton engine (checked
-// between steps) and the general-executor fallback (checked in its pull
-// loop), so a cancelled ctx aborts the validation with ctx.Err(). It is
-// EstimatePlansCfg over the one plan, Duration included.
-func EstimatePlanCfg(ctx context.Context, p *plan.Plan, cat *catalog.Catalog, cache *ValidationCache, cfg ValidateConfig) (*Estimate, error) {
-	var c Cache
-	if cache != nil {
-		c = cache
-	}
-	ests, err := EstimatePlansCfg(ctx, []*plan.Plan{p}, cat, c, cfg)
+	ests, err := EstimatePlansCfg(context.Background(), []*plan.Plan{p}, cat, nil, ValidateConfig{})
 	if err != nil {
 		return nil, err
 	}
 	return ests[0], nil
 }
 
-// EstimatePlans validates several plans' join skeletons over the
-// catalog's samples as one batch: subtrees shared between the plans are
-// executed once, each table's scan filters are compiled once, and the
-// combined work of every plan partitions across workers even when the
-// individual samples are too small to fan out alone (see
-// executor.CountSkeletonBatch). The returned estimates are positional
-// and byte-identical — Delta for Delta, SampleRows for SampleRows — to
-// calling EstimatePlanWorkers on each plan in order against the same
-// cache; only the wall-clock Duration differs (the batch's total time,
-// amortized equally across the plans). cache may be a ValidationCache,
-// a WorkloadCache, or nil. Plans the count-only engine cannot run fall
-// back to the general executor individually, uncached.
-func EstimatePlans(plans []*plan.Plan, cat *catalog.Catalog, cache Cache, workers int) ([]*Estimate, error) {
-	return EstimatePlansCfg(context.Background(), plans, cat, cache, ValidateConfig{Workers: workers})
-}
+// ValidateConfig carries the execution knobs of the validation layer:
+// the skeleton engine's own. Shards and Templates are performance-only:
+// the estimates (Delta and SampleRows) are byte-identical at every setting.
+type ValidateConfig = executor.SkelConfig
 
-// EstimatePlansCfg is EstimatePlans with cancellation and the full
-// validation config. ctx reaches the batch engine (checked between
-// waves, phases, and work-list spans) and the per-plan fallbacks, so a
-// cancelled ctx aborts the whole batch with ctx.Err() mid-validation;
-// completed subtrees cached before the abort stay cached, nothing
-// partial is ever stored. A plan breaching cfg.MemBudget fails the call
-// with an error matching executor.ErrMemoryBudget (which wraps
+// EstimatePlansCfg validates several plans' join skeletons over the
+// catalog's samples, one after another on the calling goroutine
+// (executor.CountSkeletonSteps); subtrees the plans share are computed
+// once when cache — a ValidationCache, a WorkloadCache, or nil — is there
+// to carry them. The returned estimates are positional and byte-identical
+// — Delta for Delta, SampleRows for SampleRows — to validating each plan
+// alone, in order, against the same cache; Duration is the call's total
+// time amortized equally across the plans. Plans the count-only engine
+// cannot run fall back to the general executor individually, uncached.
+//
+// ctx reaches the engine (checked before every step) and the per-plan
+// fallbacks, so a cancelled ctx aborts the call with ctx.Err()
+// mid-validation; completed subtrees cached before the abort stay cached,
+// nothing partial is ever stored. A plan breaching cfg.MemBudget fails the
+// call with an error matching executor.ErrMemoryBudget (which wraps
 // context.DeadlineExceeded, so budget-aware callers degrade it like a
 // deadline); a panic inside validation surfaces as an error matching
 // executor.ErrValidationPanic instead of unwinding.
@@ -176,28 +140,25 @@ func EstimatePlansCfg(ctx context.Context, plans []*plan.Plan, cat *catalog.Cata
 	return ests[0], nil
 }
 
-// PlanGroup is one requester's share of a cross-query validation batch:
+// PlanGroup is one requester's share of a cross-query validation call:
 // the plans it wants validated and the cache those validations read and
-// charge. Groups of one batch may carry different caches — per-query
-// ValidationCaches, views of one WorkloadCache, or nil — and the batch
-// still deduplicates subtrees across all of them.
+// charge. Groups of one call may carry different caches — per-query
+// ValidationCaches, views of one WorkloadCache, or nil.
 type PlanGroup struct {
 	Plans []*plan.Plan
 	Cache Cache
 }
 
-// EstimatePlanGroupsCfg validates several requesters' plans as ONE
-// skeleton batch: every subtree of every group becomes one deduplicated
-// task, the combined work partitions across the workers, and each
-// computed sub-result is charged back to every group whose cache covers
-// it (see executor.CountSkeletonBatchCfg). Estimates are positional per
-// group and byte-identical to each group validating alone via
-// EstimatePlansCfg against its own cache; the batch's wall-clock cost is
+// EstimatePlanGroupsCfg validates several requesters' plans in one call,
+// group after group on the calling goroutine. Estimates are positional
+// per group and byte-identical to each group validating alone via
+// EstimatePlansCfg against its own cache; groups reuse each other's work
+// exactly where they share a cache. The call's wall-clock cost is
 // amortized equally across all plans. A group whose plan fails — its
 // Volcano fallback errors, it breaches cfg.MemBudget or panics — gets
 // the error in its perGroup slot without dragging down the other groups
-// or poisoning its cache; batch-level failures — no samples, a cancelled
-// ctx, an engine fault — surface in err with every group unanswered.
+// or poisoning its cache; call-level failures — no samples, a cancelled
+// ctx, an unresolvable table — surface in err with every group unanswered.
 func EstimatePlanGroupsCfg(ctx context.Context, groups []PlanGroup, cat *catalog.Catalog, cfg ValidateConfig) (ests [][]*Estimate, perGroup []error, err error) {
 	if len(groups) == 0 {
 		return nil, nil, nil
@@ -266,9 +227,8 @@ func EstimatePlanGroupsCfg(ctx context.Context, groups []PlanGroup, cat *catalog
 			ests[gi] = nil
 		}
 	}
-	// One skeleton batch produced every estimate; report its cost
-	// amortized equally per plan so summing a group's Durations reflects
-	// its proportional share of the total sampling overhead.
+	// Report the call's cost amortized equally per plan, so summing a
+	// group's Durations reflects its share of the sampling overhead.
 	dur := time.Since(start) / time.Duration(total)
 	for _, ge := range ests {
 		for _, e := range ge {

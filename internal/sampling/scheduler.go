@@ -1,19 +1,20 @@
 package sampling
 
-// Scheduler: workload-level coalescing of validation work.
+// Scheduler: workload-level coalescing of validation requests.
 //
-// The batch estimator amortizes shared scans *within* one call — one
-// query's candidate batched with its previous plan, or one multi-seed
-// run's round-1 candidates. A workload re-optimized concurrently leaves
-// the bigger win on the table: at any instant several queries sit in
-// their Algorithm-1 round loops, each about to run a skeleton pass over
-// the same samples, and those passes overlap heavily on a workload of
-// similar queries. The Scheduler turns each such pass into a *request*:
-// the round loop submits its candidate plans and blocks on a future,
-// and the scheduler gathers requests across the in-flight queries into
-// one EstimatePlanGroupsCfg wave — subtrees deduplicated across
-// queries, the combined work list partitioned across the validation
-// workers, and each sub-result charged back to every requester's cache.
+// Kept for bench/ (its traced ladder measures sched_*); off by default
+// everywhere, and deletion is gated on a benchmark PR dropping those
+// metrics (DESIGN.md §1b). A validation is tens of microseconds on one
+// goroutine, so gathering requests buys nothing a shared cache does not
+// already give: BenchmarkWorkloadScheduler reads sched=on 1.90 ms vs off
+// 0.78 ms at parallel=2.
+//
+// The Scheduler turns each round's validation into a *request*: the round
+// loop submits its candidate plans and blocks on a future, and the
+// scheduler gathers requests across the in-flight queries into one
+// EstimatePlanGroupsCfg call — a wave — that validates them back to back
+// on one goroutine. Requests of one wave reuse each other's sub-results
+// exactly where they share a cache, as they would validating on their own.
 //
 // Flush triggers, in priority order:
 //
@@ -34,13 +35,12 @@ package sampling
 // returns its ctx error immediately, while the wave — which runs under
 // a context that cancels only when EVERY requester in it is done —
 // carries the remaining requesters' shares to completion. Nothing a
-// cancelled requester contributed poisons the wave: its tasks are
-// content-addressed work other requesters may share, and completed
-// waves store only fully computed sub-results.
+// cancelled requester contributed poisons the wave: what it cached is
+// content-addressed and complete.
 //
 // Results are byte-identical to the serial path at every parallelism:
-// batching never changes counts (executor.CountSkeletonBatchCfg),
-// and cache reuse never changes estimates, only when they are computed.
+// a wave is its requests validated one by one, and cache reuse never
+// changes estimates, only when they are computed.
 
 import (
 	"context"
@@ -77,11 +77,10 @@ const (
 )
 
 // Scheduler coalesces the validation requests of concurrently
-// re-optimizing queries into shared skeleton-batch waves. Create one
-// per Session with NewScheduler; it is safe for concurrent use.
+// re-optimizing queries into waves. Create one per Session with
+// NewScheduler; it is safe for concurrent use.
 type Scheduler struct {
 	cat       *catalog.Catalog
-	workers   int
 	window    time.Duration // fixed gather window; <= 0 selects adaptive
 	memBudget atomic.Int64  // per-plan value budget for waves; 0 = unlimited
 	shards    atomic.Int64  // sample shard count for waves; <= 1 = monolithic
@@ -108,17 +107,19 @@ type Scheduler struct {
 	coalesced int64
 }
 
-// NewScheduler returns a scheduler validating against cat with the
-// given worker budget (<= 0 selects GOMAXPROCS) and gather window. A
-// window <= 0 selects the adaptive window: sized from the observed
-// optimizer-round / validation-time ratio, starting from
+// NewScheduler returns a scheduler validating against cat with the given
+// gather window. A window <= 0 selects the adaptive window: sized from the
+// observed optimizer-round / validation-time ratio, starting from
 // DefaultGatherWindow until both have been observed. The window only
 // affects how requests batch, never their results.
+//
+// Deprecated: workers no longer selects anything — a wave validates its
+// requests on one goroutine — and is kept only because bench/ passes it.
 func NewScheduler(cat *catalog.Catalog, workers int, window time.Duration) *Scheduler {
 	if window < 0 {
 		window = 0
 	}
-	return &Scheduler{cat: cat, workers: workers, window: window}
+	return &Scheduler{cat: cat, window: window}
 }
 
 // SetMemBudget caps the values any single plan validated through the
@@ -132,20 +133,18 @@ func (s *Scheduler) SetMemBudget(values int64) {
 }
 
 // SetShards sets the sample shard count the scheduler's waves validate
-// with (<= 1 means the monolithic layout): shards of one wave fan out
-// across the validation workers as independent spans whose partial
-// results merge in shard order. Estimates are byte-identical at every
-// setting. Safe to call while waves are in flight (new waves pick up
+// with (<= 1 means the monolithic layout): each sample scan evaluates
+// shard by shard, the selections concatenating in shard order. Estimates
+// are byte-identical at every setting. Safe to call while waves are in flight (new waves pick up
 // the new count).
 func (s *Scheduler) SetShards(n int) {
 	s.shards.Store(int64(n))
 }
 
-// SetTemplates turns template-shared scans on or off for subsequent
-// waves: tasks sharing a constant-stripped template execute one union
-// scan refined per constant, and cached scans are indexed by template
-// for near-miss constant reuse. Estimates are byte-identical at either
-// setting. Safe to call while waves are in flight.
+// SetTemplates turns the cache's template index on or off for subsequent
+// waves: cached scans are indexed by constant-stripped template, so a
+// near-miss constant refines a cached containing instance instead of
+// rescanning. Estimates are byte-identical at either setting. Safe to call while waves are in flight.
 func (s *Scheduler) SetTemplates(on bool) {
 	s.templates.Store(on)
 }
@@ -153,7 +152,6 @@ func (s *Scheduler) SetTemplates(on bool) {
 // cfg snapshots the scheduler's validation config for one wave.
 func (s *Scheduler) cfg() ValidateConfig {
 	return ValidateConfig{
-		Workers:   s.workers,
 		Shards:    int(s.shards.Load()),
 		MemBudget: s.memBudget.Load(),
 		Templates: s.templates.Load(),
@@ -210,8 +208,8 @@ type SchedulerStats struct {
 	// Requests is the number of validation requests submitted.
 	Requests int64
 	// Coalesced counts the requests that shared their wave with at
-	// least one other request — the shared-scan wins the scheduler
-	// exists for. Requests - Coalesced ran in single-request waves.
+	// least one other request. Requests - Coalesced ran in
+	// single-request waves.
 	Coalesced int64
 }
 
@@ -415,11 +413,10 @@ func (s *Scheduler) abandon(req *schedRequest) {
 	}
 }
 
-// run executes one wave: all queued requests as one deduplicated
-// skeleton batch, each request's estimates delivered to its future.
+// run executes one wave: all queued requests in one estimator call,
+// each request's estimates delivered to its future.
 // Failures are contained at two granularities: a plan that panics or
-// breaches the memory budget inside the batch fails only its
-// requester's perGroup slot, and a panic at the wave boundary itself —
+// breaches the memory budget fails only its requester's perGroup slot, and a panic at the wave boundary itself —
 // which no single requester can be blamed for — is recovered by
 // runWave and delivered to every requester as a *PanicError rather
 // than crashing the process (waves often run on scheduler-owned
@@ -496,7 +493,7 @@ func (s *Scheduler) runLone(ctx context.Context, plans []*plan.Plan, cache Cache
 }
 
 // runWave executes one wave's estimation with a boundary recover: a
-// panic escaping the batch machinery (or injected at the wave seam)
+// panic escaping the estimator (or injected at the wave seam)
 // becomes a batch-level *PanicError instead of unwinding into run's
 // goroutine and killing the process.
 func (s *Scheduler) runWave(wctx context.Context, groups []PlanGroup, requests int) (ests [][]*Estimate, perGroup []error, err error) {

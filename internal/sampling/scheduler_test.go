@@ -61,7 +61,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 		}
 		want[i] = e
 	}
-	for _, w := range []int{1, 2, runtime.NumCPU()} {
+	for _, w := range []int{0, 1, 2, 8} { // the deprecated argument selects nothing
 		for _, cacheMode := range []string{"nil", "perrun", "workload"} {
 			s := NewScheduler(cat, w, hugeWindow)
 			var shared Cache

@@ -12,9 +12,9 @@ import (
 
 // TestShardedEstimatesIdentical: the equivalence contract of the
 // sharded validation stack — Delta and SampleRows byte-identical to the
-// per-plan sequential ground truth at every (shard count × worker count
-// × cache mode) combination, cold and warm. Sharding may only change
-// how the work partitions, never a single count.
+// per-plan sequential ground truth at every (shard count × cache mode)
+// combination, cold and warm. Sharding may only change how the work
+// partitions, never a single count.
 func TestShardedEstimatesIdentical(t *testing.T) {
 	cat, plans := batchSetup(t, 4)
 	ctx := context.Background()
@@ -29,32 +29,30 @@ func TestShardedEstimatesIdentical(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 3, runtime.NumCPU()} {
-		for _, workers := range []int{1, 2} {
-			caches := map[string]Cache{
-				"nil":      nil,
-				"perrun":   NewValidationCache(),
-				"workload": NewWorkloadCache(0),
+		caches := map[string]Cache{
+			"nil":      nil,
+			"perrun":   NewValidationCache(),
+			"workload": NewWorkloadCache(0),
+		}
+		for name, cache := range caches {
+			mode := fmt.Sprintf("shards=%d cache=%s", shards, name)
+			cfg := ValidateConfig{Shards: shards}
+			got, err := EstimatePlansCfg(ctx, plans, cat, cache, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", mode, err)
 			}
-			for name, cache := range caches {
-				mode := fmt.Sprintf("shards=%d workers=%d cache=%s", shards, workers, name)
-				cfg := ValidateConfig{Workers: workers, Shards: shards}
-				got, err := EstimatePlansCfg(ctx, plans, cat, cache, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", mode, err)
-				}
-				for i := range plans {
-					compareEstimates(t, "shard", i, mode, got[i], want[i])
-				}
-				if cache == nil {
-					continue
-				}
-				got, err = EstimatePlansCfg(ctx, plans, cat, cache, cfg)
-				if err != nil {
-					t.Fatalf("%s warm: %v", mode, err)
-				}
-				for i := range plans {
-					compareEstimates(t, "shard", i, mode+" warm", got[i], want[i])
-				}
+			for i := range plans {
+				compareEstimates(t, "shard", i, mode, got[i], want[i])
+			}
+			if cache == nil {
+				continue
+			}
+			got, err = EstimatePlansCfg(ctx, plans, cat, cache, cfg)
+			if err != nil {
+				t.Fatalf("%s warm: %v", mode, err)
+			}
+			for i := range plans {
+				compareEstimates(t, "shard", i, mode+" warm", got[i], want[i])
 			}
 		}
 	}
@@ -70,13 +68,13 @@ func TestShardedCacheInterchangeable(t *testing.T) {
 
 	for _, dir := range []struct{ warm, read int }{{1, 4}, {4, 1}, {2, 3}} {
 		wc := NewWorkloadCache(0)
-		cold, err := EstimatePlansCfg(ctx, plans, cat, wc, ValidateConfig{Workers: 2, Shards: dir.warm})
+		cold, err := EstimatePlansCfg(ctx, plans, cat, wc, ValidateConfig{Shards: dir.warm})
 		if err != nil {
 			t.Fatal(err)
 		}
 		size := wc.Len()
 		hits0, _ := wc.Stats()
-		got, err := EstimatePlansCfg(ctx, plans, cat, wc, ValidateConfig{Workers: 2, Shards: dir.read})
+		got, err := EstimatePlansCfg(ctx, plans, cat, wc, ValidateConfig{Shards: dir.read})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,10 +102,10 @@ func TestShardedMemoryBudgetVerdictIndependent(t *testing.T) {
 
 	for _, budget := range []int64{1, 100, 1000, 10_000, 1 << 40} {
 		base, baseErr := EstimatePlansCfg(ctx, plans, cat, nil,
-			ValidateConfig{Workers: 2, Shards: 1, MemBudget: budget})
+			ValidateConfig{Shards: 1, MemBudget: budget})
 		for _, shards := range []int{2, 3, runtime.NumCPU()} {
 			got, err := EstimatePlansCfg(ctx, plans, cat, nil,
-				ValidateConfig{Workers: 2, Shards: shards, MemBudget: budget})
+				ValidateConfig{Shards: shards, MemBudget: budget})
 			if errors.Is(baseErr, executor.ErrMemoryBudget) != errors.Is(err, executor.ErrMemoryBudget) {
 				t.Fatalf("budget %d shards %d: verdict %v, monolithic verdict %v",
 					budget, shards, err, baseErr)
@@ -126,7 +124,7 @@ func TestShardedMemoryBudgetVerdictIndependent(t *testing.T) {
 	// Sanity: the tightest budget actually breaches, so the loop above
 	// exercised both verdicts.
 	if _, err := EstimatePlansCfg(ctx, plans, cat, nil,
-		ValidateConfig{Workers: 2, Shards: 2, MemBudget: 1}); !errors.Is(err, executor.ErrMemoryBudget) {
+		ValidateConfig{Shards: 2, MemBudget: 1}); !errors.Is(err, executor.ErrMemoryBudget) {
 		t.Fatalf("budget 1: err = %v, want ErrMemoryBudget", err)
 	}
 }

@@ -124,8 +124,7 @@ func TestChaosCrossTenantIsolation(t *testing.T) {
 	cb := reoptclient.New(ts.URL, reoptclient.WithTenant("beta"), reoptclient.WithRetries(0))
 
 	var fi faultinject.Set
-	fi.PanicAt(faultinject.ScanUnit, tag)
-	fi.PanicAt(faultinject.SkelNode, tag) // single-plan engine path, in case the batch fast path is off
+	fi.PanicAt(faultinject.SkelNode, tag)
 	fi.SleepAt(faultinject.Handler, "tenant=alpha", 2*time.Millisecond)
 	fi.AllocAt(faultinject.Handler, "tenant=alpha", 1<<20)
 	restore := fi.Activate()

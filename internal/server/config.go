@@ -16,10 +16,14 @@ import (
 // contained by the library's failure model — one tenant's session can
 // neither starve nor corrupt another's.
 type Quota struct {
-	// Workers bounds the tenant's validation parallelism
-	// (reopt.WithWorkers; 0 = GOMAXPROCS).
+	// Workers once bounded the parallelism inside one validation.
+	//
+	// Deprecated: Workers no longer selects anything — a validation runs
+	// on its request's goroutine, and MaxInFlight bounds how many run at
+	// once. The field still parses so existing config files load, and
+	// bench/ names it.
 	Workers int `json:"workers"`
-	// SampleShards splits each sample for intra-validation fan-out
+	// SampleShards evaluates each sample scan shard by shard
 	// (reopt.WithSampleShards; <= 1 = monolithic).
 	SampleShards int `json:"sample_shards"`
 	// MaxInFlight and QueueDepth are the admission gate
@@ -38,14 +42,17 @@ type Quota struct {
 	// CacheValues additionally bounds the cache by materialized values
 	// (reopt.WithSharedCacheValues; 0 = unbounded).
 	CacheValues int `json:"cache_values"`
-	// Scheduler coalesces the tenant's concurrent validations into
-	// shared-scan waves (reopt.WithWorkloadScheduler); Window <= 0
-	// selects the adaptive gather window.
+	// Scheduler gathers the tenant's concurrent validations into waves
+	// (reopt.WithWorkloadScheduler); Window <= 0 selects the adaptive
+	// gather window. Off in DefaultQuota: a wave is its requests
+	// validated back to back on one goroutine, which loses to letting
+	// each request validate on its own.
 	Scheduler       bool                 `json:"scheduler"`
 	SchedulerWindow reoptclient.Duration `json:"scheduler_window"`
-	// TemplateSharing shares validation scans between query instances
-	// of the same template — parametrized traffic's few-templates ×
-	// many-constants shape (reopt.WithTemplateSharing). Results are
+	// TemplateSharing indexes the tenant's cached validation scans by
+	// template, so query instances differing only in constants —
+	// parametrized traffic's few-templates × many-constants shape —
+	// refine each other's scans (reopt.WithTemplateSharing). Results are
 	// byte-identical at either setting.
 	TemplateSharing bool `json:"template_sharing"`
 }
@@ -74,10 +81,10 @@ type Config struct {
 const DefaultTenant = "default"
 
 // DefaultQuota is a bounded single-tenant envelope: enough concurrency
-// to keep the validation engines busy, a queue one burst deep, a
+// to keep every core validating, a queue one burst deep, a
 // per-validation memory budget far above any sane plan, and the
-// cross-query cache and scheduler on. A daemon started with no config
-// file serves this.
+// cross-query cache on. A daemon started with no config file serves
+// this.
 func DefaultQuota() Quota {
 	n := runtime.GOMAXPROCS(0)
 	return Quota{
@@ -85,7 +92,6 @@ func DefaultQuota() Quota {
 		QueueDepth:   8 * n,
 		MemoryBudget: 64 << 20,
 		CacheEntries: -1,
-		Scheduler:    true,
 	}
 }
 

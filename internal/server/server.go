@@ -163,10 +163,7 @@ func New(cat *reopt.Catalog, cfg Config, opts ...Option) (*Server, error) {
 
 // sessionOptions maps a quota onto Session options.
 func (q Quota) sessionOptions() []reopt.SessionOption {
-	opts := []reopt.SessionOption{
-		reopt.WithWorkers(q.Workers),
-		reopt.WithMaxInFlight(q.MaxInFlight, q.QueueDepth),
-	}
+	opts := []reopt.SessionOption{reopt.WithMaxInFlight(q.MaxInFlight, q.QueueDepth)}
 	if q.SampleShards > 1 {
 		opts = append(opts, reopt.WithSampleShards(q.SampleShards))
 	}

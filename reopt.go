@@ -9,17 +9,17 @@
 //
 // The front door is Session — a long-lived, goroutine-safe handle
 // created once per catalog that owns the optimizer, the workload-level
-// validation cache, and the validation worker budget, and exposes the
+// validation cache, and the validation settings, and exposes the
 // whole pipeline as context-aware methods:
 //
 //	cat, _ := reopt.GenerateOTT(reopt.OTTConfig{Seed: 1})
-//	s, _ := reopt.Open(cat, reopt.WithWorkers(4), reopt.WithSharedCache(4096))
+//	s, _ := reopt.Open(cat, reopt.WithSharedCache(4096))
 //	q, _ := s.Parse(`SELECT COUNT(*) FROM r1, r2 WHERE r1.a = 0 AND r2.a = 1 AND r1.b = r2.b`)
 //	res, _ := s.Reoptimize(ctx, q, reopt.WithTimeout(50*time.Millisecond))
 //	fmt.Println(res.Final.Explain())
 //
 // Every method takes a context: cancellation aborts work in flight —
-// between rounds, mid-validation inside the skeleton engines, or
+// between rounds, mid-validation inside the skeleton engine, or
 // mid-execution in the Volcano loop — while a deadline acts as the
 // paper's §5.4 time budget, returning the best plan generated so far.
 // Whole workloads run through one session with bounded concurrency via
@@ -35,8 +35,6 @@
 //	Parse(src, cat)                             ->  Session.Parse(src)
 //	Execute(p, cat, opts)                       ->  Session.Execute(ctx, p, opts)
 //	EstimateBySampling(p, cat)                  ->  Session.Validate(ctx, p)
-//	EstimateBySamplingWorkers(p, cat, w)        ->  Open(cat, WithWorkers(w)) + Session.Validate
-//	EstimateBySamplingBatch(ps, cat, w)         ->  Session.Validate(ctx, ps...)
 //	NewWorkloadCache + ReoptOptions.Cache       ->  Open(cat, WithSharedCache(n))
 //	ReoptOptions fields                         ->  WithMaxRounds / WithTimeout / WithConservative / WithSkipBelowCost
 //	NewMidQueryExecutor + Run                   ->  Session.MidQuery(ctx, q)
@@ -223,7 +221,7 @@ func NewOptimizer(cat *Catalog, cfg OptimizerConfig) *Optimizer {
 // NewReoptimizer returns an Algorithm 1 runner with default options.
 //
 // Deprecated: use Open + Session.Reoptimize, which add context support,
-// concurrency safety, and the session's shared cache and worker budget.
+// concurrency safety, and the session's shared cache.
 func NewReoptimizer(opt *Optimizer, cat *Catalog) *Reoptimizer {
 	return core.New(opt, cat)
 }
@@ -245,31 +243,10 @@ func Execute(p *Plan, cat *Catalog, opts ExecOptions) (*ExecResult, error) {
 // EstimateBySampling validates a plan's join skeleton over the
 // catalog's samples, returning Δ (per-relation-set cardinalities).
 //
-// Deprecated: use Session.Validate, which subsumes all three
-// EstimateBySampling variants and adds cancellation and the session's
-// shared cache.
+// Deprecated: use Session.Validate, which takes any number of plans and
+// adds cancellation and the session's shared cache.
 func EstimateBySampling(p *Plan, cat *Catalog) (*SamplingEstimate, error) {
 	return sampling.EstimatePlan(p, cat)
-}
-
-// EstimateBySamplingWorkers is EstimateBySampling with an explicit
-// worker count for the skeleton engine's partitioned loops (0 =
-// GOMAXPROCS, 1 = sequential); the estimate is identical at every
-// setting.
-//
-// Deprecated: use Open(cat, WithWorkers(n)) + Session.Validate.
-func EstimateBySamplingWorkers(p *Plan, cat *Catalog, workers int) (*SamplingEstimate, error) {
-	return sampling.EstimatePlanWorkers(p, cat, nil, workers)
-}
-
-// EstimateBySamplingBatch validates several plans in one batched
-// skeleton pass: subtrees shared between the plans execute once and the
-// combined work partitions across workers. Estimates are positional and
-// identical to estimating each plan alone.
-//
-// Deprecated: use Session.Validate(ctx, plans...).
-func EstimateBySamplingBatch(ps []*Plan, cat *Catalog, workers int) ([]*SamplingEstimate, error) {
-	return sampling.EstimatePlans(ps, cat, nil, workers)
 }
 
 // NewWorkloadCache returns a workload-level validation cache for

@@ -4,12 +4,11 @@ package reopt
 // long-lived engine handle that owns planner state, caches and worker
 // budgets, and mint cheap per-query objects from it; this package grew
 // the other way — free functions accreting variants (EstimateBySampling
-// / ...Workers / ...Batch, NewOptimizer + NewReoptimizer wired by hand)
-// — until embedding it in a server meant rediscovering the wiring in
-// every caller. Session collapses that surface: one goroutine-safe
-// handle per catalog that owns the optimizer, the workload-level
-// validation cache, and the validation worker budget, and exposes the
-// whole pipeline as context-aware methods. The free functions remain as
+// and its kin, NewOptimizer + NewReoptimizer wired by hand) — until
+// embedding it in a server meant rediscovering the wiring in every
+// caller. Session collapses that surface: one goroutine-safe handle per
+// catalog that owns the optimizer and the workload-level validation
+// cache, and exposes the whole pipeline as context-aware methods. The free functions remain as
 // deprecated wrappers for one release of compatibility.
 
 import (
@@ -32,7 +31,7 @@ import (
 // Session is a long-lived, goroutine-safe handle over one catalog: it
 // owns the cost-based optimizer, the (optional) workload-level
 // validation cache shared by every query that flows through it, and the
-// worker budget for sampling validations. Create one per catalog with
+// validation settings. Create one per catalog with
 // Open and share it freely across goroutines — all methods are safe for
 // concurrent use, and concurrent re-optimizations through the shared
 // cache produce results identical to running them sequentially (cache
@@ -48,7 +47,6 @@ type Session struct {
 	opt       *optimizer.Optimizer
 	cache     *sampling.WorkloadCache
 	sched     *sampling.Scheduler
-	workers   int
 	shards    int
 	memBudget int64
 	templates bool
@@ -59,7 +57,6 @@ type Session struct {
 type sessionConfig struct {
 	optCfg       OptimizerConfig
 	haveOptCfg   bool
-	workers      int
 	shards       int
 	cacheEntries int
 	cacheValues  int
@@ -83,22 +80,20 @@ func WithOptimizerConfig(cfg OptimizerConfig) SessionOption {
 	return func(c *sessionConfig) { c.optCfg, c.haveOptCfg = cfg, true }
 }
 
-// WithWorkers bounds the parallelism of each validation's skeleton run
-// (the partitioned scan/probe loops and the batch engine's combined
-// work lists): 0 selects GOMAXPROCS, 1 forces sequential execution.
-// Estimates are byte-identical at every setting.
+// WithWorkers once bounded the parallelism inside one validation.
+//
+// Deprecated: WithWorkers no longer selects anything — a validation runs
+// on the goroutine of the call that asked for it, and concurrency comes
+// from concurrent calls — and is kept only because bench/ passes it.
 func WithWorkers(n int) SessionOption {
-	return func(c *sessionConfig) { c.workers = n }
+	return func(*sessionConfig) {}
 }
 
 // WithSampleShards splits every table's sample into n contiguous
 // word-aligned shards for validation. Each skeleton scan then runs
-// shard by shard and the partial results merge in shard order — counts
-// sum, materialized boundary columns concatenate — so a single
-// validation fans out across the session's workers even when the
-// workload offers no batch to share, and a 4x-larger sample validates
-// in roughly the wall-clock of the monolithic one at 4 shards. n <= 1
-// keeps today's monolithic layout bit-for-bit. Sharding never changes
+// shard by shard, on the calling goroutine, and the shards' selections
+// concatenate in shard order into the monolithic one. n <= 1 keeps the
+// monolithic layout. Sharding never changes
 // observable behavior: estimates, Γ, memory-budget verdicts, and cache
 // contents are byte-identical at every shard count, and cache entries
 // written at one setting are served at any other.
@@ -139,9 +134,9 @@ func WithSharedCacheValues(maxValues int) SessionOption {
 // re-optimizations issue through a cross-query scheduler: while several
 // queries are in flight — ReoptimizeWorkload workers, or concurrent
 // Reoptimize / ReoptimizeMultiSeed calls — their candidate-plan
-// validations gather into one shared skeleton-batch wave, so subtrees
-// common across the *workload* execute once per wave and the combined
-// work fans out across the session's validation workers. window bounds
+// validations gather into waves, each validated request after request
+// on one goroutine; what one request computes serves the others only
+// through a cache they share, as it would unscheduled. window bounds
 // how long a validation may wait for concurrent queries to contribute
 // theirs (<= 0 selects the adaptive window, sized continuously from the
 // observed optimizer-round / validation-time ratio so coalescing scales
@@ -151,8 +146,8 @@ func WithSharedCacheValues(maxValues int) SessionOption {
 // serial traffic (one query at a time) never waits at all. Per-query
 // results are byte-identical to the unscheduled path at every
 // parallelism, and cancelling one query never aborts or corrupts
-// another's share of a wave. Combine with WithSharedCache to persist
-// the wave results across the whole workload.
+// another's share of a wave. Off by default: gathering costs more than
+// it saves at every parallelism the benchmarks run (DESIGN.md §1b).
 func WithWorkloadScheduler(window time.Duration) SessionOption {
 	return func(c *sessionConfig) {
 		c.schedWindow = window
@@ -208,18 +203,16 @@ func WithMaxInFlight(n, queueDepth int) SessionOption {
 // WithTemplateSharing shares validation work between query instances
 // of the same template — identical plan structure, columns and
 // comparison operators, differing only in predicate constants, the
-// shape parametrized production traffic overwhelmingly takes. Within
-// one validation batch (or scheduler wave), instances of a template
-// execute one shared sample scan at the union (loosest) selection and
-// refine per-constant with bitmap passes over the materialized rows;
-// across calls, the session's cache indexes scans by template, so a
-// repeated constant hits outright and a near-miss constant — contained
-// by a cached instance's selection — derives its result from the
-// cached scan without touching the samples. Estimates, Γ, and
-// memory-budget verdicts are byte-identical at either setting and at
-// every worker and shard count; sharing changes how counts are
-// computed, never their values. Combine with WithSharedCache (or
-// WithCache) to carry template reuse across the workload.
+// shape parametrized production traffic overwhelmingly takes. The
+// session's cache indexes scans by template, so a repeated constant
+// hits outright and a near-miss constant — contained by a cached
+// instance's selection — derives its result from the cached scan, with
+// bitmap passes over its materialized rows, without touching the
+// samples. Estimates, Γ, and memory-budget verdicts are byte-identical
+// at either setting and at every shard count; sharing changes how
+// counts are computed, never their values. It works through the cache:
+// combine with WithSharedCache (or WithCache) to carry template reuse
+// across the workload.
 func WithTemplateSharing() SessionOption {
 	return func(c *sessionConfig) { c.templates = true }
 }
@@ -239,7 +232,7 @@ func WithCache(cache *WorkloadCache) SessionOption {
 // Open creates a Session over the catalog. The zero-option call
 // `reopt.Open(cat)` gives defaults equivalent to the legacy
 // NewOptimizer + NewReoptimizer pairing: default optimizer
-// configuration, GOMAXPROCS validation workers, no cross-query cache.
+// configuration, no cross-query cache.
 func Open(cat *Catalog, opts ...SessionOption) (*Session, error) {
 	if cat == nil {
 		return nil, fmt.Errorf("reopt: Open: catalog is nil")
@@ -254,7 +247,6 @@ func Open(cat *Catalog, opts ...SessionOption) (*Session, error) {
 	s := &Session{
 		cat:       cat,
 		opt:       optimizer.New(cat, cfg.optCfg),
-		workers:   cfg.workers,
 		shards:    cfg.shards,
 		memBudget: cfg.memBudget,
 		templates: cfg.templates,
@@ -267,7 +259,7 @@ func Open(cat *Catalog, opts ...SessionOption) (*Session, error) {
 		s.cache = sampling.NewWorkloadCacheBudget(cfg.cacheEntries, cfg.cacheValues)
 	}
 	if cfg.wantSched {
-		s.sched = sampling.NewScheduler(cat, cfg.workers, cfg.schedWindow)
+		s.sched = sampling.NewScheduler(cat, 0, cfg.schedWindow)
 		s.sched.SetMemBudget(cfg.memBudget)
 		s.sched.SetShards(cfg.shards)
 		s.sched.SetTemplates(cfg.templates)
@@ -368,12 +360,11 @@ func WithSkipBelowCost(cost float64) ReoptOption {
 }
 
 // reoptimizer mints the per-call Algorithm 1 runner: session-owned
-// state (optimizer, shared cache, worker budget) plus the call's
+// state (optimizer, shared cache, validation settings) plus the call's
 // options. Reoptimizer itself is stateless across calls, so this is a
 // cheap stack object, not a pooled resource.
 func (s *Session) reoptimizer(opts []ReoptOption) *Reoptimizer {
 	r := core.New(s.opt, s.cat)
-	r.Opts.Workers = s.workers
 	r.Opts.SampleShards = s.shards
 	r.Opts.Cache = s.cache
 	r.Opts.MemBudget = s.memBudget
@@ -442,15 +433,13 @@ func (s *Session) ReoptimizeMultiSeed(ctx context.Context, q *Query, seeds int, 
 }
 
 // Validate runs the sampling-based estimator over the plans' join
-// skeletons in one batched pass: subtrees shared between the plans
-// execute once, and the combined work partitions across the session's
-// validation workers. Estimates are positional and byte-identical to
-// validating each plan alone. With a shared cache configured, counts
-// persist for later (and concurrent) queries; without one, the call is
-// self-contained. Cancelling ctx aborts the batch mid-wave with
-// ctx.Err() without poisoning the cache. Validate subsumes the
-// deprecated EstimateBySampling, EstimateBySamplingWorkers and
-// EstimateBySamplingBatch.
+// skeletons, one after another on the calling goroutine. Estimates are
+// positional and byte-identical to validating each plan alone. With a
+// shared cache configured, subtrees the plans share execute once and
+// counts persist for later (and concurrent) queries; without one, every
+// plan is validated from scratch. Cancelling ctx aborts the call
+// between two steps of a plan with ctx.Err() without poisoning the
+// cache. Validate subsumes the deprecated EstimateBySampling.
 //
 // The call is admission-gated like Reoptimize. Under WithMemoryBudget,
 // a validation that breaches the budget fails the call with an error
@@ -465,7 +454,6 @@ func (s *Session) Validate(ctx context.Context, plans ...*Plan) ([]*SamplingEsti
 	}
 	defer s.adm.release()
 	return sampling.EstimatePlansCfg(ctx, plans, s.cat, s.samplingCache(), sampling.ValidateConfig{
-		Workers:   s.workers,
 		Shards:    s.shards,
 		MemBudget: s.memBudget,
 		Templates: s.templates,

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"reopt"
+	"reopt/internal/faultinject"
 )
 
 // TestSessionSchedulerWorkloadEquivalence: ReoptimizeWorkload through
@@ -136,6 +137,13 @@ func TestSessionSchedulerWorkloadCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Hold the first validation at the estimator seam until the cancel
+	// has landed: the whole workload takes a few milliseconds, so a bare
+	// cancel() after the go statement can lose the race to it.
+	var fi faultinject.Set
+	started, gate := make(chan struct{}), make(chan struct{})
+	blockAtEstimate(&fi, started, gate)
+	restore := fi.Activate()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -144,7 +152,9 @@ func TestSessionSchedulerWorkloadCancel(t *testing.T) {
 		defer wg.Done()
 		_, werr = s.ReoptimizeWorkload(ctx, qs, 2)
 	}()
+	<-started
 	cancel()
+	close(gate)
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
@@ -152,6 +162,7 @@ func TestSessionSchedulerWorkloadCancel(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled scheduled workload did not return")
 	}
+	restore()
 	if werr == nil {
 		t.Fatal("cancelled workload must not succeed")
 	}

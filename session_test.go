@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -49,12 +48,12 @@ func resultKey(res *reopt.ReoptResult) [4]string {
 
 // TestSessionReoptimizeEquivalence: Session.Reoptimize must produce
 // byte-identical plans, Γ and traces to the legacy NewOptimizer +
-// NewReoptimizer entry points, at every worker count and with or
-// without the shared cache.
+// NewReoptimizer entry points, with or without the shared cache, and
+// whatever the deprecated worker count says.
 func TestSessionReoptimizeEquivalence(t *testing.T) {
 	cat, qs := ottSession(t)
 	ctx := context.Background()
-	for _, w := range []int{1, 2, runtime.NumCPU()} {
+	for _, w := range []int{0, 1, 2, 8} {
 		legacyOpt := reopt.NewOptimizer(cat, reopt.DefaultOptimizerConfig())
 		legacy := reopt.NewReoptimizer(legacyOpt, cat)
 		legacy.Opts.Workers = w
@@ -90,12 +89,13 @@ func TestSessionReoptimizeEquivalence(t *testing.T) {
 	}
 }
 
-// TestSessionValidateEquivalence: Session.Validate subsumes all three
-// legacy estimator variants with byte-identical Δ and sample counts.
+// TestSessionValidateEquivalence: Session.Validate over several plans
+// returns, plan for plan, the Δ and sample counts of the legacy
+// single-plan estimator, whatever the deprecated worker count says.
 func TestSessionValidateEquivalence(t *testing.T) {
 	cat, qs := ottSession(t)
 	ctx := context.Background()
-	for _, w := range []int{1, 2, runtime.NumCPU()} {
+	for _, w := range []int{0, 1, 2, 8} {
 		s, err := reopt.Open(cat, reopt.WithWorkers(w))
 		if err != nil {
 			t.Fatal(err)
@@ -112,20 +112,13 @@ func TestSessionValidateEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d Validate: %v", w, err)
 		}
-		want, err := reopt.EstimateBySamplingBatch(plans, cat, w)
-		if err != nil {
-			t.Fatalf("workers=%d legacy batch: %v", w, err)
-		}
 		for i := range plans {
-			if !reflect.DeepEqual(got[i].Delta, want[i].Delta) ||
-				!reflect.DeepEqual(got[i].SampleRows, want[i].SampleRows) {
-				t.Errorf("workers=%d plan %d: batched estimates diverged", w, i)
-			}
-			single, err := reopt.EstimateBySamplingWorkers(plans[i], cat, w)
+			single, err := reopt.EstimateBySampling(plans[i], cat)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got[i].Delta, single.Delta) {
+			if !reflect.DeepEqual(got[i].Delta, single.Delta) ||
+				!reflect.DeepEqual(got[i].SampleRows, single.SampleRows) {
 				t.Errorf("workers=%d plan %d: estimate diverged from single-plan path", w, i)
 			}
 		}
