@@ -18,7 +18,7 @@ BENCH_PKGS = $(shell grep -rl --include='*_test.go' 'func Benchmark' . | xargs -
 # and the committed BENCH_baseline.json regression gate).
 BENCH_HOTPATH_RE = BenchmarkSamplingEstimatePlan|BenchmarkHashJoinKeys|BenchmarkSamplingValidation|BenchmarkReoptimizeOTT|BenchmarkReoptimizeMultiSeed|BenchmarkWorkloadCache|BenchmarkSessionWorkloadParallel|BenchmarkWorkloadScheduler|BenchmarkExecutorJoinRows|BenchmarkShardedValidation|BenchmarkReoptdHTTP|BenchmarkTemplateWorkload|BenchmarkValidationLargeSample|BenchmarkVecKernels|BenchmarkJoinTable|BenchmarkIndexedRangeScan|BenchmarkOptimizeRounds|BenchmarkValidateRounds|BenchmarkCompact|BenchmarkWeightedChainJoin
 
-.PHONY: all vet build test race check lint chaos examples serve-smoke bench bench-smoke bench-hotpath bench-json bench-compare bench-baseline
+.PHONY: all vet build test race check lint chaos fuzz-smoke examples serve-smoke bench bench-smoke bench-hotpath bench-json bench-compare bench-baseline
 
 all: check
 
@@ -70,6 +70,12 @@ chaos: vet
 	GOMAXPROCS=2 $(GO) test -race -count=1 \
 		-run 'TestChaos|TestPanic|TestMemoryBudget|TestMemBudget' \
 		. ./internal/executor ./internal/core ./internal/server
+
+# fuzz-smoke fuzzes the sub-result compaction (FuzzCompact: compacted
+# counts and weights against the uncompressed rows) for 15 seconds
+# beyond its committed seed corpus, which plain `go test` already runs.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCompact$$' -fuzztime 15s ./internal/executor
 
 # serve-smoke builds cmd/reoptd and drives a real daemon process across
 # its lifecycle: readiness, one reoptimize, an over-quota burst that

@@ -196,10 +196,15 @@ func BenchmarkSamplingValidation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	s, err := reopt.Open(cat)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reopt.EstimateBySampling(p, cat); err != nil {
+		if _, err := s.Validate(ctx, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -234,13 +239,18 @@ func BenchmarkSamplingEstimatePlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := reopt.EstimateBySampling(p, cat); err != nil {
+	s, err := reopt.Open(cat)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := s.Validate(ctx, p); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reopt.EstimateBySampling(p, cat); err != nil {
+		if _, err := s.Validate(ctx, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -336,9 +346,8 @@ func benchParallelisms() []int {
 }
 
 // BenchmarkReoptimizeMultiSeed times the §7 multi-seed variant (4
-// seeded runs of Algorithm 1), whose round-1 candidates validate in one
-// call through one cache: subtrees shared between the seeds execute
-// once. The workers axis sets the deprecated Options.Workers, which
+// seeded runs of Algorithm 1), whose seeds validate through one cache:
+// subtrees shared between the seeds execute once. The workers axis sets the deprecated Options.Workers, which
 // selects nothing; the rungs stay so the series continues and must read
 // the same.
 func BenchmarkReoptimizeMultiSeed(b *testing.B) {

@@ -48,17 +48,16 @@ func compareResults(t *testing.T, label string, got, want *Result) {
 }
 
 // TestMultiSeedBatchedIdentical: multi-seed re-optimization with the
-// batched shared-scan round-1 validation and cross-seed cache must be
-// observably identical to validating every plan solo and uncached —
-// batching may only change when counts are computed, never their
-// values.
+// cross-seed cache and prepared state must be observably identical to
+// validating every plan solo and uncached — caching may only change
+// when counts are computed, never their values.
 func TestMultiSeedBatchedIdentical(t *testing.T) {
 	r, qs := ottSetup(t)
 	orig := estimatePlansFn
 	defer func() { estimatePlansFn = orig }()
 
 	for qi, q := range qs[:3] {
-		estimatePlansFn = orig // batched production path
+		estimatePlansFn = orig // cached production path
 		batched, err := r.ReoptimizeMultiSeed(q, 3)
 		if err != nil {
 			t.Fatalf("query %d batched: %v", qi, err)

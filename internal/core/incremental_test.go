@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"reopt/internal/executor"
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
 	"reopt/internal/sampling"
@@ -47,7 +48,7 @@ func TestIncrementalPlanningMatchesFromScratch(t *testing.T) {
 				t.Fatal(err)
 			}
 			whole := optimizer.NewGamma()
-			cache := sampling.NewValidationCache()
+			cache := sampling.Prepare(q, executor.NewSkeletonCache(0, 0))
 			var prev *plan.Plan
 			for i := 1; i <= 12; i++ {
 				label := fmt.Sprintf("%s query %d round %d", w.name, qi, i)

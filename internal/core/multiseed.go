@@ -49,36 +49,11 @@ func (r *Reoptimizer) ReoptimizeMultiSeedCtx(ctx context.Context, q *sql.Query, 
 	}
 	// All seeded runs validate the same query over the same samples, so
 	// one validation cache serves every run: subtrees validated while
-	// re-optimizing one seed are reused by the others (a configured
-	// workload cache extends that reuse across queries), and one prepared
-	// validation state serves every seed's rounds.
+	// re-optimizing one seed — its initial candidate included — are
+	// reused by the later seeds (a configured workload cache extends that
+	// reuse across queries), and one prepared validation state serves
+	// every seed's rounds.
 	cache := sampling.Prepare(q, r.runCache())
-
-	// Batched round 1: every seed's initial candidate is validated in
-	// one call. The candidates are join-order permutations of one query,
-	// so their subtrees overlap heavily, and through the shared cache
-	// each distinct subtree executes once. Each run's round-1
-	// validation then replays from the cache,
-	// byte-identical to having computed it itself; the batch's cost is
-	// charged back to the runs in equal shares below. Under an explicit
-	// Options.Timeout the batch is skipped — a tight budget should stop
-	// after the first seed, not validate *all* candidates up front. A
-	// deadline on the caller's own context does NOT skip it (a routine
-	// server deadline must not silently change the validation order):
-	// the batch runs under `run`, so the deadline aborts
-	// it in flight, and the procedure falls back to the lazy per-seed
-	// path, which still yields a best-so-far result.
-	var warmShare time.Duration
-	if len(initials) > 1 && r.Opts.Timeout == 0 {
-		t0 := time.Now()
-		if _, err := r.validatePlans(run, initials, cache); err != nil {
-			if !errors.Is(err, context.DeadlineExceeded) {
-				return nil, err
-			}
-		} else {
-			warmShare = time.Since(t0) / time.Duration(len(initials))
-		}
-	}
 
 	var best *Result
 	var bestCost float64
@@ -87,7 +62,6 @@ func (r *Reoptimizer) ReoptimizeMultiSeedCtx(ctx context.Context, q *sql.Query, 
 		if err != nil {
 			return nil, err
 		}
-		res.ReoptTime += warmShare
 		rp, rerr := r.Opt.Recost(q, res.Final, res.Gamma)
 		switch {
 		case rerr == nil && (best == nil || rp.Cost() < bestCost):
@@ -153,9 +127,6 @@ func (r *Reoptimizer) initialPlans(q *sql.Query, n int) ([]*plan.Plan, error) {
 func (r *Reoptimizer) reoptimizeSeeded(outer, run context.Context, q *sql.Query, p1 *plan.Plan, cache sampling.Cache) (*Result, error) {
 	if !r.Cat.HasSamples() {
 		return nil, fmt.Errorf("core: %w; call BuildSamples before re-optimizing", sampling.ErrNoSamples)
-	}
-	if cache == nil {
-		cache = sampling.Prepare(q, sampling.NewValidationCache())
 	}
 	pl, err := r.Opt.Prepare(q, nil)
 	if err != nil {

@@ -35,11 +35,9 @@ func TestMultiSeedHonorsTimeout(t *testing.T) {
 	if res.Final == nil {
 		t.Fatal("timeout run must still return a best-so-far plan")
 	}
-	// The shared round-1 warm batch must be skipped under a timeout (it
-	// would validate every candidate before any budget check), so seed
-	// 1 validates its P_1 and at most one more round before the rounds
-	// loop sees the spent budget; the seeds loop must then stop instead
-	// of running the remaining seeds.
+	// Seed 1 validates its P_1 and at most one more round before the
+	// rounds loop sees the spent budget; the seeds loop must then stop
+	// instead of running the remaining seeds.
 	if calls > 2 {
 		t.Errorf("timeout ignored: %d validation calls ran, want at most 2", calls)
 	}

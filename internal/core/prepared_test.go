@@ -183,7 +183,7 @@ type refStore struct {
 func oraclePhysRows(t testing.TB, label string, q *sql.Query, skeleton plan.Node, cat *catalog.Catalog, nodeRows map[plan.Node]int64) map[plan.Node]int64 {
 	t.Helper()
 	steps, perPlan, err := executor.CountSkeletonSteps(context.Background(),
-		[]executor.BatchPlan{{Plan: &plan.Plan{Root: skeleton, Query: q}}}, cat.Sample, executor.SkelConfig{})
+		[]executor.BatchPlan{{Plan: &plan.Plan{Root: skeleton, Query: q}, Prep: executor.NewPrepared(q, nil, 0, nil)}}, cat.Sample, executor.SkelConfig{})
 	if err != nil || perPlan[0] != nil {
 		t.Fatalf("%s: cold skeleton run: %v %v", label, err, perPlan)
 	}
@@ -512,6 +512,42 @@ func TestPreparedValidationFollowsSampleEpoch(t *testing.T) {
 	}
 }
 
+// TestPrivateCacheFollowsSampleEpoch: the same rebuild between rounds,
+// through a re-optimization's private cache instead of a shared one. Its
+// keys carry the sample epoch too, so no round after the rebuild replays
+// a count observed on the samples before it.
+func TestPrivateCacheFollowsSampleEpoch(t *testing.T) {
+	orig := estimatePlansFn
+	defer func() { estimatePlansFn = orig }()
+	cat, err := ott.Generate(ott.Config{Seed: 5, RowsPerValue: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := ott.Queries(cat, ott.QueryConfig{NumTables: 6, SameConstant: 4, Count: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := optimizer.New(cat, optimizer.DefaultConfig())
+	for qi, q := range qs {
+		// shared is only the probes' hit/miss reference here: the run
+		// validates through its own private cache.
+		check := &validationCheck{t: t, label: fmt.Sprintf("query %d", qi), cat: cat,
+			shared: sampling.NewWorkloadCache(0), store: &refStore{keys: map[string]bool{}}}
+		check.afterRound = func(round int) {
+			if round == 1 {
+				cat.BuildSamples(int64(200 + qi))
+			}
+		}
+		estimatePlansFn = check.estimate
+		if _, err := New(opt, cat).Reoptimize(q); err != nil {
+			t.Fatal(err)
+		}
+		if check.rounds < 2 {
+			t.Fatalf("query %d validated %d rounds; the rebuild never sat between two", qi, check.rounds)
+		}
+	}
+}
+
 // TestPreparedValidationCoalescedAliasOrders: two queries that list the
 // same tables in different FROM orders — so one relation set is two
 // different masks — validate in shared scheduler waves, each through its
@@ -586,10 +622,10 @@ func TestPreparedValidationCoalescedAliasOrders(t *testing.T) {
 }
 
 // TestMultiSeedSharesOnePreparedState: the seeds of a multi-seed run
-// validate through one prepared state — the batched round 1 and every
-// seed's rounds after it — concurrently with other queries' runs on one
-// scheduler and cache (run under -race by `make race`), and each run
-// returns what it returns alone.
+// validate through one prepared state — every seed's rounds, its
+// initial candidate's included — concurrently with other queries' runs
+// on one scheduler and cache (run under -race by `make race`), and each
+// run returns what it returns alone.
 func TestMultiSeedSharesOnePreparedState(t *testing.T) {
 	r0, qs := ottSetup(t)
 	want := make([]string, len(qs))
@@ -684,14 +720,14 @@ func BenchmarkValidateRounds(b *testing.B) {
 	b.Run("first", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cache := sampling.Prepare(q, sampling.NewValidationCache())
+			cache := sampling.Prepare(q, executor.NewSkeletonCache(0, 0))
 			if _, err := sampling.EstimatePlansCfg(ctx, round(0), cat, cache, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("repeat", func(b *testing.B) {
-		cache := sampling.Prepare(q, sampling.NewValidationCache())
+		cache := sampling.Prepare(q, executor.NewSkeletonCache(0, 0))
 		for i := 0; i < 2; i++ {
 			if _, err := sampling.EstimatePlansCfg(ctx, round(i), cat, cache, cfg); err != nil {
 				b.Fatal(err)

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"reopt/internal/catalog"
+	"reopt/internal/executor"
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
 	"reopt/internal/sampling"
@@ -85,7 +86,7 @@ type Options struct {
 	// estimates, only when they are computed.
 	Cache *sampling.WorkloadCache
 	// Validator optionally reroutes every validation the round loop
-	// issues — candidate plans, multi-seed round-1 batches — through an
+	// issues — every seed's candidate plans included — through an
 	// external engine, e.g. a
 	// sampling.SchedulerClient that coalesces validations across
 	// concurrently re-optimizing queries into waves.
@@ -417,13 +418,14 @@ func blend(pl *optimizer.Planner, est *sampling.Estimate) []optimizer.SetRows {
 	return out
 }
 
-// runCache returns the validation cache for one re-optimization: the
-// configured workload-level cache, or a fresh per-run cache.
-func (r *Reoptimizer) runCache() sampling.Cache {
+// runCache returns the store one re-optimization validates through: the
+// configured workload-level cache, or a private one — the same store,
+// unbounded — that dies with the run.
+func (r *Reoptimizer) runCache() *sampling.WorkloadCache {
 	if r.Opts.Cache != nil {
 		return r.Opts.Cache
 	}
-	return sampling.NewValidationCache()
+	return executor.NewSkeletonCache(0, 0)
 }
 
 // validatePlans routes one validation through the injected Validator

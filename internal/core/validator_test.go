@@ -23,8 +23,8 @@ func (v *countingValidator) ValidatePlans(ctx context.Context, plans []*plan.Pla
 }
 
 // TestValidatorInjection: with Options.Validator set, every validation
-// of the round loop (and the multi-seed round-1 batch) flows through
-// it, and results stay byte-identical to the direct path.
+// of the round loop (multi-seed runs included) flows through it, and
+// results stay byte-identical to the direct path.
 func TestValidatorInjection(t *testing.T) {
 	r, qs := ottSetup(t)
 	q := qs[0]

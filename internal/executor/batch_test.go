@@ -8,15 +8,59 @@ import (
 
 	"reopt/internal/plan"
 	"reopt/internal/sql"
+	"reopt/internal/storage"
 )
+
+// The tests reach the engine through its one entry point,
+// CountSkeletonSteps, with these helpers: a plan paired with a cache
+// (nil: uncached) validates through a handle prepared for its query, and
+// counts come back by plan node.
+
+// prep pairs p with a fresh handle for its query over cache.
+func prep(p *plan.Plan, cache *SkeletonCache) BatchPlan {
+	return BatchPlan{Plan: p, Prep: NewPrepared(p.Query, cache, 0, nil)}
+}
 
 // batchOf pairs every plan with the same cache (nil: uncached).
 func batchOf(plans []*plan.Plan, cache *SkeletonCache) []BatchPlan {
 	bplans := make([]BatchPlan, len(plans))
 	for i, p := range plans {
-		bplans[i] = BatchPlan{Plan: p, Cache: cache}
+		bplans[i] = prep(p, cache)
 	}
 	return bplans
+}
+
+// countBatch is CountSkeletonSteps with each plan's counts by node (nil
+// for a plan that failed on its own account).
+func countBatch(ctx context.Context, bplans []BatchPlan, binder func(string) (*storage.Table, error), cfg SkelConfig) ([]map[plan.Node]int64, []error, error) {
+	steps, perPlan, err := CountSkeletonSteps(ctx, bplans, binder, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	counts := make([]map[plan.Node]int64, len(bplans))
+	for i := range steps {
+		if perPlan[i] == nil {
+			counts[i] = make(map[plan.Node]int64, len(steps[i]))
+			for _, st := range steps[i] {
+				counts[i][st.Node()] = st.Count
+			}
+		}
+	}
+	return counts, perPlan, nil
+}
+
+// countSkeletonCfg validates p alone through cache; its failure, whether
+// the batch's or its own, is the error.
+func countSkeletonCfg(ctx context.Context, p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, cfg SkelConfig) (map[plan.Node]int64, error) {
+	counts, perPlan, err := countBatch(ctx, []BatchPlan{prep(p, cache)}, binder, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return counts[0], perPlan[0]
+}
+
+func countSkeleton(p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache) (map[plan.Node]int64, error) {
+	return countSkeletonCfg(context.Background(), p, binder, cache, SkelConfig{})
 }
 
 // TestCountSkeletonBatchMatchesSequential: validating several plans in
@@ -33,9 +77,9 @@ func TestCountSkeletonBatchMatchesSequential(t *testing.T) {
 
 		// Reference: sequential runs sharing one cache.
 		want := make([]map[plan.Node]int64, len(plans))
-		seqCache := NewSkeletonCache()
+		seqCache := NewSkeletonCache(0, 0)
 		for pi, p := range plans {
-			counts, err := CountSkeleton(p, cat.Table, seqCache)
+			counts, err := countSkeleton(p, cat.Table, seqCache)
 			if err != nil {
 				t.Fatalf("seed %d plan %d sequential: %v", seed, pi, err)
 			}
@@ -44,7 +88,7 @@ func TestCountSkeletonBatchMatchesSequential(t *testing.T) {
 
 		check := func(label string, cache *SkeletonCache) {
 			t.Helper()
-			got, perPlan, err := CountSkeletonBatchCfg(ctx, batchOf(plans, cache), cat.Table, SkelConfig{})
+			got, perPlan, err := countBatch(ctx, batchOf(plans, cache), cat.Table, SkelConfig{})
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, label, err)
 			}
@@ -63,7 +107,7 @@ func TestCountSkeletonBatchMatchesSequential(t *testing.T) {
 
 		check("uncached", nil)
 
-		fresh := NewSkeletonCache()
+		fresh := NewSkeletonCache(0, 0)
 		check("fresh-cache", fresh)
 		if !slices.Equal(fresh.Keys(), seqCache.Keys()) || fresh.Values() != seqCache.Values() {
 			t.Errorf("seed %d: batch left %d keys / %d values, sequential runs %d / %d",
@@ -91,14 +135,14 @@ func TestCountSkeletonBatchDedupes(t *testing.T) {
 	cat := skelCatalog(t, 7, 400)
 	plans := skelPlans(cat, skelQuery())
 
-	cache := NewSkeletonCache()
-	if _, _, err := CountSkeletonBatchCfg(context.Background(), batchOf(plans, cache), cat.Table, SkelConfig{}); err != nil {
+	cache := NewSkeletonCache(0, 0)
+	if _, _, err := countBatch(context.Background(), batchOf(plans, cache), cat.Table, SkelConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	seqCache := NewSkeletonCache()
+	seqCache := NewSkeletonCache(0, 0)
 	nodes := 0
 	for _, p := range plans {
-		if _, err := CountSkeleton(p, cat.Table, seqCache); err != nil {
+		if _, err := countSkeleton(p, cat.Table, seqCache); err != nil {
 			t.Fatal(err)
 		}
 		plan.Walk(p.Root, func(plan.Node) { nodes++ })
@@ -129,7 +173,7 @@ func TestCountSkeletonBatchIsolatesUnsupportedPlans(t *testing.T) {
 	bad = &plan.Plan{Root: bad.Root, Query: badQ}
 
 	batch := []*plan.Plan{plans[0], bad, plans[1]}
-	counts, perPlan, err := CountSkeletonBatchCfg(context.Background(), batchOf(batch, nil), cat.Table, SkelConfig{})
+	counts, perPlan, err := countBatch(context.Background(), batchOf(batch, nil), cat.Table, SkelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +187,7 @@ func TestCountSkeletonBatchIsolatesUnsupportedPlans(t *testing.T) {
 		t.Error("bad plan should have nil counts")
 	}
 	for _, pi := range []int{0, 2} {
-		ref, err := CountSkeleton(batch[pi], cat.Table, nil)
+		ref, err := countSkeleton(batch[pi], cat.Table, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,8 +216,8 @@ func TestCountSkeletonBatchPlansPerPlanCaches(t *testing.T) {
 	want := make([]map[plan.Node]int64, len(plans))
 	solo := make([]*SkeletonCache, len(plans))
 	for pi, p := range plans {
-		solo[pi] = NewSkeletonCache()
-		counts, err := CountSkeleton(p, cat.Table, solo[pi])
+		solo[pi] = NewSkeletonCache(0, 0)
+		counts, err := countSkeleton(p, cat.Table, solo[pi])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,11 +228,11 @@ func TestCountSkeletonBatchPlansPerPlanCaches(t *testing.T) {
 	bplans := make([]BatchPlan, len(plans))
 	for i, p := range plans {
 		if i != 1 { // the second requester validates uncached
-			caches[i] = NewSkeletonCache()
+			caches[i] = NewSkeletonCache(0, 0)
 		}
-		bplans[i] = BatchPlan{Plan: p, Cache: caches[i]}
+		bplans[i] = prep(p, caches[i])
 	}
-	got, perPlan, err := CountSkeletonBatchCfg(context.Background(), bplans, cat.Table, SkelConfig{})
+	got, perPlan, err := countBatch(context.Background(), bplans, cat.Table, SkelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +254,7 @@ func TestCountSkeletonBatchPlansPerPlanCaches(t *testing.T) {
 		}
 		// The requester's cache must replay its plan without recomputation.
 		hits0, miss0 := caches[pi].Stats()
-		if _, err := CountSkeleton(p, cat.Table, caches[pi]); err != nil {
+		if _, err := countSkeleton(p, cat.Table, caches[pi]); err != nil {
 			t.Fatalf("plan %d warm replay: %v", pi, err)
 		}
 		if hits1, miss1 := caches[pi].Stats(); hits1 <= hits0 || miss1 != miss0 {
@@ -223,7 +267,7 @@ func TestCountSkeletonBatchPlansPerPlanCaches(t *testing.T) {
 // budget, evict in least-recently-used order, and drop hash tables with
 // the sub-results they index.
 func TestSkeletonCacheLRUEviction(t *testing.T) {
-	c := NewSkeletonCacheLRU(2)
+	c := NewSkeletonCache(2, 0)
 	subs := []*subResult{{count: 1}, {count: 2}, {count: 3}}
 	c.putSub("a", subs[0])
 	c.putSub("b", subs[1])
@@ -250,9 +294,9 @@ func TestSkeletonCacheLRUEviction(t *testing.T) {
 		t.Error("c was just inserted and should survive")
 	}
 
-	// A prefix change namespaces new keys: old entries age out.
-	c = c.WithPrefix("e2|")
-	if got := c.subKey("sig", nil); got != "e2|sig|B:" {
+	// A handle namespaces its keys by its sample epoch: another epoch's
+	// entries are unreachable through it and age out.
+	if got := subKey(NewPrepared(skelQuery(), c, 2, nil).prefix, "sig", nil); got != "s2|sig|B:" {
 		t.Errorf("subKey with prefix: %q", got)
 	}
 }
@@ -261,10 +305,9 @@ func TestSkeletonCacheLRUEviction(t *testing.T) {
 // joining it through different columns must not share a cache entry —
 // the boundary-column set is part of the key.
 func TestBoundaryColumnsInKey(t *testing.T) {
-	c := NewSkeletonCache()
 	refs1 := []sql.ColRef{{Table: "t1", Column: "k"}}
 	refs2 := []sql.ColRef{{Table: "t1", Column: "k2"}}
-	if c.subKey("sig", refs1) == c.subKey("sig", refs2) {
+	if subKey(testPrefix, "sig", refs1) == subKey(testPrefix, "sig", refs2) {
 		t.Fatal("different boundary sets produced the same cache key")
 	}
 }

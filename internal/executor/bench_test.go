@@ -118,14 +118,14 @@ func BenchmarkWeightedChainJoin(b *testing.B) {
 		root = skelJoin(q, root, skelScan(cat, q, ott.TableName(i)))
 	}
 	p := &plan.Plan{Root: root, Query: q}
-	want, err := CountSkeleton(p, cat.Sample, nil)
+	want, err := countSkeleton(p, cat.Sample, nil)
 	if err != nil || want[root] < 600*243/2 {
 		b.Fatalf("root counts %d (%v), want about 600 x 3^5", want[root], err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := CountSkeletonCfg(context.Background(), p, cat.Sample, nil, SkelConfig{})
+		got, err := countSkeletonCfg(context.Background(), p, cat.Sample, nil, SkelConfig{})
 		if err != nil || got[root] != want[root] {
 			b.Fatalf("root counts %d (%v), want %d", got[root], err, want[root])
 		}

@@ -24,7 +24,7 @@ func fabSub(n int) *subResult {
 // the retained materialized values never exceed it, independently of
 // the entry budget.
 func TestSkeletonCacheValueBudget(t *testing.T) {
-	c := NewSkeletonCacheBudget(0, 100)
+	c := NewSkeletonCache(0, 100)
 	for i := 0; i < 10; i++ {
 		c.putSub(fmt.Sprintf("k%d", i), fabSub(30)) // 30 values each
 	}
@@ -50,7 +50,7 @@ func TestSkeletonCacheValueBudget(t *testing.T) {
 // cached — one skewed subtree must not wipe the workload's accumulated
 // reuse.
 func TestSkeletonCacheOversizedEntryDropped(t *testing.T) {
-	c := NewSkeletonCacheBudget(0, 50)
+	c := NewSkeletonCache(0, 50)
 	c.putSub("small", fabSub(10))
 	c.putSub("small2", fabSub(10))
 	c.putSub("huge", fabSub(500))
@@ -71,7 +71,7 @@ func TestSkeletonCacheOversizedEntryDropped(t *testing.T) {
 // total instead of double-counting, and eviction drops the entry's hash
 // tables with it.
 func TestSkeletonCacheValueAccounting(t *testing.T) {
-	c := NewSkeletonCacheBudget(0, 1000)
+	c := NewSkeletonCache(0, 1000)
 	c.putSub("a", fabSub(100))
 	if v := c.Values(); v != 100 {
 		t.Fatalf("values after insert: %d, want 100", v)
@@ -94,7 +94,7 @@ func TestSkeletonCacheValueAccounting(t *testing.T) {
 	}
 	// Zero-column sub-results still cost at least one value, so
 	// value-only budgets always make progress.
-	c2 := NewSkeletonCacheBudget(0, 3)
+	c2 := NewSkeletonCache(0, 3)
 	for i := 0; i < 10; i++ {
 		c2.putSub(fmt.Sprintf("z%d", i), &subResult{count: 5})
 	}
@@ -111,7 +111,7 @@ func TestSkeletonCacheValueAccounting(t *testing.T) {
 // tables.
 func TestSkeletonCacheTablesCharged(t *testing.T) {
 	const limit = 100
-	c := NewSkeletonCacheBudget(0, limit)
+	c := NewSkeletonCache(0, limit)
 	// 30 build rows: 32 buckets + 30 chain slots = 62 int32s = 31 values.
 	table := buildHashTable(fabSub(30), []int{0})
 	if got := table.values(); got != 31 || len(table.head) != 32 || len(table.next) != 30 {

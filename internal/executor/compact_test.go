@@ -177,7 +177,7 @@ func sameSub(a, b *subResult) bool {
 // cachedSubs snapshots a cache's sub-results by key.
 func cachedSubs(c *SkeletonCache) map[string]*subResult {
 	out := map[string]*subResult{}
-	for k, el := range c.store.subs {
+	for k, el := range c.subs {
 		out[k] = el.Value.(*skelCacheEntry).sub
 	}
 	return out
@@ -225,7 +225,7 @@ func exactCharge(t *testing.T, cat *catalog.Catalog, p *plan.Plan) int64 {
 	lo, hi := int64(0), int64(1)<<26 // breaches at lo (or lo = 0), passes at hi
 	for lo+1 < hi {
 		mid := (lo + hi) / 2
-		_, err := CountSkeletonCfg(context.Background(), p, cat.Table, nil, SkelConfig{MemBudget: mid})
+		_, err := countSkeletonCfg(context.Background(), p, cat.Table, nil, SkelConfig{MemBudget: mid})
 		switch {
 		case err == nil:
 			hi = mid
@@ -272,14 +272,14 @@ func TestCompactedCountsMatchVolcano(t *testing.T) {
 				// The reference: monolithic, no sharing, the two
 				// plans in turn through one cache (a set both produce keeps
 				// the first tree's row order).
-				refCache := NewSkeletonCache()
+				refCache := NewSkeletonCache(0, 0)
 				for pi, p := range plans {
 					res, err := Run(p, cat, Options{CountOnly: true})
 					if err != nil {
 						t.Fatalf("%s: volcano: %v", label, err)
 					}
 					want[pi] = res.NodeRows
-					if _, err := CountSkeletonCfg(ctx, p, cat.Table, refCache, SkelConfig{}); err != nil {
+					if _, err := countSkeletonCfg(ctx, p, cat.Table, refCache, SkelConfig{}); err != nil {
 						t.Fatalf("%s: reference: %v", label, err)
 					}
 					charges[pi] = exactCharge(t, cat, p)
@@ -292,7 +292,7 @@ func TestCompactedCountsMatchVolcano(t *testing.T) {
 					}
 				}
 				// A join set's count does not depend on the tree.
-				steps, _ := NewSkeletonCache().Outline(plans[0])
+				steps, _ := NewPrepared(plans[0].Query, nil, 0, nil).Outline(plans[0])
 				for i := range steps {
 					c := want[0][steps[i].Node()]
 					if prev, ok := setCounts[steps[i].Set.Key]; ok && prev != c {
@@ -320,19 +320,19 @@ func TestCompactedCountsMatchVolcano(t *testing.T) {
 				for _, shards := range []int{1, 4} {
 					for _, templates := range []bool{false, true} {
 						cfg := SkelConfig{Shards: shards, Templates: templates}
-						single, batch := NewSkeletonCache(), NewSkeletonCache()
+						single, batch := NewSkeletonCache(0, 0), NewSkeletonCache(0, 0)
 						for _, state := range []string{"cold", "warm"} {
 							cl := fmt.Sprintf("shards=%d templates=%v %s", shards, templates, state)
 							for pi, p := range plans {
-								got, err := CountSkeletonCfg(ctx, p, cat.Table, single, cfg)
+								got, err := countSkeletonCfg(ctx, p, cat.Table, single, cfg)
 								if err != nil {
 									t.Fatalf("%s [%s single]: %v", label, cl, err)
 								}
 								check(cl+" single", pi, got)
 							}
 							sameAsRef(cl+" single", single)
-							bps := []BatchPlan{{Plan: plans[0], Cache: batch}, {Plan: plans[1], Cache: batch}}
-							got, perPlan, err := CountSkeletonBatchCfg(ctx, bps, cat.Table, cfg)
+							bps := []BatchPlan{prep(plans[0], batch), prep(plans[1], batch)}
+							got, perPlan, err := countBatch(ctx, bps, cat.Table, cfg)
 							if err != nil || perPlan[0] != nil || perPlan[1] != nil {
 								t.Fatalf("%s [%s batch]: %v %v", label, cl, err, perPlan)
 							}
@@ -353,7 +353,7 @@ func TestCompactedCountsMatchVolcano(t *testing.T) {
 										}
 										bcfg := cfg
 										bcfg.MemBudget = b
-										_, perPlan, err := CountSkeletonBatchCfg(ctx, []BatchPlan{{Plan: p, Cache: c}}, cat.Table, bcfg)
+										_, perPlan, err := countBatch(ctx, []BatchPlan{prep(p, c)}, cat.Table, bcfg)
 										if err != nil || errors.Is(perPlan[0], ErrMemoryBudget) != (b < charges[pi]) {
 											t.Fatalf("%s [%s cached=%v] instance %d: budget %d against a charge of %d: %v %v",
 												label, cl, c != nil, pi, b, charges[pi], err, perPlan[0])
@@ -368,13 +368,13 @@ func TestCompactedCountsMatchVolcano(t *testing.T) {
 						// Refinement: the tight instance against a cache
 						// holding only the loose one.
 						for _, b := range []int64{charges[1] - 1, charges[1]} {
-							c := NewSkeletonCache()
-							if _, err := CountSkeletonCfg(ctx, plans[0], cat.Table, c, cfg); err != nil {
+							c := NewSkeletonCache(0, 0)
+							if _, err := countSkeletonCfg(ctx, plans[0], cat.Table, c, cfg); err != nil {
 								t.Fatal(err)
 							}
 							bcfg := cfg
 							bcfg.MemBudget = b
-							_, perPlan, err := CountSkeletonBatchCfg(ctx, []BatchPlan{{Plan: plans[1], Cache: c}}, cat.Table, bcfg)
+							_, perPlan, err := countBatch(ctx, []BatchPlan{prep(plans[1], c)}, cat.Table, bcfg)
 							if err != nil || errors.Is(perPlan[0], ErrMemoryBudget) != (b < charges[1]) {
 								t.Fatalf("%s [shards=%d refined]: budget %d against a charge of %d: %v %v",
 									label, shards, b, charges[1], err, perPlan[0])
@@ -427,8 +427,8 @@ func TestJoinMethodsAgreeOnNaN(t *testing.T) {
 			Tables: []sql.TableRef{{Name: "lf", Alias: "lf"}, {Name: "rf", Alias: "rf"}}, Joins: preds, CountStar: true,
 		},
 	}
-	cache := NewSkeletonCache()
-	counts, err := CountSkeleton(p, cat.Table, cache)
+	cache := NewSkeletonCache(0, 0)
+	counts, err := countSkeleton(p, cat.Table, cache)
 	if err != nil || counts[p.Root] != want {
 		t.Errorf("skeleton: %d pairs (%v), want %d", counts[p.Root], err, want)
 	}
@@ -466,12 +466,12 @@ func TestCountOverflowFailsValidation(t *testing.T) {
 	}
 	p := &plan.Plan{Root: root, Query: q}
 	ctx := context.Background()
-	cache := NewSkeletonCache()
+	cache := NewSkeletonCache(0, 0)
 	for _, state := range []string{"cold", "warm"} {
-		if _, err := CountSkeletonCfg(ctx, p, cat.Table, cache, SkelConfig{}); !errors.Is(err, ErrCountOverflow) {
+		if _, err := countSkeletonCfg(ctx, p, cat.Table, cache, SkelConfig{}); !errors.Is(err, ErrCountOverflow) {
 			t.Fatalf("single plan %s: %v, want ErrCountOverflow", state, err)
 		}
-		_, perPlan, err := CountSkeletonBatchCfg(ctx, []BatchPlan{{Plan: p, Cache: cache}}, cat.Table, SkelConfig{})
+		_, perPlan, err := countBatch(ctx, []BatchPlan{prep(p, cache)}, cat.Table, SkelConfig{})
 		if err != nil || !errors.Is(perPlan[0], ErrCountOverflow) || errors.Is(perPlan[0], ErrValidationPanic) {
 			t.Fatalf("batch %s: %v / %v, want ErrCountOverflow for the plan", state, err, perPlan)
 		}

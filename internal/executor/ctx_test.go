@@ -87,7 +87,7 @@ func TestBatchCtxAbortDoesNotPoisonCache(t *testing.T) {
 	q := skelQuery()
 	plans := skelPlans(cat, q)
 
-	refCounts, refErrs, err := CountSkeletonBatchCfg(context.Background(), batchOf(plans, nil), cat.Table, SkelConfig{})
+	refCounts, refErrs, err := countBatch(context.Background(), batchOf(plans, nil), cat.Table, SkelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestBatchCtxAbortDoesNotPoisonCache(t *testing.T) {
 	}
 
 	for delay := time.Duration(0); delay < 300*time.Microsecond; delay += 50 * time.Microsecond {
-		cache := NewSkeletonCache()
+		cache := NewSkeletonCache(0, 0)
 		ctx, cancel := context.WithCancel(context.Background())
 		if delay == 0 {
 			cancel() // abort before the first step
@@ -108,7 +108,7 @@ func TestBatchCtxAbortDoesNotPoisonCache(t *testing.T) {
 				cancel()
 			}(delay)
 		}
-		counts, perPlan, aerr := CountSkeletonBatchCfg(ctx, batchOf(plans, cache), cat.Table, SkelConfig{})
+		counts, perPlan, aerr := countBatch(ctx, batchOf(plans, cache), cat.Table, SkelConfig{})
 		cancel()
 		// The abort may or may not have landed before completion; when it
 		// did, the error must be the context's and nothing is answered.
@@ -119,7 +119,7 @@ func TestBatchCtxAbortDoesNotPoisonCache(t *testing.T) {
 			t.Fatalf("pre-cancelled batch: err %v, %d entries cached", aerr, cache.Len())
 		}
 
-		counts, perPlan, rerr := CountSkeletonBatchCfg(context.Background(), batchOf(plans, cache), cat.Table, SkelConfig{})
+		counts, perPlan, rerr := countBatch(context.Background(), batchOf(plans, cache), cat.Table, SkelConfig{})
 		if rerr != nil {
 			t.Fatalf("delay %v: re-run over post-abort cache: %v", delay, rerr)
 		}
@@ -140,17 +140,17 @@ func TestCountSkeletonCtxCancelled(t *testing.T) {
 	cat := skelCatalog(t, 2, 400)
 	q := skelQuery()
 	p := skelPlans(cat, q)[0]
-	cache := NewSkeletonCache()
+	cache := NewSkeletonCache(0, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CountSkeletonCfg(ctx, p, cat.Table, cache, SkelConfig{}); !errors.Is(err, context.Canceled) {
+	if _, err := countSkeletonCfg(ctx, p, cat.Table, cache, SkelConfig{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled CountSkeletonCfg: got %v, want context.Canceled", err)
 	}
-	want, err := CountSkeleton(p, cat.Table, nil)
+	want, err := countSkeleton(p, cat.Table, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CountSkeleton(p, cat.Table, cache)
+	got, err := countSkeleton(p, cat.Table, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestErrUnsupportedPlanTaxonomy(t *testing.T) {
 	// An aggregate node is outside the count-only engine's contract.
 	q := skelQuery()
 	agg := &plan.AggregateNode{Child: skelPlans(cat, q)[0].Root}
-	_, err := CountSkeleton(&plan.Plan{Root: agg, Query: q}, cat.Table, nil)
+	_, err := countSkeleton(&plan.Plan{Root: agg, Query: q}, cat.Table, nil)
 	if !errors.Is(err, ErrUnsupportedPlan) || !errors.Is(err, ErrSkeletonUnsupported) {
 		t.Fatalf("aggregate through count skeleton: %v", err)
 	}

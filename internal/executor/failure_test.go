@@ -38,23 +38,23 @@ func TestMemoryBudgetVerdictEquivalence(t *testing.T) {
 	p := skelPlans(cat, q)[0]
 	ctx := context.Background()
 
-	want, err := CountSkeletonCfg(ctx, p, cat.Table, nil, SkelConfig{})
+	want, err := countSkeletonCfg(ctx, p, cat.Table, nil, SkelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, budget := range []int64{1, 100, 1000, 10_000, 1 << 40} {
-		soloCold, soloErr := CountSkeletonCfg(ctx, p, cat.Table, nil, SkelConfig{MemBudget: budget})
-		warm := NewSkeletonCache()
-		if _, err := CountSkeletonCfg(ctx, p, cat.Table, warm, SkelConfig{}); err != nil {
+		soloCold, soloErr := countSkeletonCfg(ctx, p, cat.Table, nil, SkelConfig{MemBudget: budget})
+		warm := NewSkeletonCache(0, 0)
+		if _, err := countSkeletonCfg(ctx, p, cat.Table, warm, SkelConfig{}); err != nil {
 			t.Fatal(err)
 		}
-		_, warmErr := CountSkeletonCfg(ctx, p, cat.Table, warm, SkelConfig{MemBudget: budget})
+		_, warmErr := countSkeletonCfg(ctx, p, cat.Table, warm, SkelConfig{MemBudget: budget})
 		if errors.Is(soloErr, ErrMemoryBudget) != errors.Is(warmErr, ErrMemoryBudget) {
 			t.Fatalf("budget %d: cold verdict %v, warm verdict %v", budget, soloErr, warmErr)
 		}
 		for _, cache := range []*SkeletonCache{nil, warm} {
-			_, perPlan, berr := CountSkeletonBatchCfg(ctx,
-				[]BatchPlan{{Plan: p, Cache: cache}}, cat.Table, SkelConfig{MemBudget: budget})
+			_, perPlan, berr := countBatch(ctx,
+				[]BatchPlan{prep(p, cache)}, cat.Table, SkelConfig{MemBudget: budget})
 			if berr != nil {
 				t.Fatalf("budget %d: batch error %v", budget, berr)
 			}
@@ -75,7 +75,7 @@ func TestMemoryBudgetVerdictEquivalence(t *testing.T) {
 		}
 	}
 	// Sanity: the extremes behave as extremes.
-	if _, err := CountSkeletonCfg(ctx, p, cat.Table, nil, SkelConfig{MemBudget: 1}); !errors.Is(err, ErrMemoryBudget) {
+	if _, err := countSkeletonCfg(ctx, p, cat.Table, nil, SkelConfig{MemBudget: 1}); !errors.Is(err, ErrMemoryBudget) {
 		t.Fatalf("budget 1: err = %v, want ErrMemoryBudget", err)
 	}
 	if !errors.Is(ErrMemoryBudget, context.DeadlineExceeded) {
@@ -94,15 +94,15 @@ func TestMemoryBudgetIsolatedPerPlan(t *testing.T) {
 	pSmall, pBig := planFor(cat, qSmall), planFor(cat, qBig)
 	ctx := context.Background()
 
-	wantSmall, err := CountSkeletonCfg(ctx, pSmall, cat.Table, nil, SkelConfig{})
+	wantSmall, err := countSkeletonCfg(ctx, pSmall, cat.Table, nil, SkelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Find a budget the small plan fits and the big plan breaches.
 	var budget int64
 	for b := int64(2); b < 1<<40; b *= 2 {
-		_, errS := CountSkeletonCfg(ctx, pSmall, cat.Table, nil, SkelConfig{MemBudget: b})
-		_, errB := CountSkeletonCfg(ctx, pBig, cat.Table, nil, SkelConfig{MemBudget: b})
+		_, errS := countSkeletonCfg(ctx, pSmall, cat.Table, nil, SkelConfig{MemBudget: b})
+		_, errB := countSkeletonCfg(ctx, pBig, cat.Table, nil, SkelConfig{MemBudget: b})
 		if errS == nil && errors.Is(errB, ErrMemoryBudget) {
 			budget = b
 			break
@@ -111,9 +111,9 @@ func TestMemoryBudgetIsolatedPerPlan(t *testing.T) {
 	if budget == 0 {
 		t.Fatal("no budget separates the two plans; test data broken")
 	}
-	cache := NewSkeletonCache()
-	counts, perPlan, err := CountSkeletonBatchCfg(ctx,
-		[]BatchPlan{{Plan: pBig, Cache: cache}, {Plan: pSmall, Cache: cache}}, cat.Table, SkelConfig{MemBudget: budget})
+	cache := NewSkeletonCache(0, 0)
+	counts, perPlan, err := countBatch(ctx,
+		[]BatchPlan{prep(pBig, cache), prep(pSmall, cache)}, cat.Table, SkelConfig{MemBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestMemoryBudgetIsolatedPerPlan(t *testing.T) {
 	}
 	// The cache the breaching plan validated through must still serve a
 	// later unbudgeted run correctly.
-	countsBig, err := CountSkeletonCfg(ctx, pBig, cat.Table, cache, SkelConfig{})
+	countsBig, err := countSkeletonCfg(ctx, pBig, cat.Table, cache, SkelConfig{})
 	if err != nil {
 		t.Fatalf("post-breach run over same cache: %v", err)
 	}
-	wantBig, err := CountSkeletonCfg(ctx, pBig, cat.Table, nil, SkelConfig{})
+	wantBig, err := countSkeletonCfg(ctx, pBig, cat.Table, nil, SkelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestPanicContainedSinglePlan(t *testing.T) {
 	fi.PanicAt(faultinject.SkelNode, "T:t2=t2")
 	defer fi.Activate()()
 
-	_, err := CountSkeletonCfg(context.Background(), p, cat.Table, nil, SkelConfig{})
+	_, err := countSkeletonCfg(context.Background(), p, cat.Table, nil, SkelConfig{})
 	if !errors.Is(err, ErrValidationPanic) {
 		t.Fatalf("err = %v, want ErrValidationPanic", err)
 	}
@@ -183,18 +183,18 @@ func TestPanicIsolatedPerPlanInBatch(t *testing.T) {
 	pOK, pBad := planFor(cat, qOK), planFor(cat, qBad)
 	ctx := context.Background()
 
-	wantOK, err := CountSkeletonCfg(ctx, pOK, cat.Table, nil, SkelConfig{})
+	wantOK, err := countSkeletonCfg(ctx, pOK, cat.Table, nil, SkelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBad, err := CountSkeletonCfg(ctx, pBad, cat.Table, nil, SkelConfig{})
+	wantBad, err := countSkeletonCfg(ctx, pBad, cat.Table, nil, SkelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cache := NewSkeletonCache()
+	cache := NewSkeletonCache(0, 0)
 	for _, badFirst := range []bool{false, true} {
-		bplans := []BatchPlan{{Plan: pOK, Cache: cache}, {Plan: pBad, Cache: cache}}
+		bplans := []BatchPlan{prep(pOK, cache), prep(pBad, cache)}
 		ok, bad := 0, 1
 		if badFirst {
 			bplans[0], bplans[1] = bplans[1], bplans[0]
@@ -204,7 +204,7 @@ func TestPanicIsolatedPerPlanInBatch(t *testing.T) {
 		// "t1.v < 51" appears only in qBad's signatures, from its t1 scan up.
 		fi.PanicAt(faultinject.SkelNode, "t1.v < 51")
 		restore := fi.Activate()
-		counts, perPlan, berr := CountSkeletonBatchCfg(ctx, bplans, cat.Table, SkelConfig{})
+		counts, perPlan, berr := countBatch(ctx, bplans, cat.Table, SkelConfig{})
 		restore()
 		if berr != nil {
 			t.Fatalf("batch error %v, want per-plan isolation", berr)
@@ -228,8 +228,8 @@ func TestPanicIsolatedPerPlanInBatch(t *testing.T) {
 	}
 
 	// With the injection gone, the same cache must serve both plans.
-	counts, perPlan, err := CountSkeletonBatchCfg(ctx,
-		[]BatchPlan{{Plan: pOK, Cache: cache}, {Plan: pBad, Cache: cache}}, cat.Table, SkelConfig{})
+	counts, perPlan, err := countBatch(ctx,
+		[]BatchPlan{prep(pOK, cache), prep(pBad, cache)}, cat.Table, SkelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,7 +214,7 @@ func TestIndexedScanSelection(t *testing.T) {
 		check := func(label string, pi int, counts map[plan.Node]int64, cache *SkeletonCache) {
 			t.Helper()
 			q := plans[pi].Query
-			sub, ok := cache.getSub(cache.subKey(subtreeSig(scans[pi]), boundaryColumns(q, []string{"t"})))
+			sub, ok := cache.getSub(subKey(testPrefix, subtreeSig(scans[pi]), boundaryColumns(q, []string{"t"})))
 			if !ok || len(sub.cols) != 1 {
 				t.Fatalf("%s [%s] instance %d: scan of t not cached with its id column", name, label, pi)
 			}
@@ -231,18 +231,18 @@ func TestIndexedScanSelection(t *testing.T) {
 		for _, shards := range []int{1, 4} {
 			for _, templates := range []bool{false, true} {
 				cfg := SkelConfig{Shards: shards, Templates: templates}
-				single, batch := NewSkeletonCache(), NewSkeletonCache()
+				single, batch := NewSkeletonCache(0, 0), NewSkeletonCache(0, 0)
 				for _, state := range []string{"cold", "warm"} {
 					label := fmt.Sprintf("shards=%d templates=%v %s", shards, templates, state)
 					for pi, p := range plans {
-						got, err := CountSkeletonCfg(ctx, p, cat.Table, single, cfg)
+						got, err := countSkeletonCfg(ctx, p, cat.Table, single, cfg)
 						if err != nil {
 							t.Fatalf("%s [%s single]: %v", name, label, err)
 						}
 						check(label+" single", pi, got, single)
 					}
-					bps := []BatchPlan{{Plan: plans[0], Cache: batch}, {Plan: plans[1], Cache: batch}}
-					got, perPlan, err := CountSkeletonBatchCfg(ctx, bps, cat.Table, cfg)
+					bps := []BatchPlan{prep(plans[0], batch), prep(plans[1], batch)}
+					got, perPlan, err := countBatch(ctx, bps, cat.Table, cfg)
 					if err != nil || perPlan[0] != nil || perPlan[1] != nil {
 						t.Fatalf("%s [%s batch]: %v / %v", name, label, err, perPlan)
 					}

@@ -272,14 +272,14 @@ func TestJoinTablePairsThroughEngines(t *testing.T) {
 
 		for _, shards := range []int{1, 4} {
 			cfg := SkelConfig{Shards: shards}
-			single, batch := NewSkeletonCache(), NewSkeletonCache()
+			single, batch := NewSkeletonCache(0, 0), NewSkeletonCache(0, 0)
 			for _, state := range []string{"cold", "warm"} {
 				label := fmt.Sprintf("%s [shards=%d %s]", jc.name, shards, state)
-				got, err := CountSkeletonCfg(ctx, p, cat.Table, single, cfg)
+				got, err := countSkeletonCfg(ctx, p, cat.Table, single, cfg)
 				if err != nil {
 					t.Fatalf("%s single: %v", label, err)
 				}
-				bgot, perPlan, err := CountSkeletonBatchCfg(ctx, []BatchPlan{{Plan: p, Cache: batch}}, cat.Table, cfg)
+				bgot, perPlan, err := countBatch(ctx, []BatchPlan{prep(p, batch)}, cat.Table, cfg)
 				if err != nil || perPlan[0] != nil {
 					t.Fatalf("%s batch: %v / %v", label, err, perPlan[0])
 				}
@@ -292,7 +292,7 @@ func TestJoinTablePairsThroughEngines(t *testing.T) {
 						t.Errorf("%s %s: l⋈r counted %d, root %d, want %d", label, engine, counts[lr], counts[p.Root], len(want.l))
 					}
 					refs := boundaryColumns(q, lr.Aliases())
-					sub, ok := cache.getSub(cache.subKey(subtreeSig(lr), refs))
+					sub, ok := cache.getSub(subKey(testPrefix, subtreeSig(lr), refs))
 					if !ok || len(sub.cols) != 2 {
 						t.Fatalf("%s %s: l⋈r not cached with its two id columns", label, engine)
 					}

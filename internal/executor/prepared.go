@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -29,14 +30,16 @@ import (
 	"reopt/internal/sql"
 )
 
-// Prepared is one query's validation state: what the engine needs to
-// know about each relation set and each join of two sets, derived on
-// first use and kept for the request. It is bound to the cache view it
-// was made by (SkeletonCache.Prepared) — rendered keys carry that view's
-// prefix — and is safe for concurrent use.
+// Prepared is the one per-request handle on validation: the cache the
+// request validates through (nil: none), the sample epoch its keys are
+// namespaced by, the per-table scale factors, and one query's validation
+// state — what the engine needs to know about each relation set and each
+// join of two sets, derived on first use and kept for the request. It is
+// safe for concurrent use.
 type Prepared struct {
 	q      *sql.Query
-	prefix string
+	cache  *SkeletonCache
+	prefix string    // the sample-epoch namespace every key renders under
 	scales []float64 // per Query.Tables position; nil when the caller scales nothing
 
 	// The query's vocabulary, rendered and sorted once so that a set's
@@ -85,7 +88,7 @@ type SetInfo struct {
 
 	refs []sql.ColRef // boundary columns: what an enclosing join may probe
 	sig  string       // canonical subtree signature
-	key  string       // cache key: view prefix + sig + boundary columns
+	key  string       // cache key: epoch prefix + sig + boundary columns
 }
 
 // joinInfo is what the query says about joining two disjoint relation
@@ -94,7 +97,7 @@ type joinInfo struct {
 	preds      []sql.JoinPred // the query's predicates crossing the sides, canonical order
 	lkey, rkey []int          // their columns in each side's boundary columns
 	gather     []gatherSrc    // where each output boundary column comes from
-	tkey       string         // build-side hash-table key under the view prefix
+	tkey       string         // build-side hash-table key under the epoch prefix
 }
 
 // Step is one node of a compiled plan. Steps are in post-order — both
@@ -123,9 +126,17 @@ type Step struct {
 // Node returns the plan node the step was compiled from.
 func (s *Step) Node() plan.Node { return s.node }
 
-func newPrepared(q *sql.Query, prefix string, scales []float64) *Prepared {
+// NewPrepared returns the handle q's plans validate through: against
+// cache (nil caches nothing), over the samples of epoch — the namespace
+// of every sub-result key, hash-table key and template entry the handle
+// renders, so one cache can serve several sample sets and catalogs —
+// with scales, the per-table factors by Query.Tables position that
+// Step.Scale multiplies (nil: none). Signatures, boundary columns, cache
+// keys and join resolutions are derived once, on first use, instead of
+// once per plan (DESIGN.md §11).
+func NewPrepared(q *sql.Query, cache *SkeletonCache, epoch uint64, scales []float64) *Prepared {
 	s := &Prepared{
-		q: q, prefix: prefix, scales: scales,
+		q: q, cache: cache, prefix: "s" + strconv.FormatUint(epoch, 10) + "|", scales: scales,
 		byAlias: make([]int, len(q.Tables)),
 		toks:    make([]sigTok, 0, len(q.Tables)+len(q.Selections)+len(q.Joins)),
 		sets:    make(map[uint64]*SetInfo, 2*len(q.Tables)),
@@ -172,6 +183,11 @@ func (s *Prepared) bit(alias string) uint64 {
 	}
 	return 0
 }
+
+// Outline names the relation set of every node of p, in post-order,
+// without requiring p to fit the skeleton engine: what a caller that
+// counted p some other way needs to report its counts under the same keys.
+func (s *Prepared) Outline(p *plan.Plan) ([]Step, error) { return s.compile(p.Root, false) }
 
 // compile flattens the plan rooted at root into steps. With exact set it
 // enforces the exactness rule and resolves every join, so the steps can

@@ -74,11 +74,15 @@ func boundaryColumns(q *sql.Query, aliases []string) []sql.ColRef {
 	return out
 }
 
+// testPrefix is the key namespace of a handle prepared for sample epoch
+// 0, which is what the tests' handles are (prep).
+const testPrefix = "s0|"
+
 // subKey builds the cache key for a subtree: prefix (sample epoch
 // namespace), canonical signature, and the boundary-column set the
 // enclosing query requires of it.
-func (c *SkeletonCache) subKey(sig string, refs []sql.ColRef) string {
-	key := c.prefix + sig + "|B:"
+func subKey(prefix, sig string, refs []sql.ColRef) string {
+	key := prefix + sig + "|B:"
 	for _, r := range refs {
 		key += r.Table + "." + r.Column + ","
 	}
@@ -207,11 +211,10 @@ func TestPreparedMatchesFromScratch(t *testing.T) {
 	}
 
 	nodes := 0
-	view := NewSkeletonCache().WithPrefix("s7|")
 	for _, q := range queries {
-		shared := newPrepared(q, view.prefix, nil)
+		shared := NewPrepared(q, nil, 7, nil)
 		for _, p := range byQuery[q] {
-			for _, prep := range []*Prepared{newPrepared(q, view.prefix, nil), shared} {
+			for _, prep := range []*Prepared{NewPrepared(q, nil, 7, nil), shared} {
 				steps, err := prep.compile(p.Root, true)
 				if err != nil {
 					t.Fatalf("plan %s: %v", p.Fingerprint(), err)
@@ -222,7 +225,7 @@ func TestPreparedMatchesFromScratch(t *testing.T) {
 					refs := boundaryColumns(q, aliases)
 					sig := subtreeSig(st.node)
 					if st.Set.Key != plan.CanonicalSet(aliases) || st.Set.sig != sig ||
-						!slices.Equal(st.Set.refs, refs) || st.Set.key != view.subKey(sig, refs) {
+						!slices.Equal(st.Set.refs, refs) || st.Set.key != subKey("s7|", sig, refs) {
 						t.Fatalf("plan %s: node %v: prepared\n %q %q %v\nfrom scratch\n %q %v",
 							p.Fingerprint(), aliases, st.Set.sig, st.Set.key, st.Set.refs, sig, refs)
 					}

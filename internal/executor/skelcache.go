@@ -1,24 +1,17 @@
 package executor
 
-// SkeletonCache: the carrier of count-skeleton validation work across
-// plans. Two scopes exist:
+// SkeletonCache: the one store that carries count-skeleton validation
+// work across plans, rounds and queries (DESIGN.md §2). It is one
+// mutex-guarded LRU, made by NewSkeletonCache with an entry budget and a
+// materialized-value budget (0 for either: unbounded). A
+// re-optimization's private cache is an unbounded one that dies with the
+// run; a workload's is a bounded one shared across queries and catalogs.
 //
-//   - per-re-optimization (NewSkeletonCache): unbounded, because one
-//     query's subtrees are few and the cache dies with the
-//     re-optimization;
-//   - workload-level (NewSkeletonCacheLRU / NewSkeletonCacheBudget):
-//     shared across queries of a catalog, bounded by an entry budget
-//     and optionally by a materialized-value budget with
-//     least-recently-used eviction, and namespaced by a key prefix (the
-//     catalog's sample epoch) so refreshed samples never serve counts
-//     observed on their predecessors.
-//
-// A SkeletonCache value is a *view*: an immutable key prefix over a
-// shared, mutex-guarded store. WithPrefix derives a new view over the
-// same store, so concurrent runs that need different namespaces (e.g.
-// one workload cache serving two catalogs) each hold their own view and
-// never race on the prefix — entries land under the epoch of the run
-// that computed them, always.
+// The store does not namespace anything itself. Every key it sees was
+// rendered by a Prepared (prepared.go), which prefixes sub-result keys,
+// hash-table keys and template entries with the sample epoch it was made
+// for, so refreshed samples — or another catalog — never serve counts
+// observed on other samples; entries of older epochs age out of the LRU.
 //
 // The value budget is counted in cells — one per boundary-column cell and
 // weight of a sub-result's physical rows, per cell of a template entry's
@@ -41,28 +34,19 @@ import (
 	"strings"
 	"sync"
 
-	"reopt/internal/plan"
 	"reopt/internal/rel"
 	"reopt/internal/sql"
 	"reopt/internal/storage"
 )
 
-// SkeletonCache carries validation work across skeleton runs: subtree
-// sub-results and build-side hash tables, keyed so that two plans'
-// subtrees share an entry exactly when they compute the same logical
-// sub-result with the same boundary columns over the same samples. It
-// is a cheap view (immutable prefix + shared store); all methods are
-// safe for concurrent use. A view may also carry one query's prepared
-// validation state (Prepared); a view made for that alone, over no cache,
-// has no store and caches nothing.
+// SkeletonCache is the one validation cache: subtree sub-results and
+// build-side hash tables, keyed so that two plans' subtrees share an
+// entry exactly when they compute the same logical sub-result with the
+// same boundary columns over the same samples, plus the template index.
+// All methods are safe for concurrent use, and the diagnostics read zero
+// on a nil cache. Requests reach it through a Prepared, which carries the
+// key namespace.
 type SkeletonCache struct {
-	store  *skelStore
-	prefix string
-	prep   *Prepared
-}
-
-// skelStore is the shared, mutex-guarded state behind every view.
-type skelStore struct {
 	mu    sync.Mutex
 	limit int // max sub-result entries; 0 = unbounded
 	// valueLimit bounds the total number of *materialized values* retained
@@ -110,7 +94,7 @@ type tmplCached struct {
 	bcols, fcols []storage.ColData
 }
 
-// tmplEntry is tmplCached plus its index bookkeeping: the view prefix
+// tmplEntry is tmplCached plus its index bookkeeping: the key prefix
 // it was registered under (template identity is namespaced by sample
 // epoch exactly like sub-result keys) and the sub-result entry key it
 // rides (joint eviction).
@@ -142,93 +126,23 @@ type skelCacheEntry struct {
 	tmpl *tmplEntry
 }
 
-// NewSkeletonCache returns an empty, unbounded cache (the
-// per-re-optimization scope).
-func NewSkeletonCache() *SkeletonCache { return NewSkeletonCacheLRU(0) }
-
-// NewSkeletonCacheLRU returns an empty cache that holds at most limit
-// sub-results, evicting least-recently-used entries (and the hash
-// tables built over them) beyond that; limit <= 0 means unbounded.
-func NewSkeletonCacheLRU(limit int) *SkeletonCache {
-	return NewSkeletonCacheBudget(limit, 0)
-}
-
-// NewSkeletonCacheBudget returns an empty cache bounded by both an entry
-// count and a total materialized-value budget (either <= 0 means that
-// budget is unbounded). The value budget counts every boundary-column
-// value held by cached sub-results and one value per two int32 slots of
-// each build-side hash table cached over them, so skewed workloads where
-// a few huge subtrees dominate stay within it even when the entry count
-// would not.
-func NewSkeletonCacheBudget(limit, valueLimit int) *SkeletonCache {
-	if limit < 0 {
-		limit = 0
-	}
-	if valueLimit < 0 {
-		valueLimit = 0
-	}
-	return &SkeletonCache{store: &skelStore{
-		limit:      limit,
-		valueLimit: valueLimit,
+// NewSkeletonCache returns an empty cache that holds at most limit
+// sub-results and at most valueLimit materialized values, evicting
+// least-recently-used entries (and the hash tables and template entries
+// riding them) beyond either; <= 0 leaves that budget unbounded. The
+// value budget counts every boundary-column cell held by cached
+// sub-results and template entries and one value per two int32 slots of
+// each cached hash table, so skewed workloads where a few huge subtrees
+// dominate stay within it even when the entry count would not.
+func NewSkeletonCache(limit, valueLimit int) *SkeletonCache {
+	return &SkeletonCache{
+		limit:      max(limit, 0),
+		valueLimit: max(valueLimit, 0),
 		subs:       make(map[string]*list.Element),
 		lru:        list.New(),
 		tables:     make(map[string]*joinTable),
 		templates:  make(map[uint64][]*tmplEntry),
-	}}
-}
-
-// WithPrefix derives a view over the same store whose keys are
-// namespaced by p. Callers that share one store across sample sets
-// (sampling.WorkloadCache) take a view per run, prefixed with the
-// catalog's sample epoch; entries built under other prefixes are
-// unreachable through this view and age out of the LRU. Views are
-// values: deriving one never mutates shared state, so concurrent runs
-// with different prefixes cannot contaminate each other's namespaces.
-func (c *SkeletonCache) WithPrefix(p string) *SkeletonCache {
-	if c == nil {
-		return nil
 	}
-	if p == c.prefix {
-		return c
-	}
-	return &SkeletonCache{store: c.store, prefix: p}
-}
-
-// Prepared derives a view carrying a fresh prepared validation state for
-// q (DESIGN.md §11): validating q's plans through the view derives the
-// query's signatures, boundary columns, cache keys and join resolutions
-// once, on first use, instead of once per plan. scales are the per-table
-// factors, by Query.Tables position, that Step.Scale multiplies (nil:
-// none). Keys render under c's prefix, so the state is as bound to a
-// sample set as c is; a nil c gives a view that caches nothing.
-func (c *SkeletonCache) Prepared(q *sql.Query, scales []float64) *SkeletonCache {
-	v := &SkeletonCache{}
-	if c != nil {
-		v.store, v.prefix = c.store, c.prefix
-	}
-	v.prep = newPrepared(q, v.prefix, scales)
-	return v
-}
-
-// split returns what an engine runs q's plans against: the view as a
-// cache (nil when there is no store behind it) and the prepared state —
-// the view's own when it was prepared for q, otherwise one for this call.
-func (c *SkeletonCache) split(q *sql.Query) (*SkeletonCache, *Prepared) {
-	if c == nil || c.prep == nil || c.prep.q != q {
-		c = c.Prepared(q, nil)
-	}
-	if c.store == nil {
-		return nil, c.prep
-	}
-	return c, c.prep
-}
-
-// Outline names the relation set of every node of p, in post-order,
-// without requiring p to fit the skeleton engine: what a caller that
-// counted p some other way needs to report its counts under the same keys.
-func (c *SkeletonCache) Outline(p *plan.Plan) ([]Step, error) {
-	_, prep := c.split(p.Query)
-	return prep.compile(p.Root, false)
 }
 
 // entryValues is the value-budget charge for one sub-result: its
@@ -240,22 +154,20 @@ func entryValues(sub *subResult) int {
 }
 
 // Len returns the number of cached sub-results (diagnostics).
-func (c *SkeletonCache) Len() int {
-	if c == nil || c.store == nil {
+func (s *SkeletonCache) Len() int {
+	if s == nil {
 		return 0
 	}
-	s := c.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.subs)
 }
 
 // Stats reports sub-result lookup hits and misses (diagnostics).
-func (c *SkeletonCache) Stats() (hits, misses int64) {
-	if c == nil || c.store == nil {
+func (s *SkeletonCache) Stats() (hits, misses int64) {
+	if s == nil {
 		return 0, 0
 	}
-	s := c.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.hits, s.misses
@@ -263,11 +175,10 @@ func (c *SkeletonCache) Stats() (hits, misses int64) {
 
 // RowStats reports, over every sub-result stored so far, the rows they
 // count and the physical rows materialized to hold them (diagnostics).
-func (c *SkeletonCache) RowStats() (counted, materialized int64) {
-	if c == nil || c.store == nil {
+func (s *SkeletonCache) RowStats() (counted, materialized int64) {
+	if s == nil {
 		return 0, 0
 	}
-	s := c.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rowsCounted, s.rowsMaterialized
@@ -276,11 +187,10 @@ func (c *SkeletonCache) RowStats() (counted, materialized int64) {
 // Keys returns the keys of every cached sub-result and hash table, under
 // every prefix, sorted (diagnostics: what two runs stored compares as
 // two lists).
-func (c *SkeletonCache) Keys() []string {
-	if c == nil || c.store == nil {
+func (s *SkeletonCache) Keys() []string {
+	if s == nil {
 		return nil
 	}
-	s := c.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	keys := make([]string, 0, len(s.subs)+len(s.tables))
@@ -296,11 +206,10 @@ func (c *SkeletonCache) Keys() []string {
 
 // Values returns the total materialized values currently retained (the
 // quantity the value budget bounds; diagnostics).
-func (c *SkeletonCache) Values() int {
-	if c == nil || c.store == nil {
+func (s *SkeletonCache) Values() int {
+	if s == nil {
 		return 0
 	}
-	s := c.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.values
@@ -320,8 +229,7 @@ func writeRefs(b *strings.Builder, refs []sql.ColRef) {
 }
 
 // getSub looks a sub-result up, refreshing its recency on a hit.
-func (c *SkeletonCache) getSub(key string) (*subResult, bool) {
-	s := c.store
+func (s *SkeletonCache) getSub(key string) (*subResult, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.subs[key]
@@ -342,8 +250,7 @@ func (c *SkeletonCache) getSub(key string) (*subResult, bool) {
 // entry that could never be retained anyway. (Keys are
 // content-addressed, so if the key is already cached its sub-result is
 // logically identical — declining the refresh loses nothing.)
-func (c *SkeletonCache) putSub(key string, sub *subResult) {
-	s := c.store
+func (s *SkeletonCache) putSub(key string, sub *subResult) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.valueLimit > 0 && entryValues(sub) > s.valueLimit {
@@ -365,7 +272,7 @@ func (c *SkeletonCache) putSub(key string, sub *subResult) {
 
 // shrinkLocked evicts least-recently-used entries until both budgets
 // hold (or the cache is empty).
-func (s *skelStore) shrinkLocked() {
+func (s *SkeletonCache) shrinkLocked() {
 	for (s.limit > 0 && len(s.subs) > s.limit) ||
 		(s.valueLimit > 0 && s.values > s.valueLimit) {
 		oldest := s.lru.Back()
@@ -378,7 +285,7 @@ func (s *skelStore) shrinkLocked() {
 
 // evictLocked removes one entry, the hash tables built over it, and its
 // template-index entry.
-func (s *skelStore) evictLocked(el *list.Element) {
+func (s *SkeletonCache) evictLocked(el *list.Element) {
 	e := el.Value.(*skelCacheEntry)
 	s.lru.Remove(el)
 	delete(s.subs, e.key)
@@ -395,7 +302,7 @@ func (s *skelStore) evictLocked(el *list.Element) {
 // dropTemplateLocked unlinks one template entry from the fingerprint
 // index and refunds its value charge. The owning skelCacheEntry's tmpl
 // field is the caller's to clear.
-func (s *skelStore) dropTemplateLocked(te *tmplEntry) {
+func (s *SkeletonCache) dropTemplateLocked(te *tmplEntry) {
 	chain := s.templates[te.fp]
 	for i, c := range chain {
 		if c == te {
@@ -412,8 +319,7 @@ func (s *skelStore) dropTemplateLocked(te *tmplEntry) {
 }
 
 // getTable looks up a build-side hash table.
-func (c *SkeletonCache) getTable(key string) *joinTable {
-	s := c.store
+func (s *SkeletonCache) getTable(key string) *joinTable {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.tables[key]
@@ -425,8 +331,7 @@ func (c *SkeletonCache) getTable(key string) *joinTable {
 // sub-result is no longer cached — possible under a tight budget — the
 // table is not cached either, since nothing would ever evict it; nor is
 // a table that could never fit the budget beside its own sub-result.
-func (c *SkeletonCache) putTable(subKey, tableKey string, t *joinTable) {
-	s := c.store
+func (s *SkeletonCache) putTable(subKey, tableKey string, t *joinTable) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.subs[subKey]
@@ -451,15 +356,14 @@ func (c *SkeletonCache) putTable(subKey, tableKey string, t *joinTable) {
 
 // getTemplate probes the template index for a cached instance of tm's
 // template (fingerprint bucket, collision-checked against the full
-// signature, namespaced by the view prefix) whose constants contain
+// signature, namespaced by the key prefix) whose constants contain
 // tm's. A hit refreshes the owning sub-result's recency and returns the
 // entry's immutable payload; refinement happens outside the lock.
-func (c *SkeletonCache) getTemplate(tm scanTemplate) (*tmplCached, bool) {
-	s := c.store
+func (s *SkeletonCache) getTemplate(prefix string, tm scanTemplate) (*tmplCached, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, te := range s.templates[tm.fp] {
-		if te.prefix != c.prefix || te.sig != tm.sig {
+		if te.prefix != prefix || te.sig != tm.sig {
 			continue // fingerprint collision or foreign epoch
 		}
 		if !containsConsts(tm.ops, te.consts, tm.consts) {
@@ -486,8 +390,7 @@ func (c *SkeletonCache) getTemplate(tm scanTemplate) (*tmplCached, bool) {
 // boundary and filter columns gathered at the scan's n selected rows;
 // their cells are charged to the store's value budget like a
 // sub-result's.
-func (c *SkeletonCache) putTemplate(key string, tm scanTemplate, n int, bcols, fcols []storage.ColData) {
-	s := c.store
+func (s *SkeletonCache) putTemplate(prefix, key string, tm scanTemplate, n int, bcols, fcols []storage.ColData) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.subs[key]
@@ -498,14 +401,14 @@ func (c *SkeletonCache) putTemplate(key string, tm scanTemplate, n int, bcols, f
 	te := &tmplEntry{
 		tmplCached: tmplCached{sig: tm.sig, consts: tm.consts, ops: tm.ops, n: n, bcols: bcols, fcols: fcols},
 		fp:         tm.fp,
-		prefix:     c.prefix,
+		prefix:     prefix,
 		key:        key,
 	}
 	if s.valueLimit > 0 && tmplValues(te) > s.valueLimit {
 		return // could never be retained; don't wipe the cache for it
 	}
 	for _, old := range s.templates[tm.fp] {
-		if old.prefix != c.prefix || old.sig != tm.sig {
+		if old.prefix != prefix || old.sig != tm.sig {
 			continue
 		}
 		if containsConsts(tm.ops, old.consts, tm.consts) {
@@ -530,11 +433,10 @@ func (c *SkeletonCache) putTemplate(key string, tm scanTemplate, n int, bcols, f
 
 // TemplateStats reports template-index lookup hits and misses
 // (diagnostics; only template-sharing runs touch the index).
-func (c *SkeletonCache) TemplateStats() (hits, misses int64) {
-	if c == nil || c.store == nil {
+func (s *SkeletonCache) TemplateStats() (hits, misses int64) {
+	if s == nil {
 		return 0, 0
 	}
-	s := c.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.tmplHits, s.tmplMisses

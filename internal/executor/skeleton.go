@@ -7,7 +7,7 @@ package executor
 // sequential scans and hash joins. Running that through the general
 // Volcano executor pays for work the counts never use: a full Concat row
 // allocation per join output, string-concatenated join keys, and a
-// NodeRows map increment per tuple. CountSkeleton instead evaluates the
+// NodeRows map increment per tuple. CountSkeletonSteps instead evaluates the
 // skeleton bottom-up over column-major sub-results that carry only each
 // subtree's *boundary columns* — the columns referenced by query join
 // predicates that cross the subtree's relation set, i.e. exactly what any
@@ -103,15 +103,6 @@ func scanSub(sc *skelScratch, sig string, cs *storage.ColStore, poss []int, sel 
 	return newSub(sc, sig, sc.srcs, len(sel), bagWeights{})
 }
 
-// CountSkeleton computes the per-node output counts of a count-only
-// skeleton (sequential scans and equi-joins; any other node shape is an
-// error, and callers fall back to the general executor). binder resolves
-// a catalog table name to the table to scan — the sampling layer binds
-// samples. cache may be nil.
-func CountSkeleton(p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache) (map[plan.Node]int64, error) {
-	return CountSkeletonCfg(context.Background(), p, binder, cache, SkelConfig{})
-}
-
 // SkelConfig carries the execution knobs of the skeleton engine. The zero
 // value means: monolithic (unsharded) samples, no memory budget, no
 // template index. Shards and Templates are performance-only — counts and
@@ -140,49 +131,68 @@ type SkelConfig struct {
 	Templates bool
 }
 
-// CountSkeletonCfg is CountSkeleton with cancellation, failure
-// containment and the execution config. ctx is checked before each step,
-// so a cancelled context aborts the run between subtrees with ctx.Err();
-// only fully evaluated subtrees are written to the cache, so an abort
-// leaves nothing partial behind. A panic inside evaluation is returned as
-// a *PanicError instead of unwinding.
-func CountSkeletonCfg(ctx context.Context, p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, cfg SkelConfig) (map[plan.Node]int64, error) {
-	steps, err := countSteps(ctx, p, binder, cache, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return countsByNode(steps), nil
+// BatchPlan pairs a plan with the handle it validates through: a
+// Prepared for the plan's query, which names the cache (if any) and the
+// key namespace.
+type BatchPlan struct {
+	Plan *plan.Plan
+	Prep *Prepared
 }
 
-// countsByNode is the map form of a run's counts, for callers that hold
-// plan nodes rather than steps.
-func countsByNode(steps []Step) map[plan.Node]int64 {
-	counts := make(map[plan.Node]int64, len(steps))
-	for i := range steps {
-		counts[steps[i].node] = steps[i].Count
+// CountSkeletonSteps is the engine's one entry point. It validates each
+// plan in turn on the calling goroutine — compiled against its Prepared,
+// run by countSteps — and returns each plan's steps with their counts
+// filled: a step carries the relation set its count belongs to, which is
+// all the estimator asks. Reuse between the plans, and between requests,
+// comes from the caches their handles share (sub-results, build-side hash
+// tables, the template index); parallelism comes from independent
+// requests on their own goroutines (DESIGN.md §2). ctx is checked before
+// each step.
+//
+// A plan outside the engine's contract (ErrSkeletonUnsupported: callers
+// fall back to the general executor for just that plan), one that breaches
+// cfg.MemBudget (ErrMemoryBudget), overflows a count (ErrCountOverflow) or
+// panics (*PanicError) fails alone: its error lands in its perPlan slot, it
+// stores nothing, and the other plans' counts and cache contents are those
+// of validating them without it. A cancelled ctx or a binder that cannot
+// resolve a table aborts the batch via err; sub-results completed before
+// the abort stay cached, nothing partial is ever stored.
+func CountSkeletonSteps(ctx context.Context, bplans []BatchPlan, binder func(string) (*storage.Table, error), cfg SkelConfig) (steps [][]Step, perPlan []error, err error) {
+	steps = make([][]Step, len(bplans))
+	perPlan = make([]error, len(bplans))
+	for i, bp := range bplans {
+		st, cerr := countSteps(ctx, bp, binder, cfg)
+		switch {
+		case cerr == nil:
+			steps[i] = st
+		case errors.Is(cerr, ErrSkeletonUnsupported), errors.Is(cerr, ErrMemoryBudget),
+			errors.Is(cerr, ErrCountOverflow), errors.Is(cerr, ErrValidationPanic):
+			perPlan[i] = cerr
+		default:
+			return nil, nil, cerr
+		}
 	}
-	return counts
+	return steps, perPlan, nil
 }
 
-// countSteps compiles p against the prepared state its cache view
-// carries (or one made for this call) and runs the steps, returning them
-// with their counts filled. Its recover is the engine boundary: whatever
-// panics below — an injected fault, a checked count overflowing — fails
-// this plan with an error and nothing else.
-func countSteps(ctx context.Context, p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, cfg SkelConfig) (steps []Step, err error) {
+// countSteps compiles bp's plan against its prepared state and runs the
+// steps, returning them with their counts filled. Its recover is the
+// engine boundary: whatever panics below — an injected fault, a checked
+// count overflowing — fails this plan with an error and nothing else.
+func countSteps(ctx context.Context, bp BatchPlan, binder func(string) (*storage.Table, error), cfg SkelConfig) (steps []Step, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			steps, err = nil, failureError(r)
 		}
 	}()
-	cache, prep := cache.split(p.Query)
-	if steps, err = prep.compile(p.Root, true); err != nil {
+	if steps, err = bp.Prep.compile(bp.Plan.Root, true); err != nil {
 		return nil, err
 	}
 	e := &skelEngine{
 		ctx:         ctx,
 		binder:      binder,
-		cache:       cache,
+		cache:       bp.Prep.cache,
+		prefix:      bp.Prep.prefix,
 		shards:      cfg.Shards,
 		templates:   cfg.Templates,
 		mem:         memAccount{budget: cfg.MemBudget},
@@ -199,7 +209,8 @@ func countSteps(ctx context.Context, p *plan.Plan, binder func(string) (*storage
 type skelEngine struct {
 	ctx       context.Context
 	binder    func(string) (*storage.Table, error)
-	cache     *SkeletonCache
+	cache     *SkeletonCache // nil: uncached
+	prefix    string         // the Prepared's key namespace, for template entries
 	shards    int
 	templates bool
 	mem       memAccount
@@ -323,7 +334,7 @@ func (e *skelEngine) evalScan(st *Step) (*subResult, error) {
 	if e.cache != nil && e.templates {
 		if tm, ok := scanTemplateOf(t, refs, filterPos); ok {
 			tmpl, tmplOK = tm, true
-			if tc, hit := e.cache.getTemplate(tm); hit {
+			if tc, hit := e.cache.getTemplate(e.prefix, tm); hit {
 				if sub := refineCachedTemplate(e.skelScratch, tc, tm, t.Filters, key); sub != nil {
 					// Same charge as computing or an exact hit: budget
 					// verdicts stay independent of how the result arrived.
@@ -377,7 +388,7 @@ func (e *skelEngine) evalScan(st *Step) (*subResult, error) {
 	if e.cache != nil {
 		e.cache.putSub(key, sub)
 		if tmplOK {
-			e.cache.putTemplate(key, tmpl, len(sel), gatherColsAt(cs, poss, sel), gatherColsAt(cs, tmpl.fpos, sel))
+			e.cache.putTemplate(e.prefix, key, tmpl, len(sel), gatherColsAt(cs, poss, sel), gatherColsAt(cs, tmpl.fpos, sel))
 		}
 	}
 	return sub, nil

@@ -113,14 +113,14 @@ func TestCountSkeletonMatchesVolcano(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		cat := skelCatalog(t, seed, 400)
 		q := skelQuery()
-		cache := NewSkeletonCache()
+		cache := NewSkeletonCache(0, 0)
 		for pi, p := range skelPlans(cat, q) {
 			res, err := Run(p, cat, Options{CountOnly: true})
 			if err != nil {
 				t.Fatalf("seed %d plan %d volcano: %v", seed, pi, err)
 			}
 			for _, skel := range []*SkeletonCache{nil, cache} {
-				counts, err := CountSkeleton(p, cat.Table, skel)
+				counts, err := countSkeleton(p, cat.Table, skel)
 				if err != nil {
 					t.Fatalf("seed %d plan %d skeleton: %v", seed, pi, err)
 				}
@@ -145,13 +145,13 @@ func TestCountSkeletonCacheReuses(t *testing.T) {
 	cat := skelCatalog(t, 3, 400)
 	q := skelQuery()
 	plans := skelPlans(cat, q)
-	cache := NewSkeletonCache()
-	if _, err := CountSkeleton(plans[0], cat.Table, cache); err != nil {
+	cache := NewSkeletonCache(0, 0)
+	if _, err := countSkeleton(plans[0], cat.Table, cache); err != nil {
 		t.Fatal(err)
 	}
 	before := cache.Len()
 	// Same plan again: fully cached, no new entries.
-	counts, err := CountSkeleton(plans[0], cat.Table, cache)
+	counts, err := countSkeleton(plans[0], cat.Table, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCountSkeletonCacheReuses(t *testing.T) {
 	})
 	// A swapped-leaves order shares the {t1,t2} and {t1,t2,t3} logical
 	// subtrees; only genuinely new leaf signatures may be added.
-	if _, err := CountSkeleton(plans[1], cat.Table, cache); err != nil {
+	if _, err := countSkeleton(plans[1], cat.Table, cache); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Len() != before {
@@ -189,15 +189,15 @@ func TestCountSkeletonDeterministicAcrossWorkers(t *testing.T) {
 	cat := skelCatalog(t, 7, 1500)
 	plans := skelPlans(cat, skelQuery())
 	base := make([]map[plan.Node]int64, len(plans))
-	seqCache := NewSkeletonCache()
+	seqCache := NewSkeletonCache(0, 0)
 	for pi, p := range plans {
 		var err error
-		if base[pi], err = CountSkeleton(p, cat.Table, seqCache); err != nil {
+		if base[pi], err = countSkeleton(p, cat.Table, seqCache); err != nil {
 			t.Fatalf("plan %d sequential: %v", pi, err)
 		}
 	}
 	for _, shared := range []bool{true, false} {
-		cache := NewSkeletonCache()
+		cache := NewSkeletonCache(0, 0)
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
 			wg.Add(1)
@@ -205,13 +205,13 @@ func TestCountSkeletonDeterministicAcrossWorkers(t *testing.T) {
 				defer wg.Done()
 				c := cache
 				if !shared {
-					c = NewSkeletonCache()
+					c = NewSkeletonCache(0, 0)
 				}
 				// Each caller starts at a different plan, so they meet
 				// on the shared subtrees from different directions.
 				for k := range plans {
 					pi := (k + w) % len(plans)
-					got, err := CountSkeleton(plans[pi], cat.Table, c)
+					got, err := countSkeleton(plans[pi], cat.Table, c)
 					if err != nil {
 						t.Errorf("shared=%v caller %d plan %d: %v", shared, w, pi, err)
 						return
@@ -248,7 +248,7 @@ func TestCountSkeletonUnsupportedSchemaResolution(t *testing.T) {
 			Col: sql.ColRef{Table: scan.Alias, Column: "no_such_column"},
 			Op:  sql.OpEq, Value: rel.Int(1),
 		})
-		_, err := CountSkeleton(p, cat.Table, nil)
+		_, err := countSkeleton(p, cat.Table, nil)
 		if !errors.Is(err, ErrSkeletonUnsupported) {
 			t.Fatalf("want ErrSkeletonUnsupported for unresolvable filter column, got %v", err)
 		}
@@ -264,7 +264,7 @@ func TestCountSkeletonUnsupportedSchemaResolution(t *testing.T) {
 			Right: sql.ColRef{Table: "t3", Column: "k2"},
 		})
 		p := skelPlans(cat, q2)[0]
-		_, err := CountSkeleton(p, cat.Table, nil)
+		_, err := countSkeleton(p, cat.Table, nil)
 		if !errors.Is(err, ErrSkeletonUnsupported) {
 			t.Fatalf("want ErrSkeletonUnsupported for unresolvable boundary column, got %v", err)
 		}
@@ -366,7 +366,7 @@ func TestHashJoinNullNeverMatches(t *testing.T) {
 		},
 		Query: q,
 	}
-	counts2, err := CountSkeleton(p, cat.Table, nil)
+	counts2, err := countSkeleton(p, cat.Table, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestHashJoinCrossKindNumericKeys(t *testing.T) {
 		},
 		Query: q,
 	}
-	counts2, err := CountSkeleton(p, cat.Table, nil)
+	counts2, err := countSkeleton(p, cat.Table, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

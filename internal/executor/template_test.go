@@ -109,11 +109,11 @@ func TestTemplateIndexCollision(t *testing.T) {
 	if !ok {
 		t.Fatal("scan must canonicalize")
 	}
-	cache := NewSkeletonCache()
+	cache := NewSkeletonCache(0, 0)
 	sub := &subResult{sig: "k", count: 1}
 	cache.putSub("k", sub)
-	cache.putTemplate("k", tm, 1, nil, nil)
-	if _, hit := cache.getTemplate(tm); !hit {
+	cache.putTemplate(testPrefix, "k", tm, 1, nil, nil)
+	if _, hit := cache.getTemplate(testPrefix, tm); !hit {
 		t.Fatal("exact template must hit its own entry")
 	}
 
@@ -122,7 +122,7 @@ func TestTemplateIndexCollision(t *testing.T) {
 	forged := tm
 	forged.sig = tm.sig + "#forged"
 	forged.fp = tm.fp
-	if _, hit := cache.getTemplate(forged); hit {
+	if _, hit := cache.getTemplate(testPrefix, forged); hit {
 		t.Fatal("colliding fingerprint with different signature must miss")
 	}
 }
@@ -198,7 +198,7 @@ func TestTemplateBatchMatchesSolo(t *testing.T) {
 		// Reference: solo sequential runs, no cache, no sharing.
 		want := make([]map[plan.Node]int64, len(plans))
 		for pi, p := range plans {
-			counts, err := CountSkeleton(p, cat.Table, nil)
+			counts, err := countSkeleton(p, cat.Table, nil)
 			if err != nil {
 				t.Fatalf("seed %d plan %d solo: %v", seed, pi, err)
 			}
@@ -207,7 +207,7 @@ func TestTemplateBatchMatchesSolo(t *testing.T) {
 
 		check := func(label string, cache *SkeletonCache, cfg SkelConfig) {
 			t.Helper()
-			got, perPlan, err := CountSkeletonBatchCfg(ctx, batchOf(plans, cache), cat.Table, cfg)
+			got, perPlan, err := countBatch(ctx, batchOf(plans, cache), cat.Table, cfg)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, label, err)
 			}
@@ -230,7 +230,7 @@ func TestTemplateBatchMatchesSolo(t *testing.T) {
 
 			check(label+" uncached", nil, cfg)
 
-			cache := NewSkeletonCache()
+			cache := NewSkeletonCache(0, 0)
 			check(label+" cold-cache", cache, cfg)
 			if hits, _ := cache.TemplateStats(); hits != int64(len(plans)-1) {
 				t.Errorf("seed %d %s: %d template hits, want every instance after the loosest (%d) refined from it",
@@ -244,7 +244,7 @@ func TestTemplateBatchMatchesSolo(t *testing.T) {
 			}
 
 			// Cross-check: sharing off over the same shape must agree.
-			check(label+" sharing-off", NewSkeletonCache(), SkelConfig{Shards: shards})
+			check(label+" sharing-off", NewSkeletonCache(0, 0), SkelConfig{Shards: shards})
 		}
 	}
 }
@@ -257,22 +257,22 @@ func TestTemplateBatchMatchesSolo(t *testing.T) {
 func TestTemplateCacheRefinesNearMiss(t *testing.T) {
 	cat := skelCatalog(t, 11, 400)
 	ctx := context.Background()
-	cache := NewSkeletonCache()
+	cache := NewSkeletonCache(0, 0)
 	cfg := SkelConfig{Templates: true}
 
 	seedPlan := planFor(cat, skelQueryFiltered(60))
-	if _, perPlan, err := CountSkeletonBatchCfg(ctx, []BatchPlan{{Plan: seedPlan, Cache: cache}}, cat.Table, cfg); err != nil || perPlan[0] != nil {
+	if _, perPlan, err := countBatch(ctx, []BatchPlan{prep(seedPlan, cache)}, cat.Table, cfg); err != nil || perPlan[0] != nil {
 		t.Fatalf("seed batch: %v / %v", err, perPlan)
 	}
 
 	// Tighter constant: contained by the cached v < 60 instance.
 	near := planFor(cat, skelQueryFiltered(45))
-	want, err := CountSkeleton(near, cat.Table, nil)
+	want, err := countSkeleton(near, cat.Table, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hits0, _ := cache.TemplateStats()
-	got, perPlan, err := CountSkeletonBatchCfg(ctx, []BatchPlan{{Plan: near, Cache: cache}}, cat.Table, cfg)
+	got, perPlan, err := countBatch(ctx, []BatchPlan{prep(near, cache)}, cat.Table, cfg)
 	if err != nil || perPlan[0] != nil {
 		t.Fatalf("near-miss batch: %v / %v", err, perPlan)
 	}
@@ -288,11 +288,11 @@ func TestTemplateCacheRefinesNearMiss(t *testing.T) {
 
 	// Looser constant: NOT contained; must compute fresh and stay right.
 	loose := planFor(cat, skelQueryFiltered(85))
-	wantLoose, err := CountSkeleton(loose, cat.Table, nil)
+	wantLoose, err := countSkeleton(loose, cat.Table, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, perPlan, err = CountSkeletonBatchCfg(ctx, []BatchPlan{{Plan: loose, Cache: cache}}, cat.Table, cfg)
+	got, perPlan, err = countBatch(ctx, []BatchPlan{prep(loose, cache)}, cat.Table, cfg)
 	if err != nil || perPlan[0] != nil {
 		t.Fatalf("loose batch: %v / %v", err, perPlan)
 	}
@@ -306,11 +306,11 @@ func TestTemplateCacheRefinesNearMiss(t *testing.T) {
 	// too, byte-identically.
 	shCfg := SkelConfig{Shards: 2, Templates: true}
 	near2 := planFor(cat, skelQueryFiltered(40))
-	want2, err := CountSkeleton(near2, cat.Table, nil)
+	want2, err := countSkeleton(near2, cat.Table, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts, err := CountSkeletonCfg(ctx, near2, cat.Table, cache, shCfg)
+	counts, err := countSkeletonCfg(ctx, near2, cat.Table, cache, shCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,15 +341,15 @@ func TestPanicTemplateScanFailsOnlyRiders(t *testing.T) {
 	wants := make([]map[plan.Node]int64, 3)
 	for i, p := range []*plan.Plan{riderA, riderB, other} {
 		var err error
-		if wants[i], err = CountSkeleton(p, cat.Table, nil); err != nil {
+		if wants[i], err = countSkeleton(p, cat.Table, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	cfg := SkelConfig{Templates: true}
-	cache := NewSkeletonCache()
+	cache := NewSkeletonCache(0, 0)
 	bplans := []BatchPlan{
-		{Plan: riderA, Cache: cache}, {Plan: riderB, Cache: cache}, {Plan: other, Cache: cache},
+		prep(riderA, cache), prep(riderB, cache), prep(other, cache),
 	}
 	func() {
 		var fi faultinject.Set
@@ -358,7 +358,7 @@ func TestPanicTemplateScanFailsOnlyRiders(t *testing.T) {
 		// plan never match.
 		fi.PanicAt(faultinject.SkelNode, "t1.v < 52")
 		defer fi.Activate()()
-		counts, perPlan, berr := CountSkeletonBatchCfg(ctx, bplans, cat.Table, cfg)
+		counts, perPlan, berr := countBatch(ctx, bplans, cat.Table, cfg)
 		if berr != nil {
 			t.Fatalf("batch error %v, want per-plan isolation", berr)
 		}
@@ -383,7 +383,7 @@ func TestPanicTemplateScanFailsOnlyRiders(t *testing.T) {
 	// Injection gone: the same cache serves everyone — the panicking
 	// instance stored nothing — and the tighter instance now cached
 	// does not contain the looser one, which scans.
-	counts, perPlan, err := CountSkeletonBatchCfg(ctx, bplans, cat.Table, cfg)
+	counts, perPlan, err := countBatch(ctx, bplans, cat.Table, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

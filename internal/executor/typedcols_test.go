@@ -215,18 +215,18 @@ func TestTypedColumnEdgeCases(t *testing.T) {
 		for _, shards := range []int{1, 4} {
 			for _, templates := range []bool{false, true} {
 				cfg := SkelConfig{Shards: shards, Templates: templates}
-				single, batch := NewSkeletonCache(), NewSkeletonCache()
+				single, batch := NewSkeletonCache(0, 0), NewSkeletonCache(0, 0)
 				for _, state := range []string{"cold", "warm"} {
 					label := fmt.Sprintf("shards=%d templates=%v %s", shards, templates, state)
 					for pi, p := range plans {
-						got, err := CountSkeletonCfg(ctx, p, cat.Table, single, cfg)
+						got, err := countSkeletonCfg(ctx, p, cat.Table, single, cfg)
 						if err != nil {
 							t.Fatalf("%s [%s single]: %v", ec.name, label, err)
 						}
 						check(label+" single", pi, got)
 					}
-					bps := []BatchPlan{{Plan: plans[0], Cache: batch}, {Plan: plans[1], Cache: batch}}
-					got, perPlan, err := CountSkeletonBatchCfg(ctx, bps, cat.Table, cfg)
+					bps := []BatchPlan{prep(plans[0], batch), prep(plans[1], batch)}
+					got, perPlan, err := countBatch(ctx, bps, cat.Table, cfg)
 					if err != nil {
 						t.Fatalf("%s [%s batch]: %v", ec.name, label, err)
 					}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"reopt/internal/catalog"
+	"reopt/internal/executor"
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
 	"reopt/internal/workload/ott"
@@ -35,13 +36,18 @@ func batchSetup(t testing.TB, count int) (*catalog.Catalog, []*plan.Plan) {
 	return cat, plans
 }
 
-// estimatePlans validates plans against cache with the default config.
-func estimatePlans(plans []*plan.Plan, cat *catalog.Catalog, cache Cache) ([]*Estimate, error) {
-	return EstimatePlansCfg(context.Background(), plans, cat, cache, ValidateConfig{})
+// perRun returns a re-optimization's private store: the one store,
+// unbounded.
+func perRun() *WorkloadCache { return executor.NewSkeletonCache(0, 0) }
+
+// estimatePlans validates plans through store (nil: uncached) with the
+// default config, each plan prepared for its own query.
+func estimatePlans(plans []*plan.Plan, cat *catalog.Catalog, store *WorkloadCache) ([]*Estimate, error) {
+	return EstimatePlansCfg(context.Background(), plans, cat, Prepare(nil, store), ValidateConfig{})
 }
 
 // estimateOne is estimatePlans over the one plan.
-func estimateOne(p *plan.Plan, cat *catalog.Catalog, cache Cache) (*Estimate, error) {
+func estimateOne(p *plan.Plan, cat *catalog.Catalog, cache *WorkloadCache) (*Estimate, error) {
 	ests, err := estimatePlans([]*plan.Plan{p}, cat, cache)
 	if err != nil {
 		return nil, err
@@ -65,9 +71,9 @@ func TestEstimatePlansMatchesSequential(t *testing.T) {
 		want[i] = e
 	}
 
-	caches := map[string]Cache{
+	caches := map[string]*WorkloadCache{
 		"nil":      nil,
-		"perrun":   NewValidationCache(),
+		"perrun":   perRun(),
 		"workload": NewWorkloadCache(0),
 	}
 	for name, cache := range caches {
@@ -109,7 +115,7 @@ func TestEstimatePlansFallsBackPerPlan(t *testing.T) {
 			t.Fatalf("plan %d sequential: %v", i, err)
 		}
 	}
-	got, err := estimatePlans(mixed, cat, NewValidationCache())
+	got, err := estimatePlans(mixed, cat, perRun())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +126,9 @@ func TestEstimatePlansFallsBackPerPlan(t *testing.T) {
 	// The same three plans as three requesters' groups: a workload-cache
 	// holder, an uncached one holding the unsupported plan, a per-run one.
 	groups := []PlanGroup{
-		{Plans: mixed[:1], Cache: NewWorkloadCache(0)},
+		{Plans: mixed[:1], Cache: Prepare(nil, NewWorkloadCache(0))},
 		{Plans: mixed[1:2]},
-		{Plans: mixed[2:], Cache: NewValidationCache()},
+		{Plans: mixed[2:], Cache: Prepare(mixed[2].Query, perRun())},
 	}
 	ests, perGroup, err := EstimatePlanGroupsCfg(context.Background(), groups, cat, ValidateConfig{})
 	if err != nil {
@@ -236,5 +242,27 @@ func TestWorkloadCacheEviction(t *testing.T) {
 		if wc.Len() > 3 {
 			t.Fatalf("cache exceeded its budget: %d entries", wc.Len())
 		}
+	}
+}
+
+// TestEmptyPlanGroups: a call whose groups hold no plans validates
+// nothing and answers every group empty — directly, and as a lone
+// scheduler request, which runs the same call on the requester's
+// goroutine.
+func TestEmptyPlanGroups(t *testing.T) {
+	cat, _ := batchSetup(t, 1)
+	ests, perGroup, err := EstimatePlanGroupsCfg(context.Background(), []PlanGroup{{}, {Cache: Prepare(nil, perRun())}}, cat, ValidateConfig{})
+	if err != nil || len(ests) != 2 || len(perGroup) != 2 {
+		t.Fatalf("two empty groups: %d estimate groups, %v, %v", len(ests), perGroup, err)
+	}
+	for gi := range ests {
+		if len(ests[gi]) != 0 || perGroup[gi] != nil {
+			t.Fatalf("empty group %d: %d estimates, %v", gi, len(ests[gi]), perGroup[gi])
+		}
+	}
+	c := NewScheduler(cat, 0, 0).Register()
+	defer c.Close()
+	if got, err := c.ValidatePlans(context.Background(), nil, nil); got != nil || err != nil {
+		t.Fatalf("lone empty request: %v, %v", got, err)
 	}
 }

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -57,7 +58,7 @@ func TestFastPathMatchesVolcano(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := optimizer.New(tc.cat, optimizer.DefaultConfig())
-			cache := NewValidationCache()
+			cache := perRun()
 			for qi, q := range tc.qs {
 				p, err := opt.Optimize(q, nil)
 				if err != nil {
@@ -144,7 +145,7 @@ func TestFastPathDeterministicAcrossWorkers(t *testing.T) {
 	opt := optimizer.New(cat, optimizer.DefaultConfig())
 	plans := make([]*plan.Plan, len(qs))
 	base := make([]*Estimate, len(qs))
-	seq := NewValidationCache()
+	seq := perRun()
 	for qi, q := range qs {
 		if plans[qi], err = opt.Optimize(q, nil); err != nil {
 			t.Fatalf("query %d: %v", qi, err)
@@ -154,7 +155,7 @@ func TestFastPathDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	for _, shared := range []bool{true, false} {
-		cache := NewValidationCache()
+		cache := perRun()
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
 			wg.Add(1)
@@ -162,7 +163,7 @@ func TestFastPathDeterministicAcrossWorkers(t *testing.T) {
 				defer wg.Done()
 				c := cache
 				if !shared {
-					c = NewValidationCache()
+					c = perRun()
 				}
 				for k := range plans {
 					qi := (k + w) % len(plans)
@@ -299,10 +300,11 @@ func TestExactnessRuleForHandBuiltPlans(t *testing.T) {
 		"predicate the query does not have": join(join(join(scan("x"), scan("y"), xy, extra), scan("z"), yz, xz), scan("w"), zw),
 	} {
 		handBuilt := &plan.Plan{Root: root, Query: q}
-		if _, err := executor.CountSkeleton(handBuilt, cat.Sample, nil); !errors.Is(err, executor.ErrSkeletonUnsupported) {
+		_, perPlan, err := executor.CountSkeletonSteps(context.Background(), []executor.BatchPlan{{Plan: handBuilt, Prep: executor.NewPrepared(q, nil, 0, nil)}}, cat.Sample, executor.SkelConfig{})
+		if err != nil || !errors.Is(perPlan[0], executor.ErrSkeletonUnsupported) {
 			t.Fatalf("%s: count engine: %v, want ErrSkeletonUnsupported", name, err)
 		}
-		cache := NewValidationCache()
+		cache := perRun()
 		got, err := estimateOne(handBuilt, cat, cache)
 		if err != nil {
 			t.Fatal(err)

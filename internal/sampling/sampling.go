@@ -5,6 +5,12 @@
 // inverse sampling fractions. One execution of the skeleton yields the
 // estimate for *every* join subtree of the plan at once — the Δ of
 // Algorithm 1 (GetCardinalityEstimatesBySampling).
+//
+// Reuse across rounds and queries goes through one store — the
+// executor's SkeletonCache, which WorkloadCache names — reached through
+// one per-request handle: Prepare(q, store) returns the Cache that binds
+// q's prepared validation state, the store, and the catalog's current
+// sample epoch (DESIGN.md §2, §11).
 package sampling
 
 import (
@@ -47,49 +53,6 @@ type Estimate struct {
 	Sets []optimizer.SetRows
 }
 
-// Cache is the contract shared by the validation-cache scopes the
-// estimator accepts: the per-re-optimization ValidationCache, the
-// cross-query WorkloadCache, and either bound to one query's prepared
-// validation state (Prepare). The interface is sealed because cache
-// keying is entangled with the engine's signature scheme.
-type Cache interface {
-	// skeleton returns the executor-level cache to run against,
-	// namespaced for the catalog's current sample set.
-	skeleton(cat *catalog.Catalog) *executor.SkeletonCache
-}
-
-// ValidationCache carries skeleton sub-results and build-side hash
-// tables across the validation rounds of one re-optimization, so a round
-// whose plan shares join subtrees with previously validated plans reuses
-// their sample counts instead of re-executing them. A cache must only be
-// shared between validations of the same query over the same samples;
-// for a cache that outlives one re-optimization, use WorkloadCache.
-type ValidationCache struct {
-	skel *executor.SkeletonCache
-}
-
-// NewValidationCache returns an empty cache.
-func NewValidationCache() *ValidationCache {
-	return &ValidationCache{skel: executor.NewSkeletonCache()}
-}
-
-// Len returns the number of cached subtree results (diagnostics).
-func (c *ValidationCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	return c.skel.Len()
-}
-
-// skeleton implements Cache. The per-re-optimization scope never
-// outlives a sample set, so no epoch namespacing is needed.
-func (c *ValidationCache) skeleton(*catalog.Catalog) *executor.SkeletonCache {
-	if c == nil {
-		return nil
-	}
-	return c.skel
-}
-
 // EstimatePlan validates p's join skeleton over the catalog's samples,
 // uncached and with the default config. The skeleton keeps the plan's join
 // tree and all predicates but swaps every physical choice for
@@ -111,12 +74,12 @@ type ValidateConfig = executor.SkelConfig
 // EstimatePlansCfg validates several plans' join skeletons over the
 // catalog's samples, one after another on the calling goroutine
 // (executor.CountSkeletonSteps); subtrees the plans share are computed
-// once when cache — a ValidationCache, a WorkloadCache, or nil — is there
-// to carry them. The returned estimates are positional and byte-identical
-// — Delta for Delta, SampleRows for SampleRows — to validating each plan
-// alone, in order, against the same cache; Duration is the call's total
-// time amortized equally across the plans. Plans the count-only engine
-// cannot run fall back to the general executor individually, uncached.
+// once when cache — a handle from Prepare, or nil — has a store to carry
+// them. The returned estimates are positional and byte-identical — Delta
+// for Delta, SampleRows for SampleRows — to validating each plan alone,
+// in order, against the same cache; Duration is the call's total time
+// amortized equally across the plans. Plans the count-only engine cannot
+// run fall back to the general executor individually, uncached.
 //
 // ctx reaches the engine (checked before every step) and the per-plan
 // fallbacks, so a cancelled ctx aborts the call with ctx.Err()
@@ -141,9 +104,9 @@ func EstimatePlansCfg(ctx context.Context, plans []*plan.Plan, cat *catalog.Cata
 }
 
 // PlanGroup is one requester's share of a cross-query validation call:
-// the plans it wants validated and the cache those validations read and
-// charge. Groups of one call may carry different caches — per-query
-// ValidationCaches, views of one WorkloadCache, or nil.
+// the plans it wants validated and the cache handle those validations
+// read and charge. Groups of one call may carry different handles — over
+// per-run stores, over one shared WorkloadCache, or nil.
 type PlanGroup struct {
 	Plans []*plan.Plan
 	Cache Cache
@@ -174,12 +137,17 @@ func EstimatePlanGroupsCfg(ctx context.Context, groups []PlanGroup, cat *catalog
 	for _, g := range groups {
 		total += len(g.Plans)
 	}
+	ests = make([][]*Estimate, len(groups))
+	perGroup = make([]error, len(groups))
+	if total == 0 {
+		return ests, perGroup, nil
+	}
 	bplans := make([]executor.BatchPlan, 0, total)
 	for _, g := range groups {
 		for _, p := range g.Plans {
-			view, verr := viewFor(g.Cache, p.Query, cat)
-			if verr != nil {
-				return nil, nil, verr
+			prep, perr := g.Cache.prepared(p.Query, cat)
+			if perr != nil {
+				return nil, nil, perr
 			}
 			// Only join cardinalities are validated (§2): the count engine
 			// sees the plan below its aggregate, physical choices and all —
@@ -187,7 +155,7 @@ func EstimatePlanGroupsCfg(ctx context.Context, groups []PlanGroup, cat *catalog
 			if agg, ok := p.Root.(*plan.AggregateNode); ok {
 				p = &plan.Plan{Root: agg.Child, Query: p.Query}
 			}
-			bplans = append(bplans, executor.BatchPlan{Plan: p, Cache: view})
+			bplans = append(bplans, executor.BatchPlan{Plan: p, Prep: prep})
 		}
 	}
 	var steps [][]executor.Step
@@ -205,8 +173,6 @@ func EstimatePlanGroupsCfg(ctx context.Context, groups []PlanGroup, cat *catalog
 			perPlan[i] = executor.ErrSkeletonUnsupported
 		}
 	}
-	ests = make([][]*Estimate, len(groups))
-	perGroup = make([]error, len(groups))
 	pos := 0
 	for gi, g := range groups {
 		ests[gi] = make([]*Estimate, len(g.Plans))
@@ -240,48 +206,58 @@ func EstimatePlanGroupsCfg(ctx context.Context, groups []PlanGroup, cat *catalog
 	return ests, perGroup, nil
 }
 
-// prepared is a Cache bound to one query's prepared validation state
-// (executor.Prepared, DESIGN.md §11): whatever validates that query's
-// plans through it — directly, or as one request of a scheduler wave —
-// derives the query's signatures, cache keys, join resolutions and scale
-// factors once per request instead of once per round.
-type prepared struct {
-	base Cache
-	q    *sql.Query
+// Cache is one request's handle on validation (DESIGN.md §11): the
+// store it validates through and the prepared state of its query —
+// signatures, cache keys, join resolutions and the per-table scale
+// factors |R| / |R^s|, derived once per request instead of once per
+// round. Prepare makes one; nil validates every plan uncached.
+type Cache = *handle
+
+type handle struct {
+	q     *sql.Query
+	store *WorkloadCache // nil: uncached
 
 	mu    sync.Mutex
-	epoch uint64                  // the sample set view was made for
-	view  *executor.SkeletonCache // base's view for that sample set, carrying the state
+	epoch uint64             // the sample set prep was made for
+	prep  *executor.Prepared // q's state over those samples
 }
 
-// Prepare returns cache (not nil) bound to a prepared validation state
-// for q. The state lives as long as the returned value — make one per
-// request — and follows the catalog's sample epoch: validating after a
-// BuildSamples starts it afresh.
-func Prepare(q *sql.Query, cache Cache) Cache { return &prepared{base: cache, q: q} }
-
-// skeleton implements Cache with the underlying cache's view; the
-// estimator asks viewFor for the one that carries the state.
-func (p *prepared) skeleton(cat *catalog.Catalog) *executor.SkeletonCache {
-	return p.base.skeleton(cat)
+// Prepare returns the handle q's validations go through, over store (nil
+// caches nothing; a re-optimization's private store is an unbounded
+// executor.NewSkeletonCache). The handle lives as long as the request —
+// make one per request — and follows the catalog's sample epoch:
+// validating after a BuildSamples prepares q afresh. Plans of other
+// queries validate through the same store with a state prepared for
+// them alone.
+func Prepare(q *sql.Query, store *WorkloadCache) Cache {
+	return &handle{q: q, store: store}
 }
 
-// viewFor returns the engine-level view q's plans validate through: the
-// one cache was prepared with, when that is q's and still current,
-// otherwise a fresh one over cache's view, carrying the per-alias scale
-// factors |R| / |R^s| of the catalog's current samples.
-func viewFor(cache Cache, q *sql.Query, cat *catalog.Catalog) (*executor.SkeletonCache, error) {
-	p, _ := cache.(*prepared)
-	if p != nil && p.q == q {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if p.view != nil && p.epoch == cat.SampleEpoch() {
-			return p.view, nil
-		}
-		cache = p.base
-	} else {
-		p = nil
+// prepared returns the executor handle a plan of q validates through:
+// the one kept for c's query, while the samples are the ones it was made
+// for, otherwise a fresh one over c's store for the current samples.
+func (c *handle) prepared(q *sql.Query, cat *catalog.Catalog) (*executor.Prepared, error) {
+	if c == nil {
+		return newPrepared(q, nil, cat)
 	}
+	if c.q != q {
+		return newPrepared(q, c.store, cat)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if epoch := cat.SampleEpoch(); c.prep == nil || c.epoch != epoch {
+		prep, err := newPrepared(q, c.store, cat)
+		if err != nil {
+			return nil, err
+		}
+		c.prep, c.epoch = prep, epoch
+	}
+	return c.prep, nil
+}
+
+// newPrepared prepares q over store for the catalog's current samples,
+// with the per-alias scale factors |R| / |R^s| they imply.
+func newPrepared(q *sql.Query, store *WorkloadCache, cat *catalog.Catalog) (*executor.Prepared, error) {
 	scales := make([]float64, len(q.Tables))
 	for i, tr := range q.Tables {
 		base, err := cat.Table(tr.Name)
@@ -301,15 +277,7 @@ func viewFor(cache Cache, q *sql.Query, cat *catalog.Catalog) (*executor.Skeleto
 			scales[i] = 1 / cat.SampleRatio()
 		}
 	}
-	var skel *executor.SkeletonCache
-	if cache != nil {
-		skel = cache.skeleton(cat)
-	}
-	view := skel.Prepared(q, scales)
-	if p != nil {
-		p.view, p.epoch = view, cat.SampleEpoch()
-	}
-	return view, nil
+	return executor.NewPrepared(q, store, cat.SampleEpoch(), scales), nil
 }
 
 // estimateFromSteps scales a skeleton run's raw sample counts into the Δ
@@ -360,7 +328,7 @@ func volcanoSteps(ctx context.Context, bp executor.BatchPlan, cat *catalog.Catal
 	if err != nil {
 		return nil, err
 	}
-	steps, err := bp.Cache.Outline(sp)
+	steps, err := bp.Prep.Outline(sp)
 	if err != nil {
 		return nil, err
 	}

@@ -66,7 +66,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 			s := NewScheduler(cat, w, hugeWindow)
 			var shared Cache
 			if cacheMode == "workload" {
-				shared = NewWorkloadCache(0)
+				shared = Prepare(nil, NewWorkloadCache(0))
 			}
 			var wg sync.WaitGroup
 			errs := make([]error, len(plans))
@@ -77,7 +77,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 					defer wg.Done()
 					cache := shared
 					if cacheMode == "perrun" {
-						cache = NewValidationCache()
+						cache = Prepare(plans[i].Query, perRun())
 					}
 					got[i], errs[i] = schedValidate(s, context.Background(), plans[i:i+1], cache)
 				}(i)

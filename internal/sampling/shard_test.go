@@ -29,15 +29,15 @@ func TestShardedEstimatesIdentical(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 3, runtime.NumCPU()} {
-		caches := map[string]Cache{
+		caches := map[string]*WorkloadCache{
 			"nil":      nil,
-			"perrun":   NewValidationCache(),
+			"perrun":   perRun(),
 			"workload": NewWorkloadCache(0),
 		}
 		for name, cache := range caches {
 			mode := fmt.Sprintf("shards=%d cache=%s", shards, name)
 			cfg := ValidateConfig{Shards: shards}
-			got, err := EstimatePlansCfg(ctx, plans, cat, cache, cfg)
+			got, err := EstimatePlansCfg(ctx, plans, cat, Prepare(nil, cache), cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", mode, err)
 			}
@@ -47,7 +47,7 @@ func TestShardedEstimatesIdentical(t *testing.T) {
 			if cache == nil {
 				continue
 			}
-			got, err = EstimatePlansCfg(ctx, plans, cat, cache, cfg)
+			got, err = EstimatePlansCfg(ctx, plans, cat, Prepare(nil, cache), cfg)
 			if err != nil {
 				t.Fatalf("%s warm: %v", mode, err)
 			}
@@ -68,13 +68,13 @@ func TestShardedCacheInterchangeable(t *testing.T) {
 
 	for _, dir := range []struct{ warm, read int }{{1, 4}, {4, 1}, {2, 3}} {
 		wc := NewWorkloadCache(0)
-		cold, err := EstimatePlansCfg(ctx, plans, cat, wc, ValidateConfig{Shards: dir.warm})
+		cold, err := EstimatePlansCfg(ctx, plans, cat, Prepare(nil, wc), ValidateConfig{Shards: dir.warm})
 		if err != nil {
 			t.Fatal(err)
 		}
 		size := wc.Len()
 		hits0, _ := wc.Stats()
-		got, err := EstimatePlansCfg(ctx, plans, cat, wc, ValidateConfig{Shards: dir.read})
+		got, err := EstimatePlansCfg(ctx, plans, cat, Prepare(nil, wc), ValidateConfig{Shards: dir.read})
 		if err != nil {
 			t.Fatal(err)
 		}

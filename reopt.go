@@ -27,17 +27,19 @@
 //
 // # Migrating from the free functions
 //
-// The free-function API remains for one release of compatibility; each
-// function's deprecation note names its replacement:
+// Execute, EstimateBySampling and NewMidQueryExecutor are gone; the
+// free functions that remain are deprecated and kept only because the
+// end-to-end benchmark (bench/) still calls them. Each deprecation note
+// names its replacement:
 //
 //	NewOptimizer + NewReoptimizer + Reoptimize  ->  Open + Session.Reoptimize
 //	Reoptimizer.ReoptimizeMultiSeed             ->  Session.ReoptimizeMultiSeed
 //	Parse(src, cat)                             ->  Session.Parse(src)
-//	Execute(p, cat, opts)                       ->  Session.Execute(ctx, p, opts)
-//	EstimateBySampling(p, cat)                  ->  Session.Validate(ctx, p)
+//	Execute(p, cat, opts)                       ->  Session.Execute(ctx, p, opts)     (removed)
+//	EstimateBySampling(p, cat)                  ->  Session.Validate(ctx, p)          (removed)
 //	NewWorkloadCache + ReoptOptions.Cache       ->  Open(cat, WithSharedCache(n))
 //	ReoptOptions fields                         ->  WithMaxRounds / WithTimeout / WithConservative / WithSkipBelowCost
-//	NewMidQueryExecutor + Run                   ->  Session.MidQuery(ctx, q)
+//	NewMidQueryExecutor + Run                   ->  Session.MidQuery(ctx, q)          (removed)
 //
 // Failures are classified by the sentinels in errors.go (ErrNoSamples,
 // ErrUnsupportedPlan, ErrBudgetExceeded) — test with errors.Is.
@@ -150,10 +152,9 @@ type (
 	// SchedulerStats reports what a session's workload validation
 	// scheduler coalesced (see WithWorkloadScheduler).
 	SchedulerStats = sampling.SchedulerStats
-	// MidQueryExecutor is the runtime (mid-query) re-optimization
-	// baseline (Kabra-DeWitt / POP style) the paper compares against.
-	MidQueryExecutor = midquery.Executor
-	// MidQueryResult reports one runtime-re-optimized execution.
+	// MidQueryResult reports one runtime-re-optimized execution of the
+	// runtime (mid-query) re-optimization baseline (Kabra-DeWitt / POP
+	// style) the paper compares against.
 	MidQueryResult = midquery.Result
 )
 
@@ -201,6 +202,7 @@ const (
 // Parse parses and resolves a SQL query against the catalog.
 //
 // Deprecated: use Session.Parse, which binds the catalog once at Open.
+// Kept only because bench/ is its last caller.
 func Parse(src string, cat *Catalog) (*Query, error) { return sql.Parse(src, cat) }
 
 // DefaultOptimizerConfig returns the standard optimizer configuration
@@ -213,7 +215,8 @@ var DefaultUnits = cost.DefaultUnits
 // NewOptimizer returns an optimizer over the catalog.
 //
 // Deprecated: use Open with WithOptimizerConfig; Session.Optimizer
-// exposes the underlying optimizer where one is still needed.
+// exposes the underlying optimizer where one is still needed. Kept only
+// because bench/ is its last caller.
 func NewOptimizer(cat *Catalog, cfg OptimizerConfig) *Optimizer {
 	return optimizer.New(cat, cfg)
 }
@@ -221,32 +224,10 @@ func NewOptimizer(cat *Catalog, cfg OptimizerConfig) *Optimizer {
 // NewReoptimizer returns an Algorithm 1 runner with default options.
 //
 // Deprecated: use Open + Session.Reoptimize, which add context support,
-// concurrency safety, and the session's shared cache.
+// concurrency safety, and the session's shared cache. Kept only because
+// bench/ is its last caller.
 func NewReoptimizer(opt *Optimizer, cat *Catalog) *Reoptimizer {
 	return core.New(opt, cat)
-}
-
-// NewMidQueryExecutor returns the runtime re-optimization baseline.
-//
-// Deprecated: use Session.MidQuery.
-func NewMidQueryExecutor(opt *Optimizer, cat *Catalog) *MidQueryExecutor {
-	return midquery.New(opt, cat)
-}
-
-// Execute runs a plan against the catalog's base tables.
-//
-// Deprecated: use Session.Execute, which adds cancellation.
-func Execute(p *Plan, cat *Catalog, opts ExecOptions) (*ExecResult, error) {
-	return executor.Run(p, cat, opts)
-}
-
-// EstimateBySampling validates a plan's join skeleton over the
-// catalog's samples, returning Δ (per-relation-set cardinalities).
-//
-// Deprecated: use Session.Validate, which takes any number of plans and
-// adds cancellation and the session's shared cache.
-func EstimateBySampling(p *Plan, cat *Catalog) (*SamplingEstimate, error) {
-	return sampling.EstimatePlan(p, cat)
 }
 
 // NewWorkloadCache returns a workload-level validation cache for
@@ -258,7 +239,8 @@ func EstimateBySampling(p *Plan, cat *Catalog) (*SamplingEstimate, error) {
 // materialized values, see NewWorkloadCacheBudget.
 //
 // Deprecated: use Open(cat, WithSharedCache(n)) — or WithCache to hand
-// a Session an existing cache.
+// a Session an existing cache. Kept only because bench/ is its last
+// caller.
 func NewWorkloadCache(maxEntries int) *WorkloadCache {
 	return sampling.NewWorkloadCache(maxEntries)
 }

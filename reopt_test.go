@@ -1,6 +1,7 @@
 package reopt_test
 
 import (
+	"context"
 	"testing"
 
 	"reopt"
@@ -40,7 +41,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := reopt.Execute(p, cat, reopt.ExecOptions{CountOnly: true})
+	s, err := reopt.Open(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	res, err := s.Execute(ctx, p, reopt.ExecOptions{CountOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +62,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if !rres.Converged || rres.Final == nil {
 		t.Error("re-optimization should converge")
 	}
-	est, err := reopt.EstimateBySampling(p, cat)
+	ests, err := s.Validate(ctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(est.Delta) == 0 {
+	if len(ests[0].Delta) == 0 {
 		t.Error("sampling estimate empty")
 	}
 }

@@ -8,8 +8,8 @@ package reopt
 // embedding it in a server meant rediscovering the wiring in every
 // caller. Session collapses that surface: one goroutine-safe handle per
 // catalog that owns the optimizer and the workload-level validation
-// cache, and exposes the whole pipeline as context-aware methods. The free functions remain as
-// deprecated wrappers for one release of compatibility.
+// cache, and exposes the whole pipeline as context-aware methods. The
+// free functions that remain are deprecated wrappers kept only for bench/.
 
 import (
 	"context"
@@ -221,9 +221,9 @@ func WithTemplateSharing() SessionOption {
 // for sharing validation counts between sessions (e.g. two sessions
 // planning one catalog under different optimizer configurations), or
 // for keeping a cache alive across Session lifetimes. Sharing one cache
-// between sessions over different catalogs is safe: entries are
-// namespaced by each catalog's process-unique sample epoch through
-// per-run immutable views, so they can never serve each other's counts.
+// between sessions over different catalogs is safe: every key is
+// namespaced by the process-unique sample epoch of the catalog it was
+// computed on, so they can never serve each other's counts.
 // Overrides WithSharedCache budgets when both are given.
 func WithCache(cache *WorkloadCache) SessionOption {
 	return func(c *sessionConfig) { c.cache = cache }
@@ -417,9 +417,9 @@ func (s *Session) Reoptimize(ctx context.Context, q *Query, opts ...ReoptOption)
 // ReoptimizeMultiSeed runs Algorithm 1 from up to seeds distinct
 // initial plans (the §7 multi-candidate variant) and returns the run
 // whose final plan has the lowest sampled cost. Seeds share one
-// validation cache — and the session's cross-query cache, when
-// configured — and their round-1 candidates validate as one shared-scan
-// batch. Context, admission and panic-containment semantics match
+// validation cache and prepared state — and the session's cross-query
+// cache, when configured — so a later seed reuses what earlier seeds
+// validated. Context, admission and panic-containment semantics match
 // Reoptimize.
 func (s *Session) ReoptimizeMultiSeed(ctx context.Context, q *Query, seeds int, opts ...ReoptOption) (*ReoptResult, error) {
 	if err := s.adm.acquire(ctx); err != nil {
@@ -439,7 +439,7 @@ func (s *Session) ReoptimizeMultiSeed(ctx context.Context, q *Query, seeds int, 
 // counts persist for later (and concurrent) queries; without one, every
 // plan is validated from scratch. Cancelling ctx aborts the call
 // between two steps of a plan with ctx.Err() without poisoning the
-// cache. Validate subsumes the deprecated EstimateBySampling.
+// cache. Validate replaces the removed EstimateBySampling.
 //
 // The call is admission-gated like Reoptimize. Under WithMemoryBudget,
 // a validation that breaches the budget fails the call with an error
@@ -453,21 +453,17 @@ func (s *Session) Validate(ctx context.Context, plans ...*Plan) ([]*SamplingEsti
 		return nil, err
 	}
 	defer s.adm.release()
-	return sampling.EstimatePlansCfg(ctx, plans, s.cat, s.samplingCache(), sampling.ValidateConfig{
+	if len(plans) == 0 {
+		return nil, nil
+	}
+	// One handle for the call: plans of the first plan's query share its
+	// prepared state; any other query's plans are prepared on their own.
+	cache := sampling.Prepare(plans[0].Query, s.cache)
+	return sampling.EstimatePlansCfg(ctx, plans, s.cat, cache, sampling.ValidateConfig{
 		Shards:    s.shards,
 		MemBudget: s.memBudget,
 		Templates: s.templates,
 	})
-}
-
-// samplingCache adapts the session's optional shared cache to the
-// estimator's Cache interface; a typed nil inside a non-nil interface
-// would defeat the estimator's nil check, hence the explicit branch.
-func (s *Session) samplingCache() sampling.Cache {
-	if s.cache == nil {
-		return nil
-	}
-	return s.cache
 }
 
 // Execute runs a plan against the catalog's base tables. Cancelling ctx

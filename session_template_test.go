@@ -8,6 +8,7 @@ package reopt_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -148,5 +149,90 @@ func TestTemplateSharingSchedulerEquivalence(t *testing.T) {
 		if got[i].Gamma.Snapshot() != want[i].Gamma.Snapshot() {
 			t.Errorf("query %d: Gamma diverged under scheduler+templates", i)
 		}
+	}
+}
+
+// TestSharedCacheAcrossCatalogs: one WorkloadCache shared through
+// WithCache by two sessions over two catalogs whose tables have the same
+// names but different data. With template sharing on and calls
+// alternating between the sessions, every Validate and Reoptimize result
+// equals that session's own uncached run: sub-results, hash tables and
+// template entries are namespaced by each catalog's sample epoch, so
+// one catalog's counts can never serve the other's.
+func TestSharedCacheAcrossCatalogs(t *testing.T) {
+	ctx := context.Background()
+	shared := reopt.NewWorkloadCache(0)
+	ks := []int{40, 30, 25, 20}
+	type side struct {
+		s, ref  *reopt.Session
+		queries []*reopt.Query
+	}
+	var sides []side
+	for _, seed := range []int64{3, 4} {
+		cat, err := reopt.GenerateOTT(reopt.OTTConfig{Seed: seed, RowsPerValue: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := reopt.Open(cat, reopt.WithCache(shared), reopt.WithTemplateSharing())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := reopt.Open(cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sides = append(sides, side{s, ref, templateWorkload(t, cat, ks)})
+	}
+	differ := false
+	for pass := 0; pass < 2; pass++ {
+		for i := range ks {
+			var deltas [2]map[string]float64
+			for si, sd := range sides {
+				label := fmt.Sprintf("pass %d catalog %d query %d", pass, si, i)
+				q := sd.queries[i]
+				got, err := sd.s.Reoptimize(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := sd.ref.Reoptimize(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resultKey(got) != resultKey(want) {
+					t.Fatalf("%s: Reoptimize through the shared cache diverged from the uncached run", label)
+				}
+				plans := []*reopt.Plan{got.Final}
+				if p, err := sd.s.Optimize(q); err == nil {
+					plans = append(plans, p)
+				} else {
+					t.Fatal(err)
+				}
+				gotEst, err := sd.s.Validate(ctx, plans...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantEst, err := sd.ref.Validate(ctx, plans...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for pi := range plans {
+					if !reflect.DeepEqual(gotEst[pi].Delta, wantEst[pi].Delta) ||
+						!reflect.DeepEqual(gotEst[pi].SampleRows, wantEst[pi].SampleRows) {
+						t.Fatalf("%s plan %d: Validate through the shared cache diverged from the uncached run", label, pi)
+					}
+				}
+				deltas[si] = wantEst[1].Delta
+			}
+			differ = differ || !reflect.DeepEqual(deltas[0], deltas[1])
+		}
+	}
+	if !differ {
+		t.Fatal("the two catalogs validate alike: the test cannot tell their namespaces apart")
+	}
+	if hits, _ := shared.Stats(); hits == 0 {
+		t.Error("the shared cache served no sub-result")
+	}
+	if hits, _ := shared.TemplateStats(); hits == 0 {
+		t.Error("the template index served no scan")
 	}
 }

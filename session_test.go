@@ -113,12 +113,12 @@ func TestSessionValidateEquivalence(t *testing.T) {
 			t.Fatalf("workers=%d Validate: %v", w, err)
 		}
 		for i := range plans {
-			single, err := reopt.EstimateBySampling(plans[i], cat)
+			single, err := s.Validate(ctx, plans[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got[i].Delta, single.Delta) ||
-				!reflect.DeepEqual(got[i].SampleRows, single.SampleRows) {
+			if !reflect.DeepEqual(got[i].Delta, single[0].Delta) ||
+				!reflect.DeepEqual(got[i].SampleRows, single[0].SampleRows) {
 				t.Errorf("workers=%d plan %d: estimate diverged from single-plan path", w, i)
 			}
 		}
