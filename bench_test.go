@@ -486,16 +486,15 @@ func BenchmarkWorkloadScheduler(b *testing.B) {
 	}
 }
 
-// templateBenchQueries replays parametrized traffic: three query
-// templates over the OTT tables whose only varying part is a range
-// constant, instantiated arrivals times with Zipf-skewed constants and
-// Zipf-skewed template choice — the production shape template sharing
-// targets, where a handful of templates dominate and most instances
-// differ only in their constants. Constants stay selective (the loosest
-// is ~1/4 of the domain) so the sample scans they guard dominate the
-// joins above them.
-func templateBenchQueries(b *testing.B, cat *reopt.Catalog, arrivals int) []*reopt.Query {
-	b.Helper()
+// zipfQueries replays parametrized traffic: three query templates over
+// the OTT tables whose only varying part is a range constant,
+// instantiated arrivals times with Zipf-skewed constants and Zipf-skewed
+// template choice — the production shape, where a handful of templates
+// dominate and most instances differ only in their constants. Constants
+// stay selective (the loosest is ~1/4 of the domain) so the sample scans
+// they guard dominate the joins above them.
+func zipfQueries(tb testing.TB, cat *reopt.Catalog, arrivals int) []*reopt.Query {
+	tb.Helper()
 	// Anchor constants sit outside every range constant's reach, so the
 	// joins are empty — the paper's OTT queries are empty by
 	// construction too — and the validated work is the scans.
@@ -512,30 +511,21 @@ func templateBenchQueries(b *testing.B, cat *reopt.Catalog, arrivals int) []*reo
 		k := 2 + int(consts.Uint64()) // range constant k in [2, 40]
 		q, err := reopt.Parse(fmt.Sprintf(templates[tmpls.Uint64()], k, k), cat)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		qs[i] = q
 	}
 	return qs
 }
 
-// BenchmarkTemplateWorkload measures template-aware shared validation
-// on Zipf-skewed parametrized traffic (templateBenchQueries). Both
-// configurations run the workload scheduler over a shared WorkloadCache
-// — so exact-constant repeats replay cached counts either way — and
-// differ only in WithTemplateSharing. "off" validates every distinct
-// constant with its own scans; "on" groups a wave's same-template
-// instances behind one union scan refined per constant, and refines
-// near-miss constants from the cache's template index instead of
-// rescanning. Results are byte-identical in every cell; at
-// parallelism=1 waves are single requests so only the cache-index reuse
-// applies, and at parallelism >= 2 the in-wave union sharing comes on
-// top. tmplhit/op reports template-index hits per iteration.
+// BenchmarkTemplateWorkload measures validation of Zipf-skewed
+// parametrized traffic (zipfQueries) through the workload scheduler over
+// a shared WorkloadCache: exact-constant repeats replay cached counts,
+// every other constant scans.
 func BenchmarkTemplateWorkload(b *testing.B) {
-	// A denser sample than the micro-benchmarks': template sharing
-	// trades scan work for refinement work, so the benchmark needs the
-	// scans (which scale with the sample) to dominate the fixed
-	// per-query optimizer cost (which does not).
+	// A denser sample than the micro-benchmarks', so the scans (which
+	// scale with the sample) dominate the fixed per-query optimizer cost
+	// (which does not).
 	cat, err := reopt.GenerateOTT(reopt.OTTConfig{
 		Seed: 1, NumTables: 4, RowsPerValue: 720,
 		Domains: []int{400, 360, 320, 28}, SampleRatio: 1.0,
@@ -543,88 +533,24 @@ func BenchmarkTemplateWorkload(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	qs := templateBenchQueries(b, cat, 32)
+	qs := zipfQueries(b, cat, 32)
 	ctx := context.Background()
-	for _, sharing := range []bool{false, true} {
-		for _, par := range benchParallelisms() {
-			mode := "off"
-			if sharing {
-				mode = "on"
-			}
-			b.Run(fmt.Sprintf("templates=%s/parallel=%d", mode, par), func(b *testing.B) {
-				b.ReportAllocs()
-				var hits int64
-				for i := 0; i < b.N; i++ {
-					opts := []reopt.SessionOption{
-						reopt.WithWorkers(2),
-						reopt.WithSharedCache(1024),
-						reopt.WithWorkloadScheduler(0),
-					}
-					if sharing {
-						opts = append(opts, reopt.WithTemplateSharing())
-					}
-					s, err := reopt.Open(cat, opts...)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := s.ReoptimizeWorkload(ctx, qs, par); err != nil {
-						b.Fatal(err)
-					}
-					h, _ := s.TemplateStats()
-					hits += h
-				}
-				if sharing {
-					b.ReportMetric(float64(hits)/float64(b.N), "tmplhit/op")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkShardedValidation measures sample sharding on a 4x-larger
-// sample than BenchmarkSamplingEstimatePlan's. shards=1 is the
-// monolithic baseline; shards=2/4 evaluate every scan shard by shard on
-// the calling goroutine, and must track the monolithic run within the
-// concatenation overhead. The workers axis sets the deprecated
-// WithWorkers, which selects nothing: the rungs stay so the series
-// continues and must read the same. Results are byte-identical in every
-// cell.
-func BenchmarkShardedValidation(b *testing.B) {
-	cat, err := reopt.GenerateOTT(reopt.OTTConfig{Seed: 1, RowsPerValue: 80})
-	if err != nil {
-		b.Fatal(err)
-	}
-	qs, err := reopt.OTTQueries(cat, reopt.OTTQueryConfig{
-		NumTables: 5, SameConstant: 4, Count: 1, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	for _, shards := range []int{1, 2, 4} {
-		for _, w := range benchParallelisms() {
-			b.Run(fmt.Sprintf("shards=%d/workers=%d", shards, w), func(b *testing.B) {
+	for _, par := range benchParallelisms() {
+		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
 				s, err := reopt.Open(cat,
-					reopt.WithWorkers(w), reopt.WithSampleShards(shards))
+					reopt.WithSharedCache(1024),
+					reopt.WithWorkloadScheduler(0),
+				)
 				if err != nil {
 					b.Fatal(err)
 				}
-				p, err := s.Optimize(qs[0])
-				if err != nil {
+				if _, err := s.ReoptimizeWorkload(ctx, qs, par); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := s.Validate(ctx, p); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.Validate(ctx, p); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -164,96 +164,6 @@ func TestChaosPanicIsolatedInSchedulerWave(t *testing.T) {
 	waitNoGoroutineLeak(t, base)
 }
 
-// TestChaosPanicInOneShardIsolated: with sharded samples, a panic
-// injected into ONE shard's work unit of one query's unique scan
-// subtree must fail exactly the plans using that subtree —
-// ErrValidationPanic on the victim query — while co-scheduled queries
-// return results byte-identical to an uninjected sharded run, the
-// shared cache absorbs no partial (per-shard) result, and the rerun
-// after the injection reproduces the baseline through the same cache.
-func TestChaosPanicInOneShardIsolated(t *testing.T) {
-	base := runtime.NumGoroutine()
-	cat, qs := ottSession(t)
-	ctx := context.Background()
-	open := func() *reopt.Session {
-		s, err := reopt.Open(cat, reopt.WithWorkers(4), reopt.WithSampleShards(3),
-			reopt.WithSharedCache(0), reopt.WithWorkloadScheduler(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-
-	baseline := open()
-	want, err := baseline.ReoptimizeWorkload(ctx, qs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	bad, tag := uniqueSelection(t, qs)
-	chaos := open()
-	var fi faultinject.Set
-	// ShardUnit tags are "<subtree-sig>#shard=<i>"; matching the unique
-	// selection substring with Count=1 (PanicAt's default) detonates
-	// exactly one shard of the victim's scan and leaves its siblings —
-	// and every other task's shards — untouched.
-	fi.PanicAt(faultinject.ShardUnit, tag)
-	restore := fi.Activate()
-	res, werr := chaos.ReoptimizeWorkload(ctx, qs, 3)
-	fired := fi.Fired(faultinject.ShardUnit)
-	restore()
-
-	if fired == 0 {
-		t.Fatal("sharded run never reached a per-shard injection point")
-	}
-	if werr == nil {
-		t.Fatal("injected shard panic produced no workload error")
-	}
-	if !errors.Is(werr, reopt.ErrValidationPanic) {
-		t.Fatalf("workload error %v does not match ErrValidationPanic", werr)
-	}
-	var wle *reopt.WorkloadError
-	if !errors.As(werr, &wle) {
-		t.Fatalf("workload error %T is not *WorkloadError", werr)
-	}
-	for i := range qs {
-		if i == bad {
-			if res[i] != nil {
-				t.Errorf("shard-panicked query %d: got a result, want a nil hole", i)
-			}
-			if !errors.Is(wle.Errs[i], reopt.ErrValidationPanic) {
-				t.Errorf("shard-panicked query %d: cause %v, want ErrValidationPanic", i, wle.Errs[i])
-			}
-			continue
-		}
-		if wle.Errs[i] != nil {
-			t.Errorf("healthy query %d: spurious cause %v", i, wle.Errs[i])
-		}
-		if res[i] == nil {
-			t.Fatalf("healthy query %d lost next to a panicking shard", i)
-		}
-		if resultKey(res[i]) != resultKey(want[i]) {
-			t.Errorf("query %d diverged next to a panicking shard:\n got %v\nwant %v",
-				i, resultKey(res[i]), resultKey(want[i]))
-		}
-	}
-
-	// The failed task must have stored nothing — especially not the
-	// partials of the shards that completed before the panic. The same
-	// session and cache must now answer the whole workload identically.
-	again, err := chaos.ReoptimizeWorkload(ctx, qs, 3)
-	if err != nil {
-		t.Fatalf("session not reusable after contained shard panic: %v", err)
-	}
-	for i := range qs {
-		if resultKey(again[i]) != resultKey(want[i]) {
-			t.Errorf("rerun query %d diverged (partial shard result cached?):\n got %v\nwant %v",
-				i, resultKey(again[i]), resultKey(want[i]))
-		}
-	}
-	waitNoGoroutineLeak(t, base)
-}
-
 // TestChaosMemoryBudgetDegradesBestSoFar: at the Session surface a
 // starvation budget must degrade every re-optimization to its
 // best-so-far plan with no error, a huge budget must change nothing,

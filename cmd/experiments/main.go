@@ -5,19 +5,15 @@
 //	experiments -list
 //	experiments -id fig10
 //	experiments -id all [-csv] [-customers 1500] [-instances 5] [-seed 42]
-//	experiments -id fig17 -shards 4           # evaluate each sample scan in 4 shards
 //	experiments -id fig17 -cache 4096         # share validation counts across queries
 //
 // Each experiment prints a table whose rows are the series the paper
 // plots; EXPERIMENTS.md records paper-reported vs measured values.
 //
-// -shards N splits each table's sample into N contiguous shards that a
-// validation's scans evaluate one after another; results stay
-// byte-identical (<= 1 = monolithic). -workers is deprecated and ignored.
-// -cache N shares a workload-level validation cache of N
-// subtree entries across every query of the run, so repeated/similar
-// query instances reuse counts; it is off by default because the
-// paper's overhead figures measure each query cold.
+// -workers is deprecated and ignored. -cache N shares a workload-level
+// validation cache of N subtree entries across every query of the run,
+// so repeated/similar query instances reuse counts; it is off by default
+// because the paper's overhead figures measure each query cold.
 package main
 
 import (
@@ -41,11 +37,9 @@ func main() {
 		dsSales    = flag.Int("ds-sales", 0, "TPC-DS store_sales rows (default 30000)")
 		instances  = flag.Int("instances", 0, "instances per query template (default 5)")
 		_          = flag.Int("workers", 0, "Deprecated: no longer selects anything (a validation runs on one goroutine); accepted so existing command lines keep working")
-		shards     = flag.Int("shards", 0, "sample shards per table for validation (<= 1 = monolithic); results are byte-identical at every setting")
 		cacheSize  = flag.Int("cache", 0, "workload validation-cache budget in subtree entries (0 = off)")
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none); cancels in-flight work on expiry")
 		seed       = flag.Int64("seed", 42, "random seed")
-		templates  = flag.Bool("templates", false, "share validation scans between query instances of the same template; results are byte-identical at either setting")
 	)
 	flag.Parse()
 
@@ -61,9 +55,7 @@ func main() {
 		OTTRowsPerValue:      *rowsPerVal,
 		DSStoreSales:         *dsSales,
 		Instances:            *instances,
-		SampleShards:         *shards,
 		WorkloadCacheEntries: *cacheSize,
-		TemplateSharing:      *templates,
 		Seed:                 *seed,
 	}
 	ctx := context.Background()

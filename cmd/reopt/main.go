@@ -9,7 +9,6 @@
 //	reopt -db tpch -z 1 -query 9       # TPC-H template Q9 on the skewed DB
 //	reopt -db ott                       # a generated 5-table OTT query
 //	reopt -db ott -timeout 20ms         # budget the whole re-optimization
-//	reopt -db ott -shards 4             # evaluate each sample scan in 4 shards
 //	reopt -db ott -membudget 67108864   # cap values materialized per validation
 //	reopt -db ott -maxinflight 2 -queuedepth 4  # bound concurrent session calls
 package main
@@ -33,23 +32,21 @@ func main() {
 		queryID = flag.Int("query", 0, "TPC-H template number (with -db tpch)")
 		analyze = flag.Bool("analyze", false, "print EXPLAIN ANALYZE (estimated vs actual rows)")
 		_       = flag.Int("workers", 0, "Deprecated: no longer selects anything (a validation runs on one goroutine); accepted so existing command lines keep working")
-		shards  = flag.Int("shards", 0, "sample shards per table for validation (<= 1 = monolithic); results are byte-identical at every setting")
 		cache   = flag.Int("cache", 0, "workload validation-cache budget in subtree entries (0 = off)")
 		timeout = flag.Duration("timeout", 0, "re-optimization time budget (0 = none); returns best-so-far on expiry")
 
 		maxInFlight = flag.Int("maxinflight", 0, "admission gate: at most this many expensive session calls run at once (0 = unlimited); excess calls queue, then shed")
 		queueDepth  = flag.Int("queuedepth", 0, "admission queue: how many calls beyond -maxinflight wait FIFO before shedding (only with -maxinflight > 0)")
 		memBudget   = flag.Int64("membudget", 0, "memory budget in values materialized per validation (0 = unlimited); breaches degrade the re-optimization to the best plan found so far")
-		templates   = flag.Bool("templates", false, "share validation scans between query instances of the same template (constants stripped); results are byte-identical at either setting")
 	)
 	flag.Parse()
-	if err := run(*db, *z, *seed, *sqlText, *queryID, *analyze, *shards, *cache, *timeout, *maxInFlight, *queueDepth, *memBudget, *templates); err != nil {
+	if err := run(*db, *z, *seed, *sqlText, *queryID, *analyze, *cache, *timeout, *maxInFlight, *queueDepth, *memBudget); err != nil {
 		fmt.Fprintln(os.Stderr, "reopt:", err)
 		os.Exit(1)
 	}
 }
 
-func run(db string, z float64, seed int64, sqlText string, queryID int, analyze bool, shards, cacheEntries int, timeout time.Duration, maxInFlight, queueDepth int, memBudget int64, templates bool) error {
+func run(db string, z float64, seed int64, sqlText string, queryID int, analyze bool, cacheEntries int, timeout time.Duration, maxInFlight, queueDepth int, memBudget int64) error {
 	ctx := context.Background()
 	var cat *reopt.Catalog
 	var err error
@@ -75,9 +72,6 @@ func run(db string, z float64, seed int64, sqlText string, queryID int, analyze 
 	// session — e.g. a script driving many queries — would reuse counts
 	// between re-optimizations through that cache.
 	var opts []reopt.SessionOption
-	if shards > 1 {
-		opts = append(opts, reopt.WithSampleShards(shards))
-	}
 	if cacheEntries > 0 {
 		opts = append(opts, reopt.WithSharedCache(cacheEntries))
 	}
@@ -86,9 +80,6 @@ func run(db string, z float64, seed int64, sqlText string, queryID int, analyze 
 	}
 	if memBudget > 0 {
 		opts = append(opts, reopt.WithMemoryBudget(memBudget))
-	}
-	if templates {
-		opts = append(opts, reopt.WithTemplateSharing())
 	}
 	s, err := reopt.Open(cat, opts...)
 	if err != nil {

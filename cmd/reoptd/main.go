@@ -2,10 +2,10 @@
 // server exposing the sampling-based re-optimization pipeline
 // (/v1/reoptimize, /v1/validate, /v1/workload) over per-tenant
 // reopt.Sessions, each bounded by its own admission gate, memory
-// budget, worker/shard counts and cache quota so tenants cannot starve
-// or corrupt each other. See DESIGN.md §7 for the serving contract and
-// the status-code mapping, and package reopt/reoptclient for the wire
-// types and a retrying Go client.
+// budget and cache quota so tenants cannot starve or corrupt each
+// other. See DESIGN.md §7 for the serving contract and the status-code
+// mapping, and package reopt/reoptclient for the wire types and a
+// retrying Go client.
 //
 // Usage:
 //

@@ -3,11 +3,11 @@
 // CI cannot with in-process tests alone — true process boundary, true
 // SIGTERM. It starts the daemon against the OTT catalog with a
 // one-slot admission quota, waits for readiness, issues a reoptimize,
-// sends a parametrized template burst (one query template, descending
-// range constants) through /v1/workload and asserts every instance is
-// answered, fires an over-quota burst and asserts at least one 429
-// carrying a Retry-After hint, then SIGTERMs the process and asserts a
-// clean (exit 0) drain within the grace period.
+// sends a parametrized burst (one query shape, several range constants)
+// through /v1/workload and asserts every instance is answered, fires an
+// over-quota burst and asserts at least one 429 carrying a Retry-After
+// hint, then SIGTERMs the process and asserts a clean (exit 0) drain
+// within the grace period.
 //
 // Usage:
 //
@@ -39,10 +39,10 @@ const smokeSQL = "SELECT COUNT(*) FROM r1, r2, r3, r4, r5 WHERE r1.a = 0 AND r2.
 // burstSQL is the over-quota burst's payload: a full-range three-way
 // join whose validation materializes a multi-million-row join output
 // (~tens of milliseconds at -rows 600), with the r3 bound parametrized
-// so every request is fresh work. No cache layer can absorb it — the
-// template index shares scans, not joins, and each distinct bound
-// changes the join fingerprint — so concurrent requests dependably
-// overlap on the one-slot gate instead of serializing through it.
+// so every request is fresh work. The cache cannot absorb it — each
+// distinct bound changes the join's signature — so concurrent requests
+// dependably overlap on the one-slot gate instead of serializing
+// through it.
 const burstSQL = "SELECT COUNT(*) FROM r1, r2, r3 WHERE r1.a BETWEEN 1 AND 120 AND r2.a BETWEEN 1 AND 100 AND r3.a BETWEEN 1 AND %d AND r1.b = r2.b AND r2.b = r3.b"
 
 // smokeConfig pins the default tenant to one admission slot with no
@@ -54,21 +54,19 @@ const smokeConfig = `{
     "max_in_flight": 1,
     "queue_depth": 0,
     "cache_entries": -1,
-    "scheduler": true,
-    "template_sharing": true
+    "scheduler": true
   }
 }`
 
-// templateSQL is the parametrized shape of production traffic: one
-// query template instantiated with many constants. The descending
-// range constants make every later instance refinable from the first
-// (loosest) one's cached template scan, so the burst exercises the
-// template index end to end through the daemon.
-const templateSQL = "SELECT COUNT(*) FROM r1, r2, r3 WHERE r1.a < %d AND r2.a = 1 AND r1.b = r2.b AND r2.b = r3.b"
+// paramSQL is the parametrized shape of production traffic: one query
+// shape instantiated with many constants, whose instances share the
+// validation of their unparametrized subtrees through the tenant's
+// cache.
+const paramSQL = "SELECT COUNT(*) FROM r1, r2, r3 WHERE r1.a < %d AND r2.a = 1 AND r1.b = r2.b AND r2.b = r3.b"
 
-// templateConstants instantiates templateSQL, loosest first (r1's
-// domain is 120 at the generator defaults reoptd -db ott uses).
-var templateConstants = []int{60, 45, 30, 20, 12, 6}
+// paramConstants instantiates paramSQL (r1's domain is 120 at the
+// generator defaults reoptd -db ott uses).
+var paramConstants = []int{60, 45, 30, 20, 12, 6}
 
 func main() {
 	bin := flag.String("bin", "", "path to the reoptd binary (required)")
@@ -149,32 +147,31 @@ func run(bin string, grace time.Duration) error {
 	fmt.Printf("servesmoke: reoptimized (%d rounds, converged=%v)\n", res.Rounds, res.Converged)
 
 	// 3. Parametrized burst: one /v1/workload call carrying the same
-	// template with varying constants — the quota's one admission slot
-	// covers the whole call, so every instance must come back answered
-	// (a Result with a plan, never an Error slot) while the session's
-	// template index shares the validation scans behind them.
+	// query shape with varying constants — the quota's one admission
+	// slot covers the whole call, so every instance must come back
+	// answered (a Result with a plan, never an Error slot).
 	wreq := &reoptclient.WorkloadRequest{Parallelism: 1}
-	for _, k := range templateConstants {
-		wreq.SQL = append(wreq.SQL, fmt.Sprintf(templateSQL, k))
+	for _, k := range paramConstants {
+		wreq.SQL = append(wreq.SQL, fmt.Sprintf(paramSQL, k))
 	}
 	wres, err := c.Workload(ctx, wreq)
 	if err != nil {
-		return fmt.Errorf("template workload: %w", err)
+		return fmt.Errorf("parametrized workload: %w", err)
 	}
 	if len(wres.Items) != len(wreq.SQL) {
-		return fmt.Errorf("template workload: %d items for %d queries", len(wres.Items), len(wreq.SQL))
+		return fmt.Errorf("parametrized workload: %d items for %d queries", len(wres.Items), len(wreq.SQL))
 	}
 	for i, item := range wres.Items {
 		if item.Error != nil {
-			return fmt.Errorf("template workload: instance %d (constant %d) failed: %s: %s",
-				i, templateConstants[i], item.Error.Kind, item.Error.Message)
+			return fmt.Errorf("parametrized workload: instance %d (constant %d) failed: %s: %s",
+				i, paramConstants[i], item.Error.Kind, item.Error.Message)
 		}
 		if item.Result == nil || item.Result.Fingerprint == "" {
-			return fmt.Errorf("template workload: instance %d (constant %d) returned no plan",
-				i, templateConstants[i])
+			return fmt.Errorf("parametrized workload: instance %d (constant %d) returned no plan",
+				i, paramConstants[i])
 		}
 	}
-	fmt.Printf("servesmoke: template burst answered %d/%d parametrized instances\n",
+	fmt.Printf("servesmoke: parametrized burst answered %d/%d instances\n",
 		len(wres.Items), len(wreq.SQL))
 
 	// 4. Over-quota burst: with one slot and no queue, concurrent

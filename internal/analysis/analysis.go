@@ -14,7 +14,7 @@
 // and x/tools' analysistest.
 //
 // The suite encodes the repository's written contracts (DESIGN.md
-// §1–§8): byte-identical results at any worker/shard count, panic
+// §1–§8): byte-identical results in every cache state, panic
 // containment at goroutine boundaries, caches that never see failed
 // work, §5.4 budget-vs-ctx discipline, and the sentinel error
 // taxonomy. See DESIGN.md §8 for the analyzer-by-analyzer table.

@@ -1,9 +1,10 @@
-// Fixture modeling the template-index cache paths (DESIGN.md §9): the
-// (template, constant-vector) sub-result index is still a validation
-// cache, so a refinement that failed, a shared union scan that was
-// cancelled mid-wave, or a memory-budget breach must never store what
-// it has — a poisoned template entry would serve wrong counts to every
-// contained constant that refines from it later.
+// Fixture modeling a template index over cached scans (the
+// cache-hygiene contract, DESIGN.md §5): a (template, constant-vector)
+// sub-result index is still a validation cache, so a refinement that
+// failed, a shared union scan that was cancelled mid-wave, or a
+// memory-budget breach must never store what it has — a poisoned
+// template entry would serve wrong counts to every contained constant
+// that refines from it later.
 package app
 
 import "context"

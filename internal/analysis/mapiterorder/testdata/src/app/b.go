@@ -1,9 +1,8 @@
-// Fixture modeling the template-index code paths (DESIGN.md §9): wave
-// planning groups validation tasks by template fingerprint in maps, and
-// everything derived from those groups — wave order, union constants,
-// signature hashes — must come out byte-identical run to run. These
-// shapes mirror internal/executor's template grouping so the analyzer
-// provably covers them.
+// Fixture modeling template-grouping code paths (the determinism
+// contract, DESIGN.md §2): wave planning that groups validation tasks by
+// template fingerprint in maps, where everything derived from those
+// groups — wave order, union constants, signature hashes — must come out
+// byte-identical run to run, so the analyzer provably covers the shape.
 package app
 
 import (

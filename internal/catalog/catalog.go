@@ -38,7 +38,6 @@ type Catalog struct {
 
 	sampleRatio   float64
 	minSampleRows int
-	sampleShards  int
 	sampleEpoch   uint64
 }
 
@@ -170,27 +169,6 @@ func (c *Catalog) SampleRatio() float64 { return c.sampleRatio }
 // disables the floor).
 func (c *Catalog) SetMinSampleRows(n int) { c.minSampleRows = n }
 
-// SetSampleShards sets the shard count subsequent BuildSamples calls
-// prebuild shard views for (<= 1 means the monolithic layout). Sharding
-// never changes what a validation computes — shard views are contiguous
-// word-aligned partitions of the same sample and every engine merges
-// partial results in shard order — only how the work fans out, so this
-// is a layout/performance knob, not a semantic one.
-func (c *Catalog) SetSampleShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	c.sampleShards = n
-}
-
-// SampleShards returns the configured shard count (at least 1).
-func (c *Catalog) SampleShards() int {
-	if c.sampleShards < 1 {
-		return 1
-	}
-	return c.sampleShards
-}
-
 // EffectiveSampleRatio returns the ratio BuildSamples uses for a table
 // of the given size: the configured ratio, raised as needed to target
 // the minimum sample size, capped at 1 (full copy).
@@ -222,13 +200,8 @@ func (c *Catalog) BuildSamples(seed int64) {
 		s := t.Sample(name+"_sample", r, seed^hashName(name))
 		// Samples are immutable once drawn and are scanned by the
 		// count-only skeleton engine on every validation round: prebuild
-		// their column-major projection so leaf scans run as typed loops,
-		// plus the configured shard views so sharded validations never
-		// build layout on the hot path.
+		// their column-major projection so leaf scans run as typed loops.
 		s.ColData()
-		if n := c.SampleShards(); n > 1 {
-			s.ColDataShards(n)
-		}
 		c.samples[name] = s
 	}
 }

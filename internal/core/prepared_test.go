@@ -394,8 +394,7 @@ func preparedWorkloads(t *testing.T) []shapedWorkload {
 // whatever weights the skeleton held it in), the cache keys written, the
 // hit/miss counters, the fault-injection tags, the budget verdicts at the
 // charge a cold run's physical rows predict — whatever the deprecated
-// Options.Workers says, with template sharing on and off, and under
-// Conservative blending.
+// Options.Workers says, and under Conservative blending.
 func TestPreparedValidationMatchesFromScratch(t *testing.T) {
 	orig := estimatePlansFn
 	defer func() { estimatePlansFn = orig }()
@@ -403,37 +402,32 @@ func TestPreparedValidationMatchesFromScratch(t *testing.T) {
 	for _, w := range preparedWorkloads(t) {
 		opt := optimizer.New(w.cat, optimizer.DefaultConfig())
 		for _, workers := range []int{0, 8} {
-			for _, templates := range []bool{false, true} {
-				if templates && w.name != "template_zipf" {
-					continue
+			// One cache per configuration, shared by the workload's
+			// queries as a session's is.
+			cache := sampling.NewWorkloadCache(0)
+			store := &refStore{keys: map[string]bool{}}
+			for qi, q := range w.queries {
+				label := fmt.Sprintf("%s query %d workers=%d", w.name, qi, workers)
+				check := &validationCheck{t: t, label: label, cat: w.cat, shared: cache, store: store}
+				estimatePlansFn = check.estimate
+				r := New(opt, w.cat)
+				r.Opts = Options{Workers: workers, Cache: cache, Conservative: qi%2 == 1}
+				res, err := r.Reoptimize(q)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
-				// One cache per configuration, shared by the workload's
-				// queries as a session's is.
-				cache := sampling.NewWorkloadCache(0)
-				store := &refStore{keys: map[string]bool{}}
-				for qi, q := range w.queries {
-					label := fmt.Sprintf("%s query %d workers=%d templates=%v", w.name, qi, workers, templates)
-					check := &validationCheck{t: t, label: label, cat: w.cat, shared: cache, store: store}
-					estimatePlansFn = check.estimate
-					r := New(opt, w.cat)
-					r.Opts = Options{Workers: workers, Cache: cache, TemplateSharing: templates, Conservative: qi%2 == 1}
-					res, err := r.Reoptimize(q)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					rounds += check.rounds
-					if r.Opts.Conservative {
-						sameConservativeGamma(t, label, opt, q, res)
-					}
+				rounds += check.rounds
+				if r.Opts.Conservative {
+					sameConservativeGamma(t, label, opt, q, res)
 				}
-				if got, want := cache.Keys(), store.sortedKeys(); !slices.Equal(got, want) {
-					t.Fatalf("%s workers=%d templates=%v: cache holds %d keys, reference %d\n got  %q\n want %q",
-						w.name, workers, templates, len(got), len(want), got, want)
-				}
-				if hits, misses := cache.Stats(); hits != store.hits || misses != store.misses {
-					t.Fatalf("%s workers=%d templates=%v: %d hits / %d misses, reference %d / %d",
-						w.name, workers, templates, hits, misses, store.hits, store.misses)
-				}
+			}
+			if got, want := cache.Keys(), store.sortedKeys(); !slices.Equal(got, want) {
+				t.Fatalf("%s workers=%d: cache holds %d keys, reference %d\n got  %q\n want %q",
+					w.name, workers, len(got), len(want), got, want)
+			}
+			if hits, misses := cache.Stats(); hits != store.hits || misses != store.misses {
+				t.Fatalf("%s workers=%d: %d hits / %d misses, reference %d / %d",
+					w.name, workers, hits, misses, store.hits, store.misses)
 			}
 		}
 	}

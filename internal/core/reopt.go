@@ -69,14 +69,11 @@ type Options struct {
 	// on the goroutine that asked for it, whatever the value — and is
 	// kept only because bench/ sets it.
 	Workers int
-	// SampleShards splits each table's sample into that many contiguous
-	// word-aligned shards for validation: every skeleton scan runs shard
-	// by shard and the selections concatenate in shard order. <= 1 keeps
-	// the monolithic layout; estimates, budget verdicts, and cache
-	// contents are byte-identical at every setting. Kept for bench/
-	// (shards4_speedup); it buys nothing on one goroutine. Only the direct validation path applies it; a Validator
-	// configures its own shard count (the workload scheduler's
-	// SetShards).
+	// SampleShards once split each table's sample into shards for
+	// validation.
+	//
+	// Deprecated: samples are no longer sharded; SampleShards does nothing
+	// and bench/ is its last caller.
 	SampleShards int
 	// Cache optionally supplies a workload-level validation cache
 	// shared across queries: repeated or similar query instances reuse
@@ -105,12 +102,10 @@ type Options struct {
 	// a Validator enforces its own budget (the workload scheduler's
 	// SetMemBudget).
 	MemBudget int64
-	// TemplateSharing indexes cached sample scans by constant-stripped
-	// template, so a query instance whose constants a cached instance's
-	// contain refines that instance's rows instead of rescanning.
-	// Estimates are byte-identical at either setting. Only the direct
-	// validation path applies it; a Validator carries its own setting
-	// (the workload scheduler's SetTemplates).
+	// TemplateSharing once indexed cached sample scans by template.
+	//
+	// Deprecated: there is no template sharing; TemplateSharing does
+	// nothing and bench/ is its last caller.
 	TemplateSharing bool
 }
 
@@ -435,11 +430,7 @@ func (r *Reoptimizer) validatePlans(ctx context.Context, plans []*plan.Plan, cac
 	if r.Opts.Validator != nil {
 		return r.Opts.Validator.ValidatePlans(ctx, plans, cache)
 	}
-	return estimatePlansFn(ctx, plans, r.Cat, cache, sampling.ValidateConfig{
-		Shards:    r.Opts.SampleShards,
-		MemBudget: r.Opts.MemBudget,
-		Templates: r.Opts.TemplateSharing,
-	})
+	return estimatePlansFn(ctx, plans, r.Cat, cache, sampling.ValidateConfig{MemBudget: r.Opts.MemBudget})
 }
 
 // estimatePlansFn indirects the sampling estimator for

@@ -88,11 +88,11 @@ func (b *bagWeights) at(x int) int64 {
 // than Value.Equal, so the rows of a group are interchangeable for any
 // later hash, compare or gather), keeps groups in first-occurrence order
 // and sums their weights: a pure function of the row sequence, hence the
-// same at every shard, template and cache setting. w is nil when
-// every row counts once. A sequence with a mixed-kind column, or on which
-// group gives up, is gathered as it stands; one without columns groups
-// into the empty tuple. Columns are allocated at exact size; nothing
-// returned aliases sc.
+// same in every cache state. w is nil when every row counts once. A
+// sequence with a mixed-kind column, or on which group gives up, is
+// gathered as it stands; one without columns groups into the empty
+// tuple. Columns are allocated at exact size; nothing returned aliases
+// sc.
 func compact(sc *skelScratch, srcs []colSrc, n int, bw bagWeights) (cols []storage.ColData, w []int64, count int, total int64) {
 	cols = make([]storage.ColData, len(srcs))
 	group := n > 0
@@ -273,9 +273,8 @@ type skelScratch struct {
 	selBuf  []int32
 	passBuf []scanPass
 
-	shardSel []int32 // a sharded scan's selections, re-based and concatenated
-	pairs    pairBuf // a probe's matches
-	srcs     []colSrc
+	pairs pairBuf // a probe's matches
+	srcs  []colSrc
 
 	tab    []groupSlot
 	tags   [giveUpRows]uint64

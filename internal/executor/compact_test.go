@@ -103,7 +103,7 @@ func bagShapes() []bagShape {
 }
 
 // query instantiates the shape over its first n tables with `v BETWEEN lo
-// AND hi` on e1 and e2 — two instances of a shape are one template.
+// AND hi` on e1 and e2.
 func (bs bagShape) query(n int, lo, hi int64) *sql.Query {
 	q := &sql.Query{CountStar: true}
 	in := map[string]bool{}
@@ -243,10 +243,9 @@ func exactCharge(t *testing.T, cat *catalog.Catalog, p *plan.Plan) int64 {
 // ±0, MinInt64 / MaxInt64, int = float keys, a mixed-kind column, an
 // empty table, columns either side of the sorted-index threshold — and
 // under random join trees, both entry points report the general
-// executor's per-node counts at shards {1, 4} x template sharing
-// off / on x cold / warm cache; every setting leaves byte-identical
-// compacted sub-results behind; each plan's memory charge is the same on
-// a miss, an exact hit and a template refinement; a join set counts the
+// executor's per-node counts on a cold and a warm cache; both leave
+// byte-identical compacted sub-results behind; each plan's memory charge
+// is the same on a miss and on a hit; a join set counts the
 // same under every tree that produces it; and every sub-result stored
 // satisfies Σ w = count and compact(compact(x)) = compact(x).
 func TestCompactedCountsMatchVolcano(t *testing.T) {
@@ -260,8 +259,7 @@ func TestCompactedCountsMatchVolcano(t *testing.T) {
 			if dups == 27 {
 				ntables = 3 // the general executor enumerates every joined row
 			}
-			// Two instances of one template: the tight one's constants are
-			// contained in the loose one's.
+			// Two instances of one shape, differing only in constants.
 			loose, tight := bs.query(ntables, 10, 60), bs.query(ntables, 12, 40)
 			setCounts := map[string]int64{}
 			for tree := 0; tree < 2; tree++ {
@@ -269,9 +267,8 @@ func TestCompactedCountsMatchVolcano(t *testing.T) {
 				label := fmt.Sprintf("dups=%d %s tree %d", dups, bs.name, tree)
 				want := make([]map[plan.Node]int64, len(plans))
 				charges := make([]int64, len(plans))
-				// The reference: monolithic, no sharing, the two
-				// plans in turn through one cache (a set both produce keeps
-				// the first tree's row order).
+				// The reference: the two plans in turn through one cache (a
+				// set both produce keeps the first tree's row order).
 				refCache := NewSkeletonCache(0, 0)
 				for pi, p := range plans {
 					res, err := Run(p, cat, Options{CountOnly: true})
@@ -317,70 +314,40 @@ func TestCompactedCountsMatchVolcano(t *testing.T) {
 						}
 					}
 				}
-				for _, shards := range []int{1, 4} {
-					for _, templates := range []bool{false, true} {
-						cfg := SkelConfig{Shards: shards, Templates: templates}
-						single, batch := NewSkeletonCache(0, 0), NewSkeletonCache(0, 0)
-						for _, state := range []string{"cold", "warm"} {
-							cl := fmt.Sprintf("shards=%d templates=%v %s", shards, templates, state)
-							for pi, p := range plans {
-								got, err := countSkeletonCfg(ctx, p, cat.Table, single, cfg)
-								if err != nil {
-									t.Fatalf("%s [%s single]: %v", label, cl, err)
-								}
-								check(cl+" single", pi, got)
-							}
-							sameAsRef(cl+" single", single)
-							bps := []BatchPlan{prep(plans[0], batch), prep(plans[1], batch)}
-							got, perPlan, err := countBatch(ctx, bps, cat.Table, cfg)
-							if err != nil || perPlan[0] != nil || perPlan[1] != nil {
-								t.Fatalf("%s [%s batch]: %v %v", label, cl, err, perPlan)
-							}
-							check(cl+" batch", 0, got[0])
-							check(cl+" batch", 1, got[1])
-							sameAsRef(cl+" batch", batch)
-							// The charge found cold is the charge here: on a
-							// miss (no cache), a hit, and — the tight instance
-							// with sharing on — a refinement of the loose one.
-							for pi, p := range plans {
-								if state == "warm" {
-									break // probed once per setting, after the cold run filled the cache
-								}
-								for _, c := range []*SkeletonCache{nil, single} {
-									for _, b := range []int64{charges[pi] - 1, charges[pi]} {
-										if b <= 0 {
-											continue
-										}
-										bcfg := cfg
-										bcfg.MemBudget = b
-										_, perPlan, err := countBatch(ctx, []BatchPlan{prep(p, c)}, cat.Table, bcfg)
-										if err != nil || errors.Is(perPlan[0], ErrMemoryBudget) != (b < charges[pi]) {
-											t.Fatalf("%s [%s cached=%v] instance %d: budget %d against a charge of %d: %v %v",
-												label, cl, c != nil, pi, b, charges[pi], err, perPlan[0])
-										}
-									}
-								}
-							}
+				single, batch := NewSkeletonCache(0, 0), NewSkeletonCache(0, 0)
+				for _, cl := range []string{"cold", "warm"} {
+					for pi, p := range plans {
+						got, err := countSkeletonCfg(ctx, p, cat.Table, single, SkelConfig{})
+						if err != nil {
+							t.Fatalf("%s [%s single]: %v", label, cl, err)
 						}
-						if !templates {
-							continue
-						}
-						// Refinement: the tight instance against a cache
-						// holding only the loose one.
-						for _, b := range []int64{charges[1] - 1, charges[1]} {
-							c := NewSkeletonCache(0, 0)
-							if _, err := countSkeletonCfg(ctx, plans[0], cat.Table, c, cfg); err != nil {
-								t.Fatal(err)
-							}
-							bcfg := cfg
-							bcfg.MemBudget = b
-							_, perPlan, err := countBatch(ctx, []BatchPlan{prep(plans[1], c)}, cat.Table, bcfg)
-							if err != nil || errors.Is(perPlan[0], ErrMemoryBudget) != (b < charges[1]) {
-								t.Fatalf("%s [shards=%d refined]: budget %d against a charge of %d: %v %v",
-									label, shards, b, charges[1], err, perPlan[0])
-							}
-							if hits, _ := c.TemplateStats(); hits == 0 {
-								t.Fatalf("%s: the tight instance was not refined from the loose one", label)
+						check(cl+" single", pi, got)
+					}
+					sameAsRef(cl+" single", single)
+					bps := []BatchPlan{prep(plans[0], batch), prep(plans[1], batch)}
+					got, perPlan, err := countBatch(ctx, bps, cat.Table, SkelConfig{})
+					if err != nil || perPlan[0] != nil || perPlan[1] != nil {
+						t.Fatalf("%s [%s batch]: %v %v", label, cl, err, perPlan)
+					}
+					check(cl+" batch", 0, got[0])
+					check(cl+" batch", 1, got[1])
+					sameAsRef(cl+" batch", batch)
+					if cl == "warm" {
+						continue // the charge is probed once, after the cold run filled the cache
+					}
+					// The charge found cold is the charge here: on a miss
+					// (no cache) and on a hit.
+					for pi, p := range plans {
+						for _, c := range []*SkeletonCache{nil, single} {
+							for _, b := range []int64{charges[pi] - 1, charges[pi]} {
+								if b <= 0 {
+									continue
+								}
+								_, perPlan, err := countBatch(ctx, []BatchPlan{prep(p, c)}, cat.Table, SkelConfig{MemBudget: b})
+								if err != nil || errors.Is(perPlan[0], ErrMemoryBudget) != (b < charges[pi]) {
+									t.Fatalf("%s [%s cached=%v] instance %d: budget %d against a charge of %d: %v %v",
+										label, cl, c != nil, pi, b, charges[pi], err, perPlan[0])
+								}
 							}
 						}
 					}

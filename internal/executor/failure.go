@@ -77,9 +77,9 @@ func failureError(r any) error {
 // soft budget. The unit is "values": one materialized cell — a
 // boundary-column value or a row's weight — or one hash-table entry each
 // cost 1. Charges are deterministic functions of the plan and sample data
-// alone — a cache hit and a template refinement charge what computing the
-// sub-result does — so a given (plan, sample) pair breaches or passes a
-// budget identically across shard counts and cache states.
+// alone — a cache hit charges what computing the sub-result does — so a
+// given (plan, sample) pair breaches or passes a budget identically in
+// every cache state.
 type memAccount struct {
 	budget int64 // <= 0 means unlimited
 	used   int64

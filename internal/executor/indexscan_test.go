@@ -2,7 +2,6 @@ package executor
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"testing"
 
@@ -20,8 +19,8 @@ import (
 // other predicate and every smaller or intermediate column the kernel,
 // and the two must select the same rows.
 
-// indexScanRows sits over four shards of indexable size, with a ragged
-// last word.
+// indexScanRows is well above the indexing cut-off, with a ragged last
+// word.
 const indexScanRows = 4*4096 + 1001
 
 // indexScanRow is row i of the scanned table t(v, w, f, id): v mixes
@@ -161,12 +160,10 @@ func TestIndexedPassMatchesKernelPass(t *testing.T) {
 
 // TestIndexedScanSelection: scans of t — whose sub-result carries t.id,
 // i.e. the selection vector itself — select exactly the rows
-// sql.EvalSelection accepts, through both entry points, at shards
-// {1, 4} x template sharing off/on, cold and warm. Each case is a
-// loose and a tight instance of one filter shape, so with sharing on the
-// tight one is refined from the loose one's (indexed) scan; the cases
-// mix indexed passes with kernel passes in one conjunction and include a
-// range matching everything and one matching nothing.
+// sql.EvalSelection accepts, through both entry points, cold and warm.
+// Each case is a loose and a tight instance of one filter shape; the
+// cases mix indexed passes with kernel passes in one conjunction and
+// include a range matching everything and one matching nothing.
 func TestIndexedScanSelection(t *testing.T) {
 	cat := indexScanCatalog()
 	ctx := context.Background()
@@ -228,28 +225,22 @@ func TestIndexedScanSelection(t *testing.T) {
 				}
 			}
 		}
-		for _, shards := range []int{1, 4} {
-			for _, templates := range []bool{false, true} {
-				cfg := SkelConfig{Shards: shards, Templates: templates}
-				single, batch := NewSkeletonCache(0, 0), NewSkeletonCache(0, 0)
-				for _, state := range []string{"cold", "warm"} {
-					label := fmt.Sprintf("shards=%d templates=%v %s", shards, templates, state)
-					for pi, p := range plans {
-						got, err := countSkeletonCfg(ctx, p, cat.Table, single, cfg)
-						if err != nil {
-							t.Fatalf("%s [%s single]: %v", name, label, err)
-						}
-						check(label+" single", pi, got, single)
-					}
-					bps := []BatchPlan{prep(plans[0], batch), prep(plans[1], batch)}
-					got, perPlan, err := countBatch(ctx, bps, cat.Table, cfg)
-					if err != nil || perPlan[0] != nil || perPlan[1] != nil {
-						t.Fatalf("%s [%s batch]: %v / %v", name, label, err, perPlan)
-					}
-					for pi := range plans {
-						check(label+" batch", pi, got[pi], batch)
-					}
+		single, batch := NewSkeletonCache(0, 0), NewSkeletonCache(0, 0)
+		for _, label := range []string{"cold", "warm"} {
+			for pi, p := range plans {
+				got, err := countSkeletonCfg(ctx, p, cat.Table, single, SkelConfig{})
+				if err != nil {
+					t.Fatalf("%s [%s single]: %v", name, label, err)
 				}
+				check(label+" single", pi, got, single)
+			}
+			bps := []BatchPlan{prep(plans[0], batch), prep(plans[1], batch)}
+			got, perPlan, err := countBatch(ctx, bps, cat.Table, SkelConfig{})
+			if err != nil || perPlan[0] != nil || perPlan[1] != nil {
+				t.Fatalf("%s [%s batch]: %v / %v", name, label, err, perPlan)
+			}
+			for pi := range plans {
+				check(label+" batch", pi, got[pi], batch)
 			}
 		}
 	}

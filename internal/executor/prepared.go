@@ -128,12 +128,12 @@ func (s *Step) Node() plan.Node { return s.node }
 
 // NewPrepared returns the handle q's plans validate through: against
 // cache (nil caches nothing), over the samples of epoch — the namespace
-// of every sub-result key, hash-table key and template entry the handle
-// renders, so one cache can serve several sample sets and catalogs —
-// with scales, the per-table factors by Query.Tables position that
-// Step.Scale multiplies (nil: none). Signatures, boundary columns, cache
-// keys and join resolutions are derived once, on first use, instead of
-// once per plan (DESIGN.md §11).
+// of every sub-result key and hash-table key the handle renders, so one
+// cache can serve several sample sets and catalogs — with scales, the
+// per-table factors by Query.Tables position that Step.Scale multiplies
+// (nil: none). Signatures, boundary columns, cache keys and join
+// resolutions are derived once, on first use, instead of once per plan
+// (DESIGN.md §11).
 func NewPrepared(q *sql.Query, cache *SkeletonCache, epoch uint64, scales []float64) *Prepared {
 	s := &Prepared{
 		q: q, cache: cache, prefix: "s" + strconv.FormatUint(epoch, 10) + "|", scales: scales,
@@ -338,7 +338,13 @@ func (s *Prepared) set(mask uint64) *SetInfo {
 		}
 	}
 	sigEnd := b.Len()
-	writeRefs(&b, si.refs)
+	b.WriteString("|B:")
+	for _, r := range si.refs {
+		b.WriteString(r.Table)
+		b.WriteByte('.')
+		b.WriteString(r.Column)
+		b.WriteByte(',')
+	}
 	si.key = b.String()
 	si.sig = si.key[len(s.prefix):sigEnd]
 	si.Key = si.key[len(s.prefix):keyEnd]

@@ -17,8 +17,8 @@ import (
 
 // The from-scratch forms of everything the prepared state memoizes, one
 // derivation per node from the node itself — the oracle Prepared must
-// reproduce byte for byte: cache keys, the template index and
-// faultinject tags are all derived from these.
+// reproduce byte for byte: cache keys and faultinject tags are derived
+// from these.
 
 // subtreeSig is the reference signature: one walk of the whole subtree
 // per node, every filter and predicate rendered and sorted from scratch.

@@ -8,16 +8,15 @@ package executor
 // run; a workload's is a bounded one shared across queries and catalogs.
 //
 // The store does not namespace anything itself. Every key it sees was
-// rendered by a Prepared (prepared.go), which prefixes sub-result keys,
-// hash-table keys and template entries with the sample epoch it was made
-// for, so refreshed samples — or another catalog — never serve counts
-// observed on other samples; entries of older epochs age out of the LRU.
+// rendered by a Prepared (prepared.go), which prefixes sub-result keys and
+// hash-table keys with the sample epoch it was made for, so refreshed
+// samples — or another catalog — never serve counts observed on other
+// samples; entries of older epochs age out of the LRU.
 //
 // The value budget is counted in cells — one per boundary-column cell and
-// weight of a sub-result's physical rows, per cell of a template entry's
-// row-aligned columns, and per row a cached hash table indexes — never in
-// bytes, so budget verdicts and eviction decisions do not depend on how a
-// column is represented.
+// weight of a sub-result's physical rows, and per row a cached hash table
+// indexes — never in bytes, so budget verdicts and eviction decisions do
+// not depend on how a column is represented.
 //
 // Entries are keyed by the subtree's canonical signature (relation set
 // plus every predicate applied within it) *and* its boundary-column
@@ -31,84 +30,35 @@ package executor
 import (
 	"container/list"
 	"slices"
-	"strings"
 	"sync"
-
-	"reopt/internal/rel"
-	"reopt/internal/sql"
-	"reopt/internal/storage"
 )
 
 // SkeletonCache is the one validation cache: subtree sub-results and
 // build-side hash tables, keyed so that two plans' subtrees share an
 // entry exactly when they compute the same logical sub-result with the
-// same boundary columns over the same samples, plus the template index.
-// All methods are safe for concurrent use, and the diagnostics read zero
-// on a nil cache. Requests reach it through a Prepared, which carries the
-// key namespace.
+// same boundary columns over the same samples. All methods are safe for
+// concurrent use, and the diagnostics read zero on a nil cache. Requests
+// reach it through a Prepared, which carries the key namespace.
 type SkeletonCache struct {
 	mu    sync.Mutex
 	limit int // max sub-result entries; 0 = unbounded
 	// valueLimit bounds the total number of *materialized values* retained
-	// across all entries — boundary-column cells, template filter-column
-	// cells and hash-table slots (0 = unbounded). The entry
-	// limit alone cannot bound memory on skewed workloads: a few huge
-	// subtrees (a cross-product-ish join whose boundary columns carry
-	// hundreds of thousands of values) can dominate while the entry count
-	// stays tiny. Eviction is least-recently-used under both budgets, so
+	// across all entries — boundary-column cells and hash-table slots
+	// (0 = unbounded). The entry limit alone cannot bound memory on
+	// skewed workloads: a few huge subtrees (a cross-product-ish join
+	// whose boundary columns carry hundreds of thousands of values) can
+	// dominate while the entry count stays tiny. Eviction is least-recently-used under both budgets, so
 	// an entry that alone exceeds the value budget is simply not retained.
 	valueLimit int
 	values     int // current total materialized values (see entryValues)
 	subs       map[string]*list.Element
 	lru        *list.List // front = most recently used
 	tables     map[string]*joinTable
-	// templates is the (template, constant-vector) sub-result index
-	// (DESIGN.md §9): fingerprint -> collision chain of template
-	// entries, each riding one cached sub-result. A lookup that misses
-	// the exact sub-result key can still find a cached instance of the
-	// same template whose constants *contain* the requested ones and
-	// refine it instead of rescanning. Entries are registered only when
-	// template sharing is on and are evicted with their sub-result.
-	templates map[uint64][]*tmplEntry
 
-	hits, misses         int64
-	tmplHits, tmplMisses int64
+	hits, misses int64
 	// What the sub-results stored so far count (Σ total) and the physical
 	// rows they hold it in (Σ count): the compression weights are buying.
 	rowsCounted, rowsMaterialized int64
-}
-
-// tmplCached is the immutable payload of one template-index entry: the
-// instance's constant vector and operators (for the containment check)
-// and, row-aligned over the instance's n selected rows, its uncompressed
-// boundary columns and filter columns — refinement evaluates a contained
-// instance's conjuncts over fcols, gathers bcols at the surviving
-// positions and compacts (a compacted sub-result has no positions to
-// gather by). All fields are write-once: lookups snapshot the pointer
-// under the store lock and refine outside it.
-type tmplCached struct {
-	sig          string
-	consts       []rel.Value
-	ops          []sql.CompareOp
-	n            int
-	bcols, fcols []storage.ColData
-}
-
-// tmplEntry is tmplCached plus its index bookkeeping: the key prefix
-// it was registered under (template identity is namespaced by sample
-// epoch exactly like sub-result keys) and the sub-result entry key it
-// rides (joint eviction).
-type tmplEntry struct {
-	tmplCached
-	fp     uint64
-	prefix string
-	key    string
-}
-
-// tmplValues is the value-budget charge of a template entry's gathered
-// columns: one value per cell, as entryValues charges a sub-result's.
-func tmplValues(te *tmplEntry) int {
-	return te.n * (len(te.bcols) + len(te.fcols))
 }
 
 // skelCacheEntry is one cached sub-result plus the keys of the hash
@@ -120,20 +70,16 @@ type skelCacheEntry struct {
 	sub         *subResult
 	tableKeys   []string
 	tableValues int
-	// tmpl is the template-index entry riding this sub-result, if any
-	// (at most one: the sub-result key pins the constants, so one entry
-	// is one template instance). Dropped together on eviction.
-	tmpl *tmplEntry
 }
 
 // NewSkeletonCache returns an empty cache that holds at most limit
 // sub-results and at most valueLimit materialized values, evicting
-// least-recently-used entries (and the hash tables and template entries
-// riding them) beyond either; <= 0 leaves that budget unbounded. The
-// value budget counts every boundary-column cell held by cached
-// sub-results and template entries and one value per two int32 slots of
-// each cached hash table, so skewed workloads where a few huge subtrees
-// dominate stay within it even when the entry count would not.
+// least-recently-used entries (and the hash tables riding them) beyond
+// either; <= 0 leaves that budget unbounded. The value budget counts
+// every boundary-column cell held by cached sub-results and one value per
+// two int32 slots of each cached hash table, so skewed workloads where a
+// few huge subtrees dominate stay within it even when the entry count
+// would not.
 func NewSkeletonCache(limit, valueLimit int) *SkeletonCache {
 	return &SkeletonCache{
 		limit:      max(limit, 0),
@@ -141,7 +87,6 @@ func NewSkeletonCache(limit, valueLimit int) *SkeletonCache {
 		subs:       make(map[string]*list.Element),
 		lru:        list.New(),
 		tables:     make(map[string]*joinTable),
-		templates:  make(map[uint64][]*tmplEntry),
 	}
 }
 
@@ -215,19 +160,6 @@ func (s *SkeletonCache) Values() int {
 	return s.values
 }
 
-// writeRefs writes the canonical rendering of a boundary-column set. It
-// is the single source of that format: cache keys and template
-// signatures must serialize refs byte-identically.
-func writeRefs(b *strings.Builder, refs []sql.ColRef) {
-	b.WriteString("|B:")
-	for _, r := range refs {
-		b.WriteString(r.Table)
-		b.WriteByte('.')
-		b.WriteString(r.Column)
-		b.WriteByte(',')
-	}
-}
-
 // getSub looks a sub-result up, refreshing its recency on a hit.
 func (s *SkeletonCache) getSub(key string) (*subResult, bool) {
 	s.mu.Lock()
@@ -283,8 +215,7 @@ func (s *SkeletonCache) shrinkLocked() {
 	}
 }
 
-// evictLocked removes one entry, the hash tables built over it, and its
-// template-index entry.
+// evictLocked removes one entry and the hash tables built over it.
 func (s *SkeletonCache) evictLocked(el *list.Element) {
 	e := el.Value.(*skelCacheEntry)
 	s.lru.Remove(el)
@@ -293,29 +224,6 @@ func (s *SkeletonCache) evictLocked(el *list.Element) {
 	for _, tk := range e.tableKeys {
 		delete(s.tables, tk)
 	}
-	if e.tmpl != nil {
-		s.dropTemplateLocked(e.tmpl)
-		e.tmpl = nil
-	}
-}
-
-// dropTemplateLocked unlinks one template entry from the fingerprint
-// index and refunds its value charge. The owning skelCacheEntry's tmpl
-// field is the caller's to clear.
-func (s *SkeletonCache) dropTemplateLocked(te *tmplEntry) {
-	chain := s.templates[te.fp]
-	for i, c := range chain {
-		if c == te {
-			chain = append(chain[:i], chain[i+1:]...)
-			break
-		}
-	}
-	if len(chain) == 0 {
-		delete(s.templates, te.fp)
-	} else {
-		s.templates[te.fp] = chain
-	}
-	s.values -= tmplValues(te)
 }
 
 // getTable looks up a build-side hash table.
@@ -354,90 +262,8 @@ func (s *SkeletonCache) putTable(subKey, tableKey string, t *joinTable) {
 	s.shrinkLocked()
 }
 
-// getTemplate probes the template index for a cached instance of tm's
-// template (fingerprint bucket, collision-checked against the full
-// signature, namespaced by the key prefix) whose constants contain
-// tm's. A hit refreshes the owning sub-result's recency and returns the
-// entry's immutable payload; refinement happens outside the lock.
-func (s *SkeletonCache) getTemplate(prefix string, tm scanTemplate) (*tmplCached, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, te := range s.templates[tm.fp] {
-		if te.prefix != prefix || te.sig != tm.sig {
-			continue // fingerprint collision or foreign epoch
-		}
-		if !containsConsts(tm.ops, te.consts, tm.consts) {
-			break // one entry per (prefix, sig); it does not contain tm
-		}
-		if el, ok := s.subs[te.key]; ok {
-			s.lru.MoveToFront(el)
-		}
-		s.tmplHits++
-		return &te.tmplCached, true
-	}
-	s.tmplMisses++
-	return nil, false
-}
-
-// putTemplate registers a computed scan instance in the template index,
-// riding the sub-result cached under key (the entry is skipped when
-// that sub-result was not retained — nothing would ever evict it). At
-// most one entry exists per (prefix, signature): an existing entry
-// whose constants contain the new instance's is kept (it already
-// refines every instance the new one could), otherwise the new entry
-// replaces it — so under containment-ordered traffic the index
-// converges on the loosest instance seen. bcols and fcols are the
-// boundary and filter columns gathered at the scan's n selected rows;
-// their cells are charged to the store's value budget like a
-// sub-result's.
-func (s *SkeletonCache) putTemplate(prefix, key string, tm scanTemplate, n int, bcols, fcols []storage.ColData) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.subs[key]
-	if !ok {
-		return
-	}
-	e := el.Value.(*skelCacheEntry)
-	te := &tmplEntry{
-		tmplCached: tmplCached{sig: tm.sig, consts: tm.consts, ops: tm.ops, n: n, bcols: bcols, fcols: fcols},
-		fp:         tm.fp,
-		prefix:     prefix,
-		key:        key,
-	}
-	if s.valueLimit > 0 && tmplValues(te) > s.valueLimit {
-		return // could never be retained; don't wipe the cache for it
-	}
-	for _, old := range s.templates[tm.fp] {
-		if old.prefix != prefix || old.sig != tm.sig {
-			continue
-		}
-		if containsConsts(tm.ops, old.consts, tm.consts) {
-			return // existing entry already refines everything te could
-		}
-		if oel, ok := s.subs[old.key]; ok {
-			oel.Value.(*skelCacheEntry).tmpl = nil
-		}
-		s.dropTemplateLocked(old)
-		break
-	}
-	if e.tmpl != nil {
-		// The sub-result under key was re-put and already carries an
-		// entry (content-addressed: logically the same instance).
-		s.dropTemplateLocked(e.tmpl)
-	}
-	e.tmpl = te
-	s.templates[tm.fp] = append(s.templates[tm.fp], te)
-	s.values += tmplValues(te)
-	s.shrinkLocked()
-}
-
-// TemplateStats reports template-index lookup hits and misses
-// (diagnostics; only template-sharing runs touch the index).
-func (s *SkeletonCache) TemplateStats() (hits, misses int64) {
-	if s == nil {
-		return 0, 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tmplHits, s.tmplMisses
-}
+// TemplateStats once reported template-index lookups.
+//
+// Deprecated: there is no template index; TemplateStats does nothing and
+// always returns 0, 0. bench/ is its last caller.
+func (s *SkeletonCache) TemplateStats() (hits, misses int64) { return 0, 0 }

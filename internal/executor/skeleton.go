@@ -104,31 +104,13 @@ func scanSub(sc *skelScratch, sig string, cs *storage.ColStore, poss []int, sel 
 }
 
 // SkelConfig carries the execution knobs of the skeleton engine. The zero
-// value means: monolithic (unsharded) samples, no memory budget, no
-// template index. Shards and Templates are performance-only — counts and
-// cached sub-results are byte-identical at every setting.
+// value means no memory budget.
 type SkelConfig struct {
-	// Shards evaluates every sample scan as that many contiguous
-	// word-aligned partitions (storage.ShardBounds), one after another,
-	// whose selections concatenate in shard order into the monolithic
-	// one. <= 1 keeps the monolithic layout. Memory-budget charges and
-	// cache keys never mention the shard count, so verdicts and
-	// warm-cache behavior are shard-count-independent.
-	Shards int
 	// MemBudget softly caps the values one plan may materialize
 	// (boundary-column cells plus hash-table entries, cache hits
 	// included — see memAccount); <= 0 means unlimited. On breach the run
 	// aborts with ErrMemoryBudget; nothing partial is cached.
 	MemBudget int64
-	// Templates enables the cache's template index (DESIGN.md §9):
-	// filtered scans are canonicalized into constant-stripped templates,
-	// and the cache keeps a (template, constant-vector) index so a
-	// near-miss constant refines a cached containing instance instead of
-	// rescanning. Counts and estimates stay byte-identical at either
-	// setting — the index changes how sub-results are computed, never
-	// their contents. Off by default: the index retains gathered filter
-	// columns, a memory cost only parametrized workloads buy anything with.
-	Templates bool
 }
 
 // BatchPlan pairs a plan with the handle it validates through: a
@@ -144,8 +126,8 @@ type BatchPlan struct {
 // run by countSteps — and returns each plan's steps with their counts
 // filled: a step carries the relation set its count belongs to, which is
 // all the estimator asks. Reuse between the plans, and between requests,
-// comes from the caches their handles share (sub-results, build-side hash
-// tables, the template index); parallelism comes from independent
+// comes from the caches their handles share (sub-results and build-side
+// hash tables); parallelism comes from independent
 // requests on their own goroutines (DESIGN.md §2). ctx is checked before
 // each step.
 //
@@ -192,9 +174,6 @@ func countSteps(ctx context.Context, bp BatchPlan, binder func(string) (*storage
 		ctx:         ctx,
 		binder:      binder,
 		cache:       bp.Prep.cache,
-		prefix:      bp.Prep.prefix,
-		shards:      cfg.Shards,
-		templates:   cfg.Templates,
 		mem:         memAccount{budget: cfg.MemBudget},
 		skelScratch: getScratch(),
 	}
@@ -207,13 +186,10 @@ func countSteps(ctx context.Context, bp BatchPlan, binder func(string) (*storage
 }
 
 type skelEngine struct {
-	ctx       context.Context
-	binder    func(string) (*storage.Table, error)
-	cache     *SkeletonCache // nil: uncached
-	prefix    string         // the Prepared's key namespace, for template entries
-	shards    int
-	templates bool
-	mem       memAccount
+	ctx    context.Context
+	binder func(string) (*storage.Table, error)
+	cache  *SkeletonCache // nil: uncached
+	mem    memAccount
 
 	// Pooled scratch reused across the steps of one run: steps evaluate
 	// strictly one at a time, so a single set of buffers serves the plan.
@@ -280,8 +256,7 @@ func (e *skelEngine) run(steps []Step) error {
 // against its schema, up front, so schema-resolution failures surface
 // before any scan work — wrapped as unsupported, because a scan schema
 // that cannot resolve its own columns is a hand-built shape the general
-// executor may still know how to run. Positions are shared by every
-// shard: shards are row partitions of one schema.
+// executor may still know how to run.
 func scanPositions(t *plan.ScanNode, refs []sql.ColRef) (filterPos, boundPos []int, err error) {
 	pos := make([]int, len(t.Filters)+len(refs))
 	filterPos, boundPos = pos[:len(t.Filters):len(t.Filters)], pos[len(t.Filters):]
@@ -322,74 +297,23 @@ func (e *skelEngine) evalScan(st *Step) (*subResult, error) {
 		return nil, err
 	}
 
-	// Template probe (DESIGN.md §9): on an exact-key miss, a cached
-	// instance of the same template whose constants contain this scan's
-	// can serve it by refinement — the instance's conjuncts re-evaluated
-	// over the entry's gathered filter columns — instead of a sample
-	// rescan. The refined sub-result is byte-identical to a fresh scan
-	// (see refineCachedTemplate) and is stored under the exact key, so
-	// repeats of this constant hit outright.
-	var tmpl scanTemplate
-	tmplOK := false
-	if e.cache != nil && e.templates {
-		if tm, ok := scanTemplateOf(t, refs, filterPos); ok {
-			tmpl, tmplOK = tm, true
-			if tc, hit := e.cache.getTemplate(e.prefix, tm); hit {
-				if sub := refineCachedTemplate(e.skelScratch, tc, tm, t.Filters, key); sub != nil {
-					// Same charge as computing or an exact hit: budget
-					// verdicts stay independent of how the result arrived.
-					if e.mem.charge(subCharge(sub)) {
-						return nil, ErrMemoryBudget
-					}
-					e.cache.putSub(key, sub)
-					return sub, nil
-				}
-			}
-		}
-	}
-
-	// The selection: the whole sample's, or with shards > 1 each shard
-	// view's in turn (passes close over the shard's column slices),
-	// re-based to sample row ids and concatenated — shards are contiguous
-	// in-order row partitions, so that is the monolithic selection.
+	// One filter pass over the sample's column store.
 	cs := tab.ColData()
-	stores := []*storage.ColStore{cs}
-	if e.shards > 1 {
-		stores = tab.ColDataShards(e.shards)
+	passes := e.passBuf[:0]
+	for fi, f := range t.Filters {
+		passes = appendFilterPasses(passes, cs.Col(filterPos[fi]), f)
 	}
-	var sel []int32
-	base := int32(0)
-	for si, sh := range stores {
-		if len(stores) > 1 && faultinject.Active() {
-			faultinject.Fire(faultinject.ShardUnit, fmt.Sprintf("%s#shard=%d", st.Set.sig, si))
-		}
-		passes := e.passBuf[:0]
-		for fi, f := range t.Filters {
-			passes = appendFilterPasses(passes, sh.Col(filterPos[fi]), f)
-		}
-		e.passBuf = passes[:0]
-		sel = e.selectRows(passes, sh.NumRows())
-		if len(stores) > 1 {
-			for _, r := range sel {
-				e.shardSel = append(e.shardSel, base+r)
-			}
-			base += int32(sh.NumRows())
-			sel = e.shardSel
-		}
-	}
-	e.shardSel = e.shardSel[:0]
+	e.passBuf = passes[:0]
+	sel := e.selectRows(passes, cs.NumRows())
 
 	// The charge is what compaction materializes — the same an exact hit
-	// or a refinement of this scan charges.
+	// of this scan charges.
 	sub := scanSub(e.skelScratch, key, cs, poss, sel)
 	if e.mem.charge(subCharge(sub)) {
 		return nil, ErrMemoryBudget
 	}
 	if e.cache != nil {
 		e.cache.putSub(key, sub)
-		if tmplOK {
-			e.cache.putTemplate(e.prefix, key, tmpl, len(sel), gatherColsAt(cs, poss, sel), gatherColsAt(cs, tmpl.fpos, sel))
-		}
 	}
 	return sub, nil
 }

@@ -22,7 +22,7 @@ import (
 // shape: a.k int and b.k float (even rows hold integers, odd rows
 // halves), n int with NULLs, m mixed-kind (int / string / float / NULL
 // by row), s string (including the empty string), j int, and v int for
-// filters. Row counts sit above two fan-out chunks and four shards.
+// filters.
 func edgeCatalog(t testing.TB) *catalog.Catalog {
 	t.Helper()
 	mixed := func(i int) rel.Value {
@@ -87,8 +87,7 @@ func ref(table, col string) sql.ColRef { return sql.ColRef{Table: table, Column:
 
 // edgeCase is one query shape: its join predicates, the filter bound
 // (`v < bound` on every table the bounds map names; the two instances of
-// a case differ only there, so they are one template with contained
-// constants), and the left-deep join order to plan.
+// a case differ only there), and the left-deep join order to plan.
 type edgeCase struct {
 	name   string
 	order  []string
@@ -174,11 +173,9 @@ func (ec edgeCase) plan(cat *catalog.Catalog, limit int64) *plan.Plan {
 
 // TestTypedColumnEdgeCases: on every edge case the skeleton engine —
 // through its single-plan and batch entry points — must report the
-// general executor's per-node counts, at shards {1, 4} x template sharing
-// off/on x cold/warm cache. Each case runs as two instances of one
-// template (a loose and a tight filter bound), so with sharing on the
-// tight instance is served by refining the loose one from the cache's
-// template index.
+// general executor's per-node counts on a cold and a warm cache. Each
+// case runs as two instances differing only in a filter bound (a loose
+// and a tight one).
 func TestTypedColumnEdgeCases(t *testing.T) {
 	cat := edgeCatalog(t)
 	ctx := context.Background()
@@ -212,31 +209,25 @@ func TestTypedColumnEdgeCases(t *testing.T) {
 				}
 			})
 		}
-		for _, shards := range []int{1, 4} {
-			for _, templates := range []bool{false, true} {
-				cfg := SkelConfig{Shards: shards, Templates: templates}
-				single, batch := NewSkeletonCache(0, 0), NewSkeletonCache(0, 0)
-				for _, state := range []string{"cold", "warm"} {
-					label := fmt.Sprintf("shards=%d templates=%v %s", shards, templates, state)
-					for pi, p := range plans {
-						got, err := countSkeletonCfg(ctx, p, cat.Table, single, cfg)
-						if err != nil {
-							t.Fatalf("%s [%s single]: %v", ec.name, label, err)
-						}
-						check(label+" single", pi, got)
-					}
-					bps := []BatchPlan{prep(plans[0], batch), prep(plans[1], batch)}
-					got, perPlan, err := countBatch(ctx, bps, cat.Table, cfg)
-					if err != nil {
-						t.Fatalf("%s [%s batch]: %v", ec.name, label, err)
-					}
-					for pi := range plans {
-						if perPlan[pi] != nil {
-							t.Fatalf("%s [%s batch] instance %d: %v", ec.name, label, pi, perPlan[pi])
-						}
-						check(label+" batch", pi, got[pi])
-					}
+		single, batch := NewSkeletonCache(0, 0), NewSkeletonCache(0, 0)
+		for _, label := range []string{"cold", "warm"} {
+			for pi, p := range plans {
+				got, err := countSkeletonCfg(ctx, p, cat.Table, single, SkelConfig{})
+				if err != nil {
+					t.Fatalf("%s [%s single]: %v", ec.name, label, err)
 				}
+				check(label+" single", pi, got)
+			}
+			bps := []BatchPlan{prep(plans[0], batch), prep(plans[1], batch)}
+			got, perPlan, err := countBatch(ctx, bps, cat.Table, SkelConfig{})
+			if err != nil {
+				t.Fatalf("%s [%s batch]: %v", ec.name, label, err)
+			}
+			for pi := range plans {
+				if perPlan[pi] != nil {
+					t.Fatalf("%s [%s batch] instance %d: %v", ec.name, label, pi, perPlan[pi])
+				}
+				check(label+" batch", pi, got[pi])
 			}
 		}
 	}

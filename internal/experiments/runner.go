@@ -34,22 +34,12 @@ type Config struct {
 	// counts; 0 means 10 and 30 (as in the paper).
 	OTT4Count int
 	OTT5Count int
-	// SampleShards splits each table's sample into that many contiguous
-	// shards for validation (core.Options.SampleShards), evaluated one
-	// after another; <= 1 keeps the monolithic layout. Results are byte-identical at every setting.
-	SampleShards int
 	// WorkloadCacheEntries, when positive, shares one workload-level
 	// validation cache (of that many subtree entries) across every
 	// query of the run: repeated and similar query instances reuse each
 	// other's validation counts. 0 keeps per-query caches — the paper's
 	// setting, where each query's overhead is measured cold.
 	WorkloadCacheEntries int
-	// TemplateSharing shares validation scans between query instances
-	// of the same template (reopt.WithTemplateSharing): one union scan
-	// per template within a batch, refined per constant, plus a
-	// template index over the workload cache. Results are
-	// byte-identical at either setting.
-	TemplateSharing bool
 	// Seed drives everything.
 	Seed int64
 }
@@ -111,19 +101,11 @@ func NewRunnerCtx(ctx context.Context, cfg Config) *Runner {
 	return r
 }
 
-// session opens a reopt.Session over cat with the runner's shard and
-// cache configuration — the experiments drive the same public API the
+// session opens a reopt.Session over cat with the runner's cache
+// configuration — the experiments drive the same public API the
 // examples and cmd/reopt use.
 func (r *Runner) session(cat *catalog.Catalog, cfg optimizer.Config) (*reopt.Session, error) {
-	opts := []reopt.SessionOption{
-		reopt.WithOptimizerConfig(cfg),
-		reopt.WithSampleShards(r.cfg.SampleShards),
-		reopt.WithCache(r.wlCache),
-	}
-	if r.cfg.TemplateSharing {
-		opts = append(opts, reopt.WithTemplateSharing())
-	}
-	return reopt.Open(cat, opts...)
+	return reopt.Open(cat, reopt.WithOptimizerConfig(cfg), reopt.WithCache(r.wlCache))
 }
 
 // CalibratedUnits runs (and caches) cost-unit calibration.

@@ -6,8 +6,8 @@
 // points can stay compiled in permanently.
 //
 // A test builds a Set of Rules, each matching an injection Point (and
-// optionally a tag substring identifying the specific node, shard, or
-// wave), and Activates it:
+// optionally a tag substring identifying the specific node or wave), and
+// Activates it:
 //
 //	var fi faultinject.Set
 //	fi.PanicAt(faultinject.SkelNode, "r3.a = 37")
@@ -38,10 +38,6 @@ const (
 	// the node's subtree is evaluated. Tag: the node's canonical subtree
 	// signature.
 	SkelNode Point = "executor.skeleton.node"
-	// ShardUnit fires before each shard of a sharded sample scan is
-	// evaluated. Tag: the scan's subtree signature suffixed with
-	// "#shard=<i>", so a rule can target one shard of one subtree.
-	ShardUnit Point = "executor.batch.shard"
 	// SchedulerWave fires when the workload scheduler flushes a wave.
 	// Tag: "requests=<n>".
 	SchedulerWave Point = "sampling.scheduler.wave"

@@ -75,10 +75,10 @@ func TestCancelAt(t *testing.T) {
 
 func TestSleepAtDelays(t *testing.T) {
 	var s Set
-	s.SleepAt(ShardUnit, "", 20*time.Millisecond)
+	s.SleepAt(SkelNode, "", 20*time.Millisecond)
 	defer s.Activate()()
 	start := time.Now()
-	Fire(ShardUnit, "x")
+	Fire(SkelNode, "x")
 	if d := time.Since(start); d < 15*time.Millisecond {
 		t.Fatalf("Fire returned after %v, want >= 20ms sleep", d)
 	}

@@ -67,8 +67,7 @@ func EstimatePlan(p *plan.Plan, cat *catalog.Catalog) (*Estimate, error) {
 }
 
 // ValidateConfig carries the execution knobs of the validation layer:
-// the skeleton engine's own. Shards and Templates are performance-only:
-// the estimates (Delta and SampleRows) are byte-identical at every setting.
+// the skeleton engine's own.
 type ValidateConfig = executor.SkelConfig
 
 // EstimatePlansCfg validates several plans' join skeletons over the

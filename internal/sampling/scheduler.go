@@ -83,8 +83,6 @@ type Scheduler struct {
 	cat       *catalog.Catalog
 	window    time.Duration // fixed gather window; <= 0 selects adaptive
 	memBudget atomic.Int64  // per-plan value budget for waves; 0 = unlimited
-	shards    atomic.Int64  // sample shard count for waves; <= 1 = monolithic
-	templates atomic.Bool   // template-shared scans for waves
 
 	// Adaptive gather window state: EWMAs (alpha 1/8) of the observed
 	// optimizer round time (gap between a wave finishing and the next
@@ -132,30 +130,22 @@ func (s *Scheduler) SetMemBudget(values int64) {
 	s.memBudget.Store(values)
 }
 
-// SetShards sets the sample shard count the scheduler's waves validate
-// with (<= 1 means the monolithic layout): each sample scan evaluates
-// shard by shard, the selections concatenating in shard order. Estimates
-// are byte-identical at every setting. Safe to call while waves are in flight (new waves pick up
-// the new count).
-func (s *Scheduler) SetShards(n int) {
-	s.shards.Store(int64(n))
-}
+// SetShards once set the sample shard count of the scheduler's waves.
+//
+// Deprecated: samples are no longer sharded; SetShards does nothing and
+// bench/ is its last caller.
+func (s *Scheduler) SetShards(n int) {}
 
-// SetTemplates turns the cache's template index on or off for subsequent
-// waves: cached scans are indexed by constant-stripped template, so a
-// near-miss constant refines a cached containing instance instead of
-// rescanning. Estimates are byte-identical at either setting. Safe to call while waves are in flight.
-func (s *Scheduler) SetTemplates(on bool) {
-	s.templates.Store(on)
-}
+// SetTemplates once turned template-shared scans on for the scheduler's
+// waves.
+//
+// Deprecated: there is no template sharing; SetTemplates does nothing and
+// bench/ is its last caller.
+func (s *Scheduler) SetTemplates(on bool) {}
 
 // cfg snapshots the scheduler's validation config for one wave.
 func (s *Scheduler) cfg() ValidateConfig {
-	return ValidateConfig{
-		Shards:    int(s.shards.Load()),
-		MemBudget: s.memBudget.Load(),
-		Templates: s.templates.Load(),
-	}
+	return ValidateConfig{MemBudget: s.memBudget.Load()}
 }
 
 // observeEWMA folds one sample into an exponentially weighted moving

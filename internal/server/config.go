@@ -23,8 +23,11 @@ type Quota struct {
 	// once. The field still parses so existing config files load, and
 	// bench/ names it.
 	Workers int `json:"workers"`
-	// SampleShards evaluates each sample scan shard by shard
-	// (reopt.WithSampleShards; <= 1 = monolithic).
+	// SampleShards once split each sample scan into shards.
+	//
+	// Deprecated: samples are no longer sharded. The field still parses
+	// so existing config files load, then does nothing; bench/ is its
+	// last caller.
 	SampleShards int `json:"sample_shards"`
 	// MaxInFlight and QueueDepth are the admission gate
 	// (reopt.WithMaxInFlight): at most MaxInFlight expensive calls run,
@@ -49,11 +52,12 @@ type Quota struct {
 	// each request validate on its own.
 	Scheduler       bool                 `json:"scheduler"`
 	SchedulerWindow reoptclient.Duration `json:"scheduler_window"`
-	// TemplateSharing indexes the tenant's cached validation scans by
-	// template, so query instances differing only in constants —
-	// parametrized traffic's few-templates × many-constants shape —
-	// refine each other's scans (reopt.WithTemplateSharing). Results are
-	// byte-identical at either setting.
+	// TemplateSharing once indexed the tenant's cached validation scans
+	// by template.
+	//
+	// Deprecated: there is no template sharing. The field still parses so
+	// existing config files load, then does nothing; bench/ is its last
+	// caller.
 	TemplateSharing bool `json:"template_sharing"`
 }
 
@@ -129,13 +133,21 @@ func (c Config) validate() error {
 	if c.Default == nil && len(c.Tenants) == 0 {
 		return fmt.Errorf("no tenants configured and no default quota")
 	}
+	if c.Default != nil && c.Default.negative() {
+		return fmt.Errorf("default quota: negative quota values")
+	}
 	for name, q := range c.Tenants {
 		if name == "" {
 			return fmt.Errorf("tenant with empty name (use \"default\" via the default quota)")
 		}
-		if q.MaxInFlight < 0 || q.QueueDepth < 0 || q.MemoryBudget < 0 {
+		if q.negative() {
 			return fmt.Errorf("tenant %q: negative quota values", name)
 		}
 	}
 	return nil
+}
+
+// negative reports a quota bound below zero, which no knob accepts.
+func (q Quota) negative() bool {
+	return q.MaxInFlight < 0 || q.QueueDepth < 0 || q.MemoryBudget < 0
 }

@@ -4,8 +4,8 @@
 // (DESIGN.md §7):
 //
 //   - Tenant isolation. Each tenant gets its own Session configured
-//     from its Quota — admission gate, memory budget, workers, shards,
-//     cache, scheduler — so one tenant's overload, panic, or runaway
+//     from its Quota — admission gate, memory budget, cache,
+//     scheduler — so one tenant's overload, panic, or runaway
 //     validation can neither starve nor corrupt another's. Sessions
 //     are fixed at startup; unknown tenants get 404, never a session.
 //
@@ -164,9 +164,6 @@ func New(cat *reopt.Catalog, cfg Config, opts ...Option) (*Server, error) {
 // sessionOptions maps a quota onto Session options.
 func (q Quota) sessionOptions() []reopt.SessionOption {
 	opts := []reopt.SessionOption{reopt.WithMaxInFlight(q.MaxInFlight, q.QueueDepth)}
-	if q.SampleShards > 1 {
-		opts = append(opts, reopt.WithSampleShards(q.SampleShards))
-	}
 	if q.MemoryBudget > 0 {
 		opts = append(opts, reopt.WithMemoryBudget(q.MemoryBudget))
 	}
@@ -182,9 +179,6 @@ func (q Quota) sessionOptions() []reopt.SessionOption {
 	}
 	if q.Scheduler {
 		opts = append(opts, reopt.WithWorkloadScheduler(time.Duration(q.SchedulerWindow)))
-	}
-	if q.TemplateSharing {
-		opts = append(opts, reopt.WithTemplateSharing())
 	}
 	return opts
 }

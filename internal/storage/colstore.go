@@ -41,7 +41,7 @@ type ColData struct {
 	NullWords []uint64
 	// Vals is set only for mixed-kind columns.
 	Vals []rel.Value
-	// idx is the view's lazily built sorted index (IndexRange); nil for
+	// idx is the column's lazily built sorted index (IndexRange); nil for
 	// columns too small or not int64, and for every column no ColStore
 	// owns.
 	idx *sortedIndex
@@ -220,78 +220,6 @@ func (cs *ColStore) NumRows() int { return cs.numRows }
 
 // Col returns the column at schema position pos.
 func (cs *ColStore) Col(pos int) *ColData { return &cs.cols[pos] }
-
-// ShardBounds returns the row boundaries that partition rows into at
-// most n contiguous shards: bounds[i] is the first row of shard i, with
-// a final entry equal to rows. Every interior boundary is a multiple of
-// vec.WordBits so each shard's NULL bitmap is a whole-word slice of the
-// parent's and vectorized kernels never straddle a shard edge. The
-// result is a pure function of (rows, n): shard layout is deterministic
-// and independent of workers, cache state, and build order. n <= 1 (or
-// a table too small to split) yields the single shard [0, rows).
-func ShardBounds(rows, n int) []int {
-	if n < 1 {
-		n = 1
-	}
-	// Ceil division, then round the step up to a whole word.
-	step := (rows + n - 1) / n
-	if rem := step % vec.WordBits; rem != 0 {
-		step += vec.WordBits - rem
-	}
-	if step < vec.WordBits {
-		step = vec.WordBits
-	}
-	bounds := []int{0}
-	for lo := step; lo < rows; lo += step {
-		bounds = append(bounds, lo)
-	}
-	return append(bounds, rows)
-}
-
-// Shards splits the store into at most n contiguous row-range views
-// sharing the parent's column storage (zero-copy: typed slices, Nulls,
-// and Vals are re-sliced; NullWords is re-sliced on whole-word
-// boundaries, which ShardBounds guarantees). Concatenating the shards'
-// rows in shard order reproduces the parent exactly — the invariant the
-// mergeable-partial-result contract of the skeleton engines relies on.
-// Shards(1) returns the store itself.
-func (cs *ColStore) Shards(n int) []*ColStore {
-	bounds := ShardBounds(cs.numRows, n)
-	if len(bounds) == 2 {
-		return []*ColStore{cs}
-	}
-	out := make([]*ColStore, len(bounds)-1)
-	for i := range out {
-		lo, hi := bounds[i], bounds[i+1]
-		sh := &ColStore{numRows: hi - lo, cols: make([]ColData, len(cs.cols))}
-		for pos := range cs.cols {
-			src := &cs.cols[pos]
-			dst := &sh.cols[pos]
-			dst.Kind = src.Kind
-			if src.Ints != nil {
-				dst.Ints = src.Ints[lo:hi]
-			}
-			if src.Floats != nil {
-				dst.Floats = src.Floats[lo:hi]
-			}
-			if src.Strs != nil {
-				dst.Strs = src.Strs[lo:hi]
-			}
-			if src.Vals != nil {
-				dst.Vals = src.Vals[lo:hi]
-			}
-			if src.Nulls != nil {
-				dst.Nulls = src.Nulls[lo:hi]
-				// lo is word-aligned, so shard-local bit i is global bit
-				// lo+i and the shard's bitmap is a whole-word subslice.
-				dst.NullWords = src.NullWords[lo/vec.WordBits : lo/vec.WordBits+vec.NumWords(hi-lo)]
-			}
-			dst.attachIndex()
-		}
-		out[i] = sh
-	}
-	return out
-}
 
 // BuildColStore computes the column-major projection of a table.
 func BuildColStore(t *Table) *ColStore {

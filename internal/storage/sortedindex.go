@@ -14,7 +14,7 @@ import (
 // the predicate's measured match count, which the code observes for
 // itself.
 const (
-	// indexMinRows is the smallest column view that gets an index. At 1 %
+	// indexMinRows is the smallest column that gets an index. At 1 %
 	// selectivity the index pass is 10-15x cheaper than the kernel pass at
 	// every size (80 ns against 0.8 us at 10^3 rows, 0.21 against 3.1 us at
 	// 4096, 0.8 against 12.6 us at 16384), and a build (14-34 ns a row) is
@@ -35,18 +35,15 @@ const (
 	indexMaxShare = 2
 )
 
-// sortedIndex is the sorted sample index of one int64 column view: the
-// view's non-NULL row ids in ascending (value, row id) order, built once,
-// on the first range lookup, and immutable after. It belongs to the view
-// — a ColStore column or one shard's slice of it — not to the data: shard
-// 0 starts at the parent's first element yet needs its own, shorter
-// permutation.
+// sortedIndex is the sorted sample index of one int64 ColStore column:
+// the column's non-NULL row ids in ascending (value, row id) order, built
+// once, on the first range lookup, and immutable after.
 type sortedIndex struct {
 	once sync.Once
 	perm []int32
 }
 
-// attachIndex gives a store-owned column view its (still unbuilt) index
+// attachIndex gives a store-owned column its (still unbuilt) index
 // when it is an int64 column of at least indexMinRows rows. Columns made
 // by NewLike never pass through here: intermediate results are not
 // indexed.
@@ -56,7 +53,7 @@ func (c *ColData) attachIndex() {
 	}
 }
 
-// rows returns the view's rows whose non-NULL value lies in [lo, hi]
+// rows returns the column's rows whose non-NULL value lies in [lo, hi]
 // (none when lo > hi), in ascending (value, row id) order, building the
 // permutation on first use: two binary searches, time proportional to
 // the answer rather than the column.

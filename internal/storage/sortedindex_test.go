@@ -147,38 +147,6 @@ func TestIndexSizeCutoff(t *testing.T) {
 	}
 }
 
-// TestShardViewsOwnTheirIndex: shard 0 starts at the parent's first
-// element but is a shorter view; with the parent's index already built,
-// every shard still answers from its own permutation, in shard-local row
-// ids, and a shard under the size cut-off has none.
-func TestShardViewsOwnTheirIndex(t *testing.T) {
-	const n = 4*indexMinRows + 1000
-	cs := BuildColStore(intTable(n, edgeValue))
-	parent := cs.Col(0)
-	if parent.IndexRange(100, 120) == nil {
-		t.Fatal("the parent must answer from its index")
-	}
-	shards := cs.Shards(4)
-	if len(shards) != 4 || &shards[0].Col(0).Ints[0] != &parent.Ints[0] {
-		t.Fatal("want 4 shards, the first aliasing the parent's first element")
-	}
-	for si, sh := range shards {
-		c := sh.Col(0)
-		if c.idx == parent.idx {
-			t.Fatalf("shard %d shares the parent's index", si)
-		}
-		got := c.IndexRange(100, 120)
-		if got == nil || !slices.Equal(got, kernelWords(c, 100, 120)) {
-			t.Errorf("shard %d (%d rows): index bitmap missing or different from the kernel's", si, sh.NumRows())
-		}
-	}
-	for _, sh := range cs.Shards(8) { // ~2k-row views
-		if sh.Col(0).idx != nil {
-			t.Fatalf("a %d-row shard view must not be indexed", sh.NumRows())
-		}
-	}
-}
-
 // TestIndexLazyBuildRace: goroutines racing the first lookup all read one
 // permutation — the build ran once (run under -race).
 func TestIndexLazyBuildRace(t *testing.T) {

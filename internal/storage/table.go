@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"reopt/internal/rel"
 )
@@ -26,9 +25,6 @@ type Table struct {
 	indexes     map[string]*Index
 	rowsPerPage int
 	colData     *ColStore // lazy column-major projection; nil until built
-
-	shardMu   sync.Mutex          // guards colShards (built lazily under concurrent readers)
-	colShards map[int][]*ColStore // lazy shard views of colData, keyed by shard count
 }
 
 // NewTable creates an empty table. Column Table attributions in the
@@ -86,9 +82,6 @@ func (t *Table) Append(row rel.Row) error {
 	id := len(t.rows)
 	t.rows = append(t.rows, row)
 	t.colData = nil // invalidate the column-major projection
-	t.shardMu.Lock()
-	t.colShards = nil // shard views alias colData; invalidate with it
-	t.shardMu.Unlock()
 	for _, idx := range t.indexes {
 		idx.insert(row[idx.colPos], id)
 	}
@@ -117,28 +110,6 @@ func (t *Table) ColData() *ColStore {
 		t.colData = BuildColStore(t)
 	}
 	return t.colData
-}
-
-// ColDataShards returns the projection split into at most n contiguous
-// word-aligned shard views (see ColStore.Shards), cached per shard
-// count until the next Append. Safe for concurrent callers once the
-// projection itself exists (samples prebuild it at BuildSamples time);
-// results are immutable views of ColData.
-func (t *Table) ColDataShards(n int) []*ColStore {
-	if n < 1 {
-		n = 1
-	}
-	t.shardMu.Lock()
-	defer t.shardMu.Unlock()
-	if sh, ok := t.colShards[n]; ok {
-		return sh
-	}
-	sh := t.ColData().Shards(n)
-	if t.colShards == nil {
-		t.colShards = make(map[int][]*ColStore)
-	}
-	t.colShards[n] = sh
-	return sh
 }
 
 // CreateIndex builds a secondary index on the named column. Creating an

@@ -47,9 +47,7 @@ type Session struct {
 	opt       *optimizer.Optimizer
 	cache     *sampling.WorkloadCache
 	sched     *sampling.Scheduler
-	shards    int
 	memBudget int64
-	templates bool
 	adm       *admission
 }
 
@@ -57,7 +55,6 @@ type Session struct {
 type sessionConfig struct {
 	optCfg       OptimizerConfig
 	haveOptCfg   bool
-	shards       int
 	cacheEntries int
 	cacheValues  int
 	wantCache    bool
@@ -65,7 +62,6 @@ type sessionConfig struct {
 	wantSched    bool
 	schedWindow  time.Duration
 	memBudget    int64
-	templates    bool
 	maxInFlight  int
 	queueDepth   int
 }
@@ -89,16 +85,13 @@ func WithWorkers(n int) SessionOption {
 	return func(*sessionConfig) {}
 }
 
-// WithSampleShards splits every table's sample into n contiguous
-// word-aligned shards for validation. Each skeleton scan then runs
-// shard by shard, on the calling goroutine, and the shards' selections
-// concatenate in shard order into the monolithic one. n <= 1 keeps the
-// monolithic layout. Sharding never changes
-// observable behavior: estimates, Γ, memory-budget verdicts, and cache
-// contents are byte-identical at every shard count, and cache entries
-// written at one setting are served at any other.
+// WithSampleShards once split every table's sample into shards for
+// validation.
+//
+// Deprecated: samples are no longer sharded; WithSampleShards does
+// nothing and bench/ is its last caller.
 func WithSampleShards(n int) SessionOption {
-	return func(c *sessionConfig) { c.shards = n }
+	return func(*sessionConfig) {}
 }
 
 // WithSharedCache gives the session a workload-level validation cache
@@ -200,21 +193,15 @@ func WithMaxInFlight(n, queueDepth int) SessionOption {
 	}
 }
 
-// WithTemplateSharing shares validation work between query instances
-// of the same template — identical plan structure, columns and
-// comparison operators, differing only in predicate constants, the
-// shape parametrized production traffic overwhelmingly takes. The
-// session's cache indexes scans by template, so a repeated constant
-// hits outright and a near-miss constant — contained by a cached
-// instance's selection — derives its result from the cached scan, with
-// bitmap passes over its materialized rows, without touching the
-// samples. Estimates, Γ, and memory-budget verdicts are byte-identical
-// at either setting and at every shard count; sharing changes how
-// counts are computed, never their values. It works through the cache:
-// combine with WithSharedCache (or WithCache) to carry template reuse
-// across the workload.
+// WithTemplateSharing once refined cached scans of one query template for
+// instances with other constants.
+//
+// Deprecated: there is no template sharing — instances of one template
+// share validation work through the cache's exact subtree keys, as any
+// two queries do — so WithTemplateSharing does nothing and bench/ is its
+// last caller.
 func WithTemplateSharing() SessionOption {
-	return func(c *sessionConfig) { c.templates = true }
+	return func(*sessionConfig) {}
 }
 
 // WithCache adopts an existing workload cache instead of creating one —
@@ -247,9 +234,7 @@ func Open(cat *Catalog, opts ...SessionOption) (*Session, error) {
 	s := &Session{
 		cat:       cat,
 		opt:       optimizer.New(cat, cfg.optCfg),
-		shards:    cfg.shards,
 		memBudget: cfg.memBudget,
-		templates: cfg.templates,
 		adm:       newAdmission(cfg.maxInFlight, cfg.queueDepth),
 	}
 	switch {
@@ -261,8 +246,6 @@ func Open(cat *Catalog, opts ...SessionOption) (*Session, error) {
 	if cfg.wantSched {
 		s.sched = sampling.NewScheduler(cat, 0, cfg.schedWindow)
 		s.sched.SetMemBudget(cfg.memBudget)
-		s.sched.SetShards(cfg.shards)
-		s.sched.SetTemplates(cfg.templates)
 	}
 	return s, nil
 }
@@ -296,12 +279,6 @@ func (s *Session) Optimizer() *Optimizer { return s.opt }
 // CacheStats reports the shared validation cache's subtree lookup hits
 // and misses (zeros when the session has no shared cache).
 func (s *Session) CacheStats() (hits, misses int64) { return s.cache.Stats() }
-
-// TemplateStats reports the shared cache's template-index hits and
-// misses — nonzero only under WithTemplateSharing, whose cross-call
-// reuse (exact-constant repeats aside) it measures (zeros without a
-// cache).
-func (s *Session) TemplateStats() (hits, misses int64) { return s.cache.TemplateStats() }
 
 // RowStats reports the sample rows the shared cache's sub-results have
 // counted and the physical rows materialized to hold them (zeros without
@@ -365,10 +342,8 @@ func WithSkipBelowCost(cost float64) ReoptOption {
 // cheap stack object, not a pooled resource.
 func (s *Session) reoptimizer(opts []ReoptOption) *Reoptimizer {
 	r := core.New(s.opt, s.cat)
-	r.Opts.SampleShards = s.shards
 	r.Opts.Cache = s.cache
 	r.Opts.MemBudget = s.memBudget
-	r.Opts.TemplateSharing = s.templates
 	for _, o := range opts {
 		o(&r.Opts)
 	}
@@ -459,11 +434,7 @@ func (s *Session) Validate(ctx context.Context, plans ...*Plan) ([]*SamplingEsti
 	// One handle for the call: plans of the first plan's query share its
 	// prepared state; any other query's plans are prepared on their own.
 	cache := sampling.Prepare(plans[0].Query, s.cache)
-	return sampling.EstimatePlansCfg(ctx, plans, s.cat, cache, sampling.ValidateConfig{
-		Shards:    s.shards,
-		MemBudget: s.memBudget,
-		Templates: s.templates,
-	})
+	return sampling.EstimatePlansCfg(ctx, plans, s.cat, cache, sampling.ValidateConfig{MemBudget: s.memBudget})
 }
 
 // Execute runs a plan against the catalog's base tables. Cancelling ctx
