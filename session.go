@@ -198,8 +198,8 @@ func WithMaxInFlight(n, queueDepth int) SessionOption {
 //
 // Deprecated: there is no template sharing — instances of one template
 // share validation work through the cache's exact subtree keys, as any
-// two queries do — so WithTemplateSharing does nothing and bench/ is its
-// last caller.
+// two queries do — so WithTemplateSharing does nothing. bench/ is its
+// last caller; the TemplateSharing equivalence tests keep it a no-op.
 func WithTemplateSharing() SessionOption {
 	return func(*sessionConfig) {}
 }

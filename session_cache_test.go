@@ -90,6 +90,96 @@ func TestParametrizedWorkloadEquivalence(t *testing.T) {
 	}
 }
 
+// TestTemplateSharingWorkloadEquivalence: the deprecated
+// WithTemplateSharing option is a no-op — a parametrized workload through
+// a shared cache with it set lands on the final plans and Gamma snapshots
+// of a serial, uncached run without it, at parallelism {1, 2, NumCPU},
+// cold and warm.
+func TestTemplateSharingWorkloadEquivalence(t *testing.T) {
+	cat, err := reopt.GenerateOTT(reopt.OTTConfig{Seed: 3, RowsPerValue: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := rangeQueries(t, cat, []int{40, 30, 25, 20, 15, 10})
+	ctx := context.Background()
+
+	ref, err := reopt.Open(cat, reopt.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.ReoptimizeWorkload(ctx, queries, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, par := range []int{1, 2, runtime.NumCPU()} {
+		s, err := reopt.Open(cat,
+			reopt.WithWorkers(2),
+			reopt.WithSharedCache(512),
+			reopt.WithTemplateSharing(),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, state := range []string{"cold", "warm"} {
+			got, err := s.ReoptimizeWorkload(ctx, queries, par)
+			if err != nil {
+				t.Fatalf("par=%d %s: %v", par, state, err)
+			}
+			for i := range queries {
+				if got[i].Final.Fingerprint() != want[i].Final.Fingerprint() {
+					t.Errorf("par=%d %s query %d: final plan diverged", par, state, i)
+				}
+				if got[i].Gamma.Snapshot() != want[i].Gamma.Snapshot() {
+					t.Errorf("par=%d %s query %d: Gamma diverged", par, state, i)
+				}
+			}
+		}
+	}
+}
+
+// TestTemplateSharingSchedulerEquivalence: the same no-op contract on the
+// workload scheduler path (coalesced waves, adaptive gather window).
+func TestTemplateSharingSchedulerEquivalence(t *testing.T) {
+	cat, err := reopt.GenerateOTT(reopt.OTTConfig{Seed: 5, RowsPerValue: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := rangeQueries(t, cat, []int{40, 28, 22, 16})
+	ctx := context.Background()
+
+	ref, err := reopt.Open(cat, reopt.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.ReoptimizeWorkload(ctx, queries, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := reopt.Open(cat,
+		reopt.WithWorkers(2),
+		reopt.WithSharedCache(512),
+		reopt.WithWorkloadScheduler(0), // adaptive gather window
+		reopt.WithTemplateSharing(),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.ReoptimizeWorkload(ctx, queries, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range queries {
+		if got[i].Final.Fingerprint() != want[i].Final.Fingerprint() {
+			t.Errorf("query %d: final plan diverged under the scheduler", i)
+		}
+		if got[i].Gamma.Snapshot() != want[i].Gamma.Snapshot() {
+			t.Errorf("query %d: Gamma diverged under the scheduler", i)
+		}
+	}
+}
+
 // TestSharedCacheAcrossCatalogs: one WorkloadCache shared through
 // WithCache by two sessions over two catalogs whose tables have the same
 // names but different data. With calls alternating between the
