@@ -599,6 +599,38 @@ func BenchmarkValidationLargeSample(b *testing.B) {
 	}
 }
 
+// BenchmarkCatalogBuild times one catalog generation at two of bench/'s
+// workload shapes — rows, indexes, ANALYZE and samples, the bulk of
+// their setup_s: ott_large (five int tables of 72k-120k rows, both
+// columns indexed) and tpch_batch's skewed TPC-H (int and low-cardinality
+// string columns). B/op is what one set-up allocates.
+func BenchmarkCatalogBuild(b *testing.B) {
+	shapes := []struct {
+		name string
+		gen  func() (*reopt.Catalog, error)
+	}{
+		{"ott_large", func() (*reopt.Catalog, error) {
+			return reopt.GenerateOTT(reopt.OTTConfig{
+				Seed: 1, NumTables: 5, RowsPerValue: 3,
+				Domains: []int{40000, 36000, 32000, 28000, 24000}, SampleRatio: 1.0,
+			})
+		}},
+		{"tpch", func() (*reopt.Catalog, error) {
+			return reopt.GenerateTPCH(reopt.TPCHConfig{Seed: 1, Customers: 1500, Z: 1})
+		}},
+	}
+	for _, s := range shapes {
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.gen(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkWorkloadCache measures what the workload-level validation
 // cache buys on a workload of similar queries: "cold" re-optimizes the
 // whole workload with per-query caches (every query validates from

@@ -14,8 +14,9 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"reopt/internal/rel"
 	"reopt/internal/storage"
@@ -96,6 +97,11 @@ type AnalyzeOptions struct {
 // statistics are exact, which makes the remaining estimation errors
 // attributable purely to the estimation model (AVI, uniformity), exactly
 // the errors the paper studies.
+//
+// It reads the column's sorted permutation (storage.Table.ColumnRuns) as
+// runs of equal values: the run count is NumDistinct, a run's length its
+// value's frequency, and its first row — the value's first occurrence in
+// heap order — the exemplar an MCV entry or histogram bound holds.
 func AnalyzeColumn(t *storage.Table, pos int, opts AnalyzeOptions) *ColumnStats {
 	target := opts.Target
 	if target <= 0 {
@@ -108,92 +114,82 @@ func AnalyzeColumn(t *storage.Table, pos int, opts AnalyzeOptions) *ColumnStats 
 
 	col := t.Schema().Columns[pos]
 	cs := &ColumnStats{
-		Table:   col.Table,
-		Column:  col.Name,
-		NumRows: t.NumRows(),
+		Table:    col.Table,
+		Column:   col.Name,
+		NumRows:  t.NumRows(),
+		mcvIndex: make(map[rel.ValueKey]float64),
 	}
 	if cs.NumRows == 0 {
-		cs.mcvIndex = map[rel.ValueKey]float64{}
 		return cs
 	}
 
-	counts := make(map[rel.ValueKey]int)
-	exemplar := make(map[rel.ValueKey]rel.Value)
-	nulls := 0
-	for _, row := range t.Rows() {
-		v := row[pos]
-		if v.IsNull() {
-			nulls++
-			continue
-		}
-		k := v.Key()
-		counts[k]++
-		if _, ok := exemplar[k]; !ok {
-			exemplar[k] = v
-		}
-	}
-	cs.NullFrac = float64(nulls) / float64(cs.NumRows)
-	cs.NumDistinct = len(counts)
+	ids, runs := t.ColumnRuns(pos)
+	numRuns := len(runs) - 1
+	runLen := func(r int) int { return runs[r+1] - runs[r] }
+	value := func(r int) rel.Value { return t.Row(int(ids[runs[r]]))[pos] }
+	cs.NullFrac = float64(cs.NumRows-len(ids)) / float64(cs.NumRows)
+	cs.NumDistinct = numRuns
 
-	// MCV list: the up-to-target most frequent values with count >= minCount.
-	type vc struct {
-		v rel.Value
-		c int
+	// MCV list: the up-to-target most frequent values with count >=
+	// minCount, ties in ascending value order — which is run order. A
+	// count of runs by length finds the cut: every run longer than it
+	// makes the list, and the first room runs of exactly that length.
+	// Only the chosen runs are sorted.
+	maxLen := 0
+	for r := range numRuns {
+		maxLen = max(maxLen, runLen(r))
 	}
-	all := make([]vc, 0, len(counts))
-	for k, c := range counts {
-		all = append(all, vc{v: exemplar[k], c: c})
+	byLen := make([]int, maxLen+1)
+	for r := range numRuns {
+		byLen[runLen(r)]++
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
+	cut, room := maxLen, target
+	for ; cut > minCount && byLen[cut] < room; cut-- {
+		room -= byLen[cut]
+	}
+	var common []int
+	for r := range numRuns {
+		switch n := runLen(r); {
+		case n < minCount:
+		case n > cut:
+			common = append(common, r)
+		case n == cut && room > 0:
+			common = append(common, r)
+			room--
 		}
-		return all[i].v.Compare(all[j].v) < 0
-	})
-	cs.mcvIndex = make(map[rel.ValueKey]float64)
-	for _, e := range all {
-		if len(cs.MCV) >= target || e.c < minCount {
-			break
-		}
-		f := float64(e.c) / float64(cs.NumRows)
-		cs.MCV = append(cs.MCV, MCVEntry{Value: e.v, Freq: f})
-		cs.mcvIndex[e.v.Key()] = f
+	}
+	slices.SortStableFunc(common, func(a, b int) int { return cmp.Compare(runLen(b), runLen(a)) })
+	isMCV := make([]bool, numRuns)
+	rest := len(ids) // non-NULL, non-MCV rows
+	for _, r := range common {
+		v := value(r)
+		f := float64(runLen(r)) / float64(cs.NumRows)
+		cs.MCV = append(cs.MCV, MCVEntry{Value: v, Freq: f})
+		cs.mcvIndex[v.Key()] = f
 		cs.mcvFreqSum += f
+		isMCV[r] = true
+		rest -= runLen(r)
 	}
 
-	// Equi-depth histogram over the non-MCV values.
-	rest := make([]rel.Value, 0, cs.NumRows)
-	for _, row := range t.Rows() {
-		v := row[pos]
-		if v.IsNull() {
-			continue
-		}
-		if _, ok := cs.mcvIndex[v.Key()]; ok {
-			continue
-		}
-		rest = append(rest, v)
+	// Equi-depth histogram over the non-MCV values: bound b is the value
+	// at position b*(rest-1)/buckets of their sorted sequence, which is
+	// the non-MCV runs in order.
+	if rest == 0 {
+		return cs
 	}
-	if len(rest) > 0 {
-		cs.Hist = buildHistogram(rest, target)
-		cs.Hist.TotalFrac = float64(len(rest)) / float64(cs.NumRows)
-	}
-	return cs
-}
-
-func buildHistogram(vals []rel.Value, buckets int) *Histogram {
-	sort.Slice(vals, func(i, j int) bool { return vals[i].Compare(vals[j]) < 0 })
-	if buckets > len(vals) {
-		buckets = len(vals)
-	}
-	if buckets < 1 {
-		buckets = 1
-	}
+	buckets := min(target, rest)
 	bounds := make([]rel.Value, 0, buckets+1)
-	for b := 0; b <= buckets; b++ {
-		i := b * (len(vals) - 1) / buckets
-		bounds = append(bounds, vals[i])
+	b, seen := 0, 0
+	for r := range numRuns {
+		if isMCV[r] {
+			continue
+		}
+		for seen += runLen(r); b <= buckets && b*(rest-1)/buckets < seen; b++ {
+			bounds = append(bounds, value(r))
+		}
 	}
-	return &Histogram{Bounds: bounds}
+	cs.Hist = &Histogram{Bounds: bounds, TotalFrac: float64(rest) / float64(cs.NumRows)}
+	return cs
 }
 
 // TableStats aggregates column statistics for one table.

@@ -1,8 +1,11 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +19,279 @@ func tableOf(vals []int64) *storage.Table {
 		t.MustAppend(rel.Row{rel.Int(v)})
 	}
 	return t
+}
+
+// referenceAnalyzeColumn is the map-based ANALYZE AnalyzeColumn replaced:
+// value counts and first-seen exemplars in maps keyed by Value.Key, MCVs
+// by sorting all distinct values, and the histogram by sorting the
+// non-MCV values themselves. It is the oracle AnalyzeColumn must match.
+func referenceAnalyzeColumn(t *storage.Table, pos int, opts AnalyzeOptions) *ColumnStats {
+	target := opts.Target
+	if target <= 0 {
+		target = DefaultTarget
+	}
+	minCount := opts.MCVMinCount
+	if minCount <= 0 {
+		minCount = 2
+	}
+
+	col := t.Schema().Columns[pos]
+	cs := &ColumnStats{
+		Table:   col.Table,
+		Column:  col.Name,
+		NumRows: t.NumRows(),
+	}
+	if cs.NumRows == 0 {
+		cs.mcvIndex = map[rel.ValueKey]float64{}
+		return cs
+	}
+
+	counts := make(map[rel.ValueKey]int)
+	exemplar := make(map[rel.ValueKey]rel.Value)
+	nulls := 0
+	for _, row := range t.Rows() {
+		v := row[pos]
+		if v.IsNull() {
+			nulls++
+			continue
+		}
+		k := v.Key()
+		counts[k]++
+		if _, ok := exemplar[k]; !ok {
+			exemplar[k] = v
+		}
+	}
+	cs.NullFrac = float64(nulls) / float64(cs.NumRows)
+	cs.NumDistinct = len(counts)
+
+	type vc struct {
+		v rel.Value
+		c int
+	}
+	all := make([]vc, 0, len(counts))
+	for k, c := range counts {
+		all = append(all, vc{v: exemplar[k], c: c})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].c != all[j].c {
+			return all[i].c > all[j].c
+		}
+		return all[i].v.Compare(all[j].v) < 0
+	})
+	cs.mcvIndex = make(map[rel.ValueKey]float64)
+	for _, e := range all {
+		if len(cs.MCV) >= target || e.c < minCount {
+			break
+		}
+		f := float64(e.c) / float64(cs.NumRows)
+		cs.MCV = append(cs.MCV, MCVEntry{Value: e.v, Freq: f})
+		cs.mcvIndex[e.v.Key()] = f
+		cs.mcvFreqSum += f
+	}
+
+	rest := make([]rel.Value, 0, cs.NumRows)
+	for _, row := range t.Rows() {
+		v := row[pos]
+		if v.IsNull() {
+			continue
+		}
+		if _, ok := cs.mcvIndex[v.Key()]; ok {
+			continue
+		}
+		rest = append(rest, v)
+	}
+	if len(rest) > 0 {
+		cs.Hist = referenceHistogram(rest, target)
+		cs.Hist.TotalFrac = float64(len(rest)) / float64(cs.NumRows)
+	}
+	return cs
+}
+
+func referenceHistogram(vals []rel.Value, buckets int) *Histogram {
+	sort.Slice(vals, func(i, j int) bool { return vals[i].Compare(vals[j]) < 0 })
+	if buckets > len(vals) {
+		buckets = len(vals)
+	}
+	if buckets < 1 {
+		buckets = 1
+	}
+	bounds := make([]rel.Value, 0, buckets+1)
+	for b := 0; b <= buckets; b++ {
+		i := b * (len(vals) - 1) / buckets
+		bounds = append(bounds, vals[i])
+	}
+	return &Histogram{Bounds: bounds}
+}
+
+// CheckAgainstReference fails t unless AnalyzeColumn and the reference
+// agree on every column of tab under opts. Everything is compared with
+// reflect.DeepEqual except two things: MCV values must be the same
+// representation (Kind and String, so NaN matches NaN), and histogram
+// bounds need only compare equal under Compare — the reference sorts
+// unstably, so of one value's representations (-0.0 and 0.0, Int(1) and
+// Float(1)) any may land on a bound. It is exported for the bench-catalog
+// test in package stats_test.
+func CheckAgainstReference(t *testing.T, tab *storage.Table, opts AnalyzeOptions) {
+	t.Helper()
+	for pos, col := range tab.Schema().Columns {
+		got, want := *AnalyzeColumn(tab, pos, opts), *referenceAnalyzeColumn(tab, pos, opts)
+		if d := diffStats(&got, &want); d != "" {
+			t.Errorf("%s.%s %+v: %s", tab.Name(), col.Name, opts, d)
+		}
+	}
+}
+
+// diffStats describes how got differs from want (see
+// CheckAgainstReference), or returns "". It clears the MCV and histogram
+// fields of both once they are checked.
+func diffStats(got, want *ColumnStats) string {
+	if len(got.MCV) != len(want.MCV) {
+		return fmt.Sprintf("%d MCVs, want %d", len(got.MCV), len(want.MCV))
+	}
+	for i, g := range got.MCV {
+		w := want.MCV[i]
+		if g.Value.Kind() != w.Value.Kind() || g.Value.String() != w.Value.String() || g.Freq != w.Freq {
+			return fmt.Sprintf("MCV %d = %v, want %v", i, g, w)
+		}
+	}
+	if (got.Hist == nil) != (want.Hist == nil) {
+		return fmt.Sprintf("histogram %v, want %v", got.Hist, want.Hist)
+	}
+	if got.Hist != nil {
+		gb, wb := got.Hist.Bounds, want.Hist.Bounds
+		if got.Hist.TotalFrac != want.Hist.TotalFrac || len(gb) != len(wb) {
+			return fmt.Sprintf("histogram %v, want %v", got.Hist, want.Hist)
+		}
+		for i := range gb {
+			if gb[i].Compare(wb[i]) != 0 {
+				return fmt.Sprintf("bound %d = %v, want %v", i, gb[i], wb[i])
+			}
+		}
+	}
+	got.MCV, want.MCV, got.Hist, want.Hist = nil, nil, nil, nil
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Sprintf("got %+v, want %+v", *got, *want)
+	}
+	return ""
+}
+
+// TestAnalyzeMatchesReference compares AnalyzeColumn with the map-based
+// reference on seeded columns built to reach every corner of the run
+// reading: NULLs, all-NULL and empty columns, the float specials, the
+// int64 extremes, int and float mixed in one column, strings, heavy
+// duplicates, distinct counts at and just past the target, and counts on
+// either side of the MCV threshold.
+func TestAnalyzeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	specials := []rel.Value{
+		rel.Float(math.NaN()), rel.Float(nan2), rel.Float(math.Inf(1)), rel.Float(math.Inf(-1)),
+		rel.Float(math.Copysign(0, -1)), rel.Float(0), rel.Float(1.5), rel.Float(-2.25),
+	}
+	var edges []int64
+	for v := int64(0); len(edges) < 1000; v++ {
+		for k := int64(0); k < v%5; k++ {
+			edges = append(edges, v)
+		}
+	}
+	columns := map[string]func(i int) rel.Value{
+		"ints_nulls": func(i int) rel.Value {
+			if rng.Intn(7) == 0 {
+				return rel.Null
+			}
+			return rel.Int(rng.Int63n(300))
+		},
+		"all_null": func(int) rel.Value { return rel.Null },
+		"float_specials": func(i int) rel.Value {
+			if rng.Intn(3) == 0 {
+				return rel.Float(rng.NormFloat64())
+			}
+			return specials[rng.Intn(len(specials))]
+		},
+		"int_extremes": func(i int) rel.Value {
+			switch rng.Intn(4) {
+			case 0:
+				return rel.Int(math.MinInt64)
+			case 1:
+				return rel.Int(math.MaxInt64)
+			}
+			return rel.Int(rng.Int63() - rng.Int63())
+		},
+		"int_float_mixed": func(i int) rel.Value {
+			v := rng.Intn(40)
+			switch rng.Intn(3) {
+			case 0:
+				return rel.Int(int64(v))
+			case 1:
+				return rel.Float(float64(v))
+			}
+			return rel.Float(float64(v) + 0.5)
+		},
+		"strings": func(i int) rel.Value {
+			if rng.Intn(10) == 0 {
+				return rel.String_(fmt.Sprintf("u%d", i))
+			}
+			return rel.String_(fmt.Sprintf("s%02d", rng.Intn(60)))
+		},
+		"heavy_duplicates": func(i int) rel.Value {
+			if rng.Intn(10) != 0 {
+				return rel.Int(42)
+			}
+			return rel.Int(int64(i))
+		},
+		"target_distinct":       func(i int) rel.Value { return rel.Int(int64(i % DefaultTarget)) },
+		"target_plus1_distinct": func(i int) rel.Value { return rel.Int(int64(i % (DefaultTarget + 1))) },
+		// Value v occurs v%5 times: counts 1-4 straddle MCVMinCount 2 and 3.
+		"min_count_edges": func(i int) rel.Value { return rel.Int(edges[i]) },
+	}
+	names := make([]string, 0, len(columns))
+	for name := range columns {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, rows := range []int{0, 1, 7, 1000} {
+		cols := make([]rel.Column, len(names))
+		for i, name := range names {
+			cols[i] = rel.Column{Name: name, Kind: rel.KindInt}
+		}
+		tab := storage.NewTable(fmt.Sprintf("t%d", rows), rel.NewSchema(cols...))
+		for i := 0; i < rows; i++ {
+			row := make(rel.Row, len(names))
+			for c, name := range names {
+				row[c] = columns[name](i)
+			}
+			tab.MustAppend(row)
+		}
+		for _, opts := range []AnalyzeOptions{{}, {Target: 10, MCVMinCount: 3}, {Target: DefaultTarget + 1}} {
+			CheckAgainstReference(t, tab, opts)
+		}
+	}
+}
+
+// TestIndexNumDistinctMatchesStats: an index counts the distinct non-NULL
+// values ANALYZE counts, whether its rows arrived before CreateIndex (the
+// bulk build) or after (Append) — NULL is no key, as Lookup never
+// returns it.
+func TestIndexNumDistinctMatchesStats(t *testing.T) {
+	tab := storage.NewTable("t", rel.NewSchema(rel.Column{Name: "x", Kind: rel.KindInt}))
+	add := func(from, to int) {
+		for i := from; i < to; i++ {
+			v := rel.Int(int64(i % 13))
+			if i%5 == 0 {
+				v = rel.Null
+			}
+			tab.MustAppend(rel.Row{v})
+		}
+	}
+	add(0, 100)
+	idx, err := tab.CreateIndex("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(100, 200)
+	if got, want := idx.NumDistinct(), AnalyzeColumn(tab, 0, AnalyzeOptions{}).NumDistinct; got != want {
+		t.Errorf("index NumDistinct %d, stats NumDistinct %d", got, want)
+	}
 }
 
 func TestAnalyzeBasics(t *testing.T) {

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"cmp"
 	"math"
+	"strings"
 
 	"reopt/internal/rel"
 	"reopt/internal/vec"
@@ -221,73 +223,91 @@ func (cs *ColStore) NumRows() int { return cs.numRows }
 // Col returns the column at schema position pos.
 func (cs *ColStore) Col(pos int) *ColData { return &cs.cols[pos] }
 
+// compare orders non-NULL rows i and j of the column as Value.Compare
+// orders their values, reading the typed slice.
+func (c *ColData) compare(i, j int) int {
+	switch c.Kind {
+	case rel.KindInt:
+		return cmp.Compare(c.Ints[i], c.Ints[j])
+	case rel.KindFloat:
+		return rel.Float(c.Floats[i]).Compare(rel.Float(c.Floats[j]))
+	case rel.KindString:
+		return strings.Compare(c.Strs[i], c.Strs[j])
+	}
+	return c.Vals[i].Compare(c.Vals[j])
+}
+
 // BuildColStore computes the column-major projection of a table.
 func BuildColStore(t *Table) *ColStore {
-	n := t.NumRows()
-	width := t.Schema().Len()
-	cs := &ColStore{numRows: n, cols: make([]ColData, width)}
-	for pos := 0; pos < width; pos++ {
-		// One pass to find the uniform non-null kind, if any.
-		kind := rel.KindNull
-		mixed := false
-		hasNull := false
-		for _, row := range t.Rows() {
-			v := row[pos]
-			if v.IsNull() {
-				hasNull = true
-				continue
-			}
-			if kind == rel.KindNull {
-				kind = v.Kind()
-			} else if v.Kind() != kind {
-				mixed = true
-				break
-			}
-		}
+	cs := &ColStore{numRows: t.NumRows(), cols: make([]ColData, t.Schema().Len())}
+	for pos := range cs.cols {
 		col := &cs.cols[pos]
-		if mixed {
-			col.Kind = rel.KindNull
-			col.Vals = make([]rel.Value, n)
-			for i, row := range t.Rows() {
-				col.Vals[i] = row[pos]
-			}
-			continue
-		}
-		col.Kind = kind
-		if hasNull {
-			col.Nulls = make([]bool, n)
-		}
-		switch kind {
-		case rel.KindInt:
-			col.Ints = make([]int64, n)
-		case rel.KindFloat:
-			col.Floats = make([]float64, n)
-		case rel.KindString:
-			col.Strs = make([]string, n)
-		default:
-			// All-NULL (or empty) column: Nulls (already allocated when
-			// any row is NULL) plus a zero Ints slice keeps accessors
-			// total.
-			col.Kind = rel.KindInt
-			col.Ints = make([]int64, n)
-		}
-		for i, row := range t.Rows() {
-			v := row[pos]
-			if v.IsNull() {
-				col.Nulls[i] = true
-				continue
-			}
-			switch col.Kind {
-			case rel.KindInt:
-				col.Ints[i] = v.AsInt()
-			case rel.KindFloat:
-				col.Floats[i] = v.AsFloat()
-			case rel.KindString:
-				col.Strs[i] = v.AsString()
-			}
-		}
+		*col = buildColumn(t.rows, pos)
 		col.BuildNullWords()
 		col.attachIndex()
 	}
 	return cs
+}
+
+// buildColumn projects column pos of rows into a ColData, without the
+// NullWords and index a ColStore adds.
+func buildColumn(rows []rel.Row, pos int) ColData {
+	n := len(rows)
+	// One pass to find the uniform non-null kind, if any.
+	kind := rel.KindNull
+	mixed := false
+	hasNull := false
+	for _, row := range rows {
+		v := row[pos]
+		if v.IsNull() {
+			hasNull = true
+			continue
+		}
+		if kind == rel.KindNull {
+			kind = v.Kind()
+		} else if v.Kind() != kind {
+			mixed = true
+			break
+		}
+	}
+	if mixed {
+		col := ColData{Kind: rel.KindNull, Vals: make([]rel.Value, n)}
+		for i, row := range rows {
+			col.Vals[i] = row[pos]
+		}
+		return col
+	}
+	col := ColData{Kind: kind}
+	if hasNull {
+		col.Nulls = make([]bool, n)
+	}
+	switch kind {
+	case rel.KindInt:
+		col.Ints = make([]int64, n)
+	case rel.KindFloat:
+		col.Floats = make([]float64, n)
+	case rel.KindString:
+		col.Strs = make([]string, n)
+	default:
+		// All-NULL (or empty) column: Nulls (already allocated when any
+		// row is NULL) plus a zero Ints slice keeps accessors total.
+		col.Kind = rel.KindInt
+		col.Ints = make([]int64, n)
+	}
+	for i, row := range rows {
+		v := row[pos]
+		if v.IsNull() {
+			col.Nulls[i] = true
+			continue
+		}
+		switch col.Kind {
+		case rel.KindInt:
+			col.Ints[i] = v.AsInt()
+		case rel.KindFloat:
+			col.Floats[i] = v.AsFloat()
+		case rel.KindString:
+			col.Strs[i] = v.AsString()
+		}
+	}
+	return col
 }

@@ -1,38 +1,35 @@
 package storage
 
-import (
-	"sort"
+import "reopt/internal/rel"
 
-	"reopt/internal/rel"
-)
-
-// Index is a secondary index over one column of a table. It maintains two
-// structures: a hash directory for O(1) point lookups (the common case in
-// the paper's workloads, which use only equality predicates) and a lazily
-// rebuilt sorted run for range scans and ordered iteration.
+// Index is a secondary index over one column of a table: a hash directory
+// from each non-NULL value to its rows, for the point lookups the paper's
+// equality-predicate workloads probe it with.
 type Index struct {
 	table  *Table
 	column string
 	colPos int
 
 	hash map[rel.ValueKey][]int
-
-	sorted      []indexEntry
-	sortedClean bool
 }
 
-type indexEntry struct {
-	val rel.Value
-	id  int
-}
-
-func newIndex(t *Table, column string, pos int) *Index {
-	return &Index{
-		table:  t,
-		column: column,
-		colPos: pos,
-		hash:   make(map[rel.ValueKey][]int),
+// buildIndex bulk-builds the index on column pos from the column's sorted
+// permutation (ColumnRuns): one id array, and one directory entry per run
+// of equal values holding that run's sub-slice of it.
+func buildIndex(t *Table, column string, pos int) *Index {
+	perm, runs := t.ColumnRuns(pos)
+	ids := make([]int, len(perm))
+	for x, id := range perm {
+		ids[x] = int(id)
 	}
+	ix := &Index{table: t, column: column, colPos: pos, hash: make(map[rel.ValueKey][]int, len(runs)-1)}
+	for r := range len(runs) - 1 {
+		i, j := runs[r], runs[r+1]
+		// Capacity-clipped, so an insert into this run reallocates it
+		// instead of writing over the next run's ids.
+		ix.hash[t.rows[ids[i]][pos].Key()] = ids[i:j:j]
+	}
+	return ix
 }
 
 // Column returns the indexed column name.
@@ -41,11 +38,14 @@ func (ix *Index) Column() string { return ix.column }
 // ColumnPos returns the indexed column's position in the table schema.
 func (ix *Index) ColumnPos() int { return ix.colPos }
 
+// insert files row id under v. NULL is never filed: Lookup never returns
+// it, and NumDistinct counts values.
 func (ix *Index) insert(v rel.Value, id int) {
+	if v.IsNull() {
+		return
+	}
 	k := v.Key()
 	ix.hash[k] = append(ix.hash[k], id)
-	ix.sorted = append(ix.sorted, indexEntry{val: v, id: id})
-	ix.sortedClean = false
 }
 
 // Lookup returns the heap row ids whose indexed column equals v, in heap
@@ -58,18 +58,16 @@ func (ix *Index) Lookup(v rel.Value) []int {
 	return ix.hash[v.Key()]
 }
 
-// NumDistinct returns the number of distinct keys in the index.
+// NumDistinct returns the number of distinct non-NULL keys in the index.
 func (ix *Index) NumDistinct() int { return len(ix.hash) }
 
-// NumEntries returns the total number of indexed rows.
-func (ix *Index) NumEntries() int { return len(ix.sorted) }
-
 // LeafPages approximates the number of index leaf pages, used by the cost
-// model for index scans. Index entries are denser than heap rows; we
-// assume 4x the heap fanout.
+// model for index scans: one entry per table row, NULLs included, as the
+// B-tree it models would hold, and index entries are denser than heap
+// rows — we assume 4x the heap fanout.
 func (ix *Index) LeafPages() int {
 	per := ix.table.rowsPerPage * 4
-	n := len(ix.sorted)
+	n := ix.table.NumRows()
 	if n == 0 {
 		return 1
 	}
@@ -87,49 +85,4 @@ func (ix *Index) Height() int {
 		h++
 	}
 	return h
-}
-
-func (ix *Index) ensureSorted() {
-	if ix.sortedClean {
-		return
-	}
-	sort.SliceStable(ix.sorted, func(a, b int) bool {
-		return ix.sorted[a].val.Compare(ix.sorted[b].val) < 0
-	})
-	ix.sortedClean = true
-}
-
-// Range returns row ids whose indexed value v satisfies lo <= v <= hi
-// under Compare, in value order. A nil bound (rel.Null is not a valid
-// bound) is expressed by passing includeLo/includeHi=false with the
-// corresponding zero bound unused; callers in this codebase always pass
-// closed bounds, matching the equality-heavy workloads.
-func (ix *Index) Range(lo, hi rel.Value) []int {
-	ix.ensureSorted()
-	n := len(ix.sorted)
-	start := sort.Search(n, func(i int) bool {
-		return ix.sorted[i].val.Compare(lo) >= 0
-	})
-	end := sort.Search(n, func(i int) bool {
-		return ix.sorted[i].val.Compare(hi) > 0
-	})
-	if start >= end {
-		return nil
-	}
-	out := make([]int, 0, end-start)
-	for i := start; i < end; i++ {
-		out = append(out, ix.sorted[i].id)
-	}
-	return out
-}
-
-// Ordered returns all row ids in indexed-value order, for index-order
-// scans and merge joins.
-func (ix *Index) Ordered() []int {
-	ix.ensureSorted()
-	out := make([]int, len(ix.sorted))
-	for i, e := range ix.sorted {
-		out[i] = e.id
-	}
-	return out
 }

@@ -1,6 +1,15 @@
 package storage
 
+// One sorted permutation per column: sortedPerm orders an int64 column's
+// non-NULL row ids by (value, row id) with a radix sort, and it has three
+// callers — the sorted sample index below (IndexRange), and through
+// ColumnRuns both ANALYZE (stats.AnalyzeColumn) and the bulk build of a
+// secondary index's hash directory (CreateIndex), which read the
+// permutation as runs of equal values.
+
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -132,4 +141,44 @@ func sortedPerm(vals []int64, nulls []bool) []int32 {
 		ids, tmpIDs = tmpIDs, ids
 	}
 	return ids
+}
+
+// ColumnRuns returns column pos as one sorted permutation: ids holds its
+// non-NULL row ids in ascending (value, row id) order, cut into runs of
+// equal values — run r is ids[runs[r]:runs[r+1]], one value's rows in
+// heap order, and len(runs)-1 is the number of distinct values. An int64
+// column sorts with sortedPerm; any other with one comparison sort in
+// Value.Compare order, whose ties are Value.Key's classes (so one run is
+// one hash-directory key) on every column except one mixing integers and
+// floats past ±2^53, where Compare rounds the integer to a float.
+func (t *Table) ColumnRuns(pos int) (ids []int32, runs []int) {
+	c := buildColumn(t.rows, pos)
+	if c.Kind == rel.KindInt {
+		ids = sortedPerm(c.Ints, c.Nulls)
+	} else {
+		ids = make([]int32, 0, len(t.rows))
+		for i := range t.rows {
+			if !c.IsNull(i) {
+				ids = append(ids, int32(i))
+			}
+		}
+		// (value, row id) is a total order, so this unstable sort orders
+		// ids exactly as a stable sort by value would.
+		slices.SortFunc(ids, func(a, b int32) int {
+			if r := c.compare(int(a), int(b)); r != 0 {
+				return r
+			}
+			return cmp.Compare(a, b)
+		})
+	}
+	runs = []int{0}
+	for x := 1; x < len(ids); x++ {
+		if c.compare(int(ids[x-1]), int(ids[x])) != 0 {
+			runs = append(runs, x)
+		}
+	}
+	if len(ids) > 0 {
+		runs = append(runs, len(ids))
+	}
+	return ids, runs
 }

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -116,53 +118,73 @@ func TestDuplicateIndexRejected(t *testing.T) {
 	}
 }
 
-func TestIndexRange(t *testing.T) {
-	tab := makeTable(t, 100)
-	idx, err := tab.CreateIndex("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := idx.Range(rel.Int(3), rel.Int(5))
-	if len(ids) != 30 {
-		t.Fatalf("range [3,5]: %d ids, want 30", len(ids))
-	}
-	prev := int64(-1)
-	for _, id := range ids {
-		k := tab.Row(id)[0].AsInt()
-		if k < 3 || k > 5 {
-			t.Errorf("row %d key %d out of range", id, k)
+// TestIndexBulkBuildMatchesInserts: the directory CreateIndex builds from
+// the sorted permutation is the one filing every row through insert
+// would build — the same ids in heap order for every value, and the same
+// NumDistinct, LeafPages and Height — on an int column (radix-sorted)
+// and a string column (comparison-sorted), both with NULLs.
+func TestIndexBulkBuildMatchesInserts(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tab := NewTable("t", rel.NewSchema(
+		rel.Column{Name: "i", Kind: rel.KindInt},
+		rel.Column{Name: "s", Kind: rel.KindString},
+	))
+	for r := 0; r < 20000; r++ {
+		i, s := rel.Int(rng.Int63n(700)-350), rel.String_(fmt.Sprintf("v%03d", rng.Intn(300)))
+		if rng.Intn(50) == 0 {
+			i = rel.Null
 		}
-		if k < prev {
-			t.Error("range output not value-ordered")
+		if rng.Intn(50) == 0 {
+			s = rel.Null
 		}
-		prev = k
+		tab.MustAppend(rel.Row{i, s})
 	}
-	if got := idx.Range(rel.Int(50), rel.Int(60)); got != nil {
-		t.Errorf("empty range returned %d ids", len(got))
-	}
-	if got := idx.Range(rel.Int(5), rel.Int(3)); got != nil {
-		t.Error("inverted range should be empty")
+	for pos, col := range []string{"i", "s"} {
+		bulk, err := tab.CreateIndex(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byRow := &Index{table: tab, column: col, colPos: pos, hash: make(map[rel.ValueKey][]int)}
+		for id, row := range tab.Rows() {
+			byRow.insert(row[pos], id)
+		}
+		for id, row := range tab.Rows() {
+			v := row[pos]
+			if got, want := bulk.Lookup(v), byRow.Lookup(v); !slices.Equal(got, want) {
+				t.Fatalf("%s: Lookup(%v) (row %d) = %v, want %v", col, v, id, got, want)
+			}
+		}
+		if bulk.NumDistinct() != byRow.NumDistinct() || bulk.LeafPages() != byRow.LeafPages() || bulk.Height() != byRow.Height() {
+			t.Errorf("%s: distinct/leaf pages/height %d/%d/%d, want %d/%d/%d", col,
+				bulk.NumDistinct(), bulk.LeafPages(), bulk.Height(),
+				byRow.NumDistinct(), byRow.LeafPages(), byRow.Height())
+		}
 	}
 }
 
-func TestIndexOrdered(t *testing.T) {
-	tab := NewTable("t", rel.NewSchema(rel.Column{Name: "k", Kind: rel.KindInt}))
-	vals := []int64{5, 3, 9, 1, 7}
-	for _, v := range vals {
-		tab.MustAppend(rel.Row{rel.Int(v)})
-	}
+// TestIndexAppendIntoMiddleRun: after a bulk build, appending a row whose
+// key sits in a middle run of the shared id array must leave the
+// neighbouring keys' ids alone — each run's sub-slice is capacity-clipped,
+// so the append reallocates instead of writing into the next run.
+func TestIndexAppendIntoMiddleRun(t *testing.T) {
+	tab := makeTable(t, 100) // k = i % 10: ten runs of ten
 	idx, err := tab.CreateIndex("k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := idx.Ordered()
-	prev := int64(-1)
-	for _, id := range ids {
-		k := tab.Row(id)[0].AsInt()
-		if k < prev {
-			t.Fatalf("not ordered: %d after %d", k, prev)
+	before := map[int64][]int{}
+	for k := int64(0); k < 10; k++ {
+		before[k] = slices.Clone(idx.Lookup(rel.Int(k)))
+	}
+	tab.MustAppend(rel.Row{rel.Int(4), rel.String_("new")})
+	for k := int64(0); k < 10; k++ {
+		want := before[k]
+		if k == 4 {
+			want = append(want, 100)
 		}
-		prev = k
+		if got := idx.Lookup(rel.Int(k)); !slices.Equal(got, want) {
+			t.Errorf("Lookup(%d) after append = %v, want %v", k, got, want)
+		}
 	}
 }
 
@@ -217,14 +239,6 @@ func TestSampleSubsetProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestColumnValues(t *testing.T) {
-	tab := makeTable(t, 30)
-	vals := tab.ColumnValues(0)
-	if len(vals) != 30 || vals[13].AsInt() != 3 {
-		t.Errorf("column values wrong: %d", len(vals))
 	}
 }
 

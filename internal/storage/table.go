@@ -1,7 +1,9 @@
 // Package storage implements the in-memory storage engine: heap tables
 // with page-granular accounting (so the cost model has real page counts
-// to work with), secondary indexes supporting point and range lookups,
-// and Bernoulli table sampling for the sampling-based estimator.
+// to work with), secondary hash indexes for point lookups, one sorted
+// permutation per column (ColumnRuns) that ANALYZE and the index build
+// both read, and Bernoulli table sampling for the sampling-based
+// estimator.
 package storage
 
 import (
@@ -122,10 +124,7 @@ func (t *Table) CreateIndex(column string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := newIndex(t, column, pos)
-	for id, row := range t.rows {
-		idx.insert(row[pos], id)
-	}
+	idx := buildIndex(t, column, pos)
 	t.indexes[column] = idx
 	return idx, nil
 }
@@ -161,14 +160,4 @@ func (t *Table) Sample(name string, ratio float64, seed int64) *Table {
 		}
 	}
 	return s
-}
-
-// ColumnValues returns all values of one column, in heap order; used by
-// ANALYZE to build statistics.
-func (t *Table) ColumnValues(pos int) []rel.Value {
-	out := make([]rel.Value, len(t.rows))
-	for i, row := range t.rows {
-		out[i] = row[pos]
-	}
-	return out
 }

@@ -34,7 +34,7 @@ type Config struct {
 	NumTables int
 	// RowsPerValue is M, the number of rows per distinct value (the
 	// paper's domain rule "each distinct value appears roughly 100
-	// times"). 0 means 40.
+	// times"). 0 means 60.
 	RowsPerValue int
 	// Domains optionally sets each table's distinct-value count; when
 	// shorter than NumTables the defaults cycle. Defaults emulate the
