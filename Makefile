@@ -32,9 +32,9 @@ test:
 	$(GO) test ./...
 
 # race runs the suite under the race detector — the gate for what
-# concurrent requests share: the validation caches, the scheduler, the
-# admission gate and the lazily built sample indexes. (A validation
-# itself runs on one goroutine and shares nothing while it runs.)
+# concurrent requests share: the validation caches, the admission gate
+# and the lazily built sample indexes. (A validation itself runs on its
+# caller's goroutine and shares nothing else while it runs.)
 race:
 	$(GO) test -race ./...
 

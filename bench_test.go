@@ -417,22 +417,14 @@ func BenchmarkSessionWorkloadParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkloadScheduler measures the cross-query validation
-// scheduler on the repeated-OTT workload — two query templates, each
-// arriving three times, the §6 experiment shape where one parametrized
-// query hits the engine from many users. "off" is PR 4's
-// ReoptimizeWorkload (concurrent queries, per-query validation caches,
-// every query validates alone); "on" adds WithWorkloadScheduler, so
-// in-flight queries' validations coalesce into shared skeleton-batch
-// waves and repeated instances' common subtrees execute once per wave
-// instead of once per query. Each iteration opens a fresh session — the
-// cold-workload shape, where the cross-query scans are still there to
-// share (BenchmarkSessionWorkloadParallel covers the warm steady
-// state). At parallelism=1 every wave is a single request (the
-// all-waiting trigger flushes immediately), so "on" must track "off"
-// within noise; at parallelism >= 2 the in-flight dedup cuts validated
-// work — visible as lower ns/op even on one physical core — and
-// req/wave > 1 reports how much of the workload coalesced.
+// BenchmarkWorkloadScheduler measures ReoptimizeWorkload on the
+// repeated-OTT workload — two query templates, each arriving three times,
+// the §6 experiment shape where one parametrized query hits the engine
+// from many users — with per-query validation caches, every query
+// validating on its own worker's goroutine. Each iteration opens a fresh
+// session: the cold-workload shape (BenchmarkSessionWorkloadParallel
+// covers the warm steady state). The name is kept from the deleted
+// workload scheduler, whose "off" rows these are.
 func BenchmarkWorkloadScheduler(b *testing.B) {
 	cat, err := reopt.GenerateOTT(reopt.OTTConfig{Seed: 1, RowsPerValue: 20})
 	if err != nil {
@@ -449,40 +441,22 @@ func BenchmarkWorkloadScheduler(b *testing.B) {
 		qs = append(qs, base...)
 	}
 	ctx := context.Background()
-	for _, sched := range []bool{false, true} {
-		for _, par := range benchParallelisms() {
-			mode := "off"
-			if sched {
-				mode = "on"
+	for _, par := range benchParallelisms() {
+		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				// Enabled-but-unconstrained failure knobs, as above.
+				s, err := reopt.Open(cat,
+					reopt.WithMemoryBudget(1<<50),
+					reopt.WithMaxInFlight(1<<20, 1<<20))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.ReoptimizeWorkload(ctx, qs, par); err != nil {
+					b.Fatal(err)
+				}
 			}
-			b.Run(fmt.Sprintf("sched=%s/parallel=%d", mode, par), func(b *testing.B) {
-				b.ReportAllocs()
-				var waves, reqs int64
-				for i := 0; i < b.N; i++ {
-					// Enabled-but-unconstrained failure knobs, as above.
-					opts := []reopt.SessionOption{
-						reopt.WithMemoryBudget(1 << 50),
-						reopt.WithMaxInFlight(1<<20, 1<<20),
-					}
-					if sched {
-						opts = append(opts, reopt.WithWorkloadScheduler(0))
-					}
-					s, err := reopt.Open(cat, opts...)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := s.ReoptimizeWorkload(ctx, qs, par); err != nil {
-						b.Fatal(err)
-					}
-					stats := s.SchedulerStats()
-					waves += stats.Waves
-					reqs += stats.Requests
-				}
-				if sched && waves > 0 {
-					b.ReportMetric(float64(reqs)/float64(waves), "req/wave")
-				}
-			})
-		}
+		})
 	}
 }
 
@@ -519,9 +493,9 @@ func zipfQueries(tb testing.TB, cat *reopt.Catalog, arrivals int) []*reopt.Query
 }
 
 // BenchmarkTemplateWorkload measures validation of Zipf-skewed
-// parametrized traffic (zipfQueries) through the workload scheduler over
-// a shared WorkloadCache: exact-constant repeats replay cached counts,
-// every other constant scans.
+// parametrized traffic (zipfQueries) through a shared WorkloadCache:
+// exact-constant repeats replay cached counts, every other constant
+// scans.
 func BenchmarkTemplateWorkload(b *testing.B) {
 	// A denser sample than the micro-benchmarks', so the scans (which
 	// scale with the sample) dominate the fixed per-query optimizer cost
@@ -539,10 +513,7 @@ func BenchmarkTemplateWorkload(b *testing.B) {
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s, err := reopt.Open(cat,
-					reopt.WithSharedCache(1024),
-					reopt.WithWorkloadScheduler(0),
-				)
+				s, err := reopt.Open(cat, reopt.WithSharedCache(1024))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -683,7 +654,7 @@ func BenchmarkWorkloadCache(b *testing.B) {
 // cost but includes everything reoptd adds on top of the library.
 // Compare with BenchmarkReoptimizeOTT to read the HTTP tax directly.
 // parallel=2 drives two concurrent clients through the shared tenant
-// session (its scheduler coalesces their validation waves).
+// session and its cache.
 func BenchmarkReoptdHTTP(b *testing.B) {
 	cat, err := reopt.GenerateOTT(reopt.OTTConfig{Seed: 1, RowsPerValue: 20})
 	if err != nil {
@@ -701,7 +672,7 @@ func BenchmarkReoptdHTTP(b *testing.B) {
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
 			quota := server.Quota{
 				Workers: 2, MaxInFlight: 8, QueueDepth: 16,
-				MemoryBudget: 1 << 50, CacheEntries: -1, Scheduler: true,
+				MemoryBudget: 1 << 50, CacheEntries: -1,
 			}
 			srv, err := server.New(cat, server.Config{Default: &quota})
 			if err != nil {

@@ -4,7 +4,7 @@ package reopt_test
 // injected panics, starvation-level memory budgets, induced overload,
 // close-under-load — fire inside the validation pipeline, and asserts
 // the failure-isolation contract: exactly the affected query fails,
-// with the right sentinel; co-scheduled queries return byte-identical
+// with the right sentinel; concurrent queries return byte-identical
 // results; caches stay unpoisoned; the Session stays usable; and no
 // goroutine outlives its call. Run with -race.
 
@@ -84,11 +84,11 @@ func blockAtEstimate(fi *faultinject.Set, started, gate chan struct{}) {
 }
 
 // TestChaosPanicIsolatedInSchedulerWave: a panic injected into a subtree
-// unique to one query of a shared scheduler wave must fail exactly
-// that query with ErrValidationPanic, leave every co-scheduled query's
-// result byte-identical to an uninjected run, keep the shared cache
-// clean, and leave the Session fully reusable — with no goroutine
-// leaked.
+// unique to one query of a concurrent workload — on a session that still
+// sets the deprecated WithWorkloadScheduler — must fail exactly that
+// query with ErrValidationPanic, leave every concurrent query's result
+// byte-identical to an uninjected run, keep the shared cache clean, and
+// leave the Session fully reusable — with no goroutine leaked.
 func TestChaosPanicIsolatedInSchedulerWave(t *testing.T) {
 	base := runtime.NumGoroutine()
 	cat, qs := ottSession(t)
@@ -148,9 +148,9 @@ func TestChaosPanicIsolatedInSchedulerWave(t *testing.T) {
 		}
 	}
 
-	// With the injection gone, the same Session — same scheduler, same
-	// shared cache the failed wave ran through — must answer the whole
-	// workload, including the previously failed query, identically.
+	// With the injection gone, the same Session — same shared cache the
+	// failed validation ran through — must answer the whole workload,
+	// including the previously failed query, identically.
 	again, err := chaos.ReoptimizeWorkload(ctx, qs, 3)
 	if err != nil {
 		t.Fatalf("session not reusable after contained panic: %v", err)
@@ -565,11 +565,10 @@ func TestChaosSessionClose(t *testing.T) {
 	waitNoGoroutineLeak(t, base)
 }
 
-// TestChaosCloseRacesSchedulerWaveMidFlush: Close arriving while the
-// workload scheduler has a wave mid-flush — gathered, dispatched, and
-// stalled inside the shared-scan engine — must (1) reject the caller
-// still waiting in the admission queue with ErrSessionClosed, (2) let
-// every call whose work is in the stalled wave complete with results
+// TestChaosCloseRacesSchedulerWaveMidFlush: Close arriving while two
+// admitted calls are stalled mid-validation (at the estimator seam) must
+// (1) reject the caller still waiting in the admission queue with
+// ErrSessionClosed, (2) let both stalled calls complete with results
 // byte-identical to an undisturbed run, and (3) return only after the
 // census drains, leaking no goroutine.
 func TestChaosCloseRacesSchedulerWaveMidFlush(t *testing.T) {
@@ -601,12 +600,10 @@ func TestChaosCloseRacesSchedulerWaveMidFlush(t *testing.T) {
 	started := make(chan struct{})
 	gate := make(chan struct{})
 	var fi faultinject.Set
-	// Stall every wave as it flushes (the two calls may or may not
-	// coalesce into one): requests are gathered, wave goroutines are
-	// live, and both requesters hold their admission slots until the
-	// gate opens.
+	// Stall every validation at its head: both calls hold their
+	// admission slots until the gate opens.
 	var once sync.Once
-	fi.On(faultinject.Rule{Point: faultinject.SchedulerWave, Do: func(faultinject.Point, string) {
+	fi.On(faultinject.Rule{Point: faultinject.Estimate, Do: func(faultinject.Point, string) {
 		once.Do(func() { close(started) })
 		<-gate
 	}})
@@ -624,14 +621,14 @@ func TestChaosCloseRacesSchedulerWaveMidFlush(t *testing.T) {
 			inflight <- outcome{res, err}
 		}(i)
 	}
-	<-started // a wave is mid-flush
+	<-started // a validation is stalled
 	// Wait until BOTH calls hold their admission slots (admitted calls
-	// cannot finish while their waves are stalled); only then is a third
-	// caller guaranteed to queue rather than steal a free slot.
+	// cannot finish while their validations are stalled); only then is a
+	// third caller guaranteed to queue rather than steal a free slot.
 	admitBy := time.Now().Add(5 * time.Second)
 	for s.InFlight() < 2 {
 		if time.Now().After(admitBy) {
-			t.Fatalf("census stuck at %d with waves stalled, want 2", s.InFlight())
+			t.Fatalf("census stuck at %d with validations stalled, want 2", s.InFlight())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -656,16 +653,16 @@ func TestChaosCloseRacesSchedulerWaveMidFlush(t *testing.T) {
 			t.Fatalf("queued caller at Close: err = %v, want ErrSessionClosed", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("queued caller was not rejected while the wave was stalled")
+		t.Fatal("queued caller was not rejected while validations were stalled")
 	}
-	// Close must still be waiting on the stalled wave's requesters.
+	// Close must still be waiting on the stalled calls.
 	select {
 	case <-closeDone:
-		t.Fatal("Close returned while a wave was mid-flush")
+		t.Fatal("Close returned while validations were stalled")
 	default:
 	}
 
-	// (2) Release the wave: both in-flight calls finish byte-identical.
+	// (2) Release the stall: both in-flight calls finish byte-identical.
 	close(gate)
 	for i := 0; i < 2; i++ {
 		select {
@@ -679,7 +676,7 @@ func TestChaosCloseRacesSchedulerWaveMidFlush(t *testing.T) {
 					k, want[0], want[1])
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatal("in-flight call never finished after the wave was released")
+			t.Fatal("in-flight call never finished after the stall was released")
 		}
 	}
 
@@ -687,7 +684,7 @@ func TestChaosCloseRacesSchedulerWaveMidFlush(t *testing.T) {
 	select {
 	case <-closeDone:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return after the wave drained")
+		t.Fatal("Close did not return after the stalled calls drained")
 	}
 	waitNoGoroutineLeak(t, base)
 }

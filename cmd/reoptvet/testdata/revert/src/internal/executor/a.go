@@ -9,8 +9,10 @@
 //     (mapiterorder).
 //   - resolveOperator: the %v-instead-of-%w sentinel wrap from the
 //     executor's plan lowering (errtaxonomy).
-//   - watch: the bare context-merging watcher goroutine from the
-//     sampling scheduler (goroutinerecover).
+//   - watch: the bare context-merging watcher goroutine of the
+//     since-deleted workload scheduler, the shape any new goroutine in
+//     internal/executor, internal/sampling or internal/server must not
+//     take (goroutinerecover).
 package executor
 
 import (

@@ -47,7 +47,8 @@ const burstSQL = "SELECT COUNT(*) FROM r1, r2, r3 WHERE r1.a BETWEEN 1 AND 120 A
 
 // smokeConfig pins the default tenant to one admission slot with no
 // queue, so an over-quota burst must shed: the smoke test's 429 is a
-// designed outcome, not a load accident.
+// designed outcome, not a load accident. It still sets the retired
+// scheduler knob, which must keep loading.
 const smokeConfig = `{
   "drain_grace": "15s",
   "default": {

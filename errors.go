@@ -48,11 +48,11 @@ var (
 	// validation fails; nothing of the overflowing join is cached.
 	ErrCountOverflow = executor.ErrCountOverflow
 
-	// ErrValidationPanic: a panic inside a validation (executor worker,
-	// batch wave, or scheduler wave) was recovered and contained. The
-	// concrete error is an *executor.PanicError carrying the panic
-	// value and stack; only the query whose subtree panicked sees it —
-	// co-scheduled queries, the wave, and the Session are unaffected.
+	// ErrValidationPanic: a panic inside a validation was recovered at
+	// the skeleton engine's boundary (executor.CountSkeletonSteps) and
+	// contained. The concrete error is an *executor.PanicError carrying
+	// the panic value and stack; only the query whose plan panicked sees
+	// it — concurrent queries and the Session are unaffected.
 	ErrValidationPanic = executor.ErrValidationPanic
 
 	// ErrOverloaded: the session's WithMaxInFlight admission queue was

@@ -8,8 +8,9 @@
 // any package, a function that receives a ctx parameter must not pass
 // context.Background() or context.TODO() downstream — that detaches
 // the callee from disconnect cancellation, leaking work past the
-// caller's death. Deliberate detachment (e.g. the scheduler's
-// merged wave context) carries a reasoned //reoptvet:ignore.
+// caller's death. A deliberate exception carries a reasoned
+// //reoptvet:ignore, as /v1/validate's all-or-nothing deadline in
+// internal/server does for check (1).
 package ctxdiscipline
 
 import (

@@ -26,6 +26,6 @@ func dispatch(ctx context.Context) func(context.Context) {
 }
 
 func detachDeliberate(ctx context.Context) {
-	//reoptvet:ignore ctxdiscipline the watcher must outlive any single requester; its lifetime is managed by the wave, not this ctx
+	//reoptvet:ignore ctxdiscipline the callee must outlive this caller; its owner manages its lifetime, not this ctx
 	helper(context.Background())
 }

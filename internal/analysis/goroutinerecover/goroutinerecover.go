@@ -1,12 +1,13 @@
 // Package goroutinerecover enforces the §5 panic-containment
 // contract: in the engine and serving packages, every goroutine
 // launched with `go` must either install a recover() at its own
-// boundary or delegate its work to a contained runner (a function in
-// the same package whose body begins with a recover defer, like the
-// scheduler's wave goroutines running Scheduler.run). Without
-// this, one panicking worker goroutine crashes the whole process instead
-// of failing one validation — the regression class PR 6 closed by
-// hand and this analyzer keeps closed.
+// boundary (like the per-tenant close goroutines of server.Drain) or
+// delegate its work to a contained runner (a function in the same
+// package whose body begins with a recover defer). Without this, one
+// panicking goroutine crashes the whole process instead of failing one
+// task. The engine packages start no goroutine at all today
+// (core's TestValidationRunsOnCallerGoroutine); the check keeps any
+// future one contained.
 package goroutinerecover
 
 import (

@@ -16,43 +16,50 @@ import (
 )
 
 // TestValidationRunsOnCallerGoroutine pins the one-engine contract from
-// both sides. Statically: internal/executor's non-test sources hold no
-// `go` statement and name no sync.WaitGroup, so nothing there can hand
-// part of a validation to another goroutine. Dynamically: a thousand
+// both sides. Statically: the non-test sources of internal/executor and
+// internal/sampling hold no `go` statement and name no sync.WaitGroup,
+// sync.Cond or timer, so nothing there can hand part of a validation to
+// another goroutine or hold it back for later. Dynamically: a thousand
 // validations at the largest worker count callers used to ask for leave
 // the process's goroutine count where it was, during and after.
 func TestValidationRunsOnCallerGoroutine(t *testing.T) {
-	dir := filepath.Join("..", "executor")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	banned := map[string]map[string]bool{
+		"sync": {"WaitGroup": true, "Cond": true},
+		"time": {"AfterFunc": true, "NewTimer": true, "NewTicker": true, "Tick": true},
 	}
-	fset := token.NewFileSet()
-	parsed := 0
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+	for _, pkg := range []string{"executor", "sampling"} {
+		dir := filepath.Join("..", pkg)
+		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parsed++
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.GoStmt:
-				t.Errorf("%s: go statement in internal/executor", fset.Position(x.Pos()))
-			case *ast.SelectorExpr:
-				if pkg, ok := x.X.(*ast.Ident); ok && pkg.Name == "sync" && x.Sel.Name == "WaitGroup" {
-					t.Errorf("%s: sync.WaitGroup in internal/executor", fset.Position(x.Pos()))
-				}
+		fset := token.NewFileSet()
+		parsed := 0
+		for _, e := range entries {
+			name := e.Name()
+			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+				continue
 			}
-			return true
-		})
-	}
-	if parsed < 5 {
-		t.Fatalf("parsed %d files of %s; the walk is looking in the wrong place", parsed, dir)
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parsed++
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.GoStmt:
+					t.Errorf("%s: go statement in internal/%s", fset.Position(x.Pos()), pkg)
+				case *ast.SelectorExpr:
+					if id, ok := x.X.(*ast.Ident); ok && banned[id.Name][x.Sel.Name] {
+						t.Errorf("%s: %s.%s in internal/%s", fset.Position(x.Pos()), id.Name, x.Sel.Name, pkg)
+					}
+				}
+				return true
+			})
+		}
+		if parsed < 3 {
+			t.Fatalf("parsed %d files of %s; the walk is looking in the wrong place", parsed, dir)
+		}
 	}
 
 	cat, err := ott.Generate(ott.Config{Seed: 1, RowsPerValue: 10})

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
@@ -27,23 +26,21 @@ func (r *Reoptimizer) ReoptimizeMultiSeed(q *sql.Query, seeds int) (*Result, err
 // ReoptimizeMultiSeedCtx is ReoptimizeMultiSeed with cancellation and
 // the unified time budget of ReoptimizeCtx: one budget (Options.Timeout
 // or the caller's deadline, whichever is earlier) covers the whole
-// multi-seed procedure. Cancellation aborts with ctx.Err(); a deadline
-// stops starting new seeded runs and returns the best result so far.
-// Each started run's round-1 validation is shielded from the internal
-// budget deadline, so every started run yields a result.
+// multi-seed procedure, seed generation included. Cancellation aborts
+// with ctx.Err(); a deadline stops generating seeds and starting seeded
+// runs, and returns the best result so far. The DP plan is always a
+// seed, and each started run's round-1 validation is shielded from the
+// internal budget deadline, so a result always exists.
 func (r *Reoptimizer) ReoptimizeMultiSeedCtx(ctx context.Context, q *sql.Query, seeds int) (*Result, error) {
 	if seeds < 1 {
 		seeds = 1
 	}
-	run, cancel := r.budgetCtx(ctx)
-	defer cancel()
-	if err := ctx.Err(); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			return nil, fmt.Errorf("core: %w", ErrBudgetExceeded)
-		}
+	if err := startErr(ctx); err != nil {
 		return nil, err
 	}
-	initials, err := r.initialPlans(q, seeds)
+	run, cancel := r.budgetCtx(ctx)
+	defer cancel()
+	initials, err := r.initialPlans(run, q, seeds)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +55,7 @@ func (r *Reoptimizer) ReoptimizeMultiSeedCtx(ctx context.Context, q *sql.Query, 
 	var best *Result
 	var bestCost float64
 	for _, p := range initials {
-		res, err := r.reoptimizeSeeded(ctx, run, q, p, cache)
+		res, err := r.reoptimize(ctx, run, q, p, cache)
 		if err != nil {
 			return nil, err
 		}
@@ -88,8 +85,11 @@ func (r *Reoptimizer) ReoptimizeMultiSeedCtx(ctx context.Context, q *sql.Query, 
 	return best, nil
 }
 
-// initialPlans generates up to n distinct starting plans.
-func (r *Reoptimizer) initialPlans(q *sql.Query, n int) ([]*plan.Plan, error) {
+// initialPlans generates up to n distinct starting plans: the DP plan,
+// then randomized ones until n are found, 4n have been tried, or run is
+// done. A cancelled run returns its error; a spent deadline keeps the
+// plans generated so far.
+func (r *Reoptimizer) initialPlans(run context.Context, q *sql.Query, n int) ([]*plan.Plan, error) {
 	var out []*plan.Plan
 	seen := map[string]bool{}
 	add := func(p *plan.Plan) {
@@ -106,6 +106,12 @@ func (r *Reoptimizer) initialPlans(q *sql.Query, n int) ([]*plan.Plan, error) {
 	add(p)
 	cfg := r.Opt.Config()
 	for s := int64(1); len(out) < n && s <= int64(4*n); s++ {
+		if err := run.Err(); err != nil {
+			if errors.Is(err, context.Canceled) {
+				return nil, err
+			}
+			break
+		}
 		altCfg := cfg
 		altCfg.Seed = cfg.Seed + s
 		altCfg.DPThreshold = 1 // force the randomized search
@@ -117,74 +123,4 @@ func (r *Reoptimizer) initialPlans(q *sql.Query, n int) ([]*plan.Plan, error) {
 		add(ap)
 	}
 	return out, nil
-}
-
-// reoptimizeSeeded is Reoptimize with an externally supplied P_1: P_1
-// is validated, its Δ is merged into Γ, and the loop proceeds normally
-// from round 2. outer is the caller's context (P_1's validation runs
-// under it, shielded from the internal budget); run carries the shared
-// multi-seed budget deadline for everything else.
-func (r *Reoptimizer) reoptimizeSeeded(outer, run context.Context, q *sql.Query, p1 *plan.Plan, cache sampling.Cache) (*Result, error) {
-	if !r.Cat.HasSamples() {
-		return nil, fmt.Errorf("core: %w; call BuildSamples before re-optimizing", sampling.ErrNoSamples)
-	}
-	pl, err := r.Opt.Prepare(q, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: seeded round 1: %w", err)
-	}
-	lp := &loop{pl: pl, res: &Result{Gamma: pl.Gamma()}, seen: map[string]bool{}}
-	res := lp.res
-
-	// Round 1: validate the seed plan. There is no optimizer call to
-	// charge — P_1 was handed in — matching Reoptimize, which never
-	// counts round 1's optimization as overhead. The validation is
-	// shielded from the budget deadline so every started run produces a
-	// result; only the caller's own termination aborts it.
-	if err := r.validateInto(outer, lp, p1, cache, 0); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			// The caller's own deadline fired mid-validation: the
-			// un-validated seed is still the best answer this run has.
-			res.Final = p1
-			res.NumPlans = 1
-			return res, nil
-		}
-		return nil, err
-	}
-
-	for i := 2; ; i++ {
-		t0 := time.Now()
-		p, err := pl.Plan()
-		if err != nil {
-			return nil, fmt.Errorf("core: seeded round %d: %w", i, err)
-		}
-		optTime := time.Since(t0)
-		// Every optimizer call in this loop is a round >= 2 (including
-		// the terminal one that merely re-produces P_n), so all of them
-		// count toward the overhead, exactly as in Reoptimize.
-		res.ReoptTime += optTime
-		if p.Fingerprint() == lp.prev.Fingerprint() {
-			res.Converged = true
-			break
-		}
-		if err := r.validateInto(run, lp, p, cache, optTime); err != nil {
-			if errors.Is(err, context.Canceled) {
-				return nil, err
-			}
-			if errors.Is(err, context.DeadlineExceeded) {
-				break
-			}
-			return nil, err
-		}
-		if r.Opts.MaxRounds > 0 && i >= r.Opts.MaxRounds {
-			break
-		}
-		if err := run.Err(); err != nil {
-			if errors.Is(err, context.Canceled) {
-				return nil, err
-			}
-			break
-		}
-	}
-	res.Final = r.pickFinal(lp)
-	return res, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
 	"reopt/internal/sampling"
+	"reopt/internal/sql"
 )
 
 // TestMultiSeedHonorsTimeout: Options.Timeout must bound the whole
@@ -132,11 +134,11 @@ func TestSeededRunAcceptsHandBuiltSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
-		want, err := r.reoptimizeSeeded(ctx, ctx, q, seed, nil)
+		want, err := r.reoptimize(ctx, ctx, q, seed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.reoptimizeSeeded(ctx, ctx, q, &plan.Plan{Root: seed.Root, Query: q}, nil)
+		got, err := r.reoptimize(ctx, ctx, q, &plan.Plan{Root: seed.Root, Query: q}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,5 +153,52 @@ func TestSeededRunAcceptsHandBuiltSeed(t *testing.T) {
 					i+1, rd.Transform, rd.CoveredByPrevious, rd.GammaAdded, w.Transform, w.CoveredByPrevious, w.GammaAdded)
 			}
 		}
+	}
+}
+
+// multiSeedWithin runs ReoptimizeMultiSeedCtx on another goroutine and
+// fails the test if it has not returned within limit.
+func multiSeedWithin(t *testing.T, r *Reoptimizer, ctx context.Context, q *sql.Query, seeds int, limit time.Duration) (*Result, error) {
+	t.Helper()
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := r.ReoptimizeMultiSeedCtx(ctx, q, seeds)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		return o.res, o.err
+	case <-time.After(limit):
+		t.Fatalf("multi-seed with %d seeds still running after %v", seeds, limit)
+		return nil, nil
+	}
+}
+
+// TestMultiSeedBudgetBoundsSeedGeneration: generating the seeds counts
+// against the budget. A deadline stops generation and keeps the seeds
+// found so far — the DP plan at least — so a result still comes back;
+// a cancellation stops it with context.Canceled. Either way the call
+// returns promptly however many seeds were asked for.
+func TestMultiSeedBudgetBoundsSeedGeneration(t *testing.T) {
+	r, qs := ottSetup(t)
+	r.Opts.Timeout = 5 * time.Millisecond
+	res, err := multiSeedWithin(t, r, context.Background(), qs[0], 1<<20, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Final == nil {
+		t.Fatal("a spent budget must still return a plan")
+	}
+
+	r.Opts.Timeout = 0
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(5*time.Millisecond, cancel)
+	if _, err := multiSeedWithin(t, r, ctx, qs[0], 1<<20, 2*time.Second); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled multi-seed returned %v, want context.Canceled", err)
 	}
 }

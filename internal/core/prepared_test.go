@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"reopt/internal/catalog"
 	"reopt/internal/executor"
@@ -544,9 +543,9 @@ func TestPrivateCacheFollowsSampleEpoch(t *testing.T) {
 
 // TestPreparedValidationCoalescedAliasOrders: two queries that list the
 // same tables in different FROM orders — so one relation set is two
-// different masks — validate in shared scheduler waves, each through its
-// own prepared state, and both get what they get alone; the shared cache
-// ends up with the keys of the plans validated, once.
+// different masks — validate concurrently through one shared store, each
+// through its own prepared state, and both get what they get alone; the
+// shared cache ends up with the keys of the plans validated, once.
 func TestPreparedValidationCoalescedAliasOrders(t *testing.T) {
 	cat, err := ott.Generate(ott.Config{Seed: 1, NumTables: 6, RowsPerValue: 10})
 	if err != nil {
@@ -575,8 +574,6 @@ func TestPreparedValidationCoalescedAliasOrders(t *testing.T) {
 	}
 	for _, workers := range []int{0, 8} { // deprecated: selects nothing
 		cache := sampling.NewWorkloadCache(0)
-		sched := sampling.NewScheduler(cat, workers, time.Hour)
-		clients := []*sampling.SchedulerClient{sched.Register(), sched.Register()}
 		got := make([]*Result, len(qs))
 		errs := make([]error, len(qs))
 		var wg sync.WaitGroup
@@ -584,9 +581,8 @@ func TestPreparedValidationCoalescedAliasOrders(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				defer clients[i].Close()
 				r := New(opt, cat)
-				r.Opts = Options{Workers: workers, Cache: cache, Validator: clients[i]}
+				r.Opts = Options{Workers: workers, Cache: cache}
 				got[i], errs[i] = r.Reoptimize(q)
 			}()
 		}
@@ -598,16 +594,13 @@ func TestPreparedValidationCoalescedAliasOrders(t *testing.T) {
 				t.Fatal(errs[i])
 			}
 			if g, w := got[i].Gamma.Snapshot(), alone[i].Gamma.Snapshot(); g != w || got[i].Final.Fingerprint() != alone[i].Final.Fingerprint() {
-				t.Fatalf("workers=%d query %d: coalesced Γ %s, alone %s", workers, i, g, w)
+				t.Fatalf("workers=%d query %d: concurrent Γ %s, alone %s", workers, i, g, w)
 			}
 			for _, rd := range got[i].Rounds {
 				skeleton := oracleSkeleton(rd.Plan.Root)
 				_, _, nodeRows := oracleEstimate(t, q, skeleton, cat)
 				store.validate(prefix, q, skeleton, nodeRows, nodeRows) // keys only: the charge is not read
 			}
-		}
-		if st := sched.Stats(); st.Coalesced == 0 {
-			t.Fatalf("workers=%d: no wave coalesced the two queries: %+v", workers, st)
 		}
 		if g, w := cache.Keys(), store.sortedKeys(); !slices.Equal(g, w) {
 			t.Fatalf("workers=%d: cache holds %d keys, reference %d\n got  %q\n want %q", workers, len(g), len(w), g, w)
@@ -618,7 +611,7 @@ func TestPreparedValidationCoalescedAliasOrders(t *testing.T) {
 // TestMultiSeedSharesOnePreparedState: the seeds of a multi-seed run
 // validate through one prepared state — every seed's rounds, its
 // initial candidate's included — concurrently with other queries' runs
-// on one scheduler and cache (run under -race by `make race`), and each
+// through one shared store (run under -race by `make race`), and each
 // run returns what it returns alone.
 func TestMultiSeedSharesOnePreparedState(t *testing.T) {
 	r0, qs := ottSetup(t)
@@ -631,16 +624,13 @@ func TestMultiSeedSharesOnePreparedState(t *testing.T) {
 		want[i] = res.Final.Fingerprint() + " " + res.Gamma.Snapshot()
 	}
 	cache := sampling.NewWorkloadCache(0)
-	sched := sampling.NewScheduler(r0.Cat, 2, 0)
 	var wg sync.WaitGroup
 	for i, q := range qs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			client := sched.Register()
-			defer client.Close()
 			r := New(r0.Opt, r0.Cat)
-			r.Opts = Options{Workers: 2, Cache: cache, Validator: client}
+			r.Opts = Options{Workers: 2, Cache: cache}
 			res, err := r.ReoptimizeMultiSeed(q, 3)
 			if err != nil {
 				t.Error(err)

@@ -83,14 +83,11 @@ type Options struct {
 	// estimates, only when they are computed.
 	Cache *sampling.WorkloadCache
 	// Validator optionally reroutes every validation the round loop
-	// issues — every seed's candidate plans included — through an
-	// external engine, e.g. a
-	// sampling.SchedulerClient that coalesces validations across
-	// concurrently re-optimizing queries into waves.
-	// nil validates directly via sampling.EstimatePlansCfg. A Validator
-	// must return estimates byte-identical
-	// to the direct path (batching and caching may change when counts
-	// are computed, never their values).
+	// issues — every seed's candidate plans included — through a
+	// substitute, e.g. a wrapper that times or counts validations. nil
+	// validates directly via sampling.EstimatePlansCfg. A Validator must
+	// return estimates byte-identical to the direct path (caching may
+	// change when counts are computed, never their values).
 	Validator Validator
 	// MemBudget softly caps the values (materialized boundary-column
 	// cells plus hash-table entries) any single validation may hold; 0
@@ -99,8 +96,7 @@ type Options struct {
 	// context.DeadlineExceeded, so the round loop degrades to the best
 	// validated plan so far (§5.4 extended from time to space) instead
 	// of failing the query. Only the direct validation path applies it;
-	// a Validator enforces its own budget (the workload scheduler's
-	// SetMemBudget).
+	// a Validator enforces its own budget.
 	MemBudget int64
 	// TemplateSharing once indexed cached sample scans by template.
 	//
@@ -109,9 +105,9 @@ type Options struct {
 	TemplateSharing bool
 }
 
-// Validator abstracts the engine the round loop submits candidate-plan
-// validations to. Implementations must be positional (estimate i
-// belongs to plans[i]) and byte-identical to
+// Validator is the seam the round loop submits candidate-plan
+// validations through. Implementations run on the caller's goroutine,
+// are positional (estimate i belongs to plans[i]) and byte-identical to
 // sampling.EstimatePlansCfg over the same cache.
 type Validator interface {
 	ValidatePlans(ctx context.Context, plans []*plan.Plan, cache sampling.Cache) ([]*sampling.Estimate, error)
@@ -198,9 +194,29 @@ func (r *Reoptimizer) Reoptimize(q *sql.Query) (*Result, error) {
 // returns at least one fully validated round. Runs whose context is
 // never cancelled are byte-identical to Reoptimize.
 func (r *Reoptimizer) ReoptimizeCtx(ctx context.Context, q *sql.Query) (*Result, error) {
+	if err := startErr(ctx); err != nil {
+		return nil, err
+	}
 	run, cancel := r.budgetCtx(ctx)
 	defer cancel()
-	return r.reoptimize(ctx, run, q)
+	// Cross-round validation cache: successive plans share most of their
+	// join subtrees, so later rounds reuse earlier rounds' sample counts
+	// and build-side hash tables instead of re-running the skeleton from
+	// scratch. Scoped to this query and sample set unless Options.Cache
+	// promotes it to the workload level. What validating this query takes
+	// beyond the plan at hand is prepared once, beside the planner.
+	return r.reoptimize(ctx, run, q, nil, sampling.Prepare(q, r.runCache()))
+}
+
+// startErr reports a ctx that is done before any work starts: a spent
+// deadline as ErrBudgetExceeded (no plan exists yet), a cancellation as
+// itself.
+func startErr(ctx context.Context) error {
+	err := ctx.Err()
+	if errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("core: %w", ErrBudgetExceeded)
+	}
+	return err
 }
 
 // budgetCtx derives the budget context: Options.Timeout as a deadline
@@ -212,32 +228,20 @@ func (r *Reoptimizer) budgetCtx(ctx context.Context) (context.Context, context.C
 	return context.WithCancel(ctx)
 }
 
-// reoptimize is the Algorithm 1 loop. outer is the caller's context
-// (round 1 validates under it, shielded from the internal budget); run
-// carries the budget deadline for everything else.
-func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query) (*Result, error) {
+// reoptimize is the Algorithm 1 loop, validating through cache. outer is
+// the caller's context (round 1 validates under it, shielded from the
+// internal budget); run carries the budget deadline for everything else.
+// A non-nil seed is P_1, handed in instead of planned (the multi-seed
+// variant): it costs no optimizer time, and SkipBelowCost never skips it.
+func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query, seed *plan.Plan, cache sampling.Cache) (*Result, error) {
 	if !r.Cat.HasSamples() {
 		return nil, fmt.Errorf("core: %w; call BuildSamples before re-optimizing", sampling.ErrNoSamples)
 	}
-	if err := outer.Err(); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			return nil, fmt.Errorf("core: %w", ErrBudgetExceeded)
-		}
-		return nil, err
-	}
 	start := time.Now()
-	// Cross-round validation cache: successive plans share most of their
-	// join subtrees, so later rounds reuse earlier rounds' sample counts
-	// and build-side hash tables instead of re-running the skeleton from
-	// scratch. Scoped to this query and sample set unless Options.Cache
-	// promotes it to the workload level. What validating this query takes
-	// beyond the plan at hand is prepared once, beside the planner.
-	cache := sampling.Prepare(q, r.runCache())
-
 	// One planner serves every round: the query is resolved against the
 	// catalog once, and each round after the first re-prices only what
 	// the previous round's Δ invalidated. Its set-up is charged to
-	// round 1's optimizer time.
+	// round 1's optimizer time, when round 1 plans.
 	t0 := time.Now()
 	pl, err := r.Opt.Prepare(q, nil)
 	if err != nil {
@@ -247,11 +251,13 @@ func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query) (*Res
 	res := lp.res
 
 	for i := 1; ; i++ {
-		p, err := pl.Plan()
-		if err != nil {
-			return nil, fmt.Errorf("core: round %d: %w", i, err)
+		p, optTime := seed, time.Duration(0)
+		if i > 1 || seed == nil {
+			if p, err = pl.Plan(); err != nil {
+				return nil, fmt.Errorf("core: round %d: %w", i, err)
+			}
+			optTime = time.Since(t0)
 		}
-		optTime := time.Since(t0)
 		if i > 1 {
 			res.ReoptTime += optTime
 		}
@@ -262,7 +268,7 @@ func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query) (*Res
 			break
 		}
 
-		if r.Opts.SkipBelowCost > 0 && i == 1 && p.Cost() < r.Opts.SkipBelowCost {
+		if seed == nil && r.Opts.SkipBelowCost > 0 && i == 1 && p.Cost() < r.Opts.SkipBelowCost {
 			res.Final = p
 			res.Rounds = append(res.Rounds, Round{
 				Plan:        p,
@@ -424,8 +430,7 @@ func (r *Reoptimizer) runCache() *sampling.WorkloadCache {
 }
 
 // validatePlans routes one validation through the injected Validator
-// when configured (the workload scheduler path) and directly into the
-// sampling estimator otherwise.
+// when configured and directly into the sampling estimator otherwise.
 func (r *Reoptimizer) validatePlans(ctx context.Context, plans []*plan.Plan, cache sampling.Cache) ([]*sampling.Estimate, error) {
 	if r.Opts.Validator != nil {
 		return r.Opts.Validator.ValidatePlans(ctx, plans, cache)

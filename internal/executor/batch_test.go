@@ -200,8 +200,8 @@ func TestCountSkeletonBatchIsolatesUnsupportedPlans(t *testing.T) {
 }
 
 // TestCountSkeletonBatchPlansPerPlanCaches: plans carrying *different*
-// caches, or none — the cross-query scheduler's shape, each requester
-// holding a private per-run cache — must validate in one call with
+// caches, or none — each requester holding a private per-run cache —
+// must validate in one call with
 // counts matching solo runs, every requester's cache left holding
 // exactly what a solo run leaves it, and nothing of one requester's in
 // another's.

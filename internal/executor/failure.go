@@ -56,9 +56,9 @@ func (e *PanicError) Unwrap() error { return ErrValidationPanic }
 
 // NewPanicError converts a recovered panic value into a *PanicError
 // carrying the recovering goroutine's stack — the panicking frames are
-// still on it inside a deferred recover. Exported for the layers above the
-// executor (scheduler, session) that contain panics at their own
-// goroutine boundaries.
+// still on it inside a deferred recover. Exported for the layer above the
+// executor (the session's workload workers) that contains panics at its
+// own goroutine boundary.
 func NewPanicError(r any) *PanicError {
 	return &PanicError{Value: r, Stack: debug.Stack()}
 }

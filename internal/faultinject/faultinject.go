@@ -1,12 +1,12 @@
 // Package faultinject provides deterministic, test-only fault
 // injection points threaded through the validation pipeline: the
-// skeleton executor, the sampling estimator, and the workload
-// scheduler. Production builds pay a single atomic load per site
+// skeleton executor, the sampling estimator, and the daemon's handler
+// boundary. Production builds pay a single atomic load per site
 // (Active() is false unless a test activated a rule Set), so the
 // points can stay compiled in permanently.
 //
 // A test builds a Set of Rules, each matching an injection Point (and
-// optionally a tag substring identifying the specific node or wave), and
+// optionally a tag substring identifying the specific node or call), and
 // Activates it:
 //
 //	var fi faultinject.Set
@@ -16,7 +16,7 @@
 // Rules fire deterministically: matching is by exact Point and tag
 // substring, with optional Skip (ignore the first k matches) and Count
 // (fire at most n times) so a test can target e.g. "the second
-// scheduler wave". Actions run outside the package locks, so a rule may sleep,
+// estimate call". Actions run outside the package locks, so a rule may sleep,
 // panic, or cancel a context without stalling other injection sites.
 package faultinject
 
@@ -38,11 +38,8 @@ const (
 	// the node's subtree is evaluated. Tag: the node's canonical subtree
 	// signature.
 	SkelNode Point = "executor.skeleton.node"
-	// SchedulerWave fires when the workload scheduler flushes a wave.
-	// Tag: "requests=<n>".
-	SchedulerWave Point = "sampling.scheduler.wave"
-	// Estimate fires at the head of every sampling estimate call.
-	// Tag: "groups=<n>".
+	// Estimate fires at the head of every sampling estimate call that
+	// has plans to validate. Tag: "plans=<n>".
 	Estimate Point = "sampling.estimate"
 	// Handler fires at the reoptd daemon's handler boundary, after
 	// tenant resolution and before any session work. Tag:
@@ -162,7 +159,7 @@ func (s *Set) SleepAt(p Point, tag string, d time.Duration) *Rule {
 }
 
 // CancelAt calls cancel the first time point fires with a matching tag
-// — the "cancel at wave" fault.
+// — the "cancel mid-validation" fault.
 func (s *Set) CancelAt(p Point, tag string, cancel func()) *Rule {
 	return s.On(Rule{Point: p, Tag: tag, Count: 1, Do: func(Point, string) {
 		cancel()

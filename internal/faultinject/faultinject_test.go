@@ -43,11 +43,11 @@ func TestPanicAtMatchesTagSubstring(t *testing.T) {
 func TestSkipAndCount(t *testing.T) {
 	var s Set
 	var fired int
-	s.On(Rule{Point: SchedulerWave, Skip: 1, Count: 2, Do: func(Point, string) { fired++ }})
+	s.On(Rule{Point: Estimate, Skip: 1, Count: 2, Do: func(Point, string) { fired++ }})
 	defer s.Activate()()
 
 	for i := 0; i < 5; i++ {
-		Fire(SchedulerWave, "requests=1")
+		Fire(Estimate, "plans=1")
 	}
 	if fired != 2 {
 		t.Fatalf("fired %d times, want 2 (skip first, cap at 2)", fired)
@@ -58,14 +58,14 @@ func TestCancelAt(t *testing.T) {
 	var s Set
 	done := make(chan struct{})
 	var once bool
-	s.CancelAt(SchedulerWave, "", func() {
+	s.CancelAt(Estimate, "", func() {
 		if !once {
 			once = true
 			close(done)
 		}
 	})
 	defer s.Activate()()
-	Fire(SchedulerWave, "requests=2")
+	Fire(Estimate, "plans=2")
 	select {
 	case <-done:
 	default:

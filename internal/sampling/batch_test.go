@@ -101,7 +101,7 @@ func TestEstimatePlansMatchesSequential(t *testing.T) {
 
 // TestEstimatePlansFallsBackPerPlan: a plan the count engine cannot run
 // must take the Volcano fallback without dragging the rest of the call
-// with it — whichever group of the call holds it, cached or not.
+// with it — whichever cache it validates through, or none.
 func TestEstimatePlansFallsBackPerPlan(t *testing.T) {
 	cat, plans := batchSetup(t, 2)
 	badQ := *plans[0].Query
@@ -123,22 +123,16 @@ func TestEstimatePlansFallsBackPerPlan(t *testing.T) {
 		compareEstimates(t, "fallback", i, "mixed batch", got[i], want[i])
 	}
 
-	// The same three plans as three requesters' groups: a workload-cache
-	// holder, an uncached one holding the unsupported plan, a per-run one.
-	groups := []PlanGroup{
-		{Plans: mixed[:1], Cache: Prepare(nil, NewWorkloadCache(0))},
-		{Plans: mixed[1:2]},
-		{Plans: mixed[2:], Cache: Prepare(mixed[2].Query, perRun())},
-	}
-	ests, perGroup, err := EstimatePlanGroupsCfg(context.Background(), groups, cat, ValidateConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for gi := range groups {
-		if perGroup[gi] != nil {
-			t.Fatalf("group %d: %v", gi, perGroup[gi])
+	// The same three plans as three calls, each through its own cache: a
+	// workload-cache holder, an uncached one holding the unsupported plan,
+	// a per-run one.
+	caches := []Cache{Prepare(nil, NewWorkloadCache(0)), nil, Prepare(mixed[2].Query, perRun())}
+	for i, cache := range caches {
+		ests, err := EstimatePlansCfg(context.Background(), mixed[i:i+1], cat, cache, ValidateConfig{})
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
 		}
-		compareEstimates(t, "fallback", gi, "mixed groups", ests[gi][0], want[gi])
+		compareEstimates(t, "fallback", i, "one call per cache", ests[0], want[i])
 	}
 }
 
@@ -245,24 +239,17 @@ func TestWorkloadCacheEviction(t *testing.T) {
 	}
 }
 
-// TestEmptyPlanGroups: a call whose groups hold no plans validates
-// nothing and answers every group empty — directly, and as a lone
-// scheduler request, which runs the same call on the requester's
-// goroutine.
+// TestEmptyPlanGroups: a call with no plans validates nothing and
+// answers nothing — directly, and through a deprecated scheduler client,
+// which makes the same call.
 func TestEmptyPlanGroups(t *testing.T) {
 	cat, _ := batchSetup(t, 1)
-	ests, perGroup, err := EstimatePlanGroupsCfg(context.Background(), []PlanGroup{{}, {Cache: Prepare(nil, perRun())}}, cat, ValidateConfig{})
-	if err != nil || len(ests) != 2 || len(perGroup) != 2 {
-		t.Fatalf("two empty groups: %d estimate groups, %v, %v", len(ests), perGroup, err)
-	}
-	for gi := range ests {
-		if len(ests[gi]) != 0 || perGroup[gi] != nil {
-			t.Fatalf("empty group %d: %d estimates, %v", gi, len(ests[gi]), perGroup[gi])
-		}
+	if got, err := EstimatePlansCfg(context.Background(), nil, cat, Prepare(nil, perRun()), ValidateConfig{}); got != nil || err != nil {
+		t.Fatalf("empty call: %v, %v", got, err)
 	}
 	c := NewScheduler(cat, 0, 0).Register()
 	defer c.Close()
 	if got, err := c.ValidatePlans(context.Background(), nil, nil); got != nil || err != nil {
-		t.Fatalf("lone empty request: %v, %v", got, err)
+		t.Fatalf("empty client request: %v, %v", got, err)
 	}
 }

@@ -92,117 +92,62 @@ func EstimatePlansCfg(ctx context.Context, plans []*plan.Plan, cat *catalog.Cata
 	if len(plans) == 0 {
 		return nil, nil
 	}
-	ests, perGroup, err := EstimatePlanGroupsCfg(ctx, []PlanGroup{{Plans: plans, Cache: cache}}, cat, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if perGroup[0] != nil {
-		return nil, perGroup[0]
-	}
-	return ests[0], nil
-}
-
-// PlanGroup is one requester's share of a cross-query validation call:
-// the plans it wants validated and the cache handle those validations
-// read and charge. Groups of one call may carry different handles — over
-// per-run stores, over one shared WorkloadCache, or nil.
-type PlanGroup struct {
-	Plans []*plan.Plan
-	Cache Cache
-}
-
-// EstimatePlanGroupsCfg validates several requesters' plans in one call,
-// group after group on the calling goroutine. Estimates are positional
-// per group and byte-identical to each group validating alone via
-// EstimatePlansCfg against its own cache; groups reuse each other's work
-// exactly where they share a cache. The call's wall-clock cost is
-// amortized equally across all plans. A group whose plan fails — its
-// Volcano fallback errors, it breaches cfg.MemBudget or panics — gets
-// the error in its perGroup slot without dragging down the other groups
-// or poisoning its cache; call-level failures — no samples, a cancelled
-// ctx, an unresolvable table — surface in err with every group unanswered.
-func EstimatePlanGroupsCfg(ctx context.Context, groups []PlanGroup, cat *catalog.Catalog, cfg ValidateConfig) (ests [][]*Estimate, perGroup []error, err error) {
-	if len(groups) == 0 {
-		return nil, nil, nil
-	}
 	if faultinject.Active() {
-		faultinject.Fire(faultinject.Estimate, fmt.Sprintf("groups=%d", len(groups)))
+		faultinject.Fire(faultinject.Estimate, fmt.Sprintf("plans=%d", len(plans)))
 	}
 	if !cat.HasSamples() {
-		return nil, nil, fmt.Errorf("sampling: %w", ErrNoSamples)
+		return nil, fmt.Errorf("sampling: %w", ErrNoSamples)
 	}
 	start := time.Now()
-	total := 0
-	for _, g := range groups {
-		total += len(g.Plans)
-	}
-	ests = make([][]*Estimate, len(groups))
-	perGroup = make([]error, len(groups))
-	if total == 0 {
-		return ests, perGroup, nil
-	}
-	bplans := make([]executor.BatchPlan, 0, total)
-	for _, g := range groups {
-		for _, p := range g.Plans {
-			prep, perr := g.Cache.prepared(p.Query, cat)
-			if perr != nil {
-				return nil, nil, perr
-			}
-			// Only join cardinalities are validated (§2): the count engine
-			// sees the plan below its aggregate, physical choices and all —
-			// they never reach a count.
-			if agg, ok := p.Root.(*plan.AggregateNode); ok {
-				p = &plan.Plan{Root: agg.Child, Query: p.Query}
-			}
-			bplans = append(bplans, executor.BatchPlan{Plan: p, Prep: prep})
+	bplans := make([]executor.BatchPlan, len(plans))
+	for i, p := range plans {
+		prep, err := cache.prepared(p.Query, cat)
+		if err != nil {
+			return nil, err
 		}
+		// Only join cardinalities are validated (§2): the count engine sees
+		// the plan below its aggregate, physical choices and all — they
+		// never reach a count.
+		if agg, ok := p.Root.(*plan.AggregateNode); ok {
+			p = &plan.Plan{Root: agg.Child, Query: p.Query}
+		}
+		bplans[i] = executor.BatchPlan{Plan: p, Prep: prep}
 	}
 	var steps [][]executor.Step
 	var perPlan []error
 	if useFastPath {
+		var err error
 		steps, perPlan, err = executor.CountSkeletonSteps(ctx, bplans, cat.Sample, cfg)
 		if err != nil {
-			return nil, nil, fmt.Errorf("sampling: batch skeleton run: %w", err)
+			return nil, fmt.Errorf("sampling: batch skeleton run: %w", err)
 		}
 	} else {
 		// Fast path disabled (equivalence tests): every plan takes the
 		// general-executor fallback below.
-		steps, perPlan = make([][]executor.Step, total), make([]error, total)
+		steps, perPlan = make([][]executor.Step, len(plans)), make([]error, len(plans))
 		for i := range perPlan {
 			perPlan[i] = executor.ErrSkeletonUnsupported
 		}
 	}
-	pos := 0
-	for gi, g := range groups {
-		ests[gi] = make([]*Estimate, len(g.Plans))
-		for i := range g.Plans {
-			if e := perPlan[pos]; e != nil && perGroup[gi] == nil {
-				if !errors.Is(e, executor.ErrSkeletonUnsupported) {
-					perGroup[gi] = fmt.Errorf("sampling: batch skeleton run: %w", e)
-				} else if steps[pos], e = volcanoSteps(ctx, bplans[pos], cat); e != nil {
-					perGroup[gi] = fmt.Errorf("sampling: skeleton run: %w", e)
-				}
+	ests := make([]*Estimate, len(plans))
+	for i, e := range perPlan {
+		if e != nil {
+			if !errors.Is(e, executor.ErrSkeletonUnsupported) {
+				return nil, fmt.Errorf("sampling: batch skeleton run: %w", e)
 			}
-			if perGroup[gi] == nil {
-				ests[gi][i] = estimateFromSteps(steps[pos])
+			if steps[i], e = volcanoSteps(ctx, bplans[i], cat); e != nil {
+				return nil, fmt.Errorf("sampling: skeleton run: %w", e)
 			}
-			pos++
 		}
-		if perGroup[gi] != nil {
-			ests[gi] = nil
-		}
+		ests[i] = estimateFromSteps(steps[i])
 	}
-	// Report the call's cost amortized equally per plan, so summing a
-	// group's Durations reflects its share of the sampling overhead.
-	dur := time.Since(start) / time.Duration(total)
-	for _, ge := range ests {
-		for _, e := range ge {
-			if e != nil {
-				e.Duration = dur
-			}
-		}
+	// Report the call's cost amortized equally per plan, so summing the
+	// Durations reflects the call's sampling overhead.
+	dur := time.Since(start) / time.Duration(len(plans))
+	for _, e := range ests {
+		e.Duration = dur
 	}
-	return ests, perGroup, nil
+	return ests, nil
 }
 
 // Cache is one request's handle on validation (DESIGN.md §11): the

@@ -1,5 +1,9 @@
 package sampling
 
+// The deprecated Scheduler names are a direct path: a client validates
+// on its caller's goroutine, under its caller's context, exactly as
+// EstimatePlansCfg does, and its stats stay zero.
+
 import (
 	"context"
 	"errors"
@@ -9,29 +13,33 @@ import (
 	"testing"
 	"time"
 
-	"reopt/internal/catalog"
 	"reopt/internal/executor"
+	"reopt/internal/faultinject"
 	"reopt/internal/plan"
 )
 
-// hugeWindow makes the gather timer irrelevant: any test completing
-// under it proves a non-timer flush trigger fired.
-const hugeWindow = time.Hour
-
 // schedValidate registers a client, validates, and closes — one
-// scheduled query's life cycle.
+// query's life cycle on a Scheduler.
 func schedValidate(s *Scheduler, ctx context.Context, plans []*plan.Plan, cache Cache) ([]*Estimate, error) {
 	c := s.Register()
 	defer c.Close()
 	return c.ValidatePlans(ctx, plans, cache)
 }
 
-// TestSchedulerLoneRequestFlushesImmediately: with a single in-flight
-// query the all-waiting trigger fires on submission, so serial traffic
-// pays no gather latency — the test would hang for an hour otherwise.
+// wantStatsZero fails the test unless s reports no waves.
+func wantStatsZero(t *testing.T, s *Scheduler) {
+	t.Helper()
+	if st := s.Stats(); st != (SchedulerStats{}) {
+		t.Errorf("stats = %+v, want zero", st)
+	}
+}
+
+// TestSchedulerLoneRequestFlushesImmediately: a lone request is answered
+// at once, whatever window the scheduler was built with, with the direct
+// estimator's estimates.
 func TestSchedulerLoneRequestFlushesImmediately(t *testing.T) {
 	cat, plans := batchSetup(t, 1)
-	s := NewScheduler(cat, 2, hugeWindow)
+	s := NewScheduler(cat, 2, time.Hour)
 	got, err := schedValidate(s, context.Background(), plans[:1], nil)
 	if err != nil {
 		t.Fatal(err)
@@ -41,16 +49,13 @@ func TestSchedulerLoneRequestFlushesImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareEstimates(t, "sched", 0, "lone request", got[0], want)
-	stats := s.Stats()
-	if stats.Waves != 1 || stats.Requests != 1 || stats.Coalesced != 0 {
-		t.Errorf("stats = %+v, want 1 wave, 1 request, 0 coalesced", stats)
-	}
+	wantStatsZero(t, s)
 }
 
-// TestSchedulerEquivalence: estimates delivered through coalesced waves
-// must be byte-identical to the direct estimator, for every requester,
-// at several worker counts and cache scopes — the scheduler may change
-// when counts are computed, never their values.
+// TestSchedulerEquivalence: concurrent clients of one scheduler get
+// estimates byte-identical to the direct estimator's, whatever the
+// deprecated arguments say and whichever cache scope they validate
+// through.
 func TestSchedulerEquivalence(t *testing.T) {
 	cat, plans := batchSetup(t, 4)
 	want := make([]*Estimate, len(plans))
@@ -61,9 +66,9 @@ func TestSchedulerEquivalence(t *testing.T) {
 		}
 		want[i] = e
 	}
-	for _, w := range []int{0, 1, 2, 8} { // the deprecated argument selects nothing
+	for _, w := range []int{0, 8} {
 		for _, cacheMode := range []string{"nil", "perrun", "workload"} {
-			s := NewScheduler(cat, w, hugeWindow)
+			s := NewScheduler(cat, w, time.Hour)
 			var shared Cache
 			if cacheMode == "workload" {
 				shared = Prepare(nil, NewWorkloadCache(0))
@@ -90,114 +95,21 @@ func TestSchedulerEquivalence(t *testing.T) {
 				}
 				compareEstimates(t, "sched", i, mode, got[i][0], want[i])
 			}
+			wantStatsZero(t, s)
 		}
 	}
 }
 
-// TestSchedulerCoalescesAllWaiting: when every registered query is
-// blocked on validation the wave must flush without waiting out the
-// gather window, and the wave must actually be shared.
-func TestSchedulerCoalescesAllWaiting(t *testing.T) {
-	cat, plans := batchSetup(t, 2)
-	s := NewScheduler(cat, 2, hugeWindow)
-	a, b := s.Register(), s.Register()
-	defer a.Close()
-	defer b.Close()
-
-	var wg sync.WaitGroup
-	run := func(c *SchedulerClient, p *plan.Plan) {
-		defer wg.Done()
-		if _, err := c.ValidatePlans(context.Background(), []*plan.Plan{p}, nil); err != nil {
-			t.Error(err)
-		}
-	}
-	wg.Add(2)
-	go run(a, plans[0])
-	go run(b, plans[1])
-	wg.Wait()
-	stats := s.Stats()
-	if stats.Waves != 1 || stats.Coalesced != 2 {
-		t.Errorf("stats = %+v, want both requests coalesced into 1 wave", stats)
-	}
-}
-
-// TestSchedulerGatherWindowFlush: a request must not wait forever on a
-// registered query that is still planning — the gather window bounds
-// its latency.
-func TestSchedulerGatherWindowFlush(t *testing.T) {
-	cat, plans := batchSetup(t, 1)
-	s := NewScheduler(cat, 2, time.Millisecond)
-	busy := s.Register() // never submits: simulates a long optimizer round
-	defer busy.Close()
-	if _, err := schedValidate(s, context.Background(), plans[:1], nil); err != nil {
-		t.Fatal(err)
-	}
-	if stats := s.Stats(); stats.Waves != 1 {
-		t.Errorf("stats = %+v, want the window to have flushed 1 wave", stats)
-	}
-}
-
-// TestSchedulerCloseFlushes: a query finishing (Close) can be what
-// makes the rest all-waiting; the flush must not wait for the window.
-func TestSchedulerCloseFlushes(t *testing.T) {
-	cat, plans := batchSetup(t, 1)
-	s := NewScheduler(cat, 2, hugeWindow)
-	finishing := s.Register()
-	waiter := s.Register()
-	defer waiter.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := waiter.ValidatePlans(context.Background(), plans[:1], nil)
-		done <- err
-	}()
-	// Wait until the request is queued, then release the other query.
-	for {
-		if s.Stats().Requests == 1 {
-			break
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	finishing.Close()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSchedulerCancelQueuedRequest: cancelling a queued requester
-// returns its ctx error immediately — it does not wait out the window —
-// and the scheduler keeps serving the remaining queries.
+// TestSchedulerCancelQueuedRequest: a requester whose ctx is already
+// cancelled gets its ctx error, and the scheduler keeps serving.
 func TestSchedulerCancelQueuedRequest(t *testing.T) {
 	cat, plans := batchSetup(t, 2)
-	s := NewScheduler(cat, 2, hugeWindow)
-	busy := s.Register() // keeps the all-waiting trigger from firing
-	a := s.Register()
+	s := NewScheduler(cat, 2, time.Hour)
 	ctx, cancel := context.WithCancel(context.Background())
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := a.ValidatePlans(ctx, plans[:1], nil)
-		done <- err
-	}()
-	for {
-		if s.Stats().Requests == 1 {
-			break
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
 	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled requester returned %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled requester did not return")
+	if _, err := schedValidate(s, ctx, plans[:1], nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled requester returned %v, want context.Canceled", err)
 	}
-	a.Close()
-	busy.Close()
-
-	// The scheduler must still serve the remaining queries normally.
 	got, err := schedValidate(s, context.Background(), plans[1:2], nil)
 	if err != nil {
 		t.Fatal(err)
@@ -209,39 +121,28 @@ func TestSchedulerCancelQueuedRequest(t *testing.T) {
 	compareEstimates(t, "sched", 1, "after cancel", got[0], want)
 }
 
-// stallWave swaps the wave executor for one that parks until released,
-// so tests can cancel requesters while their wave is provably in
-// flight. Restore the original with the returned func.
-func stallWave(t *testing.T) (started chan struct{}, release chan struct{}, restore func()) {
+// stallEstimates holds every estimate call at its head until release is
+// closed. Each of the test's estimate calls, of which there are calls,
+// first sends on the returned channel, which is buffered for all of them.
+func stallEstimates(t *testing.T, calls int) (arrived chan struct{}, release chan struct{}) {
 	t.Helper()
-	started = make(chan struct{})
-	release = make(chan struct{})
-	orig := estimateGroupsFn
-	estimateGroupsFn = func(ctx context.Context, groups []PlanGroup, cat *catalog.Catalog, cfg ValidateConfig) ([][]*Estimate, []error, error) {
-		close(started)
-		select {
-		case <-release:
-			return orig(ctx, groups, cat, cfg)
-		case <-ctx.Done():
-			return nil, nil, fmt.Errorf("sampling: batch skeleton run: %w", ctx.Err())
-		}
-	}
-	return started, release, func() { estimateGroupsFn = orig }
+	arrived, release = make(chan struct{}, calls), make(chan struct{})
+	var fi faultinject.Set
+	fi.On(faultinject.Rule{Point: faultinject.Estimate, Do: func(faultinject.Point, string) {
+		arrived <- struct{}{}
+		<-release
+	}})
+	t.Cleanup(fi.Activate())
+	return arrived, release
 }
 
-// TestSchedulerCancelOneMidWave: with a wave in flight, cancelling one
-// requester returns its ctx error promptly while the other requester's
-// share completes with estimates byte-identical to the direct path —
-// one query's cancellation must not poison or abort another's wave.
+// TestSchedulerCancelOneMidWave: of two clients validating at once,
+// cancelling one mid-validation fails that one with its ctx error and
+// leaves the other's estimates byte-identical to the direct path.
 func TestSchedulerCancelOneMidWave(t *testing.T) {
 	cat, plans := batchSetup(t, 2)
-	started, release, restore := stallWave(t)
-	defer restore()
-
-	s := NewScheduler(cat, 2, hugeWindow)
-	a, b := s.Register(), s.Register()
-	defer a.Close()
-	defer b.Close()
+	s := NewScheduler(cat, 2, time.Hour)
+	arrived, release := stallEstimates(t, 2)
 	actx, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
 
@@ -249,32 +150,21 @@ func TestSchedulerCancelOneMidWave(t *testing.T) {
 	bDone := make(chan error, 1)
 	var bEsts []*Estimate
 	go func() {
-		_, err := a.ValidatePlans(actx, plans[:1], nil)
+		_, err := schedValidate(s, actx, plans[:1], nil)
 		aDone <- err
 	}()
 	go func() {
 		var err error
-		bEsts, err = b.ValidatePlans(context.Background(), plans[1:2], nil)
+		bEsts, err = schedValidate(s, context.Background(), plans[1:2], nil)
 		bDone <- err
 	}()
-
-	<-started // both requests coalesced; the wave is now parked
+	<-arrived
+	<-arrived // both validations are in flight
 	cancelA()
-	select {
-	case err := <-aDone:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled requester returned %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled requester stayed blocked on the in-flight wave")
-	}
-	select {
-	case err := <-bDone:
-		t.Fatalf("surviving requester returned early (err=%v): wave aborted", err)
-	default:
-	}
-
 	close(release)
+	if err := <-aDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled requester returned %v, want context.Canceled", err)
+	}
 	if err := <-bDone; err != nil {
 		t.Fatalf("surviving requester: %v", err)
 	}
@@ -282,23 +172,16 @@ func TestSchedulerCancelOneMidWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareEstimates(t, "sched", 1, "survivor mid-wave", bEsts[0], want)
+	compareEstimates(t, "sched", 1, "survivor", bEsts[0], want)
 }
 
-// TestSchedulerAllCancelledAbortsWave: when every requester of a wave
-// is done, the wave's merged context cancels — the work has no consumer
-// — and each requester reports its own termination cause (Canceled vs
-// DeadlineExceeded), preserving core's budget semantics.
+// TestSchedulerAllCancelledAbortsWave: two clients terminated
+// mid-validation, one cancelled and one past its deadline, each report
+// their own cause, which core's budget semantics tell apart.
 func TestSchedulerAllCancelledAbortsWave(t *testing.T) {
 	cat, plans := batchSetup(t, 2)
-	started, release, restore := stallWave(t)
-	defer restore()
-	defer close(release)
-
-	s := NewScheduler(cat, 2, hugeWindow)
-	a, b := s.Register(), s.Register()
-	defer a.Close()
-	defer b.Close()
+	s := NewScheduler(cat, 2, time.Hour)
+	arrived, release := stallEstimates(t, 2)
 	actx, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
 	bctx, cancelB := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -307,16 +190,18 @@ func TestSchedulerAllCancelledAbortsWave(t *testing.T) {
 	aDone := make(chan error, 1)
 	bDone := make(chan error, 1)
 	go func() {
-		_, err := a.ValidatePlans(actx, plans[:1], nil)
+		_, err := schedValidate(s, actx, plans[:1], nil)
 		aDone <- err
 	}()
 	go func() {
-		_, err := b.ValidatePlans(bctx, plans[1:2], nil)
+		_, err := schedValidate(s, bctx, plans[1:2], nil)
 		bDone <- err
 	}()
-
-	<-started
+	<-arrived
+	<-arrived
 	cancelA()
+	<-bctx.Done()
+	close(release)
 	if err := <-aDone; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled requester returned %v, want context.Canceled", err)
 	}
@@ -325,62 +210,57 @@ func TestSchedulerAllCancelledAbortsWave(t *testing.T) {
 	}
 }
 
-// TestSchedulerLoneWaveRunsOnRequester: a wave of one request with no
-// other query in flight runs on the requester's own goroutine, under the
-// requester's own context — the engine sees that very context, no
-// goroutine is started for the wave or to watch contexts, and a
-// cancellation aborts the validation at the engine's next check with the
-// requester's own error. Panics are still contained at the wave seam.
+// TestSchedulerLoneWaveRunsOnRequester: a client's validation runs on
+// its caller's goroutine, under its caller's context — no goroutine is
+// started, a cancellation mid-validation stops it with the caller's own
+// error — and a panic inside it fails the call with ErrValidationPanic.
 func TestSchedulerLoneWaveRunsOnRequester(t *testing.T) {
 	cat, plans := batchSetup(t, 1)
-	s := NewScheduler(cat, 1, hugeWindow)
+	s := NewScheduler(cat, 1, time.Hour)
 	c := s.Register()
 	defer c.Close()
 
-	type ctxKey struct{}
-	ctx, cancel := context.WithCancel(context.WithValue(context.Background(), ctxKey{}, "requester"))
-	defer cancel()
-	orig := estimateGroupsFn
-	defer func() { estimateGroupsFn = orig }()
-	var during int
-	estimateGroupsFn = func(wctx context.Context, groups []PlanGroup, cat *catalog.Catalog, cfg ValidateConfig) ([][]*Estimate, []error, error) {
-		if wctx.Value(ctxKey{}) != "requester" {
-			t.Error("the lone wave did not run under the requester's context")
-		}
-		during = runtime.NumGoroutine()
-		return orig(wctx, groups, cat, cfg)
-	}
 	before := runtime.NumGoroutine()
-	got, err := c.ValidatePlans(ctx, plans, nil)
+	during := before
+	var fi faultinject.Set
+	fi.On(faultinject.Rule{Point: faultinject.SkelNode, Do: func(faultinject.Point, string) {
+		during = max(during, runtime.NumGoroutine())
+	}})
+	restore := fi.Activate()
+	got, err := c.ValidatePlans(context.Background(), plans, nil)
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Earlier tests' goroutines may still be winding down; none may start.
 	if during > before || runtime.NumGoroutine() > before {
-		t.Errorf("goroutines: %d before, %d during, %d after a lone validation", before, during, runtime.NumGoroutine())
+		t.Errorf("goroutines: %d before, %d during, %d after a validation", before, during, runtime.NumGoroutine())
 	}
 	want, err := EstimatePlan(plans[0], cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareEstimates(t, "sched", 0, "lone wave", got[0], want)
+	compareEstimates(t, "sched", 0, "on requester", got[0], want)
 
-	// Cancelled between the engine's steps: the validation stops there.
-	estimateGroupsFn = func(wctx context.Context, groups []PlanGroup, cat *catalog.Catalog, cfg ValidateConfig) ([][]*Estimate, []error, error) {
-		cancel()
-		return orig(wctx, groups, cat, cfg)
-	}
-	if _, err := c.ValidatePlans(ctx, plans, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled lone requester returned %v, want context.Canceled", err)
+	// Cancelled after the call began: the engine's next check stops it.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var cancelAt faultinject.Set
+	cancelAt.CancelAt(faultinject.Estimate, "", cancel)
+	restore = cancelAt.Activate()
+	_, err = c.ValidatePlans(ctx, plans, nil)
+	restore()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled requester returned %v, want context.Canceled", err)
 	}
 
-	estimateGroupsFn = func(context.Context, []PlanGroup, *catalog.Catalog, ValidateConfig) ([][]*Estimate, []error, error) {
-		panic("boom")
+	var panicAt faultinject.Set
+	panicAt.PanicAt(faultinject.SkelNode, "")
+	restore = panicAt.Activate()
+	_, err = c.ValidatePlans(context.Background(), plans, nil)
+	restore()
+	if !errors.Is(err, executor.ErrValidationPanic) {
+		t.Fatalf("panicking validation returned %v, want ErrValidationPanic", err)
 	}
-	if _, err := c.ValidatePlans(context.Background(), plans, nil); !errors.Is(err, executor.ErrValidationPanic) {
-		t.Fatalf("panicking lone wave returned %v, want ErrValidationPanic", err)
-	}
-	if st := s.Stats(); st.Waves != 3 || st.Requests != 3 || st.Coalesced != 0 {
-		t.Errorf("stats = %+v, want 3 waves, 3 requests, 0 coalesced", st)
-	}
+	wantStatsZero(t, s)
 }

@@ -197,7 +197,7 @@ func TestChaosCrossTenantIsolation(t *testing.T) {
 	}
 
 	// Faults gone: the same daemon — same sessions, same caches the
-	// failed wave ran through — answers the poisoned query correctly.
+	// failed validation ran through — answers the poisoned query correctly.
 	res, err := ca.Reoptimize(ctx, &reoptclient.ReoptimizeRequest{SQL: alphaSQL[bad]})
 	if err != nil {
 		t.Fatalf("daemon not reusable after contained panic: %v", err)

@@ -41,15 +41,17 @@ type Quota struct {
 	// CacheEntries configures the tenant's cross-query validation
 	// cache: 0 disables it, > 0 bounds it to that many subtree
 	// entries, -1 selects the default budget (reopt.WithSharedCache).
+	// Any other negative value is rejected.
 	CacheEntries int `json:"cache_entries"`
 	// CacheValues additionally bounds the cache by materialized values
 	// (reopt.WithSharedCacheValues; 0 = unbounded).
 	CacheValues int `json:"cache_values"`
-	// Scheduler gathers the tenant's concurrent validations into waves
-	// (reopt.WithWorkloadScheduler); Window <= 0 selects the adaptive
-	// gather window. Off in DefaultQuota: a wave is its requests
-	// validated back to back on one goroutine, which loses to letting
-	// each request validate on its own.
+	// Scheduler and SchedulerWindow once gathered the tenant's
+	// concurrent validations into waves.
+	//
+	// Deprecated: there is no scheduler; every validation runs on its
+	// request's goroutine. The fields still parse so existing config
+	// files load, then do nothing; bench/ is their last caller.
 	Scheduler       bool                 `json:"scheduler"`
 	SchedulerWindow reoptclient.Duration `json:"scheduler_window"`
 	// TemplateSharing once indexed the tenant's cached validation scans
@@ -147,7 +149,9 @@ func (c Config) validate() error {
 	return nil
 }
 
-// negative reports a quota bound below zero, which no knob accepts.
+// negative reports a quota bound below zero, which no knob accepts
+// except CacheEntries' -1 (the default budget).
 func (q Quota) negative() bool {
-	return q.MaxInFlight < 0 || q.QueueDepth < 0 || q.MemoryBudget < 0
+	return q.MaxInFlight < 0 || q.QueueDepth < 0 || q.MemoryBudget < 0 ||
+		q.CacheEntries < -1 || q.CacheValues < 0
 }

@@ -37,6 +37,33 @@ func TestLoadConfigRejectsNegativeDefaultQuota(t *testing.T) {
 	}
 }
 
+// TestLoadConfigRejectsNegativeCacheBounds: cache_entries' only negative
+// value is -1 (the default budget) and cache_values has none. Any other
+// negative bound, on the default tenant or a named one, fails at startup
+// instead of loading as the default budget or as unbounded.
+func TestLoadConfigRejectsNegativeCacheBounds(t *testing.T) {
+	for _, quota := range []string{`{"cache_entries": -7}`, `{"cache_values": -5}`, `{"cache_entries": -1, "cache_values": -1}`} {
+		for _, body := range []string{`{"default": ` + quota + `}`, `{"tenants": {"alpha": ` + quota + `}}`} {
+			_, err := server.LoadConfig(writeConfig(t, body))
+			if err == nil || !strings.Contains(err.Error(), "negative") {
+				t.Errorf("%s: LoadConfig err = %v, want a negative-quota error", body, err)
+			}
+		}
+	}
+	q := server.DefaultQuota()
+	q.CacheValues = -1
+	if _, err := server.New(ottCatalog(t), server.Config{Tenants: map[string]server.Quota{"alpha": q}}); err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Errorf("New with a negative cache value bound: err = %v, want a negative-quota error", err)
+	}
+	cfg, err := server.LoadConfig(writeConfig(t, `{"default": {"cache_entries": -1, "cache_values": 1000}}`))
+	if err != nil {
+		t.Fatalf("cache_entries -1 (the default budget): %v", err)
+	}
+	if cfg.Default.CacheEntries != -1 || cfg.Default.CacheValues != 1000 {
+		t.Fatalf("cache bounds not loaded: %+v", cfg.Default)
+	}
+}
+
 // TestLoadConfigRejectsUnknownField: a typoed knob fails loudly instead of
 // leaving the tenant on defaults.
 func TestLoadConfigRejectsUnknownField(t *testing.T) {
@@ -47,11 +74,11 @@ func TestLoadConfigRejectsUnknownField(t *testing.T) {
 }
 
 // TestLoadConfigAcceptsRetiredFields: a config file written for an older
-// daemon, still setting the retired template_sharing and sample_shards
-// knobs, loads and serves.
+// daemon, still setting the retired template_sharing, sample_shards,
+// scheduler and scheduler_window knobs, loads and serves.
 func TestLoadConfigAcceptsRetiredFields(t *testing.T) {
 	cfg, err := server.LoadConfig(writeConfig(t,
-		`{"default": {"max_in_flight": 2, "template_sharing": true, "sample_shards": 4}}`))
+		`{"default": {"max_in_flight": 2, "template_sharing": true, "sample_shards": 4, "scheduler": true, "scheduler_window": "1ms"}}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,8 @@ func crossUniqueTag(t testing.TB, mine, theirs []*reopt.Query) string {
 }
 
 // boundedQuota is the test tenants' envelope: enough concurrency for
-// the chaos hammers, scheduler and cache on, a generous memory budget.
+// the chaos hammers, the cache on, a generous memory budget, and the
+// retired scheduler knob still set, as old config files set it.
 func boundedQuota() server.Quota {
 	return server.Quota{
 		Workers:      2,

@@ -94,16 +94,6 @@ func (m *metrics) writeTo(w io.Writer, s *Server) {
 		fmt.Fprintf(w, "reoptd_validation_rows_materialized_total{tenant=%q} %d\n", name, materialized)
 	}
 
-	fmt.Fprintln(w, "# HELP reoptd_scheduler_waves_total Shared-scan validation waves flushed, per tenant.")
-	fmt.Fprintln(w, "# TYPE reoptd_scheduler_waves_total counter")
-	fmt.Fprintln(w, "# HELP reoptd_scheduler_requests_total Validation requests coalesced into waves, per tenant.")
-	fmt.Fprintln(w, "# TYPE reoptd_scheduler_requests_total counter")
-	for _, name := range names {
-		st := s.tenants[name].sess.SchedulerStats()
-		fmt.Fprintf(w, "reoptd_scheduler_waves_total{tenant=%q} %d\n", name, st.Waves)
-		fmt.Fprintf(w, "reoptd_scheduler_requests_total{tenant=%q} %d\n", name, st.Requests)
-	}
-
 	ready := 1
 	if s.draining.Load() {
 		ready = 0

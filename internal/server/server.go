@@ -4,8 +4,8 @@
 // (DESIGN.md §7):
 //
 //   - Tenant isolation. Each tenant gets its own Session configured
-//     from its Quota — admission gate, memory budget, cache,
-//     scheduler — so one tenant's overload, panic, or runaway
+//     from its Quota — admission gate, memory budget, cache — so
+//     one tenant's overload, panic, or runaway
 //     validation can neither starve nor corrupt another's. Sessions
 //     are fixed at startup; unknown tenants get 404, never a session.
 //
@@ -13,7 +13,7 @@
 //     budget on the session call (best-so-far 200, Converged=false —
 //     never a 5xx), and a closed client connection cancels the
 //     request's ctx, which releases its admission slot and aborts
-//     validation mid-wave without poisoning any cache.
+//     validation mid-plan without poisoning any cache.
 //
 //   - Shedding. reopt.ErrOverloaded surfaces as 429 with a
 //     server-computed Retry-After derived from the tenant's observed
@@ -176,9 +176,6 @@ func (q Quota) sessionOptions() []reopt.SessionOption {
 		if q.CacheValues > 0 {
 			opts = append(opts, reopt.WithSharedCacheValues(q.CacheValues))
 		}
-	}
-	if q.Scheduler {
-		opts = append(opts, reopt.WithWorkloadScheduler(time.Duration(q.SchedulerWindow)))
 	}
 	return opts
 }
@@ -404,7 +401,7 @@ func (s *Server) v1(endpoint string, fn func(ctx context.Context, t *tenant, bod
 
 		// r.Context() cancels when the client disconnects, so an
 		// abandoned request releases its admission slot and aborts its
-		// validation mid-wave; the handler then unwinds with
+		// validation mid-plan; the handler then unwinds with
 		// context.Canceled and nobody reads the 499.
 		resp, he := fn(r.Context(), t, body)
 		if he != nil {

@@ -47,8 +47,8 @@
 // # Serving over HTTP
 //
 // cmd/reoptd serves the pipeline as a multi-tenant HTTP daemon — one
-// bounded Session per tenant (admission gate, memory budget, cache and
-// scheduler quotas from a JSON config), graceful SIGTERM drain, and
+// bounded Session per tenant (admission gate, memory budget and cache
+// quotas from a JSON config), graceful SIGTERM drain, and
 // load shedding with Retry-After hints:
 //
 //	go run ./cmd/reoptd -db ott                  # one default tenant on :8372
@@ -149,8 +149,9 @@ type (
 	// WorkloadCache reuses validation counts across the queries of a
 	// workload (see ReoptOptions.Cache).
 	WorkloadCache = sampling.WorkloadCache
-	// SchedulerStats reports what a session's workload validation
-	// scheduler coalesced (see WithWorkloadScheduler).
+	// SchedulerStats is always zero.
+	//
+	// Deprecated: there is no scheduler (see WithWorkloadScheduler).
 	SchedulerStats = sampling.SchedulerStats
 	// MidQueryResult reports one runtime-re-optimized execution of the
 	// runtime (mid-query) re-optimization baseline (Kabra-DeWitt / POP

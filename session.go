@@ -46,7 +46,6 @@ type Session struct {
 	cat       *Catalog
 	opt       *optimizer.Optimizer
 	cache     *sampling.WorkloadCache
-	sched     *sampling.Scheduler
 	memBudget int64
 	adm       *admission
 }
@@ -59,8 +58,6 @@ type sessionConfig struct {
 	cacheValues  int
 	wantCache    bool
 	cache        *WorkloadCache
-	wantSched    bool
-	schedWindow  time.Duration
 	memBudget    int64
 	maxInFlight  int
 	queueDepth   int
@@ -123,29 +120,14 @@ func WithSharedCacheValues(maxValues int) SessionOption {
 	}
 }
 
-// WithWorkloadScheduler routes every validation the session's
-// re-optimizations issue through a cross-query scheduler: while several
-// queries are in flight — ReoptimizeWorkload workers, or concurrent
-// Reoptimize / ReoptimizeMultiSeed calls — their candidate-plan
-// validations gather into waves, each validated request after request
-// on one goroutine; what one request computes serves the others only
-// through a cache they share, as it would unscheduled. window bounds
-// how long a validation may wait for concurrent queries to contribute
-// theirs (<= 0 selects the adaptive window, sized continuously from the
-// observed optimizer-round / validation-time ratio so coalescing scales
-// with traffic); the wait only
-// applies while another in-flight query is still planning — the moment
-// every in-flight query is blocked on validation the wave flushes, so
-// serial traffic (one query at a time) never waits at all. Per-query
-// results are byte-identical to the unscheduled path at every
-// parallelism, and cancelling one query never aborts or corrupts
-// another's share of a wave. Off by default: gathering costs more than
-// it saves at every parallelism the benchmarks run (DESIGN.md §1b).
+// WithWorkloadScheduler once gathered the validations of concurrently
+// re-optimizing queries into waves.
+//
+// Deprecated: there is no scheduler — every validation runs on the
+// goroutine of the call that asked for it — so WithWorkloadScheduler does
+// nothing. bench/ is its last caller.
 func WithWorkloadScheduler(window time.Duration) SessionOption {
-	return func(c *sessionConfig) {
-		c.schedWindow = window
-		c.wantSched = true
-	}
+	return func(*sessionConfig) {}
 }
 
 // WithMemoryBudget caps, per validation, the number of materialized
@@ -160,9 +142,9 @@ func WithWorkloadScheduler(window time.Duration) SessionOption {
 // that reason). Only Validate — which has no best-so-far to fall back
 // on — surfaces ErrMemoryBudget to the caller, positionally, for
 // exactly the plans that breached. The budget is enforced per plan per
-// validation: co-batched and co-scheduled queries each get the full
-// budget, a breaching plan never poisons the shared cache, and its
-// peers' results stay byte-identical to running without it.
+// validation: concurrent queries each get the full budget, a breaching
+// plan never poisons the shared cache, and its peers' results stay
+// byte-identical to running without it.
 //
 // The unit is values, matching WithSharedCacheValues: what one
 // validation may materialize transiently versus what the cache may
@@ -243,10 +225,6 @@ func Open(cat *Catalog, opts ...SessionOption) (*Session, error) {
 	case cfg.wantCache:
 		s.cache = sampling.NewWorkloadCacheBudget(cfg.cacheEntries, cfg.cacheValues)
 	}
-	if cfg.wantSched {
-		s.sched = sampling.NewScheduler(cat, 0, cfg.schedWindow)
-		s.sched.SetMemBudget(cfg.memBudget)
-	}
 	return s, nil
 }
 
@@ -285,14 +263,10 @@ func (s *Session) CacheStats() (hits, misses int64) { return s.cache.Stats() }
 // a cache).
 func (s *Session) RowStats() (counted, materialized int64) { return s.cache.RowStats() }
 
-// SchedulerStats reports what the session's workload validation
-// scheduler has coalesced (zeros when WithWorkloadScheduler is off).
-func (s *Session) SchedulerStats() SchedulerStats {
-	if s.sched == nil {
-		return SchedulerStats{}
-	}
-	return s.sched.Stats()
-}
+// SchedulerStats returns zeros.
+//
+// Deprecated: there is no scheduler (see WithWorkloadScheduler).
+func (s *Session) SchedulerStats() SchedulerStats { return SchedulerStats{} }
 
 // Parse parses and resolves a SQL query against the session's catalog.
 func (s *Session) Parse(src string) (*Query, error) { return sql.Parse(src, s.cat) }
@@ -350,20 +324,6 @@ func (s *Session) reoptimizer(opts []ReoptOption) *Reoptimizer {
 	return r
 }
 
-// attachScheduler registers the call as one in-flight query on the
-// session's workload scheduler (when configured) and injects the
-// per-call client as the round loop's validator. The returned release
-// must run when the call finishes: it frees the registration, which can
-// itself flush a wave the remaining in-flight queries are waiting on.
-func (s *Session) attachScheduler(r *Reoptimizer) (release func()) {
-	if s.sched == nil {
-		return func() {}
-	}
-	c := s.sched.Register()
-	r.Opts.Validator = c
-	return c.Close
-}
-
 // Reoptimize runs the paper's Algorithm 1 on q: optimize, validate the
 // plan's join skeleton over the samples, fold the refined cardinalities
 // Γ back, repeat until the plan stops changing. Cancelling ctx aborts
@@ -383,10 +343,7 @@ func (s *Session) Reoptimize(ctx context.Context, q *Query, opts ...ReoptOption)
 		return nil, err
 	}
 	defer s.adm.release()
-	r := s.reoptimizer(opts)
-	release := s.attachScheduler(r)
-	defer release()
-	return r.ReoptimizeCtx(ctx, q)
+	return s.reoptimizer(opts).ReoptimizeCtx(ctx, q)
 }
 
 // ReoptimizeMultiSeed runs Algorithm 1 from up to seeds distinct
@@ -394,17 +351,16 @@ func (s *Session) Reoptimize(ctx context.Context, q *Query, opts ...ReoptOption)
 // whose final plan has the lowest sampled cost. Seeds share one
 // validation cache and prepared state — and the session's cross-query
 // cache, when configured — so a later seed reuses what earlier seeds
-// validated. Context, admission and panic-containment semantics match
+// validated. The budget (WithTimeout or a ctx deadline) covers
+// generating the seeds too, so a large seeds count costs no more than the
+// budget. Context, admission and panic-containment semantics match
 // Reoptimize.
 func (s *Session) ReoptimizeMultiSeed(ctx context.Context, q *Query, seeds int, opts ...ReoptOption) (*ReoptResult, error) {
 	if err := s.adm.acquire(ctx); err != nil {
 		return nil, err
 	}
 	defer s.adm.release()
-	r := s.reoptimizer(opts)
-	release := s.attachScheduler(r)
-	defer release()
-	return r.ReoptimizeMultiSeedCtx(ctx, q, seeds)
+	return s.reoptimizer(opts).ReoptimizeMultiSeedCtx(ctx, q, seeds)
 }
 
 // Validate runs the sampling-based estimator over the plans' join
@@ -517,10 +473,7 @@ func (s *Session) reoptimizeIsolated(ctx context.Context, q *Query, opts []Reopt
 			res, err = nil, executor.NewPanicError(r)
 		}
 	}()
-	r := s.reoptimizer(opts)
-	release := s.attachScheduler(r)
-	defer release()
-	return r.ReoptimizeCtx(ctx, q)
+	return s.reoptimizer(opts).ReoptimizeCtx(ctx, q)
 }
 
 // isolatedQueryError reports whether err fails only the query that
@@ -538,10 +491,8 @@ func isolatedQueryError(err error) bool {
 // of queries in flight (<= 0 selects GOMAXPROCS); per-query budgets
 // (WithMaxRounds, WithTimeout) apply to each query independently.
 // Queries share the session's cross-query cache when one is configured,
-// so similar instances validate against each other's counts, and with
-// WithWorkloadScheduler the in-flight queries' validations coalesce
-// into shared skeleton-batch waves; either way every query's result is
-// identical to re-optimizing it sequentially.
+// so similar instances validate against each other's counts; every
+// query's result is identical to re-optimizing it sequentially.
 //
 // Results are positional. Failures that are one query's own — a spent
 // per-query budget, an ErrOverloaded admission shed, a contained

@@ -34,8 +34,8 @@ func rangeQueries(t testing.TB, cat *reopt.Catalog, ks []int) []*reopt.Query {
 // TestParametrizedWorkloadEquivalence: Zipf-skewed parametrized traffic
 // (zipfQueries: few templates, skewed constants, so many instances repeat
 // one an earlier instance validated) through one shared cache — at
-// parallelism {1, 2, NumCPU}, with and without the workload scheduler,
-// cold and warm — equals its sequential replay: the same queries
+// parallelism {1, 2, NumCPU}, cold and warm — equals its sequential
+// replay: the same queries
 // re-optimized one at a time, in arrival order, through a cache of their
 // own.
 func TestParametrizedWorkloadEquivalence(t *testing.T) {
@@ -65,25 +65,19 @@ func TestParametrizedWorkloadEquivalence(t *testing.T) {
 		t.Fatal("the replay never hit its cache: the workload repeats nothing")
 	}
 
-	for _, sched := range []bool{false, true} {
-		for _, par := range []int{1, 2, runtime.NumCPU()} {
-			opts := []reopt.SessionOption{reopt.WithSharedCache(512)}
-			if sched {
-				opts = append(opts, reopt.WithWorkloadScheduler(0)) // adaptive gather window
-			}
-			s, err := reopt.Open(cat, opts...)
+	for _, par := range []int{1, 2, runtime.NumCPU()} {
+		s, err := reopt.Open(cat, reopt.WithSharedCache(512))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, state := range []string{"cold", "warm"} {
+			got, err := s.ReoptimizeWorkload(ctx, queries, par)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("par=%d %s: %v", par, state, err)
 			}
-			for _, state := range []string{"cold", "warm"} {
-				got, err := s.ReoptimizeWorkload(ctx, queries, par)
-				if err != nil {
-					t.Fatalf("scheduler=%v par=%d %s: %v", sched, par, state, err)
-				}
-				for i := range queries {
-					if resultKey(got[i]) != want[i] {
-						t.Errorf("scheduler=%v par=%d %s query %d: diverged from the sequential replay", sched, par, state, i)
-					}
+			for i := range queries {
+				if resultKey(got[i]) != want[i] {
+					t.Errorf("par=%d %s query %d: diverged from the sequential replay", par, state, i)
 				}
 			}
 		}
@@ -138,8 +132,9 @@ func TestTemplateSharingWorkloadEquivalence(t *testing.T) {
 	}
 }
 
-// TestTemplateSharingSchedulerEquivalence: the same no-op contract on the
-// workload scheduler path (coalesced waves, adaptive gather window).
+// TestTemplateSharingSchedulerEquivalence: the same no-op contract with
+// the deprecated WithWorkloadScheduler set as well: the two together
+// change nothing either, and the scheduler stats stay zero.
 func TestTemplateSharingSchedulerEquivalence(t *testing.T) {
 	cat, err := reopt.GenerateOTT(reopt.OTTConfig{Seed: 5, RowsPerValue: 20})
 	if err != nil {
@@ -160,7 +155,7 @@ func TestTemplateSharingSchedulerEquivalence(t *testing.T) {
 	s, err := reopt.Open(cat,
 		reopt.WithWorkers(2),
 		reopt.WithSharedCache(512),
-		reopt.WithWorkloadScheduler(0), // adaptive gather window
+		reopt.WithWorkloadScheduler(0),
 		reopt.WithTemplateSharing(),
 	)
 	if err != nil {
@@ -172,12 +167,13 @@ func TestTemplateSharingSchedulerEquivalence(t *testing.T) {
 	}
 	for i := range queries {
 		if got[i].Final.Fingerprint() != want[i].Final.Fingerprint() {
-			t.Errorf("query %d: final plan diverged under the scheduler", i)
+			t.Errorf("query %d: final plan diverged with the options set", i)
 		}
 		if got[i].Gamma.Snapshot() != want[i].Gamma.Snapshot() {
-			t.Errorf("query %d: Gamma diverged under the scheduler", i)
+			t.Errorf("query %d: Gamma diverged with the options set", i)
 		}
 	}
+	wantNoSchedulerStats(t, s)
 }
 
 // TestSharedCacheAcrossCatalogs: one WorkloadCache shared through

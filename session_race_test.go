@@ -192,11 +192,12 @@ func TestSessionEpochInvalidation(t *testing.T) {
 	}
 }
 
-// TestSessionSchedulerMixedHammer: one scheduled session serving
-// ReoptimizeWorkload batches and single-query Reoptimize calls at the
-// same time — the production shape for the workload scheduler, and the
-// race-detector gate for its registration/queue/wave machinery. Every
-// result, from either entry point, must equal the sequential baseline.
+// TestSessionSchedulerMixedHammer: one session, opened with the
+// deprecated WithWorkloadScheduler, serving ReoptimizeWorkload batches
+// and single-query Reoptimize calls at the same time through one shared
+// cache (the race detector's gate for that sharing). Every result, from
+// either entry point, must equal the sequential baseline, and the
+// scheduler stats stay zero.
 func TestSessionSchedulerMixedHammer(t *testing.T) {
 	cat, qs := ottSession(t)
 	ctx := context.Background()
@@ -236,7 +237,7 @@ func TestSessionSchedulerMixedHammer(t *testing.T) {
 		default:
 		}
 	}
-	// Workload batches through the scheduler...
+	// Workload batches...
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func() {
@@ -279,11 +280,9 @@ func TestSessionSchedulerMixedHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if mismatches > 0 {
-		t.Fatalf("%d mixed scheduled results diverged from the sequential baseline", mismatches)
+		t.Fatalf("%d mixed results diverged from the sequential baseline", mismatches)
 	}
-	if stats := s.SchedulerStats(); stats.Coalesced == 0 {
-		t.Logf("note: no coalesced waves this run (%+v)", stats)
-	}
+	wantNoSchedulerStats(t, s)
 }
 
 // TestSessionWorkloadConcurrentCancel: cancelling a workload mid-flight

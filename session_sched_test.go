@@ -1,10 +1,9 @@
 package reopt_test
 
-// Session-level tests for the workload validation scheduler
-// (WithWorkloadScheduler): scheduled re-optimization must be an
-// invisible optimization — byte-identical results at every parallelism,
-// prompt per-query cancellation, coalescing observable only in the
-// stats (and the clock).
+// Session-level tests for the deprecated WithWorkloadScheduler option:
+// it changes nothing. A session opened with it returns what a serial,
+// uncached session returns at every parallelism, cancels and budgets
+// per query as any session does, and reports zero SchedulerStats.
 
 import (
 	"context"
@@ -18,15 +17,15 @@ import (
 	"reopt/internal/faultinject"
 )
 
-// TestSessionSchedulerWorkloadEquivalence: ReoptimizeWorkload through
-// the scheduler must produce results byte-identical to the serial,
-// unscheduled path — per query, at parallelism 1, 2 and NumCPU, with
-// and without the shared workload cache.
+// TestSessionSchedulerWorkloadEquivalence: ReoptimizeWorkload with the
+// option set produces results byte-identical to the serial path without
+// it — per query, at parallelism 1, 2 and NumCPU, with and without the
+// shared workload cache — and no scheduler stats.
 func TestSessionSchedulerWorkloadEquivalence(t *testing.T) {
 	cat, qs := ottSession(t)
 	ctx := context.Background()
 
-	// Serial, unscheduled baseline: one query at a time, private caches.
+	// Serial baseline: one query at a time, private caches.
 	baseline, err := reopt.Open(cat)
 	if err != nil {
 		t.Fatal(err)
@@ -64,71 +63,39 @@ func TestSessionSchedulerWorkloadEquivalence(t *testing.T) {
 					t.Errorf("%s parallelism=%d: query %d diverged from the serial path", label, par, i)
 				}
 			}
+			wantNoSchedulerStats(t, s)
 		}
 	}
 }
 
-// TestSessionSchedulerCoalesces: at parallelism >= 2 the in-flight
-// queries' validations must actually share waves — the stats, not just
-// the results, prove the scheduler is on the path. On a single-proc
-// host two workload workers can ping-pong without EVER overlapping in
-// validation (each submission sees the other mid-optimize or not yet
-// scheduled), so coalescing is genuinely not guaranteed there and the
-// test skips; the deterministic all-waiting guarantee is covered at
-// the sampling layer (TestSchedulerCoalescesAllWaiting), and CI's race
-// job runs this test at GOMAXPROCS=2. Multi-proc, the test still
-// drives repeated passes rather than asserting one pass coalesces.
-func TestSessionSchedulerCoalesces(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs GOMAXPROCS >= 2: single-proc workers may never overlap in validation")
+// wantNoSchedulerStats fails the test unless s reports zero
+// SchedulerStats.
+func wantNoSchedulerStats(t *testing.T, s *reopt.Session) {
+	t.Helper()
+	if stats := s.SchedulerStats(); stats != (reopt.SchedulerStats{}) {
+		t.Errorf("scheduler stats non-zero: %+v", stats)
 	}
+}
+
+// TestSessionSchedulerStatsOffByDefault: the accessor reports zeros, with
+// the option and without it, after concurrent traffic.
+func TestSessionSchedulerStatsOffByDefault(t *testing.T) {
 	cat, qs := ottSession(t)
-	s, err := reopt.Open(cat,
-		reopt.WithWorkloadScheduler(50*time.Millisecond),
-		reopt.WithSharedCache(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pass := 0; pass < 30; pass++ {
+	for _, opts := range [][]reopt.SessionOption{nil, {reopt.WithWorkloadScheduler(0)}} {
+		s, err := reopt.Open(cat, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := s.ReoptimizeWorkload(context.Background(), qs, 2); err != nil {
 			t.Fatal(err)
 		}
-		if s.SchedulerStats().Coalesced > 0 {
-			break
-		}
-	}
-	stats := s.SchedulerStats()
-	if stats.Requests == 0 {
-		t.Fatal("no validations flowed through the scheduler")
-	}
-	if stats.Coalesced == 0 {
-		t.Errorf("no coalesced waves at parallelism 2 across 30 passes: %+v", stats)
-	}
-	if stats.Waves >= stats.Requests {
-		t.Errorf("every request ran its own wave: %+v", stats)
+		wantNoSchedulerStats(t, s)
 	}
 }
 
-// TestSessionSchedulerStatsOffByDefault: without WithWorkloadScheduler
-// the accessor reports zeros and nothing routes through a scheduler.
-func TestSessionSchedulerStatsOffByDefault(t *testing.T) {
-	cat, qs := ottSession(t)
-	s, err := reopt.Open(cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Reoptimize(context.Background(), qs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if stats := s.SchedulerStats(); stats != (reopt.SchedulerStats{}) {
-		t.Errorf("scheduler stats non-zero without the option: %+v", stats)
-	}
-}
-
-// TestSessionSchedulerWorkloadCancel: cancelling a scheduled workload
-// returns promptly with ctx's error, and the session keeps producing
-// correct results afterwards — no wave or registration is left behind
-// wedging later calls.
+// TestSessionSchedulerWorkloadCancel: cancelling a workload on a session
+// opened with the option returns promptly with ctx's error, and the
+// session keeps producing the results of a fresh session afterwards.
 func TestSessionSchedulerWorkloadCancel(t *testing.T) {
 	cat, qs := ottSession(t)
 	s, err := reopt.Open(cat,
@@ -160,7 +127,7 @@ func TestSessionSchedulerWorkloadCancel(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled scheduled workload did not return")
+		t.Fatal("cancelled workload did not return")
 	}
 	restore()
 	if werr == nil {
@@ -184,15 +151,16 @@ func TestSessionSchedulerWorkloadCancel(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resultKey(got) != resultKey(want) {
-			t.Errorf("query %d: post-cancel scheduled session diverged", i)
+			t.Errorf("query %d: post-cancel session diverged", i)
 		}
 	}
+	wantNoSchedulerStats(t, s)
 }
 
 // TestSessionSchedulerPerQueryBudget: per-query budgets (WithTimeout)
-// keep their §5.4 best-so-far semantics under the scheduler — a spent
-// budget yields a plan or a wrapped ErrBudgetExceeded, never a poisoned
-// session.
+// keep their §5.4 best-so-far semantics on a session opened with the
+// option — a spent budget yields a plan or a wrapped ErrBudgetExceeded,
+// never a poisoned session.
 func TestSessionSchedulerPerQueryBudget(t *testing.T) {
 	cat, qs := ottSession(t)
 	s, err := reopt.Open(cat,
@@ -232,6 +200,7 @@ func TestSessionSchedulerPerQueryBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resultKey(got) != resultKey(want) {
-		t.Error("post-budget scheduled session diverged")
+		t.Error("post-budget session diverged")
 	}
+	wantNoSchedulerStats(t, s)
 }
