@@ -71,11 +71,14 @@ chaos: vet
 		-run 'TestChaos|TestPanic|TestMemoryBudget|TestMemBudget' \
 		. ./internal/executor ./internal/core ./internal/server
 
-# fuzz-smoke fuzzes the sub-result compaction (FuzzCompact: compacted
-# counts and weights against the uncompressed rows) for 15 seconds
-# beyond its committed seed corpus, which plain `go test` already runs.
+# fuzz-smoke fuzzes, beyond the seed corpora plain `go test` already
+# runs, the sub-result compaction (FuzzCompact: compacted counts and
+# weights against the uncompressed rows) and the sorted sample index
+# (FuzzIndexedSelection: IndexRows against the scan kernel), 10 seconds
+# each — under 30 seconds for the target, builds included.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzCompact$$' -fuzztime 15s ./internal/executor
+	$(GO) test -run '^$$' -fuzz '^FuzzCompact$$' -fuzztime 10s ./internal/executor
+	$(GO) test -run '^$$' -fuzz '^FuzzIndexedSelection$$' -fuzztime 10s ./internal/storage
 
 # serve-smoke builds cmd/reoptd and drives a real daemon process across
 # its lifecycle: readiness, one reoptimize, an over-quota burst that

@@ -1,8 +1,14 @@
 package executor
 
 import (
+	"cmp"
 	"context"
+	"errors"
+	"fmt"
+	"maps"
 	"math"
+	"slices"
+	"strconv"
 	"testing"
 
 	"reopt/internal/catalog"
@@ -15,9 +21,11 @@ import (
 
 // Scans answered from the sorted sample index against the same scans
 // through the kernels: selective int predicates on a sample column of
-// 4096 rows or more take the index (storage.ColData.IndexRange), every
-// other predicate and every smaller or intermediate column the kernel,
-// and the two must select the same rows.
+// 4096 rows or more take the index (storage.ColData.IndexRows), every
+// other predicate and every smaller or intermediate column the kernel.
+// The two select the same rows; a scan whose one filter the index answers
+// holds them in the index's (value, row id) order, and nothing counted
+// depends on that order.
 
 // indexScanRows is well above the indexing cut-off, with a ragged last
 // word.
@@ -45,6 +53,8 @@ func indexScanRow(i int) rel.Row {
 	return rel.Row{v, w, rel.Float(float64(i%100) + 0.25), rel.Int(int64(i))}
 }
 
+// indexScanCatalog holds t, u(id) with one row per id of t, and a small
+// s(id) holding each of 0..39 two or three times.
 func indexScanCatalog() *catalog.Catalog {
 	cat := catalog.New()
 	t := storage.NewTable("t", rel.NewSchema(
@@ -59,6 +69,11 @@ func indexScanCatalog() *catalog.Catalog {
 		u.MustAppend(rel.Row{rel.Int(int64(i))})
 	}
 	cat.MustAddTable(u)
+	s := storage.NewTable("s", rel.NewSchema(rel.Column{Name: "id", Kind: rel.KindInt}))
+	for i := 0; i < 100; i++ {
+		s.MustAppend(rel.Row{rel.Int(int64(i % 40))})
+	}
+	cat.MustAddTable(s)
 	return cat
 }
 
@@ -67,7 +82,66 @@ func sel(col string, op sql.CompareOp, v rel.Value) sql.Selection {
 }
 
 func between(col string, lo, hi int64) sql.Selection {
-	return sql.Selection{Col: ref("t", col), Op: sql.OpBetween, Value: rel.Int(lo), Value2: rel.Int(hi)}
+	return betweenValues(col, lo, rel.Int(hi))
+}
+
+// betweenValues is BETWEEN with an integer lower bound and an upper bound
+// of any kind, as the parser accepts it.
+func betweenValues(col string, lo int64, hi rel.Value) sql.Selection {
+	return sql.Selection{Col: ref("t", col), Op: sql.OpBetween, Value: rel.Int(lo), Value2: hi}
+}
+
+// indexFilterShapes are filters on t.v of every shape the index meets: all
+// six operators over interior constants, both extremes and a float
+// constant, BETWEEN over interior, single-value, extreme, inverted, empty
+// and (nearly) whole-column ranges, and BETWEEN from an integer to a
+// float, a string and NULL, which the index never answers.
+func indexFilterShapes() []sql.Selection {
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	var filters []sql.Selection
+	for _, op := range []sql.CompareOp{sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe} {
+		for _, c := range []int64{lo, lo + 1, -45, 0, 7, 1990, 1999, 2000, hi - 1, hi} {
+			filters = append(filters, sel("v", op, rel.Int(c)))
+		}
+		filters = append(filters, sel("v", op, rel.Float(-44.5)))
+	}
+	for _, r := range [][2]int64{{100, 120}, {7, 7}, {lo, -40}, {1990, hi}, {lo, lo}, {hi, hi},
+		{120, 100}, {hi, lo}, {2000, 9000}, {lo, hi}, {0, hi}} {
+		filters = append(filters, between("v", r[0], r[1]))
+	}
+	for _, h := range []rel.Value{rel.Float(120.5), rel.Float(-0.5), rel.String_("x"), rel.Null} {
+		filters = append(filters, betweenValues("v", 100, h), betweenValues("v", -45, h))
+	}
+	return filters
+}
+
+// isIntInterval reports whether filter f is one closed interval of int64
+// values — what the sorted sample index can answer — and returns it.
+func isIntInterval(f sql.Selection) (lo, hi int64, ok bool) {
+	switch {
+	case f.Value.Kind() != rel.KindInt:
+		return 0, 0, false
+	case f.Op == sql.OpBetween:
+		if f.Value2.Kind() != rel.KindInt {
+			return 0, 0, false
+		}
+		return f.Value.AsInt(), f.Value2.AsInt(), true
+	}
+	op, ok := vecOp(f.Op)
+	if !ok {
+		return 0, 0, false
+	}
+	return cmpInterval(op, f.Value.AsInt())
+}
+
+// filterPasses compiles filter f on col as a scan with several filters
+// does: one index pass when the sorted sample index answers it, the
+// kernel passes otherwise.
+func filterPasses(col *storage.ColData, f sql.Selection) []scanPass {
+	if rows, ok := indexRows(col, f); ok {
+		return []scanPass{indexPass(rows)}
+	}
+	return appendKernelPasses(nil, col, f)
 }
 
 // unindexed copies a column's contents into one no store owns, which
@@ -80,42 +154,41 @@ func unindexed(col *storage.ColData) *storage.ColData {
 	return &c
 }
 
+// withoutSortedIndex runs f with the engine's sorted sample indexes
+// switched off: the same catalog, validated through the kernels alone.
+func withoutSortedIndex(f func()) {
+	useSortedIndex = false
+	defer func() { useSortedIndex = true }()
+	f()
+}
+
 // TestIndexedPassMatchesKernelPass: every filter on the indexed column v
 // compiles to passes that fill the same bitmap words as the passes
 // compiled against an un-indexed copy of the column — whole column and
 // word-aligned spans — for all six operators and BETWEEN over interior
-// constants, both extremes, inverted and empty ranges and float
-// constants; and the index answers exactly the selective int ones.
+// constants, both extremes, inverted and empty ranges, float constants and
+// mixed-kind BETWEEN bounds; and the index answers exactly the selective
+// int intervals.
 func TestIndexedPassMatchesKernelPass(t *testing.T) {
 	cat := indexScanCatalog()
 	tab, _ := cat.Table("t")
 	col := tab.ColData().Col(0)
 	plain := unindexed(col)
 	n := len(col.Ints)
-	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-
-	var filters []sql.Selection
-	for _, op := range []sql.CompareOp{sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe} {
-		for _, c := range []int64{lo, lo + 1, -45, 0, 7, 1990, 1999, 2000, hi - 1, hi} {
-			filters = append(filters, sel("v", op, rel.Int(c)))
-		}
-		filters = append(filters, sel("v", op, rel.Float(-44.5)))
-	}
-	for _, r := range [][2]int64{{100, 120}, {7, 7}, {lo, -40}, {1990, hi}, {lo, lo}, {hi, hi},
-		{120, 100}, {hi, lo}, {2000, 9000}, {lo, hi}, {0, hi}} {
-		filters = append(filters, between("v", r[0], r[1]))
-	}
 
 	indexed := map[sql.CompareOp]int{}
-	for _, f := range filters {
-		got := appendFilterPasses(nil, col, f)
-		want := appendFilterPasses(nil, plain, f)
+	for _, f := range indexFilterShapes() {
+		got := filterPasses(col, f)
+		want := filterPasses(plain, f)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d passes with the index, %d without", f, len(got), len(want))
 		}
 		for _, span := range [][2]int{{0, n}, {0, 4096}, {4096, 12288}, {12288, n}} {
 			for pi := range got {
 				a, b := vec.NewBitmap(n), vec.NewBitmap(n)
+				for w := range a.Words() {
+					a.Words()[w] = ^uint64(0) // a pass assigns its words: none may survive
+				}
 				got[pi](a, span[0], span[1])
 				want[pi](b, span[0], span[1])
 				for w := span[0] / vec.WordBits; w < vec.NumWords(span[1]); w++ {
@@ -127,24 +200,19 @@ func TestIndexedPassMatchesKernelPass(t *testing.T) {
 			}
 		}
 		// Which path was taken: count the matches and ask the index what
-		// the compile site asked it.
-		if f.Value.Kind() != rel.KindInt {
-			continue
-		}
-		l, h, ok := f.Value.AsInt(), int64(0), true
-		if f.Op == sql.OpBetween {
-			h = f.Value2.AsInt()
-		} else {
-			op, _ := vecOp(f.Op)
-			l, h, ok = cmpInterval(op, l)
-		}
+		// the engine asked it.
+		_, asked := indexRows(col, f)
+		l, h, ok := isIntInterval(f)
 		if !ok {
-			continue // Ne: not one interval, never indexed
+			if asked {
+				t.Errorf("%s is not one int interval, yet the index answered it", f)
+			}
+			continue
 		}
 		bm := vec.NewBitmap(n)
 		want[0](bm, 0, n)
 		selective := bm.Count(0, n)*2 <= n
-		if answered := col.IndexRange(l, h) != nil; answered != selective {
+		if _, answered := col.IndexRows(l, h); answered != selective || asked != selective {
 			t.Errorf("%s matches %d of %d rows: answered by the index = %v", f, bm.Count(0, n), n, answered)
 		}
 		if selective {
@@ -160,10 +228,13 @@ func TestIndexedPassMatchesKernelPass(t *testing.T) {
 
 // TestIndexedScanSelection: scans of t — whose sub-result carries t.id,
 // i.e. the selection vector itself — select exactly the rows
-// sql.EvalSelection accepts, through both entry points, cold and warm.
-// Each case is a loose and a tight instance of one filter shape; the
-// cases mix indexed passes with kernel passes in one conjunction and
-// include a range matching everything and one matching nothing.
+// sql.EvalSelection accepts, through both entry points, cold and warm: in
+// (v, id) order when the scan's one filter is a selective int interval on
+// v, which the index answers, and in ascending row order otherwise. Each
+// case is a loose and a tight instance of one filter shape; the cases mix
+// indexed passes with kernel passes in one conjunction and include a
+// range matching everything, one matching nothing, and BETWEENs from an
+// integer to a float, a string and a NULL bound, which stay on the kernels.
 func TestIndexedScanSelection(t *testing.T) {
 	cat := indexScanCatalog()
 	ctx := context.Background()
@@ -182,7 +253,17 @@ func TestIndexedScanSelection(t *testing.T) {
 			{sel("v", sql.OpGe, rel.Int(0)), between("w", 3, 9)},
 			{sel("v", sql.OpGe, rel.Int(10)), between("w", 4, 5)}},
 		"everything, then nothing": {{between("v", lo, hi)}, {between("v", 400, 100)}},
+		"int to float": {
+			{betweenValues("v", 100, rel.Float(400.5))},
+			{betweenValues("v", 150, rel.Float(300.5))}},
+		"int to string, then NULL": {
+			{betweenValues("v", 100, rel.String_("x"))},
+			{betweenValues("v", 150, rel.Null)}},
+		"int to float AND index": {
+			{betweenValues("v", 100, rel.Float(400.5)), between("w", 3, 9)},
+			{betweenValues("v", 150, rel.Null), between("w", 4, 5)}},
 	}
+	valueOrdered, rowOrdered := 0, 0
 	for name, instances := range cases {
 		var plans []*plan.Plan
 		var scans []*plan.ScanNode
@@ -206,6 +287,17 @@ func TestIndexedScanSelection(t *testing.T) {
 				}
 				ids = append(ids, int64(i))
 			}
+			_, _, interval := isIntInterval(filters[0])
+			if len(filters) == 1 && interval && len(ids)*2 <= indexScanRows {
+				slices.SortStableFunc(ids, func(a, b int64) int {
+					return cmp.Compare(indexScanRow(int(a))[0].AsInt(), indexScanRow(int(b))[0].AsInt())
+				})
+				if len(ids) > 1 && !slices.IsSorted(ids) {
+					valueOrdered++
+				}
+			} else if len(ids) > 1 {
+				rowOrdered++
+			}
 			want = append(want, ids)
 		}
 		check := func(label string, pi int, counts map[plan.Node]int64, cache *SkeletonCache) {
@@ -218,6 +310,9 @@ func TestIndexedScanSelection(t *testing.T) {
 			if got := sub.cols[0].Ints; len(got) != len(want[pi]) || counts[scans[pi]] != int64(len(want[pi])) {
 				t.Fatalf("%s [%s] instance %d: selected %d rows (count %d), want %d",
 					name, label, pi, len(got), counts[scans[pi]], len(want[pi]))
+			}
+			if set := slices.Sorted(slices.Values(sub.cols[0].Ints)); !slices.Equal(set, slices.Sorted(slices.Values(want[pi]))) {
+				t.Fatalf("%s [%s] instance %d: selected a different set of rows", name, label, pi)
 			}
 			for x, id := range want[pi] {
 				if sub.cols[0].Ints[x] != id {
@@ -243,5 +338,184 @@ func TestIndexedScanSelection(t *testing.T) {
 				check(label+" batch", pi, got[pi], batch)
 			}
 		}
+	}
+	if valueOrdered < 6 || rowOrdered < 4 {
+		t.Fatalf("%d instances in (v, id) order, %d in row order: the cases no longer cover both paths", valueOrdered, rowOrdered)
+	}
+}
+
+// scanBag renders a sub-result's bag of boundary tuples two ways: each
+// distinct tuple with its summed weight, and the sorted (tuple, weight)
+// pairs of its physical rows. repeats reports a tuple held by two
+// physical rows — over unweighted input, a compaction that gave up.
+func scanBag(sub *subResult) (sums map[string]int64, pairs []string, repeats bool) {
+	sums = make(map[string]int64, sub.count)
+	var tuple []byte
+	for x := 0; x < sub.count; x++ {
+		tuple = tuple[:0]
+		for k := range sub.cols {
+			if c := &sub.cols[k]; c.Kind == rel.KindInt && !c.IsNull(x) {
+				tuple = strconv.AppendInt(tuple, c.Ints[x], 10)
+			} else {
+				tuple = fmt.Append(tuple, c.Value(x))
+			}
+			tuple = append(tuple, '|')
+		}
+		w := int64(1)
+		if sub.w != nil {
+			w = sub.w[x]
+		}
+		_, seen := sums[string(tuple)]
+		repeats = repeats || seen
+		sums[string(tuple)] += w
+		pairs = append(pairs, string(strconv.AppendInt(tuple, w, 10)))
+	}
+	slices.Sort(pairs)
+	return sums, pairs, repeats
+}
+
+// planCharge is what validating steps charged a memory budget, read back
+// from the sub-results the run left in cache: each step's materialized
+// cells, plus a join's hash-table entries, one per physical build row.
+func planCharge(t *testing.T, steps []Step, cache *SkeletonCache) int64 {
+	t.Helper()
+	var charge int64
+	for i := range steps {
+		sub, ok := cache.getSub(steps[i].Set.key)
+		if !ok {
+			t.Fatalf("step %d (%s) left nothing in the cache", i, steps[i].Set.Key)
+		}
+		charge += subCharge(sub)
+		if steps[i].join != nil {
+			charge += steps[steps[i].right].Rows
+		}
+	}
+	return charge
+}
+
+// TestIndexedScanCountsMatchKernel: answering a scan from the sorted
+// sample index changes the physical row order of its sub-result and
+// nothing counted. For every filter shape of
+// TestIndexedPassMatchesKernelPass, 2- and 3-table plans whose boundary
+// columns on t are correlated with the filter column (t.v itself),
+// uncorrelated with it (t.w) or both are validated cold and warm, over the
+// indexed catalog and with the index switched off. On both:
+//   - every Step.Count, hence the Δ, is the same cold, warm and on the
+//     other side;
+//   - each scan sub-result holds the other side's bag of boundary tuples
+//     and, whenever neither side's compaction gave up, the same multiset
+//     of (boundary tuple, weight);
+//   - a memory budget one below the plan's charge breaches and one at it
+//     passes, uncached, cold and warm alike.
+func TestIndexedScanCountsMatchKernel(t *testing.T) {
+	cat := indexScanCatalog()
+	ctx := context.Background()
+	j := func(lt, lc, rt, rc string) sql.JoinPred { return sql.JoinPred{Left: ref(lt, lc), Right: ref(rt, rc)} }
+	shapes := []struct {
+		name   string
+		tables []string
+		joins  []sql.JoinPred
+	}{
+		{"correlated", []string{"t", "u"}, []sql.JoinPred{j("t", "v", "u", "id")}},
+		{"uncorrelated", []string{"t", "u"}, []sql.JoinPred{j("t", "w", "u", "id")}},
+		{"both, 3 tables", []string{"t", "u", "s"}, []sql.JoinPred{j("t", "v", "u", "id"), j("t", "w", "s", "id")}},
+	}
+	scales := []float64{3.5, 1.25, 2}
+
+	type side struct {
+		counts map[string]int64
+		delta  map[string]float64
+		scans  map[string]*subResult // the filtered scans'
+	}
+	reordered, compared := 0, 0
+	for _, f := range indexFilterShapes() {
+		for _, shape := range shapes {
+			q := &sql.Query{CountStar: true, Selections: []sql.Selection{f}, Joins: shape.joins}
+			for _, name := range shape.tables {
+				q.Tables = append(q.Tables, sql.TableRef{Name: name, Alias: name})
+			}
+			var root plan.Node = skelScan(cat, q, "t")
+			if len(shape.tables) == 3 {
+				root = skelJoin(q, root, skelScan(cat, q, "s"))
+			}
+			p := &plan.Plan{Query: q, Root: skelJoin(q, root, skelScan(cat, q, "u"))}
+			label := fmt.Sprintf("%s, %s", f, shape.name)
+			validate := func(cache *SkeletonCache, budget int64) ([]Step, error) {
+				bp := BatchPlan{Plan: p, Prep: NewPrepared(q, cache, 0, scales[:len(q.Tables)])}
+				steps, perPlan, err := CountSkeletonSteps(ctx, []BatchPlan{bp}, cat.Table, SkelConfig{MemBudget: budget})
+				if err != nil {
+					return nil, err
+				}
+				return steps[0], perPlan[0]
+			}
+			run := func(which string) (s side) {
+				cache := NewSkeletonCache(0, 0)
+				var charge int64
+				for _, temp := range []string{"cold", "warm"} {
+					steps, err := validate(cache, 0)
+					if err != nil {
+						t.Fatalf("%s [%s %s]: %v", label, which, temp, err)
+					}
+					counts, delta := map[string]int64{}, map[string]float64{}
+					for _, st := range steps {
+						counts[st.Set.Key] = st.Count
+						delta[st.Set.Key] = float64(st.Count) * st.Scale
+					}
+					if temp == "warm" {
+						if !maps.Equal(counts, s.counts) || !maps.Equal(delta, s.delta) {
+							t.Fatalf("%s [%s]: warm counts %v, cold %v", label, which, counts, s.counts)
+						}
+						continue
+					}
+					s.counts, s.delta, s.scans = counts, delta, map[string]*subResult{}
+					for _, st := range steps {
+						if st.scan != nil && len(st.scan.Filters) > 0 {
+							s.scans[st.Set.Key], _ = cache.getSub(st.Set.key)
+						}
+					}
+					charge = planCharge(t, steps, cache)
+				}
+				// The charge read off the cold run is the charge uncached and on
+				// the warm cache: the verdict flips exactly there.
+				for _, c := range []*SkeletonCache{nil, cache} {
+					for _, b := range []int64{charge - 1, charge} {
+						if b <= 0 {
+							continue
+						}
+						_, err := validate(c, b)
+						if err != nil && !errors.Is(err, ErrMemoryBudget) || errors.Is(err, ErrMemoryBudget) != (b < charge) {
+							t.Fatalf("%s [%s, cached %v]: budget %d against a charge of %d: %v", label, which, c != nil, b, charge, err)
+						}
+					}
+				}
+				return s
+			}
+			on := run("indexed")
+			var off side
+			withoutSortedIndex(func() { off = run("kernel") })
+			if !maps.Equal(on.counts, off.counts) || !maps.Equal(on.delta, off.delta) {
+				t.Fatalf("%s: counts %v with the index, %v without", label, on.counts, off.counts)
+			}
+			for key, a := range on.scans {
+				b := off.scans[key]
+				aSums, aPairs, aRepeats := scanBag(a)
+				bSums, bPairs, bRepeats := scanBag(b)
+				if !maps.Equal(aSums, bSums) {
+					t.Fatalf("%s: scan %s holds a different bag with the index", label, key)
+				}
+				if !aRepeats && !bRepeats {
+					compared++
+					if !slices.Equal(aPairs, bPairs) {
+						t.Fatalf("%s: scan %s holds different (tuple, weight) pairs with the index", label, key)
+					}
+				}
+				if !sameSub(a, b) {
+					reordered++
+				}
+			}
+		}
+	}
+	if reordered == 0 || compared == 0 {
+		t.Fatalf("%d scan sub-results reordered by the index, %d compared pair by pair: the cases no longer exercise the index", reordered, compared)
 	}
 }

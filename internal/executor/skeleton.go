@@ -29,7 +29,9 @@ package executor
 // The inner loops are vectorized. Scan filters compile to typed kernels
 // (internal/vec) that evaluate each predicate over the whole column into a
 // selection bitmap; conjunctive filters fuse by AND-ing bitmaps, and only
-// the final bitmap is materialized into a selection vector. A validation
+// the final bitmap is materialized into a selection vector. A scan whose
+// one filter the sorted sample index answers skips the bitmap: its
+// selection vector is the index's run of matching row ids. A validation
 // runs start to finish on the goroutine that asked for it: at the tens of
 // microseconds one takes, handing parts of it to other goroutines cost
 // more than it saved at every sample size the benchmarks have (DESIGN.md
@@ -297,14 +299,30 @@ func (e *skelEngine) evalScan(st *Step) (*subResult, error) {
 		return nil, err
 	}
 
-	// One filter pass over the sample's column store.
+	// The sorted sample index is asked once per filter. A lone filter it
+	// answers selects the index's own run of row ids, in (value, row id)
+	// order; any other scan is one filter pass over the sample's column
+	// store, where an answered filter is an index pass.
 	cs := tab.ColData()
+	var sel []int32
+	indexed := false
 	passes := e.passBuf[:0]
 	for fi, f := range t.Filters {
-		passes = appendFilterPasses(passes, cs.Col(filterPos[fi]), f)
+		col := cs.Col(filterPos[fi])
+		rows, ok := indexRows(col, f)
+		switch {
+		case !ok:
+			passes = appendKernelPasses(passes, col, f)
+		case len(t.Filters) == 1:
+			sel, indexed = rows, true
+		default:
+			passes = append(passes, indexPass(rows))
+		}
 	}
 	e.passBuf = passes[:0]
-	sel := e.selectRows(passes, cs.NumRows())
+	if !indexed {
+		sel = e.selectRows(passes, cs.NumRows())
+	}
 
 	// The charge is what compaction materializes — the same an exact hit
 	// of this scan charges.
@@ -346,15 +364,16 @@ func (e *skelEngine) selectRows(passes []scanPass, n int) []int32 {
 // (predicate AND not-NULL); lo must be word-aligned.
 type scanPass func(dst *vec.Bitmap, lo, hi int)
 
-// appendFilterPasses compiles a local predicate against one column into
+// appendKernelPasses compiles a local predicate against one column into
 // vectorized bitmap passes appended to dst, with comparison semantics
-// identical to sql.EvalSelection. Uniform-kind columns get typed
-// kernels (BETWEEN fuses into a single range kernel when both
-// bounds take the same typed path, and otherwise decomposes into Ge AND
-// Le passes); everything else (NULL constants, mixed-kind columns,
-// string/numeric cross-kind comparisons) falls back to a row-wise pass
-// over the same bitmap layout, which keeps the engine total.
-func appendFilterPasses(dst []scanPass, col *storage.ColData, f sql.Selection) []scanPass {
+// identical to sql.EvalSelection, without asking the sorted sample index.
+// Uniform-kind columns get typed kernels (BETWEEN fuses into a single
+// range kernel when both bounds take the same typed path, and otherwise
+// decomposes into Ge AND Le passes); everything else (NULL constants,
+// mixed-kind columns, string/numeric cross-kind comparisons) falls back
+// to a row-wise pass over the same bitmap layout, which keeps the engine
+// total.
+func appendKernelPasses(dst []scanPass, col *storage.ColData, f sql.Selection) []scanPass {
 	if f.Value.IsNull() || (f.Op == sql.OpBetween && f.Value2.IsNull()) {
 		return append(dst, fallbackPass(col, f))
 	}
@@ -430,11 +449,6 @@ func compileCmp(col *storage.ColData, op vec.CmpOp, c rel.Value) scanPass {
 		switch c.Kind() {
 		case rel.KindInt:
 			ci := c.AsInt()
-			if l, h, ok := cmpInterval(op, ci); ok {
-				if p := indexPass(col, l, h); p != nil {
-					return p
-				}
-			}
 			return func(dst *vec.Bitmap, lo, hi int) {
 				vec.Int64Cmp(dst, vals, op, ci, lo, hi)
 				vec.AndNotNulls(dst, nulls, lo, hi)
@@ -487,22 +501,52 @@ func cmpInterval(op vec.CmpOp, c int64) (lo, hi int64, ok bool) {
 	return 1, 0, op != vec.Ne
 }
 
-// indexPass answers lo <= v <= hi from the column's sorted sample index
-// instead of scanning, when the column has one and the matches are a
-// small share of its rows (storage.ColData.IndexRange decides both; nil
-// otherwise). The index sets the matching rows' bits once, here, and the
-// pass copies its word range — work proportional to the matches, and no
-// NULL mask: the index holds no NULL row. The
-// bits are exactly the kernel's, so everything downstream is
-// byte-identical. Like Bitmap.And, the pass needs hi word-aligned or the
-// row count.
-func indexPass(col *storage.ColData, lo, hi int64) scanPass {
-	words := col.IndexRange(lo, hi)
-	if words == nil {
-		return nil
+// useSortedIndex lets the equivalence tests validate one catalog with and
+// without its sorted sample indexes; nothing else ever clears it.
+var useSortedIndex = true
+
+// indexRows returns the rows filter f keeps on col when the column's
+// sorted sample index answers it: the index's own read-only run of row
+// ids, in (value, row id) order. The index answers one closed interval
+// of int64 values — BETWEEN with integer bounds, or a comparison with an
+// integer constant through cmpInterval — so ok is false for any other
+// filter (another column kind, a NULL, float or string constant, Ne), and
+// when the column has no index or the matches are too large a share of
+// its rows (storage.ColData.IndexRows decides those two).
+func indexRows(col *storage.ColData, f sql.Selection) (rows []int32, ok bool) {
+	if !useSortedIndex || col.Kind != rel.KindInt || f.Value.Kind() != rel.KindInt {
+		return nil, false
 	}
+	lo, hi := f.Value.AsInt(), int64(0)
+	if f.Op == sql.OpBetween {
+		if f.Value2.Kind() != rel.KindInt {
+			return nil, false
+		}
+		hi, ok = f.Value2.AsInt(), true
+	} else if op, cmp := vecOp(f.Op); cmp {
+		lo, hi, ok = cmpInterval(op, lo)
+	}
+	if !ok {
+		return nil, false
+	}
+	return col.IndexRows(lo, hi)
+}
+
+// indexPass is the bitmap pass of an index-answered filter in a scan with
+// several: it clears its word range and sets the bits of the given rows
+// (indexRows) that fall inside it — work proportional to the matches plus
+// one clear, and no NULL mask: the index holds no NULL row. The bits are
+// exactly the kernel's, so the conjunction downstream is byte-identical.
+// Like Bitmap.And, the pass needs hi word-aligned or the row count.
+func indexPass(rows []int32) scanPass {
 	return func(dst *vec.Bitmap, a, b int) {
-		copy(dst.Words()[a/vec.WordBits:vec.NumWords(b)], words[a/vec.WordBits:])
+		words := dst.Words()
+		clear(words[a/vec.WordBits : vec.NumWords(b)])
+		for _, r := range rows {
+			if i := int(r); i >= a && i < b {
+				words[i/vec.WordBits] |= 1 << (uint(i) % vec.WordBits)
+			}
+		}
 	}
 }
 
@@ -518,9 +562,6 @@ func compileRange(col *storage.ColData, lo, hi rel.Value) scanPass {
 		vals := col.Ints
 		if lo.Kind() == rel.KindInt && hi.Kind() == rel.KindInt {
 			l, h := lo.AsInt(), hi.AsInt()
-			if p := indexPass(col, l, h); p != nil {
-				return p
-			}
 			return func(dst *vec.Bitmap, a, b int) {
 				vec.Int64Range(dst, vals, l, h, a, b)
 				vec.AndNotNulls(dst, nulls, a, b)

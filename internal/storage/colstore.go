@@ -43,7 +43,7 @@ type ColData struct {
 	NullWords []uint64
 	// Vals is set only for mixed-kind columns.
 	Vals []rel.Value
-	// idx is the column's lazily built sorted index (IndexRange); nil for
+	// idx is the column's lazily built sorted index (IndexRows); nil for
 	// columns too small or not int64, and for every column no ColStore
 	// owns.
 	idx *sortedIndex

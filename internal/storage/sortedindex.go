@@ -2,7 +2,7 @@ package storage
 
 // One sorted permutation per column: sortedPerm orders an int64 column's
 // non-NULL row ids by (value, row id) with a radix sort, and it has three
-// callers — the sorted sample index below (IndexRange), and through
+// callers — the sorted sample index below (IndexRows), and through
 // ColumnRuns both ANALYZE (stats.AnalyzeColumn) and the bulk build of a
 // secondary index's hash directory (CreateIndex), which read the
 // permutation as runs of equal values.
@@ -14,33 +14,38 @@ import (
 	"sync"
 
 	"reopt/internal/rel"
-	"reopt/internal/vec"
 )
 
 // The two cut-offs of the sorted sample index. Both are constants read
 // off BenchmarkIndexedRangeScan (bench_test.go; the numbers below are its
-// BENCH_pr15.json run), never options: they gate on the column's size and
-// the predicate's measured match count, which the code observes for
-// itself.
+// BENCH_pr30.json run, a 2-core Xeon, go1.24), never options: they gate on
+// the column's size and the predicate's measured match count, which the
+// code observes for itself.
 const (
 	// indexMinRows is the smallest column that gets an index. At 1 %
-	// selectivity the index pass is 10-15x cheaper than the kernel pass at
-	// every size (80 ns against 0.8 us at 10^3 rows, 0.21 against 3.1 us at
-	// 4096, 0.8 against 12.6 us at 16384), and a build (14-34 ns a row) is
-	// repaid after some 20-40 such filters whatever the size — so the
-	// cut-off is about what there is to win: under 4096 rows a whole kernel
-	// pass costs under 3 us, noise beside the ~75 us the rest of a
-	// validation at the paper's 600-row samples takes, while an index would
-	// still cost its build in some first request and 4 bytes a row. Those
-	// samples therefore never build one.
+	// selectivity the index's selection vector is 30-120x cheaper than the
+	// kernel's at every size (45 ns against 1.5 us at 10^3 rows, 84 ns
+	// against 6.0 us at 4096, 0.20 against 24 us at 16384), and a build
+	// (17-30 ns a row) is repaid after some 12-40 such filters whatever
+	// the size — so the cut-off is about what there is to win: under 4096
+	// rows a whole kernel pass costs a few microseconds, noise beside the
+	// rest of a validation at the paper's 600-row samples, while an index
+	// would still cost its build in some first request and 4 bytes a row.
+	// Those samples therefore never build one.
 	indexMinRows = 4096
 	// indexMaxShare is the largest matches/rows ratio, as 1/indexMaxShare,
-	// the index still answers. On 10^5 rows the index pass costs about
-	// 0.04 + 0.8 x selectivity ns a row (one bit set per match) against the
-	// kernel's flat 0.77: 3.7 against 76 us at 0.1 %, 11 against 76 at
-	// 10 %, 43 against 77 at 50 %; the passes would cross near 90 %. At one
-	// half the index still wins by 1.8x; beyond it the margin no longer
-	// pays for the bitmap the pass allocates.
+	// the index still answers. It gates both uses of an answer, and on
+	// 10^5 rows both still win at one half. A scan with one filter takes
+	// the ids as its selection vector ("index-ids", 1.3-1.5 ns a match:
+	// the gather, in value order) instead of a range pass, AppendIndices
+	// and a gather in row order ("kernel-ids", 0.8-1.7 ns a row): 0.11
+	// against 80 us at 0.1 %, 15 against 111 at 10 %, 66 against 167 at
+	// 50 %. A scan with several filters clears the pass's words and sets
+	// one bit per match ("index-bits", 1.2-1.9 ns a match) instead of a
+	// range pass and the NULL mask ("kernel-bits", 0.75-0.9 ns a row in
+	// the quiet runs): 0.20 against 79 us at 0.1 %, 19 against 147 at
+	// 10 %, 39 against 87 at 25 %, 60 against 75 at 50 % — 1.26x at one
+	// half, so the two bitmap passes cross near 60 %.
 	indexMaxShare = 2
 )
 
@@ -71,33 +76,25 @@ func (ix *sortedIndex) rows(c *ColData, lo, hi int64) []int32 {
 	perm, vals := ix.perm, c.Ints
 	a := sort.Search(len(perm), func(i int) bool { return vals[perm[i]] >= lo })
 	b := a + sort.Search(len(perm)-a, func(i int) bool { return vals[perm[a+i]] > hi })
-	return perm[a:b]
+	return perm[a:b:b]
 }
 
-// rowBits returns the selection bitmap words (vec.Bitmap layout) of an
-// n-row column with exactly the given rows set.
-func rowBits(rows []int32, n int) []uint64 {
-	words := make([]uint64, vec.NumWords(n))
-	for _, r := range rows {
-		words[uint32(r)/vec.WordBits] |= 1 << (uint32(r) % vec.WordBits)
-	}
-	return words
-}
-
-// IndexRange answers `lo <= v <= hi AND v IS NOT NULL` over the whole
-// column from its sorted index: the selection bitmap words a scan kernel
-// followed by the NULL mask would produce, bit for bit. It returns nil —
-// the caller then scans — when the column has no index or the matches
-// exceed 1/indexMaxShare of its rows.
-func (c *ColData) IndexRange(lo, hi int64) []uint64 {
+// IndexRows answers `lo <= v <= hi AND v IS NOT NULL` over the whole
+// column from its sorted index: exactly the rows a scan kernel followed by
+// the NULL mask would select, in ascending (value, row id) order — not
+// row order. The slice is the index's own, returned without a copy; the
+// caller must not write to it. ok is false — the caller then scans — when
+// the column has no index or the matches exceed 1/indexMaxShare of its
+// rows.
+func (c *ColData) IndexRows(lo, hi int64) (rows []int32, ok bool) {
 	if c.idx == nil {
-		return nil
+		return nil, false
 	}
-	rows := c.idx.rows(c, lo, hi)
+	rows = c.idx.rows(c, lo, hi)
 	if len(rows)*indexMaxShare > len(c.Ints) {
-		return nil
+		return nil, false
 	}
-	return rowBits(rows, len(c.Ints))
+	return rows, true
 }
 
 // sortedPerm returns the non-NULL row ids of vals in ascending (value,
