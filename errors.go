@@ -19,11 +19,11 @@ var (
 
 	// ErrUnsupportedPlan: the plan's shape is outside the executing
 	// engine's contract — a hand-built node kind the Volcano executor
-	// does not know, or (for the internal count-only skeleton engine,
-	// whose ErrSkeletonUnsupported wraps this sentinel) a non-equi-join
-	// shape. Session.Validate falls back to the general executor for
-	// such plans automatically; the sentinel surfaces only where no
-	// fallback exists.
+	// does not know, or, for Session.Validate's count-only skeleton
+	// engine, a plan that is not a tree of scans and equi-joins applying
+	// exactly its query's filters and join predicates (every optimizer
+	// plan is). Validate fails such a plan with this error and caches
+	// nothing of it; there is no fallback engine.
 	ErrUnsupportedPlan = executor.ErrUnsupportedPlan
 
 	// ErrBudgetExceeded: a re-optimization budget (WithTimeout or a ctx

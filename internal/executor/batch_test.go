@@ -159,7 +159,7 @@ func TestCountSkeletonBatchDedupes(t *testing.T) {
 
 // TestCountSkeletonBatchIsolatesUnsupportedPlans: one plan outside the
 // engine's contract must not poison the batch — it reports
-// ErrSkeletonUnsupported in its slot while the others execute.
+// ErrUnsupportedPlan in its slot while the others execute.
 func TestCountSkeletonBatchIsolatesUnsupportedPlans(t *testing.T) {
 	cat := skelCatalog(t, 1, 300)
 	q := skelQuery()
@@ -180,8 +180,8 @@ func TestCountSkeletonBatchIsolatesUnsupportedPlans(t *testing.T) {
 	if perPlan[0] != nil || perPlan[2] != nil {
 		t.Fatalf("good plans errored: %v, %v", perPlan[0], perPlan[2])
 	}
-	if !errors.Is(perPlan[1], ErrSkeletonUnsupported) {
-		t.Fatalf("bad plan: want ErrSkeletonUnsupported, got %v", perPlan[1])
+	if !errors.Is(perPlan[1], ErrUnsupportedPlan) {
+		t.Fatalf("bad plan: want ErrUnsupportedPlan, got %v", perPlan[1])
 	}
 	if counts[1] != nil {
 		t.Error("bad plan should have nil counts")

@@ -289,7 +289,10 @@ func TestCompactedCountsMatchVolcano(t *testing.T) {
 					}
 				}
 				// A join set's count does not depend on the tree.
-				steps, _ := NewPrepared(plans[0].Query, nil, 0, nil).Outline(plans[0])
+				steps, err := NewPrepared(plans[0].Query, nil, 0, nil).compile(plans[0].Root)
+				if err != nil {
+					t.Fatalf("%s: compile: %v", label, err)
+				}
 				for i := range steps {
 					c := want[0][steps[i].Node()]
 					if prev, ok := setCounts[steps[i].Set.Key]; ok && prev != c {

@@ -159,19 +159,16 @@ func TestCountSkeletonCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestErrUnsupportedPlanTaxonomy: the skeleton engine's unsupported
-// error and the general executor's unknown-node error both satisfy
-// errors.Is against the base sentinel.
+// TestErrUnsupportedPlanTaxonomy: a plan shape outside the count-only
+// engine's contract fails its slot with an error matching the one
+// sentinel, ErrUnsupportedPlan.
 func TestErrUnsupportedPlanTaxonomy(t *testing.T) {
-	if !errors.Is(ErrSkeletonUnsupported, ErrUnsupportedPlan) {
-		t.Fatal("ErrSkeletonUnsupported must wrap ErrUnsupportedPlan")
-	}
 	cat := skelCatalog(t, 1, 50)
 	// An aggregate node is outside the count-only engine's contract.
 	q := skelQuery()
 	agg := &plan.AggregateNode{Child: skelPlans(cat, q)[0].Root}
 	_, err := countSkeleton(&plan.Plan{Root: agg, Query: q}, cat.Table, nil)
-	if !errors.Is(err, ErrUnsupportedPlan) || !errors.Is(err, ErrSkeletonUnsupported) {
+	if !errors.Is(err, ErrUnsupportedPlan) {
 		t.Fatalf("aggregate through count skeleton: %v", err)
 	}
 }

@@ -13,10 +13,9 @@ package executor
 // subtree that applies exactly the query's filters on its relations and
 // exactly the query's join predicates internal to them, as every
 // optimizer plan does. compile checks it node by node and reports any
-// other plan as ErrSkeletonUnsupported; the caller falls back to the
-// general executor, which runs the tree as written and stores nothing,
-// so a hand-built plan never leaves an entry an optimizer-built plan of
-// the same alias set would be served.
+// other plan as ErrUnsupportedPlan before anything executes, so a
+// hand-built plan fails its validation and never leaves an entry an
+// optimizer-built plan of the same alias set would be served.
 
 import (
 	"fmt"
@@ -184,35 +183,29 @@ func (s *Prepared) bit(alias string) uint64 {
 	return 0
 }
 
-// Outline names the relation set of every node of p, in post-order,
-// without requiring p to fit the skeleton engine: what a caller that
-// counted p some other way needs to report its counts under the same keys.
-func (s *Prepared) Outline(p *plan.Plan) ([]Step, error) { return s.compile(p.Root, false) }
-
-// compile flattens the plan rooted at root into steps. With exact set it
-// enforces the exactness rule and resolves every join, so the steps can
-// run on the skeleton engine; without, it only names each node's set —
-// what the general-executor fallback needs to report its counts.
-func (s *Prepared) compile(root plan.Node, exact bool) ([]Step, error) {
+// compile flattens the plan rooted at root into steps, enforcing the
+// exactness rule and resolving every join, so the steps can run on the
+// skeleton engine.
+func (s *Prepared) compile(root plan.Node) ([]Step, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	steps := make([]Step, 0, 2*len(s.q.Tables))
-	if _, err := s.add(root, exact, &steps); err != nil {
+	if _, err := s.add(root, &steps); err != nil {
 		return nil, err
 	}
 	return steps, nil
 }
 
-func (s *Prepared) add(n plan.Node, exact bool, steps *[]Step) (int32, error) {
+func (s *Prepared) add(n plan.Node, steps *[]Step) (int32, error) {
 	switch t := n.(type) {
 	case *plan.ScanNode:
 		bit := s.bit(t.Alias)
 		if bit == 0 {
-			return 0, fmt.Errorf("executor: scan of %s: alias not in the query: %w", t.Alias, ErrSkeletonUnsupported)
+			return 0, fmt.Errorf("executor: scan of %s: alias not in the query: %w", t.Alias, ErrUnsupportedPlan)
 		}
 		pos := bits.TrailingZeros64(bit)
-		if exact && (s.q.Tables[pos].Name != t.Table || !s.sameFilters(t)) {
-			return 0, fmt.Errorf("executor: scan of %s does not apply exactly the query's filters: %w", t.Alias, ErrSkeletonUnsupported)
+		if s.q.Tables[pos].Name != t.Table || !s.sameFilters(t) {
+			return 0, fmt.Errorf("executor: scan of %s does not apply exactly the query's filters: %w", t.Alias, ErrUnsupportedPlan)
 		}
 		i := int32(len(*steps))
 		st := Step{Set: s.set(bit), Scale: 1, node: n, scan: t, first: i}
@@ -223,27 +216,23 @@ func (s *Prepared) add(n plan.Node, exact bool, steps *[]Step) (int32, error) {
 		return i, nil
 
 	case *plan.JoinNode:
-		li, err := s.add(t.Left, exact, steps)
+		li, err := s.add(t.Left, steps)
 		if err != nil {
 			return 0, err
 		}
-		ri, err := s.add(t.Right, exact, steps)
+		ri, err := s.add(t.Right, steps)
 		if err != nil {
 			return 0, err
 		}
 		lm, rm := (*steps)[li].Set.Mask, (*steps)[ri].Set.Mask
 		if lm&rm != 0 {
-			return 0, fmt.Errorf("executor: join inputs share a relation: %w", ErrSkeletonUnsupported)
+			return 0, fmt.Errorf("executor: join inputs share a relation: %w", ErrUnsupportedPlan)
 		}
 		i := int32(len(*steps))
-		st := Step{Set: s.set(lm | rm), Scale: 1, node: n, left: li, right: ri, first: (*steps)[li].first}
-		if exact {
-			ji := s.join(lm, rm)
-			if !samePreds(t.Preds, ji.preds) {
-				return 0, fmt.Errorf("executor: join of %s does not apply exactly the query's predicates between its inputs: %w",
-					strings.ReplaceAll(st.Set.Key, plan.AliasSep, ","), ErrSkeletonUnsupported)
-			}
-			st.join = ji
+		st := Step{Set: s.set(lm | rm), Scale: 1, node: n, join: s.join(lm, rm), left: li, right: ri, first: (*steps)[li].first}
+		if !samePreds(t.Preds, st.join.preds) {
+			return 0, fmt.Errorf("executor: join of %s does not apply exactly the query's predicates between its inputs: %w",
+				strings.ReplaceAll(st.Set.Key, plan.AliasSep, ","), ErrUnsupportedPlan)
 		}
 		for j := st.first; j < i; j++ {
 			if leaf := &(*steps)[j]; leaf.scan != nil {
@@ -254,24 +243,29 @@ func (s *Prepared) add(n plan.Node, exact bool, steps *[]Step) (int32, error) {
 		return i, nil
 
 	default:
-		return 0, fmt.Errorf("executor: cannot evaluate %T: %w", n, ErrSkeletonUnsupported)
+		return 0, fmt.Errorf("executor: cannot evaluate %T: %w", n, ErrUnsupportedPlan)
 	}
 }
 
 // samePreds reports whether a join node's predicates are exactly want
 // (already canonical), as multisets and whichever way round each is
-// written.
+// written. The query keeps duplicate predicates, so want has no bound on
+// its length; the used slots live on the stack up to 64 of them.
 func samePreds(got, want []sql.JoinPred) bool {
-	if len(got) != len(want) || len(want) > 64 {
+	if len(got) != len(want) {
 		return false
 	}
-	var used uint64
+	var buf [64]bool
+	used := buf[:]
+	if len(want) > len(buf) {
+		used = make([]bool, len(want))
+	}
 next:
 	for _, g := range got {
 		g = g.Canonical()
 		for i, w := range want {
-			if used&(1<<uint(i)) == 0 && w == g {
-				used |= 1 << uint(i)
+			if !used[i] && w == g {
+				used[i] = true
 				continue next
 			}
 		}

@@ -215,7 +215,7 @@ func TestPreparedMatchesFromScratch(t *testing.T) {
 		shared := NewPrepared(q, nil, 7, nil)
 		for _, p := range byQuery[q] {
 			for _, prep := range []*Prepared{NewPrepared(q, nil, 7, nil), shared} {
-				steps, err := prep.compile(p.Root, true)
+				steps, err := prep.compile(p.Root)
 				if err != nil {
 					t.Fatalf("plan %s: %v", p.Fingerprint(), err)
 				}

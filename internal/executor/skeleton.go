@@ -57,23 +57,15 @@ import (
 	"reopt/internal/vec"
 )
 
-// ErrUnsupportedPlan is the base sentinel for every "this engine cannot
-// run that plan shape" failure in the package: the count-only skeleton
-// engine's contract violations wrap it via ErrSkeletonUnsupported, and
-// the general executor's unknown-node error wraps it directly. Callers
+// ErrUnsupportedPlan is the sentinel for every "this engine cannot run
+// that plan shape" failure in the package. The count-only skeleton
+// engine's contract violations wrap it — a node that is not a scan or an
+// equi-join, a subtree that does not apply exactly the query's filters
+// and join predicates, a scan schema that does not resolve the query's
+// columns — as does the general executor's unknown-node error. Callers
 // (and the root package, which re-exports it as reopt.ErrUnsupportedPlan)
 // test with errors.Is instead of string-matching.
 var ErrUnsupportedPlan = errors.New("plan not supported by this engine")
-
-// ErrSkeletonUnsupported marks a plan shape outside the count-only
-// engine's contract (a node that is not a scan/equi-join, join
-// predicates not drawn from the query's join list, or scan schemas that
-// do not resolve the query's columns, as hand-built test plans sometimes
-// have). Callers fall back to the general executor on this error — and
-// only on this error, so genuine engine failures stay visible instead of
-// silently degrading every validation to the slow path. It wraps
-// ErrUnsupportedPlan, so errors.Is works against either sentinel.
-var ErrSkeletonUnsupported = fmt.Errorf("plan shape unsupported by count skeleton: %w", ErrUnsupportedPlan)
 
 // subResult is a materialized subtree: the bag of its boundary tuples in
 // compressed form (compact.go, DESIGN.md §12). count is the physical row
@@ -133,10 +125,10 @@ type BatchPlan struct {
 // requests on their own goroutines (DESIGN.md §2). ctx is checked before
 // each step.
 //
-// A plan outside the engine's contract (ErrSkeletonUnsupported: callers
-// fall back to the general executor for just that plan), one that breaches
-// cfg.MemBudget (ErrMemoryBudget), overflows a count (ErrCountOverflow) or
-// panics (*PanicError) fails alone: its error lands in its perPlan slot, it
+// A plan outside the engine's contract (ErrUnsupportedPlan, reported
+// before anything executes), one that breaches cfg.MemBudget
+// (ErrMemoryBudget), overflows a count (ErrCountOverflow) or panics
+// (*PanicError) fails alone: its error lands in its perPlan slot, it
 // stores nothing, and the other plans' counts and cache contents are those
 // of validating them without it. A cancelled ctx or a binder that cannot
 // resolve a table aborts the batch via err; sub-results completed before
@@ -149,7 +141,7 @@ func CountSkeletonSteps(ctx context.Context, bplans []BatchPlan, binder func(str
 		switch {
 		case cerr == nil:
 			steps[i] = st
-		case errors.Is(cerr, ErrSkeletonUnsupported), errors.Is(cerr, ErrMemoryBudget),
+		case errors.Is(cerr, ErrUnsupportedPlan), errors.Is(cerr, ErrMemoryBudget),
 			errors.Is(cerr, ErrCountOverflow), errors.Is(cerr, ErrValidationPanic):
 			perPlan[i] = cerr
 		default:
@@ -169,7 +161,7 @@ func countSteps(ctx context.Context, bp BatchPlan, binder func(string) (*storage
 			steps, err = nil, failureError(r)
 		}
 	}()
-	if steps, err = bp.Prep.compile(bp.Plan.Root, true); err != nil {
+	if steps, err = bp.Prep.compile(bp.Plan.Root); err != nil {
 		return nil, err
 	}
 	e := &skelEngine{
@@ -257,21 +249,21 @@ func (e *skelEngine) run(steps []Step) error {
 // scanPositions resolves a scan's filter columns and boundary columns
 // against its schema, up front, so schema-resolution failures surface
 // before any scan work — wrapped as unsupported, because a scan schema
-// that cannot resolve its own columns is a hand-built shape the general
-// executor may still know how to run.
+// that cannot resolve its own columns is a hand-built shape, not an
+// engine failure.
 func scanPositions(t *plan.ScanNode, refs []sql.ColRef) (filterPos, boundPos []int, err error) {
 	pos := make([]int, len(t.Filters)+len(refs))
 	filterPos, boundPos = pos[:len(t.Filters):len(t.Filters)], pos[len(t.Filters):]
 	for fi, f := range t.Filters {
 		if filterPos[fi], err = t.OutSchema.IndexOf(f.Col.Table, f.Col.Column); err != nil {
 			return nil, nil, fmt.Errorf("executor: skeleton scan %s: filter column %s: %v: %w",
-				t.Alias, f.Col, err, ErrSkeletonUnsupported)
+				t.Alias, f.Col, err, ErrUnsupportedPlan)
 		}
 	}
 	for k, ref := range refs {
 		if boundPos[k], err = t.OutSchema.IndexOf(ref.Table, ref.Column); err != nil {
 			return nil, nil, fmt.Errorf("executor: skeleton scan %s: boundary column %s.%s: %v: %w",
-				t.Alias, ref.Table, ref.Column, err, ErrSkeletonUnsupported)
+				t.Alias, ref.Table, ref.Column, err, ErrUnsupportedPlan)
 		}
 	}
 	return filterPos, boundPos, nil

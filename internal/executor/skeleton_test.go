@@ -235,8 +235,8 @@ func TestCountSkeletonDeterministicAcrossWorkers(t *testing.T) {
 // TestCountSkeletonUnsupportedSchemaResolution: schema-resolution
 // failures inside the engine — a scan filter or a query join predicate
 // naming a column the scan's schema cannot resolve, as hand-built plans
-// sometimes have — must surface as ErrSkeletonUnsupported so callers
-// fall back to the general executor instead of hard-failing validation.
+// sometimes have — must surface as ErrUnsupportedPlan, the plan's own
+// failure, not as an engine failure that aborts the whole call.
 func TestCountSkeletonUnsupportedSchemaResolution(t *testing.T) {
 	cat := skelCatalog(t, 1, 50)
 	q := skelQuery()
@@ -249,8 +249,8 @@ func TestCountSkeletonUnsupportedSchemaResolution(t *testing.T) {
 			Op:  sql.OpEq, Value: rel.Int(1),
 		})
 		_, err := countSkeleton(p, cat.Table, nil)
-		if !errors.Is(err, ErrSkeletonUnsupported) {
-			t.Fatalf("want ErrSkeletonUnsupported for unresolvable filter column, got %v", err)
+		if !errors.Is(err, ErrUnsupportedPlan) {
+			t.Fatalf("want ErrUnsupportedPlan for unresolvable filter column, got %v", err)
 		}
 	})
 
@@ -265,8 +265,8 @@ func TestCountSkeletonUnsupportedSchemaResolution(t *testing.T) {
 		})
 		p := skelPlans(cat, q2)[0]
 		_, err := countSkeleton(p, cat.Table, nil)
-		if !errors.Is(err, ErrSkeletonUnsupported) {
-			t.Fatalf("want ErrSkeletonUnsupported for unresolvable boundary column, got %v", err)
+		if !errors.Is(err, ErrUnsupportedPlan) {
+			t.Fatalf("want ErrUnsupportedPlan for unresolvable boundary column, got %v", err)
 		}
 	})
 }

@@ -2,6 +2,8 @@ package sampling
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"testing"
 
 	"reopt/internal/catalog"
@@ -99,40 +101,68 @@ func TestEstimatePlansMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestEstimatePlansFallsBackPerPlan: a plan the count engine cannot run
-// must take the Volcano fallback without dragging the rest of the call
-// with it — whichever cache it validates through, or none.
-func TestEstimatePlansFallsBackPerPlan(t *testing.T) {
+// checkRejected requires bad, validated beside good at every position,
+// to fail the call with ErrUnsupportedPlan while leaving the cache
+// holding exactly what validating good alone leaves; and bad validated
+// alone to store nothing.
+func checkRejected(t *testing.T, cat *catalog.Catalog, good []*plan.Plan, bad *plan.Plan) {
+	t.Helper()
+	want := perRun()
+	if _, err := estimatePlans(good, cat, want); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= len(good); i++ {
+		cache := perRun()
+		_, err := estimatePlans(slices.Insert(slices.Clone(good), i, bad), cat, cache)
+		if !errors.Is(err, executor.ErrUnsupportedPlan) {
+			t.Fatalf("unsupported plan at position %d: %v, want ErrUnsupportedPlan", i, err)
+		}
+		if !slices.Equal(cache.Keys(), want.Keys()) || cache.Values() != want.Values() {
+			t.Fatalf("unsupported plan at position %d: cache holds %d keys / %d values, the supported plans alone %d / %d",
+				i, cache.Len(), cache.Values(), want.Len(), want.Values())
+		}
+	}
+	alone := perRun()
+	if _, err := estimateOne(bad, cat, alone); !errors.Is(err, executor.ErrUnsupportedPlan) {
+		t.Fatalf("unsupported plan alone: %v, want ErrUnsupportedPlan", err)
+	}
+	if alone.Len() != 0 {
+		t.Fatalf("validating the unsupported plan alone cached %d entries", alone.Len())
+	}
+}
+
+// TestEstimatePlansRejectsUnsupportedPlan: a plan the count engine cannot
+// run fails the call with ErrUnsupportedPlan and stores nothing, while
+// the plans beside it are validated as they are alone — whichever cache
+// each validates through, or none.
+func TestEstimatePlansRejectsUnsupportedPlan(t *testing.T) {
 	cat, plans := batchSetup(t, 2)
 	badQ := *plans[0].Query
 	badQ.Joins = nil
 	bad := &plan.Plan{Root: plans[0].Root, Query: &badQ}
-	mixed := []*plan.Plan{plans[0], bad, plans[1]}
-	want := make([]*Estimate, len(mixed))
-	for i, p := range mixed {
-		var err error
-		if want[i], err = EstimatePlan(p, cat); err != nil {
-			t.Fatalf("plan %d sequential: %v", i, err)
-		}
-	}
-	got, err := estimatePlans(mixed, cat, perRun())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range mixed {
-		compareEstimates(t, "fallback", i, "mixed batch", got[i], want[i])
-	}
+	checkRejected(t, cat, plans, bad)
 
-	// The same three plans as three calls, each through its own cache: a
+	// The three plans as three calls, each through its own cache: a
 	// workload-cache holder, an uncached one holding the unsupported plan,
 	// a per-run one.
+	mixed := []*plan.Plan{plans[0], bad, plans[1]}
 	caches := []Cache{Prepare(nil, NewWorkloadCache(0)), nil, Prepare(mixed[2].Query, perRun())}
 	for i, cache := range caches {
 		ests, err := EstimatePlansCfg(context.Background(), mixed[i:i+1], cat, cache, ValidateConfig{})
+		if mixed[i] == bad {
+			if !errors.Is(err, executor.ErrUnsupportedPlan) {
+				t.Fatalf("call %d: %v, want ErrUnsupportedPlan", i, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
-		compareEstimates(t, "fallback", i, "one call per cache", ests[0], want[i])
+		want, err := EstimatePlan(mixed[i], cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareEstimates(t, "rejected", i, "one call per cache", ests[0], want)
 	}
 }
 

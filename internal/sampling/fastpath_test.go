@@ -72,12 +72,7 @@ func TestFastPathMatchesVolcano(t *testing.T) {
 				if err != nil {
 					t.Fatalf("query %d cached: %v", qi, err)
 				}
-				useFastPath = false
-				slow, err := EstimatePlan(p, tc.cat)
-				useFastPath = true
-				if err != nil {
-					t.Fatalf("query %d volcano: %v", qi, err)
-				}
+				slow := volcanoEstimate(t, p, tc.cat)
 				compareEstimates(t, tc.name, qi, "fresh", fastFresh, slow)
 				compareEstimates(t, tc.name, qi, "cached", fastCached, slow)
 				// A second cached run must serve everything from cache and
@@ -95,11 +90,12 @@ func TestFastPathMatchesVolcano(t *testing.T) {
 	}
 }
 
-// TestFastPathFallsBackOnUnsupportedShape: a hand-built plan whose join
+// TestEstimateRejectsUnsupportedShape: a hand-built plan whose join
 // predicates are not drawn from Query.Joins is outside the count
-// engine's contract; EstimatePlan must still succeed via the Volcano
-// fallback rather than erroring.
-func TestFastPathFallsBackOnUnsupportedShape(t *testing.T) {
+// engine's contract, so its validation fails with ErrUnsupportedPlan and
+// stores nothing. The general executor, which only reads the plan's own
+// predicates, still counts it as the well-formed plan.
+func TestEstimateRejectsUnsupportedShape(t *testing.T) {
 	ottCat, err := ott.Generate(ott.Config{Seed: 5, RowsPerValue: 25})
 	if err != nil {
 		t.Fatal(err)
@@ -113,18 +109,17 @@ func TestFastPathFallsBackOnUnsupportedShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Strip the query's join list: boundary-column analysis now finds no
-	// key columns and the engine reports its unsupported-shape error.
+	// Strip the query's join list: the plan's join now applies predicates
+	// the query does not have.
 	stripped := *ottQs[0]
 	stripped.Joins = nil
-	fallback := &plan.Plan{Root: p.Root, Query: &stripped}
-	est, err := EstimatePlan(fallback, ottCat)
+	bad := &plan.Plan{Root: p.Root, Query: &stripped}
+	checkRejected(t, ottCat, []*plan.Plan{p}, bad)
+	est, err := EstimatePlan(p, ottCat)
 	if err != nil {
-		t.Fatalf("fallback path: %v", err)
+		t.Fatal(err)
 	}
-	if len(est.Delta) == 0 {
-		t.Error("fallback produced an empty estimate")
-	}
+	compareEstimates(t, "ott", 0, "stripped join list", est, volcanoEstimate(t, bad, ottCat))
 }
 
 // TestFastPathDeterministicAcrossWorkers: the workers are concurrent
@@ -186,13 +181,14 @@ func TestFastPathDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFastPathFallsBackOnSchemaResolution: a query whose join list
-// names a column its table does not have makes the engine's
-// boundary-column gather unresolvable — a schema-resolution failure,
-// not a malformed plan — so EstimatePlan must fall back to the general
-// executor (which only looks at the plan's own predicates) and produce
-// the same estimate it would have produced with the fast path disabled.
-func TestFastPathFallsBackOnSchemaResolution(t *testing.T) {
+// TestEstimateRejectsUnresolvableSchema: a query whose join list names a
+// column its table does not have makes the engine's boundary-column
+// gather unresolvable — a schema-resolution failure of the plan, not an
+// engine failure — so its validation fails with ErrUnsupportedPlan and
+// stores nothing, while the plans validated beside it succeed. The
+// general executor only looks at the plan's own predicates, so it counts
+// the plan as the well-formed one.
+func TestEstimateRejectsUnresolvableSchema(t *testing.T) {
 	cat, err := ott.Generate(ott.Config{Seed: 5, RowsPerValue: 25})
 	if err != nil {
 		t.Fatal(err)
@@ -212,17 +208,12 @@ func TestFastPathFallsBackOnSchemaResolution(t *testing.T) {
 		Right: sql.ColRef{Table: q2.Tables[1].Alias, Column: q2.Joins[0].Right.Column},
 	})
 	broken := &plan.Plan{Root: p.Root, Query: &q2}
-	got, err := EstimatePlan(broken, cat)
+	checkRejected(t, cat, []*plan.Plan{p}, broken)
+	est, err := EstimatePlan(p, cat)
 	if err != nil {
-		t.Fatalf("schema-resolution failure must fall back, not fail: %v", err)
+		t.Fatal(err)
 	}
-	useFastPath = false
-	want, err := EstimatePlan(broken, cat)
-	useFastPath = true
-	if err != nil {
-		t.Fatalf("volcano baseline: %v", err)
-	}
-	compareEstimates(t, "ott", 0, "schema-fallback", got, want)
+	compareEstimates(t, "ott", 0, "phantom join column", est, volcanoEstimate(t, broken, cat))
 }
 
 func compareEstimates(t *testing.T, workload string, qi int, mode string, fast, slow *Estimate) {
@@ -251,9 +242,10 @@ func compareEstimates(t *testing.T, workload string, qi int, mode string, fast, 
 // predicate out of the join where it crosses (a join tree has no higher
 // place to apply it), or applies a predicate the query does not have,
 // computes something else for that relation set, so it is outside the
-// count engine's contract: it validates through the general executor,
-// with the general executor's counts, and leaves nothing in the cache
-// that an optimizer-built plan of the same relation set could be served.
+// count engine's contract: its validation fails with ErrUnsupportedPlan
+// and leaves nothing in the cache that an optimizer-built plan of the
+// same relation set could be served. The general executor, running the
+// tree as written, shows the difference is real.
 func TestExactnessRuleForHandBuiltPlans(t *testing.T) {
 	cat := catalog.New()
 	rng := rand.New(rand.NewSource(4))
@@ -295,29 +287,24 @@ func TestExactnessRuleForHandBuiltPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i, p := range exact {
+		compareEstimates(t, "cycle", i, "exact plan", want[i], volcanoEstimate(t, p, cat))
+	}
 	for name, root := range map[string]plan.Node{
 		"cycle-closing predicate left out":  join(join(join(scan("x"), scan("y"), xy), scan("z"), yz), scan("w"), zw),
 		"predicate the query does not have": join(join(join(scan("x"), scan("y"), xy, extra), scan("z"), yz, xz), scan("w"), zw),
 	} {
 		handBuilt := &plan.Plan{Root: root, Query: q}
 		_, perPlan, err := executor.CountSkeletonSteps(context.Background(), []executor.BatchPlan{{Plan: handBuilt, Prep: executor.NewPrepared(q, nil, 0, nil)}}, cat.Sample, executor.SkelConfig{})
-		if err != nil || !errors.Is(perPlan[0], executor.ErrSkeletonUnsupported) {
-			t.Fatalf("%s: count engine: %v, want ErrSkeletonUnsupported", name, err)
+		if err != nil || !errors.Is(perPlan[0], executor.ErrUnsupportedPlan) {
+			t.Fatalf("%s: count engine: %v, %v, want ErrUnsupportedPlan", name, err, perPlan[0])
 		}
+		checkRejected(t, cat, exact, handBuilt)
+		// A cache the inexact plan failed on serves the exact plans what
+		// they count uncached.
 		cache := perRun()
-		got, err := estimateOne(handBuilt, cat, cache)
-		if err != nil {
-			t.Fatal(err)
-		}
-		useFastPath = false
-		volcano, err := EstimatePlan(handBuilt, cat)
-		useFastPath = true
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareEstimates(t, "cycle", 0, name, got, volcano)
-		if cache.Len() != 0 {
-			t.Fatalf("%s: validating the inexact plan cached %d sub-results", name, cache.Len())
+		if _, err := estimateOne(handBuilt, cat, cache); !errors.Is(err, executor.ErrUnsupportedPlan) {
+			t.Fatalf("%s: %v, want ErrUnsupportedPlan", name, err)
 		}
 		served, err := estimatePlans(exact, cat, cache)
 		if err != nil {
@@ -327,8 +314,77 @@ func TestExactnessRuleForHandBuiltPlans(t *testing.T) {
 			compareEstimates(t, "cycle", i, "exact plan after: "+name, served[i], want[i])
 		}
 		key := optimizer.GammaKeyFor([]string{"x", "y", "z"})
-		if c, ok := want[0].SampleRows[key]; !ok || c == got.SampleRows[key] {
+		if c, ok := want[0].SampleRows[key]; !ok || c == volcanoEstimate(t, handBuilt, cat).SampleRows[key] {
 			t.Fatalf("%s: both trees count {x,y,z} alike (%d rows): the data does not exercise the rule", name, c)
 		}
 	}
+}
+
+// --- The general executor as the oracle ---
+//
+// The general executor counts a plan's sample-execution skeleton tuple at
+// a time and is what the skeleton engine is held to; it validates nothing
+// outside the tests.
+
+// rewrite converts a physical plan into its sample-execution skeleton
+// for the general executor: sequential scans, hash joins, and no
+// aggregate (only join cardinalities are validated).
+func rewrite(n plan.Node) plan.Node {
+	switch t := n.(type) {
+	case *plan.ScanNode:
+		c := *t
+		c.Access, c.IndexColumn = plan.SeqScan, ""
+		return &c
+	case *plan.JoinNode:
+		c := *t
+		c.Kind, c.Left, c.Right = plan.HashJoin, rewrite(t.Left), rewrite(t.Right)
+		return &c
+	case *plan.AggregateNode:
+		return rewrite(t.Child)
+	}
+	return n
+}
+
+// volcanoEstimate is the estimate the general executor's counts of p's
+// skeleton over the samples imply: per node, its count under the Γ key of
+// its relations, scaled by their factors |R| / |R^s| multiplied in leaf
+// order, with the zero-count floor — what EstimatePlan must return bit for
+// bit.
+func volcanoEstimate(t testing.TB, p *plan.Plan, cat *catalog.Catalog) *Estimate {
+	t.Helper()
+	skeleton := rewrite(p.Root)
+	res, err := executor.RunCtx(context.Background(), &plan.Plan{Root: skeleton, Query: p.Query}, cat,
+		executor.Options{CountOnly: true, Binder: cat.Sample})
+	if err != nil {
+		t.Fatalf("volcano: %v", err)
+	}
+	scale := map[string]float64{}
+	for _, tr := range p.Query.Tables {
+		base, err := cat.Table(tr.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := cat.Sample(tr.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scale[tr.Alias] = 1 / cat.SampleRatio()
+		if s.NumRows() > 0 {
+			scale[tr.Alias] = float64(base.NumRows()) / float64(s.NumRows())
+		}
+	}
+	est := &Estimate{Delta: map[string]float64{}, SampleRows: map[string]int64{}}
+	plan.Walk(skeleton, func(n plan.Node) {
+		aliases := n.Aliases()
+		f := 1.0
+		for _, a := range aliases {
+			f *= scale[a]
+		}
+		key, count := optimizer.GammaKeyFor(aliases), res.NodeRows[n]
+		est.Delta[key], est.SampleRows[key] = float64(count)*f, count
+		if count == 0 {
+			est.Delta[key] = 0.5 * f
+		}
+	})
+	return est
 }

@@ -55,9 +55,9 @@ type Estimate struct {
 
 // EstimatePlan validates p's join skeleton over the catalog's samples,
 // uncached and with the default config. The skeleton keeps the plan's join
-// tree and all predicates but swaps every physical choice for
-// sample-friendly ones (sequential scans and hash joins); physical choice
-// does not affect cardinality, and samples carry no indexes.
+// tree and all predicates; its physical choices (access paths, join
+// methods) never reach a count, and an aggregate root is peeled off — only
+// join cardinalities are validated.
 func EstimatePlan(p *plan.Plan, cat *catalog.Catalog) (*Estimate, error) {
 	ests, err := EstimatePlansCfg(context.Background(), []*plan.Plan{p}, cat, nil, ValidateConfig{})
 	if err != nil {
@@ -77,17 +77,19 @@ type ValidateConfig = executor.SkelConfig
 // them. The returned estimates are positional and byte-identical — Delta
 // for Delta, SampleRows for SampleRows — to validating each plan alone,
 // in order, against the same cache; Duration is the call's total time
-// amortized equally across the plans. Plans the count-only engine cannot
-// run fall back to the general executor individually, uncached.
+// amortized equally across the plans.
 //
-// ctx reaches the engine (checked before every step) and the per-plan
-// fallbacks, so a cancelled ctx aborts the call with ctx.Err()
-// mid-validation; completed subtrees cached before the abort stay cached,
-// nothing partial is ever stored. A plan breaching cfg.MemBudget fails the
-// call with an error matching executor.ErrMemoryBudget (which wraps
-// context.DeadlineExceeded, so budget-aware callers degrade it like a
-// deadline); a panic inside validation surfaces as an error matching
-// executor.ErrValidationPanic instead of unwinding.
+// ctx reaches the engine (checked before every step), so a cancelled ctx
+// aborts the call with ctx.Err() mid-validation; completed subtrees cached
+// before the abort stay cached, nothing partial is ever stored. A plan that
+// fails on its own account fails the call with the first such error; it
+// stores nothing, and the plans beside it leave the cache as they would
+// alone. One outside the engine's contract (a hand-built plan that does
+// not apply exactly the query's predicates, say) matches
+// executor.ErrUnsupportedPlan; one breaching cfg.MemBudget matches
+// executor.ErrMemoryBudget (which wraps context.DeadlineExceeded, so
+// budget-aware callers degrade it like a deadline); a panic inside
+// validation matches executor.ErrValidationPanic instead of unwinding.
 func EstimatePlansCfg(ctx context.Context, plans []*plan.Plan, cat *catalog.Catalog, cache Cache, cfg ValidateConfig) ([]*Estimate, error) {
 	if len(plans) == 0 {
 		return nil, nil
@@ -113,31 +115,14 @@ func EstimatePlansCfg(ctx context.Context, plans []*plan.Plan, cat *catalog.Cata
 		}
 		bplans[i] = executor.BatchPlan{Plan: p, Prep: prep}
 	}
-	var steps [][]executor.Step
-	var perPlan []error
-	if useFastPath {
-		var err error
-		steps, perPlan, err = executor.CountSkeletonSteps(ctx, bplans, cat.Sample, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("sampling: batch skeleton run: %w", err)
-		}
-	} else {
-		// Fast path disabled (equivalence tests): every plan takes the
-		// general-executor fallback below.
-		steps, perPlan = make([][]executor.Step, len(plans)), make([]error, len(plans))
-		for i := range perPlan {
-			perPlan[i] = executor.ErrSkeletonUnsupported
-		}
+	steps, perPlan, err := executor.CountSkeletonSteps(ctx, bplans, cat.Sample, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("sampling: batch skeleton run: %w", err)
 	}
 	ests := make([]*Estimate, len(plans))
 	for i, e := range perPlan {
 		if e != nil {
-			if !errors.Is(e, executor.ErrSkeletonUnsupported) {
-				return nil, fmt.Errorf("sampling: batch skeleton run: %w", e)
-			}
-			if steps[i], e = volcanoSteps(ctx, bplans[i], cat); e != nil {
-				return nil, fmt.Errorf("sampling: skeleton run: %w", e)
-			}
+			return nil, fmt.Errorf("sampling: batch skeleton run: %w", e)
 		}
 		ests[i] = estimateFromSteps(steps[i])
 	}
@@ -225,8 +210,8 @@ func newPrepared(q *sql.Query, store *WorkloadCache, cat *catalog.Catalog) (*exe
 }
 
 // estimateFromSteps scales a skeleton run's raw sample counts into the Δ
-// of Algorithm 1 — shared by the fast path and the fallback, which is
-// what keeps their estimates byte-identical.
+// of Algorithm 1: each step's count times its scale product, under the
+// relation set the step names.
 func estimateFromSteps(steps []executor.Step) *Estimate {
 	est := &Estimate{
 		Delta:      make(map[string]float64, len(steps)),
@@ -252,58 +237,6 @@ func estimateFromSteps(steps []executor.Step) *Estimate {
 		est.Sets[i] = optimizer.SetRows{Mask: st.Set.Mask, Key: st.Set.Key, Rows: f}
 	}
 	return est
-}
-
-// useFastPath gates the count-only skeleton engine; equivalence tests
-// flip it to compare the fast path against the general executor.
-var useFastPath = true
-
-// volcanoSteps is the general-executor fallback for plan shapes the
-// count engine does not cover (it covers every optimizer plan; the
-// fallback keeps external callers with hand-built plans working): it
-// runs the plan's sample-execution skeleton tuple at a time, caches
-// nothing, and reports the counts under the relation sets the plan's
-// nodes name. Only the explicit unsupported-shape error leads here — any
-// other engine failure propagates rather than silently degrading every
-// validation to the slow path.
-func volcanoSteps(ctx context.Context, bp executor.BatchPlan, cat *catalog.Catalog) ([]executor.Step, error) {
-	sp := &plan.Plan{Root: rewrite(bp.Plan.Root), Query: bp.Plan.Query}
-	res, err := executor.RunCtx(ctx, sp, cat, executor.Options{CountOnly: true, Binder: cat.Sample})
-	if err != nil {
-		return nil, err
-	}
-	steps, err := bp.Prep.Outline(sp)
-	if err != nil {
-		return nil, err
-	}
-	for i := range steps {
-		steps[i].Count = res.NodeRows[steps[i].Node()]
-	}
-	return steps, nil
-}
-
-// rewrite converts a physical plan into its sample-execution skeleton
-// for the general executor. Aggregates are stripped: only join cardinalities are validated (§2 —
-// extending validation to GROUP BY outputs via distinct-value estimation
-// is the paper's future work; see EstimateGroupByCardinality).
-func rewrite(n plan.Node) plan.Node {
-	switch t := n.(type) {
-	case *plan.ScanNode:
-		c := *t
-		c.Access = plan.SeqScan
-		c.IndexColumn = ""
-		return &c
-	case *plan.JoinNode:
-		c := *t
-		c.Kind = plan.HashJoin
-		c.Left = rewrite(t.Left)
-		c.Right = rewrite(t.Right)
-		return &c
-	case *plan.AggregateNode:
-		return rewrite(t.Child)
-	default:
-		return n
-	}
 }
 
 // RelStdErr returns the approximate relative standard error of the

@@ -127,7 +127,10 @@ func TestZeroCountFloor(t *testing.T) {
 	}
 }
 
-func TestRewriteSwapsPhysicalChoices(t *testing.T) {
+// TestEstimateIgnoresPhysicalChoices: an index nested-loop join over an
+// index scan validates like any other tree — samples carry no indexes
+// the plan could name, and physical choices never reach a count.
+func TestEstimateIgnoresPhysicalChoices(t *testing.T) {
 	cat := uniformCatalog(t)
 	q, err := sql.Parse("SELECT COUNT(*) FROM a, b WHERE a.k = b.k", cat)
 	if err != nil {
@@ -138,8 +141,6 @@ func TestRewriteSwapsPhysicalChoices(t *testing.T) {
 	inner := p.Root.(*plan.JoinNode).Right.(*plan.ScanNode)
 	inner.Access = plan.IndexScan
 	inner.IndexColumn = "k"
-	// Samples carry no indexes; EstimatePlan must still work via the
-	// skeleton rewrite.
 	if _, err := EstimatePlan(p, cat); err != nil {
 		t.Fatal(err)
 	}

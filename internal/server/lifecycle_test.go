@@ -157,14 +157,17 @@ func TestClientDisconnectReleasesPermit(t *testing.T) {
 	gate := make(chan struct{})
 	reqCtx, cancel := context.WithCancel(context.Background())
 	// A lone request validates on its own goroutine, so the pinned call
-	// is the one parked at the seam: the block gives way when the client
-	// hangs up, as a validation does at its next cancellation check.
+	// is the one parked at the seam: the block gives way once the client
+	// has hung up and returned, as a validation does at its next
+	// cancellation check. (Giving way at the cancel itself races the
+	// response against the client's own cancellation.)
+	clientDone := make(chan struct{})
 	var fi faultinject.Set
 	fi.On(faultinject.Rule{Point: faultinject.Estimate, Count: 1, Do: func(faultinject.Point, string) {
 		close(started)
 		select {
 		case <-gate:
-		case <-reqCtx.Done():
+		case <-clientDone:
 		}
 	}})
 	restore := fi.Activate()
@@ -172,6 +175,7 @@ func TestClientDisconnectReleasesPermit(t *testing.T) {
 
 	abandoned := make(chan error, 1)
 	go func() {
+		defer close(clientDone)
 		_, err := c.Reoptimize(reqCtx, &reoptclient.ReoptimizeRequest{SQL: sql[0]})
 		abandoned <- err
 	}()

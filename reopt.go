@@ -43,6 +43,9 @@
 //
 // Failures are classified by the sentinels in errors.go (ErrNoSamples,
 // ErrUnsupportedPlan, ErrBudgetExceeded) — test with errors.Is.
+// Session.Validate of a hand-built plan that does not apply exactly its
+// query's predicates now fails with ErrUnsupportedPlan, where it used to
+// fall back to the Volcano executor.
 //
 // # Serving over HTTP
 //

@@ -372,13 +372,19 @@ func (s *Session) ReoptimizeMultiSeed(ctx context.Context, q *Query, seeds int, 
 // between two steps of a plan with ctx.Err() without poisoning the
 // cache. Validate replaces the removed EstimateBySampling.
 //
+// Every plan must be inside the skeleton engine's contract: a tree of
+// scans and equi-joins applying exactly its query's filters and join
+// predicates, as every plan from Optimize is. A hand-built plan outside
+// it fails the call with an error matching ErrUnsupportedPlan before it
+// executes anything.
+//
 // The call is admission-gated like Reoptimize. Under WithMemoryBudget,
 // a validation that breaches the budget fails the call with an error
 // matching ErrMemoryBudget — Validate has no best-so-far plan to
 // degrade to — and a panic inside a plan's subtree fails it with an
-// error matching ErrValidationPanic; in both cases the cache is left
-// unpoisoned. The isolation boundary is the call: a breach or panic in
-// one Validate never affects a concurrent call's results.
+// error matching ErrValidationPanic. In all three cases the cache is
+// left unpoisoned. The isolation boundary is the call: a failure in one
+// Validate never affects a concurrent call's results.
 func (s *Session) Validate(ctx context.Context, plans ...*Plan) ([]*SamplingEstimate, error) {
 	if err := s.adm.acquire(ctx); err != nil {
 		return nil, err
