@@ -73,12 +73,14 @@ chaos: vet
 
 # fuzz-smoke fuzzes, beyond the seed corpora plain `go test` already
 # runs, the sub-result compaction (FuzzCompact: compacted counts and
-# weights against the uncompressed rows) and the sorted sample index
-# (FuzzIndexedSelection: IndexRows against the scan kernel), 10 seconds
-# each — under 30 seconds for the target, builds included.
+# weights against the uncompressed rows), the sorted sample index
+# (FuzzIndexedSelection: IndexRows against the scan kernel) and the SQL
+# parser (FuzzParse: no panic, query xor error, String round trip), 10
+# seconds each — under 45 seconds for the target, builds included.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompact$$' -fuzztime 10s ./internal/executor
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexedSelection$$' -fuzztime 10s ./internal/storage
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sql
 
 # serve-smoke builds cmd/reoptd and drives a real daemon process across
 # its lifecycle: readiness, one reoptimize, an over-quota burst that

@@ -47,7 +47,7 @@ func TestIncrementalPlanningMatchesFromScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			whole := optimizer.NewGamma()
+			whole := optimizer.NewGamma(q)
 			cache := sampling.Prepare(q, executor.NewSkeletonCache(0, 0))
 			var prev *plan.Plan
 			for i := 1; i <= 12; i++ {
@@ -69,9 +69,15 @@ func TestIncrementalPlanningMatchesFromScratch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				est := ests[0]
-				if added := pl.Merge(est.Sets); added != whole.Merge(est.Delta) {
-					t.Fatalf("%s: planner merge added %d keys, Γ merge disagrees", label, added)
+				added := 0
+				for _, d := range ests[0].Sets {
+					if _, ok := whole.Get(d.Mask); !ok {
+						added++
+					}
+					whole.Set(d.Mask, d.Rows)
+				}
+				if got := pl.Merge(ests[0].Sets); got != added {
+					t.Fatalf("%s: planner merge added %d sets, Γ built by mask added %d", label, got, added)
 				}
 				rp, err := pl.Recost(p)
 				if err != nil {

@@ -98,17 +98,13 @@ func TestBlendFavorsHistoryForUnwitnessedSets(t *testing.T) {
 	r, qs := ottSetup(t)
 	q := qs[0]
 	aliases := []string{q.Tables[0].Alias}
-	key := optimizer.GammaKeyFor(aliases)
+	key := plan.CanonicalSet(aliases)
 	hist, err := r.Opt.EstimateCardinality(q, aliases)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sampled := hist + 1000
-	est := &sampling.Estimate{
-		Delta:      map[string]float64{key: sampled},
-		SampleRows: map[string]int64{key: 0},
-		Sets:       []optimizer.SetRows{{Mask: 1, Key: key, Rows: sampled}},
-	}
+	est := &sampling.Estimate{Sets: []optimizer.SetRows{{Mask: 1, Key: key, Rows: sampled, SampleRows: 0}}}
 	pl, err := r.Opt.Prepare(q, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -153,7 +153,7 @@ func oracleEstimate(t testing.TB, q *sql.Query, skeleton plan.Node, cat *catalog
 	delta, rows = map[string]float64{}, map[string]int64{}
 	plan.Walk(skeleton, func(n plan.Node) {
 		aliases := n.Aliases()
-		key := optimizer.GammaKeyFor(aliases)
+		key := plan.CanonicalSet(aliases)
 		count := res.NodeRows[n]
 		scaleProd := 1.0
 		for _, a := range aliases {
@@ -242,18 +242,14 @@ func (s *refStore) sortedKeys() []string {
 	return keys
 }
 
-// sameEstimate requires an estimate to equal the reference bit for bit,
-// in both of its forms.
+// sameEstimate requires an estimate to equal the reference bit for bit:
+// one entry per reference set, each under its canonical key and mask.
 func sameEstimate(t testing.TB, label string, q *sql.Query, got *sampling.Estimate, delta map[string]float64, rows map[string]int64) {
 	t.Helper()
-	if len(got.Delta) != len(delta) || len(got.SampleRows) != len(rows) || len(got.Sets) != len(delta) {
-		t.Fatalf("%s: %d Δ / %d count / %d set entries, reference has %d", label, len(got.Delta), len(got.SampleRows), len(got.Sets), len(delta))
+	if len(got.Sets) != len(delta) || len(rows) != len(delta) {
+		t.Fatalf("%s: %d set entries, reference has %d Δ / %d count entries", label, len(got.Sets), len(delta), len(rows))
 	}
-	for key, want := range delta {
-		if g, ok := got.Delta[key]; !ok || math.Float64bits(g) != math.Float64bits(want) || got.SampleRows[key] != rows[key] {
-			t.Fatalf("%s: set %q: Δ %v (%d sample rows), reference %v (%d)", label, key, g, got.SampleRows[key], want, rows[key])
-		}
-	}
+	seen := map[string]bool{}
 	for _, s := range got.Sets {
 		var aliases []string
 		for i, tr := range q.Tables {
@@ -261,9 +257,12 @@ func sameEstimate(t testing.TB, label string, q *sql.Query, got *sampling.Estima
 				aliases = append(aliases, tr.Alias)
 			}
 		}
-		if s.Key != optimizer.GammaKeyFor(aliases) || math.Float64bits(s.Rows) != math.Float64bits(delta[s.Key]) {
-			t.Fatalf("%s: set entry %+v does not match Δ[%q] = %v of %v", label, s, s.Key, delta[s.Key], aliases)
+		want, ok := delta[s.Key]
+		if seen[s.Key] || !ok || s.Key != plan.CanonicalSet(aliases) ||
+			math.Float64bits(s.Rows) != math.Float64bits(want) || s.SampleRows != rows[s.Key] {
+			t.Fatalf("%s: set entry %+v does not match Δ[%q] = %v (%d sample rows) of %v", label, s, s.Key, want, rows[s.Key], aliases)
 		}
+		seen[s.Key] = true
 	}
 }
 
@@ -457,7 +456,11 @@ func sameConservativeGamma(t *testing.T, label string, opt *optimizer.Optimizer,
 		t.Fatalf("%s: Γ holds %d sets, replay %d", label, res.Gamma.Len(), len(want))
 	}
 	for key, w := range want {
-		if g, _ := res.Gamma.Get(key); math.Float64bits(g) != math.Float64bits(w) {
+		var mask uint64
+		for _, a := range strings.Split(key, plan.AliasSep) {
+			mask |= 1 << uint(slices.IndexFunc(q.Tables, func(tr sql.TableRef) bool { return tr.Alias == a }))
+		}
+		if g, _ := res.Gamma.Get(mask); math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("%s: Γ[%q] = %v, replay %v", label, key, g, w)
 		}
 	}

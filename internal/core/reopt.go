@@ -413,7 +413,7 @@ func (r *Reoptimizer) pickFinal(lp *loop) *plan.Plan {
 func blend(pl *optimizer.Planner, est *sampling.Estimate) []optimizer.SetRows {
 	out := slices.Clone(est.Sets)
 	for i := range out {
-		w := sampling.ConfidenceWeight(est.SampleRows[out[i].Key])
+		w := sampling.ConfidenceWeight(out[i].SampleRows)
 		out[i].Rows = w*out[i].Rows + (1-w)*pl.StatCardinality(out[i].Mask)
 	}
 	return out

@@ -82,7 +82,8 @@ type edge struct {
 type SetInfo struct {
 	// Mask is the set over Query.Tables positions.
 	Mask uint64
-	// Key is the canonical Γ key of the set (plan.CanonicalSet).
+	// Key is the canonical key of the set (plan.CanonicalSet), for the
+	// readers that print or serialize it.
 	Key string
 
 	refs []sql.ColRef // boundary columns: what an enclosing join may probe
@@ -291,13 +292,13 @@ func (s *Prepared) sameFilters(t *plan.ScanNode) bool {
 }
 
 // set returns the record of one relation set, deriving it on first use:
-// the Γ key; the signature — the relation set plus every filter and
+// the canonical set key; the signature — the relation set plus every filter and
 // predicate applied within it, order-insensitively, so every join order
 // of the set renders the same string; and the boundary columns — the
 // set-side columns of query join predicates with exactly one endpoint
 // inside the set, i.e. what any enclosing join can probe. The three
 // strings are one allocation: the cache key holds the signature, which
-// starts with the Γ key.
+// starts with the set key.
 func (s *Prepared) set(mask uint64) *SetInfo {
 	if si, ok := s.sets[mask]; ok {
 		return si

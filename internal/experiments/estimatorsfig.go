@@ -69,7 +69,12 @@ func (r *Runner) Estimators() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sampJoin := ests[0].Delta[optimizer.GammaKeyFor(q.Aliases())]
+		var sampJoin float64
+		for _, set := range ests[0].Sets {
+			if set.Mask == 1<<len(q.Tables)-1 {
+				sampJoin = set.Rows
+			}
+		}
 
 		const depth, width, seed = 7, 512, 23
 		s1, err := sketch.SketchColumn(r1, "b", q.SelectionsOn("t1"), depth, width, seed)

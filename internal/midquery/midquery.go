@@ -2,8 +2,8 @@
 // baseline the paper compares against conceptually in §1 and §6 (Kabra
 // and DeWitt [25]; progressive optimization, Markl et al. [30]). The
 // executor materializes each join result at a pipeline boundary,
-// observes the TRUE cardinality, feeds it into Γ, and re-plans the
-// remaining work. This is the "runtime re-optimization can observe
+// observes the TRUE cardinality, and re-plans the remaining work over
+// the materialized result. This is the "runtime re-optimization can observe
 // accurate cardinalities but pays materialization costs" trade-off the
 // paper describes — implemented here so the two approaches can be
 // compared on the same engine (see the paper's Appendix G note that
@@ -13,8 +13,8 @@
 // join is a materialization point (the paper notes runtime re-optimizers
 // switch plans only at pipeline boundaries; materializing each join is
 // the finest such granularity), and re-planning reuses the same
-// optimizer with validated-cardinality injection rather than plan
-// "check-points".
+// optimizer — a temporary enters it as a base table of exactly its
+// observed size — rather than plan "check-points".
 package midquery
 
 import (
@@ -46,7 +46,8 @@ type Result struct {
 	// MaterializedRows is the total number of rows materialized — the
 	// runtime overhead the paper contrasts with compile-time sampling.
 	MaterializedRows int64
-	// Gamma holds the true cardinalities observed during execution.
+	// Gamma holds the true cardinalities observed during execution, as
+	// sets over the FROM list of the query run.
 	Gamma *optimizer.Gamma
 }
 
@@ -62,10 +63,10 @@ func New(opt *optimizer.Optimizer, cat *catalog.Catalog) *Executor {
 }
 
 // Run executes q with re-optimization after every join materialization:
-// plan under current Γ, execute only the plan's *first* join (deepest
-// leftmost), record its true cardinality in Γ, replace the pair with a
-// materialized temporary relation, and repeat until one relation
-// remains.
+// plan the remaining query, execute only the plan's *first* join
+// (deepest leftmost), record its true cardinality in Result.Gamma,
+// replace the pair with a materialized temporary relation, and repeat
+// until one relation remains.
 func (e *Executor) Run(q *sql.Query) (*Result, error) {
 	return e.RunCtx(context.Background(), q)
 }
@@ -80,7 +81,7 @@ func (e *Executor) RunCtx(ctx context.Context, q *sql.Query) (*Result, error) {
 		return nil, fmt.Errorf("midquery: GROUP BY / ORDER BY / LIMIT queries are not supported by the runtime re-optimizer: %w", executor.ErrUnsupportedPlan)
 	}
 	start := time.Now()
-	res := &Result{Gamma: optimizer.NewGamma()}
+	res := &Result{Gamma: optimizer.NewGamma(q)}
 
 	// Working state: a shadow catalog where executed sub-results become
 	// base tables, plus a rewritten query over the remaining relations.
@@ -93,7 +94,9 @@ func (e *Executor) RunCtx(ctx context.Context, q *sql.Query) (*Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := opt.Optimize(work.q, work.gamma())
+		// Each temporary enters the plan as a base table of exactly its
+		// observed row count, so replanning needs no Γ.
+		p, err := opt.Optimize(work.q, nil)
 		if err != nil {
 			return nil, fmt.Errorf("midquery: replan: %w", err)
 		}
@@ -111,10 +114,9 @@ func (e *Executor) RunCtx(ctx context.Context, q *sql.Query) (*Result, error) {
 		res.Materializations++
 		res.MaterializedRows += rows
 
-		// Record the observed TRUE cardinality for the merged set and
-		// plan the rest with it.
-		work.merge(join, mat, rows)
-		res.Gamma.Set(optimizer.GammaKeyFor(work.baseAliasesOf(mat.Name())), float64(rows))
+		// Record the observed TRUE cardinality for the merged set; the
+		// rest is planned over the temporary.
+		res.Gamma.Set(work.merge(join, mat), float64(rows))
 
 		// Remember what the remainder of the plan looked like so replans
 		// can be counted.
@@ -124,7 +126,7 @@ func (e *Executor) RunCtx(ctx context.Context, q *sql.Query) (*Result, error) {
 	// Execute the final single-relation plan (applies any remaining
 	// filters; for already-joined relations the filters were applied on
 	// the way in).
-	p, err := opt.Optimize(work.q, work.gamma())
+	p, err := opt.Optimize(work.q, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -141,21 +143,15 @@ func (e *Executor) RunCtx(ctx context.Context, q *sql.Query) (*Result, error) {
 type workspace struct {
 	cat *catalog.Catalog
 	q   *sql.Query
-	// baseAliases maps each (possibly temporary) alias to the original
-	// base aliases it covers, for Γ keying.
-	baseAliases map[string][]string
-	// trueCards stores observed cardinalities keyed like Γ.
-	trueCards       map[string]float64
+	// sets maps each (possibly temporary) alias to the relation set it
+	// covers, as a mask over the original query's FROM list.
+	sets            map[string]uint64
 	tmpCounter      int
 	lastFingerprint string
 }
 
 func newWorkspace(cat *catalog.Catalog, q *sql.Query) *workspace {
-	w := &workspace{
-		cat:         cloneCatalog(cat),
-		baseAliases: make(map[string][]string),
-		trueCards:   make(map[string]float64),
-	}
+	w := &workspace{cat: cloneCatalog(cat), sets: make(map[string]uint64, len(q.Tables))}
 	// Copy the query; the loop mutates it.
 	cq := *q
 	cq.Tables = append([]sql.TableRef(nil), q.Tables...)
@@ -164,8 +160,8 @@ func newWorkspace(cat *catalog.Catalog, q *sql.Query) *workspace {
 	cq.Projection = nil
 	cq.CountStar = true
 	w.q = &cq
-	for _, tr := range q.Tables {
-		w.baseAliases[tr.Alias] = []string{tr.Alias}
+	for i, tr := range q.Tables {
+		w.sets[tr.Alias] = 1 << uint(i)
 	}
 	return w
 }
@@ -180,28 +176,14 @@ func cloneCatalog(cat *catalog.Catalog) *catalog.Catalog {
 			c.MustAddTable(t)
 		}
 	}
-	// Statistics transfer by re-analysis on demand; the optimizer falls
-	// back to defaults for temporaries, but Γ covers them with truth.
+	// Base tables keep their statistics; a temporary has none, and the
+	// optimizer prices it from its exact row count.
 	for _, name := range cat.TableNames() {
 		if ts := cat.Stats(name); ts != nil {
 			c.CopyStats(name, ts)
 		}
 	}
 	return c
-}
-
-// gamma exposes the observed true cardinalities as Γ.
-func (w *workspace) gamma() *optimizer.Gamma {
-	g := optimizer.NewGamma()
-	for k, v := range w.trueCards {
-		g.Set(k, v)
-	}
-	return g
-}
-
-// baseAliasesOf returns the base aliases covered by an alias.
-func (w *workspace) baseAliasesOf(alias string) []string {
-	return w.baseAliases[alias]
 }
 
 // deepestJoin returns the first join all of whose inputs are base scans.
@@ -249,17 +231,16 @@ func (w *workspace) materialize(ctx context.Context, j *plan.JoinNode) (*storage
 // merge rewrites the query: the two joined aliases become one temporary
 // relation; selections consumed by the materialized subtree are dropped;
 // joins inside it are dropped; joins touching it re-point at the
-// temporary alias.
-func (w *workspace) merge(j *plan.JoinNode, tmp *storage.Table, rows int64) {
+// temporary alias. It returns the relation set the temporary covers.
+func (w *workspace) merge(j *plan.JoinNode, tmp *storage.Table) uint64 {
 	merged := map[string]bool{}
-	var mergedBase []string
+	var set uint64
 	for _, a := range j.Aliases() {
 		merged[a] = true
-		mergedBase = append(mergedBase, w.baseAliases[a]...)
+		set |= w.sets[a]
 	}
 	alias := tmp.Name()
-	w.baseAliases[alias] = mergedBase
-	w.trueCards[optimizer.GammaKeyFor(mergedBase)] = float64(rows)
+	w.sets[alias] = set
 
 	var tables []sql.TableRef
 	for _, tr := range w.q.Tables {
@@ -295,6 +276,7 @@ func (w *workspace) merge(j *plan.JoinNode, tmp *storage.Table, rows int64) {
 		joins = append(joins, jp.Canonical())
 	}
 	w.q.Joins = joins
+	return set
 }
 
 // mangle forms the temporary-relation column name for alias.column.

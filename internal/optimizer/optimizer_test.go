@@ -106,9 +106,9 @@ func TestGammaOverridesEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGamma()
-	key := GammaKeyFor([]string{"t01", "t02"})
-	g.Set(key, base*1000)
+	g := NewGamma(q)
+	g.Set(0b011, base*1000)
+	key := plan.CanonicalSet([]string{"t01", "t02"})
 	p, err := opt.Optimize(q, g)
 	if err != nil {
 		t.Fatal(err)
@@ -150,8 +150,8 @@ func TestGammaChangesPlanChoice(t *testing.T) {
 	}
 	// Claim the full join is enormous: the optimizer's plan must still
 	// be valid and executable.
-	g := NewGamma()
-	g.Set(GammaKeyFor(q.Aliases()), 1e12)
+	g := NewGamma(q)
+	g.Set(1<<len(q.Tables)-1, 1e12)
 	p2, err := opt.Optimize(q, g)
 	if err != nil {
 		t.Fatal(err)
@@ -333,41 +333,85 @@ func TestSystemBLeafSampling(t *testing.T) {
 }
 
 func TestGammaMerge(t *testing.T) {
-	g := NewGamma()
+	cat := chainCatalog(t, 3, 10)
+	q := chainQuery(t, cat, 3)
+	pl, err := New(cat, DefaultConfig()).Prepare(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := pl.Gamma()
 	if g.Len() != 0 {
 		t.Error("new gamma not empty")
 	}
-	added := g.Merge(map[string]float64{"a": 1, "b": 2})
+	added := pl.Merge([]SetRows{{Mask: 0b001, Rows: 1}, {Mask: 0b010, Rows: 2}})
 	if added != 2 || g.Len() != 2 {
 		t.Errorf("merge: added=%d len=%d", added, g.Len())
 	}
-	added = g.Merge(map[string]float64{"b": 3, "c": 4})
+	added = pl.Merge([]SetRows{{Mask: 0b010, Rows: 3}, {Mask: 0b011, Rows: 4}})
 	if added != 1 {
-		t.Errorf("re-merge added=%d, want 1 (only c is new)", added)
+		t.Errorf("re-merge added=%d, want 1 (only t01+t02 is new)", added)
 	}
-	if v, _ := g.Get("b"); v != 3 {
+	if v, _ := g.Get(0b010); v != 3 {
 		t.Errorf("merge should overwrite: %v", v)
 	}
-	if _, ok := g.Get("zzz"); ok {
-		t.Error("missing key reported present")
+	if _, ok := g.Get(0b100); ok {
+		t.Error("missing set reported present")
 	}
 	var nilG *Gamma
 	if nilG.Len() != 0 {
 		t.Error("nil gamma should have length 0")
 	}
-	if _, ok := nilG.Get("x"); ok {
+	if _, ok := nilG.Get(0b001); ok {
 		t.Error("nil gamma lookup should miss")
 	}
-	if s := g.Snapshot(); !strings.Contains(s, "a=1") {
-		t.Errorf("snapshot: %s", s)
+	if s, want := g.Snapshot(), "{t01=1.000, t01+t02=4.000, t02=3.000}"; s != want {
+		t.Errorf("snapshot: %s, want %s", s, want)
 	}
 }
 
 func TestNegativeGammaClamped(t *testing.T) {
-	g := NewGamma()
-	g.Set("x", -5)
-	if v, _ := g.Get("x"); v != 0 {
+	cat := chainCatalog(t, 2, 10)
+	q := chainQuery(t, cat, 2)
+	g := NewGamma(q)
+	g.Set(0b10, -5)
+	if v, _ := g.Get(0b10); v != 0 {
 		t.Errorf("negative cardinality should clamp to 0, got %v", v)
+	}
+	pl, err := New(cat, DefaultConfig()).Prepare(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.Merge([]SetRows{{Mask: 0b11, Rows: -1}})
+	if v, _ := pl.Gamma().Get(0b11); v != 0 {
+		t.Errorf("merged negative cardinality should clamp to 0, got %v", v)
+	}
+}
+
+// TestGammaBoundToFromList: a Γ indexes one FROM list; planning another
+// query under it is an error, and a set past its FROM list panics.
+func TestGammaBoundToFromList(t *testing.T) {
+	cat := chainCatalog(t, 3, 10)
+	q2, q3 := chainQuery(t, cat, 2), chainQuery(t, cat, 3)
+	opt := New(cat, DefaultConfig())
+	g := NewGamma(q2)
+	if _, err := opt.Prepare(q3, g); err == nil {
+		t.Error("Prepare accepted a Γ made for another FROM list")
+	}
+	if _, err := opt.Recost(q3, nil, g); err == nil {
+		t.Error("Recost accepted a Γ made for another FROM list")
+	}
+	if _, err := opt.Prepare(chainQuery(t, cat, 2), g); err != nil {
+		t.Errorf("Prepare of an equal FROM list: %v", err)
+	}
+	for _, mask := range []uint64{0, 0b100} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Set(%#b) on a 2-table Γ did not panic", mask)
+				}
+			}()
+			g.Set(mask, 1)
+		}()
 	}
 }
 

@@ -37,8 +37,8 @@ func TestOptimizerAgainstBruteForceOracle(t *testing.T) {
 			gammas := []*Gamma{nil}
 			// A Γ with arbitrary (even wrong) cardinalities must never
 			// change the result, only the plan.
-			g := NewGamma()
-			g.Set(GammaKeyFor(q.Aliases()), float64(rng.Intn(1000)))
+			g := NewGamma(q)
+			g.Set(1<<len(q.Tables)-1, float64(rng.Intn(1000)))
 			gammas = append(gammas, g)
 			for gi, gamma := range gammas {
 				p, err := opt.Optimize(q, gamma)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 
 	"reopt/internal/plan"
 	"reopt/internal/rel"
@@ -31,9 +30,6 @@ type Planner struct {
 	leaves   []leaf
 	edges    []joinEdge
 
-	// rows mirrors Γ by relation-set mask. Δ arrives with both forms
-	// (Merge); only a Γ handed to Prepare has its keys parsed.
-	rows map[uint64]float64
 	// cells is the dense DP table indexed by mask; nil when the query is
 	// planned by the randomized search.
 	cells []cell
@@ -86,9 +82,10 @@ type cell struct {
 }
 
 // Prepare builds the planning state for q. gamma may be nil (start from
-// an empty Γ) or hold validated cardinalities; from here on the planner
-// owns it, and entries must arrive through Planner.Merge so the mask
-// mirror stays in step.
+// an empty Γ) or hold validated cardinalities for q's FROM list — a Γ
+// made for another FROM list is an error; from here on the planner owns
+// it, and entries must arrive through Planner.Merge so the validated
+// leaves stay in step.
 func (o *Optimizer) Prepare(q *sql.Query, gamma *Gamma) (*Planner, error) {
 	return o.prepare(q, gamma, len(q.Tables) <= o.cfg.DPThreshold)
 }
@@ -102,13 +99,14 @@ func (o *Optimizer) prepare(q *sql.Query, gamma *Gamma, dense bool) (*Planner, e
 		return nil, fmt.Errorf("optimizer: queries with more than 63 tables are not supported")
 	}
 	if gamma == nil {
-		gamma = NewGamma()
+		gamma = NewGamma(q)
+	} else if !gamma.madeFor(q) {
+		return nil, fmt.Errorf("optimizer: Γ was made for a different FROM list")
 	}
 	p := &Planner{
 		o: o, q: q, gamma: gamma,
 		aliasIdx: make(map[string]int, n),
 		leaves:   make([]leaf, n),
-		rows:     make(map[uint64]float64, len(gamma.m)),
 	}
 	for i, tr := range q.Tables {
 		tbl, err := o.cat.Table(tr.Name)
@@ -139,8 +137,10 @@ func (o *Optimizer) prepare(q *sql.Query, gamma *Gamma, dense bool) (*Planner, e
 		r.adj |= e.l
 		p.edges = append(p.edges, e)
 	}
-	for k, v := range gamma.m {
-		p.mirror(k, v)
+	for mask, rows := range gamma.m {
+		if mask&(mask-1) == 0 {
+			p.leaves[bits.TrailingZeros64(mask)].rows = rows
+		}
 	}
 	if dense {
 		p.cells = make([]cell, uint64(1)<<uint(n))
@@ -162,62 +162,31 @@ func (o *Optimizer) prepare(q *sql.Query, gamma *Gamma, dense bool) (*Planner, e
 func (p *Planner) Gamma() *Gamma { return p.gamma }
 
 // SetRows is one entry of a Δ: a relation set as its mask over
-// Query.Tables positions, its canonical Γ key (plan.CanonicalSet), and
-// its estimated cardinality.
+// Query.Tables positions, its canonical key (plan.CanonicalSet) for the
+// readers that print or serialize it, its estimated cardinality, and the
+// raw sample count behind that estimate.
 type SetRows struct {
-	Mask uint64
-	Key  string
-	Rows float64
+	Mask       uint64
+	Key        string
+	Rows       float64
+	SampleRows int64
 }
 
 // Merge folds the estimates Δ into Γ (line 10 of Algorithm 1) and
-// returns the number of sets that were new.
+// returns the number of sets that were new — zero new sets is exactly
+// the "covered" condition of Theorem 1.
 func (p *Planner) Merge(delta []SetRows) (added int) {
 	for _, d := range delta {
-		if _, ok := p.gamma.m[d.Key]; !ok {
+		if _, ok := p.gamma.m[d.Mask]; !ok {
 			added++
 		}
-		p.gamma.Set(d.Key, d.Rows)
-		p.setRows(d.Mask, p.gamma.m[d.Key])
+		p.gamma.Set(d.Mask, d.Rows)
+		if d.Mask&(d.Mask-1) == 0 {
+			p.leaves[bits.TrailingZeros64(d.Mask)].rows = p.gamma.m[d.Mask]
+		}
 	}
 	return added
 }
-
-// mirror records an entry of a Γ the planner was handed under its mask.
-// A key that is not a canonical set of this query's aliases names
-// nothing the planner can ask for.
-func (p *Planner) mirror(key string, rows float64) {
-	if mask, ok := p.maskOfKey(key); ok {
-		p.setRows(mask, rows)
-	}
-}
-
-func (p *Planner) setRows(mask uint64, rows float64) {
-	p.rows[mask] = rows
-	if mask&(mask-1) == 0 {
-		p.leaves[bits.TrailingZeros64(mask)].rows = rows
-	}
-}
-
-// maskOfKey parses a canonical Γ key (plan.CanonicalSet) into its mask.
-func (p *Planner) maskOfKey(key string) (mask uint64, ok bool) {
-	for prev, first := "", true; ; first = false {
-		alias, rest, more := strings.Cut(key, plan.AliasSep)
-		i, known := p.aliasIdx[alias]
-		if !known || !first && alias <= prev {
-			return 0, false
-		}
-		mask |= 1 << uint(i)
-		if !more {
-			return mask, true
-		}
-		prev, key = alias, rest
-	}
-}
-
-// GammaKeyFor exposes the canonical key construction for the sampling
-// layer, which must produce Δ entries under identical keys.
-func GammaKeyFor(aliases []string) string { return plan.CanonicalSet(aliases) }
 
 // StatCardinality returns the statistics-only estimate (no Γ) for a
 // relation set — what conservative blending mixes a sampled estimate
@@ -229,7 +198,7 @@ func (p *Planner) StatCardinality(mask uint64) float64 { return p.estimate(mask,
 // leaf cardinalities and the selectivities of every join predicate
 // internal to the set (split-independent, AVI-consistent).
 func (p *Planner) card(mask uint64) float64 {
-	if rows, ok := p.rows[mask]; ok {
+	if rows, ok := p.gamma.m[mask]; ok {
 		return clampRowEst(rows)
 	}
 	return p.estimate(mask, true)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -167,12 +168,9 @@ func TestFastPathDeterministicAcrossWorkers(t *testing.T) {
 						t.Errorf("shared=%v caller %d query %d: %v", shared, w, qi, err)
 						return
 					}
-					if !reflect.DeepEqual(est.Delta, base[qi].Delta) {
-						t.Errorf("shared=%v caller %d query %d: Delta diverged from the sequential caller's:\n%v\nvs\n%v",
-							shared, w, qi, est.Delta, base[qi].Delta)
-					}
-					if !reflect.DeepEqual(est.SampleRows, base[qi].SampleRows) {
-						t.Errorf("shared=%v caller %d query %d: SampleRows diverged from the sequential caller's", shared, w, qi)
+					if !reflect.DeepEqual(est.Sets, base[qi].Sets) {
+						t.Errorf("shared=%v caller %d query %d: Sets diverged from the sequential caller's:\n%v\nvs\n%v",
+							shared, w, qi, est.Sets, base[qi].Sets)
 					}
 				}
 			}(w)
@@ -218,22 +216,49 @@ func TestEstimateRejectsUnresolvableSchema(t *testing.T) {
 
 func compareEstimates(t *testing.T, workload string, qi int, mode string, fast, slow *Estimate) {
 	t.Helper()
-	if len(fast.Delta) != len(slow.Delta) {
-		t.Errorf("%s query %d (%s): fast path has %d Delta keys, volcano %d",
-			workload, qi, mode, len(fast.Delta), len(slow.Delta))
+	fastDelta, fastRows := byKey(fast)
+	slowDelta, slowRows := byKey(slow)
+	if len(fast.Sets) != len(slow.Sets) || len(fastDelta) != len(slowDelta) {
+		t.Errorf("%s query %d (%s): fast path has %d sets (%d keys), volcano %d (%d keys)",
+			workload, qi, mode, len(fast.Sets), len(fastDelta), len(slow.Sets), len(slowDelta))
 	}
-	for k, v := range slow.Delta {
-		if fv, ok := fast.Delta[k]; !ok || fv != v {
+	for k, v := range slowDelta {
+		if fv, ok := fastDelta[k]; !ok || fv != v {
 			t.Errorf("%s query %d (%s): Delta[%q] fast=%v volcano=%v",
-				workload, qi, mode, k, fast.Delta[k], v)
+				workload, qi, mode, k, fastDelta[k], v)
 		}
 	}
-	for k, v := range slow.SampleRows {
-		if fv, ok := fast.SampleRows[k]; !ok || fv != v {
+	for k, v := range slowRows {
+		if fv, ok := fastRows[k]; !ok || fv != v {
 			t.Errorf("%s query %d (%s): SampleRows[%q] fast=%v volcano=%v",
-				workload, qi, mode, k, fast.SampleRows[k], v)
+				workload, qi, mode, k, fastRows[k], v)
 		}
 	}
+	for _, s := range fast.Sets {
+		if k := keyOf(slow, s.Mask); s.Key != k {
+			t.Errorf("%s query %d (%s): set %#b keyed %q, volcano %q", workload, qi, mode, s.Mask, s.Key, k)
+		}
+	}
+}
+
+// byKey renders an estimate's sets as maps from canonical key to
+// estimated rows and to raw sample count.
+func byKey(est *Estimate) (map[string]float64, map[string]int64) {
+	delta, rows := map[string]float64{}, map[string]int64{}
+	for _, s := range est.Sets {
+		delta[s.Key], rows[s.Key] = s.Rows, s.SampleRows
+	}
+	return delta, rows
+}
+
+// keyOf returns the canonical key est holds for the set mask.
+func keyOf(est *Estimate, mask uint64) string {
+	for _, s := range est.Sets {
+		if s.Mask == mask {
+			return s.Key
+		}
+	}
+	return ""
 }
 
 // TestExactnessRuleForHandBuiltPlans: a mask-keyed sub-result is valid
@@ -313,8 +338,10 @@ func TestExactnessRuleForHandBuiltPlans(t *testing.T) {
 		for i := range exact {
 			compareEstimates(t, "cycle", i, "exact plan after: "+name, served[i], want[i])
 		}
-		key := optimizer.GammaKeyFor([]string{"x", "y", "z"})
-		if c, ok := want[0].SampleRows[key]; !ok || c == volcanoEstimate(t, handBuilt, cat).SampleRows[key] {
+		key := plan.CanonicalSet([]string{"x", "y", "z"})
+		_, wantRows := byKey(want[0])
+		_, inexactRows := byKey(volcanoEstimate(t, handBuilt, cat))
+		if c, ok := wantRows[key]; !ok || c == inexactRows[key] {
 			t.Fatalf("%s: both trees count {x,y,z} alike (%d rows): the data does not exercise the rule", name, c)
 		}
 	}
@@ -373,18 +400,20 @@ func volcanoEstimate(t testing.TB, p *plan.Plan, cat *catalog.Catalog) *Estimate
 			scale[tr.Alias] = float64(base.NumRows()) / float64(s.NumRows())
 		}
 	}
-	est := &Estimate{Delta: map[string]float64{}, SampleRows: map[string]int64{}}
+	est := &Estimate{}
 	plan.Walk(skeleton, func(n plan.Node) {
 		aliases := n.Aliases()
 		f := 1.0
+		var mask uint64
 		for _, a := range aliases {
 			f *= scale[a]
+			mask |= 1 << uint(slices.IndexFunc(p.Query.Tables, func(tr sql.TableRef) bool { return tr.Alias == a }))
 		}
-		key, count := optimizer.GammaKeyFor(aliases), res.NodeRows[n]
-		est.Delta[key], est.SampleRows[key] = float64(count)*f, count
-		if count == 0 {
-			est.Delta[key] = 0.5 * f
+		set := optimizer.SetRows{Mask: mask, Key: plan.CanonicalSet(aliases), Rows: float64(res.NodeRows[n]) * f, SampleRows: res.NodeRows[n]}
+		if set.SampleRows == 0 {
+			set.Rows = 0.5 * f
 		}
+		est.Sets = append(est.Sets, set)
 	})
 	return est
 }

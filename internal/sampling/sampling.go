@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -37,20 +36,16 @@ var ErrNoSamples = errors.New("catalog has no samples (call BuildSamples)")
 
 // Estimate is the Δ produced by validating one plan over the samples.
 type Estimate struct {
-	// Delta maps canonical relation-set keys (singletons included: leaf
-	// selections are validated too) to estimated full-table cardinality.
-	Delta map[string]float64
-	// SampleRows records the raw per-key sample counts, for diagnostics
-	// and for confidence weighting.
-	SampleRows map[string]int64
+	// Sets holds one entry per validated relation set (singletons
+	// included: leaf selections are validated too), as a mask over
+	// Query.Tables positions: its estimated full-table cardinality and
+	// the raw sample count behind it. Folding Δ into Γ parses nothing
+	// (optimizer.Planner.Merge).
+	Sets []optimizer.SetRows
 	// Duration is the wall-clock time spent running the skeleton over
 	// the samples — the re-optimization overhead the paper measures in
 	// Figures 6, 9, 17 and 18.
 	Duration time.Duration
-	// Sets is Delta in the planner's form — one entry per validated
-	// relation set, as a mask over Query.Tables positions beside its key —
-	// so folding Δ into Γ parses nothing (optimizer.Planner.Merge).
-	Sets []optimizer.SetRows
 }
 
 // EstimatePlan validates p's join skeleton over the catalog's samples,
@@ -74,9 +69,9 @@ type ValidateConfig = executor.SkelConfig
 // catalog's samples, one after another on the calling goroutine
 // (executor.CountSkeletonSteps); subtrees the plans share are computed
 // once when cache — a handle from Prepare, or nil — has a store to carry
-// them. The returned estimates are positional and byte-identical — Delta
-// for Delta, SampleRows for SampleRows — to validating each plan alone,
-// in order, against the same cache; Duration is the call's total time
+// them. The returned estimates are positional and their Sets
+// byte-identical to validating each plan alone, in order, against the
+// same cache; Duration is the call's total time
 // amortized equally across the plans.
 //
 // ctx reaches the engine (checked before every step), so a cancelled ctx
@@ -103,6 +98,9 @@ func EstimatePlansCfg(ctx context.Context, plans []*plan.Plan, cat *catalog.Cata
 	start := time.Now()
 	bplans := make([]executor.BatchPlan, len(plans))
 	for i, p := range plans {
+		if p == nil || p.Query == nil || p.Root == nil {
+			return nil, fmt.Errorf("sampling: plan %d has no query or root: %w", i, executor.ErrUnsupportedPlan)
+		}
 		prep, err := cache.prepared(p.Query, cat)
 		if err != nil {
 			return nil, err
@@ -213,11 +211,7 @@ func newPrepared(q *sql.Query, store *WorkloadCache, cat *catalog.Catalog) (*exe
 // of Algorithm 1: each step's count times its scale product, under the
 // relation set the step names.
 func estimateFromSteps(steps []executor.Step) *Estimate {
-	est := &Estimate{
-		Delta:      make(map[string]float64, len(steps)),
-		SampleRows: make(map[string]int64, len(steps)),
-		Sets:       make([]optimizer.SetRows, len(steps)),
-	}
+	est := &Estimate{Sets: make([]optimizer.SetRows, len(steps))}
 	for i := range steps {
 		st := &steps[i]
 		f := float64(st.Count) * st.Scale
@@ -232,25 +226,9 @@ func estimateFromSteps(steps []executor.Step) *Estimate {
 		if st.Count == 0 {
 			f = 0.5 * st.Scale
 		}
-		est.Delta[st.Set.Key] = f
-		est.SampleRows[st.Set.Key] = st.Count
-		est.Sets[i] = optimizer.SetRows{Mask: st.Set.Mask, Key: st.Set.Key, Rows: f}
+		est.Sets[i] = optimizer.SetRows{Mask: st.Set.Mask, Key: st.Set.Key, Rows: f, SampleRows: st.Count}
 	}
 	return est
-}
-
-// RelStdErr returns the approximate relative standard error of the
-// estimate for key: the Haas et al. estimator's error shrinks like
-// 1/√k in the number k of sample rows observed for the set, so with k
-// observations the relative standard error is ≈ 1/√k; sets the sample
-// never witnessed report 1 (total uncertainty). This quantifies the
-// §7 future-work point on uncertainty-aware estimates ([41]).
-func (e *Estimate) RelStdErr(key string) float64 {
-	k := e.SampleRows[key]
-	if k <= 0 {
-		return 1
-	}
-	return 1 / math.Sqrt(float64(k))
 }
 
 // ConfidenceWeight returns a weight in (0,1) expressing how much trust a

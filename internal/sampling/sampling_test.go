@@ -62,16 +62,15 @@ func TestEstimatorUnbiasedOnUniformJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := optimizer.GammaKeyFor([]string{"a", "b"})
-	got := est.Delta[key]
+	got := setRows(t, est, 0b11).Rows
 	// True size: per key 200*200 matches x 100 keys = 4e6.
 	want := 4e6
 	if math.Abs(got-want)/want > 0.15 {
 		t.Errorf("join estimate %v, want within 15%% of %v", got, want)
 	}
 	// Leaf estimates scale back to the table sizes.
-	for _, a := range []string{"a", "b"} {
-		leaf := est.Delta[optimizer.GammaKeyFor([]string{a})]
+	for i, a := range []string{"a", "b"} {
+		leaf := setRows(t, est, 1<<i).Rows
 		if math.Abs(leaf-20000)/20000 > 0.1 {
 			t.Errorf("leaf %s estimate %v, want ~20000", a, leaf)
 		}
@@ -88,8 +87,11 @@ func TestEstimateRecordsEverySubtree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(est.Delta) != 3 { // a, b, a+b
-		t.Errorf("delta entries: %d, want 3", len(est.Delta))
+	if len(est.Sets) != 3 { // a, b, a+b
+		t.Errorf("delta entries: %d, want 3", len(est.Sets))
+	}
+	for _, mask := range []uint64{0b01, 0b10, 0b11} {
+		setRows(t, est, mask)
 	}
 	if est.Duration <= 0 {
 		t.Error("duration should be positive")
@@ -112,7 +114,8 @@ func TestZeroCountFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf := est.Delta[optimizer.GammaKeyFor([]string{"a"})]
+	leafSet := setRows(t, est, 0b01)
+	leaf := leafSet.Rows
 	if leaf <= 0 {
 		t.Errorf("zero-observation estimate must stay positive, got %v", leaf)
 	}
@@ -122,7 +125,7 @@ func TestZeroCountFloor(t *testing.T) {
 	if math.Abs(leaf-0.5*scale) > 1e-9 {
 		t.Errorf("floor: got %v, want %v", leaf, 0.5*scale)
 	}
-	if est.SampleRows[optimizer.GammaKeyFor([]string{"a"})] != 0 {
+	if leafSet.SampleRows != 0 {
 		t.Error("raw sample count should be zero")
 	}
 }
@@ -210,10 +213,21 @@ func TestEstimateAgainstTrueCardinalities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := optimizer.GammaKeyFor([]string{"a", "b"})
-	got := est.Delta[key]
+	got := setRows(t, est, 0b11).Rows
 	want := float64(truth.Count)
 	if math.Abs(got-want)/want > 0.2 {
 		t.Errorf("estimate %v vs true %v", got, want)
 	}
+}
+
+// setRows returns est's entry for the relation set mask.
+func setRows(t *testing.T, est *Estimate, mask uint64) optimizer.SetRows {
+	t.Helper()
+	for _, s := range est.Sets {
+		if s.Mask == mask {
+			return s
+		}
+	}
+	t.Fatalf("no estimate for set %#b", mask)
+	return optimizer.SetRows{}
 }

@@ -532,11 +532,15 @@ func (s *Server) handleValidate(ctx context.Context, t *tenant, body []byte) (an
 	}
 	out := &reoptclient.ValidateResponse{Estimates: make([]reoptclient.PlanEstimate, len(ests))}
 	for i, est := range ests {
-		out.Estimates[i] = reoptclient.PlanEstimate{
-			Delta:      est.Delta,
-			SampleRows: est.SampleRows,
+		pe := reoptclient.PlanEstimate{
+			Delta:      make(map[string]float64, len(est.Sets)),
+			SampleRows: make(map[string]int64, len(est.Sets)),
 			Duration:   reoptclient.Duration(est.Duration),
 		}
+		for _, set := range est.Sets {
+			pe.Delta[set.Key], pe.SampleRows[set.Key] = set.Rows, set.SampleRows
+		}
+		out.Estimates[i] = pe
 	}
 	return out, nil
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -120,9 +121,19 @@ func TestValidateAndWorkloadEndpoints(t *testing.T) {
 		if len(est.Delta) == 0 {
 			t.Errorf("estimate %d: empty delta", i)
 		}
-		for k, v := range want[i].Delta {
-			if got := est.Delta[k]; got != v {
-				t.Errorf("estimate %d key %s: got %v want %v", i, k, got, v)
+		// Both maps carry exactly the in-process sets, under their
+		// canonical keys, bit for bit.
+		if len(est.Delta) != len(want[i].Sets) || len(est.SampleRows) != len(want[i].Sets) {
+			t.Errorf("estimate %d: %d delta / %d sample_rows keys for %d sets",
+				i, len(est.Delta), len(est.SampleRows), len(want[i].Sets))
+		}
+		for _, set := range want[i].Sets {
+			got, ok := est.Delta[set.Key]
+			if !ok || math.Float64bits(got) != math.Float64bits(set.Rows) {
+				t.Errorf("estimate %d key %q: delta %v (present %v), want %v", i, set.Key, got, ok, set.Rows)
+			}
+			if rows, ok := est.SampleRows[set.Key]; !ok || rows != set.SampleRows {
+				t.Errorf("estimate %d key %q: sample_rows %d (present %v), want %d", i, set.Key, rows, ok, set.SampleRows)
 			}
 		}
 	}

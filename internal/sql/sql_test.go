@@ -9,7 +9,7 @@ import (
 	"reopt/internal/storage"
 )
 
-func testCatalog(t *testing.T) *catalog.Catalog {
+func testCatalog(t testing.TB) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New()
 	a := storage.NewTable("a", rel.NewSchema(

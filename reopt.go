@@ -40,6 +40,8 @@
 //	NewWorkloadCache + ReoptOptions.Cache       ->  Open(cat, WithSharedCache(n))
 //	ReoptOptions fields                         ->  WithMaxRounds / WithTimeout / WithConservative / WithSkipBelowCost
 //	NewMidQueryExecutor + Run                   ->  Session.MidQuery(ctx, q)          (removed)
+//	SamplingEstimate.Delta / SampleRows[key]    ->  SamplingEstimate.Sets[i].Rows / SampleRows (by Mask or Key)
+//	Gamma.Get(key) / Set(key, rows)             ->  Gamma.Get(mask) / Set(mask, rows), masks over Query.Tables
 //
 // Failures are classified by the sentinels in errors.go (ErrNoSamples,
 // ErrUnsupportedPlan, ErrBudgetExceeded) — test with errors.Is.

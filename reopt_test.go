@@ -66,7 +66,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ests[0].Delta) == 0 {
+	if len(ests[0].Sets) == 0 {
 		t.Error("sampling estimate empty")
 	}
 }

@@ -375,8 +375,8 @@ func (s *Session) ReoptimizeMultiSeed(ctx context.Context, q *Query, seeds int, 
 // Every plan must be inside the skeleton engine's contract: a tree of
 // scans and equi-joins applying exactly its query's filters and join
 // predicates, as every plan from Optimize is. A hand-built plan outside
-// it fails the call with an error matching ErrUnsupportedPlan before it
-// executes anything.
+// it — or a nil plan, or one without a query or root — fails the call
+// with an error matching ErrUnsupportedPlan before it executes anything.
 //
 // The call is admission-gated like Reoptimize. Under WithMemoryBudget,
 // a validation that breaches the budget fails the call with an error
@@ -395,7 +395,11 @@ func (s *Session) Validate(ctx context.Context, plans ...*Plan) ([]*SamplingEsti
 	}
 	// One handle for the call: plans of the first plan's query share its
 	// prepared state; any other query's plans are prepared on their own.
-	cache := sampling.Prepare(plans[0].Query, s.cache)
+	var q *Query
+	if plans[0] != nil {
+		q = plans[0].Query
+	}
+	cache := sampling.Prepare(q, s.cache)
 	return sampling.EstimatePlansCfg(ctx, plans, s.cat, cache, sampling.ValidateConfig{MemBudget: s.memBudget})
 }
 

@@ -210,7 +210,7 @@ func TestSharedCacheAcrossCatalogs(t *testing.T) {
 	differ := false
 	for pass := 0; pass < 2; pass++ {
 		for i := range ks {
-			var deltas [2]map[string]float64
+			var deltas [2]*reopt.SamplingEstimate
 			for si, sd := range sides {
 				label := fmt.Sprintf("pass %d catalog %d query %d", pass, si, i)
 				q := sd.queries[i]
@@ -240,14 +240,13 @@ func TestSharedCacheAcrossCatalogs(t *testing.T) {
 					t.Fatal(err)
 				}
 				for pi := range plans {
-					if !reflect.DeepEqual(gotEst[pi].Delta, wantEst[pi].Delta) ||
-						!reflect.DeepEqual(gotEst[pi].SampleRows, wantEst[pi].SampleRows) {
+					if !reflect.DeepEqual(gotEst[pi].Sets, wantEst[pi].Sets) {
 						t.Fatalf("%s plan %d: Validate through the shared cache diverged from the uncached run", label, pi)
 					}
 				}
-				deltas[si] = wantEst[1].Delta
+				deltas[si] = wantEst[1]
 			}
-			differ = differ || !reflect.DeepEqual(deltas[0], deltas[1])
+			differ = differ || !reflect.DeepEqual(deltas[0].Sets, deltas[1].Sets)
 		}
 	}
 	if !differ {

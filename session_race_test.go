@@ -11,6 +11,7 @@ package reopt_test
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -70,7 +71,7 @@ func TestSessionConcurrentHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := make([][4]string, len(qs))
-	wantEst := make([]map[string]float64, len(qs))
+	wantEst := make([]*reopt.SamplingEstimate, len(qs))
 	for i, q := range qs {
 		res, err := baseline.Reoptimize(ctx, q)
 		if err != nil {
@@ -85,7 +86,7 @@ func TestSessionConcurrentHammer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantEst[i] = ests[0].Delta
+		wantEst[i] = ests[0]
 	}
 
 	s, err := reopt.Open(cat, reopt.WithSharedCache(0))
@@ -107,7 +108,7 @@ func TestSessionConcurrentHammer(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ok := resultKey(res) == want[i] && sameDelta(ests[0].Delta, wantEst[i])
+		ok := resultKey(res) == want[i] && reflect.DeepEqual(ests[0].Sets, wantEst[i].Sets)
 		if !ok {
 			mu.Lock()
 			mismatches++
@@ -121,18 +122,6 @@ func TestSessionConcurrentHammer(t *testing.T) {
 	if hits, misses := s.CacheStats(); hits == 0 {
 		t.Errorf("hammer never hit the shared cache (hits=%d misses=%d)", hits, misses)
 	}
-}
-
-func sameDelta(a, b map[string]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
 }
 
 // TestSessionEpochInvalidation: after BuildSamples replaces the sample

@@ -46,6 +46,28 @@ func resultKey(res *reopt.ReoptResult) [4]string {
 	}
 }
 
+// TestGammaSnapshotGolden pins the rendered form of Γ — sorted canonical
+// sets, aliases joined by "+", rows to three decimals — for one 5-table
+// OTT query, as a literal.
+func TestGammaSnapshotGolden(t *testing.T) {
+	cat, qs := ottSession(t)
+	s, err := reopt.Open(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Reoptimize(context.Background(), qs[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "{t1=20.548, t1+t2=291.067, t1+t2+t3=3668.912, t1+t2+t3+t4=69709.327, " +
+		"t1+t2+t3+t4+t5=5.154, t2=14.165, t2+t3=178.554, t2+t3+t4=3392.521, " +
+		"t2+t3+t4+t5=2.007, t3=12.605, t3+t4=239.496, t3+t4+t5=0.992, t4=19.000, " +
+		"t4+t5=0.787, t5=18.881}"
+	if got := res.Gamma.Snapshot(); got != want {
+		t.Errorf("Γ snapshot of %s:\n got  %s\n want %s", qs[4], got, want)
+	}
+}
+
 // TestSessionReoptimizeEquivalence: Session.Reoptimize must produce
 // byte-identical plans, Γ and traces to the legacy NewOptimizer +
 // NewReoptimizer entry points, with or without the shared cache, and
@@ -117,8 +139,7 @@ func TestSessionValidateEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got[i].Delta, single[0].Delta) ||
-				!reflect.DeepEqual(got[i].SampleRows, single[0].SampleRows) {
+			if !reflect.DeepEqual(got[i].Sets, single[0].Sets) {
 				t.Errorf("workers=%d plan %d: estimate diverged from single-plan path", w, i)
 			}
 		}

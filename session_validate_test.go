@@ -68,7 +68,7 @@ func TestSessionValidateRejectsInexactPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[0].Delta, want[0].Delta) || !reflect.DeepEqual(got[0].SampleRows, want[0].SampleRows) {
+		if !reflect.DeepEqual(got[0].Sets, want[0].Sets) {
 			t.Error("Validate after the rejected plan diverged from a session that never saw it")
 		}
 		res, err := s.Reoptimize(ctx, q)
@@ -85,6 +85,37 @@ func TestSessionValidateRejectsInexactPlan(t *testing.T) {
 	}
 	if !slices.Equal(cache.Keys(), twinCache.Keys()) {
 		t.Errorf("shared cache holds %d keys, a session that never saw the plan %d", cache.Len(), twinCache.Len())
+	}
+}
+
+// TestSessionValidateRejectsNilPlans: a nil plan, a nil among the plans,
+// and a plan without a query or root are outside the engine's contract: Validate
+// fails with an error matching ErrUnsupportedPlan instead of panicking,
+// and the session serves the next call as before.
+func TestSessionValidateRejectsNilPlans(t *testing.T) {
+	cat, qs := ottSession(t)
+	ctx := context.Background()
+	s, err := reopt.Open(cat, reopt.WithSharedCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.Optimize(qs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, plans := range map[string][]*reopt.Plan{
+		"nil plan":           {nil},
+		"nil after a plan":   {p, nil},
+		"plan without query": {{Root: p.Root}},
+		"plan without root":  {{Query: p.Query}},
+	} {
+		ests, err := s.Validate(ctx, plans...)
+		if !errors.Is(err, reopt.ErrUnsupportedPlan) || ests != nil {
+			t.Errorf("%s: %d estimates, %v; want ErrUnsupportedPlan", name, len(ests), err)
+		}
+	}
+	if ests, err := s.Validate(ctx, p); err != nil || len(ests) != 1 || len(ests[0].Sets) == 0 {
+		t.Fatalf("Validate after the rejected calls: %v", err)
 	}
 }
 
