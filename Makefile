@@ -74,13 +74,16 @@ chaos: vet
 # fuzz-smoke fuzzes, beyond the seed corpora plain `go test` already
 # runs, the sub-result compaction (FuzzCompact: compacted counts and
 # weights against the uncompressed rows), the sorted sample index
-# (FuzzIndexedSelection: IndexRows against the scan kernel) and the SQL
-# parser (FuzzParse: no panic, query xor error, String round trip), 10
-# seconds each — under 45 seconds for the target, builds included.
+# (FuzzIndexedSelection: IndexRows against the scan kernel), the SQL
+# parser (FuzzParse: no panic, query xor error, String round trip) and
+# the reoptd request decoders (FuzzRequestBodies: no 500 or panic, every
+# error a structured body of a known kind, every answer within seconds),
+# 10 seconds each — under 60 seconds for the target, builds included.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompact$$' -fuzztime 10s ./internal/executor
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexedSelection$$' -fuzztime 10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sql
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestBodies$$' -fuzztime 10s ./internal/server
 
 # serve-smoke builds cmd/reoptd and drives a real daemon process across
 # its lifecycle: readiness, one reoptimize, an over-quota burst that

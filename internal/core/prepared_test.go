@@ -93,21 +93,6 @@ func oracleSubKey(prefix string, q *sql.Query, n plan.Node) string {
 	return key
 }
 
-// oracleTableKey is the key of the hash table built over a join's right
-// input: that input's key plus the join's predicates in canonical order.
-func oracleTableKey(rightKey string, preds []sql.JoinPred) string {
-	canon := make([]string, len(preds))
-	for i, p := range preds {
-		canon[i] = p.Canonical().String()
-	}
-	sort.Strings(canon)
-	key := rightKey + "||K:"
-	for _, c := range canon {
-		key += c + "&"
-	}
-	return key
-}
-
 // oracleSkeleton strips aggregates, as only join cardinalities are
 // validated, and swaps physical choices for what samples support.
 func oracleSkeleton(n plan.Node) plan.Node {
@@ -207,8 +192,7 @@ func (s *refStore) validate(prefix string, q *sql.Query, skeleton plan.Node, nod
 	plan.Walk(skeleton, func(n plan.Node) { entered = append(entered, oracleSig(n)) })
 	var post func(n plan.Node)
 	post = func(n plan.Node) {
-		j, isJoin := n.(*plan.JoinNode)
-		if isJoin {
+		if j, ok := n.(*plan.JoinNode); ok {
 			post(j.Left)
 			post(j.Right)
 			charge += physRows[j.Right]
@@ -225,9 +209,6 @@ func (s *refStore) validate(prefix string, q *sql.Query, skeleton plan.Node, nod
 		}
 		s.misses++
 		s.keys[key] = true
-		if isJoin {
-			s.keys[oracleTableKey(oracleSubKey(prefix, q, j.Right), j.Preds)] = true
-		}
 	}
 	post(skeleton)
 	return entered, charge

@@ -200,9 +200,9 @@ func (r *Reoptimizer) ReoptimizeCtx(ctx context.Context, q *sql.Query) (*Result,
 	run, cancel := r.budgetCtx(ctx)
 	defer cancel()
 	// Cross-round validation cache: successive plans share most of their
-	// join subtrees, so later rounds reuse earlier rounds' sample counts
-	// and build-side hash tables instead of re-running the skeleton from
-	// scratch. Scoped to this query and sample set unless Options.Cache
+	// join subtrees, so later rounds reuse earlier rounds' sub-results
+	// (sample counts and boundary columns) instead of re-running the
+	// skeleton from scratch. Scoped to this query and sample set unless Options.Cache
 	// promotes it to the workload level. What validating this query takes
 	// beyond the plan at hand is prepared once, beside the planner.
 	return r.reoptimize(ctx, run, q, nil, sampling.Prepare(q, r.runCache()))

@@ -3,12 +3,17 @@ package executor
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"slices"
 	"testing"
 
+	"reopt/internal/catalog"
+	"reopt/internal/optimizer"
 	"reopt/internal/plan"
 	"reopt/internal/sql"
 	"reopt/internal/storage"
+	"reopt/internal/workload/ott"
+	"reopt/internal/workload/tpch"
 )
 
 // The tests reach the engine through its one entry point,
@@ -264,14 +269,12 @@ func TestCountSkeletonBatchPlansPerPlanCaches(t *testing.T) {
 }
 
 // TestSkeletonCacheLRUEviction: a bounded cache must hold at most its
-// budget, evict in least-recently-used order, and drop hash tables with
-// the sub-results they index.
+// budget and evict in least-recently-used order.
 func TestSkeletonCacheLRUEviction(t *testing.T) {
 	c := NewSkeletonCache(2, 0)
 	subs := []*subResult{{count: 1}, {count: 2}, {count: 3}}
 	c.putSub("a", subs[0])
 	c.putSub("b", subs[1])
-	c.putTable("b", "b||K:x", &joinTable{head: []int32{1, 0}, next: []int32{0}, shift: 63})
 
 	// Touch "a" so "b" is the LRU entry, then overflow.
 	if _, ok := c.getSub("a"); !ok {
@@ -284,9 +287,6 @@ func TestSkeletonCacheLRUEviction(t *testing.T) {
 	if _, ok := c.getSub("b"); ok {
 		t.Error("b was recently-unused and should have been evicted")
 	}
-	if c.getTable("b||K:x") != nil {
-		t.Error("evicting b should drop its hash table")
-	}
 	if _, ok := c.getSub("a"); !ok {
 		t.Error("a was recently used and should survive")
 	}
@@ -298,6 +298,84 @@ func TestSkeletonCacheLRUEviction(t *testing.T) {
 	// entries are unreachable through it and age out.
 	if got := subKey(NewPrepared(skelQuery(), c, 2, nil).prefix, "sig", nil); got != "s2|sig|B:" {
 		t.Errorf("subKey with prefix: %q", got)
+	}
+}
+
+// TestSkeletonCacheHoldsOnlySubResults: validations of OTT and TPC-H
+// plans through one cache — unbounded, and bounded tightly enough to
+// evict — leave it holding sub-results and nothing else: every key it
+// reports is a sub-result's, and its value total is what those
+// sub-results are charged.
+func TestSkeletonCacheHoldsOnlySubResults(t *testing.T) {
+	type workload struct {
+		cat *catalog.Catalog
+		qs  []*sql.Query
+	}
+	var wls []workload
+	ottCat, err := ott.Generate(ott.Config{Seed: 1, RowsPerValue: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{3, 5} {
+		qs, err := ott.Queries(ottCat, ott.QueryConfig{NumTables: n, SameConstant: 2, Count: 3, Seed: int64(n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wls = append(wls, workload{ottCat, qs})
+	}
+	tpchCat, err := tpch.Generate(tpch.Config{Seed: 1, Customers: 150, Z: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	tw := workload{cat: tpchCat}
+	for _, tpl := range tpch.Templates() {
+		q, err := sql.Parse(tpl.Gen(rng), tpchCat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tw.qs = append(tw.qs, q)
+	}
+	wls = append(wls, tw)
+
+	for _, c := range []*SkeletonCache{NewSkeletonCache(0, 0), NewSkeletonCache(40, 2000)} {
+		joins := 0
+		for _, wl := range wls {
+			for _, bushy := range []bool{true, false} {
+				cfg := optimizer.DefaultConfig()
+				cfg.BushyTrees = bushy
+				opt := optimizer.New(wl.cat, cfg)
+				for _, q := range wl.qs {
+					p, err := opt.Optimize(q, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := countSkeleton(p, wl.cat.Table, c); err != nil {
+						t.Fatalf("%s: %v", p.Fingerprint(), err)
+					}
+					joins += len(q.Tables) - 1
+				}
+			}
+		}
+		if joins < 50 || c.Len() == 0 {
+			t.Fatalf("only %d joins validated, %d entries cached", joins, c.Len())
+		}
+		keys, subs := c.Keys(), cachedSubs(c)
+		if len(keys) != c.Len() {
+			t.Errorf("Keys() lists %d keys for %d sub-results", len(keys), c.Len())
+		}
+		want := 0
+		for _, k := range keys {
+			sub, ok := subs[k]
+			if !ok {
+				t.Errorf("key %q names no sub-result", k)
+				continue
+			}
+			want += entryValues(sub)
+		}
+		if got := c.Values(); got != want {
+			t.Errorf("Values() = %d, want %d (the held sub-results' charge)", got, want)
+		}
 	}
 }
 

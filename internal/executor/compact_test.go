@@ -212,7 +212,7 @@ func checkBag(t *testing.T, label string, sub *subResult) {
 	for k := range srcs {
 		srcs[k] = colSrc{&sub.cols[k], rows}
 	}
-	again := newSub(new(skelScratch), "", srcs, sub.count, bagWeights{lw: sub.w, lrows: rows})
+	again := newSub(new(skelScratch), srcs, sub.count, bagWeights{lw: sub.w, lrows: rows})
 	if !sameSub(sub, again) {
 		t.Fatalf("%s: compact is not idempotent: %d rows / %d, again %d / %d", label, sub.count, sub.total, again.count, again.total)
 	}
@@ -509,7 +509,7 @@ func checkCompact(t testing.TB, cols []storage.ColData, n int, w []int64) {
 	if w != nil {
 		bw = bagWeights{lw: w, lrows: rows}
 	}
-	sub := newSub(new(skelScratch), "", srcs, n, bw)
+	sub := newSub(new(skelScratch), srcs, n, bw)
 	first, weights := naiveCompact(cols, n, w)
 	var total int64
 	for _, wx := range weights {

@@ -97,7 +97,6 @@ type joinInfo struct {
 	preds      []sql.JoinPred // the query's predicates crossing the sides, canonical order
 	lkey, rkey []int          // their columns in each side's boundary columns
 	gather     []gatherSrc    // where each output boundary column comes from
-	tkey       string         // build-side hash-table key under the epoch prefix
 }
 
 // Step is one node of a compiled plan. Steps are in post-order — both
@@ -128,10 +127,9 @@ func (s *Step) Node() plan.Node { return s.node }
 
 // NewPrepared returns the handle q's plans validate through: against
 // cache (nil caches nothing), over the samples of epoch — the namespace
-// of every sub-result key and hash-table key the handle renders, so one
-// cache can serve several sample sets and catalogs — with scales, the
-// per-table factors by Query.Tables position that Step.Scale multiplies
-// (nil: none). Signatures, boundary columns, cache keys and join
+// of every sub-result key the handle renders, so one cache can serve
+// several sample sets and catalogs — with scales, the per-table factors
+// by Query.Tables position that Step.Scale multiplies (nil: none). Signatures, boundary columns, cache keys and join
 // resolutions are derived once, on first use, instead of once per plan
 // (DESIGN.md §11).
 func NewPrepared(q *sql.Query, cache *SkeletonCache, epoch uint64, scales []float64) *Prepared {
@@ -348,8 +346,7 @@ func (s *Prepared) set(mask uint64) *SetInfo {
 }
 
 // join returns the record of joining set lm (probe side) with set rm
-// (build side): the query's predicates between them in canonical order —
-// so the build-side hash table is reusable however a plan lists them —
+// (build side): the query's predicates between them in canonical order,
 // resolved against both sides' boundary columns.
 func (s *Prepared) join(lm, rm uint64) *joinInfo {
 	k := [2]uint64{lm, rm}
@@ -359,10 +356,6 @@ func (s *Prepared) join(lm, rm uint64) *joinInfo {
 	ji := &joinInfo{}
 	s.joins[k] = ji
 	l, r, out := s.set(lm), s.set(rm), s.set(lm|rm)
-	var tkey strings.Builder
-	tkey.Grow(len(r.key) + 64)
-	tkey.WriteString(r.key)
-	tkey.WriteString("||K:")
 	for i := range s.edges {
 		e := &s.edges[i]
 		if !e.crosses(lm, rm) {
@@ -375,10 +368,7 @@ func (s *Prepared) join(lm, rm uint64) *joinInfo {
 		ji.preds = append(ji.preds, e.pred)
 		ji.lkey = append(ji.lkey, slices.Index(l.refs, lc))
 		ji.rkey = append(ji.rkey, slices.Index(r.refs, rc))
-		tkey.WriteString(e.canon)
-		tkey.WriteByte('&')
 	}
-	ji.tkey = tkey.String()
 	// A boundary column of the union has its other endpoint outside both
 	// sides, so it is a boundary column of the side that holds it.
 	ji.gather = make([]gatherSrc, len(out.refs))

@@ -8,15 +8,15 @@ package executor
 // run; a workload's is a bounded one shared across queries and catalogs.
 //
 // The store does not namespace anything itself. Every key it sees was
-// rendered by a Prepared (prepared.go), which prefixes sub-result keys and
-// hash-table keys with the sample epoch it was made for, so refreshed
-// samples — or another catalog — never serve counts observed on other
-// samples; entries of older epochs age out of the LRU.
+// rendered by a Prepared (prepared.go), which prefixes sub-result keys
+// with the sample epoch it was made for, so refreshed samples — or
+// another catalog — never serve counts observed on other samples;
+// entries of older epochs age out of the LRU.
 //
 // The value budget is counted in cells — one per boundary-column cell and
-// weight of a sub-result's physical rows, and per row a cached hash table
-// indexes — never in bytes, so budget verdicts and eviction decisions do
-// not depend on how a column is represented.
+// weight of a sub-result's physical rows — never in bytes, so budget
+// verdicts and eviction decisions do not depend on how a column is
+// represented.
 //
 // Entries are keyed by the subtree's canonical signature (relation set
 // plus every predicate applied within it) *and* its boundary-column
@@ -24,8 +24,8 @@ package executor
 // but the materialized columns depend on which columns enclosing joins
 // may probe — a property of the whole query, not the subtree — so two
 // queries sharing a subtree but joining it differently must not share
-// the materialization. Build-side hash tables are registered under the
-// sub-result they index; evicting a sub-result evicts its tables.
+// the materialization. Only sub-results are cached: a join builds the
+// hash table over its build side, probes it and drops it.
 
 import (
 	"container/list"
@@ -33,27 +33,27 @@ import (
 	"sync"
 )
 
-// SkeletonCache is the one validation cache: subtree sub-results and
-// build-side hash tables, keyed so that two plans' subtrees share an
-// entry exactly when they compute the same logical sub-result with the
-// same boundary columns over the same samples. All methods are safe for
-// concurrent use, and the diagnostics read zero on a nil cache. Requests
-// reach it through a Prepared, which carries the key namespace.
+// SkeletonCache is the one validation cache: subtree sub-results, keyed
+// so that two plans' subtrees share an entry exactly when they compute
+// the same logical sub-result with the same boundary columns over the
+// same samples. All methods are safe for concurrent use, and the
+// diagnostics read zero on a nil cache. Requests reach it through a
+// Prepared, which carries the key namespace.
 type SkeletonCache struct {
 	mu    sync.Mutex
 	limit int // max sub-result entries; 0 = unbounded
 	// valueLimit bounds the total number of *materialized values* retained
-	// across all entries — boundary-column cells and hash-table slots
+	// across all entries — boundary-column cells and weights
 	// (0 = unbounded). The entry limit alone cannot bound memory on
 	// skewed workloads: a few huge subtrees (a cross-product-ish join
 	// whose boundary columns carry hundreds of thousands of values) can
-	// dominate while the entry count stays tiny. Eviction is least-recently-used under both budgets, so
-	// an entry that alone exceeds the value budget is simply not retained.
+	// dominate while the entry count stays tiny. Eviction is
+	// least-recently-used under both budgets, so an entry that alone
+	// exceeds the value budget is simply not retained.
 	valueLimit int
 	values     int // current total materialized values (see entryValues)
 	subs       map[string]*list.Element
 	lru        *list.List // front = most recently used
-	tables     map[string]*joinTable
 
 	hits, misses int64
 	// What the sub-results stored so far count (Σ total) and the physical
@@ -61,32 +61,24 @@ type SkeletonCache struct {
 	rowsCounted, rowsMaterialized int64
 }
 
-// skelCacheEntry is one cached sub-result plus the keys of the hash
-// tables built over it (dropped together on eviction). tableValues is
-// what the entry's tables have been charged to the value budget
-// (joinTable.values each), refunded on eviction.
+// skelCacheEntry is one cached sub-result under its key.
 type skelCacheEntry struct {
-	key         string
-	sub         *subResult
-	tableKeys   []string
-	tableValues int
+	key string
+	sub *subResult
 }
 
 // NewSkeletonCache returns an empty cache that holds at most limit
 // sub-results and at most valueLimit materialized values, evicting
-// least-recently-used entries (and the hash tables riding them) beyond
-// either; <= 0 leaves that budget unbounded. The value budget counts
-// every boundary-column cell held by cached sub-results and one value per
-// two int32 slots of each cached hash table, so skewed workloads where a
-// few huge subtrees dominate stay within it even when the entry count
-// would not.
+// least-recently-used entries beyond either; <= 0 leaves that budget
+// unbounded. The value budget counts every boundary-column cell and
+// weight held by cached sub-results, so skewed workloads where a few huge
+// subtrees dominate stay within it even when the entry count would not.
 func NewSkeletonCache(limit, valueLimit int) *SkeletonCache {
 	return &SkeletonCache{
 		limit:      max(limit, 0),
 		valueLimit: max(valueLimit, 0),
 		subs:       make(map[string]*list.Element),
 		lru:        list.New(),
-		tables:     make(map[string]*joinTable),
 	}
 }
 
@@ -129,20 +121,16 @@ func (s *SkeletonCache) RowStats() (counted, materialized int64) {
 	return s.rowsCounted, s.rowsMaterialized
 }
 
-// Keys returns the keys of every cached sub-result and hash table, under
-// every prefix, sorted (diagnostics: what two runs stored compares as
-// two lists).
+// Keys returns the keys of every cached sub-result, under every prefix,
+// sorted (diagnostics: what two runs stored compares as two lists).
 func (s *SkeletonCache) Keys() []string {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.subs)+len(s.tables))
+	keys := make([]string, 0, len(s.subs))
 	for k := range s.subs {
-		keys = append(keys, k)
-	}
-	for k := range s.tables {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
@@ -215,51 +203,12 @@ func (s *SkeletonCache) shrinkLocked() {
 	}
 }
 
-// evictLocked removes one entry and the hash tables built over it.
+// evictLocked removes one entry.
 func (s *SkeletonCache) evictLocked(el *list.Element) {
 	e := el.Value.(*skelCacheEntry)
 	s.lru.Remove(el)
 	delete(s.subs, e.key)
-	s.values -= entryValues(e.sub) + e.tableValues
-	for _, tk := range e.tableKeys {
-		delete(s.tables, tk)
-	}
-}
-
-// getTable looks up a build-side hash table.
-func (s *SkeletonCache) getTable(key string) *joinTable {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tables[key]
-}
-
-// putTable caches a hash table, registering it under the sub-result it
-// indexes (subKey) so the two are evicted together, and charges the
-// value budget what the table retains (joinTable.values). If that
-// sub-result is no longer cached — possible under a tight budget — the
-// table is not cached either, since nothing would ever evict it; nor is
-// a table that could never fit the budget beside its own sub-result.
-func (s *SkeletonCache) putTable(subKey, tableKey string, t *joinTable) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.subs[subKey]
-	if !ok {
-		return
-	}
-	e := el.Value.(*skelCacheEntry)
-	if _, dup := s.tables[tableKey]; dup {
-		s.tables[tableKey] = t
-		return
-	}
-	cost := t.values()
-	if s.valueLimit > 0 && entryValues(e.sub)+e.tableValues+cost > s.valueLimit {
-		return
-	}
-	e.tableKeys = append(e.tableKeys, tableKey)
-	e.tableValues += cost
-	s.tables[tableKey] = t
-	s.values += cost
-	s.shrinkLocked()
+	s.values -= entryValues(e.sub)
 }
 
 // TemplateStats once reported template-index lookups.

@@ -39,8 +39,9 @@ package executor
 //
 // Because boundary columns are derived from the query rather than the
 // plan, a sub-result is valid for every join order that contains the same
-// logical subtree; SkeletonCache (skelcache.go) carries them, and the
-// build-side hash tables, across Algorithm 1's validation rounds.
+// logical subtree; SkeletonCache (skelcache.go) carries them across
+// Algorithm 1's validation rounds. Hash tables are not cached: a join
+// builds one over its build side, probes it and drops it.
 
 import (
 	"context"
@@ -71,9 +72,8 @@ var ErrUnsupportedPlan = errors.New("plan not supported by this engine")
 // compressed form (compact.go, DESIGN.md §12). count is the physical row
 // count — one typed column of count rows per boundary column — w each
 // row's multiplicity (nil: every row counts once), and total = Σ w the
-// logical count the estimator sees. sig is the key it is cached under.
+// logical count the estimator sees.
 type subResult struct {
-	sig   string
 	count int
 	total int64
 	w     []int64
@@ -81,20 +81,20 @@ type subResult struct {
 }
 
 // newSub compacts an uncompressed row sequence into a sub-result.
-func newSub(sc *skelScratch, sig string, srcs []colSrc, n int, bw bagWeights) *subResult {
-	sub := &subResult{sig: sig}
+func newSub(sc *skelScratch, srcs []colSrc, n int, bw bagWeights) *subResult {
+	sub := &subResult{}
 	sub.cols, sub.w, sub.count, sub.total = compact(sc, srcs, n, bw)
 	return sub
 }
 
 // scanSub is a scan's sub-result: the store's columns at positions poss,
 // at the selected rows, compacted.
-func scanSub(sc *skelScratch, sig string, cs *storage.ColStore, poss []int, sel []int32) *subResult {
+func scanSub(sc *skelScratch, cs *storage.ColStore, poss []int, sel []int32) *subResult {
 	sc.srcs = sc.srcs[:0]
 	for _, pos := range poss {
 		sc.srcs = append(sc.srcs, colSrc{cs.Col(pos), sel})
 	}
-	return newSub(sc, sig, sc.srcs, len(sel), bagWeights{})
+	return newSub(sc, sc.srcs, len(sel), bagWeights{})
 }
 
 // SkelConfig carries the execution knobs of the skeleton engine. The zero
@@ -120,9 +120,8 @@ type BatchPlan struct {
 // run by countSteps — and returns each plan's steps with their counts
 // filled: a step carries the relation set its count belongs to, which is
 // all the estimator asks. Reuse between the plans, and between requests,
-// comes from the caches their handles share (sub-results and build-side
-// hash tables); parallelism comes from independent
-// requests on their own goroutines (DESIGN.md §2). ctx is checked before
+// comes from the cache their handles share (sub-results); parallelism
+// comes from independent requests on their own goroutines (DESIGN.md §2). ctx is checked before
 // each step.
 //
 // A plan outside the engine's contract (ErrUnsupportedPlan, reported
@@ -318,7 +317,7 @@ func (e *skelEngine) evalScan(st *Step) (*subResult, error) {
 
 	// The charge is what compaction materializes — the same an exact hit
 	// of this scan charges.
-	sub := scanSub(e.skelScratch, key, cs, poss, sel)
+	sub := scanSub(e.skelScratch, cs, poss, sel)
 	if e.mem.charge(subCharge(sub)) {
 		return nil, ErrMemoryBudget
 	}
@@ -608,23 +607,13 @@ func (e *skelEngine) evalJoin(st *Step, l, r *subResult) (*subResult, error) {
 		return nil, ErrMemoryBudget
 	}
 
-	// Build (or reuse) the hash table over the right side's key columns.
+	// Build the hash table over the right side's key columns and probe it
+	// with the left side's rows, recording the matches in the scratch pair
+	// buffer for the one compaction pass that makes the output. The table
+	// dies with the step.
 	ji := st.join
-	var table *joinTable
-	if e.cache != nil {
-		table = e.cache.getTable(ji.tkey)
-	}
-	if table == nil {
-		table = buildHashTable(r, ji.rkey)
-		if e.cache != nil {
-			e.cache.putTable(r.sig, ji.tkey, table)
-		}
-	}
-
-	// Probe with the left side's rows, recording the matches in the
-	// scratch pair buffer for the one compaction pass that makes the output.
-	j := joinProbe{l: l, r: r, table: table, lkey: ji.lkey, rkey: ji.rkey, gather: ji.gather}
-	sub := j.result(e.skelScratch, j.probe(&e.pairs), key)
+	j := joinProbe{l: l, r: r, table: buildHashTable(r, ji.rkey), lkey: ji.lkey, rkey: ji.rkey, gather: ji.gather}
+	sub := j.result(e.skelScratch, j.probe(&e.pairs))
 	if e.mem.charge(subCharge(sub)) {
 		// The sub-result is fully computed and correct, so caching it
 		// would be sound — but the budget contract is "a breaching plan
@@ -653,10 +642,6 @@ type joinTable struct {
 func (t *joinTable) bucket(h uint64) uint64 {
 	return (h * 0x9E3779B97F4A7C15) >> (t.shift & 63)
 }
-
-// values is the table's charge to a cache value budget: two int32 slots
-// per 8-byte cell, rounded up.
-func (t *joinTable) values() int { return (len(t.head) + len(t.next) + 1) / 2 }
 
 // buildHashTable builds the right side's hash table in one descending
 // pass: each row is pushed at the front of its chain, so every chain ends
@@ -774,9 +759,9 @@ func (j *joinProbe) intKeys() (l, r []int64, ok bool) {
 // ids, each pair weighing w_l * w_r — and compact groups them (the root's,
 // without columns, into the empty tuple); an unweighted root recorded
 // none, and is the empty tuple as many times as it matched.
-func (j *joinProbe) result(sc *skelScratch, matches int64, sig string) *subResult {
+func (j *joinProbe) result(sc *skelScratch, matches int64) *subResult {
 	if len(j.gather) == 0 && !j.weighted() {
-		sub := &subResult{sig: sig, total: matches}
+		sub := &subResult{total: matches}
 		sub.w, sub.count = emptyTupleBag(matches)
 		return sub
 	}
@@ -789,12 +774,12 @@ func (j *joinProbe) result(sc *skelScratch, matches int64, sig string) *subResul
 			sc.srcs = append(sc.srcs, colSrc{&j.r.cols[g.idx], pb.r})
 		}
 	}
-	return newSub(sc, sig, sc.srcs, len(pb.l), bagWeights{j.l.w, j.r.w, pb.l, pb.r})
+	return newSub(sc, sc.srcs, len(pb.l), bagWeights{j.l.w, j.r.w, pb.l, pb.r})
 }
 
 // hashKeyAt hashes row i's key columns straight from their typed slices
 // (the same hash rel.Value.Hash64 gives the reconstructed values, so
-// cached tables and bucket order do not depend on the representation),
+// bucket order does not depend on the representation),
 // reporting whether any key is NULL.
 func hashKeyAt(cols []storage.ColData, key []int, i int) (uint64, bool) {
 	h := rel.HashSeed

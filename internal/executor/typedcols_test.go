@@ -262,7 +262,7 @@ func TestProbeAllocsIndependentOfMatchCount(t *testing.T) {
 			gather: []gatherSrc{{left: true, idx: 1}, {left: false, idx: 0}}}
 		sc := new(skelScratch)
 		allocs = testing.AllocsPerRun(5, func() {
-			matches = j.result(sc, j.probe(&sc.pairs), "").total
+			matches = j.result(sc, j.probe(&sc.pairs)).total
 		})
 		return allocs, matches
 	}

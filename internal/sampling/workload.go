@@ -44,7 +44,8 @@ func NewWorkloadCache(maxEntries int) *WorkloadCache {
 }
 
 // NewWorkloadCacheBudget is NewWorkloadCache with an additional budget
-// on the total *materialized boundary-column values* the cache may
+// on the total *materialized values* — boundary-column cells and
+// weights of the cached sub-results, its only entries — the cache may
 // retain (<= 0 means unbounded). The entry budget alone cannot bound
 // memory on skewed workloads: a handful of huge subtrees — joins whose
 // boundary columns carry hundreds of thousands of values — can dominate

@@ -43,8 +43,10 @@ type Quota struct {
 	// entries, -1 selects the default budget (reopt.WithSharedCache).
 	// Any other negative value is rejected.
 	CacheEntries int `json:"cache_entries"`
-	// CacheValues additionally bounds the cache by materialized values
-	// (reopt.WithSharedCacheValues; 0 = unbounded).
+	// CacheValues additionally bounds the cache by the boundary-column
+	// cells and weights its sub-results hold (reopt.WithSharedCacheValues;
+	// 0 = unbounded). It needs a cache: a non-zero value with
+	// CacheEntries 0 is rejected.
 	CacheValues int `json:"cache_values"`
 	// Scheduler and SchedulerWindow once gathered the tenant's
 	// concurrent validations into waves.
@@ -135,23 +137,32 @@ func (c Config) validate() error {
 	if c.Default == nil && len(c.Tenants) == 0 {
 		return fmt.Errorf("no tenants configured and no default quota")
 	}
-	if c.Default != nil && c.Default.negative() {
-		return fmt.Errorf("default quota: negative quota values")
+	if c.Default != nil {
+		if err := c.Default.check(); err != nil {
+			return fmt.Errorf("default quota: %w", err)
+		}
 	}
 	for name, q := range c.Tenants {
 		if name == "" {
 			return fmt.Errorf("tenant with empty name (use \"default\" via the default quota)")
 		}
-		if q.negative() {
-			return fmt.Errorf("tenant %q: negative quota values", name)
+		if err := q.check(); err != nil {
+			return fmt.Errorf("tenant %q: %w", name, err)
 		}
 	}
 	return nil
 }
 
-// negative reports a quota bound below zero, which no knob accepts
-// except CacheEntries' -1 (the default budget).
-func (q Quota) negative() bool {
-	return q.MaxInFlight < 0 || q.QueueDepth < 0 || q.MemoryBudget < 0 ||
-		q.CacheEntries < -1 || q.CacheValues < 0
+// check rejects a quota bound below zero, which no knob accepts except
+// CacheEntries' -1 (the default budget), and a cache value bound on a
+// tenant whose cache is off, which would be silently ignored.
+func (q Quota) check() error {
+	if q.MaxInFlight < 0 || q.QueueDepth < 0 || q.MemoryBudget < 0 ||
+		q.CacheEntries < -1 || q.CacheValues < 0 {
+		return fmt.Errorf("negative quota values")
+	}
+	if q.CacheEntries == 0 && q.CacheValues != 0 {
+		return fmt.Errorf("cache_values %d bounds a cache that cache_entries 0 turns off", q.CacheValues)
+	}
+	return nil
 }

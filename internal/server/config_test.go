@@ -64,6 +64,21 @@ func TestLoadConfigRejectsNegativeCacheBounds(t *testing.T) {
 	}
 }
 
+// TestLoadConfigRejectsCacheValuesWithoutCache: cache_values bounds the
+// tenant's cache, so setting it on a tenant whose cache is off
+// (cache_entries 0) fails at startup instead of being ignored.
+func TestLoadConfigRejectsCacheValuesWithoutCache(t *testing.T) {
+	quota := `{"cache_entries": 0, "cache_values": 5000}`
+	for _, body := range []string{`{"default": ` + quota + `}`, `{"tenants": {"alpha": ` + quota + `}}`} {
+		if _, err := server.LoadConfig(writeConfig(t, body)); err == nil || !strings.Contains(err.Error(), "cache_values") {
+			t.Errorf("%s: LoadConfig err = %v, want an error naming cache_values", body, err)
+		}
+	}
+	if _, err := server.LoadConfig(writeConfig(t, `{"default": {"cache_entries": 0}}`)); err != nil {
+		t.Errorf("cache off without a value bound: %v", err)
+	}
+}
+
 // TestLoadConfigRejectsUnknownField: a typoed knob fails loudly instead of
 // leaving the tenant on defaults.
 func TestLoadConfigRejectsUnknownField(t *testing.T) {

@@ -190,6 +190,12 @@ const (
 // queries fits comfortably.
 const maxBodyBytes = 4 << 20
 
+// maxSeeds bounds a /v1/reoptimize request's multi-seed count. Seed
+// generation may call the optimizer up to four times a seed while the
+// request holds its admission slot, whatever its timeout, so an
+// unbounded count could occupy the slot indefinitely.
+const maxSeeds = 16
+
 // Handler exposes the mux — the seam tests and httptest servers mount.
 func (s *Server) Handler() http.Handler { return s.mux }
 
@@ -471,6 +477,10 @@ func (s *Server) handleReoptimize(ctx context.Context, t *tenant, body []byte) (
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, &httpError{http.StatusBadRequest, reoptclient.KindBadRequest,
 			fmt.Sprintf("decode request: %v", err), 0}
+	}
+	if req.Seeds > maxSeeds {
+		return nil, &httpError{http.StatusBadRequest, reoptclient.KindBadRequest,
+			fmt.Sprintf("seeds %d exceeds the limit of %d", req.Seeds, maxSeeds), 0}
 	}
 	q, err := t.sess.Parse(req.SQL)
 	if err != nil {

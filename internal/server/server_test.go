@@ -252,6 +252,27 @@ func TestTimeoutDegradesTo200(t *testing.T) {
 	}
 }
 
+// TestSeedsCapped: a multi-seed count above the daemon's cap is refused
+// up front with 400 bad_request — it never starts seed generation, which
+// no timeout bounds — while a count at the cap is still served.
+func TestSeedsCapped(t *testing.T) {
+	cat := ottCatalog(t)
+	sql, _ := ottQueries(t, cat, 4, 1, 9)
+	_, ts := newTestServer(t, cat, server.Config{Default: &server.Quota{}})
+	c := reoptclient.New(ts.URL, reoptclient.WithRetries(0))
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	_, err := c.Reoptimize(ctx, &reoptclient.ReoptimizeRequest{SQL: sql[0], Seeds: 1 << 30})
+	var ae *reoptclient.APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || ae.Body.Kind != reoptclient.KindBadRequest {
+		t.Fatalf("seeds 1<<30: %v, want 400 bad_request within 2s", err)
+	}
+	if _, err := c.Reoptimize(context.Background(), &reoptclient.ReoptimizeRequest{SQL: sql[0], Seeds: 16}); err != nil {
+		t.Fatalf("seeds 16: %v, want 200", err)
+	}
+}
+
 // TestOverloadShedsWith429: saturating the tenant's single admission
 // slot makes the next request shed with 429, a Retry-After header >= 1s
 // derived from the queue depth, and a structured overloaded body;

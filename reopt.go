@@ -252,10 +252,11 @@ func NewWorkloadCache(maxEntries int) *WorkloadCache {
 }
 
 // NewWorkloadCacheBudget is NewWorkloadCache with a second budget on
-// the total materialized boundary-column values retained (<= 0 means
-// unbounded) — the knob WithSharedCacheValues exposes — so skewed
-// workloads where a few huge subtrees dominate cannot blow the memory
-// budget. Intended for WithCache when a cache outlives one Session.
+// the total values its sub-results retain — boundary-column cells and
+// weights, the cache's only entries (<= 0 means unbounded) — the knob
+// WithSharedCacheValues exposes — so skewed workloads where a few huge
+// subtrees dominate cannot blow the memory budget. Intended for
+// WithCache when a cache outlives one Session.
 func NewWorkloadCacheBudget(maxEntries, maxValues int) *WorkloadCache {
 	return sampling.NewWorkloadCacheBudget(maxEntries, maxValues)
 }

@@ -63,7 +63,8 @@ type ReoptimizeRequest struct {
 	// MaxRounds caps optimizer invocations (0 = run to convergence).
 	MaxRounds int `json:"max_rounds,omitempty"`
 	// Seeds, when > 1, selects the §7 multi-seed variant with that many
-	// distinct initial plans.
+	// distinct initial plans. The daemon answers a count above 16 with
+	// 400 bad_request.
 	Seeds int `json:"seeds,omitempty"`
 }
 

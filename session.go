@@ -107,8 +107,9 @@ func WithSharedCache(maxEntries int) SessionOption {
 }
 
 // WithSharedCacheValues additionally bounds the shared cache by the
-// total number of materialized boundary-column values it may retain
-// (<= 0 means unbounded), the paper-workload analogue of a byte budget:
+// total number of values its sub-results may retain — boundary-column
+// cells and weights; the cache holds nothing else (<= 0 means
+// unbounded) — the paper-workload analogue of a byte budget:
 // on skewed workloads a few huge subtrees can dominate retained memory
 // while the entry count stays small, and the value budget evicts
 // least-recently-used entries until the total fits. Implies

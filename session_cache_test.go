@@ -180,7 +180,7 @@ func TestTemplateSharingSchedulerEquivalence(t *testing.T) {
 // WithCache by two sessions over two catalogs whose tables have the same
 // names but different data. With calls alternating between the
 // sessions, every Validate and Reoptimize result equals that session's
-// own uncached run: sub-results and hash tables are namespaced by each
+// own uncached run: sub-results are namespaced by each
 // catalog's sample epoch, so one catalog's counts can never serve the
 // other's.
 func TestSharedCacheAcrossCatalogs(t *testing.T) {
