@@ -529,10 +529,15 @@ func BenchmarkTemplateWorkload(b *testing.B) {
 // large-sample regime the hot-path series otherwise never reaches: a
 // 5-table chain with one shared range on four tables and a disjoint
 // range on the fifth (the shape of bench/'s ott_large workload) over
-// 72k-120k-row samples, one worker, no cross-call cache. Here the
-// request is the scan kernels, the boundary-column gathers and the join
+// 72k-120k-row samples, one worker, no cross-call cache. Every scan's one
+// range filter is answered by the sorted sample index, so the request is
+// two binary searches a scan, the compaction of its boundary column read
+// as a run of the index's ordered copy (grouped by counting: the keys
+// span few more values than the scan has rows), and the join
 // build/probe; B/op is what one validation materializes, so the cost of
-// the representation the skeleton carries between operators shows.
+// the representation the skeleton carries between operators shows. The
+// ordered copies are built by the warm-up validation, outside the
+// timing, as a process's first queries build them.
 func BenchmarkValidationLargeSample(b *testing.B) {
 	cat, err := reopt.GenerateOTT(reopt.OTTConfig{
 		Seed: 1, NumTables: 5, RowsPerValue: 3,

@@ -59,12 +59,23 @@ func BenchmarkJoinTable(b *testing.B) {
 // BenchmarkCompact times compact on a scan's shape — 1800 rows selected at
 // scattered positions of a 10^5-row int64 sample column — with every key
 // held by 1, 3 or 27 of the selected rows, next to the plain gather it
-// replaces (dups=0). It is where giveUpRows / giveUpDistinct were read:
-// at dups=1 compaction must cost little more than the gather.
+// replaces (dups=0). It is where giveUpRows / giveUpShare were read: at
+// dups=1 compaction must cost little more than the gather. The dups=3 and
+// dups=27 keys span 600 and 67 values, so they group by counting; the
+// wide rungs space the same keys 1,000,003 apart, past denseSpan, so the
+// hash path is measured beside them and denseSpan is read off the pair.
 func BenchmarkCompact(b *testing.B) {
 	const sample, n = 100_000, 1800
 	rng := rand.New(rand.NewSource(1))
-	for _, dups := range []int{0, 1, 3, 27} {
+	for _, c := range []struct {
+		dups int
+		wide bool
+	}{{0, false}, {1, false}, {3, false}, {27, false}, {3, true}, {27, true}} {
+		dups := c.dups
+		stride := int64(1)
+		if c.wide {
+			stride = 1_000_003
+		}
 		col := storage.ColData{Kind: rel.KindInt, Ints: make([]int64, sample)}
 		sel := make([]int32, 0, n)
 		for _, r := range rng.Perm(sample)[:n] {
@@ -72,10 +83,14 @@ func BenchmarkCompact(b *testing.B) {
 		}
 		slices.Sort(sel)
 		for i, r := range rng.Perm(n) {
-			col.Ints[sel[r]] = int64(i / max(dups, 1))
+			col.Ints[sel[r]] = int64(i/max(dups, 1)) * stride
 		}
 		srcs := []colSrc{{&col, sel}}
-		b.Run(fmt.Sprintf("dups=%d", dups), func(b *testing.B) {
+		name := fmt.Sprintf("dups=%d", dups)
+		if c.wide {
+			name = "wide/" + name
+		}
+		b.Run(name, func(b *testing.B) {
 			sc := new(skelScratch)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -5,7 +5,11 @@ package executor
 // compressed: one physical row per distinct tuple and, when some tuple
 // repeats, a weight column carrying each row's multiplicity. Joins multiply
 // weights instead of enumerating the rows they stand for. compact is the
-// one place a row sequence turns into that form.
+// one place a row sequence turns into that form. It groups by hashing, or
+// — for a lone int64 column whose values span few more than its rows, the
+// shape of a range scan or a join on OTT's keys — by counting into
+// counters indexed by value offset; either way the groups, their order and
+// their weights are the same.
 
 import (
 	"errors"
@@ -83,16 +87,15 @@ func (b *bagWeights) at(x int) int64 {
 }
 
 // compact materializes the n-row sequence srcs describe as a sub-result's
-// columns in compressed form: one pass in row order that groups rows by
-// the *representation identity* of their tuple (ColData.IdentAt — finer
-// than Value.Equal, so the rows of a group are interchangeable for any
-// later hash, compare or gather), keeps groups in first-occurrence order
-// and sums their weights: a pure function of the row sequence, hence the
-// same in every cache state. w is nil when every row counts once. A
-// sequence with a mixed-kind column, or on which group gives up, is
-// gathered as it stands; one without columns groups into the empty
-// tuple. Columns are allocated at exact size; nothing returned aliases
-// sc.
+// columns in compressed form: it groups rows by the *representation
+// identity* of their tuple (ColData.IdentAt — finer than Value.Equal, so
+// the rows of a group are interchangeable for any later hash, compare or
+// gather), keeps groups in first-occurrence order and sums their
+// weights: a pure function of the row sequence, hence the same in every
+// cache state. w is nil when every row counts once. A sequence with a
+// mixed-kind column, or on which group gives up, is gathered as it
+// stands; one without columns groups into the empty tuple. Columns are
+// allocated at exact size; nothing returned aliases sc.
 func compact(sc *skelScratch, srcs []colSrc, n int, bw bagWeights) (cols []storage.ColData, w []int64, count int, total int64) {
 	cols = make([]storage.ColData, len(srcs))
 	group := n > 0
@@ -167,10 +170,16 @@ type (
 
 // group is compact's grouping pass: it leaves the groups, in
 // first-occurrence order, in sc.groups and returns the logical count, or 0
-// when it gave up. Rows are taken giveUpRows at a time: tags first, in a
-// loop of independent loads (a scan reads its sample column at scattered
-// rows, and the probing loop mispredicts too often to overlap those
-// misses itself), then probed in order.
+// when it gave up. The give-up prefix is always grouped by hashing; past
+// it, a lone NULL-free int64 column of small span groups by counting
+// (countGroups) when more rows follow than the prefix holds — on fewer,
+// counting's fixed costs (the prefix groups merged in, the counters
+// cleared) cost up to ~1 us more than hashing on sequences of 300 to 512
+// rows, and it won from 768 up — and every other sequence goes on
+// hashing. The hash path takes rows giveUpRows at a time: tags first, in
+// a loop of independent loads (a join's output reads its child columns at
+// scattered rows, and the probing loop mispredicts too often to overlap
+// those misses itself), then probed in order.
 func (sc *skelScratch) group(srcs []colSrc, n int, bw *bagWeights) (total int64) {
 	exact := len(srcs) == 1 && srcs[0].col.Kind == rel.KindInt && srcs[0].col.Nulls == nil
 	weighted := bw.lw != nil || bw.rw != nil
@@ -180,8 +189,15 @@ func (sc *skelScratch) group(srcs []colSrc, n int, bw *bagWeights) (total int64)
 	}
 	sc.seat(size, sc.groups[:0])
 	for lo := 0; lo < n; lo += giveUpRows {
-		if lo == giveUpRows && len(sc.groups) > giveUpRows-giveUpRows/giveUpShare {
-			return 0
+		if lo == giveUpRows {
+			if len(sc.groups) > giveUpRows-giveUpRows/giveUpShare {
+				return 0
+			}
+			if exact && useCounting && n > 2*giveUpRows {
+				if total, ok := sc.countGroups(srcs[0], n, bw); ok {
+					return total
+				}
+			}
 		}
 		tags := sc.tags[:min(giveUpRows, n-lo)]
 		if exact {
@@ -230,6 +246,111 @@ func (sc *skelScratch) group(srcs []colSrc, n int, bw *bagWeights) (total int64)
 	return addW(total, int64(n))
 }
 
+// denseSpan bounds the value span countGroups takes: a lone int64 column
+// of n rows groups by counting when max - min < denseSpan*n, so its
+// counters (12 bytes a value, 8 of them cleared) cost at most 48 bytes a
+// row, against a hash insert whose new-group branch mispredicts at a few
+// rows a key. Read from BenchmarkCompact (2-core Xeon, go1.24, 3
+// interleaved runs): at dups=3 counting takes 11-12.6 ns a row where the
+// same keys spaced past denseSpan (wide/dups=3) hash in 19-21, and spaced
+// to a span of 3.7n they still count in 13-14.
+const denseSpan = 4
+
+// useCounting lets the path-equivalence test run one sequence through
+// both grouping paths; nothing else ever clears it.
+var useCounting = true
+
+// countGroups takes over from the hash path once the give-up prefix is
+// grouped (its groups in sc.groups, each tag the value itself) and groups
+// rows giveUpRows..n-1 of a lone NULL-free int64 column by value offset,
+// with counters instead of a hash table: one pass reads the values and,
+// with the prefix groups', takes their min and max; if they span
+// denseSpan*n or more it returns ok false, having changed nothing group
+// reads. Otherwise a reverse pass adds each row's weight to its value's
+// counter and leaves there the value's first position, the prefix groups
+// add theirs (their positions come first), and a forward pass appends the
+// values first seen past the prefix in sequence order — the groups,
+// weights and order the hash path makes, and the same ErrCountOverflow
+// verdict: both sum every weight with addW. The result is the logical
+// count of all n rows.
+func (sc *skelScratch) countGroups(s colSrc, n int, bw *bagWeights) (total int64, ok bool) {
+	pre := sc.groups
+	sc.keys = slices.Grow(sc.keys[:0], n-giveUpRows)[:n-giveUpRows]
+	keys := sc.keys
+	lo, hi := readKeys(keys, s.col.Ints, s.rows[giveUpRows:n])
+	for _, g := range pre {
+		lo, hi = min(lo, int64(g.tag)), max(hi, int64(g.tag))
+	}
+	span := uint64(hi) - uint64(lo) // as unsigned: MinInt64..MaxInt64 does not wrap to small
+	if span >= denseSpan*uint64(n) {
+		return 0, false
+	}
+	sc.cnt = slices.Grow(sc.cnt[:0], int(span)+1)[:span+1]
+	sc.first = slices.Grow(sc.first[:0], int(span)+1)[:span+1]
+	cnt, first := sc.cnt, sc.first
+	clear(cnt)
+	if bw.lw != nil || bw.rw != nil {
+		for x := len(keys) - 1; x >= 0; x-- {
+			v, wx := uint64(keys[x]-lo), bw.at(giveUpRows+x)
+			cnt[v] = addW(cnt[v], wx)
+			total = addW(total, wx)
+			first[v] = int32(giveUpRows + x)
+		}
+	} else {
+		countKeys(keys, lo, cnt, first)
+		total = int64(len(keys))
+	}
+	for i, g := range pre { // one group a value, so its counter is final here
+		v := g.tag - uint64(lo)
+		cnt[v] = addW(cnt[v], g.w)
+		total = addW(total, g.w)
+		first[v], pre[i].w = g.first, cnt[v]
+	}
+	sc.idx = slices.Grow(sc.idx[:0], len(keys))[:len(keys)]
+	groups := pre
+	for _, x := range firstPositions(sc.idx, keys, lo, first) {
+		k := keys[x-giveUpRows]
+		groups = append(groups, groupRec{uint64(k), cnt[k-lo], x})
+	}
+	sc.groups = groups
+	return total, true
+}
+
+// readKeys copies ints at rows into keys and returns their min and max.
+func readKeys(keys, ints []int64, rows []int32) (lo, hi int64) {
+	lo, hi = ints[rows[0]], ints[rows[0]]
+	for x, r := range rows {
+		v := ints[r]
+		keys[x] = v
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return lo, hi
+}
+
+// countKeys is countGroups' reverse pass over unweighted rows, keys[x]
+// being sequence row giveUpRows+x.
+func countKeys(keys []int64, lo int64, cnt []int64, first []int32) {
+	for x := len(keys) - 1; x >= 0; x-- {
+		v := uint64(keys[x] - lo)
+		cnt[v]++
+		first[v] = int32(giveUpRows + x)
+	}
+}
+
+// firstPositions writes into pos (len(keys) long), in order and without
+// a branch per row, the sequence positions giveUpRows+x at which keys[x]
+// occurs first, and returns them.
+func firstPositions(pos []int32, keys []int64, lo int64, first []int32) []int32 {
+	g := 0
+	for x, k := range keys {
+		pos[g] = int32(giveUpRows + x)
+		if first[uint64(k-lo)] == int32(giveUpRows+x) {
+			g++
+		}
+	}
+	return pos[:g]
+}
+
 // slotMul spreads a tag over the slot table (as joinTable.bucket).
 const slotMul = 0x9E3779B97F4A7C15
 
@@ -275,11 +396,17 @@ type skelScratch struct {
 
 	pairs pairBuf // a probe's matches
 	srcs  []colSrc
+	runs  []storage.ColData // an index-answered scan's boundary column runs
+	ids   []int32           // 0, 1, 2, ...: the selection vector of a run
 
 	tab    []groupSlot
 	tags   [giveUpRows]uint64
 	groups []groupRec
 	idx    []int32
+
+	keys  []int64 // countGroups' values, in sequence order
+	cnt   []int64 // its counters, by value offset
+	first []int32 // each value offset's first position
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(skelScratch) }}
@@ -287,11 +414,22 @@ var scratchPool = sync.Pool{New: func() any { return new(skelScratch) }}
 func getScratch() *skelScratch { return scratchPool.Get().(*skelScratch) }
 
 // putScratch recycles sc, minus what would pin a retired sample set or an
-// evicted entry: compiled passes and column sources.
+// evicted entry: compiled passes, column sources and views of ordered
+// copies.
 func putScratch(sc *skelScratch) {
 	clear(sc.passBuf[:cap(sc.passBuf)])
 	clear(sc.srcs[:cap(sc.srcs)])
+	clear(sc.runs[:cap(sc.runs)])
 	scratchPool.Put(sc)
+}
+
+// identity returns the selection vector 0, 1, ..., n-1, from a buffer
+// only ever extended.
+func (sc *skelScratch) identity(n int) []int32 {
+	for i := len(sc.ids); i < n; i++ {
+		sc.ids = append(sc.ids, int32(i))
+	}
+	return sc.ids[:n]
 }
 
 // sel returns the reusable selection buffer with length n, valid until

@@ -637,6 +637,19 @@ func FuzzCompact(f *testing.F) {
 		long = append(long, byte(i%5))
 	}
 	f.Add(long)
+	// Counting-path inputs: one NULL-free int64 column of three give-up
+	// prefixes whose values 0..3, -1 and 7 span a few rows, unweighted
+	// and weighted; with MinInt64 and MaxInt64 among them it takes the
+	// hash path again.
+	for _, cells := range [][]byte{{0, 1, 2, 3}, {6, 0, 7, 6, 3}, {4, 0, 5, 1}} {
+		for _, weighted := range []byte{0, 1} {
+			seq := []byte{1, weighted}
+			for i := 0; i < 3*giveUpRows+7; i++ {
+				seq = append(seq, cells[i*7%len(cells)]|byte(i%13)<<4)
+			}
+			f.Add(seq)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cols, n, w := fuzzCols(data)
 		checkCompact(t, cols, n, w)
@@ -672,6 +685,200 @@ func TestCompactMatchesOracle(t *testing.T) {
 				checkCompact(t, []storage.ColData{k}, n, w)
 				checkCompact(t, []storage.ColData{k, s}, n, w)
 			}
+		}
+	}
+}
+
+// intSeq is an n-row NULL-free int64 column whose row x holds val(x).
+func intSeq(n int, val func(x int) int64) storage.ColData {
+	c := storage.ColData{Kind: rel.KindInt, Ints: make([]int64, n)}
+	for x := range c.Ints {
+		c.Ints[x] = val(x)
+	}
+	return c
+}
+
+// compactPath compacts the n-row sequence reading cols at rows, weighted
+// by w at rows when w is set, with the counting path allowed or not. It
+// reports whether the counting path grouped it and the overflow, if any.
+func compactPath(cols []storage.ColData, rows []int32, w []int64, counting bool) (sub *subResult, counted bool, err error) {
+	useCounting = counting
+	defer func() {
+		useCounting = true
+		if r := recover(); r != nil {
+			if err, _ = r.(error); !errors.Is(err, ErrCountOverflow) {
+				panic(r)
+			}
+		}
+	}()
+	srcs := make([]colSrc, len(cols))
+	for k := range srcs {
+		srcs[k] = colSrc{&cols[k], rows}
+	}
+	bw := bagWeights{}
+	if w != nil {
+		bw = bagWeights{lw: w, lrows: rows}
+	}
+	sc := new(skelScratch)
+	sub = newSub(sc, srcs, len(rows), bw)
+	return sub, len(sc.cnt) > 0, nil
+}
+
+// iota32 is the row-id vector 0..n-1.
+func iota32(n int) []int32 {
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return rows
+}
+
+// TestCompactCountingPathMatchesOracle: the inputs of the counting path
+// against compact's oracle — a lone NULL-free int64 column of more than
+// twice the give-up prefix (and of exactly twice: hashed) whose values
+// span just under denseSpan·n (counted) and exactly denseSpan·n
+// (hashed), negative values, MinInt64..MaxInt64 (hashed: the span is
+// taken unsigned), unweighted and weighted, and a prefix just under and
+// at the give-up threshold — each checked to take the path its length,
+// span and prefix say.
+func TestCompactCountingPathMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	type tc struct {
+		name    string
+		n       int
+		base    int64
+		span    uint64 // max - min, as unsigned
+		counted bool
+	}
+	var cases []tc
+	for _, n := range []int{2*giveUpRows + 1, 1000, 5000} {
+		for _, base := range []int64{0, -7_000_000_003, 1 << 40} {
+			cases = append(cases,
+				tc{"span under denseSpan·n", n, base, denseSpan*uint64(n) - 1, true},
+				tc{"span at denseSpan·n", n, base, denseSpan * uint64(n), false},
+				tc{"a few values", n, base, 6, true})
+		}
+		cases = append(cases, tc{"MinInt64..MaxInt64", n, math.MinInt64, math.MaxUint64, false})
+	}
+	// No more rows past the prefix than it holds: hashed, whatever the span.
+	cases = append(cases, tc{"a few values, 2·giveUpRows rows", 2 * giveUpRows, 0, 6, false},
+		tc{"a few values, 2·giveUpRows+1 rows", 2*giveUpRows + 1, 0, 6, true})
+	for _, c := range cases {
+		// n/3 distinct values spread over the span, min and max among
+		// them; every value repeats about three times, in random order.
+		distinct := max(c.n/3, 2)
+		pick := func(i int) int64 {
+			if c.span == math.MaxUint64 {
+				return []int64{math.MinInt64, -1, 0, 1, math.MaxInt64}[i%5]
+			}
+			if i == distinct-1 {
+				return c.base + int64(c.span)
+			}
+			return c.base + int64(uint64(i)*(c.span/uint64(distinct-1)))
+		}
+		col := intSeq(c.n, func(x int) int64 {
+			switch x {
+			case 3:
+				return c.base
+			case 5:
+				return pick(distinct - 1)
+			}
+			return pick(rng.Intn(distinct))
+		})
+		if c.span != math.MaxUint64 && uint64(pick(distinct-1)-c.base) != c.span {
+			t.Fatalf("%s, n=%d: the values span %d, want %d", c.name, c.n, pick(distinct-1)-c.base, c.span)
+		}
+		for _, weighted := range []bool{false, true} {
+			var w []int64
+			if weighted {
+				w = make([]int64, c.n)
+				for x := range w {
+					w[x] = 1 + rng.Int63n(1000)
+				}
+			}
+			checkCompact(t, []storage.ColData{col}, c.n, w)
+			if _, counted, _ := compactPath([]storage.ColData{col}, iota32(c.n), w, true); counted != c.counted {
+				t.Fatalf("%s, n=%d, base %d: counted %v, want %v", c.name, c.n, c.base, counted, c.counted)
+			}
+		}
+	}
+	// The give-up verdict is read off the prefix before any counting: at
+	// giveUpRows-giveUpRows/giveUpShare distinct prefix values the
+	// sequence is counted, one more and it is gathered as it stands.
+	for _, distinct := range []int{giveUpRows - giveUpRows/giveUpShare, giveUpRows - giveUpRows/giveUpShare + 1} {
+		const n = 1000
+		col := intSeq(n, func(x int) int64 {
+			if x < giveUpRows {
+				return -int64(min(x, distinct-1))
+			}
+			return -int64(rng.Intn(distinct))
+		})
+		checkCompact(t, []storage.ColData{col}, n, nil)
+		sub, counted, _ := compactPath([]storage.ColData{col}, iota32(n), nil, true)
+		if gaveUp := distinct > giveUpRows-giveUpRows/giveUpShare; counted == gaveUp || (sub.count == n) != gaveUp {
+			t.Fatalf("%d distinct values in the prefix: counted %v, %d rows kept", distinct, counted, sub.count)
+		}
+	}
+}
+
+// TestGroupingPathsAgree runs each sequence through both grouping paths —
+// counting, and hashing with the counting path switched off — and
+// requires identical sub-results: columns, weights, counts and order. The
+// sequences are a scan's (ascending rows) and a join's (row ids repeating
+// and out of order) over small-span, negative and few-valued int64
+// columns, unweighted and weighted, of a few hundred to tens of thousands
+// of rows; and both paths overflow alike, into ErrCountOverflow.
+func TestGroupingPathsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	counted := 0
+	for _, n := range []int{giveUpRows + 1, 1800, 40_000} {
+		for _, spread := range []int{2, 3, 27} {
+			for _, base := range []int64{0, -1_000_000, math.MaxInt64 - 4*40_000} {
+				col := intSeq(n, func(int) int64 { return base + int64(rng.Intn(max(n/spread, 1))) })
+				join := make([]int32, n) // a join's left rows: repeating, out of order
+				for x := range join {
+					join[x] = int32(min(x/2+rng.Intn(3), n-1))
+				}
+				for _, rows := range [][]int32{iota32(n), join} {
+					for _, weighted := range []bool{false, true} {
+						var w []int64
+						if weighted {
+							w = make([]int64, n)
+							for x := range w {
+								w[x] = 1 + rng.Int63n(1<<20)
+							}
+						}
+						cols := []storage.ColData{col}
+						a, aCounted, aErr := compactPath(cols, rows, w, true)
+						b, bCounted, bErr := compactPath(cols, rows, w, false)
+						if aErr != nil || bErr != nil || bCounted {
+							t.Fatalf("n=%d spread %d: %v / %v, hash path counted %v", n, spread, aErr, bErr, bCounted)
+						}
+						if !sameSub(a, b) {
+							t.Fatalf("n=%d spread %d base %d weighted %v: the paths' sub-results differ (%d rows counting %d, hashed %d counting %d)",
+								n, spread, base, weighted, a.count, a.total, b.count, b.total)
+						}
+						if aCounted {
+							counted++
+						}
+					}
+				}
+			}
+		}
+	}
+	if counted < 30 {
+		t.Fatalf("the counting path grouped %d sequences: the cases no longer exercise it", counted)
+	}
+	// Weights summing past MaxInt64 overflow on both paths.
+	const n = 3 * giveUpRows
+	col := intSeq(n, func(x int) int64 { return int64(x % 7) })
+	w := make([]int64, n)
+	for x := range w {
+		w[x] = math.MaxInt64 / (n - 1)
+	}
+	for _, counting := range []bool{true, false} {
+		if _, _, err := compactPath([]storage.ColData{col}, iota32(n), w, counting); !errors.Is(err, ErrCountOverflow) {
+			t.Fatalf("counting path %v: %v, want ErrCountOverflow", counting, err)
 		}
 	}
 }

@@ -138,7 +138,7 @@ func isIntInterval(f sql.Selection) (lo, hi int64, ok bool) {
 // does: one index pass when the sorted sample index answers it, the
 // kernel passes otherwise.
 func filterPasses(col *storage.ColData, f sql.Selection) []scanPass {
-	if rows, ok := indexRows(col, f); ok {
+	if rows, ok := indexRows(col, f, nil, nil); ok {
 		return []scanPass{indexPass(rows)}
 	}
 	return appendKernelPasses(nil, col, f)
@@ -201,7 +201,7 @@ func TestIndexedPassMatchesKernelPass(t *testing.T) {
 		}
 		// Which path was taken: count the matches and ask the index what
 		// the engine asked it.
-		_, asked := indexRows(col, f)
+		_, asked := indexRows(col, f, nil, nil)
 		l, h, ok := isIntInterval(f)
 		if !ok {
 			if asked {
@@ -212,7 +212,7 @@ func TestIndexedPassMatchesKernelPass(t *testing.T) {
 		bm := vec.NewBitmap(n)
 		want[0](bm, 0, n)
 		selective := bm.Count(0, n)*2 <= n
-		if _, answered := col.IndexRows(l, h); answered != selective || asked != selective {
+		if _, answered := col.IndexRows(l, h, nil, nil); answered != selective || asked != selective {
 			t.Errorf("%s matches %d of %d rows: answered by the index = %v", f, bm.Count(0, n), n, answered)
 		}
 		if selective {
@@ -406,7 +406,10 @@ func planCharge(t *testing.T, steps []Step, cache *SkeletonCache) int64 {
 //     and, whenever neither side's compaction gave up, the same multiset
 //     of (boundary tuple, weight);
 //   - a memory budget one below the plan's charge breaches and one at it
-//     passes, uncached, cold and warm alike.
+//     passes, uncached, cold and warm alike;
+//   - an index-answered scan's sub-result, compacted from the ordered
+//     copies' runs, is byte for byte scanSub over the sample's columns at
+//     the index's row ids.
 func TestIndexedScanCountsMatchKernel(t *testing.T) {
 	cat := indexScanCatalog()
 	ctx := context.Background()
@@ -427,7 +430,7 @@ func TestIndexedScanCountsMatchKernel(t *testing.T) {
 		delta  map[string]float64
 		scans  map[string]*subResult // the filtered scans'
 	}
-	reordered, compared := 0, 0
+	reordered, compared, fromHeap := 0, 0, 0
 	for _, f := range indexFilterShapes() {
 		for _, shape := range shapes {
 			q := &sql.Query{CountStar: true, Selections: []sql.Selection{f}, Joins: shape.joins}
@@ -471,6 +474,9 @@ func TestIndexedScanCountsMatchKernel(t *testing.T) {
 					for _, st := range steps {
 						if st.scan != nil && len(st.scan.Filters) > 0 {
 							s.scans[st.Set.Key], _ = cache.getSub(st.Set.key)
+							if heapPathMatches(t, label, cat, st, s.scans[st.Set.Key]) {
+								fromHeap++
+							}
 						}
 					}
 					charge = planCharge(t, steps, cache)
@@ -515,7 +521,34 @@ func TestIndexedScanCountsMatchKernel(t *testing.T) {
 			}
 		}
 	}
-	if reordered == 0 || compared == 0 {
-		t.Fatalf("%d scan sub-results reordered by the index, %d compared pair by pair: the cases no longer exercise the index", reordered, compared)
+	if reordered == 0 || compared == 0 || fromHeap == 0 {
+		t.Fatalf("%d scan sub-results reordered by the index, %d compared pair by pair, %d against the heap columns: the cases no longer exercise the index",
+			reordered, compared, fromHeap)
 	}
+}
+
+// heapPathMatches checks an index-answered scan's sub-result, which the
+// engine compacts from the runs of the index's ordered copies, against
+// scanSub over the sample's own columns at the index's row ids: byte for
+// byte the same. It reports false, checking nothing, for a scan the index
+// does not answer alone.
+func heapPathMatches(t *testing.T, label string, cat *catalog.Catalog, st Step, sub *subResult) bool {
+	t.Helper()
+	tab, err := cat.Table(st.scan.Table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filterPos, poss, err := scanPositions(st.scan, st.Set.refs)
+	if err != nil || len(filterPos) != 1 {
+		return false
+	}
+	cs := tab.ColData()
+	rows, ok := indexRows(cs.Col(filterPos[0]), st.scan.Filters[0], nil, nil)
+	if !ok {
+		return false
+	}
+	if heap := scanSub(new(skelScratch), cs, poss, rows); !sameSub(sub, heap) {
+		t.Fatalf("%s: scan %s differs from the heap columns compacted at the index's rows", label, st.Set.Key)
+	}
+	return true
 }

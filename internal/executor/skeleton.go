@@ -31,11 +31,14 @@ package executor
 // selection bitmap; conjunctive filters fuse by AND-ing bitmaps, and only
 // the final bitmap is materialized into a selection vector. A scan whose
 // one filter the sorted sample index answers skips the bitmap: its
-// selection vector is the index's run of matching row ids. A validation
-// runs start to finish on the goroutine that asked for it: at the tens of
-// microseconds one takes, handing parts of it to other goroutines cost
-// more than it saved at every sample size the benchmarks have (DESIGN.md
-// §2), so concurrency is between validations, never inside one.
+// selection vector is the index's run of matching row ids, and it reads
+// its boundary columns off the index's ordered copies — the same values
+// in the same order, as contiguous runs rather than at scattered rows
+// (runSub). A validation runs start to finish on the goroutine that asked
+// for it: at the tens of microseconds one takes, handing parts of it to
+// other goroutines cost more than it saved at every sample size the
+// benchmarks have (DESIGN.md §2), so concurrency is between validations,
+// never inside one.
 //
 // Because boundary columns are derived from the query rather than the
 // plan, a sub-result is valid for every join order that contains the same
@@ -49,6 +52,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"reopt/internal/faultinject"
 	"reopt/internal/plan"
@@ -95,6 +99,19 @@ func scanSub(sc *skelScratch, cs *storage.ColStore, poss []int, sel []int32) *su
 		sc.srcs = append(sc.srcs, colSrc{cs.Col(pos), sel})
 	}
 	return newSub(sc, sc.srcs, len(sel), bagWeights{})
+}
+
+// runSub is an index-answered scan's sub-result: its boundary columns'
+// n-row runs off the index's ordered copies (storage.ColData.IndexRows),
+// each read front to back, compacted — the same sequence, hence the same
+// sub-result, as scanSub at the index's row ids.
+func runSub(sc *skelScratch, runs []storage.ColData, n int) *subResult {
+	ids := sc.identity(n)
+	sc.srcs = sc.srcs[:0]
+	for k := range runs {
+		sc.srcs = append(sc.srcs, colSrc{&runs[k], ids})
+	}
+	return newSub(sc, sc.srcs, n, bagWeights{})
 }
 
 // SkelConfig carries the execution knobs of the skeleton engine. The zero
@@ -292,15 +309,21 @@ func (e *skelEngine) evalScan(st *Step) (*subResult, error) {
 
 	// The sorted sample index is asked once per filter. A lone filter it
 	// answers selects the index's own run of row ids, in (value, row id)
-	// order; any other scan is one filter pass over the sample's column
-	// store, where an answered filter is an index pass.
+	// order, and hands over the boundary columns' runs in that order;
+	// any other scan is one filter pass over the sample's column store,
+	// where an answered filter is an index pass.
 	cs := tab.ColData()
+	var with []int
+	if len(t.Filters) == 1 {
+		with = poss
+		e.runs = slices.Grow(e.runs[:0], len(poss))[:len(poss)]
+	}
 	var sel []int32
 	indexed := false
 	passes := e.passBuf[:0]
 	for fi, f := range t.Filters {
 		col := cs.Col(filterPos[fi])
-		rows, ok := indexRows(col, f)
+		rows, ok := indexRows(col, f, with, e.runs)
 		switch {
 		case !ok:
 			passes = appendKernelPasses(passes, col, f)
@@ -311,13 +334,15 @@ func (e *skelEngine) evalScan(st *Step) (*subResult, error) {
 		}
 	}
 	e.passBuf = passes[:0]
-	if !indexed {
-		sel = e.selectRows(passes, cs.NumRows())
-	}
 
 	// The charge is what compaction materializes — the same an exact hit
 	// of this scan charges.
-	sub := scanSub(e.skelScratch, cs, poss, sel)
+	var sub *subResult
+	if indexed {
+		sub = runSub(e.skelScratch, e.runs, len(sel))
+	} else {
+		sub = scanSub(e.skelScratch, cs, poss, e.selectRows(passes, cs.NumRows()))
+	}
 	if e.mem.charge(subCharge(sub)) {
 		return nil, ErrMemoryBudget
 	}
@@ -498,13 +523,15 @@ var useSortedIndex = true
 
 // indexRows returns the rows filter f keeps on col when the column's
 // sorted sample index answers it: the index's own read-only run of row
-// ids, in (value, row id) order. The index answers one closed interval
-// of int64 values — BETWEEN with integer bounds, or a comparison with an
-// integer constant through cmpInterval — so ok is false for any other
-// filter (another column kind, a NULL, float or string constant, Ne), and
-// when the column has no index or the matches are too large a share of
-// its rows (storage.ColData.IndexRows decides those two).
-func indexRows(col *storage.ColData, f sql.Selection) (rows []int32, ok bool) {
+// ids, in (value, row id) order, and in runs the same run of each store
+// column named in with (storage.ColData.IndexRows). The index answers one
+// closed interval of int64 values — BETWEEN with integer bounds, or a
+// comparison with an integer constant through cmpInterval — so ok is
+// false for any other filter (another column kind, a NULL, float or
+// string constant, Ne), and when the column has no index or the matches
+// are too large a share of its rows (storage.ColData.IndexRows decides
+// those two).
+func indexRows(col *storage.ColData, f sql.Selection, with []int, runs []storage.ColData) (rows []int32, ok bool) {
 	if !useSortedIndex || col.Kind != rel.KindInt || f.Value.Kind() != rel.KindInt {
 		return nil, false
 	}
@@ -520,7 +547,7 @@ func indexRows(col *storage.ColData, f sql.Selection) (rows []int32, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	return col.IndexRows(lo, hi)
+	return col.IndexRows(lo, hi, with, runs)
 }
 
 // indexPass is the bitmap pass of an index-answered filter in a scan with

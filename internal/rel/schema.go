@@ -63,26 +63,34 @@ func (s *Schema) Len() int { return len(s.Columns) }
 // table, but the name must then be unambiguous; an error is returned for
 // unknown or ambiguous references.
 func (s *Schema) IndexOf(table, name string) (int, error) {
-	found := -1
-	for i, c := range s.Columns {
-		if c.Name != name {
-			continue
-		}
-		if table != "" && c.Table != table {
-			continue
-		}
-		if found >= 0 {
-			return -1, fmt.Errorf("rel: ambiguous column %q", name)
-		}
-		found = i
-	}
-	if found < 0 {
-		if table != "" {
-			return -1, fmt.Errorf("rel: unknown column %s.%s", table, name)
-		}
+	switch i, n := s.Lookup(table, name); {
+	case n > 1:
+		return -1, fmt.Errorf("rel: ambiguous column %q", name)
+	case n == 0 && table != "":
+		return -1, fmt.Errorf("rel: unknown column %s.%s", table, name)
+	case n == 0:
 		return -1, fmt.Errorf("rel: unknown column %q", name)
+	default:
+		return i, nil
 	}
-	return found, nil
+}
+
+// Lookup is IndexOf without an error value: matches is how many columns
+// the reference matches (it stops counting at 2), and i the position of
+// the first one, or -1 when there is none. It allocates nothing.
+func (s *Schema) Lookup(table, name string) (i, matches int) {
+	i = -1
+	for j, c := range s.Columns {
+		if c.Name != name || table != "" && c.Table != table {
+			continue
+		}
+		if matches++; matches == 1 {
+			i = j
+		} else {
+			break
+		}
+	}
+	return i, matches
 }
 
 // MustIndexOf is IndexOf for callers that have already resolved names.

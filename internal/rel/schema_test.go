@@ -39,6 +39,23 @@ func TestIndexOfUnqualified(t *testing.T) {
 	}
 }
 
+// TestLookup: Lookup finds what IndexOf finds, counts up to two matches
+// and allocates nothing, a miss included.
+func TestLookup(t *testing.T) {
+	s := testSchema()
+	for _, c := range []struct {
+		table, name string
+		i, matches  int
+	}{{"t", "a", 0, 1}, {"u", "a", 2, 1}, {"", "b", 1, 1}, {"", "a", 0, 2}, {"", "zzz", -1, 0}, {"t", "zzz", -1, 0}} {
+		if i, n := s.Lookup(c.table, c.name); i != c.i || n != c.matches {
+			t.Errorf("%s.%s: position %d, %d matches; want %d, %d", c.table, c.name, i, n, c.i, c.matches)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { s.Lookup("t", "zzz") }); allocs != 0 {
+		t.Errorf("a missed lookup allocates %v times", allocs)
+	}
+}
+
 func TestMustIndexOfPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -279,7 +279,7 @@ func (p *parser) resolveCol(c ColRef) (ColRef, error) {
 			if err != nil {
 				return ColRef{}, err
 			}
-			if _, err := t.Schema().IndexOf(ref.Name, c.Column); err != nil {
+			if _, n := t.Schema().Lookup(ref.Name, c.Column); n != 1 {
 				return ColRef{}, fmt.Errorf("sql: table %q has no column %q", ref.Name, c.Column)
 			}
 		}
@@ -296,7 +296,7 @@ func (p *parser) resolveCol(c ColRef) (ColRef, error) {
 		if err != nil {
 			return ColRef{}, err
 		}
-		if _, err := t.Schema().IndexOf(ref.Name, c.Column); err == nil {
+		if _, n := t.Schema().Lookup(ref.Name, c.Column); n == 1 {
 			match = ColRef{Table: ref.Alias, Column: c.Column}
 			found++
 		}

@@ -137,6 +137,26 @@ func (c *ColData) Gather(src *ColData, sel []int32, lo, hi, off int) {
 	}
 }
 
+// slice is rows [a, b) of the column as a view sharing its storage, with
+// no NullWords and no index.
+func (c *ColData) slice(a, b int) ColData {
+	v := ColData{Kind: c.Kind}
+	switch {
+	case c.Vals != nil:
+		v.Vals = c.Vals[a:b:b]
+	case c.Kind == rel.KindFloat:
+		v.Floats = c.Floats[a:b:b]
+	case c.Kind == rel.KindString:
+		v.Strs = c.Strs[a:b:b]
+	default:
+		v.Ints = c.Ints[a:b:b]
+	}
+	if c.Nulls != nil {
+		v.Nulls = c.Nulls[a:b:b]
+	}
+	return v
+}
+
 // BuildNullWords derives NullWords from Nulls over the whole column (a
 // no-op without NULL marking). Single writer: adjacent rows share a word.
 func (c *ColData) BuildNullWords() {
@@ -244,7 +264,7 @@ func BuildColStore(t *Table) *ColStore {
 		col := &cs.cols[pos]
 		*col = buildColumn(t.rows, pos)
 		col.BuildNullWords()
-		col.attachIndex()
+		col.attachIndex(cs.cols)
 	}
 	return cs
 }

@@ -2,7 +2,8 @@ package storage
 
 // One sorted permutation per column: sortedPerm orders an int64 column's
 // non-NULL row ids by (value, row id) with a radix sort, and it has three
-// callers — the sorted sample index below (IndexRows), and through
+// callers — the sorted sample index below (IndexRows, with its ordered
+// copies of the columns scans read at its answers), and through
 // ColumnRuns both ANALYZE (stats.AnalyzeColumn) and the bulk build of a
 // secondary index's hash directory (CreateIndex), which read the
 // permutation as runs of equal values.
@@ -51,32 +52,62 @@ const (
 
 // sortedIndex is the sorted sample index of one int64 ColStore column:
 // the column's non-NULL row ids in ascending (value, row id) order, built
-// once, on the first range lookup, and immutable after.
+// once, on the first range lookup, and immutable after. Beside it the
+// index keeps, for each column of the same store a lookup has asked for,
+// an ordered copy: that column's values in perm's order, so a scan reads
+// the run of its boundary columns an answer selects front to back instead
+// of at scattered row ids. Each copy is built once, on the first lookup
+// that asks for it, and lives — like perm — as long as the sample.
 type sortedIndex struct {
+	once   sync.Once
+	perm   []int32
+	cols   []ColData     // the owning store's columns
+	copies []orderedCopy // one slot per column of cols
+}
+
+// orderedCopy is one column of the store in its index's perm order.
+type orderedCopy struct {
 	once sync.Once
-	perm []int32
+	col  ColData
+}
+
+// newSortedIndex is an unbuilt index over one of cols.
+func newSortedIndex(cols []ColData) *sortedIndex {
+	return &sortedIndex{cols: cols, copies: make([]orderedCopy, len(cols))}
 }
 
 // attachIndex gives a store-owned column its (still unbuilt) index
-// when it is an int64 column of at least indexMinRows rows. Columns made
-// by NewLike never pass through here: intermediate results are not
-// indexed.
-func (c *ColData) attachIndex() {
+// when it is an int64 column of at least indexMinRows rows; cols are the
+// store's columns, which its ordered copies are taken of. Columns made by
+// NewLike never pass through here: intermediate results are not indexed.
+func (c *ColData) attachIndex(cols []ColData) {
 	if c.Kind == rel.KindInt && len(c.Ints) >= indexMinRows {
-		c.idx = new(sortedIndex)
+		c.idx = newSortedIndex(cols)
 	}
 }
 
-// rows returns the column's rows whose non-NULL value lies in [lo, hi]
-// (none when lo > hi), in ascending (value, row id) order, building the
-// permutation on first use: two binary searches, time proportional to
-// the answer rather than the column.
-func (ix *sortedIndex) rows(c *ColData, lo, hi int64) []int32 {
+// span returns the run perm[a:b] of the column's rows whose non-NULL
+// value lies in [lo, hi] (empty when lo > hi), in ascending (value, row
+// id) order, building the permutation on first use: two binary searches,
+// time proportional to the answer rather than the column.
+func (ix *sortedIndex) span(c *ColData, lo, hi int64) (a, b int) {
 	ix.once.Do(func() { ix.perm = sortedPerm(c.Ints, c.Nulls) })
 	perm, vals := ix.perm, c.Ints
-	a := sort.Search(len(perm), func(i int) bool { return vals[perm[i]] >= lo })
-	b := a + sort.Search(len(perm)-a, func(i int) bool { return vals[perm[a+i]] > hi })
-	return perm[a:b:b]
+	a = sort.Search(len(perm), func(i int) bool { return vals[perm[i]] >= lo })
+	b = a + sort.Search(len(perm)-a, func(i int) bool { return vals[perm[a+i]] > hi })
+	return a, b
+}
+
+// ordered returns column pos of the store in perm's order, gathering it
+// on first use. perm must be built.
+func (ix *sortedIndex) ordered(pos int) *ColData {
+	oc := &ix.copies[pos]
+	oc.once.Do(func() {
+		src := &ix.cols[pos]
+		oc.col = src.NewLike(len(ix.perm))
+		oc.col.Gather(src, ix.perm, 0, len(ix.perm), 0)
+	})
+	return &oc.col
 }
 
 // IndexRows answers `lo <= v <= hi AND v IS NOT NULL` over the whole
@@ -86,15 +117,24 @@ func (ix *sortedIndex) rows(c *ColData, lo, hi int64) []int32 {
 // caller must not write to it. ok is false — the caller then scans — when
 // the column has no index or the matches exceed 1/indexMaxShare of its
 // rows.
-func (c *ColData) IndexRows(lo, hi int64) (rows []int32, ok bool) {
+//
+// with names columns of the ColStore that owns c, by position; when ok,
+// runs[k] is column with[k] at the answered rows, in the same order —
+// byte for byte what gathering it at rows makes — read off the column's
+// ordered copy as one contiguous run. runs must hold len(with) columns;
+// the runs share the copies' storage and must not be written to.
+func (c *ColData) IndexRows(lo, hi int64, with []int, runs []ColData) (rows []int32, ok bool) {
 	if c.idx == nil {
 		return nil, false
 	}
-	rows = c.idx.rows(c, lo, hi)
-	if len(rows)*indexMaxShare > len(c.Ints) {
+	a, b := c.idx.span(c, lo, hi)
+	if (b-a)*indexMaxShare > len(c.Ints) {
 		return nil, false
 	}
-	return rows, true
+	for k, pos := range with {
+		runs[k] = c.idx.ordered(pos).slice(a, b)
+	}
+	return c.idx.perm[a:b:b], true
 }
 
 // sortedPerm returns the non-NULL row ids of vals in ascending (value,

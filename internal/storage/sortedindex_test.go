@@ -81,18 +81,75 @@ func TestSortedPermOrder(t *testing.T) {
 	}
 }
 
-// indexAgainstKernel asks column c's index for [lo, hi] and checks the
+// boundaryTable is intTable's column v beside four columns a scan may
+// carry as boundary columns, one of each kind the ordered copies must
+// reproduce byte for byte: n int64 with NULLs, f float64 with two NaN
+// payloads, ±0, an infinity and NULLs, s string, and m mixing kinds.
+func boundaryTable(n int, val func(i int) rel.Value) *Table {
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	floats := []float64{math.NaN(), nan2, 0, math.Copysign(0, -1), 1.5, math.Inf(-1)}
+	tab := NewTable("t", rel.NewSchema(
+		rel.Column{Name: "v", Kind: rel.KindInt}, rel.Column{Name: "n", Kind: rel.KindInt},
+		rel.Column{Name: "f", Kind: rel.KindFloat}, rel.Column{Name: "s", Kind: rel.KindString},
+		rel.Column{Name: "m", Kind: rel.KindInt}))
+	for i := 0; i < n; i++ {
+		nv, fv := rel.Int(int64(i%40-20)), rel.Float(floats[i%len(floats)])
+		if i%9 == 4 {
+			nv = rel.Null
+		}
+		if i%11 == 5 {
+			fv = rel.Null
+		}
+		mv := []rel.Value{rel.Int(int64(i % 5)), rel.String_(fmt.Sprint("m", i%3)), rel.Float(0.5), rel.Null}[i%4]
+		tab.MustAppend(rel.Row{val(i), nv, fv, rel.String_(fmt.Sprint("s", i%17)), mv})
+	}
+	return tab
+}
+
+// sameBytes reports whether two columns hold the same kind, length and
+// bytes: floats by bit pattern, NULL markings alike, mixed-kind cells by
+// kind and payload.
+func sameBytes(a, b *ColData) bool {
+	fbits := func(fs []float64) []uint64 {
+		out := make([]uint64, len(fs))
+		for i, f := range fs {
+			out[i] = math.Float64bits(f)
+		}
+		return out
+	}
+	if a.Kind != b.Kind || !slices.Equal(a.Ints, b.Ints) || !slices.Equal(fbits(a.Floats), fbits(b.Floats)) ||
+		!slices.Equal(a.Strs, b.Strs) || !slices.Equal(a.Nulls, b.Nulls) || len(a.Vals) != len(b.Vals) {
+		return false
+	}
+	for i, v := range a.Vals {
+		w := b.Vals[i]
+		if v.Kind() != w.Kind() || v.Kind() == rel.KindFloat && math.Float64bits(v.AsFloat()) != math.Float64bits(w.AsFloat()) ||
+			v.Kind() != rel.KindFloat && v != w {
+			return false
+		}
+	}
+	return true
+}
+
+// indexAgainstKernel asks column 0 of cs for [lo, hi] and checks the
 // answer against the scan it replaces: the index answers exactly when the
 // kernel's matches are at most 1/indexMaxShare of the rows, and then with
 // exactly the kernel's rows, each once, in ascending (value, row id)
-// order.
-func indexAgainstKernel(c *ColData, lo, hi int64) (answered bool, err error) {
+// order. The lookup asks for the run of every column of cs, column 0
+// included; each must be, byte for byte, the column gathered at the rows.
+func indexAgainstKernel(cs *ColStore, lo, hi int64) (answered bool, err error) {
+	c := cs.Col(0)
 	want := kernelWords(c, lo, hi)
 	matches := 0
 	for _, w := range want {
 		matches += bits.OnesCount64(w)
 	}
-	rows, ok := c.IndexRows(lo, hi)
+	with := make([]int, len(cs.cols))
+	for k := range with {
+		with[k] = len(with) - 1 - k
+	}
+	runs := make([]ColData, len(with))
+	rows, ok := c.IndexRows(lo, hi, with, runs)
 	if selective := matches*indexMaxShare <= len(c.Ints); ok != selective {
 		return ok, fmt.Errorf("[%d, %d] matches %d of %d rows: answered by the index = %v", lo, hi, matches, len(c.Ints), ok)
 	}
@@ -111,6 +168,14 @@ func indexAgainstKernel(c *ColData, lo, hi int64) (answered bool, err error) {
 	if len(rows) != matches || !slices.Equal(got, want) {
 		return true, fmt.Errorf("[%d, %d]: the index's %d rows differ from the kernel's %d", lo, hi, len(rows), matches)
 	}
+	for k, pos := range with {
+		src := cs.Col(pos)
+		gathered := src.NewLike(len(rows))
+		gathered.Gather(src, rows, 0, len(rows), 0)
+		if !sameBytes(&runs[k], &gathered) {
+			return true, fmt.Errorf("[%d, %d]: column %d's run differs from the column gathered at the index's rows", lo, hi, pos)
+		}
+	}
 	return true, nil
 }
 
@@ -121,7 +186,8 @@ func indexAgainstKernel(c *ColData, lo, hi int64) (answered bool, err error) {
 // rows, the whole column included.
 func TestIndexRowsMatchKernel(t *testing.T) {
 	const n = 3*indexMinRows + 17 // a ragged last word
-	c := BuildColStore(intTable(n, edgeValue)).Col(0)
+	cs := BuildColStore(boundaryTable(n, edgeValue))
+	c := cs.Col(0)
 	if c.idx == nil || c.Nulls == nil {
 		t.Fatal("the test column must be indexed and carry NULLs")
 	}
@@ -134,7 +200,7 @@ func TestIndexRowsMatchKernel(t *testing.T) {
 	}
 	answered, declined := 0, 0
 	for _, r := range ranges {
-		ok, err := indexAgainstKernel(c, r[0], r[1])
+		ok, err := indexAgainstKernel(cs, r[0], r[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,8 +217,8 @@ func TestIndexRowsMatchKernel(t *testing.T) {
 	// answered, one matching one row more than half is not.
 	parity := func(i int) rel.Value { return rel.Int(int64(i % 2)) }
 	for n, want := range map[int]bool{2 * indexMinRows: true, 2*indexMinRows - 1: false} {
-		c := BuildColStore(intTable(n, parity)).Col(0)
-		if ok, err := indexAgainstKernel(c, 0, 0); err != nil || ok != want {
+		cs := BuildColStore(intTable(n, parity))
+		if ok, err := indexAgainstKernel(cs, 0, 0); err != nil || ok != want {
 			t.Fatalf("%d rows, %d of them 0: answered %v, want %v (%v)", n, (n+1)/2, ok, want, err)
 		}
 	}
@@ -163,7 +229,10 @@ func TestIndexRowsMatchKernel(t *testing.T) {
 // draw from [0, span] (wrapping, so any int64 range is reachable; a small
 // span makes duplicates), a NULL about every nullEvery rows and an int64
 // extreme about every edgeEvery (0: never), in random row order; the
-// interval is [base+dlo, base+dhi], likewise wrapping.
+// interval is [base+dlo, base+dhi], likewise wrapping. The column sits in
+// boundaryTable's store, so every answer also checks the ordered copies
+// of an int column with NULLs, a float column with NaN payloads and ±0, a
+// string column and a mixed-kind one.
 func FuzzIndexedSelection(f *testing.F) {
 	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
 	f.Add(int64(1), uint16(0), int64(0), uint64(2000), uint8(7), uint8(100), int64(100), int64(120))
@@ -176,7 +245,7 @@ func FuzzIndexedSelection(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, extra uint16, base int64, span uint64, nullEvery, edgeEvery uint8, dlo, dhi int64) {
 		rng := rand.New(rand.NewSource(seed))
 		n := indexMinRows + int(extra%indexMinRows)
-		c := BuildColStore(intTable(n, func(int) rel.Value {
+		cs := BuildColStore(boundaryTable(n, func(int) rel.Value {
 			switch {
 			case nullEvery > 0 && rng.Intn(int(nullEvery)) == 0:
 				return rel.Null
@@ -186,11 +255,11 @@ func FuzzIndexedSelection(f *testing.F) {
 				return rel.Int(base + int64(rng.Uint64()))
 			}
 			return rel.Int(base + int64(rng.Uint64()%(span+1)))
-		})).Col(0)
-		if c.idx == nil {
+		}))
+		if cs.Col(0).idx == nil {
 			t.Fatalf("a %d-row int64 column must be indexed", n)
 		}
-		if _, err := indexAgainstKernel(c, base+dlo, base+dhi); err != nil {
+		if _, err := indexAgainstKernel(cs, base+dlo, base+dhi); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -201,16 +270,17 @@ func FuzzIndexedSelection(f *testing.F) {
 func TestIndexSizeCutoff(t *testing.T) {
 	val := func(i int) rel.Value { return rel.Int(int64(i % 500)) }
 	for _, n := range []int{600, indexMinRows - 1, indexMinRows, indexMinRows + 1} {
-		c := BuildColStore(intTable(n, val)).Col(0)
-		_, got := c.IndexRows(10, 12)
+		cs := BuildColStore(intTable(n, val))
+		c := cs.Col(0)
+		_, got := c.IndexRows(10, 12, nil, nil)
 		if indexed := n >= indexMinRows; (c.idx != nil) != indexed || got != indexed {
 			t.Errorf("%d rows: index slot %v, range answered %v; want both %v", n, c.idx != nil, got, indexed)
 		}
-		if _, err := indexAgainstKernel(c, 10, 12); got && err != nil {
+		if _, err := indexAgainstKernel(cs, 10, 12); got && err != nil {
 			t.Errorf("%d rows: %v", n, err)
 		}
 		like := c.NewLike(n)
-		if _, ok := like.IndexRows(10, 12); like.idx != nil || ok {
+		if _, ok := like.IndexRows(10, 12, nil, nil); like.idx != nil || ok {
 			t.Errorf("%d rows: a NewLike column must not be indexed", n)
 		}
 	}
@@ -224,7 +294,8 @@ func TestIndexSizeCutoff(t *testing.T) {
 // TestIndexLazyBuildRace: goroutines racing the first lookup all read one
 // permutation — the build ran once (run under -race).
 func TestIndexLazyBuildRace(t *testing.T) {
-	c := BuildColStore(intTable(2*indexMinRows, edgeValue)).Col(0)
+	cs := BuildColStore(intTable(2*indexMinRows, edgeValue))
+	c := cs.Col(0)
 	if c.idx.perm != nil {
 		t.Fatal("the index must not be built before its first use")
 	}
@@ -237,7 +308,7 @@ func TestIndexLazyBuildRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			if ok, err := indexAgainstKernel(c, 100, 120); !ok || err != nil {
+			if ok, err := indexAgainstKernel(cs, 100, 120); !ok || err != nil {
 				t.Errorf("racer %d: answered %v: %v", g, ok, err)
 			}
 			perms[g] = &c.idx.perm[0]
@@ -248,6 +319,57 @@ func TestIndexLazyBuildRace(t *testing.T) {
 	for g := range perms {
 		if perms[g] != perms[0] {
 			t.Fatalf("racer %d saw a different permutation: the index was built more than once", g)
+		}
+	}
+}
+
+// TestOrderedCopyLazyBuildRace: goroutines racing the first lookup that
+// asks for one column's ordered copy, over an index already built, all
+// read one copy — it was gathered once — and each run is the column at
+// the answered rows (run under -race).
+func TestOrderedCopyLazyBuildRace(t *testing.T) {
+	cs := BuildColStore(boundaryTable(2*indexMinRows, edgeValue))
+	c := cs.Col(0)
+	if _, ok := c.IndexRows(100, 120, nil, nil); !ok {
+		t.Fatal("the index must answer [100, 120]")
+	}
+	if c.idx.perm == nil || c.idx.copies[2].col.Floats != nil {
+		t.Fatal("a lookup asking for no column must build the permutation and no copy")
+	}
+	const racers = 4
+	copies := make([]*float64, racers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < racers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			runs := make([]ColData, 1)
+			rows, ok := c.IndexRows(100, 120, []int{2}, runs)
+			if !ok || len(rows) == 0 {
+				t.Errorf("racer %d: answered %v with %d rows", g, ok, len(rows))
+				return
+			}
+			gathered := cs.Col(2).NewLike(len(rows))
+			gathered.Gather(cs.Col(2), rows, 0, len(rows), 0)
+			if !sameBytes(&runs[0], &gathered) {
+				t.Errorf("racer %d: the run differs from the column gathered at the rows", g)
+			}
+			copies[g] = &c.idx.copies[2].col.Floats[0]
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g := range copies {
+		if copies[g] != copies[0] {
+			t.Fatalf("racer %d saw a different copy: it was gathered more than once", g)
+		}
+	}
+	for pos := range c.idx.copies {
+		cp := &c.idx.copies[pos].col
+		if built := cp.Ints != nil || cp.Floats != nil || cp.Strs != nil || cp.Vals != nil; built != (pos == 2) {
+			t.Errorf("column %d's copy built = %v: only the column asked for may have one", pos, built)
 		}
 	}
 }

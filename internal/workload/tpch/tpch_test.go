@@ -1,11 +1,13 @@
 package tpch
 
 import (
+	"math/rand"
 	"testing"
 
 	"reopt/internal/core"
 	"reopt/internal/executor"
 	"reopt/internal/optimizer"
+	"reopt/internal/sql"
 )
 
 func TestGenerateSizes(t *testing.T) {
@@ -123,5 +125,34 @@ func TestAllTemplatesEndToEnd(t *testing.T) {
 				t.Errorf("z=%v Q%d: %d plans (paper: <10 for all queries)", z, id, res.NumPlans)
 			}
 		}
+	}
+}
+
+// TestParseAllocations bounds what parsing the TPC-H templates allocates:
+// resolving an unqualified column tries every FROM table, and a table
+// lacking the column must cost a failed lookup, not a formatted error.
+// Resolution that built one error per miss averaged ~123 allocations a
+// parse over the 21 templates; it now averages ~35.
+func TestParseAllocations(t *testing.T) {
+	cat, err := Generate(Config{Customers: 200, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var texts []string
+	for _, tpl := range Templates() {
+		texts = append(texts, tpl.Gen(rng))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, text := range texts {
+			if _, err := sql.Parse(text, cat); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	perParse := allocs / float64(len(texts))
+	t.Logf("%.1f allocations a parse", perParse)
+	if perParse > 60 {
+		t.Fatalf("%.1f allocations a parse, want at most 60", perParse)
 	}
 }
