@@ -48,14 +48,7 @@ func TestOptimizerPlansFitSkeleton(t *testing.T) {
 
 	ws := benchShapedWorkloads(t)
 	tpchW := &ws[len(ws)-1]
-	for _, src := range []string{
-		`SELECT COUNT(*) FROM customer, orders, nation
-		 WHERE c_custkey = o_custkey AND c_nationkey = n_nationkey
-		 GROUP BY n_name`,
-		`SELECT COUNT(*) FROM lineitem, orders
-		 WHERE l_orderkey = o_orderkey AND o_orderstatus = 'F'
-		 GROUP BY o_orderpriority ORDER BY o_orderpriority LIMIT 3`,
-	} {
+	for _, src := range groupBySQL {
 		tpchW.queries = append(tpchW.queries, mustParse(t, src, tpchW.cat))
 	}
 	smallW := &ws[0]
@@ -109,6 +102,17 @@ func TestOptimizerPlansFitSkeleton(t *testing.T) {
 		t.Fatalf("only %d plans checked over %d queries", checked, queries)
 	}
 	t.Logf("%d validated plans of %d queries fit the skeleton", checked, queries)
+}
+
+// groupBySQL are GROUP BY queries over the tpch_batch catalog of
+// benchShapedWorkloads, whose plans end in a hash aggregate.
+var groupBySQL = []string{
+	`SELECT COUNT(*) FROM customer, orders, nation
+	 WHERE c_custkey = o_custkey AND c_nationkey = n_nationkey
+	 GROUP BY n_name`,
+	`SELECT COUNT(*) FROM lineitem, orders
+	 WHERE l_orderkey = o_orderkey AND o_orderstatus = 'F'
+	 GROUP BY o_orderpriority ORDER BY o_orderpriority LIMIT 3`,
 }
 
 func mustParse(t *testing.T, src string, cat *catalog.Catalog) *sql.Query {

@@ -2,7 +2,6 @@ package executor
 
 import (
 	"fmt"
-	"strings"
 
 	"reopt/internal/plan"
 )
@@ -10,39 +9,28 @@ import (
 // ExplainAnalyze renders the plan with both the optimizer's estimated
 // rows and the actual rows each node produced in the given run — the
 // diagnostic view that makes cardinality estimation errors visible (the
-// errors the re-optimizer exists to fix).
+// errors the re-optimizer exists to fix). It is plan.Explain with each
+// operator's line annotated.
 func ExplainAnalyze(p *plan.Plan, res *Result) string {
-	var sb strings.Builder
-	explainAnalyzeNode(&sb, p.Root, res, 0)
-	fmt.Fprintf(&sb, "Execution: %d rows in %v; %d seq pages, %d random pages, %d tuples, %d operator evals\n",
-		res.Count, res.Duration,
-		res.Counters.SeqPages, res.Counters.RandPages,
-		res.Counters.Tuples, res.Counters.OperatorEvals)
-	return sb.String()
+	return p.Explain(func(n plan.Node) string { return actualRows(n, res) }) +
+		fmt.Sprintf("Execution: %d rows in %v; %d seq pages, %d random pages, %d tuples, %d operator evals\n",
+			res.Count, res.Duration,
+			res.Counters.SeqPages, res.Counters.RandPages,
+			res.Counters.Tuples, res.Counters.OperatorEvals)
 }
 
-func explainAnalyzeNode(sb *strings.Builder, n plan.Node, res *Result, depth int) {
-	indent := strings.Repeat("  ", depth)
-	actual := res.NodeRows[n]
-	est := n.EstRows()
-	errFactor := ""
+// actualRows is a node's EXPLAIN ANALYZE annotation: the rows it
+// produced in res, flagged when the estimate is off by 10x or more.
+func actualRows(n plan.Node, res *Result) string {
+	actual, est := res.NodeRows[n], n.EstRows()
+	note := fmt.Sprintf("  (actual=%d)", actual)
 	if actual > 0 && est > 0 {
-		ratio := float64(actual) / est
-		switch {
+		switch ratio := float64(actual) / est; {
 		case ratio >= 10:
-			errFactor = fmt.Sprintf("  [underestimated %.0fx]", ratio)
+			note += fmt.Sprintf("  [underestimated %.0fx]", ratio)
 		case ratio <= 0.1:
-			errFactor = fmt.Sprintf("  [overestimated %.0fx]", 1/ratio)
+			note += fmt.Sprintf("  [overestimated %.0fx]", 1/ratio)
 		}
 	}
-	switch t := n.(type) {
-	case *plan.ScanNode:
-		fmt.Fprintf(sb, "%s%s on %s (est=%.1f actual=%d)%s\n",
-			indent, t.Access, t.Table, est, actual, errFactor)
-	case *plan.JoinNode:
-		fmt.Fprintf(sb, "%s%s (est=%.1f actual=%d)%s\n",
-			indent, t.Kind, est, actual, errFactor)
-		explainAnalyzeNode(sb, t.Left, res, depth+1)
-		explainAnalyzeNode(sb, t.Right, res, depth+1)
-	}
+	return note
 }

@@ -69,18 +69,19 @@ func skelScan(cat *catalog.Catalog, q *sql.Query, alias string) *plan.ScanNode {
 	}
 }
 
+// skelJoin hash-joins l and r on every predicate of q connecting them.
 func skelJoin(q *sql.Query, l, r plan.Node) *plan.JoinNode {
-	lset := map[string]bool{}
-	for _, a := range l.Aliases() {
-		lset[a] = true
-	}
-	rset := map[string]bool{}
-	for _, a := range r.Aliases() {
-		rset[a] = true
+	la, ra := l.Aliases(), r.Aliases()
+	var preds []sql.JoinPred
+	for _, j := range q.Joins {
+		if slices.Contains(la, j.Left.Table) && slices.Contains(ra, j.Right.Table) ||
+			slices.Contains(la, j.Right.Table) && slices.Contains(ra, j.Left.Table) {
+			preds = append(preds, j)
+		}
 	}
 	return &plan.JoinNode{
 		Kind: plan.HashJoin, Left: l, Right: r,
-		Preds:     q.JoinsBetween(lset, rset),
+		Preds:     preds,
 		OutSchema: l.Schema().Concat(r.Schema()),
 	}
 }

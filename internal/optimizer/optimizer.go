@@ -86,11 +86,9 @@ func (o *Optimizer) Optimize(q *sql.Query, gamma *Gamma) (*plan.Plan, error) {
 }
 
 // addAggregate wraps the join tree in a hash aggregate for GROUP BY
-// queries. The group count estimate multiplies the grouping columns'
-// distinct counts (AVI again), capped by the input cardinality.
+// queries, estimated by priceAggregate.
 func (p *Planner) addAggregate(root plan.Node) (*plan.AggregateNode, error) {
 	schema := root.Schema()
-	groups := 1.0
 	outCols := make([]rel.Column, 0, len(p.q.GroupBy)+1)
 	for _, c := range p.q.GroupBy {
 		j, err := schema.IndexOf(c.Table, c.Column)
@@ -98,26 +96,28 @@ func (p *Planner) addAggregate(root plan.Node) (*plan.AggregateNode, error) {
 			return nil, fmt.Errorf("optimizer: GROUP BY %s: %v", c, err)
 		}
 		outCols = append(outCols, schema.Columns[j])
+	}
+	outCols = append(outCols, rel.Column{Table: "", Name: "count", Kind: rel.KindInt})
+	agg := &plan.AggregateNode{GroupBy: p.q.GroupBy, Child: root, OutSchema: rel.NewSchema(outCols...)}
+	agg.Rows, agg.CostVal = p.priceAggregate(agg.GroupBy, root)
+	return agg, nil
+}
+
+// priceAggregate estimates a hash aggregate of child, for addAggregate
+// and Recost: the grouping columns' distinct counts multiplied (AVI
+// again), capped by the input cardinality; an operator per input row
+// and a tuple per group.
+func (p *Planner) priceAggregate(groupBy []sql.ColRef, child plan.Node) (rows, cost float64) {
+	rows = 1.0
+	for _, c := range groupBy {
 		if i, ok := p.aliasIdx[c.Table]; ok {
 			if cs := p.o.cat.ColumnStats(p.leaves[i].ref.Name, c.Column); cs != nil && cs.NumDistinct > 0 {
-				groups *= float64(cs.NumDistinct)
+				rows *= float64(cs.NumDistinct)
 			}
 		}
 	}
-	outCols = append(outCols, rel.Column{Table: "", Name: "count", Kind: rel.KindInt})
-	inRows := root.EstRows()
-	if groups > inRows {
-		groups = inRows
-	}
-	if groups < 1 {
-		groups = 1
-	}
+	inRows := child.EstRows()
+	rows = max(min(rows, inRows), 1)
 	u := p.o.model.U
-	return &plan.AggregateNode{
-		GroupBy:   p.q.GroupBy,
-		Child:     root,
-		OutSchema: rel.NewSchema(outCols...),
-		Rows:      groups,
-		CostVal:   root.Cost() + inRows*u.CPUOperator + groups*u.CPUTuple,
-	}, nil
+	return rows, child.Cost() + inRows*u.CPUOperator + rows*u.CPUTuple
 }

@@ -250,31 +250,40 @@ func (o *Optimizer) leafRows(lf *leaf) float64 {
 	return float64(lf.table.NumRows()) * sel
 }
 
-// chooseScan picks the cheapest access path for a leaf. Scan costs do
-// not depend on Γ (only the output estimate does), so the choice holds
+// chooseScan picks the cheapest access path for a leaf: the sequential
+// scan, or an index scan on the column of one of its filters. Scan costs
+// do not depend on Γ (only the output estimate does), so the choice holds
 // for the planner's lifetime.
 func (o *Optimizer) chooseScan(lf *leaf) {
-	baseRows := float64(lf.table.NumRows())
 	lf.access, lf.indexCol = plan.SeqScan, ""
-	lf.cost = o.model.SeqScan(float64(lf.table.NumPages()), baseRows, len(lf.filters))
-	// Index scans: one candidate per equality filter on an indexed
-	// column. The index returns rows matching this one filter; the
-	// residual filters are applied on fetched rows.
+	lf.cost, _ = o.accessCost(lf, plan.SeqScan, "")
 	for _, f := range lf.filters {
-		if f.Op != sql.OpEq {
-			continue
-		}
-		idx := lf.table.Index(f.Col.Column)
-		if idx == nil {
-			continue
-		}
-		matchRows := baseRows * o.selectionSel(lf.ref.Name, f)
-		if c := o.model.IndexProbe(idx.Height(), matchRows, len(lf.filters)-1); c < lf.cost {
+		if c, ok := o.accessCost(lf, plan.IndexScan, f.Col.Column); ok && c < lf.cost {
 			lf.access, lf.indexCol, lf.cost = plan.IndexScan, f.Col.Column, c
 		}
 	}
 	lf.fp = (&plan.ScanNode{Alias: lf.ref.Alias, Table: lf.ref.Name, Filters: lf.filters,
 		Access: lf.access, IndexColumn: lf.indexCol}).Fingerprint()
+}
+
+// accessCost prices one access path of a leaf, for chooseScan and Recost:
+// a sequential scan filters every row; an index scan on col fetches the
+// rows of the first equality filter on col and applies the other filters
+// to them; ok is false unless col has both an index and such a filter.
+func (o *Optimizer) accessCost(lf *leaf, access plan.AccessKind, col string) (cost float64, ok bool) {
+	baseRows := float64(lf.table.NumRows())
+	if access != plan.IndexScan {
+		return o.model.SeqScan(float64(lf.table.NumPages()), baseRows, len(lf.filters)), true
+	}
+	if idx := lf.table.Index(col); idx != nil {
+		for _, f := range lf.filters {
+			if f.Op == sql.OpEq && f.Col.Column == col {
+				matchRows := baseRows * o.selectionSel(lf.ref.Name, f)
+				return o.model.IndexProbe(idx.Height(), matchRows, len(lf.filters)-1), true
+			}
+		}
+	}
+	return 0, false
 }
 
 // selectionSel estimates one local predicate's selectivity from stats.
@@ -400,14 +409,13 @@ func (p *Planner) crossing(a, b uint64) (n int) {
 // keep the earlier candidate: hash, merge, nested loop, then one index
 // nested loop per probe-able predicate in query order.
 func (p *Planner) priceJoin(lm, rm uint64, lcost, rcost, lrows, rrows, outRows float64) (cost float64, kind plan.JoinKind, probe int) {
-	m := p.o.model
 	npreds := p.crossing(lm, rm)
-	nl := m.NestLoop(lcost, rcost, lrows, rrows, npreds, outRows)
+	nl := p.operatorCost(plan.NestedLoop, lcost, rcost, lrows, rrows, npreds, outRows)
 	if npreds == 0 {
 		return nl, plan.NestedLoop, -1
 	}
-	cost, kind, probe = m.HashJoin(lcost, rcost, lrows, rrows, npreds, outRows), plan.HashJoin, -1
-	if c := m.MergeJoin(lcost, rcost, lrows, rrows, outRows); c < cost {
+	cost, kind, probe = p.operatorCost(plan.HashJoin, lcost, rcost, lrows, rrows, npreds, outRows), plan.HashJoin, -1
+	if c := p.operatorCost(plan.MergeJoin, lcost, rcost, lrows, rrows, npreds, outRows); c < cost {
 		cost, kind = c, plan.MergeJoin
 	}
 	if nl < cost {
@@ -423,12 +431,28 @@ func (p *Planner) priceJoin(lm, rm uint64, lcost, rcost, lrows, rrows, outRows f
 			continue
 		}
 		if pc, _, ok := p.probeCost(&p.edges[i], rm, npreds); ok {
-			if c := m.IndexNestLoop(lcost, lrows, pc, outRows); c < cost {
+			if c := p.operatorCost(plan.IndexNestedLoop, lcost, pc, lrows, rrows, npreds, outRows); c < cost {
 				cost, kind, probe = c, plan.IndexNestedLoop, i
 			}
 		}
 	}
 	return cost, kind, probe
+}
+
+// operatorCost prices one physical join of two priced inputs, for
+// priceJoin and Recost. The inner input of an index nested loop is one
+// index probe, so its rcost is probeCost's.
+func (p *Planner) operatorCost(kind plan.JoinKind, lcost, rcost, lrows, rrows float64, npreds int, outRows float64) float64 {
+	m := p.o.model
+	switch kind {
+	case plan.HashJoin:
+		return m.HashJoin(lcost, rcost, lrows, rrows, npreds, outRows)
+	case plan.MergeJoin:
+		return m.MergeJoin(lcost, rcost, lrows, rrows, outRows)
+	case plan.IndexNestedLoop:
+		return m.IndexNestLoop(lcost, lrows, rcost, outRows)
+	}
+	return m.NestLoop(lcost, rcost, lrows, rrows, npreds, outRows)
 }
 
 // probeCost prices one index probe into the single relation rm through

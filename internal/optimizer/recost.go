@@ -51,31 +51,37 @@ func (o *Optimizer) EstimateCardinality(q *sql.Query, aliases []string) (float64
 	return p.estimate(mask, false), nil
 }
 
+// recostNode re-derives a subtree's estimates with the planner's pricers
+// (accessCost, operatorCost, probeCost, priceAggregate) and returns the
+// copy and its relation set.
 func (p *Planner) recostNode(n plan.Node) (plan.Node, uint64, error) {
 	switch t := n.(type) {
 	case *plan.ScanNode:
-		i, ok := p.aliasIdx[t.Alias]
-		if !ok {
-			return nil, 0, fmt.Errorf("optimizer: plan alias %q not in query", t.Alias)
+		i, known := p.aliasIdx[t.Alias]
+		cost, ok := p.o.accessCost(&p.leaves[i], t.Access, t.IndexColumn)
+		if !known || !ok {
+			return nil, 0, fmt.Errorf("optimizer: %s is not an access path of the query", t.Fingerprint())
 		}
-		mask := uint64(1) << uint(i)
 		c := *t
-		c.Rows = p.card(mask)
-		c.CostVal = p.scanCost(&c, i)
-		return &c, mask, nil
+		c.Rows, c.CostVal = p.card(1<<uint(i)), cost
+		return &c, 1 << uint(i), nil
 	case *plan.JoinNode:
 		left, lm, err := p.recostNode(t.Left)
 		if err != nil {
 			return nil, 0, err
 		}
-		right, rm, err := p.recostNode(t.Right)
+		right, rm := plan.Node(nil), uint64(0)
+		if t.Kind == plan.IndexNestedLoop {
+			right, rm, err = p.recostProbe(t, lm)
+		} else {
+			right, rm, err = p.recostNode(t.Right)
+		}
 		if err != nil {
 			return nil, 0, err
 		}
 		c := *t
-		c.Left, c.Right = left, right
-		c.Rows = p.card(lm | rm)
-		c.CostVal = p.joinCost(&c, rm)
+		c.Left, c.Right, c.Rows = left, right, p.card(lm|rm)
+		c.CostVal = p.operatorCost(t.Kind, left.Cost(), right.Cost(), left.EstRows(), right.EstRows(), p.crossing(lm, rm), c.Rows)
 		return &c, lm | rm, nil
 	case *plan.AggregateNode:
 		child, mask, err := p.recostNode(t.Child)
@@ -84,61 +90,29 @@ func (p *Planner) recostNode(n plan.Node) (plan.Node, uint64, error) {
 		}
 		c := *t
 		c.Child = child
-		if c.Rows > child.EstRows() {
-			c.Rows = child.EstRows()
-		}
-		u := p.o.model.U
-		c.CostVal = child.Cost() + child.EstRows()*u.CPUOperator + c.Rows*u.CPUTuple
+		c.Rows, c.CostVal = p.priceAggregate(t.GroupBy, child)
 		return &c, mask, nil
 	default:
 		return nil, 0, fmt.Errorf("optimizer: unknown node type %T", n)
 	}
 }
 
-// scanCost prices a scan node as chooseScan would, for its fixed access
-// path.
-func (p *Planner) scanCost(s *plan.ScanNode, i int) float64 {
-	t := p.leaves[i].table
-	baseRows := float64(t.NumRows())
-	if s.Access == plan.IndexScan && s.IndexColumn != "" {
-		if ix := t.Index(s.IndexColumn); ix != nil {
-			for _, f := range s.Filters {
-				if f.Op == sql.OpEq && f.Col.Column == s.IndexColumn {
-					matchRows := baseRows * p.o.selectionSel(s.Table, f)
-					return p.o.model.IndexProbe(ix.Height(), matchRows, len(s.Filters)-1)
+// recostProbe re-derives the inner side of an index nested loop over the
+// outer set lm as Planner.join builds it: an index scan of one relation
+// priced as one probe through the column of the driving predicate.
+func (p *Planner) recostProbe(j *plan.JoinNode, lm uint64) (plan.Node, uint64, error) {
+	if s, ok := j.Right.(*plan.ScanNode); ok && len(j.Preds) > 0 {
+		i, known := p.aliasIdx[s.Alias]
+		rm := uint64(1) << uint(i)
+		for k := range p.edges {
+			if e := &p.edges[k]; known && e.pred == j.Preds[0] && e.crosses(lm, rm) {
+				if pc, col, ok := p.probeCost(e, rm, p.crossing(lm, rm)); ok && col == s.IndexColumn {
+					c := *s
+					c.Rows, c.CostVal = p.card(rm), pc
+					return &c, rm, nil
 				}
 			}
 		}
 	}
-	return p.o.model.SeqScan(float64(t.NumPages()), baseRows, len(s.Filters))
-}
-
-// joinCost prices a join node as priceJoin would, for its fixed
-// operator; the children carry their re-derived rows and costs.
-func (p *Planner) joinCost(j *plan.JoinNode, rm uint64) float64 {
-	m := p.o.model
-	lcost, rcost := j.Left.Cost(), j.Right.Cost()
-	lrows, rrows := j.Left.EstRows(), j.Right.EstRows()
-	preds := len(j.Preds)
-	switch j.Kind {
-	case plan.HashJoin:
-		return m.HashJoin(lcost, rcost, lrows, rrows, preds, j.Rows)
-	case plan.MergeJoin:
-		return m.MergeJoin(lcost, rcost, lrows, rrows, j.Rows)
-	case plan.IndexNestedLoop:
-		if inner, ok := j.Right.(*plan.ScanNode); ok && rm&(rm-1) == 0 {
-			t := p.leaves[p.aliasIdx[inner.Alias]].table
-			if ix := t.Index(inner.IndexColumn); ix != nil {
-				nd := float64(ix.NumDistinct())
-				matchPerProbe := 0.0
-				if nd > 0 {
-					matchPerProbe = float64(t.NumRows()) / nd
-				}
-				residual := len(inner.Filters) + preds - 1
-				probe := m.IndexProbe(ix.Height(), matchPerProbe, residual)
-				return m.IndexNestLoop(lcost, lrows, probe, j.Rows)
-			}
-		}
-	}
-	return m.NestLoop(lcost, rcost, lrows, rrows, preds, j.Rows)
+	return nil, 0, fmt.Errorf("optimizer: %s is not an index nested loop of the query", j.Fingerprint())
 }

@@ -1,8 +1,7 @@
 // Package plan defines physical query plans and the join-tree formalism
-// of the paper: tree(P) as a set of ordered logical joins (§3.1), the
-// bottom-up/left-to-right join-tree encoding (Appendix E), local vs
-// global transformations (Definitions 1 and 4), structural equivalence
-// (Definition 3), and plan coverage (Definition 2).
+// of the paper: tree(P) as the relation sets of a plan's joins (§3.1,
+// Plan.JoinSets), local vs global transformations (Definitions 1 and 4)
+// and plan coverage (Definition 2).
 package plan
 
 import (
@@ -299,14 +298,25 @@ func (p *Plan) Cost() float64 { return p.Root.Cost() }
 func (p *Plan) EstRows() float64 { return p.Root.EstRows() }
 
 // Explain renders the plan as an indented operator tree with estimates.
-func (p *Plan) Explain() string {
+// With an annotate function, each operator's line also carries the text
+// it returns for that node (EXPLAIN ANALYZE appends actual rows).
+func (p *Plan) Explain(annotate ...func(Node) string) string {
 	var sb strings.Builder
-	explainNode(&sb, p.Root, 0)
+	var note func(Node) string
+	if len(annotate) > 0 {
+		note = annotate[0]
+	}
+	explainNode(&sb, p.Root, 0, note)
 	return sb.String()
 }
 
-func explainNode(sb *strings.Builder, n Node, depth int) {
+func explainNode(sb *strings.Builder, n Node, depth int, note func(Node) string) {
 	indent := strings.Repeat("  ", depth)
+	annotate := func() {
+		if note != nil {
+			sb.WriteString(note(n))
+		}
+	}
 	switch t := n.(type) {
 	case *ScanNode:
 		fmt.Fprintf(sb, "%s%s on %s", indent, t.Access, t.Table)
@@ -317,6 +327,7 @@ func explainNode(sb *strings.Builder, n Node, depth int) {
 			fmt.Fprintf(sb, " (index on %s)", t.IndexColumn)
 		}
 		fmt.Fprintf(sb, "  (rows=%.1f cost=%.1f)", t.Rows, t.CostVal)
+		annotate()
 		if len(t.Filters) > 0 {
 			parts := make([]string, len(t.Filters))
 			for i, f := range t.Filters {
@@ -334,18 +345,20 @@ func explainNode(sb *strings.Builder, n Node, depth int) {
 			}
 			cond = "on " + strings.Join(parts, " AND ")
 		}
-		fmt.Fprintf(sb, "%s%s %s  (rows=%.1f cost=%.1f)\n",
-			indent, t.Kind, cond, t.Rows, t.CostVal)
-		explainNode(sb, t.Left, depth+1)
-		explainNode(sb, t.Right, depth+1)
+		fmt.Fprintf(sb, "%s%s %s  (rows=%.1f cost=%.1f)", indent, t.Kind, cond, t.Rows, t.CostVal)
+		annotate()
+		sb.WriteByte('\n')
+		explainNode(sb, t.Left, depth+1, note)
+		explainNode(sb, t.Right, depth+1, note)
 	case *AggregateNode:
 		cols := make([]string, len(t.GroupBy))
 		for i, c := range t.GroupBy {
 			cols[i] = c.String()
 		}
-		fmt.Fprintf(sb, "%sHashAggregate by %s  (rows=%.1f cost=%.1f)\n",
-			indent, strings.Join(cols, ", "), t.Rows, t.CostVal)
-		explainNode(sb, t.Child, depth+1)
+		fmt.Fprintf(sb, "%sHashAggregate by %s  (rows=%.1f cost=%.1f)", indent, strings.Join(cols, ", "), t.Rows, t.CostVal)
+		annotate()
+		sb.WriteByte('\n')
+		explainNode(sb, t.Child, depth+1, note)
 	default:
 		fmt.Fprintf(sb, "%s?unknown node\n", indent)
 	}

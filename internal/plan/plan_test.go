@@ -47,7 +47,7 @@ func figure1() (t1, t1p, t2, t2p *Plan) {
 // localRef and coveredRef spell Definitions 1 and 2 over alias strings,
 // as the paper writes them; Classify and Covered compare masks.
 func localRef(a, b *Plan) bool {
-	au, bu := TreeOf(a).UnorderedSet(), TreeOf(b).UnorderedSet()
+	au, bu := unorderedJoins(a), unorderedJoins(b)
 	if len(au) != len(bu) {
 		return false
 	}
@@ -62,16 +62,28 @@ func localRef(a, b *Plan) bool {
 func coveredRef(p *Plan, set ...*Plan) bool {
 	union := map[string]bool{}
 	for _, s := range set {
-		for k := range TreeOf(s).UnorderedSet() {
+		for k := range unorderedJoins(s) {
 			union[k] = true
 		}
 	}
-	for k := range TreeOf(p).UnorderedSet() {
+	for k := range unorderedJoins(p) {
 		if !union[k] {
 			return false
 		}
 	}
 	return true
+}
+
+// unorderedJoins is tree(P) over alias strings: the canonical alias set
+// of every join node.
+func unorderedJoins(p *Plan) map[string]bool {
+	out := map[string]bool{}
+	Walk(p.Root, func(n Node) {
+		if j, ok := n.(*JoinNode); ok {
+			out[CanonicalSet(j.Aliases())] = true
+		}
+	})
+	return out
 }
 
 // validatedBy is the union of the plans' join sets, as the round loop
@@ -83,27 +95,16 @@ func validatedBy(set ...*Plan) (masks []uint64) {
 	return masks
 }
 
+// TestEncoding: tree(P) is encoded as the relation sets of P's joins,
+// masks over the FROM list. T1 = {A⋈B, A⋈B⋈C, A⋈B⋈C⋈D} and the paper's
+// T2 = {A⋈B, C⋈D, A⋈B⋈C⋈D}.
 func TestEncoding(t *testing.T) {
 	t1, _, t2, _ := figure1()
-	if enc := TreeOf(t1).Encoding(); enc != "(ABCD,ABC,AB)" && enc != "(AB,ABC,ABCD)" {
-		// Walk is pre-order (root first); Appendix E writes bottom-up.
-		// Accept the pre-order spelling but pin it for stability.
-		t.Logf("encoding: %s", enc)
+	if got, want := t1.JoinSets(), []uint64{0b0011, 0b0111, 0b1111}; !slices.Equal(got, want) {
+		t.Errorf("T1 join sets %b, want %b", got, want)
 	}
-	if got := TreeOf(t2).Encoding(); !strings.Contains(got, "AB") || !strings.Contains(got, "CD") {
-		t.Errorf("T2 encoding missing joins: %s", got)
-	}
-	// The set representation matches the paper's example:
-	// T2 = {A⋈B, C⋈D, A⋈B⋈C⋈D}.
-	u := TreeOf(t2).UnorderedSet()
-	for _, want := range []string{
-		CanonicalSet([]string{"A", "B"}),
-		CanonicalSet([]string{"C", "D"}),
-		CanonicalSet([]string{"A", "B", "C", "D"}),
-	} {
-		if !u[want] {
-			t.Errorf("T2 missing %q", want)
-		}
+	if got, want := t2.JoinSets(), []uint64{0b0011, 0b1100, 0b1111}; !slices.Equal(got, want) {
+		t.Errorf("T2 join sets %b, want %b", got, want)
 	}
 }
 
@@ -120,16 +121,6 @@ func TestLocalVsGlobalTransformations(t *testing.T) {
 				t.Errorf("plans %d,%d: local = %v; T1,T1' and T2,T2' are the local pairs", i, j, want)
 			}
 		}
-	}
-}
-
-func TestStructuralEquivalence(t *testing.T) {
-	t1, t1p, _, _ := figure1()
-	if !StructurallyEqual(TreeOf(t1), TreeOf(t1)) {
-		t.Error("identical trees should be structurally equal")
-	}
-	if StructurallyEqual(TreeOf(t1), TreeOf(t1p)) {
-		t.Error("T1' reorders subtrees; not structurally equal")
 	}
 }
 
@@ -189,7 +180,7 @@ func TestMultiCharAliasEncodingNoCollision(t *testing.T) {
 	// "AB"+"C" must differ from "A"+"BC".
 	x := join(HashJoin, scan("AB"), scan("C"))
 	y := join(HashJoin, scan("A"), scan("BC"))
-	if EncodeAliases(x.Aliases()) == EncodeAliases(y.Aliases()) {
+	if CanonicalSet(x.Aliases()) == CanonicalSet(y.Aliases()) {
 		t.Error("alias encoding collides")
 	}
 }
@@ -222,7 +213,7 @@ func TestAggregateNode(t *testing.T) {
 		Rows:      3,
 		CostVal:   10,
 	}
-	p := &Plan{Root: agg}
+	p := &Plan{Root: agg, Query: &sql.Query{Tables: []sql.TableRef{{Name: "A", Alias: "A"}, {Name: "B", Alias: "B"}}}}
 	if got := agg.Aliases(); len(got) != 2 {
 		t.Errorf("aggregate aliases: %v", got)
 	}
@@ -238,20 +229,8 @@ func TestAggregateNode(t *testing.T) {
 		t.Errorf("walk visited %d nodes", count)
 	}
 	// The join tree ignores the aggregate.
-	tr := TreeOf(p)
-	if len(tr.Joins) != 1 {
-		t.Errorf("tree joins: %d", len(tr.Joins))
-	}
-}
-
-func TestEncodingRendering(t *testing.T) {
-	t1, _, _, _ := figure1()
-	enc := TreeOf(t1).Encoding()
-	if !strings.HasPrefix(enc, "(") || !strings.HasSuffix(enc, ")") {
-		t.Errorf("encoding format: %s", enc)
-	}
-	if strings.Contains(enc, "\x1f") {
-		t.Error("encoding leaked separator bytes")
+	if sets := p.JoinSets(); !slices.Equal(sets, []uint64{0b11}) {
+		t.Errorf("tree joins: %b", sets)
 	}
 }
 

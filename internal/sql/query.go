@@ -172,61 +172,6 @@ func (q *Query) SelectionsOn(alias string) []Selection {
 	return out
 }
 
-// JoinsBetween returns join predicates connecting the two alias sets.
-func (q *Query) JoinsBetween(left, right map[string]bool) []JoinPred {
-	var out []JoinPred
-	for _, j := range q.Joins {
-		if left[j.Left.Table] && right[j.Right.Table] ||
-			left[j.Right.Table] && right[j.Left.Table] {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// JoinGraphEdges returns the number of distinct edges in the join graph
-// (pairs of aliases connected by at least one join predicate), the M of
-// the paper's Appendix B analysis.
-func (q *Query) JoinGraphEdges() int {
-	seen := map[string]bool{}
-	for _, j := range q.Joins {
-		a, b := j.Left.Table, j.Right.Table
-		if a > b {
-			a, b = b, a
-		}
-		seen[a+"\x00"+b] = true
-	}
-	return len(seen)
-}
-
-// Connected reports whether the join graph connects all tables (no
-// cross products needed). The optimizer handles disconnected graphs by
-// inserting cross joins, but workload generators use this as a sanity
-// check.
-func (q *Query) Connected() bool {
-	if len(q.Tables) == 0 {
-		return true
-	}
-	adj := map[string][]string{}
-	for _, j := range q.Joins {
-		adj[j.Left.Table] = append(adj[j.Left.Table], j.Right.Table)
-		adj[j.Right.Table] = append(adj[j.Right.Table], j.Left.Table)
-	}
-	seen := map[string]bool{q.Tables[0].Alias: true}
-	stack := []string{q.Tables[0].Alias}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, m := range adj[n] {
-			if !seen[m] {
-				seen[m] = true
-				stack = append(stack, m)
-			}
-		}
-	}
-	return len(seen) == len(q.Tables)
-}
-
 // String renders the query as SQL text.
 func (q *Query) String() string {
 	var sb strings.Builder

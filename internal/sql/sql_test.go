@@ -143,27 +143,6 @@ func TestJoinPredCanonical(t *testing.T) {
 	}
 }
 
-func TestConnectedAndEdges(t *testing.T) {
-	cat := testCatalog(t)
-	q, err := Parse(`SELECT COUNT(*) FROM a, b WHERE a.id = b.id`, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !q.Connected() {
-		t.Error("joined query should be connected")
-	}
-	if q.JoinGraphEdges() != 1 {
-		t.Errorf("edges: %d", q.JoinGraphEdges())
-	}
-	q2, err := Parse(`SELECT COUNT(*) FROM a, b`, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q2.Connected() {
-		t.Error("cross product should not be connected")
-	}
-}
-
 func TestEvalSelection(t *testing.T) {
 	cases := []struct {
 		v    rel.Value
@@ -188,7 +167,7 @@ func TestEvalSelection(t *testing.T) {
 	}
 }
 
-func TestSelectionsOnAndJoinsBetween(t *testing.T) {
+func TestSelectionsOn(t *testing.T) {
 	cat := testCatalog(t)
 	q, err := Parse(`SELECT COUNT(*) FROM a AS t1, b AS t2
 		WHERE t1.x = 1 AND t2.y = 2 AND t1.id = t2.id`, cat)
@@ -197,10 +176,6 @@ func TestSelectionsOnAndJoinsBetween(t *testing.T) {
 	}
 	if got := q.SelectionsOn("t1"); len(got) != 1 || got[0].Col.Column != "x" {
 		t.Errorf("selections on t1: %+v", got)
-	}
-	js := q.JoinsBetween(map[string]bool{"t1": true}, map[string]bool{"t2": true})
-	if len(js) != 1 {
-		t.Errorf("joins between: %+v", js)
 	}
 }
 

@@ -101,8 +101,7 @@ func (c *ColData) NewLike(n int) ColData {
 
 // Gather copies src rows sel[lo:hi) into c at destination offset off:
 // selection entry x lands at row off+x, typed payload and NULL flag
-// both. c must be shaped like src (NewLike). Concurrent calls may fill
-// disjoint destination ranges of one column; NullWords is not
+// both. c must be shaped like src (NewLike). NullWords is not
 // maintained — see BuildNullWords.
 func (c *ColData) Gather(src *ColData, sel []int32, lo, hi, off int) {
 	sel = sel[lo:hi]

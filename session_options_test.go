@@ -1,0 +1,89 @@
+package reopt_test
+
+import (
+	"context"
+	"testing"
+
+	"reopt"
+	"reopt/internal/sampling"
+)
+
+// TestWithConservativeBlendsDelta: WithConservative reaches the run. One
+// round validates P_1 either way, and the conservative Γ holds each
+// sampled estimate blended with the statistics-only one by its sample
+// confidence, where the plain Γ holds the sampled estimate itself.
+func TestWithConservativeBlendsDelta(t *testing.T) {
+	cat, qs := ottSession(t)
+	s, err := reopt.Open(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := qs[4]
+	plain, err := s.Reoptimize(ctx, q, reopt.WithMaxRounds(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blended, err := s.Reoptimize(ctx, q, reopt.WithMaxRounds(1), reopt.WithConservative())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ests, err := s.Validate(ctx, plain.Rounds[0].Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := s.Optimizer().Prepare(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for _, d := range ests[0].Sets {
+		w := sampling.ConfidenceWeight(d.SampleRows)
+		want := w*d.Rows + (1-w)*pl.StatCardinality(d.Mask)
+		if got, _ := plain.Gamma.Get(d.Mask); got != d.Rows {
+			t.Errorf("plain Γ[%s] = %v, sampled %v", d.Key, got, d.Rows)
+		}
+		if got, _ := blended.Gamma.Get(d.Mask); got != want {
+			t.Errorf("conservative Γ[%s] = %v, want blend %v (w=%v of sampled %v)", d.Key, got, want, w, d.Rows)
+		}
+		if want != d.Rows {
+			moved++
+		}
+	}
+	if moved == 0 || blended.Gamma.Len() != len(ests[0].Sets) {
+		t.Errorf("%d of %d entries blended away from the sample, Γ holds %d", moved, len(ests[0].Sets), blended.Gamma.Len())
+	}
+}
+
+// TestWithSkipBelowCostSkips: WithSkipBelowCost reaches the run. Above
+// the initial plan's cost the call returns P_1 after one round without
+// sampling; below it the run validates as usual.
+func TestWithSkipBelowCostSkips(t *testing.T) {
+	cat, qs := ottSession(t)
+	s, err := reopt.Open(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := qs[4]
+	p1, err := s.Optimize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skipped, err := s.Reoptimize(ctx, q, reopt.WithSkipBelowCost(2*p1.Cost()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(skipped.Rounds) != 1 || !skipped.Converged || skipped.Gamma.Len() != 0 ||
+		skipped.Final.Fingerprint() != p1.Fingerprint() {
+		t.Errorf("skip: %d rounds, converged %v, %d Γ entries, final %s; want P_1 %s after one unsampled round",
+			len(skipped.Rounds), skipped.Converged, skipped.Gamma.Len(), skipped.Final.Fingerprint(), p1.Fingerprint())
+	}
+	ran, err := s.Reoptimize(ctx, q, reopt.WithSkipBelowCost(p1.Cost()/2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ran.Gamma.Len() == 0 {
+		t.Error("a threshold below the plan's cost skipped validation")
+	}
+}
