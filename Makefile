@@ -59,7 +59,9 @@ lint: vet
 
 # chaos runs the failure-isolation suite under the race detector at
 # constrained parallelism (the CI shape): the fault-injection harness,
-# the executor/core budget-and-panic tests, the Session chaos tests
+# the executor/sampling/core budget-and-panic tests (sampling's check
+# that a failing plan leaves its neighbours in one validation call as
+# they are alone), the Session chaos tests
 # — injected panics, starvation memory budgets, admission shedding and
 # close-under-load against one shared Session — and the reoptd daemon
 # chaos tests (cross-tenant fault isolation, handler-boundary panics,
@@ -69,7 +71,7 @@ chaos: vet
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/faultinject
 	GOMAXPROCS=2 $(GO) test -race -count=1 \
 		-run 'TestChaos|TestPanic|TestMemoryBudget|TestMemBudget' \
-		. ./internal/executor ./internal/core ./internal/server
+		. ./internal/executor ./internal/sampling ./internal/core ./internal/server
 
 # fuzz-smoke fuzzes, beyond the seed corpora plain `go test` already
 # runs, the sub-result compaction (FuzzCompact: compacted counts and

@@ -369,7 +369,7 @@ func BenchmarkReoptimizeMultiSeed(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := r.ReoptimizeMultiSeed(qs[0], 4); err != nil {
+				if _, err := r.ReoptimizeMultiSeedCtx(context.Background(), qs[0], 4); err != nil {
 					b.Fatal(err)
 				}
 			}

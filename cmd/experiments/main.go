@@ -10,7 +10,7 @@
 // Each experiment prints a table whose rows are the series the paper
 // plots; EXPERIMENTS.md records paper-reported vs measured values.
 //
-// -workers is deprecated and ignored. -cache N shares a workload-level
+// -cache N shares a workload-level
 // validation cache of N subtree entries across every query of the run,
 // so repeated/similar query instances reuse counts; it is off by default
 // because the paper's overhead figures measure each query cold.
@@ -36,7 +36,6 @@ func main() {
 		rowsPerVal = flag.Int("ott-m", 0, "OTT rows per distinct value (default 40)")
 		dsSales    = flag.Int("ds-sales", 0, "TPC-DS store_sales rows (default 30000)")
 		instances  = flag.Int("instances", 0, "instances per query template (default 5)")
-		_          = flag.Int("workers", 0, "Deprecated: no longer selects anything (a validation runs on one goroutine); accepted so existing command lines keep working")
 		cacheSize  = flag.Int("cache", 0, "workload validation-cache budget in subtree entries (0 = off)")
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none); cancels in-flight work on expiry")
 		seed       = flag.Int64("seed", 42, "random seed")

@@ -31,7 +31,6 @@ func main() {
 		sqlText = flag.String("sql", "", "SQL query (SPJ dialect); empty picks a demo query")
 		queryID = flag.Int("query", 0, "TPC-H template number (with -db tpch)")
 		analyze = flag.Bool("analyze", false, "print EXPLAIN ANALYZE (estimated vs actual rows)")
-		_       = flag.Int("workers", 0, "Deprecated: no longer selects anything (a validation runs on one goroutine); accepted so existing command lines keep working")
 		cache   = flag.Int("cache", 0, "workload validation-cache budget in subtree entries (0 = off)")
 		timeout = flag.Duration("timeout", 0, "re-optimization time budget (0 = none); returns best-so-far on expiry")
 

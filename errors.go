@@ -49,7 +49,7 @@ var (
 	ErrCountOverflow = executor.ErrCountOverflow
 
 	// ErrValidationPanic: a panic inside a validation was recovered at
-	// the skeleton engine's boundary (executor.CountSkeletonSteps) and
+	// the skeleton engine's boundary (executor.Prepared.Count) and
 	// contained. The concrete error is an *executor.PanicError carrying
 	// the panic value and stack; only the query whose plan panicked sees
 	// it — concurrent queries and the Session are unaffected.

@@ -12,14 +12,14 @@ import (
 // sequentialEstimator ignores batching and caching: every plan's
 // skeleton re-executes from scratch, one plan at a time — the reference
 // behavior the batched path must be observably identical to.
-func sequentialEstimator(_ context.Context, ps []*plan.Plan, c *catalog.Catalog, _ sampling.Cache, _ sampling.ValidateConfig) ([]*sampling.Estimate, error) {
+func sequentialEstimator(ctx context.Context, ps []*plan.Plan, c *catalog.Catalog, _ sampling.Cache, _ sampling.ValidateConfig) ([]*sampling.Estimate, error) {
 	out := make([]*sampling.Estimate, len(ps))
 	for i, p := range ps {
-		e, err := sampling.EstimatePlan(p, c)
+		ests, err := sampling.EstimatePlansCfg(ctx, []*plan.Plan{p}, c, nil, sampling.ValidateConfig{})
 		if err != nil {
 			return nil, err
 		}
-		out[i] = e
+		out[i] = ests[0]
 	}
 	return out, nil
 }
@@ -58,12 +58,12 @@ func TestMultiSeedBatchedIdentical(t *testing.T) {
 
 	for qi, q := range qs[:3] {
 		estimatePlansFn = orig // cached production path
-		batched, err := r.ReoptimizeMultiSeed(q, 3)
+		batched, err := r.ReoptimizeMultiSeedCtx(context.Background(), q, 3)
 		if err != nil {
 			t.Fatalf("query %d batched: %v", qi, err)
 		}
 		estimatePlansFn = sequentialEstimator
-		solo, err := r.ReoptimizeMultiSeed(q, 3)
+		solo, err := r.ReoptimizeMultiSeedCtx(context.Background(), q, 3)
 		if err != nil {
 			t.Fatalf("query %d solo: %v", qi, err)
 		}

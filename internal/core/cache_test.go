@@ -29,14 +29,14 @@ func TestCrossRoundCacheGammaIdentical(t *testing.T) {
 
 		// Ignore the cache and the batch: every round re-executes every
 		// plan's skeleton from scratch, one at a time.
-		estimatePlansFn = func(_ context.Context, ps []*plan.Plan, c *catalog.Catalog, _ sampling.Cache, _ sampling.ValidateConfig) ([]*sampling.Estimate, error) {
+		estimatePlansFn = func(ctx context.Context, ps []*plan.Plan, c *catalog.Catalog, _ sampling.Cache, _ sampling.ValidateConfig) ([]*sampling.Estimate, error) {
 			out := make([]*sampling.Estimate, len(ps))
 			for i, p := range ps {
-				e, err := sampling.EstimatePlan(p, c)
+				ests, err := sampling.EstimatePlansCfg(ctx, []*plan.Plan{p}, c, nil, sampling.ValidateConfig{})
 				if err != nil {
 					return nil, err
 				}
-				out[i] = e
+				out[i] = ests[0]
 			}
 			return out, nil
 		}

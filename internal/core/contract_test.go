@@ -19,9 +19,9 @@ import (
 // TestOptimizerPlansFitSkeleton pins the contract that makes the count-only
 // skeleton engine the one validator: every plan Algorithm 1 validates — the
 // initial plan and every round's plan of Reoptimize, and of
-// ReoptimizeMultiSeed, whose extra seeds come from the randomized search —
-// is inside the engine's contract, so CountSkeletonSteps counts it with no
-// per-plan error. The shapes: OTT equality and BETWEEN chains, the three
+// ReoptimizeMultiSeedCtx, whose extra seeds come from the randomized search —
+// is inside the engine's contract, so Prepared.Count counts it with no
+// error. The shapes: OTT equality and BETWEEN chains, the three
 // template_zipf templates and every TPC-H template (the benchmark's),
 // every TPC-DS template, a cross product, a FROM entry no predicate joins,
 // GROUP BY queries, and a chain longer than the DP threshold.
@@ -36,10 +36,8 @@ func TestOptimizerPlansFitSkeleton(t *testing.T) {
 			if agg, ok := root.(*plan.AggregateNode); ok {
 				root = agg.Child // only join cardinalities are validated
 			}
-			bp := executor.BatchPlan{Plan: &plan.Plan{Root: root, Query: p.Query}, Prep: executor.NewPrepared(p.Query, nil, 0, nil)}
-			_, perPlan, err := executor.CountSkeletonSteps(ctx, []executor.BatchPlan{bp}, cat.Sample, executor.SkelConfig{})
-			if err != nil || perPlan[0] != nil {
-				t.Fatalf("%s: plan %s is outside the skeleton's contract: %v %v", label, p.Fingerprint(), err, perPlan[0])
+			if _, err := executor.NewPrepared(p.Query, nil, 0, nil).Count(ctx, root, cat.Sample, executor.SkelConfig{}); err != nil {
+				t.Fatalf("%s: plan %s is outside the skeleton's contract: %v", label, p.Fingerprint(), err)
 			}
 			checked++
 		}
@@ -93,7 +91,7 @@ func TestOptimizerPlansFitSkeleton(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			label += " multi-seed"
-			if _, err := r.ReoptimizeMultiSeed(q, 3); err != nil {
+			if _, err := r.ReoptimizeMultiSeedCtx(context.Background(), q, 3); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 		}

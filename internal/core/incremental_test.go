@@ -48,7 +48,7 @@ func TestIncrementalPlanningMatchesFromScratch(t *testing.T) {
 				t.Fatal(err)
 			}
 			whole := optimizer.NewGamma(q)
-			cache := sampling.Prepare(q, executor.NewSkeletonCache(0, 0))
+			cache := sampling.Prepare(q, executor.NewSkeletonCache(0, 0), w.cat)
 			var prev *plan.Plan
 			for i := 1; i <= 12; i++ {
 				label := fmt.Sprintf("%s query %d round %d", w.name, qi, i)

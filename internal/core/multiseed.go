@@ -12,25 +12,22 @@ import (
 	"reopt/internal/sql"
 )
 
-// ReoptimizeMultiSeed implements the §7 future-work variant: "rather
+// ReoptimizeMultiSeedCtx implements the §7 future-work variant: "rather
 // than just returning one plan, the optimizer could return several
 // candidates and let the re-optimization procedure work on each of
 // them." It seeds the procedure with up to seeds distinct initial plans
 // — the DP optimum plus randomized left-deep plans from different random
 // seeds — runs Algorithm 1 from each, and returns the run whose final
 // plan has the lowest sampled cost under its own validated statistics.
-func (r *Reoptimizer) ReoptimizeMultiSeed(q *sql.Query, seeds int) (*Result, error) {
-	return r.ReoptimizeMultiSeedCtx(context.Background(), q, seeds)
-}
-
-// ReoptimizeMultiSeedCtx is ReoptimizeMultiSeed with cancellation and
-// the unified time budget of ReoptimizeCtx: one budget (Options.Timeout
-// or the caller's deadline, whichever is earlier) covers the whole
-// multi-seed procedure, seed generation included. Cancellation aborts
-// with ctx.Err(); a deadline stops generating seeds and starting seeded
-// runs, and returns the best result so far. The DP plan is always a
-// seed, and each started run's round-1 validation is shielded from the
-// internal budget deadline, so a result always exists.
+//
+// It has the cancellation and the unified time budget of ReoptimizeCtx:
+// one budget (Options.Timeout or the caller's deadline, whichever is
+// earlier) covers the whole multi-seed procedure, seed generation
+// included. Cancellation aborts with ctx.Err(); a deadline stops
+// generating seeds and starting seeded runs, and returns the best result
+// so far. The DP plan is always a seed, and each started run's round-1
+// validation is shielded from the internal budget deadline, so a result
+// always exists.
 func (r *Reoptimizer) ReoptimizeMultiSeedCtx(ctx context.Context, q *sql.Query, seeds int) (*Result, error) {
 	if seeds < 1 {
 		seeds = 1
@@ -50,7 +47,7 @@ func (r *Reoptimizer) ReoptimizeMultiSeedCtx(ctx context.Context, q *sql.Query, 
 	// reused by the later seeds (a configured workload cache extends that
 	// reuse across queries), and one prepared validation state serves
 	// every seed's rounds.
-	cache := sampling.Prepare(q, r.runCache())
+	cache := sampling.Prepare(q, r.runCache(), r.Cat)
 
 	var best *Result
 	var bestCost float64

@@ -30,7 +30,7 @@ func TestMultiSeedHonorsTimeout(t *testing.T) {
 		return orig(ctx, ps, c, cache, cfg)
 	}
 	r.Opts.Timeout = time.Millisecond
-	res, err := r.ReoptimizeMultiSeed(qs[0], 4)
+	res, err := r.ReoptimizeMultiSeedCtx(context.Background(), qs[0], 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestMultiSeedHonorsTimeout(t *testing.T) {
 // terminal optimizer call that detects convergence.
 func TestMultiSeedOverheadAccounting(t *testing.T) {
 	r, qs := ottSetup(t)
-	res, err := r.ReoptimizeMultiSeed(qs[0], 3)
+	res, err := r.ReoptimizeMultiSeedCtx(context.Background(), qs[0], 3)
 	if err != nil {
 		t.Fatal(err)
 	}

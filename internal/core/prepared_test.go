@@ -166,14 +166,13 @@ type refStore struct {
 // are the general executor's.
 func oraclePhysRows(t testing.TB, label string, q *sql.Query, skeleton plan.Node, cat *catalog.Catalog, nodeRows map[plan.Node]int64) map[plan.Node]int64 {
 	t.Helper()
-	steps, perPlan, err := executor.CountSkeletonSteps(context.Background(),
-		[]executor.BatchPlan{{Plan: &plan.Plan{Root: skeleton, Query: q}, Prep: executor.NewPrepared(q, nil, 0, nil)}}, cat.Sample, executor.SkelConfig{})
-	if err != nil || perPlan[0] != nil {
-		t.Fatalf("%s: cold skeleton run: %v %v", label, err, perPlan)
+	steps, err := executor.NewPrepared(q, nil, 0, nil).Count(context.Background(), skeleton, cat.Sample, executor.SkelConfig{})
+	if err != nil {
+		t.Fatalf("%s: cold skeleton run: %v", label, err)
 	}
-	phys := make(map[plan.Node]int64, len(steps[0]))
-	for i := range steps[0] {
-		st := &steps[0][i]
+	phys := make(map[plan.Node]int64, len(steps))
+	for i := range steps {
+		st := &steps[i]
 		if st.Count != nodeRows[st.Node()] || st.Rows > st.Count || (st.Rows == 0) != (st.Count == 0) {
 			t.Fatalf("%s: set %q: skeleton counts %d in %d rows, general executor %d", label, st.Set.Key, st.Count, st.Rows, nodeRows[st.Node()])
 		}
@@ -601,7 +600,7 @@ func TestMultiSeedSharesOnePreparedState(t *testing.T) {
 	r0, qs := ottSetup(t)
 	want := make([]string, len(qs))
 	for i, q := range qs {
-		res, err := r0.ReoptimizeMultiSeed(q, 3)
+		res, err := r0.ReoptimizeMultiSeedCtx(context.Background(), q, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -615,7 +614,7 @@ func TestMultiSeedSharesOnePreparedState(t *testing.T) {
 			defer wg.Done()
 			r := New(r0.Opt, r0.Cat)
 			r.Opts = Options{Workers: 2, Cache: cache}
-			res, err := r.ReoptimizeMultiSeed(q, 3)
+			res, err := r.ReoptimizeMultiSeedCtx(context.Background(), q, 3)
 			if err != nil {
 				t.Error(err)
 				return
@@ -647,7 +646,7 @@ func TestRepeatRoundValidationAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := sampling.Prepare(qs[0], sampling.NewWorkloadCache(0))
+	cache := sampling.Prepare(qs[0], sampling.NewWorkloadCache(0), cat)
 	plans := []*plan.Plan{p}
 	for _, workers := range []int{0, 1, 8} {
 		r := New(opt, cat)
@@ -688,14 +687,14 @@ func BenchmarkValidateRounds(b *testing.B) {
 	b.Run("first", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cache := sampling.Prepare(q, executor.NewSkeletonCache(0, 0))
+			cache := sampling.Prepare(q, executor.NewSkeletonCache(0, 0), cat)
 			if _, err := sampling.EstimatePlansCfg(ctx, round(0), cat, cache, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("repeat", func(b *testing.B) {
-		cache := sampling.Prepare(q, executor.NewSkeletonCache(0, 0))
+		cache := sampling.Prepare(q, executor.NewSkeletonCache(0, 0), cat)
 		for i := 0; i < 2; i++ {
 			if _, err := sampling.EstimatePlansCfg(ctx, round(i), cat, cache, cfg); err != nil {
 				b.Fatal(err)

@@ -38,7 +38,7 @@ func TestRecostMatchesPlannerNodeByNode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cache := sampling.Prepare(q, nil)
+			cache := sampling.Prepare(q, nil, w.cat)
 			var prev *plan.Plan
 			for round := 1; round <= 20; round++ {
 				label := fmt.Sprintf("%s query %d round %d", w.name, qi, round)

@@ -205,7 +205,7 @@ func (r *Reoptimizer) ReoptimizeCtx(ctx context.Context, q *sql.Query) (*Result,
 	// skeleton from scratch. Scoped to this query and sample set unless Options.Cache
 	// promotes it to the workload level. What validating this query takes
 	// beyond the plan at hand is prepared once, beside the planner.
-	return r.reoptimize(ctx, run, q, nil, sampling.Prepare(q, r.runCache()))
+	return r.reoptimize(ctx, run, q, nil, sampling.Prepare(q, r.runCache(), r.Cat))
 }
 
 // startErr reports a ctx that is done before any work starts: a spent

@@ -205,7 +205,7 @@ func TestConservativeBlending(t *testing.T) {
 
 func TestMultiSeedReoptimize(t *testing.T) {
 	r, qs := ottSetup(t)
-	res, err := r.ReoptimizeMultiSeed(qs[0], 3)
+	res, err := r.ReoptimizeMultiSeedCtx(context.Background(), qs[0], 3)
 	if err != nil {
 		t.Fatal(err)
 	}

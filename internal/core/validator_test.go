@@ -33,7 +33,7 @@ func TestValidatorInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMS, err := r.ReoptimizeMultiSeed(q, 3)
+	wantMS, err := r.ReoptimizeMultiSeedCtx(context.Background(), q, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestValidatorInjection(t *testing.T) {
 	}
 
 	before := v.calls
-	gotMS, err := r.ReoptimizeMultiSeed(q, 3)
+	gotMS, err := r.ReoptimizeMultiSeedCtx(context.Background(), q, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

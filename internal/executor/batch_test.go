@@ -17,62 +17,59 @@ import (
 )
 
 // The tests reach the engine through its one entry point,
-// CountSkeletonSteps, with these helpers: a plan paired with a cache
-// (nil: uncached) validates through a handle prepared for its query, and
-// counts come back by plan node.
+// Prepared.Count, with these helpers: a plan paired with a cache (nil:
+// uncached) validates through a handle prepared for its query, and counts
+// come back by plan node.
 
-// prep pairs p with a fresh handle for its query over cache.
-func prep(p *plan.Plan, cache *SkeletonCache) BatchPlan {
-	return BatchPlan{Plan: p, Prep: NewPrepared(p.Query, cache, 0, nil)}
+// countsByNode returns the counts of a plan's steps by plan node.
+func countsByNode(steps []Step) map[plan.Node]int64 {
+	counts := make(map[plan.Node]int64, len(steps))
+	for _, st := range steps {
+		counts[st.Node()] = st.Count
+	}
+	return counts
 }
 
-// batchOf pairs every plan with the same cache (nil: uncached).
-func batchOf(plans []*plan.Plan, cache *SkeletonCache) []BatchPlan {
-	bplans := make([]BatchPlan, len(plans))
-	for i, p := range plans {
-		bplans[i] = prep(p, cache)
-	}
-	return bplans
-}
-
-// countBatch is CountSkeletonSteps with each plan's counts by node (nil
-// for a plan that failed on its own account).
-func countBatch(ctx context.Context, bplans []BatchPlan, binder func(string) (*storage.Table, error), cfg SkelConfig) ([]map[plan.Node]int64, []error, error) {
-	steps, perPlan, err := CountSkeletonSteps(ctx, bplans, binder, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	counts := make([]map[plan.Node]int64, len(bplans))
-	for i := range steps {
-		if perPlan[i] == nil {
-			counts[i] = make(map[plan.Node]int64, len(steps[i]))
-			for _, st := range steps[i] {
-				counts[i][st.Node()] = st.Count
-			}
-		}
-	}
-	return counts, perPlan, nil
-}
-
-// countSkeletonCfg validates p alone through cache; its failure, whether
-// the batch's or its own, is the error.
+// countSkeletonCfg validates p alone, through a fresh handle over cache.
 func countSkeletonCfg(ctx context.Context, p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, cfg SkelConfig) (map[plan.Node]int64, error) {
-	counts, perPlan, err := countBatch(ctx, []BatchPlan{prep(p, cache)}, binder, cfg)
+	steps, err := NewPrepared(p.Query, cache, 0, nil).Count(ctx, p.Root, binder, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return counts[0], perPlan[0]
+	return countsByNode(steps), nil
 }
 
 func countSkeleton(p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache) (map[plan.Node]int64, error) {
 	return countSkeletonCfg(context.Background(), p, binder, cache, SkelConfig{})
 }
 
-// TestCountSkeletonBatchMatchesSequential: validating several plans in
-// one call must report exactly the per-node counts sequential single-plan
-// runs produce — with and without a cache, with a cache pre-warmed by
-// sequential runs — and leave a shared cache holding exactly the keys
-// and values the sequential runs leave.
+// countBatch validates plans in turn over cache, as one request does its
+// rounds: the plans of one query through one shared handle. The first
+// failure ends the batch.
+func countBatch(ctx context.Context, plans []*plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, cfg SkelConfig) ([]map[plan.Node]int64, error) {
+	preps := map[*sql.Query]*Prepared{}
+	counts := make([]map[plan.Node]int64, len(plans))
+	for i, p := range plans {
+		prep := preps[p.Query]
+		if prep == nil {
+			prep = NewPrepared(p.Query, cache, 0, nil)
+			preps[p.Query] = prep
+		}
+		steps, err := prep.Count(ctx, p.Root, binder, cfg)
+		if err != nil {
+			return nil, err
+		}
+		counts[i] = countsByNode(steps)
+	}
+	return counts, nil
+}
+
+// TestCountSkeletonBatchMatchesSequential: validating several plans
+// through one shared handle, as a request's rounds do, must report
+// exactly the per-node counts single-plan runs through fresh handles
+// produce — with and without a cache, with a cache pre-warmed by those
+// runs — and leave a shared cache holding exactly the keys and values
+// the single-plan runs leave.
 func TestCountSkeletonBatchMatchesSequential(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(0); seed < 4; seed++ {
@@ -93,14 +90,11 @@ func TestCountSkeletonBatchMatchesSequential(t *testing.T) {
 
 		check := func(label string, cache *SkeletonCache) {
 			t.Helper()
-			got, perPlan, err := countBatch(ctx, batchOf(plans, cache), cat.Table, SkelConfig{})
+			got, err := countBatch(ctx, plans, cat.Table, cache, SkelConfig{})
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, label, err)
 			}
 			for pi := range plans {
-				if perPlan[pi] != nil {
-					t.Fatalf("seed %d %s plan %d: %v", seed, label, pi, perPlan[pi])
-				}
 				plan.Walk(plans[pi].Root, func(n plan.Node) {
 					if got[pi][n] != want[pi][n] {
 						t.Errorf("seed %d %s plan %d node %v: batch %d, sequential %d",
@@ -133,7 +127,7 @@ func TestCountSkeletonBatchMatchesSequential(t *testing.T) {
 }
 
 // TestCountSkeletonBatchDedupes: a batch of join-order permutations of
-// one query through one cache must compute each logical subtree once —
+// one query through one handle and cache must compute each logical subtree once —
 // one miss and one entry per distinct sub-result, every other lookup a
 // hit — exactly as sequential runs over a shared cache do.
 func TestCountSkeletonBatchDedupes(t *testing.T) {
@@ -141,7 +135,7 @@ func TestCountSkeletonBatchDedupes(t *testing.T) {
 	plans := skelPlans(cat, skelQuery())
 
 	cache := NewSkeletonCache(0, 0)
-	if _, _, err := countBatch(context.Background(), batchOf(plans, cache), cat.Table, SkelConfig{}); err != nil {
+	if _, err := countBatch(context.Background(), plans, cat.Table, cache, SkelConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	seqCache := NewSkeletonCache(0, 0)
@@ -162,9 +156,11 @@ func TestCountSkeletonBatchDedupes(t *testing.T) {
 	}
 }
 
-// TestCountSkeletonBatchIsolatesUnsupportedPlans: one plan outside the
-// engine's contract must not poison the batch — it reports
-// ErrUnsupportedPlan in its slot while the others execute.
+// TestCountSkeletonBatchIsolatesUnsupportedPlans: an unsupported plan
+// validated between two good ones over one cache fails alone with
+// ErrUnsupportedPlan and stores nothing; the good plans report the
+// counts they report alone, and the cache ends up holding exactly what
+// validating them without it leaves.
 func TestCountSkeletonBatchIsolatesUnsupportedPlans(t *testing.T) {
 	cat := skelCatalog(t, 1, 300)
 	q := skelQuery()
@@ -174,97 +170,50 @@ func TestCountSkeletonBatchIsolatesUnsupportedPlans(t *testing.T) {
 	// predicates cannot resolve — the classic unsupported shape.
 	badQ := skelQuery()
 	badQ.Joins = nil
-	bad := skelPlans(cat, q)[0]
-	bad = &plan.Plan{Root: bad.Root, Query: badQ}
+	bad := &plan.Plan{Root: plans[0].Root, Query: badQ}
 
+	wantCache := NewSkeletonCache(0, 0)
+	if _, err := countBatch(context.Background(), []*plan.Plan{plans[0], plans[1]}, cat.Table, wantCache, SkelConfig{}); err != nil {
+		t.Fatal(err)
+	}
+
+	cache := NewSkeletonCache(0, 0)
 	batch := []*plan.Plan{plans[0], bad, plans[1]}
-	counts, perPlan, err := countBatch(context.Background(), batchOf(batch, nil), cat.Table, SkelConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perPlan[0] != nil || perPlan[2] != nil {
-		t.Fatalf("good plans errored: %v, %v", perPlan[0], perPlan[2])
-	}
-	if !errors.Is(perPlan[1], ErrUnsupportedPlan) {
-		t.Fatalf("bad plan: want ErrUnsupportedPlan, got %v", perPlan[1])
-	}
-	if counts[1] != nil {
-		t.Error("bad plan should have nil counts")
-	}
-	for _, pi := range []int{0, 2} {
-		ref, err := countSkeleton(batch[pi], cat.Table, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan.Walk(batch[pi].Root, func(n plan.Node) {
-			if counts[pi][n] != ref[n] {
-				t.Errorf("plan %d node %v: %d != %d", pi, n.Aliases(), counts[pi][n], ref[n])
+	for pi, p := range batch {
+		counts, err := countSkeleton(p, cat.Table, cache)
+		if p == bad {
+			if !errors.Is(err, ErrUnsupportedPlan) {
+				t.Fatalf("bad plan: want ErrUnsupportedPlan, got %v", err)
 			}
-		})
-	}
-}
-
-// TestCountSkeletonBatchPlansPerPlanCaches: plans carrying *different*
-// caches, or none — each requester holding a private per-run cache —
-// must validate in one call with
-// counts matching solo runs, every requester's cache left holding
-// exactly what a solo run leaves it, and nothing of one requester's in
-// another's.
-func TestCountSkeletonBatchPlansPerPlanCaches(t *testing.T) {
-	cat := skelCatalog(t, 3, 400)
-	q := skelQuery()
-	plans := skelPlans(cat, q)
-	if len(plans) < 2 {
-		t.Fatal("need at least two plans")
-	}
-
-	want := make([]map[plan.Node]int64, len(plans))
-	solo := make([]*SkeletonCache, len(plans))
-	for pi, p := range plans {
-		solo[pi] = NewSkeletonCache(0, 0)
-		counts, err := countSkeleton(p, cat.Table, solo[pi])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[pi] = counts
-	}
-
-	caches := make([]*SkeletonCache, len(plans))
-	bplans := make([]BatchPlan, len(plans))
-	for i, p := range plans {
-		if i != 1 { // the second requester validates uncached
-			caches[i] = NewSkeletonCache(0, 0)
-		}
-		bplans[i] = prep(p, caches[i])
-	}
-	got, perPlan, err := countBatch(context.Background(), bplans, cat.Table, SkelConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pi, p := range plans {
-		if perPlan[pi] != nil {
-			t.Fatalf("plan %d: %v", pi, perPlan[pi])
-		}
-		plan.Walk(p.Root, func(n plan.Node) {
-			if got[pi][n] != want[pi][n] {
-				t.Errorf("plan %d node %v: batch %d, solo %d", pi, n.Aliases(), got[pi][n], want[pi][n])
+			if counts != nil {
+				t.Error("bad plan should have nil counts")
 			}
-		})
-		if caches[pi] == nil {
 			continue
 		}
-		if !slices.Equal(caches[pi].Keys(), solo[pi].Keys()) || caches[pi].Values() != solo[pi].Values() {
-			t.Errorf("plan %d: cache holds %d keys / %d values, a solo run's %d / %d",
-				pi, len(caches[pi].Keys()), caches[pi].Values(), len(solo[pi].Keys()), solo[pi].Values())
+		if err != nil {
+			t.Fatalf("good plan %d errored: %v", pi, err)
 		}
-		// The requester's cache must replay its plan without recomputation.
-		hits0, miss0 := caches[pi].Stats()
-		if _, err := countSkeleton(p, cat.Table, caches[pi]); err != nil {
-			t.Fatalf("plan %d warm replay: %v", pi, err)
+		ref, err := countSkeleton(p, cat.Table, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if hits1, miss1 := caches[pi].Stats(); hits1 <= hits0 || miss1 != miss0 {
-			t.Errorf("plan %d: warm replay went %d/%d -> %d/%d hits/misses", pi, hits0, miss0, hits1, miss1)
-		}
+		plan.Walk(p.Root, func(n plan.Node) {
+			if counts[n] != ref[n] {
+				t.Errorf("plan %d node %v: %d != %d", pi, n.Aliases(), counts[n], ref[n])
+			}
+		})
+	}
+	if !slices.Equal(cache.Keys(), wantCache.Keys()) || cache.Values() != wantCache.Values() {
+		t.Errorf("cache holds %d keys / %d values, the good plans alone leave %d / %d",
+			len(cache.Keys()), cache.Values(), len(wantCache.Keys()), wantCache.Values())
+	}
+
+	alone := NewSkeletonCache(0, 0)
+	if _, err := countSkeleton(bad, cat.Table, alone); !errors.Is(err, ErrUnsupportedPlan) {
+		t.Fatalf("bad plan alone: want ErrUnsupportedPlan, got %v", err)
+	}
+	if alone.Len() != 0 {
+		t.Errorf("validating the bad plan alone cached %d entries", alone.Len())
 	}
 }
 

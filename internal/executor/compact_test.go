@@ -327,10 +327,9 @@ func TestCompactedCountsMatchVolcano(t *testing.T) {
 						check(cl+" single", pi, got)
 					}
 					sameAsRef(cl+" single", single)
-					bps := []BatchPlan{prep(plans[0], batch), prep(plans[1], batch)}
-					got, perPlan, err := countBatch(ctx, bps, cat.Table, SkelConfig{})
-					if err != nil || perPlan[0] != nil || perPlan[1] != nil {
-						t.Fatalf("%s [%s batch]: %v %v", label, cl, err, perPlan)
+					got, err := countBatch(ctx, plans, cat.Table, batch, SkelConfig{})
+					if err != nil {
+						t.Fatalf("%s [%s batch]: %v", label, cl, err)
 					}
 					check(cl+" batch", 0, got[0])
 					check(cl+" batch", 1, got[1])
@@ -346,10 +345,10 @@ func TestCompactedCountsMatchVolcano(t *testing.T) {
 								if b <= 0 {
 									continue
 								}
-								_, perPlan, err := countBatch(ctx, []BatchPlan{prep(p, c)}, cat.Table, SkelConfig{MemBudget: b})
-								if err != nil || errors.Is(perPlan[0], ErrMemoryBudget) != (b < charges[pi]) {
-									t.Fatalf("%s [%s cached=%v] instance %d: budget %d against a charge of %d: %v %v",
-										label, cl, c != nil, pi, b, charges[pi], err, perPlan[0])
+								_, err := countSkeletonCfg(ctx, p, cat.Table, c, SkelConfig{MemBudget: b})
+								if (err != nil && !errors.Is(err, ErrMemoryBudget)) || errors.Is(err, ErrMemoryBudget) != (b < charges[pi]) {
+									t.Fatalf("%s [%s cached=%v] instance %d: budget %d against a charge of %d: %v",
+										label, cl, c != nil, pi, b, charges[pi], err)
 								}
 							}
 						}
@@ -412,9 +411,9 @@ func TestJoinMethodsAgreeOnNaN(t *testing.T) {
 }
 
 // TestCountOverflowFailsValidation: a five-way self-similar join whose
-// logical count is 2^65 returns ErrCountOverflow — from both entry
-// points, cold and against what the failed run left cached — and the
-// overflowing join stores nothing.
+// logical count is 2^65 returns ErrCountOverflow — not a panic, cold and
+// against what the failed run left cached — and the overflowing join
+// stores nothing.
 func TestCountOverflowFailsValidation(t *testing.T) {
 	cat := catalog.New()
 	q := &sql.Query{CountStar: true}
@@ -438,12 +437,8 @@ func TestCountOverflowFailsValidation(t *testing.T) {
 	ctx := context.Background()
 	cache := NewSkeletonCache(0, 0)
 	for _, state := range []string{"cold", "warm"} {
-		if _, err := countSkeletonCfg(ctx, p, cat.Table, cache, SkelConfig{}); !errors.Is(err, ErrCountOverflow) {
-			t.Fatalf("single plan %s: %v, want ErrCountOverflow", state, err)
-		}
-		_, perPlan, err := countBatch(ctx, []BatchPlan{prep(p, cache)}, cat.Table, SkelConfig{})
-		if err != nil || !errors.Is(perPlan[0], ErrCountOverflow) || errors.Is(perPlan[0], ErrValidationPanic) {
-			t.Fatalf("batch %s: %v / %v, want ErrCountOverflow for the plan", state, err, perPlan)
+		if _, err := countSkeletonCfg(ctx, p, cat.Table, cache, SkelConfig{}); !errors.Is(err, ErrCountOverflow) || errors.Is(err, ErrValidationPanic) {
+			t.Fatalf("%s: %v, want ErrCountOverflow for the plan", state, err)
 		}
 	}
 	// Four of the five scans' and three of the four joins' results fit.

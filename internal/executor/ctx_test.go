@@ -77,24 +77,19 @@ func TestRunCtxCancelMidExecution(t *testing.T) {
 }
 
 // TestBatchCtxAbortDoesNotPoisonCache: whatever instant a cancellation
-// lands at inside a batch, the call aborts as a whole with the context's
-// error — no per-plan slot absorbs it — and the shared cache afterwards
-// contains only complete, correct sub-results: verified by re-running
-// the full batch over the post-abort cache and comparing against a
-// fresh-cache run.
+// lands at inside a batch — several plans validated in turn through one
+// handle — the batch aborts with the context's error, and the shared
+// cache afterwards contains only complete, correct sub-results: verified
+// by re-running the full batch over the post-abort cache and comparing
+// against an uncached run.
 func TestBatchCtxAbortDoesNotPoisonCache(t *testing.T) {
 	cat := skelCatalog(t, 3, 600)
 	q := skelQuery()
 	plans := skelPlans(cat, q)
 
-	refCounts, refErrs, err := countBatch(context.Background(), batchOf(plans, nil), cat.Table, SkelConfig{})
+	refCounts, err := countBatch(context.Background(), plans, cat.Table, nil, SkelConfig{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i, e := range refErrs {
-		if e != nil {
-			t.Fatalf("plan %d unexpectedly unsupported: %v", i, e)
-		}
 	}
 
 	for delay := time.Duration(0); delay < 300*time.Microsecond; delay += 50 * time.Microsecond {
@@ -108,25 +103,22 @@ func TestBatchCtxAbortDoesNotPoisonCache(t *testing.T) {
 				cancel()
 			}(delay)
 		}
-		counts, perPlan, aerr := countBatch(ctx, batchOf(plans, cache), cat.Table, SkelConfig{})
+		counts, aerr := countBatch(ctx, plans, cat.Table, cache, SkelConfig{})
 		cancel()
 		// The abort may or may not have landed before completion; when it
 		// did, the error must be the context's and nothing is answered.
-		if aerr != nil && (!errors.Is(aerr, context.Canceled) || counts != nil || perPlan != nil) {
-			t.Fatalf("delay %v: got %v (%d counts, %d slots), want a bare context.Canceled or nil", delay, aerr, len(counts), len(perPlan))
+		if aerr != nil && (!errors.Is(aerr, context.Canceled) || counts != nil) {
+			t.Fatalf("delay %v: got %v (%d counts), want a bare context.Canceled or nil", delay, aerr, len(counts))
 		}
 		if delay == 0 && (aerr == nil || cache.Len() != 0) {
 			t.Fatalf("pre-cancelled batch: err %v, %d entries cached", aerr, cache.Len())
 		}
 
-		counts, perPlan, rerr := countBatch(context.Background(), batchOf(plans, cache), cat.Table, SkelConfig{})
+		counts, rerr := countBatch(context.Background(), plans, cat.Table, cache, SkelConfig{})
 		if rerr != nil {
 			t.Fatalf("delay %v: re-run over post-abort cache: %v", delay, rerr)
 		}
 		for i := range plans {
-			if perPlan[i] != nil {
-				t.Fatalf("delay %v plan %d: %v", delay, i, perPlan[i])
-			}
 			if !reflect.DeepEqual(counts[i], refCounts[i]) {
 				t.Fatalf("delay %v plan %d: counts diverge after abort", delay, i)
 			}

@@ -11,9 +11,9 @@ package executor
 //
 //   - ErrValidationPanic / PanicError: a panic anywhere inside a
 //     skeleton evaluation (including injected faults) is recovered at
-//     the engine boundary (countSteps) and converted to an error carrying
-//     the stack. The plan being validated fails; plans validated before
-//     or after it in the same batch are unaffected.
+//     the engine boundary (Prepared.Count) and converted to an error
+//     carrying the stack. The plan being validated fails; plans validated
+//     before or after it are unaffected.
 //
 //   - ErrCountOverflow (compact.go): a logical count past int64. The
 //     checked weight arithmetic panics with it and the engine boundary

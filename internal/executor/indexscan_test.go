@@ -329,10 +329,9 @@ func TestIndexedScanSelection(t *testing.T) {
 				}
 				check(label+" single", pi, got, single)
 			}
-			bps := []BatchPlan{prep(plans[0], batch), prep(plans[1], batch)}
-			got, perPlan, err := countBatch(ctx, bps, cat.Table, SkelConfig{})
-			if err != nil || perPlan[0] != nil || perPlan[1] != nil {
-				t.Fatalf("%s [%s batch]: %v / %v", name, label, err, perPlan)
+			got, err := countBatch(ctx, plans, cat.Table, batch, SkelConfig{})
+			if err != nil {
+				t.Fatalf("%s [%s batch]: %v", name, label, err)
 			}
 			for pi := range plans {
 				check(label+" batch", pi, got[pi], batch)
@@ -444,12 +443,7 @@ func TestIndexedScanCountsMatchKernel(t *testing.T) {
 			p := &plan.Plan{Query: q, Root: skelJoin(q, root, skelScan(cat, q, "u"))}
 			label := fmt.Sprintf("%s, %s", f, shape.name)
 			validate := func(cache *SkeletonCache, budget int64) ([]Step, error) {
-				bp := BatchPlan{Plan: p, Prep: NewPrepared(q, cache, 0, scales[:len(q.Tables)])}
-				steps, perPlan, err := CountSkeletonSteps(ctx, []BatchPlan{bp}, cat.Table, SkelConfig{MemBudget: budget})
-				if err != nil {
-					return nil, err
-				}
-				return steps[0], perPlan[0]
+				return NewPrepared(q, cache, 0, scales[:len(q.Tables)]).Count(ctx, p.Root, cat.Table, SkelConfig{MemBudget: budget})
 			}
 			run := func(which string) (s side) {
 				cache := NewSkeletonCache(0, 0)

@@ -234,7 +234,7 @@ func TestJoinTableCollisionRejected(t *testing.T) {
 }
 
 // TestJoinTablePairsThroughEngines: the same cases through the skeleton
-// engine's single-plan and batch entry points. The join l ⋈ r feeds two
+// engine's entry point, Prepared.Count. The join l ⋈ r feeds two
 // further joins on l.id and r.id, so its cached sub-result carries exactly
 // the probe's (left, right) pairs as columns; they must equal the
 // map-based join's, computed cold and served warm.
@@ -270,35 +270,25 @@ func TestJoinTablePairsThroughEngines(t *testing.T) {
 		r, _ := caseSub(rt, nkeys)
 		want := mapProbe(l, r, key)
 
-		single, batch := NewSkeletonCache(0, 0), NewSkeletonCache(0, 0)
+		cache := NewSkeletonCache(0, 0)
 		for _, state := range []string{"cold", "warm"} {
 			label := fmt.Sprintf("%s [%s]", jc.name, state)
-			got, err := countSkeletonCfg(ctx, p, cat.Table, single, SkelConfig{})
+			counts, err := countSkeletonCfg(ctx, p, cat.Table, cache, SkelConfig{})
 			if err != nil {
-				t.Fatalf("%s single: %v", label, err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			bgot, perPlan, err := countBatch(ctx, []BatchPlan{prep(p, batch)}, cat.Table, SkelConfig{})
-			if err != nil || perPlan[0] != nil {
-				t.Fatalf("%s batch: %v / %v", label, err, perPlan[0])
+			if counts[lr] != int64(len(want.l)) || counts[p.Root] != int64(len(want.l)) {
+				t.Errorf("%s: l⋈r counted %d, root %d, want %d", label, counts[lr], counts[p.Root], len(want.l))
 			}
-			for engine, cache := range map[string]*SkeletonCache{"single": single, "batch": batch} {
-				counts := got
-				if engine == "batch" {
-					counts = bgot[0]
-				}
-				if counts[lr] != int64(len(want.l)) || counts[p.Root] != int64(len(want.l)) {
-					t.Errorf("%s %s: l⋈r counted %d, root %d, want %d", label, engine, counts[lr], counts[p.Root], len(want.l))
-				}
-				refs := boundaryColumns(q, lr.Aliases())
-				sub, ok := cache.getSub(subKey(testPrefix, subtreeSig(lr), refs))
-				if !ok || len(sub.cols) != 2 {
-					t.Fatalf("%s %s: l⋈r not cached with its two id columns", label, engine)
-				}
-				for x := range want.l {
-					if sub.cols[0].Ints[x] != int64(want.l[x]) || sub.cols[1].Ints[x] != int64(want.r[x]) {
-						t.Fatalf("%s %s: pair %d is (%d, %d), the map-based join's is (%d, %d)", label, engine,
-							x, sub.cols[0].Ints[x], sub.cols[1].Ints[x], want.l[x], want.r[x])
-					}
+			refs := boundaryColumns(q, lr.Aliases())
+			sub, ok := cache.getSub(subKey(testPrefix, subtreeSig(lr), refs))
+			if !ok || len(sub.cols) != 2 {
+				t.Fatalf("%s: l⋈r not cached with its two id columns", label)
+			}
+			for x := range want.l {
+				if sub.cols[0].Ints[x] != int64(want.l[x]) || sub.cols[1].Ints[x] != int64(want.r[x]) {
+					t.Fatalf("%s: pair %d is (%d, %d), the map-based join's is (%d, %d)", label,
+						x, sub.cols[0].Ints[x], sub.cols[1].Ints[x], want.l[x], want.r[x])
 				}
 			}
 		}

@@ -38,7 +38,8 @@ import (
 type Prepared struct {
 	q      *sql.Query
 	cache  *SkeletonCache
-	prefix string    // the sample-epoch namespace every key renders under
+	epoch  uint64    // the sample set the handle is bound to
+	prefix string    // epoch's namespace, which every key renders under
 	scales []float64 // per Query.Tables position; nil when the caller scales nothing
 
 	// The query's vocabulary, rendered and sorted once so that a set's
@@ -134,7 +135,7 @@ func (s *Step) Node() plan.Node { return s.node }
 // (DESIGN.md §11).
 func NewPrepared(q *sql.Query, cache *SkeletonCache, epoch uint64, scales []float64) *Prepared {
 	s := &Prepared{
-		q: q, cache: cache, prefix: "s" + strconv.FormatUint(epoch, 10) + "|", scales: scales,
+		q: q, cache: cache, epoch: epoch, prefix: "s" + strconv.FormatUint(epoch, 10) + "|", scales: scales,
 		byAlias: make([]int, len(q.Tables)),
 		toks:    make([]sigTok, 0, len(q.Tables)+len(q.Selections)+len(q.Joins)),
 		sets:    make(map[uint64]*SetInfo, 2*len(q.Tables)),
@@ -170,6 +171,21 @@ func NewPrepared(q *sql.Query, cache *SkeletonCache, epoch uint64, scales []floa
 		return strings.Compare(a.ref.Column, b.ref.Column)
 	})
 	return s
+}
+
+// Serves reports whether s is the handle for plans of q over the samples
+// of epoch. A nil handle serves none.
+func (s *Prepared) Serves(q *sql.Query, epoch uint64) bool {
+	return s != nil && s.q == q && s.epoch == epoch
+}
+
+// Cache returns the store s validates through: nil for an uncached
+// handle, and for a nil one.
+func (s *Prepared) Cache() *SkeletonCache {
+	if s == nil {
+		return nil
+	}
+	return s.cache
 }
 
 // bit returns the mask bit of the FROM entry visible under alias, or 0.

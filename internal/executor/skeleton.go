@@ -7,7 +7,7 @@ package executor
 // sequential scans and hash joins. Running that through the general
 // Volcano executor pays for work the counts never use: a full Concat row
 // allocation per join output, string-concatenated join keys, and a
-// NodeRows map increment per tuple. CountSkeletonSteps instead evaluates the
+// NodeRows map increment per tuple. Prepared.Count instead evaluates the
 // skeleton bottom-up over column-major sub-results that carry only each
 // subtree's *boundary columns* — the columns referenced by query join
 // predicates that cross the subtree's relation set, i.e. exactly what any
@@ -45,6 +45,11 @@ package executor
 // logical subtree; SkeletonCache (skelcache.go) carries them across
 // Algorithm 1's validation rounds. Hash tables are not cached: a join
 // builds one over its build side, probes it and drops it.
+//
+// The engine has one entry point and one handle: Prepared.Count runs one
+// plan against the request's Prepared (prepared.go), which names the
+// cache, the sample epoch and the query's derived state. Validating
+// several plans is its callers' loop (sampling.EstimatePlansCfg).
 
 import (
 	"context"
@@ -124,66 +129,35 @@ type SkelConfig struct {
 	MemBudget int64
 }
 
-// BatchPlan pairs a plan with the handle it validates through: a
-// Prepared for the plan's query, which names the cache (if any) and the
-// key namespace.
-type BatchPlan struct {
-	Plan *plan.Plan
-	Prep *Prepared
-}
-
-// CountSkeletonSteps is the engine's one entry point. It validates each
-// plan in turn on the calling goroutine — compiled against its Prepared,
-// run by countSteps — and returns each plan's steps with their counts
-// filled: a step carries the relation set its count belongs to, which is
-// all the estimator asks. Reuse between the plans, and between requests,
-// comes from the cache their handles share (sub-results); parallelism
-// comes from independent requests on their own goroutines (DESIGN.md §2). ctx is checked before
-// each step.
+// Count is the engine's one entry point: it compiles the plan rooted at
+// root against s's prepared state and runs it on the calling goroutine,
+// returning the steps with their counts filled — a step carries the
+// relation set its count belongs to, which is all the estimator asks.
+// Reuse between plans and between requests comes from the cache s names
+// (sub-results); parallelism comes from independent requests on their
+// own goroutines (DESIGN.md §2). ctx is checked before each step.
 //
-// A plan outside the engine's contract (ErrUnsupportedPlan, reported
-// before anything executes), one that breaches cfg.MemBudget
-// (ErrMemoryBudget), overflows a count (ErrCountOverflow) or panics
-// (*PanicError) fails alone: its error lands in its perPlan slot, it
-// stores nothing, and the other plans' counts and cache contents are those
-// of validating them without it. A cancelled ctx or a binder that cannot
-// resolve a table aborts the batch via err; sub-results completed before
-// the abort stay cached, nothing partial is ever stored.
-func CountSkeletonSteps(ctx context.Context, bplans []BatchPlan, binder func(string) (*storage.Table, error), cfg SkelConfig) (steps [][]Step, perPlan []error, err error) {
-	steps = make([][]Step, len(bplans))
-	perPlan = make([]error, len(bplans))
-	for i, bp := range bplans {
-		st, cerr := countSteps(ctx, bp, binder, cfg)
-		switch {
-		case cerr == nil:
-			steps[i] = st
-		case errors.Is(cerr, ErrUnsupportedPlan), errors.Is(cerr, ErrMemoryBudget),
-			errors.Is(cerr, ErrCountOverflow), errors.Is(cerr, ErrValidationPanic):
-			perPlan[i] = cerr
-		default:
-			return nil, nil, cerr
-		}
-	}
-	return steps, perPlan, nil
-}
-
-// countSteps compiles bp's plan against its prepared state and runs the
-// steps, returning them with their counts filled. Its recover is the
-// engine boundary: whatever panics below — an injected fault, a checked
-// count overflowing — fails this plan with an error and nothing else.
-func countSteps(ctx context.Context, bp BatchPlan, binder func(string) (*storage.Table, error), cfg SkelConfig) (steps []Step, err error) {
+// A plan outside the engine's contract fails with ErrUnsupportedPlan
+// before anything executes; one that breaches cfg.MemBudget fails with
+// ErrMemoryBudget, one whose count overflows with ErrCountOverflow. The
+// recover here is the engine boundary: whatever panics below — an
+// injected fault, a checked count overflowing — fails this plan with an
+// error (*PanicError for a panic) and nothing else. Nothing partial is
+// ever stored: sub-results completed before a failure stay cached, and
+// the failing step stores nothing.
+func (s *Prepared) Count(ctx context.Context, root plan.Node, binder func(string) (*storage.Table, error), cfg SkelConfig) (steps []Step, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			steps, err = nil, failureError(r)
 		}
 	}()
-	if steps, err = bp.Prep.compile(bp.Plan.Root); err != nil {
+	if steps, err = s.compile(root); err != nil {
 		return nil, err
 	}
 	e := &skelEngine{
 		ctx:         ctx,
 		binder:      binder,
-		cache:       bp.Prep.cache,
+		cache:       s.cache,
 		mem:         memAccount{budget: cfg.MemBudget},
 		skelScratch: getScratch(),
 	}

@@ -218,15 +218,11 @@ func TestTypedColumnEdgeCases(t *testing.T) {
 				}
 				check(label+" single", pi, got)
 			}
-			bps := []BatchPlan{prep(plans[0], batch), prep(plans[1], batch)}
-			got, perPlan, err := countBatch(ctx, bps, cat.Table, SkelConfig{})
+			got, err := countBatch(ctx, plans, cat.Table, batch, SkelConfig{})
 			if err != nil {
 				t.Fatalf("%s [%s batch]: %v", ec.name, label, err)
 			}
 			for pi := range plans {
-				if perPlan[pi] != nil {
-					t.Fatalf("%s [%s batch] instance %d: %v", ec.name, label, pi, perPlan[pi])
-				}
 				check(label+" batch", pi, got[pi])
 			}
 		}

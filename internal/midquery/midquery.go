@@ -62,20 +62,17 @@ func New(opt *optimizer.Optimizer, cat *catalog.Catalog) *Executor {
 	return &Executor{Opt: opt, Cat: cat}
 }
 
-// Run executes q with re-optimization after every join materialization:
-// plan the remaining query, execute only the plan's *first* join
-// (deepest leftmost), record its true cardinality in Result.Gamma,
-// replace the pair with a materialized temporary relation, and repeat
-// until one relation remains.
-func (e *Executor) Run(q *sql.Query) (*Result, error) {
-	return e.RunCtx(context.Background(), q)
-}
-
-// RunCtx is Run with cancellation: ctx is checked before each replan
-// step and threaded into every materializing execution, so a cancelled
-// context aborts mid-materialization with ctx.Err(). Temporaries
-// registered before the abort stay in the run's private workspace
-// catalog, which is discarded with the run.
+// RunCtx executes q with re-optimization after every join
+// materialization: plan the remaining query, execute only the plan's
+// *first* join (deepest leftmost), record its true cardinality in
+// Result.Gamma, replace the pair with a materialized temporary relation,
+// and repeat until one relation remains.
+//
+// ctx is checked before each replan step and threaded into every
+// materializing execution, so a cancelled context aborts
+// mid-materialization with ctx.Err(). Temporaries registered before the
+// abort stay in the run's private workspace catalog, which is discarded
+// with the run.
 func (e *Executor) RunCtx(ctx context.Context, q *sql.Query) (*Result, error) {
 	if len(q.GroupBy) > 0 || len(q.OrderBy) > 0 || q.Limit > 0 {
 		return nil, fmt.Errorf("midquery: GROUP BY / ORDER BY / LIMIT queries are not supported by the runtime re-optimizer: %w", executor.ErrUnsupportedPlan)

@@ -1,6 +1,7 @@
 package midquery
 
 import (
+	"context"
 	"testing"
 
 	"reopt/internal/core"
@@ -31,7 +32,7 @@ func TestRuntimeReoptOnOTT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mq.Run(q)
+		res, err := mq.RunCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -69,7 +70,7 @@ func TestRuntimeReoptOnTPCH(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mq.Run(q)
+		res, err := mq.RunCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("Q%d: %v", id, err)
 		}
@@ -90,7 +91,7 @@ func TestSingleTableQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mq.Run(qs[0])
+	res, err := mq.RunCtx(context.Background(), qs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestMidQueryStopsEarlyOnEmptyIntermediate(t *testing.T) {
 	opt := optimizer.New(cat, optimizer.DefaultConfig())
 	mq := New(opt, cat)
 	for i, q := range qs {
-		res, err := mq.Run(q)
+		res, err := mq.RunCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -155,7 +156,7 @@ func TestCompileTimeVsRuntimeComparison(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rres, err := runtime.Run(q)
+		rres, err := runtime.RunCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package sampling
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -43,9 +44,19 @@ func batchSetup(t testing.TB, count int) (*catalog.Catalog, []*plan.Plan) {
 func perRun() *WorkloadCache { return executor.NewSkeletonCache(0, 0) }
 
 // estimatePlans validates plans through store (nil: uncached) with the
-// default config, each plan prepared for its own query.
+// default config, in one call through a handle for the first plan's
+// query; plans of other queries validate through the call's own handles.
 func estimatePlans(plans []*plan.Plan, cat *catalog.Catalog, store *WorkloadCache) ([]*Estimate, error) {
-	return EstimatePlansCfg(context.Background(), plans, cat, Prepare(nil, store), ValidateConfig{})
+	return estimateWith(plans, cat, store, ValidateConfig{})
+}
+
+// estimateWith is estimatePlans under cfg.
+func estimateWith(plans []*plan.Plan, cat *catalog.Catalog, store *WorkloadCache, cfg ValidateConfig) ([]*Estimate, error) {
+	var cache Cache
+	if len(plans) > 0 {
+		cache = Prepare(plans[0].Query, store, cat)
+	}
+	return EstimatePlansCfg(context.Background(), plans, cat, cache, cfg)
 }
 
 // estimateOne is estimatePlans over the one plan.
@@ -66,7 +77,7 @@ func TestEstimatePlansMatchesSequential(t *testing.T) {
 
 	want := make([]*Estimate, len(plans))
 	for i, p := range plans {
-		e, err := EstimatePlan(p, cat)
+		e, err := estimateOne(p, cat, nil)
 		if err != nil {
 			t.Fatalf("plan %d sequential: %v", i, err)
 		}
@@ -101,52 +112,66 @@ func TestEstimatePlansMatchesSequential(t *testing.T) {
 	}
 }
 
-// checkRejected requires bad, validated beside good at every position,
-// to fail the call with ErrUnsupportedPlan while leaving the cache
-// holding exactly what validating good alone leaves; and bad validated
-// alone to store nothing.
-func checkRejected(t *testing.T, cat *catalog.Catalog, good []*plan.Plan, bad *plan.Plan) {
+// checkIsolated requires bad, validated under cfg beside good in one
+// call at every position, to fail the call with want while the plans
+// beside it behave as they do alone: the store ends up holding exactly
+// what validating good alone leaves — bad stores nothing — and each good
+// plan, validated again through that store, returns its estimate alone
+// without computing anything. bad validated alone stores nothing either.
+func checkIsolated(t *testing.T, label string, cat *catalog.Catalog, good []*plan.Plan, bad *plan.Plan, cfg ValidateConfig, want error) {
 	t.Helper()
-	want := perRun()
-	if _, err := estimatePlans(good, cat, want); err != nil {
-		t.Fatal(err)
+	wantStore := perRun()
+	alone, err := estimateWith(good, cat, wantStore, cfg)
+	if err != nil {
+		t.Fatalf("%s: good plans alone: %v", label, err)
 	}
 	for i := 0; i <= len(good); i++ {
-		cache := perRun()
-		_, err := estimatePlans(slices.Insert(slices.Clone(good), i, bad), cat, cache)
-		if !errors.Is(err, executor.ErrUnsupportedPlan) {
-			t.Fatalf("unsupported plan at position %d: %v, want ErrUnsupportedPlan", i, err)
+		store := perRun()
+		_, err := estimateWith(slices.Insert(slices.Clone(good), i, bad), cat, store, cfg)
+		if !errors.Is(err, want) {
+			t.Fatalf("%s: failing plan at position %d: %v, want %v", label, i, err, want)
 		}
-		if !slices.Equal(cache.Keys(), want.Keys()) || cache.Values() != want.Values() {
-			t.Fatalf("unsupported plan at position %d: cache holds %d keys / %d values, the supported plans alone %d / %d",
-				i, cache.Len(), cache.Values(), want.Len(), want.Values())
+		if !slices.Equal(store.Keys(), wantStore.Keys()) || store.Values() != wantStore.Values() {
+			t.Fatalf("%s: failing plan at position %d: cache holds %d keys / %d values, the good plans alone %d / %d",
+				label, i, store.Len(), store.Values(), wantStore.Len(), wantStore.Values())
+		}
+		_, misses := store.Stats()
+		for j, p := range good {
+			got, err := estimateWith([]*plan.Plan{p}, cat, store, cfg)
+			if err != nil {
+				t.Fatalf("%s: failing plan at position %d: plan %d afterwards: %v", label, i, j, err)
+			}
+			compareEstimates(t, label, j, fmt.Sprintf("beside a failing plan at position %d", i), got[0], alone[j])
+		}
+		if _, m := store.Stats(); m != misses {
+			t.Fatalf("%s: failing plan at position %d: the good plans recomputed %d sub-results afterwards", label, i, m-misses)
 		}
 	}
-	alone := perRun()
-	if _, err := estimateOne(bad, cat, alone); !errors.Is(err, executor.ErrUnsupportedPlan) {
-		t.Fatalf("unsupported plan alone: %v, want ErrUnsupportedPlan", err)
+	store := perRun()
+	if _, err := estimateWith([]*plan.Plan{bad}, cat, store, cfg); !errors.Is(err, want) {
+		t.Fatalf("%s: failing plan alone: %v, want %v", label, err, want)
 	}
-	if alone.Len() != 0 {
-		t.Fatalf("validating the unsupported plan alone cached %d entries", alone.Len())
+	if store.Len() != 0 {
+		t.Fatalf("%s: validating the failing plan alone cached %d entries", label, store.Len())
 	}
 }
 
 // TestEstimatePlansRejectsUnsupportedPlan: a plan the count engine cannot
 // run fails the call with ErrUnsupportedPlan and stores nothing, while
-// the plans beside it are validated as they are alone — whichever cache
-// each validates through, or none.
+// the plans beside it are validated as they are alone — their counts and
+// cache entries — whichever cache each validates through, or none.
 func TestEstimatePlansRejectsUnsupportedPlan(t *testing.T) {
 	cat, plans := batchSetup(t, 2)
 	badQ := *plans[0].Query
 	badQ.Joins = nil
 	bad := &plan.Plan{Root: plans[0].Root, Query: &badQ}
-	checkRejected(t, cat, plans, bad)
+	checkIsolated(t, "unsupported", cat, plans, bad, ValidateConfig{}, executor.ErrUnsupportedPlan)
 
 	// The three plans as three calls, each through its own cache: a
 	// workload-cache holder, an uncached one holding the unsupported plan,
 	// a per-run one.
 	mixed := []*plan.Plan{plans[0], bad, plans[1]}
-	caches := []Cache{Prepare(nil, NewWorkloadCache(0)), nil, Prepare(mixed[2].Query, perRun())}
+	caches := []Cache{Prepare(mixed[0].Query, NewWorkloadCache(0), cat), nil, Prepare(mixed[2].Query, perRun(), cat)}
 	for i, cache := range caches {
 		ests, err := EstimatePlansCfg(context.Background(), mixed[i:i+1], cat, cache, ValidateConfig{})
 		if mixed[i] == bad {
@@ -158,7 +183,7 @@ func TestEstimatePlansRejectsUnsupportedPlan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
-		want, err := EstimatePlan(mixed[i], cat)
+		want, err := estimateOne(mixed[i], cat, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +243,7 @@ func TestWorkloadCacheSampleEpochInvalidation(t *testing.T) {
 	cat.BuildSamples(12345)
 	fresh := make([]*Estimate, len(plans))
 	for i, p := range plans {
-		e, err := EstimatePlan(p, cat) // uncached ground truth, new samples
+		e, err := estimateOne(p, cat, nil) // uncached ground truth, new samples
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +283,7 @@ func TestWorkloadCacheEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := EstimatePlan(p, cat)
+		want, err := estimateOne(p, cat, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,8 +298,8 @@ func TestWorkloadCacheEviction(t *testing.T) {
 // answers nothing — directly, and through a deprecated scheduler client,
 // which makes the same call.
 func TestEmptyPlanGroups(t *testing.T) {
-	cat, _ := batchSetup(t, 1)
-	if got, err := EstimatePlansCfg(context.Background(), nil, cat, Prepare(nil, perRun()), ValidateConfig{}); got != nil || err != nil {
+	cat, plans := batchSetup(t, 1)
+	if got, err := EstimatePlansCfg(context.Background(), nil, cat, Prepare(plans[0].Query, perRun(), cat), ValidateConfig{}); got != nil || err != nil {
 		t.Fatalf("empty call: %v, %v", got, err)
 	}
 	c := NewScheduler(cat, 0, 0).Register()

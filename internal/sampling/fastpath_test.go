@@ -65,7 +65,7 @@ func TestFastPathMatchesVolcano(t *testing.T) {
 				if err != nil {
 					t.Fatalf("query %d: %v", qi, err)
 				}
-				fastFresh, err := EstimatePlan(p, tc.cat)
+				fastFresh, err := estimateOne(p, tc.cat, nil)
 				if err != nil {
 					t.Fatalf("query %d fast: %v", qi, err)
 				}
@@ -115,8 +115,8 @@ func TestEstimateRejectsUnsupportedShape(t *testing.T) {
 	stripped := *ottQs[0]
 	stripped.Joins = nil
 	bad := &plan.Plan{Root: p.Root, Query: &stripped}
-	checkRejected(t, ottCat, []*plan.Plan{p}, bad)
-	est, err := EstimatePlan(p, ottCat)
+	checkIsolated(t, "stripped join list", ottCat, []*plan.Plan{p}, bad, ValidateConfig{}, executor.ErrUnsupportedPlan)
+	est, err := estimateOne(p, ottCat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +206,8 @@ func TestEstimateRejectsUnresolvableSchema(t *testing.T) {
 		Right: sql.ColRef{Table: q2.Tables[1].Alias, Column: q2.Joins[0].Right.Column},
 	})
 	broken := &plan.Plan{Root: p.Root, Query: &q2}
-	checkRejected(t, cat, []*plan.Plan{p}, broken)
-	est, err := EstimatePlan(p, cat)
+	checkIsolated(t, "phantom join column", cat, []*plan.Plan{p}, broken, ValidateConfig{}, executor.ErrUnsupportedPlan)
+	est, err := estimateOne(p, cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,11 +320,10 @@ func TestExactnessRuleForHandBuiltPlans(t *testing.T) {
 		"predicate the query does not have": join(join(join(scan("x"), scan("y"), xy, extra), scan("z"), yz, xz), scan("w"), zw),
 	} {
 		handBuilt := &plan.Plan{Root: root, Query: q}
-		_, perPlan, err := executor.CountSkeletonSteps(context.Background(), []executor.BatchPlan{{Plan: handBuilt, Prep: executor.NewPrepared(q, nil, 0, nil)}}, cat.Sample, executor.SkelConfig{})
-		if err != nil || !errors.Is(perPlan[0], executor.ErrUnsupportedPlan) {
-			t.Fatalf("%s: count engine: %v, %v, want ErrUnsupportedPlan", name, err, perPlan[0])
+		if _, err := executor.NewPrepared(q, nil, 0, nil).Count(context.Background(), root, cat.Sample, executor.SkelConfig{}); !errors.Is(err, executor.ErrUnsupportedPlan) {
+			t.Fatalf("%s: count engine: %v, want ErrUnsupportedPlan", name, err)
 		}
-		checkRejected(t, cat, exact, handBuilt)
+		checkIsolated(t, name, cat, exact, handBuilt, ValidateConfig{}, executor.ErrUnsupportedPlan)
 		// A cache the inexact plan failed on serves the exact plans what
 		// they count uncached.
 		cache := perRun()
@@ -375,8 +374,8 @@ func rewrite(n plan.Node) plan.Node {
 // volcanoEstimate is the estimate the general executor's counts of p's
 // skeleton over the samples imply: per node, its count under the Γ key of
 // its relations, scaled by their factors |R| / |R^s| multiplied in leaf
-// order, with the zero-count floor — what EstimatePlan must return bit for
-// bit.
+// order, with the zero-count floor — what EstimatePlansCfg must return
+// bit for bit.
 func volcanoEstimate(t testing.TB, p *plan.Plan, cat *catalog.Catalog) *Estimate {
 	t.Helper()
 	skeleton := rewrite(p.Root)

@@ -8,16 +8,16 @@
 //
 // Reuse across rounds and queries goes through one store — the
 // executor's SkeletonCache, which WorkloadCache names — reached through
-// one per-request handle: Prepare(q, store) returns the Cache that binds
-// q's prepared validation state, the store, and the catalog's current
-// sample epoch (DESIGN.md §2, §11).
+// one per-request handle, executor.Prepared, which Cache names:
+// Prepare(q, store, cat) binds q's prepared validation state to the store
+// and to the catalog's current samples, and EstimatePlansCfg runs each
+// plan through it with Prepared.Count (DESIGN.md §2, §11).
 package sampling
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"reopt/internal/catalog"
@@ -48,43 +48,38 @@ type Estimate struct {
 	Duration time.Duration
 }
 
-// EstimatePlan validates p's join skeleton over the catalog's samples,
-// uncached and with the default config. The skeleton keeps the plan's join
-// tree and all predicates; its physical choices (access paths, join
-// methods) never reach a count, and an aggregate root is peeled off — only
-// join cardinalities are validated.
-func EstimatePlan(p *plan.Plan, cat *catalog.Catalog) (*Estimate, error) {
-	ests, err := EstimatePlansCfg(context.Background(), []*plan.Plan{p}, cat, nil, ValidateConfig{})
-	if err != nil {
-		return nil, err
-	}
-	return ests[0], nil
-}
-
 // ValidateConfig carries the execution knobs of the validation layer:
 // the skeleton engine's own.
 type ValidateConfig = executor.SkelConfig
 
-// EstimatePlansCfg validates several plans' join skeletons over the
-// catalog's samples, one after another on the calling goroutine
-// (executor.CountSkeletonSteps); subtrees the plans share are computed
-// once when cache — a handle from Prepare, or nil — has a store to carry
-// them. The returned estimates are positional and their Sets
-// byte-identical to validating each plan alone, in order, against the
-// same cache; Duration is the call's total time
-// amortized equally across the plans.
+// EstimatePlansCfg validates plans' join skeletons over the catalog's
+// samples, one after another on the calling goroutine
+// (executor.Prepared.Count). The skeleton keeps each plan's join tree and
+// all predicates; its physical choices (access paths, join methods) never
+// reach a count, and an aggregate root is peeled off — only join
+// cardinalities are validated. A plan validates through cache — a handle
+// from Prepare, or nil — when the handle serves its query over the
+// current samples, otherwise through a handle made for the call over the
+// same store (uncached for a nil cache); subtrees the plans share are
+// computed once when there is a store to carry them. The returned
+// estimates are positional and their Sets byte-identical to validating
+// each plan alone, in order, against the same cache; Duration is the
+// call's total time amortized equally across the plans.
 //
 // ctx reaches the engine (checked before every step), so a cancelled ctx
 // aborts the call with ctx.Err() mid-validation; completed subtrees cached
-// before the abort stay cached, nothing partial is ever stored. A plan that
-// fails on its own account fails the call with the first such error; it
-// stores nothing, and the plans beside it leave the cache as they would
-// alone. One outside the engine's contract (a hand-built plan that does
-// not apply exactly the query's predicates, say) matches
-// executor.ErrUnsupportedPlan; one breaching cfg.MemBudget matches
-// executor.ErrMemoryBudget (which wraps context.DeadlineExceeded, so
-// budget-aware callers degrade it like a deadline); a panic inside
-// validation matches executor.ErrValidationPanic instead of unwinding.
+// before the abort stay cached, nothing partial is ever stored. A nil
+// plan, or one without a query or root, fails the call with
+// executor.ErrUnsupportedPlan before anything executes. A plan that fails
+// on its own account fails the call with the first such error; it stores
+// nothing partial, and the plans beside it are still validated, so they
+// leave the cache as they would alone. One outside the engine's contract (a
+// hand-built plan that does not apply exactly the query's predicates,
+// say) matches executor.ErrUnsupportedPlan; one breaching cfg.MemBudget
+// matches executor.ErrMemoryBudget (which wraps context.DeadlineExceeded,
+// so budget-aware callers degrade it like a deadline); one whose count
+// overflows matches executor.ErrCountOverflow; a panic inside validation
+// matches executor.ErrValidationPanic instead of unwinding.
 func EstimatePlansCfg(ctx context.Context, plans []*plan.Plan, cat *catalog.Catalog, cache Cache, cfg ValidateConfig) ([]*Estimate, error) {
 	if len(plans) == 0 {
 		return nil, nil
@@ -95,34 +90,46 @@ func EstimatePlansCfg(ctx context.Context, plans []*plan.Plan, cat *catalog.Cata
 	if !cat.HasSamples() {
 		return nil, fmt.Errorf("sampling: %w", ErrNoSamples)
 	}
-	start := time.Now()
-	bplans := make([]executor.BatchPlan, len(plans))
 	for i, p := range plans {
 		if p == nil || p.Query == nil || p.Root == nil {
 			return nil, fmt.Errorf("sampling: plan %d has no query or root: %w", i, executor.ErrUnsupportedPlan)
 		}
-		prep, err := cache.prepared(p.Query, cat)
-		if err != nil {
-			return nil, err
-		}
-		// Only join cardinalities are validated (§2): the count engine sees
-		// the plan below its aggregate, physical choices and all — they
-		// never reach a count.
-		if agg, ok := p.Root.(*plan.AggregateNode); ok {
-			p = &plan.Plan{Root: agg.Child, Query: p.Query}
-		}
-		bplans[i] = executor.BatchPlan{Plan: p, Prep: prep}
 	}
-	steps, perPlan, err := executor.CountSkeletonSteps(ctx, bplans, cat.Sample, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("sampling: batch skeleton run: %w", err)
-	}
+	start := time.Now()
+	epoch := cat.SampleEpoch()
+	var other Cache // the call's handle for plans cache does not serve
 	ests := make([]*Estimate, len(plans))
-	for i, e := range perPlan {
-		if e != nil {
-			return nil, fmt.Errorf("sampling: batch skeleton run: %w", e)
+	var failed error
+	for i, p := range plans {
+		prep := cache
+		if !prep.Serves(p.Query, epoch) {
+			if !other.Serves(p.Query, epoch) {
+				var err error
+				if other, err = prepare(p.Query, cache.Cache(), cat); err != nil {
+					return nil, err
+				}
+			}
+			prep = other
 		}
-		ests[i] = estimateFromSteps(steps[i])
+		root := p.Root
+		if agg, ok := root.(*plan.AggregateNode); ok {
+			root = agg.Child
+		}
+		steps, err := prep.Count(ctx, root, cat.Sample, cfg)
+		switch {
+		case err == nil:
+			ests[i] = estimateFromSteps(steps)
+		case errors.Is(err, executor.ErrUnsupportedPlan), errors.Is(err, executor.ErrMemoryBudget),
+			errors.Is(err, executor.ErrCountOverflow), errors.Is(err, executor.ErrValidationPanic):
+			if failed == nil {
+				failed = err
+			}
+		default:
+			return nil, fmt.Errorf("sampling: skeleton run: %w", err)
+		}
+	}
+	if failed != nil {
+		return nil, fmt.Errorf("sampling: skeleton run: %w", failed)
 	}
 	// Report the call's cost amortized equally per plan, so summing the
 	// Durations reflects the call's sampling overhead.
@@ -133,58 +140,33 @@ func EstimatePlansCfg(ctx context.Context, plans []*plan.Plan, cat *catalog.Cata
 	return ests, nil
 }
 
-// Cache is one request's handle on validation (DESIGN.md §11): the
-// store it validates through and the prepared state of its query —
-// signatures, cache keys, join resolutions and the per-table scale
-// factors |R| / |R^s|, derived once per request instead of once per
-// round. Prepare makes one; nil validates every plan uncached.
-type Cache = *handle
-
-type handle struct {
-	q     *sql.Query
-	store *WorkloadCache // nil: uncached
-
-	mu    sync.Mutex
-	epoch uint64             // the sample set prep was made for
-	prep  *executor.Prepared // q's state over those samples
-}
+// Cache is one request's handle on validation (DESIGN.md §11): the store
+// it validates through, the sample epoch it is bound to and the prepared
+// state of its query — signatures, cache keys, join resolutions and the
+// per-table scale factors |R| / |R^s|, derived once per request instead of
+// once per round. Prepare makes one; nil validates every plan uncached.
+type Cache = *executor.Prepared
 
 // Prepare returns the handle q's validations go through, over store (nil
 // caches nothing; a re-optimization's private store is an unbounded
-// executor.NewSkeletonCache). The handle lives as long as the request —
-// make one per request — and follows the catalog's sample epoch:
-// validating after a BuildSamples prepares q afresh. Plans of other
-// queries validate through the same store with a state prepared for
-// them alone.
-func Prepare(q *sql.Query, store *WorkloadCache) Cache {
-	return &handle{q: q, store: store}
+// executor.NewSkeletonCache), bound to the catalog's current samples:
+// their epoch and the scale factors they imply. The handle lives as long
+// as the request — make one per request. A validation after a
+// BuildSamples, or of another query's plan, goes through a handle made for
+// the call over the same store. Prepare returns nil when q is nil or the
+// catalog cannot scale it (no samples yet, or a table it lacks); the
+// validation then reports why.
+func Prepare(q *sql.Query, store *WorkloadCache, cat *catalog.Catalog) Cache {
+	if q == nil {
+		return nil
+	}
+	prep, _ := prepare(q, store, cat)
+	return prep
 }
 
-// prepared returns the executor handle a plan of q validates through:
-// the one kept for c's query, while the samples are the ones it was made
-// for, otherwise a fresh one over c's store for the current samples.
-func (c *handle) prepared(q *sql.Query, cat *catalog.Catalog) (*executor.Prepared, error) {
-	if c == nil {
-		return newPrepared(q, nil, cat)
-	}
-	if c.q != q {
-		return newPrepared(q, c.store, cat)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if epoch := cat.SampleEpoch(); c.prep == nil || c.epoch != epoch {
-		prep, err := newPrepared(q, c.store, cat)
-		if err != nil {
-			return nil, err
-		}
-		c.prep, c.epoch = prep, epoch
-	}
-	return c.prep, nil
-}
-
-// newPrepared prepares q over store for the catalog's current samples,
-// with the per-alias scale factors |R| / |R^s| they imply.
-func newPrepared(q *sql.Query, store *WorkloadCache, cat *catalog.Catalog) (*executor.Prepared, error) {
+// prepare prepares q over store for the catalog's current samples, with
+// the per-alias scale factors |R| / |R^s| they imply.
+func prepare(q *sql.Query, store *WorkloadCache, cat *catalog.Catalog) (Cache, error) {
 	scales := make([]float64, len(q.Tables))
 	for i, tr := range q.Tables {
 		base, err := cat.Table(tr.Name)
@@ -238,7 +220,7 @@ func estimateFromSteps(steps []executor.Step) *Estimate {
 // (k+1)/(k+1+c) rises toward 1 for well-observed sets and stays low when
 // the sample barely witnessed the set. The Laplace-style +1 is
 // deliberate, not plain k/(k+c): even at k=0 the estimator still says
-// something — the resolution-limit floor of EstimatePlan (half of one
+// something — the resolution-limit floor of EstimatePlansCfg (half of one
 // sample row's worth) — so an unwitnessed set keeps a small non-zero
 // weight, 1/(1+c), rather than being wholly overridden by the
 // optimizer's statistics-based estimate. With c = 4 that is 0.2, so

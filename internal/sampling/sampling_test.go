@@ -58,7 +58,7 @@ func TestEstimatorUnbiasedOnUniformJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := joinPlan(cat, q)
-	est, err := EstimatePlan(p, cat)
+	est, err := estimateOne(p, cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestEstimateRecordsEverySubtree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimatePlan(joinPlan(cat, q), cat)
+	est, err := estimateOne(joinPlan(cat, q), cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestZeroCountFloor(t *testing.T) {
 	// Attach the impossible filter to the left scan.
 	left := p.Root.(*plan.JoinNode).Left.(*plan.ScanNode)
 	left.Filters = q.SelectionsOn("a")
-	est, err := EstimatePlan(p, cat)
+	est, err := estimateOne(p, cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestEstimateIgnoresPhysicalChoices(t *testing.T) {
 	inner := p.Root.(*plan.JoinNode).Right.(*plan.ScanNode)
 	inner.Access = plan.IndexScan
 	inner.IndexColumn = "k"
-	if _, err := EstimatePlan(p, cat); err != nil {
+	if _, err := estimateOne(p, cat, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -159,7 +159,7 @@ func TestEstimateRequiresSamples(t *testing.T) {
 		Root:  &plan.ScanNode{Alias: "a", Table: "a", Access: plan.SeqScan, OutSchema: tab.Schema()},
 		Query: q,
 	}
-	if _, err := EstimatePlan(p, cat); err == nil {
+	if _, err := estimateOne(p, cat, nil); err == nil {
 		t.Error("expected error without samples")
 	}
 }
@@ -205,7 +205,7 @@ func TestEstimateAgainstTrueCardinalities(t *testing.T) {
 	}
 	p := joinPlan(cat, q)
 	p.Root.(*plan.JoinNode).Left.(*plan.ScanNode).Filters = q.SelectionsOn("a")
-	est, err := EstimatePlan(p, cat)
+	est, err := estimateOne(p, cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

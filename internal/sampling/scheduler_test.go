@@ -44,7 +44,7 @@ func TestSchedulerLoneRequestFlushesImmediately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EstimatePlan(plans[0], cat)
+	want, err := estimateOne(plans[0], cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 	cat, plans := batchSetup(t, 4)
 	want := make([]*Estimate, len(plans))
 	for i, p := range plans {
-		e, err := EstimatePlan(p, cat)
+		e, err := estimateOne(p, cat, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,9 @@ func TestSchedulerEquivalence(t *testing.T) {
 			s := NewScheduler(cat, w, time.Hour)
 			var shared Cache
 			if cacheMode == "workload" {
-				shared = Prepare(nil, NewWorkloadCache(0))
+				// One handle for every requester: the others' plans
+				// validate through handles of their own over its store.
+				shared = Prepare(plans[0].Query, NewWorkloadCache(0), cat)
 			}
 			var wg sync.WaitGroup
 			errs := make([]error, len(plans))
@@ -82,7 +84,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 					defer wg.Done()
 					cache := shared
 					if cacheMode == "perrun" {
-						cache = Prepare(plans[i].Query, perRun())
+						cache = Prepare(plans[i].Query, perRun(), cat)
 					}
 					got[i], errs[i] = schedValidate(s, context.Background(), plans[i:i+1], cache)
 				}(i)
@@ -114,7 +116,7 @@ func TestSchedulerCancelQueuedRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EstimatePlan(plans[1], cat)
+	want, err := estimateOne(plans[1], cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +170,7 @@ func TestSchedulerCancelOneMidWave(t *testing.T) {
 	if err := <-bDone; err != nil {
 		t.Fatalf("surviving requester: %v", err)
 	}
-	want, err := EstimatePlan(plans[1], cat)
+	want, err := estimateOne(plans[1], cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +238,7 @@ func TestSchedulerLoneWaveRunsOnRequester(t *testing.T) {
 	if during > before || runtime.NumGoroutine() > before {
 		t.Errorf("goroutines: %d before, %d during, %d after a validation", before, during, runtime.NumGoroutine())
 	}
-	want, err := EstimatePlan(plans[0], cat)
+	want, err := estimateOne(plans[0], cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

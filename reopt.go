@@ -33,7 +33,7 @@
 // names its replacement:
 //
 //	NewOptimizer + NewReoptimizer + Reoptimize  ->  Open + Session.Reoptimize
-//	Reoptimizer.ReoptimizeMultiSeed             ->  Session.ReoptimizeMultiSeed
+//	Reoptimizer.ReoptimizeMultiSeed             ->  Session.ReoptimizeMultiSeed       (removed)
 //	Parse(src, cat)                             ->  Session.Parse(src)
 //	Execute(p, cat, opts)                       ->  Session.Execute(ctx, p, opts)     (removed)
 //	EstimateBySampling(p, cat)                  ->  Session.Validate(ctx, p)          (removed)

@@ -400,7 +400,7 @@ func (s *Session) Validate(ctx context.Context, plans ...*Plan) ([]*SamplingEsti
 	if plans[0] != nil {
 		q = plans[0].Query
 	}
-	cache := sampling.Prepare(q, s.cache)
+	cache := sampling.Prepare(q, s.cache, s.cat)
 	return sampling.EstimatePlansCfg(ctx, plans, s.cat, cache, sampling.ValidateConfig{MemBudget: s.memBudget})
 }
 
