@@ -48,13 +48,15 @@ examples:
 # check is the tier-1 gate: vet, build, full test suite.
 check: vet build test
 
-# lint is the contract gate: go vet plus the repo's own analyzer suite
-# (cmd/reoptvet; DESIGN.md §8). reoptvet enforces the written
-# contracts — deterministic map iteration, goroutine panic
-# containment, cache hygiene on error paths, budget-vs-ctx discipline,
-# and the sentinel error taxonomy — and fails on any finding or bare
-# //reoptvet:ignore.
+# lint is the contract gate: gofmt, go vet and the repo's own analyzer
+# suite (cmd/reoptvet; DESIGN.md §8). It fails on any file gofmt would
+# rewrite. reoptvet enforces the written contracts — deterministic map
+# iteration, goroutine panic containment, cache hygiene on error paths,
+# budget-vs-ctx discipline, and the sentinel error taxonomy — and fails
+# on any finding or bare //reoptvet:ignore.
 lint: vet
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/reoptvet ./...
 
 # chaos runs the failure-isolation suite under the race detector at

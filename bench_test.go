@@ -49,7 +49,7 @@ func benchFigure(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchConfig())
+		r := experiments.NewRunner(context.Background(), benchConfig())
 		tab, err := e.Run(r)
 		if err != nil {
 			b.Fatal(err)

@@ -63,7 +63,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	runner := experiments.NewRunnerCtx(ctx, cfg)
+	runner := experiments.NewRunner(ctx, cfg)
 
 	var selected []experiments.Experiment
 	if *id == "all" {

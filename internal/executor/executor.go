@@ -1,10 +1,12 @@
-// Package executor evaluates physical plans with Volcano-style
-// iterators. Every operator maintains instrumentation counters (pages
-// read sequentially and randomly, tuples and index entries processed,
-// operator evaluations) so that runs can be expressed in the same
-// currency as the cost model — the basis for cost-unit calibration — and
-// per-node output counts, which the sampling estimator reads off to
-// obtain the cardinality of every join subtree in one pass.
+// Package executor evaluates physical plans. Run drives Volcano-style
+// iterators over the base tables for Session.Execute, mid-query
+// re-optimization, cost-unit calibration and ExplainAnalyze; tests bind
+// samples through Options.Binder to make it the oracle of Prepared.Count,
+// the sampling estimator's count-only engine (skeleton.go). Every
+// operator maintains instrumentation counters (pages read sequentially
+// and randomly, tuples and index entries processed, operator evaluations)
+// in the cost model's currency, and per-node output counts, which
+// ExplainAnalyze prints.
 package executor
 
 import (
@@ -61,7 +63,8 @@ type Options struct {
 	// and filters still run in full.
 	CountOnly bool
 	// Binder maps a catalog table name to the storage table to scan.
-	// nil scans the base tables; the sampling layer binds samples.
+	// nil scans the base tables; tests bind samples (catalog.Sample) to
+	// check the sampling engine's counts against Volcano's.
 	Binder func(name string) (*storage.Table, error)
 }
 
@@ -416,9 +419,8 @@ func (ex *executor) buildScan(s *plan.ScanNode) (iterator, error) {
 				}, nil
 			}
 		}
-		// The plan wanted an index the bound table lacks (e.g. a sample
-		// table): degrade to a sequential scan, like a hinted system
-		// would.
+		// The plan wanted an index the bound table lacks (e.g. a test's
+		// sample): degrade to a sequential scan, like a hinted system would.
 	}
 	return &seqScanIter{table: t, filters: s.Filters, fidx: fidx, ctr: &ex.res.Counters}, nil
 }
@@ -476,16 +478,8 @@ func (ex *executor) buildJoin(j *plan.JoinNode) (iterator, error) {
 			return nil, err
 		}
 		// Materialize the inner side once; rescans replay it.
-		var inner []rel.Row
-		for {
-			row, ok := right.next()
-			if !ok {
-				break
-			}
-			inner = append(inner, row)
-		}
 		return &nestLoopIter{
-			left: left, inner: inner,
+			left: left, inner: drain(right),
 			lidx: lidx, ridx: ridx,
 			ctr: &ex.res.Counters,
 		}, nil
@@ -517,15 +511,7 @@ func (n *nestLoopIter) next() (rel.Row, bool) {
 			r := n.inner[n.innerI]
 			n.innerI++
 			n.ctr.Tuples++
-			match := true
-			for k := range n.lidx {
-				n.ctr.OperatorEvals++
-				if !n.cur[n.lidx[k]].Equal(r[n.ridx[k]]) {
-					match = false
-					break
-				}
-			}
-			if match {
+			if keysMatch(n.cur, n.lidx, r, n.ridx, n.ctr) {
 				return n.arena.concat(n.cur, r), true
 			}
 		}
@@ -556,10 +542,14 @@ type hashJoinIter struct {
 	matchI  int
 }
 
-// keysEqual verifies a candidate bucket entry: predicate equality on
-// every key column (the collision check behind the 64-bit hash).
-func keysEqual(l rel.Row, lidx []int, r rel.Row, ridx []int) bool {
+// keysMatch is every join's key rule: l and r join when each key pair
+// is Equal, so NULL never matches, not even NULL. A non-nil ctr is
+// charged one OperatorEvals per pair compared.
+func keysMatch(l rel.Row, lidx []int, r rel.Row, ridx []int, ctr *Counters) bool {
 	for k := range lidx {
+		if ctr != nil {
+			ctr.OperatorEvals++
+		}
 		if !l[lidx[k]].Equal(r[ridx[k]]) {
 			return false
 		}
@@ -567,8 +557,8 @@ func keysEqual(l rel.Row, lidx []int, r rel.Row, ridx []int) bool {
 	return true
 }
 
-// rowHasNull reports whether any key column is NULL; NULL keys never
-// match anything and are dropped on both build and probe sides.
+// rowHasNull reports whether any key column is NULL; such a row can
+// never match, so the hash and merge joins drop it before comparing.
 func rowHasNull(row rel.Row, idx []int) bool {
 	for _, i := range idx {
 		if row[i].IsNull() {
@@ -595,7 +585,7 @@ func newHashJoin(left, right iterator, lidx, ridx []int, ctr *Counters) *hashJoi
 		bucket := h.table[hash]
 		placed := false
 		for gi := range bucket {
-			if keysEqual(bucket[gi].key, ridx, row, ridx) {
+			if keysMatch(bucket[gi].key, ridx, row, ridx, nil) {
 				bucket[gi].rows = append(bucket[gi].rows, row)
 				placed = true
 				break
@@ -628,7 +618,7 @@ func (h *hashJoinIter) next() (rel.Row, bool) {
 		h.matches = nil
 		h.matchI = 0
 		for _, g := range h.table[rel.HashRow(row, h.lidx)] {
-			if keysEqual(row, h.lidx, g.key, h.ridx) {
+			if keysMatch(row, h.lidx, g.key, h.ridx, nil) {
 				h.matches = g.rows
 				break
 			}
@@ -636,54 +626,41 @@ func (h *hashJoinIter) next() (rel.Row, bool) {
 	}
 }
 
-// --- Merge join ---
-
-type mergeJoinIter struct {
-	out []rel.Row
-	pos int
+// drain pulls it to exhaustion and returns the rows it emitted.
+func drain(it iterator) []rel.Row {
+	var rows []rel.Row
+	for {
+		row, ok := it.next()
+		if !ok {
+			return rows
+		}
+		rows = append(rows, row)
+	}
 }
 
-func (m *mergeJoinIter) next() (rel.Row, bool) {
-	if m.pos >= len(m.out) {
+// replay emits rows an operator materialized in full (merge join,
+// hash aggregate).
+type replay struct {
+	rows []rel.Row
+	pos  int
+}
+
+func (r *replay) next() (rel.Row, bool) {
+	if r.pos >= len(r.rows) {
 		return nil, false
 	}
-	r := m.out[m.pos]
-	m.pos++
-	return r, true
+	r.pos++
+	return r.rows[r.pos-1], true
 }
+
+// --- Merge join ---
 
 // newMergeJoin materializes and sorts both inputs on the join key, then
 // merges equal-key groups. Output order follows the sort, as a real
 // merge join's would.
-func newMergeJoin(left, right iterator, lidx, ridx []int, ctr *Counters) *mergeJoinIter {
-	var lrows, rrows []rel.Row
-	for {
-		row, ok := left.next()
-		if !ok {
-			break
-		}
-		lrows = append(lrows, row)
-	}
-	for {
-		row, ok := right.next()
-		if !ok {
-			break
-		}
-		rrows = append(rrows, row)
-	}
-	cmpRows := func(a, b rel.Row, idx []int) int {
-		for _, i := range idx {
-			if c := a[i].Compare(b[i]); c != 0 {
-				return c
-			}
-		}
-		return 0
-	}
-	ctr.OperatorEvals += int64(sortCostOps(len(lrows)) + sortCostOps(len(rrows)))
-	sort.SliceStable(lrows, func(i, j int) bool { return cmpRows(lrows[i], lrows[j], lidx) < 0 })
-	sort.SliceStable(rrows, func(i, j int) bool { return cmpRows(rrows[i], rrows[j], ridx) < 0 })
-
-	cmpLR := func(l, r rel.Row) int {
+func newMergeJoin(left, right iterator, lidx, ridx []int, ctr *Counters) *replay {
+	lrows, rrows := drain(left), drain(right)
+	cmpRows := func(l rel.Row, lidx []int, r rel.Row, ridx []int) int {
 		for k := range lidx {
 			if c := l[lidx[k]].Compare(r[ridx[k]]); c != 0 {
 				return c
@@ -691,6 +668,10 @@ func newMergeJoin(left, right iterator, lidx, ridx []int, ctr *Counters) *mergeJ
 		}
 		return 0
 	}
+	ctr.OperatorEvals += int64(sortCostOps(len(lrows)) + sortCostOps(len(rrows)))
+	sort.SliceStable(lrows, func(i, j int) bool { return cmpRows(lrows[i], lidx, lrows[j], lidx) < 0 })
+	sort.SliceStable(rrows, func(i, j int) bool { return cmpRows(rrows[i], ridx, rrows[j], ridx) < 0 })
+	cmpLR := func(l, r rel.Row) int { return cmpRows(l, lidx, r, ridx) }
 	var arena rowArena
 	var out []rel.Row
 	i, j := 0, 0
@@ -703,8 +684,8 @@ func newMergeJoin(left, right iterator, lidx, ridx []int, ctr *Counters) *mergeJ
 		case c > 0:
 			j++
 		default:
-			// NULL keys never join.
-			if lrows[i][lidx[0]].IsNull() {
+			// Compare sorts NULL equal to NULL, but NULL keys never join.
+			if rowHasNull(lrows[i], lidx) {
 				i++
 				continue
 			}
@@ -726,7 +707,7 @@ func newMergeJoin(left, right iterator, lidx, ridx []int, ctr *Counters) *mergeJ
 			i, j = i2, j2
 		}
 	}
-	return &mergeJoinIter{out: out}
+	return &replay{rows: out}
 }
 
 func sortCostOps(n int) int {
@@ -738,20 +719,6 @@ func sortCostOps(n int) int {
 }
 
 // --- Hash aggregate ---
-
-type hashAggIter struct {
-	out []rel.Row
-	pos int
-}
-
-func (h *hashAggIter) next() (rel.Row, bool) {
-	if h.pos >= len(h.out) {
-		return nil, false
-	}
-	r := h.out[h.pos]
-	h.pos++
-	return r, true
-}
 
 func (ex *executor) buildAggregate(a *plan.AggregateNode) (iterator, error) {
 	child, err := ex.build(a.Child)
@@ -814,7 +781,7 @@ func (ex *executor) buildAggregate(a *plan.AggregateNode) (iterator, error) {
 		ex.res.Counters.Tuples++
 		out = append(out, append(g.keyRow.Clone(), rel.Int(g.count)))
 	}
-	return &hashAggIter{out: out}, nil
+	return &replay{rows: out}, nil
 }
 
 // --- Index nested-loop join ---
@@ -848,7 +815,7 @@ func (ex *executor) buildIndexNL(j *plan.JoinNode, left iterator, lidx, ridx []i
 	}
 	idx := t.Index(inner.IndexColumn)
 	if idx == nil {
-		// Bound table lacks the index (sample run): degrade to hash join.
+		// Bound table lacks the index (e.g. a test's sample): hash join.
 		right, err := ex.build(j.Right)
 		if err != nil {
 			return nil, err
@@ -894,15 +861,7 @@ func (ix *indexNLIter) next() (rel.Row, bool) {
 			if !passes(row, ix.residual, ix.fidx, ix.ctr) {
 				continue
 			}
-			match := true
-			for k := range ix.extraL {
-				ix.ctr.OperatorEvals++
-				if !ix.cur[ix.extraL[k]].Equal(row[ix.extraR[k]]) {
-					match = false
-					break
-				}
-			}
-			if match {
+			if keysMatch(ix.cur, ix.extraL, row, ix.extraR, ix.ctr) {
 				return ix.arena.concat(ix.cur, row), true
 			}
 		}

@@ -71,7 +71,11 @@ func joinCases() []joinCase {
 				return []rel.Value{rel.Int(int64(i % 7)), second}
 			}),
 			r: keyRows(520, func(i int) []rel.Value {
-				return []rel.Value{rel.Int(int64(i % 7)), rel.Int(int64(i % 3))}
+				second := rel.Int(int64(i % 3))
+				if i%13 == 0 {
+					second = rel.Null // meets the left side's NULLs
+				}
+				return []rel.Value{rel.Int(int64(i % 7)), second}
 			})},
 		{name: "string key",
 			l: keyRows(600, func(i int) []rel.Value { return []rel.Value{rel.String_(fmt.Sprintf("s%d", i%30))} }),
@@ -290,6 +294,44 @@ func TestJoinTablePairsThroughEngines(t *testing.T) {
 					t.Fatalf("%s: pair %d is (%d, %d), the map-based join's is (%d, %d)", label,
 						x, sub.cols[0].Ints[x], sub.cols[1].Ints[x], want.l[x], want.r[x])
 				}
+			}
+		}
+	}
+}
+
+// TestJoinCasesThroughVolcano: every Volcano join operator counts each
+// case's l ⋈ r as the map-based join does — one key rule for all of
+// them, under which NULL never matches, not even NULL.
+func TestJoinCasesThroughVolcano(t *testing.T) {
+	for _, jc := range joinCases() {
+		nkeys := len(jc.l[0])
+		lt, rt := caseTable("l", jc.l, nkeys), caseTable("r", jc.r, nkeys)
+		if _, err := rt.CreateIndex("k0"); err != nil {
+			t.Fatal(err)
+		}
+		cat := catalog.New()
+		cat.MustAddTable(lt)
+		cat.MustAddTable(rt)
+		var preds []sql.JoinPred
+		for k := 0; k < nkeys; k++ {
+			col := fmt.Sprintf("k%d", k)
+			preds = append(preds, sql.JoinPred{Left: ref("l", col), Right: ref("r", col)})
+		}
+		l, key := caseSub(lt, nkeys)
+		r, _ := caseSub(rt, nkeys)
+		want := int64(len(mapProbe(l, r, key).l))
+		for _, kind := range []plan.JoinKind{plan.NestedLoop, plan.HashJoin, plan.MergeJoin, plan.IndexNestedLoop} {
+			inner := scanNode(cat, "r")
+			if kind == plan.IndexNestedLoop {
+				inner.Access, inner.IndexColumn = plan.IndexScan, "k0"
+			}
+			p := &plan.Plan{Query: &sql.Query{CountStar: true}, Root: joinNode(kind, scanNode(cat, "l"), inner, preds...)}
+			res, err := Run(p, cat, Options{CountOnly: true})
+			if err != nil {
+				t.Fatalf("%s [%v]: %v", jc.name, kind, err)
+			}
+			if res.Count != want {
+				t.Errorf("%s [%v]: %d rows, the map-based join's %d", jc.name, kind, res.Count, want)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 )
 
@@ -22,7 +23,7 @@ func TestAllExperimentsRun(t *testing.T) {
 		OTT5Count:       2,
 		Seed:            23,
 	}
-	r := NewRunner(cfg)
+	r := NewRunner(context.Background(), cfg)
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {

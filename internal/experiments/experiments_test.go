@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ func smallConfig() Config {
 }
 
 func TestFig3(t *testing.T) {
-	r := NewRunner(smallConfig())
+	r := NewRunner(context.Background(), smallConfig())
 	tab, err := r.Fig3()
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +41,7 @@ func TestFig3(t *testing.T) {
 }
 
 func TestEx2EstimatesCoincide(t *testing.T) {
-	r := NewRunner(smallConfig())
+	r := NewRunner(context.Background(), smallConfig())
 	tab, err := r.Ex2()
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +62,7 @@ func TestEx2EstimatesCoincide(t *testing.T) {
 }
 
 func TestAppB(t *testing.T) {
-	r := NewRunner(smallConfig())
+	r := NewRunner(context.Background(), smallConfig())
 	tab, err := r.AppB()
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +76,7 @@ func TestAppB(t *testing.T) {
 // verifies the headline shape: for queries where the original plan was
 // slow, the re-optimized plan collapses.
 func TestOTTFiguresShape(t *testing.T) {
-	r := NewRunner(smallConfig())
+	r := NewRunner(context.Background(), smallConfig())
 	tab, err := r.Fig10()
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +95,7 @@ func TestOTTFiguresShape(t *testing.T) {
 }
 
 func TestFig16PlanCountsPlausible(t *testing.T) {
-	r := NewRunner(smallConfig())
+	r := NewRunner(context.Background(), smallConfig())
 	tab, err := r.Fig16()
 	if err != nil {
 		t.Fatal(err)

@@ -83,15 +83,10 @@ type Runner struct {
 	dsSeriesCache   map[string]map[string]metrics
 }
 
-// NewRunner returns a Runner over the config.
-func NewRunner(cfg Config) *Runner {
-	return NewRunnerCtx(context.Background(), cfg)
-}
-
-// NewRunnerCtx is NewRunner with a context governing every measurement
-// the runner performs: cancelling it aborts the in-flight experiment
-// (mid-validation or mid-execution) with ctx.Err().
-func NewRunnerCtx(ctx context.Context, cfg Config) *Runner {
+// NewRunner returns a Runner over the config. ctx governs every
+// measurement the runner performs: cancelling it aborts the in-flight
+// experiment (mid-validation or mid-execution) with ctx.Err().
+func NewRunner(ctx context.Context, cfg Config) *Runner {
 	r := &Runner{ctx: ctx, cfg: cfg.withDefaults(), tpchCats: map[float64]*catalog.Catalog{}}
 	if r.cfg.WorkloadCacheEntries > 0 {
 		// One cache across every experiment and catalog is safe: entries

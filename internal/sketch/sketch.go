@@ -44,10 +44,6 @@ func New(depth, width int, seed int64) (*AGMS, error) {
 	return s, nil
 }
 
-// Depth and Width report the sketch dimensions.
-func (s *AGMS) Depth() int { return s.depth }
-func (s *AGMS) Width() int { return s.width }
-
 // Add folds one join-column value into the sketch. NULLs never join and
 // are skipped.
 func (s *AGMS) Add(v rel.Value) {

@@ -35,9 +35,6 @@ func buildIndex(t *Table, column string, pos int) *Index {
 // Column returns the indexed column name.
 func (ix *Index) Column() string { return ix.column }
 
-// ColumnPos returns the indexed column's position in the table schema.
-func (ix *Index) ColumnPos() int { return ix.colPos }
-
 // insert files row id under v. NULL is never filed: Lookup never returns
 // it, and NumDistinct counts values.
 func (ix *Index) insert(v rel.Value, id int) {
