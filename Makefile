@@ -83,14 +83,18 @@ chaos: vet
 # the reoptd request decoders (FuzzRequestBodies: no 500 or panic, every
 # error a structured body of a known kind, every answer within seconds)
 # and re-costing (FuzzRecostMatchesPlanner: Recost reproduces the
-# planner's estimates node by node under random Δ merges), 10 seconds
-# each — about 70 seconds for the target, builds included.
+# planner's estimates node by node under random Δ merges), and the
+# numeric order (FuzzNumericOrder: Compare antisymmetric and transitive,
+# Equal, Compare == 0 and Key agreeing, over ints, floats, strings and
+# NULL), 10 seconds each — about 85 seconds for the target, builds
+# included.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompact$$' -fuzztime 10s ./internal/executor
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexedSelection$$' -fuzztime 10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestBodies$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzRecostMatchesPlanner$$' -fuzztime 10s ./internal/optimizer
+	$(GO) test -run '^$$' -fuzz '^FuzzNumericOrder$$' -fuzztime 10s ./internal/rel
 
 # serve-smoke builds cmd/reoptd and drives a real daemon process across
 # its lifecycle: readiness, one reoptimize, an over-quota burst that

@@ -8,7 +8,8 @@
 //	experiments -id fig17 -cache 4096         # share validation counts across queries
 //
 // Each experiment prints a table whose rows are the series the paper
-// plots; EXPERIMENTS.md records paper-reported vs measured values.
+// plots, with notes under it on how to read them against the paper; the
+// measured values are printed, not recorded in the repository.
 //
 // -cache N shares a workload-level
 // validation cache of N subtree entries across every query of the run,

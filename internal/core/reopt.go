@@ -58,11 +58,6 @@ type Options struct {
 	// (§7 future-work variant). Off, sampled estimates are accepted
 	// unconditionally, as in the paper's experiments.
 	Conservative bool
-	// SkipBelowCost disables re-optimization entirely for queries whose
-	// initial plan cost is below the threshold (§5.4: "not doing
-	// re-optimization at all if the estimated query execution time is
-	// shorter than some threshold"). 0 means always re-optimize.
-	SkipBelowCost float64
 	// Workers once bounded the parallelism inside one validation.
 	//
 	// Deprecated: Workers no longer selects anything — a validation runs
@@ -232,12 +227,11 @@ func (r *Reoptimizer) budgetCtx(ctx context.Context) (context.Context, context.C
 // the caller's context (round 1 validates under it, shielded from the
 // internal budget); run carries the budget deadline for everything else.
 // A non-nil seed is P_1, handed in instead of planned (the multi-seed
-// variant): it costs no optimizer time, and SkipBelowCost never skips it.
+// variant): it costs no optimizer time.
 func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query, seed *plan.Plan, cache sampling.Cache) (*Result, error) {
 	if !r.Cat.HasSamples() {
 		return nil, fmt.Errorf("core: %w; call BuildSamples before re-optimizing", sampling.ErrNoSamples)
 	}
-	start := time.Now()
 	// One planner serves every round: the query is resolved against the
 	// catalog once, and each round after the first re-prices only what
 	// the previous round's Δ invalidated. Its set-up is charged to
@@ -266,19 +260,6 @@ func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query, seed 
 		if lp.prev != nil && p.Fingerprint() == lp.prev.Fingerprint() {
 			res.Converged = true
 			break
-		}
-
-		if seed == nil && r.Opts.SkipBelowCost > 0 && i == 1 && p.Cost() < r.Opts.SkipBelowCost {
-			res.Final = p
-			res.Rounds = append(res.Rounds, Round{
-				Plan:        p,
-				Transform:   plan.Global,
-				SampledCost: p.Cost(),
-			})
-			res.NumPlans = 1
-			res.Converged = true
-			res.ReoptTime = time.Since(start) - optTime
-			return res, nil
 		}
 
 		// Round 1 validates under the caller's context only, shielded

@@ -167,22 +167,6 @@ func TestMaxRoundsCap(t *testing.T) {
 	}
 }
 
-func TestSkipBelowCost(t *testing.T) {
-	r, qs := ottSetup(t)
-	r.Opts.SkipBelowCost = 1e18
-	res, err := r.Reoptimize(qs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rounds) != 1 || !res.Converged {
-		t.Errorf("skip-below-cost should return the initial plan immediately; rounds=%d converged=%v",
-			len(res.Rounds), res.Converged)
-	}
-	if res.Gamma.Len() != 0 {
-		t.Errorf("skip path should not sample; Γ has %d entries", res.Gamma.Len())
-	}
-}
-
 func TestConservativeBlending(t *testing.T) {
 	r, qs := ottSetup(t)
 	r.Opts.Conservative = true

@@ -32,8 +32,9 @@ import (
 const indexScanRows = 4*4096 + 1001
 
 // indexScanRow is row i of the scanned table t(v, w, f, id): v mixes
-// duplicates, negatives, NULLs and both int64 extremes, w is a small
-// domain with NULLs, f a float column (never indexed).
+// duplicates, negatives, NULLs, both int64 extremes and the integers
+// around ±2^53, w is a small domain with NULLs, f a float column (never
+// indexed).
 func indexScanRow(i int) rel.Row {
 	v := rel.Int(int64(i*7919) % 2000)
 	switch {
@@ -43,6 +44,8 @@ func indexScanRow(i int) rel.Row {
 		v = rel.Int(math.MinInt64)
 	case i%103 == 0:
 		v = rel.Int(math.MaxInt64)
+	case i%107 == 0:
+		v = rel.Int((1<<53 + int64(i%3) - 1) * int64(1-i%2*2))
 	case i%5 == 0:
 		v = rel.Int(-int64(i % 50))
 	}
@@ -92,10 +95,11 @@ func betweenValues(col string, lo int64, hi rel.Value) sql.Selection {
 }
 
 // indexFilterShapes are filters on t.v of every shape the index meets: all
-// six operators over interior constants, both extremes and a float
-// constant, BETWEEN over interior, single-value, extreme, inverted, empty
-// and (nearly) whole-column ranges, and BETWEEN from an integer to a
-// float, a string and NULL, which the index never answers.
+// six operators over interior constants, both extremes and float
+// constants — fractional, integral, past ±2^53 and ±2^63, ±0, ±Inf and
+// NaN — BETWEEN over interior, single-value, extreme, inverted, empty and
+// (nearly) whole-column ranges, and BETWEEN from an integer to a float,
+// which the index answers, and to a string and NULL, which it never does.
 func indexFilterShapes() []sql.Selection {
 	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
 	var filters []sql.Selection
@@ -103,13 +107,17 @@ func indexFilterShapes() []sql.Selection {
 		for _, c := range []int64{lo, lo + 1, -45, 0, 7, 1990, 1999, 2000, hi - 1, hi} {
 			filters = append(filters, sel("v", op, rel.Int(c)))
 		}
-		filters = append(filters, sel("v", op, rel.Float(-44.5)))
+		for _, c := range []float64{-44.5, 7, 1999.5, math.Copysign(0, -1), 0x1p53, -0x1p53 - 2,
+			0x1p63, -0x1p63, math.Inf(1), math.Inf(-1), math.NaN()} {
+			filters = append(filters, sel("v", op, rel.Float(c)))
+		}
 	}
 	for _, r := range [][2]int64{{100, 120}, {7, 7}, {lo, -40}, {1990, hi}, {lo, lo}, {hi, hi},
 		{120, 100}, {hi, lo}, {2000, 9000}, {lo, hi}, {0, hi}} {
 		filters = append(filters, between("v", r[0], r[1]))
 	}
-	for _, h := range []rel.Value{rel.Float(120.5), rel.Float(-0.5), rel.String_("x"), rel.Null} {
+	for _, h := range []rel.Value{rel.Float(120.5), rel.Float(-0.5), rel.Float(math.NaN()), rel.Float(0x1p63),
+		rel.String_("x"), rel.Null} {
 		filters = append(filters, betweenValues("v", 100, h), betweenValues("v", -45, h))
 	}
 	return filters
@@ -118,30 +126,18 @@ func indexFilterShapes() []sql.Selection {
 // isIntInterval reports whether filter f is one closed interval of int64
 // values — what the sorted sample index can answer — and returns it.
 func isIntInterval(f sql.Selection) (lo, hi int64, ok bool) {
-	switch {
-	case f.Value.Kind() != rel.KindInt:
-		return 0, 0, false
-	case f.Op == sql.OpBetween:
-		if f.Value2.Kind() != rel.KindInt {
-			return 0, 0, false
-		}
-		return f.Value.AsInt(), f.Value2.AsInt(), true
-	}
-	op, ok := vecOp(f.Op)
-	if !ok {
-		return 0, 0, false
-	}
-	return cmpInterval(op, f.Value.AsInt())
+	lo, hi, not, ok := numInterval(f, intPlace, intNext)
+	return lo, hi, ok && !not
 }
 
-// filterPasses compiles filter f on col as a scan with several filters
-// does: one index pass when the sorted sample index answers it, the
-// kernel passes otherwise.
-func filterPasses(col *storage.ColData, f sql.Selection) []scanPass {
+// filterPass compiles filter f on col as a scan with several filters
+// does: an index pass when the sorted sample index answers it, the
+// kernel pass otherwise.
+func filterPass(col *storage.ColData, f sql.Selection) scanPass {
 	if rows, ok := indexRows(col, f, nil, nil); ok {
-		return []scanPass{indexPass(rows)}
+		return indexPass(rows)
 	}
-	return appendKernelPasses(nil, col, f)
+	return kernelPass(col, f)
 }
 
 // unindexed copies a column's contents into one no store owns, which
@@ -163,11 +159,12 @@ func withoutSortedIndex(f func()) {
 }
 
 // TestIndexedPassMatchesKernelPass: every filter on the indexed column v
-// compiles to passes that fill the same bitmap words as the passes
+// compiles to a pass that fills the same bitmap words as the pass
 // compiled against an un-indexed copy of the column — whole column and
 // word-aligned spans — for all six operators and BETWEEN over interior
 // constants, both extremes, inverted and empty ranges, float constants and
-// mixed-kind BETWEEN bounds; and the index answers exactly the selective
+// mixed-kind BETWEEN bounds; the kernel pass keeps exactly the rows
+// sql.EvalSelection keeps; and the index answers exactly the selective
 // int intervals.
 func TestIndexedPassMatchesKernelPass(t *testing.T) {
 	cat := indexScanCatalog()
@@ -178,24 +175,26 @@ func TestIndexedPassMatchesKernelPass(t *testing.T) {
 
 	indexed := map[sql.CompareOp]int{}
 	for _, f := range indexFilterShapes() {
-		got := filterPasses(col, f)
-		want := filterPasses(plain, f)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d passes with the index, %d without", f, len(got), len(want))
+		got := filterPass(col, f)
+		want := filterPass(plain, f)
+		all := vec.NewBitmap(n)
+		want(all, 0, n)
+		for i := 0; i < n; i++ {
+			if all.Get(i) != sql.EvalSelection(plain.Value(i), f) {
+				t.Fatalf("%s: the kernel pass keeps row %d (%v) = %v, sql.EvalSelection %v", f, i, plain.Value(i), all.Get(i), !all.Get(i))
+			}
 		}
 		for _, span := range [][2]int{{0, n}, {0, 4096}, {4096, 12288}, {12288, n}} {
-			for pi := range got {
-				a, b := vec.NewBitmap(n), vec.NewBitmap(n)
-				for w := range a.Words() {
-					a.Words()[w] = ^uint64(0) // a pass assigns its words: none may survive
-				}
-				got[pi](a, span[0], span[1])
-				want[pi](b, span[0], span[1])
-				for w := span[0] / vec.WordBits; w < vec.NumWords(span[1]); w++ {
-					if a.Words()[w] != b.Words()[w] {
-						t.Fatalf("%s rows [%d, %d): word %d is %#x through the index, %#x through the kernel",
-							f, span[0], span[1], w, a.Words()[w], b.Words()[w])
-					}
+			a, b := vec.NewBitmap(n), vec.NewBitmap(n)
+			for w := range a.Words() {
+				a.Words()[w] = ^uint64(0) // a pass assigns its words: none may survive
+			}
+			got(a, span[0], span[1])
+			want(b, span[0], span[1])
+			for w := span[0] / vec.WordBits; w < vec.NumWords(span[1]); w++ {
+				if a.Words()[w] != b.Words()[w] {
+					t.Fatalf("%s rows [%d, %d): word %d is %#x through the index, %#x through the kernel",
+						f, span[0], span[1], w, a.Words()[w], b.Words()[w])
 				}
 			}
 		}
@@ -209,11 +208,9 @@ func TestIndexedPassMatchesKernelPass(t *testing.T) {
 			}
 			continue
 		}
-		bm := vec.NewBitmap(n)
-		want[0](bm, 0, n)
-		selective := bm.Count(0, n)*2 <= n
+		selective := all.Count(0, n)*2 <= n
 		if _, answered := col.IndexRows(l, h, nil, nil); answered != selective || asked != selective {
-			t.Errorf("%s matches %d of %d rows: answered by the index = %v", f, bm.Count(0, n), n, answered)
+			t.Errorf("%s matches %d of %d rows: answered by the index = %v", f, all.Count(0, n), n, answered)
 		}
 		if selective {
 			indexed[f.Op]++

@@ -3,6 +3,7 @@ package executor
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -83,6 +84,15 @@ func joinCases() []joinCase {
 		{name: "mixed-kind key",
 			l: keyRows(600, func(i int) []rel.Value { return []rel.Value{mixed(i)} }),
 			r: keyRows(520, func(i int) []rel.Value { return []rel.Value{mixed(i + 2)} })},
+		{name: "int 2^53+1 = float 2^53", // no float64 holds 2^53+1: never equal
+			l: keyRows(1, one(rel.Int(1<<53+1))), r: keyRows(1, one(rel.Float(1<<53)))},
+		{name: "int64 ends = floats ±2^63", // only -2^63 is an int64
+			l: keyRows(40, func(i int) []rel.Value {
+				return []rel.Value{rel.Int([]int64{math.MinInt64, math.MaxInt64, 1 << 53, 1<<53 + 1}[i%4])}
+			}),
+			r: keyRows(30, func(i int) []rel.Value {
+				return []rel.Value{rel.Float([]float64{-0x1p63, 0x1p63, 0x1p53, math.Inf(1), math.NaN()}[i%5])}
+			})},
 	}
 }
 

@@ -297,12 +297,20 @@ func (s *Prepared) sameFilters(t *plan.ScanNode) bool {
 		if f.Col.Table != t.Alias {
 			continue
 		}
-		if k == len(t.Filters) || t.Filters[k] != f {
+		if k == len(t.Filters) || !sameSelection(t.Filters[k], f) {
 			return false
 		}
 		k++
 	}
 	return k == len(t.Filters)
+}
+
+// sameSelection is == on selections with each constant compared by kind
+// and Key, so that a NaN constant is the same as itself.
+func sameSelection(a, b sql.Selection) bool {
+	return a.Col == b.Col && a.Op == b.Op &&
+		a.Value.Kind() == b.Value.Kind() && a.Value.Key() == b.Value.Key() &&
+		a.Value2.Kind() == b.Value2.Kind() && a.Value2.Key() == b.Value2.Key()
 }
 
 // set returns the record of one relation set, deriving it on first use:

@@ -300,7 +300,7 @@ func (e *skelEngine) evalScan(st *Step) (*subResult, error) {
 		rows, ok := indexRows(col, f, with, e.runs)
 		switch {
 		case !ok:
-			passes = appendKernelPasses(passes, col, f)
+			passes = append(passes, kernelPass(col, f))
 		case len(t.Filters) == 1:
 			sel, indexed = rows, true
 		default:
@@ -354,38 +354,59 @@ func (e *skelEngine) selectRows(passes []scanPass, n int) []int32 {
 // (predicate AND not-NULL); lo must be word-aligned.
 type scanPass func(dst *vec.Bitmap, lo, hi int)
 
-// appendKernelPasses compiles a local predicate against one column into
-// vectorized bitmap passes appended to dst, with comparison semantics
-// identical to sql.EvalSelection, without asking the sorted sample index.
-// Uniform-kind columns get typed kernels (BETWEEN fuses into a single
-// range kernel when both bounds take the same typed path, and otherwise
-// decomposes into Ge AND Le passes); everything else (NULL constants,
-// mixed-kind columns, string/numeric cross-kind comparisons) falls back
-// to a row-wise pass over the same bitmap layout, which keeps the engine
-// total.
-func appendKernelPasses(dst []scanPass, col *storage.ColData, f sql.Selection) []scanPass {
-	if f.Value.IsNull() || (f.Op == sql.OpBetween && f.Value2.IsNull()) {
-		return append(dst, fallbackPass(col, f))
-	}
-	if f.Op == sql.OpBetween {
-		if p := compileRange(col, f.Value, f.Value2); p != nil {
-			return append(dst, p)
+// kernelPass compiles a local predicate against one column into one
+// vectorized bitmap pass with comparison semantics identical to
+// sql.EvalSelection, without asking the sorted sample index. A numeric
+// column against numeric constants runs its kind's range kernel over the
+// filter's exact interval (numInterval) — BETWEEN included, so it always
+// fuses — and a string column against string constants runs the string
+// kernels. Everything else (NULL constants, mixed-kind columns,
+// string/numeric cross-kind comparisons) falls back to a row-wise pass
+// over the same bitmap layout, which keeps the engine total.
+func kernelPass(col *storage.ColData, f sql.Selection) scanPass {
+	nulls := col.NullWords
+	switch col.Kind {
+	case rel.KindInt:
+		if l, h, not, ok := numInterval(f, intPlace, intNext); ok {
+			vals := col.Ints
+			return func(dst *vec.Bitmap, lo, hi int) {
+				vec.Int64Range(dst, vals, l, h, lo, hi)
+				if not {
+					dst.Not(lo, hi)
+				}
+				vec.AndNotNulls(dst, nulls, lo, hi)
+			}
 		}
-		lo := compileCmp(col, vec.Ge, f.Value)
-		hi := compileCmp(col, vec.Le, f.Value2)
-		if lo == nil || hi == nil {
-			return append(dst, fallbackPass(col, f))
+	case rel.KindFloat:
+		if l, h, not, ok := numInterval(f, floatPlace, floatNext); ok {
+			vals := col.Floats
+			return func(dst *vec.Bitmap, lo, hi int) {
+				vec.Float64Range(dst, vals, l, h, lo, hi)
+				if not {
+					dst.Not(lo, hi)
+				}
+				vec.AndNotNulls(dst, nulls, lo, hi)
+			}
 		}
-		return append(dst, lo, hi)
+	case rel.KindString:
+		vals, c, c2 := col.Strs, f.Value, f.Value2
+		op, cmp := vecOp(f.Op)
+		switch {
+		case cmp && c.Kind() == rel.KindString:
+			cs := c.AsString()
+			return func(dst *vec.Bitmap, lo, hi int) {
+				vec.StringCmp(dst, vals, op, cs, lo, hi)
+				vec.AndNotNulls(dst, nulls, lo, hi)
+			}
+		case f.Op == sql.OpBetween && c.Kind() == rel.KindString && c2.Kind() == rel.KindString:
+			l, h := c.AsString(), c2.AsString()
+			return func(dst *vec.Bitmap, lo, hi int) {
+				vec.StringRange(dst, vals, l, h, lo, hi)
+				vec.AndNotNulls(dst, nulls, lo, hi)
+			}
+		}
 	}
-	op, ok := vecOp(f.Op)
-	if !ok {
-		return append(dst, fallbackPass(col, f))
-	}
-	if p := compileCmp(col, op, f.Value); p != nil {
-		return append(dst, p)
-	}
-	return append(dst, fallbackPass(col, f))
+	return fallbackPass(col, f)
 }
 
 // fallbackPass is the row-wise pass for column/constant combinations
@@ -428,67 +449,113 @@ func vecOp(op sql.CompareOp) (vec.CmpOp, bool) {
 	}
 }
 
-// compileCmp returns a pass evaluating `col op c` with a typed kernel,
-// or nil when no kernel matches rel.Value.Compare's semantics for the
-// combination (mixed-kind column, string/numeric cross-kind).
-func compileCmp(col *storage.ColData, op vec.CmpOp, c rel.Value) scanPass {
-	nulls := col.NullWords
-	switch col.Kind {
-	case rel.KindInt:
-		vals := col.Ints
-		switch c.Kind() {
-		case rel.KindInt:
-			ci := c.AsInt()
-			return func(dst *vec.Bitmap, lo, hi int) {
-				vec.Int64Cmp(dst, vals, op, ci, lo, hi)
-				vec.AndNotNulls(dst, nulls, lo, hi)
-			}
-		case rel.KindFloat:
-			cf := c.AsFloat()
-			return func(dst *vec.Bitmap, lo, hi int) {
-				vec.Float64Cmp(dst, vals, op, cf, lo, hi)
-				vec.AndNotNulls(dst, nulls, lo, hi)
-			}
-		}
-	case rel.KindFloat:
-		vals := col.Floats
-		if c.Kind() == rel.KindInt || c.Kind() == rel.KindFloat {
-			cf := c.AsFloat()
-			return func(dst *vec.Bitmap, lo, hi int) {
-				vec.Float64Cmp(dst, vals, op, cf, lo, hi)
-				vec.AndNotNulls(dst, nulls, lo, hi)
-			}
-		}
-	case rel.KindString:
-		vals := col.Strs
-		if c.Kind() == rel.KindString {
-			cstr := c.AsString()
-			return func(dst *vec.Bitmap, lo, hi int) {
-				vec.StringCmp(dst, vals, op, cstr, lo, hi)
-				vec.AndNotNulls(dst, nulls, lo, hi)
-			}
-		}
+// Constants that close an interval's open end: every number is at
+// least -Inf and at most NaN in rel.Value.Compare's order.
+var minusInf, nan = rel.Float(math.Inf(-1)), rel.Float(math.NaN())
+
+// numInterval is the one place a numeric filter becomes an interval:
+// `v op c`, or `v BETWEEN c AND c2`, with numeric constants, as the exact
+// closed interval [lo, hi] of the column's kind T whose values, in
+// rel.Value.Compare's order (NaN above every number, -0.0 equal to 0.0),
+// are the non-NULL rows the filter keeps — or, when not is set (<>), the
+// non-NULL rows it drops. Each end is the first value of T on the kept
+// side of its constant, and BETWEEN is the intersection of Ge c and Le
+// c2. So a constant T cannot hold lands on its neighbour (on an int
+// column x < 2.5 is [MinInt64, 2]); a constant with no value of T on the
+// kept side (x > NaN; x ≥ 2^63 on an int column) empties the interval —
+// lo is then T's greatest value and hi its least; and one past every
+// value of T on the other side (x < NaN on an int column) keeps every
+// non-NULL row. ok is false when a constant is not a number.
+//
+// place puts a constant among T's values — at x (s = 0), or strictly
+// between x and its neighbour on side s, or beyond every value of T
+// there — and next steps to a value's neighbour above (up) or below.
+func numInterval[T int64 | float64](f sql.Selection, place func(rel.Value) (x T, s int), next func(x T, up bool) (T, bool)) (lo, hi T, not, ok bool) {
+	loC, hiC, loStrict, hiStrict := f.Value, f.Value, false, false
+	switch f.Op {
+	case sql.OpEq:
+	case sql.OpNe:
+		not = true
+	case sql.OpLt:
+		loC, hiStrict = minusInf, true
+	case sql.OpLe:
+		loC = minusInf
+	case sql.OpGt:
+		loStrict, hiC = true, nan
+	case sql.OpGe:
+		hiC = nan
+	case sql.OpBetween:
+		hiC = f.Value2
+	default:
+		return lo, hi, false, false
 	}
-	return nil
+	if !isNumber(loC) || !isNumber(hiC) {
+		return lo, hi, false, false
+	}
+	// end is the first value of T at or beyond c on the kept side.
+	end := func(c rel.Value, up, strict bool) (T, bool) {
+		x, s := place(c)
+		if !up {
+			s = -s
+		}
+		if s < 0 || s == 0 && !strict {
+			return x, true
+		}
+		return next(x, up)
+	}
+	lo, loOK := end(loC, true, loStrict)
+	hi, hiOK := end(hiC, false, hiStrict)
+	if !loOK || !hiOK {
+		lo, _ = place(nan)
+		hi, _ = place(minusInf)
+	}
+	return lo, hi, not, true
 }
 
-// cmpInterval rewrites `v op c` over int64 values as the closed interval
-// holding exactly the matching values (lo > hi: none); ok is false for
-// Ne, whose matches are not one interval.
-func cmpInterval(op vec.CmpOp, c int64) (lo, hi int64, ok bool) {
-	switch {
-	case op == vec.Eq:
-		return c, c, true
-	case op == vec.Le:
-		return math.MinInt64, c, true
-	case op == vec.Ge:
-		return c, math.MaxInt64, true
-	case op == vec.Lt && c > math.MinInt64:
-		return math.MinInt64, c - 1, true
-	case op == vec.Gt && c < math.MaxInt64:
-		return c + 1, math.MaxInt64, true
+func isNumber(v rel.Value) bool { return v.Kind() == rel.KindInt || v.Kind() == rel.KindFloat }
+
+// intPlace places a numeric constant among the int64 values, a float one
+// exactly (rel.FloatInt).
+func intPlace(c rel.Value) (int64, int) {
+	if c.Kind() == rel.KindInt {
+		return c.AsInt(), 0
 	}
-	return 1, 0, op != vec.Ne
+	return rel.FloatInt(c.AsFloat())
+}
+
+// intNext is x+1 (up) or x-1, if it is an int64.
+func intNext(x int64, up bool) (int64, bool) {
+	if up {
+		return x + 1, x < math.MaxInt64
+	}
+	return x - 1, x > math.MinInt64
+}
+
+// floatPlace places a numeric constant among the float64 values: an
+// integer at its nearest float and, when no float holds it, on the side
+// of that float the integer lies.
+func floatPlace(c rel.Value) (float64, int) {
+	if c.Kind() == rel.KindFloat {
+		return c.AsFloat(), 0
+	}
+	x := float64(c.AsInt())
+	return x, c.Compare(rel.Float(x))
+}
+
+// floatNext is the float next to x above (up) or below it in Compare's
+// order, which runs from -Inf to +Inf and then NaN.
+func floatNext(x float64, up bool) (float64, bool) {
+	switch {
+	case x != x:
+		return math.Inf(1), !up
+	case up && math.IsInf(x, 1):
+		return math.NaN(), true
+	case !up && math.IsInf(x, -1):
+		return x, false
+	case up:
+		return math.Nextafter(x, math.Inf(1)), true
+	}
+	return math.Nextafter(x, math.Inf(-1)), true
 }
 
 // useSortedIndex lets the equivalence tests validate one catalog with and
@@ -498,27 +565,17 @@ var useSortedIndex = true
 // indexRows returns the rows filter f keeps on col when the column's
 // sorted sample index answers it: the index's own read-only run of row
 // ids, in (value, row id) order, and in runs the same run of each store
-// column named in with (storage.ColData.IndexRows). The index answers one
-// closed interval of int64 values — BETWEEN with integer bounds, or a
-// comparison with an integer constant through cmpInterval — so ok is
-// false for any other filter (another column kind, a NULL, float or
-// string constant, Ne), and when the column has no index or the matches
-// are too large a share of its rows (storage.ColData.IndexRows decides
-// those two).
+// column named in with (storage.ColData.IndexRows). The index answers the
+// int64 interval numInterval turns the filter into, so ok is false for
+// any other filter (another column kind, a NULL or string constant, <>),
+// and when the column has no index or the matches are too large a share
+// of its rows (storage.ColData.IndexRows decides those two).
 func indexRows(col *storage.ColData, f sql.Selection, with []int, runs []storage.ColData) (rows []int32, ok bool) {
-	if !useSortedIndex || col.Kind != rel.KindInt || f.Value.Kind() != rel.KindInt {
+	if !useSortedIndex || col.Kind != rel.KindInt {
 		return nil, false
 	}
-	lo, hi := f.Value.AsInt(), int64(0)
-	if f.Op == sql.OpBetween {
-		if f.Value2.Kind() != rel.KindInt {
-			return nil, false
-		}
-		hi, ok = f.Value2.AsInt(), true
-	} else if op, cmp := vecOp(f.Op); cmp {
-		lo, hi, ok = cmpInterval(op, lo)
-	}
-	if !ok {
+	lo, hi, not, ok := numInterval(f, intPlace, intNext)
+	if !ok || not {
 		return nil, false
 	}
 	return col.IndexRows(lo, hi, with, runs)
@@ -540,53 +597,6 @@ func indexPass(rows []int32) scanPass {
 			}
 		}
 	}
-}
-
-// compileRange returns a fused BETWEEN pass when both bounds take the
-// same typed path as the column, else nil (the caller then decomposes
-// into two compare passes so each bound keeps its exact semantics —
-// e.g. an integer lower bound on an integer column compares exactly even
-// when the upper bound is a float).
-func compileRange(col *storage.ColData, lo, hi rel.Value) scanPass {
-	nulls := col.NullWords
-	switch col.Kind {
-	case rel.KindInt:
-		vals := col.Ints
-		if lo.Kind() == rel.KindInt && hi.Kind() == rel.KindInt {
-			l, h := lo.AsInt(), hi.AsInt()
-			return func(dst *vec.Bitmap, a, b int) {
-				vec.Int64Range(dst, vals, l, h, a, b)
-				vec.AndNotNulls(dst, nulls, a, b)
-			}
-		}
-		if lo.Kind() == rel.KindFloat && hi.Kind() == rel.KindFloat {
-			l, h := lo.AsFloat(), hi.AsFloat()
-			return func(dst *vec.Bitmap, a, b int) {
-				vec.Float64Range(dst, vals, l, h, a, b)
-				vec.AndNotNulls(dst, nulls, a, b)
-			}
-		}
-	case rel.KindFloat:
-		vals := col.Floats
-		if (lo.Kind() == rel.KindInt || lo.Kind() == rel.KindFloat) &&
-			(hi.Kind() == rel.KindInt || hi.Kind() == rel.KindFloat) {
-			l, h := lo.AsFloat(), hi.AsFloat()
-			return func(dst *vec.Bitmap, a, b int) {
-				vec.Float64Range(dst, vals, l, h, a, b)
-				vec.AndNotNulls(dst, nulls, a, b)
-			}
-		}
-	case rel.KindString:
-		vals := col.Strs
-		if lo.Kind() == rel.KindString && hi.Kind() == rel.KindString {
-			l, h := lo.AsString(), hi.AsString()
-			return func(dst *vec.Bitmap, a, b int) {
-				vec.StringRange(dst, vals, l, h, a, b)
-				vec.AndNotNulls(dst, nulls, a, b)
-			}
-		}
-	}
-	return nil
 }
 
 // --- Joins ---

@@ -1,7 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§5 and Appendix A): one runner per figure, each emitting a
-// Table whose rows are the same series the paper plots. EXPERIMENTS.md
-// records paper-reported versus measured values.
+// Table whose rows are the same series the paper plots, with notes on how
+// to read them against the paper's. The measured values are printed by
+// cmd/experiments, not recorded in the repository.
 package experiments
 
 import (

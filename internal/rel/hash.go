@@ -6,19 +6,11 @@ import "math"
 // tables: FNV-1a over the kind tag and string bytes, and one
 // multiply-xorshift step per numeric payload word (mixUint64), which
 // folds the well-mixed high bits back into the low ones so a table
-// bucketing by either end sees the whole key. Hashing agrees with Equal: values for which Equal returns
-// true produce the same hash (in particular an integer and a float
-// holding the same number), so a hash table bucketed by Hash64 only
-// needs an Equal check to reject collisions, never a re-hash.
-//
-// Caveat: the agreement holds on the float64-exact integer domain
-// (|v| < 2^53). Beyond 2^53, Equal itself is lossy across kinds — it
-// compares through float64, making equality non-transitive (Int(2^53)
-// "equals" both Int(2^53+1) and Float(2^53) which are unequal) — so no
-// hash can be consistent with it there, and hashed operators may miss
-// matches a nested-loop join, which probes with Equal directly, accepts.
-// NaN is inside the agreement: every NaN equals every NaN (cmpFloat) and
-// all of them hash as one bit pattern (floatBits).
+// bucketing by either end sees the whole key. Hashing agrees with Equal
+// on every value: Equal values produce the same hash (an integer and a
+// float holding the same number, -0.0 and 0.0, any two NaNs), so a hash
+// table bucketed by Hash64 only needs an Equal check to reject
+// collisions, never a re-hash.
 
 const (
 	// HashSeed is the FNV-1a offset basis; start every row hash here.
@@ -57,9 +49,10 @@ func HashInt64(h uint64, v int64) uint64 {
 }
 
 // HashFloat64 folds a float payload into h, agreeing with HashInt64 for
-// floats that hold exact integers (cross-kind equality, cf. Equal).
+// floats that hold an integer in the int64 range (FloatInt), as Equal
+// does.
 func HashFloat64(h uint64, f float64) uint64 {
-	if i := int64(f); float64(i) == f {
+	if i, c := FloatInt(f); c == 0 {
 		return HashInt64(h, i)
 	}
 	return mixUint64(fnvByte(h, tagFloat), floatBits(f))

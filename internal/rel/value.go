@@ -9,7 +9,9 @@
 package rel
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -119,7 +121,7 @@ func (v Value) String() string {
 }
 
 // Equal reports SQL predicate equality: NULL = anything is false, and
-// numeric values compare across int/float kinds.
+// numeric values compare exactly across int/float kinds.
 func (v Value) Equal(o Value) bool {
 	if v.kind == KindNull || o.kind == KindNull {
 		return false
@@ -146,11 +148,12 @@ func (v Value) Compare(o Value) int {
 }
 
 func (v Value) compareNonNull(o Value) int {
-	// Numeric kinds compare by value across int/float.
-	if v.kind != o.kind {
-		if isNumeric(v.kind) && isNumeric(o.kind) {
-			return cmpFloat(v.AsFloat(), o.AsFloat())
-		}
+	switch {
+	case v.kind == KindInt && o.kind == KindFloat:
+		return cmpIntFloat(v.i, o.f)
+	case v.kind == KindFloat && o.kind == KindInt:
+		return -cmpIntFloat(o.i, v.f)
+	case v.kind != o.kind:
 		// Arbitrary but stable cross-kind ordering.
 		if v.kind < o.kind {
 			return -1
@@ -159,31 +162,47 @@ func (v Value) compareNonNull(o Value) int {
 	}
 	switch v.kind {
 	case KindInt:
-		switch {
-		case v.i < o.i:
-			return -1
-		case v.i > o.i:
-			return 1
-		default:
-			return 0
-		}
+		return cmp.Compare(v.i, o.i)
 	case KindFloat:
 		return cmpFloat(v.f, o.f)
 	case KindString:
-		switch {
-		case v.s < o.s:
-			return -1
-		case v.s > o.s:
-			return 1
-		default:
-			return 0
-		}
+		return cmp.Compare(v.s, o.s)
 	default:
 		return 0
 	}
 }
 
-func isNumeric(k Kind) bool { return k == KindInt || k == KindFloat }
+// cmpIntFloat is the one comparison between an integer and a float: the
+// sign of i - f, computed exactly — no rounding of i to a float64 — in
+// cmpFloat's order, where NaN sorts above every number. Compare and Equal
+// use it; Key and the hashes use FloatInt, its range-checked placement of
+// f among the integers, so all four agree on the whole int64 and float64
+// domains.
+func cmpIntFloat(i int64, f float64) int {
+	t, c := FloatInt(f)
+	if i != t {
+		return cmp.Compare(i, t)
+	}
+	return -c
+}
+
+// FloatInt places f among the integers: i is f rounded toward zero and
+// clamped to the int64 range, and c is how f compares with i in Compare's
+// order — 0 when f holds exactly the integer i (-0.0 holds 0), 1 when f
+// lies strictly between i and i+1 or above every int64 (NaN included),
+// -1 when it lies strictly between i-1 and i or below every int64. The
+// range is checked before converting: Go leaves int64(f) outside it
+// implementation-defined (amd64 and arm64 disagree at 2^63).
+func FloatInt(f float64) (i int64, c int) {
+	switch {
+	case !(f < 0x1p63): // 2^63 and above, +Inf, NaN
+		return math.MaxInt64, 1
+	case f < -0x1p63:
+		return math.MinInt64, -1
+	}
+	i = int64(f)
+	return i, cmpFloat(f, float64(i))
+}
 
 // cmpFloat orders floats by PostgreSQL's rule: NaN equals NaN and sorts
 // after every number (so Compare is an order and Equal an equivalence);
@@ -206,9 +225,9 @@ func cmpFloat(a, b float64) int {
 }
 
 // Key returns a compact representation usable as a map key for hash
-// joins, group-by, and distinct counting. Integers and floats that hold
-// the same numeric value map to the same key so that cross-kind equality
-// and hashing agree.
+// joins, group-by, and distinct counting: two non-NULL values share a key
+// exactly when they are Equal. A float holding an integer in the int64
+// range (FloatInt) takes that integer's key.
 func (v Value) Key() ValueKey {
 	switch v.kind {
 	case KindNull:
@@ -216,9 +235,8 @@ func (v Value) Key() ValueKey {
 	case KindInt:
 		return ValueKey{kind: KindInt, num: v.i}
 	case KindFloat:
-		// Floats holding exact integers share the key with ints.
-		if f := v.f; f == float64(int64(f)) {
-			return ValueKey{kind: KindInt, num: int64(f)}
+		if i, c := FloatInt(v.f); c == 0 {
+			return ValueKey{kind: KindInt, num: i}
 		}
 		return ValueKey{kind: KindFloat, num: int64(floatBits(v.f))}
 	case KindString:

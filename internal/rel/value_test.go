@@ -2,6 +2,7 @@ package rel
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -84,30 +85,125 @@ func TestCompareTotalOrder(t *testing.T) {
 	}
 }
 
-// Property: Compare is antisymmetric and Equal agrees with Compare==0
-// for non-null values.
-func TestCompareProperties(t *testing.T) {
-	f := func(a, b int64) bool {
-		va, vb := Int(a), Int(b)
-		if va.Compare(vb) != -vb.Compare(va) {
-			return false
+// orderEdges are the values at which an int-vs-float comparison can go
+// wrong: both ends of int64, the integers on either side of ±2^53 (the
+// first a float64 cannot hold), ±2^63 (one past the int64 range), the
+// floats next to them, signed zeros, infinities, NaN and NULL.
+func orderEdges() []Value {
+	vals := []Value{Null, String_(""), String_("a")}
+	for _, i := range []int64{math.MinInt64, math.MinInt64 + 1, -1<<53 - 1, -1 << 53, -1<<53 + 1,
+		-1, 0, 1, 1<<53 - 1, 1 << 53, 1<<53 + 1, math.MaxInt64 - 1, math.MaxInt64} {
+		vals = append(vals, Int(i), Float(float64(i)))
+	}
+	for _, f := range []float64{-0x1p63, 0x1p63, math.Nextafter(0x1p63, 0), math.Nextafter(-0x1p63, math.Inf(-1)),
+		math.Copysign(0, -1), 0.5, -0.5, 0x1p53 + 2, -0x1p53 - 2, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64} {
+		vals = append(vals, Float(f))
+	}
+	return vals
+}
+
+// checkOrder checks Compare and Equal on a, b and c: Compare is
+// antisymmetric and transitive, and two non-NULL values are Equal exactly
+// when Compare calls them tied and exactly when they share a Key and hash
+// alike.
+func checkOrder(t *testing.T, a, b, c Value) {
+	t.Helper()
+	ab, bc, ac := a.Compare(b), b.Compare(c), a.Compare(c)
+	if ab != -b.Compare(a) {
+		t.Fatalf("Compare(%v, %v) = %d, Compare(%v, %v) = %d", a, b, ab, b, a, b.Compare(a))
+	}
+	if ab <= 0 && bc <= 0 && ac > 0 || ab >= 0 && bc >= 0 && ac < 0 || ab == 0 && bc == 0 && ac != 0 {
+		t.Fatalf("Compare not transitive over %v, %v, %v: %d, %d, %d", a, b, c, ab, bc, ac)
+	}
+	if a.IsNull() || b.IsNull() {
+		if a.Equal(b) || (a.Key() == b.Key()) != (a.IsNull() && b.IsNull()) {
+			t.Fatalf("NULL: %v = %v is %v, keys shared %v", a, b, a.Equal(b), a.Key() == b.Key())
 		}
-		return va.Equal(vb) == (va.Compare(vb) == 0)
+		return
+	}
+	eq := a.Equal(b)
+	if eq != (ab == 0) || eq != (a.Key() == b.Key()) || eq && a.Hash64(HashSeed) != b.Hash64(HashSeed) {
+		t.Fatalf("%v = %v is %v, Compare %d, keys shared %v", a, b, eq, ab, a.Key() == b.Key())
+	}
+}
+
+// TestCompareProperties: checkOrder over every pair and triple of the
+// edge values, ints and floats mixed, and over random ints and floats.
+func TestCompareProperties(t *testing.T) {
+	edges := orderEdges()
+	for _, a := range edges {
+		for _, b := range edges {
+			for _, c := range edges {
+				checkOrder(t, a, b, c)
+			}
+		}
+	}
+	f := func(i, j int64, bits uint64) bool {
+		checkOrder(t, Int(i), Int(j), Float(math.Float64frombits(bits)))
+		checkOrder(t, Int(i), Float(float64(i)), Float(float64(j)))
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+	if Int(1<<53 + 1).Equal(Float(1 << 53)) {
+		t.Error("2^53+1 equals the float 2^53")
+	}
 }
 
-// Property: Key agrees with Equal — equal values share keys, and for
-// int-valued floats the key collapses to the int key. Bounded to the
-// float64-exact integer range (|a| < 2^53), where cross-kind numeric
-// equality is well defined.
+// FuzzNumericOrder: checkOrder over three values, each made from a kind
+// and an int64 and a float64 bit pattern.
+func FuzzNumericOrder(f *testing.F) {
+	edges := orderEdges()
+	for i := range edges {
+		a, b := fuzzArgs(edges[i]), fuzzArgs(edges[(i*7+3)%len(edges)])
+		c := fuzzArgs(edges[(i*11+5)%len(edges)])
+		f.Add(a.k, a.i, a.f, b.k, b.i, b.f, c.k, c.i, c.f)
+	}
+	f.Fuzz(func(t *testing.T, ka uint8, ia int64, fa uint64, kb uint8, ib int64, fb uint64, kc uint8, ic int64, fc uint64) {
+		checkOrder(t, fuzzValue(ka, ia, fa), fuzzValue(kb, ib, fb), fuzzValue(kc, ic, fc))
+	})
+}
+
+type fuzzTriple struct {
+	k uint8
+	i int64
+	f uint64
+}
+
+// fuzzValue is the value a (kind, int64, float64 bits) triple names.
+func fuzzValue(k uint8, i int64, f uint64) Value {
+	switch Kind(k % 4) {
+	case KindInt:
+		return Int(i)
+	case KindFloat:
+		return Float(math.Float64frombits(f))
+	case KindString:
+		return String_(strings.Repeat("a", int(uint64(i)%3)))
+	}
+	return Null
+}
+
+// fuzzArgs is the triple fuzzValue turns back into v.
+func fuzzArgs(v Value) fuzzTriple {
+	switch v.Kind() {
+	case KindInt:
+		return fuzzTriple{k: uint8(KindInt), i: v.AsInt()}
+	case KindFloat:
+		return fuzzTriple{k: uint8(KindFloat), f: math.Float64bits(v.AsFloat())}
+	case KindString:
+		return fuzzTriple{k: uint8(KindString), i: int64(len(v.AsString()))}
+	}
+	return fuzzTriple{}
+}
+
+// Property: Key agrees with Equal — equal values share keys, and a float
+// holding an integer takes the integer's key — over the whole int64
+// range, where past ±2^53 float64(a) is often another integer.
 func TestKeyConsistentWithEqual(t *testing.T) {
-	f := func(raw int64) bool {
-		a := raw % (1 << 53)
+	f := func(a int64) bool {
 		sameKey := Int(a).Key() == Float(float64(a)).Key()
-		return sameKey == Int(a).Equal(Float(float64(a)))
+		return sameKey == Int(a).Equal(Float(float64(a))) && sameKey == (Int(a).Compare(Float(float64(a))) == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -143,10 +239,24 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// TestFloatIntKeyBoundary: a non-integral float collides with no int key,
+// and at the ends of int64 a float keys and hashes as an int only when it
+// holds that int — the same on every platform, although Go leaves
+// int64(0x1p63) to the hardware.
 func TestFloatIntKeyBoundary(t *testing.T) {
-	// A non-integral float must not collide with any int key.
 	if Float(1.5).Key() == Int(1).Key() || Float(1.5).Key() == Int(2).Key() {
 		t.Error("fractional float collides with int key")
+	}
+	for _, f := range []float64{-0x1p63, 0x1p63, math.Inf(1), math.Inf(-1), math.NaN()} {
+		for _, i := range []int64{math.MinInt64, math.MaxInt64} {
+			want := f == -0x1p63 && i == math.MinInt64
+			if got := Float(f).Key() == Int(i).Key(); got != want {
+				t.Errorf("Float(%v) shares Int(%d)'s key: %v, want %v", f, i, got, want)
+			}
+			if got := Float(f).Hash64(HashSeed) == Int(i).Hash64(HashSeed); got != want {
+				t.Errorf("Float(%v) hashes as Int(%d): %v, want %v", f, i, got, want)
+			}
+		}
 	}
 }
 

@@ -185,9 +185,8 @@ func sortedPerm(vals []int64, nulls []bool) []int32 {
 // equal values — run r is ids[runs[r]:runs[r+1]], one value's rows in
 // heap order, and len(runs)-1 is the number of distinct values. An int64
 // column sorts with sortedPerm; any other with one comparison sort in
-// Value.Compare order, whose ties are Value.Key's classes (so one run is
-// one hash-directory key) on every column except one mixing integers and
-// floats past ±2^53, where Compare rounds the integer to a float.
+// Value.Compare order, whose ties are Value.Key's classes, so one run is
+// one hash-directory key.
 func (t *Table) ColumnRuns(pos int) (ids []int32, runs []int) {
 	c := buildColumn(t.rows, pos)
 	if c.Kind == rel.KindInt {

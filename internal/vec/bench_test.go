@@ -25,10 +25,7 @@ func BenchmarkVecKernels(b *testing.B) {
 		run  func()
 	}{
 		{"Int64Range", func() { Int64Range(bm, ints, 100, 500, 0, n) }},
-		{"Int64Cmp/Lt", func() { Int64Cmp(bm, ints, Lt, 500, 0, n) }},
 		{"Float64Range", func() { Float64Range(bm, floats, 50, 250, 0, n) }},
-		{"Float64Cmp/Ge", func() { Float64Cmp(bm, floats, Ge, 250, 0, n) }},
-		{"Int64AsFloatRange", func() { Float64Range(bm, ints, 99.5, 500.5, 0, n) }},
 		{"StringCmp/Eq", func() { StringCmp(bm, strs, Eq, "v500", 0, n) }},
 		{"StringRange", func() { StringRange(bm, strs, "v100", "v500", 0, n) }},
 	} {

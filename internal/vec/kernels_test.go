@@ -99,33 +99,23 @@ func TestKernelsMatchCompare(t *testing.T) {
 		strs := column(edgeStrs, n)
 
 		for _, c := range edgeInts {
-			for _, op := range allOps {
-				checkKernel(t, fmt.Sprintf("Int64Cmp %s %d", opNames[op], c), n,
-					func(bm *Bitmap, lo, hi int) { Int64Cmp(bm, ints, op, c, lo, hi) },
-					func(i int) bool { return opHolds(op, rel.Int(ints[i]).Compare(rel.Int(c))) })
-			}
 			for _, c2 := range edgeInts { // includes every inverted pair c > c2
 				checkKernel(t, fmt.Sprintf("Int64Range [%d,%d]", c, c2), n,
 					func(bm *Bitmap, lo, hi int) { Int64Range(bm, ints, c, c2, lo, hi) },
 					func(i int) bool { return inRange(rel.Int(ints[i]), rel.Int(c), rel.Int(c2)) })
+				checkKernel(t, fmt.Sprintf("Int64Range [%d,%d] then Not", c, c2), n,
+					func(bm *Bitmap, lo, hi int) { Int64Range(bm, ints, c, c2, lo, hi); bm.Not(lo, hi) },
+					func(i int) bool { return !inRange(rel.Int(ints[i]), rel.Int(c), rel.Int(c2)) })
 			}
 		}
 		for _, c := range edgeFloats {
-			for _, op := range allOps {
-				checkKernel(t, fmt.Sprintf("Float64Cmp %s %v", opNames[op], c), n,
-					func(bm *Bitmap, lo, hi int) { Float64Cmp(bm, floats, op, c, lo, hi) },
-					func(i int) bool { return opHolds(op, rel.Float(floats[i]).Compare(rel.Float(c))) })
-				checkKernel(t, fmt.Sprintf("Float64Cmp(int column) %s %v", opNames[op], c), n,
-					func(bm *Bitmap, lo, hi int) { Float64Cmp(bm, ints, op, c, lo, hi) },
-					func(i int) bool { return opHolds(op, rel.Int(ints[i]).Compare(rel.Float(c))) })
-			}
 			for _, c2 := range edgeFloats {
 				checkKernel(t, fmt.Sprintf("Float64Range [%v,%v]", c, c2), n,
 					func(bm *Bitmap, lo, hi int) { Float64Range(bm, floats, c, c2, lo, hi) },
 					func(i int) bool { return inRange(rel.Float(floats[i]), rel.Float(c), rel.Float(c2)) })
-				checkKernel(t, fmt.Sprintf("Float64Range(int column) [%v,%v]", c, c2), n,
-					func(bm *Bitmap, lo, hi int) { Float64Range(bm, ints, c, c2, lo, hi) },
-					func(i int) bool { return inRange(rel.Int(ints[i]), rel.Float(c), rel.Float(c2)) })
+				checkKernel(t, fmt.Sprintf("Float64Range [%v,%v] then Not", c, c2), n,
+					func(bm *Bitmap, lo, hi int) { Float64Range(bm, floats, c, c2, lo, hi); bm.Not(lo, hi) },
+					func(i int) bool { return !inRange(rel.Float(floats[i]), rel.Float(c), rel.Float(c2)) })
 			}
 		}
 		for _, c := range edgeStrs {

@@ -2,19 +2,18 @@
 // kernels over typed columns. A scan filter is evaluated for the whole
 // column at once into a Bitmap (one bit per row) by a loop specialized to
 // the column kind whose compare is written inline — one range test per
-// numeric kind, which the six comparison operators reduce to — so a row
-// costs a load, a compare and a shift, with no call and no
-// data-dependent branch. Conjunctive filters fuse by AND-ing their
-// bitmaps word-wise, and only the final bitmap is materialized into a
-// selection vector. All kernels operate on an explicit word-aligned row
-// range so callers can partition one bitmap across workers: two workers
-// whose ranges share no word never touch the same memory.
+// numeric kind, into which the caller has already turned the filter's
+// operator and constant (an exact interval of the column's own kind), and
+// a complement for <> — so a row costs a load, a compare and a shift,
+// with no call and no data-dependent branch. Conjunctive filters fuse by
+// AND-ing their bitmaps word-wise, and only the final bitmap is
+// materialized into a selection vector. All kernels operate on an
+// explicit word-aligned row range so callers can partition one bitmap
+// across workers: two workers whose ranges share no word never touch the
+// same memory.
 package vec
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // WordBits is the bitmap word width; row i lives in word i/WordBits.
 const WordBits = 64
@@ -105,9 +104,9 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// not inverts rows [lo, hi) in place, keeping bits beyond hi zero; lo
-// must be word-aligned.
-func (b *Bitmap) not(lo, hi int) {
+// Not inverts rows [lo, hi) in place, keeping bits beyond hi zero; lo
+// must be word-aligned. A range kernel followed by Not is the <> filter.
+func (b *Bitmap) Not(lo, hi int) {
 	for base := lo; base < hi; base += WordBits {
 		word := ^b.words[base/WordBits]
 		if n := hi - base; n < WordBits {
@@ -117,9 +116,8 @@ func (b *Bitmap) not(lo, hi int) {
 	}
 }
 
-// CmpOp is the comparison a kernel applies between column values and the
-// constant: the six operators shared by every scalar kind. BETWEEN is
-// expressed by callers as a Range kernel (or Ge AND Le over two passes).
+// CmpOp is the comparison StringCmp applies between column values and
+// the constant.
 type CmpOp uint8
 
 const (
@@ -131,38 +129,11 @@ const (
 	Ge
 )
 
-// opBounds rewrites `v op c` as membership of v in a closed interval
-// around c, optionally complemented: Eq is [c, c], Le is [min, c], Ge is
-// [c, max], and Ne, Gt, Lt are their complements. loOpen / hiOpen say
-// which end is replaced by the kind's extreme value. Each numeric kind's
-// six operators therefore run through its one range kernel, and the
-// operator is decoded once per call, never per row.
-var opBounds = [...]struct{ loOpen, hiOpen, not bool }{
-	Eq: {}, Ne: {not: true},
-	Le: {loOpen: true}, Gt: {loOpen: true, not: true},
-	Ge: {hiOpen: true}, Lt: {hiOpen: true, not: true},
-}
-
 // Every kernel below fills rows [lo, hi) of dst word by word; lo must be
 // word-aligned. Only words inside the range are written (assigned, never
 // ORed), so partitioned callers with disjoint word ranges never race,
 // and bits beyond hi in the final word are left zero. The compare is
 // written out inside each loop: no kernel makes a call per row.
-
-// Int64Cmp evaluates vals[i] op c for rows [lo, hi).
-func Int64Cmp(dst *Bitmap, vals []int64, op CmpOp, c int64, lo, hi int) {
-	b, l, h := opBounds[op], c, c
-	if b.loOpen {
-		l = math.MinInt64
-	}
-	if b.hiOpen {
-		h = math.MaxInt64
-	}
-	Int64Range(dst, vals, l, h, lo, hi)
-	if b.not {
-		dst.not(lo, hi)
-	}
-}
 
 // Int64Range evaluates lo64 <= vals[i] <= hi64 (BETWEEN) for rows
 // [lo, hi) as the single unsigned compare v-lo64 <= hi64-lo64 (a v below
@@ -182,31 +153,14 @@ func Int64Range(dst *Bitmap, vals []int64, lo64, hi64 int64, lo, hi int) {
 	}
 }
 
-// Float64Cmp evaluates float64(vals[i]) op c for rows [lo, hi) with
-// rel.Value.Compare's float semantics (see Float64Range). An integer
-// column is widened row by row — the cross-kind path for an integer
-// column compared to a float constant, matching rel's numeric widening.
-func Float64Cmp[T int64 | float64](dst *Bitmap, vals []T, op CmpOp, c float64, lo, hi int) {
-	b, l, h := opBounds[op], c, c
-	if b.loOpen {
-		l = math.Inf(-1)
-	}
-	if b.hiOpen {
-		h = math.NaN() // the greatest float in Compare's order
-	}
-	Float64Range(dst, vals, l, h, lo, hi)
-	if b.not {
-		dst.not(lo, hi)
-	}
-}
-
-// Float64Range evaluates lo64 <= float64(vals[i]) <= hi64 (BETWEEN) for
-// rows [lo, hi) in rel.Value.Compare's order, where NaN equals NaN and
-// sorts after every number: !(v < lo64) admits a NaN row above any
-// numeric bound and v <= hi64 rejects it below one; a NaN upper bound —
-// how Float64Cmp opens the top — admits every row, and a NaN lower bound
-// leaves only the NaN rows. One loop per case, chosen per word.
-func Float64Range[T int64 | float64](dst *Bitmap, vals []T, lo64, hi64 float64, lo, hi int) {
+// Float64Range evaluates lo64 <= vals[i] <= hi64 (BETWEEN) for rows
+// [lo, hi) in rel.Value.Compare's order, where NaN equals NaN and sorts
+// after every number: !(v < lo64) admits a NaN row above any numeric
+// bound and v <= hi64 rejects it below one; a NaN upper bound — how an
+// interval open at the top is closed — admits every row from lo64 up, and
+// a NaN lower bound leaves only the NaN rows. One loop per case, chosen
+// per word.
+func Float64Range(dst *Bitmap, vals []float64, lo64, hi64 float64, lo, hi int) {
 	loNaN, hiNaN := lo64 != lo64, hi64 != hi64
 	for base := lo; base < hi; base += WordBits {
 		var word uint64
@@ -214,16 +168,16 @@ func Float64Range[T int64 | float64](dst *Bitmap, vals []T, lo64, hi64 float64, 
 		switch {
 		case loNaN:
 			for i := len(chunk) - 1; i >= 0; i-- {
-				v := float64(chunk[i])
+				v := chunk[i]
 				word = word<<1 + b2u(v != v)&b2u(hiNaN)
 			}
 		case hiNaN:
 			for i := len(chunk) - 1; i >= 0; i-- {
-				word = word<<1 + b2u(!(float64(chunk[i]) < lo64))
+				word = word<<1 + b2u(!(chunk[i] < lo64))
 			}
 		default:
 			for i := len(chunk) - 1; i >= 0; i-- {
-				v := float64(chunk[i])
+				v := chunk[i]
 				word = word<<1 + b2u(!(v < lo64))&b2u(v <= hi64)
 			}
 		}
@@ -236,16 +190,15 @@ func Float64Range[T int64 | float64](dst *Bitmap, vals []T, lo64, hi64 float64, 
 // three one-sided loops (==, <=, >=), chosen once per word, and their
 // complements.
 func StringCmp(dst *Bitmap, vals []string, op CmpOp, c string, lo, hi int) {
-	b := opBounds[op]
 	for base := lo; base < hi; base += WordBits {
 		chunk := vals[base:min(base+WordBits, hi)]
 		var word uint64
-		switch {
-		case b.loOpen:
+		switch op {
+		case Le, Gt:
 			for i := len(chunk) - 1; i >= 0; i-- {
 				word = word<<1 + b2u(chunk[i] <= c)
 			}
-		case b.hiOpen:
+		case Ge, Lt:
 			for i := len(chunk) - 1; i >= 0; i-- {
 				word = word<<1 + b2u(chunk[i] >= c)
 			}
@@ -256,8 +209,8 @@ func StringCmp(dst *Bitmap, vals []string, op CmpOp, c string, lo, hi int) {
 		}
 		dst.words[base/WordBits] = word
 	}
-	if b.not {
-		dst.not(lo, hi)
+	if op == Ne || op == Gt || op == Lt {
+		dst.Not(lo, hi)
 	}
 }
 

@@ -15,7 +15,7 @@ func TestBitmapRoundTrip(t *testing.T) {
 		vals[i] = int64(i % 7)
 	}
 	bm := NewBitmap(n)
-	Int64Cmp(bm, vals, Lt, 3, 0, n)
+	Int64Range(bm, vals, math.MinInt64, 2, 0, n)
 	want := 0
 	for i := 0; i < n; i++ {
 		set := vals[i] < 3
@@ -42,8 +42,8 @@ func TestBitmapRoundTrip(t *testing.T) {
 	// Split evaluation over two word-aligned halves must equal the
 	// whole-range evaluation (the partitioned-worker contract).
 	split := NewBitmap(n)
-	Int64Cmp(split, vals, Lt, 3, 0, 128)
-	Int64Cmp(split, vals, Lt, 3, 128, n)
+	Int64Range(split, vals, math.MinInt64, 2, 0, 128)
+	Int64Range(split, vals, math.MinInt64, 2, 128, n)
 	for w := range bm.Words() {
 		if split.Words()[w] != bm.Words()[w] {
 			t.Errorf("word %d differs between split and whole evaluation", w)
@@ -60,9 +60,9 @@ func TestAndAndNotNulls(t *testing.T) {
 		vals[i] = int64(i)
 	}
 	a := NewBitmap(n)
-	Int64Cmp(a, vals, Ge, 10, 0, n)
+	Int64Range(a, vals, 10, math.MaxInt64, 0, n)
 	b := NewBitmap(n)
-	Int64Cmp(b, vals, Lt, 20, 0, n)
+	Int64Range(b, vals, math.MinInt64, 19, 0, n)
 	a.And(b, 0, n)
 	if got := a.Count(0, n); got != 10 {
 		t.Errorf("10 <= v < 20 count = %d, want 10", got)
@@ -78,24 +78,29 @@ func TestAndAndNotNulls(t *testing.T) {
 	}
 }
 
-// TestFloatKernelsFollowCompareSemantics: the float kernels order NaN as
-// rel.Value.Compare does — equal to NaN only and after every number — on
-// either side of the comparison.
+// TestFloatKernelsFollowCompareSemantics: the float range kernel orders
+// NaN as rel.Value.Compare does — equal to NaN only and after every
+// number — at either end of the interval, and Not complements it.
 func TestFloatKernelsFollowCompareSemantics(t *testing.T) {
 	vals := []float64{1, math.NaN(), 2, 1}
+	nan, inf := math.NaN(), math.Inf(1)
 	bm := NewBitmap(len(vals))
 	for _, c := range []struct {
-		op   CmpOp
-		c    float64
-		want int
+		lo, hi float64
+		not    bool
+		want   int
 	}{
-		{Eq, 1, 2}, {Ne, 1, 2}, {Gt, 1, 2}, {Ge, 2, 2}, {Lt, 2, 2}, {Le, 2, 3},
-		{Eq, math.NaN(), 1}, {Ne, math.NaN(), 3}, {Ge, math.NaN(), 1}, {Gt, math.NaN(), 0},
-		{Le, math.NaN(), 4}, {Lt, math.NaN(), 3},
+		{1, 1, false, 2}, {1, 1, true, 2}, {math.Nextafter(1, 2), nan, false, 2}, {2, nan, false, 2},
+		{-inf, math.Nextafter(2, 1), false, 2}, {-inf, 2, false, 3},
+		{nan, nan, false, 1}, {nan, nan, true, 3}, {nan, -inf, false, 0},
+		{-inf, nan, false, 4}, {-inf, inf, false, 3}, {2, 1, false, 0},
 	} {
-		Float64Cmp(bm, vals, c.op, c.c, 0, len(vals))
+		Float64Range(bm, vals, c.lo, c.hi, 0, len(vals))
+		if c.not {
+			bm.Not(0, len(vals))
+		}
 		if got := bm.Count(0, len(vals)); got != c.want {
-			t.Errorf("op %d against %v over {1, NaN, 2, 1} = %d rows, want %d", c.op, c.c, got, c.want)
+			t.Errorf("[%v, %v] (not %v) over {1, NaN, 2, 1} = %d rows, want %d", c.lo, c.hi, c.not, got, c.want)
 		}
 	}
 }

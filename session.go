@@ -304,13 +304,6 @@ func WithConservative() ReoptOption {
 	return func(o *ReoptOptions) { o.Conservative = true }
 }
 
-// WithSkipBelowCost disables re-optimization for queries whose initial
-// plan cost is below the threshold (§5.4: skip queries too cheap to be
-// worth validating).
-func WithSkipBelowCost(cost float64) ReoptOption {
-	return func(o *ReoptOptions) { o.SkipBelowCost = cost }
-}
-
 // reoptimizer mints the per-call Algorithm 1 runner: session-owned
 // state (optimizer, shared cache, validation settings) plus the call's
 // options. Reoptimizer itself is stateless across calls, so this is a

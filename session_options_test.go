@@ -54,36 +54,3 @@ func TestWithConservativeBlendsDelta(t *testing.T) {
 		t.Errorf("%d of %d entries blended away from the sample, Γ holds %d", moved, len(ests[0].Sets), blended.Gamma.Len())
 	}
 }
-
-// TestWithSkipBelowCostSkips: WithSkipBelowCost reaches the run. Above
-// the initial plan's cost the call returns P_1 after one round without
-// sampling; below it the run validates as usual.
-func TestWithSkipBelowCostSkips(t *testing.T) {
-	cat, qs := ottSession(t)
-	s, err := reopt.Open(cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	q := qs[4]
-	p1, err := s.Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skipped, err := s.Reoptimize(ctx, q, reopt.WithSkipBelowCost(2*p1.Cost()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(skipped.Rounds) != 1 || !skipped.Converged || skipped.Gamma.Len() != 0 ||
-		skipped.Final.Fingerprint() != p1.Fingerprint() {
-		t.Errorf("skip: %d rounds, converged %v, %d Γ entries, final %s; want P_1 %s after one unsampled round",
-			len(skipped.Rounds), skipped.Converged, skipped.Gamma.Len(), skipped.Final.Fingerprint(), p1.Fingerprint())
-	}
-	ran, err := s.Reoptimize(ctx, q, reopt.WithSkipBelowCost(p1.Cost()/2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran.Gamma.Len() == 0 {
-		t.Error("a threshold below the plan's cost skipped validation")
-	}
-}
