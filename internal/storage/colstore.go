@@ -188,9 +188,9 @@ func (c *ColData) HashAt(h uint64, i int) uint64 {
 }
 
 // EqualAt reports rel.Value.Equal between row i of c and row j of o,
-// comparing typed payloads when both columns share a kind and
-// reconstructing Values only across kinds (int vs float widens; a
-// mixed-kind column decides per row). Neither row may be NULL.
+// comparing typed payloads when both columns share a kind and deferring
+// to rel.Value.Equal across kinds, which compares an int with a float
+// exactly (a mixed-kind column decides per row). Neither row may be NULL.
 func (c *ColData) EqualAt(i int, o *ColData, j int) bool {
 	if c.Kind == o.Kind {
 		switch c.Kind {

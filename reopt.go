@@ -39,6 +39,7 @@
 //	EstimateBySampling(p, cat)                  ->  Session.Validate(ctx, p)          (removed)
 //	NewWorkloadCache + ReoptOptions.Cache       ->  Open(cat, WithSharedCache(n))
 //	ReoptOptions fields                         ->  WithMaxRounds / WithTimeout / WithConservative
+//	WithSkipBelowCost(cost)                     ->  (removed)
 //	NewMidQueryExecutor + Run                   ->  Session.MidQuery(ctx, q)          (removed)
 //	SamplingEstimate.Delta / SampleRows[key]    ->  SamplingEstimate.Sets[i].Rows / SampleRows (by Mask or Key)
 //	Gamma.Get(key) / Set(key, rows)             ->  Gamma.Get(mask) / Set(mask, rows), masks over Query.Tables
