@@ -575,11 +575,14 @@ func BenchmarkValidationLargeSample(b *testing.B) {
 	}
 }
 
-// BenchmarkCatalogBuild times one catalog generation at two of bench/'s
+// BenchmarkCatalogBuild times one catalog generation at three of bench/'s
 // workload shapes — rows, indexes, ANALYZE and samples, the bulk of
 // their setup_s: ott_large (five int tables of 72k-120k rows, both
-// columns indexed) and tpch_batch's skewed TPC-H (int and low-cardinality
-// string columns). B/op is what one set-up allocates.
+// columns indexed), template_zipf (four int tables of 20k-288k rows) and
+// tpch_batch's skewed TPC-H (int and low-cardinality string columns).
+// B/op is what one set-up allocates; retained-B is what one built
+// catalog keeps live (heap after a collection, less the same before the
+// build).
 func BenchmarkCatalogBuild(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -591,9 +594,21 @@ func BenchmarkCatalogBuild(b *testing.B) {
 				Domains: []int{40000, 36000, 32000, 28000, 24000}, SampleRatio: 1.0,
 			})
 		}},
+		{"template_zipf", func() (*reopt.Catalog, error) {
+			return reopt.GenerateOTT(reopt.OTTConfig{
+				Seed: 1, NumTables: 4, RowsPerValue: 720,
+				Domains: []int{400, 360, 320, 28}, SampleRatio: 1.0,
+			})
+		}},
 		{"tpch", func() (*reopt.Catalog, error) {
 			return reopt.GenerateTPCH(reopt.TPCHConfig{Seed: 1, Customers: 1500, Z: 1})
 		}},
+	}
+	heap := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
 	}
 	for _, s := range shapes {
 		b.Run(s.name, func(b *testing.B) {
@@ -603,6 +618,15 @@ func BenchmarkCatalogBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			before := heap()
+			cat, err := s.gen()
+			if err != nil {
+				b.Fatal(err)
+			}
+			retained := heap() - before
+			runtime.KeepAlive(cat)
+			b.ReportMetric(float64(retained), "retained-B")
 		})
 	}
 }

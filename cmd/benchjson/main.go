@@ -43,6 +43,10 @@ type Benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	// Extra holds every other value/unit pair of the line — the metrics
+	// a benchmark reports itself (ns/row, req/wave, retained-B, ...) —
+	// keyed by unit.
+	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
 // Report is the archived artifact.
@@ -225,6 +229,11 @@ func parse(r io.Reader, sha string) (*Report, error) {
 				b.BytesPerOp = v
 			case "allocs/op":
 				b.AllocsPerOp = v
+			default:
+				if b.Extra == nil {
+					b.Extra = make(map[string]float64)
+				}
+				b.Extra[fields[i+1]] = v
 			}
 		}
 		rep.Benchmarks = append(rep.Benchmarks, b)

@@ -82,7 +82,10 @@ BenchmarkWorkloadScheduler/sched=on/parallel=2-8   	      20	  13190650 ns/op	  
 	if b.Name != "BenchmarkWorkloadScheduler/sched=on/parallel=2" {
 		t.Errorf("name = %q", b.Name)
 	}
-	if b.NsPerOp != 13190650 || b.AllocsPerOp != 42809 {
+	if b.NsPerOp != 13190650 || b.AllocsPerOp != 42809 || b.BytesPerOp != 7701053 {
 		t.Errorf("values = %+v", b)
+	}
+	if len(b.Extra) != 1 || b.Extra["req/wave"] != 1.505 {
+		t.Errorf("extra metrics = %v, want req/wave 1.505 alone", b.Extra)
 	}
 }

@@ -60,8 +60,9 @@ func run(out string, tables, m, queries, n, same int, seed int64) error {
 		}
 		w := bufio.NewWriter(f)
 		fmt.Fprintln(w, "a,b")
-		for _, row := range t.Rows() {
-			fmt.Fprintf(w, "%d,%d\n", row[0].AsInt(), row[1].AsInt())
+		a, b := t.ColData().Col(0), t.ColData().Col(1)
+		for i := range t.NumRows() {
+			fmt.Fprintf(w, "%d,%d\n", a.Value(i).AsInt(), b.Value(i).AsInt())
 		}
 		if err := w.Flush(); err != nil {
 			f.Close()

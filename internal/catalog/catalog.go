@@ -197,13 +197,38 @@ func (c *Catalog) BuildSamples(seed int64) {
 	c.sampleEpoch = sampleEpochCounter.Add(1)
 	for name, t := range c.tables {
 		r := c.EffectiveSampleRatio(t.NumRows())
-		s := t.Sample(name+"_sample", r, seed^hashName(name))
-		// Samples are immutable once drawn and are scanned by the
-		// count-only skeleton engine on every validation round: prebuild
-		// their column-major projection so leaf scans run as typed loops.
-		s.ColData()
-		c.samples[name] = s
+		c.samples[name] = t.Sample(name+"_sample", r, seed^hashName(name))
 	}
+}
+
+// Bytes is what a catalog's tables and samples hold in memory, by part.
+type Bytes struct {
+	// Tables is the base tables' typed columns and NULL marking.
+	Tables int64
+	// Samples is what the samples' columns hold beyond what they share
+	// with their tables: 0 for a full-ratio sample without NULLs.
+	Samples int64
+	// SampleIndex is the sorted sample indexes' permutations built so far.
+	SampleIndex int64
+	// SampleCopies is the indexes' ordered column copies built so far.
+	SampleCopies int64
+}
+
+// Bytes measures the catalog's resident column data (string payloads
+// aside). Safe to call while validations build sample indexes; not while
+// tables are written.
+func (c *Catalog) Bytes() Bytes {
+	var b Bytes
+	for name, t := range c.tables {
+		b.Tables += t.ColumnBytes(nil)
+		if s, ok := c.samples[name]; ok {
+			b.Samples += s.ColumnBytes(t)
+			perm, copies := s.IndexBytes()
+			b.SampleIndex += perm
+			b.SampleCopies += copies
+		}
+	}
+	return b
 }
 
 // Sample returns the sample table for name, or an error if samples have

@@ -123,17 +123,35 @@ func TestSampleRatioValidation(t *testing.T) {
 	c.SetSampleRatio(0)
 }
 
+// TestBuildSamplesDeterministic: the same seed draws the same rows, at
+// the default ratio, at the 600-row floor and at ratio 1, where the
+// sample shares its table's columns and holds no bytes of its own.
 func TestBuildSamplesDeterministic(t *testing.T) {
-	mk := func() *Catalog {
-		c := New()
-		c.MustAddTable(newTestTable("t", 10000))
-		c.BuildSamples(99)
-		return c
-	}
-	a, _ := mk().Sample("t")
-	b, _ := mk().Sample("t")
-	if a.NumRows() != b.NumRows() {
-		t.Errorf("samples differ: %d vs %d", a.NumRows(), b.NumRows())
+	for _, tc := range []struct {
+		rows  int
+		ratio float64
+	}{{100000, DefaultSampleRatio}, {10000, DefaultSampleRatio}, {10000, 1}} {
+		mk := func() *Catalog {
+			c := New()
+			c.SetSampleRatio(tc.ratio)
+			c.MustAddTable(newTestTable("t", tc.rows))
+			c.BuildSamples(99)
+			return c
+		}
+		ca, cb := mk(), mk()
+		a, _ := ca.Sample("t")
+		b, _ := cb.Sample("t")
+		if a.NumRows() != b.NumRows() {
+			t.Fatalf("%d rows at ratio %v: samples differ: %d vs %d", tc.rows, tc.ratio, a.NumRows(), b.NumRows())
+		}
+		for i := range a.NumRows() {
+			if a.Row(i)[0] != b.Row(i)[0] {
+				t.Fatalf("%d rows at ratio %v: sample row %d differs: %v vs %v", tc.rows, tc.ratio, i, a.Row(i), b.Row(i))
+			}
+		}
+		if full := ca.EffectiveSampleRatio(tc.rows) == 1; (a.NumRows() == tc.rows) != full || (ca.Bytes().Samples == 0) != full {
+			t.Errorf("%d rows at ratio %v: %d sampled, %+v", tc.rows, tc.ratio, a.NumRows(), ca.Bytes())
+		}
 	}
 }
 

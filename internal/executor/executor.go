@@ -226,8 +226,9 @@ type iterator interface {
 // partially-filled slab wastes little.
 const arenaSlabValues = 4096
 
-// rowArena carves join output rows out of large value slabs, replacing
-// rel.Row.Concat's one heap allocation per output row. Rows stay valid
+// rowArena carves output rows — a scan's materialized rows, a join's
+// concatenations — out of large value slabs, replacing one heap
+// allocation per output row. Rows stay valid
 // indefinitely — the slab lives as long as any row carved from it, and
 // a fresh slab starts whenever the current one is full — so consumers
 // that retain rows (materializing joins, aggregates, Run's output) are
@@ -239,20 +240,21 @@ type rowArena struct {
 	slab []rel.Value
 }
 
-// concat returns l followed by r as an arena-backed row.
-func (a *rowArena) concat(l, r rel.Row) rel.Row {
-	n := len(l) + len(r)
+// alloc returns an n-value arena-backed row for the caller to fill.
+func (a *rowArena) alloc(n int) rel.Row {
 	if cap(a.slab)-len(a.slab) < n {
-		size := arenaSlabValues
-		if n > size {
-			size = n
-		}
-		a.slab = make([]rel.Value, 0, size)
+		a.slab = make([]rel.Value, 0, max(arenaSlabValues, n))
 	}
 	off := len(a.slab)
-	a.slab = append(a.slab, l...)
-	a.slab = append(a.slab, r...)
+	a.slab = a.slab[:off+n]
 	return rel.Row(a.slab[off : off+n : off+n])
+}
+
+// concat returns l followed by r as an arena-backed row.
+func (a *rowArena) concat(l, r rel.Row) rel.Row {
+	row := a.alloc(len(l) + len(r))
+	copy(row[copy(row, l):], r)
+	return row
 }
 
 // counted wraps an iterator to record per-node output counts. Rows are
@@ -321,10 +323,12 @@ func filterIdx(schema *rel.Schema, filters []sql.Selection) ([]int, error) {
 	return idx, nil
 }
 
-func passes(row rel.Row, filters []sql.Selection, idx []int, ctr *Counters) bool {
+// passes evaluates filters on row id of a table's columns, in place,
+// counting one operator evaluation per filter tried.
+func passes(cs *storage.ColStore, id int, filters []sql.Selection, idx []int, ctr *Counters) bool {
 	for i, f := range filters {
 		ctr.OperatorEvals++
-		if !sql.EvalSelection(row[idx[i]], f) {
+		if !sql.EvalSelection(cs.Col(idx[i]).Value(id), f) {
 			return false
 		}
 	}
@@ -333,6 +337,9 @@ func passes(row rel.Row, filters []sql.Selection, idx []int, ctr *Counters) bool
 
 // --- Sequential / index scans ---
 
+// Scans evaluate their filters on the table's columns and materialize
+// only the rows that pass, into the scan's arena.
+
 type seqScanIter struct {
 	table   *storage.Table
 	filters []sql.Selection
@@ -340,22 +347,31 @@ type seqScanIter struct {
 	ctr     *Counters
 	pos     int
 	page    int
+	arena   rowArena
 }
 
 func (s *seqScanIter) next() (rel.Row, bool) {
-	for s.pos < s.table.NumRows() {
-		row := s.table.Row(s.pos)
-		if p := s.table.PageOfRow(s.pos); s.pos == 0 || p != s.page {
+	cs := s.table.ColData()
+	for s.pos < cs.NumRows() {
+		id := s.pos
+		if p := s.table.PageOfRow(id); id == 0 || p != s.page {
 			s.page = p
 			s.ctr.SeqPages++
 		}
 		s.pos++
 		s.ctr.Tuples++
-		if passes(row, s.filters, s.fidx, s.ctr) {
-			return row, true
+		if passes(cs, id, s.filters, s.fidx, s.ctr) {
+			return materialize(&s.arena, s.table, id), true
 		}
 	}
 	return nil, false
+}
+
+// materialize reads row id of t into an arena-backed row.
+func materialize(a *rowArena, t *storage.Table, id int) rel.Row {
+	row := a.alloc(t.Schema().Len())
+	t.ColData().ReadRow(row, id)
+	return row
 }
 
 type indexScanIter struct {
@@ -365,18 +381,19 @@ type indexScanIter struct {
 	fidx     []int
 	ctr      *Counters
 	pos      int
+	arena    rowArena
 }
 
 func (s *indexScanIter) next() (rel.Row, bool) {
+	cs := s.table.ColData()
 	for s.pos < len(s.ids) {
 		id := s.ids[s.pos]
 		s.pos++
 		s.ctr.IndexTuples++
 		s.ctr.RandPages++ // heap fetch
 		s.ctr.Tuples++
-		row := s.table.Row(id)
-		if passes(row, s.residual, s.fidx, s.ctr) {
-			return row, true
+		if passes(cs, id, s.residual, s.fidx, s.ctr) {
+			return materialize(&s.arena, s.table, id), true
 		}
 	}
 	return nil, false
@@ -797,6 +814,7 @@ type indexNLIter struct {
 	extraR   []int // remaining predicate positions (inner table row)
 	ctr      *Counters
 	arena    rowArena
+	inner    rel.Row // scratch: the inner row a match is read into
 
 	cur     rel.Row
 	matches []int
@@ -836,6 +854,7 @@ func (ex *executor) buildIndexNL(j *plan.JoinNode, left iterator, lidx, ridx []i
 		extraL:   lidx[1:],
 		extraR:   ridx[1:],
 		ctr:      &ex.res.Counters,
+		inner:    make(rel.Row, t.Schema().Len()),
 	}
 	return it, nil
 }
@@ -857,12 +876,13 @@ func (ix *indexNLIter) next() (rel.Row, bool) {
 			ix.ctr.IndexTuples++
 			ix.ctr.RandPages++
 			ix.ctr.Tuples++
-			row := ix.table.Row(id)
-			if !passes(row, ix.residual, ix.fidx, ix.ctr) {
+			cs := ix.table.ColData()
+			if !passes(cs, id, ix.residual, ix.fidx, ix.ctr) {
 				continue
 			}
-			if keysMatch(ix.cur, ix.extraL, row, ix.extraR, ix.ctr) {
-				return ix.arena.concat(ix.cur, row), true
+			cs.ReadRow(ix.inner, id)
+			if keysMatch(ix.cur, ix.extraL, ix.inner, ix.extraR, ix.ctr) {
+				return ix.arena.concat(ix.cur, ix.inner), true
 			}
 		}
 		ix.haveCur = false

@@ -146,7 +146,8 @@ func TestFiltersAtScan(t *testing.T) {
 	}
 	tab, _ := cat.Table("l")
 	want := 0
-	for _, row := range tab.Rows() {
+	for rid := range tab.NumRows() {
+		row := tab.Row(rid)
 		if row[0].AsInt() == 7 {
 			want++
 		}
@@ -295,7 +296,8 @@ func TestBinderSubstitution(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 0
-	for _, row := range sample.Rows() {
+	for rid := range sample.NumRows() {
+		row := sample.Row(rid)
 		if row[0].AsInt() == 3 {
 			want++
 		}

@@ -190,7 +190,7 @@ func unindexed(col *storage.ColData) *storage.ColData {
 	copy(c.Ints, col.Ints)
 	copy(c.Floats, col.Floats)
 	copy(c.Nulls, col.Nulls)
-	c.BuildNullWords()
+	c.NullWords = slices.Clone(col.NullWords)
 	return &c
 }
 

@@ -84,21 +84,12 @@ func (r *Runner) Ex2() (*Table, error) {
 	countActual := func(a1, a2 int64) int {
 		// |σ(A1=a1)(R1) ⋈ B1=B2 σ(A2=a2)(R2)|: B=A makes this
 		// |σ1|*|σ2| when a1==a2, else 0.
-		c1, c2 := 0, 0
-		for _, row := range t1.Rows() {
-			if row[0].AsInt() == a1 {
-				c1++
-			}
+		if a1 != a2 {
+			return 0
 		}
-		for _, row := range t2.Rows() {
-			if row[0].AsInt() == a2 {
-				c2++
-			}
-		}
-		if a1 == a2 {
-			return c1 * c2
-		}
-		return 0
+		// Column a of an OTT table holds ints, never NULL.
+		c1 := countEq(t1.ColData().Col(0).Ints, a1)
+		return c1 * countEq(t2.ColData().Col(0).Ints, a2)
 	}
 	total := float64(t1.NumRows()) * float64(t2.NumRows())
 
@@ -122,4 +113,15 @@ func fmtParams(k string, v int) string { return fmt.Sprintf("%s=%d", k, v) }
 
 func fmtParams2(k1 string, v1 int, k2 string, v2 int) string {
 	return fmt.Sprintf("%s=%d,%s=%d", k1, v1, k2, v2)
+}
+
+// countEq counts the entries of vals equal to v.
+func countEq(vals []int64, v int64) int {
+	n := 0
+	for _, x := range vals {
+		if x == v {
+			n++
+		}
+	}
+	return n
 }

@@ -175,7 +175,8 @@ func bruteForce(t *testing.T, cat *catalog.Catalog, q *sql.Query) int64 {
 			return
 		}
 		b := binds[depth]
-		for _, row := range b.tab.Rows() {
+		for rid := range b.tab.NumRows() {
+			row := b.tab.Row(rid)
 			cur[b.alias] = row
 			recurse(depth + 1)
 		}

@@ -5,6 +5,7 @@ import (
 	"reopt/internal/rel"
 	"reopt/internal/sql"
 	"reopt/internal/stats"
+	"reopt/internal/storage"
 )
 
 // Profile customizes the estimation behaviour of the optimizer, emulating
@@ -76,22 +77,23 @@ func SystemBProfile() *Profile {
 			if err != nil {
 				return 0, false
 			}
+			cols := make([]*storage.ColData, len(filters))
+			for i, f := range filters {
+				pos, err := s.Schema().IndexOf("", f.Col.Column)
+				if err != nil {
+					return 0, false
+				}
+				cols[i] = s.ColData().Col(pos)
+			}
 			matched := 0
-			for _, row := range s.Rows() {
-				ok := true
-				for _, f := range filters {
-					pos, err := s.Schema().IndexOf("", f.Col.Column)
-					if err != nil {
-						return 0, false
-					}
-					if !sql.EvalSelection(row[pos], f) {
-						ok = false
-						break
+		rows:
+			for r := range s.NumRows() {
+				for i, f := range filters {
+					if !sql.EvalSelection(cols[i].Value(r), f) {
+						continue rows
 					}
 				}
-				if ok {
-					matched++
-				}
+				matched++
 			}
 			scale := float64(base.NumRows()) / float64(s.NumRows())
 			return float64(matched) * scale, true

@@ -94,6 +94,16 @@ func (m *metrics) writeTo(w io.Writer, s *Server) {
 		fmt.Fprintf(w, "reoptd_validation_rows_materialized_total{tenant=%q} %d\n", name, materialized)
 	}
 
+	b := s.cat.Bytes()
+	fmt.Fprintln(w, "# HELP reoptd_catalog_bytes Catalog column data resident in memory, by part: tables (typed columns and NULL marking), samples (sample columns not shared with a table), sample_index (sorted index permutations built), sample_copies (the indexes' ordered column copies built). String payloads are not counted.")
+	fmt.Fprintln(w, "# TYPE reoptd_catalog_bytes gauge")
+	for _, part := range []struct {
+		name  string
+		bytes int64
+	}{{"tables", b.Tables}, {"samples", b.Samples}, {"sample_index", b.SampleIndex}, {"sample_copies", b.SampleCopies}} {
+		fmt.Fprintf(w, "reoptd_catalog_bytes{part=%q} %d\n", part.name, part.bytes)
+	}
+
 	ready := 1
 	if s.draining.Load() {
 		ready = 0

@@ -378,4 +378,61 @@ func TestHealthAndMetrics(t *testing.T) {
 	if materialized <= 0 || counted <= materialized {
 		t.Errorf("validation counted %d rows in %d materialized; want 0 < materialized < counted", counted, materialized)
 	}
+	// 1500-row tables sampled at the 600-row floor: the samples are
+	// gathered, not shared, and too small for a sorted index.
+	b := cat.Bytes()
+	if b.Tables <= 0 || b.Samples <= 0 || b.SampleIndex != 0 || b.SampleCopies != 0 {
+		t.Errorf("catalog bytes %+v: want tables and samples only", b)
+	}
+	for _, want := range []string{
+		"# TYPE reoptd_catalog_bytes gauge",
+		fmt.Sprintf(`reoptd_catalog_bytes{part="tables"} %d`, b.Tables),
+		fmt.Sprintf(`reoptd_catalog_bytes{part="samples"} %d`, b.Samples),
+		`reoptd_catalog_bytes{part="sample_index"} 0`,
+		`reoptd_catalog_bytes{part="sample_copies"} 0`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q in:\n%s", want, body)
+		}
+	}
+}
+
+// TestCatalogBytesFullRatio: full-ratio samples share their tables'
+// columns, so the samples part reads 0; a validation answered by the
+// sorted sample index builds its permutation and the ordered copy of the
+// boundary column, which the sample_index and sample_copies parts count —
+// 4 bytes a row for a permutation, 8 for a copied int column.
+func TestCatalogBytesFullRatio(t *testing.T) {
+	cat, err := reopt.GenerateOTT(reopt.OTTConfig{Seed: 5, RowsPerValue: 45, SampleRatio: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := cat.Bytes(); b.Tables <= 0 || b.Samples != 0 || b.SampleIndex != 0 || b.SampleCopies != 0 {
+		t.Fatalf("before any validation: %+v, want tables only", b)
+	}
+	sql, _ := ottQueries(t, cat, 3, 1, 7)
+	_, ts := newTestServer(t, cat, server.Config{Default: &server.Quota{CacheEntries: -1}})
+	c := reoptclient.New(ts.URL, reoptclient.WithRetries(0))
+	if _, err := c.Reoptimize(context.Background(), &reoptclient.ReoptimizeRequest{SQL: sql[0]}); err != nil {
+		t.Fatal(err)
+	}
+	b := cat.Bytes()
+	if b.Samples != 0 || b.SampleIndex <= 0 || b.SampleIndex%4 != 0 || b.SampleCopies <= 0 || b.SampleCopies%8 != 0 {
+		t.Fatalf("after a validation: %+v; want no sample bytes, and permutations and int copies built", b)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	for _, want := range []string{
+		`reoptd_catalog_bytes{part="samples"} 0`,
+		fmt.Sprintf(`reoptd_catalog_bytes{part="sample_index"} %d`, b.SampleIndex),
+		fmt.Sprintf(`reoptd_catalog_bytes{part="sample_copies"} %d`, b.SampleCopies),
+	} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("metrics missing %q in:\n%s", want, raw)
+		}
+	}
 }

@@ -119,14 +119,15 @@ func SketchColumn(t *storage.Table, column string, filters []sql.Selection, dept
 	if err != nil {
 		return nil, err
 	}
+	cs := t.ColData()
 rows:
-	for _, row := range t.Rows() {
+	for r := range t.NumRows() {
 		for i, f := range filters {
-			if !sql.EvalSelection(row[fidx[i]], f) {
+			if !sql.EvalSelection(cs.Col(fidx[i]).Value(r), f) {
 				continue rows
 			}
 		}
-		s.Add(row[pos])
+		s.Add(cs.Col(pos).Value(r))
 	}
 	return s, nil
 }

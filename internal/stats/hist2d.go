@@ -48,13 +48,16 @@ func BuildHist2D(t *storage.Table, colA, colB string, bucketsA, bucketsB int) (*
 		bucketsB: bucketsB,
 		counts:   make([]int, bucketsA*bucketsB),
 	}
+	if h.NumRows == 0 {
+		return h, nil // empty table
+	}
+	ca, cb := t.ColData().Col(posA), t.ColData().Col(posB)
+	if ca.Kind != rel.KindInt || cb.Kind != rel.KindInt || ca.Nulls != nil || cb.Nulls != nil {
+		return nil, fmt.Errorf("stats: hist2d requires integer columns")
+	}
 	first := true
-	for _, row := range t.Rows() {
-		a, b := row[posA], row[posB]
-		if a.Kind() != rel.KindInt || b.Kind() != rel.KindInt {
-			return nil, fmt.Errorf("stats: hist2d requires integer columns")
-		}
-		ai, bi := a.AsInt(), b.AsInt()
+	for i, ai := range ca.Ints {
+		bi := cb.Ints[i]
 		if first {
 			h.loA, h.hiA, h.loB, h.hiB = ai, ai, bi, bi
 			first = false
@@ -73,12 +76,9 @@ func BuildHist2D(t *storage.Table, colA, colB string, bucketsA, bucketsB int) (*
 			h.hiB = bi
 		}
 	}
-	if first {
-		return h, nil // empty table
-	}
-	for _, row := range t.Rows() {
-		ba := h.bucketA(row[posA].AsInt())
-		bb := h.bucketB(row[posB].AsInt())
+	for i, ai := range ca.Ints {
+		ba := h.bucketA(ai)
+		bb := h.bucketB(cb.Ints[i])
 		h.counts[ba*h.bucketsB+bb]++
 	}
 	return h, nil

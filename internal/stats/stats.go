@@ -126,7 +126,8 @@ func AnalyzeColumn(t *storage.Table, pos int, opts AnalyzeOptions) *ColumnStats 
 	ids, runs := t.ColumnRuns(pos)
 	numRuns := len(runs) - 1
 	runLen := func(r int) int { return runs[r+1] - runs[r] }
-	value := func(r int) rel.Value { return t.Row(int(ids[runs[r]]))[pos] }
+	data := t.ColData().Col(pos)
+	value := func(r int) rel.Value { return data.Value(int(ids[runs[r]])) }
 	cs.NullFrac = float64(cs.NumRows-len(ids)) / float64(cs.NumRows)
 	cs.NumDistinct = numRuns
 

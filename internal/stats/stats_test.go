@@ -49,8 +49,9 @@ func referenceAnalyzeColumn(t *storage.Table, pos int, opts AnalyzeOptions) *Col
 	counts := make(map[rel.ValueKey]int)
 	exemplar := make(map[rel.ValueKey]rel.Value)
 	nulls := 0
-	for _, row := range t.Rows() {
-		v := row[pos]
+	data := t.ColData().Col(pos)
+	for i := range t.NumRows() {
+		v := data.Value(i)
 		if v.IsNull() {
 			nulls++
 			continue
@@ -90,8 +91,8 @@ func referenceAnalyzeColumn(t *storage.Table, pos int, opts AnalyzeOptions) *Col
 	}
 
 	rest := make([]rel.Value, 0, cs.NumRows)
-	for _, row := range t.Rows() {
-		v := row[pos]
+	for i := range t.NumRows() {
+		v := data.Value(i)
 		if v.IsNull() {
 			continue
 		}

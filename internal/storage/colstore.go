@@ -3,19 +3,20 @@ package storage
 import (
 	"cmp"
 	"math"
+	"slices"
 	"strings"
+	"unsafe"
 
 	"reopt/internal/rel"
 	"reopt/internal/vec"
 )
 
-// ColStore is a column-major projection of a table: each column whose
-// non-null values share one kind is stored as a typed slice ([]int64,
-// []float64, or []string), so predicate evaluation and key hashing over
-// it run as tight typed loops with no per-row Value construction. It is
-// the storage format the count-only sample-skeleton engine scans;
-// samples are immutable once built, so the projection is computed once
-// and cached on the table.
+// ColStore is how a table holds its rows, column by column: each column
+// whose non-null values share one kind is stored as a typed slice
+// ([]int64, []float64, or []string), so predicate evaluation and key
+// hashing over it run as tight typed loops with no per-row Value
+// construction. Table.Append writes it in place; the count-only
+// sample-skeleton engine scans a sample's store directly.
 type ColStore struct {
 	numRows int
 	cols    []ColData
@@ -23,7 +24,9 @@ type ColStore struct {
 
 // ColData holds one column. Exactly one of the typed slices is populated
 // when Kind is a scalar kind; Vals is the row-major fallback for columns
-// that mix kinds (Kind == KindNull), which keeps the engine total.
+// that mix kinds (Kind == KindNull), which keeps the engine total. A
+// column no non-NULL value has been written to yet (empty or all-NULL)
+// is an int64 column of zeros.
 type ColData struct {
 	// Kind is the uniform kind of the column's non-null values, or
 	// KindNull when the column mixes kinds and Vals must be used.
@@ -38,8 +41,9 @@ type ColData struct {
 	// vec.Bitmap word layout), prebuilt so the vectorized predicate
 	// kernels can mask NULLs with word-wise AND-NOT instead of a per-row
 	// check. nil when Nulls is nil. Every column a filter is compiled
-	// against carries it (BuildNullWords); columns the skeleton engine
-	// only carries between operators and never filters leave it unbuilt.
+	// against is a table's, which Append keeps it current for; columns
+	// the skeleton engine only carries between operators and never
+	// filters leave it unbuilt.
 	NullWords []uint64
 	// Vals is set only for mixed-kind columns.
 	Vals []rel.Value
@@ -102,7 +106,7 @@ func (c *ColData) NewLike(n int) ColData {
 // Gather copies src rows sel[lo:hi) into c at destination offset off:
 // selection entry x lands at row off+x, typed payload and NULL flag
 // both. c must be shaped like src (NewLike). NullWords is not
-// maintained — see BuildNullWords.
+// maintained: only a table's columns are filtered.
 func (c *ColData) Gather(src *ColData, sel []int32, lo, hi, off int) {
 	sel = sel[lo:hi]
 	switch {
@@ -154,20 +158,6 @@ func (c *ColData) slice(a, b int) ColData {
 		v.Nulls = c.Nulls[a:b:b]
 	}
 	return v
-}
-
-// BuildNullWords derives NullWords from Nulls over the whole column (a
-// no-op without NULL marking). Single writer: adjacent rows share a word.
-func (c *ColData) BuildNullWords() {
-	if c.Nulls == nil {
-		return
-	}
-	c.NullWords = make([]uint64, vec.NumWords(len(c.Nulls)))
-	for i, null := range c.Nulls {
-		if null {
-			c.NullWords[i/vec.WordBits] |= 1 << (uint(i) % vec.WordBits)
-		}
-	}
 }
 
 // HashAt folds row i's value into the running rel hash h, straight from
@@ -256,77 +246,136 @@ func (c *ColData) compare(i, j int) int {
 	return c.Vals[i].Compare(c.Vals[j])
 }
 
-// BuildColStore computes the column-major projection of a table.
-func BuildColStore(t *Table) *ColStore {
-	cs := &ColStore{numRows: t.NumRows(), cols: make([]ColData, t.Schema().Len())}
-	for pos := range cs.cols {
-		col := &cs.cols[pos]
-		*col = buildColumn(t.rows, pos)
-		col.BuildNullWords()
-		col.attachIndex(cs.cols)
+// push writes v as row n of the column (n is its current length), the
+// one step Table.Append and Table.Sample build columns by. The column
+// keeps the kind of its non-NULL values; the first value of another kind
+// retypes a column that holds only NULLs so far, and otherwise turns it
+// mixed-kind for good, its cells moved into Vals. NULL marking (Nulls and
+// NullWords) appears with the first NULL. The sorted index is not
+// maintained here: see attachIndex.
+func (c *ColData) push(v rel.Value, n int) {
+	if c.Vals != nil {
+		c.Vals = append(c.Vals, v)
+		return
 	}
-	return cs
+	null := v.IsNull()
+	if !null && v.Kind() != c.Kind {
+		if n > 0 && (c.Nulls == nil || slices.Contains(c.Nulls, false)) {
+			c.toMixed(n)
+			c.Vals = append(c.Vals, v)
+			return
+		}
+		c.retype(v.Kind(), n)
+	}
+	switch {
+	case null:
+		c.appendZero()
+	case c.Kind == rel.KindInt:
+		c.Ints = append(c.Ints, v.AsInt())
+	case c.Kind == rel.KindFloat:
+		c.Floats = append(c.Floats, v.AsFloat())
+	default:
+		c.Strs = append(c.Strs, v.AsString())
+	}
+	if null && c.Nulls == nil {
+		c.Nulls = make([]bool, n, n+1)
+		c.NullWords = make([]uint64, vec.NumWords(n))
+	}
+	if c.Nulls != nil {
+		c.Nulls = append(c.Nulls, null)
+		if n%vec.WordBits == 0 {
+			c.NullWords = append(c.NullWords, 0)
+		}
+		if null {
+			c.NullWords[n/vec.WordBits] |= 1 << (uint(n) % vec.WordBits)
+		}
+	}
 }
 
-// buildColumn projects column pos of rows into a ColData, without the
-// NullWords and index a ColStore adds.
-func buildColumn(rows []rel.Row, pos int) ColData {
-	n := len(rows)
-	// One pass to find the uniform non-null kind, if any.
-	kind := rel.KindNull
-	mixed := false
-	hasNull := false
-	for _, row := range rows {
-		v := row[pos]
-		if v.IsNull() {
-			hasNull = true
-			continue
-		}
-		if kind == rel.KindNull {
-			kind = v.Kind()
-		} else if v.Kind() != kind {
-			mixed = true
-			break
-		}
-	}
-	if mixed {
-		col := ColData{Kind: rel.KindNull, Vals: make([]rel.Value, n)}
-		for i, row := range rows {
-			col.Vals[i] = row[pos]
-		}
-		return col
-	}
-	col := ColData{Kind: kind}
-	if hasNull {
-		col.Nulls = make([]bool, n)
-	}
-	switch kind {
+// appendZero appends the zero payload a NULL row holds in the typed slice.
+func (c *ColData) appendZero() {
+	switch c.Kind {
 	case rel.KindInt:
-		col.Ints = make([]int64, n)
+		c.Ints = append(c.Ints, 0)
 	case rel.KindFloat:
-		col.Floats = make([]float64, n)
-	case rel.KindString:
-		col.Strs = make([]string, n)
+		c.Floats = append(c.Floats, 0)
 	default:
-		// All-NULL (or empty) column: Nulls (already allocated when any
-		// row is NULL) plus a zero Ints slice keeps accessors total.
-		col.Kind = rel.KindInt
-		col.Ints = make([]int64, n)
+		c.Strs = append(c.Strs, "")
 	}
-	for i, row := range rows {
-		v := row[pos]
-		if v.IsNull() {
-			col.Nulls[i] = true
-			continue
-		}
-		switch col.Kind {
-		case rel.KindInt:
-			col.Ints[i] = v.AsInt()
-		case rel.KindFloat:
-			col.Floats[i] = v.AsFloat()
-		case rel.KindString:
-			col.Strs[i] = v.AsString()
-		}
+}
+
+// retype makes an n-row column that holds only NULLs a column of kind k.
+func (c *ColData) retype(k rel.Kind, n int) {
+	c.Kind, c.Ints, c.Floats, c.Strs = k, nil, nil, nil
+	switch k {
+	case rel.KindInt:
+		c.Ints = make([]int64, n)
+	case rel.KindFloat:
+		c.Floats = make([]float64, n)
+	default:
+		c.Strs = make([]string, n)
 	}
-	return col
+}
+
+// toMixed moves the column's n cells into Vals, the mixed-kind layout.
+func (c *ColData) toMixed(n int) {
+	vals := make([]rel.Value, n, n+1)
+	for i := range vals {
+		vals[i] = c.Value(i)
+	}
+	*c = ColData{Kind: rel.KindNull, Vals: vals}
+}
+
+// view is the column's first n rows as a column sharing its storage,
+// each slice clipped to length and capacity n, so appending to either
+// column never writes where the other reads. NullWords alone is copied:
+// its last word may hold row n and beyond. No index.
+func (c *ColData) view(n int) ColData {
+	v := c.slice(0, n)
+	if c.NullWords != nil {
+		v.NullWords = slices.Clone(c.NullWords[:vec.NumWords(n)])
+	}
+	return v
+}
+
+// appendRow writes row as the store's next row, column by column, and
+// keeps each column's sorted index slot current (attachIndex).
+func (cs *ColStore) appendRow(row rel.Row) {
+	for pos := range cs.cols {
+		c := &cs.cols[pos]
+		c.push(row[pos], cs.numRows)
+		c.attachIndex(cs.cols)
+	}
+	cs.numRows++
+}
+
+// ReadRow writes row i's values into dst, which must hold one slot per
+// column.
+func (cs *ColStore) ReadRow(dst rel.Row, i int) {
+	for pos := range cs.cols {
+		dst[pos] = cs.cols[pos].Value(i)
+	}
+}
+
+// bytes counts the column's backing arrays at capacity — typed slice,
+// NULL marking and Vals — leaving out each array that also backs the same
+// slice of base (nil: none). String payloads, which rows may share, are
+// not counted.
+func (c *ColData) bytes(base *ColData) int64 {
+	if base == nil {
+		base = &ColData{}
+	}
+	return arrayBytes(c.Ints, base.Ints) + arrayBytes(c.Floats, base.Floats) +
+		arrayBytes(c.Strs, base.Strs) + arrayBytes(c.Nulls, base.Nulls) +
+		arrayBytes(c.NullWords, base.NullWords) + arrayBytes(c.Vals, base.Vals)
+}
+
+// arrayBytes is the size of s's backing array, or 0 when base starts on
+// the same array.
+func arrayBytes[T any](s, base []T) int64 {
+	if cap(s) == 0 || unsafe.SliceData(s) == unsafe.SliceData(base) {
+		return 0
+	}
+	var zero T
+	return int64(cap(s)) * int64(unsafe.Sizeof(zero))
 }

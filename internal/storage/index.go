@@ -18,6 +18,7 @@ type Index struct {
 // of equal values holding that run's sub-slice of it.
 func buildIndex(t *Table, column string, pos int) *Index {
 	perm, runs := t.ColumnRuns(pos)
+	col := &t.data.cols[pos]
 	ids := make([]int, len(perm))
 	for x, id := range perm {
 		ids[x] = int(id)
@@ -27,7 +28,7 @@ func buildIndex(t *Table, column string, pos int) *Index {
 		i, j := runs[r], runs[r+1]
 		// Capacity-clipped, so an insert into this run reallocates it
 		// instead of writing over the next run's ids.
-		ix.hash[t.rows[ids[i]][pos].Key()] = ids[i:j:j]
+		ix.hash[col.Value(ids[i]).Key()] = ids[i:j:j]
 	}
 	return ix
 }

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"reopt/internal/rel"
 )
@@ -63,6 +64,9 @@ type sortedIndex struct {
 	perm   []int32
 	cols   []ColData     // the owning store's columns
 	copies []orderedCopy // one slot per column of cols
+	// permBytes and copyBytes count what perm and the copies hold, added
+	// by the sync.Once that builds each, so a scrape reads them race-free.
+	permBytes, copyBytes atomic.Int64
 }
 
 // orderedCopy is one column of the store in its index's perm order.
@@ -76,12 +80,17 @@ func newSortedIndex(cols []ColData) *sortedIndex {
 	return &sortedIndex{cols: cols, copies: make([]orderedCopy, len(cols))}
 }
 
-// attachIndex gives a store-owned column its (still unbuilt) index
-// when it is an int64 column of at least indexMinRows rows; cols are the
-// store's columns, which its ordered copies are taken of. Columns made by
-// NewLike never pass through here: intermediate results are not indexed.
+// attachIndex keeps a store-owned column's index slot current: an int64
+// column of at least indexMinRows rows holds an index — a fresh, unbuilt
+// one when it has none yet or its index was built before the column last
+// grew — and any other column holds none. cols are the store's columns,
+// which its ordered copies are taken of. Columns made by NewLike never
+// pass through here: intermediate results are not indexed.
 func (c *ColData) attachIndex(cols []ColData) {
-	if c.Kind == rel.KindInt && len(c.Ints) >= indexMinRows {
+	switch {
+	case c.Kind != rel.KindInt || len(c.Ints) < indexMinRows:
+		c.idx = nil
+	case c.idx == nil || c.idx.perm != nil:
 		c.idx = newSortedIndex(cols)
 	}
 }
@@ -91,7 +100,10 @@ func (c *ColData) attachIndex(cols []ColData) {
 // id) order, building the permutation on first use: two binary searches,
 // time proportional to the answer rather than the column.
 func (ix *sortedIndex) span(c *ColData, lo, hi int64) (a, b int) {
-	ix.once.Do(func() { ix.perm = sortedPerm(c.Ints, c.Nulls) })
+	ix.once.Do(func() {
+		ix.perm = sortedPerm(c.Ints, c.Nulls)
+		ix.permBytes.Store(int64(cap(ix.perm)) * 4)
+	})
 	perm, vals := ix.perm, c.Ints
 	a = sort.Search(len(perm), func(i int) bool { return vals[perm[i]] >= lo })
 	b = a + sort.Search(len(perm)-a, func(i int) bool { return vals[perm[a+i]] > hi })
@@ -106,6 +118,7 @@ func (ix *sortedIndex) ordered(pos int) *ColData {
 		src := &ix.cols[pos]
 		oc.col = src.NewLike(len(ix.perm))
 		oc.col.Gather(src, ix.perm, 0, len(ix.perm), 0)
+		ix.copyBytes.Add(oc.col.bytes(nil))
 	})
 	return &oc.col
 }
@@ -188,12 +201,12 @@ func sortedPerm(vals []int64, nulls []bool) []int32 {
 // Value.Compare order, whose ties are Value.Key's classes, so one run is
 // one hash-directory key.
 func (t *Table) ColumnRuns(pos int) (ids []int32, runs []int) {
-	c := buildColumn(t.rows, pos)
+	c := &t.data.cols[pos]
 	if c.Kind == rel.KindInt {
 		ids = sortedPerm(c.Ints, c.Nulls)
 	} else {
-		ids = make([]int32, 0, len(t.rows))
-		for i := range t.rows {
+		ids = make([]int32, 0, t.data.numRows)
+		for i := range t.data.numRows {
 			if !c.IsNull(i) {
 				ids = append(ids, int32(i))
 			}

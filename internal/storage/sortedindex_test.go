@@ -61,7 +61,7 @@ func TestSortedPermOrder(t *testing.T) {
 		"all NULL":    func(int) rel.Value { return rel.Null },
 	}
 	for name, val := range cases {
-		c := BuildColStore(intTable(5000, val)).Col(0)
+		c := intTable(5000, val).ColData().Col(0)
 		var want []int32
 		for i := range c.Ints {
 			if !c.IsNull(i) {
@@ -186,7 +186,7 @@ func indexAgainstKernel(cs *ColStore, lo, hi int64) (answered bool, err error) {
 // rows, the whole column included.
 func TestIndexRowsMatchKernel(t *testing.T) {
 	const n = 3*indexMinRows + 17 // a ragged last word
-	cs := BuildColStore(boundaryTable(n, edgeValue))
+	cs := boundaryTable(n, edgeValue).ColData()
 	c := cs.Col(0)
 	if c.idx == nil || c.Nulls == nil {
 		t.Fatal("the test column must be indexed and carry NULLs")
@@ -217,7 +217,7 @@ func TestIndexRowsMatchKernel(t *testing.T) {
 	// answered, one matching one row more than half is not.
 	parity := func(i int) rel.Value { return rel.Int(int64(i % 2)) }
 	for n, want := range map[int]bool{2 * indexMinRows: true, 2*indexMinRows - 1: false} {
-		cs := BuildColStore(intTable(n, parity))
+		cs := intTable(n, parity).ColData()
 		if ok, err := indexAgainstKernel(cs, 0, 0); err != nil || ok != want {
 			t.Fatalf("%d rows, %d of them 0: answered %v, want %v (%v)", n, (n+1)/2, ok, want, err)
 		}
@@ -245,7 +245,7 @@ func FuzzIndexedSelection(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, extra uint16, base int64, span uint64, nullEvery, edgeEvery uint8, dlo, dhi int64) {
 		rng := rand.New(rand.NewSource(seed))
 		n := indexMinRows + int(extra%indexMinRows)
-		cs := BuildColStore(boundaryTable(n, func(int) rel.Value {
+		cs := boundaryTable(n, func(int) rel.Value {
 			switch {
 			case nullEvery > 0 && rng.Intn(int(nullEvery)) == 0:
 				return rel.Null
@@ -255,7 +255,7 @@ func FuzzIndexedSelection(f *testing.F) {
 				return rel.Int(base + int64(rng.Uint64()))
 			}
 			return rel.Int(base + int64(rng.Uint64()%(span+1)))
-		}))
+		}).ColData()
 		if cs.Col(0).idx == nil {
 			t.Fatalf("a %d-row int64 column must be indexed", n)
 		}
@@ -270,7 +270,7 @@ func FuzzIndexedSelection(f *testing.F) {
 func TestIndexSizeCutoff(t *testing.T) {
 	val := func(i int) rel.Value { return rel.Int(int64(i % 500)) }
 	for _, n := range []int{600, indexMinRows - 1, indexMinRows, indexMinRows + 1} {
-		cs := BuildColStore(intTable(n, val))
+		cs := intTable(n, val).ColData()
 		c := cs.Col(0)
 		_, got := c.IndexRows(10, 12, nil, nil)
 		if indexed := n >= indexMinRows; (c.idx != nil) != indexed || got != indexed {
@@ -286,7 +286,7 @@ func TestIndexSizeCutoff(t *testing.T) {
 	}
 	// Only int64 columns are indexed.
 	floats := intTable(indexMinRows, func(i int) rel.Value { return rel.Float(float64(i)) })
-	if c := BuildColStore(floats).Col(0); c.idx != nil {
+	if c := floats.ColData().Col(0); c.idx != nil {
 		t.Error("a float column must not be indexed")
 	}
 }
@@ -294,7 +294,7 @@ func TestIndexSizeCutoff(t *testing.T) {
 // TestIndexLazyBuildRace: goroutines racing the first lookup all read one
 // permutation — the build ran once (run under -race).
 func TestIndexLazyBuildRace(t *testing.T) {
-	cs := BuildColStore(intTable(2*indexMinRows, edgeValue))
+	cs := intTable(2*indexMinRows, edgeValue).ColData()
 	c := cs.Col(0)
 	if c.idx.perm != nil {
 		t.Fatal("the index must not be built before its first use")
@@ -328,7 +328,7 @@ func TestIndexLazyBuildRace(t *testing.T) {
 // read one copy — it was gathered once — and each run is the column at
 // the answered rows (run under -race).
 func TestOrderedCopyLazyBuildRace(t *testing.T) {
-	cs := BuildColStore(boundaryTable(2*indexMinRows, edgeValue))
+	cs := boundaryTable(2*indexMinRows, edgeValue).ColData()
 	c := cs.Col(0)
 	if _, ok := c.IndexRows(100, 120, nil, nil); !ok {
 		t.Fatal("the index must answer [100, 120]")

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"reopt/internal/rel"
+	"reopt/internal/vec"
 )
 
 func makeTable(t *testing.T, n int) *Table {
@@ -33,6 +34,187 @@ func TestAppendAndRowAccess(t *testing.T) {
 	}
 	if err := tab.Append(rel.Row{rel.Int(1)}); err == nil {
 		t.Error("short row should be rejected")
+	}
+	if tab.NumRows() != 100 {
+		t.Errorf("a rejected row changed the row count to %d", tab.NumRows())
+	}
+
+	// Round trip: after any prefix of roundTripRows, every column is
+	// exactly referenceColumn's projection of the rows appended — same
+	// kind, typed payload, NULL marking and NullWords — each row reads
+	// back by representation, and only int64 columns of at least
+	// indexMinRows rows hold a sorted index slot.
+	rows := roundTripRows(6000)
+	tab = roundTripTable("t")
+	checkAt := map[int]bool{0: true, 1: true, 64: true, 65: true, indexMinRows: true, 4500: true, 4501: true, 5000: true, 5001: true, 6000: true}
+	for k := 0; k <= len(rows); k++ {
+		if k > 0 {
+			tab.MustAppend(rows[k-1])
+		}
+		if !checkAt[k] {
+			continue
+		}
+		cs := tab.ColData()
+		for pos := range tab.Schema().Columns {
+			got, want := cs.Col(pos), referenceColumn(rows[:k], pos)
+			if !sameBytes(got, &want) {
+				t.Fatalf("%d rows, column %d: kind %v (mixed %v, nulls %v), want kind %v (mixed %v, nulls %v) or other payload",
+					k, pos, got.Kind, got.Vals != nil, got.Nulls != nil, want.Kind, want.Vals != nil, want.Nulls != nil)
+			}
+			if !slices.Equal(got.NullWords, nullWords(want.Nulls)) {
+				t.Fatalf("%d rows, column %d: NullWords differ from the NULL marking", k, pos)
+			}
+			if indexed := got.Kind == rel.KindInt && k >= indexMinRows; (got.idx != nil) != indexed {
+				t.Fatalf("%d rows, column %d: index slot %v, want %v", k, pos, got.idx != nil, indexed)
+			}
+		}
+		for i := 0; i < k; i++ {
+			for pos, v := range tab.Row(i) {
+				if !sameRep(v, rows[i][pos]) {
+					t.Fatalf("%d rows: row %d column %d reads %v, appended %v", k, i, pos, v, rows[i][pos])
+				}
+			}
+		}
+	}
+	if cs := tab.ColData(); cs.Col(3).Kind != rel.KindInt || cs.Col(4).Vals == nil || cs.Col(5).Kind != rel.KindFloat {
+		t.Error("the all-NULL, turning and late columns lost their shapes: the cases no longer cover them")
+	}
+}
+
+// referenceColumn projects column pos of rows into a ColData the way the
+// row-major tables did before the column became the table: the uniform
+// kind of the non-NULL values, Nulls exactly when some row is NULL, an
+// int64 column of zeros when no row is non-NULL, and Vals (no Nulls) when
+// the kinds mix. Append must build exactly this, row after row.
+func referenceColumn(rows []rel.Row, pos int) ColData {
+	n := len(rows)
+	kind := rel.KindNull
+	mixed := false
+	hasNull := false
+	for _, row := range rows {
+		v := row[pos]
+		if v.IsNull() {
+			hasNull = true
+			continue
+		}
+		if kind == rel.KindNull {
+			kind = v.Kind()
+		} else if v.Kind() != kind {
+			mixed = true
+			break
+		}
+	}
+	if mixed {
+		col := ColData{Kind: rel.KindNull, Vals: make([]rel.Value, n)}
+		for i, row := range rows {
+			col.Vals[i] = row[pos]
+		}
+		return col
+	}
+	col := ColData{Kind: kind}
+	if hasNull {
+		col.Nulls = make([]bool, n)
+	}
+	switch kind {
+	case rel.KindInt:
+		col.Ints = make([]int64, n)
+	case rel.KindFloat:
+		col.Floats = make([]float64, n)
+	case rel.KindString:
+		col.Strs = make([]string, n)
+	default:
+		col.Kind = rel.KindInt
+		col.Ints = make([]int64, n)
+	}
+	for i, row := range rows {
+		v := row[pos]
+		if v.IsNull() {
+			col.Nulls[i] = true
+			continue
+		}
+		switch col.Kind {
+		case rel.KindInt:
+			col.Ints[i] = v.AsInt()
+		case rel.KindFloat:
+			col.Floats[i] = v.AsFloat()
+		case rel.KindString:
+			col.Strs[i] = v.AsString()
+		}
+	}
+	return col
+}
+
+// nullWords is the NULL marking nulls as a vec.Bitmap's words; nil
+// without one.
+func nullWords(nulls []bool) []uint64 {
+	if nulls == nil {
+		return nil
+	}
+	words := make([]uint64, vec.NumWords(len(nulls)))
+	for i, null := range nulls {
+		if null {
+			words[i/vec.WordBits] |= 1 << (uint(i) % vec.WordBits)
+		}
+	}
+	return words
+}
+
+// sameRep reports whether a and b are the same representation: the same
+// kind, a float by bit pattern, NULL as itself.
+func sameRep(a, b rel.Value) bool {
+	if a.Kind() == rel.KindFloat && b.Kind() == rel.KindFloat {
+		return math.Float64bits(a.AsFloat()) == math.Float64bits(b.AsFloat())
+	}
+	return a == b
+}
+
+// roundTripRows is a column of each shape Append must build: floats with
+// NULL, NaN payloads, ±0 and ±Inf; ints with NULL and both extremes;
+// strings with NULL; an all-NULL column; an int column that turns
+// mixed-kind at row 5000, past indexMinRows; a column of NULLs that turns
+// float at row 4500; and one that mixes kinds from its second row.
+func roundTripRows(n int) []rel.Row {
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	floats := []rel.Value{rel.Null, rel.Float(math.NaN()), rel.Float(nan2), rel.Float(0),
+		rel.Float(math.Copysign(0, -1)), rel.Float(math.Inf(1)), rel.Float(math.Inf(-1)), rel.Float(2.5)}
+	ints := []rel.Value{rel.Int(math.MinInt64), rel.Int(math.MaxInt64), rel.Null, rel.Int(0), rel.Int(-7)}
+	rows := make([]rel.Row, n)
+	for i := range rows {
+		s := rel.String_(fmt.Sprint("s", i%13))
+		if i%17 == 3 {
+			s = rel.Null
+		}
+		turn := rel.Int(int64(i % 300))
+		if i >= 5000 && i%2 == 0 {
+			turn = rel.String_("x")
+		}
+		late := rel.Null
+		if i >= 4500 && i%3 != 0 {
+			late = rel.Float(float64(i) / 4)
+		}
+		mixed := []rel.Value{rel.Int(int64(i)), rel.Float(0.5), rel.Null, rel.String_("m")}[i%4]
+		rows[i] = rel.Row{floats[i%len(floats)], ints[i%len(ints)], s, rel.Null, turn, late, mixed}
+	}
+	return rows
+}
+
+func roundTripTable(name string) *Table {
+	cols := []rel.Column{{Name: "f", Kind: rel.KindFloat}, {Name: "i", Kind: rel.KindInt},
+		{Name: "s", Kind: rel.KindString}, {Name: "null", Kind: rel.KindInt}, {Name: "turn", Kind: rel.KindInt},
+		{Name: "late", Kind: rel.KindFloat}, {Name: "mixed", Kind: rel.KindInt}}
+	return NewTable(name, rel.NewSchema(cols...))
+}
+
+// TestAppendAfterIndexBuild: an index built before an Append is not
+// served after it — the column gets a fresh one, which sees the new row.
+func TestAppendAfterIndexBuild(t *testing.T) {
+	tab := intTable(indexMinRows, func(i int) rel.Value { return rel.Int(int64(i % 1000)) })
+	if rows, ok := tab.ColData().Col(0).IndexRows(5000, 5000, nil, nil); !ok || len(rows) != 0 {
+		t.Fatalf("before the append: %v, %v", rows, ok)
+	}
+	tab.MustAppend(rel.Row{rel.Int(5000)})
+	if rows, ok := tab.ColData().Col(0).IndexRows(5000, 5000, nil, nil); !ok || !slices.Equal(rows, []int32{indexMinRows}) {
+		t.Fatalf("after the append: %v, %v; want the appended row", rows, ok)
 	}
 }
 
@@ -145,11 +327,11 @@ func TestIndexBulkBuildMatchesInserts(t *testing.T) {
 			t.Fatal(err)
 		}
 		byRow := &Index{table: tab, column: col, colPos: pos, hash: make(map[rel.ValueKey][]int)}
-		for id, row := range tab.Rows() {
-			byRow.insert(row[pos], id)
+		for id := range tab.NumRows() {
+			byRow.insert(tab.Row(id)[pos], id)
 		}
-		for id, row := range tab.Rows() {
-			v := row[pos]
+		for id := range tab.NumRows() {
+			v := tab.Row(id)[pos]
 			if got, want := bulk.Lookup(v), byRow.Lookup(v); !slices.Equal(got, want) {
 				t.Fatalf("%s: Lookup(%v) (row %d) = %v, want %v", col, v, id, got, want)
 			}
@@ -220,26 +402,103 @@ func TestSampleDeterministicAndUnbiased(t *testing.T) {
 }
 
 // Property: every sampled row exists in the base table with the same
-// contents (samples are subsets).
+// contents (samples are subsets). Beyond that, at ratio 0.05, at the
+// ratio a 600-row floor sets and at 1, a sample holds the row-major
+// sampler's rows (referenceSample) in its order, by representation, in
+// columns shaped as appending those rows would shape them; only the
+// full-ratio sample shares the table's columns, and Appends to the table
+// after it is drawn — into spare capacity, past a NULL word boundary,
+// turning a column mixed-kind — leave its row count and every cell as
+// they were, as an Append to the sample leaves the table.
 func TestSampleSubsetProperty(t *testing.T) {
 	tab := makeTable(t, 500)
 	f := func(seed int64) bool {
 		s := tab.Sample("s", 0.2, seed)
 		base := map[string]int{}
-		for _, r := range tab.Rows() {
-			base[r.String()]++
+		for id := range tab.NumRows() {
+			base[tab.Row(id).String()]++
 		}
-		for _, r := range s.Rows() {
-			if base[r.String()] == 0 {
+		for id := range s.NumRows() {
+			r := s.Row(id).String()
+			if base[r] == 0 {
 				return false
 			}
-			base[r.String()]--
+			base[r]--
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+
+	all := roundTripRows(6000)
+	rows := all[:4500]
+	tab = roundTripTable("t")
+	for _, row := range rows {
+		tab.MustAppend(row)
+	}
+	full := tab.Sample("full", 1, 7)
+	for _, ratio := range []float64{0.05, 600.0 / float64(len(rows)), 1} {
+		for _, seed := range []int64{1, 99} {
+			s := tab.Sample("s", ratio, seed)
+			want := referenceSample(rows, ratio, seed)
+			if s.NumRows() != len(want) {
+				t.Fatalf("ratio %v seed %d: %d rows, the row sampler keeps %d", ratio, seed, s.NumRows(), len(want))
+			}
+			for i, row := range want {
+				for pos, v := range s.Row(i) {
+					if !sameRep(v, row[pos]) {
+						t.Fatalf("ratio %v seed %d: row %d column %d reads %v, want %v", ratio, seed, i, pos, v, row[pos])
+					}
+				}
+			}
+			for pos := range s.Schema().Columns {
+				if got, ref := s.ColData().Col(pos), referenceColumn(want, pos); !sameBytes(got, &ref) {
+					t.Fatalf("ratio %v seed %d: column %d is shaped %v, want %v", ratio, seed, pos, got.Kind, ref.Kind)
+				}
+			}
+			if shared := s.ColumnBytes(nil) - s.ColumnBytes(tab); (shared > 0) != (ratio == 1) {
+				t.Errorf("ratio %v: %d bytes shared with the table", ratio, shared)
+			}
+		}
+	}
+
+	before := full.ColumnBytes(nil)
+	// Nor does the other direction share: a row appended to a full-ratio
+	// sample stays its own when the table then grows.
+	own := tab.Sample("own", 1, 7)
+	last := all[len(all)-1]
+	own.MustAppend(last)
+	for _, row := range all[len(rows):] {
+		tab.MustAppend(row)
+	}
+	for pos, v := range own.Row(len(rows)) {
+		if !sameRep(v, last[pos]) || !sameRep(tab.Row(len(rows))[pos], all[len(rows)][pos]) {
+			t.Fatalf("column %d: a row appended to the full sample and one appended to its table reached each other", pos)
+		}
+	}
+	if full.NumRows() != len(rows) || full.ColumnBytes(nil) != before {
+		t.Fatalf("full sample has %d rows and %d bytes after the appends, want %d and %d", full.NumRows(), full.ColumnBytes(nil), len(rows), before)
+	}
+	for pos := range full.Schema().Columns {
+		got, want := full.ColData().Col(pos), referenceColumn(rows, pos)
+		if !sameBytes(got, &want) || !slices.Equal(got.NullWords, nullWords(want.Nulls)) {
+			t.Fatalf("full sample column %d changed under the appends", pos)
+		}
+	}
+}
+
+// referenceSample is the row-major Bernoulli sampler: row by row, keep
+// the row when the seeded draw falls under ratio.
+func referenceSample(rows []rel.Row, ratio float64, seed int64) []rel.Row {
+	rng := rand.New(rand.NewSource(seed))
+	var kept []rel.Row
+	for _, row := range rows {
+		if rng.Float64() < ratio {
+			kept = append(kept, row)
+		}
+	}
+	return kept
 }
 
 func TestIndexHeightAndLeafPages(t *testing.T) {

@@ -1,6 +1,7 @@
-// Package storage implements the in-memory storage engine: heap tables
-// with page-granular accounting (so the cost model has real page counts
-// to work with), secondary hash indexes for point lookups, one sorted
+// Package storage implements the in-memory storage engine: column-major
+// tables (each column one typed slice, written in place by Append) with
+// page-granular accounting (so the cost model has real page counts to
+// work with), secondary hash indexes for point lookups, one sorted
 // permutation per column (ColumnRuns) that ANALYZE and the index build
 // both read, and Bernoulli table sampling for the sampling-based
 // estimator.
@@ -19,14 +20,14 @@ import (
 // rows/page roughly matches an 8 KiB page of ~128-byte tuples.
 const DefaultRowsPerPage = 64
 
-// Table is an append-only in-memory heap of rows plus its indexes.
+// Table is an append-only in-memory table plus its indexes. Its rows
+// live only in its column store, which Append writes in place.
 type Table struct {
 	name        string
 	schema      *rel.Schema
-	rows        []rel.Row
+	data        ColStore
 	indexes     map[string]*Index
 	rowsPerPage int
-	colData     *ColStore // lazy column-major projection; nil until built
 }
 
 // NewTable creates an empty table. Column Table attributions in the
@@ -38,12 +39,17 @@ func NewTable(name string, schema *rel.Schema) *Table {
 		c.Table = name
 		cols[i] = c
 	}
-	return &Table{
+	t := &Table{
 		name:        name,
 		schema:      rel.NewSchema(cols...),
 		indexes:     make(map[string]*Index),
 		rowsPerPage: DefaultRowsPerPage,
 	}
+	t.data.cols = make([]ColData, len(cols))
+	for pos := range t.data.cols {
+		t.data.cols[pos].Kind = rel.KindInt // an empty column reads as all-NULL ints
+	}
+	return t
 }
 
 // Name returns the table name.
@@ -53,7 +59,7 @@ func (t *Table) Name() string { return t.name }
 func (t *Table) Schema() *rel.Schema { return t.schema }
 
 // NumRows returns the row count.
-func (t *Table) NumRows() int { return len(t.rows) }
+func (t *Table) NumRows() int { return t.data.numRows }
 
 // SetRowsPerPage overrides the heap page capacity (must be positive).
 func (t *Table) SetRowsPerPage(n int) {
@@ -65,25 +71,27 @@ func (t *Table) SetRowsPerPage(n int) {
 
 // NumPages returns the heap page count implied by the row count.
 func (t *Table) NumPages() int {
-	if len(t.rows) == 0 {
+	n := t.data.numRows
+	if n == 0 {
 		return 1
 	}
-	return (len(t.rows) + t.rowsPerPage - 1) / t.rowsPerPage
+	return (n + t.rowsPerPage - 1) / t.rowsPerPage
 }
 
 // PageOfRow returns the heap page that holds row id.
 func (t *Table) PageOfRow(id int) int { return id / t.rowsPerPage }
 
-// Append adds a row. The row length must match the schema; indexes are
-// maintained incrementally.
+// Append adds a row, writing each value into its column in place (the
+// row itself is not kept). The row length must match the schema; indexes
+// are maintained incrementally. Append must not run concurrently with
+// any reader of the table.
 func (t *Table) Append(row rel.Row) error {
 	if len(row) != t.schema.Len() {
 		return fmt.Errorf("storage: %s: row has %d values, schema has %d columns",
 			t.name, len(row), t.schema.Len())
 	}
-	id := len(t.rows)
-	t.rows = append(t.rows, row)
-	t.colData = nil // invalidate the column-major projection
+	id := t.data.numRows
+	t.data.appendRow(row)
 	for _, idx := range t.indexes {
 		idx.insert(row[idx.colPos], id)
 	}
@@ -97,21 +105,45 @@ func (t *Table) MustAppend(row rel.Row) {
 	}
 }
 
-// Row returns the row with the given id. The returned slice must not be
-// mutated.
-func (t *Table) Row(id int) rel.Row { return t.rows[id] }
+// Row returns a newly allocated copy of the row with the given id.
+func (t *Table) Row(id int) rel.Row {
+	row := make(rel.Row, len(t.data.cols))
+	t.data.ReadRow(row, id)
+	return row
+}
 
-// Rows returns the underlying row slice for read-only scans.
-func (t *Table) Rows() []rel.Row { return t.rows }
+// ColData returns the table's column store: the table itself, column by
+// column. Callers must not write to it, and must not read it while an
+// Append runs.
+func (t *Table) ColData() *ColStore { return &t.data }
 
-// ColData returns the table's column-major projection, building it on
-// first use and caching it until the next Append. Callers must treat the
-// result as immutable.
-func (t *Table) ColData() *ColStore {
-	if t.colData == nil {
-		t.colData = BuildColStore(t)
+// ColumnBytes is what t's columns hold in memory (typed slices, NULL
+// marking, mixed-kind cells), leaving out every array t shares with the
+// same column of base (nil: none) — a full-ratio sample shares all its
+// columns with its table. String payloads are not counted.
+func (t *Table) ColumnBytes(base *Table) int64 {
+	var n int64
+	for pos := range t.data.cols {
+		var b *ColData
+		if base != nil {
+			b = &base.data.cols[pos]
+		}
+		n += t.data.cols[pos].bytes(b)
 	}
-	return t.colData
+	return n
+}
+
+// IndexBytes is what t's sorted indexes hold so far: the permutations
+// built (perm) and the ordered copies gathered (copies). Safe to call
+// while lookups build them.
+func (t *Table) IndexBytes() (perm, copies int64) {
+	for pos := range t.data.cols {
+		if ix := t.data.cols[pos].idx; ix != nil {
+			perm += ix.permBytes.Load()
+			copies += ix.copyBytes.Load()
+		}
+	}
+	return perm, copies
 }
 
 // CreateIndex builds a secondary index on the named column. Creating an
@@ -148,16 +180,41 @@ func (t *Table) Indexes() []string {
 // kept independently with probability ratio. The sample table is named
 // name and inherits the schema (re-attributed) but not the indexes; the
 // sampling estimator scans samples sequentially.
+//
+// At ratio 1 every row is kept, and the sample's columns are views of
+// t's, clipped to their current length and capacity: the sample copies
+// no column, and a later Append to t cannot reach it. Otherwise the kept
+// rows are gathered into new columns, exactly as appending them would
+// build them.
 func (t *Table) Sample(name string, ratio float64, seed int64) *Table {
 	if ratio < 0 || ratio > 1 {
 		panic(fmt.Sprintf("storage: sample ratio %v out of [0,1]", ratio))
 	}
-	rng := rand.New(rand.NewSource(seed))
 	s := NewTable(name, t.schema)
-	for _, row := range t.rows {
-		if rng.Float64() < ratio {
-			s.rows = append(s.rows, row)
+	n := t.data.numRows
+	if ratio == 1 {
+		for pos := range s.data.cols {
+			s.data.cols[pos] = t.data.cols[pos].view(n)
 		}
+	} else {
+		rng := rand.New(rand.NewSource(seed))
+		var kept []int32
+		for id := range n {
+			if rng.Float64() < ratio {
+				kept = append(kept, int32(id))
+			}
+		}
+		for pos := range s.data.cols {
+			src, dst := &t.data.cols[pos], &s.data.cols[pos]
+			for x, id := range kept {
+				dst.push(src.Value(int(id)), x)
+			}
+		}
+		n = len(kept)
+	}
+	s.data.numRows = n
+	for pos := range s.data.cols {
+		s.data.cols[pos].attachIndex(s.data.cols)
 	}
 	return s
 }

@@ -22,7 +22,8 @@ func TestGenerateInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Algorithm 2 line 4: B = A on every row.
-		for _, row := range tab.Rows() {
+		for rid := range tab.NumRows() {
+			row := tab.Row(rid)
 			if row[0].AsInt() != row[1].AsInt() {
 				t.Fatalf("%s: B != A", TableName(k))
 			}

@@ -61,7 +61,8 @@ func TestPlantedCorrelationExists(t *testing.T) {
 	}
 	reasonPos := sr.Schema().MustIndexOf("store_returns", "sr_reason_sk")
 	storePos := sr.Schema().MustIndexOf("store_returns", "sr_store_sk")
-	for _, row := range sr.Rows() {
+	for rid := range sr.NumRows() {
+		row := sr.Row(rid)
 		if row[reasonPos].AsInt() != row[storePos].AsInt()%numReasons {
 			t.Fatal("correlation invariant violated")
 		}

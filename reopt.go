@@ -43,6 +43,7 @@
 //	NewMidQueryExecutor + Run                   ->  Session.MidQuery(ctx, q)          (removed)
 //	SamplingEstimate.Delta / SampleRows[key]    ->  SamplingEstimate.Sets[i].Rows / SampleRows (by Mask or Key)
 //	Gamma.Get(key) / Set(key, rows)             ->  Gamma.Get(mask) / Set(mask, rows), masks over Query.Tables
+//	Table.Rows()                                ->  Table.Row(id) or Table.ColData().Col(pos)  (removed)
 //
 // Failures are classified by the sentinels in errors.go (ErrNoSamples,
 // ErrUnsupportedPlan, ErrBudgetExceeded) — test with errors.Is.
