@@ -78,7 +78,9 @@ chaos: vet
 # fuzz-smoke fuzzes, beyond the seed corpora plain `go test` already
 # runs, the sub-result compaction (FuzzCompact: compacted counts and
 # weights against the uncompressed rows), the sorted sample index
-# (FuzzIndexedSelection: IndexRows against the scan kernel), the SQL
+# (FuzzIndexedSelection: IndexRows against the scan kernel), the
+# secondary index (FuzzIndexLookup: Lookup and NumDistinct against a
+# directory filed row by row, across kinds and appends), the SQL
 # parser (FuzzParse: no panic, query xor error, String round trip) and
 # the reoptd request decoders (FuzzRequestBodies: no 500 or panic, every
 # error a structured body of a known kind, every answer within seconds)
@@ -86,11 +88,12 @@ chaos: vet
 # planner's estimates node by node under random Δ merges), and the
 # numeric order (FuzzNumericOrder: Compare antisymmetric and transitive,
 # Equal, Compare == 0 and Key agreeing, over ints, floats, strings and
-# NULL), 10 seconds each — about 85 seconds for the target, builds
+# NULL), 10 seconds each — about 95 seconds for the target, builds
 # included.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompact$$' -fuzztime 10s ./internal/executor
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexedSelection$$' -fuzztime 10s ./internal/storage
+	$(GO) test -run '^$$' -fuzz '^FuzzIndexLookup$$' -fuzztime 10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestBodies$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzRecostMatchesPlanner$$' -fuzztime 10s ./internal/optimizer

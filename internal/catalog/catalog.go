@@ -205,6 +205,9 @@ func (c *Catalog) BuildSamples(seed int64) {
 type Bytes struct {
 	// Tables is the base tables' typed columns and NULL marking.
 	Tables int64
+	// TableIndex is the base tables' secondary indexes: each one's
+	// sorted permutation and run offsets.
+	TableIndex int64
 	// Samples is what the samples' columns hold beyond what they share
 	// with their tables: 0 for a full-ratio sample without NULLs.
 	Samples int64
@@ -221,6 +224,7 @@ func (c *Catalog) Bytes() Bytes {
 	var b Bytes
 	for name, t := range c.tables {
 		b.Tables += t.ColumnBytes(nil)
+		b.TableIndex += t.SecondaryIndexBytes()
 		if s, ok := c.samples[name]; ok {
 			b.Samples += s.ColumnBytes(t)
 			perm, copies := s.IndexBytes()

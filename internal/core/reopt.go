@@ -233,8 +233,9 @@ func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query, seed 
 		return nil, fmt.Errorf("core: %w; call BuildSamples before re-optimizing", sampling.ErrNoSamples)
 	}
 	// One planner serves every round: the query is resolved against the
-	// catalog once, and each round after the first re-prices only what
-	// the previous round's Δ invalidated. Its set-up is charged to
+	// catalog once, and each round re-prices the whole DP table under
+	// the Γ the previous rounds' Δ grew (DESIGN §10: tracking what a Δ
+	// invalidated bought no measurable time). Its set-up is charged to
 	// round 1's optimizer time, when round 1 plans.
 	t0 := time.Now()
 	pl, err := r.Opt.Prepare(q, nil)

@@ -238,12 +238,19 @@ const arenaSlabValues = 4096
 // single-threaded Volcano loop.
 type rowArena struct {
 	slab []rel.Value
+	// bound, when positive, is the most values the arena's rows can ever
+	// take — a scan's rows times its width — and caps the slab size.
+	bound int
 }
 
 // alloc returns an n-value arena-backed row for the caller to fill.
 func (a *rowArena) alloc(n int) rel.Row {
 	if cap(a.slab)-len(a.slab) < n {
-		a.slab = make([]rel.Value, 0, max(arenaSlabValues, n))
+		size := arenaSlabValues
+		if a.bound > 0 {
+			size = min(size, a.bound)
+		}
+		a.slab = make([]rel.Value, 0, max(size, n))
 	}
 	off := len(a.slab)
 	a.slab = a.slab[:off+n]
@@ -376,7 +383,7 @@ func materialize(a *rowArena, t *storage.Table, id int) rel.Row {
 
 type indexScanIter struct {
 	table    *storage.Table
-	ids      []int
+	ids      []int32
 	residual []sql.Selection
 	fidx     []int
 	ctr      *Counters
@@ -387,7 +394,7 @@ type indexScanIter struct {
 func (s *indexScanIter) next() (rel.Row, bool) {
 	cs := s.table.ColData()
 	for s.pos < len(s.ids) {
-		id := s.ids[s.pos]
+		id := int(s.ids[s.pos])
 		s.pos++
 		s.ctr.IndexTuples++
 		s.ctr.RandPages++ // heap fetch
@@ -427,19 +434,21 @@ func (ex *executor) buildScan(s *plan.ScanNode) (iterator, error) {
 			}
 			if driving != nil {
 				ex.res.Counters.RandPages += int64(idx.Height())
+				ids := idx.Lookup(driving.Value)
 				return &indexScanIter{
 					table:    t,
-					ids:      idx.Lookup(driving.Value),
+					ids:      ids,
 					residual: residual,
 					fidx:     ridx,
 					ctr:      &ex.res.Counters,
+					arena:    rowArena{bound: len(ids) * t.Schema().Len()},
 				}, nil
 			}
 		}
 		// The plan wanted an index the bound table lacks (e.g. a test's
 		// sample): degrade to a sequential scan, like a hinted system would.
 	}
-	return &seqScanIter{table: t, filters: s.Filters, fidx: fidx, ctr: &ex.res.Counters}, nil
+	return &seqScanIter{table: t, filters: s.Filters, fidx: fidx, ctr: &ex.res.Counters, arena: rowArena{bound: t.NumRows() * t.Schema().Len()}}, nil
 }
 
 // --- Joins ---
@@ -817,7 +826,7 @@ type indexNLIter struct {
 	inner    rel.Row // scratch: the inner row a match is read into
 
 	cur     rel.Row
-	matches []int
+	matches []int32
 	matchI  int
 	haveCur bool
 }
@@ -871,7 +880,7 @@ func (ix *indexNLIter) next() (rel.Row, bool) {
 			ix.matchI = 0
 		}
 		for ix.matchI < len(ix.matches) {
-			id := ix.matches[ix.matchI]
+			id := int(ix.matches[ix.matchI])
 			ix.matchI++
 			ix.ctr.IndexTuples++
 			ix.ctr.RandPages++

@@ -61,3 +61,15 @@ func TestExplainGolden(t *testing.T) {
 		t.Errorf("Explain:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+var explainSink string
+
+// BenchmarkExplain renders the golden plan: every /v1/reoptimize
+// response carries its final plan's rendering.
+func BenchmarkExplain(b *testing.B) {
+	p := explainGoldenPlan()
+	b.ReportAllocs()
+	for range b.N {
+		explainSink = p.Explain()
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"reopt/internal/rel"
@@ -311,56 +312,69 @@ func (p *Plan) Explain(annotate ...func(Node) string) string {
 }
 
 func explainNode(sb *strings.Builder, n Node, depth int, note func(Node) string) {
-	indent := strings.Repeat("  ", depth)
-	annotate := func() {
+	write := func(ss ...string) {
+		for _, s := range ss {
+			sb.WriteString(s)
+		}
+	}
+	list := func(sep string, n int, item func(i int) string) {
+		for i := range n {
+			if i > 0 {
+				sb.WriteString(sep)
+			}
+			sb.WriteString(item(i))
+		}
+	}
+	indent := func() {
+		for range depth {
+			sb.WriteString("  ")
+		}
+	}
+	// estimates ends the operator's line: its estimates, then its note.
+	estimates := func(rows, cost float64) {
+		b := strconv.AppendFloat(append(make([]byte, 0, 64), "  (rows="...), rows, 'f', 1, 64)
+		b = strconv.AppendFloat(append(b, " cost="...), cost, 'f', 1, 64)
+		sb.Write(append(b, ')'))
 		if note != nil {
 			sb.WriteString(note(n))
 		}
+		sb.WriteByte('\n')
 	}
+	indent()
 	switch t := n.(type) {
 	case *ScanNode:
-		fmt.Fprintf(sb, "%s%s on %s", indent, t.Access, t.Table)
+		write(t.Access.String(), " on ", t.Table)
 		if t.Alias != t.Table {
-			fmt.Fprintf(sb, " AS %s", t.Alias)
+			write(" AS ", t.Alias)
 		}
 		if t.Access == IndexScan {
-			fmt.Fprintf(sb, " (index on %s)", t.IndexColumn)
+			write(" (index on ", t.IndexColumn, ")")
 		}
-		fmt.Fprintf(sb, "  (rows=%.1f cost=%.1f)", t.Rows, t.CostVal)
-		annotate()
+		estimates(t.Rows, t.CostVal)
 		if len(t.Filters) > 0 {
-			parts := make([]string, len(t.Filters))
-			for i, f := range t.Filters {
-				parts[i] = f.String()
-			}
-			fmt.Fprintf(sb, "\n%s  Filter: %s", indent, strings.Join(parts, " AND "))
+			indent()
+			write("  Filter: ")
+			list(" AND ", len(t.Filters), func(i int) string { return t.Filters[i].String() })
+			write("\n")
 		}
-		sb.WriteByte('\n')
 	case *JoinNode:
-		cond := "(cross)"
-		if len(t.Preds) > 0 {
-			parts := make([]string, len(t.Preds))
-			for i, pr := range t.Preds {
-				parts[i] = pr.String()
-			}
-			cond = "on " + strings.Join(parts, " AND ")
+		write(t.Kind.String())
+		if len(t.Preds) == 0 {
+			write(" (cross)")
+		} else {
+			write(" on ")
+			list(" AND ", len(t.Preds), func(i int) string { return t.Preds[i].String() })
 		}
-		fmt.Fprintf(sb, "%s%s %s  (rows=%.1f cost=%.1f)", indent, t.Kind, cond, t.Rows, t.CostVal)
-		annotate()
-		sb.WriteByte('\n')
+		estimates(t.Rows, t.CostVal)
 		explainNode(sb, t.Left, depth+1, note)
 		explainNode(sb, t.Right, depth+1, note)
 	case *AggregateNode:
-		cols := make([]string, len(t.GroupBy))
-		for i, c := range t.GroupBy {
-			cols[i] = c.String()
-		}
-		fmt.Fprintf(sb, "%sHashAggregate by %s  (rows=%.1f cost=%.1f)", indent, strings.Join(cols, ", "), t.Rows, t.CostVal)
-		annotate()
-		sb.WriteByte('\n')
+		write("HashAggregate by ")
+		list(", ", len(t.GroupBy), func(i int) string { return t.GroupBy[i].String() })
+		estimates(t.Rows, t.CostVal)
 		explainNode(sb, t.Child, depth+1, note)
 	default:
-		fmt.Fprintf(sb, "%s?unknown node\n", indent)
+		write("?unknown node\n")
 	}
 }
 

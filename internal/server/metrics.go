@@ -95,12 +95,12 @@ func (m *metrics) writeTo(w io.Writer, s *Server) {
 	}
 
 	b := s.cat.Bytes()
-	fmt.Fprintln(w, "# HELP reoptd_catalog_bytes Catalog column data resident in memory, by part: tables (typed columns and NULL marking), samples (sample columns not shared with a table), sample_index (sorted index permutations built), sample_copies (the indexes' ordered column copies built). String payloads are not counted.")
+	fmt.Fprintln(w, "# HELP reoptd_catalog_bytes Catalog column data resident in memory, by part: tables (typed columns and NULL marking), table_index (the tables' secondary indexes: sorted permutations and run offsets), samples (sample columns not shared with a table), sample_index (sorted index permutations built), sample_copies (the indexes' ordered column copies built). String payloads are not counted.")
 	fmt.Fprintln(w, "# TYPE reoptd_catalog_bytes gauge")
 	for _, part := range []struct {
 		name  string
 		bytes int64
-	}{{"tables", b.Tables}, {"samples", b.Samples}, {"sample_index", b.SampleIndex}, {"sample_copies", b.SampleCopies}} {
+	}{{"tables", b.Tables}, {"table_index", b.TableIndex}, {"samples", b.Samples}, {"sample_index", b.SampleIndex}, {"sample_copies", b.SampleCopies}} {
 		fmt.Fprintf(w, "reoptd_catalog_bytes{part=%q} %d\n", part.name, part.bytes)
 	}
 

@@ -381,12 +381,13 @@ func TestHealthAndMetrics(t *testing.T) {
 	// 1500-row tables sampled at the 600-row floor: the samples are
 	// gathered, not shared, and too small for a sorted index.
 	b := cat.Bytes()
-	if b.Tables <= 0 || b.Samples <= 0 || b.SampleIndex != 0 || b.SampleCopies != 0 {
-		t.Errorf("catalog bytes %+v: want tables and samples only", b)
+	if b.Tables <= 0 || b.TableIndex <= 0 || b.Samples <= 0 || b.SampleIndex != 0 || b.SampleCopies != 0 {
+		t.Errorf("catalog bytes %+v: want tables, their indexes and samples only", b)
 	}
 	for _, want := range []string{
 		"# TYPE reoptd_catalog_bytes gauge",
 		fmt.Sprintf(`reoptd_catalog_bytes{part="tables"} %d`, b.Tables),
+		fmt.Sprintf(`reoptd_catalog_bytes{part="table_index"} %d`, b.TableIndex),
 		fmt.Sprintf(`reoptd_catalog_bytes{part="samples"} %d`, b.Samples),
 		`reoptd_catalog_bytes{part="sample_index"} 0`,
 		`reoptd_catalog_bytes{part="sample_copies"} 0`,
@@ -401,14 +402,27 @@ func TestHealthAndMetrics(t *testing.T) {
 // columns, so the samples part reads 0; a validation answered by the
 // sorted sample index builds its permutation and the ordered copy of the
 // boundary column, which the sample_index and sample_copies parts count —
-// 4 bytes a row for a permutation, 8 for a copied int column.
+// 4 bytes a row for a permutation, 8 for a copied int column. The
+// table_index part is the tables' secondary indexes on a and b: 4 bytes
+// a row for each permutation and 4 a distinct value, plus one, for its
+// run offsets.
 func TestCatalogBytesFullRatio(t *testing.T) {
 	cat, err := reopt.GenerateOTT(reopt.OTTConfig{Seed: 5, RowsPerValue: 45, SampleRatio: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := cat.Bytes(); b.Tables <= 0 || b.Samples != 0 || b.SampleIndex != 0 || b.SampleCopies != 0 {
-		t.Fatalf("before any validation: %+v, want tables only", b)
+	var tableIndex int64
+	for _, name := range cat.TableNames() {
+		tab, err := cat.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, col := range tab.Indexes() {
+			tableIndex += int64(tab.NumRows()+tab.Index(col).NumDistinct()+1) * 4
+		}
+	}
+	if b := cat.Bytes(); b.Tables <= 0 || b.TableIndex != tableIndex || b.Samples != 0 || b.SampleIndex != 0 || b.SampleCopies != 0 {
+		t.Fatalf("before any validation: %+v, want tables only and table_index %d", b, tableIndex)
 	}
 	sql, _ := ottQueries(t, cat, 3, 1, 7)
 	_, ts := newTestServer(t, cat, server.Config{Default: &server.Quota{CacheEntries: -1}})
@@ -427,6 +441,7 @@ func TestCatalogBytesFullRatio(t *testing.T) {
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
 	for _, want := range []string{
+		fmt.Sprintf(`reoptd_catalog_bytes{part="table_index"} %d`, tableIndex),
 		`reoptd_catalog_bytes{part="samples"} 0`,
 		fmt.Sprintf(`reoptd_catalog_bytes{part="sample_index"} %d`, b.SampleIndex),
 		fmt.Sprintf(`reoptd_catalog_bytes{part="sample_copies"} %d`, b.SampleCopies),

@@ -26,7 +26,7 @@ type ColStore struct {
 // when Kind is a scalar kind; Vals is the row-major fallback for columns
 // that mix kinds (Kind == KindNull), which keeps the engine total. A
 // column no non-NULL value has been written to yet (empty or all-NULL)
-// is an int64 column of zeros.
+// is an int64 column of zeros, unless Table.Grow typed it while empty.
 type ColData struct {
 	// Kind is the uniform kind of the column's non-null values, or
 	// KindNull when the column mixes kinds and Vals must be used.

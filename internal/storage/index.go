@@ -1,63 +1,78 @@
 package storage
 
-import "reopt/internal/rel"
+import (
+	"sort"
+	"sync"
 
-// Index is a secondary index over one column of a table: a hash directory
-// from each non-NULL value to its rows, for the point lookups the paper's
-// equality-predicate workloads probe it with.
+	"reopt/internal/rel"
+)
+
+// Index is a secondary index over one column of a table: the column's
+// sorted permutation (ColumnRuns) — its non-NULL row ids in (value, row
+// id) order, cut into runs of equal values — which a point lookup
+// binary-searches. It holds 4 bytes a non-NULL row and 4 a distinct
+// value, the leaf level of the B-tree the cost model prices.
+//
+// An Append after the build makes the index stale, and the next reader
+// sorts the column again, once. Append must not run concurrently with
+// any reader.
 type Index struct {
 	table  *Table
 	column string
 	colPos int
 
-	hash map[rel.ValueKey][]int
+	once        sync.Once // done while the index matches its column
+	perm        []int32   // the column's non-NULL row ids in (value, row id) order
+	runs        []int32   // run r, one value's rows in heap order, is perm[runs[r]:runs[r+1]]
+	numDistinct int
 }
 
-// buildIndex bulk-builds the index on column pos from the column's sorted
-// permutation (ColumnRuns): one id array, and one directory entry per run
-// of equal values holding that run's sub-slice of it.
+// buildIndex builds the index on column pos of t.
 func buildIndex(t *Table, column string, pos int) *Index {
-	perm, runs := t.ColumnRuns(pos)
-	col := &t.data.cols[pos]
-	ids := make([]int, len(perm))
-	for x, id := range perm {
-		ids[x] = int(id)
-	}
-	ix := &Index{table: t, column: column, colPos: pos, hash: make(map[rel.ValueKey][]int, len(runs)-1)}
-	for r := range len(runs) - 1 {
-		i, j := runs[r], runs[r+1]
-		// Capacity-clipped, so an insert into this run reallocates it
-		// instead of writing over the next run's ids.
-		ix.hash[col.Value(ids[i]).Key()] = ids[i:j:j]
-	}
+	ix := &Index{table: t, column: column, colPos: pos}
+	ix.current()
 	return ix
+}
+
+// current brings the index up to date with its column, sorting the
+// column when an Append has made the index stale.
+func (ix *Index) current() { ix.once.Do(ix.build) }
+
+// build sorts the column into the index.
+func (ix *Index) build() {
+	ix.perm, ix.runs = ix.table.sortColumn(ix.colPos)
+	ix.numDistinct = len(ix.runs) - 1
 }
 
 // Column returns the indexed column name.
 func (ix *Index) Column() string { return ix.column }
 
-// insert files row id under v. NULL is never filed: Lookup never returns
-// it, and NumDistinct counts values.
-func (ix *Index) insert(v rel.Value, id int) {
-	if v.IsNull() {
-		return
-	}
-	k := v.Key()
-	ix.hash[k] = append(ix.hash[k], id)
-}
-
 // Lookup returns the heap row ids whose indexed column equals v, in heap
-// order. NULL never matches. The returned slice is owned by the index and
-// must not be mutated.
-func (ix *Index) Lookup(v rel.Value) []int {
+// order: one run, found by binary search in Value.Compare order, whose
+// ties are exactly Value.Equal. NULL never matches. The returned slice is
+// owned by the index and must not be mutated.
+func (ix *Index) Lookup(v rel.Value) []int32 {
 	if v.IsNull() {
 		return nil
 	}
-	return ix.hash[v.Key()]
+	ix.current()
+	col := &ix.table.data.cols[ix.colPos]
+	perm, runs := ix.perm, ix.runs
+	first := func(r int) rel.Value { return col.Value(int(perm[runs[r]])) }
+	r := sort.Search(ix.numDistinct, func(r int) bool { return first(r).Compare(v) >= 0 })
+	if r == ix.numDistinct || !first(r).Equal(v) {
+		return nil
+	}
+	a, b := runs[r], runs[r+1]
+	return perm[a:b:b]
 }
 
-// NumDistinct returns the number of distinct non-NULL keys in the index.
-func (ix *Index) NumDistinct() int { return len(ix.hash) }
+// NumDistinct returns the number of distinct non-NULL values in the
+// index.
+func (ix *Index) NumDistinct() int {
+	ix.current()
+	return ix.numDistinct
+}
 
 // LeafPages approximates the number of index leaf pages, used by the cost
 // model for index scans: one entry per table row, NULLs included, as the

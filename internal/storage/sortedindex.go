@@ -1,12 +1,13 @@
 package storage
 
 // One sorted permutation per column: sortedPerm orders an int64 column's
-// non-NULL row ids by (value, row id) with a radix sort, and it has three
+// non-NULL row ids by (value, row id) with a radix sort, and it has two
 // callers — the sorted sample index below (IndexRows, with its ordered
-// copies of the columns scans read at its answers), and through
-// ColumnRuns both ANALYZE (stats.AnalyzeColumn) and the bulk build of a
-// secondary index's hash directory (CreateIndex), which read the
-// permutation as runs of equal values.
+// copies of the columns scans read at its answers), and ColumnRuns,
+// which cuts the permutation into runs of equal values. A secondary index
+// (CreateIndex) is that permutation with its runs, kept, and ANALYZE
+// (stats.AnalyzeColumn) reads an indexed column's runs off its index, so
+// an indexed column is sorted once.
 
 import (
 	"cmp"
@@ -196,11 +197,24 @@ func sortedPerm(vals []int64, nulls []bool) []int32 {
 // ColumnRuns returns column pos as one sorted permutation: ids holds its
 // non-NULL row ids in ascending (value, row id) order, cut into runs of
 // equal values — run r is ids[runs[r]:runs[r+1]], one value's rows in
-// heap order, and len(runs)-1 is the number of distinct values. An int64
-// column sorts with sortedPerm; any other with one comparison sort in
-// Value.Compare order, whose ties are Value.Key's classes, so one run is
-// one hash-directory key.
-func (t *Table) ColumnRuns(pos int) (ids []int32, runs []int) {
+// heap order, and len(runs)-1 is the number of distinct values. An
+// indexed column answers with its index, which is this permutation; the
+// slices are then the index's own, and the caller must not write to them.
+func (t *Table) ColumnRuns(pos int) (ids, runs []int32) {
+	for _, idx := range t.indexes {
+		if idx.colPos == pos {
+			idx.current()
+			return idx.perm, idx.runs
+		}
+	}
+	return t.sortColumn(pos)
+}
+
+// sortColumn sorts column pos for ColumnRuns. An int64 column sorts with
+// sortedPerm; any other with one comparison sort in Value.Compare order,
+// whose ties are Value.Key's classes, so one run is one value under
+// Value.Equal.
+func (t *Table) sortColumn(pos int) (ids, runs []int32) {
 	c := &t.data.cols[pos]
 	if c.Kind == rel.KindInt {
 		ids = sortedPerm(c.Ints, c.Nulls)
@@ -220,14 +234,22 @@ func (t *Table) ColumnRuns(pos int) (ids []int32, runs []int) {
 			return cmp.Compare(a, b)
 		})
 	}
-	runs = []int{0}
+	// Count the runs first: an index keeps runs, so it is allocated
+	// exactly.
+	n := min(len(ids), 1)
 	for x := 1; x < len(ids); x++ {
 		if c.compare(int(ids[x-1]), int(ids[x])) != 0 {
-			runs = append(runs, x)
+			n++
+		}
+	}
+	runs = make([]int32, 1, n+1)
+	for x := 1; x < len(ids); x++ {
+		if c.compare(int(ids[x-1]), int(ids[x])) != 0 {
+			runs = append(runs, int32(x))
 		}
 	}
 	if len(ids) > 0 {
-		runs = append(runs, len(ids))
+		runs = append(runs, int32(len(ids)))
 	}
 	return ids, runs
 }

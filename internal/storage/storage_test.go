@@ -205,6 +205,36 @@ func roundTripTable(name string) *Table {
 	return NewTable(name, rel.NewSchema(cols...))
 }
 
+// TestGrowKeepsColumns: a table grown before loading holds, once loaded,
+// exactly the columns of one loaded without — every shape of
+// roundTripRows, including the column of NULLs that turns float, which
+// Grow types float from the start — and a column whose values all take
+// its schema kind is never reallocated while loading.
+func TestGrowKeepsColumns(t *testing.T) {
+	rows := roundTripRows(6000)
+	plain, grown := roundTripTable("p"), roundTripTable("g")
+	grown.Grow(len(rows))
+	reserved := grown.ColumnBytes(nil)
+	for _, row := range rows {
+		plain.MustAppend(row)
+		grown.MustAppend(row)
+	}
+	for pos, col := range plain.Schema().Columns {
+		if got, want := grown.ColData().Col(pos), plain.ColData().Col(pos); !sameBytes(got, want) {
+			t.Errorf("column %s: grown %+v, want %+v", col.Name, got.Kind, want.Kind)
+		}
+	}
+	for pos := range 4 { // f, i, s and null keep their schema kind
+		c := grown.ColData().Col(pos)
+		if n := cap(c.Ints) + cap(c.Floats) + cap(c.Strs); n < len(rows) || n > len(rows)*9/8 {
+			t.Errorf("column %d: capacity %d after Grow(%d) and as many rows", pos, n, len(rows))
+		}
+	}
+	if reserved < int64(len(rows))*8 {
+		t.Errorf("Grow reserved %d bytes", reserved)
+	}
+}
+
 // TestAppendAfterIndexBuild: an index built before an Append is not
 // served after it — the column gets a fresh one, which sees the new row.
 func TestAppendAfterIndexBuild(t *testing.T) {
@@ -245,45 +275,6 @@ func TestPageAccounting(t *testing.T) {
 	}
 }
 
-func TestIndexLookup(t *testing.T) {
-	tab := makeTable(t, 100)
-	idx, err := tab.CreateIndex("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := idx.Lookup(rel.Int(3))
-	if len(ids) != 10 {
-		t.Fatalf("lookup: %d ids", len(ids))
-	}
-	for _, id := range ids {
-		if tab.Row(id)[0].AsInt() != 3 {
-			t.Errorf("row %d has wrong key", id)
-		}
-	}
-	if idx.Lookup(rel.Int(99)) != nil {
-		t.Error("missing key should return nil")
-	}
-	if idx.Lookup(rel.Null) != nil {
-		t.Error("NULL lookup should return nil")
-	}
-	if idx.NumDistinct() != 10 {
-		t.Errorf("distinct: %d", idx.NumDistinct())
-	}
-}
-
-func TestIndexMaintainedOnAppend(t *testing.T) {
-	tab := makeTable(t, 10)
-	idx, err := tab.CreateIndex("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab.MustAppend(rel.Row{rel.Int(777), rel.String_("new")})
-	ids := idx.Lookup(rel.Int(777))
-	if len(ids) != 1 || ids[0] != 10 {
-		t.Errorf("index missed appended row: %v", ids)
-	}
-}
-
 func TestDuplicateIndexRejected(t *testing.T) {
 	tab := makeTable(t, 10)
 	if _, err := tab.CreateIndex("k"); err != nil {
@@ -297,76 +288,6 @@ func TestDuplicateIndexRejected(t *testing.T) {
 	}
 	if got := len(tab.Indexes()); got != 1 {
 		t.Errorf("indexes: %d", got)
-	}
-}
-
-// TestIndexBulkBuildMatchesInserts: the directory CreateIndex builds from
-// the sorted permutation is the one filing every row through insert
-// would build — the same ids in heap order for every value, and the same
-// NumDistinct, LeafPages and Height — on an int column (radix-sorted)
-// and a string column (comparison-sorted), both with NULLs.
-func TestIndexBulkBuildMatchesInserts(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tab := NewTable("t", rel.NewSchema(
-		rel.Column{Name: "i", Kind: rel.KindInt},
-		rel.Column{Name: "s", Kind: rel.KindString},
-	))
-	for r := 0; r < 20000; r++ {
-		i, s := rel.Int(rng.Int63n(700)-350), rel.String_(fmt.Sprintf("v%03d", rng.Intn(300)))
-		if rng.Intn(50) == 0 {
-			i = rel.Null
-		}
-		if rng.Intn(50) == 0 {
-			s = rel.Null
-		}
-		tab.MustAppend(rel.Row{i, s})
-	}
-	for pos, col := range []string{"i", "s"} {
-		bulk, err := tab.CreateIndex(col)
-		if err != nil {
-			t.Fatal(err)
-		}
-		byRow := &Index{table: tab, column: col, colPos: pos, hash: make(map[rel.ValueKey][]int)}
-		for id := range tab.NumRows() {
-			byRow.insert(tab.Row(id)[pos], id)
-		}
-		for id := range tab.NumRows() {
-			v := tab.Row(id)[pos]
-			if got, want := bulk.Lookup(v), byRow.Lookup(v); !slices.Equal(got, want) {
-				t.Fatalf("%s: Lookup(%v) (row %d) = %v, want %v", col, v, id, got, want)
-			}
-		}
-		if bulk.NumDistinct() != byRow.NumDistinct() || bulk.LeafPages() != byRow.LeafPages() || bulk.Height() != byRow.Height() {
-			t.Errorf("%s: distinct/leaf pages/height %d/%d/%d, want %d/%d/%d", col,
-				bulk.NumDistinct(), bulk.LeafPages(), bulk.Height(),
-				byRow.NumDistinct(), byRow.LeafPages(), byRow.Height())
-		}
-	}
-}
-
-// TestIndexAppendIntoMiddleRun: after a bulk build, appending a row whose
-// key sits in a middle run of the shared id array must leave the
-// neighbouring keys' ids alone — each run's sub-slice is capacity-clipped,
-// so the append reallocates instead of writing into the next run.
-func TestIndexAppendIntoMiddleRun(t *testing.T) {
-	tab := makeTable(t, 100) // k = i % 10: ten runs of ten
-	idx, err := tab.CreateIndex("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := map[int64][]int{}
-	for k := int64(0); k < 10; k++ {
-		before[k] = slices.Clone(idx.Lookup(rel.Int(k)))
-	}
-	tab.MustAppend(rel.Row{rel.Int(4), rel.String_("new")})
-	for k := int64(0); k < 10; k++ {
-		want := before[k]
-		if k == 4 {
-			want = append(want, 100)
-		}
-		if got := idx.Lookup(rel.Int(k)); !slices.Equal(got, want) {
-			t.Errorf("Lookup(%d) after append = %v, want %v", k, got, want)
-		}
 	}
 }
 

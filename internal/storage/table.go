@@ -1,16 +1,17 @@
 // Package storage implements the in-memory storage engine: column-major
 // tables (each column one typed slice, written in place by Append) with
 // page-granular accounting (so the cost model has real page counts to
-// work with), secondary hash indexes for point lookups, one sorted
-// permutation per column (ColumnRuns) that ANALYZE and the index build
-// both read, and Bernoulli table sampling for the sampling-based
-// estimator.
+// work with), one sorted permutation per column (ColumnRuns) that ANALYZE
+// reads and that a secondary index keeps for point lookups, and
+// Bernoulli table sampling for the sampling-based estimator.
 package storage
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 
 	"reopt/internal/rel"
 )
@@ -82,20 +83,40 @@ func (t *Table) NumPages() int {
 func (t *Table) PageOfRow(id int) int { return id / t.rowsPerPage }
 
 // Append adds a row, writing each value into its column in place (the
-// row itself is not kept). The row length must match the schema; indexes
-// are maintained incrementally. Append must not run concurrently with
-// any reader of the table.
+// row itself is not kept). The row length must match the schema. The
+// secondary indexes go stale, and each is sorted again by its next
+// reader. Append must not run concurrently with any reader of the table.
 func (t *Table) Append(row rel.Row) error {
 	if len(row) != t.schema.Len() {
 		return fmt.Errorf("storage: %s: row has %d values, schema has %d columns",
 			t.name, len(row), t.schema.Len())
 	}
-	id := t.data.numRows
 	t.data.appendRow(row)
 	for _, idx := range t.indexes {
-		idx.insert(row[idx.colPos], id)
+		idx.once = sync.Once{}
 	}
 	return nil
+}
+
+// Grow reserves room for n more rows in every column's typed slice, so
+// appending them reallocates none (a mixed-kind column's Vals and NULL
+// marking are not reserved). A column that holds no row yet takes its
+// schema kind first, so the room is where its values will go.
+func (t *Table) Grow(n int) {
+	for pos := range t.data.cols {
+		c := &t.data.cols[pos]
+		if k := t.schema.Columns[pos].Kind; t.data.numRows == 0 && k != rel.KindNull {
+			c.Kind = k
+		}
+		switch c.Kind {
+		case rel.KindInt:
+			c.Ints = slices.Grow(c.Ints, n)
+		case rel.KindFloat:
+			c.Floats = slices.Grow(c.Floats, n)
+		case rel.KindString:
+			c.Strs = slices.Grow(c.Strs, n)
+		}
+	}
 }
 
 // MustAppend is Append for generator code with statically correct rows.
@@ -144,6 +165,18 @@ func (t *Table) IndexBytes() (perm, copies int64) {
 		}
 	}
 	return perm, copies
+}
+
+// SecondaryIndexBytes is what t's secondary indexes hold: each one's
+// permutation and run offsets, 4 bytes a non-NULL row and 4 a distinct
+// value. A stale index is sorted again to be counted.
+func (t *Table) SecondaryIndexBytes() int64 {
+	var n int64
+	for _, idx := range t.indexes {
+		idx.current()
+		n += int64(cap(idx.perm)+cap(idx.runs)) * 4
+	}
+	return n
 }
 
 // CreateIndex builds a secondary index on the named column. Creating an

@@ -83,6 +83,7 @@ func Generate(cfg Config) (*catalog.Catalog, error) {
 		// Algorithm 2 line 2: independent seed per table.
 		rng := rand.New(rand.NewSource(datagen.Seed(cfg.Seed, name)))
 		n := domain * cfg.RowsPerValue
+		t.Grow(n)
 		for i := 0; i < n; i++ {
 			// Line 3: A_k ~ Pr(A_k), uniform (§4.2.2).
 			a := int64(rng.Intn(domain))

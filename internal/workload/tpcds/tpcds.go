@@ -66,6 +66,7 @@ func Generate(cfg Config) (*catalog.Catalog, error) {
 		rel.Column{Name: "d_moy", Kind: rel.KindInt},
 		rel.Column{Name: "d_dow", Kind: rel.KindInt},
 	))
+	dateDim.Grow(numDates)
 	for i := 0; i < numDates; i++ {
 		dateDim.MustAppend(rel.Row{
 			rel.Int(int64(i)),
@@ -84,6 +85,7 @@ func Generate(cfg Config) (*catalog.Catalog, error) {
 	))
 	{
 		rng := rand.New(rand.NewSource(datagen.Seed(cfg.Seed, "item")))
+		item.Grow(nItems)
 		for i := 0; i < nItems; i++ {
 			item.MustAppend(rel.Row{
 				rel.Int(int64(i)),
@@ -102,6 +104,7 @@ func Generate(cfg Config) (*catalog.Catalog, error) {
 	))
 	{
 		rng := rand.New(rand.NewSource(datagen.Seed(cfg.Seed, "store")))
+		store.Grow(nStores)
 		for i := 0; i < nStores; i++ {
 			store.MustAppend(rel.Row{
 				rel.Int(int64(i)),
@@ -119,6 +122,7 @@ func Generate(cfg Config) (*catalog.Catalog, error) {
 	))
 	{
 		rng := rand.New(rand.NewSource(datagen.Seed(cfg.Seed, "customer")))
+		customer.Grow(nCustomers)
 		for i := 0; i < nCustomers; i++ {
 			customer.MustAppend(rel.Row{
 				rel.Int(int64(i)),
@@ -134,6 +138,7 @@ func Generate(cfg Config) (*catalog.Catalog, error) {
 	))
 	{
 		rng := rand.New(rand.NewSource(datagen.Seed(cfg.Seed, "hdemo")))
+		hdemo.Grow(nHouseholds)
 		for i := 0; i < nHouseholds; i++ {
 			hdemo.MustAppend(rel.Row{
 				rel.Int(int64(i)),
@@ -158,6 +163,7 @@ func Generate(cfg Config) (*catalog.Catalog, error) {
 	sales := make([]saleRec, 0, nSales)
 	{
 		rng := rand.New(rand.NewSource(datagen.Seed(cfg.Seed, "store_sales")))
+		storeSales.Grow(nSales)
 		for i := 0; i < nSales; i++ {
 			rec := saleRec{
 				date:   int64(rng.Intn(numDates)),
@@ -212,6 +218,7 @@ func Generate(cfg Config) (*catalog.Catalog, error) {
 	))
 	{
 		rng := rand.New(rand.NewSource(datagen.Seed(cfg.Seed, "catalog_sales")))
+		catalogSales.Grow(nSales / 2)
 		for i := 0; i < nSales/2; i++ {
 			catalogSales.MustAppend(rel.Row{
 				rel.Int(int64(rng.Intn(numDates))),

@@ -105,6 +105,7 @@ func Generate(cfg Config) (*catalog.Catalog, error) {
 		rel.Column{Name: "r_regionkey", Kind: rel.KindInt},
 		rel.Column{Name: "r_name", Kind: rel.KindString},
 	))
+	region.Grow(sizes["region"])
 	for i := 0; i < sizes["region"]; i++ {
 		region.MustAppend(rel.Row{rel.Int(int64(i)), rel.String_(regions[i%len(regions)])})
 	}
@@ -115,6 +116,7 @@ func Generate(cfg Config) (*catalog.Catalog, error) {
 		rel.Column{Name: "n_regionkey", Kind: rel.KindInt},
 		rel.Column{Name: "n_name", Kind: rel.KindString},
 	))
+	nation.Grow(sizes["nation"])
 	for i := 0; i < sizes["nation"]; i++ {
 		nation.MustAppend(rel.Row{
 			rel.Int(int64(i)),
@@ -132,6 +134,7 @@ func Generate(cfg Config) (*catalog.Catalog, error) {
 	{
 		rng := rand.New(rand.NewSource(datagen.Seed(cfg.Seed, "supplier")))
 		natZ := datagen.NewZipf(rng, sizes["nation"], cfg.Z)
+		supplier.Grow(sizes["supplier"])
 		for i := 0; i < sizes["supplier"]; i++ {
 			supplier.MustAppend(rel.Row{
 				rel.Int(int64(i)),
@@ -152,6 +155,7 @@ func Generate(cfg Config) (*catalog.Catalog, error) {
 		rng := rand.New(rand.NewSource(datagen.Seed(cfg.Seed, "customer")))
 		natZ := datagen.NewZipf(rng, sizes["nation"], cfg.Z)
 		segZ := datagen.NewZipf(rng, len(segments), cfg.Z)
+		customer.Grow(sizes["customer"])
 		for i := 0; i < sizes["customer"]; i++ {
 			customer.MustAppend(rel.Row{
 				rel.Int(int64(i)),
@@ -176,6 +180,7 @@ func Generate(cfg Config) (*catalog.Catalog, error) {
 		typeZ := datagen.NewZipf(rng, len(types), cfg.Z)
 		contZ := datagen.NewZipf(rng, len(containers), cfg.Z)
 		sizeZ := datagen.NewZipf(rng, 50, cfg.Z)
+		part.Grow(sizes["part"])
 		for i := 0; i < sizes["part"]; i++ {
 			part.MustAppend(rel.Row{
 				rel.Int(int64(i)),
@@ -197,6 +202,7 @@ func Generate(cfg Config) (*catalog.Catalog, error) {
 	{
 		rng := rand.New(rand.NewSource(datagen.Seed(cfg.Seed, "partsupp")))
 		suppZ := datagen.NewZipf(rng, sizes["supplier"], cfg.Z)
+		partsupp.Grow(sizes["partsupp"])
 		for i := 0; i < sizes["partsupp"]; i++ {
 			partsupp.MustAppend(rel.Row{
 				rel.Int(int64(i % sizes["part"])), // 4 suppliers per part
@@ -222,6 +228,7 @@ func Generate(cfg Config) (*catalog.Catalog, error) {
 		dateZ := datagen.NewZipf(rng, dateRange, cfg.Z)
 		prioZ := datagen.NewZipf(rng, len(priorities), cfg.Z)
 		statZ := datagen.NewZipf(rng, len(statuses), cfg.Z)
+		orders.Grow(sizes["orders"])
 		for i := 0; i < sizes["orders"]; i++ {
 			d := dateZ.Next()
 			orderDates[i] = d
@@ -255,6 +262,7 @@ func Generate(cfg Config) (*catalog.Catalog, error) {
 		suppZ := datagen.NewZipf(rng, sizes["supplier"], cfg.Z)
 		flagZ := datagen.NewZipf(rng, len(returnflag), cfg.Z)
 		modeZ := datagen.NewZipf(rng, len(shipmodes), cfg.Z)
+		lineitem.Grow(sizes["lineitem"])
 		for i := 0; i < sizes["lineitem"]; i++ {
 			ok := orderZ.Next()
 			ship := orderDates[ok] + int64(rng.Intn(120)+1)
