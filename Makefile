@@ -18,7 +18,7 @@ BENCH_PKGS = $(shell grep -rl --include='*_test.go' 'func Benchmark' . | xargs -
 # and the committed BENCH_baseline.json regression gate).
 BENCH_HOTPATH_RE = BenchmarkSamplingEstimatePlan|BenchmarkHashJoinKeys|BenchmarkSamplingValidation|BenchmarkReoptimizeOTT|BenchmarkReoptimizeMultiSeed|BenchmarkWorkloadCache|BenchmarkSessionWorkloadParallel|BenchmarkWorkloadScheduler|BenchmarkExecutorJoinRows|BenchmarkReoptdHTTP|BenchmarkTemplateWorkload|BenchmarkValidationLargeSample|BenchmarkVecKernels|BenchmarkJoinTable|BenchmarkIndexedRangeScan|BenchmarkOptimizeRounds|BenchmarkValidateRounds|BenchmarkCompact|BenchmarkWeightedChainJoin|BenchmarkCatalogBuild
 
-.PHONY: all vet build test race check lint chaos fuzz-smoke examples serve-smoke bench bench-smoke bench-hotpath bench-json bench-compare bench-baseline
+.PHONY: all vet build test race loc check lint chaos fuzz-smoke examples serve-smoke bench bench-smoke bench-hotpath bench-json bench-compare bench-baseline
 
 all: check
 
@@ -33,10 +33,17 @@ test:
 
 # race runs the suite under the race detector — the gate for what
 # concurrent requests share: the validation caches, the admission gate
-# and the lazily built sample indexes. (A validation itself runs on its
-# caller's goroutine and shares nothing else while it runs.)
+# and the columns' lazily built sorted permutations, which a secondary
+# index, ANALYZE and range lookups read, and a full-ratio sample reads
+# off its table. (A validation itself runs on its caller's goroutine and
+# shares nothing else while it runs.)
 race:
 	$(GO) test -race ./...
+
+# loc prints the non-test Go lines outside bench/, the line count each
+# change's notes quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 # examples builds the example programs and the cmds as an explicit,
 # separately reported CI step: `go build ./...` in `check` covers them
@@ -78,7 +85,8 @@ chaos: vet
 # fuzz-smoke fuzzes, beyond the seed corpora plain `go test` already
 # runs, the sub-result compaction (FuzzCompact: compacted counts and
 # weights against the uncompressed rows), the sorted sample index
-# (FuzzIndexedSelection: IndexRows against the scan kernel), the
+# (FuzzIndexedSelection: IndexRows against the scan kernel, and a point
+# range against the secondary index's Lookup), the
 # secondary index (FuzzIndexLookup: Lookup and NumDistinct against a
 # directory filed row by row, across kinds and appends), the SQL
 # parser (FuzzParse: no panic, query xor error, String round trip) and

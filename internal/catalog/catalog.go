@@ -206,14 +206,15 @@ type Bytes struct {
 	// Tables is the base tables' typed columns and NULL marking.
 	Tables int64
 	// TableIndex is the base tables' secondary indexes: each one's
-	// sorted permutation and run offsets.
+	// sorted permutation and runs, which full-ratio samples read too.
 	TableIndex int64
 	// Samples is what the samples' columns hold beyond what they share
 	// with their tables: 0 for a full-ratio sample without NULLs.
 	Samples int64
-	// SampleIndex is the sorted sample indexes' permutations built so far.
+	// SampleIndex is the permutations and runs samples sorted themselves
+	// so far: none on an indexed column of a full-ratio sample.
 	SampleIndex int64
-	// SampleCopies is the indexes' ordered column copies built so far.
+	// SampleCopies is the samples' ordered column copies built so far.
 	SampleCopies int64
 }
 

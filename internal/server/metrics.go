@@ -95,7 +95,7 @@ func (m *metrics) writeTo(w io.Writer, s *Server) {
 	}
 
 	b := s.cat.Bytes()
-	fmt.Fprintln(w, "# HELP reoptd_catalog_bytes Catalog column data resident in memory, by part: tables (typed columns and NULL marking), table_index (the tables' secondary indexes: sorted permutations and run offsets), samples (sample columns not shared with a table), sample_index (sorted index permutations built), sample_copies (the indexes' ordered column copies built). String payloads are not counted.")
+	fmt.Fprintln(w, "# HELP reoptd_catalog_bytes Catalog column data resident in memory, by part: tables (typed columns and NULL marking), table_index (the tables' secondary indexes: sorted permutations and run offsets, which full-ratio samples read too), samples (sample columns not shared with a table), sample_index (sorted permutations and run offsets the samples built themselves), sample_copies (the ordered column copies the samples' range lookups built). String payloads are not counted.")
 	fmt.Fprintln(w, "# TYPE reoptd_catalog_bytes gauge")
 	for _, part := range []struct {
 		name  string

@@ -399,13 +399,15 @@ func TestHealthAndMetrics(t *testing.T) {
 }
 
 // TestCatalogBytesFullRatio: full-ratio samples share their tables'
-// columns, so the samples part reads 0; a validation answered by the
-// sorted sample index builds its permutation and the ordered copy of the
-// boundary column, which the sample_index and sample_copies parts count —
-// 4 bytes a row for a permutation, 8 for a copied int column. The
-// table_index part is the tables' secondary indexes on a and b: 4 bytes
-// a row for each permutation and 4 a distinct value, plus one, for its
-// run offsets.
+// columns, so the samples part reads 0, and their indexed columns' sorted
+// permutations, so a validation answered by the sorted sample index sorts
+// nothing: sample_index stays 0 while sample_copies counts the ordered
+// copy of the boundary column, 8 bytes a row for a copied int column.
+// The table_index part is the tables' secondary indexes on a and b, the
+// permutations the samples read: 4 bytes a row for each and 4 a distinct
+// value, plus one, for its run offsets. A catalog sampled below ratio 1,
+// with samples of at least 4096 rows, sorts its own: its sample_index
+// is 4 bytes a row of each permutation with its run offsets.
 func TestCatalogBytesFullRatio(t *testing.T) {
 	cat, err := reopt.GenerateOTT(reopt.OTTConfig{Seed: 5, RowsPerValue: 45, SampleRatio: 1})
 	if err != nil {
@@ -431,8 +433,8 @@ func TestCatalogBytesFullRatio(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := cat.Bytes()
-	if b.Samples != 0 || b.SampleIndex <= 0 || b.SampleIndex%4 != 0 || b.SampleCopies <= 0 || b.SampleCopies%8 != 0 {
-		t.Fatalf("after a validation: %+v; want no sample bytes, and permutations and int copies built", b)
+	if b.TableIndex != tableIndex || b.Samples != 0 || b.SampleIndex != 0 || b.SampleCopies <= 0 || b.SampleCopies%8 != 0 {
+		t.Fatalf("after a validation: %+v; want table_index %d, no sample bytes or permutations, and int copies built", b, tableIndex)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -443,11 +445,30 @@ func TestCatalogBytesFullRatio(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf(`reoptd_catalog_bytes{part="table_index"} %d`, tableIndex),
 		`reoptd_catalog_bytes{part="samples"} 0`,
-		fmt.Sprintf(`reoptd_catalog_bytes{part="sample_index"} %d`, b.SampleIndex),
+		`reoptd_catalog_bytes{part="sample_index"} 0`,
 		fmt.Sprintf(`reoptd_catalog_bytes{part="sample_copies"} %d`, b.SampleCopies),
 	} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("metrics missing %q in:\n%s", want, raw)
 		}
+	}
+
+	half, err := reopt.GenerateOTT(reopt.OTTConfig{Seed: 5, RowsPerValue: 240, SampleRatio: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range half.TableNames() {
+		if s, err := half.Sample(name); err != nil || s.NumRows() < 4096 {
+			t.Fatalf("sample of %s: %v; want at least 4096 rows", name, err)
+		}
+	}
+	sql, _ = ottQueries(t, half, 3, 1, 7)
+	_, ts = newTestServer(t, half, server.Config{Default: &server.Quota{CacheEntries: -1}})
+	c = reoptclient.New(ts.URL, reoptclient.WithRetries(0))
+	if _, err := c.Reoptimize(context.Background(), &reoptclient.ReoptimizeRequest{SQL: sql[0]}); err != nil {
+		t.Fatal(err)
+	}
+	if b := half.Bytes(); b.Samples <= 0 || b.SampleIndex <= 0 || b.SampleIndex%4 != 0 || b.SampleCopies <= 0 {
+		t.Fatalf("after a validation at ratio 0.5: %+v; want sample columns, permutations and copies built", b)
 	}
 }

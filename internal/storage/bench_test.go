@@ -24,7 +24,8 @@ import (
 // does; "kernel-bits": range pass, NULL mask). The sweep runs at 10^5
 // rows from 0.1 % to 50 % selectivity for the matches/rows cut-off, at
 // 1 % from 10^3 to 10^5 rows for the minimum indexed size, and times
-// what building the index costs per row ("build"). At every point it
+// what building the index — sortColumn's permutation and runs — costs per
+// row ("build"). At every point it
 // also reads a second column of the store — the boundary column a scan
 // carries — at the index's rows, two ways: gathered at the row ids
 // ("other-gather") and copied from its ordered copy's run ("other-run"),
@@ -38,7 +39,7 @@ func BenchmarkIndexedRangeScan(b *testing.B) {
 		for i, v := range rand.New(rand.NewSource(1)).Perm(n) {
 			cs.cols[0].Ints[i], cs.cols[1].Ints[i] = int64(v), int64(v%997)
 		}
-		cs.cols[0].idx = newSortedIndex(cs.cols) // below indexMinRows too
+		cs.cols[0].idx = newSortedIndex(cs, 0, false) // below indexMinRows too
 		return cs
 	}
 	perRow := func(b *testing.B, n int) {
@@ -48,14 +49,14 @@ func BenchmarkIndexedRangeScan(b *testing.B) {
 		cs := store(n)
 		col, other, bm := cs.Col(0), cs.Col(1), vec.NewBitmap(n)
 		hi := int64(n * permille / 1000)
-		col.idx.span(col, 0, 0) // built outside the timings
-		a, z := col.idx.span(col, 1, hi)
+		col.idx.span(0, 0) // built outside the timings
+		a, z := col.idx.span(1, hi)
 		col.idx.ordered(1)
 		out, sel := col.NewLike(n), make([]int32, 0, n)
 		name := fmt.Sprintf("rows=%d/sel=%.1f%%", n, float64(permille)/10)
 		b.Run("index-ids/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				a, z := col.idx.span(col, 1, hi)
+				a, z := col.idx.span(1, hi)
 				rows := col.idx.perm[a:z]
 				out.Gather(col, rows, 0, len(rows), 0)
 			}
@@ -88,7 +89,7 @@ func BenchmarkIndexedRangeScan(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				words := bm.Words()
 				clear(words)
-				a, z := col.idx.span(col, 1, hi)
+				a, z := col.idx.span(1, hi)
 				for _, r := range col.idx.perm[a:z] {
 					if j := int(r); j >= 0 && j < n {
 						words[j/vec.WordBits] |= 1 << (uint(j) % vec.WordBits)
@@ -115,7 +116,7 @@ func BenchmarkIndexedRangeScan(b *testing.B) {
 		col := store(n).Col(0)
 		b.Run(fmt.Sprintf("build/rows=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sortedPerm(col.Ints, nil)
+				col.sortColumn(n)
 			}
 			perRow(b, n)
 		})

@@ -47,9 +47,9 @@ type ColData struct {
 	NullWords []uint64
 	// Vals is set only for mixed-kind columns.
 	Vals []rel.Value
-	// idx is the column's lazily built sorted index (IndexRows); nil for
-	// columns too small or not int64, and for every column no ColStore
-	// owns.
+	// idx is the column's slot, its lazily built sorted permutation
+	// (attachIndex); nil for a column no index reads that is too small
+	// or not int64, and for every column no ColStore owns.
 	idx *sortedIndex
 }
 
@@ -251,7 +251,7 @@ func (c *ColData) compare(i, j int) int {
 // keeps the kind of its non-NULL values; the first value of another kind
 // retypes a column that holds only NULLs so far, and otherwise turns it
 // mixed-kind for good, its cells moved into Vals. NULL marking (Nulls and
-// NullWords) appears with the first NULL. The sorted index is not
+// NullWords) appears with the first NULL. The column's slot is not
 // maintained here: see attachIndex.
 func (c *ColData) push(v rel.Value, n int) {
 	if c.Vals != nil {
@@ -317,13 +317,14 @@ func (c *ColData) retype(k rel.Kind, n int) {
 	}
 }
 
-// toMixed moves the column's n cells into Vals, the mixed-kind layout.
+// toMixed moves the column's n cells into Vals, the mixed-kind layout;
+// the column keeps its slot.
 func (c *ColData) toMixed(n int) {
 	vals := make([]rel.Value, n, n+1)
 	for i := range vals {
 		vals[i] = c.Value(i)
 	}
-	*c = ColData{Kind: rel.KindNull, Vals: vals}
+	*c = ColData{Kind: rel.KindNull, Vals: vals, idx: c.idx}
 }
 
 // view is the column's first n rows as a column sharing its storage,
@@ -339,12 +340,11 @@ func (c *ColData) view(n int) ColData {
 }
 
 // appendRow writes row as the store's next row, column by column, and
-// keeps each column's sorted index slot current (attachIndex).
+// keeps each column's slot current (attachIndex).
 func (cs *ColStore) appendRow(row rel.Row) {
 	for pos := range cs.cols {
-		c := &cs.cols[pos]
-		c.push(row[pos], cs.numRows)
-		c.attachIndex(cs.cols)
+		cs.cols[pos].push(row[pos], cs.numRows)
+		cs.attachIndex(pos)
 	}
 	cs.numRows++
 }

@@ -2,46 +2,19 @@ package storage
 
 import (
 	"sort"
-	"sync"
 
 	"reopt/internal/rel"
 )
 
-// Index is a secondary index over one column of a table: the column's
-// sorted permutation (ColumnRuns) — its non-NULL row ids in (value, row
-// id) order, cut into runs of equal values — which a point lookup
-// binary-searches. It holds 4 bytes a non-NULL row and 4 a distinct
-// value, the leaf level of the B-tree the cost model prices.
-//
-// An Append after the build makes the index stale, and the next reader
-// sorts the column again, once. Append must not run concurrently with
-// any reader.
+// Index is a secondary index over one column of a table: a name and a
+// position, whose lookups binary-search the runs of the column's sorted
+// permutation (its slot, sortedindex.go), and the shape of the B-tree the
+// cost model prices, whose leaf level the permutation is: 4 bytes a
+// non-NULL row and 4 a distinct value.
 type Index struct {
 	table  *Table
 	column string
 	colPos int
-
-	once        sync.Once // done while the index matches its column
-	perm        []int32   // the column's non-NULL row ids in (value, row id) order
-	runs        []int32   // run r, one value's rows in heap order, is perm[runs[r]:runs[r+1]]
-	numDistinct int
-}
-
-// buildIndex builds the index on column pos of t.
-func buildIndex(t *Table, column string, pos int) *Index {
-	ix := &Index{table: t, column: column, colPos: pos}
-	ix.current()
-	return ix
-}
-
-// current brings the index up to date with its column, sorting the
-// column when an Append has made the index stale.
-func (ix *Index) current() { ix.once.Do(ix.build) }
-
-// build sorts the column into the index.
-func (ix *Index) build() {
-	ix.perm, ix.runs = ix.table.sortColumn(ix.colPos)
-	ix.numDistinct = len(ix.runs) - 1
 }
 
 // Column returns the indexed column name.
@@ -55,12 +28,11 @@ func (ix *Index) Lookup(v rel.Value) []int32 {
 	if v.IsNull() {
 		return nil
 	}
-	ix.current()
 	col := &ix.table.data.cols[ix.colPos]
-	perm, runs := ix.perm, ix.runs
+	perm, runs := col.idx.sorted()
 	first := func(r int) rel.Value { return col.Value(int(perm[runs[r]])) }
-	r := sort.Search(ix.numDistinct, func(r int) bool { return first(r).Compare(v) >= 0 })
-	if r == ix.numDistinct || !first(r).Equal(v) {
+	r := sort.Search(len(runs)-1, func(r int) bool { return first(r).Compare(v) >= 0 })
+	if r == len(runs)-1 || !first(r).Equal(v) {
 		return nil
 	}
 	a, b := runs[r], runs[r+1]
@@ -69,10 +41,7 @@ func (ix *Index) Lookup(v rel.Value) []int32 {
 
 // NumDistinct returns the number of distinct non-NULL values in the
 // index.
-func (ix *Index) NumDistinct() int {
-	ix.current()
-	return ix.numDistinct
-}
+func (ix *Index) NumDistinct() int { return ix.table.data.cols[ix.colPos].idx.numDistinct() }
 
 // LeafPages approximates the number of index leaf pages, used by the cost
 // model for index scans: one entry per table row, NULLs included, as the

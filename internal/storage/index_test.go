@@ -148,9 +148,10 @@ func TestIndexAppendIntoMiddleRun(t *testing.T) {
 	}
 }
 
-// TestColumnRunsIsTheIndex: an indexed column's ColumnRuns is its index's
-// permutation, not a second sort, and equals the sort an unindexed copy
-// of the column gets; after an Append both are the fresh sort.
+// TestColumnRunsIsTheIndex: an indexed column's ColumnRuns is its slot's
+// permutation, the one its index reads, not a second sort, and equals
+// the sort an unindexed copy of the column gets; after an Append both
+// are the fresh sort.
 func TestColumnRunsIsTheIndex(t *testing.T) {
 	tab := makeTable(t, 100)
 	idx, err := tab.CreateIndex("k")
@@ -160,12 +161,13 @@ func TestColumnRunsIsTheIndex(t *testing.T) {
 	check := func() {
 		t.Helper()
 		ids, runs := tab.ColumnRuns(0)
-		wantIDs, wantRuns := tab.sortColumn(0)
-		if &ids[0] != &idx.perm[0] || &runs[0] != &idx.runs[0] {
+		col := tab.ColData().Col(0)
+		wantIDs, wantRuns := col.sortColumn(tab.NumRows())
+		if &ids[0] != &col.idx.perm[0] || &runs[0] != &col.idx.runs[0] {
 			t.Error("ColumnRuns on an indexed column sorted it again")
 		}
-		if !slices.Equal(ids, wantIDs) || !slices.Equal(runs, wantRuns) {
-			t.Errorf("ColumnRuns = %v %v, want %v %v", ids, runs, wantIDs, wantRuns)
+		if !slices.Equal(ids, wantIDs) || !slices.Equal(runs, wantRuns) || idx.NumDistinct() != len(runs)-1 {
+			t.Errorf("ColumnRuns = %v %v (index: %d distinct), want %v %v", ids, runs, idx.NumDistinct(), wantIDs, wantRuns)
 		}
 	}
 	check()

@@ -1,13 +1,11 @@
 package storage
 
-// One sorted permutation per column: sortedPerm orders an int64 column's
-// non-NULL row ids by (value, row id) with a radix sort, and it has two
-// callers — the sorted sample index below (IndexRows, with its ordered
-// copies of the columns scans read at its answers), and ColumnRuns,
-// which cuts the permutation into runs of equal values. A secondary index
-// (CreateIndex) is that permutation with its runs, kept, and ANALYZE
-// (stats.AnalyzeColumn) reads an indexed column's runs off its index, so
-// an indexed column is sorted once.
+// One sorted permutation per column, in one place: the column's slot in
+// its ColStore (ColData.idx), built once by sortColumn. Every reader goes
+// through it — a secondary index's Lookup and NumDistinct (index.go),
+// ANALYZE's ColumnRuns and a sample's range lookups (IndexRows) — so an
+// indexed column is sorted once, and a full-ratio sample reads its
+// table's permutation instead of sorting again (Table.Sample).
 
 import (
 	"cmp"
@@ -25,16 +23,18 @@ import (
 // the column's size and the predicate's measured match count, which the
 // code observes for itself.
 const (
-	// indexMinRows is the smallest column that gets an index. At 1 %
+	// indexMinRows is the smallest column IndexRows answers for. At 1 %
 	// selectivity the index's selection vector is 30-120x cheaper than the
 	// kernel's at every size (45 ns against 1.5 us at 10^3 rows, 84 ns
-	// against 6.0 us at 4096, 0.20 against 24 us at 16384), and a build
-	// (17-30 ns a row) is repaid after some 12-40 such filters whatever
-	// the size — so the cut-off is about what there is to win: under 4096
-	// rows a whole kernel pass costs a few microseconds, noise beside the
-	// rest of a validation at the paper's 600-row samples, while an index
-	// would still cost its build in some first request and 4 bytes a row.
-	// Those samples therefore never build one.
+	// against 6.0 us at 4096, 0.20 against 24 us at 16384). A sample
+	// sorting its own permutation pays a build (17-30 ns a row; the runs
+	// cut off the sorted keys add 10-25 %), repaid after some 15-50 such
+	// filters whatever the size, and a full-ratio sample of an indexed
+	// column pays none. So the cut-off is about what there is to win:
+	// under 4096 rows a whole kernel pass costs a few microseconds, noise
+	// beside the rest of a validation at the paper's 600-row samples,
+	// while a permutation would still cost its build in some first
+	// request and 4 bytes a row. Those samples therefore never build one.
 	indexMinRows = 4096
 	// indexMaxShare is the largest matches/rows ratio, as 1/indexMaxShare,
 	// the index still answers. It gates both uses of an answer, and on
@@ -52,21 +52,23 @@ const (
 	indexMaxShare = 2
 )
 
-// sortedIndex is the sorted sample index of one int64 ColStore column:
-// the column's non-NULL row ids in ascending (value, row id) order, built
-// once, on the first range lookup, and immutable after. Beside it the
-// index keeps, for each column of the same store a lookup has asked for,
+// sortedIndex is a column's slot: ColumnRuns' permutation of column pos
+// of store, built by its first reader and immutable after. Beside it the
+// slot keeps, for each column of the store a range lookup has asked for,
 // an ordered copy: that column's values in perm's order, so a scan reads
 // the run of its boundary columns an answer selects front to back instead
 // of at scattered row ids. Each copy is built once, on the first lookup
-// that asks for it, and lives — like perm — as long as the sample.
+// that asks for it, and lives — like perm — as long as the slot.
 type sortedIndex struct {
-	once   sync.Once
-	perm   []int32
-	cols   []ColData     // the owning store's columns
-	copies []orderedCopy // one slot per column of cols
-	// permBytes and copyBytes count what perm and the copies hold, added
-	// by the sync.Once that builds each, so a scrape reads them race-free.
+	once       sync.Once
+	perm, runs []int32 // run r, one value's rows in heap order, is perm[runs[r]:runs[r+1]]
+	store      *ColStore
+	pos        int
+	indexed    bool          // a secondary index reads it (CreateIndex)
+	copies     []orderedCopy // one slot per column of store
+	// permBytes and copyBytes count what perm with its runs and the
+	// copies hold, added by the sync.Once that builds each, so a scrape
+	// reads them race-free; a permutation read off a table is not added.
 	permBytes, copyBytes atomic.Int64
 }
 
@@ -76,36 +78,56 @@ type orderedCopy struct {
 	col  ColData
 }
 
-// newSortedIndex is an unbuilt index over one of cols.
-func newSortedIndex(cols []ColData) *sortedIndex {
-	return &sortedIndex{cols: cols, copies: make([]orderedCopy, len(cols))}
+// newSortedIndex is an unbuilt slot for column pos of store.
+func newSortedIndex(store *ColStore, pos int, indexed bool) *sortedIndex {
+	return &sortedIndex{store: store, pos: pos, indexed: indexed, copies: make([]orderedCopy, len(store.cols))}
 }
 
-// attachIndex keeps a store-owned column's index slot current: an int64
-// column of at least indexMinRows rows holds an index — a fresh, unbuilt
-// one when it has none yet or its index was built before the column last
-// grew — and any other column holds none. cols are the store's columns,
-// which its ordered copies are taken of. Columns made by NewLike never
-// pass through here: intermediate results are not indexed.
-func (c *ColData) attachIndex(cols []ColData) {
+// attachIndex keeps column pos's slot current after a write: a column a
+// secondary index reads, and any int64 column of at least indexMinRows
+// rows, holds a slot — a fresh, unbuilt one when it has none yet or its
+// permutation was built before the column last grew — and any other
+// column none. Columns made by NewLike never pass through here.
+func (cs *ColStore) attachIndex(pos int) {
+	c := &cs.cols[pos]
+	indexed := c.idx != nil && c.idx.indexed
 	switch {
-	case c.Kind != rel.KindInt || len(c.Ints) < indexMinRows:
+	case !indexed && (c.Kind != rel.KindInt || len(c.Ints) < indexMinRows):
 		c.idx = nil
 	case c.idx == nil || c.idx.perm != nil:
-		c.idx = newSortedIndex(cols)
+		c.idx = newSortedIndex(cs, pos, indexed)
 	}
+}
+
+// sorted returns the column's permutation and its runs, sorting the
+// column on first use.
+func (ix *sortedIndex) sorted() (perm, runs []int32) {
+	ix.once.Do(ix.build)
+	return ix.perm, ix.runs
+}
+
+// numDistinct returns the number of runs, sorting on first use. It is
+// a call of its own so that Index.NumDistinct, which the planner prices
+// every index-nested-loop candidate with, stays inlinable.
+func (ix *sortedIndex) numDistinct() int {
+	_, runs := ix.sorted()
+	return len(runs) - 1
+}
+
+// build sorts the column into the slot.
+func (ix *sortedIndex) build() {
+	ix.perm, ix.runs = ix.store.cols[ix.pos].sortColumn(ix.store.numRows)
+	ix.permBytes.Store(int64(cap(ix.perm)+cap(ix.runs)) * 4)
 }
 
 // span returns the run perm[a:b] of the column's rows whose non-NULL
 // value lies in [lo, hi] (empty when lo > hi), in ascending (value, row
 // id) order, building the permutation on first use: two binary searches,
-// time proportional to the answer rather than the column.
-func (ix *sortedIndex) span(c *ColData, lo, hi int64) (a, b int) {
-	ix.once.Do(func() {
-		ix.perm = sortedPerm(c.Ints, c.Nulls)
-		ix.permBytes.Store(int64(cap(ix.perm)) * 4)
-	})
-	perm, vals := ix.perm, c.Ints
+// time proportional to the answer rather than the column. The column must
+// be int64.
+func (ix *sortedIndex) span(lo, hi int64) (a, b int) {
+	perm, _ := ix.sorted()
+	vals := ix.store.cols[ix.pos].Ints
 	a = sort.Search(len(perm), func(i int) bool { return vals[perm[i]] >= lo })
 	b = a + sort.Search(len(perm)-a, func(i int) bool { return vals[perm[a+i]] > hi })
 	return a, b
@@ -116,7 +138,7 @@ func (ix *sortedIndex) span(c *ColData, lo, hi int64) (a, b int) {
 func (ix *sortedIndex) ordered(pos int) *ColData {
 	oc := &ix.copies[pos]
 	oc.once.Do(func() {
-		src := &ix.cols[pos]
+		src := &ix.store.cols[pos]
 		oc.col = src.NewLike(len(ix.perm))
 		oc.col.Gather(src, ix.perm, 0, len(ix.perm), 0)
 		ix.copyBytes.Add(oc.col.bytes(nil))
@@ -125,12 +147,12 @@ func (ix *sortedIndex) ordered(pos int) *ColData {
 }
 
 // IndexRows answers `lo <= v <= hi AND v IS NOT NULL` over the whole
-// column from its sorted index: exactly the rows a scan kernel followed by
-// the NULL mask would select, in ascending (value, row id) order — not
-// row order. The slice is the index's own, returned without a copy; the
-// caller must not write to it. ok is false — the caller then scans — when
-// the column has no index or the matches exceed 1/indexMaxShare of its
-// rows.
+// column from its sorted permutation: exactly the rows a scan kernel
+// followed by the NULL mask would select, in ascending (value, row id)
+// order — not row order. The slice is the permutation's own, returned
+// without a copy; the caller must not write to it. ok is false — the
+// caller then scans — when the column is not an int64 column of at least
+// indexMinRows rows or the matches exceed 1/indexMaxShare of its rows.
 //
 // with names columns of the ColStore that owns c, by position; when ok,
 // runs[k] is column with[k] at the answered rows, in the same order —
@@ -138,10 +160,10 @@ func (ix *sortedIndex) ordered(pos int) *ColData {
 // ordered copy as one contiguous run. runs must hold len(with) columns;
 // the runs share the copies' storage and must not be written to.
 func (c *ColData) IndexRows(lo, hi int64, with []int, runs []ColData) (rows []int32, ok bool) {
-	if c.idx == nil {
+	if c.idx == nil || c.Kind != rel.KindInt || len(c.Ints) < indexMinRows {
 		return nil, false
 	}
-	a, b := c.idx.span(c, lo, hi)
+	a, b := c.idx.span(lo, hi)
 	if (b-a)*indexMaxShare > len(c.Ints) {
 		return nil, false
 	}
@@ -152,13 +174,14 @@ func (c *ColData) IndexRows(lo, hi int64, with []int, runs []ColData) (rows []in
 }
 
 // sortedPerm returns the non-NULL row ids of vals in ascending (value,
-// row id) order: a stable byte-wise LSD radix sort of (sign-flipped
-// value, row id) pairs. A digit every key shares — the high bytes of any
-// small-range column — is skipped, so typical columns sort in two or
-// three count-and-scatter passes.
-func sortedPerm(vals []int64, nulls []bool) []int32 {
+// row id) order and its runs: a stable byte-wise LSD radix sort of
+// (sign-flipped value, row id) pairs, whose sorted keys give the runs. A
+// digit every key shares — the high bytes of any small-range column — is
+// skipped, so typical columns sort in two or three count-and-scatter
+// passes.
+func sortedPerm(vals []int64, nulls []bool) (ids, runs []int32) {
 	keys := make([]uint64, 0, len(vals))
-	ids := make([]int32, 0, len(vals))
+	ids = make([]int32, 0, len(vals))
 	var varying uint64 // bits in which some key differs from the first
 	for i, v := range vals {
 		if nulls != nil && nulls[i] {
@@ -191,65 +214,62 @@ func sortedPerm(vals []int64, nulls []bool) []int32 {
 		keys, tmpKeys = tmpKeys, keys
 		ids, tmpIDs = tmpIDs, ids
 	}
-	return ids
+	return ids, cutRuns(len(keys), func(x int) bool { return keys[x-1] != keys[x] })
+}
+
+// cutRuns returns the run offsets of n sorted entries, where starts(x)
+// reports that entry x > 0 begins a new run: 0, each such x, and n,
+// counted first so that the slice a slot keeps is allocated exactly.
+func cutRuns(n int, starts func(x int) bool) []int32 {
+	distinct := min(n, 1)
+	for x := 1; x < n; x++ {
+		if starts(x) {
+			distinct++
+		}
+	}
+	runs := make([]int32, 0, distinct+1)
+	for x := range n {
+		if x == 0 || starts(x) {
+			runs = append(runs, int32(x))
+		}
+	}
+	return append(runs, int32(n))
 }
 
 // ColumnRuns returns column pos as one sorted permutation: ids holds its
 // non-NULL row ids in ascending (value, row id) order, cut into runs of
 // equal values — run r is ids[runs[r]:runs[r+1]], one value's rows in
 // heap order, and len(runs)-1 is the number of distinct values. An
-// indexed column answers with its index, which is this permutation; the
-// slices are then the index's own, and the caller must not write to them.
+// indexed column answers from its slot, whose slices the caller must not
+// write to; any other is sorted for the call.
 func (t *Table) ColumnRuns(pos int) (ids, runs []int32) {
-	for _, idx := range t.indexes {
-		if idx.colPos == pos {
-			idx.current()
-			return idx.perm, idx.runs
-		}
+	if ix := t.data.cols[pos].idx; ix != nil && ix.indexed {
+		return ix.sorted()
 	}
-	return t.sortColumn(pos)
+	return t.data.cols[pos].sortColumn(t.data.numRows)
 }
 
-// sortColumn sorts column pos for ColumnRuns. An int64 column sorts with
-// sortedPerm; any other with one comparison sort in Value.Compare order,
-// whose ties are Value.Key's classes, so one run is one value under
-// Value.Equal.
-func (t *Table) sortColumn(pos int) (ids, runs []int32) {
-	c := &t.data.cols[pos]
+// sortColumn sorts the column's n rows into ColumnRuns' permutation and
+// runs. An int64 column sorts with sortedPerm; any other with one
+// comparison sort in Value.Compare order, whose ties are Value.Key's
+// classes, so one run is one value under Value.Equal.
+func (c *ColData) sortColumn(n int) (ids, runs []int32) {
 	if c.Kind == rel.KindInt {
-		ids = sortedPerm(c.Ints, c.Nulls)
-	} else {
-		ids = make([]int32, 0, t.data.numRows)
-		for i := range t.data.numRows {
-			if !c.IsNull(i) {
-				ids = append(ids, int32(i))
-			}
-		}
-		// (value, row id) is a total order, so this unstable sort orders
-		// ids exactly as a stable sort by value would.
-		slices.SortFunc(ids, func(a, b int32) int {
-			if r := c.compare(int(a), int(b)); r != 0 {
-				return r
-			}
-			return cmp.Compare(a, b)
-		})
+		return sortedPerm(c.Ints, c.Nulls)
 	}
-	// Count the runs first: an index keeps runs, so it is allocated
-	// exactly.
-	n := min(len(ids), 1)
-	for x := 1; x < len(ids); x++ {
-		if c.compare(int(ids[x-1]), int(ids[x])) != 0 {
-			n++
+	ids = make([]int32, 0, n)
+	for i := range n {
+		if !c.IsNull(i) {
+			ids = append(ids, int32(i))
 		}
 	}
-	runs = make([]int32, 1, n+1)
-	for x := 1; x < len(ids); x++ {
-		if c.compare(int(ids[x-1]), int(ids[x])) != 0 {
-			runs = append(runs, int32(x))
+	// (value, row id) is a total order, so this unstable sort orders ids
+	// exactly as a stable sort by value would.
+	slices.SortFunc(ids, func(a, b int32) int {
+		if r := c.compare(int(a), int(b)); r != 0 {
+			return r
 		}
-	}
-	if len(ids) > 0 {
-		runs = append(runs, int32(len(ids)))
-	}
-	return ids, runs
+		return cmp.Compare(a, b)
+	})
+	return ids, cutRuns(len(ids), func(x int) bool { return c.compare(int(ids[x-1]), int(ids[x])) != 0 })
 }

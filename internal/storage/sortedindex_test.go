@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"reopt/internal/rel"
 	"reopt/internal/vec"
@@ -50,8 +52,9 @@ func kernelWords(c *ColData, lo, hi int64) []uint64 {
 }
 
 // TestSortedPermOrder: the radix build returns exactly the non-NULL rows,
-// in ascending (value, row id) order, on duplicates, negatives, both
-// extremes, a constant column and an all-NULL one.
+// in ascending (value, row id) order, cut into runs of equal values in a
+// slice of exact capacity, on duplicates, negatives, both extremes, a
+// constant column and an all-NULL one.
 func TestSortedPermOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cases := map[string]func(i int) rel.Value{
@@ -69,7 +72,7 @@ func TestSortedPermOrder(t *testing.T) {
 			}
 		}
 		sort.SliceStable(want, func(a, b int) bool { return c.Ints[want[a]] < c.Ints[want[b]] })
-		got := sortedPerm(c.Ints, c.Nulls)
+		got, runs := sortedPerm(c.Ints, c.Nulls)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d rows in the permutation, want %d", name, len(got), len(want))
 		}
@@ -77,6 +80,15 @@ func TestSortedPermOrder(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("%s: position %d holds row %d, want row %d", name, i, got[i], want[i])
 			}
+		}
+		wantRuns := []int32{0}
+		for x := 1; x <= len(want); x++ {
+			if x == len(want) || c.Ints[want[x-1]] != c.Ints[want[x]] {
+				wantRuns = append(wantRuns, int32(x))
+			}
+		}
+		if !slices.Equal(runs, wantRuns) || cap(runs) != len(runs) {
+			t.Fatalf("%s: runs %v (capacity %d), want %v", name, runs, cap(runs), wantRuns)
 		}
 	}
 }
@@ -232,7 +244,8 @@ func TestIndexRowsMatchKernel(t *testing.T) {
 // interval is [base+dlo, base+dhi], likewise wrapping. The column sits in
 // boundaryTable's store, so every answer also checks the ordered copies
 // of an int column with NULLs, a float column with NaN payloads and ±0, a
-// string column and a mixed-kind one.
+// string column and a mixed-kind one. Then, with a secondary index on the
+// column, every point range is held to the index's Lookup.
 func FuzzIndexedSelection(f *testing.F) {
 	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
 	f.Add(int64(1), uint16(0), int64(0), uint64(2000), uint8(7), uint8(100), int64(100), int64(120))
@@ -245,7 +258,7 @@ func FuzzIndexedSelection(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, extra uint16, base int64, span uint64, nullEvery, edgeEvery uint8, dlo, dhi int64) {
 		rng := rand.New(rand.NewSource(seed))
 		n := indexMinRows + int(extra%indexMinRows)
-		cs := boundaryTable(n, func(int) rel.Value {
+		tab := boundaryTable(n, func(int) rel.Value {
 			switch {
 			case nullEvery > 0 && rng.Intn(int(nullEvery)) == 0:
 				return rel.Null
@@ -255,14 +268,44 @@ func FuzzIndexedSelection(f *testing.F) {
 				return rel.Int(base + int64(rng.Uint64()))
 			}
 			return rel.Int(base + int64(rng.Uint64()%(span+1)))
-		}).ColData()
+		})
+		cs := tab.ColData()
 		if cs.Col(0).idx == nil {
 			t.Fatalf("a %d-row int64 column must be indexed", n)
 		}
 		if _, err := indexAgainstKernel(cs, base+dlo, base+dhi); err != nil {
 			t.Fatal(err)
 		}
+		// An index pass equals a point lookup: with a secondary index on
+		// the column, IndexRows(v, v) answers exactly when Lookup(v) holds
+		// at most 1/indexMaxShare of the rows, with Lookup's rows in its
+		// order, for every stored value and the interval's ends.
+		idx, err := tab.CreateIndex("v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pointsMatchLookup(cs.Col(0), idx, base+dlo, base+dhi); err != nil {
+			t.Fatal(err)
+		}
 	})
+}
+
+// pointsMatchLookup holds the column's IndexRows(v, v) to idx.Lookup(v)
+// for every distinct value the column stores and for extra.
+func pointsMatchLookup(c *ColData, idx *Index, extra ...int64) error {
+	seen := map[int64]bool{}
+	for i, v := range slices.Concat(c.Ints, extra) {
+		if seen[v] || i < len(c.Ints) && c.IsNull(i) {
+			continue
+		}
+		seen[v] = true
+		want := idx.Lookup(rel.Int(v))
+		rows, ok := c.IndexRows(v, v, nil, nil)
+		if ok != (len(want)*indexMaxShare <= len(c.Ints)) || ok && !slices.Equal(rows, want) {
+			return fmt.Errorf("value %d: IndexRows = %v (answered %v), Lookup = %v", v, rows, ok, want)
+		}
+	}
+	return nil
 }
 
 // TestIndexSizeCutoff: a column one row under indexMinRows never gets an
@@ -371,5 +414,90 @@ func TestOrderedCopyLazyBuildRace(t *testing.T) {
 		if built := cp.Ints != nil || cp.Floats != nil || cp.Strs != nil || cp.Vals != nil; built != (pos == 2) {
 			t.Errorf("column %d's copy built = %v: only the column asked for may have one", pos, built)
 		}
+	}
+}
+
+// heapRows is the column's rows holding v, in row order: what a point
+// lookup on it must return.
+func heapRows(c *ColData, v int64) []int32 {
+	var ids []int32
+	for i, x := range c.Ints {
+		if x == v && !c.IsNull(i) {
+			ids = append(ids, int32(i))
+		}
+	}
+	return ids
+}
+
+// TestFullRatioSampleSharesPermutation: a full-ratio sample of a table
+// whose int64 column has its secondary index built reads that index's
+// permutation — the same array — instead of sorting again, and answers
+// every point range, stored values and absent ones, as the index's
+// Lookup does, in order. Appends to the table reach neither that
+// sample's answers nor its permutation, while the table's Lookup sees
+// the new rows. A sample drawn before the index exists, or while an
+// Append has left it unbuilt, sorts its own.
+func TestFullRatioSampleSharesPermutation(t *testing.T) {
+	const n = indexMinRows + 500
+	tab := intTable(n, edgeValue) // duplicates, NULLs, both int64 ends
+	early := tab.Sample("early", 1, 1)
+	tab.MustAppend(rel.Row{rel.Int(7)}) // a row early never holds
+	idx, err := tab.CreateIndex("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := tab.Sample("full", 1, 1)
+	absent := []int64{2000, -1000, 123456, math.MinInt64 + 1, math.MaxInt64 - 1}
+	if err := pointsMatchLookup(full.ColData().Col(0), idx, absent...); err != nil {
+		t.Fatalf("full sample: %v", err)
+	}
+	perm := func(s *Table) *int32 { return unsafe.SliceData(s.ColData().Col(0).idx.perm) }
+	if perm(full) != perm(tab) {
+		t.Fatal("the full-ratio sample sorted its column again instead of reading its table's permutation")
+	}
+	if p, _ := full.IndexBytes(); p != 0 {
+		t.Errorf("the full-ratio sample counts %d permutation bytes; the table holds them", p)
+	}
+	// answers records every point answer of s, each checked against the
+	// rows s itself holds.
+	answers := func(s *Table) map[int64][]int32 {
+		t.Helper()
+		c, got := s.ColData().Col(0), map[int64][]int32{}
+		for _, v := range slices.Concat(c.Ints, absent, []int64{7, 4321}) {
+			if _, done := got[v]; done {
+				continue
+			}
+			rows, ok := c.IndexRows(v, v, nil, nil)
+			if want := heapRows(c, v); !ok || !slices.Equal(rows, want) {
+				t.Fatalf("%s: IndexRows(%d, %d) = %v (answered %v), want %v", s.Name(), v, v, rows, ok, want)
+			}
+			got[v] = rows
+		}
+		return got
+	}
+	fullBefore, earlyBefore := answers(full), answers(early)
+	if perm(early) == perm(tab) {
+		t.Fatal("a sample drawn before the index was built reads the table's permutation")
+	}
+
+	for _, v := range []rel.Value{rel.Int(7), rel.Int(4321), rel.Null, rel.Int(math.MinInt64)} {
+		tab.MustAppend(rel.Row{v})
+	}
+	late := tab.Sample("late", 1, 1) // the index is unbuilt again
+	if got := idx.Lookup(rel.Int(4321)); !slices.Equal(got, []int32{n + 2}) {
+		t.Fatalf("the table's Lookup(4321) after the appends = %v, want [%d]", got, n+2)
+	}
+	if got := idx.Lookup(rel.Int(7)); !slices.Equal(got, heapRows(tab.ColData().Col(0), 7)) || got[len(got)-1] != n+1 {
+		t.Fatalf("the table's Lookup(7) after the appends = %v", got)
+	}
+	for name, s := range map[string]*Table{"full": full, "early": early} {
+		want := map[string]map[int64][]int32{"full": fullBefore, "early": earlyBefore}[name]
+		if got := answers(s); !maps.EqualFunc(got, want, slices.Equal) {
+			t.Errorf("%s: the appends to its table changed its answers", name)
+		}
+	}
+	answers(late)
+	if perm(late) == perm(tab) || perm(late) == perm(full) {
+		t.Error("a sample drawn while the table's permutation was stale reads another's")
 	}
 }

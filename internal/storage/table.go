@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 
 	"reopt/internal/rel"
 )
@@ -83,18 +82,16 @@ func (t *Table) NumPages() int {
 func (t *Table) PageOfRow(id int) int { return id / t.rowsPerPage }
 
 // Append adds a row, writing each value into its column in place (the
-// row itself is not kept). The row length must match the schema. The
-// secondary indexes go stale, and each is sorted again by its next
-// reader. Append must not run concurrently with any reader of the table.
+// row itself is not kept). The row length must match the schema. A
+// column's sorted permutation, built before, goes stale: the column gets
+// a fresh slot (attachIndex), sorted again by its next reader. Append
+// must not run concurrently with any reader of the table.
 func (t *Table) Append(row rel.Row) error {
 	if len(row) != t.schema.Len() {
 		return fmt.Errorf("storage: %s: row has %d values, schema has %d columns",
 			t.name, len(row), t.schema.Len())
 	}
 	t.data.appendRow(row)
-	for _, idx := range t.indexes {
-		idx.once = sync.Once{}
-	}
 	return nil
 }
 
@@ -154,8 +151,9 @@ func (t *Table) ColumnBytes(base *Table) int64 {
 	return n
 }
 
-// IndexBytes is what t's sorted indexes hold so far: the permutations
-// built (perm) and the ordered copies gathered (copies). Safe to call
+// IndexBytes is what t's sorted permutations hold so far: each one t
+// sorted itself with its runs, 4 bytes a non-NULL row and 4 a distinct
+// value (perm), and the ordered copies gathered (copies). Safe to call
 // while lookups build them.
 func (t *Table) IndexBytes() (perm, copies int64) {
 	for pos := range t.data.cols {
@@ -167,16 +165,11 @@ func (t *Table) IndexBytes() (perm, copies int64) {
 	return perm, copies
 }
 
-// SecondaryIndexBytes is what t's secondary indexes hold: each one's
-// permutation and run offsets, 4 bytes a non-NULL row and 4 a distinct
-// value. A stale index is sorted again to be counted.
+// SecondaryIndexBytes is IndexBytes' perm: on a base table, which range
+// lookups reach only through its samples, its secondary indexes'.
 func (t *Table) SecondaryIndexBytes() int64 {
-	var n int64
-	for _, idx := range t.indexes {
-		idx.current()
-		n += int64(cap(idx.perm)+cap(idx.runs)) * 4
-	}
-	return n
+	perm, _ := t.IndexBytes()
+	return perm
 }
 
 // CreateIndex builds a secondary index on the named column. Creating an
@@ -189,7 +182,13 @@ func (t *Table) CreateIndex(column string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := buildIndex(t, column, pos)
+	c := &t.data.cols[pos]
+	if c.idx == nil {
+		c.idx = newSortedIndex(&t.data, pos, true)
+	}
+	c.idx.indexed = true
+	c.idx.sorted()
+	idx := &Index{table: t, column: column, colPos: pos}
 	t.indexes[column] = idx
 	return idx, nil
 }
@@ -216,9 +215,12 @@ func (t *Table) Indexes() []string {
 //
 // At ratio 1 every row is kept, and the sample's columns are views of
 // t's, clipped to their current length and capacity: the sample copies
-// no column, and a later Append to t cannot reach it. Otherwise the kept
-// rows are gathered into new columns, exactly as appending them would
-// build them.
+// no column, and a later Append to t cannot reach it; a column whose
+// permutation t has built reads it too, immutable as it is, but keeps its
+// own slot (an unbuilt one would be built at whatever length t has by
+// then). Otherwise the kept rows are gathered into new columns, exactly
+// as appending them would build them. Sample must not run concurrently
+// with an Append to t or a first read of t's permutations.
 func (t *Table) Sample(name string, ratio float64, seed int64) *Table {
 	if ratio < 0 || ratio > 1 {
 		panic(fmt.Sprintf("storage: sample ratio %v out of [0,1]", ratio))
@@ -247,7 +249,10 @@ func (t *Table) Sample(name string, ratio float64, seed int64) *Table {
 	}
 	s.data.numRows = n
 	for pos := range s.data.cols {
-		s.data.cols[pos].attachIndex(s.data.cols)
+		s.data.attachIndex(pos)
+		if own, src := s.data.cols[pos].idx, t.data.cols[pos].idx; ratio == 1 && own != nil && src != nil && src.perm != nil {
+			own.once.Do(func() { own.perm, own.runs = src.perm, src.runs })
+		}
 	}
 	return s
 }
