@@ -36,7 +36,7 @@ func TestOptimizerPlansFitSkeleton(t *testing.T) {
 			if agg, ok := root.(*plan.AggregateNode); ok {
 				root = agg.Child // only join cardinalities are validated
 			}
-			if _, err := executor.NewPrepared(p.Query, nil, 0, nil).Count(ctx, root, cat.Sample, executor.SkelConfig{}); err != nil {
+			if _, err := executor.NewPrepared(sql.NewGraph(p.Query), nil, 0, nil).Count(ctx, root, cat.Sample, executor.SkelConfig{}); err != nil {
 				t.Fatalf("%s: plan %s is outside the skeleton's contract: %v", label, p.Fingerprint(), err)
 			}
 			checked++

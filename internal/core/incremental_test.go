@@ -10,6 +10,7 @@ import (
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
 	"reopt/internal/sampling"
+	"reopt/internal/sql"
 )
 
 // samePlanBits fails unless the two plans have the same fingerprint and,
@@ -43,12 +44,12 @@ func TestIncrementalPlanningMatchesFromScratch(t *testing.T) {
 	for _, w := range benchShapedWorkloads(t) {
 		opt := optimizer.New(w.cat, optimizer.DefaultConfig())
 		for qi, q := range w.queries {
-			pl, err := opt.Prepare(q, nil)
+			pl, err := opt.Prepare(sql.NewGraph(q), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			whole := optimizer.NewGamma(q)
-			cache := sampling.Prepare(q, executor.NewSkeletonCache(0, 0), w.cat)
+			cache := sampling.Prepare(sql.NewGraph(q), executor.NewSkeletonCache(0, 0), w.cat)
 			var prev *plan.Plan
 			for i := 1; i <= 12; i++ {
 				label := fmt.Sprintf("%s query %d round %d", w.name, qi, i)

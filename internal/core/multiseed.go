@@ -46,13 +46,14 @@ func (r *Reoptimizer) ReoptimizeMultiSeedCtx(ctx context.Context, q *sql.Query, 
 	// re-optimizing one seed — its initial candidate included — are
 	// reused by the later seeds (a configured workload cache extends that
 	// reuse across queries), and one prepared validation state serves
-	// every seed's rounds.
-	cache := sampling.Prepare(q, r.runCache(), r.Cat)
+	// every seed's rounds, all from one query graph.
+	g := sql.NewGraph(q)
+	cache := sampling.Prepare(g, r.runCache(), r.Cat)
 
 	var best *Result
 	var bestCost float64
 	for _, p := range initials {
-		res, err := r.reoptimize(ctx, run, q, p, cache)
+		res, err := r.reoptimize(ctx, run, g, p, cache)
 		if err != nil {
 			return nil, err
 		}

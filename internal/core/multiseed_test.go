@@ -105,7 +105,7 @@ func TestBlendFavorsHistoryForUnwitnessedSets(t *testing.T) {
 	}
 	sampled := hist + 1000
 	est := &sampling.Estimate{Sets: []optimizer.SetRows{{Mask: 1, Key: key, Rows: sampled, SampleRows: 0}}}
-	pl, err := r.Opt.Prepare(q, nil)
+	pl, err := r.Opt.Prepare(sql.NewGraph(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestSeededRunAcceptsHandBuiltSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
-		want, err := r.reoptimize(ctx, ctx, q, seed, nil)
+		want, err := r.reoptimize(ctx, ctx, sql.NewGraph(q), seed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.reoptimize(ctx, ctx, q, &plan.Plan{Root: seed.Root, Query: q}, nil)
+		got, err := r.reoptimize(ctx, ctx, sql.NewGraph(q), &plan.Plan{Root: seed.Root, Query: q}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

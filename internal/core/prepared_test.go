@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -166,7 +167,7 @@ type refStore struct {
 // are the general executor's.
 func oraclePhysRows(t testing.TB, label string, q *sql.Query, skeleton plan.Node, cat *catalog.Catalog, nodeRows map[plan.Node]int64) map[plan.Node]int64 {
 	t.Helper()
-	steps, err := executor.NewPrepared(q, nil, 0, nil).Count(context.Background(), skeleton, cat.Sample, executor.SkelConfig{})
+	steps, err := executor.NewPrepared(sql.NewGraph(q), nil, 0, nil).Count(context.Background(), skeleton, cat.Sample, executor.SkelConfig{})
 	if err != nil {
 		t.Fatalf("%s: cold skeleton run: %v", label, err)
 	}
@@ -646,7 +647,7 @@ func TestRepeatRoundValidationAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := sampling.Prepare(qs[0], sampling.NewWorkloadCache(0), cat)
+	cache := sampling.Prepare(sql.NewGraph(qs[0]), sampling.NewWorkloadCache(0), cat)
 	plans := []*plan.Plan{p}
 	for _, workers := range []int{0, 1, 8} {
 		r := New(opt, cat)
@@ -687,14 +688,14 @@ func BenchmarkValidateRounds(b *testing.B) {
 	b.Run("first", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cache := sampling.Prepare(q, executor.NewSkeletonCache(0, 0), cat)
+			cache := sampling.Prepare(sql.NewGraph(q), executor.NewSkeletonCache(0, 0), cat)
 			if _, err := sampling.EstimatePlansCfg(ctx, round(0), cat, cache, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("repeat", func(b *testing.B) {
-		cache := sampling.Prepare(q, executor.NewSkeletonCache(0, 0), cat)
+		cache := sampling.Prepare(sql.NewGraph(q), executor.NewSkeletonCache(0, 0), cat)
 		for i := 0; i < 2; i++ {
 			if _, err := sampling.EstimatePlansCfg(ctx, round(i), cat, cache, cfg); err != nil {
 				b.Fatal(err)
@@ -709,4 +710,48 @@ func BenchmarkValidateRounds(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkPrepareQuery times what a request derives from its query
+// before round 1 plans: the query graph, the planner's state
+// (Optimizer.Prepare) and the validation handle (sampling.Prepare), on a
+// 6-table OTT chain and on TPC-H's 8-table query 8.
+func BenchmarkPrepareQuery(b *testing.B) {
+	ottCat, err := ott.Generate(ott.Config{Seed: 1, RowsPerValue: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ottQs, err := ott.Queries(ottCat, ott.QueryConfig{NumTables: 6, SameConstant: 4, Count: 1, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tpchCat, err := tpch.Generate(tpch.Config{Seed: 1, Customers: 150, Z: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q8 := tpch.Templates()[7]
+	tpchQ, err := sql.Parse(q8.Gen(rand.New(rand.NewSource(1))), tpchCat)
+	if err != nil || q8.ID != 8 {
+		b.Fatalf("TPC-H template %d: %v", q8.ID, err)
+	}
+	for _, c := range []struct {
+		name string
+		cat  *catalog.Catalog
+		q    *sql.Query
+	}{{"ott6", ottCat, ottQs[0]}, {"tpch8", tpchCat, tpchQ}} {
+		opt := optimizer.New(c.cat, optimizer.DefaultConfig())
+		store := executor.NewSkeletonCache(0, 0)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g := sql.NewGraph(c.q)
+				if _, err := opt.Prepare(g, nil); err != nil {
+					b.Fatal(err)
+				}
+				if sampling.Prepare(g, store, c.cat) == nil {
+					b.Fatal("no validation handle")
+				}
+			}
+		})
+	}
 }

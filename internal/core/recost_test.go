@@ -8,6 +8,7 @@ import (
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
 	"reopt/internal/sampling"
+	"reopt/internal/sql"
 )
 
 // TestRecostMatchesPlannerNodeByNode: cost_s (Theorems 5 and 6, the §5.4
@@ -34,11 +35,11 @@ func TestRecostMatchesPlannerNodeByNode(t *testing.T) {
 	for _, w := range ws {
 		opt := optimizer.New(w.cat, optimizer.DefaultConfig())
 		for qi, q := range w.queries {
-			pl, err := opt.Prepare(q, nil)
+			pl, err := opt.Prepare(sql.NewGraph(q), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cache := sampling.Prepare(q, nil, w.cat)
+			cache := sampling.Prepare(sql.NewGraph(q), nil, w.cat)
 			var prev *plan.Plan
 			for round := 1; round <= 20; round++ {
 				label := fmt.Sprintf("%s query %d round %d", w.name, qi, round)

@@ -199,8 +199,10 @@ func (r *Reoptimizer) ReoptimizeCtx(ctx context.Context, q *sql.Query) (*Result,
 	// (sample counts and boundary columns) instead of re-running the
 	// skeleton from scratch. Scoped to this query and sample set unless Options.Cache
 	// promotes it to the workload level. What validating this query takes
-	// beyond the plan at hand is prepared once, beside the planner.
-	return r.reoptimize(ctx, run, q, nil, sampling.Prepare(q, r.runCache(), r.Cat))
+	// beyond the plan at hand is prepared once, beside the planner, from
+	// the one query graph both read.
+	g := sql.NewGraph(q)
+	return r.reoptimize(ctx, run, g, nil, sampling.Prepare(g, r.runCache(), r.Cat))
 }
 
 // startErr reports a ctx that is done before any work starts: a spent
@@ -223,12 +225,13 @@ func (r *Reoptimizer) budgetCtx(ctx context.Context) (context.Context, context.C
 	return context.WithCancel(ctx)
 }
 
-// reoptimize is the Algorithm 1 loop, validating through cache. outer is
+// reoptimize is the Algorithm 1 loop over the query of g, validating
+// through cache, a handle prepared from the same graph. outer is
 // the caller's context (round 1 validates under it, shielded from the
 // internal budget); run carries the budget deadline for everything else.
 // A non-nil seed is P_1, handed in instead of planned (the multi-seed
 // variant): it costs no optimizer time.
-func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query, seed *plan.Plan, cache sampling.Cache) (*Result, error) {
+func (r *Reoptimizer) reoptimize(outer, run context.Context, g *sql.Graph, seed *plan.Plan, cache sampling.Cache) (*Result, error) {
 	if !r.Cat.HasSamples() {
 		return nil, fmt.Errorf("core: %w; call BuildSamples before re-optimizing", sampling.ErrNoSamples)
 	}
@@ -238,7 +241,7 @@ func (r *Reoptimizer) reoptimize(outer, run context.Context, q *sql.Query, seed 
 	// invalidated bought no measurable time). Its set-up is charged to
 	// round 1's optimizer time, when round 1 plans.
 	t0 := time.Now()
-	pl, err := r.Opt.Prepare(q, nil)
+	pl, err := r.Opt.Prepare(g, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: round 1: %w", err)
 	}

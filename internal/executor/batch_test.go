@@ -32,7 +32,7 @@ func countsByNode(steps []Step) map[plan.Node]int64 {
 
 // countSkeletonCfg validates p alone, through a fresh handle over cache.
 func countSkeletonCfg(ctx context.Context, p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, cfg SkelConfig) (map[plan.Node]int64, error) {
-	steps, err := NewPrepared(p.Query, cache, 0, nil).Count(ctx, p.Root, binder, cfg)
+	steps, err := NewPrepared(sql.NewGraph(p.Query), cache, 0, nil).Count(ctx, p.Root, binder, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +52,7 @@ func countBatch(ctx context.Context, plans []*plan.Plan, binder func(string) (*s
 	for i, p := range plans {
 		prep := preps[p.Query]
 		if prep == nil {
-			prep = NewPrepared(p.Query, cache, 0, nil)
+			prep = NewPrepared(sql.NewGraph(p.Query), cache, 0, nil)
 			preps[p.Query] = prep
 		}
 		steps, err := prep.Count(ctx, p.Root, binder, cfg)
@@ -245,7 +245,7 @@ func TestSkeletonCacheLRUEviction(t *testing.T) {
 
 	// A handle namespaces its keys by its sample epoch: another epoch's
 	// entries are unreachable through it and age out.
-	if got := subKey(NewPrepared(skelQuery(), c, 2, nil).prefix, "sig", nil); got != "s2|sig|B:" {
+	if got := subKey(NewPrepared(sql.NewGraph(skelQuery()), c, 2, nil).prefix, "sig", nil); got != "s2|sig|B:" {
 		t.Errorf("subKey with prefix: %q", got)
 	}
 }

@@ -289,7 +289,7 @@ func TestCompactedCountsMatchVolcano(t *testing.T) {
 					}
 				}
 				// A join set's count does not depend on the tree.
-				steps, err := NewPrepared(plans[0].Query, nil, 0, nil).compile(plans[0].Root)
+				steps, err := NewPrepared(sql.NewGraph(plans[0].Query), nil, 0, nil).compile(plans[0].Root)
 				if err != nil {
 					t.Fatalf("%s: compile: %v", label, err)
 				}

@@ -495,7 +495,7 @@ func TestIndexedScanCountsMatchKernel(t *testing.T) {
 			p := &plan.Plan{Query: q, Root: skelJoin(q, root, skelScan(cat, q, "u"))}
 			label := fmt.Sprintf("%s, %s", f, shape.name)
 			validate := func(cache *SkeletonCache, budget int64) ([]Step, error) {
-				return NewPrepared(q, cache, 0, scales[:len(q.Tables)]).Count(ctx, p.Root, cat.Table, SkelConfig{MemBudget: budget})
+				return NewPrepared(sql.NewGraph(q), cache, 0, scales[:len(q.Tables)]).Count(ctx, p.Root, cat.Table, SkelConfig{MemBudget: budget})
 			}
 			run := func(which string) (s side) {
 				cache := NewSkeletonCache(0, 0)

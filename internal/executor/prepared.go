@@ -7,7 +7,11 @@ package executor
 // covers, so it is derived once per request, keyed by the subtree's
 // alias mask over Query.Tables positions (plan.Plan.JoinSets' convention),
 // and each plan is compiled into a flat post-order list of Steps pointing
-// at those records.
+// at those records. The query is read through its graph (sql.Graph), the
+// one the request's planner reads: an alias's bit, a relation's filters
+// and a join predicate's canonical form, string and bits come from it,
+// and what is rendered here — signature tokens, boundary columns, cache
+// keys — is rendered from those.
 //
 // The exactness rule: a mask names one logical sub-result only for a
 // subtree that applies exactly the query's filters on its relations and
@@ -36,7 +40,7 @@ import (
 // join of two sets, derived on first use and kept for the request. It is
 // safe for concurrent use.
 type Prepared struct {
-	q      *sql.Query
+	g      *sql.Graph
 	cache  *SkeletonCache
 	epoch  uint64    // the sample set the handle is bound to
 	prefix string    // epoch's namespace, which every key renders under
@@ -45,10 +49,10 @@ type Prepared struct {
 	// The query's vocabulary, rendered and sorted once so that a set's
 	// strings are one filtered pass over it: a subsequence of a sorted
 	// list is sorted.
-	byAlias []int      // Query.Tables positions in alias order
-	toks    []sigTok   // every signature token, sorted
-	ends    []endpoint // every join-predicate endpoint, by (alias, column)
-	edges   []edge     // every join predicate between two FROM entries, by canonical rendering
+	byAlias []int       // Query.Tables positions in alias order
+	toks    []sigTok    // every signature token, sorted
+	ends    []endpoint  // every join-predicate endpoint, by (alias, column)
+	edges   []*sql.Edge // every join predicate between two FROM entries, by canonical rendering
 
 	mu    sync.Mutex
 	sets  map[uint64]*SetInfo
@@ -69,13 +73,6 @@ type sigTok struct {
 type endpoint struct {
 	ref     sql.ColRef
 	in, out uint64
-}
-
-// edge is one query join predicate, canonical, with its aliases' bits.
-type edge struct {
-	pred  sql.JoinPred
-	canon string
-	l, r  uint64
 }
 
 // SetInfo is what the query says about one relation set, whatever tree
@@ -126,16 +123,20 @@ type Step struct {
 // Node returns the plan node the step was compiled from.
 func (s *Step) Node() plan.Node { return s.node }
 
-// NewPrepared returns the handle q's plans validate through: against
-// cache (nil caches nothing), over the samples of epoch — the namespace
-// of every sub-result key the handle renders, so one cache can serve
-// several sample sets and catalogs — with scales, the per-table factors
-// by Query.Tables position that Step.Scale multiplies (nil: none). Signatures, boundary columns, cache keys and join
+// NewPrepared returns the handle the plans of g's query validate
+// through: against cache (nil caches nothing), over the samples of epoch
+// — the namespace of every sub-result key the handle renders, so one
+// cache can serve several sample sets and catalogs — with scales, the
+// per-table factors by Query.Tables position that Step.Scale multiplies
+// (nil: none). Signatures, boundary columns, cache keys and join
 // resolutions are derived once, on first use, instead of once per plan
-// (DESIGN.md §11).
-func NewPrepared(q *sql.Query, cache *SkeletonCache, epoch uint64, scales []float64) *Prepared {
+// (DESIGN.md §11). A join predicate that does not join two FROM entries
+// is applied in no set, and its endpoint on a FROM entry, if any, is a
+// boundary column of every set holding that entry.
+func NewPrepared(g *sql.Graph, cache *SkeletonCache, epoch uint64, scales []float64) *Prepared {
+	q := g.Query
 	s := &Prepared{
-		q: q, cache: cache, epoch: epoch, prefix: "s" + strconv.FormatUint(epoch, 10) + "|", scales: scales,
+		g: g, cache: cache, epoch: epoch, prefix: "s" + strconv.FormatUint(epoch, 10) + "|", scales: scales,
 		byAlias: make([]int, len(q.Tables)),
 		toks:    make([]sigTok, 0, len(q.Tables)+len(q.Selections)+len(q.Joins)),
 		sets:    make(map[uint64]*SetInfo, 2*len(q.Tables)),
@@ -143,27 +144,23 @@ func NewPrepared(q *sql.Query, cache *SkeletonCache, epoch uint64, scales []floa
 	}
 	for i, tr := range q.Tables {
 		s.byAlias[i] = i
-		s.toks = append(s.toks, sigTok{"T:" + tr.Alias + "=" + tr.Name, 1 << uint(i)})
+		s.toks = append(s.toks, sigTok{"T:" + tr.Alias + "=" + tr.Name, g.Rels[i].Bit})
+		for _, f := range g.Rels[i].Filters {
+			s.toks = append(s.toks, sigTok{"F:" + f.String(), g.Rels[i].Bit})
+		}
 	}
 	slices.SortFunc(s.byAlias, func(a, b int) int { return strings.Compare(q.Tables[a].Alias, q.Tables[b].Alias) })
-	for _, f := range q.Selections {
-		if bit := s.bit(f.Col.Table); bit != 0 {
-			s.toks = append(s.toks, sigTok{"F:" + f.String(), bit})
-		}
-	}
-	for _, p := range q.Joins {
-		p = p.Canonical()
-		l, r := s.bit(p.Left.Table), s.bit(p.Right.Table)
-		s.ends = append(s.ends, endpoint{p.Left, l, r}, endpoint{p.Right, r, l})
-		if l == 0 || r == 0 || l == r {
+	for i := range g.Edges {
+		e := &g.Edges[i]
+		s.ends = append(s.ends, endpoint{e.Canon.Left, e.L, e.R}, endpoint{e.Canon.Right, e.R, e.L})
+		if e.L == 0 || e.R == 0 || e.L == e.R {
 			continue // joins no two FROM entries: no plan applies it
 		}
-		e := edge{pred: p, canon: p.String(), l: l, r: r}
 		s.edges = append(s.edges, e)
-		s.toks = append(s.toks, sigTok{"J:" + e.canon, l | r})
+		s.toks = append(s.toks, sigTok{"J:" + e.Key, e.L | e.R})
 	}
 	slices.SortStableFunc(s.toks, func(a, b sigTok) int { return strings.Compare(a.s, b.s) })
-	slices.SortStableFunc(s.edges, func(a, b edge) int { return strings.Compare(a.canon, b.canon) })
+	slices.SortStableFunc(s.edges, func(a, b *sql.Edge) int { return strings.Compare(a.Key, b.Key) })
 	slices.SortStableFunc(s.ends, func(a, b endpoint) int {
 		if c := strings.Compare(a.ref.Table, b.ref.Table); c != 0 {
 			return c
@@ -176,7 +173,7 @@ func NewPrepared(q *sql.Query, cache *SkeletonCache, epoch uint64, scales []floa
 // Serves reports whether s is the handle for plans of q over the samples
 // of epoch. A nil handle serves none.
 func (s *Prepared) Serves(q *sql.Query, epoch uint64) bool {
-	return s != nil && s.q == q && s.epoch == epoch
+	return s != nil && s.g.Query == q && s.epoch == epoch
 }
 
 // Cache returns the store s validates through: nil for an uncached
@@ -188,23 +185,13 @@ func (s *Prepared) Cache() *SkeletonCache {
 	return s.cache
 }
 
-// bit returns the mask bit of the FROM entry visible under alias, or 0.
-func (s *Prepared) bit(alias string) uint64 {
-	for i, tr := range s.q.Tables {
-		if tr.Alias == alias {
-			return 1 << uint(i)
-		}
-	}
-	return 0
-}
-
 // compile flattens the plan rooted at root into steps, enforcing the
 // exactness rule and resolving every join, so the steps can run on the
 // skeleton engine.
 func (s *Prepared) compile(root plan.Node) ([]Step, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	steps := make([]Step, 0, 2*len(s.q.Tables))
+	steps := make([]Step, 0, 2*len(s.g.Rels))
 	if _, err := s.add(root, &steps); err != nil {
 		return nil, err
 	}
@@ -214,12 +201,12 @@ func (s *Prepared) compile(root plan.Node) ([]Step, error) {
 func (s *Prepared) add(n plan.Node, steps *[]Step) (int32, error) {
 	switch t := n.(type) {
 	case *plan.ScanNode:
-		bit := s.bit(t.Alias)
+		bit := s.g.Query.Bit(t.Alias)
 		if bit == 0 {
 			return 0, fmt.Errorf("executor: scan of %s: alias not in the query: %w", t.Alias, ErrUnsupportedPlan)
 		}
 		pos := bits.TrailingZeros64(bit)
-		if s.q.Tables[pos].Name != t.Table || !s.sameFilters(t) {
+		if s.g.Query.Tables[pos].Name != t.Table || !slices.EqualFunc(t.Filters, s.g.Rels[pos].Filters, sameSelection) {
 			return 0, fmt.Errorf("executor: scan of %s does not apply exactly the query's filters: %w", t.Alias, ErrUnsupportedPlan)
 		}
 		i := int32(len(*steps))
@@ -289,24 +276,10 @@ next:
 	return true
 }
 
-// sameFilters reports whether a scan's filters are exactly the query's
-// selections on its alias, in the query's order (the optimizer's).
-func (s *Prepared) sameFilters(t *plan.ScanNode) bool {
-	k := 0
-	for _, f := range s.q.Selections {
-		if f.Col.Table != t.Alias {
-			continue
-		}
-		if k == len(t.Filters) || !sameSelection(t.Filters[k], f) {
-			return false
-		}
-		k++
-	}
-	return k == len(t.Filters)
-}
-
 // sameSelection is == on selections with each constant compared by kind
-// and Key, so that a NaN constant is the same as itself.
+// and Key, so that a NaN constant is the same as itself. A scan's filters
+// must be its position's filters in the graph, in order (the
+// optimizer's).
 func sameSelection(a, b sql.Selection) bool {
 	return a.Col == b.Col && a.Op == b.Op &&
 		a.Value.Kind() == b.Value.Kind() && a.Value.Key() == b.Value.Key() &&
@@ -339,7 +312,7 @@ func (s *Prepared) set(mask uint64) *SetInfo {
 			if b.Len() > len(s.prefix) {
 				b.WriteString(plan.AliasSep)
 			}
-			b.WriteString(s.q.Tables[pos].Alias)
+			b.WriteString(s.g.Query.Tables[pos].Alias)
 		}
 	}
 	keyEnd := b.Len()
@@ -380,16 +353,15 @@ func (s *Prepared) join(lm, rm uint64) *joinInfo {
 	ji := &joinInfo{}
 	s.joins[k] = ji
 	l, r, out := s.set(lm), s.set(rm), s.set(lm|rm)
-	for i := range s.edges {
-		e := &s.edges[i]
-		if !e.crosses(lm, rm) {
+	for _, e := range s.edges {
+		if !e.Crosses(lm, rm) {
 			continue
 		}
-		lc, rc := e.pred.Left, e.pred.Right
-		if e.l&lm == 0 {
+		lc, rc := e.Canon.Left, e.Canon.Right
+		if e.L&lm == 0 {
 			lc, rc = rc, lc
 		}
-		ji.preds = append(ji.preds, e.pred)
+		ji.preds = append(ji.preds, e.Canon)
 		ji.lkey = append(ji.lkey, slices.Index(l.refs, lc))
 		ji.rkey = append(ji.rkey, slices.Index(r.refs, rc))
 	}
@@ -404,9 +376,4 @@ func (s *Prepared) join(lm, rm uint64) *joinInfo {
 		}
 	}
 	return ji
-}
-
-// crosses reports whether the predicate connects the two disjoint sets.
-func (e *edge) crosses(a, b uint64) bool {
-	return e.l&a != 0 && e.r&b != 0 || e.l&b != 0 && e.r&a != 0
 }

@@ -140,15 +140,17 @@ func (e *Executor) RunCtx(ctx context.Context, q *sql.Query) (*Result, error) {
 type workspace struct {
 	cat *catalog.Catalog
 	q   *sql.Query
-	// sets maps each (possibly temporary) alias to the relation set it
-	// covers, as a mask over the original query's FROM list.
-	sets            map[string]uint64
+	// covers holds, for each entry of q's FROM list by position, the
+	// relation set it stands for as a mask over the original query's FROM
+	// list: a base relation's own bit, a temporary's union of the sets
+	// it merged.
+	covers          []uint64
 	tmpCounter      int
 	lastFingerprint string
 }
 
 func newWorkspace(cat *catalog.Catalog, q *sql.Query) *workspace {
-	w := &workspace{cat: cloneCatalog(cat), sets: make(map[string]uint64, len(q.Tables))}
+	w := &workspace{cat: cloneCatalog(cat), covers: make([]uint64, len(q.Tables))}
 	// Copy the query; the loop mutates it.
 	cq := *q
 	cq.Tables = append([]sql.TableRef(nil), q.Tables...)
@@ -158,7 +160,7 @@ func newWorkspace(cat *catalog.Catalog, q *sql.Query) *workspace {
 	cq.CountStar = true
 	w.q = &cq
 	for i, tr := range q.Tables {
-		w.sets[tr.Alias] = 1 << uint(i)
+		w.covers[i] = q.Bit(tr.Alias)
 	}
 	return w
 }
@@ -231,22 +233,23 @@ func (w *workspace) materialize(ctx context.Context, j *plan.JoinNode) (*storage
 // temporary alias. It returns the relation set the temporary covers.
 func (w *workspace) merge(j *plan.JoinNode, tmp *storage.Table) uint64 {
 	merged := map[string]bool{}
-	var set uint64
 	for _, a := range j.Aliases() {
 		merged[a] = true
-		set |= w.sets[a]
 	}
 	alias := tmp.Name()
-	w.sets[alias] = set
 
 	var tables []sql.TableRef
-	for _, tr := range w.q.Tables {
-		if !merged[tr.Alias] {
-			tables = append(tables, tr)
+	var covers []uint64
+	var set uint64
+	for i, tr := range w.q.Tables {
+		if merged[tr.Alias] {
+			set |= w.covers[i]
+		} else {
+			tables, covers = append(tables, tr), append(covers, w.covers[i])
 		}
 	}
-	tables = append(tables, sql.TableRef{Name: alias, Alias: alias})
-	w.q.Tables = tables
+	w.q.Tables = append(tables, sql.TableRef{Name: alias, Alias: alias})
+	w.covers = append(covers, set)
 
 	var sels []sql.Selection
 	for _, s := range w.q.Selections {

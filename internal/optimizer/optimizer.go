@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"math/bits"
 
 	"reopt/internal/catalog"
 	"reopt/internal/cost"
@@ -78,7 +79,7 @@ func (o *Optimizer) Units() cost.Units { return o.cfg.Units }
 // that plans the same query again after Γ grows — the round loop of
 // Algorithm 1 — keeps the Planner from Prepare instead.
 func (o *Optimizer) Optimize(q *sql.Query, gamma *Gamma) (*plan.Plan, error) {
-	p, err := o.Prepare(q, gamma)
+	p, err := o.Prepare(sql.NewGraph(q), gamma)
 	if err != nil {
 		return nil, err
 	}
@@ -89,8 +90,9 @@ func (o *Optimizer) Optimize(q *sql.Query, gamma *Gamma) (*plan.Plan, error) {
 // queries, estimated by priceAggregate.
 func (p *Planner) addAggregate(root plan.Node) (*plan.AggregateNode, error) {
 	schema := root.Schema()
-	outCols := make([]rel.Column, 0, len(p.q.GroupBy)+1)
-	for _, c := range p.q.GroupBy {
+	groupBy := p.g.Query.GroupBy
+	outCols := make([]rel.Column, 0, len(groupBy)+1)
+	for _, c := range groupBy {
 		j, err := schema.IndexOf(c.Table, c.Column)
 		if err != nil {
 			return nil, fmt.Errorf("optimizer: GROUP BY %s: %v", c, err)
@@ -98,7 +100,7 @@ func (p *Planner) addAggregate(root plan.Node) (*plan.AggregateNode, error) {
 		outCols = append(outCols, schema.Columns[j])
 	}
 	outCols = append(outCols, rel.Column{Table: "", Name: "count", Kind: rel.KindInt})
-	agg := &plan.AggregateNode{GroupBy: p.q.GroupBy, Child: root, OutSchema: rel.NewSchema(outCols...)}
+	agg := &plan.AggregateNode{GroupBy: groupBy, Child: root, OutSchema: rel.NewSchema(outCols...)}
 	agg.Rows, agg.CostVal = p.priceAggregate(agg.GroupBy, root)
 	return agg, nil
 }
@@ -110,8 +112,8 @@ func (p *Planner) addAggregate(root plan.Node) (*plan.AggregateNode, error) {
 func (p *Planner) priceAggregate(groupBy []sql.ColRef, child plan.Node) (rows, cost float64) {
 	rows = 1.0
 	for _, c := range groupBy {
-		if i, ok := p.aliasIdx[c.Table]; ok {
-			if cs := p.o.cat.ColumnStats(p.leaves[i].ref.Name, c.Column); cs != nil && cs.NumDistinct > 0 {
+		if bit := p.g.Query.Bit(c.Table); bit != 0 {
+			if cs := p.o.cat.ColumnStats(p.leaves[bits.TrailingZeros64(bit)].ref.Name, c.Column); cs != nil && cs.NumDistinct > 0 {
 				rows *= float64(cs.NumDistinct)
 			}
 		}

@@ -335,7 +335,7 @@ func TestSystemBLeafSampling(t *testing.T) {
 func TestGammaMerge(t *testing.T) {
 	cat := chainCatalog(t, 3, 10)
 	q := chainQuery(t, cat, 3)
-	pl, err := New(cat, DefaultConfig()).Prepare(q, nil)
+	pl, err := New(cat, DefaultConfig()).Prepare(sql.NewGraph(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestNegativeGammaClamped(t *testing.T) {
 	if v, _ := g.Get(0b10); v != 0 {
 		t.Errorf("negative cardinality should clamp to 0, got %v", v)
 	}
-	pl, err := New(cat, DefaultConfig()).Prepare(q, nil)
+	pl, err := New(cat, DefaultConfig()).Prepare(sql.NewGraph(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,13 +394,13 @@ func TestGammaBoundToFromList(t *testing.T) {
 	q2, q3 := chainQuery(t, cat, 2), chainQuery(t, cat, 3)
 	opt := New(cat, DefaultConfig())
 	g := NewGamma(q2)
-	if _, err := opt.Prepare(q3, g); err == nil {
+	if _, err := opt.Prepare(sql.NewGraph(q3), g); err == nil {
 		t.Error("Prepare accepted a Γ made for another FROM list")
 	}
 	if _, err := opt.Recost(q3, nil, g); err == nil {
 		t.Error("Recost accepted a Γ made for another FROM list")
 	}
-	if _, err := opt.Prepare(chainQuery(t, cat, 2), g); err != nil {
+	if _, err := opt.Prepare(sql.NewGraph(chainQuery(t, cat, 2)), g); err != nil {
 		t.Errorf("Prepare of an equal FROM list: %v", err)
 	}
 	for _, mask := range []uint64{0, 0b100} {

@@ -13,22 +13,25 @@ import (
 )
 
 // Planner is the planning state of one query, built once by Prepare and
-// reused by every round of Algorithm 1. Relation sets are bitmasks over
-// the FROM-list position; everything that depends only on the query and
-// the catalog statistics (access paths, selectivities, the join graph)
-// is resolved at Prepare, and the dynamic program keeps its table across
-// Plan calls, re-pricing it under the current Γ (DESIGN.md §10).
-// Validated cardinalities in Γ take precedence over statistics at every
+// reused by every round of Algorithm 1. It reads the query through its
+// graph (sql.Graph): relation sets are bitmasks over the FROM-list
+// position, a leaf's filters and a join predicate's bits and canonical
+// rendering are the graph's, so the planner names every set and
+// predicate exactly as the validation engine, which reads the same graph,
+// does. Everything else that depends only on the query and the catalog
+// statistics (access paths, selectivities, adjacency) is resolved at
+// Prepare, and the dynamic program keeps its table across Plan calls,
+// re-pricing it under the current Γ (DESIGN.md §10). Validated
+// cardinalities in Γ take precedence over statistics at every
 // granularity (leaf selections and join results alike). A Planner is
 // not safe for concurrent use.
 type Planner struct {
 	o     *Optimizer
-	q     *sql.Query
+	g     *sql.Graph
 	gamma *Gamma
 
-	aliasIdx map[string]int
-	leaves   []leaf
-	edges    []joinEdge
+	leaves []leaf
+	edges  []joinEdge
 
 	// cells is the dense DP table indexed by mask; nil when the query is
 	// planned by the randomized search.
@@ -53,18 +56,12 @@ type leaf struct {
 	fp       string
 }
 
-// joinEdge is one join predicate with everything pricing asks of it.
+// joinEdge is one join predicate of the graph with what pricing adds:
+// its selectivity and the indexes on its canonical endpoints.
 type joinEdge struct {
-	pred       sql.JoinPred
+	*sql.Edge
 	sel        float64
-	l, r       uint64 // bits of the left and right column's alias
-	canon      string // canonical rendering, for fingerprints
-	lIdx, rIdx *storage.Index
-}
-
-// crosses reports whether the predicate connects the two disjoint sets.
-func (e *joinEdge) crosses(a, b uint64) bool {
-	return e.l&a != 0 && e.r&b != 0 || e.l&b != 0 && e.r&a != 0
+	lIdx, rIdx *storage.Index // on Canon.Left's and Canon.Right's columns
 }
 
 // cell is the DP's answer for one relation set: 40 bytes of scalars, so
@@ -81,17 +78,18 @@ type cell struct {
 	ok    bool          // the DP materializes this subset
 }
 
-// Prepare builds the planning state for q. gamma may be nil (start from
-// an empty Γ) or hold validated cardinalities for q's FROM list — a Γ
-// made for another FROM list is an error; from here on the planner owns
-// it, and entries must arrive through Planner.Merge so the validated
-// leaves stay in step.
-func (o *Optimizer) Prepare(q *sql.Query, gamma *Gamma) (*Planner, error) {
-	return o.prepare(q, gamma, len(q.Tables) <= o.cfg.DPThreshold)
+// Prepare builds the planning state for the query of g. gamma may be
+// nil (start from an empty Γ) or hold validated cardinalities for the
+// query's FROM list — a Γ made for another FROM list is an error; from
+// here on the planner owns it, and entries must arrive through
+// Planner.Merge so the validated leaves stay in step. A join predicate
+// naming an alias outside the FROM list is an error.
+func (o *Optimizer) Prepare(g *sql.Graph, gamma *Gamma) (*Planner, error) {
+	return o.prepare(g, gamma, len(g.Rels) <= o.cfg.DPThreshold)
 }
 
-func (o *Optimizer) prepare(q *sql.Query, gamma *Gamma, dense bool) (*Planner, error) {
-	n := len(q.Tables)
+func (o *Optimizer) prepare(g *sql.Graph, gamma *Gamma, dense bool) (*Planner, error) {
+	n := len(g.Rels)
 	if n == 0 {
 		return nil, fmt.Errorf("optimizer: query has no tables")
 	}
@@ -99,43 +97,40 @@ func (o *Optimizer) prepare(q *sql.Query, gamma *Gamma, dense bool) (*Planner, e
 		return nil, fmt.Errorf("optimizer: queries with more than 63 tables are not supported")
 	}
 	if gamma == nil {
-		gamma = NewGamma(q)
-	} else if !gamma.madeFor(q) {
+		gamma = NewGamma(g.Query)
+	} else if !gamma.madeFor(g.Query) {
 		return nil, fmt.Errorf("optimizer: Γ was made for a different FROM list")
 	}
-	p := &Planner{
-		o: o, q: q, gamma: gamma,
-		aliasIdx: make(map[string]int, n),
-		leaves:   make([]leaf, n),
-	}
-	for i, tr := range q.Tables {
+	p := &Planner{o: o, g: g, gamma: gamma, leaves: make([]leaf, n), edges: make([]joinEdge, len(g.Edges))}
+	for i, tr := range g.Query.Tables {
 		tbl, err := o.cat.Table(tr.Name)
 		if err != nil {
 			return nil, err
 		}
-		p.aliasIdx[tr.Alias] = i
 		lf := &p.leaves[i]
-		*lf = leaf{ref: tr, table: tbl, filters: q.SelectionsOn(tr.Alias), schema: aliasSchema(tbl, tr.Alias)}
+		*lf = leaf{ref: tr, table: tbl, filters: g.Rels[i].Filters, schema: aliasSchema(tbl, tr.Alias)}
 		lf.statRows = o.leafRows(lf)
 		lf.rows = lf.statRows
 		o.chooseScan(lf)
 	}
-	for _, j := range q.Joins {
-		li, ok1 := p.aliasIdx[j.Left.Table]
-		ri, ok2 := p.aliasIdx[j.Right.Table]
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("optimizer: join predicate %s references unknown alias", j)
+	for i := range g.Edges {
+		ge := &g.Edges[i]
+		if ge.L == 0 || ge.R == 0 {
+			return nil, fmt.Errorf("optimizer: join predicate %s references unknown alias", ge.Pred)
 		}
-		l, r := &p.leaves[li], &p.leaves[ri]
-		e := joinEdge{
-			pred: j, sel: o.joinSelectivity(l.ref.Name, r.ref.Name, j),
-			l: 1 << uint(li), r: 1 << uint(ri),
-			canon: j.Canonical().String(),
-			lIdx:  l.table.Index(j.Left.Column), rIdx: r.table.Index(j.Right.Column),
+		cl, cr := &p.leaves[bits.TrailingZeros64(ge.L)], &p.leaves[bits.TrailingZeros64(ge.R)]
+		// Selectivity is estimated with the sides as written: the estimate
+		// is not symmetric to the last bit.
+		l, r := cl, cr
+		if ge.Pred != ge.Canon {
+			l, r = cr, cl
 		}
-		l.adj |= e.r
-		r.adj |= e.l
-		p.edges = append(p.edges, e)
+		p.edges[i] = joinEdge{
+			Edge: ge, sel: o.joinSelectivity(l.ref.Name, r.ref.Name, ge.Pred),
+			lIdx: cl.table.Index(ge.Canon.Left.Column), rIdx: cr.table.Index(ge.Canon.Right.Column),
+		}
+		cl.adj |= ge.R
+		cr.adj |= ge.L
 	}
 	for mask, rows := range gamma.m {
 		if mask&(mask-1) == 0 {
@@ -217,7 +212,7 @@ func (p *Planner) estimate(mask uint64, validatedLeaves bool) float64 {
 		}
 	}
 	for i := range p.edges {
-		if e := &p.edges[i]; (e.l|e.r)&mask == e.l|e.r {
+		if e := &p.edges[i]; (e.L|e.R)&mask == e.L|e.R {
 			card *= e.sel
 		}
 	}
@@ -397,7 +392,7 @@ func (p *Planner) reprice() {
 // crossing counts the join predicates connecting two disjoint sets.
 func (p *Planner) crossing(a, b uint64) (n int) {
 	for i := range p.edges {
-		if p.edges[i].crosses(a, b) {
+		if p.edges[i].Crosses(a, b) {
 			n++
 		}
 	}
@@ -427,7 +422,7 @@ func (p *Planner) priceJoin(lm, rm uint64, lcost, rcost, lrows, rrows, outRows f
 		return cost, kind, probe
 	}
 	for i := range p.edges {
-		if !p.edges[i].crosses(lm, rm) {
+		if !p.edges[i].Crosses(lm, rm) {
 			continue
 		}
 		if pc, _, ok := p.probeCost(&p.edges[i], rm, npreds); ok {
@@ -458,9 +453,9 @@ func (p *Planner) operatorCost(kind plan.JoinKind, lcost, rcost, lrows, rrows fl
 // probeCost prices one index probe into the single relation rm through
 // its column of predicate e, when that column is indexed.
 func (p *Planner) probeCost(e *joinEdge, rm uint64, npreds int) (cost float64, col string, ok bool) {
-	idx, col := e.rIdx, e.pred.Right.Column
-	if e.r != rm {
-		idx, col = e.lIdx, e.pred.Left.Column
+	idx, col := e.rIdx, e.Canon.Right.Column
+	if e.R != rm {
+		idx, col = e.lIdx, e.Canon.Left.Column
 	}
 	if idx == nil {
 		return 0, "", false
@@ -488,14 +483,14 @@ func (p *Planner) Plan() (*plan.Plan, error) {
 	} else {
 		_, root, fp = p.leftDeep(p.searchRandomized(), &sets)
 	}
-	if len(p.q.GroupBy) > 0 {
+	if len(p.g.Query.GroupBy) > 0 {
 		agg, err := p.addAggregate(root)
 		if err != nil {
 			return nil, err
 		}
 		root, fp = agg, plan.AggregateFingerprint(agg.GroupBy, fp)
 	}
-	return plan.Memoized(root, p.q, fp, sets), nil
+	return plan.Memoized(root, p.g.Query, fp, sets), nil
 }
 
 // build materializes the winning tree of subset s by backtracking the
@@ -545,16 +540,16 @@ func (p *Planner) join(lm, rm uint64, left plan.Node, lfp string, kind plan.Join
 		pc, col, _ := p.probeCost(e, rm, npreds)
 		inner := p.scan(bits.TrailingZeros64(rm), plan.IndexScan, col, pc)
 		right, rfp = inner, inner.Fingerprint()
-		preds, strs = append(preds, e.pred), append(strs, e.canon)
+		preds, strs = append(preds, e.Pred), append(strs, e.Key)
 	} else {
 		right, rfp = p.build(rm, sets)
 	}
 	for i := range p.edges {
 		e := &p.edges[i]
-		if !e.crosses(lm, rm) || kind == plan.IndexNestedLoop && e.pred == p.edges[probe].pred {
+		if !e.Crosses(lm, rm) || kind == plan.IndexNestedLoop && e.Pred == p.edges[probe].Pred {
 			continue
 		}
-		preds, strs = append(preds, e.pred), append(strs, e.canon)
+		preds, strs = append(preds, e.Pred), append(strs, e.Key)
 	}
 	p.predBuf = strs
 	*sets = append(*sets, lm|rm)
@@ -574,7 +569,7 @@ func (p *Planner) join(lm, rm uint64, left plan.Node, lfp string, kind plan.Join
 // DP would consider for the query — the N of the paper's Theorem 4. The
 // count saturates at math.MaxFloat64 for very large queries.
 func (o *Optimizer) SearchSpaceSize(q *sql.Query) (float64, error) {
-	p, err := o.prepare(q, nil, true)
+	p, err := o.prepare(sql.NewGraph(q), nil, true)
 	if err != nil {
 		return 0, err
 	}

@@ -103,7 +103,7 @@ func TestIncrementalPlanningRandomGraphs(t *testing.T) {
 		for _, v := range variants {
 			rng := rand.New(rand.NewSource(int64(len(name)) + int64(len(v.name))))
 			opt := New(cat, v.cfg)
-			pl, err := opt.Prepare(q, nil)
+			pl, err := opt.Prepare(sql.NewGraph(q), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,7 +234,7 @@ func replanDeltas(tb testing.TB, pl *Planner, q *sql.Query) [2][]SetRows {
 // strings — nothing per candidate split.
 func TestReplanAllocs(t *testing.T) {
 	cat, q := ottChain6(t)
-	pl, err := New(cat, DefaultConfig()).Prepare(q, nil)
+	pl, err := New(cat, DefaultConfig()).Prepare(sql.NewGraph(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func BenchmarkOptimizeRounds(b *testing.B) {
 	b.Run("first", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pl, err := opt.Prepare(q, nil)
+			pl, err := opt.Prepare(sql.NewGraph(q), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -272,7 +272,7 @@ func BenchmarkOptimizeRounds(b *testing.B) {
 		}
 	})
 	b.Run("replan", func(b *testing.B) {
-		pl, err := opt.Prepare(q, nil)
+		pl, err := opt.Prepare(sql.NewGraph(q), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"math/bits"
 
 	"reopt/internal/plan"
 	"reopt/internal/sql"
@@ -14,7 +15,7 @@ import (
 // has refined the statistics (cost_s of Theorems 5 and 6), and how the
 // early-stop strategies pick the best plan generated so far (§5.4).
 func (o *Optimizer) Recost(q *sql.Query, p *plan.Plan, gamma *Gamma) (*plan.Plan, error) {
-	pl, err := o.prepare(q, gamma, false)
+	pl, err := o.prepare(sql.NewGraph(q), gamma, false)
 	if err != nil {
 		return nil, err
 	}
@@ -29,24 +30,24 @@ func (p *Planner) Recost(pl *plan.Plan) (*plan.Plan, error) {
 	}
 	// Only estimates changed, so the copy keeps pl's memoized identity.
 	rp := *pl
-	rp.Root, rp.Query = root, p.q
+	rp.Root, rp.Query = root, p.g.Query
 	return &rp, nil
 }
 
 // EstimateCardinality returns the optimizer's statistics-based estimate
 // for the cardinality of a relation subset of the query (no Γ).
 func (o *Optimizer) EstimateCardinality(q *sql.Query, aliases []string) (float64, error) {
-	p, err := o.prepare(q, nil, false)
+	p, err := o.prepare(sql.NewGraph(q), nil, false)
 	if err != nil {
 		return 0, err
 	}
 	var mask uint64
 	for _, a := range aliases {
-		i, ok := p.aliasIdx[a]
-		if !ok {
+		bit := q.Bit(a)
+		if bit == 0 {
 			return 0, fmt.Errorf("optimizer: unknown alias %q", a)
 		}
-		mask |= 1 << uint(i)
+		mask |= bit
 	}
 	return p.estimate(mask, false), nil
 }
@@ -57,14 +58,14 @@ func (o *Optimizer) EstimateCardinality(q *sql.Query, aliases []string) (float64
 func (p *Planner) recostNode(n plan.Node) (plan.Node, uint64, error) {
 	switch t := n.(type) {
 	case *plan.ScanNode:
-		i, known := p.aliasIdx[t.Alias]
-		cost, ok := p.o.accessCost(&p.leaves[i], t.Access, t.IndexColumn)
-		if !known || !ok {
-			return nil, 0, fmt.Errorf("optimizer: %s is not an access path of the query", t.Fingerprint())
+		if bit := p.g.Query.Bit(t.Alias); bit != 0 {
+			if cost, ok := p.o.accessCost(&p.leaves[bits.TrailingZeros64(bit)], t.Access, t.IndexColumn); ok {
+				c := *t
+				c.Rows, c.CostVal = p.card(bit), cost
+				return &c, bit, nil
+			}
 		}
-		c := *t
-		c.Rows, c.CostVal = p.card(1<<uint(i)), cost
-		return &c, 1 << uint(i), nil
+		return nil, 0, fmt.Errorf("optimizer: %s is not an access path of the query", t.Fingerprint())
 	case *plan.JoinNode:
 		left, lm, err := p.recostNode(t.Left)
 		if err != nil {
@@ -102,10 +103,9 @@ func (p *Planner) recostNode(n plan.Node) (plan.Node, uint64, error) {
 // priced as one probe through the column of the driving predicate.
 func (p *Planner) recostProbe(j *plan.JoinNode, lm uint64) (plan.Node, uint64, error) {
 	if s, ok := j.Right.(*plan.ScanNode); ok && len(j.Preds) > 0 {
-		i, known := p.aliasIdx[s.Alias]
-		rm := uint64(1) << uint(i)
+		rm := p.g.Query.Bit(s.Alias)
 		for k := range p.edges {
-			if e := &p.edges[k]; known && e.pred == j.Preds[0] && e.crosses(lm, rm) {
+			if e := &p.edges[k]; rm != 0 && e.Pred == j.Preds[0] && e.Crosses(lm, rm) {
 				if pc, col, ok := p.probeCost(e, rm, p.crossing(lm, rm)); ok && col == s.IndexColumn {
 					c := *s
 					c.Rows, c.CostVal = p.card(rm), pc

@@ -36,7 +36,7 @@ func FuzzRecostMatchesPlanner(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := New(cat, cfg).Prepare(q, nil)
+		pl, err := New(cat, cfg).Prepare(sql.NewGraph(q), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

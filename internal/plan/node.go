@@ -282,9 +282,7 @@ func (p *Plan) JoinSets() []uint64 {
 		}
 		var mask uint64
 		for _, alias := range j.Aliases() {
-			if i := slices.IndexFunc(p.Query.Tables, func(t sql.TableRef) bool { return t.Alias == alias }); i >= 0 {
-				mask |= 1 << uint(i)
-			}
+			mask |= p.Query.Bit(alias)
 		}
 		sets = append(sets, mask)
 	})

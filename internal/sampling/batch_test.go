@@ -11,6 +11,7 @@ import (
 	"reopt/internal/executor"
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
+	"reopt/internal/sql"
 	"reopt/internal/workload/ott"
 )
 
@@ -54,7 +55,7 @@ func estimatePlans(plans []*plan.Plan, cat *catalog.Catalog, store *WorkloadCach
 func estimateWith(plans []*plan.Plan, cat *catalog.Catalog, store *WorkloadCache, cfg ValidateConfig) ([]*Estimate, error) {
 	var cache Cache
 	if len(plans) > 0 {
-		cache = Prepare(plans[0].Query, store, cat)
+		cache = Prepare(sql.NewGraph(plans[0].Query), store, cat)
 	}
 	return EstimatePlansCfg(context.Background(), plans, cat, cache, cfg)
 }
@@ -171,7 +172,7 @@ func TestEstimatePlansRejectsUnsupportedPlan(t *testing.T) {
 	// workload-cache holder, an uncached one holding the unsupported plan,
 	// a per-run one.
 	mixed := []*plan.Plan{plans[0], bad, plans[1]}
-	caches := []Cache{Prepare(mixed[0].Query, NewWorkloadCache(0), cat), nil, Prepare(mixed[2].Query, perRun(), cat)}
+	caches := []Cache{Prepare(sql.NewGraph(mixed[0].Query), NewWorkloadCache(0), cat), nil, Prepare(sql.NewGraph(mixed[2].Query), perRun(), cat)}
 	for i, cache := range caches {
 		ests, err := EstimatePlansCfg(context.Background(), mixed[i:i+1], cat, cache, ValidateConfig{})
 		if mixed[i] == bad {
@@ -299,7 +300,7 @@ func TestWorkloadCacheEviction(t *testing.T) {
 // which makes the same call.
 func TestEmptyPlanGroups(t *testing.T) {
 	cat, plans := batchSetup(t, 1)
-	if got, err := EstimatePlansCfg(context.Background(), nil, cat, Prepare(plans[0].Query, perRun(), cat), ValidateConfig{}); got != nil || err != nil {
+	if got, err := EstimatePlansCfg(context.Background(), nil, cat, Prepare(sql.NewGraph(plans[0].Query), perRun(), cat), ValidateConfig{}); got != nil || err != nil {
 		t.Fatalf("empty call: %v, %v", got, err)
 	}
 	c := NewScheduler(cat, 0, 0).Register()

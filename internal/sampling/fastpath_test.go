@@ -320,7 +320,7 @@ func TestExactnessRuleForHandBuiltPlans(t *testing.T) {
 		"predicate the query does not have": join(join(join(scan("x"), scan("y"), xy, extra), scan("z"), yz, xz), scan("w"), zw),
 	} {
 		handBuilt := &plan.Plan{Root: root, Query: q}
-		if _, err := executor.NewPrepared(q, nil, 0, nil).Count(context.Background(), root, cat.Sample, executor.SkelConfig{}); !errors.Is(err, executor.ErrUnsupportedPlan) {
+		if _, err := executor.NewPrepared(sql.NewGraph(q), nil, 0, nil).Count(context.Background(), root, cat.Sample, executor.SkelConfig{}); !errors.Is(err, executor.ErrUnsupportedPlan) {
 			t.Fatalf("%s: count engine: %v, want ErrUnsupportedPlan", name, err)
 		}
 		checkIsolated(t, name, cat, exact, handBuilt, ValidateConfig{}, executor.ErrUnsupportedPlan)

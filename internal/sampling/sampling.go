@@ -9,9 +9,10 @@
 // Reuse across rounds and queries goes through one store — the
 // executor's SkeletonCache, which WorkloadCache names — reached through
 // one per-request handle, executor.Prepared, which Cache names:
-// Prepare(q, store, cat) binds q's prepared validation state to the store
-// and to the catalog's current samples, and EstimatePlansCfg runs each
-// plan through it with Prepared.Count (DESIGN.md §2, §11).
+// Prepare(g, store, cat) binds the prepared validation state of the query
+// graph g to the store and to the catalog's current samples, and
+// EstimatePlansCfg runs each plan through it with Prepared.Count
+// (DESIGN.md §2, §11).
 package sampling
 
 import (
@@ -105,7 +106,7 @@ func EstimatePlansCfg(ctx context.Context, plans []*plan.Plan, cat *catalog.Cata
 		if !prep.Serves(p.Query, epoch) {
 			if !other.Serves(p.Query, epoch) {
 				var err error
-				if other, err = prepare(p.Query, cache.Cache(), cat); err != nil {
+				if other, err = prepare(sql.NewGraph(p.Query), cache.Cache(), cat); err != nil {
 					return nil, err
 				}
 			}
@@ -147,28 +148,29 @@ func EstimatePlansCfg(ctx context.Context, plans []*plan.Plan, cat *catalog.Cata
 // once per round. Prepare makes one; nil validates every plan uncached.
 type Cache = *executor.Prepared
 
-// Prepare returns the handle q's validations go through, over store (nil
-// caches nothing; a re-optimization's private store is an unbounded
-// executor.NewSkeletonCache), bound to the catalog's current samples:
-// their epoch and the scale factors they imply. The handle lives as long
-// as the request — make one per request. A validation after a
-// BuildSamples, or of another query's plan, goes through a handle made for
-// the call over the same store. Prepare returns nil when q is nil or the
-// catalog cannot scale it (no samples yet, or a table it lacks); the
-// validation then reports why.
-func Prepare(q *sql.Query, store *WorkloadCache, cat *catalog.Catalog) Cache {
-	if q == nil {
+// Prepare returns the handle the validations of g's query go through,
+// over store (nil caches nothing; a re-optimization's private store is an
+// unbounded executor.NewSkeletonCache), bound to the catalog's current
+// samples: their epoch and the scale factors they imply. g is the
+// request's query graph, the one its planner reads. The handle lives as
+// long as the request — make one per request. A validation after a
+// BuildSamples, or of another query's plan, goes through a handle made
+// for the call over the same store. Prepare returns nil when g is nil or
+// the catalog cannot scale its query (no samples yet, or a table it
+// lacks); the validation then reports why.
+func Prepare(g *sql.Graph, store *WorkloadCache, cat *catalog.Catalog) Cache {
+	if g == nil {
 		return nil
 	}
-	prep, _ := prepare(q, store, cat)
+	prep, _ := prepare(g, store, cat)
 	return prep
 }
 
-// prepare prepares q over store for the catalog's current samples, with
-// the per-alias scale factors |R| / |R^s| they imply.
-func prepare(q *sql.Query, store *WorkloadCache, cat *catalog.Catalog) (Cache, error) {
-	scales := make([]float64, len(q.Tables))
-	for i, tr := range q.Tables {
+// prepare prepares g's query over store for the catalog's current
+// samples, with the per-alias scale factors |R| / |R^s| they imply.
+func prepare(g *sql.Graph, store *WorkloadCache, cat *catalog.Catalog) (Cache, error) {
+	scales := make([]float64, len(g.Rels))
+	for i, tr := range g.Query.Tables {
 		base, err := cat.Table(tr.Name)
 		if err != nil {
 			return nil, err
@@ -186,7 +188,7 @@ func prepare(q *sql.Query, store *WorkloadCache, cat *catalog.Catalog) (Cache, e
 			scales[i] = 1 / cat.SampleRatio()
 		}
 	}
-	return executor.NewPrepared(q, store, cat.SampleEpoch(), scales), nil
+	return executor.NewPrepared(g, store, cat.SampleEpoch(), scales), nil
 }
 
 // estimateFromSteps scales a skeleton run's raw sample counts into the Δ

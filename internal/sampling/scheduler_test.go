@@ -16,6 +16,7 @@ import (
 	"reopt/internal/executor"
 	"reopt/internal/faultinject"
 	"reopt/internal/plan"
+	"reopt/internal/sql"
 )
 
 // schedValidate registers a client, validates, and closes — one
@@ -73,7 +74,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 			if cacheMode == "workload" {
 				// One handle for every requester: the others' plans
 				// validate through handles of their own over its store.
-				shared = Prepare(plans[0].Query, NewWorkloadCache(0), cat)
+				shared = Prepare(sql.NewGraph(plans[0].Query), NewWorkloadCache(0), cat)
 			}
 			var wg sync.WaitGroup
 			errs := make([]error, len(plans))
@@ -84,7 +85,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 					defer wg.Done()
 					cache := shared
 					if cacheMode == "perrun" {
-						cache = Prepare(plans[i].Query, perRun(), cat)
+						cache = Prepare(sql.NewGraph(plans[i].Query), perRun(), cat)
 					}
 					got[i], errs[i] = schedValidate(s, context.Background(), plans[i:i+1], cache)
 				}(i)

@@ -1,6 +1,8 @@
 package sql
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"reopt/internal/rel"
@@ -11,7 +13,9 @@ import (
 // tables of the parser tests and of the OTT and TPC-H shapes. Whatever
 // the input, Parse must not panic and must return exactly one of a query
 // and an error; a query must render (Query.String) to text that parses
-// back to the same fingerprint.
+// back to the same fingerprint and the same query graph: the same bits,
+// the same filters on each FROM position and the same canonical join
+// predicates in the same order.
 func FuzzParse(f *testing.F) {
 	for _, src := range []string{
 		// Parser tests.
@@ -71,5 +75,26 @@ func FuzzParse(f *testing.F) {
 		if q.Fingerprint() != q2.Fingerprint() {
 			t.Fatalf("Parse(%q): fingerprint drifts through %q:\n %s\n %s", src, q.String(), q.Fingerprint(), q2.Fingerprint())
 		}
+		if g, g2 := graphString(NewGraph(q)), graphString(NewGraph(q2)); g != g2 {
+			t.Fatalf("Parse(%q): query graph drifts through %q:\n %s\n %s", src, q.String(), g, g2)
+		}
 	})
+}
+
+// graphString renders what a query graph says: each FROM position's
+// alias, bit and filters, then each join predicate as written, its
+// canonical key and its endpoints' bits, in order.
+func graphString(g *Graph) string {
+	var b strings.Builder
+	for i, r := range g.Rels {
+		fmt.Fprintf(&b, "%s=%#x[", g.Query.Tables[i].Alias, r.Bit)
+		for _, f := range r.Filters {
+			b.WriteString(f.String() + ";")
+		}
+		b.WriteString("] ")
+	}
+	for _, e := range g.Edges {
+		fmt.Fprintf(&b, "{%s|%s|%#x|%#x} ", e.Pred, e.Key, e.L, e.R)
+	}
+	return b.String()
 }

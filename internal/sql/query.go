@@ -99,8 +99,10 @@ type JoinPred struct {
 	Right ColRef
 }
 
-// String renders the predicate in SQL.
-func (j JoinPred) String() string { return j.Left.String() + " = " + j.Right.String() }
+// String renders the predicate in SQL, as one allocation.
+func (j JoinPred) String() string {
+	return j.Left.Table + "." + j.Left.Column + " = " + j.Right.Table + "." + j.Right.Column
+}
 
 // Canonical returns the predicate with sides ordered by (table, column)
 // so that A.x = B.y and B.y = A.x compare equal.

@@ -24,8 +24,8 @@ import (
 // does; "kernel-bits": range pass, NULL mask). The sweep runs at 10^5
 // rows from 0.1 % to 50 % selectivity for the matches/rows cut-off, at
 // 1 % from 10^3 to 10^5 rows for the minimum indexed size, and times
-// what building the index — sortColumn's permutation and runs — costs per
-// row ("build"). At every point it
+// what building a sample's own slot — an unindexed one, so its
+// permutation without runs — costs per row ("build"). At every point it
 // also reads a second column of the store — the boundary column a scan
 // carries — at the index's rows, two ways: gathered at the row ids
 // ("other-gather") and copied from its ordered copy's run ("other-run"),
@@ -113,10 +113,10 @@ func BenchmarkIndexedRangeScan(b *testing.B) {
 		sweep(n, 10)
 	}
 	for _, n := range []int{4_096, 100_000, 288_000} {
-		col := store(n).Col(0)
+		cs := store(n)
 		b.Run(fmt.Sprintf("build/rows=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				col.sortColumn(n)
+				newSortedIndex(cs, 0, false).build()
 			}
 			perRow(b, n)
 		})

@@ -162,7 +162,7 @@ func TestColumnRunsIsTheIndex(t *testing.T) {
 		t.Helper()
 		ids, runs := tab.ColumnRuns(0)
 		col := tab.ColData().Col(0)
-		wantIDs, wantRuns := col.sortColumn(tab.NumRows())
+		wantIDs, wantRuns := col.sortColumn(tab.NumRows(), true)
 		if &ids[0] != &col.idx.perm[0] || &runs[0] != &col.idx.runs[0] {
 			t.Error("ColumnRuns on an indexed column sorted it again")
 		}
@@ -175,6 +175,29 @@ func TestColumnRunsIsTheIndex(t *testing.T) {
 	check()
 	if got := tab.SecondaryIndexBytes(); got != int64(101+12)*4 {
 		t.Errorf("SecondaryIndexBytes = %d, want 4 bytes for each of 101 ids and 12 run offsets", got)
+	}
+}
+
+// TestCreateIndexAfterRangeLookup: an unindexed slot a range lookup
+// built holds its permutation without runs (4 bytes a row), and an index
+// created on the column afterwards gets a slot with runs, so Lookup and
+// NumDistinct answer as the directory does.
+func TestCreateIndexAfterRangeLookup(t *testing.T) {
+	tab := intTable(2*indexMinRows, edgeValue)
+	col := tab.ColData().Col(0)
+	if _, ok := col.IndexRows(0, 10, nil, nil); !ok {
+		t.Fatal("range lookup not answered")
+	}
+	if perm, _ := tab.IndexBytes(); col.idx.runs != nil || perm != int64(cap(col.idx.perm))*4 {
+		t.Fatalf("unindexed slot: %d run offsets, %d bytes for %d id slots", len(col.idx.runs), perm, cap(col.idx.perm))
+	}
+	idx, err := tab.CreateIndex("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIndex(t, idx, indexProbes(storedValues(tab, 0)))
+	if err := pointsMatchLookup(col, idx); err != nil {
+		t.Fatal(err)
 	}
 }
 

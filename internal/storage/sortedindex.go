@@ -27,14 +27,14 @@ const (
 	// selectivity the index's selection vector is 30-120x cheaper than the
 	// kernel's at every size (45 ns against 1.5 us at 10^3 rows, 84 ns
 	// against 6.0 us at 4096, 0.20 against 24 us at 16384). A sample
-	// sorting its own permutation pays a build (17-30 ns a row; the runs
-	// cut off the sorted keys add 10-25 %), repaid after some 15-50 such
-	// filters whatever the size, and a full-ratio sample of an indexed
-	// column pays none. So the cut-off is about what there is to win:
-	// under 4096 rows a whole kernel pass costs a few microseconds, noise
-	// beside the rest of a validation at the paper's 600-row samples,
-	// while a permutation would still cost its build in some first
-	// request and 4 bytes a row. Those samples therefore never build one.
+	// sorting its own permutation pays a build (17-30 ns a row; it cuts no
+	// runs), repaid after some 15-50 such filters whatever the size, and a
+	// full-ratio sample of an indexed column pays none. So the cut-off is
+	// about what there is to win: under 4096 rows a whole kernel pass
+	// costs a few microseconds, noise beside the rest of a validation at
+	// the paper's 600-row samples, while a permutation would still cost
+	// its build in some first request and 4 bytes a row. Those samples
+	// therefore never build one.
 	indexMinRows = 4096
 	// indexMaxShare is the largest matches/rows ratio, as 1/indexMaxShare,
 	// the index still answers. It gates both uses of an answer, and on
@@ -61,7 +61,7 @@ const (
 // that asks for it, and lives — like perm — as long as the slot.
 type sortedIndex struct {
 	once       sync.Once
-	perm, runs []int32 // run r, one value's rows in heap order, is perm[runs[r]:runs[r+1]]
+	perm, runs []int32 // run r, one value's rows in heap order, is perm[runs[r]:runs[r+1]]; runs only when indexed
 	store      *ColStore
 	pos        int
 	indexed    bool          // a secondary index reads it (CreateIndex)
@@ -114,9 +114,11 @@ func (ix *sortedIndex) numDistinct() int {
 	return len(runs) - 1
 }
 
-// build sorts the column into the slot.
+// build sorts the column into the slot. Only a slot a secondary index
+// reads cuts runs: Lookup, NumDistinct and ColumnRuns read indexed slots
+// alone, and IndexRows, all an unindexed slot serves, reads perm alone.
 func (ix *sortedIndex) build() {
-	ix.perm, ix.runs = ix.store.cols[ix.pos].sortColumn(ix.store.numRows)
+	ix.perm, ix.runs = ix.store.cols[ix.pos].sortColumn(ix.store.numRows, ix.indexed)
 	ix.permBytes.Store(int64(cap(ix.perm)+cap(ix.runs)) * 4)
 }
 
@@ -174,12 +176,12 @@ func (c *ColData) IndexRows(lo, hi int64, with []int, runs []ColData) (rows []in
 }
 
 // sortedPerm returns the non-NULL row ids of vals in ascending (value,
-// row id) order and its runs: a stable byte-wise LSD radix sort of
-// (sign-flipped value, row id) pairs, whose sorted keys give the runs. A
-// digit every key shares — the high bytes of any small-range column — is
-// skipped, so typical columns sort in two or three count-and-scatter
-// passes.
-func sortedPerm(vals []int64, nulls []bool) (ids, runs []int32) {
+// row id) order and, when cut, its runs: a stable byte-wise LSD radix
+// sort of (sign-flipped value, row id) pairs, whose sorted keys give the
+// runs. A digit every key shares — the high bytes of any small-range
+// column — is skipped, so typical columns sort in two or three
+// count-and-scatter passes.
+func sortedPerm(vals []int64, nulls []bool, cut bool) (ids, runs []int32) {
 	keys := make([]uint64, 0, len(vals))
 	ids = make([]int32, 0, len(vals))
 	var varying uint64 // bits in which some key differs from the first
@@ -214,6 +216,9 @@ func sortedPerm(vals []int64, nulls []bool) (ids, runs []int32) {
 		keys, tmpKeys = tmpKeys, keys
 		ids, tmpIDs = tmpIDs, ids
 	}
+	if !cut {
+		return ids, nil
+	}
 	return ids, cutRuns(len(keys), func(x int) bool { return keys[x-1] != keys[x] })
 }
 
@@ -246,16 +251,17 @@ func (t *Table) ColumnRuns(pos int) (ids, runs []int32) {
 	if ix := t.data.cols[pos].idx; ix != nil && ix.indexed {
 		return ix.sorted()
 	}
-	return t.data.cols[pos].sortColumn(t.data.numRows)
+	return t.data.cols[pos].sortColumn(t.data.numRows, true)
 }
 
 // sortColumn sorts the column's n rows into ColumnRuns' permutation and
-// runs. An int64 column sorts with sortedPerm; any other with one
-// comparison sort in Value.Compare order, whose ties are Value.Key's
-// classes, so one run is one value under Value.Equal.
-func (c *ColData) sortColumn(n int) (ids, runs []int32) {
+// runs, which an int64 column cuts only when cut is set. An int64 column
+// sorts with sortedPerm; any other with one comparison sort in
+// Value.Compare order, whose ties are Value.Key's classes, so one run is
+// one value under Value.Equal.
+func (c *ColData) sortColumn(n int, cut bool) (ids, runs []int32) {
 	if c.Kind == rel.KindInt {
-		return sortedPerm(c.Ints, c.Nulls)
+		return sortedPerm(c.Ints, c.Nulls, cut)
 	}
 	ids = make([]int32, 0, n)
 	for i := range n {

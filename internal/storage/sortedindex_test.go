@@ -72,7 +72,7 @@ func TestSortedPermOrder(t *testing.T) {
 			}
 		}
 		sort.SliceStable(want, func(a, b int) bool { return c.Ints[want[a]] < c.Ints[want[b]] })
-		got, runs := sortedPerm(c.Ints, c.Nulls)
+		got, runs := sortedPerm(c.Ints, c.Nulls, true)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d rows in the permutation, want %d", name, len(got), len(want))
 		}

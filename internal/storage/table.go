@@ -152,9 +152,9 @@ func (t *Table) ColumnBytes(base *Table) int64 {
 }
 
 // IndexBytes is what t's sorted permutations hold so far: each one t
-// sorted itself with its runs, 4 bytes a non-NULL row and 4 a distinct
-// value (perm), and the ordered copies gathered (copies). Safe to call
-// while lookups build them.
+// sorted itself, 4 bytes a non-NULL row and, for an indexed column's
+// runs, 4 a distinct value (perm), and the ordered copies gathered
+// (copies). Safe to call while lookups build them.
 func (t *Table) IndexBytes() (perm, copies int64) {
 	for pos := range t.data.cols {
 		if ix := t.data.cols[pos].idx; ix != nil {
@@ -183,7 +183,9 @@ func (t *Table) CreateIndex(column string) (*Index, error) {
 		return nil, err
 	}
 	c := &t.data.cols[pos]
-	if c.idx == nil {
+	if c.idx == nil || !c.idx.indexed && c.idx.perm != nil {
+		// An unindexed slot built its permutation without the runs
+		// Lookup reads, so a built one is replaced.
 		c.idx = newSortedIndex(&t.data, pos, true)
 	}
 	c.idx.indexed = true

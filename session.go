@@ -388,12 +388,13 @@ func (s *Session) Validate(ctx context.Context, plans ...*Plan) ([]*SamplingEsti
 		return nil, nil
 	}
 	// One handle for the call: plans of the first plan's query share its
-	// prepared state; any other query's plans are prepared on their own.
-	var q *Query
-	if plans[0] != nil {
-		q = plans[0].Query
+	// prepared state, derived from a graph of its own since no planner
+	// made one; any other query's plans are prepared on their own.
+	var g *sql.Graph
+	if plans[0] != nil && plans[0].Query != nil {
+		g = sql.NewGraph(plans[0].Query)
 	}
-	cache := sampling.Prepare(q, s.cache, s.cat)
+	cache := sampling.Prepare(g, s.cache, s.cat)
 	return sampling.EstimatePlansCfg(ctx, plans, s.cat, cache, sampling.ValidateConfig{MemBudget: s.memBudget})
 }
 

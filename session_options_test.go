@@ -6,6 +6,7 @@ import (
 
 	"reopt"
 	"reopt/internal/sampling"
+	"reopt/internal/sql"
 )
 
 // TestWithConservativeBlendsDelta: WithConservative reaches the run. One
@@ -32,7 +33,7 @@ func TestWithConservativeBlendsDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := s.Optimizer().Prepare(q, nil)
+	pl, err := s.Optimizer().Prepare(sql.NewGraph(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"reopt"
 	"reopt/internal/executor"
+	"reopt/internal/sql"
 )
 
 // TestSessionValidateRejectsInexactPlan: a hand-built plan outside the
@@ -252,7 +253,7 @@ func TestSessionDuplicatePredicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, rd := range res.Rounds {
-		if _, err := executor.NewPrepared(q, nil, 0, nil).Count(ctx, rd.Plan.Root, cat.Sample, executor.SkelConfig{}); err != nil {
+		if _, err := executor.NewPrepared(sql.NewGraph(q), nil, 0, nil).Count(ctx, rd.Plan.Root, cat.Sample, executor.SkelConfig{}); err != nil {
 			t.Fatalf("round %d plan: %v", i+1, err)
 		}
 	}
