@@ -40,10 +40,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# loc prints the non-test Go lines outside bench/, the line count each
-# change's notes quote.
+# loc prints the non-test Go lines outside bench/ and outside testdata/
+# (the analyzers' fixtures are test inputs), the line count each change's
+# notes quote.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 # examples builds the example programs and the cmds as an explicit,
 # separately reported CI step: `go build ./...` in `check` covers them

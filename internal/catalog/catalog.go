@@ -191,7 +191,7 @@ func (c *Catalog) EffectiveSampleRatio(tableRows int) float64 {
 // map order.
 func (c *Catalog) BuildSamples(seed int64) {
 	// Every (re)build starts a fresh sample epoch: caches keyed by the
-	// epoch (sampling.WorkloadCache) are invalidated wholesale, so a
+	// epoch (executor.SkeletonCache) are invalidated wholesale, so a
 	// refreshed sample can never serve counts observed on its
 	// predecessor — even when the seed is identical.
 	c.sampleEpoch = sampleEpochCounter.Add(1)

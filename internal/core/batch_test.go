@@ -5,17 +5,33 @@ import (
 	"testing"
 
 	"reopt/internal/catalog"
+	"reopt/internal/executor"
 	"reopt/internal/plan"
 	"reopt/internal/sampling"
+	"reopt/internal/sql"
 )
+
+// workloadStore returns a workload's store: the one store, bounded as a
+// session's shared cache is by default.
+func workloadStore() *executor.SkeletonCache { return executor.NewSkeletonCache(4096, 0) }
+
+// mustPrepare is sampling.Prepare over q's graph, failing t on an error.
+func mustPrepare(t testing.TB, q *sql.Query, store *executor.SkeletonCache, cat *catalog.Catalog, budget int64) sampling.Cache {
+	t.Helper()
+	cache, err := sampling.Prepare(sql.NewGraph(q), store, cat, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cache
+}
 
 // sequentialEstimator ignores batching and caching: every plan's
 // skeleton re-executes from scratch, one plan at a time — the reference
 // behavior the batched path must be observably identical to.
-func sequentialEstimator(ctx context.Context, ps []*plan.Plan, c *catalog.Catalog, _ sampling.Cache, _ sampling.ValidateConfig) ([]*sampling.Estimate, error) {
+func sequentialEstimator(ctx context.Context, ps []*plan.Plan, c *catalog.Catalog, _ sampling.Cache) ([]*sampling.Estimate, error) {
 	out := make([]*sampling.Estimate, len(ps))
 	for i, p := range ps {
-		ests, err := sampling.EstimatePlansCfg(ctx, []*plan.Plan{p}, c, nil, sampling.ValidateConfig{})
+		ests, err := sampling.EstimatePlans(ctx, []*plan.Plan{p}, c, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -78,7 +94,7 @@ func TestMultiSeedBatchedIdentical(t *testing.T) {
 func TestWorkloadCacheReoptimizeIdentical(t *testing.T) {
 	r, qs := ottSetup(t)
 	cached := New(r.Opt, r.Cat)
-	cached.Opts.Cache = sampling.NewWorkloadCache(0)
+	cached.Opts.Cache = workloadStore()
 
 	for qi, q := range qs {
 		cold, err := r.Reoptimize(q)
@@ -107,11 +123,11 @@ func TestReoptimizeValidatesCandidateAlone(t *testing.T) {
 	r, qs := ottSetup(t)
 	orig := estimatePlansFn
 	defer func() { estimatePlansFn = orig }()
-	estimatePlansFn = func(ctx context.Context, ps []*plan.Plan, c *catalog.Catalog, cache sampling.Cache, cfg sampling.ValidateConfig) ([]*sampling.Estimate, error) {
+	estimatePlansFn = func(ctx context.Context, ps []*plan.Plan, c *catalog.Catalog, cache sampling.Cache) ([]*sampling.Estimate, error) {
 		if len(ps) != 1 {
 			t.Errorf("workers=%d: a round validated %d plans, want the candidate alone", r.Opts.Workers, len(ps))
 		}
-		return orig(ctx, ps, c, cache, cfg)
+		return orig(ctx, ps, c, cache)
 	}
 	for qi, q := range qs {
 		var snaps [4]*Result

@@ -29,10 +29,10 @@ func TestCrossRoundCacheGammaIdentical(t *testing.T) {
 
 		// Ignore the cache and the batch: every round re-executes every
 		// plan's skeleton from scratch, one at a time.
-		estimatePlansFn = func(ctx context.Context, ps []*plan.Plan, c *catalog.Catalog, _ sampling.Cache, _ sampling.ValidateConfig) ([]*sampling.Estimate, error) {
+		estimatePlansFn = func(ctx context.Context, ps []*plan.Plan, c *catalog.Catalog, _ sampling.Cache) ([]*sampling.Estimate, error) {
 			out := make([]*sampling.Estimate, len(ps))
 			for i, p := range ps {
-				ests, err := sampling.EstimatePlansCfg(ctx, []*plan.Plan{p}, c, nil, sampling.ValidateConfig{})
+				ests, err := sampling.EstimatePlans(ctx, []*plan.Plan{p}, c, nil)
 				if err != nil {
 					return nil, err
 				}

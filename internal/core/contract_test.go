@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"reopt/internal/catalog"
-	"reopt/internal/executor"
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
 	"reopt/internal/sampling"
@@ -30,18 +29,18 @@ func TestOptimizerPlansFitSkeleton(t *testing.T) {
 	defer func() { estimatePlansFn = orig }()
 	checked := 0
 	label := ""
-	estimatePlansFn = func(ctx context.Context, ps []*plan.Plan, cat *catalog.Catalog, cache sampling.Cache, cfg sampling.ValidateConfig) ([]*sampling.Estimate, error) {
+	estimatePlansFn = func(ctx context.Context, ps []*plan.Plan, cat *catalog.Catalog, cache sampling.Cache) ([]*sampling.Estimate, error) {
 		for _, p := range ps {
 			root := p.Root
 			if agg, ok := root.(*plan.AggregateNode); ok {
 				root = agg.Child // only join cardinalities are validated
 			}
-			if _, err := executor.NewPrepared(sql.NewGraph(p.Query), nil, 0, nil).Count(ctx, root, cat.Sample, executor.SkelConfig{}); err != nil {
+			if _, err := mustPrepare(t, p.Query, nil, cat, 0).Count(ctx, root); err != nil {
 				t.Fatalf("%s: plan %s is outside the skeleton's contract: %v", label, p.Fingerprint(), err)
 			}
 			checked++
 		}
-		return orig(ctx, ps, cat, cache, cfg)
+		return orig(ctx, ps, cat, cache)
 	}
 
 	ws := benchShapedWorkloads(t)

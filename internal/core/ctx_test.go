@@ -21,12 +21,12 @@ func TestCancelMidRoundReturnsCtxErr(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	estimatePlansFn = func(c context.Context, ps []*plan.Plan, cc *catalog.Catalog, cache sampling.Cache, cfg sampling.ValidateConfig) ([]*sampling.Estimate, error) {
+	estimatePlansFn = func(c context.Context, ps []*plan.Plan, cc *catalog.Catalog, cache sampling.Cache) ([]*sampling.Estimate, error) {
 		calls++
 		if calls == 2 {
 			cancel() // lands "mid-round": the engine sees it mid-validation
 		}
-		return orig(c, ps, cc, cache, cfg)
+		return orig(c, ps, cc, cache)
 	}
 	_, err := r.ReoptimizeCtx(ctx, qs[0])
 	if !errors.Is(err, context.Canceled) {
@@ -51,12 +51,12 @@ func TestCancelMultiSeedReturnsCtxErr(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	estimatePlansFn = func(c context.Context, ps []*plan.Plan, cc *catalog.Catalog, cache sampling.Cache, cfg sampling.ValidateConfig) ([]*sampling.Estimate, error) {
+	estimatePlansFn = func(c context.Context, ps []*plan.Plan, cc *catalog.Catalog, cache sampling.Cache) ([]*sampling.Estimate, error) {
 		calls++
 		if calls == 3 {
 			cancel()
 		}
-		return orig(c, ps, cc, cache, cfg)
+		return orig(c, ps, cc, cache)
 	}
 	if _, err := r.ReoptimizeMultiSeedCtx(ctx, qs[0], 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancel multi-seed: got %v, want context.Canceled", err)
@@ -76,8 +76,8 @@ func TestCtxDeadlineMatchesLegacyTimeout(t *testing.T) {
 		r, qs := ottSetup(t)
 		orig := estimatePlansFn
 		defer func() { estimatePlansFn = orig }()
-		estimatePlansFn = func(c context.Context, ps []*plan.Plan, cc *catalog.Catalog, cache sampling.Cache, cfg sampling.ValidateConfig) ([]*sampling.Estimate, error) {
-			ests, err := orig(context.Background(), ps, cc, cache, cfg)
+		estimatePlansFn = func(c context.Context, ps []*plan.Plan, cc *catalog.Catalog, cache sampling.Cache) ([]*sampling.Estimate, error) {
+			ests, err := orig(context.Background(), ps, cc, cache)
 			time.Sleep(2 * budget) // spend the budget after the round's validation
 			return ests, err
 		}
@@ -147,9 +147,9 @@ func TestTimeoutShieldsFirstRound(t *testing.T) {
 	r, qs := ottSetup(t)
 	orig := estimatePlansFn
 	defer func() { estimatePlansFn = orig }()
-	estimatePlansFn = func(c context.Context, ps []*plan.Plan, cc *catalog.Catalog, cache sampling.Cache, cfg sampling.ValidateConfig) ([]*sampling.Estimate, error) {
+	estimatePlansFn = func(c context.Context, ps []*plan.Plan, cc *catalog.Catalog, cache sampling.Cache) ([]*sampling.Estimate, error) {
 		time.Sleep(time.Millisecond)
-		return orig(c, ps, cc, cache, cfg)
+		return orig(c, ps, cc, cache)
 	}
 	r.Opts.Timeout = time.Nanosecond
 	res, err := r.Reoptimize(qs[0])

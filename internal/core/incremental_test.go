@@ -49,7 +49,7 @@ func TestIncrementalPlanningMatchesFromScratch(t *testing.T) {
 				t.Fatal(err)
 			}
 			whole := optimizer.NewGamma(q)
-			cache := sampling.Prepare(sql.NewGraph(q), executor.NewSkeletonCache(0, 0), w.cat)
+			cache := mustPrepare(t, q, executor.NewSkeletonCache(0, 0), w.cat, 0)
 			var prev *plan.Plan
 			for i := 1; i <= 12; i++ {
 				label := fmt.Sprintf("%s query %d round %d", w.name, qi, i)
@@ -66,7 +66,7 @@ func TestIncrementalPlanningMatchesFromScratch(t *testing.T) {
 				if prev != nil && p.Fingerprint() == prev.Fingerprint() {
 					break
 				}
-				ests, err := sampling.EstimatePlansCfg(context.Background(), []*plan.Plan{p}, w.cat, cache, sampling.ValidateConfig{})
+				ests, err := sampling.EstimatePlans(context.Background(), []*plan.Plan{p}, w.cat, cache)
 				if err != nil {
 					t.Fatal(err)
 				}

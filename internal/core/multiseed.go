@@ -8,7 +8,6 @@ import (
 
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
-	"reopt/internal/sampling"
 	"reopt/internal/sql"
 )
 
@@ -48,7 +47,10 @@ func (r *Reoptimizer) ReoptimizeMultiSeedCtx(ctx context.Context, q *sql.Query, 
 	// reuse across queries), and one prepared validation state serves
 	// every seed's rounds, all from one query graph.
 	g := sql.NewGraph(q)
-	cache := sampling.Prepare(g, r.runCache(), r.Cat)
+	cache, err := r.prepare(g)
+	if err != nil {
+		return nil, err
+	}
 
 	var best *Result
 	var bestCost float64

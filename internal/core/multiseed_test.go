@@ -24,10 +24,10 @@ func TestMultiSeedHonorsTimeout(t *testing.T) {
 	orig := estimatePlansFn
 	defer func() { estimatePlansFn = orig }()
 	calls := 0
-	estimatePlansFn = func(ctx context.Context, ps []*plan.Plan, c *catalog.Catalog, cache sampling.Cache, cfg sampling.ValidateConfig) ([]*sampling.Estimate, error) {
+	estimatePlansFn = func(ctx context.Context, ps []*plan.Plan, c *catalog.Catalog, cache sampling.Cache) ([]*sampling.Estimate, error) {
 		calls++
 		time.Sleep(5 * time.Millisecond)
-		return orig(ctx, ps, c, cache, cfg)
+		return orig(ctx, ps, c, cache)
 	}
 	r.Opts.Timeout = time.Millisecond
 	res, err := r.ReoptimizeMultiSeedCtx(context.Background(), qs[0], 4)

@@ -167,7 +167,7 @@ type refStore struct {
 // are the general executor's.
 func oraclePhysRows(t testing.TB, label string, q *sql.Query, skeleton plan.Node, cat *catalog.Catalog, nodeRows map[plan.Node]int64) map[plan.Node]int64 {
 	t.Helper()
-	steps, err := executor.NewPrepared(sql.NewGraph(q), nil, 0, nil).Count(context.Background(), skeleton, cat.Sample, executor.SkelConfig{})
+	steps, err := mustPrepare(t, q, nil, cat, 0).Count(context.Background(), skeleton)
 	if err != nil {
 		t.Fatalf("%s: cold skeleton run: %v", label, err)
 	}
@@ -255,7 +255,7 @@ type validationCheck struct {
 	t      *testing.T
 	label  string
 	cat    *catalog.Catalog
-	shared *sampling.WorkloadCache
+	shared *executor.SkeletonCache
 	store  *refStore
 	rounds int
 	// afterRound, when set, runs after each checked validation (the
@@ -263,7 +263,7 @@ type validationCheck struct {
 	afterRound func(round int)
 }
 
-func (c *validationCheck) estimate(ctx context.Context, ps []*plan.Plan, cat *catalog.Catalog, cache sampling.Cache, cfg sampling.ValidateConfig) ([]*sampling.Estimate, error) {
+func (c *validationCheck) estimate(ctx context.Context, ps []*plan.Plan, cat *catalog.Catalog, cache sampling.Cache) ([]*sampling.Estimate, error) {
 	t := c.t
 	// Validation runs on this goroutine, so the rule's action does too.
 	var tags []string
@@ -272,7 +272,7 @@ func (c *validationCheck) estimate(ctx context.Context, ps []*plan.Plan, cat *ca
 		tags = append(tags, tag)
 	}})
 	restore := fi.Activate()
-	ests, err := sampling.EstimatePlansCfg(ctx, ps, cat, cache, cfg)
+	ests, err := sampling.EstimatePlans(ctx, ps, cat, cache)
 	restore()
 	if err != nil {
 		return nil, err
@@ -296,9 +296,7 @@ func (c *validationCheck) estimate(ctx context.Context, ps []*plan.Plan, cat *ca
 			if b <= 0 {
 				continue
 			}
-			bcfg := cfg
-			bcfg.MemBudget = b
-			_, berr := sampling.EstimatePlansCfg(ctx, []*plan.Plan{p}, cat, cache, bcfg)
+			_, berr := sampling.EstimatePlans(ctx, []*plan.Plan{p}, cat, mustPrepare(t, p.Query, cache.Cache(), cat, b))
 			if breach := errors.Is(berr, executor.ErrMemoryBudget); breach != (b < charge) || (berr != nil && !breach) {
 				t.Fatalf("%s: budget %d against a charge of %d: %v", label, b, charge, berr)
 			}
@@ -383,7 +381,7 @@ func TestPreparedValidationMatchesFromScratch(t *testing.T) {
 		for _, workers := range []int{0, 8} {
 			// One cache per configuration, shared by the workload's
 			// queries as a session's is.
-			cache := sampling.NewWorkloadCache(0)
+			cache := workloadStore()
 			store := &refStore{keys: map[string]bool{}}
 			for qi, q := range w.queries {
 				label := fmt.Sprintf("%s query %d workers=%d", w.name, qi, workers)
@@ -463,7 +461,7 @@ func TestPreparedValidationFollowsSampleEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := optimizer.New(cat, optimizer.DefaultConfig())
-	cache := sampling.NewWorkloadCache(0)
+	cache := workloadStore()
 	store := &refStore{keys: map[string]bool{}}
 	rebuilds := 0
 	for qi, q := range qs {
@@ -509,7 +507,7 @@ func TestPrivateCacheFollowsSampleEpoch(t *testing.T) {
 		// shared is only the probes' hit/miss reference here: the run
 		// validates through its own private cache.
 		check := &validationCheck{t: t, label: fmt.Sprintf("query %d", qi), cat: cat,
-			shared: sampling.NewWorkloadCache(0), store: &refStore{keys: map[string]bool{}}}
+			shared: workloadStore(), store: &refStore{keys: map[string]bool{}}}
 		check.afterRound = func(round int) {
 			if round == 1 {
 				cat.BuildSamples(int64(200 + qi))
@@ -557,7 +555,7 @@ func TestPreparedValidationCoalescedAliasOrders(t *testing.T) {
 		alone = append(alone, res)
 	}
 	for _, workers := range []int{0, 8} { // deprecated: selects nothing
-		cache := sampling.NewWorkloadCache(0)
+		cache := workloadStore()
 		got := make([]*Result, len(qs))
 		errs := make([]error, len(qs))
 		var wg sync.WaitGroup
@@ -607,7 +605,7 @@ func TestMultiSeedSharesOnePreparedState(t *testing.T) {
 		}
 		want[i] = res.Final.Fingerprint() + " " + res.Gamma.Snapshot()
 	}
-	cache := sampling.NewWorkloadCache(0)
+	cache := workloadStore()
 	var wg sync.WaitGroup
 	for i, q := range qs {
 		wg.Add(1)
@@ -647,7 +645,7 @@ func TestRepeatRoundValidationAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := sampling.Prepare(sql.NewGraph(qs[0]), sampling.NewWorkloadCache(0), cat)
+	cache := mustPrepare(t, qs[0], workloadStore(), cat, 0)
 	plans := []*plan.Plan{p}
 	for _, workers := range []int{0, 1, 8} {
 		r := New(opt, cat)
@@ -683,21 +681,21 @@ func BenchmarkValidateRounds(b *testing.B) {
 	if err != nil || len(res.Rounds) < 2 {
 		b.Fatalf("need two recorded rounds: %d, %v", len(res.Rounds), err)
 	}
-	ctx, cfg := context.Background(), sampling.ValidateConfig{}
+	ctx := context.Background()
 	round := func(i int) []*plan.Plan { return []*plan.Plan{res.Rounds[i].Plan} }
 	b.Run("first", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cache := sampling.Prepare(sql.NewGraph(q), executor.NewSkeletonCache(0, 0), cat)
-			if _, err := sampling.EstimatePlansCfg(ctx, round(0), cat, cache, cfg); err != nil {
+			cache := mustPrepare(b, q, executor.NewSkeletonCache(0, 0), cat, 0)
+			if _, err := sampling.EstimatePlans(ctx, round(0), cat, cache); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("repeat", func(b *testing.B) {
-		cache := sampling.Prepare(sql.NewGraph(q), executor.NewSkeletonCache(0, 0), cat)
+		cache := mustPrepare(b, q, executor.NewSkeletonCache(0, 0), cat, 0)
 		for i := 0; i < 2; i++ {
-			if _, err := sampling.EstimatePlansCfg(ctx, round(i), cat, cache, cfg); err != nil {
+			if _, err := sampling.EstimatePlans(ctx, round(i), cat, cache); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -705,7 +703,7 @@ func BenchmarkValidateRounds(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sampling.EstimatePlansCfg(ctx, plans, cat, cache, cfg); err != nil {
+			if _, err := sampling.EstimatePlans(ctx, plans, cat, cache); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -748,8 +746,8 @@ func BenchmarkPrepareQuery(b *testing.B) {
 				if _, err := opt.Prepare(g, nil); err != nil {
 					b.Fatal(err)
 				}
-				if sampling.Prepare(g, store, c.cat) == nil {
-					b.Fatal("no validation handle")
+				if _, err := sampling.Prepare(g, store, c.cat, 0); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -39,7 +39,7 @@ func TestRecostMatchesPlannerNodeByNode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cache := sampling.Prepare(sql.NewGraph(q), nil, w.cat)
+			cache := mustPrepare(t, q, nil, w.cat, 0)
 			var prev *plan.Plan
 			for round := 1; round <= 20; round++ {
 				label := fmt.Sprintf("%s query %d round %d", w.name, qi, round)
@@ -66,7 +66,7 @@ func TestRecostMatchesPlannerNodeByNode(t *testing.T) {
 					}
 					break
 				}
-				ests, err := sampling.EstimatePlansCfg(ctx, []*plan.Plan{p}, w.cat, cache, sampling.ValidateConfig{})
+				ests, err := sampling.EstimatePlans(ctx, []*plan.Plan{p}, w.cat, cache)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}

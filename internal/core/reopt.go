@@ -76,11 +76,11 @@ type Options struct {
 	// invalidated by the catalog's sample epoch). nil keeps the default
 	// cache scoped to one re-optimization. Reuse never changes
 	// estimates, only when they are computed.
-	Cache *sampling.WorkloadCache
+	Cache *executor.SkeletonCache
 	// Validator optionally reroutes every validation the round loop
 	// issues — every seed's candidate plans included — through a
 	// substitute, e.g. a wrapper that times or counts validations. nil
-	// validates directly via sampling.EstimatePlansCfg. A Validator must
+	// validates directly via sampling.EstimatePlans. A Validator must
 	// return estimates byte-identical to the direct path (caching may
 	// change when counts are computed, never their values).
 	Validator Validator
@@ -90,8 +90,9 @@ type Options struct {
 	// offending validation fails with an error wrapping
 	// context.DeadlineExceeded, so the round loop degrades to the best
 	// validated plan so far (§5.4 extended from time to space) instead
-	// of failing the query. Only the direct validation path applies it;
-	// a Validator enforces its own budget.
+	// of failing the query. The budget rides the request's validation
+	// handle, so a Validator validating through that handle applies it
+	// too.
 	MemBudget int64
 	// TemplateSharing once indexed cached sample scans by template.
 	//
@@ -103,7 +104,8 @@ type Options struct {
 // Validator is the seam the round loop submits candidate-plan
 // validations through. Implementations run on the caller's goroutine,
 // are positional (estimate i belongs to plans[i]) and byte-identical to
-// sampling.EstimatePlansCfg over the same cache.
+// sampling.EstimatePlans over the same cache, the request's handle, which
+// carries the samples and the memory budget.
 type Validator interface {
 	ValidatePlans(ctx context.Context, plans []*plan.Plan, cache sampling.Cache) ([]*sampling.Estimate, error)
 }
@@ -202,7 +204,27 @@ func (r *Reoptimizer) ReoptimizeCtx(ctx context.Context, q *sql.Query) (*Result,
 	// beyond the plan at hand is prepared once, beside the planner, from
 	// the one query graph both read.
 	g := sql.NewGraph(q)
-	return r.reoptimize(ctx, run, g, nil, sampling.Prepare(g, r.runCache(), r.Cat))
+	cache, err := r.prepare(g)
+	if err != nil {
+		return nil, err
+	}
+	return r.reoptimize(ctx, run, g, nil, cache)
+}
+
+// prepare binds the validations of g's query: the run's store (the
+// configured workload-level cache, or a private one — the same store,
+// unbounded — that dies with the run), the catalog's current samples and
+// Options.MemBudget.
+func (r *Reoptimizer) prepare(g *sql.Graph) (sampling.Cache, error) {
+	store := r.Opts.Cache
+	if store == nil {
+		store = executor.NewSkeletonCache(0, 0)
+	}
+	cache, err := sampling.Prepare(g, store, r.Cat, r.Opts.MemBudget)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return cache, nil
 }
 
 // startErr reports a ctx that is done before any work starts: a spent
@@ -232,9 +254,6 @@ func (r *Reoptimizer) budgetCtx(ctx context.Context) (context.Context, context.C
 // A non-nil seed is P_1, handed in instead of planned (the multi-seed
 // variant): it costs no optimizer time.
 func (r *Reoptimizer) reoptimize(outer, run context.Context, g *sql.Graph, seed *plan.Plan, cache sampling.Cache) (*Result, error) {
-	if !r.Cat.HasSamples() {
-		return nil, fmt.Errorf("core: %w; call BuildSamples before re-optimizing", sampling.ErrNoSamples)
-	}
 	// One planner serves every round: the query is resolved against the
 	// catalog once, and each round re-prices the whole DP table under
 	// the Γ the previous rounds' Δ grew (DESIGN §10: tracking what a Δ
@@ -404,25 +423,15 @@ func blend(pl *optimizer.Planner, est *sampling.Estimate) []optimizer.SetRows {
 	return out
 }
 
-// runCache returns the store one re-optimization validates through: the
-// configured workload-level cache, or a private one — the same store,
-// unbounded — that dies with the run.
-func (r *Reoptimizer) runCache() *sampling.WorkloadCache {
-	if r.Opts.Cache != nil {
-		return r.Opts.Cache
-	}
-	return executor.NewSkeletonCache(0, 0)
-}
-
 // validatePlans routes one validation through the injected Validator
 // when configured and directly into the sampling estimator otherwise.
 func (r *Reoptimizer) validatePlans(ctx context.Context, plans []*plan.Plan, cache sampling.Cache) ([]*sampling.Estimate, error) {
 	if r.Opts.Validator != nil {
 		return r.Opts.Validator.ValidatePlans(ctx, plans, cache)
 	}
-	return estimatePlansFn(ctx, plans, r.Cat, cache, sampling.ValidateConfig{MemBudget: r.Opts.MemBudget})
+	return estimatePlansFn(ctx, plans, r.Cat, cache)
 }
 
 // estimatePlansFn indirects the sampling estimator for
 // failure-injection and cache-equivalence tests.
-var estimatePlansFn = sampling.EstimatePlansCfg
+var estimatePlansFn = sampling.EstimatePlans

@@ -234,7 +234,7 @@ func TestSamplingFailureInjection(t *testing.T) {
 	orig := estimatePlansFn
 	defer func() { estimatePlansFn = orig }()
 	boom := errors.New("injected sampling failure")
-	estimatePlansFn = func(_ context.Context, ps []*plan.Plan, c *catalog.Catalog, cache sampling.Cache, _ sampling.ValidateConfig) ([]*sampling.Estimate, error) {
+	estimatePlansFn = func(_ context.Context, ps []*plan.Plan, c *catalog.Catalog, cache sampling.Cache) ([]*sampling.Estimate, error) {
 		return nil, boom
 	}
 	if _, err := r.Reoptimize(qs[0]); !errors.Is(err, boom) {

@@ -30,9 +30,46 @@ func countsByNode(steps []Step) map[plan.Node]int64 {
 	return counts
 }
 
+// prepareOver is a handle on p's query over the tables binder resolves,
+// by FROM position, under budget.
+func prepareOver(p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, budget int64) (*Prepared, error) {
+	tables, err := tablesOf(p.Query, binder)
+	if err != nil {
+		return nil, err
+	}
+	return NewPrepared(sql.NewGraph(p.Query), cache, 0, tables, nil, budget)
+}
+
+// tablesOf resolves q's tables with binder, by FROM position.
+func tablesOf(q *sql.Query, binder func(string) (*storage.Table, error)) ([]*storage.Table, error) {
+	tables := make([]*storage.Table, len(q.Tables))
+	for i, tr := range q.Tables {
+		var err error
+		if tables[i], err = binder(tr.Name); err != nil {
+			return nil, err
+		}
+	}
+	return tables, nil
+}
+
+// compileOnly is a handle on q that binds no tables: it compiles plans
+// and renders keys under epoch's namespace, and validates nothing.
+func compileOnly(t testing.TB, q *sql.Query, cache *SkeletonCache, epoch uint64) *Prepared {
+	t.Helper()
+	prep, err := NewPrepared(sql.NewGraph(q), cache, epoch, nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prep
+}
+
 // countSkeletonCfg validates p alone, through a fresh handle over cache.
-func countSkeletonCfg(ctx context.Context, p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, cfg SkelConfig) (map[plan.Node]int64, error) {
-	steps, err := NewPrepared(sql.NewGraph(p.Query), cache, 0, nil).Count(ctx, p.Root, binder, cfg)
+func countSkeletonCfg(ctx context.Context, p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, budget int64) (map[plan.Node]int64, error) {
+	prep, err := prepareOver(p, binder, cache, budget)
+	if err != nil {
+		return nil, err
+	}
+	steps, err := prep.Count(ctx, p.Root)
 	if err != nil {
 		return nil, err
 	}
@@ -40,22 +77,25 @@ func countSkeletonCfg(ctx context.Context, p *plan.Plan, binder func(string) (*s
 }
 
 func countSkeleton(p *plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache) (map[plan.Node]int64, error) {
-	return countSkeletonCfg(context.Background(), p, binder, cache, SkelConfig{})
+	return countSkeletonCfg(context.Background(), p, binder, cache, 0)
 }
 
 // countBatch validates plans in turn over cache, as one request does its
 // rounds: the plans of one query through one shared handle. The first
 // failure ends the batch.
-func countBatch(ctx context.Context, plans []*plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, cfg SkelConfig) ([]map[plan.Node]int64, error) {
+func countBatch(ctx context.Context, plans []*plan.Plan, binder func(string) (*storage.Table, error), cache *SkeletonCache, budget int64) ([]map[plan.Node]int64, error) {
 	preps := map[*sql.Query]*Prepared{}
 	counts := make([]map[plan.Node]int64, len(plans))
 	for i, p := range plans {
 		prep := preps[p.Query]
 		if prep == nil {
-			prep = NewPrepared(sql.NewGraph(p.Query), cache, 0, nil)
+			var err error
+			if prep, err = prepareOver(p, binder, cache, budget); err != nil {
+				return nil, err
+			}
 			preps[p.Query] = prep
 		}
-		steps, err := prep.Count(ctx, p.Root, binder, cfg)
+		steps, err := prep.Count(ctx, p.Root)
 		if err != nil {
 			return nil, err
 		}
@@ -90,7 +130,7 @@ func TestCountSkeletonBatchMatchesSequential(t *testing.T) {
 
 		check := func(label string, cache *SkeletonCache) {
 			t.Helper()
-			got, err := countBatch(ctx, plans, cat.Table, cache, SkelConfig{})
+			got, err := countBatch(ctx, plans, cat.Table, cache, 0)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, label, err)
 			}
@@ -135,7 +175,7 @@ func TestCountSkeletonBatchDedupes(t *testing.T) {
 	plans := skelPlans(cat, skelQuery())
 
 	cache := NewSkeletonCache(0, 0)
-	if _, err := countBatch(context.Background(), plans, cat.Table, cache, SkelConfig{}); err != nil {
+	if _, err := countBatch(context.Background(), plans, cat.Table, cache, 0); err != nil {
 		t.Fatal(err)
 	}
 	seqCache := NewSkeletonCache(0, 0)
@@ -173,7 +213,7 @@ func TestCountSkeletonBatchIsolatesUnsupportedPlans(t *testing.T) {
 	bad := &plan.Plan{Root: plans[0].Root, Query: badQ}
 
 	wantCache := NewSkeletonCache(0, 0)
-	if _, err := countBatch(context.Background(), []*plan.Plan{plans[0], plans[1]}, cat.Table, wantCache, SkelConfig{}); err != nil {
+	if _, err := countBatch(context.Background(), []*plan.Plan{plans[0], plans[1]}, cat.Table, wantCache, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -245,7 +285,7 @@ func TestSkeletonCacheLRUEviction(t *testing.T) {
 
 	// A handle namespaces its keys by its sample epoch: another epoch's
 	// entries are unreachable through it and age out.
-	if got := subKey(NewPrepared(sql.NewGraph(skelQuery()), c, 2, nil).prefix, "sig", nil); got != "s2|sig|B:" {
+	if got := subKey(compileOnly(t, skelQuery(), c, 2).prefix, "sig", nil); got != "s2|sig|B:" {
 		t.Errorf("subKey with prefix: %q", got)
 	}
 }

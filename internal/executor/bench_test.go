@@ -140,7 +140,7 @@ func BenchmarkWeightedChainJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := countSkeletonCfg(context.Background(), p, cat.Sample, nil, SkelConfig{})
+		got, err := countSkeletonCfg(context.Background(), p, cat.Sample, nil, 0)
 		if err != nil || got[root] != want[root] {
 			b.Fatalf("root counts %d (%v), want %d", got[root], err, want[root])
 		}

@@ -225,7 +225,7 @@ func exactCharge(t *testing.T, cat *catalog.Catalog, p *plan.Plan) int64 {
 	lo, hi := int64(0), int64(1)<<26 // breaches at lo (or lo = 0), passes at hi
 	for lo+1 < hi {
 		mid := (lo + hi) / 2
-		_, err := countSkeletonCfg(context.Background(), p, cat.Table, nil, SkelConfig{MemBudget: mid})
+		_, err := countSkeletonCfg(context.Background(), p, cat.Table, nil, mid)
 		switch {
 		case err == nil:
 			hi = mid
@@ -276,7 +276,7 @@ func TestCompactedCountsMatchVolcano(t *testing.T) {
 						t.Fatalf("%s: volcano: %v", label, err)
 					}
 					want[pi] = res.NodeRows
-					if _, err := countSkeletonCfg(ctx, p, cat.Table, refCache, SkelConfig{}); err != nil {
+					if _, err := countSkeletonCfg(ctx, p, cat.Table, refCache, 0); err != nil {
 						t.Fatalf("%s: reference: %v", label, err)
 					}
 					charges[pi] = exactCharge(t, cat, p)
@@ -289,7 +289,7 @@ func TestCompactedCountsMatchVolcano(t *testing.T) {
 					}
 				}
 				// A join set's count does not depend on the tree.
-				steps, err := NewPrepared(sql.NewGraph(plans[0].Query), nil, 0, nil).compile(plans[0].Root)
+				steps, err := compileOnly(t, plans[0].Query, nil, 0).compile(plans[0].Root)
 				if err != nil {
 					t.Fatalf("%s: compile: %v", label, err)
 				}
@@ -320,14 +320,14 @@ func TestCompactedCountsMatchVolcano(t *testing.T) {
 				single, batch := NewSkeletonCache(0, 0), NewSkeletonCache(0, 0)
 				for _, cl := range []string{"cold", "warm"} {
 					for pi, p := range plans {
-						got, err := countSkeletonCfg(ctx, p, cat.Table, single, SkelConfig{})
+						got, err := countSkeletonCfg(ctx, p, cat.Table, single, 0)
 						if err != nil {
 							t.Fatalf("%s [%s single]: %v", label, cl, err)
 						}
 						check(cl+" single", pi, got)
 					}
 					sameAsRef(cl+" single", single)
-					got, err := countBatch(ctx, plans, cat.Table, batch, SkelConfig{})
+					got, err := countBatch(ctx, plans, cat.Table, batch, 0)
 					if err != nil {
 						t.Fatalf("%s [%s batch]: %v", label, cl, err)
 					}
@@ -345,7 +345,7 @@ func TestCompactedCountsMatchVolcano(t *testing.T) {
 								if b <= 0 {
 									continue
 								}
-								_, err := countSkeletonCfg(ctx, p, cat.Table, c, SkelConfig{MemBudget: b})
+								_, err := countSkeletonCfg(ctx, p, cat.Table, c, b)
 								if (err != nil && !errors.Is(err, ErrMemoryBudget)) || errors.Is(err, ErrMemoryBudget) != (b < charges[pi]) {
 									t.Fatalf("%s [%s cached=%v] instance %d: budget %d against a charge of %d: %v",
 										label, cl, c != nil, pi, b, charges[pi], err)
@@ -437,7 +437,7 @@ func TestCountOverflowFailsValidation(t *testing.T) {
 	ctx := context.Background()
 	cache := NewSkeletonCache(0, 0)
 	for _, state := range []string{"cold", "warm"} {
-		if _, err := countSkeletonCfg(ctx, p, cat.Table, cache, SkelConfig{}); !errors.Is(err, ErrCountOverflow) || errors.Is(err, ErrValidationPanic) {
+		if _, err := countSkeletonCfg(ctx, p, cat.Table, cache, 0); !errors.Is(err, ErrCountOverflow) || errors.Is(err, ErrValidationPanic) {
 			t.Fatalf("%s: %v, want ErrCountOverflow for the plan", state, err)
 		}
 	}

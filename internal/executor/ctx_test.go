@@ -87,7 +87,7 @@ func TestBatchCtxAbortDoesNotPoisonCache(t *testing.T) {
 	q := skelQuery()
 	plans := skelPlans(cat, q)
 
-	refCounts, err := countBatch(context.Background(), plans, cat.Table, nil, SkelConfig{})
+	refCounts, err := countBatch(context.Background(), plans, cat.Table, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestBatchCtxAbortDoesNotPoisonCache(t *testing.T) {
 				cancel()
 			}(delay)
 		}
-		counts, aerr := countBatch(ctx, plans, cat.Table, cache, SkelConfig{})
+		counts, aerr := countBatch(ctx, plans, cat.Table, cache, 0)
 		cancel()
 		// The abort may or may not have landed before completion; when it
 		// did, the error must be the context's and nothing is answered.
@@ -114,7 +114,7 @@ func TestBatchCtxAbortDoesNotPoisonCache(t *testing.T) {
 			t.Fatalf("pre-cancelled batch: err %v, %d entries cached", aerr, cache.Len())
 		}
 
-		counts, rerr := countBatch(context.Background(), plans, cat.Table, cache, SkelConfig{})
+		counts, rerr := countBatch(context.Background(), plans, cat.Table, cache, 0)
 		if rerr != nil {
 			t.Fatalf("delay %v: re-run over post-abort cache: %v", delay, rerr)
 		}
@@ -135,7 +135,7 @@ func TestCountSkeletonCtxCancelled(t *testing.T) {
 	cache := NewSkeletonCache(0, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := countSkeletonCfg(ctx, p, cat.Table, cache, SkelConfig{}); !errors.Is(err, context.Canceled) {
+	if _, err := countSkeletonCfg(ctx, p, cat.Table, cache, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled CountSkeletonCfg: got %v, want context.Canceled", err)
 	}
 	want, err := countSkeleton(p, cat.Table, nil)

@@ -52,8 +52,10 @@ type Result struct {
 	Duration time.Duration
 	// Counters aggregates physical work across all operators.
 	Counters Counters
-	// NodeRows maps each plan node to the number of rows it emitted —
-	// the per-subtree cardinalities the sampling estimator consumes.
+	// NodeRows maps each plan node to the number of rows it emitted: the
+	// actual cardinalities EXPLAIN ANALYZE prints, and the oracle the
+	// skeleton engine's counts are tested against (the estimator itself
+	// reads only Prepared.Count).
 	NodeRows map[plan.Node]int64
 }
 

@@ -17,17 +17,17 @@ func TestMemoryBudgetVerdictEquivalence(t *testing.T) {
 	p := skelPlans(cat, q)[0]
 	ctx := context.Background()
 
-	want, err := countSkeletonCfg(ctx, p, cat.Table, nil, SkelConfig{})
+	want, err := countSkeletonCfg(ctx, p, cat.Table, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, budget := range []int64{1, 100, 1000, 10_000, 1 << 40} {
-		soloCold, soloErr := countSkeletonCfg(ctx, p, cat.Table, nil, SkelConfig{MemBudget: budget})
+		soloCold, soloErr := countSkeletonCfg(ctx, p, cat.Table, nil, budget)
 		warm := NewSkeletonCache(0, 0)
-		if _, err := countSkeletonCfg(ctx, p, cat.Table, warm, SkelConfig{}); err != nil {
+		if _, err := countSkeletonCfg(ctx, p, cat.Table, warm, 0); err != nil {
 			t.Fatal(err)
 		}
-		_, warmErr := countSkeletonCfg(ctx, p, cat.Table, warm, SkelConfig{MemBudget: budget})
+		_, warmErr := countSkeletonCfg(ctx, p, cat.Table, warm, budget)
 		if errors.Is(soloErr, ErrMemoryBudget) != errors.Is(warmErr, ErrMemoryBudget) {
 			t.Fatalf("budget %d: cold verdict %v, warm verdict %v", budget, soloErr, warmErr)
 		}
@@ -43,7 +43,7 @@ func TestMemoryBudgetVerdictEquivalence(t *testing.T) {
 		}
 	}
 	// Sanity: the extremes behave as extremes.
-	if _, err := countSkeletonCfg(ctx, p, cat.Table, nil, SkelConfig{MemBudget: 1}); !errors.Is(err, ErrMemoryBudget) {
+	if _, err := countSkeletonCfg(ctx, p, cat.Table, nil, 1); !errors.Is(err, ErrMemoryBudget) {
 		t.Fatalf("budget 1: err = %v, want ErrMemoryBudget", err)
 	}
 	if !errors.Is(ErrMemoryBudget, context.DeadlineExceeded) {
@@ -61,7 +61,7 @@ func TestPanicContainedSinglePlan(t *testing.T) {
 	fi.PanicAt(faultinject.SkelNode, "T:t2=t2")
 	defer fi.Activate()()
 
-	_, err := countSkeletonCfg(context.Background(), p, cat.Table, nil, SkelConfig{})
+	_, err := countSkeletonCfg(context.Background(), p, cat.Table, nil, 0)
 	if !errors.Is(err, ErrValidationPanic) {
 		t.Fatalf("err = %v, want ErrValidationPanic", err)
 	}

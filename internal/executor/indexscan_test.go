@@ -367,13 +367,13 @@ func TestIndexedScanSelection(t *testing.T) {
 		single, batch := NewSkeletonCache(0, 0), NewSkeletonCache(0, 0)
 		for _, label := range []string{"cold", "warm"} {
 			for pi, p := range plans {
-				got, err := countSkeletonCfg(ctx, p, cat.Table, single, SkelConfig{})
+				got, err := countSkeletonCfg(ctx, p, cat.Table, single, 0)
 				if err != nil {
 					t.Fatalf("%s [%s single]: %v", name, label, err)
 				}
 				check(label+" single", pi, got, single)
 			}
-			got, err := countBatch(ctx, plans, cat.Table, batch, SkelConfig{})
+			got, err := countBatch(ctx, plans, cat.Table, batch, 0)
 			if err != nil {
 				t.Fatalf("%s [%s batch]: %v", name, label, err)
 			}
@@ -495,7 +495,15 @@ func TestIndexedScanCountsMatchKernel(t *testing.T) {
 			p := &plan.Plan{Query: q, Root: skelJoin(q, root, skelScan(cat, q, "u"))}
 			label := fmt.Sprintf("%s, %s", f, shape.name)
 			validate := func(cache *SkeletonCache, budget int64) ([]Step, error) {
-				return NewPrepared(sql.NewGraph(q), cache, 0, scales[:len(q.Tables)]).Count(ctx, p.Root, cat.Table, SkelConfig{MemBudget: budget})
+				tables, err := tablesOf(q, cat.Table)
+				if err != nil {
+					return nil, err
+				}
+				prep, err := NewPrepared(sql.NewGraph(q), cache, 0, tables, scales[:len(q.Tables)], budget)
+				if err != nil {
+					return nil, err
+				}
+				return prep.Count(ctx, p.Root)
 			}
 			run := func(which string) (s side) {
 				cache := NewSkeletonCache(0, 0)

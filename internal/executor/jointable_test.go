@@ -287,7 +287,7 @@ func TestJoinTablePairsThroughEngines(t *testing.T) {
 		cache := NewSkeletonCache(0, 0)
 		for _, state := range []string{"cold", "warm"} {
 			label := fmt.Sprintf("%s [%s]", jc.name, state)
-			counts, err := countSkeletonCfg(ctx, p, cat.Table, cache, SkelConfig{})
+			counts, err := countSkeletonCfg(ctx, p, cat.Table, cache, 0)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

@@ -7,11 +7,13 @@ package executor
 // covers, so it is derived once per request, keyed by the subtree's
 // alias mask over Query.Tables positions (plan.Plan.JoinSets' convention),
 // and each plan is compiled into a flat post-order list of Steps pointing
-// at those records. The query is read through its graph (sql.Graph), the
-// one the request's planner reads: an alias's bit, a relation's filters
-// and a join predicate's canonical form, string and bits come from it,
-// and what is rendered here — signature tokens, boundary columns, cache
-// keys — is rendered from those.
+// at those records. The handle also binds what the engine reads: the
+// table each FROM position scans, the scale factors, the sample epoch and
+// the request's memory budget. The query is read through its graph
+// (sql.Graph), the one the request's planner reads: an alias's bit, a
+// relation's filters and a join predicate's canonical form, string and
+// bits come from it, and what is rendered here — signature tokens,
+// boundary columns, cache keys — is rendered from those.
 //
 // The exactness rule: a mask names one logical sub-result only for a
 // subtree that applies exactly the query's filters on its relations and
@@ -31,20 +33,24 @@ import (
 
 	"reopt/internal/plan"
 	"reopt/internal/sql"
+	"reopt/internal/storage"
 )
 
 // Prepared is the one per-request handle on validation: the cache the
-// request validates through (nil: none), the sample epoch its keys are
-// namespaced by, the per-table scale factors, and one query's validation
+// request validates through (nil: none), the tables its scans read and
+// the sample epoch they belong to, which namespaces its keys, the
+// per-table scale factors, the memory budget, and one query's validation
 // state — what the engine needs to know about each relation set and each
 // join of two sets, derived on first use and kept for the request. It is
 // safe for concurrent use.
 type Prepared struct {
 	g      *sql.Graph
 	cache  *SkeletonCache
-	epoch  uint64    // the sample set the handle is bound to
-	prefix string    // epoch's namespace, which every key renders under
-	scales []float64 // per Query.Tables position; nil when the caller scales nothing
+	epoch  uint64           // the sample set the handle is bound to
+	prefix string           // epoch's namespace, which every key renders under
+	tables []*storage.Table // what each Query.Tables position scans
+	scales []float64        // per Query.Tables position; nil when the caller scales nothing
+	budget int64            // values one Count may materialize (memAccount); <= 0: unlimited
 
 	// The query's vocabulary, rendered and sorted once so that a set's
 	// strings are one filtered pass over it: a subsequence of a sorted
@@ -68,8 +74,7 @@ type sigTok struct {
 }
 
 // endpoint is one side of a query join predicate: a boundary column of
-// every set that holds its relation (in) but not the other side's (out;
-// 0 for an alias the FROM list does not have).
+// every set that holds its relation (in) but not the other side's (out).
 type endpoint struct {
 	ref     sql.ColRef
 	in, out uint64
@@ -124,19 +129,25 @@ type Step struct {
 func (s *Step) Node() plan.Node { return s.node }
 
 // NewPrepared returns the handle the plans of g's query validate
-// through: against cache (nil caches nothing), over the samples of epoch
-// — the namespace of every sub-result key the handle renders, so one
-// cache can serve several sample sets and catalogs — with scales, the
-// per-table factors by Query.Tables position that Step.Scale multiplies
-// (nil: none). Signatures, boundary columns, cache keys and join
+// through: against cache (nil caches nothing), scanning tables, one per
+// Query.Tables position, which belong to the samples of epoch — the
+// namespace of every sub-result key the handle renders, so one cache can
+// serve several sample sets and catalogs — with scales, the per-table
+// factors by Query.Tables position that Step.Scale multiplies (nil:
+// none), and memBudget, the values one Count may materialize (<= 0:
+// unlimited). Signatures, boundary columns, cache keys and join
 // resolutions are derived once, on first use, instead of once per plan
-// (DESIGN.md §11). A join predicate that does not join two FROM entries
-// is applied in no set, and its endpoint on a FROM entry, if any, is a
-// boundary column of every set holding that entry.
-func NewPrepared(g *sql.Graph, cache *SkeletonCache, epoch uint64, scales []float64) *Prepared {
+// (DESIGN.md §11). A graph with a join predicate that does not join two
+// distinct FROM entries (g.Err) has no handle: the error matches
+// ErrUnsupportedPlan too.
+func NewPrepared(g *sql.Graph, cache *SkeletonCache, epoch uint64, tables []*storage.Table, scales []float64, memBudget int64) (*Prepared, error) {
+	if g.Err != nil {
+		return nil, fmt.Errorf("executor: %w: %w", g.Err, ErrUnsupportedPlan)
+	}
 	q := g.Query
 	s := &Prepared{
-		g: g, cache: cache, epoch: epoch, prefix: "s" + strconv.FormatUint(epoch, 10) + "|", scales: scales,
+		g: g, cache: cache, epoch: epoch, prefix: "s" + strconv.FormatUint(epoch, 10) + "|",
+		tables: tables, scales: scales, budget: memBudget,
 		byAlias: make([]int, len(q.Tables)),
 		toks:    make([]sigTok, 0, len(q.Tables)+len(q.Selections)+len(q.Joins)),
 		sets:    make(map[uint64]*SetInfo, 2*len(q.Tables)),
@@ -153,9 +164,6 @@ func NewPrepared(g *sql.Graph, cache *SkeletonCache, epoch uint64, scales []floa
 	for i := range g.Edges {
 		e := &g.Edges[i]
 		s.ends = append(s.ends, endpoint{e.Canon.Left, e.L, e.R}, endpoint{e.Canon.Right, e.R, e.L})
-		if e.L == 0 || e.R == 0 || e.L == e.R {
-			continue // joins no two FROM entries: no plan applies it
-		}
 		s.edges = append(s.edges, e)
 		s.toks = append(s.toks, sigTok{"J:" + e.Key, e.L | e.R})
 	}
@@ -167,7 +175,7 @@ func NewPrepared(g *sql.Graph, cache *SkeletonCache, epoch uint64, scales []floa
 		}
 		return strings.Compare(a.ref.Column, b.ref.Column)
 	})
-	return s
+	return s, nil
 }
 
 // Serves reports whether s is the handle for plans of q over the samples
@@ -183,6 +191,15 @@ func (s *Prepared) Cache() *SkeletonCache {
 		return nil
 	}
 	return s.cache
+}
+
+// MemBudget returns the budget s validates under: 0 (unlimited) for a
+// nil handle.
+func (s *Prepared) MemBudget() int64 {
+	if s == nil {
+		return 0
+	}
+	return s.budget
 }
 
 // compile flattens the plan rooted at root into steps, enforcing the

@@ -198,9 +198,9 @@ func TestPreparedMatchesFromScratch(t *testing.T) {
 
 	nodes := 0
 	for _, q := range queries {
-		shared := NewPrepared(sql.NewGraph(q), nil, 7, nil)
+		shared := compileOnly(t, q, nil, 7)
 		for _, p := range byQuery[q] {
-			for _, prep := range []*Prepared{NewPrepared(sql.NewGraph(q), nil, 7, nil), shared} {
+			for _, prep := range []*Prepared{compileOnly(t, q, nil, 7), shared} {
 				steps, err := prep.compile(p.Root)
 				if err != nil {
 					t.Fatalf("plan %s: %v", p.Fingerprint(), err)

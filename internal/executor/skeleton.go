@@ -47,9 +47,10 @@ package executor
 // builds one over its build side, probes it and drops it.
 //
 // The engine has one entry point and one handle: Prepared.Count runs one
-// plan against the request's Prepared (prepared.go), which names the
-// cache, the sample epoch and the query's derived state. Validating
-// several plans is its callers' loop (sampling.EstimatePlansCfg).
+// plan against the request's Prepared (prepared.go), which binds the
+// cache, the tables scans read, their sample epoch and scale factors, the
+// memory budget and the query's derived state. Validating several plans is
+// its callers' loop (sampling.EstimatePlans).
 
 import (
 	"context"
@@ -119,33 +120,23 @@ func runSub(sc *skelScratch, runs []storage.ColData, n int) *subResult {
 	return newSub(sc, sc.srcs, n, bagWeights{})
 }
 
-// SkelConfig carries the execution knobs of the skeleton engine. The zero
-// value means no memory budget.
-type SkelConfig struct {
-	// MemBudget softly caps the values one plan may materialize
-	// (boundary-column cells plus hash-table entries, cache hits
-	// included — see memAccount); <= 0 means unlimited. On breach the run
-	// aborts with ErrMemoryBudget; nothing partial is cached.
-	MemBudget int64
-}
-
 // Count is the engine's one entry point: it compiles the plan rooted at
-// root against s's prepared state and runs it on the calling goroutine,
-// returning the steps with their counts filled — a step carries the
-// relation set its count belongs to, which is all the estimator asks.
-// Reuse between plans and between requests comes from the cache s names
-// (sub-results); parallelism comes from independent requests on their
-// own goroutines (DESIGN.md §2). ctx is checked before each step.
+// root against s's prepared state and runs it on the calling goroutine
+// over the tables s binds, returning the steps with their counts filled —
+// a step carries the relation set its count belongs to, which is all the
+// estimator asks. Reuse between plans and between requests comes from the
+// cache s names (sub-results); parallelism comes from independent requests
+// on their own goroutines (DESIGN.md §2). ctx is checked before each step.
 //
 // A plan outside the engine's contract fails with ErrUnsupportedPlan
-// before anything executes; one that breaches cfg.MemBudget fails with
+// before anything executes; one that breaches s's memory budget fails with
 // ErrMemoryBudget, one whose count overflows with ErrCountOverflow. The
 // recover here is the engine boundary: whatever panics below — an
 // injected fault, a checked count overflowing — fails this plan with an
 // error (*PanicError for a panic) and nothing else. Nothing partial is
 // ever stored: sub-results completed before a failure stay cached, and
 // the failing step stores nothing.
-func (s *Prepared) Count(ctx context.Context, root plan.Node, binder func(string) (*storage.Table, error), cfg SkelConfig) (steps []Step, err error) {
+func (s *Prepared) Count(ctx context.Context, root plan.Node) (steps []Step, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			steps, err = nil, failureError(r)
@@ -156,9 +147,9 @@ func (s *Prepared) Count(ctx context.Context, root plan.Node, binder func(string
 	}
 	e := &skelEngine{
 		ctx:         ctx,
-		binder:      binder,
+		tables:      s.tables,
 		cache:       s.cache,
-		mem:         memAccount{budget: cfg.MemBudget},
+		mem:         memAccount{budget: s.budget},
 		skelScratch: getScratch(),
 	}
 	err = e.run(steps)
@@ -171,8 +162,8 @@ func (s *Prepared) Count(ctx context.Context, root plan.Node, binder func(string
 
 type skelEngine struct {
 	ctx    context.Context
-	binder func(string) (*storage.Table, error)
-	cache  *SkeletonCache // nil: uncached
+	tables []*storage.Table // by Query.Tables position
+	cache  *SkeletonCache   // nil: uncached
 	mem    memAccount
 
 	// Pooled scratch reused across the steps of one run: steps evaluate
@@ -271,10 +262,7 @@ func (e *skelEngine) evalScan(st *Step) (*subResult, error) {
 			return sub, nil
 		}
 	}
-	tab, err := e.binder(t.Table)
-	if err != nil {
-		return nil, err
-	}
+	tab := e.tables[bits.TrailingZeros64(st.Set.Mask)]
 
 	filterPos, poss, err := scanPositions(t, refs)
 	if err != nil {

@@ -212,13 +212,13 @@ func TestTypedColumnEdgeCases(t *testing.T) {
 		single, batch := NewSkeletonCache(0, 0), NewSkeletonCache(0, 0)
 		for _, label := range []string{"cold", "warm"} {
 			for pi, p := range plans {
-				got, err := countSkeletonCfg(ctx, p, cat.Table, single, SkelConfig{})
+				got, err := countSkeletonCfg(ctx, p, cat.Table, single, 0)
 				if err != nil {
 					t.Fatalf("%s [%s single]: %v", ec.name, label, err)
 				}
 				check(label+" single", pi, got)
 			}
-			got, err := countBatch(ctx, plans, cat.Table, batch, SkelConfig{})
+			got, err := countBatch(ctx, plans, cat.Table, batch, 0)
 			if err != nil {
 				t.Fatalf("%s [%s batch]: %v", ec.name, label, err)
 			}

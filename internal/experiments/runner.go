@@ -11,7 +11,6 @@ import (
 	"reopt/internal/catalog"
 	"reopt/internal/cost"
 	"reopt/internal/optimizer"
-	"reopt/internal/sampling"
 	"reopt/internal/sql"
 	"reopt/internal/workload/ott"
 	"reopt/internal/workload/tpcds"
@@ -76,7 +75,7 @@ type Runner struct {
 	tpchCats map[float64]*catalog.Catalog
 	ottCat   *catalog.Catalog
 	dsCat    *catalog.Catalog
-	wlCache  *sampling.WorkloadCache
+	wlCache  *reopt.WorkloadCache
 
 	tpchSeriesCache map[string]map[int]metrics
 	ottSeriesCache  map[string][]queryMetric
@@ -91,7 +90,7 @@ func NewRunner(ctx context.Context, cfg Config) *Runner {
 	if r.cfg.WorkloadCacheEntries > 0 {
 		// One cache across every experiment and catalog is safe: entries
 		// are namespaced by the catalog's process-unique sample epoch.
-		r.wlCache = sampling.NewWorkloadCache(r.cfg.WorkloadCacheEntries)
+		r.wlCache = reopt.NewWorkloadCacheBudget(r.cfg.WorkloadCacheEntries, 0)
 	}
 	return r
 }

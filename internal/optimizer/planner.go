@@ -82,8 +82,9 @@ type cell struct {
 // nil (start from an empty Γ) or hold validated cardinalities for the
 // query's FROM list — a Γ made for another FROM list is an error; from
 // here on the planner owns it, and entries must arrive through
-// Planner.Merge so the validated leaves stay in step. A join predicate
-// naming an alias outside the FROM list is an error.
+// Planner.Merge so the validated leaves stay in step. A graph whose
+// join predicates do not each join two distinct FROM entries is refused
+// with its Err.
 func (o *Optimizer) Prepare(g *sql.Graph, gamma *Gamma) (*Planner, error) {
 	return o.prepare(g, gamma, len(g.Rels) <= o.cfg.DPThreshold)
 }
@@ -95,6 +96,9 @@ func (o *Optimizer) prepare(g *sql.Graph, gamma *Gamma, dense bool) (*Planner, e
 	}
 	if n > 63 {
 		return nil, fmt.Errorf("optimizer: queries with more than 63 tables are not supported")
+	}
+	if g.Err != nil {
+		return nil, fmt.Errorf("optimizer: %w", g.Err)
 	}
 	if gamma == nil {
 		gamma = NewGamma(g.Query)
@@ -115,9 +119,6 @@ func (o *Optimizer) prepare(g *sql.Graph, gamma *Gamma, dense bool) (*Planner, e
 	}
 	for i := range g.Edges {
 		ge := &g.Edges[i]
-		if ge.L == 0 || ge.R == 0 {
-			return nil, fmt.Errorf("optimizer: join predicate %s references unknown alias", ge.Pred)
-		}
 		cl, cr := &p.leaves[bits.TrailingZeros64(ge.L)], &p.leaves[bits.TrailingZeros64(ge.R)]
 		// Selectivity is estimated with the sides as written: the estimate
 		// is not symmetric to the last bit.

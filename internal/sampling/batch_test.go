@@ -42,26 +42,43 @@ func batchSetup(t testing.TB, count int) (*catalog.Catalog, []*plan.Plan) {
 
 // perRun returns a re-optimization's private store: the one store,
 // unbounded.
-func perRun() *WorkloadCache { return executor.NewSkeletonCache(0, 0) }
+func perRun() *executor.SkeletonCache { return executor.NewSkeletonCache(0, 0) }
 
-// estimatePlans validates plans through store (nil: uncached) with the
-// default config, in one call through a handle for the first plan's
-// query; plans of other queries validate through the call's own handles.
-func estimatePlans(plans []*plan.Plan, cat *catalog.Catalog, store *WorkloadCache) ([]*Estimate, error) {
-	return estimateWith(plans, cat, store, ValidateConfig{})
+// workloadStore returns a workload's store: the one store, bounded as a
+// session's shared cache is by default.
+func workloadStore() *executor.SkeletonCache { return executor.NewSkeletonCache(4096, 0) }
+
+// mustPrepare is Prepare, failing t on an error.
+func mustPrepare(t testing.TB, q *sql.Query, store *executor.SkeletonCache, cat *catalog.Catalog) Cache {
+	t.Helper()
+	cache, err := Prepare(sql.NewGraph(q), store, cat, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cache
 }
 
-// estimateWith is estimatePlans under cfg.
-func estimateWith(plans []*plan.Plan, cat *catalog.Catalog, store *WorkloadCache, cfg ValidateConfig) ([]*Estimate, error) {
+// estimatePlans validates plans through store (nil: uncached) with no
+// memory budget, in one call through a handle for the first plan's
+// query; plans of other queries validate through the call's own handles.
+func estimatePlans(plans []*plan.Plan, cat *catalog.Catalog, store *executor.SkeletonCache) ([]*Estimate, error) {
+	return estimateWith(plans, cat, store, 0)
+}
+
+// estimateWith is estimatePlans under budget.
+func estimateWith(plans []*plan.Plan, cat *catalog.Catalog, store *executor.SkeletonCache, budget int64) ([]*Estimate, error) {
 	var cache Cache
 	if len(plans) > 0 {
-		cache = Prepare(sql.NewGraph(plans[0].Query), store, cat)
+		var err error
+		if cache, err = Prepare(sql.NewGraph(plans[0].Query), store, cat, budget); err != nil {
+			return nil, err
+		}
 	}
-	return EstimatePlansCfg(context.Background(), plans, cat, cache, cfg)
+	return EstimatePlans(context.Background(), plans, cat, cache)
 }
 
 // estimateOne is estimatePlans over the one plan.
-func estimateOne(p *plan.Plan, cat *catalog.Catalog, cache *WorkloadCache) (*Estimate, error) {
+func estimateOne(p *plan.Plan, cat *catalog.Catalog, cache *executor.SkeletonCache) (*Estimate, error) {
 	ests, err := estimatePlans([]*plan.Plan{p}, cat, cache)
 	if err != nil {
 		return nil, err
@@ -85,10 +102,10 @@ func TestEstimatePlansMatchesSequential(t *testing.T) {
 		want[i] = e
 	}
 
-	caches := map[string]*WorkloadCache{
+	caches := map[string]*executor.SkeletonCache{
 		"nil":      nil,
 		"perrun":   perRun(),
-		"workload": NewWorkloadCache(0),
+		"workload": workloadStore(),
 	}
 	for name, cache := range caches {
 		mode := "cache=" + name
@@ -113,22 +130,22 @@ func TestEstimatePlansMatchesSequential(t *testing.T) {
 	}
 }
 
-// checkIsolated requires bad, validated under cfg beside good in one
+// checkIsolated requires bad, validated under budget beside good in one
 // call at every position, to fail the call with want while the plans
 // beside it behave as they do alone: the store ends up holding exactly
 // what validating good alone leaves — bad stores nothing — and each good
 // plan, validated again through that store, returns its estimate alone
 // without computing anything. bad validated alone stores nothing either.
-func checkIsolated(t *testing.T, label string, cat *catalog.Catalog, good []*plan.Plan, bad *plan.Plan, cfg ValidateConfig, want error) {
+func checkIsolated(t *testing.T, label string, cat *catalog.Catalog, good []*plan.Plan, bad *plan.Plan, budget int64, want error) {
 	t.Helper()
 	wantStore := perRun()
-	alone, err := estimateWith(good, cat, wantStore, cfg)
+	alone, err := estimateWith(good, cat, wantStore, budget)
 	if err != nil {
 		t.Fatalf("%s: good plans alone: %v", label, err)
 	}
 	for i := 0; i <= len(good); i++ {
 		store := perRun()
-		_, err := estimateWith(slices.Insert(slices.Clone(good), i, bad), cat, store, cfg)
+		_, err := estimateWith(slices.Insert(slices.Clone(good), i, bad), cat, store, budget)
 		if !errors.Is(err, want) {
 			t.Fatalf("%s: failing plan at position %d: %v, want %v", label, i, err, want)
 		}
@@ -138,7 +155,7 @@ func checkIsolated(t *testing.T, label string, cat *catalog.Catalog, good []*pla
 		}
 		_, misses := store.Stats()
 		for j, p := range good {
-			got, err := estimateWith([]*plan.Plan{p}, cat, store, cfg)
+			got, err := estimateWith([]*plan.Plan{p}, cat, store, budget)
 			if err != nil {
 				t.Fatalf("%s: failing plan at position %d: plan %d afterwards: %v", label, i, j, err)
 			}
@@ -149,7 +166,7 @@ func checkIsolated(t *testing.T, label string, cat *catalog.Catalog, good []*pla
 		}
 	}
 	store := perRun()
-	if _, err := estimateWith([]*plan.Plan{bad}, cat, store, cfg); !errors.Is(err, want) {
+	if _, err := estimateWith([]*plan.Plan{bad}, cat, store, budget); !errors.Is(err, want) {
 		t.Fatalf("%s: failing plan alone: %v, want %v", label, err, want)
 	}
 	if store.Len() != 0 {
@@ -166,15 +183,15 @@ func TestEstimatePlansRejectsUnsupportedPlan(t *testing.T) {
 	badQ := *plans[0].Query
 	badQ.Joins = nil
 	bad := &plan.Plan{Root: plans[0].Root, Query: &badQ}
-	checkIsolated(t, "unsupported", cat, plans, bad, ValidateConfig{}, executor.ErrUnsupportedPlan)
+	checkIsolated(t, "unsupported", cat, plans, bad, 0, executor.ErrUnsupportedPlan)
 
 	// The three plans as three calls, each through its own cache: a
 	// workload-cache holder, an uncached one holding the unsupported plan,
 	// a per-run one.
 	mixed := []*plan.Plan{plans[0], bad, plans[1]}
-	caches := []Cache{Prepare(sql.NewGraph(mixed[0].Query), NewWorkloadCache(0), cat), nil, Prepare(sql.NewGraph(mixed[2].Query), perRun(), cat)}
+	caches := []Cache{mustPrepare(t, mixed[0].Query, workloadStore(), cat), nil, mustPrepare(t, mixed[2].Query, perRun(), cat)}
 	for i, cache := range caches {
-		ests, err := EstimatePlansCfg(context.Background(), mixed[i:i+1], cat, cache, ValidateConfig{})
+		ests, err := EstimatePlans(context.Background(), mixed[i:i+1], cat, cache)
 		if mixed[i] == bad {
 			if !errors.Is(err, executor.ErrUnsupportedPlan) {
 				t.Fatalf("call %d: %v, want ErrUnsupportedPlan", i, err)
@@ -193,11 +210,11 @@ func TestEstimatePlansRejectsUnsupportedPlan(t *testing.T) {
 }
 
 // TestWorkloadCacheReusesAcrossQueries: validating a workload of similar
-// queries twice against one WorkloadCache must serve the second pass
+// queries twice against one workload store must serve the second pass
 // from the cache (hits recorded, no growth) with identical estimates.
 func TestWorkloadCacheReusesAcrossQueries(t *testing.T) {
 	cat, plans := batchSetup(t, 4)
-	wc := NewWorkloadCache(0)
+	wc := workloadStore()
 
 	cold := make([]*Estimate, len(plans))
 	for i, p := range plans {
@@ -234,7 +251,7 @@ func TestWorkloadCacheReusesAcrossQueries(t *testing.T) {
 // estimates must equal a cold, uncached run over the new samples.
 func TestWorkloadCacheSampleEpochInvalidation(t *testing.T) {
 	cat, plans := batchSetup(t, 2)
-	wc := NewWorkloadCache(0)
+	wc := workloadStore()
 	if _, err := estimatePlans(plans, cat, wc); err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +295,7 @@ func TestWorkloadCacheSampleEpochInvalidation(t *testing.T) {
 // while keeping estimates exact.
 func TestWorkloadCacheEviction(t *testing.T) {
 	cat, plans := batchSetup(t, 4)
-	wc := NewWorkloadCache(3)
+	wc := executor.NewSkeletonCache(3, 0)
 	for i, p := range plans {
 		ests, err := estimatePlans([]*plan.Plan{p}, cat, wc)
 		if err != nil {
@@ -300,7 +317,7 @@ func TestWorkloadCacheEviction(t *testing.T) {
 // which makes the same call.
 func TestEmptyPlanGroups(t *testing.T) {
 	cat, plans := batchSetup(t, 1)
-	if got, err := EstimatePlansCfg(context.Background(), nil, cat, Prepare(sql.NewGraph(plans[0].Query), perRun(), cat), ValidateConfig{}); got != nil || err != nil {
+	if got, err := EstimatePlans(context.Background(), nil, cat, mustPrepare(t, plans[0].Query, perRun(), cat)); got != nil || err != nil {
 		t.Fatalf("empty call: %v, %v", got, err)
 	}
 	c := NewScheduler(cat, 0, 0).Register()

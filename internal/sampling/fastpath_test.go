@@ -115,7 +115,7 @@ func TestEstimateRejectsUnsupportedShape(t *testing.T) {
 	stripped := *ottQs[0]
 	stripped.Joins = nil
 	bad := &plan.Plan{Root: p.Root, Query: &stripped}
-	checkIsolated(t, "stripped join list", ottCat, []*plan.Plan{p}, bad, ValidateConfig{}, executor.ErrUnsupportedPlan)
+	checkIsolated(t, "stripped join list", ottCat, []*plan.Plan{p}, bad, 0, executor.ErrUnsupportedPlan)
 	est, err := estimateOne(p, ottCat, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestEstimateRejectsUnresolvableSchema(t *testing.T) {
 		Right: sql.ColRef{Table: q2.Tables[1].Alias, Column: q2.Joins[0].Right.Column},
 	})
 	broken := &plan.Plan{Root: p.Root, Query: &q2}
-	checkIsolated(t, "phantom join column", cat, []*plan.Plan{p}, broken, ValidateConfig{}, executor.ErrUnsupportedPlan)
+	checkIsolated(t, "phantom join column", cat, []*plan.Plan{p}, broken, 0, executor.ErrUnsupportedPlan)
 	est, err := estimateOne(p, cat, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -320,10 +320,10 @@ func TestExactnessRuleForHandBuiltPlans(t *testing.T) {
 		"predicate the query does not have": join(join(join(scan("x"), scan("y"), xy, extra), scan("z"), yz, xz), scan("w"), zw),
 	} {
 		handBuilt := &plan.Plan{Root: root, Query: q}
-		if _, err := executor.NewPrepared(sql.NewGraph(q), nil, 0, nil).Count(context.Background(), root, cat.Sample, executor.SkelConfig{}); !errors.Is(err, executor.ErrUnsupportedPlan) {
+		if _, err := mustPrepare(t, q, nil, cat).Count(context.Background(), root); !errors.Is(err, executor.ErrUnsupportedPlan) {
 			t.Fatalf("%s: count engine: %v, want ErrUnsupportedPlan", name, err)
 		}
-		checkIsolated(t, name, cat, exact, handBuilt, ValidateConfig{}, executor.ErrUnsupportedPlan)
+		checkIsolated(t, name, cat, exact, handBuilt, 0, executor.ErrUnsupportedPlan)
 		// A cache the inexact plan failed on serves the exact plans what
 		// they count uncached.
 		cache := perRun()
@@ -374,7 +374,7 @@ func rewrite(n plan.Node) plan.Node {
 // volcanoEstimate is the estimate the general executor's counts of p's
 // skeleton over the samples imply: per node, its count under the Γ key of
 // its relations, scaled by their factors |R| / |R^s| multiplied in leaf
-// order, with the zero-count floor — what EstimatePlansCfg must return
+// order, with the zero-count floor — what EstimatePlans must return
 // bit for bit.
 func volcanoEstimate(t testing.TB, p *plan.Plan, cat *catalog.Catalog) *Estimate {
 	t.Helper()

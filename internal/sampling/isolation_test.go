@@ -43,7 +43,7 @@ func TestMemoryBudgetIsolatedPerPlan(t *testing.T) {
 	cat, good := batchSetup(t, 3)
 	big := optimized(t, cat, "SELECT COUNT(*) FROM r1, r2 WHERE r1.b = r2.b")
 	fits := func(p *plan.Plan, b int64) error {
-		_, err := estimateWith([]*plan.Plan{p}, cat, nil, ValidateConfig{MemBudget: b})
+		_, err := estimateWith([]*plan.Plan{p}, cat, nil, b)
 		return err
 	}
 	var budget int64
@@ -58,10 +58,10 @@ func TestMemoryBudgetIsolatedPerPlan(t *testing.T) {
 	if err := fits(big, budget); !errors.Is(err, executor.ErrMemoryBudget) {
 		t.Fatalf("budget %d fits every chain and the unfiltered join too (%v); test data broken", budget, err)
 	}
-	checkIsolated(t, "memory budget", cat, good, big, ValidateConfig{MemBudget: budget}, executor.ErrMemoryBudget)
+	checkIsolated(t, "memory budget", cat, good, big, budget, executor.ErrMemoryBudget)
 
 	store := perRun()
-	if _, err := estimateWith([]*plan.Plan{good[0], big}, cat, store, ValidateConfig{MemBudget: budget}); !errors.Is(err, executor.ErrMemoryBudget) {
+	if _, err := estimateWith([]*plan.Plan{good[0], big}, cat, store, budget); !errors.Is(err, executor.ErrMemoryBudget) {
 		t.Fatalf("breaching call: %v", err)
 	}
 	got, err := estimateOne(big, cat, store)
@@ -95,7 +95,7 @@ func TestPanicIsolatedPerPlanInBatch(t *testing.T) {
 			t.Fatalf("the injection reaches a plan of another query (%v); test data broken", err)
 		}
 	}
-	checkIsolated(t, "panic", cat, good, bad, ValidateConfig{}, executor.ErrValidationPanic)
+	checkIsolated(t, "panic", cat, good, bad, 0, executor.ErrValidationPanic)
 	store := perRun()
 	_, err := estimatePlans([]*plan.Plan{good[0], bad}, cat, store)
 	restore()
@@ -123,7 +123,7 @@ func TestPanicIsolatedPerPlanInBatch(t *testing.T) {
 func TestEstimatePlansPerPlanCaches(t *testing.T) {
 	cat, plans := batchSetup(t, 4)
 	solo := make([]*Estimate, len(plans))
-	soloStores := make([]*WorkloadCache, len(plans))
+	soloStores := make([]*executor.SkeletonCache, len(plans))
 	union := map[string]bool{}
 	for i, p := range plans {
 		soloStores[i] = perRun()
@@ -137,7 +137,7 @@ func TestEstimatePlansPerPlanCaches(t *testing.T) {
 		}
 	}
 
-	stores := make([]*WorkloadCache, len(plans))
+	stores := make([]*executor.SkeletonCache, len(plans))
 	for i := range plans {
 		if i != 1 { // the second requester validates uncached
 			stores[i] = perRun()

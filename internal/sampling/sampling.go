@@ -6,13 +6,13 @@
 // estimate for *every* join subtree of the plan at once — the Δ of
 // Algorithm 1 (GetCardinalityEstimatesBySampling).
 //
-// Reuse across rounds and queries goes through one store — the
-// executor's SkeletonCache, which WorkloadCache names — reached through
-// one per-request handle, executor.Prepared, which Cache names:
-// Prepare(g, store, cat) binds the prepared validation state of the query
-// graph g to the store and to the catalog's current samples, and
-// EstimatePlansCfg runs each plan through it with Prepared.Count
-// (DESIGN.md §2, §11).
+// Reuse across rounds and queries goes through one store, the
+// executor's SkeletonCache, reached through one per-request handle,
+// executor.Prepared, which Cache names: Prepare(g, store, cat, budget)
+// binds the query graph g's validation to the store, to the catalog's
+// current samples — their tables, scale factors and epoch — and to the
+// request's memory budget, and EstimatePlans runs each plan through it
+// with Prepared.Count (DESIGN.md §2, §11).
 package sampling
 
 import (
@@ -27,6 +27,7 @@ import (
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
 	"reopt/internal/sql"
+	"reopt/internal/storage"
 )
 
 // ErrNoSamples marks a validation attempt against a catalog whose
@@ -49,11 +50,7 @@ type Estimate struct {
 	Duration time.Duration
 }
 
-// ValidateConfig carries the execution knobs of the validation layer:
-// the skeleton engine's own.
-type ValidateConfig = executor.SkelConfig
-
-// EstimatePlansCfg validates plans' join skeletons over the catalog's
+// EstimatePlans validates plans' join skeletons over the catalog's
 // samples, one after another on the calling goroutine
 // (executor.Prepared.Count). The skeleton keeps each plan's join tree and
 // all predicates; its physical choices (access paths, join methods) never
@@ -61,35 +58,35 @@ type ValidateConfig = executor.SkelConfig
 // cardinalities are validated. A plan validates through cache — a handle
 // from Prepare, or nil — when the handle serves its query over the
 // current samples, otherwise through a handle made for the call over the
-// same store (uncached for a nil cache); subtrees the plans share are
-// computed once when there is a store to carry them. The returned
-// estimates are positional and their Sets byte-identical to validating
-// each plan alone, in order, against the same cache; Duration is the
-// call's total time amortized equally across the plans.
+// same store and under the same memory budget (uncached and unlimited for
+// a nil cache); subtrees the plans share are computed once when there is
+// a store to carry them. The returned estimates are positional and their
+// Sets byte-identical to validating each plan alone, in order, against
+// the same cache; Duration is the call's total time amortized equally
+// across the plans.
 //
 // ctx reaches the engine (checked before every step), so a cancelled ctx
 // aborts the call with ctx.Err() mid-validation; completed subtrees cached
 // before the abort stay cached, nothing partial is ever stored. A nil
 // plan, or one without a query or root, fails the call with
-// executor.ErrUnsupportedPlan before anything executes. A plan that fails
+// executor.ErrUnsupportedPlan before anything executes, and one no handle
+// can be made for (Prepare) fails it when its turn comes. A plan that fails
 // on its own account fails the call with the first such error; it stores
 // nothing partial, and the plans beside it are still validated, so they
 // leave the cache as they would alone. One outside the engine's contract (a
 // hand-built plan that does not apply exactly the query's predicates,
-// say) matches executor.ErrUnsupportedPlan; one breaching cfg.MemBudget
-// matches executor.ErrMemoryBudget (which wraps context.DeadlineExceeded,
-// so budget-aware callers degrade it like a deadline); one whose count
-// overflows matches executor.ErrCountOverflow; a panic inside validation
-// matches executor.ErrValidationPanic instead of unwinding.
-func EstimatePlansCfg(ctx context.Context, plans []*plan.Plan, cat *catalog.Catalog, cache Cache, cfg ValidateConfig) ([]*Estimate, error) {
+// say) matches executor.ErrUnsupportedPlan; one breaching the handle's
+// memory budget matches executor.ErrMemoryBudget (which wraps
+// context.DeadlineExceeded, so budget-aware callers degrade it like a
+// deadline); one whose count overflows matches executor.ErrCountOverflow;
+// a panic inside validation matches executor.ErrValidationPanic instead
+// of unwinding.
+func EstimatePlans(ctx context.Context, plans []*plan.Plan, cat *catalog.Catalog, cache Cache) ([]*Estimate, error) {
 	if len(plans) == 0 {
 		return nil, nil
 	}
 	if faultinject.Active() {
 		faultinject.Fire(faultinject.Estimate, fmt.Sprintf("plans=%d", len(plans)))
-	}
-	if !cat.HasSamples() {
-		return nil, fmt.Errorf("sampling: %w", ErrNoSamples)
 	}
 	for i, p := range plans {
 		if p == nil || p.Query == nil || p.Root == nil {
@@ -106,7 +103,7 @@ func EstimatePlansCfg(ctx context.Context, plans []*plan.Plan, cat *catalog.Cata
 		if !prep.Serves(p.Query, epoch) {
 			if !other.Serves(p.Query, epoch) {
 				var err error
-				if other, err = prepare(sql.NewGraph(p.Query), cache.Cache(), cat); err != nil {
+				if other, err = Prepare(sql.NewGraph(p.Query), cache.Cache(), cat, cache.MemBudget()); err != nil {
 					return nil, err
 				}
 			}
@@ -116,7 +113,7 @@ func EstimatePlansCfg(ctx context.Context, plans []*plan.Plan, cat *catalog.Cata
 		if agg, ok := root.(*plan.AggregateNode); ok {
 			root = agg.Child
 		}
-		steps, err := prep.Count(ctx, root, cat.Sample, cfg)
+		steps, err := prep.Count(ctx, root)
 		switch {
 		case err == nil:
 			ests[i] = estimateFromSteps(steps)
@@ -142,33 +139,30 @@ func EstimatePlansCfg(ctx context.Context, plans []*plan.Plan, cat *catalog.Cata
 }
 
 // Cache is one request's handle on validation (DESIGN.md §11): the store
-// it validates through, the sample epoch it is bound to and the prepared
-// state of its query — signatures, cache keys, join resolutions and the
-// per-table scale factors |R| / |R^s|, derived once per request instead of
-// once per round. Prepare makes one; nil validates every plan uncached.
+// it validates through, the samples it is bound to — their tables, epoch
+// and per-table scale factors |R| / |R^s| — the memory budget and the
+// prepared state of its query — signatures, cache keys, join resolutions —
+// derived once per request instead of once per round. Prepare makes one;
+// nil validates every plan uncached.
 type Cache = *executor.Prepared
 
 // Prepare returns the handle the validations of g's query go through,
 // over store (nil caches nothing; a re-optimization's private store is an
 // unbounded executor.NewSkeletonCache), bound to the catalog's current
-// samples: their epoch and the scale factors they imply. g is the
-// request's query graph, the one its planner reads. The handle lives as
-// long as the request — make one per request. A validation after a
-// BuildSamples, or of another query's plan, goes through a handle made
-// for the call over the same store. Prepare returns nil when g is nil or
-// the catalog cannot scale its query (no samples yet, or a table it
-// lacks); the validation then reports why.
-func Prepare(g *sql.Graph, store *WorkloadCache, cat *catalog.Catalog) Cache {
-	if g == nil {
-		return nil
+// samples — their tables, their epoch and the scale factors they imply —
+// and to memBudget, the values one plan's validation may materialize
+// (<= 0: unlimited). g is the request's query graph, the one its planner
+// reads. The handle lives as long as the request — make one per request.
+// A validation after a BuildSamples, or of another query's plan, goes
+// through a handle made for the call over the same store. Prepare fails
+// with ErrNoSamples when the catalog has no samples yet, with the
+// catalog's error for a table it lacks, and with an error matching
+// executor.ErrUnsupportedPlan when g.Err is set.
+func Prepare(g *sql.Graph, store *executor.SkeletonCache, cat *catalog.Catalog, memBudget int64) (Cache, error) {
+	if !cat.HasSamples() {
+		return nil, fmt.Errorf("sampling: %w", ErrNoSamples)
 	}
-	prep, _ := prepare(g, store, cat)
-	return prep
-}
-
-// prepare prepares g's query over store for the catalog's current
-// samples, with the per-alias scale factors |R| / |R^s| they imply.
-func prepare(g *sql.Graph, store *WorkloadCache, cat *catalog.Catalog) (Cache, error) {
+	tables := make([]*storage.Table, len(g.Rels))
 	scales := make([]float64, len(g.Rels))
 	for i, tr := range g.Query.Tables {
 		base, err := cat.Table(tr.Name)
@@ -179,6 +173,7 @@ func prepare(g *sql.Graph, store *WorkloadCache, cat *catalog.Catalog) (Cache, e
 		if err != nil {
 			return nil, err
 		}
+		tables[i] = s
 		if sn := s.NumRows(); sn > 0 {
 			scales[i] = float64(base.NumRows()) / float64(sn)
 		} else {
@@ -188,7 +183,7 @@ func prepare(g *sql.Graph, store *WorkloadCache, cat *catalog.Catalog) (Cache, e
 			scales[i] = 1 / cat.SampleRatio()
 		}
 	}
-	return executor.NewPrepared(g, store, cat.SampleEpoch(), scales), nil
+	return executor.NewPrepared(g, store, cat.SampleEpoch(), tables, scales, memBudget)
 }
 
 // estimateFromSteps scales a skeleton run's raw sample counts into the Δ
@@ -222,7 +217,7 @@ func estimateFromSteps(steps []executor.Step) *Estimate {
 // (k+1)/(k+1+c) rises toward 1 for well-observed sets and stays low when
 // the sample barely witnessed the set. The Laplace-style +1 is
 // deliberate, not plain k/(k+c): even at k=0 the estimator still says
-// something — the resolution-limit floor of EstimatePlansCfg (half of one
+// something — the resolution-limit floor of EstimatePlans (half of one
 // sample row's worth) — so an unwitnessed set keeps a small non-zero
 // weight, 1/(1+c), rather than being wholly overridden by the
 // optimizer's statistics-based estimate. With c = 4 that is 0.2, so

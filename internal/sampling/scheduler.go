@@ -2,11 +2,10 @@ package sampling
 
 // Scheduler: the names of the deleted workload validation scheduler,
 // kept as no-ops because bench/ compiles against them. Every validation
-// runs on the goroutine that asked for it (EstimatePlansCfg).
+// runs on the goroutine that asked for it (EstimatePlans).
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"reopt/internal/catalog"
@@ -18,8 +17,7 @@ import (
 // Deprecated: there is no scheduler; a Scheduler's clients validate
 // directly, and bench/ is its last caller.
 type Scheduler struct {
-	cat       *catalog.Catalog
-	memBudget atomic.Int64
+	cat *catalog.Catalog
 }
 
 // NewScheduler returns a Scheduler over cat; workers and window are
@@ -30,9 +28,11 @@ func NewScheduler(cat *catalog.Catalog, workers int, window time.Duration) *Sche
 	return &Scheduler{cat: cat}
 }
 
-// SetMemBudget sets the per-plan value budget the clients validate under
-// (ValidateConfig.MemBudget; <= 0 means unlimited).
-func (s *Scheduler) SetMemBudget(values int64) { s.memBudget.Store(values) }
+// SetMemBudget does nothing.
+//
+// Deprecated: a validation runs under the budget of the handle it is
+// given (Prepare).
+func (s *Scheduler) SetMemBudget(values int64) {}
 
 // SetShards does nothing.
 //
@@ -73,7 +73,7 @@ func (s *Scheduler) Register() *SchedulerClient { return &SchedulerClient{s: s} 
 // Deprecated: see Scheduler.
 func (c *SchedulerClient) Close() {}
 
-// ValidatePlans is EstimatePlansCfg under the scheduler's memory budget.
+// ValidatePlans is EstimatePlans over the scheduler's catalog.
 func (c *SchedulerClient) ValidatePlans(ctx context.Context, plans []*plan.Plan, cache Cache) ([]*Estimate, error) {
-	return EstimatePlansCfg(ctx, plans, c.s.cat, cache, ValidateConfig{MemBudget: c.s.memBudget.Load()})
+	return EstimatePlans(ctx, plans, c.s.cat, cache)
 }

@@ -2,7 +2,7 @@ package sampling
 
 // The deprecated Scheduler names are a direct path: a client validates
 // on its caller's goroutine, under its caller's context, exactly as
-// EstimatePlansCfg does, and its stats stay zero.
+// EstimatePlans does, and its stats stay zero.
 
 import (
 	"context"
@@ -16,7 +16,6 @@ import (
 	"reopt/internal/executor"
 	"reopt/internal/faultinject"
 	"reopt/internal/plan"
-	"reopt/internal/sql"
 )
 
 // schedValidate registers a client, validates, and closes — one
@@ -74,7 +73,14 @@ func TestSchedulerEquivalence(t *testing.T) {
 			if cacheMode == "workload" {
 				// One handle for every requester: the others' plans
 				// validate through handles of their own over its store.
-				shared = Prepare(sql.NewGraph(plans[0].Query), NewWorkloadCache(0), cat)
+				shared = mustPrepare(t, plans[0].Query, workloadStore(), cat)
+			}
+			caches := make([]Cache, len(plans))
+			for i := range plans {
+				caches[i] = shared
+				if cacheMode == "perrun" {
+					caches[i] = mustPrepare(t, plans[i].Query, perRun(), cat)
+				}
 			}
 			var wg sync.WaitGroup
 			errs := make([]error, len(plans))
@@ -83,11 +89,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					cache := shared
-					if cacheMode == "perrun" {
-						cache = Prepare(sql.NewGraph(plans[i].Query), perRun(), cat)
-					}
-					got[i], errs[i] = schedValidate(s, context.Background(), plans[i:i+1], cache)
+					got[i], errs[i] = schedValidate(s, context.Background(), plans[i:i+1], caches[i])
 				}(i)
 			}
 			wg.Wait()

@@ -1,5 +1,17 @@
 package sql
 
+import (
+	"errors"
+	"fmt"
+)
+
+// ErrJoinEndpoints marks a join predicate whose endpoints are not two
+// distinct FROM entries (an alias the FROM list lacks, or one entry on
+// both sides). No plan node could apply it — it crosses no split and is
+// not a filter — so the planner and the validation engine both refuse
+// its query (Graph.Err). The parser rejects it in SQL text.
+var ErrJoinEndpoints = errors.New("join predicate does not join two distinct FROM entries")
+
 // Graph is one query's join graph, derived once per request by NewGraph
 // and read by both sides of Γ — the optimizer's planner and the
 // validation engine's prepared state — so that they name every relation
@@ -9,9 +21,12 @@ package sql
 type Graph struct {
 	Query *Query // the query the graph was derived from
 	Rels  []Rel  // one per FROM position
-	// Edges holds the join predicates in query order — duplicates, and
-	// predicates that join no two FROM entries, included.
+	// Edges holds the join predicates in query order, duplicates included.
 	Edges []Edge
+	// Err wraps ErrJoinEndpoints for the first join predicate that does
+	// not join two distinct FROM entries; Optimizer.Prepare and
+	// executor.NewPrepared refuse a graph with it.
+	Err error
 }
 
 // Rel is one FROM entry: its mask bit, 1 << its position, and the
@@ -23,8 +38,7 @@ type Rel struct {
 
 // Edge is one join predicate as written (Pred) and canonical (Canon),
 // with Canon's rendering (Key) and the bits of its endpoints'
-// aliases, Canon.Left's (L) and Canon.Right's (R); 0 for an alias the
-// FROM list does not have.
+// aliases, Canon.Left's (L) and Canon.Right's (R).
 type Edge struct {
 	Pred, Canon JoinPred
 	Key         string
@@ -37,7 +51,8 @@ func (e *Edge) Crosses(a, b uint64) bool {
 	return e.L&a != 0 && e.R&b != 0 || e.L&b != 0 && e.R&a != 0
 }
 
-// NewGraph derives q's join graph.
+// NewGraph derives q's join graph. A join predicate whose endpoints are
+// not two distinct FROM entries sets Err.
 func NewGraph(q *Query) *Graph {
 	g := &Graph{Query: q, Rels: make([]Rel, len(q.Tables)), Edges: make([]Edge, len(q.Joins))}
 	all := make([]Selection, 0, len(q.Selections)) // every relation's filters, by position
@@ -55,7 +70,11 @@ func NewGraph(q *Query) *Graph {
 	}
 	for i, j := range q.Joins {
 		c := j.Canonical()
-		g.Edges[i] = Edge{Pred: j, Canon: c, Key: c.String(), L: q.Bit(c.Left.Table), R: q.Bit(c.Right.Table)}
+		e := Edge{Pred: j, Canon: c, Key: c.String(), L: q.Bit(c.Left.Table), R: q.Bit(c.Right.Table)}
+		if g.Err == nil && (e.L == 0 || e.R == 0 || e.L == e.R) {
+			g.Err = fmt.Errorf("sql: %s: %w", j, ErrJoinEndpoints)
+		}
+		g.Edges[i] = e
 	}
 	return g
 }

@@ -1,7 +1,7 @@
 package sql_test
 
 import (
-	"context"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -9,7 +9,6 @@ import (
 	"reopt/internal/catalog"
 	"reopt/internal/executor"
 	"reopt/internal/optimizer"
-	"reopt/internal/plan"
 	"reopt/internal/rel"
 	"reopt/internal/sql"
 	"reopt/internal/storage"
@@ -89,64 +88,49 @@ func TestGraph(t *testing.T) {
 	}
 }
 
-// TestGraphOutsideAlias pins what the graph's two readers do with a join
-// predicate naming an alias the FROM list lacks: the planner refuses the
-// query, and the validation engine applies the predicate in no set —
-// counts and signatures are those of the query without it — while its
-// endpoint on a FROM entry stays a boundary column of every set that
-// holds the entry.
+// TestGraphOutsideAlias pins the one rejection of a join predicate
+// whose endpoints are not two distinct FROM entries — one naming an alias
+// the FROM list lacks, or both naming the same entry: the graph names the
+// predicate in its Err, and the planner and the validation handle both
+// refuse the query with that error, while the query without it plans and
+// validates. No plan node could apply such a predicate: it crosses no
+// split and is not a filter.
 func TestGraphOutsideAlias(t *testing.T) {
 	cat := graphCatalog(t)
 	base, err := sql.Parse(`SELECT COUNT(*) FROM r1 AS t1, r2 AS t2 WHERE t1.a = 1 AND t1.b = t2.b`, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outside := *base
-	outside.Joins = append(slices.Clone(base.Joins), sql.JoinPred{Left: sql.ColRef{Table: "t1", Column: "a"}, Right: sql.ColRef{Table: "zz", Column: "a"}})
-
 	opt := optimizer.New(cat, optimizer.DefaultConfig())
-	if _, err := opt.Prepare(sql.NewGraph(&outside), nil); err == nil || !strings.Contains(err.Error(), "unknown alias") {
-		t.Fatalf("Prepare with an outside alias: %v, want an unknown-alias error", err)
+	g := sql.NewGraph(base)
+	if g.Err != nil {
+		t.Fatalf("graph of %s: %v", base, g.Err)
 	}
-
-	p, err := opt.Optimize(base, nil)
-	if err != nil {
+	if _, err := opt.Prepare(g, nil); err != nil {
 		t.Fatal(err)
 	}
-	count := func(q *sql.Query) ([]executor.Step, []string) {
-		cache := executor.NewSkeletonCache(0, 0)
-		steps, err := executor.NewPrepared(sql.NewGraph(q), cache, 0, nil).Count(context.Background(), p.Root, cat.Table, executor.SkelConfig{})
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
+	if _, err := executor.NewPrepared(g, nil, 0, nil, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, pred := range map[string]sql.JoinPred{
+		"outside alias": {Left: sql.ColRef{Table: "t1", Column: "a"}, Right: sql.ColRef{Table: "zz", Column: "a"}},
+		"same alias":    {Left: sql.ColRef{Table: "t1", Column: "a"}, Right: sql.ColRef{Table: "t1", Column: "b"}},
+	} {
+		q := *base
+		q.Joins = append(slices.Clone(base.Joins), pred)
+		g := sql.NewGraph(&q)
+		if !errors.Is(g.Err, sql.ErrJoinEndpoints) || !strings.Contains(g.Err.Error(), pred.String()) {
+			t.Fatalf("%s: graph error %v, want ErrJoinEndpoints naming %s", name, g.Err, pred)
 		}
-		return steps, cache.Keys()
-	}
-	want, wantKeys := count(base)
-	got, gotKeys := count(&outside)
-	if len(got) != len(want) {
-		t.Fatalf("%d steps, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Set.Key != want[i].Set.Key || got[i].Count != want[i].Count {
-			t.Errorf("step %d: %s = %d, want %s = %d", i, got[i].Set.Key, got[i].Count, want[i].Set.Key, want[i].Count)
+		if _, err := opt.Prepare(g, nil); !errors.Is(err, g.Err) {
+			t.Errorf("%s: Optimizer.Prepare: %v, want the graph's error", name, err)
 		}
-	}
-	slices.Sort(wantKeys)
-	slices.Sort(gotKeys)
-	if len(gotKeys) != len(wantKeys) {
-		t.Fatalf("keys %q, want as many as %q", gotKeys, wantKeys)
-	}
-	for i, k := range gotKeys {
-		// A key is signature|B:boundary columns. The signatures agree;
-		// sets holding t1 gain t1.a as a boundary column.
-		sig, bound, _ := strings.Cut(k, "|B:")
-		wsig, wbound, _ := strings.Cut(wantKeys[i], "|B:")
-		holdsT1 := strings.Contains(sig, "T:t1=")
-		if sig != wsig || strings.Contains(k, "zz") || holdsT1 != strings.Contains(bound, "t1.a,") || strings.ReplaceAll(bound, "t1.a,", "") != wbound {
-			t.Errorf("key %q, want %q with t1.a as a boundary column of sets holding t1", k, wantKeys[i])
+		if _, err := opt.Optimize(&q, nil); !errors.Is(err, sql.ErrJoinEndpoints) {
+			t.Errorf("%s: Optimize: %v, want ErrJoinEndpoints", name, err)
 		}
-	}
-	if len(p.JoinSets()) != 1 || p.JoinSets()[0] != 0b11 || plan.CanonicalSet(p.Root.Aliases()) != want[len(want)-1].Set.Key {
-		t.Errorf("plan join sets %v, root set %q", p.JoinSets(), want[len(want)-1].Set.Key)
+		if _, err := executor.NewPrepared(g, nil, 0, nil, nil, 0); !errors.Is(err, g.Err) || !errors.Is(err, executor.ErrUnsupportedPlan) {
+			t.Errorf("%s: NewPrepared: %v, want the graph's error, as an unsupported plan", name, err)
+		}
 	}
 }

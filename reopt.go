@@ -154,8 +154,11 @@ type (
 	// SamplingEstimate is the Δ produced by validating one plan.
 	SamplingEstimate = sampling.Estimate
 	// WorkloadCache reuses validation counts across the queries of a
-	// workload (see ReoptOptions.Cache).
-	WorkloadCache = sampling.WorkloadCache
+	// workload (see ReoptOptions.Cache): the validation engine's one
+	// store, whose keys carry the sample epoch of the catalog they were
+	// computed on, so one cache serves any number of catalogs and never
+	// serves counts of replaced samples.
+	WorkloadCache = executor.SkeletonCache
 	// SchedulerStats is always zero.
 	//
 	// Deprecated: there is no scheduler (see WithWorkloadScheduler).
@@ -250,7 +253,7 @@ func NewReoptimizer(opt *Optimizer, cat *Catalog) *Reoptimizer {
 // a Session an existing cache. Kept only because bench/ is its last
 // caller.
 func NewWorkloadCache(maxEntries int) *WorkloadCache {
-	return sampling.NewWorkloadCache(maxEntries)
+	return NewWorkloadCacheBudget(maxEntries, 0)
 }
 
 // NewWorkloadCacheBudget is NewWorkloadCache with a second budget on
@@ -260,8 +263,17 @@ func NewWorkloadCache(maxEntries int) *WorkloadCache {
 // subtrees dominate cannot blow the memory budget. Intended for
 // WithCache when a cache outlives one Session.
 func NewWorkloadCacheBudget(maxEntries, maxValues int) *WorkloadCache {
-	return sampling.NewWorkloadCacheBudget(maxEntries, maxValues)
+	if maxEntries <= 0 {
+		maxEntries = defaultCacheEntries
+	}
+	return executor.NewSkeletonCache(maxEntries, maxValues)
 }
+
+// defaultCacheEntries is the entry budget of a workload cache asked for
+// with none (WithSharedCache, NewWorkloadCache): a few hundred distinct
+// subtrees — dozens of multi-join queries' worth — while bounding the
+// sample sub-results it retains.
+const defaultCacheEntries = 4096
 
 // Calibrate runs the offline cost-unit calibration micro-benchmarks.
 func Calibrate(opts CalibrateOptions) (Units, error) { return calibrate.Run(opts) }

@@ -45,7 +45,7 @@ import (
 type Session struct {
 	cat       *Catalog
 	opt       *optimizer.Optimizer
-	cache     *sampling.WorkloadCache
+	cache     *WorkloadCache
 	memBudget int64
 	adm       *admission
 }
@@ -93,7 +93,7 @@ func WithSampleShards(n int) SessionOption {
 
 // WithSharedCache gives the session a workload-level validation cache
 // of at most maxEntries subtree sub-results (<= 0 selects the default
-// budget): every query re-optimized through the session then reuses
+// budget, 4096): every query re-optimized through the session then reuses
 // validation counts computed for earlier — or concurrently running —
 // queries over the same samples. Reuse never changes estimates, only
 // when they are computed; entries are invalidated wholesale when the
@@ -224,7 +224,7 @@ func Open(cat *Catalog, opts ...SessionOption) (*Session, error) {
 	case cfg.cache != nil:
 		s.cache = cfg.cache
 	case cfg.wantCache:
-		s.cache = sampling.NewWorkloadCacheBudget(cfg.cacheEntries, cfg.cacheValues)
+		s.cache = NewWorkloadCacheBudget(cfg.cacheEntries, cfg.cacheValues)
 	}
 	return s, nil
 }
@@ -369,8 +369,10 @@ func (s *Session) ReoptimizeMultiSeed(ctx context.Context, q *Query, seeds int, 
 // Every plan must be inside the skeleton engine's contract: a tree of
 // scans and equi-joins applying exactly its query's filters and join
 // predicates, as every plan from Optimize is. A hand-built plan outside
-// it — or a nil plan, or one without a query or root — fails the call
-// with an error matching ErrUnsupportedPlan before it executes anything.
+// it — or a nil plan, or one without a query or root, or one whose query
+// has a join predicate that does not join two distinct FROM entries —
+// fails the call with an error matching ErrUnsupportedPlan before it
+// executes anything.
 //
 // The call is admission-gated like Reoptimize. Under WithMemoryBudget,
 // a validation that breaches the budget fails the call with an error
@@ -389,13 +391,17 @@ func (s *Session) Validate(ctx context.Context, plans ...*Plan) ([]*SamplingEsti
 	}
 	// One handle for the call: plans of the first plan's query share its
 	// prepared state, derived from a graph of its own since no planner
-	// made one; any other query's plans are prepared on their own.
-	var g *sql.Graph
-	if plans[0] != nil && plans[0].Query != nil {
-		g = sql.NewGraph(plans[0].Query)
+	// made one; any other query's plans are prepared on their own, under
+	// the same store and budget. A first plan without a query has no
+	// handle, and the estimator refuses it.
+	var cache sampling.Cache
+	if p := plans[0]; p != nil && p.Query != nil {
+		var err error
+		if cache, err = sampling.Prepare(sql.NewGraph(p.Query), s.cache, s.cat, s.memBudget); err != nil {
+			return nil, err
+		}
 	}
-	cache := sampling.Prepare(g, s.cache, s.cat)
-	return sampling.EstimatePlansCfg(ctx, plans, s.cat, cache, sampling.ValidateConfig{MemBudget: s.memBudget})
+	return sampling.EstimatePlans(ctx, plans, s.cat, cache)
 }
 
 // Execute runs a plan against the catalog's base tables. Cancelling ctx

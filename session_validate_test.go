@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"reopt"
-	"reopt/internal/executor"
+	"reopt/internal/sampling"
 	"reopt/internal/sql"
 )
 
@@ -253,7 +253,11 @@ func TestSessionDuplicatePredicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, rd := range res.Rounds {
-		if _, err := executor.NewPrepared(sql.NewGraph(q), nil, 0, nil).Count(ctx, rd.Plan.Root, cat.Sample, executor.SkelConfig{}); err != nil {
+		prep, err := sampling.Prepare(sql.NewGraph(q), nil, cat, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := prep.Count(ctx, rd.Plan.Root); err != nil {
 			t.Fatalf("round %d plan: %v", i+1, err)
 		}
 	}
