@@ -40,11 +40,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# loc prints the non-test Go lines outside bench/ and outside testdata/
-# (the analyzers' fixtures are test inputs), the line count each change's
-# notes quote.
+# loc prints the non-test and the test Go lines outside bench/ and
+# outside testdata/ (the analyzers' fixtures are test inputs), the line
+# counts each change's notes quote.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l
+	@printf 'non-test Go lines: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l
+	@printf 'test Go lines: '; find . -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 # examples builds the example programs and the cmds as an explicit,
 # separately reported CI step: `go build ./...` in `check` covers them
@@ -89,7 +90,7 @@ chaos: vet
 # (FuzzIndexedSelection: IndexRows against the scan kernel, and a point
 # range against the secondary index's Lookup), the
 # secondary index (FuzzIndexLookup: Lookup and NumDistinct against a
-# directory filed row by row, across kinds and appends), the SQL
+# directory filed row by row, for each kind and across appends), the SQL
 # parser (FuzzParse: no panic, query xor error, String round trip) and
 # the reoptd request decoders (FuzzRequestBodies: no 500 or panic, every
 # error a structured body of a known kind, every answer within seconds)

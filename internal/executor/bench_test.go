@@ -96,7 +96,7 @@ func BenchmarkCompact(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if dups == 0 {
 					out := col.NewLike(n)
-					out.Gather(&col, sel, 0, n, 0)
+					out.Gather(&col, sel)
 					continue
 				}
 				if _, _, count, total := compact(sc, srcs, n, bagWeights{}); total != n || count != (n+dups-1)/dups {

@@ -92,24 +92,20 @@ func (b *bagWeights) at(x int) int64 {
 // the rows of a group are interchangeable for any later hash, compare or
 // gather), keeps groups in first-occurrence order and sums their
 // weights: a pure function of the row sequence, hence the same in every
-// cache state. w is nil when every row counts once. A sequence with a
-// mixed-kind column, or on which group gives up, is gathered as it
-// stands; one without columns groups into the empty tuple. Columns are
-// allocated at exact size; nothing returned aliases sc.
+// cache state. w is nil when every row counts once. A sequence on which
+// group gives up is gathered as it stands; one without columns groups
+// into the empty tuple. Columns are allocated at exact size; nothing
+// returned aliases sc.
 func compact(sc *skelScratch, srcs []colSrc, n int, bw bagWeights) (cols []storage.ColData, w []int64, count int, total int64) {
 	cols = make([]storage.ColData, len(srcs))
-	group := n > 0
-	for k := range srcs {
-		group = group && srcs[k].col.Vals == nil
-	}
-	if group {
+	if n > 0 {
 		total = sc.group(srcs, n, &bw)
 	}
 	if total == 0 {
 		// Uncompressed: every row as it stands, weights alongside.
 		for k, s := range srcs {
 			cols[k] = s.col.NewLike(n)
-			cols[k].Gather(s.col, s.rows, 0, n, 0)
+			cols[k].Gather(s.col, s.rows[:n])
 		}
 		count, total = n, int64(n)
 		if bw.lw != nil || bw.rw != nil {
@@ -128,7 +124,7 @@ func compact(sc *skelScratch, srcs []colSrc, n int, bw bagWeights) (cols []stora
 				idx[i] = s.rows[sc.groups[i].first]
 			}
 			cols[k] = s.col.NewLike(count)
-			cols[k].Gather(s.col, idx, 0, count, 0)
+			cols[k].Gather(s.col, idx)
 		}
 		if total != int64(count) {
 			w = make([]int64, count)

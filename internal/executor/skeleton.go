@@ -348,9 +348,9 @@ type scanPass func(dst *vec.Bitmap, lo, hi int)
 // column against numeric constants runs its kind's range kernel over the
 // filter's exact interval (numInterval) — BETWEEN included, so it always
 // fuses — and a string column against string constants runs the string
-// kernels. Everything else (NULL constants, mixed-kind columns,
-// string/numeric cross-kind comparisons) falls back to a row-wise pass
-// over the same bitmap layout, which keeps the engine total.
+// kernels. Everything else (NULL constants, string/numeric cross-kind
+// comparisons) falls back to a row-wise pass over the same bitmap
+// layout, which keeps the engine total.
 func kernelPass(col *storage.ColData, f sql.Selection) scanPass {
 	nulls := col.NullWords
 	switch col.Kind {

@@ -13,33 +13,16 @@ import (
 )
 
 // Typed boundary columns: the cases where carrying []int64 / []float64 /
-// []string / mixed-kind columns between operators could diverge from the
-// general executor's rel.Value rows — keys of different kinds, NULLs
-// outside the key, a column with no uniform kind, string keys, and
-// joins with nothing on one side.
+// []string columns between operators could diverge from the general
+// executor's rel.Value rows — keys of different kinds, NULLs outside the
+// key, string keys, and joins with nothing on one side.
 
 // edgeCatalog builds four tables whose columns cover every ColData
-// shape: a.k int and b.k float (even rows hold integers, odd rows
-// halves), n int with NULLs, m mixed-kind (int / string / float / NULL
-// by row), s string (including the empty string), j int, and v int for
-// filters.
+// kind: a.k int and b.k float (even rows hold integers, odd rows
+// halves), n int with NULLs, s string (including the empty string), j
+// int, and v int for filters.
 func edgeCatalog(t testing.TB) *catalog.Catalog {
 	t.Helper()
-	mixed := func(i int) rel.Value {
-		switch i % 4 {
-		case 0:
-			return rel.Int(int64(i % 10))
-		case 1:
-			return rel.String_(fmt.Sprintf("m%d", i%10))
-		case 2:
-			return rel.Float(float64(i%10) + 0.5)
-		default:
-			if i%12 == 3 {
-				return rel.Null
-			}
-			return rel.Float(float64(i % 10)) // equals the Int rows' values
-		}
-	}
 	nullable := func(i, mod int) rel.Value {
 		if i%7 == 0 {
 			return rel.Null
@@ -53,31 +36,29 @@ func edgeCatalog(t testing.TB) *catalog.Catalog {
 		return rel.String_(fmt.Sprintf("s%d", i%30))
 	}
 	cat := catalog.New()
-	add := func(name string, rows int, cols []string, row func(i int) rel.Row) {
-		cs := make([]rel.Column, len(cols))
-		for c, n := range cols {
-			cs[c] = rel.Column{Name: n, Kind: rel.KindInt}
-		}
-		tab := storage.NewTable(name, rel.NewSchema(cs...))
+	integer := func(name string) rel.Column { return rel.Column{Name: name, Kind: rel.KindInt} }
+	add := func(name string, rows int, cols []rel.Column, row func(i int) rel.Row) {
+		tab := storage.NewTable(name, rel.NewSchema(cols...))
 		for i := 0; i < rows; i++ {
 			tab.MustAppend(row(i))
 		}
 		cat.MustAddTable(tab)
 	}
-	add("a", 700, []string{"k", "n", "m", "s", "v"}, func(i int) rel.Row {
-		return rel.Row{rel.Int(int64(i % 40)), nullable(i, 25), mixed(i), str(i), rel.Int(int64(i % 100))}
+	strCol := rel.Column{Name: "s", Kind: rel.KindString}
+	add("a", 700, []rel.Column{integer("k"), integer("n"), strCol, integer("v")}, func(i int) rel.Row {
+		return rel.Row{rel.Int(int64(i % 40)), nullable(i, 25), str(i), rel.Int(int64(i % 100))}
 	})
-	add("b", 600, []string{"k", "j", "s", "v"}, func(i int) rel.Row {
+	add("b", 600, []rel.Column{{Name: "k", Kind: rel.KindFloat}, integer("j"), strCol, integer("v")}, func(i int) rel.Row {
 		k := float64(i % 40)
 		if i%2 == 1 {
 			k += 0.5
 		}
 		return rel.Row{rel.Float(k), rel.Int(int64(i % 35)), str(i + 1), rel.Int(int64(i % 100))}
 	})
-	add("c", 560, []string{"j", "m", "v"}, func(i int) rel.Row {
-		return rel.Row{rel.Int(int64(i % 35)), mixed(i + 2), rel.Int(int64(i % 100))}
+	add("c", 560, []rel.Column{integer("j"), integer("v")}, func(i int) rel.Row {
+		return rel.Row{rel.Int(int64(i % 35)), rel.Int(int64(i % 100))}
 	})
-	add("d", 520, []string{"n", "v"}, func(i int) rel.Row {
+	add("d", 520, []rel.Column{integer("n"), integer("v")}, func(i int) rel.Row {
 		return rel.Row{nullable(i+3, 25), rel.Int(int64(i % 100))}
 	})
 	return cat
@@ -122,12 +103,6 @@ func edgeCases() []edgeCase {
 				{Left: ref("a", "n"), Right: ref("d", "n")},
 			},
 			bounds: vLimit("a", "c", "d"), wantRoot: "some"},
-		{name: "mixed-kind column carried through a join, then a key", order: []string{"a", "b", "c"},
-			joins: []sql.JoinPred{
-				{Left: ref("a", "k"), Right: ref("b", "k")},
-				{Left: ref("a", "m"), Right: ref("c", "m")},
-			},
-			bounds: vLimit("a", "c"), wantRoot: "some"},
 		{name: "string key", order: []string{"a", "b", "c"},
 			joins: []sql.JoinPred{
 				{Left: ref("a", "s"), Right: ref("b", "s")},
@@ -181,8 +156,8 @@ func TestTypedColumnEdgeCases(t *testing.T) {
 	ctx := context.Background()
 	if a, err := cat.Table("a"); err != nil {
 		t.Fatal(err)
-	} else if cs := a.ColData(); cs.Col(2).Vals == nil || cs.Col(1).Nulls == nil {
-		t.Fatal("a.m must be a mixed-kind (Vals) column and a.n must carry NULLs")
+	} else if a.ColData().Col(1).Nulls == nil {
+		t.Fatal("a.n must carry NULLs")
 	}
 	for _, ec := range edgeCases() {
 		plans := []*plan.Plan{ec.plan(cat, 70), ec.plan(cat, 35)}

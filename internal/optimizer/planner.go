@@ -82,23 +82,20 @@ type cell struct {
 // nil (start from an empty Γ) or hold validated cardinalities for the
 // query's FROM list — a Γ made for another FROM list is an error; from
 // here on the planner owns it, and entries must arrive through
-// Planner.Merge so the validated leaves stay in step. A graph whose
-// join predicates do not each join two distinct FROM entries is refused
-// with its Err.
+// Planner.Merge so the validated leaves stay in step. A graph with an
+// Err — a FROM list longer than sql.MaxTables, or a join predicate that
+// does not join two distinct FROM entries — is refused with it.
 func (o *Optimizer) Prepare(g *sql.Graph, gamma *Gamma) (*Planner, error) {
 	return o.prepare(g, gamma, len(g.Rels) <= o.cfg.DPThreshold)
 }
 
 func (o *Optimizer) prepare(g *sql.Graph, gamma *Gamma, dense bool) (*Planner, error) {
+	if g.Err != nil {
+		return nil, fmt.Errorf("optimizer: %w", g.Err)
+	}
 	n := len(g.Rels)
 	if n == 0 {
 		return nil, fmt.Errorf("optimizer: query has no tables")
-	}
-	if n > 63 {
-		return nil, fmt.Errorf("optimizer: queries with more than 63 tables are not supported")
-	}
-	if g.Err != nil {
-		return nil, fmt.Errorf("optimizer: %w", g.Err)
 	}
 	if gamma == nil {
 		gamma = NewGamma(g.Query)
@@ -290,9 +287,6 @@ func (o *Optimizer) selectionSel(table string, f sql.Selection) float64 {
 	}
 	switch f.Op {
 	case sql.OpEq:
-		if o.cfg.Profile.EqSel != nil {
-			return o.cfg.Profile.EqSel(cs, f.Value)
-		}
 		return cs.SelEquals(f.Value)
 	case sql.OpNe:
 		return cs.SelNotEquals(f.Value)

@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"reopt/internal/catalog"
-	"reopt/internal/rel"
 	"reopt/internal/sql"
 	"reopt/internal/stats"
 	"reopt/internal/storage"
@@ -17,9 +16,6 @@ import (
 type Profile struct {
 	// Name identifies the profile in reports.
 	Name string
-	// EqSel overrides equality-selectivity estimation; nil uses the
-	// PostgreSQL-style MCV+uniform rule.
-	EqSel func(cs *stats.ColumnStats, v rel.Value) float64
 	// JoinSel overrides equi-join selectivity estimation; nil uses the
 	// PostgreSQL-style MCV-join/1-max(ndv) rule.
 	JoinSel func(left, right *stats.ColumnStats) float64
@@ -34,10 +30,11 @@ type Profile struct {
 // §4.2.1 of the paper.
 func PostgresProfile() *Profile { return &Profile{Name: "postgres"} }
 
-// SystemAProfile emulates "commercial system A": exact MCV frequencies
-// for selections, but the plain System-R join rule 1/max(ndv) with no
-// MCV-list join refinement. It still combines predicates under AVI, so
-// OTT queries defeat it the same way (Figure 12).
+// SystemAProfile emulates "commercial system A": the default selection
+// rule (MCV frequencies, uniform elsewhere), but the plain System-R join
+// rule 1/max(ndv) with no MCV-list join refinement. It still combines
+// predicates under AVI, so OTT queries defeat it the same way (Figure
+// 12).
 func SystemAProfile() *Profile {
 	return &Profile{
 		Name: "systemA",

@@ -164,7 +164,8 @@ func Prepare(g *sql.Graph, store *executor.SkeletonCache, cat *catalog.Catalog, 
 	}
 	tables := make([]*storage.Table, len(g.Rels))
 	scales := make([]float64, len(g.Rels))
-	for i, tr := range g.Query.Tables {
+	for i := range g.Rels { // none when g.Err refused the FROM list
+		tr := g.Query.Tables[i]
 		base, err := cat.Table(tr.Name)
 		if err != nil {
 			return nil, err

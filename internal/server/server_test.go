@@ -273,6 +273,31 @@ func TestSeedsCapped(t *testing.T) {
 	}
 }
 
+// TestFromListLimitIs400: SQL text naming more than sql.MaxTables FROM
+// entries is a client error, refused by the parser with 400 bad_request
+// before any planning — a 64-entry chain as much as a 66-entry one.
+func TestFromListLimitIs400(t *testing.T) {
+	cat := ottCatalog(t)
+	_, ts := newTestServer(t, cat, server.Config{Default: &server.Quota{}})
+	c := reoptclient.New(ts.URL, reoptclient.WithRetries(0))
+	for _, n := range []int{64, 66} {
+		from, where := make([]string, n), make([]string, n-1)
+		for i := range from {
+			from[i] = fmt.Sprintf("r1 AS t%d", i)
+			if i > 0 {
+				where[i-1] = fmt.Sprintf("t%d.b = t%d.b", i-1, i)
+			}
+		}
+		text := "SELECT COUNT(*) FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(where, " AND ")
+		_, err := c.Reoptimize(context.Background(), &reoptclient.ReoptimizeRequest{SQL: text})
+		var ae *reoptclient.APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || ae.Body.Kind != reoptclient.KindBadRequest ||
+			!strings.Contains(ae.Body.Message, "parse sql") {
+			t.Errorf("%d tables: %v, want 400 bad_request from the parser", n, err)
+		}
+	}
+}
+
 // TestOverloadShedsWith429: saturating the tenant's single admission
 // slot makes the next request shed with 429, a Retry-After header >= 1s
 // derived from the queue depth, and a structured overloaded body;

@@ -12,6 +12,15 @@ import (
 // its query (Graph.Err). The parser rejects it in SQL text.
 var ErrJoinEndpoints = errors.New("join predicate does not join two distinct FROM entries")
 
+// MaxTables is the longest FROM list a query may have: a relation set is
+// a uint64 mask of FROM positions (Query.Bit).
+const MaxTables = 63
+
+// ErrTooManyTables marks a query whose FROM list is longer than
+// MaxTables. Parse refuses such SQL text; NewGraph sets it as the Err of
+// a hand-built query's graph, which holds no relation then.
+var ErrTooManyTables = fmt.Errorf("query has more than %d tables", MaxTables)
+
 // Graph is one query's join graph, derived once per request by NewGraph
 // and read by both sides of Γ — the optimizer's planner and the
 // validation engine's prepared state — so that they name every relation
@@ -23,9 +32,10 @@ type Graph struct {
 	Rels  []Rel  // one per FROM position
 	// Edges holds the join predicates in query order, duplicates included.
 	Edges []Edge
-	// Err wraps ErrJoinEndpoints for the first join predicate that does
-	// not join two distinct FROM entries; Optimizer.Prepare and
-	// executor.NewPrepared refuse a graph with it.
+	// Err wraps ErrTooManyTables for a FROM list longer than MaxTables,
+	// or ErrJoinEndpoints for the first join predicate that does not join
+	// two distinct FROM entries; Optimizer.Prepare and executor.NewPrepared
+	// refuse a graph with it.
 	Err error
 }
 
@@ -51,9 +61,14 @@ func (e *Edge) Crosses(a, b uint64) bool {
 	return e.L&a != 0 && e.R&b != 0 || e.L&b != 0 && e.R&a != 0
 }
 
-// NewGraph derives q's join graph. A join predicate whose endpoints are
-// not two distinct FROM entries sets Err.
+// NewGraph derives q's join graph. A FROM list longer than MaxTables
+// sets Err before any bit is derived, and leaves the graph without
+// relations or edges; a join predicate whose endpoints are not two
+// distinct FROM entries sets Err.
 func NewGraph(q *Query) *Graph {
+	if len(q.Tables) > MaxTables {
+		return &Graph{Query: q, Err: fmt.Errorf("sql: %d tables: %w", len(q.Tables), ErrTooManyTables)}
+	}
 	g := &Graph{Query: q, Rels: make([]Rel, len(q.Tables)), Edges: make([]Edge, len(q.Joins))}
 	all := make([]Selection, 0, len(q.Selections)) // every relation's filters, by position
 	for i, t := range q.Tables {

@@ -2,6 +2,7 @@ package sql_test
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -132,5 +133,34 @@ func TestGraphOutsideAlias(t *testing.T) {
 		if _, err := executor.NewPrepared(g, nil, 0, nil, nil, 0); !errors.Is(err, g.Err) || !errors.Is(err, executor.ErrUnsupportedPlan) {
 			t.Errorf("%s: NewPrepared: %v, want the graph's error, as an unsupported plan", name, err)
 		}
+	}
+}
+
+// TestGraphTooManyTables: Parse accepts a FROM list of sql.MaxTables
+// entries and refuses one more with ErrTooManyTables; NewGraph refuses
+// the same list built by hand, and derives no relation for it.
+func TestGraphTooManyTables(t *testing.T) {
+	cat := graphCatalog(t)
+	from := func(n int) string {
+		refs := make([]string, n)
+		for i := range refs {
+			refs[i] = fmt.Sprintf("r1 AS t%d", i)
+		}
+		return "SELECT COUNT(*) FROM " + strings.Join(refs, ", ")
+	}
+	q, err := sql.Parse(from(sql.MaxTables), cat)
+	if err != nil {
+		t.Fatalf("%d tables: %v", sql.MaxTables, err)
+	}
+	if g := sql.NewGraph(q); g.Err != nil || len(g.Rels) != sql.MaxTables {
+		t.Fatalf("%d tables: graph error %v over %d relations", sql.MaxTables, g.Err, len(g.Rels))
+	}
+	if _, err := sql.Parse(from(sql.MaxTables+1), cat); !errors.Is(err, sql.ErrTooManyTables) {
+		t.Fatalf("%d tables: Parse: %v, want ErrTooManyTables", sql.MaxTables+1, err)
+	}
+	long := *q
+	long.Tables = append(slices.Clone(q.Tables), sql.TableRef{Name: "r1", Alias: "extra"})
+	if g := sql.NewGraph(&long); !errors.Is(g.Err, sql.ErrTooManyTables) || g.Rels != nil || g.Edges != nil {
+		t.Fatalf("%d tables: graph error %v over %d relations, want ErrTooManyTables over none", len(long.Tables), g.Err, len(g.Rels))
 	}
 }

@@ -240,6 +240,9 @@ func (p *parser) parseFromList() error {
 		if seen[ref.Alias] {
 			return fmt.Errorf("sql: duplicate table alias %q", ref.Alias)
 		}
+		if len(p.q.Tables) == MaxTables {
+			return fmt.Errorf("sql: FROM list: %w", ErrTooManyTables)
+		}
 		seen[ref.Alias] = true
 		p.q.Tables = append(p.q.Tables, ref)
 		if !p.atSymbol(",") {

@@ -58,14 +58,14 @@ func BenchmarkIndexedRangeScan(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				a, z := col.idx.span(1, hi)
 				rows := col.idx.perm[a:z]
-				out.Gather(col, rows, 0, len(rows), 0)
+				out.Gather(col, rows)
 			}
 			perRow(b, n)
 		})
 		b.Run("other-gather/"+name, func(b *testing.B) {
 			rows := col.idx.perm[a:z]
 			for i := 0; i < b.N; i++ {
-				out.Gather(other, rows, 0, len(rows), 0)
+				out.Gather(other, rows)
 			}
 			perRow(b, n)
 		})
@@ -81,7 +81,7 @@ func BenchmarkIndexedRangeScan(b *testing.B) {
 				vec.Int64Range(bm, col.Ints, 1, hi, 0, n)
 				vec.AndNotNulls(bm, col.NullWords, 0, n)
 				sel = bm.AppendIndices(sel[:0], 0, n)
-				out.Gather(col, sel, 0, len(sel), 0)
+				out.Gather(col, sel)
 			}
 			perRow(b, n)
 		})

@@ -12,24 +12,22 @@ import (
 )
 
 // ColStore is how a table holds its rows, column by column: each column
-// whose non-null values share one kind is stored as a typed slice
-// ([]int64, []float64, or []string), so predicate evaluation and key
-// hashing over it run as tight typed loops with no per-row Value
-// construction. Table.Append writes it in place; the count-only
-// sample-skeleton engine scans a sample's store directly.
+// is stored as the typed slice of its declared kind ([]int64, []float64,
+// or []string), so predicate evaluation and key hashing over it run as
+// tight typed loops with no per-row Value construction. Table.Append
+// writes it in place; the count-only sample-skeleton engine scans a
+// sample's store directly.
 type ColStore struct {
 	numRows int
 	cols    []ColData
 }
 
-// ColData holds one column. Exactly one of the typed slices is populated
-// when Kind is a scalar kind; Vals is the row-major fallback for columns
-// that mix kinds (Kind == KindNull), which keeps the engine total. A
-// column no non-NULL value has been written to yet (empty or all-NULL)
-// is an int64 column of zeros, unless Table.Grow typed it while empty.
+// ColData holds one column: the typed slice of its kind, and NULL
+// marking. A column declared KindNull holds only NULLs, over an int64
+// slice of zeros.
 type ColData struct {
-	// Kind is the uniform kind of the column's non-null values, or
-	// KindNull when the column mixes kinds and Vals must be used.
+	// Kind is the column's declared kind (rel.Column.Kind), the kind of
+	// every non-NULL value in it; Table.Append refuses any other.
 	Kind   rel.Kind
 	Ints   []int64
 	Floats []float64
@@ -45,8 +43,6 @@ type ColData struct {
 	// the skeleton engine only carries between operators and never
 	// filters leave it unbuilt.
 	NullWords []uint64
-	// Vals is set only for mixed-kind columns.
-	Vals []rel.Value
 	// idx is the column's slot, its lazily built sorted permutation
 	// (attachIndex); nil for a column no index reads that is too small
 	// or not int64, and for every column no ColStore owns.
@@ -55,9 +51,6 @@ type ColData struct {
 
 // IsNull reports whether row i of the column is NULL.
 func (c *ColData) IsNull(i int) bool {
-	if c.Kind == rel.KindNull {
-		return c.Vals[i].IsNull()
-	}
 	return c.Nulls != nil && c.Nulls[i]
 }
 
@@ -67,32 +60,25 @@ func (c *ColData) Value(i int) rel.Value {
 		return rel.Null
 	}
 	switch c.Kind {
-	case rel.KindInt:
-		return rel.Int(c.Ints[i])
 	case rel.KindFloat:
 		return rel.Float(c.Floats[i])
 	case rel.KindString:
 		return rel.String_(c.Strs[i])
-	default:
-		return c.Vals[i]
 	}
+	return rel.Int(c.Ints[i])
 }
 
 // NewLike allocates an n-row column shaped like c: same kind, the same
-// typed slice (Vals for a mixed-kind column), and a Nulls marking exactly
-// when c carries one. It is how the skeleton engine sizes the columns it
-// carries between operators: exactly, once, and — except for strings and
-// mixed-kind columns — without pointers for the collector to clear or
-// scan.
+// typed slice, and a Nulls marking exactly when c carries one. It is how
+// the skeleton engine sizes the columns it carries between operators:
+// exactly, once, and — except for strings — without pointers for the
+// collector to clear or scan.
 func (c *ColData) NewLike(n int) ColData {
 	dst := ColData{Kind: c.Kind}
-	switch {
-	case c.Vals != nil:
-		dst.Vals = make([]rel.Value, n)
-		return dst
-	case c.Kind == rel.KindFloat:
+	switch c.Kind {
+	case rel.KindFloat:
 		dst.Floats = make([]float64, n)
-	case c.Kind == rel.KindString:
+	case rel.KindString:
 		dst.Strs = make([]string, n)
 	default:
 		dst.Ints = make([]int64, n)
@@ -103,37 +89,30 @@ func (c *ColData) NewLike(n int) ColData {
 	return dst
 }
 
-// Gather copies src rows sel[lo:hi) into c at destination offset off:
-// selection entry x lands at row off+x, typed payload and NULL flag
-// both. c must be shaped like src (NewLike). NullWords is not
-// maintained: only a table's columns are filtered.
-func (c *ColData) Gather(src *ColData, sel []int32, lo, hi, off int) {
-	sel = sel[lo:hi]
-	switch {
-	case src.Vals != nil:
-		out := c.Vals[off+lo : off+hi]
-		for x, r := range sel {
-			out[x] = src.Vals[r]
-		}
-		return
-	case src.Kind == rel.KindFloat:
-		out := c.Floats[off+lo : off+hi]
+// Gather copies src rows sel into c: selection entry x lands at row x,
+// typed payload and NULL flag both. c must be shaped like src (NewLike)
+// and hold at least len(sel) rows. NullWords is not maintained: only a
+// table's columns are filtered.
+func (c *ColData) Gather(src *ColData, sel []int32) {
+	switch src.Kind {
+	case rel.KindFloat:
+		out := c.Floats[:len(sel)]
 		for x, r := range sel {
 			out[x] = src.Floats[r]
 		}
-	case src.Kind == rel.KindString:
-		out := c.Strs[off+lo : off+hi]
+	case rel.KindString:
+		out := c.Strs[:len(sel)]
 		for x, r := range sel {
 			out[x] = src.Strs[r]
 		}
 	default:
-		out := c.Ints[off+lo : off+hi]
+		out := c.Ints[:len(sel)]
 		for x, r := range sel {
 			out[x] = src.Ints[r]
 		}
 	}
 	if src.Nulls != nil {
-		out := c.Nulls[off+lo : off+hi]
+		out := c.Nulls[:len(sel)]
 		for x, r := range sel {
 			out[x] = src.Nulls[r]
 		}
@@ -144,12 +123,10 @@ func (c *ColData) Gather(src *ColData, sel []int32, lo, hi, off int) {
 // no NullWords and no index.
 func (c *ColData) slice(a, b int) ColData {
 	v := ColData{Kind: c.Kind}
-	switch {
-	case c.Vals != nil:
-		v.Vals = c.Vals[a:b:b]
-	case c.Kind == rel.KindFloat:
+	switch c.Kind {
+	case rel.KindFloat:
 		v.Floats = c.Floats[a:b:b]
-	case c.Kind == rel.KindString:
+	case rel.KindString:
 		v.Strs = c.Strs[a:b:b]
 	default:
 		v.Ints = c.Ints[a:b:b]
@@ -166,21 +143,18 @@ func (c *ColData) slice(a, b int) ColData {
 // land in the same bucket. Row i must not be NULL.
 func (c *ColData) HashAt(h uint64, i int) uint64 {
 	switch c.Kind {
-	case rel.KindInt:
-		return rel.HashInt64(h, c.Ints[i])
 	case rel.KindFloat:
 		return rel.HashFloat64(h, c.Floats[i])
 	case rel.KindString:
 		return rel.HashString(h, c.Strs[i])
-	default:
-		return c.Vals[i].Hash64(h)
 	}
+	return rel.HashInt64(h, c.Ints[i])
 }
 
 // EqualAt reports rel.Value.Equal between row i of c and row j of o,
 // comparing typed payloads when both columns share a kind and deferring
 // to rel.Value.Equal across kinds, which compares an int with a float
-// exactly (a mixed-kind column decides per row). Neither row may be NULL.
+// exactly. Neither row may be NULL.
 func (c *ColData) EqualAt(i int, o *ColData, j int) bool {
 	if c.Kind == o.Kind {
 		switch c.Kind {
@@ -198,7 +172,7 @@ func (c *ColData) EqualAt(i int, o *ColData, j int) bool {
 
 // IdentHashAt folds row i's *representation* into h: a NULL as itself, a
 // float by bit pattern (-0.0 and 0.0, and NaN payloads, apart) — finer
-// than HashAt, which follows Value.Equal. Not for mixed-kind columns.
+// than HashAt, which follows Value.Equal.
 func (c *ColData) IdentHashAt(h uint64, i int) uint64 {
 	switch {
 	case c.Nulls != nil && c.Nulls[i]:
@@ -213,7 +187,7 @@ func (c *ColData) IdentHashAt(h uint64, i int) uint64 {
 
 // IdentAt reports whether rows i and j of the column hold the identical
 // representation (the equality IdentHashAt hashes for): NULL with NULL,
-// floats by bit pattern. Not for mixed-kind columns.
+// floats by bit pattern.
 func (c *ColData) IdentAt(i, j int) bool {
 	switch ni, nj := c.IsNull(i), c.IsNull(j); {
 	case ni || nj:
@@ -236,46 +210,29 @@ func (cs *ColStore) Col(pos int) *ColData { return &cs.cols[pos] }
 // orders their values, reading the typed slice.
 func (c *ColData) compare(i, j int) int {
 	switch c.Kind {
-	case rel.KindInt:
-		return cmp.Compare(c.Ints[i], c.Ints[j])
 	case rel.KindFloat:
 		return rel.Float(c.Floats[i]).Compare(rel.Float(c.Floats[j]))
 	case rel.KindString:
 		return strings.Compare(c.Strs[i], c.Strs[j])
 	}
-	return c.Vals[i].Compare(c.Vals[j])
+	return cmp.Compare(c.Ints[i], c.Ints[j])
 }
 
-// push writes v as row n of the column (n is its current length), the
-// one step Table.Append and Table.Sample build columns by. The column
-// keeps the kind of its non-NULL values; the first value of another kind
-// retypes a column that holds only NULLs so far, and otherwise turns it
-// mixed-kind for good, its cells moved into Vals. NULL marking (Nulls and
-// NullWords) appears with the first NULL. The column's slot is not
-// maintained here: see attachIndex.
+// push writes v, NULL or of the column's kind, as row n of the column
+// (n is its current length), the one step Table.Append and Table.Sample
+// build columns by. NULL marking (Nulls and NullWords) appears with the
+// first NULL. The column's slot is not maintained here: see attachIndex.
 func (c *ColData) push(v rel.Value, n int) {
-	if c.Vals != nil {
-		c.Vals = append(c.Vals, v)
-		return
-	}
 	null := v.IsNull()
-	if !null && v.Kind() != c.Kind {
-		if n > 0 && (c.Nulls == nil || slices.Contains(c.Nulls, false)) {
-			c.toMixed(n)
-			c.Vals = append(c.Vals, v)
-			return
-		}
-		c.retype(v.Kind(), n)
-	}
 	switch {
 	case null:
 		c.appendZero()
-	case c.Kind == rel.KindInt:
-		c.Ints = append(c.Ints, v.AsInt())
 	case c.Kind == rel.KindFloat:
 		c.Floats = append(c.Floats, v.AsFloat())
-	default:
+	case c.Kind == rel.KindString:
 		c.Strs = append(c.Strs, v.AsString())
+	default:
+		c.Ints = append(c.Ints, v.AsInt())
 	}
 	if null && c.Nulls == nil {
 		c.Nulls = make([]bool, n, n+1)
@@ -295,36 +252,13 @@ func (c *ColData) push(v rel.Value, n int) {
 // appendZero appends the zero payload a NULL row holds in the typed slice.
 func (c *ColData) appendZero() {
 	switch c.Kind {
-	case rel.KindInt:
-		c.Ints = append(c.Ints, 0)
 	case rel.KindFloat:
 		c.Floats = append(c.Floats, 0)
-	default:
+	case rel.KindString:
 		c.Strs = append(c.Strs, "")
-	}
-}
-
-// retype makes an n-row column that holds only NULLs a column of kind k.
-func (c *ColData) retype(k rel.Kind, n int) {
-	c.Kind, c.Ints, c.Floats, c.Strs = k, nil, nil, nil
-	switch k {
-	case rel.KindInt:
-		c.Ints = make([]int64, n)
-	case rel.KindFloat:
-		c.Floats = make([]float64, n)
 	default:
-		c.Strs = make([]string, n)
+		c.Ints = append(c.Ints, 0)
 	}
-}
-
-// toMixed moves the column's n cells into Vals, the mixed-kind layout;
-// the column keeps its slot.
-func (c *ColData) toMixed(n int) {
-	vals := make([]rel.Value, n, n+1)
-	for i := range vals {
-		vals[i] = c.Value(i)
-	}
-	*c = ColData{Kind: rel.KindNull, Vals: vals, idx: c.idx}
 }
 
 // view is the column's first n rows as a column sharing its storage,
@@ -357,17 +291,17 @@ func (cs *ColStore) ReadRow(dst rel.Row, i int) {
 	}
 }
 
-// bytes counts the column's backing arrays at capacity — typed slice,
-// NULL marking and Vals — leaving out each array that also backs the same
-// slice of base (nil: none). String payloads, which rows may share, are
-// not counted.
+// bytes counts the column's backing arrays at capacity — typed slice and
+// NULL marking — leaving out each array that also backs the same slice
+// of base (nil: none). String payloads, which rows may share, are not
+// counted.
 func (c *ColData) bytes(base *ColData) int64 {
 	if base == nil {
 		base = &ColData{}
 	}
 	return arrayBytes(c.Ints, base.Ints) + arrayBytes(c.Floats, base.Floats) +
 		arrayBytes(c.Strs, base.Strs) + arrayBytes(c.Nulls, base.Nulls) +
-		arrayBytes(c.NullWords, base.NullWords) + arrayBytes(c.Vals, base.Vals)
+		arrayBytes(c.NullWords, base.NullWords)
 }
 
 // arrayBytes is the size of s's backing array, or 0 when base starts on

@@ -142,7 +142,7 @@ func (ix *sortedIndex) ordered(pos int) *ColData {
 	oc.once.Do(func() {
 		src := &ix.store.cols[pos]
 		oc.col = src.NewLike(len(ix.perm))
-		oc.col.Gather(src, ix.perm, 0, len(ix.perm), 0)
+		oc.col.Gather(src, ix.perm)
 		ix.copyBytes.Add(oc.col.bytes(nil))
 	})
 	return &oc.col

@@ -93,17 +93,16 @@ func TestSortedPermOrder(t *testing.T) {
 	}
 }
 
-// boundaryTable is intTable's column v beside four columns a scan may
+// boundaryTable is intTable's column v beside three columns a scan may
 // carry as boundary columns, one of each kind the ordered copies must
 // reproduce byte for byte: n int64 with NULLs, f float64 with two NaN
-// payloads, ±0, an infinity and NULLs, s string, and m mixing kinds.
+// payloads, ±0, an infinity and NULLs, and s string.
 func boundaryTable(n int, val func(i int) rel.Value) *Table {
 	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
 	floats := []float64{math.NaN(), nan2, 0, math.Copysign(0, -1), 1.5, math.Inf(-1)}
 	tab := NewTable("t", rel.NewSchema(
 		rel.Column{Name: "v", Kind: rel.KindInt}, rel.Column{Name: "n", Kind: rel.KindInt},
-		rel.Column{Name: "f", Kind: rel.KindFloat}, rel.Column{Name: "s", Kind: rel.KindString},
-		rel.Column{Name: "m", Kind: rel.KindInt}))
+		rel.Column{Name: "f", Kind: rel.KindFloat}, rel.Column{Name: "s", Kind: rel.KindString}))
 	for i := 0; i < n; i++ {
 		nv, fv := rel.Int(int64(i%40-20)), rel.Float(floats[i%len(floats)])
 		if i%9 == 4 {
@@ -112,15 +111,13 @@ func boundaryTable(n int, val func(i int) rel.Value) *Table {
 		if i%11 == 5 {
 			fv = rel.Null
 		}
-		mv := []rel.Value{rel.Int(int64(i % 5)), rel.String_(fmt.Sprint("m", i%3)), rel.Float(0.5), rel.Null}[i%4]
-		tab.MustAppend(rel.Row{val(i), nv, fv, rel.String_(fmt.Sprint("s", i%17)), mv})
+		tab.MustAppend(rel.Row{val(i), nv, fv, rel.String_(fmt.Sprint("s", i%17))})
 	}
 	return tab
 }
 
 // sameBytes reports whether two columns hold the same kind, length and
-// bytes: floats by bit pattern, NULL markings alike, mixed-kind cells by
-// kind and payload.
+// bytes: floats by bit pattern, NULL markings alike.
 func sameBytes(a, b *ColData) bool {
 	fbits := func(fs []float64) []uint64 {
 		out := make([]uint64, len(fs))
@@ -129,18 +126,8 @@ func sameBytes(a, b *ColData) bool {
 		}
 		return out
 	}
-	if a.Kind != b.Kind || !slices.Equal(a.Ints, b.Ints) || !slices.Equal(fbits(a.Floats), fbits(b.Floats)) ||
-		!slices.Equal(a.Strs, b.Strs) || !slices.Equal(a.Nulls, b.Nulls) || len(a.Vals) != len(b.Vals) {
-		return false
-	}
-	for i, v := range a.Vals {
-		w := b.Vals[i]
-		if v.Kind() != w.Kind() || v.Kind() == rel.KindFloat && math.Float64bits(v.AsFloat()) != math.Float64bits(w.AsFloat()) ||
-			v.Kind() != rel.KindFloat && v != w {
-			return false
-		}
-	}
-	return true
+	return a.Kind == b.Kind && slices.Equal(a.Ints, b.Ints) && slices.Equal(fbits(a.Floats), fbits(b.Floats)) &&
+		slices.Equal(a.Strs, b.Strs) && slices.Equal(a.Nulls, b.Nulls)
 }
 
 // indexAgainstKernel asks column 0 of cs for [lo, hi] and checks the
@@ -183,7 +170,7 @@ func indexAgainstKernel(cs *ColStore, lo, hi int64) (answered bool, err error) {
 	for k, pos := range with {
 		src := cs.Col(pos)
 		gathered := src.NewLike(len(rows))
-		gathered.Gather(src, rows, 0, len(rows), 0)
+		gathered.Gather(src, rows)
 		if !sameBytes(&runs[k], &gathered) {
 			return true, fmt.Errorf("[%d, %d]: column %d's run differs from the column gathered at the index's rows", lo, hi, pos)
 		}
@@ -243,8 +230,8 @@ func TestIndexRowsMatchKernel(t *testing.T) {
 // extreme about every edgeEvery (0: never), in random row order; the
 // interval is [base+dlo, base+dhi], likewise wrapping. The column sits in
 // boundaryTable's store, so every answer also checks the ordered copies
-// of an int column with NULLs, a float column with NaN payloads and ±0, a
-// string column and a mixed-kind one. Then, with a secondary index on the
+// of an int column with NULLs, a float column with NaN payloads and ±0
+// and a string column. Then, with a secondary index on the
 // column, every point range is held to the index's Lookup.
 func FuzzIndexedSelection(f *testing.F) {
 	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
@@ -328,7 +315,10 @@ func TestIndexSizeCutoff(t *testing.T) {
 		}
 	}
 	// Only int64 columns are indexed.
-	floats := intTable(indexMinRows, func(i int) rel.Value { return rel.Float(float64(i)) })
+	floats := NewTable("f", rel.NewSchema(rel.Column{Name: "v", Kind: rel.KindFloat}))
+	for i := range indexMinRows {
+		floats.MustAppend(rel.Row{rel.Float(float64(i))})
+	}
 	if c := floats.ColData().Col(0); c.idx != nil {
 		t.Error("a float column must not be indexed")
 	}
@@ -395,7 +385,7 @@ func TestOrderedCopyLazyBuildRace(t *testing.T) {
 				return
 			}
 			gathered := cs.Col(2).NewLike(len(rows))
-			gathered.Gather(cs.Col(2), rows, 0, len(rows), 0)
+			gathered.Gather(cs.Col(2), rows)
 			if !sameBytes(&runs[0], &gathered) {
 				t.Errorf("racer %d: the run differs from the column gathered at the rows", g)
 			}
@@ -411,7 +401,7 @@ func TestOrderedCopyLazyBuildRace(t *testing.T) {
 	}
 	for pos := range c.idx.copies {
 		cp := &c.idx.copies[pos].col
-		if built := cp.Ints != nil || cp.Floats != nil || cp.Strs != nil || cp.Vals != nil; built != (pos == 2) {
+		if built := cp.Ints != nil || cp.Floats != nil || cp.Strs != nil; built != (pos == 2) {
 			t.Errorf("column %d's copy built = %v: only the column asked for may have one", pos, built)
 		}
 	}

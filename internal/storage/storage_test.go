@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -56,10 +57,10 @@ func TestAppendAndRowAccess(t *testing.T) {
 		}
 		cs := tab.ColData()
 		for pos := range tab.Schema().Columns {
-			got, want := cs.Col(pos), referenceColumn(rows[:k], pos)
+			got, want := cs.Col(pos), referenceColumn(rows[:k], tab.Schema().Columns[pos].Kind, pos)
 			if !sameBytes(got, &want) {
-				t.Fatalf("%d rows, column %d: kind %v (mixed %v, nulls %v), want kind %v (mixed %v, nulls %v) or other payload",
-					k, pos, got.Kind, got.Vals != nil, got.Nulls != nil, want.Kind, want.Vals != nil, want.Nulls != nil)
+				t.Fatalf("%d rows, column %d: kind %v (nulls %v), want kind %v (nulls %v) or other payload",
+					k, pos, got.Kind, got.Nulls != nil, want.Kind, want.Nulls != nil)
 			}
 			if !slices.Equal(got.NullWords, nullWords(want.Nulls)) {
 				t.Fatalf("%d rows, column %d: NullWords differ from the NULL marking", k, pos)
@@ -76,54 +77,79 @@ func TestAppendAndRowAccess(t *testing.T) {
 			}
 		}
 	}
-	if cs := tab.ColData(); cs.Col(3).Kind != rel.KindInt || cs.Col(4).Vals == nil || cs.Col(5).Kind != rel.KindFloat {
-		t.Error("the all-NULL, turning and late columns lost their shapes: the cases no longer cover them")
+	if c := tab.ColData().Col(3); c.Kind != rel.KindInt || c.Nulls == nil || slices.Contains(c.Nulls, false) {
+		t.Error("the all-NULL column lost its shape: the cases no longer cover it")
 	}
 }
 
-// referenceColumn projects column pos of rows into a ColData the way the
-// row-major tables did before the column became the table: the uniform
-// kind of the non-NULL values, Nulls exactly when some row is NULL, an
-// int64 column of zeros when no row is non-NULL, and Vals (no Nulls) when
-// the kinds mix. Append must build exactly this, row after row.
-func referenceColumn(rows []rel.Row, pos int) ColData {
+// TestAppendRejectsOtherKind: a column holds NULL or its declared kind.
+// A row with a value of another kind is refused with an error naming
+// table.column, and writes nothing: the row count, every cell and the
+// int column's built index slot stay as they were. NULL goes into every
+// kind.
+func TestAppendRejectsOtherKind(t *testing.T) {
+	tab := NewTable("t", rel.NewSchema(rel.Column{Name: "i", Kind: rel.KindInt},
+		rel.Column{Name: "f", Kind: rel.KindFloat}, rel.Column{Name: "s", Kind: rel.KindString}))
+	for k := range indexMinRows {
+		tab.MustAppend(rel.Row{rel.Int(int64(k % 100)), rel.Float(float64(k) / 2), rel.String_(fmt.Sprint("s", k%7))})
+	}
+	n := tab.NumRows()
+	if _, ok := tab.ColData().Col(0).IndexRows(10, 10, nil, nil); !ok {
+		t.Fatal("the int column answers no index lookup")
+	}
+	slot := tab.ColData().Col(0).idx
+	for _, c := range []struct {
+		row  rel.Row
+		name string
+	}{
+		{rel.Row{rel.Float(1.5), rel.Float(1), rel.String_("x")}, "t.i"},
+		{rel.Row{rel.Int(1), rel.String_("1"), rel.String_("x")}, "t.f"},
+		{rel.Row{rel.Int(1), rel.Float(1), rel.Int(1)}, "t.s"},
+	} {
+		err := tab.Append(c.row)
+		if err == nil || !strings.Contains(err.Error(), c.name+":") {
+			t.Fatalf("append %v: error %v, want one naming %s", c.row, err, c.name)
+		}
+		cs := tab.ColData()
+		if tab.NumRows() != n || len(cs.Col(0).Ints) != n || len(cs.Col(1).Floats) != n || len(cs.Col(2).Strs) != n {
+			t.Fatalf("append %v: refused, yet the table holds %d rows and columns of %d, %d and %d",
+				c.row, tab.NumRows(), len(cs.Col(0).Ints), len(cs.Col(1).Floats), len(cs.Col(2).Strs))
+		}
+		for i := range n {
+			if row := tab.Row(i); row[0].AsInt() != int64(i%100) || row[1].AsFloat() != float64(i)/2 || row[2].AsString() != fmt.Sprint("s", i%7) {
+				t.Fatalf("append %v: row %d reads %v after the refusal", c.row, i, row)
+			}
+		}
+		if cs.Col(0).idx != slot || slot.perm == nil {
+			t.Fatalf("append %v: the refused row replaced the int column's built index slot", c.row)
+		}
+	}
+	if err := tab.Append(rel.Row{rel.Null, rel.Null, rel.Null}); err != nil {
+		t.Fatalf("NULL in every kind: %v", err)
+	}
+	for pos := range 3 {
+		if c := tab.ColData().Col(pos); !c.IsNull(n) || c.Kind != tab.Schema().Columns[pos].Kind {
+			t.Errorf("column %d: row %d reads %v as kind %v", pos, n, c.Value(n), c.Kind)
+		}
+	}
+}
+
+// referenceColumn projects column pos of rows into a ColData of the
+// column's declared kind the way the row-major tables did before the
+// column became the table: Nulls exactly when some row is NULL, zero
+// payloads under them. Append must build exactly this, row after row.
+func referenceColumn(rows []rel.Row, kind rel.Kind, pos int) ColData {
 	n := len(rows)
-	kind := rel.KindNull
-	mixed := false
-	hasNull := false
-	for _, row := range rows {
-		v := row[pos]
-		if v.IsNull() {
-			hasNull = true
-			continue
-		}
-		if kind == rel.KindNull {
-			kind = v.Kind()
-		} else if v.Kind() != kind {
-			mixed = true
-			break
-		}
-	}
-	if mixed {
-		col := ColData{Kind: rel.KindNull, Vals: make([]rel.Value, n)}
-		for i, row := range rows {
-			col.Vals[i] = row[pos]
-		}
-		return col
-	}
 	col := ColData{Kind: kind}
-	if hasNull {
+	if slices.ContainsFunc(rows, func(row rel.Row) bool { return row[pos].IsNull() }) {
 		col.Nulls = make([]bool, n)
 	}
 	switch kind {
-	case rel.KindInt:
-		col.Ints = make([]int64, n)
 	case rel.KindFloat:
 		col.Floats = make([]float64, n)
 	case rel.KindString:
 		col.Strs = make([]string, n)
 	default:
-		col.Kind = rel.KindInt
 		col.Ints = make([]int64, n)
 	}
 	for i, row := range rows {
@@ -170,9 +196,7 @@ func sameRep(a, b rel.Value) bool {
 
 // roundTripRows is a column of each shape Append must build: floats with
 // NULL, NaN payloads, ±0 and ±Inf; ints with NULL and both extremes;
-// strings with NULL; an all-NULL column; an int column that turns
-// mixed-kind at row 5000, past indexMinRows; a column of NULLs that turns
-// float at row 4500; and one that mixes kinds from its second row.
+// strings with NULL; and an all-NULL int column.
 func roundTripRows(n int) []rel.Row {
 	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
 	floats := []rel.Value{rel.Null, rel.Float(math.NaN()), rel.Float(nan2), rel.Float(0),
@@ -184,32 +208,21 @@ func roundTripRows(n int) []rel.Row {
 		if i%17 == 3 {
 			s = rel.Null
 		}
-		turn := rel.Int(int64(i % 300))
-		if i >= 5000 && i%2 == 0 {
-			turn = rel.String_("x")
-		}
-		late := rel.Null
-		if i >= 4500 && i%3 != 0 {
-			late = rel.Float(float64(i) / 4)
-		}
-		mixed := []rel.Value{rel.Int(int64(i)), rel.Float(0.5), rel.Null, rel.String_("m")}[i%4]
-		rows[i] = rel.Row{floats[i%len(floats)], ints[i%len(ints)], s, rel.Null, turn, late, mixed}
+		rows[i] = rel.Row{floats[i%len(floats)], ints[i%len(ints)], s, rel.Null}
 	}
 	return rows
 }
 
 func roundTripTable(name string) *Table {
 	cols := []rel.Column{{Name: "f", Kind: rel.KindFloat}, {Name: "i", Kind: rel.KindInt},
-		{Name: "s", Kind: rel.KindString}, {Name: "null", Kind: rel.KindInt}, {Name: "turn", Kind: rel.KindInt},
-		{Name: "late", Kind: rel.KindFloat}, {Name: "mixed", Kind: rel.KindInt}}
+		{Name: "s", Kind: rel.KindString}, {Name: "null", Kind: rel.KindInt}}
 	return NewTable(name, rel.NewSchema(cols...))
 }
 
 // TestGrowKeepsColumns: a table grown before loading holds, once loaded,
 // exactly the columns of one loaded without — every shape of
-// roundTripRows, including the column of NULLs that turns float, which
-// Grow types float from the start — and a column whose values all take
-// its schema kind is never reallocated while loading.
+// roundTripRows — and no column's typed slice is reallocated while
+// loading.
 func TestGrowKeepsColumns(t *testing.T) {
 	rows := roundTripRows(6000)
 	plain, grown := roundTripTable("p"), roundTripTable("g")
@@ -224,7 +237,7 @@ func TestGrowKeepsColumns(t *testing.T) {
 			t.Errorf("column %s: grown %+v, want %+v", col.Name, got.Kind, want.Kind)
 		}
 	}
-	for pos := range 4 { // f, i, s and null keep their schema kind
+	for pos := range grown.Schema().Columns {
 		c := grown.ColData().Col(pos)
 		if n := cap(c.Ints) + cap(c.Floats) + cap(c.Strs); n < len(rows) || n > len(rows)*9/8 {
 			t.Errorf("column %d: capacity %d after Grow(%d) and as many rows", pos, n, len(rows))
@@ -328,9 +341,9 @@ func TestSampleDeterministicAndUnbiased(t *testing.T) {
 // sampler's rows (referenceSample) in its order, by representation, in
 // columns shaped as appending those rows would shape them; only the
 // full-ratio sample shares the table's columns, and Appends to the table
-// after it is drawn — into spare capacity, past a NULL word boundary,
-// turning a column mixed-kind — leave its row count and every cell as
-// they were, as an Append to the sample leaves the table.
+// after it is drawn — into spare capacity, past a NULL word boundary —
+// leave its row count and every cell as they were, as an Append to the
+// sample leaves the table.
 func TestSampleSubsetProperty(t *testing.T) {
 	tab := makeTable(t, 500)
 	f := func(seed int64) bool {
@@ -374,7 +387,7 @@ func TestSampleSubsetProperty(t *testing.T) {
 				}
 			}
 			for pos := range s.Schema().Columns {
-				if got, ref := s.ColData().Col(pos), referenceColumn(want, pos); !sameBytes(got, &ref) {
+				if got, ref := s.ColData().Col(pos), referenceColumn(want, s.Schema().Columns[pos].Kind, pos); !sameBytes(got, &ref) {
 					t.Fatalf("ratio %v seed %d: column %d is shaped %v, want %v", ratio, seed, pos, got.Kind, ref.Kind)
 				}
 			}
@@ -402,7 +415,7 @@ func TestSampleSubsetProperty(t *testing.T) {
 		t.Fatalf("full sample has %d rows and %d bytes after the appends, want %d and %d", full.NumRows(), full.ColumnBytes(nil), len(rows), before)
 	}
 	for pos := range full.Schema().Columns {
-		got, want := full.ColData().Col(pos), referenceColumn(rows, pos)
+		got, want := full.ColData().Col(pos), referenceColumn(rows, full.Schema().Columns[pos].Kind, pos)
 		if !sameBytes(got, &want) || !slices.Equal(got.NullWords, nullWords(want.Nulls)) {
 			t.Fatalf("full sample column %d changed under the appends", pos)
 		}

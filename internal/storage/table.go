@@ -32,7 +32,8 @@ type Table struct {
 
 // NewTable creates an empty table. Column Table attributions in the
 // schema are rewritten to the table name so that downstream name
-// resolution is consistent.
+// resolution is consistent. Each column is stored as its declared kind,
+// the only kind Append lets into it beside NULL.
 func NewTable(name string, schema *rel.Schema) *Table {
 	cols := make([]rel.Column, len(schema.Columns))
 	for i, c := range schema.Columns {
@@ -46,8 +47,8 @@ func NewTable(name string, schema *rel.Schema) *Table {
 		rowsPerPage: DefaultRowsPerPage,
 	}
 	t.data.cols = make([]ColData, len(cols))
-	for pos := range t.data.cols {
-		t.data.cols[pos].Kind = rel.KindInt // an empty column reads as all-NULL ints
+	for pos, c := range cols {
+		t.data.cols[pos].Kind = c.Kind
 	}
 	return t
 }
@@ -82,36 +83,39 @@ func (t *Table) NumPages() int {
 func (t *Table) PageOfRow(id int) int { return id / t.rowsPerPage }
 
 // Append adds a row, writing each value into its column in place (the
-// row itself is not kept). The row length must match the schema. A
-// column's sorted permutation, built before, goes stale: the column gets
-// a fresh slot (attachIndex), sorted again by its next reader. Append
-// must not run concurrently with any reader of the table.
+// row itself is not kept). The row length must match the schema, and
+// each value must be NULL or of its column's declared kind: a refused
+// row writes nothing. A column's sorted permutation, built before, goes
+// stale: the column gets a fresh slot (attachIndex), sorted again by its
+// next reader. Append must not run concurrently with any reader of the
+// table.
 func (t *Table) Append(row rel.Row) error {
 	if len(row) != t.schema.Len() {
 		return fmt.Errorf("storage: %s: row has %d values, schema has %d columns",
 			t.name, len(row), t.schema.Len())
+	}
+	for pos, v := range row {
+		if k := t.data.cols[pos].Kind; !v.IsNull() && v.Kind() != k {
+			return fmt.Errorf("storage: %s.%s: column of kind %s cannot hold %s value %v",
+				t.name, t.schema.Columns[pos].Name, k, v.Kind(), v)
+		}
 	}
 	t.data.appendRow(row)
 	return nil
 }
 
 // Grow reserves room for n more rows in every column's typed slice, so
-// appending them reallocates none (a mixed-kind column's Vals and NULL
-// marking are not reserved). A column that holds no row yet takes its
-// schema kind first, so the room is where its values will go.
+// appending them reallocates none (NULL marking is not reserved).
 func (t *Table) Grow(n int) {
 	for pos := range t.data.cols {
 		c := &t.data.cols[pos]
-		if k := t.schema.Columns[pos].Kind; t.data.numRows == 0 && k != rel.KindNull {
-			c.Kind = k
-		}
 		switch c.Kind {
-		case rel.KindInt:
-			c.Ints = slices.Grow(c.Ints, n)
 		case rel.KindFloat:
 			c.Floats = slices.Grow(c.Floats, n)
 		case rel.KindString:
 			c.Strs = slices.Grow(c.Strs, n)
+		default:
+			c.Ints = slices.Grow(c.Ints, n)
 		}
 	}
 }
@@ -135,10 +139,10 @@ func (t *Table) Row(id int) rel.Row {
 // Append runs.
 func (t *Table) ColData() *ColStore { return &t.data }
 
-// ColumnBytes is what t's columns hold in memory (typed slices, NULL
-// marking, mixed-kind cells), leaving out every array t shares with the
-// same column of base (nil: none) — a full-ratio sample shares all its
-// columns with its table. String payloads are not counted.
+// ColumnBytes is what t's columns hold in memory (typed slices and NULL
+// marking), leaving out every array t shares with the same column of
+// base (nil: none) — a full-ratio sample shares all its columns with its
+// table. String payloads are not counted.
 func (t *Table) ColumnBytes(base *Table) int64 {
 	var n int64
 	for pos := range t.data.cols {

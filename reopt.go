@@ -111,7 +111,9 @@ type (
 	Column = rel.Column
 	// Schema is an ordered list of columns.
 	Schema = rel.Schema
-	// Table is an in-memory heap table with optional indexes.
+	// Table is an in-memory heap table with optional indexes. Each
+	// column holds NULL or values of its declared Kind: Append refuses
+	// any other value, and writes nothing of the refused row.
 	Table = storage.Table
 	// Catalog owns tables, statistics, and samples.
 	Catalog = catalog.Catalog
@@ -188,7 +190,8 @@ type (
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog { return catalog.New() }
 
-// NewTable creates an empty table with the given schema.
+// NewTable creates an empty table with the given schema; each column
+// stores its declared Kind.
 func NewTable(name string, schema *Schema) *Table { return storage.NewTable(name, schema) }
 
 // NewSchema builds a schema from columns.

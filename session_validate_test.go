@@ -3,6 +3,7 @@ package reopt_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -263,5 +264,45 @@ func TestSessionDuplicatePredicates(t *testing.T) {
 	}
 	if _, err := s.Validate(ctx, res.Final); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFromListLimit: a hand-built query whose FROM list is longer than
+// sql.MaxTables — chains of 64, 65 and 66 entries over r1 — is refused
+// with sql.ErrTooManyTables by Reoptimize, ReoptimizeMultiSeed, Optimize
+// and Validate alike, before any planning or validation starts. Only
+// refused sizes run: planning a chain at the limit through a session
+// without a budget costs far more than a test may spend.
+func TestFromListLimit(t *testing.T) {
+	cat, _ := ottSession(t)
+	s, err := reopt.Open(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, n := range []int{sql.MaxTables + 1, sql.MaxTables + 2, sql.MaxTables + 3} {
+		q := &reopt.Query{CountStar: true}
+		for i := range n {
+			alias := fmt.Sprint("t", i)
+			q.Tables = append(q.Tables, sql.TableRef{Name: "r1", Alias: alias})
+			if i > 0 {
+				q.Joins = append(q.Joins, sql.JoinPred{
+					Left:  sql.ColRef{Table: fmt.Sprint("t", i-1), Column: "b"},
+					Right: sql.ColRef{Table: alias, Column: "b"},
+				})
+			}
+		}
+		if _, err := s.Reoptimize(ctx, q); !errors.Is(err, sql.ErrTooManyTables) {
+			t.Errorf("%d tables: Reoptimize: %v, want ErrTooManyTables", n, err)
+		}
+		if _, err := s.ReoptimizeMultiSeed(ctx, q, 2); !errors.Is(err, sql.ErrTooManyTables) {
+			t.Errorf("%d tables: ReoptimizeMultiSeed: %v, want ErrTooManyTables", n, err)
+		}
+		if _, err := s.Optimize(q); !errors.Is(err, sql.ErrTooManyTables) {
+			t.Errorf("%d tables: Optimize: %v, want ErrTooManyTables", n, err)
+		}
+		if _, err := s.Validate(ctx, &reopt.Plan{Query: q}); !errors.Is(err, sql.ErrTooManyTables) {
+			t.Errorf("%d tables: Validate: %v, want ErrTooManyTables", n, err)
+		}
 	}
 }
