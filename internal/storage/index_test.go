@@ -302,6 +302,8 @@ func FuzzIndexLookup(f *testing.F) {
 	f.Add(byte(0), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 0x80, 0x81, 0x80}, uint16(9))
 	f.Add(byte(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 0x80, 0x82, 0x82}, uint16(12))
 	f.Add(byte(2), []byte{0, 1, 2, 3, 4, 5, 0x80, 0x81, 0x81, 0}, uint16(3))
+	// The kind byte wraps: 3 builds an int column again.
+	f.Add(byte(3), []byte{1, 15, 20, 30, 6, 7, 8, 0x80, 0x90, 0xa1, 32, 33, 34, 35, 36, 0}, uint16(5))
 	f.Add(byte(2), []byte{}, uint16(0))
 	f.Fuzz(func(t *testing.T, kind byte, data []byte, split uint16) {
 		k := int(kind % 3)
