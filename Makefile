@@ -70,9 +70,11 @@ lint: vet
 
 # chaos runs the failure-isolation suite under the race detector at
 # constrained parallelism (the CI shape): the fault-injection harness,
-# the executor/sampling/core budget-and-panic tests (sampling's check
-# that a failing plan leaves its neighbours in one validation call as
-# they are alone), the Session chaos tests
+# the executor/sampling/core budget-and-panic tests (the per-plan
+# isolation tests TestMemoryBudgetIsolatedPerPlan and
+# TestPanicIsolatedPerPlanInBatch run from ./internal/sampling and hold
+# core.EstimatePlans to leaving a failing plan's neighbours in one call
+# as they are alone), the Session chaos tests
 # — injected panics, starvation memory budgets, admission shedding and
 # close-under-load against one shared Session — and the reoptd daemon
 # chaos tests (cross-tenant fault isolation, handler-boundary panics,

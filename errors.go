@@ -5,7 +5,7 @@ import (
 
 	"reopt/internal/core"
 	"reopt/internal/executor"
-	"reopt/internal/sampling"
+	"reopt/internal/sql"
 )
 
 // Error taxonomy. Callers branch with errors.Is against these sentinels
@@ -15,7 +15,7 @@ var (
 	// ErrNoSamples: a validation or re-optimization was attempted
 	// against a catalog whose samples have not been built. The fix is
 	// always Catalog.BuildSamples.
-	ErrNoSamples = sampling.ErrNoSamples
+	ErrNoSamples = core.ErrNoSamples
 
 	// ErrUnsupportedPlan: the plan's shape is outside the executing
 	// engine's contract — a hand-built node kind the Volcano executor
@@ -54,6 +54,17 @@ var (
 	// the panic value and stack; only the query whose plan panicked sees
 	// it — concurrent queries and the Session are unaffected.
 	ErrValidationPanic = executor.ErrValidationPanic
+
+	// ErrTooManyTables, ErrAlias and ErrJoinEndpoints refuse a
+	// hand-built query, in Optimize, Reoptimize, ReoptimizeMultiSeed and
+	// Validate alike, before any planning or validation starts (Parse
+	// refuses such SQL text): a FROM list longer than 63 entries; one
+	// that repeats an alias, or a selection on an alias it lacks; a join
+	// predicate whose endpoints are not two distinct FROM entries. None
+	// matches ErrUnsupportedPlan: the query is refused, not a plan.
+	ErrTooManyTables = sql.ErrTooManyTables
+	ErrAlias         = sql.ErrAlias
+	ErrJoinEndpoints = sql.ErrJoinEndpoints
 
 	// ErrOverloaded: the session's WithMaxInFlight admission queue was
 	// full, so the call was shed immediately instead of waiting. In

@@ -21,11 +21,11 @@ import (
 // the §5 contract names. Substring match on the import path; nil
 // means every package (fixtures use the real paths via
 // testdata/src/internal/...).
-var Scope = []string{"internal/executor", "internal/sampling", "internal/server"}
+var Scope = []string{"internal/executor", "internal/sampling", "internal/core", "internal/server"}
 
 var Analyzer = &analysis.Analyzer{
 	Name: "goroutinerecover",
-	Doc: "every `go` statement in internal/{executor,sampling,server} must defer a recover() " +
+	Doc: "every `go` statement in internal/{executor,sampling,core,server} must defer a recover() " +
 		"or delegate to a contained runner, so one panicking goroutine fails one task, not the process (DESIGN.md §5)",
 	Run: run,
 }

@@ -7,7 +7,6 @@ import (
 	"reopt/internal/catalog"
 	"reopt/internal/executor"
 	"reopt/internal/plan"
-	"reopt/internal/sampling"
 	"reopt/internal/sql"
 )
 
@@ -15,29 +14,40 @@ import (
 // session's shared cache is by default.
 func workloadStore() *executor.SkeletonCache { return executor.NewSkeletonCache(4096, 0) }
 
-// mustPrepare is sampling.Prepare over q's graph, failing t on an error.
-func mustPrepare(t testing.TB, q *sql.Query, store *executor.SkeletonCache, cat *catalog.Catalog, budget int64) sampling.Cache {
+// mustPrepare is Prepare over q's graph, failing t on an error.
+func mustPrepare(t testing.TB, q *sql.Query, store *executor.SkeletonCache, cat *catalog.Catalog, budget int64) *executor.Prepared {
 	t.Helper()
-	cache, err := sampling.Prepare(sql.NewGraph(q), store, cat, budget)
+	cache, err := Prepare(sql.NewGraph(q), store, cat, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return cache
 }
 
+// validatorFunc is a Validator made of a function: the tests' way to
+// substitute validation through Options.Validator.
+type validatorFunc func(ctx context.Context, ps []*plan.Plan, cache *executor.Prepared) ([]*Estimate, error)
+
+func (f validatorFunc) ValidatePlans(ctx context.Context, ps []*plan.Plan, cache *executor.Prepared) ([]*Estimate, error) {
+	return f(ctx, ps, cache)
+}
+
 // sequentialEstimator ignores batching and caching: every plan's
-// skeleton re-executes from scratch, one plan at a time — the reference
-// behavior the batched path must be observably identical to.
-func sequentialEstimator(ctx context.Context, ps []*plan.Plan, c *catalog.Catalog, _ sampling.Cache) ([]*sampling.Estimate, error) {
-	out := make([]*sampling.Estimate, len(ps))
-	for i, p := range ps {
-		ests, err := sampling.EstimatePlans(ctx, []*plan.Plan{p}, c, nil)
-		if err != nil {
-			return nil, err
+// skeleton over cat's samples re-executes from scratch, one plan at a
+// time — the reference behavior the batched path must be observably
+// identical to.
+func sequentialEstimator(cat *catalog.Catalog) Validator {
+	return validatorFunc(func(ctx context.Context, ps []*plan.Plan, _ *executor.Prepared) ([]*Estimate, error) {
+		out := make([]*Estimate, len(ps))
+		for i, p := range ps {
+			ests, err := EstimatePlans(ctx, []*plan.Plan{p}, cat, nil)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = ests[0]
 		}
-		out[i] = ests[0]
-	}
-	return out, nil
+		return out, nil
+	})
 }
 
 // compareResults asserts two re-optimization runs are observably
@@ -69,16 +79,13 @@ func compareResults(t *testing.T, label string, got, want *Result) {
 // when counts are computed, never their values.
 func TestMultiSeedBatchedIdentical(t *testing.T) {
 	r, qs := ottSetup(t)
-	orig := estimatePlansFn
-	defer func() { estimatePlansFn = orig }()
-
 	for qi, q := range qs[:3] {
-		estimatePlansFn = orig // cached production path
+		r.Opts.Validator = nil // cached production path
 		batched, err := r.ReoptimizeMultiSeedCtx(context.Background(), q, 3)
 		if err != nil {
 			t.Fatalf("query %d batched: %v", qi, err)
 		}
-		estimatePlansFn = sequentialEstimator
+		r.Opts.Validator = sequentialEstimator(r.Cat)
 		solo, err := r.ReoptimizeMultiSeedCtx(context.Background(), q, 3)
 		if err != nil {
 			t.Fatalf("query %d solo: %v", qi, err)
@@ -121,14 +128,12 @@ func TestWorkloadCacheReoptimizeIdentical(t *testing.T) {
 // Options.Workers selects nothing: Γ is the same at 0, 1, 2 and 8.
 func TestReoptimizeValidatesCandidateAlone(t *testing.T) {
 	r, qs := ottSetup(t)
-	orig := estimatePlansFn
-	defer func() { estimatePlansFn = orig }()
-	estimatePlansFn = func(ctx context.Context, ps []*plan.Plan, c *catalog.Catalog, cache sampling.Cache) ([]*sampling.Estimate, error) {
+	r.Opts.Validator = validatorFunc(func(ctx context.Context, ps []*plan.Plan, cache *executor.Prepared) ([]*Estimate, error) {
 		if len(ps) != 1 {
 			t.Errorf("workers=%d: a round validated %d plans, want the candidate alone", r.Opts.Workers, len(ps))
 		}
-		return orig(ctx, ps, c, cache)
-	}
+		return EstimatePlans(ctx, ps, r.Cat, cache)
+	})
 	for qi, q := range qs {
 		var snaps [4]*Result
 		for i, workers := range []int{0, 1, 2, 8} {

@@ -1,13 +1,6 @@
 package core
 
-import (
-	"context"
-	"testing"
-
-	"reopt/internal/catalog"
-	"reopt/internal/plan"
-	"reopt/internal/sampling"
-)
+import "testing"
 
 // TestCrossRoundCacheGammaIdentical: re-optimization with the
 // cross-round validation cache must be observably identical to running
@@ -16,12 +9,8 @@ import (
 // computed, never their values.
 func TestCrossRoundCacheGammaIdentical(t *testing.T) {
 	r, qs := ottSetup(t)
-
-	orig := estimatePlansFn
-	defer func() { estimatePlansFn = orig }()
-
 	for qi, q := range qs {
-		estimatePlansFn = orig // cached, batched fast path (production default)
+		r.Opts.Validator = nil // cached, batched fast path (production default)
 		cached, err := r.Reoptimize(q)
 		if err != nil {
 			t.Fatalf("query %d cached: %v", qi, err)
@@ -29,17 +18,7 @@ func TestCrossRoundCacheGammaIdentical(t *testing.T) {
 
 		// Ignore the cache and the batch: every round re-executes every
 		// plan's skeleton from scratch, one at a time.
-		estimatePlansFn = func(ctx context.Context, ps []*plan.Plan, c *catalog.Catalog, _ sampling.Cache) ([]*sampling.Estimate, error) {
-			out := make([]*sampling.Estimate, len(ps))
-			for i, p := range ps {
-				ests, err := sampling.EstimatePlans(ctx, []*plan.Plan{p}, c, nil)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = ests[0]
-			}
-			return out, nil
-		}
+		r.Opts.Validator = sequentialEstimator(r.Cat)
 		uncached, err := r.Reoptimize(q)
 		if err != nil {
 			t.Fatalf("query %d uncached: %v", qi, err)

@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"reopt/internal/catalog"
+	"reopt/internal/executor"
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
-	"reopt/internal/sampling"
 	"reopt/internal/sql"
 	"reopt/internal/workload/ott"
 	"reopt/internal/workload/tpcds"
@@ -25,22 +25,22 @@ import (
 // every TPC-DS template, a cross product, a FROM entry no predicate joins,
 // GROUP BY queries, and a chain longer than the DP threshold.
 func TestOptimizerPlansFitSkeleton(t *testing.T) {
-	orig := estimatePlansFn
-	defer func() { estimatePlansFn = orig }()
 	checked := 0
 	label := ""
-	estimatePlansFn = func(ctx context.Context, ps []*plan.Plan, cat *catalog.Catalog, cache sampling.Cache) ([]*sampling.Estimate, error) {
-		for _, p := range ps {
-			root := p.Root
-			if agg, ok := root.(*plan.AggregateNode); ok {
-				root = agg.Child // only join cardinalities are validated
+	fits := func(cat *catalog.Catalog) Validator {
+		return validatorFunc(func(ctx context.Context, ps []*plan.Plan, cache *executor.Prepared) ([]*Estimate, error) {
+			for _, p := range ps {
+				root := p.Root
+				if agg, ok := root.(*plan.AggregateNode); ok {
+					root = agg.Child // only join cardinalities are validated
+				}
+				if _, err := mustPrepare(t, p.Query, nil, cat, 0).Count(ctx, root); err != nil {
+					t.Fatalf("%s: plan %s is outside the skeleton's contract: %v", label, p.Fingerprint(), err)
+				}
+				checked++
 			}
-			if _, err := mustPrepare(t, p.Query, nil, cat, 0).Count(ctx, root); err != nil {
-				t.Fatalf("%s: plan %s is outside the skeleton's contract: %v", label, p.Fingerprint(), err)
-			}
-			checked++
-		}
-		return orig(ctx, ps, cat, cache)
+			return EstimatePlans(ctx, ps, cat, cache)
+		})
 	}
 
 	ws := benchShapedWorkloads(t)
@@ -83,6 +83,7 @@ func TestOptimizerPlansFitSkeleton(t *testing.T) {
 	queries := 0
 	for _, w := range ws {
 		r := New(optimizer.New(w.cat, optimizer.DefaultConfig()), w.cat)
+		r.Opts.Validator = fits(w.cat)
 		for qi, q := range w.queries {
 			queries++
 			label = fmt.Sprintf("%s query %d", w.name, qi)

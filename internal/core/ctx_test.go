@@ -6,9 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"reopt/internal/catalog"
+	"reopt/internal/executor"
 	"reopt/internal/plan"
-	"reopt/internal/sampling"
 )
 
 // TestCancelMidRoundReturnsCtxErr: a cancellation landing inside a
@@ -16,18 +15,15 @@ import (
 // ctx.Err(), and the Reoptimizer must remain fully usable afterwards.
 func TestCancelMidRoundReturnsCtxErr(t *testing.T) {
 	r, qs := ottSetup(t)
-	orig := estimatePlansFn
-	defer func() { estimatePlansFn = orig }()
-
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	estimatePlansFn = func(c context.Context, ps []*plan.Plan, cc *catalog.Catalog, cache sampling.Cache) ([]*sampling.Estimate, error) {
+	r.Opts.Validator = validatorFunc(func(c context.Context, ps []*plan.Plan, cache *executor.Prepared) ([]*Estimate, error) {
 		calls++
 		if calls == 2 {
 			cancel() // lands "mid-round": the engine sees it mid-validation
 		}
-		return orig(c, ps, cc, cache)
-	}
+		return EstimatePlans(c, ps, r.Cat, cache)
+	})
 	_, err := r.ReoptimizeCtx(ctx, qs[0])
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancel mid-round: got %v, want context.Canceled", err)
@@ -35,7 +31,7 @@ func TestCancelMidRoundReturnsCtxErr(t *testing.T) {
 
 	// The same Reoptimizer with a fresh context converges normally: the
 	// abort poisoned nothing.
-	estimatePlansFn = orig
+	r.Opts.Validator = nil
 	res, err := r.ReoptimizeCtx(context.Background(), qs[0])
 	if err != nil || !res.Converged {
 		t.Fatalf("reuse after cancel: res=%+v err=%v", res, err)
@@ -46,18 +42,15 @@ func TestCancelMidRoundReturnsCtxErr(t *testing.T) {
 // aborts the whole multi-seed procedure with ctx.Err().
 func TestCancelMultiSeedReturnsCtxErr(t *testing.T) {
 	r, qs := ottSetup(t)
-	orig := estimatePlansFn
-	defer func() { estimatePlansFn = orig }()
-
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	estimatePlansFn = func(c context.Context, ps []*plan.Plan, cc *catalog.Catalog, cache sampling.Cache) ([]*sampling.Estimate, error) {
+	r.Opts.Validator = validatorFunc(func(c context.Context, ps []*plan.Plan, cache *executor.Prepared) ([]*Estimate, error) {
 		calls++
 		if calls == 3 {
 			cancel()
 		}
-		return orig(c, ps, cc, cache)
-	}
+		return EstimatePlans(c, ps, r.Cat, cache)
+	})
 	if _, err := r.ReoptimizeMultiSeedCtx(ctx, qs[0], 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancel multi-seed: got %v, want context.Canceled", err)
 	}
@@ -74,13 +67,11 @@ func TestCtxDeadlineMatchesLegacyTimeout(t *testing.T) {
 	const budget = 20 * time.Millisecond
 	run := func(useCtx bool) *Result {
 		r, qs := ottSetup(t)
-		orig := estimatePlansFn
-		defer func() { estimatePlansFn = orig }()
-		estimatePlansFn = func(c context.Context, ps []*plan.Plan, cc *catalog.Catalog, cache sampling.Cache) ([]*sampling.Estimate, error) {
-			ests, err := orig(context.Background(), ps, cc, cache)
+		r.Opts.Validator = validatorFunc(func(c context.Context, ps []*plan.Plan, cache *executor.Prepared) ([]*Estimate, error) {
+			ests, err := EstimatePlans(context.Background(), ps, r.Cat, cache)
 			time.Sleep(2 * budget) // spend the budget after the round's validation
 			return ests, err
-		}
+		})
 		var res *Result
 		var err error
 		if useCtx {
@@ -145,12 +136,10 @@ func TestBudgetExceededSentinel(t *testing.T) {
 // implementation with a validation that takes real time.
 func TestTimeoutShieldsFirstRound(t *testing.T) {
 	r, qs := ottSetup(t)
-	orig := estimatePlansFn
-	defer func() { estimatePlansFn = orig }()
-	estimatePlansFn = func(c context.Context, ps []*plan.Plan, cc *catalog.Catalog, cache sampling.Cache) ([]*sampling.Estimate, error) {
+	r.Opts.Validator = validatorFunc(func(c context.Context, ps []*plan.Plan, cache *executor.Prepared) ([]*Estimate, error) {
 		time.Sleep(time.Millisecond)
-		return orig(c, ps, cc, cache)
-	}
+		return EstimatePlans(c, ps, r.Cat, cache)
+	})
 	r.Opts.Timeout = time.Nanosecond
 	res, err := r.Reoptimize(qs[0])
 	if err != nil {

@@ -17,10 +17,10 @@ import (
 
 // TestValidationRunsOnCallerGoroutine pins the one-engine contract from
 // both sides. Statically: the non-test sources of internal/executor and
-// internal/sampling hold no `go` statement and name no sync.WaitGroup,
+// internal/core hold no `go` statement and name no sync.WaitGroup,
 // sync.Cond or timer, so nothing there can hand part of a validation to
-// another goroutine or hold it back for later; and internal/sampling
-// names neither executor.Run nor executor.RunCtx, so the general executor
+// another goroutine or hold it back for later; and internal/core names
+// neither executor.Run nor executor.RunCtx, so the general executor
 // validates nothing — the skeleton engine is the one validator, and the
 // general executor only its test oracle. Dynamically: a thousand
 // validations at the largest worker count callers used to ask for leave
@@ -31,14 +31,14 @@ func TestValidationRunsOnCallerGoroutine(t *testing.T) {
 		"time":     {"AfterFunc": true, "NewTimer": true, "NewTicker": true, "Tick": true},
 		"executor": {"Run": true, "RunCtx": true},
 	}
-	for _, pkg := range []string{"executor", "sampling"} {
-		dir := filepath.Join("..", pkg)
+	for _, pkg := range []struct{ name, file string }{{"executor", "executor.go"}, {"core", "validate.go"}} {
+		dir := filepath.Join("..", pkg.name)
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fset := token.NewFileSet()
-		parsed, named := 0, false // named: the package's own <pkg>.go was among them
+		parsed, named := 0, false // named: pkg.file was among them
 		for _, e := range entries {
 			name := e.Name()
 			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -49,21 +49,21 @@ func TestValidationRunsOnCallerGoroutine(t *testing.T) {
 				t.Fatal(err)
 			}
 			parsed++
-			named = named || name == pkg+".go"
+			named = named || name == pkg.file
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch x := n.(type) {
 				case *ast.GoStmt:
-					t.Errorf("%s: go statement in internal/%s", fset.Position(x.Pos()), pkg)
+					t.Errorf("%s: go statement in internal/%s", fset.Position(x.Pos()), pkg.name)
 				case *ast.SelectorExpr:
 					if id, ok := x.X.(*ast.Ident); ok && banned[id.Name][x.Sel.Name] {
-						t.Errorf("%s: %s.%s in internal/%s", fset.Position(x.Pos()), id.Name, x.Sel.Name, pkg)
+						t.Errorf("%s: %s.%s in internal/%s", fset.Position(x.Pos()), id.Name, x.Sel.Name, pkg.name)
 					}
 				}
 				return true
 			})
 		}
 		if !named {
-			t.Fatalf("parsed %d files of %s, none of them %s.go; the walk is looking in the wrong place", parsed, dir, pkg)
+			t.Fatalf("parsed %d files of %s, none of them %s; the walk is looking in the wrong place", parsed, dir, pkg.file)
 		}
 	}
 

@@ -9,7 +9,6 @@ import (
 	"reopt/internal/executor"
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
-	"reopt/internal/sampling"
 	"reopt/internal/sql"
 )
 
@@ -66,7 +65,7 @@ func TestIncrementalPlanningMatchesFromScratch(t *testing.T) {
 				if prev != nil && p.Fingerprint() == prev.Fingerprint() {
 					break
 				}
-				ests, err := sampling.EstimatePlans(context.Background(), []*plan.Plan{p}, w.cat, cache)
+				ests, err := EstimatePlans(context.Background(), []*plan.Plan{p}, w.cat, cache)
 				if err != nil {
 					t.Fatal(err)
 				}

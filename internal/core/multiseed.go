@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"reopt/internal/executor"
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
 	"reopt/internal/sql"
@@ -47,9 +48,13 @@ func (r *Reoptimizer) ReoptimizeMultiSeedCtx(ctx context.Context, q *sql.Query, 
 	// reuse across queries), and one prepared validation state serves
 	// every seed's rounds, all from one query graph.
 	g := sql.NewGraph(q)
-	cache, err := r.prepare(g)
+	store := r.Opts.Cache
+	if store == nil {
+		store = executor.NewSkeletonCache(0, 0)
+	}
+	cache, err := Prepare(g, store, r.Cat, r.Opts.MemBudget)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: %w", err)
 	}
 
 	var best *Result

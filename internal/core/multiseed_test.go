@@ -7,10 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"reopt/internal/catalog"
+	"reopt/internal/executor"
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
-	"reopt/internal/sampling"
 	"reopt/internal/sql"
 )
 
@@ -21,14 +20,12 @@ import (
 // before every loop observes the exhausted budget and stops.
 func TestMultiSeedHonorsTimeout(t *testing.T) {
 	r, qs := ottSetup(t)
-	orig := estimatePlansFn
-	defer func() { estimatePlansFn = orig }()
 	calls := 0
-	estimatePlansFn = func(ctx context.Context, ps []*plan.Plan, c *catalog.Catalog, cache sampling.Cache) ([]*sampling.Estimate, error) {
+	r.Opts.Validator = validatorFunc(func(ctx context.Context, ps []*plan.Plan, cache *executor.Prepared) ([]*Estimate, error) {
 		calls++
 		time.Sleep(5 * time.Millisecond)
-		return orig(ctx, ps, c, cache)
-	}
+		return EstimatePlans(ctx, ps, r.Cat, cache)
+	})
 	r.Opts.Timeout = time.Millisecond
 	res, err := r.ReoptimizeMultiSeedCtx(context.Background(), qs[0], 4)
 	if err != nil {
@@ -104,7 +101,7 @@ func TestBlendFavorsHistoryForUnwitnessedSets(t *testing.T) {
 		t.Fatal(err)
 	}
 	sampled := hist + 1000
-	est := &sampling.Estimate{Sets: []optimizer.SetRows{{Mask: 1, Key: key, Rows: sampled, SampleRows: 0}}}
+	est := &Estimate{Sets: []optimizer.SetRows{{Mask: 1, Key: key, Rows: sampled, SampleRows: 0}}}
 	pl, err := r.Opt.Prepare(sql.NewGraph(q), nil)
 	if err != nil {
 		t.Fatal(err)

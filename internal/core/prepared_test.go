@@ -17,7 +17,6 @@ import (
 	"reopt/internal/faultinject"
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
-	"reopt/internal/sampling"
 	"reopt/internal/sql"
 	"reopt/internal/workload/ott"
 	"reopt/internal/workload/tpcds"
@@ -225,7 +224,7 @@ func (s *refStore) sortedKeys() []string {
 
 // sameEstimate requires an estimate to equal the reference bit for bit:
 // one entry per reference set, each under its canonical key and mask.
-func sameEstimate(t testing.TB, label string, q *sql.Query, got *sampling.Estimate, delta map[string]float64, rows map[string]int64) {
+func sameEstimate(t testing.TB, label string, q *sql.Query, got *Estimate, delta map[string]float64, rows map[string]int64) {
 	t.Helper()
 	if len(got.Sets) != len(delta) || len(rows) != len(delta) {
 		t.Fatalf("%s: %d set entries, reference has %d Δ / %d count entries", label, len(got.Sets), len(delta), len(rows))
@@ -247,7 +246,7 @@ func sameEstimate(t testing.TB, label string, q *sql.Query, got *sampling.Estima
 	}
 }
 
-// validationCheck wraps the estimator the round loop calls: every
+// validationCheck is the Validator the round loop calls: every
 // validation is compared with the reference as it returns — estimate,
 // fault-injection tags, the budget verdict at one value either side of
 // the plan's charge — against the samples it ran on.
@@ -263,8 +262,8 @@ type validationCheck struct {
 	afterRound func(round int)
 }
 
-func (c *validationCheck) estimate(ctx context.Context, ps []*plan.Plan, cat *catalog.Catalog, cache sampling.Cache) ([]*sampling.Estimate, error) {
-	t := c.t
+func (c *validationCheck) ValidatePlans(ctx context.Context, ps []*plan.Plan, cache *executor.Prepared) ([]*Estimate, error) {
+	t, cat := c.t, c.cat
 	// Validation runs on this goroutine, so the rule's action does too.
 	var tags []string
 	var fi faultinject.Set
@@ -272,7 +271,7 @@ func (c *validationCheck) estimate(ctx context.Context, ps []*plan.Plan, cat *ca
 		tags = append(tags, tag)
 	}})
 	restore := fi.Activate()
-	ests, err := sampling.EstimatePlans(ctx, ps, cat, cache)
+	ests, err := EstimatePlans(ctx, ps, cat, cache)
 	restore()
 	if err != nil {
 		return nil, err
@@ -296,7 +295,7 @@ func (c *validationCheck) estimate(ctx context.Context, ps []*plan.Plan, cat *ca
 			if b <= 0 {
 				continue
 			}
-			_, berr := sampling.EstimatePlans(ctx, []*plan.Plan{p}, cat, mustPrepare(t, p.Query, cache.Cache(), cat, b))
+			_, berr := EstimatePlans(ctx, []*plan.Plan{p}, cat, mustPrepare(t, p.Query, cache.Cache(), cat, b))
 			if breach := errors.Is(berr, executor.ErrMemoryBudget); breach != (b < charge) || (berr != nil && !breach) {
 				t.Fatalf("%s: budget %d against a charge of %d: %v", label, b, charge, berr)
 			}
@@ -373,8 +372,6 @@ func preparedWorkloads(t *testing.T) []shapedWorkload {
 // charge a cold run's physical rows predict — whatever the deprecated
 // Options.Workers says, and under Conservative blending.
 func TestPreparedValidationMatchesFromScratch(t *testing.T) {
-	orig := estimatePlansFn
-	defer func() { estimatePlansFn = orig }()
 	rounds := 0
 	for _, w := range preparedWorkloads(t) {
 		opt := optimizer.New(w.cat, optimizer.DefaultConfig())
@@ -386,9 +383,8 @@ func TestPreparedValidationMatchesFromScratch(t *testing.T) {
 			for qi, q := range w.queries {
 				label := fmt.Sprintf("%s query %d workers=%d", w.name, qi, workers)
 				check := &validationCheck{t: t, label: label, cat: w.cat, shared: cache, store: store}
-				estimatePlansFn = check.estimate
 				r := New(opt, w.cat)
-				r.Opts = Options{Workers: workers, Cache: cache, Conservative: qi%2 == 1}
+				r.Opts = Options{Workers: workers, Cache: cache, Conservative: qi%2 == 1, Validator: check}
 				res, err := r.Reoptimize(q)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -427,7 +423,7 @@ func sameConservativeGamma(t *testing.T, label string, opt *optimizer.Optimizer,
 			if err != nil {
 				t.Fatal(err)
 			}
-			w := sampling.ConfidenceWeight(rows[key])
+			w := ConfidenceWeight(rows[key])
 			want[key] = w*sampled + (1-w)*hist
 		}
 	}
@@ -450,8 +446,6 @@ func sameConservativeGamma(t *testing.T, label string, opt *optimizer.Optimizer,
 // scale factors, cache keys and all — so every later round still equals
 // the reference on the samples it ran on.
 func TestPreparedValidationFollowsSampleEpoch(t *testing.T) {
-	orig := estimatePlansFn
-	defer func() { estimatePlansFn = orig }()
 	cat, err := ott.Generate(ott.Config{Seed: 5, RowsPerValue: 20})
 	if err != nil {
 		t.Fatal(err)
@@ -472,9 +466,8 @@ func TestPreparedValidationFollowsSampleEpoch(t *testing.T) {
 				rebuilds++
 			}
 		}
-		estimatePlansFn = check.estimate
 		r := New(opt, cat)
-		r.Opts = Options{Cache: cache}
+		r.Opts = Options{Cache: cache, Validator: check}
 		if _, err := r.Reoptimize(q); err != nil {
 			t.Fatal(err)
 		}
@@ -492,8 +485,6 @@ func TestPreparedValidationFollowsSampleEpoch(t *testing.T) {
 // keys carry the sample epoch too, so no round after the rebuild replays
 // a count observed on the samples before it.
 func TestPrivateCacheFollowsSampleEpoch(t *testing.T) {
-	orig := estimatePlansFn
-	defer func() { estimatePlansFn = orig }()
 	cat, err := ott.Generate(ott.Config{Seed: 5, RowsPerValue: 20})
 	if err != nil {
 		t.Fatal(err)
@@ -513,8 +504,9 @@ func TestPrivateCacheFollowsSampleEpoch(t *testing.T) {
 				cat.BuildSamples(int64(200 + qi))
 			}
 		}
-		estimatePlansFn = check.estimate
-		if _, err := New(opt, cat).Reoptimize(q); err != nil {
+		r := New(opt, cat)
+		r.Opts.Validator = check
+		if _, err := r.Reoptimize(q); err != nil {
 			t.Fatal(err)
 		}
 		if check.rounds < 2 {
@@ -630,7 +622,7 @@ func TestMultiSeedSharesOnePreparedState(t *testing.T) {
 // 6-table chain allocates once the query's state is prepared and every
 // sub-result is cached — a later round's validation: the compiled steps,
 // the estimate's maps and slices, and the call's bookkeeping, nothing
-// per node — the same ceiling whatever the deprecated Options.Workers says.
+// per node.
 func TestRepeatRoundValidationAllocs(t *testing.T) {
 	cat, err := ott.Generate(ott.Config{Seed: 1, RowsPerValue: 10})
 	if err != nil {
@@ -647,18 +639,14 @@ func TestRepeatRoundValidationAllocs(t *testing.T) {
 	}
 	cache := mustPrepare(t, qs[0], workloadStore(), cat, 0)
 	plans := []*plan.Plan{p}
-	for _, workers := range []int{0, 1, 8} {
-		r := New(opt, cat)
-		r.Opts.Workers = workers
-		validate := func() {
-			if _, err := r.validatePlans(context.Background(), plans, cache); err != nil {
-				t.Fatal(err)
-			}
+	validate := func() {
+		if _, err := EstimatePlans(context.Background(), plans, cat, cache); err != nil {
+			t.Fatal(err)
 		}
-		validate()
-		if allocs := testing.AllocsPerRun(50, validate); allocs > 24 {
-			t.Errorf("Workers=%d: a fully cached repeat-round validation allocates %.0f objects, ceiling 24", workers, allocs)
-		}
+	}
+	validate()
+	if allocs := testing.AllocsPerRun(50, validate); allocs > 24 {
+		t.Errorf("a fully cached repeat-round validation allocates %.0f objects, ceiling 24", allocs)
 	}
 }
 
@@ -687,7 +675,7 @@ func BenchmarkValidateRounds(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			cache := mustPrepare(b, q, executor.NewSkeletonCache(0, 0), cat, 0)
-			if _, err := sampling.EstimatePlans(ctx, round(0), cat, cache); err != nil {
+			if _, err := EstimatePlans(ctx, round(0), cat, cache); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -695,7 +683,7 @@ func BenchmarkValidateRounds(b *testing.B) {
 	b.Run("repeat", func(b *testing.B) {
 		cache := mustPrepare(b, q, executor.NewSkeletonCache(0, 0), cat, 0)
 		for i := 0; i < 2; i++ {
-			if _, err := sampling.EstimatePlans(ctx, round(i), cat, cache); err != nil {
+			if _, err := EstimatePlans(ctx, round(i), cat, cache); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -703,7 +691,7 @@ func BenchmarkValidateRounds(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sampling.EstimatePlans(ctx, plans, cat, cache); err != nil {
+			if _, err := EstimatePlans(ctx, plans, cat, cache); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -712,7 +700,7 @@ func BenchmarkValidateRounds(b *testing.B) {
 
 // BenchmarkPrepareQuery times what a request derives from its query
 // before round 1 plans: the query graph, the planner's state
-// (Optimizer.Prepare) and the validation handle (sampling.Prepare), on a
+// (Optimizer.Prepare) and the validation handle (Prepare), on a
 // 6-table OTT chain and on TPC-H's 8-table query 8.
 func BenchmarkPrepareQuery(b *testing.B) {
 	ottCat, err := ott.Generate(ott.Config{Seed: 1, RowsPerValue: 10})
@@ -746,7 +734,7 @@ func BenchmarkPrepareQuery(b *testing.B) {
 				if _, err := opt.Prepare(g, nil); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := sampling.Prepare(g, store, c.cat, 0); err != nil {
+				if _, err := Prepare(g, store, c.cat, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,7 +7,6 @@ import (
 
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
-	"reopt/internal/sampling"
 	"reopt/internal/sql"
 )
 
@@ -66,7 +65,7 @@ func TestRecostMatchesPlannerNodeByNode(t *testing.T) {
 					}
 					break
 				}
-				ests, err := sampling.EstimatePlans(ctx, []*plan.Plan{p}, w.cat, cache)
+				ests, err := EstimatePlans(ctx, []*plan.Plan{p}, w.cat, cache)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}

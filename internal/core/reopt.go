@@ -5,6 +5,13 @@
 // join skeleton over the samples, folding the refined cardinalities Δ
 // back into Γ.
 //
+// Validation (GetCardinalityEstimatesBySampling) is this package's too,
+// the estimator of Haas et al. [20] the paper uses (§2.1): Prepare binds
+// a request's handle (DESIGN.md §11), and EstimatePlans counts each
+// plan's join skeleton over the samples — every join subtree in one run
+// — and scales the counts by the inverse sampling fractions into Δ.
+// Options.Validator is the one seam that substitutes it.
+//
 // The package also records the full per-round trace — transformation
 // classification (local/global, Theorem 2), coverage (Theorem 1),
 // sampled costs (Theorems 5 and 6) — and implements the practical
@@ -24,7 +31,6 @@ import (
 	"reopt/internal/executor"
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
-	"reopt/internal/sampling"
 	"reopt/internal/sql"
 )
 
@@ -80,7 +86,7 @@ type Options struct {
 	// Validator optionally reroutes every validation the round loop
 	// issues — every seed's candidate plans included — through a
 	// substitute, e.g. a wrapper that times or counts validations. nil
-	// validates directly via sampling.EstimatePlans. A Validator must
+	// validates directly via EstimatePlans. A Validator must
 	// return estimates byte-identical to the direct path (caching may
 	// change when counts are computed, never their values).
 	Validator Validator
@@ -104,10 +110,10 @@ type Options struct {
 // Validator is the seam the round loop submits candidate-plan
 // validations through. Implementations run on the caller's goroutine,
 // are positional (estimate i belongs to plans[i]) and byte-identical to
-// sampling.EstimatePlans over the same cache, the request's handle, which
-// carries the samples and the memory budget.
+// EstimatePlans over the same cache, the request's handle (Prepare),
+// which carries the samples and the memory budget.
 type Validator interface {
-	ValidatePlans(ctx context.Context, plans []*plan.Plan, cache sampling.Cache) ([]*sampling.Estimate, error)
+	ValidatePlans(ctx context.Context, plans []*plan.Plan, cache *executor.Prepared) ([]*Estimate, error)
 }
 
 // Round records one iteration of Algorithm 1.
@@ -196,35 +202,21 @@ func (r *Reoptimizer) ReoptimizeCtx(ctx context.Context, q *sql.Query) (*Result,
 	}
 	run, cancel := r.budgetCtx(ctx)
 	defer cancel()
-	// Cross-round validation cache: successive plans share most of their
-	// join subtrees, so later rounds reuse earlier rounds' sub-results
-	// (sample counts and boundary columns) instead of re-running the
-	// skeleton from scratch. Scoped to this query and sample set unless Options.Cache
-	// promotes it to the workload level. What validating this query takes
-	// beyond the plan at hand is prepared once, beside the planner, from
-	// the one query graph both read.
+	// Cross-round validation cache: later rounds reuse earlier rounds'
+	// sub-results instead of re-running the skeleton from scratch, in a
+	// private store that dies with the run unless Options.Cache supplies
+	// a workload-level one. The handle is prepared once, beside the
+	// planner, from the one query graph both read.
 	g := sql.NewGraph(q)
-	cache, err := r.prepare(g)
-	if err != nil {
-		return nil, err
-	}
-	return r.reoptimize(ctx, run, g, nil, cache)
-}
-
-// prepare binds the validations of g's query: the run's store (the
-// configured workload-level cache, or a private one — the same store,
-// unbounded — that dies with the run), the catalog's current samples and
-// Options.MemBudget.
-func (r *Reoptimizer) prepare(g *sql.Graph) (sampling.Cache, error) {
 	store := r.Opts.Cache
 	if store == nil {
 		store = executor.NewSkeletonCache(0, 0)
 	}
-	cache, err := sampling.Prepare(g, store, r.Cat, r.Opts.MemBudget)
+	cache, err := Prepare(g, store, r.Cat, r.Opts.MemBudget)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return cache, nil
+	return r.reoptimize(ctx, run, g, nil, cache)
 }
 
 // startErr reports a ctx that is done before any work starts: a spent
@@ -253,7 +245,7 @@ func (r *Reoptimizer) budgetCtx(ctx context.Context) (context.Context, context.C
 // internal budget); run carries the budget deadline for everything else.
 // A non-nil seed is P_1, handed in instead of planned (the multi-seed
 // variant): it costs no optimizer time.
-func (r *Reoptimizer) reoptimize(outer, run context.Context, g *sql.Graph, seed *plan.Plan, cache sampling.Cache) (*Result, error) {
+func (r *Reoptimizer) reoptimize(outer, run context.Context, g *sql.Graph, seed *plan.Plan, cache *executor.Prepared) (*Result, error) {
 	// One planner serves every round: the query is resolved against the
 	// catalog once, and each round re-prices the whole DP table under
 	// the Γ the previous rounds' Δ grew (DESIGN §10: tracking what a Δ
@@ -343,11 +335,12 @@ type loop struct {
 }
 
 // validateInto runs lines 9-10 of Algorithm 1 for the candidate p —
-// Δ ← sampling; Γ ← Γ ∪ Δ — and appends the round record. optTime is
-// the optimizer time already spent producing p this round (zero for a
-// handed-in seed plan); sampling time is wall time around the estimator
-// call.
-func (r *Reoptimizer) validateInto(ctx context.Context, lp *loop, p *plan.Plan, cache sampling.Cache, optTime time.Duration) error {
+// Δ ← sampling; Γ ← Γ ∪ Δ — and appends the round record. p validates
+// through Options.Validator when one is configured and EstimatePlans
+// otherwise. optTime is the optimizer time already spent producing p
+// this round (zero for a handed-in seed plan); sampling time is wall
+// time around the estimator call.
+func (r *Reoptimizer) validateInto(ctx context.Context, lp *loop, p *plan.Plan, cache *executor.Prepared, optTime time.Duration) error {
 	round := Round{
 		Plan:              p,
 		Transform:         plan.Classify(lp.prev, p),
@@ -355,7 +348,13 @@ func (r *Reoptimizer) validateInto(ctx context.Context, lp *loop, p *plan.Plan, 
 		OptimizeTime:      optTime,
 	}
 	t1 := time.Now()
-	ests, err := r.validatePlans(ctx, []*plan.Plan{p}, cache)
+	var ests []*Estimate
+	var err error
+	if v := r.Opts.Validator; v != nil {
+		ests, err = v.ValidatePlans(ctx, []*plan.Plan{p}, cache)
+	} else {
+		ests, err = EstimatePlans(ctx, []*plan.Plan{p}, r.Cat, cache)
+	}
 	if err != nil {
 		return err
 	}
@@ -414,24 +413,11 @@ func (r *Reoptimizer) pickFinal(lp *loop) *plan.Plan {
 // blend applies conservative acceptance: each sampled estimate is mixed
 // with the statistics-based estimate, weighted by how many sample rows
 // witnessed the set.
-func blend(pl *optimizer.Planner, est *sampling.Estimate) []optimizer.SetRows {
+func blend(pl *optimizer.Planner, est *Estimate) []optimizer.SetRows {
 	out := slices.Clone(est.Sets)
 	for i := range out {
-		w := sampling.ConfidenceWeight(out[i].SampleRows)
+		w := ConfidenceWeight(out[i].SampleRows)
 		out[i].Rows = w*out[i].Rows + (1-w)*pl.StatCardinality(out[i].Mask)
 	}
 	return out
 }
-
-// validatePlans routes one validation through the injected Validator
-// when configured and directly into the sampling estimator otherwise.
-func (r *Reoptimizer) validatePlans(ctx context.Context, plans []*plan.Plan, cache sampling.Cache) ([]*sampling.Estimate, error) {
-	if r.Opts.Validator != nil {
-		return r.Opts.Validator.ValidatePlans(ctx, plans, cache)
-	}
-	return estimatePlansFn(ctx, plans, r.Cat, cache)
-}
-
-// estimatePlansFn indirects the sampling estimator for
-// failure-injection and cache-equivalence tests.
-var estimatePlansFn = sampling.EstimatePlans

@@ -6,11 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"reopt/internal/catalog"
 	"reopt/internal/executor"
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
-	"reopt/internal/sampling"
 	"reopt/internal/sql"
 	"reopt/internal/workload/ott"
 )
@@ -231,16 +229,14 @@ func TestReoptimizeRequiresSamples(t *testing.T) {
 // errors rather than silent mis-optimization.
 func TestSamplingFailureInjection(t *testing.T) {
 	r, qs := ottSetup(t)
-	orig := estimatePlansFn
-	defer func() { estimatePlansFn = orig }()
 	boom := errors.New("injected sampling failure")
-	estimatePlansFn = func(_ context.Context, ps []*plan.Plan, c *catalog.Catalog, cache sampling.Cache) ([]*sampling.Estimate, error) {
+	r.Opts.Validator = validatorFunc(func(context.Context, []*plan.Plan, *executor.Prepared) ([]*Estimate, error) {
 		return nil, boom
-	}
+	})
 	if _, err := r.Reoptimize(qs[0]); !errors.Is(err, boom) {
 		t.Fatalf("expected injected failure, got %v", err)
 	}
-	estimatePlansFn = orig
+	r.Opts.Validator = nil
 	if _, err := r.Reoptimize(qs[0]); err != nil {
 		t.Fatalf("baseline path failed after restore: %v", err)
 	}

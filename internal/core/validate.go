@@ -1,19 +1,4 @@
-// Package sampling implements the sampling-based cardinality estimator
-// of Haas et al. [20] as used by the paper (§2.1): per-table Bernoulli
-// samples are joined with the same join skeleton as the plan under
-// validation, and the observed sample cardinalities are scaled by the
-// inverse sampling fractions. One execution of the skeleton yields the
-// estimate for *every* join subtree of the plan at once — the Δ of
-// Algorithm 1 (GetCardinalityEstimatesBySampling).
-//
-// Reuse across rounds and queries goes through one store, the
-// executor's SkeletonCache, reached through one per-request handle,
-// executor.Prepared, which Cache names: Prepare(g, store, cat, budget)
-// binds the query graph g's validation to the store, to the catalog's
-// current samples — their tables, scale factors and epoch — and to the
-// request's memory budget, and EstimatePlans runs each plan through it
-// with Prepared.Count (DESIGN.md §2, §11).
-package sampling
+package core
 
 import (
 	"context"
@@ -53,35 +38,31 @@ type Estimate struct {
 // EstimatePlans validates plans' join skeletons over the catalog's
 // samples, one after another on the calling goroutine
 // (executor.Prepared.Count). The skeleton keeps each plan's join tree and
-// all predicates; its physical choices (access paths, join methods) never
-// reach a count, and an aggregate root is peeled off — only join
-// cardinalities are validated. A plan validates through cache — a handle
+// all predicates; its physical choices never reach a count, and an
+// aggregate root is peeled off. A plan validates through cache — a handle
 // from Prepare, or nil — when the handle serves its query over the
 // current samples, otherwise through a handle made for the call over the
 // same store and under the same memory budget (uncached and unlimited for
-// a nil cache); subtrees the plans share are computed once when there is
-// a store to carry them. The returned estimates are positional and their
-// Sets byte-identical to validating each plan alone, in order, against
-// the same cache; Duration is the call's total time amortized equally
-// across the plans.
+// a nil cache), so subtrees the plans share are computed once when there
+// is a store. The estimates are positional, their Sets byte-identical to
+// validating each plan alone, in order, against the same cache, and
+// Duration is the call's total time amortized equally across the plans.
 //
-// ctx reaches the engine (checked before every step), so a cancelled ctx
-// aborts the call with ctx.Err() mid-validation; completed subtrees cached
-// before the abort stay cached, nothing partial is ever stored. A nil
+// ctx reaches the engine (checked before every step): a cancelled ctx
+// aborts the call with ctx.Err(), and what was cached before stays. A nil
 // plan, or one without a query or root, fails the call with
-// executor.ErrUnsupportedPlan before anything executes, and one no handle
-// can be made for (Prepare) fails it when its turn comes. A plan that fails
-// on its own account fails the call with the first such error; it stores
+// executor.ErrUnsupportedPlan before anything executes; one no handle can
+// be made for (Prepare) fails it when its turn comes. A plan that fails
+// on its own account fails the call with the first such error, stores
 // nothing partial, and the plans beside it are still validated, so they
-// leave the cache as they would alone. One outside the engine's contract (a
-// hand-built plan that does not apply exactly the query's predicates,
+// leave the cache as they would alone: one outside the engine's contract
+// (a hand-built plan that does not apply exactly the query's predicates,
 // say) matches executor.ErrUnsupportedPlan; one breaching the handle's
-// memory budget matches executor.ErrMemoryBudget (which wraps
+// memory budget executor.ErrMemoryBudget (which wraps
 // context.DeadlineExceeded, so budget-aware callers degrade it like a
-// deadline); one whose count overflows matches executor.ErrCountOverflow;
-// a panic inside validation matches executor.ErrValidationPanic instead
-// of unwinding.
-func EstimatePlans(ctx context.Context, plans []*plan.Plan, cat *catalog.Catalog, cache Cache) ([]*Estimate, error) {
+// deadline); an overflowing count executor.ErrCountOverflow; a panic
+// executor.ErrValidationPanic instead of unwinding.
+func EstimatePlans(ctx context.Context, plans []*plan.Plan, cat *catalog.Catalog, cache *executor.Prepared) ([]*Estimate, error) {
 	if len(plans) == 0 {
 		return nil, nil
 	}
@@ -95,7 +76,7 @@ func EstimatePlans(ctx context.Context, plans []*plan.Plan, cat *catalog.Catalog
 	}
 	start := time.Now()
 	epoch := cat.SampleEpoch()
-	var other Cache // the call's handle for plans cache does not serve
+	var other *executor.Prepared // the call's handle for plans cache does not serve
 	ests := make([]*Estimate, len(plans))
 	var failed error
 	for i, p := range plans {
@@ -138,27 +119,16 @@ func EstimatePlans(ctx context.Context, plans []*plan.Plan, cat *catalog.Catalog
 	return ests, nil
 }
 
-// Cache is one request's handle on validation (DESIGN.md §11): the store
-// it validates through, the samples it is bound to — their tables, epoch
-// and per-table scale factors |R| / |R^s| — the memory budget and the
-// prepared state of its query — signatures, cache keys, join resolutions —
-// derived once per request instead of once per round. Prepare makes one;
-// nil validates every plan uncached.
-type Cache = *executor.Prepared
-
-// Prepare returns the handle the validations of g's query go through,
-// over store (nil caches nothing; a re-optimization's private store is an
-// unbounded executor.NewSkeletonCache), bound to the catalog's current
-// samples — their tables, their epoch and the scale factors they imply —
-// and to memBudget, the values one plan's validation may materialize
-// (<= 0: unlimited). g is the request's query graph, the one its planner
-// reads. The handle lives as long as the request — make one per request.
-// A validation after a BuildSamples, or of another query's plan, goes
-// through a handle made for the call over the same store. Prepare fails
-// with ErrNoSamples when the catalog has no samples yet, with the
-// catalog's error for a table it lacks, and with an error matching
-// executor.ErrUnsupportedPlan when g.Err is set.
-func Prepare(g *sql.Graph, store *executor.SkeletonCache, cat *catalog.Catalog, memBudget int64) (Cache, error) {
+// Prepare returns the request's handle on validation (DESIGN.md §11)
+// for g's query, the graph its planner reads: over store (nil caches
+// nothing), bound to the catalog's current samples — their tables, epoch
+// and scale factors |R| / |R^s| — and to memBudget, the values one plan's
+// validation may materialize (<= 0: unlimited). The query's signatures,
+// cache keys and join resolutions are derived once per handle, so make
+// one per request. Prepare fails with ErrNoSamples when the catalog has
+// no samples yet, with the catalog's error for a table it lacks, and
+// with g.Err when the graph refused its query.
+func Prepare(g *sql.Graph, store *executor.SkeletonCache, cat *catalog.Catalog, memBudget int64) (*executor.Prepared, error) {
 	if !cat.HasSamples() {
 		return nil, fmt.Errorf("sampling: %w", ErrNoSamples)
 	}
@@ -211,22 +181,17 @@ func estimateFromSteps(steps []executor.Step) *Estimate {
 	return est
 }
 
-// ConfidenceWeight returns a weight in (0,1) expressing how much trust a
-// sampled estimate deserves given the raw number k of sample rows
-// observed for the set: with k observations the relative standard error
-// of the Haas et al. estimator shrinks like 1/sqrt(k), so the weight
-// (k+1)/(k+1+c) rises toward 1 for well-observed sets and stays low when
-// the sample barely witnessed the set. The Laplace-style +1 is
-// deliberate, not plain k/(k+c): even at k=0 the estimator still says
-// something — the resolution-limit floor of EstimatePlans (half of one
-// sample row's worth) — so an unwitnessed set keeps a small non-zero
-// weight, 1/(1+c), rather than being wholly overridden by the
-// optimizer's statistics-based estimate. With c = 4 that is 0.2, so
-// core.blend still favors history (weight < 1/2) until the sample has
-// actually witnessed the set a few times (weight reaches 1/2 at
-// k = c-1 = 3).
-// Used by the conservative blending extension (§7 future work: "consider
-// the uncertainty of the cardinality estimates returned by sampling").
+// ConfidenceWeight is the trust, in (0,1), that a sampled estimate
+// deserves given the k sample rows that witnessed its set, for the
+// conservative blending extension (§7 future work: "consider the
+// uncertainty of the cardinality estimates returned by sampling"). The
+// estimator's relative standard error shrinks like 1/sqrt(k), so
+// (k+1)/(k+1+c) rises toward 1 for well-observed sets. The Laplace-style
+// +1 is deliberate, not plain k/(k+c): at k=0 the estimate is still the
+// zero-count floor (half of one sample row's worth), so an unwitnessed
+// set keeps weight 1/(1+c) = 0.2 instead of being wholly overridden by
+// the statistics-based estimate, and blend favors history (weight < 1/2)
+// until the sample has witnessed the set c-1 = 3 times.
 func ConfidenceWeight(sampleRows int64) float64 {
 	const c = 4
 	k := float64(sampleRows)

@@ -4,8 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"reopt/internal/executor"
 	"reopt/internal/plan"
-	"reopt/internal/sampling"
 	"reopt/internal/sql"
 )
 
@@ -17,10 +17,10 @@ type countingValidator struct {
 	plans int
 }
 
-func (v *countingValidator) ValidatePlans(ctx context.Context, plans []*plan.Plan, cache sampling.Cache) ([]*sampling.Estimate, error) {
+func (v *countingValidator) ValidatePlans(ctx context.Context, plans []*plan.Plan, cache *executor.Prepared) ([]*Estimate, error) {
 	v.calls++
 	v.plans += len(plans)
-	return sampling.EstimatePlans(ctx, plans, v.r.Cat, cache)
+	return EstimatePlans(ctx, plans, v.r.Cat, cache)
 }
 
 // TestValidatorInjection: with Options.Validator set, every validation

@@ -137,12 +137,12 @@ func (s *Step) Node() plan.Node { return s.node }
 // none), and memBudget, the values one Count may materialize (<= 0:
 // unlimited). Signatures, boundary columns, cache keys and join
 // resolutions are derived once, on first use, instead of once per plan
-// (DESIGN.md §11). A graph with a join predicate that does not join two
-// distinct FROM entries (g.Err) has no handle: the error matches
-// ErrUnsupportedPlan too.
+// (DESIGN.md §11). A graph that refused its query (g.Err) has no handle:
+// the error wraps g.Err, and not ErrUnsupportedPlan, as a refused query
+// is no plan.
 func NewPrepared(g *sql.Graph, cache *SkeletonCache, epoch uint64, tables []*storage.Table, scales []float64, memBudget int64) (*Prepared, error) {
 	if g.Err != nil {
-		return nil, fmt.Errorf("executor: %w: %w", g.Err, ErrUnsupportedPlan)
+		return nil, fmt.Errorf("executor: %w", g.Err)
 	}
 	q := g.Query
 	s := &Prepared{

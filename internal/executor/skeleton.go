@@ -50,7 +50,7 @@ package executor
 // plan against the request's Prepared (prepared.go), which binds the
 // cache, the tables scans read, their sample epoch and scale factors, the
 // memory budget and the query's derived state. Validating several plans is
-// its callers' loop (sampling.EstimatePlans).
+// its callers' loop (core.EstimatePlans).
 
 import (
 	"context"

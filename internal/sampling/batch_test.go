@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"reopt/internal/catalog"
+	"reopt/internal/core"
 	"reopt/internal/executor"
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
@@ -48,10 +49,10 @@ func perRun() *executor.SkeletonCache { return executor.NewSkeletonCache(0, 0) }
 // session's shared cache is by default.
 func workloadStore() *executor.SkeletonCache { return executor.NewSkeletonCache(4096, 0) }
 
-// mustPrepare is Prepare, failing t on an error.
+// mustPrepare is core.Prepare, failing t on an error.
 func mustPrepare(t testing.TB, q *sql.Query, store *executor.SkeletonCache, cat *catalog.Catalog) Cache {
 	t.Helper()
-	cache, err := Prepare(sql.NewGraph(q), store, cat, 0)
+	cache, err := core.Prepare(sql.NewGraph(q), store, cat, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +71,11 @@ func estimateWith(plans []*plan.Plan, cat *catalog.Catalog, store *executor.Skel
 	var cache Cache
 	if len(plans) > 0 {
 		var err error
-		if cache, err = Prepare(sql.NewGraph(plans[0].Query), store, cat, budget); err != nil {
+		if cache, err = core.Prepare(sql.NewGraph(plans[0].Query), store, cat, budget); err != nil {
 			return nil, err
 		}
 	}
-	return EstimatePlans(context.Background(), plans, cat, cache)
+	return core.EstimatePlans(context.Background(), plans, cat, cache)
 }
 
 // estimateOne is estimatePlans over the one plan.
@@ -191,7 +192,7 @@ func TestEstimatePlansRejectsUnsupportedPlan(t *testing.T) {
 	mixed := []*plan.Plan{plans[0], bad, plans[1]}
 	caches := []Cache{mustPrepare(t, mixed[0].Query, workloadStore(), cat), nil, mustPrepare(t, mixed[2].Query, perRun(), cat)}
 	for i, cache := range caches {
-		ests, err := EstimatePlans(context.Background(), mixed[i:i+1], cat, cache)
+		ests, err := core.EstimatePlans(context.Background(), mixed[i:i+1], cat, cache)
 		if mixed[i] == bad {
 			if !errors.Is(err, executor.ErrUnsupportedPlan) {
 				t.Fatalf("call %d: %v, want ErrUnsupportedPlan", i, err)
@@ -317,7 +318,7 @@ func TestWorkloadCacheEviction(t *testing.T) {
 // which makes the same call.
 func TestEmptyPlanGroups(t *testing.T) {
 	cat, plans := batchSetup(t, 1)
-	if got, err := EstimatePlans(context.Background(), nil, cat, mustPrepare(t, plans[0].Query, perRun(), cat)); got != nil || err != nil {
+	if got, err := core.EstimatePlans(context.Background(), nil, cat, mustPrepare(t, plans[0].Query, perRun(), cat)); got != nil || err != nil {
 		t.Fatalf("empty call: %v, %v", got, err)
 	}
 	c := NewScheduler(cat, 0, 0).Register()

@@ -374,7 +374,7 @@ func rewrite(n plan.Node) plan.Node {
 // volcanoEstimate is the estimate the general executor's counts of p's
 // skeleton over the samples imply: per node, its count under the Γ key of
 // its relations, scaled by their factors |R| / |R^s| multiplied in leaf
-// order, with the zero-count floor — what EstimatePlans must return
+// order, with the zero-count floor — what core.EstimatePlans must return
 // bit for bit.
 func volcanoEstimate(t testing.TB, p *plan.Plan, cat *catalog.Catalog) *Estimate {
 	t.Helper()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"reopt/internal/catalog"
+	"reopt/internal/core"
 	"reopt/internal/executor"
 	"reopt/internal/optimizer"
 	"reopt/internal/plan"
@@ -167,13 +168,13 @@ func TestEstimateRequiresSamples(t *testing.T) {
 func TestConfidenceWeightMonotone(t *testing.T) {
 	prev := 0.0
 	for _, k := range []int64{0, 1, 5, 20, 100, 10000} {
-		w := ConfidenceWeight(k)
+		w := core.ConfidenceWeight(k)
 		if w <= prev || w > 1 {
 			t.Errorf("weight(%d) = %v not in (prev, 1]", k, w)
 		}
 		prev = w
 	}
-	if w := ConfidenceWeight(10000); w < 0.99 {
+	if w := core.ConfidenceWeight(10000); w < 0.99 {
 		t.Errorf("large samples should be near-fully trusted: %v", w)
 	}
 }
@@ -185,11 +186,11 @@ func TestConfidenceWeightMonotone(t *testing.T) {
 // optimizer's history-based estimate until the sample has actually
 // witnessed the set.
 func TestConfidenceWeightBoundary(t *testing.T) {
-	w0 := ConfidenceWeight(0)
+	w0 := core.ConfidenceWeight(0)
 	if w0 <= 0 || w0 >= 0.5 {
 		t.Errorf("weight(0) = %v, want in (0, 0.5) so history dominates", w0)
 	}
-	if w := ConfidenceWeight(1 << 40); w >= 1 {
+	if w := core.ConfidenceWeight(1 << 40); w >= 1 {
 		t.Errorf("weight must stay below 1, got %v", w)
 	}
 }

@@ -1,16 +1,28 @@
+// Package sampling keeps the names bench/ compiles against: the deleted
+// workload validation scheduler, as no-ops, and two aliases. Validation
+// itself lives in core (core.Prepare, core.EstimatePlans); every
+// validation runs on the goroutine that asked for it.
 package sampling
-
-// Scheduler: the names of the deleted workload validation scheduler,
-// kept as no-ops because bench/ compiles against them. Every validation
-// runs on the goroutine that asked for it (EstimatePlans).
 
 import (
 	"context"
 	"time"
 
 	"reopt/internal/catalog"
+	"reopt/internal/core"
+	"reopt/internal/executor"
 	"reopt/internal/plan"
 )
+
+// Cache is one request's handle on validation.
+//
+// Deprecated: use *executor.Prepared (core.Prepare makes one).
+type Cache = *executor.Prepared
+
+// Estimate is the Δ produced by validating one plan.
+//
+// Deprecated: use core.Estimate.
+type Estimate = core.Estimate
 
 // Scheduler once gathered concurrent queries' validations into waves.
 //
@@ -31,7 +43,7 @@ func NewScheduler(cat *catalog.Catalog, workers int, window time.Duration) *Sche
 // SetMemBudget does nothing.
 //
 // Deprecated: a validation runs under the budget of the handle it is
-// given (Prepare).
+// given (core.Prepare).
 func (s *Scheduler) SetMemBudget(values int64) {}
 
 // SetShards does nothing.
@@ -73,7 +85,7 @@ func (s *Scheduler) Register() *SchedulerClient { return &SchedulerClient{s: s} 
 // Deprecated: see Scheduler.
 func (c *SchedulerClient) Close() {}
 
-// ValidatePlans is EstimatePlans over the scheduler's catalog.
+// ValidatePlans is core.EstimatePlans over the scheduler's catalog.
 func (c *SchedulerClient) ValidatePlans(ctx context.Context, plans []*plan.Plan, cache Cache) ([]*Estimate, error) {
-	return EstimatePlans(ctx, plans, c.s.cat, cache)
+	return core.EstimatePlans(ctx, plans, c.s.cat, cache)
 }

@@ -2,7 +2,7 @@ package sampling
 
 // The deprecated Scheduler names are a direct path: a client validates
 // on its caller's goroutine, under its caller's context, exactly as
-// EstimatePlans does, and its stats stay zero.
+// core.EstimatePlans does, and its stats stay zero.
 
 import (
 	"context"

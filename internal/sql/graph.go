@@ -12,6 +12,12 @@ import (
 // its query (Graph.Err). The parser rejects it in SQL text.
 var ErrJoinEndpoints = errors.New("join predicate does not join two distinct FROM entries")
 
+// ErrAlias marks a query whose FROM list repeats an alias, or that has a
+// selection on an alias the FROM list lacks: a filter would apply to two
+// entries or to none, so the planner and the validation engine both
+// refuse it (Graph.Err). The parser rejects both in SQL text.
+var ErrAlias = errors.New("alias does not name exactly one FROM entry")
+
 // MaxTables is the longest FROM list a query may have: a relation set is
 // a uint64 mask of FROM positions (Query.Bit).
 const MaxTables = 63
@@ -33,9 +39,10 @@ type Graph struct {
 	// Edges holds the join predicates in query order, duplicates included.
 	Edges []Edge
 	// Err wraps ErrTooManyTables for a FROM list longer than MaxTables,
-	// or ErrJoinEndpoints for the first join predicate that does not join
-	// two distinct FROM entries; Optimizer.Prepare and executor.NewPrepared
-	// refuse a graph with it.
+	// ErrAlias for the first repeated alias or selection outside the FROM
+	// list, or ErrJoinEndpoints for the first join predicate that does not
+	// join two distinct FROM entries; Optimizer.Prepare and
+	// executor.NewPrepared refuse a graph with it.
 	Err error
 }
 
@@ -63,8 +70,9 @@ func (e *Edge) Crosses(a, b uint64) bool {
 
 // NewGraph derives q's join graph. A FROM list longer than MaxTables
 // sets Err before any bit is derived, and leaves the graph without
-// relations or edges; a join predicate whose endpoints are not two
-// distinct FROM entries sets Err.
+// relations or edges; a repeated alias, a selection on an alias the FROM
+// list lacks and a join predicate whose endpoints are not two distinct
+// FROM entries set Err, in that order.
 func NewGraph(q *Query) *Graph {
 	if len(q.Tables) > MaxTables {
 		return &Graph{Query: q, Err: fmt.Errorf("sql: %d tables: %w", len(q.Tables), ErrTooManyTables)}
@@ -73,6 +81,9 @@ func NewGraph(q *Query) *Graph {
 	all := make([]Selection, 0, len(q.Selections)) // every relation's filters, by position
 	for i, t := range q.Tables {
 		g.Rels[i].Bit = 1 << uint(i)
+		if g.Err == nil && q.Bit(t.Alias) != g.Rels[i].Bit {
+			g.Err = fmt.Errorf("sql: FROM entry %d repeats alias %q: %w", i, t.Alias, ErrAlias)
+		}
 		start := len(all)
 		for _, f := range q.Selections {
 			if f.Col.Table == t.Alias {
@@ -81,6 +92,11 @@ func NewGraph(q *Query) *Graph {
 		}
 		if len(all) > start {
 			g.Rels[i].Filters = all[start:len(all):len(all)]
+		}
+	}
+	for _, f := range q.Selections {
+		if g.Err == nil && q.Bit(f.Col.Table) == 0 {
+			g.Err = fmt.Errorf("sql: selection %s: %w", f, ErrAlias)
 		}
 	}
 	for i, j := range q.Joins {

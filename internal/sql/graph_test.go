@@ -130,8 +130,48 @@ func TestGraphOutsideAlias(t *testing.T) {
 		if _, err := opt.Optimize(&q, nil); !errors.Is(err, sql.ErrJoinEndpoints) {
 			t.Errorf("%s: Optimize: %v, want ErrJoinEndpoints", name, err)
 		}
-		if _, err := executor.NewPrepared(g, nil, 0, nil, nil, 0); !errors.Is(err, g.Err) || !errors.Is(err, executor.ErrUnsupportedPlan) {
-			t.Errorf("%s: NewPrepared: %v, want the graph's error, as an unsupported plan", name, err)
+		if _, err := executor.NewPrepared(g, nil, 0, nil, nil, 0); !errors.Is(err, g.Err) || !errors.Is(err, sql.ErrJoinEndpoints) {
+			t.Errorf("%s: NewPrepared: %v, want the graph's error, ErrJoinEndpoints", name, err)
+		}
+	}
+}
+
+// TestGraphAlias pins the refusal of a hand-built query whose aliases do
+// not each name one FROM entry — a selection on an alias the FROM list
+// lacks, or a FROM list that repeats an alias — which the parser refuses
+// in SQL text: the graph names the selection or the alias in its Err,
+// wrapping ErrAlias, and the planner and the validation handle both
+// refuse the query with it. Left in, the selection would filter no
+// relation, and the repeated alias's filters would apply to both of its
+// entries.
+func TestGraphAlias(t *testing.T) {
+	cat := graphCatalog(t)
+	base, err := sql.Parse(`SELECT COUNT(*) FROM r1, r2 WHERE r1.a = 0 AND r2.a = 0 AND r1.b = r2.b`, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := *base
+	outside.Selections = append(slices.Clone(base.Selections), sql.Selection{
+		Col: sql.ColRef{Table: "zz", Column: "a"}, Op: sql.OpEq, Value: rel.Int(12345)})
+	repeated := *base
+	repeated.Tables = append(slices.Clone(base.Tables), sql.TableRef{Name: "r3", Alias: "r1"})
+	opt := optimizer.New(cat, optimizer.DefaultConfig())
+	for _, c := range []struct {
+		name, names string
+		q           *sql.Query
+	}{{"outside alias", "zz.a = 12345", &outside}, {"repeated alias", `"r1"`, &repeated}} {
+		g := sql.NewGraph(c.q)
+		if !errors.Is(g.Err, sql.ErrAlias) || !strings.Contains(g.Err.Error(), c.names) {
+			t.Fatalf("%s: graph error %v, want ErrAlias naming %s", c.name, g.Err, c.names)
+		}
+		if _, err := opt.Prepare(g, nil); !errors.Is(err, g.Err) {
+			t.Errorf("%s: Optimizer.Prepare: %v, want the graph's error", c.name, err)
+		}
+		if _, err := opt.Optimize(c.q, nil); !errors.Is(err, sql.ErrAlias) {
+			t.Errorf("%s: Optimize: %v, want ErrAlias", c.name, err)
+		}
+		if _, err := executor.NewPrepared(g, nil, 0, nil, nil, 0); !errors.Is(err, g.Err) || errors.Is(err, executor.ErrUnsupportedPlan) {
+			t.Errorf("%s: NewPrepared: %v, want the graph's error, not an unsupported plan", c.name, err)
 		}
 	}
 }

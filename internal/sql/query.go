@@ -237,8 +237,8 @@ func (q *Query) String() string {
 }
 
 // Fingerprint returns a canonical string identifying the logical query
-// (order-insensitive over predicates), used for caching and test
-// assertions.
+// (order-insensitive over predicates). No cache keys on it: the parser's
+// tests compare it across a String round trip.
 func (q *Query) Fingerprint() string {
 	tables := make([]string, len(q.Tables))
 	for i, t := range q.Tables {

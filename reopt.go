@@ -154,7 +154,7 @@ type (
 	// ReoptRound is one iteration's record.
 	ReoptRound = core.Round
 	// SamplingEstimate is the Δ produced by validating one plan.
-	SamplingEstimate = sampling.Estimate
+	SamplingEstimate = core.Estimate
 	// WorkloadCache reuses validation counts across the queries of a
 	// workload (see ReoptOptions.Cache): the validation engine's one
 	// store, whose keys carry the sample epoch of the catalog they were

@@ -24,7 +24,6 @@ import (
 	"reopt/internal/executor"
 	"reopt/internal/midquery"
 	"reopt/internal/optimizer"
-	"reopt/internal/sampling"
 	"reopt/internal/sql"
 )
 
@@ -369,10 +368,11 @@ func (s *Session) ReoptimizeMultiSeed(ctx context.Context, q *Query, seeds int, 
 // Every plan must be inside the skeleton engine's contract: a tree of
 // scans and equi-joins applying exactly its query's filters and join
 // predicates, as every plan from Optimize is. A hand-built plan outside
-// it — or a nil plan, or one without a query or root, or one whose query
-// has a join predicate that does not join two distinct FROM entries —
-// fails the call with an error matching ErrUnsupportedPlan before it
-// executes anything.
+// it — or a nil plan, or one without a query or root — fails the call
+// with an error matching ErrUnsupportedPlan before it executes anything.
+// A plan whose hand-built query Optimize would refuse fails it with
+// Optimize's error — ErrTooManyTables, ErrAlias or ErrJoinEndpoints —
+// and not as ErrUnsupportedPlan: the query is refused, not the plan.
 //
 // The call is admission-gated like Reoptimize. Under WithMemoryBudget,
 // a validation that breaches the budget fails the call with an error
@@ -394,14 +394,14 @@ func (s *Session) Validate(ctx context.Context, plans ...*Plan) ([]*SamplingEsti
 	// made one; any other query's plans are prepared on their own, under
 	// the same store and budget. A first plan without a query has no
 	// handle, and the estimator refuses it.
-	var cache sampling.Cache
+	var cache *executor.Prepared
 	if p := plans[0]; p != nil && p.Query != nil {
 		var err error
-		if cache, err = sampling.Prepare(sql.NewGraph(p.Query), s.cache, s.cat, s.memBudget); err != nil {
+		if cache, err = core.Prepare(sql.NewGraph(p.Query), s.cache, s.cat, s.memBudget); err != nil {
 			return nil, err
 		}
 	}
-	return sampling.EstimatePlans(ctx, plans, s.cat, cache)
+	return core.EstimatePlans(ctx, plans, s.cat, cache)
 }
 
 // Execute runs a plan against the catalog's base tables. Cancelling ctx

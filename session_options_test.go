@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"reopt"
-	"reopt/internal/sampling"
+	"reopt/internal/core"
 	"reopt/internal/sql"
 )
 
@@ -39,7 +39,7 @@ func TestWithConservativeBlendsDelta(t *testing.T) {
 	}
 	moved := 0
 	for _, d := range ests[0].Sets {
-		w := sampling.ConfidenceWeight(d.SampleRows)
+		w := core.ConfidenceWeight(d.SampleRows)
 		want := w*d.Rows + (1-w)*pl.StatCardinality(d.Mask)
 		if got, _ := plain.Gamma.Get(d.Mask); got != d.Rows {
 			t.Errorf("plain Γ[%s] = %v, sampled %v", d.Key, got, d.Rows)

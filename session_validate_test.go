@@ -11,7 +11,8 @@ import (
 	"testing"
 
 	"reopt"
-	"reopt/internal/sampling"
+	"reopt/internal/core"
+	"reopt/internal/rel"
 	"reopt/internal/sql"
 )
 
@@ -254,7 +255,7 @@ func TestSessionDuplicatePredicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, rd := range res.Rounds {
-		prep, err := sampling.Prepare(sql.NewGraph(q), nil, cat, 0)
+		prep, err := core.Prepare(sql.NewGraph(q), nil, cat, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,10 +270,11 @@ func TestSessionDuplicatePredicates(t *testing.T) {
 
 // TestFromListLimit: a hand-built query whose FROM list is longer than
 // sql.MaxTables — chains of 64, 65 and 66 entries over r1 — is refused
-// with sql.ErrTooManyTables by Reoptimize, ReoptimizeMultiSeed, Optimize
-// and Validate alike, before any planning or validation starts. Only
-// refused sizes run: planning a chain at the limit through a session
-// without a budget costs far more than a test may spend.
+// with ErrTooManyTables by Reoptimize, ReoptimizeMultiSeed, Optimize and
+// Validate alike, before any planning or validation starts, and never as
+// an unsupported plan: a refused query is no plan. Only refused sizes
+// run: planning a chain at the limit through a session without a budget
+// costs far more than a test may spend.
 func TestFromListLimit(t *testing.T) {
 	cat, _ := ottSession(t)
 	s, err := reopt.Open(cat)
@@ -292,17 +294,61 @@ func TestFromListLimit(t *testing.T) {
 				})
 			}
 		}
-		if _, err := s.Reoptimize(ctx, q); !errors.Is(err, sql.ErrTooManyTables) {
-			t.Errorf("%d tables: Reoptimize: %v, want ErrTooManyTables", n, err)
+		refused := func(entry string, err error) {
+			t.Helper()
+			if !errors.Is(err, reopt.ErrTooManyTables) || errors.Is(err, reopt.ErrUnsupportedPlan) {
+				t.Errorf("%d tables: %s: %v, want ErrTooManyTables, not ErrUnsupportedPlan", n, entry, err)
+			}
 		}
-		if _, err := s.ReoptimizeMultiSeed(ctx, q, 2); !errors.Is(err, sql.ErrTooManyTables) {
-			t.Errorf("%d tables: ReoptimizeMultiSeed: %v, want ErrTooManyTables", n, err)
+		_, err := s.Reoptimize(ctx, q)
+		refused("Reoptimize", err)
+		_, err = s.ReoptimizeMultiSeed(ctx, q, 2)
+		refused("ReoptimizeMultiSeed", err)
+		_, err = s.Optimize(q)
+		refused("Optimize", err)
+		_, err = s.Validate(ctx, &reopt.Plan{Query: q})
+		refused("Validate", err)
+	}
+}
+
+// TestAliasRefused: a hand-built query with a selection on an alias its
+// FROM list lacks, or a FROM list that repeats an alias, is refused with
+// ErrAlias by Optimize, Reoptimize and Validate — Validate of the
+// well-formed query's plan, handed the broken query — and never as an
+// unsupported plan. Accepted, the outside selection would filter nothing
+// and the repeated alias's filter would apply to two entries.
+func TestAliasRefused(t *testing.T) {
+	cat, _ := ottSession(t)
+	s, err := reopt.Open(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	base, err := s.Parse("SELECT COUNT(*) FROM r1, r2 WHERE r1.a = 0 AND r2.a = 0 AND r1.b = r2.b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.Optimize(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := *base
+	outside.Selections = append(slices.Clone(base.Selections), sql.Selection{
+		Col: sql.ColRef{Table: "zz", Column: "a"}, Op: sql.OpEq, Value: rel.Int(12345)})
+	repeated := *base
+	repeated.Tables = append(slices.Clone(base.Tables), sql.TableRef{Name: "r3", Alias: "r1"})
+	for name, q := range map[string]*reopt.Query{"outside alias": &outside, "repeated alias": &repeated} {
+		refused := func(entry string, err error) {
+			t.Helper()
+			if !errors.Is(err, reopt.ErrAlias) || errors.Is(err, reopt.ErrUnsupportedPlan) {
+				t.Errorf("%s: %s: %v, want ErrAlias, not ErrUnsupportedPlan", name, entry, err)
+			}
 		}
-		if _, err := s.Optimize(q); !errors.Is(err, sql.ErrTooManyTables) {
-			t.Errorf("%d tables: Optimize: %v, want ErrTooManyTables", n, err)
-		}
-		if _, err := s.Validate(ctx, &reopt.Plan{Query: q}); !errors.Is(err, sql.ErrTooManyTables) {
-			t.Errorf("%d tables: Validate: %v, want ErrTooManyTables", n, err)
-		}
+		_, err := s.Optimize(q)
+		refused("Optimize", err)
+		_, err = s.Reoptimize(ctx, q)
+		refused("Reoptimize", err)
+		_, err = s.Validate(ctx, &reopt.Plan{Root: p.Root, Query: q})
+		refused("Validate", err)
 	}
 }
